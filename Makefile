@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench datapath obs-bench experiments figures fuzz soak obs-demo clean
+.PHONY: all build test race cover bench obs-bench experiments figures fuzz soak obs-demo clean
 
 all: build test
 
@@ -14,7 +14,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/runtime/ ./internal/transport/ ./internal/chaos/ ./internal/core/ ./internal/sim/ ./internal/service/ ./internal/parity/ ./internal/wire/
+	$(GO) test -race ./internal/runtime/ ./internal/transport/ ./internal/chaos/ ./internal/core/ ./internal/sim/ ./internal/service/ ./internal/parity/ ./internal/wire/ ./internal/cluster/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
@@ -22,11 +22,6 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Monolithic-vs-chunked data-path comparison on a live loopback cluster;
-# regenerates BENCH_datapath.json.
-datapath:
-	$(GO) run ./cmd/dvdcbench -datapath
 
 # Telemetry-plane overhead comparison (obs off vs fully lit) on a live
 # loopback cluster; regenerates BENCH_obs.json. The acceptance bar is <= 5%
@@ -66,7 +61,6 @@ fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzScatterGatherFrames -fuzztime 30s
 	$(GO) test ./internal/parity/ -fuzz FuzzGfSliceKernels -fuzztime 30s
 	$(GO) test ./internal/checkpoint/ -fuzz FuzzDecode -fuzztime 30s
-	$(GO) test ./internal/runtime/ -fuzz FuzzDecodeDelta -fuzztime 30s
 	$(GO) test ./internal/service/ -fuzz FuzzJournalReplay -fuzztime 30s
 
 clean:

@@ -7,7 +7,7 @@
 //	dvdcbench -list
 //	dvdcbench -exp E1
 //	dvdcbench -exp all -mtbf 10800 -job 172800
-//	dvdcbench -datapath            # monolithic vs chunked live rounds -> BENCH_datapath.json
+//	dvdcbench -obs                 # telemetry-plane overhead on live rounds -> BENCH_obs.json
 package main
 
 import (
@@ -43,10 +43,6 @@ func main() {
 		runs   = flag.Int("runs", 60, "Monte-Carlo repetitions")
 		points = flag.Int("points", 120, "sweep points for figures")
 
-		datapath   = flag.Bool("datapath", false, "run the monolithic-vs-chunked data-path comparison on a live cluster and exit")
-		dpRounds   = flag.Int("datapath-rounds", 20, "timed checkpoint rounds per data-path case")
-		dpJSONPath = flag.String("datapath-json", "BENCH_datapath.json", "where -datapath writes its JSON artifact")
-
 		obsBench    = flag.Bool("obs", false, "run the telemetry-plane overhead comparison on a live cluster and exit")
 		obRounds    = flag.Int("obs-rounds", 20, "timed checkpoint rounds per telemetry case")
 		obsJSONPath = flag.String("obs-json", "BENCH_obs.json", "where -obs writes its JSON artifact")
@@ -71,13 +67,6 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *datapath {
-		if err := runDatapath(*dpRounds, *seed, *dpJSONPath); err != nil {
-			fmt.Fprintf(os.Stderr, "dvdcbench: datapath: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *obsBench {
 		if err := runObsBench(*obRounds, *seed, *obsJSONPath); err != nil {
 			fmt.Fprintf(os.Stderr, "dvdcbench: obs: %v\n", err)

@@ -80,7 +80,7 @@ func registerFlags(fs *flag.FlagSet) *soakFlags {
 	fs.Float64Var(&f.pDelay, "p-delay", 0.05, "per-frame delay probability")
 	fs.Float64Var(&f.pPart, "p-partition", 0.1, "per-round transient partition probability")
 	fs.IntVar(&f.armed, "arm-per-round", 2, "armed one-shot faults per round")
-	fs.IntVar(&f.chunkSize, "chunk-size", 0, "data-path chunk size in bytes (0 = default chunked, -1 = monolithic)")
+	fs.IntVar(&f.chunkSize, "chunk-size", 0, "data-path chunk size in bytes (0 = the default, 64 KiB)")
 	fs.IntVar(&f.chunkArms, "chunk-faults", 0, "armed one-shot drop/corrupt faults per round aimed at delta chunk frames")
 	fs.Float64Var(&f.killMTBF, "kill-mtbf", 120, "per-node MTBF in virtual seconds (0 = no kills)")
 	fs.BoolVar(&f.service, "service", false,
@@ -107,9 +107,24 @@ func registerFlags(fs *flag.FlagSet) *soakFlags {
 	return &f
 }
 
+// validate rejects flag values and combinations the soak cannot run with.
+func (f *soakFlags) validate() error {
+	if f.chunkSize < 0 {
+		return fmt.Errorf("-chunk-size %d: want 0 (default) or a positive byte count", f.chunkSize)
+	}
+	if (f.stateDir != "" || f.controllerRestarts > 0) && !f.service {
+		return fmt.Errorf("-state-dir and -controller-restarts require -service")
+	}
+	if f.adaptive && f.service {
+		return fmt.Errorf("-adaptive drives the classic loop and cannot be combined with -service")
+	}
+	return nil
+}
+
 func main() {
 	f := registerFlags(flag.CommandLine)
 	flag.Parse()
+	fatal(f.validate())
 
 	gs := f.groupSize
 	if gs <= 0 {
@@ -147,12 +162,6 @@ func main() {
 	}
 	if f.slowNode < 0 {
 		cfg.SlowDelay = 0
-	}
-	if (f.stateDir != "" || f.controllerRestarts > 0) && !f.service {
-		fatal(fmt.Errorf("-state-dir and -controller-restarts require -service"))
-	}
-	if f.adaptive && f.service {
-		fatal(fmt.Errorf("-adaptive drives the classic loop and cannot be combined with -service"))
 	}
 	if f.common.WantTracer() {
 		cfg.Tracer = obs.NewTracer(1 << 15)

@@ -46,3 +46,29 @@ func TestFlagDefaultsMatchLibrary(t *testing.T) {
 		t.Errorf("-adaptive default = %s, want false", f.DefValue)
 	}
 }
+
+// TestFlagValidation pins what validate refuses: a negative chunk size (the
+// encoding is 0 = default, > 0 = bytes) and the service-only / classic-only
+// flag combinations.
+func TestFlagValidation(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		ok   bool
+	}{
+		{nil, true},
+		{[]string{"-chunk-size", "256", "-chunk-faults", "2"}, true},
+		{[]string{"-chunk-size", "-1"}, false},
+		{[]string{"-controller-restarts", "1"}, false},
+		{[]string{"-service", "-controller-restarts", "1"}, true},
+		{[]string{"-service", "-adaptive"}, false},
+	} {
+		fs := flag.NewFlagSet("dvdcsoak", flag.ContinueOnError)
+		f := registerFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if err := f.validate(); (err == nil) != tc.ok {
+			t.Errorf("%v: validate() = %v, want ok=%v", tc.args, err, tc.ok)
+		}
+	}
+}

@@ -38,7 +38,6 @@ import (
 	"sync"
 	"time"
 
-	"dvdc/internal/metrics"
 	"dvdc/internal/obs"
 	"dvdc/internal/wire"
 )
@@ -179,7 +178,7 @@ type Injector struct {
 	slow        map[int]time.Duration
 	nodeByAddr  map[string]int
 	log         []Fault
-	counters    *metrics.Counters
+	counters    *obs.CounterSet
 	tracer      *obs.Tracer
 	recorder    *obs.FlightRecorder
 }
@@ -193,7 +192,7 @@ func New(seed int64, cfg Config) *Injector {
 		partitioned: map[Pair]bool{},
 		slow:        map[int]time.Duration{},
 		nodeByAddr:  map[string]int{},
-		counters:    metrics.NewCounters(),
+		counters:    obs.NewCounterSet(),
 	}
 }
 
@@ -201,7 +200,7 @@ func New(seed int64, cfg Config) *Injector {
 func (i *Injector) Seed() int64 { return i.seed }
 
 // Counters exposes per-kind fired-fault tallies.
-func (i *Injector) Counters() *metrics.Counters { return i.counters }
+func (i *Injector) Counters() *obs.CounterSet { return i.counters }
 
 // SetTracer attaches a span tracer: every fired traffic fault becomes an
 // instant trace event parented under the span of the RPC attempt it hit,

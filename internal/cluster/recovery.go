@@ -122,11 +122,29 @@ func (l *Layout) PlanRecovery(down ...int) (*Plan, error) {
 		}
 		return occ
 	}
+	// parityOn lists, per group, the surviving nodes that hold (or are planned
+	// to hold) one of its parity blocks.
+	parityOn := map[int]map[int]bool{}
+	holdsParity := func(g Group) map[int]bool {
+		held, ok := parityOn[g.Index]
+		if !ok {
+			held = map[int]bool{}
+			for _, p := range g.ParityNodes {
+				if !downSet[p] {
+					held[p] = true
+				}
+			}
+			parityOn[g.Index] = held
+		}
+		return held
+	}
 	// pickTarget prefers a surviving node free of this group's elements;
 	// when none exists (the group already spans every surviving node) it
 	// falls back to the least-loaded surviving node and reports the
-	// placement as degraded.
-	pickTarget := func(g Group) (node int, degraded bool, err error) {
+	// placement as degraded. A degraded parity placement co-locates with a
+	// member, never with another parity block of the group: a node keeps one
+	// parity block per group, so two on one node would lose one of them.
+	pickTarget := func(g Group, forParity bool) (node int, degraded bool, err error) {
 		occ := occupied(g)
 		best, bestLoad := -1, int(^uint(0)>>1)
 		for n := 0; n < l.Nodes; n++ {
@@ -140,7 +158,7 @@ func (l *Layout) PlanRecovery(down ...int) (*Plan, error) {
 		if best == -1 {
 			degraded = true
 			for n := 0; n < l.Nodes; n++ {
-				if downSet[n] {
+				if downSet[n] || (forParity && holdsParity(g)[n]) {
 					continue
 				}
 				if load[n] < bestLoad {
@@ -155,6 +173,9 @@ func (l *Layout) PlanRecovery(down ...int) (*Plan, error) {
 			planned[g.Index] = map[int]bool{}
 		}
 		planned[g.Index][best] = true
+		if forParity {
+			holdsParity(g)[best] = true
+		}
 		return best, degraded, nil
 	}
 
@@ -164,7 +185,7 @@ func (l *Layout) PlanRecovery(down ...int) (*Plan, error) {
 			continue
 		}
 		g := l.Groups[v.Group]
-		target, degraded, err := pickTarget(g)
+		target, degraded, err := pickTarget(g, false)
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +205,7 @@ func (l *Layout) PlanRecovery(down ...int) (*Plan, error) {
 			if !downSet[p] {
 				continue
 			}
-			target, degraded, err := pickTarget(g)
+			target, degraded, err := pickTarget(g, true)
 			if err != nil {
 				return nil, err
 			}

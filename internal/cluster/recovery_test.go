@@ -222,3 +222,30 @@ func TestStepKindString(t *testing.T) {
 		t.Error("StepKind strings wrong")
 	}
 }
+
+// TestDegradedRecoveryNeverStacksParity: on 6 nodes with m=2 every double
+// failure forces degraded placements, and none of them may put two parity
+// blocks of one group on the same node — a node keeps one block per group.
+func TestDegradedRecoveryNeverStacksParity(t *testing.T) {
+	base, err := BuildDistributedGroups(6, 1, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < base.Nodes; a++ {
+		for b := a + 1; b < base.Nodes; b++ {
+			l := base.Clone()
+			plan, err := l.PlanRecovery(a, b)
+			if err != nil {
+				t.Fatalf("pair (%d,%d): %v", a, b, err)
+			}
+			if err := l.ApplyRecovery(plan); err != nil {
+				t.Fatalf("pair (%d,%d): %v", a, b, err)
+			}
+			for _, g := range l.Groups {
+				if g.ParityNodes[0] == g.ParityNodes[1] {
+					t.Errorf("pair (%d,%d): both parity blocks of group %d landed on node %d", a, b, g.Index, g.ParityNodes[0])
+				}
+			}
+		}
+	}
+}

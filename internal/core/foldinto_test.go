@@ -10,7 +10,7 @@ import (
 )
 
 // TestFoldIntoCommitPendingMatchesApplyDelta pins the chunked fold path to
-// the monolithic one: folding each delta's pages chunk-by-chunk (shuffled,
+// the whole-delta one: folding each delta's pages chunk-by-chunk (shuffled,
 // at byte offsets) into a zeroed pending buffer and committing it must leave
 // the keeper in exactly the state ApplyDelta produces.
 func TestFoldIntoCommitPendingMatchesApplyDelta(t *testing.T) {

@@ -127,7 +127,7 @@ type Config struct {
 	Hooks    Hooks
 
 	// Current tuning state, the base the rules mutate from.
-	ChunkSize       int     // effective chunk payload bytes (> 0: the chunked path is active)
+	ChunkSize       int     // effective chunk payload bytes (<= 0 disables chunk_retune)
 	PipelineWidth   int     // in-flight chunk batches per (stream, peer)
 	IntervalSeconds float64 // checkpoint interval on the virtual clock
 
@@ -355,7 +355,8 @@ func (a *Advisor) keeperRule(o Observation) []Decision {
 // self-time dominates the round's critical path: per-frame costs (a slow
 // link's per-frame delay, framing, scheduler ping-pong) scale with frame
 // count, so halving the frames roughly halves what a slow edge can charge.
-// Only meaningful on the chunked data path (ChunkSize > 0).
+// An advisor built without the effective chunk size (ChunkSize <= 0) has
+// nothing to double and stays silent.
 func (a *Advisor) chunkRule(o Observation) *Decision {
 	if a.chunk <= 0 || o.Attr == nil || o.Wall <= 0 || o.Attr.StragglerDur <= 0 {
 		return nil

@@ -265,8 +265,8 @@ func (o *OutlierTracker) ObserveSpans(spans []obs.Span) {
 	}
 }
 
-// ObserveDataSpans feeds only bulk data-plane rpc spans — delta and
-// delta-chunk ships — into the per-peer windows. Control rpc spans measure
+// ObserveDataSpans feeds only bulk data-plane rpc spans — the delta-chunk
+// ships — into the per-peer windows. Control rpc spans measure
 // the remote handler's whole duration, and a member's prepare handler
 // includes its own downstream ship stalls: one slow keeper smears into every
 // shipping member's control latency, the cluster median chases the fault,
@@ -279,7 +279,7 @@ func (o *OutlierTracker) ObserveDataSpans(spans []obs.Span) {
 		return
 	}
 	for _, s := range spans {
-		if s.Name != "rpc delta" && s.Name != "rpc delta-chunk" {
+		if s.Name != "rpc delta-chunk" {
 			continue
 		}
 		if p := s.Attrs["peer"]; p != "" {

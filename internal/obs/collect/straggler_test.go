@@ -277,11 +277,11 @@ func TestOutlierTrackerRecoveryDeflags(t *testing.T) {
 func TestOutlierTrackerObserveDataSpans(t *testing.T) {
 	o := NewOutlierTracker(0, 0)
 	spans := []obs.Span{
-		mkSpan(1, 1, 0, "rpc delta", "", 0, 40, "peer", "node1"),
+		mkSpan(1, 1, 0, "rpc delta-chunk", "", 0, 40, "peer", "node1"),
 		mkSpan(1, 2, 0, "rpc delta-chunk", "", 0, 35, "peer", "node2"),
 		mkSpan(1, 3, 0, "rpc MsgPrepare", "", 0, 90, "peer", "node3"), // control: skipped
-		mkSpan(1, 4, 0, "node.MsgDelta", "node4", 0, 30),              // handler, no peer attr
-		mkSpan(1, 5, 0, "rpc delta", "", 0, 20),                       // no peer attr: skipped
+		mkSpan(1, 4, 0, "node.MsgDeltaChunk", "node4", 0, 30),         // handler, no peer attr
+		mkSpan(1, 5, 0, "rpc delta-chunk", "", 0, 20),                 // no peer attr: skipped
 	}
 	o.ObserveDataSpans(spans)
 	if got := o.Peers(); len(got) != 2 || got[0] != "node1" || got[1] != "node2" {

@@ -576,8 +576,8 @@ func (r *Registry) FamilySum(name string) float64 {
 
 // CounterSet is a labelled set of monotonically increasing counters that
 // renders in first-use order, so reports are stable across runs with the
-// same event sequence. internal/metrics.Counters is a compatibility shim
-// over it, and a set can be mounted into a Registry for exposition.
+// same event sequence. The chaos injector tallies fired faults per kind with
+// one, and a set can be mounted into a Registry for exposition.
 type CounterSet struct {
 	mu     sync.Mutex
 	order  []string

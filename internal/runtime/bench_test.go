@@ -14,7 +14,7 @@ import (
 // a latency-injecting proxy in front of every node, emulating a network
 // where each message spends rtt/2 on the wire — the regime the paper's
 // Sec. IV-B utilization argument lives in, and where serial fan-out hurts.
-// chunkSize follows SetChunkSize: 0 default chunked, <0 monolithic.
+// chunkSize follows SetChunkSize: 0 = default, > 0 = bytes.
 func benchCluster(b *testing.B, layout *cluster.Layout, pages, pageSize int, rtt time.Duration, chunkSize int) (*Coordinator, []*Node) {
 	b.Helper()
 	nodes := make([]*Node, layout.Nodes)
@@ -126,19 +126,18 @@ func BenchmarkRuntimeRound(b *testing.B) {
 	}
 }
 
-// BenchmarkDataPath compares the monolithic and chunked delta paths on
-// large-image rounds (paper layout, 256 pages x 4 KiB = 1 MiB per VM, heavy
-// write phase so deltas span many chunks). Run with -benchmem: the chunked
-// path recycles every frame, fold buffer, and pending accumulation through
-// internal/bufpool, so the allocation column is the headline number;
-// shipped-MB/s is reported as a custom metric. cmd/dvdcbench -datapath wraps
-// the same comparison and emits BENCH_datapath.json.
+// BenchmarkDataPath sweeps the chunk size on large-image rounds (paper
+// layout, 256 pages x 4 KiB = 1 MiB per VM, heavy write phase so deltas span
+// many chunks). Run with -benchmem: the ship path recycles every frame, fold
+// buffer, and pending accumulation through internal/bufpool, so the
+// allocation column is the headline number; shipped-MB/s is reported as a
+// custom metric. These images are cache-resident — the repo benchmark
+// (go run ./benchmark) measures the same rounds out of cache.
 func BenchmarkDataPath(b *testing.B) {
 	cases := []struct {
 		name  string
 		chunk int
 	}{
-		{"monolithic", -1},
 		{"chunked-64KiB", 0}, // wire.DefaultChunkSize, the shipping default
 		{"chunked-16KiB", 16 << 10},
 		{"chunked-256KiB", 256 << 10},

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"dvdc/internal/checkpoint"
@@ -42,68 +43,220 @@ func chunkedCluster(t *testing.T, layout *cluster.Layout, chunkSize int, compres
 	return coord, nodes
 }
 
-// TestChunkedRoundMatchesMonolithic drives two identical clusters — one on
-// the legacy monolithic data path, one chunked with a chunk size small
-// enough that every delta splits — through the same workload and asserts
-// bit-identical committed state, matching epochs, and that the chunk
-// counters moved only on the chunked cluster.
-func TestChunkedRoundMatchesMonolithic(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		mono, _ := chunkedCluster(t, paperLayout(t), -1, compress)
-		chunked, _ := chunkedCluster(t, paperLayout(t), 256, compress)
-		for round := 0; round < 3; round++ {
-			for _, c := range []*Coordinator{mono, chunked} {
-				if err := c.Step(50); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.Checkpoint(); err != nil {
-					t.Fatalf("compress=%v round %d: %v", compress, round, err)
-				}
-			}
+// readBlock reads a whole committed image (source "image", keyed by vmName)
+// or parity block (source "parity", keyed by group) from the node at addr
+// over MsgReadChunk — the only way those bytes cross the wire, so every test
+// that needs them as an oracle input comes through here. The chunk size is
+// deliberately not a divisor of the test images. It returns the block, the
+// replies' epoch (the committed epoch, on image reads) and their Arg (the
+// serving keeper's parity index, on parity reads).
+func readBlock(t *testing.T, addr, source, vmName string, group int) ([]byte, uint64, int) {
+	t.Helper()
+	const cs = 300
+	conn, err := transport.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	asm := &wire.Assembler{}
+	var epoch, arg uint64
+	for i, count := 0, 1; i < count; i++ {
+		resp, err := conn.Call(&wire.Message{
+			Type: wire.MsgReadChunk, Text: source, VM: vmName, Group: int32(group),
+			Arg: uint64(i)<<32 | cs,
+		})
+		if err != nil {
+			t.Fatalf("read %s chunk %d of %q/group %d: %v", source, i, vmName, group, err)
 		}
-		mstates, err := mono.VMStates()
+		c, err := wire.DecodeChunk(resp.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cstates, err := chunked.VMStates()
-		if err != nil {
+		if i == 0 {
+			count, epoch, arg = int(c.Count), resp.Epoch, resp.Arg
+		} else if resp.Epoch != epoch || resp.Arg != arg {
+			t.Fatalf("%s chunk %d replied epoch %d arg %d, chunk 0 said %d/%d", source, i, resp.Epoch, resp.Arg, epoch, arg)
+		}
+		if err := asm.Add(c); err != nil {
 			t.Fatal(err)
 		}
-		for name, ms := range mstates {
-			cs, ok := cstates[name]
-			if !ok {
-				t.Fatalf("chunked cluster lost %q", name)
-			}
-			if ms != cs {
-				t.Errorf("compress=%v: %q diverges: mono %+v chunked %+v", compress, name, ms, cs)
-			}
+	}
+	blk, err := asm.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blk, epoch, int(arg)
+}
+
+// oracleDiff compares the cluster's committed state, read back over the
+// wire, with two independent in-process implementations: every VM's
+// committed image and epoch against the Shadow model (plain vm.Machine
+// replay, no protocol), and every parity block against a core.MKeeper built
+// from scratch over the shadow's images (whole-image encode, never the
+// runtime's incremental chunk folds). It returns the first divergence.
+func oracleDiff(t *testing.T, coord *Coordinator, shadow *Shadow) error {
+	t.Helper()
+	layout := coord.Layout()
+	for _, v := range layout.VMs {
+		img, epoch, _ := readBlock(t, coord.addrs[v.Node], "image", v.Name, 0)
+		if epoch != shadow.Epoch() {
+			return fmt.Errorf("%q committed at epoch %d, shadow at %d", v.Name, epoch, shadow.Epoch())
 		}
-		if st := mono.RoundStats(); st.ChunksShipped != 0 {
-			t.Errorf("monolithic round reported %d chunks", st.ChunksShipped)
+		if !bytes.Equal(img, shadow.vms[v.Name].committed) {
+			return fmt.Errorf("%q committed image diverges from the shadow", v.Name)
 		}
-		if st := chunked.RoundStats(); st.ChunksShipped == 0 {
-			t.Error("chunked round reported no chunks shipped")
+	}
+	for _, g := range layout.Groups {
+		images := map[string][]byte{}
+		for _, m := range g.Members {
+			images[m] = shadow.vms[m].committed
 		}
-		var sent, received int64
-		for n := 0; n < chunked.Layout().Nodes; n++ {
-			st, err := chunked.NodeStats(n)
+		for idx, pn := range g.ParityNodes {
+			ref, err := core.NewMKeeper(g.Index, idx, layout.Tolerance, images)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sent += st.ChunksSent
-			received += st.ChunksReceived
+			blk, _, gotIdx := readBlock(t, coord.addrs[pn], "parity", "", g.Index)
+			if gotIdx != idx {
+				return fmt.Errorf("node %d served parity[%d] of group %d, layout says [%d]", pn, gotIdx, g.Index, idx)
+			}
+			if !bytes.Equal(blk, ref.Parity()) {
+				return fmt.Errorf("parity[%d] of group %d on node %d diverges from the in-process keeper", idx, g.Index, pn)
+			}
 		}
-		if sent == 0 || received == 0 {
-			t.Errorf("chunk counters did not move: sent=%d received=%d", sent, received)
+	}
+	return nil
+}
+
+// shadowRounds drives the cluster and its shadow through n identical rounds.
+func shadowRounds(t *testing.T, coord *Coordinator, shadow *Shadow, n int) {
+	t.Helper()
+	for round := 0; round < n; round++ {
+		if err := coord.Step(50); err != nil {
+			t.Fatal(err)
 		}
+		shadow.Step(50)
+		if err := coord.Checkpoint(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		shadow.Commit()
 	}
 }
 
-// TestChunkedRecoveryAndRebalance exercises the full failure lifecycle on
-// the chunked data path (which also drives reconstruction fetches, keeper
-// rebuilds, and installs through the chunk protocol): kill a node, recover,
-// repair, rebalance, and keep checkpointing — committed state must match
-// what the monolithic path would produce.
+// TestRoundsMatchInProcessOracle is the data path's differential test: after
+// seeded rounds — plain, compressed, with a chunk size below the page size so
+// every delta splits, and over RS m=2 so the GF folds are covered too — the
+// state the cluster committed over sockets equals what the in-process
+// implementations compute (see oracleDiff).
+func TestRoundsMatchInProcessOracle(t *testing.T) {
+	rs2 := func(t *testing.T) *cluster.Layout {
+		l, err := cluster.BuildDistributedGroups(7, 1, 2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	for _, tc := range []struct {
+		name      string
+		layout    func(*testing.T) *cluster.Layout
+		chunkSize int
+		compress  bool
+	}{
+		{"plain", paperLayout, 0, false},
+		{"compressed", paperLayout, 0, true},
+		{"split-every-delta", paperLayout, 48, false},
+		{"rs2-split-compressed", rs2, 48, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			layout := tc.layout(t)
+			coord, _ := chunkedCluster(t, layout, tc.chunkSize, tc.compress)
+			shadow, err := NewShadow(layout, 16, 64, 12345)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shadowRounds(t, coord, shadow, 3)
+			if err := oracleDiff(t, coord, shadow); err != nil {
+				t.Fatal(err)
+			}
+			if st := coord.RoundStats(); st.ChunksShipped == 0 {
+				t.Error("round reported no chunks shipped")
+			}
+			var sent, received int64
+			for n := 0; n < layout.Nodes; n++ {
+				st, err := coord.NodeStats(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sent += st.ChunksSent
+				received += st.ChunksReceived
+			}
+			if sent == 0 || received == 0 {
+				t.Errorf("chunk counters did not move: sent=%d received=%d", sent, received)
+			}
+		})
+	}
+}
+
+// TestSkippedFoldFailsOracle is the differential test's negative control: a
+// keeper is made to believe it already saw chunk 0 of one member's next
+// stream, so the real chunk is dropped as a re-delivery and its fold never
+// happens. The round still commits — and oracleDiff must notice.
+func TestSkippedFoldFailsOracle(t *testing.T) {
+	layout := paperLayout(t)
+	const pages, pageSize, chunkSize = 16, 64, 48
+	coord, nodes := chunkedCluster(t, layout, chunkSize, false)
+	shadow, err := NewShadow(layout, pages, pageSize, 12345)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadowRounds(t, coord, shadow, 1)
+	if err := oracleDiff(t, coord, shadow); err != nil {
+		t.Fatalf("clean round: %v", err)
+	}
+	if err := coord.Step(50); err != nil {
+		t.Fatal(err)
+	}
+	shadow.Step(50)
+
+	g := layout.Groups[0]
+	member, keeperNode := g.Members[0], g.ParityNodes[0]
+	host, _ := layout.VM(member)
+	ms, err := nodes[host.Node].member(member)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stream's shape depends only on which pages are dirty.
+	next := &core.Delta{VMID: member}
+	for _, pi := range ms.mem.Machine().DirtyPages() {
+		next.Pages = append(next.Pages, checkpoint.PageRecord{Index: pi})
+	}
+	planned, _ := planChunks(next, pageSize, pages*pageSize, chunkSize)
+	if planned[0].RawLen == 0 {
+		t.Fatalf("%q has no dirty pages to lose", member)
+	}
+	ks := nodes[keeperNode].keepers[g.Index]
+	ks.mu.Lock()
+	st := &chunkStream{epoch: coord.Epoch() + 1, count: uint32(len(planned)), seen: make([]bool, len(planned)), got: 1}
+	st.seen[0] = true
+	ks.streams[member] = st
+	ks.mu.Unlock()
+
+	if err := coord.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	shadow.Commit()
+	if err := oracleDiff(t, coord, shadow); err == nil {
+		t.Fatal("a skipped chunk fold went unnoticed by the oracle")
+	} else {
+		t.Logf("oracle caught it: %v", err)
+	}
+}
+
+// TestChunkedRecoveryAndRebalance exercises the full failure lifecycle with
+// a non-default chunk size (reconstruction fetches, keeper rebuilds, and
+// installs all travel through the chunk protocol): kill a node, recover,
+// repair, rebalance, and keep checkpointing — committed state must survive
+// the recovery unchanged.
 func TestChunkedRecoveryAndRebalance(t *testing.T) {
 	coord, nodes := chunkedCluster(t, paperLayout(t), 512, false)
 	if err := coord.Step(80); err != nil {
@@ -220,11 +373,7 @@ func TestDuplicateChunkFoldsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pb, err := conn.Call(&wire.Message{Type: wire.MsgGetParity, Group: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pb.Payload, ref.Parity()) {
+	if blk, _, _ := readBlock(t, coord.addrs[parityNode], "parity", "", 0); !bytes.Equal(blk, ref.Parity()) {
 		t.Fatal("duplicate chunk changed parity: double fold detected")
 	}
 	st, err := coord.NodeStats(parityNode)
@@ -240,11 +389,12 @@ func TestDuplicateChunkFoldsOnce(t *testing.T) {
 }
 
 // TestReadChunkServesImagesAndParity drives the chunked read protocol
-// directly: image and parity reads must reassemble to exactly what the
-// monolithic MsgGetImage / MsgGetParity return.
+// directly: image and parity reads must reassemble to exactly the bytes the
+// serving node holds in process, with the epoch and parity index stamped on
+// every reply, and bad requests must error cleanly.
 func TestReadChunkServesImagesAndParity(t *testing.T) {
 	layout := paperLayout(t)
-	coord, _ := chunkedCluster(t, layout, 0, false)
+	coord, nodes := chunkedCluster(t, layout, 0, false)
 	if err := coord.Step(60); err != nil {
 		t.Fatal(err)
 	}
@@ -252,89 +402,44 @@ func TestReadChunkServesImagesAndParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := layout.VMs[0]
+	ms, err := nodes[v.Node].member(v.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, epoch, _ := readBlock(t, coord.addrs[v.Node], "image", v.Name, 0)
+	if !bytes.Equal(img, ms.mem.CommittedImage()) {
+		t.Fatal("chunked image read diverges from the member's committed image")
+	}
+	if epoch != ms.mem.Epoch() {
+		t.Fatalf("chunk reads carried epoch %d, member is at %d", epoch, ms.mem.Epoch())
+	}
+
+	g := layout.Groups[v.Group]
+	keeper := nodes[g.ParityNodes[0]].keepers[g.Index].keeper
+	blk, _, idx := readBlock(t, coord.addrs[g.ParityNodes[0]], "parity", "", g.Index)
+	if !bytes.Equal(blk, keeper.Parity()) {
+		t.Fatal("chunked parity read diverges from the keeper's parity block")
+	}
+	if idx != keeper.ParityIndex() {
+		t.Fatalf("parity reads carried index %d, keeper holds [%d]", idx, keeper.ParityIndex())
+	}
+
+	// Out-of-range index, unknown source, and a zero chunk size must error.
 	conn, err := transport.Dial(coord.addrs[v.Node])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	whole, err := conn.Call(&wire.Message{Type: wire.MsgGetImage, VM: v.Name})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cs = 300 // deliberately not a divisor of the image size
-	asm := &wire.Assembler{}
-	count := wire.ChunkCount(len(whole.Payload), cs)
-	for i := 0; i < count; i++ {
-		resp, err := conn.Call(&wire.Message{
-			Type: wire.MsgReadChunk, Text: "image", VM: v.Name,
-			Arg: uint64(i)<<32 | cs,
-		})
-		if err != nil {
-			t.Fatal(err)
+	const cs = 300
+	count := uint64(wire.ChunkCount(len(img), cs))
+	for name, req := range map[string]*wire.Message{
+		"out-of-range index": {Type: wire.MsgReadChunk, Text: "image", VM: v.Name, Arg: count<<32 | cs},
+		"unknown source":     {Type: wire.MsgReadChunk, Text: "disk", VM: v.Name, Arg: cs},
+		"zero chunk size":    {Type: wire.MsgReadChunk, Text: "image", VM: v.Name},
+	} {
+		if _, err := conn.Call(req); err == nil {
+			t.Errorf("%s accepted", name)
 		}
-		if resp.Epoch != whole.Epoch {
-			t.Fatalf("chunk read epoch %d, image epoch %d", resp.Epoch, whole.Epoch)
-		}
-		c, err := wire.DecodeChunk(resp.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := asm.Add(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := asm.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, whole.Payload) {
-		t.Fatal("chunked image read diverges from monolithic")
-	}
-	// Out-of-range index and unknown source must error cleanly.
-	if _, err := conn.Call(&wire.Message{Type: wire.MsgReadChunk, Text: "image", VM: v.Name, Arg: uint64(count)<<32 | cs}); err == nil {
-		t.Fatal("out-of-range chunk index accepted")
-	}
-	if _, err := conn.Call(&wire.Message{Type: wire.MsgReadChunk, Text: "disk", VM: v.Name, Arg: cs}); err == nil {
-		t.Fatal("unknown read source accepted")
-	}
-
-	g := layout.Groups[v.Group]
-	pconn, err := transport.Dial(coord.addrs[g.ParityNodes[0]])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pconn.Close()
-	pwhole, err := pconn.Call(&wire.Message{Type: wire.MsgGetParity, Group: int32(v.Group)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pasm := &wire.Assembler{}
-	pcount := wire.ChunkCount(len(pwhole.Payload), cs)
-	for i := 0; i < pcount; i++ {
-		resp, err := pconn.Call(&wire.Message{
-			Type: wire.MsgReadChunk, Text: "parity", Group: int32(v.Group),
-			Arg: uint64(i)<<32 | cs,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Arg != pwhole.Arg {
-			t.Fatalf("parity chunk read index %d, monolithic %d", resp.Arg, pwhole.Arg)
-		}
-		c, err := wire.DecodeChunk(resp.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pasm.Add(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pgot, err := pasm.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pgot, pwhole.Payload) {
-		t.Fatal("chunked parity read diverges from monolithic")
 	}
 }
 
@@ -352,17 +457,17 @@ func TestDeltaChunksCoverDelta(t *testing.T) {
 		}
 		d.Pages = append(d.Pages, checkpoint.PageRecord{Index: pi, Data: data})
 	}
-	chunks, release := deltaChunks(d, pageSize, pages*pageSize, 100)
-	defer release()
+	chunks, segs := deltaChunkScatter(d, pageSize, pages*pageSize, 100)
 	got := make(map[int]byte)
-	for _, c := range chunks {
-		if len(c.Data) > 100 {
-			t.Fatalf("chunk of %d bytes exceeds chunk size", len(c.Data))
+	for ci, c := range chunks {
+		data := bytes.Join(segs[ci], nil)
+		if len(data) > 100 || len(data) != int(c.RawLen) {
+			t.Fatalf("chunk carries %d bytes, RawLen %d, chunk size 100", len(data), c.RawLen)
 		}
 		if int(c.Total) != pages*pageSize {
 			t.Fatalf("chunk Total = %d", c.Total)
 		}
-		for j, b := range c.Data {
+		for j, b := range data {
 			off := int(c.Offset) + j
 			if _, dup := got[off]; dup {
 				t.Fatalf("offset %d covered twice", off)
@@ -380,9 +485,64 @@ func TestDeltaChunksCoverDelta(t *testing.T) {
 	}
 
 	// Empty delta: a single zero-length chunk still carries the shape.
-	empty, erel := deltaChunks(&core.Delta{VMID: "vm", Epoch: 2}, pageSize, pages*pageSize, 100)
-	defer erel()
+	empty, _ := deltaChunkScatter(&core.Delta{VMID: "vm", Epoch: 2}, pageSize, pages*pageSize, 100)
 	if len(empty) != 1 || empty[0].Count != 1 || empty[0].RawLen != 0 {
 		t.Fatalf("empty delta chunks = %+v", empty)
+	}
+}
+
+// TestChunkSizeValidationAndRetune covers the tuning's input edges: a
+// negative chunk size is bad input on both the configure and the retune
+// message (and a rejected retune leaves the node's tuning untouched), while a
+// retune between two positive sizes mid-run keeps committed images and parity
+// equal to the in-process oracle.
+func TestChunkSizeValidationAndRetune(t *testing.T) {
+	layout := paperLayout(t)
+	coord, nodes := chunkedCluster(t, layout, 48, false)
+	shadow, err := NewShadow(layout, 16, 64, 12345)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadowRounds(t, coord, shadow, 2)
+
+	tuning := func() (int, int) {
+		nodes[0].mu.Lock()
+		defer nodes[0].mu.Unlock()
+		return nodes[0].chunkSize, nodes[0].pipeWidth
+	}
+	if err := coord.Retune(-1, 2); err == nil {
+		t.Fatal("retune to a negative chunk size accepted")
+	}
+	if cs, pw := tuning(); cs != 48 || pw != chunkPipelineWidth {
+		t.Fatalf("rejected retune changed node tuning to chunk %d, width %d", cs, pw)
+	}
+	if err := coord.Retune(256, 2); err != nil {
+		t.Fatal(err)
+	}
+	if cs, pw := tuning(); cs != 256 || pw != 2 {
+		t.Fatalf("retune left node tuning at chunk %d, width %d", cs, pw)
+	}
+	shadowRounds(t, coord, shadow, 2)
+	if err := oracleDiff(t, coord, shadow); err != nil {
+		t.Fatalf("after retune 48 -> 256: %v", err)
+	}
+
+	// A configure carrying a negative size is refused before it touches the
+	// node: a second coordinator's Setup fails, and members and tuning of the
+	// running cluster survive it.
+	rogue, err := NewCoordinator(layout.Clone(), coord.addrs, 16, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rogue.Close()
+	rogue.SetChunkSize(-1)
+	if err := rogue.Setup(); err == nil {
+		t.Fatal("Setup with a negative chunk size succeeded")
+	}
+	if cs, _ := tuning(); cs != 256 {
+		t.Fatalf("rejected configure changed node chunk size to %d", cs)
+	}
+	if err := oracleDiff(t, coord, shadow); err != nil {
+		t.Fatalf("after the rejected configure: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"sort"
 
 	"dvdc/internal/bufpool"
@@ -24,19 +25,23 @@ const chunkPipelineWidth = 4
 // chunk sizes above the floor keep one chunk per batch as before.
 const chunkBatchBudget = 256 << 10
 
-// resolveChunkSize maps the configuration encoding to an effective chunk
-// size: 0 selects the default chunked pipeline, a negative value the legacy
-// monolithic data path (returned as 0 = "no chunking"), positive values pass
+// checkChunkSize rejects a chunk-size setting arriving from outside the node
+// (a configure or retune message): the encoding is 0 = default, > 0 = bytes.
+func checkChunkSize(v int) error {
+	if v < 0 {
+		return fmt.Errorf("runtime: chunk size %d: want 0 (default) or a positive byte count", v)
+	}
+	return nil
+}
+
+// resolveChunkSize maps the configuration encoding to the effective chunk
+// payload size: 0 selects wire.DefaultChunkSize, positive values pass
 // through.
 func resolveChunkSize(v int) int {
-	switch {
-	case v == 0:
+	if v <= 0 {
 		return wire.DefaultChunkSize
-	case v < 0:
-		return 0
-	default:
-		return v
 	}
+	return v
 }
 
 // resolvePipelineWidth maps the configuration encoding to an effective
@@ -97,38 +102,6 @@ func planChunks(d *core.Delta, pageSize, imageBytes, chunkSize int) ([]wire.Chun
 		chunks[i].Count = count
 	}
 	return chunks, pages
-}
-
-// deltaChunks renders a delta as chunk frames with materialized data: each
-// chunk's bytes are copied from its pages into one pooled contiguous buffer.
-// The compressing ship path and the tests use this form; call release once
-// the chunks (and any encodings aliasing them) are out of use.
-func deltaChunks(d *core.Delta, pageSize, imageBytes, chunkSize int) ([]wire.Chunk, func()) {
-	chunks, pages := planChunks(d, pageSize, imageBytes, chunkSize)
-	var bufs [][]byte
-	for ci := range chunks {
-		c := &chunks[ci]
-		n := int(c.RawLen)
-		if n == 0 {
-			continue
-		}
-		buf := bufpool.Get(n)
-		bufs = append(bufs, buf)
-		off := int(c.Offset)
-		for k := 0; k < n; {
-			pi := (off + k) / pageSize
-			ri := sort.Search(len(pages), func(x int) bool { return pages[x].Index >= pi })
-			po := (off + k) % pageSize
-			k += copy(buf[k:], pages[ri].Data[po:])
-		}
-		c.Data = buf
-	}
-	release := func() {
-		for _, b := range bufs {
-			bufpool.Put(b)
-		}
-	}
-	return chunks, release
 }
 
 // deltaChunkScatter renders a delta as chunk frames whose data stays in the

@@ -1,65 +1,10 @@
 package runtime
 
 import (
-	"bytes"
 	"testing"
 
-	"dvdc/internal/checkpoint"
 	"dvdc/internal/cluster"
-	"dvdc/internal/core"
 )
-
-func TestCompressedDeltaCodecRoundTrip(t *testing.T) {
-	d := sampleDelta()
-	enc := encodeDelta(d, true)
-	got, err := decodeDelta(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.VMID != d.VMID || got.Epoch != d.Epoch || len(got.Pages) != len(d.Pages) {
-		t.Fatalf("round trip: %+v", got)
-	}
-	for i := range d.Pages {
-		if !bytes.Equal(got.Pages[i].Data, d.Pages[i].Data) {
-			t.Fatalf("page %d differs", i)
-		}
-	}
-}
-
-func TestCompressedDeltaShrinksSparsePayloads(t *testing.T) {
-	// A delta whose pages are mostly zero (typical: a few bytes changed per
-	// page) must compress well.
-	d := &core.Delta{VMID: "vm", Epoch: 1}
-	for i := 0; i < 32; i++ {
-		page := make([]byte, 4096)
-		page[7] = byte(i + 1)
-		d.Pages = append(d.Pages, checkpoint.PageRecord{Index: i, Data: page})
-	}
-	raw := encodeDelta(d, false)
-	comp := encodeDelta(d, true)
-	if len(comp) >= len(raw)/10 {
-		t.Errorf("compressed %d bytes vs raw %d: expected >10x shrink", len(comp), len(raw))
-	}
-	got, err := decodeDelta(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Pages) != 32 || got.Pages[7].Data[7] != 8 {
-		t.Error("compressed round trip corrupted data")
-	}
-}
-
-func TestDecodeDeltaRejectsBadTags(t *testing.T) {
-	if _, err := decodeDelta(nil); err == nil {
-		t.Error("empty payload accepted")
-	}
-	if _, err := decodeDelta([]byte{9, 1, 2, 3}); err == nil {
-		t.Error("unknown tag accepted")
-	}
-	if _, err := decodeDelta([]byte{deltaCompressed, 0xff, 0xff}); err == nil {
-		t.Error("corrupt flate stream accepted")
-	}
-}
 
 func TestClusterWithCompressionEndToEnd(t *testing.T) {
 	layout, err := cluster.Paper12VM()

@@ -43,10 +43,8 @@ type NodeConfig struct {
 	Keepers  []KeeperConfig `json:"keepers"`
 	Compress bool           `json:"compress"` // flate-compress delta shipments (Sec. IV-C)
 
-	// ChunkSize selects the data-path granularity: 0 picks the default
-	// chunked pipeline (wire.DefaultChunkSize), a positive value sets the
-	// chunk payload size, and a negative value falls back to the legacy
-	// monolithic shipments (whole delta / image per message).
+	// ChunkSize is the chunk payload size in bytes; 0 picks
+	// wire.DefaultChunkSize. A negative value is rejected.
 	ChunkSize int `json:"chunk_size,omitempty"`
 
 	// Dedup enables the cross-epoch page-hash cache on the ship path: dirty
@@ -64,10 +62,8 @@ type NodeConfig struct {
 // retuneConfig rides MsgRetune: a live data-path retune. Unlike MsgConfigure
 // it leaves VM and keeper assignments untouched, so the advisor can adjust
 // chunk size and pipeline width between rounds without re-seeding the node.
-// Retunes may not cross the chunked/monolithic boundary — that would change
-// the shipped representation mid-stream.
 type retuneConfig struct {
-	ChunkSize     int `json:"chunk_size"`
+	ChunkSize     int `json:"chunk_size"` // 0 = default, > 0 = bytes; negative is rejected
 	PipelineWidth int `json:"pipeline_width"`
 }
 
@@ -77,7 +73,7 @@ type NodeStats struct {
 	DeltaRawBytes  int64 `json:"delta_raw_bytes"`  // uncompressed delta payload
 	DeltaWireBytes int64 `json:"delta_wire_bytes"` // bytes actually shipped
 
-	// Chunked data path counters.
+	// Chunk stream counters.
 	ChunksSent     int64 `json:"chunks_sent"`     // delta chunks shipped to parity peers
 	ChunksReceived int64 `json:"chunks_received"` // delta chunks folded as keeper
 	DupChunks      int64 `json:"dup_chunks"`      // idempotently dropped re-deliveries

@@ -48,7 +48,7 @@ type Coordinator struct {
 	epoch          atomic.Uint64
 	seedBase       int64
 	compress       bool
-	chunkSize      int    // data-path granularity: 0 default chunked, <0 monolithic
+	chunkSize      int    // chunk payload bytes; 0 = wire.DefaultChunkSize
 	pipeWidth      int    // in-flight chunk batches per (stream, peer); 0 = default
 	workload       string // workload kind for every VM ("" = uniform)
 	dedup          bool   // cross-epoch page-hash dedup on node ship paths
@@ -103,14 +103,11 @@ func NewCoordinator(layout *cluster.Layout, addrs map[int]string, pages, pageSiz
 // Setup (the flag rides the node configuration).
 func (c *Coordinator) SetCompress(on bool) { c.compress = on }
 
-// SetChunkSize selects the data-path granularity: 0 (the default) means the
-// chunked pipeline at wire.DefaultChunkSize, a positive value sets the chunk
-// payload size, and a negative value falls back to the legacy monolithic
-// shipments. Call before Setup — the setting rides the node configuration.
+// SetChunkSize sets the chunk payload size in bytes; 0 (the default) means
+// wire.DefaultChunkSize. Nodes reject a negative size, so Setup fails on one.
+// Call before Setup — the setting rides the node configuration; for a live
+// change use Retune.
 func (c *Coordinator) SetChunkSize(n int) { c.chunkSize = n }
-
-// effectiveChunkSize resolves the configured granularity (0 = monolithic).
-func (c *Coordinator) effectiveChunkSize() int { return resolveChunkSize(c.chunkSize) }
 
 // SetPipelineWidth bounds the in-flight chunk batches per (stream, peer) on
 // every node's chunked ship path (<= 0 restores the built-in default). Call
@@ -118,20 +115,16 @@ func (c *Coordinator) effectiveChunkSize() int { return resolveChunkSize(c.chunk
 // use Retune.
 func (c *Coordinator) SetPipelineWidth(w int) { c.pipeWidth = w }
 
-// Retune live-adjusts the cluster's data-path tuning — chunk payload size and
-// per-(stream, peer) pipeline width — without reconfiguring membership: every
-// alive node receives a MsgRetune, and later configurations (Repair after a
-// node rejoins) inherit the new values. Serializes with protocol rounds on the
-// round mutex, so a retune never lands mid-checkpoint. A retune may not cross
-// the chunked/monolithic boundary — that would change the shipped
-// representation between epochs.
+// Retune live-adjusts the cluster's data-path tuning — chunk payload size
+// (0 = default, > 0 = bytes) and per-(stream, peer) pipeline width — without
+// reconfiguring membership: every alive node receives a MsgRetune, and later
+// configurations (Repair after a node rejoins) inherit the new values.
+// Serializes with protocol rounds on the round mutex, so a retune never lands
+// mid-checkpoint. Nodes reject a negative chunk size; the retune then fails
+// and the previous tuning stays in force everywhere.
 func (c *Coordinator) Retune(chunkSize, pipelineWidth int) error {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
-	if (resolveChunkSize(c.chunkSize) > 0) != (resolveChunkSize(chunkSize) > 0) {
-		return fmt.Errorf("runtime: retune cannot cross the chunked/monolithic boundary (have chunked=%v)",
-			resolveChunkSize(c.chunkSize) > 0)
-	}
 	text, err := encodeJSON(retuneConfig{ChunkSize: chunkSize, PipelineWidth: pipelineWidth})
 	if err != nil {
 		return err
@@ -660,22 +653,11 @@ func (c *Coordinator) recordRound(r RoundStats) {
 	reg.Histogram("dvdc_round_seconds", obs.LatencyBuckets()).Observe((r.PrepareWall + r.CommitWall).Seconds())
 }
 
-// installVM pushes a rebuilt or evicted committed image to its new host.
-// With the chunked data path active the image travels as concurrent
-// MsgInstallChunk frames followed by a finalizing MsgInstall (Arg=1, no
-// payload); otherwise one monolithic MsgInstall carries the whole image.
+// installVM pushes a rebuilt or evicted committed image to its new host: the
+// image travels as concurrent MsgInstallChunk frames, then a MsgInstall
+// carrying the VM's configuration (text) makes the host adopt it.
 func (c *Coordinator) installVM(ctx obs.SpanContext, node int, vmName, text string, img []byte) error {
-	cs := c.effectiveChunkSize()
-	if cs <= 0 {
-		resp, err := c.call(node, &wire.Message{Type: wire.MsgInstall, VM: vmName, Text: text, Payload: img, Trace: ctx.Trace, Span: ctx.Span})
-		if err != nil {
-			return err
-		}
-		if resp.Type != wire.MsgInstallOK {
-			return fmt.Errorf("runtime: node %d replied %v to install", node, resp.Type)
-		}
-		return nil
-	}
+	cs := resolveChunkSize(c.chunkSize)
 	count := wire.ChunkCount(len(img), cs)
 	if err := parallelDo(count, chunkPipelineWidth, func(i int) error {
 		ch, err := wire.ChunkOf(img, i, cs)
@@ -695,7 +677,7 @@ func (c *Coordinator) installVM(ctx obs.SpanContext, node int, vmName, text stri
 	}); err != nil {
 		return err
 	}
-	resp, err := c.call(node, &wire.Message{Type: wire.MsgInstall, VM: vmName, Text: text, Arg: 1, Trace: ctx.Trace, Span: ctx.Span})
+	resp, err := c.call(node, &wire.Message{Type: wire.MsgInstall, VM: vmName, Text: text, Trace: ctx.Trace, Span: ctx.Span})
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@ import (
 // TestConcurrentGroupFoldRace drives a layout with two stacked group sets —
 // every node hosts members and keepers of eight groups, so each checkpoint
 // round runs many foldDrain goroutines concurrently per node — and asserts
-// the chunked cluster commits bit-identical state to a monolithic twin, then
+// the cluster commits state bit-identical to the in-process oracle, then
 // survives a casualty. Run under -race this is the concurrency pin for the
 // parallel fold workers.
 func TestConcurrentGroupFoldRace(t *testing.T) {
@@ -22,30 +22,14 @@ func TestConcurrentGroupFoldRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, _ := chunkedCluster(t, layout, -1, false)
 	chunked, cnodes := chunkedCluster(t, layout, 128, false)
-	for round := 0; round < 3; round++ {
-		for _, c := range []*Coordinator{mono, chunked} {
-			if err := c.Step(50); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Checkpoint(); err != nil {
-				t.Fatalf("round %d: %v", round, err)
-			}
-		}
-	}
-	mstates, err := mono.VMStates()
+	shadow, err := NewShadow(layout, 16, 64, 12345)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cstates, err := chunked.VMStates()
-	if err != nil {
+	shadowRounds(t, chunked, shadow, 3)
+	if err := oracleDiff(t, chunked, shadow); err != nil {
 		t.Fatal(err)
-	}
-	for name, ms := range mstates {
-		if cs, ok := cstates[name]; !ok || ms != cs {
-			t.Errorf("%q diverges: mono %+v chunked %+v", name, ms, cstates[name])
-		}
 	}
 	before, err := chunked.Checksums()
 	if err != nil {
@@ -169,11 +153,7 @@ func TestDuplicateChunkRedeliveryMidFoldRace(t *testing.T) {
 	if err := ref.CommitPending(pendingBuf, map[string]uint64{member: 1}); err != nil {
 		t.Fatal(err)
 	}
-	pb, err := conn.Call(&wire.Message{Type: wire.MsgGetParity, Group: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pb.Payload, ref.Parity()) {
+	if blk, _, _ := readBlock(t, coord.addrs[parityNode], "parity", "", 0); !bytes.Equal(blk, ref.Parity()) {
 		t.Fatal("racing redelivery changed parity: a chunk folded twice or not at all")
 	}
 	st, err := coord.NodeStats(parityNode)

@@ -1,9 +1,11 @@
 package runtime
 
 import (
+	"fmt"
 	"testing"
 
 	"dvdc/internal/cluster"
+	"dvdc/internal/wire"
 )
 
 // tolerance2Cluster spins up a 7-node, tolerance-2 cluster over TCP.
@@ -183,4 +185,150 @@ func TestTripleDeathExceedsTolerance(t *testing.T) {
 		}
 	}
 	t.Skip("no unsurvivable triple in this layout")
+}
+
+// TestDegradedDoubleFailureCyclesKeepBothParityBlocks is the regression test
+// for the degraded re-home collision: on 6 nodes with RS m=2 a double failure
+// leaves four survivors for groups of 3+2 elements, so recovery must
+// co-locate. The planner used to be free to put both parity blocks of one
+// group on one node, where the keeper map (keyed by group) silently replaced
+// parity[0] with parity[1] and a later recovery died with "served parity[0],
+// wanted [1]". Three kill → recover → repair → rebalance cycles on the
+// benchmark's alternating victim schedule, checked against the shadow after
+// every recovery and every post-repair round.
+func TestDegradedDoubleFailureCyclesKeepBothParityBlocks(t *testing.T) {
+	layout, err := cluster.BuildDistributedGroups(6, 1, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, nodes := testCluster(t, layout)
+	shadow, err := NewShadow(layout, 16, 64, 12345)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		got, err := coord.Checksums()
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		for name, want := range shadow.Checksums() {
+			if got[name] != want {
+				t.Fatalf("%s: %q diverges from the shadow", when, name)
+			}
+		}
+	}
+	round := func(when string) {
+		t.Helper()
+		shadowRounds(t, coord, shadow, 1)
+		check(when)
+	}
+	round("first round")
+	for cycle, victims := range [][]int{{0, 1}, {4, 5}, {0, 1}} {
+		for _, v := range victims {
+			nodes[v].Close()
+		}
+		plan, err := coord.RecoverNodes(victims...)
+		if err != nil {
+			t.Fatalf("cycle %d: recover %v: %v", cycle, victims, err)
+		}
+		if err := shadow.Recover(plan, coord.Epoch()); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("cycle %d after recovery", cycle))
+		for _, v := range victims {
+			n, err := NewNode(nodes[v].Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { n.Close() })
+			nodes[v] = n
+			if err := coord.Repair(v); err != nil {
+				t.Fatalf("cycle %d: repair %d: %v", cycle, v, err)
+			}
+		}
+		rplan, err := coord.Rebalance()
+		if err != nil {
+			t.Fatalf("cycle %d: rebalance: %v", cycle, err)
+		}
+		if err := shadow.Rebalance(rplan, coord.Epoch()); err != nil {
+			t.Fatal(err)
+		}
+		round(fmt.Sprintf("cycle %d post-repair round", cycle))
+	}
+}
+
+// TestSecondKeeperOfAGroupIsRefused pins the keeper map's contract: a node
+// keeps one parity block per group, so a configure or rebuild-keeper naming a
+// second block of the group with a different parity index fails loudly rather
+// than replacing the first. Rebuilding the same index in place is fine, and a
+// parity-pointer update saying the block now lives elsewhere drops the stale
+// copy, after which the node may take another block of that group.
+func TestSecondKeeperOfAGroupIsRefused(t *testing.T) {
+	coord, nodes, layout := tolerance2Cluster(t)
+	if err := coord.Step(20); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	g := layout.Groups[0]
+	node := nodes[g.ParityNodes[0]]
+	rebuild := func(idx int) error {
+		rk := rebuildKeeperConfig{
+			KeeperConfig: KeeperConfig{Group: g.Index, ParityIdx: idx, Tolerance: 2, Members: g.Members, Pages: 16, PageSize: 64},
+			MemberNodes:  map[string]int{},
+			Epochs:       map[string]uint64{},
+		}
+		for _, m := range g.Members {
+			v, _ := layout.VM(m)
+			rk.MemberNodes[m] = v.Node
+			rk.Epochs[m] = coord.Epoch()
+		}
+		text, err := encodeJSON(rk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = node.handle(&wire.Message{Type: wire.MsgRebuildKeeper, Group: int32(g.Index), Text: text})
+		return err
+	}
+	held := func() int {
+		node.mu.Lock()
+		defer node.mu.Unlock()
+		ks, ok := node.keepers[g.Index]
+		if !ok {
+			return -1
+		}
+		return ks.keeper.ParityIndex()
+	}
+	if err := rebuild(1); err == nil {
+		t.Fatal("second keeper of the group accepted")
+	}
+	if held() != 0 {
+		t.Fatalf("refused rebuild disturbed the held block: now parity[%d]", held())
+	}
+	if err := rebuild(0); err != nil {
+		t.Fatalf("rebuilding the held block in place: %v", err)
+	}
+	// parity[0] moved to another node: the stale copy goes, parity[1] may come.
+	if _, err := node.handle(&wire.Message{Type: wire.MsgSetParity, Group: int32(g.Index), Epoch: 0, Arg: uint64(g.ParityNodes[1])}); err != nil {
+		t.Fatal(err)
+	}
+	if held() != -1 {
+		t.Fatal("stale keeper survived the parity-pointer update")
+	}
+	if err := rebuild(1); err != nil {
+		t.Fatalf("taking parity[1] after parity[0] moved away: %v", err)
+	}
+
+	kc := KeeperConfig{Group: 0, Tolerance: 2, Members: g.Members, Pages: 16, PageSize: 64}
+	kc1 := kc
+	kc1.ParityIdx = 1
+	text, err := encodeJSON(NodeConfig{NodeID: g.ParityNodes[0], Peers: coord.addrs, Keepers: []KeeperConfig{kc, kc1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.handle(&wire.Message{Type: wire.MsgConfigure, Text: text}); err == nil {
+		t.Fatal("configure with two parity blocks of one group accepted")
+	}
 }

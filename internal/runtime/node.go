@@ -36,7 +36,7 @@ type Node struct {
 	keepers    map[int]*keeperState       // by group (orthogonality: at most one block of a group per node)
 	installs   map[string]*wire.Assembler // VM -> image chunks staged by MsgInstallChunk
 	compress   bool
-	chunkSize  int           // effective chunk payload size; 0 = monolithic data path
+	chunkSize  int           // effective chunk payload size, always > 0
 	pipeWidth  int           // in-flight chunk batches per (stream, peer); 0 = default
 	dedup      bool          // cross-epoch page-hash dedup on the ship path
 	foldSem    chan struct{} // bounds concurrent per-group fold workers
@@ -70,15 +70,14 @@ type keeperState struct {
 	mu     sync.Mutex
 	keeper *core.MKeeper
 	cfg    KeeperConfig
-	staged map[string]*core.Delta // member -> delta awaiting commit (monolithic path)
 
-	// Chunked data path: arriving delta chunks fold into pending (a pooled
-	// accumulation buffer the size of the parity block, allocated lazily on
-	// first chunk and then kept resident), and streams tracks per-member
-	// delivery so duplicates are dropped idempotently and commit can verify
-	// completeness. touched records the byte range of every fold op, so
-	// commit XORs — and the next round's reuse re-zeroes — only the bytes
-	// folds actually wrote. Invariant: pending is all-zero outside touched.
+	// Arriving delta chunks fold into pending (a pooled accumulation buffer
+	// the size of the parity block, allocated lazily on first chunk and then
+	// kept resident), and streams tracks per-member delivery so duplicates
+	// are dropped idempotently and commit can verify completeness. touched
+	// records the byte range of every fold op, so commit XORs — and the next
+	// round's reuse re-zeroes — only the bytes folds actually wrote.
+	// Invariant: pending is all-zero outside touched.
 	pending []byte
 	streams map[string]*chunkStream
 	touched [][2]int
@@ -117,7 +116,6 @@ func newKeeperState(k *core.MKeeper, cfg KeeperConfig) *keeperState {
 	ks := &keeperState{
 		keeper:  k,
 		cfg:     cfg,
-		staged:  map[string]*core.Delta{},
 		streams: map[string]*chunkStream{},
 	}
 	ks.foldCond = sync.NewCond(&ks.mu)
@@ -142,7 +140,7 @@ type chunkStream struct {
 	got   uint32
 }
 
-// dropPending discards a keeper's chunked-round state (abort/rollback),
+// dropPending discards a keeper's uncommitted round state (abort/rollback),
 // first letting any in-flight async folds finish so the pending buffer is
 // not cleared under a worker. The buffer itself stays resident — folds only
 // ever wrote inside touched, so re-zeroing just those ranges restores the
@@ -209,11 +207,14 @@ func NewNodeWith(addr string, opts NodeOptions) (*Node, error) {
 		members:  map[string]*memberState{},
 		keepers:  map[int]*keeperState{},
 		installs: map[string]*wire.Assembler{},
-		foldSem:  make(chan struct{}, max(1, goruntime.NumCPU()-1)),
-		dialer:   opts.Dialer,
-		tracer:   opts.Tracer,
-		registry: opts.Registry,
-		recorder: opts.Recorder,
+		// A node serves recovery reads before (and without) ever being
+		// configured as a member host, so the tuning starts at the default.
+		chunkSize: resolveChunkSize(0),
+		foldSem:   make(chan struct{}, max(1, goruntime.NumCPU()-1)),
+		dialer:    opts.Dialer,
+		tracer:    opts.Tracer,
+		registry:  opts.Registry,
+		recorder:  opts.Recorder,
 	}
 	if opts.Registry != nil {
 		mountBufpoolStats(opts.Registry)
@@ -356,18 +357,12 @@ func (n *Node) dispatch(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 		return n.onCommit(ctx, req)
 	case wire.MsgAbort:
 		return n.onAbort(req)
-	case wire.MsgDelta:
-		return n.onDelta(req)
 	case wire.MsgDeltaChunk:
 		return n.onDeltaChunk(req)
 	case wire.MsgReadChunk:
 		return n.onReadChunk(req)
 	case wire.MsgInstallChunk:
 		return n.onInstallChunk(req)
-	case wire.MsgGetImage:
-		return n.onGetImage(req)
-	case wire.MsgGetParity:
-		return n.onGetParity(req)
 	case wire.MsgEvict:
 		return n.onEvict(req)
 	case wire.MsgReconstruct:
@@ -397,6 +392,9 @@ func (n *Node) onConfigure(req *wire.Message) (*wire.Message, error) {
 	var cfg NodeConfig
 	if err := decodeJSON(req.Text, &cfg); err != nil {
 		return nil, fmt.Errorf("runtime: bad configure payload: %w", err)
+	}
+	if err := checkChunkSize(cfg.ChunkSize); err != nil {
+		return nil, err
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -446,7 +444,9 @@ func (n *Node) onConfigure(req *wire.Message) (*wire.Message, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.keepers[kc.Group] = newKeeperState(k, kc)
+		if err := n.addKeeper(newKeeperState(k, kc)); err != nil {
+			return nil, err
+		}
 	}
 	return &wire.Message{Type: wire.MsgConfigureOK}, nil
 }
@@ -461,13 +461,10 @@ func (n *Node) onRetune(req *wire.Message) (*wire.Message, error) {
 	if err := decodeJSON(req.Text, &rt); err != nil {
 		return nil, fmt.Errorf("runtime: bad retune payload: %w", err)
 	}
-	n.mu.Lock()
-	wasChunked := n.chunkSize > 0
-	nowChunked := resolveChunkSize(rt.ChunkSize) > 0
-	if wasChunked != nowChunked {
-		n.mu.Unlock()
-		return nil, fmt.Errorf("runtime: retune cannot cross the chunked/monolithic boundary (have chunked=%v)", wasChunked)
+	if err := checkChunkSize(rt.ChunkSize); err != nil {
+		return nil, err
 	}
+	n.mu.Lock()
 	n.chunkSize = resolveChunkSize(rt.ChunkSize)
 	n.pipeWidth = resolvePipelineWidth(rt.PipelineWidth)
 	n.mu.Unlock()
@@ -507,9 +504,9 @@ type shipment struct {
 // parity node of the member's group, staging everything for commit. Members
 // are captured and shipped concurrently: each holds only its own lock during
 // capture, and shipping happens with no locks held, so deltas bound for
-// distinct parity peers overlap on the wire. With the (default) chunked data
-// path the delta travels as fixed-size chunk frames with several in flight
-// per peer, so transfer pipelines with the keeper's per-chunk parity folds.
+// distinct parity peers overlap on the wire. The delta travels as fixed-size
+// chunk frames with several in flight per peer, so transfer pipelines with
+// the keeper's per-chunk parity folds.
 // The reply's Arg carries the wire bytes shipped and Text a prepareSummary,
 // so the coordinator can aggregate per-round volume.
 func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
@@ -581,34 +578,7 @@ func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message,
 		sh := ships[i]
 		span := tr.Child(ctx, "ship "+sh.delta.VMID, lane)
 		defer func() { span.FinishErr(shipErr) }()
-		if cs > 0 {
-			return n.shipChunked(span.ContextOr(ctx), span, sh, cs, pw, compress, &wireBytes, &chunksSent)
-		}
-		payload := encodeDelta(sh.delta, compress)
-		peers := int64(len(sh.parity))
-		n.statsMu.Lock()
-		n.stats.DeltasSent += peers
-		n.stats.DeltaRawBytes += sh.delta.PayloadBytes() * peers
-		n.stats.DeltaWireBytes += int64(len(payload)) * peers
-		n.statsMu.Unlock()
-		wireBytes.Add(int64(len(payload)) * peers)
-		span.SetAttr("bytes", fmt.Sprint(len(payload)))
-		sctx := span.ContextOr(ctx)
-		msg := &wire.Message{
-			Type: wire.MsgDelta, Epoch: sh.delta.Epoch,
-			Group: int32(sh.group), VM: sh.delta.VMID, Payload: payload,
-			Trace: sctx.Trace, Span: sctx.Span,
-		}
-		return parallelDo(len(sh.parity), 0, func(j int) error {
-			reply, err := n.callPeer(sh.parity[j], msg)
-			if err != nil {
-				return fmt.Errorf("runtime: shipping delta of %q to node %d: %w", sh.delta.VMID, sh.parity[j], err)
-			}
-			if reply.Type != wire.MsgDeltaOK {
-				return fmt.Errorf("runtime: unexpected reply %v to delta", reply.Type)
-			}
-			return nil
-		})
+		return n.shipChunked(span.ContextOr(ctx), span, sh, cs, pw, compress, &wireBytes, &chunksSent)
 	}); err != nil {
 		return nil, err
 	}
@@ -635,20 +605,19 @@ func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message,
 // up to chunkPipelineWidth batches are in flight so the network transfer
 // overlaps the keeper's incremental folds.
 func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, sh shipment, chunkSize, pipeWidth int, compress bool, wireBytes, chunksSent *atomic.Int64) error {
-	// Compression needs each chunk's bytes contiguous (Deflate consumes one
-	// slice), so that path materializes pooled chunk buffers. The plain path
-	// ships the captured page buffers themselves as scatter segments — the
+	// The captured page buffers themselves ship as scatter segments — the
 	// dirty bytes are never copied between capture and the socket. The pages
 	// belong to the staged delta, which outlives the prepare-phase ship.
-	var chunks []wire.Chunk
-	var chunkSegs [][][]byte
-	release := func() {}
-	if compress {
-		chunks, release = deltaChunks(sh.delta, sh.pageSize, sh.imageBytes, chunkSize)
-	} else {
-		chunks, chunkSegs = deltaChunkScatter(sh.delta, sh.pageSize, sh.imageBytes, chunkSize)
-	}
-	defer release()
+	// Compression needs each chunk's bytes contiguous (Deflate consumes one
+	// slice), so that path flattens every planned chunk into a pooled buffer
+	// and appends the (possibly deflated) result as a one-segment scatter.
+	chunks, chunkSegs := deltaChunkScatter(sh.delta, sh.pageSize, sh.imageBytes, chunkSize)
+	var flats [][]byte
+	defer func() {
+		for _, b := range flats {
+			bufpool.Put(b)
+		}
+	}()
 	budget := max(chunkSize, chunkBatchBudget) + wire.ChunkHeaderLen
 	var raw, wireB int64
 	var batches []*wire.FrameWriter
@@ -657,8 +626,15 @@ func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, sh shipment, 
 		c := &chunks[i]
 		raw += int64(c.RawLen)
 		need := wire.ChunkHeaderLen + int(c.RawLen)
-		if compress {
+		if compress && c.RawLen > 0 {
+			flat := bufpool.Get(int(c.RawLen))[:0]
+			for _, seg := range chunkSegs[i] {
+				flat = append(flat, seg...)
+			}
+			flats = append(flats, flat)
+			c.Data = flat
 			c.Deflate()
+			chunkSegs[i] = [][]byte{c.Data}
 			need = wire.ChunkHeaderLen + len(c.Data)
 		}
 		// A frame larger than the budget (planChunks widened a degenerate
@@ -667,11 +643,7 @@ func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, sh shipment, 
 			cur = &wire.FrameWriter{Alloc: bufpool.Get}
 			batches = append(batches, cur)
 		}
-		if compress {
-			cur.AppendChunk(c)
-		} else {
-			cur.AppendChunkScatter(c, chunkSegs[i])
-		}
+		cur.AppendChunkScatter(c, chunkSegs[i])
 	}
 	defer func() {
 		for _, fw := range batches {
@@ -736,29 +708,8 @@ func flattenSegments(fw *wire.FrameWriter) []byte {
 	return out
 }
 
-func (n *Node) onDelta(req *wire.Message) (*wire.Message, error) {
-	d, err := decodeDelta(req.Payload)
-	if err != nil {
-		return nil, err
-	}
-	n.mu.Lock()
-	ks, ok := n.keepers[int(req.Group)]
-	id := n.id
-	n.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("runtime: node %d keeps no parity for group %d", id, req.Group)
-	}
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	if prev, dup := ks.staged[d.VMID]; dup && prev.Epoch != d.Epoch {
-		return nil, fmt.Errorf("runtime: conflicting staged delta for %q", d.VMID)
-	}
-	ks.staged[d.VMID] = d
-	return &wire.Message{Type: wire.MsgDeltaOK, Epoch: d.Epoch}, nil
-}
-
 // onDeltaChunk accepts delta chunks for the keeper's pending accumulation
-// buffer — the streaming half of the chunked data path. The payload carries
+// buffer — the receiving half of the ship path. The payload carries
 // one or more self-delimiting chunk frames (the sender batches small frames
 // into one message); each is verified individually against its stream under
 // ks.mu, then the whole batch is enqueued for the keeper's fold drainer and
@@ -928,14 +879,13 @@ func (n *Node) onCommit(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 	id := n.id
 	n.mu.Unlock()
 	lane := fmt.Sprintf("node%d", id)
-	// Fold staged deltas into parity, keepers in parallel (the XOR/RS fold
-	// is real CPU work and keepers are independent).
+	// Land each keeper's pending accumulation in its parity block, keepers in
+	// parallel (the range drain is real CPU work and keepers are independent).
 	if err := parallelDo(len(keepers), fan, func(i int) (foldErr error) {
 		ks := keepers[i]
 		ks.mu.Lock()
 		defer ks.mu.Unlock()
 		span := tr.Child(ctx, fmt.Sprintf("fold g%d", ks.keeper.Group()), lane)
-		span.SetAttr("staged", fmt.Sprint(len(ks.staged)))
 		defer func() { span.FinishErr(foldErr) }()
 		// The async fold queue must land before pending is read or committed;
 		// an error parked by the drainer fails the commit here.
@@ -944,15 +894,9 @@ func (n *Node) onCommit(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 			ks.foldErr = nil
 			return fmt.Errorf("runtime: commit group %d: async chunk fold: %w", ks.keeper.Group(), err)
 		}
-		for id, d := range ks.staged {
-			if err := ks.keeper.ApplyDelta(d); err != nil {
-				return fmt.Errorf("runtime: commit group %d member %q: %w", ks.keeper.Group(), id, err)
-			}
-			delete(ks.staged, id)
-		}
-		// Chunked path: every member's stream must have delivered all of its
-		// chunks (prepare succeeded, so they did unless the protocol broke),
-		// then the whole accumulation lands atomically. A retried commit finds
+		// Every member's stream must have delivered all of its chunks
+		// (prepare succeeded, so they did unless the protocol broke), then
+		// the whole accumulation lands atomically. A retried commit finds
 		// no streams and no pending buffer and is a no-op — idempotent.
 		if len(ks.streams) > 0 {
 			span.SetAttr("streams", fmt.Sprint(len(ks.streams)))
@@ -992,9 +936,8 @@ func (n *Node) onCommit(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 	return &wire.Message{Type: wire.MsgCommitOK, Epoch: req.Epoch}, nil
 }
 
-// releaseDelta returns a pooled-capture delta's page buffers. Only deltas
-// from CaptureDeltaInto(bufpool.Get) flow here; keeper-side deltas are
-// decoded copies and never released this way.
+// releaseDelta returns a pooled-capture delta's page buffers (the member's
+// staged capture, taken with CaptureDeltaInto(bufpool.Get)).
 func releaseDelta(d *core.Delta) {
 	if d == nil {
 		return
@@ -1008,7 +951,6 @@ func releaseDelta(d *core.Delta) {
 func (n *Node) onAbort(req *wire.Message) (*wire.Message, error) {
 	for _, ks := range n.snapshotKeepers() {
 		ks.mu.Lock()
-		ks.staged = map[string]*core.Delta{}
 		ks.dropPending()
 		ks.mu.Unlock()
 	}
@@ -1042,38 +984,6 @@ func (n *Node) member(name string) (*memberState, error) {
 	return ms, nil
 }
 
-func (n *Node) onGetImage(req *wire.Message) (*wire.Message, error) {
-	ms, err := n.member(req.VM)
-	if err != nil {
-		return nil, err
-	}
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return &wire.Message{
-		Type: wire.MsgImage, VM: req.VM,
-		Epoch:   ms.mem.Epoch(),
-		Payload: ms.mem.CommittedImage(),
-	}, nil
-}
-
-// onGetParity serves this node's parity block for a group.
-func (n *Node) onGetParity(req *wire.Message) (*wire.Message, error) {
-	n.mu.Lock()
-	ks, ok := n.keepers[int(req.Group)]
-	id := n.id
-	n.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("runtime: node %d keeps no parity for group %d", id, req.Group)
-	}
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	return &wire.Message{
-		Type: wire.MsgGetParityOK, Group: req.Group,
-		Arg:     uint64(ks.keeper.ParityIndex()),
-		Payload: ks.keeper.Parity(),
-	}, nil
-}
-
 // readChunkPayload cuts one chunk out of a total-byte block served by fetch
 // (which must return a fresh copy of [off, off+n)) and encodes it.
 func readChunkPayload(total, index, chunkSize int, fetch func(off, n int) ([]byte, error)) ([]byte, error) {
@@ -1099,11 +1009,10 @@ func readChunkPayload(total, index, chunkSize int, fetch func(off, n int) ([]byt
 }
 
 // onReadChunk serves one chunk of a committed image (Text "image", keyed by
-// VM) or a parity block (Text "parity", keyed by Group) — the chunked twin
-// of MsgGetImage/MsgGetParity that never materializes a full copy per
-// request. Arg packs uint64(index)<<32 | uint32(chunkSize). Image replies
-// carry the member's committed epoch; parity replies carry the parity index
-// in Arg so the caller can verify it got the block it asked for.
+// VM) or a parity block (Text "parity", keyed by Group), never materializing
+// a full copy per request. Arg packs uint64(index)<<32 | uint32(chunkSize).
+// Image replies carry the member's committed epoch; parity replies carry the
+// parity index in Arg so the caller can verify it got the block it asked for.
 func (n *Node) onReadChunk(req *wire.Message) (*wire.Message, error) {
 	index := int(req.Arg >> 32)
 	chunkSize := int(uint32(req.Arg))
@@ -1241,18 +1150,7 @@ func (n *Node) onReconstruct(ctx obs.SpanContext, req *wire.Message) (*wire.Mess
 	if err := parallelDo(len(fetches), 0, func(i int) error {
 		f := fetches[i]
 		if f.member != "" {
-			var img []byte
-			var e uint64
-			var err error
-			if cs > 0 {
-				img, e, _, err = n.fetchChunked(ctx, f.node, "image", f.member, 0, cs)
-			} else {
-				var reply *wire.Message
-				reply, err = n.callPeer(f.node, &wire.Message{Type: wire.MsgGetImage, VM: f.member, Trace: ctx.Trace, Span: ctx.Span})
-				if err == nil {
-					img, e = reply.Payload, reply.Epoch
-				}
-			}
+			img, e, _, err := n.fetchChunked(ctx, f.node, "image", f.member, 0, cs)
 			if err != nil {
 				return fmt.Errorf("runtime: fetching survivor %q from node %d: %w", f.member, f.node, err)
 			}
@@ -1262,18 +1160,7 @@ func (n *Node) onReconstruct(ctx obs.SpanContext, req *wire.Message) (*wire.Mess
 			mu.Unlock()
 			return nil
 		}
-		var blk []byte
-		var gotIdx int
-		var err error
-		if cs > 0 {
-			blk, _, gotIdx, err = n.fetchChunked(ctx, f.node, "parity", "", cfg.Group, cs)
-		} else {
-			var pb *wire.Message
-			pb, err = n.callPeer(f.node, &wire.Message{Type: wire.MsgGetParity, Group: int32(cfg.Group), Trace: ctx.Trace, Span: ctx.Span})
-			if err == nil {
-				blk, gotIdx = pb.Payload, int(pb.Arg)
-			}
-		}
+		blk, _, gotIdx, err := n.fetchChunked(ctx, f.node, "parity", "", cfg.Group, cs)
 		if err != nil {
 			return fmt.Errorf("runtime: fetching parity[%d] from node %d: %w", f.parity, f.node, err)
 		}
@@ -1291,15 +1178,13 @@ func (n *Node) onReconstruct(ctx obs.SpanContext, req *wire.Message) (*wire.Mess
 	memberNames := ks.keeper.Members()
 	ks.mu.Unlock()
 	rebuilt, err := core.ReconstructMembers(cfg.Tolerance, memberNames, survivors, parityBlocks, cfg.AllLost)
-	if cs > 0 {
-		// The chunked fetches returned pooled buffers; ReconstructMembers
-		// copied them into its shards, so they can go back to the pool.
-		for _, img := range survivors {
-			bufpool.Put(img)
-		}
-		for _, blk := range parityBlocks {
-			bufpool.Put(blk)
-		}
+	// The fetches returned pooled buffers; ReconstructMembers copied them
+	// into its shards, so they can go back to the pool.
+	for _, img := range survivors {
+		bufpool.Put(img)
+	}
+	for _, blk := range parityBlocks {
+		bufpool.Put(blk)
 	}
 	if err != nil {
 		return nil, err
@@ -1312,8 +1197,8 @@ func (n *Node) onReconstruct(ctx obs.SpanContext, req *wire.Message) (*wire.Mess
 }
 
 // onInstallChunk stages one chunk of an incoming VM image. The image lands
-// via MsgInstall with Arg=1 (and no payload) once every chunk has arrived;
-// exact re-deliveries are idempotent inside the assembler.
+// via MsgInstall once every chunk has arrived; exact re-deliveries are
+// idempotent inside the assembler.
 func (n *Node) onInstallChunk(req *wire.Message) (*wire.Message, error) {
 	c, err := wire.DecodeChunk(req.Payload)
 	if err != nil {
@@ -1333,28 +1218,23 @@ func (n *Node) onInstallChunk(req *wire.Message) (*wire.Message, error) {
 	return &wire.Message{Type: wire.MsgInstallChunkOK, VM: req.VM}, nil
 }
 
-// onInstall adopts a VM: monolithically (image in Payload), or — when Arg is
-// 1 — from the chunk stream previously staged by MsgInstallChunk.
+// onInstall adopts a VM from the image chunk stream previously staged by
+// MsgInstallChunk; the message itself carries only the VM's configuration.
 func (n *Node) onInstall(req *wire.Message) (*wire.Message, error) {
 	var cfg installConfig
 	if err := decodeJSON(req.Text, &cfg); err != nil {
 		return nil, err
 	}
-	img := req.Payload
-	var pooled []byte
-	if req.Arg == 1 {
-		n.mu.Lock()
-		asm, ok := n.installs[cfg.Name]
-		delete(n.installs, cfg.Name)
-		n.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("runtime: install of %q has no staged chunk stream", cfg.Name)
-		}
-		var err error
-		if img, err = asm.Bytes(); err != nil {
-			return nil, err
-		}
-		pooled = img
+	n.mu.Lock()
+	asm, ok := n.installs[cfg.Name]
+	delete(n.installs, cfg.Name)
+	n.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("runtime: install of %q has no staged chunk stream", cfg.Name)
+	}
+	img, err := asm.Bytes()
+	if err != nil {
+		return nil, err
 	}
 	m, err := vm.NewMachine(cfg.Name, cfg.Pages, cfg.PageSize)
 	if err != nil {
@@ -1367,9 +1247,7 @@ func (n *Node) onInstall(req *wire.Message) (*wire.Message, error) {
 	if err := mem.RestoreImage(img, cfg.Epoch); err != nil {
 		return nil, err
 	}
-	if pooled != nil {
-		bufpool.Put(pooled) // RestoreImage copied it
-	}
+	bufpool.Put(img) // RestoreImage copied it
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, dup := n.members[cfg.Name]; dup {
@@ -1429,7 +1307,6 @@ func (n *Node) onRollback(req *wire.Message) (*wire.Message, error) {
 	}
 	for _, ks := range n.snapshotKeepers() {
 		ks.mu.Lock()
-		ks.staged = map[string]*core.Delta{}
 		ks.dropPending()
 		ks.mu.Unlock()
 	}
@@ -1454,17 +1331,7 @@ func (n *Node) onRebuildKeeper(ctx obs.SpanContext, req *wire.Message) (*wire.Me
 		if !ok {
 			return fmt.Errorf("runtime: rebuild keeper: no node for member %q", member)
 		}
-		var img []byte
-		var err error
-		if cs > 0 {
-			img, _, _, err = n.fetchChunked(ctx, nodeID, "image", member, 0, cs)
-		} else {
-			var reply *wire.Message
-			reply, err = n.callPeer(nodeID, &wire.Message{Type: wire.MsgGetImage, VM: member, Trace: ctx.Trace, Span: ctx.Span})
-			if err == nil {
-				img = reply.Payload
-			}
-		}
+		img, _, _, err := n.fetchChunked(ctx, nodeID, "image", member, 0, cs)
 		if err != nil {
 			return fmt.Errorf("runtime: rebuild keeper: fetch %q: %w", member, err)
 		}
@@ -1476,12 +1343,10 @@ func (n *Node) onRebuildKeeper(ctx obs.SpanContext, req *wire.Message) (*wire.Me
 		return nil, err
 	}
 	k, err := core.NewMKeeper(cfg.Group, cfg.ParityIdx, cfg.Tolerance, initial)
-	if cs > 0 {
-		// NewMKeeper folds the images into a fresh parity block without
-		// retaining them; the pooled fetch buffers can go back.
-		for _, img := range initial {
-			bufpool.Put(img)
-		}
+	// NewMKeeper folds the images into a fresh parity block without retaining
+	// them; the pooled fetch buffers can go back.
+	for _, img := range initial {
+		bufpool.Put(img)
 	}
 	if err != nil {
 		return nil, err
@@ -1491,8 +1356,24 @@ func (n *Node) onRebuildKeeper(ctx obs.SpanContext, req *wire.Message) (*wire.Me
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.keepers[cfg.Group] = newKeeperState(k, cfg.KeeperConfig)
+	if err := n.addKeeper(newKeeperState(k, cfg.KeeperConfig)); err != nil {
+		return nil, err
+	}
 	return &wire.Message{Type: wire.MsgRebuildKeeperOK, Group: int32(cfg.Group)}, nil
+}
+
+// addKeeper registers a keeper under its group. The keeper map holds one
+// block per group, so a second block of the same group with a different
+// parity index is refused rather than silently replacing the first (which
+// would lose a parity block the layout still counts on). Re-registering the
+// same index replaces a block this node already held. Caller holds n.mu.
+func (n *Node) addKeeper(ks *keeperState) error {
+	if prev, ok := n.keepers[ks.cfg.Group]; ok && prev.cfg.ParityIdx != ks.cfg.ParityIdx {
+		return fmt.Errorf("runtime: node %d already keeps parity[%d] of group %d, refusing parity[%d]",
+			n.id, prev.cfg.ParityIdx, ks.cfg.Group, ks.cfg.ParityIdx)
+	}
+	n.keepers[ks.cfg.Group] = ks
+	return nil
 }
 
 // onEvict removes a hosted VM and returns its committed image and protocol
@@ -1534,10 +1415,17 @@ func (n *Node) onStats(req *wire.Message) (*wire.Message, error) {
 }
 
 // setParity points hosted members of one group at a new parity node for one
-// parity block (after a keeper was re-homed during recovery).
+// parity block (after a keeper was re-homed during recovery). The update is
+// authoritative about where the block lives, so a node still holding that
+// block after it moved elsewhere (rebalance and evacuation rebuild a block on
+// its new home without visiting the old one) drops its stale copy here —
+// otherwise addKeeper would refuse a different block of the group later.
 func (n *Node) setParity(group, idx, node int) error {
 	n.mu.Lock()
 	reg := n.registry
+	if ks, ok := n.keepers[group]; ok && ks.cfg.ParityIdx == idx && node != n.id {
+		delete(n.keepers, group)
+	}
 	n.mu.Unlock()
 	for _, ms := range n.snapshotMembers() {
 		ms.mu.Lock()

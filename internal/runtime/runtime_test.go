@@ -254,29 +254,3 @@ func TestNewCoordinatorValidation(t *testing.T) {
 		t.Error("bad geometry should fail")
 	}
 }
-
-func TestDeltaCodecRoundTrip(t *testing.T) {
-	coord, _ := testCluster(t, paperLayout(t))
-	_ = coord
-	// Exercise the codec directly with a synthetic delta.
-	d := sampleDelta()
-	got, err := decodeDelta(encodeDelta(d, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.VMID != d.VMID || got.Epoch != d.Epoch || len(got.Pages) != len(d.Pages) {
-		t.Fatalf("round trip: %+v", got)
-	}
-	for i := range d.Pages {
-		if got.Pages[i].Index != d.Pages[i].Index || string(got.Pages[i].Data) != string(d.Pages[i].Data) {
-			t.Fatalf("page %d differs", i)
-		}
-	}
-	// Truncations rejected.
-	enc := encodeDelta(d, false)
-	for cut := 0; cut < len(enc); cut++ {
-		if _, err := decodeDelta(enc[:cut]); err == nil {
-			t.Fatalf("accepted truncation at %d", cut)
-		}
-	}
-}

@@ -10,7 +10,6 @@ import (
 
 	"dvdc/internal/chaos"
 	"dvdc/internal/cluster"
-	"dvdc/internal/wire"
 )
 
 // TestSoakPaperLayoutInvariants runs the full chaos soak on the paper's
@@ -243,11 +242,7 @@ func fetchImages(t *testing.T, coord *Coordinator) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
 	for _, v := range coord.Layout().VMs {
-		resp, err := coord.call(v.Node, &wire.Message{Type: wire.MsgGetImage, VM: v.Name})
-		if err != nil {
-			t.Fatalf("fetch image %q from node %d: %v", v.Name, v.Node, err)
-		}
-		out[v.Name] = resp.Payload
+		out[v.Name], _, _ = readBlock(t, coord.addrs[v.Node], "image", v.Name, 0)
 	}
 	return out
 }

@@ -15,7 +15,7 @@ type RoundStats struct {
 	CommitWall    time.Duration // commit fan-out wall-clock (parity folding)
 	RecoveryWall  time.Duration // most recent RecoverNodes wall-clock (0 if none yet)
 	BytesShipped  int64         // delta wire bytes shipped cluster-wide this round
-	ChunksShipped int64         // delta chunk frames shipped cluster-wide (0 on the monolithic path)
+	ChunksShipped int64         // delta chunk frames shipped cluster-wide (every delta ships at least one)
 	DedupedPages  int64         // dirty pages skipped by the page-dedup cache this round
 	RPCRetries    int64         // transport re-dials/retries during this round
 	Aborted       bool          // the round failed in prepare and was aborted

@@ -114,6 +114,10 @@ func (r *Reconciler) Run() {
 			return
 		default:
 		}
+		// Subscribe before looking: a write that lands while this pass is
+		// still reading (or right after it found nothing) closes this channel,
+		// so the wait below returns at once instead of sleeping through it.
+		changed := r.store.Changed()
 		progressed := r.reconcileOnce()
 		r.exportPhases()
 		if progressed {
@@ -136,7 +140,7 @@ func (r *Reconciler) Run() {
 		case <-r.stop:
 			timer.Stop()
 			return
-		case <-r.store.Changed():
+		case <-changed:
 			timer.Stop()
 		case <-timer.C:
 		}

@@ -500,3 +500,29 @@ func TestReconcileSpansEmitted(t *testing.T) {
 		t.Fatal("no finished reconcile span for the request")
 	}
 }
+
+// TestReconcilerSeesAWriteRacingItsIdlePass pins the loop's subscribe-then-
+// check order: a request created while the reconciler is finishing a pass
+// that found nothing must still wake it. A loop that fetches the change
+// channel only after the pass misses that write and sleeps until the next
+// one — the request sits in Pending. A fresh service per iteration puts the
+// submit right on top of the reconciler's first (empty) pass.
+func TestReconcilerSeesAWriteRacingItsIdlePass(t *testing.T) {
+	for i := 0; i < 300; i++ {
+		svc := New(&fakeExec{}, Options{Registry: obs.NewRegistry()})
+		svc.Start()
+		// Sweep the submit across the reconciler's start-up: a busy wait of
+		// 0 .. ~50 µs, finer than any sleep.
+		for spin := time.Now(); time.Since(spin) < time.Duration(i%100)*500*time.Nanosecond; {
+		}
+		req, err := svc.Submit(KindCheckpoint, Spec{Tenant: "a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = svc.WaitTerminal(req.ID, 2*time.Second)
+		svc.Stop()
+		if err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
+	}
+}

@@ -10,11 +10,10 @@ import (
 )
 
 // Chunk framing: the checkpoint data path ships deltas, images, and parity
-// blocks as streams of fixed-size chunks instead of monolithic payloads, so
-// network transfer and parity folding overlap and no image-sized buffer is
-// ever allocated per message. A chunk is one contiguous byte range of the
-// stream, self-describing enough to be folded or assembled on arrival in any
-// order:
+// blocks as streams of fixed-size chunks, so network transfer and parity
+// folding overlap and no image-sized buffer is ever allocated per message. A
+// chunk is one contiguous byte range of the stream, self-describing enough to
+// be folded or assembled on arrival in any order:
 //
 //	offset  u64  byte offset of the chunk's (inflated) data in the stream
 //	total   u64  total stream bytes
@@ -27,7 +26,7 @@ import (
 //	data    ...
 //
 // Unlike the outer Message framing, chunks carry a checksum: a mangled
-// interior byte of a monolithic frame could decode into a silently wrong
+// interior byte of a message frame could decode into a silently wrong
 // payload, but a chunk that is folded straight into parity on arrival must
 // be verified before the fold — the CRC covers header and data, so any
 // single-burst corruption (including a flipped offset or index) is detected
@@ -114,9 +113,16 @@ func (c *Chunk) Deflate() {
 	}
 }
 
-// AppendChunk appends the chunk's canonical encoding to dst (which may come
-// from a buffer pool) and returns the extended slice.
-func AppendChunk(dst []byte, c *Chunk) []byte {
+// appendChunkHeader renders the chunk header for a chunk whose carried bytes
+// are the concatenation of data (c.Data is not consulted): the length field
+// and the CRC — over the header with its crc field zeroed, then the data —
+// are computed across the pieces. It is the only place the header is laid
+// out; every encoder goes through it.
+func appendChunkHeader(dst []byte, c *Chunk, data [][]byte) []byte {
+	var dataLen int
+	for _, d := range data {
+		dataLen += len(d)
+	}
 	base := len(dst)
 	dst = binary.LittleEndian.AppendUint64(dst, c.Offset)
 	dst = binary.LittleEndian.AppendUint64(dst, c.Total)
@@ -124,12 +130,20 @@ func AppendChunk(dst []byte, c *Chunk) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, c.Count)
 	dst = append(dst, c.Flags)
 	dst = binary.LittleEndian.AppendUint32(dst, c.RawLen)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.Data)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(dataLen))
 	dst = binary.LittleEndian.AppendUint32(dst, 0) // crc placeholder
-	dst = append(dst, c.Data...)
 	crc := crc32.ChecksumIEEE(dst[base:])
+	for _, d := range data {
+		crc = crc32.Update(crc, crc32.IEEETable, d)
+	}
 	binary.LittleEndian.PutUint32(dst[base+ChunkHeaderLen-4:], crc)
 	return dst
+}
+
+// AppendChunk appends the chunk's canonical encoding to dst (which may come
+// from a buffer pool) and returns the extended slice.
+func AppendChunk(dst []byte, c *Chunk) []byte {
+	return append(appendChunkHeader(dst, c, [][]byte{c.Data}), c.Data...)
 }
 
 // EncodeChunk renders the chunk's canonical encoding.

@@ -1,10 +1,6 @@
 package wire
 
-import (
-	"encoding/binary"
-	"hash/crc32"
-	"net"
-)
+import "net"
 
 // Scatter-gather chunk encoding: the ship path batches many chunk frames
 // into one message payload. AppendChunk renders header and data into one
@@ -15,35 +11,15 @@ import (
 // are identical to the contiguous encoding, so receivers decode through the
 // unchanged DecodeChunkPrefix/Assembler path.
 
-// AppendChunkHeader appends the chunk's header — including the CRC, which
-// covers the header (crc field zeroed) followed by c.Data — without
-// appending the data bytes themselves. The header followed by c.Data is
-// byte-identical to AppendChunk's output.
-func AppendChunkHeader(dst []byte, c *Chunk) []byte {
-	base := len(dst)
-	dst = binary.LittleEndian.AppendUint64(dst, c.Offset)
-	dst = binary.LittleEndian.AppendUint64(dst, c.Total)
-	dst = binary.LittleEndian.AppendUint32(dst, c.Index)
-	dst = binary.LittleEndian.AppendUint32(dst, c.Count)
-	dst = append(dst, c.Flags)
-	dst = binary.LittleEndian.AppendUint32(dst, c.RawLen)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.Data)))
-	dst = binary.LittleEndian.AppendUint32(dst, 0) // crc placeholder
-	crc := crc32.ChecksumIEEE(dst[base:])
-	crc = crc32.Update(crc, crc32.IEEETable, c.Data)
-	binary.LittleEndian.PutUint32(dst[base+ChunkHeaderLen-4:], crc)
-	return dst
-}
-
 // frameWriterArenaHeaders sizes a header arena: ~4 KiB holds 110 headers,
 // which covers a whole default-size batch in one pooled buffer.
 const frameWriterArenaHeaders = 110
 
 // FrameWriter collects chunk frames as scatter-gather segments. Each
-// AppendChunk adds two segments: a header rendered into an internal arena
-// and the chunk's Data slice, aliased without copying. The accumulated
-// Segments are wire-identical to AppendChunk run over the same chunks, so
-// they decode through DecodeChunkPrefix unchanged.
+// AppendChunkScatter adds a header rendered into an internal arena plus the
+// chunk's data pieces, aliased without copying. The accumulated Segments are
+// wire-identical to AppendChunk run over the same chunks, so they decode
+// through DecodeChunkPrefix unchanged.
 //
 // Data slices are aliased until the segments have been written, so the
 // caller must keep them alive (and unmodified) until then. Release returns
@@ -58,15 +34,6 @@ type FrameWriter struct {
 	segs   net.Buffers
 	n      int
 	frames int
-}
-
-// AppendChunk adds one chunk frame to the segment list, aliasing c.Data.
-func (fw *FrameWriter) AppendChunk(c *Chunk) {
-	var data [][]byte
-	if len(c.Data) > 0 {
-		data = [][]byte{c.Data}
-	}
-	fw.AppendChunkScatter(c, data)
 }
 
 // AppendChunkScatter adds one chunk frame whose data arrives as a scatter
@@ -86,33 +53,16 @@ func (fw *FrameWriter) AppendChunkScatter(c *Chunk, data [][]byte) {
 		fw.arenas = append(fw.arenas, a)
 		fw.cur = a[:0]
 	}
-	var dataLen int
-	for _, d := range data {
-		dataLen += len(d)
-	}
 	base := len(fw.cur)
-	dst := fw.cur
-	dst = binary.LittleEndian.AppendUint64(dst, c.Offset)
-	dst = binary.LittleEndian.AppendUint64(dst, c.Total)
-	dst = binary.LittleEndian.AppendUint32(dst, c.Index)
-	dst = binary.LittleEndian.AppendUint32(dst, c.Count)
-	dst = append(dst, c.Flags)
-	dst = binary.LittleEndian.AppendUint32(dst, c.RawLen)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(dataLen))
-	dst = binary.LittleEndian.AppendUint32(dst, 0) // crc placeholder
-	crc := crc32.ChecksumIEEE(dst[base:])
-	for _, d := range data {
-		crc = crc32.Update(crc, crc32.IEEETable, d)
-	}
-	binary.LittleEndian.PutUint32(dst[base+ChunkHeaderLen-4:], crc)
-	fw.cur = dst
+	fw.cur = appendChunkHeader(fw.cur, c, data)
 	fw.segs = append(fw.segs, fw.cur[base:len(fw.cur):len(fw.cur)])
 	for _, d := range data {
 		if len(d) > 0 {
 			fw.segs = append(fw.segs, d)
+			fw.n += len(d)
 		}
 	}
-	fw.n += ChunkHeaderLen + dataLen
+	fw.n += ChunkHeaderLen
 	fw.frames++
 }
 

@@ -115,7 +115,9 @@ func sgRoundTrip(t *testing.T, block []byte, chunkSize int, deflate bool) {
 		if deflate && i%2 == 0 {
 			c.Deflate()
 		}
-		fw.AppendChunk(&c)
+		// One-segment scatter: the form the compressing ship path appends
+		// (each planned chunk flattened, deflated, then framed whole).
+		fw.AppendChunkScatter(&c, [][]byte{c.Data})
 		var pieces [][]byte
 		for at, pi := 0, i; at < len(c.Data); pi++ {
 			n := min(pieceSizes[pi%len(pieceSizes)], len(c.Data)-at)
@@ -200,7 +202,14 @@ func FuzzScatterGatherFrames(f *testing.F) {
 // full round trip as a plain test, so the property holds in `go test` runs
 // without the fuzz engine.
 func TestScatterGatherCorpusRoundTrips(t *testing.T) {
-	for i, e := range sgCorpus() {
+	// Beyond the pinned corpus: the compressed ship path's shape — a run of
+	// XOR-delta pages (a few changed bytes each, the rest zero) cut at the
+	// default chunk size with flate on.
+	sparse := make([]byte, 40*4096)
+	for i := 0; i < len(sparse); i += 4096 {
+		sparse[i+7] = byte(i>>12) + 1
+	}
+	for i, e := range append(sgCorpus(), sgSeed{sparse, DefaultChunkSize, true}) {
 		e := e
 		t.Run(fmt.Sprintf("seed-%03d", i), func(t *testing.T) {
 			sgRoundTrip(t, e.block, e.chunkSize, e.deflate)
@@ -224,7 +233,7 @@ func TestFrameWriterResetReuse(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			fw.AppendChunk(&c)
+			fw.AppendChunkScatter(&c, [][]byte{c.Data})
 			contiguous = AppendChunk(contiguous, &c)
 		}
 		if got := fw.Bytes(); !bytes.Equal(got, contiguous) {

@@ -32,13 +32,13 @@ const (
 	MsgCommitOK
 	MsgAbort // undo a prepared capture
 	MsgAbortOK
-	MsgDelta // node -> parity peer: staged checkpoint delta for one VM
+	MsgDelta // reserved: retired whole-delta shipment (deltas travel as MsgDeltaChunk)
 	MsgDeltaOK
-	MsgGetImage // fetch a member's committed image (recovery source)
+	MsgGetImage // reserved: retired whole-image fetch (images are read via MsgReadChunk)
 	MsgImage
 	MsgReconstruct // parity node: rebuild a lost VM from survivor images
 	MsgReconstructOK
-	MsgInstall // target node: adopt a VM with the given image
+	MsgInstall // target node: adopt a VM from the image staged by MsgInstallChunk
 	MsgInstallOK
 	MsgChecksum // fetch a VM's committed-image checksum (verification)
 	MsgChecksumOK
@@ -50,7 +50,7 @@ const (
 	MsgSetParityOK
 	MsgStats // fetch a node's protocol counters (JSON in Text)
 	MsgStatsOK
-	MsgGetParity // fetch a group's parity block held by this node
+	MsgGetParity // reserved: retired whole-block fetch (parity is read via MsgReadChunk)
 	MsgGetParityOK
 	MsgEvict // remove a quiescent VM from this node, returning its committed image
 	MsgEvictOK
@@ -111,16 +111,14 @@ func (t MsgType) String() string {
 }
 
 // Bulk reports whether a frame type carries checkpoint or recovery payload —
-// the data plane — as opposed to protocol control. Delta ships, image and
-// parity transfers, and chunk streams qualify; requests, acks, and stats do
-// not. The chaos layer keys its standing slow-node condition off this: a
+// the data plane — as opposed to protocol control. Chunk streams and the
+// whole-image recovery replies qualify; requests, acks, and stats do not. The chaos layer keys its standing slow-node condition off this: a
 // "habitually slow" node in the paper's sense has a congested data-plane
 // ingest (the disk or NIC absorbing every member's delta stream), while
 // small control frames ride an uncongested queue.
 func (t MsgType) Bulk() bool {
 	switch t {
-	case MsgDelta, MsgDeltaChunk, MsgImage, MsgInstall, MsgInstallChunk,
-		MsgReconstructOK, MsgReadChunkOK, MsgGetParityOK, MsgEvictOK:
+	case MsgDeltaChunk, MsgInstallChunk, MsgReconstructOK, MsgReadChunkOK, MsgEvictOK:
 		return true
 	}
 	return false
