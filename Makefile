@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench obs-bench experiments figures fuzz soak obs-demo clean
+.PHONY: all build test race cover loc bench obs-bench experiments figures fuzz soak obs-demo clean
 
 all: build test
 
@@ -19,6 +19,13 @@ race:
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
 	$(GO) tool cover -func=cover.out | tail -1
+
+# Non-test Go lines per package: the figure ROADMAP gates simplicity PRs on,
+# so PR text and reviewers quote the same number.
+loc:
+	@$(GO) list -f '{{.Dir}}' ./... | sed 's|^$(CURDIR)|.|' | while read d; do \
+		printf '%6d %s\n' "$$(ls $$d/*.go | grep -v _test | xargs -r cat | wc -l)" "$$d"; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -295,7 +295,15 @@ func sessionMain() {
 	fatal(err)
 	fmt.Printf("committed state over %d VMs\n", len(sums))
 	if *rounds > 0 {
-		fmt.Printf("phase timings:\n%s", se.coord.Phases())
+		fmt.Printf("phase timings:\n")
+		for _, phase := range []string{"prepare", "commit", "recovery", "rebalance", "evacuate"} {
+			h, ok := se.registry.HistogramSnapshot("dvdc_round_phase_seconds", "phase", phase)
+			if !ok || h.Total == 0 {
+				continue
+			}
+			fmt.Printf("%-10s %.3f ms mean, p50 %.3f, p90 %.3f (n=%d)\n", phase,
+				h.Sum/float64(h.Total)*1e3, h.Quantile(0.5)*1e3, h.Quantile(0.9)*1e3, h.Total)
+		}
 	}
 
 	if *kill >= 0 {

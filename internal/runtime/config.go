@@ -104,19 +104,24 @@ func decodeJSON(s string, v interface{}) error {
 	return json.Unmarshal([]byte(s), v)
 }
 
-// installConfig rides MsgInstall: geometry and ownership for an adopted VM.
+// installConfig rides MsgInstall, the receiving half of a move: the VM to
+// adopt and the node that hosts it now. The target pulls the committed image
+// and its epoch from From over MsgReadChunk; the coordinator never sees the
+// bytes, and drops the source's copy only after the target has adopted.
 type installConfig struct {
 	VMConfig
-	Epoch uint64 `json:"epoch"`
+	From int `json:"from"`
 }
 
-// reconstructConfig rides MsgReconstruct: everything the solving parity node
-// needs to rebuild LostVM — which members are gone, where the survivors
-// live, and where the still-alive parity blocks of the group are.
+// reconstructConfig rides MsgReconstruct, addressed to the node that will
+// host the lost VM: the VM to adopt (VMConfig), which members of its group are
+// gone, and where the survivors' images and the group's still-alive parity
+// blocks are. The target pulls those, solves the erasure system and adopts
+// the VM in place, at the survivors' committed epoch.
 type reconstructConfig struct {
-	LostVM      string         `json:"lost_vm"`
+	VMConfig
 	AllLost     []string       `json:"all_lost"` // every lost member of the group
-	Group       int            `json:"group"`
+	Members     []string       `json:"members"`  // every member of the group, any order
 	Tolerance   int            `json:"tolerance"`
 	Survivors   map[string]int `json:"survivors"`    // member -> node id
 	ParityPeers map[int]int    `json:"parity_peers"` // parity index -> node id (alive)

@@ -2,14 +2,13 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dvdc/internal/bufpool"
 	"dvdc/internal/cluster"
-	"dvdc/internal/metrics"
 	"dvdc/internal/obs"
 	"dvdc/internal/transport"
 	"dvdc/internal/wire"
@@ -63,7 +62,6 @@ type Coordinator struct {
 
 	statsMu   sync.Mutex
 	lastRound RoundStats
-	phases    *metrics.Phases
 }
 
 // NewCoordinator wires a layout to node addresses. addrs must cover every
@@ -95,7 +93,6 @@ func NewCoordinator(layout *cluster.Layout, addrs map[int]string, pages, pageSiz
 		rpcTimeout:    DefaultRPCTimeout,
 		fanoutW:       DefaultFanout,
 		commitRetries: DefaultCommitRetries,
-		phases:        metrics.NewPhases(),
 	}, nil
 }
 
@@ -250,10 +247,6 @@ func (c *Coordinator) RoundStats() RoundStats {
 	return c.lastRound
 }
 
-// Phases exposes the per-phase wall-clock summaries accumulated across all
-// rounds and recoveries.
-func (c *Coordinator) Phases() *metrics.Phases { return c.phases }
-
 // pool returns (lazily creating) the connection pool for an alive node.
 func (c *Coordinator) pool(node int) (*transport.Pool, error) {
 	c.mu.Lock()
@@ -276,10 +269,9 @@ func (c *Coordinator) pool(node int) (*transport.Pool, error) {
 	return p, nil
 }
 
-// observePhase lands one phase duration in both the in-process summaries and
-// (when a registry is attached) the exported per-phase histogram.
+// observePhase lands one phase duration in the attached registry's per-phase
+// histogram, the one record of phase wall clock (dvdcctl renders it).
 func (c *Coordinator) observePhase(name string, d time.Duration) {
-	c.phases.Observe(name, d)
 	c.mu.Lock()
 	reg := c.registry
 	c.mu.Unlock()
@@ -416,6 +408,18 @@ func (c *Coordinator) vmConfig(v cluster.VMPlacement) VMConfig {
 	}
 }
 
+// keeperConfig renders the KeeperConfig of parity block idx of a group.
+func (c *Coordinator) keeperConfig(group, idx int) KeeperConfig {
+	return KeeperConfig{
+		Group:     group,
+		ParityIdx: idx,
+		Tolerance: c.layout.Tolerance,
+		Members:   append([]string(nil), c.layout.Groups[group].Members...),
+		Pages:     c.pages,
+		PageSize:  c.pageSize,
+	}
+}
+
 // nodeConfig renders the full initial assignment for one node.
 func (c *Coordinator) nodeConfig(n int) NodeConfig {
 	cfg := NodeConfig{NodeID: n, Peers: c.addrs, Compress: c.compress, ChunkSize: c.chunkSize, Dedup: c.dedup, PipelineWidth: c.pipeWidth}
@@ -427,14 +431,7 @@ func (c *Coordinator) nodeConfig(n int) NodeConfig {
 	for _, g := range c.layout.Groups {
 		for i, pn := range g.ParityNodes {
 			if pn == n {
-				cfg.Keepers = append(cfg.Keepers, KeeperConfig{
-					Group:     g.Index,
-					ParityIdx: i,
-					Tolerance: c.layout.Tolerance,
-					Members:   append([]string(nil), g.Members...),
-					Pages:     c.pages,
-					PageSize:  c.pageSize,
-				})
+				cfg.Keepers = append(cfg.Keepers, c.keeperConfig(g.Index, i))
 			}
 		}
 	}
@@ -653,40 +650,6 @@ func (c *Coordinator) recordRound(r RoundStats) {
 	reg.Histogram("dvdc_round_seconds", obs.LatencyBuckets()).Observe((r.PrepareWall + r.CommitWall).Seconds())
 }
 
-// installVM pushes a rebuilt or evicted committed image to its new host: the
-// image travels as concurrent MsgInstallChunk frames, then a MsgInstall
-// carrying the VM's configuration (text) makes the host adopt it.
-func (c *Coordinator) installVM(ctx obs.SpanContext, node int, vmName, text string, img []byte) error {
-	cs := resolveChunkSize(c.chunkSize)
-	count := wire.ChunkCount(len(img), cs)
-	if err := parallelDo(count, chunkPipelineWidth, func(i int) error {
-		ch, err := wire.ChunkOf(img, i, cs)
-		if err != nil {
-			return err
-		}
-		enc := encodePooledChunk(&ch)
-		resp, err := c.call(node, &wire.Message{Type: wire.MsgInstallChunk, VM: vmName, Payload: enc, Trace: ctx.Trace, Span: ctx.Span})
-		bufpool.Put(enc) // Call wrote the frame before returning
-		if err != nil {
-			return err
-		}
-		if resp.Type != wire.MsgInstallChunkOK {
-			return fmt.Errorf("runtime: node %d replied %v to install-chunk", node, resp.Type)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	resp, err := c.call(node, &wire.Message{Type: wire.MsgInstall, VM: vmName, Text: text, Trace: ctx.Trace, Span: ctx.Span})
-	if err != nil {
-		return err
-	}
-	if resp.Type != wire.MsgInstallOK {
-		return fmt.Errorf("runtime: node %d replied %v to install", node, resp.Type)
-	}
-	return nil
-}
-
 // Checksums fetches the committed-image checksum of every VM, concurrently.
 func (c *Coordinator) Checksums() (map[string]uint64, error) {
 	vms := c.layout.VMs
@@ -762,13 +725,15 @@ func (c *Coordinator) RecoverNode(failed int) (*cluster.Plan, error) {
 }
 
 // RecoverNodes handles the simultaneous death of up to `tolerance` nodes:
-// it plans recovery against the layout, has surviving parity nodes solve the
-// erasure system for every lost VM (pulling survivor images and the group's
-// remaining parity blocks over the wire), installs the rebuilt VMs on their
-// target nodes, re-homes lost parity blocks, rolls every surviving VM back
-// to the committed epoch, and updates the layout. Reconstructions and parity
-// re-homes run concurrently across groups — groups share no VMs and no
-// parity blocks (orthogonality), so their recoveries are independent. The
+// it plans recovery against the layout, rolls every surviving VM back to the
+// committed epoch, tells each lost VM's target node where the group's
+// survivor images and remaining parity blocks are (the target pulls them
+// node-to-node, solves the erasure system and adopts the VM in place),
+// re-homes lost parity blocks the same way, and updates the layout. The
+// coordinator only names sources and targets; no image byte crosses it.
+// Reconstructions and parity re-homes run concurrently across groups —
+// groups share no VMs and no parity blocks (orthogonality), so their
+// recoveries are independent. The
 // failed nodes must already be unreachable (or are about to be treated as
 // such); the caller names them explicitly. Nodes the commit phase already
 // declared dead (see PartialCommitError) may — and must — be passed here.
@@ -821,11 +786,8 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 	}
 	sort.Ints(down)
 
-	// Snapshot source locations before mutating the layout.
-	nodeOf := map[string]int{}
-	for _, v := range c.layout.VMs {
-		nodeOf[v.Name] = v.Node
-	}
+	// Snapshot the parity homes before the layout is mutated: the re-home
+	// pass below needs to know which blocks sat on dead nodes.
 	parityOf := map[int][]int{}
 	for _, g := range c.layout.Groups {
 		parityOf[g.Index] = append([]int(nil), g.ParityNodes...)
@@ -858,7 +820,7 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 	}
 
 	// Group the lost VMs so each reconstruction request can name all of its
-	// group's casualties (the solver needs the full erasure pattern), and so
+	// group's casualties (solving needs the full erasure pattern), and so
 	// independent groups can recover concurrently.
 	lostByGroup := map[int][]string{}
 	restoresByGroup := map[int][]cluster.Step{}
@@ -875,82 +837,62 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 	}
 	sort.Ints(restoreGroups)
 
-	// Restore lost VMs: per group, a surviving parity node solves and each
-	// target installs. Groups run in parallel; within a group the steps run
-	// in order. newHomes collects per-group placement updates, merged into
-	// nodeOf after the parallel section (groups never share VMs, so the
-	// per-group maps are disjoint).
-	newHomes := make([]map[string]int, len(restoreGroups))
+	// Restore lost VMs: each step's target node pulls the group's survivors
+	// and alive parity blocks, solves and adopts the VM. Groups run in
+	// parallel; within a group the steps run in order. The layout is not
+	// touched until every restore is done, so it still names the survivors'
+	// (unchanged) hosts.
 	if err := parallelDo(len(restoreGroups), c.fanoutWidth(), func(gi int) (gerr error) {
 		group := restoreGroups[gi]
 		gspan := tr.Child(root.Context(), fmt.Sprintf("restore g%d", group), "coord")
 		gctx := gspan.ContextOr(obs.SpanContext{})
 		defer func() { gspan.FinishErr(gerr) }()
-		homes := map[string]int{}
-		newHomes[gi] = homes
 		g := c.layout.Groups[group]
+		lost := lostByGroup[group]
 		// Alive parity blocks of this group (by original homes).
 		peers := map[int]int{}
-		solver := -1
 		for i, pn := range parityOf[group] {
-			if isDead(pn) {
-				continue
-			}
-			peers[i] = pn
-			if solver == -1 {
-				solver = pn
+			if !isDead(pn) {
+				peers[i] = pn
 			}
 		}
-		if len(peers) < len(lostByGroup[group]) {
+		if len(peers) < len(lost) {
 			return fmt.Errorf("runtime: group %d lost %d members but only %d parity blocks survive",
-				group, len(lostByGroup[group]), len(peers))
+				group, len(lost), len(peers))
+		}
+		survivors := map[string]int{}
+		for _, m := range g.Members {
+			if !slices.Contains(lost, m) {
+				v, _ := c.layout.VM(m)
+				survivors[m] = v.Node
+			}
 		}
 		for _, s := range restoresByGroup[group] {
+			v, _ := c.layout.VM(s.VM)
 			rc := reconstructConfig{
-				LostVM:      s.VM,
-				AllLost:     lostByGroup[group],
-				Group:       group,
+				VMConfig:    c.vmConfig(v),
+				AllLost:     lost,
+				Members:     g.Members,
 				Tolerance:   c.layout.Tolerance,
-				Survivors:   map[string]int{},
+				Survivors:   survivors,
 				ParityPeers: peers,
 			}
-			lostSet := map[string]bool{}
-			for _, lv := range rc.AllLost {
-				lostSet[lv] = true
-			}
-			for _, m := range g.Members {
-				if !lostSet[m] {
-					rc.Survivors[m] = nodeOf[m]
-				}
-			}
+			rc.Seed = c.vmSeed(s.VM) + int64(c.epoch.Load()) + 1 // fresh workload stream after respawn
 			text, err := encodeJSON(rc)
 			if err != nil {
 				return err
 			}
-			resp, err := c.call(solver, &wire.Message{Type: wire.MsgReconstruct, Group: int32(group), Text: text, Trace: gctx.Trace, Span: gctx.Span})
+			resp, err := c.call(s.TargetNode, &wire.Message{Type: wire.MsgReconstruct, Group: int32(group), VM: s.VM, Text: text, Trace: gctx.Trace, Span: gctx.Span})
 			if err != nil {
-				return fmt.Errorf("runtime: reconstruct %q on node %d: %w", s.VM, solver, err)
+				return fmt.Errorf("runtime: reconstruct %q on node %d: %w", s.VM, s.TargetNode, err)
 			}
-			v, _ := c.layout.VM(s.VM)
-			ic := installConfig{VMConfig: c.vmConfig(v), Epoch: resp.Epoch}
-			ic.Seed = c.vmSeed(s.VM) + int64(c.epoch.Load()) + 1 // fresh workload stream after respawn
-			itext, err := encodeJSON(ic)
-			if err != nil {
-				return err
+			if resp.Type != wire.MsgReconstructOK {
+				return fmt.Errorf("runtime: node %d replied %v to reconstruct", s.TargetNode, resp.Type)
 			}
-			if err := c.installVM(gctx, s.TargetNode, s.VM, itext, resp.Payload); err != nil {
-				return fmt.Errorf("runtime: install %q on node %d: %w", s.VM, s.TargetNode, err)
-			}
-			homes[s.VM] = s.TargetNode
 		}
 		return nil
 	}); err != nil {
 		return nil, err
-	}
-	for _, homes := range newHomes {
-		for vmName, node := range homes {
-			nodeOf[vmName] = node
-		}
 	}
 
 	// Apply the plan so the layout reflects new VM homes before keepers are
@@ -977,9 +919,7 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 	if err := parallelDo(len(rehomeGroups), c.fanoutWidth(), func(gi int) (gerr error) {
 		group := rehomeGroups[gi]
 		gspan := tr.Child(root.Context(), fmt.Sprintf("rehome g%d", group), "coord")
-		gctx := gspan.ContextOr(obs.SpanContext{})
 		defer func() { gspan.FinishErr(gerr) }()
-		g := c.layout.Groups[group]
 		for _, s := range rehomesByGroup[group] {
 			// Which parity index died and is not yet rebuilt this pass?
 			idx := -1
@@ -993,28 +933,8 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 			if idx == -1 {
 				return fmt.Errorf("runtime: group %d has no dead parity block to re-home", group)
 			}
-			rk := rebuildKeeperConfig{
-				KeeperConfig: KeeperConfig{
-					Group:     group,
-					ParityIdx: idx,
-					Tolerance: c.layout.Tolerance,
-					Members:   append([]string(nil), g.Members...),
-					Pages:     c.pages,
-					PageSize:  c.pageSize,
-				},
-				MemberNodes: map[string]int{},
-				Epochs:      map[string]uint64{},
-			}
-			for _, m := range g.Members {
-				rk.MemberNodes[m] = nodeOf[m]
-				rk.Epochs[m] = c.epoch.Load()
-			}
-			text, err := encodeJSON(rk)
-			if err != nil {
+			if err := c.rebuildKeeper(gspan.ContextOr(obs.SpanContext{}), group, idx, s.TargetNode); err != nil {
 				return err
-			}
-			if _, err := c.call(s.TargetNode, &wire.Message{Type: wire.MsgRebuildKeeper, Group: int32(group), Text: text, Trace: gctx.Trace, Span: gctx.Span}); err != nil {
-				return fmt.Errorf("runtime: rebuild keeper %d on node %d: %w", group, s.TargetNode, err)
 			}
 		}
 		return nil
@@ -1112,12 +1032,16 @@ func (c *Coordinator) Repair(node int) error {
 }
 
 // Rebalance restores strict orthogonality after degraded recoveries, once
-// repaired nodes have rejoined: co-located VMs move (evict from the old
-// host, install on the new — the VMs are quiescent right after a commit, so
-// the move is a committed-image transfer), and co-located parity blocks are
-// recomputed on their new homes. VM moves and parity rebuilds each run
-// concurrently (moves touch disjoint VMs, rebuilds disjoint parity blocks).
-// Call immediately after Checkpoint, before any Step.
+// repaired nodes have rejoined: co-located VMs move, and co-located parity
+// blocks are recomputed on their new homes. A move is install-then-evict: the
+// new host pulls the committed image from the old one (the VMs are quiescent
+// right after a commit, so that image is the whole VM) and only once it has
+// adopted the VM is the old host told to drop its copy. A move that fails or
+// is refused at either step therefore leaves the VM where it was — the error
+// is returned, the layout is not touched, and the new host holds no copy. VM
+// moves and parity rebuilds each run concurrently (moves touch disjoint VMs,
+// rebuilds disjoint parity blocks). Call immediately after Checkpoint, before
+// any Step.
 func (c *Coordinator) Rebalance() (plan *cluster.Plan, err error) {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
@@ -1136,7 +1060,7 @@ func (c *Coordinator) Rebalance() (plan *cluster.Plan, err error) {
 	if err != nil {
 		return nil, err
 	}
-	// Move VMs first, concurrently (each move is its own evict+install pair
+	// Move VMs first, concurrently (each move is its own install+evict pair
 	// and no two steps touch the same VM or the same parity block).
 	var moves []cluster.Step
 	for _, s := range plan.Steps {
@@ -1150,18 +1074,30 @@ func (c *Coordinator) Rebalance() (plan *cluster.Plan, err error) {
 		if !ok {
 			return fmt.Errorf("runtime: rebalance of unknown VM %q", s.VM)
 		}
-		resp, err := c.call(v.Node, &wire.Message{Type: wire.MsgEvict, VM: s.VM, Trace: rctx.Trace, Span: rctx.Span})
-		if err != nil {
-			return fmt.Errorf("runtime: evict %q from node %d: %w", s.VM, v.Node, err)
-		}
-		ic := installConfig{VMConfig: c.vmConfig(v), Epoch: resp.Epoch}
+		ic := installConfig{VMConfig: c.vmConfig(v), From: v.Node}
 		ic.Seed = c.vmSeed(s.VM) + int64(c.epoch.Load()) + 7919
 		text, err := encodeJSON(ic)
 		if err != nil {
 			return err
 		}
-		if err := c.installVM(rctx, s.TargetNode, s.VM, text, resp.Payload); err != nil {
+		resp, err := c.call(s.TargetNode, &wire.Message{Type: wire.MsgInstall, VM: s.VM, Text: text, Trace: rctx.Trace, Span: rctx.Span})
+		if err != nil {
 			return fmt.Errorf("runtime: install %q on node %d: %w", s.VM, s.TargetNode, err)
+		}
+		if resp.Type != wire.MsgInstallOK {
+			return fmt.Errorf("runtime: node %d replied %v to install", s.TargetNode, resp.Type)
+		}
+		evict := func(node int) error {
+			_, err := c.call(node, &wire.Message{Type: wire.MsgEvict, VM: s.VM, Trace: rctx.Trace, Span: rctx.Span})
+			return err
+		}
+		if err := evict(v.Node); err != nil {
+			// The old host did not drop the VM (it refuses one with dirty
+			// pages or a staged delta), so the copy just installed must go or
+			// two nodes would run it. Best effort: the first error is the one
+			// worth reporting.
+			evict(s.TargetNode) //nolint:errcheck
+			return fmt.Errorf("runtime: evict %q from node %d: %w", s.VM, v.Node, err)
 		}
 		return nil
 	}); err != nil {
@@ -1194,42 +1130,37 @@ func (c *Coordinator) Rebalance() (plan *cluster.Plan, err error) {
 }
 
 // rebuildRehomes rebuilds each RehomeParity step's parity block on its target
-// node, concurrently, against the already-applied layout (each rebuild pulls
-// every member's committed image and folds them on the new keeper).
+// node, concurrently, against the already-applied layout.
 func (c *Coordinator) rebuildRehomes(rctx obs.SpanContext, rehomes []cluster.Step) error {
-	nodeOf := map[string]int{}
-	for _, v := range c.layout.VMs {
-		nodeOf[v.Name] = v.Node
-	}
 	return parallelDo(len(rehomes), c.fanoutWidth(), func(i int) error {
 		s := rehomes[i]
-		idx := s.SourceNodes[0]
-		g := c.layout.Groups[s.Group]
-		rk := rebuildKeeperConfig{
-			KeeperConfig: KeeperConfig{
-				Group:     s.Group,
-				ParityIdx: idx,
-				Tolerance: c.layout.Tolerance,
-				Members:   append([]string(nil), g.Members...),
-				Pages:     c.pages,
-				PageSize:  c.pageSize,
-			},
-			MemberNodes: map[string]int{},
-			Epochs:      map[string]uint64{},
-		}
-		for _, m := range g.Members {
-			rk.MemberNodes[m] = nodeOf[m]
-			rk.Epochs[m] = c.epoch.Load()
-		}
-		text, err := encodeJSON(rk)
-		if err != nil {
-			return err
-		}
-		if _, err := c.call(s.TargetNode, &wire.Message{Type: wire.MsgRebuildKeeper, Group: int32(s.Group), Text: text, Trace: rctx.Trace, Span: rctx.Span}); err != nil {
-			return fmt.Errorf("runtime: rebuild keeper %d on node %d: %w", s.Group, s.TargetNode, err)
-		}
-		return nil
+		return c.rebuildKeeper(rctx, s.Group, s.SourceNodes[0], s.TargetNode)
 	})
+}
+
+// rebuildKeeper has target recompute parity block idx of a group: the target
+// pulls every member's committed image from its host in the (already applied)
+// layout and folds them. Recovery, rebalance and evacuation all re-home
+// parity through here.
+func (c *Coordinator) rebuildKeeper(ctx obs.SpanContext, group, idx, target int) error {
+	rk := rebuildKeeperConfig{
+		KeeperConfig: c.keeperConfig(group, idx),
+		MemberNodes:  map[string]int{},
+		Epochs:       map[string]uint64{},
+	}
+	for _, m := range rk.Members {
+		v, _ := c.layout.VM(m)
+		rk.MemberNodes[m] = v.Node
+		rk.Epochs[m] = c.epoch.Load()
+	}
+	text, err := encodeJSON(rk)
+	if err != nil {
+		return err
+	}
+	if _, err := c.call(target, &wire.Message{Type: wire.MsgRebuildKeeper, Group: int32(group), Text: text, Trace: ctx.Trace, Span: ctx.Span}); err != nil {
+		return fmt.Errorf("runtime: rebuild keeper %d on node %d: %w", group, target, err)
+	}
+	return nil
 }
 
 // EvacuateKeepers drains every parity block off one (alive) node — the

@@ -33,8 +33,7 @@ type Node struct {
 	peers      map[int]string
 	pools      map[int]*transport.Pool
 	members    map[string]*memberState
-	keepers    map[int]*keeperState       // by group (orthogonality: at most one block of a group per node)
-	installs   map[string]*wire.Assembler // VM -> image chunks staged by MsgInstallChunk
+	keepers    map[int]*keeperState // by group (orthogonality: at most one block of a group per node)
 	compress   bool
 	chunkSize  int           // effective chunk payload size, always > 0
 	pipeWidth  int           // in-flight chunk batches per (stream, peer); 0 = default
@@ -202,11 +201,10 @@ func NewNode(addr string) (*Node, error) {
 // NewNodeWith starts a node daemon with custom network hooks.
 func NewNodeWith(addr string, opts NodeOptions) (*Node, error) {
 	n := &Node{
-		peers:    map[int]string{},
-		pools:    map[int]*transport.Pool{},
-		members:  map[string]*memberState{},
-		keepers:  map[int]*keeperState{},
-		installs: map[string]*wire.Assembler{},
+		peers:   map[int]string{},
+		pools:   map[int]*transport.Pool{},
+		members: map[string]*memberState{},
+		keepers: map[int]*keeperState{},
 		// A node serves recovery reads before (and without) ever being
 		// configured as a member host, so the tuning starts at the default.
 		chunkSize: resolveChunkSize(0),
@@ -361,14 +359,12 @@ func (n *Node) dispatch(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 		return n.onDeltaChunk(req)
 	case wire.MsgReadChunk:
 		return n.onReadChunk(req)
-	case wire.MsgInstallChunk:
-		return n.onInstallChunk(req)
 	case wire.MsgEvict:
 		return n.onEvict(req)
 	case wire.MsgReconstruct:
 		return n.onReconstruct(ctx, req)
 	case wire.MsgInstall:
-		return n.onInstall(req)
+		return n.onInstall(ctx, req)
 	case wire.MsgChecksum:
 		return n.onChecksum(req)
 	case wire.MsgRollback:
@@ -404,7 +400,6 @@ func (n *Node) onConfigure(req *wire.Message) (*wire.Message, error) {
 	n.chunkSize = resolveChunkSize(cfg.ChunkSize)
 	n.pipeWidth = resolvePipelineWidth(cfg.PipelineWidth)
 	n.dedup = cfg.Dedup
-	n.installs = map[string]*wire.Assembler{}
 	// Drop pools whose peer moved to a new address.
 	for id, p := range n.pools {
 		if addr, ok := cfg.Peers[id]; !ok || addr != p.Addr() {
@@ -1115,22 +1110,27 @@ func (n *Node) fetchChunked(ctx obs.SpanContext, node int, source, vmName string
 	return blk, epoch, arg, nil
 }
 
-// onReconstruct runs on a surviving parity node: it pulls survivor images
-// and the group's alive parity blocks (its own plus peers'), solves the
-// erasure system, and returns the requested lost VM's committed image.
-// Survivor images and parity blocks are fetched concurrently.
+// onReconstruct runs on the node that will host a lost VM: it pulls the
+// group's survivor images and still-alive parity blocks from their holders
+// (itself included), solves the erasure system, and adopts the rebuilt VM in
+// place — the image never leaves the node that needs it.
 func (n *Node) onReconstruct(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
 	var cfg reconstructConfig
 	if err := decodeJSON(req.Text, &cfg); err != nil {
 		return nil, err
 	}
-	n.mu.Lock()
-	ks, ok := n.keepers[cfg.Group]
-	id, cs := n.id, n.chunkSize
-	n.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("runtime: node %d keeps no parity for group %d", id, cfg.Group)
+	if err := n.adopt(cfg.VMConfig, func(cs int) ([]byte, uint64, error) {
+		return n.solveLost(ctx, &cfg, cs)
+	}); err != nil {
+		return nil, err
 	}
+	return &wire.Message{Type: wire.MsgReconstructOK, VM: cfg.Name}, nil
+}
+
+// solveLost pulls every survivor image and alive parity block of cfg's group,
+// concurrently, and solves for the lost VM cfg names. It returns the rebuilt
+// committed image and the survivors' committed epoch.
+func (n *Node) solveLost(ctx obs.SpanContext, cfg *reconstructConfig, cs int) ([]byte, uint64, error) {
 	type fetch struct {
 		member string // survivor image when non-empty
 		parity int    // parity index otherwise
@@ -1141,11 +1141,21 @@ func (n *Node) onReconstruct(ctx obs.SpanContext, req *wire.Message) (*wire.Mess
 		fetches = append(fetches, fetch{member: member, node: nodeID})
 	}
 	for idx, nodeID := range cfg.ParityPeers {
-		fetches = append(fetches, fetch{parity: idx, node: nodeID, member: ""})
+		fetches = append(fetches, fetch{parity: idx, node: nodeID})
 	}
 	var mu sync.Mutex
 	survivors := map[string][]byte{}
 	parityBlocks := map[int][]byte{}
+	// The pulls land in pooled buffers and ReconstructMembers copies them into
+	// its shards, so they go back to the pool however this returns.
+	defer func() {
+		for _, img := range survivors {
+			bufpool.Put(img)
+		}
+		for _, blk := range parityBlocks {
+			bufpool.Put(blk)
+		}
+	}()
 	var epoch uint64
 	if err := parallelDo(len(fetches), 0, func(i int) error {
 		f := fetches[i]
@@ -1164,101 +1174,87 @@ func (n *Node) onReconstruct(ctx obs.SpanContext, req *wire.Message) (*wire.Mess
 		if err != nil {
 			return fmt.Errorf("runtime: fetching parity[%d] from node %d: %w", f.parity, f.node, err)
 		}
-		if gotIdx != f.parity {
-			return fmt.Errorf("runtime: node %d served parity[%d], wanted [%d]", f.node, gotIdx, f.parity)
-		}
 		mu.Lock()
 		parityBlocks[f.parity] = blk
 		mu.Unlock()
+		if gotIdx != f.parity {
+			return fmt.Errorf("runtime: node %d served parity[%d], wanted [%d]", f.node, gotIdx, f.parity)
+		}
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	ks.mu.Lock()
-	memberNames := ks.keeper.Members()
-	ks.mu.Unlock()
-	rebuilt, err := core.ReconstructMembers(cfg.Tolerance, memberNames, survivors, parityBlocks, cfg.AllLost)
-	// The fetches returned pooled buffers; ReconstructMembers copied them
-	// into its shards, so they can go back to the pool.
-	for _, img := range survivors {
-		bufpool.Put(img)
-	}
-	for _, blk := range parityBlocks {
-		bufpool.Put(blk)
-	}
+	rebuilt, err := core.ReconstructMembers(cfg.Tolerance, cfg.Members, survivors, parityBlocks, cfg.AllLost)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	img, ok := rebuilt[cfg.LostVM]
+	img, ok := rebuilt[cfg.Name]
 	if !ok {
-		return nil, fmt.Errorf("runtime: reconstruction did not yield %q", cfg.LostVM)
+		return nil, 0, fmt.Errorf("runtime: reconstruction did not yield %q", cfg.Name)
 	}
-	return &wire.Message{Type: wire.MsgReconstructOK, VM: cfg.LostVM, Epoch: epoch, Payload: img}, nil
+	return img, epoch, nil
 }
 
-// onInstallChunk stages one chunk of an incoming VM image. The image lands
-// via MsgInstall once every chunk has arrived; exact re-deliveries are
-// idempotent inside the assembler.
-func (n *Node) onInstallChunk(req *wire.Message) (*wire.Message, error) {
-	c, err := wire.DecodeChunk(req.Payload)
-	if err != nil {
-		return nil, err
-	}
-	n.mu.Lock()
-	asm, ok := n.installs[req.VM]
-	if !ok {
-		asm = &wire.Assembler{Alloc: bufpool.Get}
-		n.installs[req.VM] = asm
-	}
-	err = asm.Add(c)
-	n.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return &wire.Message{Type: wire.MsgInstallChunkOK, VM: req.VM}, nil
-}
-
-// onInstall adopts a VM from the image chunk stream previously staged by
-// MsgInstallChunk; the message itself carries only the VM's configuration.
-func (n *Node) onInstall(req *wire.Message) (*wire.Message, error) {
+// onInstall is the receiving half of a move: it pulls the VM's committed
+// image and epoch from the node that hosts it now and adopts it. The source
+// keeps its copy until the coordinator, holding this reply, sends MsgEvict.
+func (n *Node) onInstall(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
 	var cfg installConfig
 	if err := decodeJSON(req.Text, &cfg); err != nil {
 		return nil, err
 	}
-	n.mu.Lock()
-	asm, ok := n.installs[cfg.Name]
-	delete(n.installs, cfg.Name)
-	n.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("runtime: install of %q has no staged chunk stream", cfg.Name)
-	}
-	img, err := asm.Bytes()
-	if err != nil {
+	if err := n.adopt(cfg.VMConfig, func(cs int) ([]byte, uint64, error) {
+		img, epoch, _, err := n.fetchChunked(ctx, cfg.From, "image", cfg.Name, 0, cs)
+		return img, epoch, err
+	}); err != nil {
 		return nil, err
 	}
+	return &wire.Message{Type: wire.MsgInstallOK, VM: cfg.Name}, nil
+}
+
+// adopt makes this node the host of the VM cfg describes. pull, run with no
+// lock held, yields the VM's committed image and epoch given the node's chunk
+// size; the image goes back to the buffer pool on every exit (RestoreImage
+// copies it). A VM the node already hosts is refused before anything is
+// pulled.
+func (n *Node) adopt(cfg VMConfig, pull func(chunkSize int) ([]byte, uint64, error)) error {
+	n.mu.Lock()
+	_, dup := n.members[cfg.Name]
+	id, cs := n.id, n.chunkSize
+	n.mu.Unlock()
+	already := fmt.Errorf("runtime: node %d already hosts %q", id, cfg.Name)
+	if dup {
+		return already
+	}
+	img, epoch, err := pull(cs)
+	if err != nil {
+		return err
+	}
+	defer bufpool.Put(img)
 	m, err := vm.NewMachine(cfg.Name, cfg.Pages, cfg.PageSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	mem, err := core.NewMember(m)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := mem.RestoreImage(img, cfg.Epoch); err != nil {
-		return nil, err
+	if err := mem.RestoreImage(img, epoch); err != nil {
+		return err
 	}
-	bufpool.Put(img) // RestoreImage copied it
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	// Again under the registering lock: a transport-retried request can
+	// overlap its first delivery.
 	if _, dup := n.members[cfg.Name]; dup {
-		return nil, fmt.Errorf("runtime: node %d already hosts %q", n.id, cfg.Name)
+		return already
 	}
 	n.members[cfg.Name] = &memberState{
 		mem:      mem,
 		workload: newWorkload(cfg.Workload, cfg.Seed),
-		cfg:      cfg.VMConfig,
+		cfg:      cfg,
 	}
-	return &wire.Message{Type: wire.MsgInstallOK, VM: cfg.Name}, nil
+	return nil
 }
 
 func (n *Node) onChecksum(req *wire.Message) (*wire.Message, error) {
@@ -1376,11 +1372,11 @@ func (n *Node) addKeeper(ks *keeperState) error {
 	return nil
 }
 
-// onEvict removes a hosted VM and returns its committed image and protocol
-// epoch so the coordinator can install it elsewhere. The VM must be
-// quiescent (no dirty pages, no staged delta): rebalancing runs immediately
-// after a commit, so live state equals committed state and the move is a
-// plain image transfer.
+// onEvict drops a hosted VM — the closing half of a move, sent once the new
+// host has adopted the image (and to the new host itself, to undo a move the
+// source refused). The VM must be quiescent (no dirty pages, no staged
+// delta): rebalancing runs immediately after a commit, so the copy the new
+// host pulled is the whole VM and nothing is lost by dropping this one.
 func (n *Node) onEvict(req *wire.Message) (*wire.Message, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -1396,10 +1392,8 @@ func (n *Node) onEvict(req *wire.Message) (*wire.Message, error) {
 	if ms.mem.Machine().DirtyCount() != 0 {
 		return nil, fmt.Errorf("runtime: %q has uncommitted dirty pages; checkpoint first", req.VM)
 	}
-	img := ms.mem.CommittedImage()
-	epoch := ms.mem.Epoch()
 	delete(n.members, req.VM)
-	return &wire.Message{Type: wire.MsgEvictOK, VM: req.VM, Epoch: epoch, Payload: img}, nil
+	return &wire.Message{Type: wire.MsgEvictOK, VM: req.VM}, nil
 }
 
 // onStats serves the node's protocol counters.

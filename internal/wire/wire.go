@@ -36,9 +36,9 @@ const (
 	MsgDeltaOK
 	MsgGetImage // reserved: retired whole-image fetch (images are read via MsgReadChunk)
 	MsgImage
-	MsgReconstruct // parity node: rebuild a lost VM from survivor images
+	MsgReconstruct // target node: pull survivor images and parity blocks, solve for a lost VM, adopt it
 	MsgReconstructOK
-	MsgInstall // target node: adopt a VM from the image staged by MsgInstallChunk
+	MsgInstall // target node: pull a VM's committed image from its current host and adopt it
 	MsgInstallOK
 	MsgChecksum // fetch a VM's committed-image checksum (verification)
 	MsgChecksumOK
@@ -52,7 +52,7 @@ const (
 	MsgStatsOK
 	MsgGetParity // reserved: retired whole-block fetch (parity is read via MsgReadChunk)
 	MsgGetParityOK
-	MsgEvict // remove a quiescent VM from this node, returning its committed image
+	MsgEvict // drop a quiescent VM from this node (its image already lives on the new host)
 	MsgEvictOK
 	MsgSetParityBatch // apply a batch of parity-node reassignments (JSON in Text)
 	MsgSetParityBatchOK
@@ -64,7 +64,7 @@ const (
 	MsgDeltaChunkOK
 	MsgReadChunk // fetch one chunk of a committed image or parity block
 	MsgReadChunkOK
-	MsgInstallChunk // target node: stage one chunk of an incoming VM image
+	MsgInstallChunk // reserved: retired push-install chunk (the adopting node pulls via MsgReadChunk)
 	MsgInstallChunkOK
 
 	// Adaptive data-path tuning (appended to keep earlier wire numbering and
@@ -111,17 +111,15 @@ func (t MsgType) String() string {
 }
 
 // Bulk reports whether a frame type carries checkpoint or recovery payload —
-// the data plane — as opposed to protocol control. Chunk streams and the
-// whole-image recovery replies qualify; requests, acks, and stats do not. The chaos layer keys its standing slow-node condition off this: a
+// the data plane — as opposed to protocol control. Only the two chunk streams
+// qualify: delta chunks pushed to parity peers during a round, and the chunk
+// replies every recovery, move and keeper rebuild pulls node-to-node. The
+// chaos layer keys its standing slow-node condition off this: a
 // "habitually slow" node in the paper's sense has a congested data-plane
 // ingest (the disk or NIC absorbing every member's delta stream), while
 // small control frames ride an uncongested queue.
 func (t MsgType) Bulk() bool {
-	switch t {
-	case MsgDeltaChunk, MsgInstallChunk, MsgReconstructOK, MsgReadChunkOK, MsgEvictOK:
-		return true
-	}
-	return false
+	return t == MsgDeltaChunk || t == MsgReadChunkOK
 }
 
 // Message is one protocol frame.
