@@ -60,13 +60,14 @@ obs-demo:
 	$(GO) run ./cmd/dvdcctl trace -in /tmp/dvdc-trace.jsonl -epoch 2
 
 # Short fuzzing passes over the codecs, the chunk reassembly path, the
-# scatter-gather frame encoder, the GF(256) slice kernels, and the service
-# journal's recovery path.
+# scatter-gather frame encoder, the GF(256) and XOR slice kernels, and the
+# service journal's recovery path.
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/wire/ -fuzz FuzzChunkReassembly -fuzztime 30s
 	$(GO) test ./internal/wire/ -fuzz FuzzScatterGatherFrames -fuzztime 30s
 	$(GO) test ./internal/parity/ -fuzz FuzzGfSliceKernels -fuzztime 30s
+	$(GO) test ./internal/parity/ -fuzz FuzzXORKernels -fuzztime 30s
 	$(GO) test ./internal/checkpoint/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/service/ -fuzz FuzzJournalReplay -fuzztime 30s
 

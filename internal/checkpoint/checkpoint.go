@@ -11,6 +11,7 @@ package checkpoint
 import (
 	"bytes"
 	"compress/flate"
+	"crypto/subtle"
 	"fmt"
 	"io"
 	"sort"
@@ -125,13 +126,10 @@ func CaptureCompressedDelta(m *vm.Machine, base []byte) (*Checkpoint, error) {
 		PageSize: ps,
 		Pages:    make([]PageRecord, 0, len(dirty)),
 	}
+	delta := make([]byte, ps) // scratch: deflate copies what it keeps
 	for _, i := range dirty {
 		cur := m.Page(i)
-		old := base[i*ps : (i+1)*ps]
-		delta := make([]byte, ps)
-		for j := range delta {
-			delta[j] = cur[j] ^ old[j]
-		}
+		subtle.XORBytes(delta, cur, base[i*ps:(i+1)*ps])
 		comp, err := deflate(delta)
 		if err != nil {
 			return nil, err
@@ -222,9 +220,7 @@ func (c *Checkpoint) ApplyTo(img []byte) error {
 				if err != nil {
 					return err
 				}
-				for j := range dst {
-					dst[j] ^= delta[j]
-				}
+				subtle.XORBytes(dst, dst, delta)
 			default:
 				return fmt.Errorf("checkpoint: page %d has unknown delta tag %d", p.Index, p.Data[0])
 			}

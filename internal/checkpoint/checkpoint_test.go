@@ -150,6 +150,37 @@ func TestCompressedDeltaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompressedDeltaTailBytesAndScratchReuse pins the XOR kernel seam in
+// capture and apply: on page sizes with a vector body plus a tail, a change
+// in a page's last byte must survive the round trip (neither side may skip
+// the tail), and the next page — captured through the same scratch buffer —
+// must not inherit it.
+func TestCompressedDeltaTailBytesAndScratchReuse(t *testing.T) {
+	for _, ps := range []int{257, 4097} {
+		m := newMachine(t, 4, ps)
+		scribble(m, 3, 40)
+		st, _ := NewStore(CaptureFull(m))
+		m.MutatePage(1, func(p []byte) { p[ps-1] ^= 0x81 })
+		m.MutatePage(2, func(p []byte) { p[0] ^= 0x18 })
+		want := m.Image()
+		c, err := CaptureCompressedDelta(m, st.ImageRef())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range c.Pages {
+			if p.Data[0] != 1 {
+				t.Fatalf("ps=%d page %d stored raw; the test needs the compressed-XOR branch", ps, p.Index)
+			}
+		}
+		if err := st.Apply(c); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(st.Image(), want) {
+			t.Errorf("ps=%d: compressed-delta round trip diverged", ps)
+		}
+	}
+}
+
 func TestCompressedDeltaIncompressibleFallsBackToRaw(t *testing.T) {
 	m := newMachine(t, 4, 128)
 	st, _ := NewStore(CaptureFull(m))

@@ -16,6 +16,7 @@
 package core
 
 import (
+	"crypto/subtle"
 	"fmt"
 
 	"dvdc/internal/checkpoint"
@@ -104,10 +105,14 @@ func (mem *Member) CaptureDelta() (*Delta, error) {
 // CaptureDeltaInto is CaptureDelta with a caller-supplied allocator for the
 // per-page XOR buffers (e.g. a buffer pool); nil means plain make. alloc(n)
 // must return a slice of length n, which may hold stale bytes — every byte is
-// overwritten. The caller owns the returned buffers: if they are pooled, it
-// must return them once the delta is dead (after commit, or after
-// UndoCapture on abort) and never sooner — UndoCapture reads them.
+// overwritten by the page's one three-operand subtle.XORBytes call (x = cur ^
+// old, the kernel parity.XORInto runs). The caller owns the returned buffers:
+// if they are pooled, it must return them once the delta is dead (after commit,
+// or after UndoCapture on abort) and never sooner — UndoCapture reads them.
 func (mem *Member) CaptureDeltaInto(alloc func(int) []byte) (*Delta, error) {
+	if alloc == nil {
+		alloc = func(n int) []byte { return make([]byte, n) }
+	}
 	m := mem.machine
 	ps := m.PageSize()
 	dirty := m.DirtyPages()
@@ -116,15 +121,8 @@ func (mem *Member) CaptureDeltaInto(alloc func(int) []byte) (*Delta, error) {
 	for _, i := range dirty {
 		cur := m.Page(i)
 		old := mem.committed[i*ps : (i+1)*ps]
-		var x []byte
-		if alloc != nil {
-			x = alloc(ps)
-		} else {
-			x = make([]byte, ps)
-		}
-		for j := range x {
-			x[j] = cur[j] ^ old[j]
-		}
+		x := alloc(ps)
+		subtle.XORBytes(x, cur, old)
 		d.Pages = append(d.Pages, checkpoint.PageRecord{Index: i, Data: x})
 		copy(old, cur) // advance committed image in place
 	}
@@ -137,17 +135,19 @@ func (mem *Member) CaptureDeltaInto(alloc func(int) []byte) (*Delta, error) {
 // captured pages are re-marked dirty so the next capture includes them. The
 // delta must be the one most recently returned by CaptureDelta.
 func (mem *Member) UndoCapture(d *Delta) error {
-	if d == nil || d.Epoch != mem.epoch {
-		return fmt.Errorf("core: undo of epoch %v, member is at %d", d, mem.epoch)
+	if d == nil {
+		return fmt.Errorf("core: undo of epoch <nil>, member is at %d", mem.epoch)
+	}
+	if d.Epoch != mem.epoch {
+		return fmt.Errorf("core: undo of epoch %d, member is at %d", d.Epoch, mem.epoch)
 	}
 	ps := mem.machine.PageSize()
 	for _, p := range d.Pages {
 		if len(p.Data) != ps || p.Index < 0 || (p.Index+1)*ps > len(mem.committed) {
 			return fmt.Errorf("core: undo page %d malformed", p.Index)
 		}
-		old := mem.committed[p.Index*ps : (p.Index+1)*ps]
-		for j := range old {
-			old[j] ^= p.Data[j]
+		if err := parity.XORInto(mem.committed[p.Index*ps:(p.Index+1)*ps], p.Data); err != nil {
+			return fmt.Errorf("core: undo page %d: %w", p.Index, err)
 		}
 		mem.machine.MarkDirty(p.Index)
 	}

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"dvdc/internal/analytic"
@@ -59,15 +62,86 @@ func TestUndoCaptureValidation(t *testing.T) {
 	mem, _ := NewMember(m)
 	m.TouchPage(0, 1)
 	d, _ := mem.CaptureDelta()
-	stale := &Delta{VMID: d.VMID, Epoch: 99}
+	// The stale delta carries page bytes: the error must name the two epochs
+	// and nothing else — it travels in the abort reply and the flight
+	// recorder, and once printed the whole delta, every captured page byte.
+	stale := &Delta{VMID: d.VMID, Epoch: 99, Pages: d.Pages}
 	if err := mem.UndoCapture(stale); err == nil {
 		t.Error("undo with wrong epoch should fail")
+	} else if msg := err.Error(); len(msg) > 80 || !strings.Contains(msg, "epoch 99") || !strings.Contains(msg, "is at 1") {
+		t.Errorf("wrong-epoch error should be short and name epochs 99 and 1: %q", msg)
 	}
 	if err := mem.UndoCapture(nil); err == nil {
 		t.Error("undo with nil delta should fail")
+	} else if msg := err.Error(); len(msg) > 80 || !strings.Contains(msg, "<nil>") || !strings.Contains(msg, "is at 1") {
+		t.Errorf("nil-delta error should be short and name <nil> and epoch 1: %q", msg)
 	}
 	if err := mem.UndoCapture(d); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCaptureDeltaMatchesBytewiseReference pins the capture/undo kernel seam:
+// on page sizes around the kernel's vector and tail paths, with an allocator
+// handing out 0xFF-poisoned buffers, every delta byte must equal cur ^ old
+// computed one byte at a time (a skipped tail byte would ship 0xFF^… garbage
+// into parity), capture must advance the committed image to the machine's,
+// and UndoCapture must restore the committed image, dirty set and epoch.
+func TestCaptureDeltaMatchesBytewiseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	poisoned := func(n int) []byte { return bytes.Repeat([]byte{0xFF}, n) }
+	for _, ps := range []int{1, 7, 4095, 4096, 4097} {
+		const pages = 9
+		m, err := vm.NewMachine("k", pages, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := make([]byte, pages*ps)
+		rng.Read(img)
+		if err := m.LoadImage(img); err != nil {
+			t.Fatal(err)
+		}
+		mem, err := NewMember(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := []int{0, 3, 4, pages - 1}
+		want := make(map[int][]byte, len(dirty))
+		for _, i := range dirty {
+			m.MutatePage(i, func(page []byte) { rng.Read(page) })
+			x := make([]byte, ps)
+			for j := range x {
+				x[j] = m.Page(i)[j] ^ img[i*ps+j]
+			}
+			want[i] = x
+		}
+		d, err := mem.CaptureDeltaInto(poisoned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Pages) != len(dirty) || d.Epoch != 1 {
+			t.Fatalf("ps=%d: captured %d pages at epoch %d, want %d at 1", ps, len(d.Pages), d.Epoch, len(dirty))
+		}
+		for _, p := range d.Pages {
+			if !bytes.Equal(p.Data, want[p.Index]) {
+				t.Fatalf("ps=%d page %d: delta diverges from bytewise cur ^ old", ps, p.Index)
+			}
+		}
+		if !bytes.Equal(mem.CommittedImage(), m.Image()) || m.DirtyCount() != 0 {
+			t.Fatalf("ps=%d: capture did not advance the committed image and clear the dirty set", ps)
+		}
+		if err := mem.UndoCapture(d); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mem.CommittedImage(), img) {
+			t.Errorf("ps=%d: undo did not restore the committed image", ps)
+		}
+		if got := m.DirtyPages(); !slices.Equal(got, dirty) {
+			t.Errorf("ps=%d: dirty set after undo %v, want %v", ps, got, dirty)
+		}
+		if mem.Epoch() != 0 {
+			t.Errorf("ps=%d: epoch %d after undo, want 0", ps, mem.Epoch())
+		}
 	}
 }
 

@@ -1,15 +1,18 @@
 package parity
 
-// Differential and property tests: every optimized kernel (word-wise XOR,
-// table-driven GF(256) arithmetic, RS matrix encode, RDP) is checked against
-// a naive bytewise reference on randomized shapes — odd tails, chunk-
-// boundary-straddling offsets, degenerate sizes — plus encode→erase→
-// reconstruct round trips. The references are deliberately slow and obvious.
+// Differential and property tests: every optimized kernel (assembly-backed
+// XOR, table-driven GF(256) arithmetic, RS matrix encode, RDP) is checked
+// against a naive bytewise reference on randomized shapes — odd tails, chunk-
+// boundary-straddling offsets, misaligned operands, degenerate sizes — plus
+// encode→erase→reconstruct round trips. The references are deliberately slow
+// and obvious.
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // naiveXOR is the bytewise reference for XORInto.
@@ -43,7 +46,7 @@ func randBytes(rng *rand.Rand, n int) []byte {
 	return b
 }
 
-// Sizes that stress the 8-byte word loop: zero, sub-word, word-aligned,
+// Sizes that stress a word-at-a-time kernel: zero, sub-word, word-aligned,
 // word+tail, and page-scale odd lengths.
 var awkwardSizes = []int{0, 1, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 1024, 4093, 4096}
 
@@ -141,6 +144,167 @@ func TestXORDrainRejectsAliases(t *testing.T) {
 	if err := XORDrain(back[8:8], back[8:8]); err != nil {
 		t.Fatalf("empty slices rejected: %v", err)
 	}
+}
+
+// misaligned returns a 0xA5-filled frame and the offset of an n-byte window
+// in it that starts exactly mis bytes (0…15) past a 16-byte boundary, so a
+// vector kernel's alignment paths are hit on purpose, not by allocator luck.
+func misaligned(n, mis int) (frame []byte, off int) {
+	frame = bytes.Repeat([]byte{0xA5}, n+48)
+	base := int(uintptr(unsafe.Pointer(unsafe.SliceData(frame))) & 15)
+	return frame, 16 + (16-base)&15 + mis
+}
+
+// frameIntact reports whether every frame byte outside [off, off+n) is still
+// the 0xA5 fill: a head or tail path that overruns its operand by one byte
+// would corrupt the neighbouring page of a parity block.
+func frameIntact(frame []byte, off, n int) bool {
+	return bytes.Count(frame[:off], []byte{0xA5}) == off &&
+		bytes.Count(frame[off+n:], []byte{0xA5}) == len(frame)-off-n
+}
+
+// kernelLengths is every length 0…257 (each 16-byte body / 8-byte / 1-byte
+// tail mix of the assembly kernel) plus page- and drainBlock-straddling sizes.
+func kernelLengths() []int {
+	ns := make([]int, 0, 262)
+	for n := 0; n <= 257; n++ {
+		ns = append(ns, n)
+	}
+	return append(ns, 4095, 4096, 4097, 65536)
+}
+
+// checkXORKernels runs XORInto, XORDrain and the variadic XOR on copies of a
+// and b placed dm and sm bytes off 16-byte alignment and compares each with
+// the bytewise loop; it is the body of both the exhaustive sweep and the fuzz
+// target.
+func checkXORKernels(t *testing.T, a, b []byte, dm, sm int) {
+	t.Helper()
+	n := len(a)
+	want := append([]byte(nil), a...)
+	naiveXOR(want, b)
+	dFrame, dOff := misaligned(n, dm)
+	sFrame, sOff := misaligned(n, sm)
+	dst, src := dFrame[dOff:dOff+n], sFrame[sOff:sOff+n]
+	intact := func() bool { return frameIntact(dFrame, dOff, n) && frameIntact(sFrame, sOff, n) }
+
+	copy(dst, a)
+	copy(src, b)
+	if err := XORInto(dst, src); err != nil {
+		t.Fatalf("XORInto n=%d dst+%d src+%d: %v", n, dm, sm, err)
+	}
+	if !bytes.Equal(dst, want) || !bytes.Equal(src, b) || !intact() {
+		t.Fatalf("XORInto n=%d dst+%d src+%d diverges from bytewise reference", n, dm, sm)
+	}
+
+	// Both operands misaligned and read-only: want ^ b = a. Then a third
+	// block through XOR's two-operand tail: b ^ want ^ a = 0.
+	got, err := XOR(dst, src)
+	if err != nil {
+		t.Fatalf("XOR n=%d dst+%d src+%d: %v", n, dm, sm, err)
+	}
+	if !bytes.Equal(got, a) || !bytes.Equal(dst, want) || !bytes.Equal(src, b) {
+		t.Fatalf("XOR n=%d dst+%d src+%d diverges from bytewise reference", n, dm, sm)
+	}
+	if got, err = XOR(src, dst, a); err != nil || !bytes.Equal(got, make([]byte, n)) {
+		t.Fatalf("XOR of three n=%d dst+%d src+%d: err %v, want all zero", n, dm, sm, err)
+	}
+
+	copy(dst, a)
+	if err := XORDrain(dst, src); err != nil {
+		t.Fatalf("XORDrain n=%d dst+%d src+%d: %v", n, dm, sm, err)
+	}
+	if !bytes.Equal(dst, want) || !bytes.Equal(src, make([]byte, n)) || !intact() {
+		t.Fatalf("XORDrain n=%d dst+%d src+%d: dst off the reference or src not drained", n, dm, sm)
+	}
+}
+
+// TestXORKernelsMatchNaiveAtEveryLengthAndAlignment is the seam test for the
+// assembly kernel: it has alignment and tail paths the old word loop did not.
+func TestXORKernelsMatchNaiveAtEveryLengthAndAlignment(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range kernelLengths() {
+		a, b := randBytes(rng, n), randBytes(rng, n)
+		for dm := 0; dm < 16; dm++ {
+			for sm := 0; sm < 16; sm++ {
+				checkXORKernels(t, a, b, dm, sm)
+			}
+		}
+	}
+}
+
+// checkXORAliasContract pins what the guards in front of the kernel promise
+// for dst = back[:n] against src = back[shift:shift+n]: shift 0 is the exact
+// alias (XORInto zeroes it, XORDrain refuses), 0 < shift < n is a partial
+// overlap both refuse with ErrOverlap leaving every byte as it was, and
+// shift == n is disjoint. subtle.XORBytes would panic on the partial overlap;
+// reaching it fails the test by that panic.
+func checkXORAliasContract(t *testing.T, back []byte, n, shift int) {
+	t.Helper()
+	orig := append([]byte(nil), back...)
+	lo, hi := back[:n], back[shift:shift+n]
+	partial := shift > 0 && shift < n
+	kernels := []struct {
+		name string
+		run  func(dst, src []byte) error
+	}{{"XORInto", XORInto}, {"XORDrain", XORDrain}}
+	for _, pair := range [][2][]byte{{lo, hi}, {hi, lo}} {
+		for _, k := range kernels {
+			name, err := k.name, k.run(pair[0], pair[1])
+			refuse := partial || (shift == 0 && n > 0 && name == "XORDrain")
+			switch {
+			case refuse && !errors.Is(err, ErrOverlap):
+				t.Fatalf("%s n=%d shift=%d: err %v, want ErrOverlap", name, n, shift, err)
+			case refuse && !bytes.Equal(back, orig):
+				t.Fatalf("%s n=%d shift=%d: refused call changed the buffer", name, n, shift)
+			case !refuse && err != nil:
+				t.Fatalf("%s n=%d shift=%d: %v", name, n, shift, err)
+			case !refuse && shift == 0 && !bytes.Equal(lo, make([]byte, n)):
+				t.Fatalf("%s n=%d: exact alias did not zero the block", name, n)
+			}
+			copy(back, orig)
+		}
+	}
+	// XOR only reads its operands, so any overlap between them is legal.
+	want := append([]byte(nil), lo...)
+	naiveXOR(want, hi)
+	if got, err := XOR(lo, hi); err != nil || !bytes.Equal(got, want) || !bytes.Equal(back, orig) {
+		t.Fatalf("XOR of overlapping operands n=%d shift=%d: err %v", n, shift, err)
+	}
+}
+
+func TestXORKernelAliasContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{0, 1, 2, 15, 16, 17, 33, 256, 4097} {
+		for shift := 0; shift <= n; shift++ {
+			checkXORAliasContract(t, randBytes(rng, 2*n), n, shift)
+		}
+	}
+	// A length mismatch is an error from every entry point, wherever the
+	// short block sits, never a silent truncation to the shorter operand.
+	a, b := randBytes(rng, 40), randBytes(rng, 39)
+	_, errSecond := XOR(a, b)
+	_, errThird := XOR(a, a, b)
+	for name, err := range map[string]error{
+		"XORInto": XORInto(a, b), "XORDrain": XORDrain(b, a), "XOR/2nd": errSecond, "XOR/3rd": errThird,
+	} {
+		if !errors.Is(err, ErrLengthMismatch) {
+			t.Errorf("%s: err %v, want ErrLengthMismatch", name, err)
+		}
+	}
+}
+
+// FuzzXORKernels cross-checks the XOR kernels against the bytewise loop on
+// fuzz-chosen data, operand misalignment and overlap shift.
+func FuzzXORKernels(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0), uint16(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint8(3), uint8(9), uint16(2))
+	f.Add(bytes.Repeat([]byte{0xff, 0x0f}, 129), uint8(15), uint8(1), uint16(129))
+	f.Add(bytes.Repeat([]byte{0x5a}, 2*4097), uint8(8), uint8(7), uint16(4096))
+	f.Fuzz(func(t *testing.T, data []byte, dm, sm uint8, shift uint16) {
+		n := len(data) / 2
+		checkXORKernels(t, data[:n], data[n:2*n], int(dm%16), int(sm%16))
+		checkXORAliasContract(t, data[:2*n], n, int(shift)%(n+1))
+	})
 }
 
 func TestGfMulMatchesShiftAddReference(t *testing.T) {

@@ -10,6 +10,6 @@
 // related work: RDP (row-diagonal parity, Corbett et al.) for tolerating any
 // two simultaneous erasures, and a GF(256) Reed-Solomon coder for arbitrary
 // m-erasure protection. All coders operate on equal-length byte slices and
-// are deterministic and allocation-conscious; the XOR kernel processes eight
-// bytes per step on the aligned body of the block.
+// are deterministic and allocation-conscious; every XOR runs in the standard
+// library's assembly-backed crypto/subtle.XORBytes behind this package's guards.
 package parity

@@ -1,7 +1,7 @@
 package parity
 
 import (
-	"encoding/binary"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"unsafe"
@@ -11,14 +11,14 @@ import (
 // computation do not all share the same length.
 var ErrLengthMismatch = errors.New("parity: block length mismatch")
 
-// ErrOverlap is returned when dst and src partially overlap: the word-at-a-
-// time kernel would read src bytes it already rewrote through dst, silently
-// producing a result that is neither the old nor the elementwise-new value.
+// ErrOverlap is returned when dst and src partially overlap: a kernel moving
+// more than a byte at a time would read src bytes it already rewrote through
+// dst, and subtle.XORBytes panics on such a call rather than compute garbage.
 var ErrOverlap = errors.New("parity: dst and src overlap")
 
-// aliasable reports whether dst and src may be passed to the word-wise
-// kernels: disjoint ranges, or the exact same range (x^x = 0 elementwise, a
-// result the word loop also produces). A partial overlap is rejected.
+// aliasable reports whether dst and src may be passed to the slice kernels:
+// disjoint ranges, or the exact same range (x^x = 0 elementwise, which
+// subtle.XORBytes also accepts). A partial overlap is rejected.
 func aliasable(dst, src []byte) bool {
 	if len(dst) == 0 || len(src) == 0 {
 		return true
@@ -33,8 +33,11 @@ func aliasable(dst, src []byte) bool {
 
 // XORInto xors src into dst element-wise. dst and src must have equal length
 // and must not partially overlap (the exact same slice is allowed and zeroes
-// dst; any other overlap returns ErrOverlap). The hot loop works on 8-byte
-// words; the tail is handled bytewise.
+// dst; any other overlap returns ErrOverlap). The bytes move through
+// crypto/subtle.XORBytes, the standard library's assembly-backed kernel and
+// the only XOR loop on the data path; the guards stay in front of it because
+// subtle truncates to the shorter operand and panics on an inexact overlap
+// where this package promises an error.
 func XORInto(dst, src []byte) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("%w: dst %d, src %d", ErrLengthMismatch, len(dst), len(src))
@@ -42,25 +45,21 @@ func XORInto(dst, src []byte) error {
 	if !aliasable(dst, src) {
 		return fmt.Errorf("%w: dst and src share %d-byte backing range", ErrOverlap, len(dst))
 	}
-	n := len(dst)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		d := binary.LittleEndian.Uint64(dst[i:])
-		s := binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], d^s)
-	}
-	for ; i < n; i++ {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, dst, src)
 	return nil
 }
 
-// XORDrain xors src into dst element-wise and zeroes src in the same pass —
-// the commit kernel for accumulation buffers that must return to all-zero for
-// reuse. One fused loop touches each cache line once, where XORInto followed
-// by clear would stream src through memory twice. Same aliasing contract as
-// XORInto, except dst and src may not be the same slice (draining a buffer
-// into itself would zero both).
+// drainBlock is how much of src XORDrain folds before zeroing it: small
+// enough that clear hits lines the XOR just pulled into cache (the best of
+// 4 KiB … 256 KiB under BenchmarkXORDrain), so src streams from memory once.
+const drainBlock = 32 << 10
+
+// XORDrain xors src into dst element-wise and zeroes src — the commit kernel
+// for accumulation buffers that must return to all-zero for reuse. It runs
+// the XORInto kernel and clear over cache-sized blocks in turn, where a
+// whole-buffer XORInto followed by clear would stream src through memory
+// twice. Same aliasing contract as XORInto, except dst and src may not be the
+// same slice (draining a buffer into itself would zero both).
 func XORDrain(dst, src []byte) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("%w: dst %d, src %d", ErrLengthMismatch, len(dst), len(src))
@@ -68,17 +67,11 @@ func XORDrain(dst, src []byte) error {
 	if len(dst) > 0 && (!aliasable(dst, src) || &dst[0] == &src[0]) {
 		return fmt.Errorf("%w: dst and src share %d-byte backing range", ErrOverlap, len(dst))
 	}
-	n := len(dst)
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		d := binary.LittleEndian.Uint64(dst[i:])
-		s := binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], d^s)
-		binary.LittleEndian.PutUint64(src[i:], 0)
-	}
-	for ; i < n; i++ {
-		dst[i] ^= src[i]
-		src[i] = 0
+	for len(src) > 0 {
+		n := min(len(src), drainBlock)
+		subtle.XORBytes(dst[:n], dst[:n], src[:n])
+		clear(src[:n])
+		dst, src = dst[n:], src[n:]
 	}
 	return nil
 }
@@ -90,8 +83,15 @@ func XOR(blocks ...[]byte) ([]byte, error) {
 		return nil, errors.New("parity: XOR of zero blocks")
 	}
 	out := make([]byte, len(blocks[0]))
-	copy(out, blocks[0])
-	for _, b := range blocks[1:] {
+	rest := blocks[1:]
+	if len(rest) > 0 && len(rest[0]) == len(out) {
+		// First pair three-operand: out is written once, not copied then XORed.
+		subtle.XORBytes(out, blocks[0], rest[0])
+		rest = rest[1:]
+	} else {
+		copy(out, blocks[0]) // lone block, or XORInto reports the mismatch
+	}
+	for _, b := range rest {
 		if err := XORInto(out, b); err != nil {
 			return nil, err
 		}
