@@ -1,6 +1,6 @@
 // Package bufpool is a size-classed []byte pool for the checkpoint data
 // path. Steady-state rounds move chunk- and image-sized buffers through the
-// wire codec, the chunk assemblers, and the keepers' pending parity blocks;
+// wire codec, the streaming restore, and the keepers' pending parity blocks;
 // allocating those fresh every round makes the garbage collector the
 // bottleneck at production scale. The pool hands out buffers from
 // power-of-two size classes, so a buffer freed by one round is reused by the

@@ -31,43 +31,70 @@ type MKeeper struct {
 // from the members' initial full images. All keepers of one group must be
 // constructed with the same member set and tolerance so their coders agree.
 func NewMKeeper(group, parityIdx, tolerance int, initial map[string][]byte) (*MKeeper, error) {
-	if len(initial) == 0 {
+	members := make([]string, 0, len(initial))
+	for id := range initial {
+		members = append(members, id)
+	}
+	k, err := newMKeeper(group, parityIdx, tolerance, members)
+	if err != nil {
+		return nil, err
+	}
+	for j, id := range k.members {
+		img := initial[id]
+		if j == 0 {
+			k.parityBlk = make([]byte, len(img))
+		} else if len(img) != len(k.parityBlk) {
+			return nil, fmt.Errorf("core: member %q image %d bytes, group uses %d", id, len(img), len(k.parityBlk))
+		}
+		// parity ^= Coef * img (initial fold).
+		if err := k.coder.UpdateParity(k.parityBlk, parityIdx, j, img); err != nil {
+			return nil, err
+		}
+	}
+	return k, nil
+}
+
+// NewMKeeperFromBlock adopts an already-encoded parity block — parity block
+// parityIdx of the named members' current images, as a re-homed keeper
+// computes it while streaming those images in. The keeper takes ownership of
+// block (no copy); every member starts at epoch 0, see SetEpochs.
+func NewMKeeperFromBlock(group, parityIdx, tolerance int, members []string, block []byte) (*MKeeper, error) {
+	k, err := newMKeeper(group, parityIdx, tolerance, members)
+	if err != nil {
+		return nil, err
+	}
+	k.parityBlk = block
+	return k, nil
+}
+
+// newMKeeper validates a keeper's identity and builds everything but its
+// parity block: the coder, and the sorted member list whose positions are the
+// RS data indices.
+func newMKeeper(group, parityIdx, tolerance int, members []string) (*MKeeper, error) {
+	if len(members) == 0 {
 		return nil, fmt.Errorf("core: mkeeper for group %d has no members", group)
 	}
 	if parityIdx < 0 || parityIdx >= tolerance {
 		return nil, fmt.Errorf("core: parity index %d out of range [0,%d)", parityIdx, tolerance)
 	}
-	coder, err := parity.NewRS(len(initial), tolerance)
+	coder, err := parity.NewRS(len(members), tolerance)
 	if err != nil {
 		return nil, err
 	}
-	members := make([]string, 0, len(initial))
-	for id := range initial {
-		members = append(members, id)
-	}
-	sort.Strings(members)
 	k := &MKeeper{
 		group:     group,
 		parityIdx: parityIdx,
 		coder:     coder,
-		members:   members,
+		members:   append([]string(nil), members...),
 		index:     make(map[string]int, len(members)),
 		epochs:    make(map[string]uint64, len(members)),
 	}
-	var size int
-	for j, id := range members {
+	sort.Strings(k.members)
+	for j, id := range k.members {
+		if _, dup := k.index[id]; dup {
+			return nil, fmt.Errorf("core: mkeeper for group %d names member %q twice", group, id)
+		}
 		k.index[id] = j
-		img := initial[id]
-		if j == 0 {
-			size = len(img)
-			k.parityBlk = make([]byte, size)
-		} else if len(img) != size {
-			return nil, fmt.Errorf("core: member %q image %d bytes, group uses %d", id, len(img), size)
-		}
-		// parity ^= Coef * img (initial fold).
-		if err := coder.UpdateParity(k.parityBlk, parityIdx, j, img); err != nil {
-			return nil, err
-		}
 		k.epochs[id] = 0
 	}
 	return k, nil
@@ -85,15 +112,11 @@ func (k *MKeeper) Members() []string { return append([]string(nil), k.members...
 // Parity returns a copy of the parity block.
 func (k *MKeeper) Parity() []byte { return append([]byte(nil), k.parityBlk...) }
 
-// ParityRange copies bytes [off, off+n) of the parity block into a fresh
-// slice — the chunked read path serves parity chunks with this instead of
-// materializing a full Parity copy per request.
-func (k *MKeeper) ParityRange(off, n int) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > len(k.parityBlk) {
-		return nil, fmt.Errorf("core: parity range [%d,+%d) outside %d-byte block", off, n, len(k.parityBlk))
-	}
-	return append([]byte(nil), k.parityBlk[off:off+n]...), nil
-}
+// ParityView returns the parity block itself, not a copy. The view aliases
+// the keeper's state: it is read-only and valid only until the next fold or
+// commit — the chunked read path encodes a range of it into a reply frame
+// while holding the keeper's lock.
+func (k *MKeeper) ParityView() []byte { return k.parityBlk }
 
 // Epoch returns the last folded epoch for a member.
 func (k *MKeeper) Epoch(id string) uint64 { return k.epochs[id] }

@@ -67,6 +67,21 @@ func NewMember(m *vm.Machine) (*Member, error) {
 	return mem, nil
 }
 
+// NewMemberAt wraps a machine respawned from a checkpoint: the machine is
+// loaded from committed, which the member then keeps as its committed image
+// at the given protocol epoch. It takes ownership of committed — no copy is
+// made — so the caller must not touch the buffer afterwards.
+func NewMemberAt(m *vm.Machine, committed []byte, epoch uint64) (*Member, error) {
+	if m == nil {
+		return nil, fmt.Errorf("core: nil machine")
+	}
+	if err := m.LoadImage(committed); err != nil {
+		return nil, err
+	}
+	m.BeginEpoch()
+	return &Member{machine: m, committed: committed, epoch: epoch}, nil
+}
+
 // Machine returns the underlying VM.
 func (mem *Member) Machine() *vm.Machine { return mem.machine }
 
@@ -79,18 +94,11 @@ func (mem *Member) CommittedImage() []byte {
 	return append([]byte(nil), mem.committed...)
 }
 
-// CommittedLen returns the committed image size without copying it.
-func (mem *Member) CommittedLen() int { return len(mem.committed) }
-
-// CommittedRange copies bytes [off, off+n) of the committed image into a
-// fresh slice — the chunked read path serves image chunks with this instead
-// of materializing a full CommittedImage copy per request.
-func (mem *Member) CommittedRange(off, n int) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > len(mem.committed) {
-		return nil, fmt.Errorf("core: committed range [%d,+%d) outside %d-byte image", off, n, len(mem.committed))
-	}
-	return append([]byte(nil), mem.committed[off:off+n]...), nil
-}
+// CommittedView returns the committed image itself, not a copy. The view
+// aliases the member's state: it is read-only and valid only until the member
+// next captures, undoes or restores — the chunked read path encodes a range
+// of it into a reply frame while holding the member's lock.
+func (mem *Member) CommittedView() []byte { return mem.committed }
 
 // CaptureDelta closes the current epoch: it snapshots the dirty pages,
 // computes their XOR against the committed image, advances the committed

@@ -588,6 +588,130 @@ func TestRSReconstructFromNaiveEncode(t *testing.T) {
 	}
 }
 
+// subsets calls fn with every size-element subset of 0..n-1, ascending.
+func subsets(n, size int, fn func([]int)) {
+	var pick func(from int, cur []int)
+	pick = func(from int, cur []int) {
+		if len(cur) == size {
+			fn(append([]int(nil), cur...))
+			return
+		}
+		for i := from; i < n; i++ {
+			pick(i+1, append(cur, i))
+		}
+	}
+	pick(0, nil)
+}
+
+// TestRSDecodeRowMatchesReconstruct pins the streaming recovery's one-row
+// decode to the whole-group solver: for every erasure pattern, every choice
+// of k shards among the ones left and every erased shard (data or parity),
+// folding DecodeRow's coefficients over the chosen shards must yield exactly
+// the block Reconstruct fills in.
+func TestRSDecodeRowMatchesReconstruct(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, km := range [][2]int{{3, 1}, {3, 2}, {4, 3}, {2, 2}} {
+		k, m := km[0], km[1]
+		rs, err := NewRS(k, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 67
+		full := make([][]byte, k)
+		for j := range full {
+			full[j] = randBytes(rng, n)
+		}
+		par, err := rs.Encode(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full = append(full, par...)
+		for lost := 1; lost <= m; lost++ {
+			subsets(k+m, lost, func(erased []int) {
+				shards := make([][]byte, k+m)
+				var alive []int
+				for i := range shards {
+					shards[i] = full[i]
+				}
+				for _, e := range erased {
+					shards[e] = nil
+				}
+				for i, s := range shards {
+					if s != nil {
+						alive = append(alive, i)
+					}
+				}
+				if err := rs.Reconstruct(shards); err != nil {
+					t.Fatalf("RS(%d,%d) erased %v: %v", k, m, erased, err)
+				}
+				subsets(len(alive), k, func(pick []int) {
+					present := make([]int, k)
+					for i, p := range pick {
+						present[i] = alive[p]
+					}
+					for _, target := range erased {
+						row, err := rs.DecodeRow(target, present)
+						if err != nil {
+							t.Fatalf("RS(%d,%d) erased %v, row %d from %v: %v", k, m, erased, target, present, err)
+						}
+						got := make([]byte, n)
+						for i, idx := range present {
+							if err := MulSliceInto(got, full[idx], row[i]); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if !bytes.Equal(got, shards[target]) {
+							t.Fatalf("RS(%d,%d) erased %v: shard %d folded from %v (row %v) diverges from Reconstruct",
+								k, m, erased, target, present, row)
+						}
+					}
+				})
+			})
+		}
+	}
+}
+
+// TestRSDecodeRowShapes pins the two rows the runtime leans on — a parity
+// block over the k data shards is its encoding row, and a lone lost data
+// shard over the other data shards plus parity 0 is all ones (plain XOR) —
+// and the malformed requests that must error instead of yielding a row.
+func TestRSDecodeRowShapes(t *testing.T) {
+	rs, err := NewRS(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < 2; p++ {
+		row, err := rs.DecodeRow(3+p, []int{0, 1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, c := range row {
+			if c != rs.Coef(p, j) {
+				t.Errorf("parity %d over the data shards: row %v, encoding coefficient %d is %d", p, row, j, rs.Coef(p, j))
+			}
+		}
+	}
+	row, err := rs.DecodeRow(1, []int{0, 2, 3})
+	if err != nil || !bytes.Equal(row, []byte{1, 1, 1}) {
+		t.Errorf("lone data loss over data + parity 0: row %v, err %v, want all ones", row, err)
+	}
+	for name, bad := range map[string]struct {
+		target  int
+		present []int
+	}{
+		"too few shards":      {0, []int{1, 2}},
+		"too many shards":     {0, []int{1, 2, 3, 4}},
+		"shard named twice":   {0, []int{1, 1, 3}},
+		"shard out of range":  {0, []int{1, 2, 5}},
+		"negative shard":      {0, []int{-1, 2, 3}},
+		"target out of range": {5, []int{0, 1, 2}},
+	} {
+		if row, err := rs.DecodeRow(bad.target, bad.present); err == nil {
+			t.Errorf("%s: got row %v, want an error", name, row)
+		}
+	}
+}
+
 // TestRSUpdateParityChunkedFoldEquivalence is the property the chunked data
 // path rests on: folding a delta piecewise at offsets (chunk boundaries
 // straddling word boundaries) must equal folding it whole, and both must

@@ -106,10 +106,46 @@ func (r *RS) Encode(data [][]byte) ([][]byte, error) {
 	return par, nil
 }
 
+// DecodeRow returns the coefficients that rebuild shard target (0..k-1 data,
+// k..k+m-1 parity) from the k distinct shards named by present, in present's
+// order: shard[target] = sum of row[i] * shard[present[i]]. It is target's
+// row of the encoding matrix times the inverse of the present shards' rows —
+// one row of what Reconstruct solves — so a caller that needs one block folds
+// k multiply-accumulate passes and nothing for the group's other erasures.
+// Over the k data shards it is the plain encoding row; for a lost data shard
+// rebuilt from the other data shards plus parity 0 it is all ones (XOR).
+func (r *RS) DecodeRow(target int, present []int) ([]byte, error) {
+	if target < 0 || target >= r.k+r.m {
+		return nil, fmt.Errorf("parity: RS decode row for shard %d of %d", target, r.k+r.m)
+	}
+	if len(present) != r.k {
+		return nil, fmt.Errorf("parity: RS needs %d shards to reconstruct, have %d", r.k, len(present))
+	}
+	sub := make([][]byte, r.k)
+	for i, idx := range present {
+		if idx < 0 || idx >= r.k+r.m {
+			return nil, fmt.Errorf("parity: RS decode row from shard %d of %d", idx, r.k+r.m)
+		}
+		sub[i] = r.matrix[idx]
+	}
+	inv, err := invertMatrix(sub) // a shard named twice makes sub singular
+	if err != nil {
+		return nil, err
+	}
+	row := make([]byte, r.k)
+	for c, f := range r.matrix[target] {
+		for i := range row {
+			row[i] ^= gfMul(f, inv[c][i])
+		}
+	}
+	return row, nil
+}
+
 // Reconstruct rebuilds missing blocks. shards has length k+m: indices 0..k-1
 // are data blocks, k..k+m-1 parity blocks; nil entries are erased. At least
-// k shards must be present. On success every data entry of shards is filled
-// in (parity entries are recomputed only if requested via recomputeParity).
+// k shards must be present. On success every entry of shards is filled in:
+// erased data blocks are solved for and erased parity blocks are always
+// recomputed from the completed data.
 func (r *RS) Reconstruct(shards [][]byte) error {
 	if len(shards) != r.k+r.m {
 		return fmt.Errorf("parity: RS reconstruct wants %d shards, got %d", r.k+r.m, len(shards))

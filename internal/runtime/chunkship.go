@@ -128,12 +128,6 @@ func deltaChunkScatter(d *core.Delta, pageSize, imageBytes, chunkSize int) ([]wi
 	return chunks, segs
 }
 
-// encodePooledChunk renders a chunk's wire encoding into a pooled buffer
-// sized so the append never reallocates out of its size class.
-func encodePooledChunk(c *wire.Chunk) []byte {
-	return wire.AppendChunk(bufpool.Get(wire.ChunkHeaderLen + len(c.Data))[:0], c)
-}
-
 // mountBufpoolStats exposes the process-wide buffer pool counters on a
 // registry. Counters are global to the pool, so re-binding from every node
 // sharing a registry is idempotent (CounterFunc replaces the reader).

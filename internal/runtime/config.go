@@ -114,14 +114,14 @@ type installConfig struct {
 }
 
 // reconstructConfig rides MsgReconstruct, addressed to the node that will
-// host the lost VM: the VM to adopt (VMConfig), which members of its group are
-// gone, and where the survivors' images and the group's still-alive parity
-// blocks are. The target pulls those, solves the erasure system and adopts
-// the VM in place, at the survivors' committed epoch.
+// host the lost VM: the VM to adopt (VMConfig), its group's members, and where
+// the survivors' images and the group's still-alive parity blocks are (every
+// member without a survivor entry is lost). The target streams k of those
+// shards through the lost VM's decode row and adopts the VM in place, at the
+// survivors' committed epoch.
 type reconstructConfig struct {
 	VMConfig
-	AllLost     []string       `json:"all_lost"` // every lost member of the group
-	Members     []string       `json:"members"`  // every member of the group, any order
+	Members     []string       `json:"members"` // every member of the group, any order
 	Tolerance   int            `json:"tolerance"`
 	Survivors   map[string]int `json:"survivors"`    // member -> node id
 	ParityPeers map[int]int    `json:"parity_peers"` // parity index -> node id (alive)

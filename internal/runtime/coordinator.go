@@ -819,9 +819,9 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 		return nil, rbErr
 	}
 
-	// Group the lost VMs so each reconstruction request can name all of its
-	// group's casualties (solving needs the full erasure pattern), and so
-	// independent groups can recover concurrently.
+	// Group the lost VMs so each reconstruction request can tell the group's
+	// survivors from its casualties, and so independent groups can recover
+	// concurrently.
 	lostByGroup := map[int][]string{}
 	restoresByGroup := map[int][]cluster.Step{}
 	var restoreGroups []int
@@ -837,11 +837,11 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 	}
 	sort.Ints(restoreGroups)
 
-	// Restore lost VMs: each step's target node pulls the group's survivors
-	// and alive parity blocks, solves and adopts the VM. Groups run in
-	// parallel; within a group the steps run in order. The layout is not
-	// touched until every restore is done, so it still names the survivors'
-	// (unchanged) hosts.
+	// Restore lost VMs: each step's target node streams k of the group's
+	// surviving shards through its VM's decode row and adopts the VM. Groups
+	// run in parallel; within a group the steps run in order. The layout is
+	// not touched until every restore is done, so it still names the
+	// survivors' (unchanged) hosts.
 	if err := parallelDo(len(restoreGroups), c.fanoutWidth(), func(gi int) (gerr error) {
 		group := restoreGroups[gi]
 		gspan := tr.Child(root.Context(), fmt.Sprintf("restore g%d", group), "coord")
@@ -871,7 +871,6 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 			v, _ := c.layout.VM(s.VM)
 			rc := reconstructConfig{
 				VMConfig:    c.vmConfig(v),
-				AllLost:     lost,
 				Members:     g.Members,
 				Tolerance:   c.layout.Tolerance,
 				Survivors:   survivors,

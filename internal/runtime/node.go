@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	goruntime "runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"dvdc/internal/bufpool"
 	"dvdc/internal/core"
 	"dvdc/internal/obs"
+	"dvdc/internal/parity"
 	"dvdc/internal/transport"
 	"dvdc/internal/vm"
 	"dvdc/internal/wire"
@@ -979,28 +981,16 @@ func (n *Node) member(name string) (*memberState, error) {
 	return ms, nil
 }
 
-// readChunkPayload cuts one chunk out of a total-byte block served by fetch
-// (which must return a fresh copy of [off, off+n)) and encodes it.
-func readChunkPayload(total, index, chunkSize int, fetch func(off, n int) ([]byte, error)) ([]byte, error) {
-	count := wire.ChunkCount(total, chunkSize)
-	if index < 0 || index >= count {
-		return nil, fmt.Errorf("runtime: chunk index %d outside [0,%d)", index, count)
-	}
-	lo := index * chunkSize
-	nb := min(chunkSize, total-lo)
-	if total == 0 {
-		lo, nb = 0, 0
-	}
-	data, err := fetch(lo, nb)
+// readChunkPayload encodes chunk index of block into a pooled frame sized so
+// the append stays in its size class. block is the member's or keeper's own
+// memory (the caller holds the lock that keeps it still), so that append is
+// the only copy a served chunk pays.
+func readChunkPayload(block []byte, index, chunkSize int) ([]byte, error) {
+	c, err := wire.ChunkOf(block, index, chunkSize)
 	if err != nil {
 		return nil, err
 	}
-	c := wire.Chunk{
-		Offset: uint64(lo), Total: uint64(total),
-		Index: uint32(index), Count: uint32(count),
-		RawLen: uint32(nb), Data: data,
-	}
-	return encodePooledChunk(&c), nil
+	return wire.AppendChunk(bufpool.Get(wire.ChunkHeaderLen + len(c.Data))[:0], &c), nil
 }
 
 // onReadChunk serves one chunk of a committed image (Text "image", keyed by
@@ -1008,6 +998,8 @@ func readChunkPayload(total, index, chunkSize int, fetch func(off, n int) ([]byt
 // a full copy per request. Arg packs uint64(index)<<32 | uint32(chunkSize).
 // Image replies carry the member's committed epoch; parity replies carry the
 // parity index in Arg so the caller can verify it got the block it asked for.
+// The reply payload is a pooled frame whoever receives the reply releases:
+// the transport server after the flush, or the local caller on a self-call.
 func (n *Node) onReadChunk(req *wire.Message) (*wire.Message, error) {
 	index := int(req.Arg >> 32)
 	chunkSize := int(uint32(req.Arg))
@@ -1022,7 +1014,7 @@ func (n *Node) onReadChunk(req *wire.Message) (*wire.Message, error) {
 		}
 		ms.mu.Lock()
 		defer ms.mu.Unlock()
-		payload, err := readChunkPayload(ms.mem.CommittedLen(), index, chunkSize, ms.mem.CommittedRange)
+		payload, err := readChunkPayload(ms.mem.CommittedView(), index, chunkSize)
 		if err != nil {
 			return nil, err
 		}
@@ -1037,7 +1029,7 @@ func (n *Node) onReadChunk(req *wire.Message) (*wire.Message, error) {
 		}
 		ks.mu.Lock()
 		defer ks.mu.Unlock()
-		payload, err := readChunkPayload(ks.keeper.Size(), index, chunkSize, ks.keeper.ParityRange)
+		payload, err := readChunkPayload(ks.keeper.ParityView(), index, chunkSize)
 		if err != nil {
 			return nil, err
 		}
@@ -1050,149 +1042,170 @@ func (n *Node) onReadChunk(req *wire.Message) (*wire.Message, error) {
 	}
 }
 
-// fetchChunked pulls a committed image (source "image", keyed by VM) or a
-// parity block (source "parity", keyed by group) from a peer in chunkSize
-// pieces, keeping chunkPipelineWidth requests in flight. It returns the
-// assembled block in a pooled buffer (the caller may bufpool.Put it), the
-// Epoch of the first reply, and the first reply's Arg (the serving keeper's
-// parity index on parity reads).
-func (n *Node) fetchChunked(ctx obs.SpanContext, node int, source, vmName string, group, chunkSize int) ([]byte, uint64, int, error) {
-	req := func(index int) *wire.Message {
-		return &wire.Message{
-			Type: wire.MsgReadChunk, Text: source, VM: vmName, Group: int32(group),
-			Arg:   uint64(index)<<32 | uint64(uint32(chunkSize)),
-			Trace: ctx.Trace, Span: ctx.Span,
-		}
-	}
-	// Chunk 0 reveals the stream shape (count, total) and the epoch.
-	first, err := n.callPeer(node, req(0))
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if first.Type != wire.MsgReadChunkOK {
-		return nil, 0, 0, fmt.Errorf("runtime: unexpected reply %v to read-chunk", first.Type)
-	}
-	c0, err := wire.DecodeChunk(first.Payload)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	epoch, arg := first.Epoch, int(first.Arg)
-	asm := &wire.Assembler{Alloc: bufpool.Get}
-	abandon := func(e error) ([]byte, uint64, int, error) {
-		if b := asm.Buffer(); b != nil {
-			bufpool.Put(b)
-		}
-		return nil, 0, 0, e
-	}
-	if err := asm.Add(c0); err != nil {
-		return abandon(err)
-	}
-	var mu sync.Mutex
-	if err := parallelDo(int(c0.Count)-1, chunkPipelineWidth, func(i int) error {
-		resp, err := n.callPeer(node, req(i+1))
-		if err != nil {
-			return err
-		}
-		c, err := wire.DecodeChunk(resp.Payload)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return asm.Add(c)
-	}); err != nil {
-		return abandon(err)
-	}
-	blk, err := asm.Bytes()
-	if err != nil {
-		return abandon(err)
-	}
-	return blk, epoch, arg, nil
+// blockSource is one term of a streamed combine: coef times a block a peer
+// serves over MsgReadChunk — the committed image of vm, or, when vm is empty,
+// parity block parity of the combine's group.
+type blockSource struct {
+	node   int
+	vm     string
+	parity int
+	coef   byte
 }
 
-// onReconstruct runs on the node that will host a lost VM: it pulls the
-// group's survivor images and still-alive parity blocks from their holders
-// (itself included), solves the erasure system, and adopts the rebuilt VM in
-// place — the image never leaves the node that needs it.
+// shardSources picks the k shards that rebuild one block of an RS(k, m)
+// group — the committed image of member vm, or, when vm is empty, parity
+// block parityIdx — and pairs each with its decode coefficient. Data shard j
+// is the j-th member in sorted order, shard k+i parity block i. Members with
+// a host come first, then alive parity blocks by index, so a lone lost VM
+// decodes by plain XOR from its group-mates and parity 0, and a parity block
+// over the k member images gets its encoding row.
+func shardSources(members []string, tolerance int, vm string, parityIdx int, hosts map[string]int, parityPeers map[int]int) ([]blockSource, error) {
+	sorted := append([]string(nil), members...)
+	sort.Strings(sorted)
+	k := len(sorted)
+	coder, err := parity.NewRS(k, tolerance)
+	if err != nil {
+		return nil, err
+	}
+	target := k + parityIdx
+	if vm != "" {
+		var ok bool
+		if target, ok = slices.BinarySearch(sorted, vm); !ok {
+			return nil, fmt.Errorf("runtime: %q is not a member of the group", vm)
+		}
+	}
+	var srcs []blockSource
+	var present []int
+	for j, m := range sorted {
+		if node, ok := hosts[m]; ok {
+			srcs = append(srcs, blockSource{node: node, vm: m})
+			present = append(present, j)
+		}
+	}
+	for idx := 0; idx < tolerance && len(srcs) < k; idx++ {
+		if node, ok := parityPeers[idx]; ok {
+			srcs = append(srcs, blockSource{node: node, parity: idx})
+			present = append(present, k+idx)
+		}
+	}
+	row, err := coder.DecodeRow(target, present)
+	if err != nil {
+		return nil, err
+	}
+	for i := range srcs {
+		srcs[i].coef = row[i]
+	}
+	return srcs, nil
+}
+
+// pullCombine streams out = sum of coef * block over srcs into a fresh
+// total-byte buffer: the one operation behind a restore (the lost VM's decode
+// row over k surviving shards), a parity re-home (the encoding row over the k
+// member images) and a move (one image, coefficient 1). The output is cut
+// into chunkSize slots; each slot belongs to one goroutine, which pulls that
+// chunk from every source in turn and folds the verified reply straight into
+// the slot — fetch and decode overlap, no lock guards the output, and what is
+// in flight beside the output is one reply buffer per goroutine,
+// chunkPipelineWidth per source. Any failure fails the whole combine. It
+// returns the image replies' committed epoch, on which they must all agree.
+func (n *Node) pullCombine(ctx obs.SpanContext, group, total, chunkSize int, srcs []blockSource) ([]byte, uint64, error) {
+	if total < 0 || total > wire.MaxFrame {
+		return nil, 0, fmt.Errorf("runtime: combine of a %d-byte block", total)
+	}
+	out := make([]byte, total)
+	var failed atomic.Bool
+	var epoch atomic.Uint64 // committed epoch + 1 of the image replies so far; 0 = none yet
+	err := parallelDo(wire.ChunkCount(total, chunkSize), chunkPipelineWidth*len(srcs), func(index int) error {
+		slot, err := wire.ChunkOf(out, index, chunkSize)
+		if err != nil {
+			return err
+		}
+		for j := range srcs {
+			if failed.Load() {
+				return nil // the combine is lost; the slot that failed reports why
+			}
+			// Slots start on different sources so the peers are read evenly.
+			src := &srcs[(index+j)%len(srcs)]
+			e, err := n.pullChunk(ctx, src, group, chunkSize, &slot)
+			if err == nil && src.vm != "" {
+				if prev := epoch.Swap(e + 1); prev != 0 && prev != e+1 {
+					err = fmt.Errorf("committed at epoch %d, another image at %d", e, prev-1)
+				}
+			}
+			if err != nil {
+				failed.Store(true)
+				if src.vm != "" {
+					return fmt.Errorf("runtime: pulling chunk %d of %q from node %d: %w", index, src.vm, src.node, err)
+				}
+				return fmt.Errorf("runtime: pulling chunk %d of parity[%d] of group %d from node %d: %w", index, src.parity, group, src.node, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return out, max(epoch.Load(), 1) - 1, nil
+}
+
+// pullChunk reads one chunk of one source and folds coef times its bytes into
+// slot.Data, the output range that chunk covers (slot is wire.ChunkOf the
+// output). A fold is not idempotent — a duplicated or misrouted chunk would
+// cancel or corrupt the slot — so the reply must answer exactly this request
+// (right block, right index, the stream shape the slot was cut from, raw
+// bytes) or nothing is folded. The reply buffer goes back to the pool either
+// way: it is this caller's from the socket decode, or from the local handler
+// on a self-call.
+func (n *Node) pullChunk(ctx obs.SpanContext, src *blockSource, group, chunkSize int, slot *wire.Chunk) (uint64, error) {
+	req := &wire.Message{
+		Type: wire.MsgReadChunk, Text: "image", VM: src.vm,
+		Arg:   uint64(slot.Index)<<32 | uint64(uint32(chunkSize)),
+		Trace: ctx.Trace, Span: ctx.Span,
+	}
+	if src.vm == "" {
+		req.Text, req.Group = "parity", int32(group)
+	}
+	resp, err := n.callPeer(src.node, req)
+	if err != nil {
+		return 0, err
+	}
+	defer bufpool.Put(resp.Payload)
+	if resp.Type != wire.MsgReadChunkOK || resp.VM != req.VM || resp.Group != req.Group {
+		return 0, fmt.Errorf("reply %v for %q/group %d does not answer the request", resp.Type, resp.VM, resp.Group)
+	}
+	if src.vm == "" && resp.Arg != uint64(src.parity) {
+		return 0, fmt.Errorf("node serves parity[%d] of the group", resp.Arg)
+	}
+	c, err := wire.DecodeChunk(resp.Payload)
+	if err != nil {
+		return 0, err
+	}
+	if c.Index != slot.Index || c.Offset != slot.Offset || c.Total != slot.Total || c.Count != slot.Count ||
+		c.Flags != 0 || len(c.Data) != len(slot.Data) {
+		return 0, fmt.Errorf("reply carries chunk %d/%d at [%d,+%d) of %d bytes (flags %#x), want %d/%d at [%d,+%d) of %d",
+			c.Index, c.Count, c.Offset, len(c.Data), c.Total, c.Flags, slot.Index, slot.Count, slot.Offset, len(slot.Data), slot.Total)
+	}
+	return resp.Epoch, parity.MulSliceInto(slot.Data, c.Data, src.coef)
+}
+
+// onReconstruct runs on the node that will host a lost VM: it streams k of
+// the group's surviving shards — group-mates' images first, then alive parity
+// blocks — from their holders (itself included) through the lost VM's decode
+// row, and adopts the result in place. The image never leaves the node that
+// needs it, and nothing is computed for the group's other casualties.
 func (n *Node) onReconstruct(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
 	var cfg reconstructConfig
 	if err := decodeJSON(req.Text, &cfg); err != nil {
 		return nil, err
 	}
-	if err := n.adopt(cfg.VMConfig, func(cs int) ([]byte, uint64, error) {
-		return n.solveLost(ctx, &cfg, cs)
-	}); err != nil {
+	srcs, err := shardSources(cfg.Members, cfg.Tolerance, cfg.Name, 0, cfg.Survivors, cfg.ParityPeers)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: reconstruct %q of group %d: %w", cfg.Name, cfg.Group, err)
+	}
+	if err := n.adopt(ctx, cfg.VMConfig, srcs); err != nil {
 		return nil, err
 	}
 	return &wire.Message{Type: wire.MsgReconstructOK, VM: cfg.Name}, nil
-}
-
-// solveLost pulls every survivor image and alive parity block of cfg's group,
-// concurrently, and solves for the lost VM cfg names. It returns the rebuilt
-// committed image and the survivors' committed epoch.
-func (n *Node) solveLost(ctx obs.SpanContext, cfg *reconstructConfig, cs int) ([]byte, uint64, error) {
-	type fetch struct {
-		member string // survivor image when non-empty
-		parity int    // parity index otherwise
-		node   int
-	}
-	var fetches []fetch
-	for member, nodeID := range cfg.Survivors {
-		fetches = append(fetches, fetch{member: member, node: nodeID})
-	}
-	for idx, nodeID := range cfg.ParityPeers {
-		fetches = append(fetches, fetch{parity: idx, node: nodeID})
-	}
-	var mu sync.Mutex
-	survivors := map[string][]byte{}
-	parityBlocks := map[int][]byte{}
-	// The pulls land in pooled buffers and ReconstructMembers copies them into
-	// its shards, so they go back to the pool however this returns.
-	defer func() {
-		for _, img := range survivors {
-			bufpool.Put(img)
-		}
-		for _, blk := range parityBlocks {
-			bufpool.Put(blk)
-		}
-	}()
-	var epoch uint64
-	if err := parallelDo(len(fetches), 0, func(i int) error {
-		f := fetches[i]
-		if f.member != "" {
-			img, e, _, err := n.fetchChunked(ctx, f.node, "image", f.member, 0, cs)
-			if err != nil {
-				return fmt.Errorf("runtime: fetching survivor %q from node %d: %w", f.member, f.node, err)
-			}
-			mu.Lock()
-			survivors[f.member] = img
-			epoch = e
-			mu.Unlock()
-			return nil
-		}
-		blk, _, gotIdx, err := n.fetchChunked(ctx, f.node, "parity", "", cfg.Group, cs)
-		if err != nil {
-			return fmt.Errorf("runtime: fetching parity[%d] from node %d: %w", f.parity, f.node, err)
-		}
-		mu.Lock()
-		parityBlocks[f.parity] = blk
-		mu.Unlock()
-		if gotIdx != f.parity {
-			return fmt.Errorf("runtime: node %d served parity[%d], wanted [%d]", f.node, gotIdx, f.parity)
-		}
-		return nil
-	}); err != nil {
-		return nil, 0, err
-	}
-	rebuilt, err := core.ReconstructMembers(cfg.Tolerance, cfg.Members, survivors, parityBlocks, cfg.AllLost)
-	if err != nil {
-		return nil, 0, err
-	}
-	img, ok := rebuilt[cfg.Name]
-	if !ok {
-		return nil, 0, fmt.Errorf("runtime: reconstruction did not yield %q", cfg.Name)
-	}
-	return img, epoch, nil
 }
 
 // onInstall is the receiving half of a move: it pulls the VM's committed
@@ -1203,21 +1216,17 @@ func (n *Node) onInstall(ctx obs.SpanContext, req *wire.Message) (*wire.Message,
 	if err := decodeJSON(req.Text, &cfg); err != nil {
 		return nil, err
 	}
-	if err := n.adopt(cfg.VMConfig, func(cs int) ([]byte, uint64, error) {
-		img, epoch, _, err := n.fetchChunked(ctx, cfg.From, "image", cfg.Name, 0, cs)
-		return img, epoch, err
-	}); err != nil {
+	if err := n.adopt(ctx, cfg.VMConfig, []blockSource{{node: cfg.From, vm: cfg.Name, coef: 1}}); err != nil {
 		return nil, err
 	}
 	return &wire.Message{Type: wire.MsgInstallOK, VM: cfg.Name}, nil
 }
 
-// adopt makes this node the host of the VM cfg describes. pull, run with no
-// lock held, yields the VM's committed image and epoch given the node's chunk
-// size; the image goes back to the buffer pool on every exit (RestoreImage
-// copies it). A VM the node already hosts is refused before anything is
-// pulled.
-func (n *Node) adopt(cfg VMConfig, pull func(chunkSize int) ([]byte, uint64, error)) error {
+// adopt makes this node the host of the VM cfg describes: its committed image
+// is the combine of srcs, pulled with no lock held, and becomes the member's
+// committed image as is — the machine is loaded from it once. A VM the node
+// already hosts is refused before anything is pulled.
+func (n *Node) adopt(ctx obs.SpanContext, cfg VMConfig, srcs []blockSource) error {
 	n.mu.Lock()
 	_, dup := n.members[cfg.Name]
 	id, cs := n.id, n.chunkSize
@@ -1226,20 +1235,16 @@ func (n *Node) adopt(cfg VMConfig, pull func(chunkSize int) ([]byte, uint64, err
 	if dup {
 		return already
 	}
-	img, epoch, err := pull(cs)
-	if err != nil {
-		return err
-	}
-	defer bufpool.Put(img)
 	m, err := vm.NewMachine(cfg.Name, cfg.Pages, cfg.PageSize)
 	if err != nil {
 		return err
 	}
-	mem, err := core.NewMember(m)
+	img, epoch, err := n.pullCombine(ctx, cfg.Group, cfg.Pages*cfg.PageSize, cs, srcs)
 	if err != nil {
 		return err
 	}
-	if err := mem.RestoreImage(img, epoch); err != nil {
+	mem, err := core.NewMemberAt(m, img, epoch)
+	if err != nil {
 		return err
 	}
 	n.mu.Lock()
@@ -1309,8 +1314,10 @@ func (n *Node) onRollback(req *wire.Message) (*wire.Message, error) {
 	return &wire.Message{Type: wire.MsgRollbackOK}, nil
 }
 
-// onRebuildKeeper makes this node the holder of one parity block of a group
-// by pulling every member's committed image (concurrently) and folding them.
+// onRebuildKeeper makes this node the holder of one parity block of a group:
+// the block is the combine of the members' committed images under that
+// block's encoding row, streamed in from their hosts, and the keeper is built
+// around it as is.
 func (n *Node) onRebuildKeeper(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
 	var cfg rebuildKeeperConfig
 	if err := decodeJSON(req.Text, &cfg); err != nil {
@@ -1319,31 +1326,15 @@ func (n *Node) onRebuildKeeper(ctx obs.SpanContext, req *wire.Message) (*wire.Me
 	n.mu.Lock()
 	cs := n.chunkSize
 	n.mu.Unlock()
-	var mu sync.Mutex
-	initial := map[string][]byte{}
-	if err := parallelDo(len(cfg.Members), 0, func(i int) error {
-		member := cfg.Members[i]
-		nodeID, ok := cfg.MemberNodes[member]
-		if !ok {
-			return fmt.Errorf("runtime: rebuild keeper: no node for member %q", member)
-		}
-		img, _, _, err := n.fetchChunked(ctx, nodeID, "image", member, 0, cs)
-		if err != nil {
-			return fmt.Errorf("runtime: rebuild keeper: fetch %q: %w", member, err)
-		}
-		mu.Lock()
-		initial[member] = img
-		mu.Unlock()
-		return nil
-	}); err != nil {
+	srcs, err := shardSources(cfg.Members, cfg.Tolerance, "", cfg.ParityIdx, cfg.MemberNodes, nil)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: rebuild keeper of group %d: %w", cfg.Group, err)
+	}
+	blk, _, err := n.pullCombine(ctx, cfg.Group, cfg.Pages*cfg.PageSize, cs, srcs)
+	if err != nil {
 		return nil, err
 	}
-	k, err := core.NewMKeeper(cfg.Group, cfg.ParityIdx, cfg.Tolerance, initial)
-	// NewMKeeper folds the images into a fresh parity block without retaining
-	// them; the pooled fetch buffers can go back.
-	for _, img := range initial {
-		bufpool.Put(img)
-	}
+	k, err := core.NewMKeeperFromBlock(cfg.Group, cfg.ParityIdx, cfg.Tolerance, cfg.Members, blk)
 	if err != nil {
 		return nil, err
 	}

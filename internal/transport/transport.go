@@ -112,7 +112,9 @@ func (c *Conn) Close() error { return c.c.Close() }
 func (c *Conn) RemoteAddr() string { return c.c.RemoteAddr().String() }
 
 // Handler serves one request and returns the reply. Returning an error
-// sends a MsgError reply and keeps the connection open.
+// sends a MsgError reply and keeps the connection open. The server recycles
+// both messages' payloads once the reply is flushed (see serveConn), so a
+// handler hands over the reply payload and keeps no reference to either.
 type Handler func(req *wire.Message) (*wire.Message, error)
 
 // Server accepts framed connections and dispatches requests to a Handler.
@@ -235,13 +237,26 @@ func (s *Server) serveConn(c net.Conn) {
 		if err := w.Flush(); err != nil {
 			return
 		}
-		// The request payload came out of the buffer pool (wire.ReadFrame) and
-		// the exchange is over, so it can be recycled. Handler contract: do not
-		// retain the request payload past the reply being written — aliasing it
-		// in the reply itself is fine, since the reply is already on the wire.
+		// The exchange is over and both payloads go back to the buffer pool:
+		// the request's came out of it (wire.ReadFrame), and the reply's belongs
+		// to the server from the moment the handler returns it. Handler
+		// contract: retain neither past the return — a reply payload is either
+		// a buffer the handler gives up (the runtime's read-chunk replies, a
+		// pooled chunk frame each, are the only ones today) or a slice of the
+		// request's payload, which is recognised and released once. A handler
+		// that keeps the request payload for later sets req.Payload to nil.
+		if !sameBacking(resp.Payload, req.Payload) {
+			bufpool.Put(resp.Payload)
+		}
 		bufpool.Put(req.Payload)
 		req.Payload = nil
 	}
+}
+
+// sameBacking reports whether a and b are slices of one backing array: plain
+// reslicing moves a slice's start, never the end of its capacity.
+func sameBacking(a, b []byte) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
 }
 
 // Close stops accepting, closes all connections, and waits for handlers.
