@@ -16,6 +16,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"fmt"
 
@@ -118,6 +119,23 @@ func (mem *Member) CaptureDelta() (*Delta, error) {
 // if they are pooled, it must return them once the delta is dead (after commit,
 // or after UndoCapture on abort) and never sooner — UndoCapture reads them.
 func (mem *Member) CaptureDeltaInto(alloc func(int) []byte) (*Delta, error) {
+	d, _, err := mem.CaptureInto(alloc, false)
+	return d, err
+}
+
+// CaptureInto is the capture loop behind CaptureDeltaInto. With skipUnchanged
+// it leaves out every dirty page whose live content equals the committed
+// image: such a page's XOR delta is all zero, so folding it into parity is a
+// no-op and shipping it is waste (a guest storing back the bytes already there
+// dirties the page without changing it). An unchanged page gets no buffer, no
+// XOR, no copy and no PageRecord; it is only counted, so unchanged +
+// len(d.Pages) is the dirty count. The committed image is the member's own and
+// is rewound by UndoCapture, Rollback and RestoreImage together with
+// everything else, so the comparison needs no cache and no invalidation rule,
+// and being byte-exact it cannot skip a page that changed. UndoCapture
+// re-marks only the captured pages dirty; a skipped page equals its committed
+// content and has nothing left to capture.
+func (mem *Member) CaptureInto(alloc func(int) []byte, skipUnchanged bool) (d *Delta, unchanged int, err error) {
 	if alloc == nil {
 		alloc = func(n int) []byte { return make([]byte, n) }
 	}
@@ -125,17 +143,21 @@ func (mem *Member) CaptureDeltaInto(alloc func(int) []byte) (*Delta, error) {
 	ps := m.PageSize()
 	dirty := m.DirtyPages()
 	mem.epoch++
-	d := &Delta{VMID: m.ID(), Epoch: mem.epoch, Pages: make([]checkpoint.PageRecord, 0, len(dirty))}
+	d = &Delta{VMID: m.ID(), Epoch: mem.epoch, Pages: make([]checkpoint.PageRecord, 0, len(dirty))}
 	for _, i := range dirty {
 		cur := m.Page(i)
 		old := mem.committed[i*ps : (i+1)*ps]
+		if skipUnchanged && bytes.Equal(cur, old) {
+			unchanged++
+			continue
+		}
 		x := alloc(ps)
 		subtle.XORBytes(x, cur, old)
 		d.Pages = append(d.Pages, checkpoint.PageRecord{Index: i, Data: x})
 		copy(old, cur) // advance committed image in place
 	}
 	m.BeginEpoch()
-	return d, nil
+	return d, unchanged, nil
 }
 
 // UndoCapture reverses a CaptureDelta whose checkpoint round was aborted:

@@ -18,9 +18,8 @@ type SourceStatus struct {
 	Dropped   int64  // dvdc_spans_dropped_total at scrape time
 	Spans     int    // spans held from this source's last scrape
 
-	DedupHits  int64 // dvdc_dedup_hits_total: chunk ships skipped by page-hash dedup
+	DedupHits  int64 // dvdc_dedup_hits_total: dirty pages capture skipped as unchanged
 	DedupSaved int64 // dvdc_dedup_bytes_saved_total: payload bytes those skips avoided
-	DedupInval int64 // dvdc_dedup_invalidations_total: cache entries dropped on rewrite
 }
 
 // TopView is everything `dvdcctl top` renders for one refresh: per-source
@@ -66,9 +65,6 @@ func BuildTopView(c *Collector, sources []string, outliers *OutlierTracker) TopV
 				}
 				if f, ok := MetricValue(exp, "dvdc_dedup_bytes_saved_total"); ok {
 					st.DedupSaved = int64(f)
-				}
-				if f, ok := MetricValue(exp, "dvdc_dedup_invalidations_total"); ok {
-					st.DedupInval = int64(f)
 				}
 			}
 		}
@@ -130,15 +126,15 @@ func RenderTop(v TopView, width int) string {
 	}
 	fmt.Fprintf(&b, "dvdc cluster telemetry — %d source(s)\n", len(v.Sources))
 	if len(v.Sources) > 0 {
-		fmt.Fprintf(&b, "  %-24s %-4s %6s %9s %7s %7s %9s %6s\n",
-			"SOURCE", "UP", "OPEN", "DROPPED", "SPANS", "DEDUP", "SAVED", "INVAL")
+		fmt.Fprintf(&b, "  %-24s %-4s %6s %9s %7s %7s %9s\n",
+			"SOURCE", "UP", "OPEN", "DROPPED", "SPANS", "DEDUP", "SAVED")
 		for _, s := range v.Sources {
 			up := "ok"
 			if !s.Up {
 				up = "DOWN"
 			}
-			fmt.Fprintf(&b, "  %-24s %-4s %6d %9d %7d %7d %9s %6d\n",
-				s.Addr, up, s.OpenSpans, s.Dropped, s.Spans, s.DedupHits, humanBytes(s.DedupSaved), s.DedupInval)
+			fmt.Fprintf(&b, "  %-24s %-4s %6d %9d %7d %7d %9s\n",
+				s.Addr, up, s.OpenSpans, s.Dropped, s.Spans, s.DedupHits, humanBytes(s.DedupSaved))
 			if s.Err != "" {
 				fmt.Fprintf(&b, "      %s\n", s.Err)
 			}

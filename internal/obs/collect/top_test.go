@@ -13,7 +13,7 @@ func topFixture() TopView {
 	return TopView{
 		Sources: []SourceStatus{
 			{Addr: "127.0.0.1:9100", Up: true, OpenSpans: 1, Dropped: 3, Spans: 7,
-				DedupHits: 12, DedupSaved: 3 << 10, DedupInval: 2},
+				DedupHits: 12, DedupSaved: 3 << 10},
 			{Addr: "127.0.0.1:9101", Up: false, Err: "dial tcp: connection refused"},
 		},
 		Trace:  7,
@@ -32,9 +32,9 @@ func topFixture() TopView {
 }
 
 const topGolden = `dvdc cluster telemetry — 2 source(s)
-  SOURCE                   UP     OPEN   DROPPED   SPANS   DEDUP     SAVED  INVAL
-  127.0.0.1:9100           ok        1         3       7      12    3.0KiB      2
-  127.0.0.1:9101           DOWN      0         0       0       0        0B      0
+  SOURCE                   UP     OPEN   DROPPED   SPANS   DEDUP     SAVED
+  127.0.0.1:9100           ok        1         3       7      12    3.0KiB
+  127.0.0.1:9101           DOWN      0         0       0       0        0B
       dial tcp: connection refused
 
 round trace 0000000000000007  epoch 5  wall 100ms  [CLOSED]
@@ -63,8 +63,8 @@ func TestRenderTopGolden(t *testing.T) {
 func TestRenderTopNoTrace(t *testing.T) {
 	got := RenderTop(TopView{Sources: []SourceStatus{{Addr: "x", Up: true}}}, 80)
 	want := `dvdc cluster telemetry — 1 source(s)
-  SOURCE                   UP     OPEN   DROPPED   SPANS   DEDUP     SAVED  INVAL
-  x                        ok        0         0       0       0        0B      0
+  SOURCE                   UP     OPEN   DROPPED   SPANS   DEDUP     SAVED
+  x                        ok        0         0       0       0        0B
 
 no round trace collected yet
 `

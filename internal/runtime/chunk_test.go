@@ -197,10 +197,13 @@ func TestRoundsMatchInProcessOracle(t *testing.T) {
 	}
 }
 
-// TestSkippedFoldFailsOracle is the differential test's negative control: a
-// keeper is made to believe it already saw chunk 0 of one member's next
-// stream, so the real chunk is dropped as a re-delivery and its fold never
-// happens. The round still commits — and oracleDiff must notice.
+// TestSkippedFoldFailsOracle is the negative control of the differential
+// tests and of the soak battery's shadow invariant (the dedup soak included:
+// its capture may leave pages out, and this is the proof that a page wrongly
+// left out of parity would be seen): a keeper is made to believe it already
+// saw chunk 0 of one member's next stream, so the real chunk is dropped as a
+// re-delivery and its fold never happens. The round still commits — and
+// oracleDiff must notice.
 func TestSkippedFoldFailsOracle(t *testing.T) {
 	layout := paperLayout(t)
 	const pages, pageSize, chunkSize = 16, 64, 48

@@ -47,11 +47,10 @@ type NodeConfig struct {
 	// wire.DefaultChunkSize. A negative value is rejected.
 	ChunkSize int `json:"chunk_size,omitempty"`
 
-	// Dedup enables the cross-epoch page-hash cache on the ship path: dirty
-	// pages whose content hash is unchanged since the member's last committed
-	// epoch are not shipped (their XOR delta is all zeros, so the parity fold
-	// they would trigger is a no-op). The cache is invalidated on abort,
-	// rollback, and recovery/rebalance parity reassignment.
+	// Dedup makes capture compare every dirty page with the committed image
+	// the member already holds and leave out the ones that are byte-identical
+	// (their XOR delta is all zeros, so the parity fold they would trigger is a
+	// no-op): they are neither captured nor shipped, only counted.
 	Dedup bool `json:"dedup,omitempty"`
 
 	// PipelineWidth bounds the in-flight chunk batches per (stream, peer) on
@@ -79,18 +78,17 @@ type NodeStats struct {
 	DupChunks      int64 `json:"dup_chunks"`      // idempotently dropped re-deliveries
 	FoldNanos      int64 `json:"fold_nanos"`      // cumulative chunk fold time as keeper
 
-	// Page-dedup cache counters (ship path, when NodeConfig.Dedup is on).
-	DedupHits          int64 `json:"dedup_hits"`          // dirty pages skipped: hash unchanged since last commit
-	DedupMisses        int64 `json:"dedup_misses"`        // dirty pages hashed and shipped
-	DedupSavedBytes    int64 `json:"dedup_saved_bytes"`   // raw delta bytes not shipped thanks to hits
-	DedupInvalidations int64 `json:"dedup_invalidations"` // cache entries dropped on abort/rollback/reassignment
+	// Unchanged-page skip counters (capture, when NodeConfig.Dedup is on).
+	DedupHits       int64 `json:"dedup_hits"`        // dirty pages skipped: equal to the committed image
+	DedupMisses     int64 `json:"dedup_misses"`      // dirty pages that changed: captured and shipped
+	DedupSavedBytes int64 `json:"dedup_saved_bytes"` // raw delta bytes not shipped thanks to hits
 }
 
 // prepareSummary rides a MsgPrepareOK reply's Text field so the coordinator
 // can aggregate chunk counts next to the wire bytes Arg already carries.
 type prepareSummary struct {
 	Chunks  int64 `json:"chunks"`
-	Deduped int64 `json:"deduped,omitempty"` // dirty pages skipped by the dedup cache
+	Deduped int64 `json:"deduped,omitempty"` // dirty pages capture skipped as unchanged
 }
 
 // encodeJSON marshals a config for the wire's Text field.

@@ -50,7 +50,7 @@ type Coordinator struct {
 	chunkSize      int    // chunk payload bytes; 0 = wire.DefaultChunkSize
 	pipeWidth      int    // in-flight chunk batches per (stream, peer); 0 = default
 	workload       string // workload kind for every VM ("" = uniform)
-	dedup          bool   // cross-epoch page-hash dedup on node ship paths
+	dedup          bool   // nodes skip dirty pages equal to their committed image
 	rpcTimeout     time.Duration
 	fanoutW        int
 	commitRetries  int
@@ -149,8 +149,9 @@ func (c *Coordinator) Retune(chunkSize, pipelineWidth int) error {
 // kind to stay bit-identical.
 func (c *Coordinator) SetWorkload(kind string) { c.workload = kind }
 
-// SetDedup enables the cross-epoch page-hash dedup cache on every node's
-// ship path. Call before Setup (the flag rides the node configuration).
+// SetDedup makes every node's capture skip dirty pages that equal the
+// member's committed image (NodeConfig.Dedup). Call before Setup (the flag
+// rides the node configuration).
 func (c *Coordinator) SetDedup(on bool) { c.dedup = on }
 
 // SetRPCTimeout bounds every coordinator RPC (0 disables deadlines). Applies

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"dvdc/internal/chaos"
@@ -40,10 +42,10 @@ func dedupCluster(t *testing.T, layout *cluster.Layout, chunkSize int, workload 
 	return coord, nodes
 }
 
-// clusterDedupStats sums the dedup counters across every node.
+// clusterDedupStats sums the dedup counters across every live node.
 func clusterDedupStats(t *testing.T, coord *Coordinator) (hits, misses, saved int64) {
 	t.Helper()
-	for n := 0; n < coord.Layout().Nodes; n++ {
+	for _, n := range coord.aliveNodes() {
 		st, err := coord.NodeStats(n)
 		if err != nil {
 			t.Fatal(err)
@@ -56,7 +58,7 @@ func clusterDedupStats(t *testing.T, coord *Coordinator) (hits, misses, saved in
 }
 
 // TestDedupRewriteWorkloadSavesShippedBytes drives two identical clusters on
-// the rewrite workload — one with the page-dedup cache, one without — and
+// the rewrite workload — one with the unchanged-page skip, one without — and
 // asserts the dedup cluster commits bit-identical state while shipping
 // strictly less on every repeated epoch, with the hit counters moving.
 func TestDedupRewriteWorkloadSavesShippedBytes(t *testing.T) {
@@ -80,8 +82,7 @@ func TestDedupRewriteWorkloadSavesShippedBytes(t *testing.T) {
 			t.Errorf("round %d: no pages deduped under the rewrite workload", r)
 		}
 	}
-	// Round 0 fills the cache (every page misses); repeated epochs must ship
-	// strictly less than the dedup-free twin.
+	// Repeated epochs must ship strictly less than the dedup-free twin.
 	for r := 1; r < rounds; r++ {
 		if dedupShipped[r] >= plainShipped[r] {
 			t.Errorf("round %d: dedup shipped %d bytes, plain %d", r, dedupShipped[r], plainShipped[r])
@@ -127,32 +128,88 @@ func TestDedupRewriteWorkloadSavesShippedBytes(t *testing.T) {
 	}
 }
 
-// TestDedupAbortInvalidatesCache proves a failed round drops exactly the
-// stale entries: after prepare+abort every member's staged hashes are gone
-// (they named content whose capture was undone) while the committed entries
-// survive (parity never moved, so they still describe what the keepers hold).
-// The post-abort round then re-ships every genuinely changed page as a miss,
-// legitimately hits for store-back pages, and commits state that survives
-// casualty recovery bit-identically.
-func TestDedupAbortInvalidatesCache(t *testing.T) {
-	coord, nodes := dedupCluster(t, paperLayout(t), 256, WorkloadRewrite, true)
-	// Two rounds to populate the cache and start hitting it.
-	for r := 0; r < 2; r++ {
-		if err := coord.Step(60); err != nil {
-			t.Fatal(err)
-		}
-		if err := coord.Checkpoint(); err != nil {
-			t.Fatal(err)
+// dedupPages and dedupSeed are the guest geometry and seed dedupCluster sets
+// up, for the shadow that mirrors it.
+const (
+	dedupPages    = 16
+	dedupPageSize = 64
+	dedupSeed     = 12345
+)
+
+// shadowDirtySplit is the skip's oracle, taken from the shadow model and not
+// from the nodes: over every VM's dirty pages, how many differ from the VM's
+// committed image (the pages a round must ship) and how many are
+// byte-identical to it (the pages a round must skip).
+func shadowDirtySplit(s *Shadow) (changed, unchanged int64) {
+	for _, sv := range s.vms {
+		ps := sv.machine.PageSize()
+		for _, i := range sv.machine.DirtyPages() {
+			if bytes.Equal(sv.machine.Page(i), sv.committed[i*ps:(i+1)*ps]) {
+				unchanged++
+			} else {
+				changed++
+			}
 		}
 	}
-	hitsBefore, _, _ := clusterDedupStats(t, coord)
-	if hitsBefore == 0 {
-		t.Fatal("cache never hit; test premise broken")
+	return changed, unchanged
+}
+
+// dedupRound runs one round on the cluster and its shadow and requires the
+// round to have skipped exactly the unchanged dirty pages and shipped exactly
+// the changed ones.
+func dedupRound(t *testing.T, what string, coord *Coordinator, shadow *Shadow, steps uint64) {
+	t.Helper()
+	if err := coord.Step(steps); err != nil {
+		t.Fatal(err)
+	}
+	shadow.Step(steps)
+	changed, unchanged := shadowDirtySplit(shadow)
+	if unchanged == 0 || changed == 0 {
+		t.Fatalf("%s: shadow has %d changed and %d unchanged dirty pages; test premise broken", what, changed, unchanged)
+	}
+	_, m0, _ := clusterDedupStats(t, coord)
+	if err := coord.Checkpoint(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	shadow.Commit()
+	if got := coord.RoundStats().DedupedPages; got != unchanged {
+		t.Errorf("%s: round skipped %d pages, %d dirty pages were unchanged", what, got, unchanged)
+	}
+	if _, m1, _ := clusterDedupStats(t, coord); m1-m0 != changed {
+		t.Errorf("%s: round shipped %d pages, %d dirty pages had changed", what, m1-m0, changed)
+	}
+	if err := oracleDiff(t, coord, shadow); err != nil {
+		t.Errorf("%s: %v", what, err)
+	}
+}
+
+// TestDedupAbortReshipsChangedPages pins what an aborted prepare leaves behind
+// under dedup: the committed images are back where they were (the skip
+// compares against them, so there is nothing else to rewind), the prepare's
+// counters saw exactly the shadow's changed / unchanged split, and the round
+// after the abort re-ships exactly the pages that had really changed — the
+// ones the aborted capture took and UndoCapture re-marked — and nothing else.
+// A stepped round after that skips every store-back page again, and images
+// and parity stay bit-identical to the in-process oracle throughout.
+func TestDedupAbortReshipsChangedPages(t *testing.T) {
+	layout := paperLayout(t)
+	coord, nodes := dedupCluster(t, layout, 256, WorkloadRewrite, true)
+	shadow, err := NewShadowWith(layout, dedupPages, dedupPageSize, dedupSeed, WorkloadRewrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		dedupRound(t, fmt.Sprintf("warm-up round %d", r), coord, shadow, 60)
 	}
 	if err := coord.Step(30); err != nil {
 		t.Fatal(err)
 	}
-	// Manual prepare (stages hashes) then abort (must drop the staged ones).
+	shadow.Step(30)
+	changed, unchanged := shadowDirtySplit(shadow)
+	if changed == 0 || unchanged == 0 {
+		t.Fatalf("shadow has %d changed and %d unchanged dirty pages; test premise broken", changed, unchanged)
+	}
+	h0, m0, _ := clusterDedupStats(t, coord)
 	for i, n := range nodes {
 		if _, err := n.handle(&wire.Message{Type: wire.MsgPrepare, Epoch: coord.Epoch() + 1}); err != nil {
 			t.Fatalf("prepare node %d: %v", i, err)
@@ -163,98 +220,72 @@ func TestDedupAbortInvalidatesCache(t *testing.T) {
 			t.Fatalf("abort node %d: %v", i, err)
 		}
 	}
-	for i, n := range nodes {
-		for _, ms := range n.snapshotMembers() {
-			ms.mu.Lock()
-			if len(ms.stagedHashes) != 0 {
-				t.Errorf("node %d member %q: %d staged hashes survived abort",
-					i, ms.cfg.Name, len(ms.stagedHashes))
-			}
-			if len(ms.pageHashes) == 0 {
-				t.Errorf("node %d member %q: committed cache entries wrongly dropped by abort",
-					i, ms.cfg.Name)
-			}
-			ms.mu.Unlock()
-		}
+	shadow.Abort()
+	h1, m1, _ := clusterDedupStats(t, coord)
+	if h1-h0 != unchanged || m1-m0 != changed {
+		t.Errorf("aborted prepare counted %d hits and %d misses, shadow says %d unchanged and %d changed",
+			h1-h0, m1-m0, unchanged, changed)
 	}
-	// The post-abort round must re-ship every genuinely changed page (new
-	// misses) and may legitimately hit for store-back pages whose content
-	// still matches the surviving committed entries.
-	h0, m0, _ := clusterDedupStats(t, coord)
+	if err := oracleDiff(t, coord, shadow); err != nil {
+		t.Fatalf("after abort: %v", err)
+	}
+	// No step in between: the dirty set is exactly what the abort re-marked.
 	if err := coord.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	h1, m1, _ := clusterDedupStats(t, coord)
-	if h1 == h0 {
-		t.Error("post-abort round never hit the surviving committed entries")
+	shadow.Commit()
+	h2, m2, _ := clusterDedupStats(t, coord)
+	if m2-m1 != changed {
+		t.Errorf("post-abort round shipped %d pages, the aborted prepare had captured %d", m2-m1, changed)
 	}
-	if m1 == m0 {
-		t.Error("post-abort round recorded no misses despite changed pages")
+	if h2 != h1 {
+		t.Errorf("post-abort round skipped %d pages; the unchanged ones should not have been dirty any more", h2-h1)
 	}
-	// Parity must agree with the re-shipped pages: casualty recovery yields
-	// bit-identical images.
-	before, err := coord.Checksums()
-	if err != nil {
-		t.Fatal(err)
+	if err := oracleDiff(t, coord, shadow); err != nil {
+		t.Fatalf("post-abort round: %v", err)
 	}
-	nodes[0].Close()
-	if _, err := coord.RecoverNode(0); err != nil {
-		t.Fatal(err)
-	}
-	after, err := coord.Checksums()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, want := range before {
-		if after[name] != want {
-			t.Errorf("%q diverged across post-abort recovery", name)
-		}
-	}
+	dedupRound(t, "round after the post-abort round", coord, shadow, 40)
 }
 
-// TestDedupRecoveryInvalidatesCache proves the parity-reassignment path drops
-// the cache: after a casualty recovery re-homes a keeper, every surviving
-// member of the affected groups starts cold (the rebuilt parity block has no
-// memory of what the old keeper was told).
-func TestDedupRecoveryInvalidatesCache(t *testing.T) {
+// TestDedupSkipsResumeAfterRecovery is the regression test for what the
+// page-hash cache got wrong: it was dropped wholesale by rollback and by every
+// parity re-homing, so the round after a recovery, a repair or a rebalance
+// shipped every dirty page, changed or not. The committed image the skip now
+// compares against is rebuilt or rewound by exactly those operations, so the
+// very next round after RecoverNodes, and again after Repair + Rebalance, must
+// skip every store-back page — with images and parity bit-identical to the
+// in-process oracle at each stage.
+func TestDedupSkipsResumeAfterRecovery(t *testing.T) {
 	layout := paperLayout(t)
 	coord, nodes := dedupCluster(t, layout, 256, WorkloadRewrite, true)
-	for r := 0; r < 2; r++ {
-		if err := coord.Step(60); err != nil {
-			t.Fatal(err)
-		}
-		if err := coord.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
+	shadow, err := NewShadowWith(layout, dedupPages, dedupPageSize, dedupSeed, WorkloadRewrite)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Kill a node that keeps parity for at least one group.
+	for r := 0; r < 2; r++ {
+		dedupRound(t, fmt.Sprintf("warm-up round %d", r), coord, shadow, 60)
+	}
+	// Kill a node that keeps parity for at least one group, mid-epoch, so the
+	// recovery both rolls survivors back and re-homes a keeper.
+	if err := coord.Step(20); err != nil {
+		t.Fatal(err)
+	}
+	shadow.Step(20)
 	victim := layout.Groups[0].ParityNodes[0]
 	addr := nodes[victim].Addr()
 	nodes[victim].Close()
-	if _, err := coord.RecoverNode(victim); err != nil {
+	plan, err := coord.RecoverNodes(victim)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Every group had its pointers refreshed or its keeper rebuilt; the
-	// conservative invalidation clears all survivors' caches for regrouped
-	// members. At minimum, members of the victim's groups must be cold.
-	cold := 0
-	for i, n := range nodes {
-		if i == victim {
-			continue
-		}
-		for _, ms := range n.snapshotMembers() {
-			ms.mu.Lock()
-			if len(ms.pageHashes) == 0 {
-				cold++
-			}
-			ms.mu.Unlock()
-		}
+	if err := shadow.Recover(plan, coord.Epoch()); err != nil {
+		t.Fatal(err)
 	}
-	if cold == 0 {
-		t.Error("no member cache went cold across recovery")
+	if err := oracleDiff(t, coord, shadow); err != nil {
+		t.Fatalf("after recovery: %v", err)
 	}
-	// Restart the victim on its old address and repair it back in, then keep
-	// running: dedup must re-warm from cold.
+	dedupRound(t, "first round after recovery", coord, shadow, 40)
+
 	rn, err := NewNode(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -263,85 +294,27 @@ func TestDedupRecoveryInvalidatesCache(t *testing.T) {
 	if err := coord.Repair(victim); err != nil {
 		t.Fatal(err)
 	}
-	hitsAfterRecovery, _, _ := clusterDedupStats(t, coord)
-	for r := 0; r < 2; r++ {
-		if err := coord.Step(40); err != nil {
-			t.Fatal(err)
-		}
-		if err := coord.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hits, _, _ := clusterDedupStats(t, coord); hits == hitsAfterRecovery {
-		t.Error("cache never re-warmed after recovery")
-	}
-}
-
-// TestPoisonedDedupCacheCorruptsParity is the negative control the soak
-// battery's shadow invariant relies on: the skip decision is hash-only by
-// design, so a poisoned cache entry (claiming a changed page is unchanged)
-// silently rots parity — undetectable while the member is alive, caught the
-// moment reconstruction reproduces the stale content. If this test ever
-// starts passing recovery cleanly, the dedup path has grown a second check
-// and the soak invariant is no longer load-bearing.
-func TestPoisonedDedupCacheCorruptsParity(t *testing.T) {
-	layout := paperLayout(t)
-	coord, nodes := dedupCluster(t, layout, 256, "", true)
-	if err := coord.Step(60); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Step(60); err != nil {
-		t.Fatal(err)
-	}
-	// Poison: plant the hash of the CURRENT live content for every page of
-	// one member, so the next prepare skips its genuinely changed pages.
-	victim := layout.VMs[0].Node
-	var poisoned string
-	for _, ms := range nodes[victim].snapshotMembers() {
-		ms.mu.Lock()
-		if poisoned == "" {
-			poisoned = ms.cfg.Name
-			if ms.pageHashes == nil {
-				ms.pageHashes = map[int]uint64{}
-			}
-			m := ms.mem.Machine()
-			for i := 0; i < m.NumPages(); i++ {
-				ms.pageHashes[i] = m.PageHash(i)
-			}
-		}
-		ms.mu.Unlock()
-	}
-	if poisoned == "" {
-		t.Fatalf("node %d hosts no members", victim)
-	}
-	if err := coord.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	before, err := coord.Checksums()
+	rplan, err := coord.Rebalance()
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes[victim].Close()
-	if _, err := coord.RecoverNode(victim); err != nil {
+	if err := shadow.Rebalance(rplan, coord.Epoch()); err != nil {
 		t.Fatal(err)
 	}
-	after, err := coord.Checksums()
-	if err != nil {
-		t.Fatal(err)
+	if err := oracleDiff(t, coord, shadow); err != nil {
+		t.Fatalf("after repair and rebalance: %v", err)
 	}
-	if after[poisoned] == before[poisoned] {
-		t.Fatalf("reconstruction of %q matched despite a poisoned dedup cache — the corruption went undetected", poisoned)
-	}
+	dedupRound(t, "first round after repair and rebalance", coord, shadow, 40)
 }
 
-// TestSoakDedupChunkFaultChaos is the satellite's pinned-seed soak: dedup on,
-// rewrite workload, chunk-level drop/corrupt faults, node kills — RunSoak
-// asserts bit-identical images against the shadow after every round, and its
-// finish checks require the cache to have been exercised (hits > 0 under
-// rewrite). The seeds are pinned so a regression replays deterministically.
+// TestSoakDedupChunkFaultChaos is the pinned-seed soak with dedup on: rewrite
+// workload, chunk-level drop/corrupt faults, node kills — RunSoak asserts
+// bit-identical images against the shadow after every round, and its finish
+// checks require the skip to have been exercised (hits > 0 under rewrite).
+// The skip compares bytes, so it cannot leave a changed page out; that the
+// shadow invariant would notice a fold that did go missing is pinned by
+// TestSkippedFoldFailsOracle, the negative control this soak leans on. The
+// seeds are pinned so a regression replays deterministically.
 func TestSoakDedupChunkFaultChaos(t *testing.T) {
 	for _, seed := range []int64{424242, 31337} {
 		cfg := SoakConfig{

@@ -39,7 +39,7 @@ type Node struct {
 	compress   bool
 	chunkSize  int           // effective chunk payload size, always > 0
 	pipeWidth  int           // in-flight chunk batches per (stream, peer); 0 = default
-	dedup      bool          // cross-epoch page-hash dedup on the ship path
+	dedup      bool          // capture skips dirty pages equal to the committed image
 	foldSem    chan struct{} // bounds concurrent per-group fold workers
 	rpcTimeout time.Duration
 	fanout     int
@@ -58,13 +58,6 @@ type memberState struct {
 	workload vm.Workload
 	cfg      VMConfig
 	staged   *core.Delta // captured but uncommitted (two-phase)
-
-	// Cross-epoch page-dedup cache (dedup.go): pageHashes holds the content
-	// hash of every page as of the member's last committed epoch (lazily —
-	// only pages that have shipped), stagedHashes the updates of the current
-	// prepare, promoted at commit and dropped on invalidation.
-	pageHashes   map[int]uint64
-	stagedHashes map[int]uint64
 }
 
 type keeperState struct {
@@ -450,9 +443,9 @@ func (n *Node) onConfigure(req *wire.Message) (*wire.Message, error) {
 
 // onRetune applies a live data-path retune: chunk size and pipeline width
 // change between rounds without the full reconfigure (which would wipe
-// members, keepers, and the dedup cache). Tuning only shapes how staged
-// deltas travel — never what is committed — so it is safe mid-protocol; the
-// next prepare simply ships with the new granularity.
+// members and keepers). Tuning only shapes how staged deltas travel — never
+// what is committed — so it is safe mid-protocol; the next prepare simply
+// ships with the new granularity.
 func (n *Node) onRetune(req *wire.Message) (*wire.Message, error) {
 	var rt retuneConfig
 	if err := decodeJSON(req.Text, &rt); err != nil {
@@ -526,37 +519,19 @@ func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message,
 		if ms.staged != nil {
 			return fmt.Errorf("runtime: node %d: %q already has a staged delta", id, ms.cfg.Name)
 		}
-		d, err := ms.mem.CaptureDeltaInto(bufpool.Get)
+		// Under dedup a dirty page equal to the committed image (an all-zero
+		// XOR delta) is left out of the capture and only counted.
+		d, unchanged, err := ms.mem.CaptureInto(bufpool.Get, dedup)
 		if err != nil {
 			return err
 		}
-		ms.staged = d
-		shipped := d
 		if dedup {
-			var hits, misses int64
-			shipped, hits, misses = ms.dedupFilter(d)
-			if hits > 0 {
-				deduped.Add(hits)
-				saved := hits * int64(ms.cfg.PageSize)
-				n.statsMu.Lock()
-				n.stats.DedupHits += hits
-				n.stats.DedupMisses += misses
-				n.stats.DedupSavedBytes += saved
-				n.statsMu.Unlock()
-				reg.Counter("dvdc_dedup_hits_total").Add(hits)
-				reg.Counter("dvdc_dedup_bytes_saved_total").Add(saved)
-				if misses > 0 {
-					reg.Counter("dvdc_dedup_misses_total").Add(misses)
-				}
-			} else if misses > 0 {
-				n.statsMu.Lock()
-				n.stats.DedupMisses += misses
-				n.statsMu.Unlock()
-				reg.Counter("dvdc_dedup_misses_total").Add(misses)
-			}
+			deduped.Add(int64(unchanged))
+			n.countDedup(reg, int64(unchanged), int64(len(d.Pages)), int64(ms.cfg.PageSize))
 		}
+		ms.staged = d
 		ships[i] = shipment{
-			delta:      shipped,
+			delta:      d,
 			group:      ms.cfg.Group,
 			parity:     append([]int(nil), ms.cfg.ParityNodes...),
 			pageSize:   ms.cfg.PageSize,
@@ -584,6 +559,24 @@ func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message,
 		return nil, err
 	}
 	return &wire.Message{Type: wire.MsgPrepareOK, Epoch: req.Epoch, Arg: uint64(wireBytes.Load()), Text: text}, nil
+}
+
+// countDedup records one member's capture under dedup: hits are the dirty
+// pages the capture skipped as unchanged, misses the ones it captured.
+func (n *Node) countDedup(reg *obs.Registry, hits, misses, pageSize int64) {
+	saved := hits * pageSize
+	n.statsMu.Lock()
+	n.stats.DedupHits += hits
+	n.stats.DedupMisses += misses
+	n.stats.DedupSavedBytes += saved
+	n.statsMu.Unlock()
+	if hits > 0 {
+		reg.Counter("dvdc_dedup_hits_total").Add(hits)
+		reg.Counter("dvdc_dedup_bytes_saved_total").Add(saved)
+	}
+	if misses > 0 {
+		reg.Counter("dvdc_dedup_misses_total").Add(misses)
+	}
 }
 
 // shipChunked ships one member's delta to every parity peer of its group as
@@ -927,7 +920,6 @@ func (n *Node) onCommit(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 		ms.mu.Lock()
 		releaseDelta(ms.staged)
 		ms.staged = nil // capture already advanced the committed image
-		ms.dedupCommit()
 		ms.mu.Unlock()
 	}
 	return &wire.Message{Type: wire.MsgCommitOK, Epoch: req.Epoch}, nil
@@ -961,10 +953,6 @@ func (n *Node) onAbort(req *wire.Message) (*wire.Message, error) {
 			releaseDelta(ms.staged)
 			ms.staged = nil
 		}
-		// The hashes staged for the aborted epoch are now stale (their pages
-		// reverted with the capture); the committed entries survive — parity
-		// did not move.
-		ms.dedupAbort()
 		ms.mu.Unlock()
 	}
 	return &wire.Message{Type: wire.MsgAbortOK, Epoch: req.Epoch}, nil
@@ -1278,7 +1266,6 @@ func (n *Node) onRollback(req *wire.Message) (*wire.Message, error) {
 	members := n.snapshotMembers()
 	n.mu.Lock()
 	fan := n.fanout
-	reg := n.registry
 	n.mu.Unlock()
 	if err := parallelDo(len(members), fan, func(i int) error {
 		ms := members[i]
@@ -1293,14 +1280,6 @@ func (n *Node) onRollback(req *wire.Message) (*wire.Message, error) {
 			}
 			releaseDelta(ms.staged)
 			ms.staged = nil
-		}
-		// Rollback rewinds the committed image, so every cached page hash is
-		// for content that no longer exists.
-		if dropped := ms.dedupInvalidate(); dropped > 0 {
-			n.statsMu.Lock()
-			n.stats.DedupInvalidations += dropped
-			n.statsMu.Unlock()
-			reg.Counter("dvdc_dedup_invalidations_total").Add(dropped)
 		}
 		return ms.mem.Rollback()
 	}); err != nil {
@@ -1407,7 +1386,6 @@ func (n *Node) onStats(req *wire.Message) (*wire.Message, error) {
 // otherwise addKeeper would refuse a different block of the group later.
 func (n *Node) setParity(group, idx, node int) error {
 	n.mu.Lock()
-	reg := n.registry
 	if ks, ok := n.keepers[group]; ok && ks.cfg.ParityIdx == idx && node != n.id {
 		delete(n.keepers, group)
 	}
@@ -1424,15 +1402,6 @@ func (n *Node) setParity(group, idx, node int) error {
 			return fmt.Errorf("runtime: parity index %d out of range for %q", idx, name)
 		}
 		ms.cfg.ParityNodes[idx] = node
-		// A re-homed parity block was rebuilt from committed images; the dedup
-		// cache's notion of "already folded" no longer matches what the new
-		// keeper saw, so the next epoch must ship every dirty page.
-		if dropped := ms.dedupInvalidate(); dropped > 0 {
-			n.statsMu.Lock()
-			n.stats.DedupInvalidations += dropped
-			n.statsMu.Unlock()
-			reg.Counter("dvdc_dedup_invalidations_total").Add(dropped)
-		}
 		ms.mu.Unlock()
 	}
 	return nil

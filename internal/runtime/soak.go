@@ -34,7 +34,7 @@ type SoakConfig struct {
 	ChunkSize     int           // chunk payload bytes (0 = wire.DefaultChunkSize)
 	ChunkFaults   int           // armed one-shot chunk-frame faults per round on member-host -> parity edges
 	Workload      string        // workload kind every VM runs ("" = uniform; see WorkloadRewrite)
-	Dedup         bool          // cross-epoch page-hash dedup on node ship paths
+	Dedup         bool          // nodes skip dirty pages equal to their committed image
 	PPartition    float64       // per-round probability of a transient node-pair partition
 	KillMTBF      float64       // per-node MTBF in virtual seconds (0 = no kills)
 	RoundSeconds  float64       // virtual seconds per round on the kill clock (default 10)
@@ -719,7 +719,7 @@ func (e *soakEnv) verifyRound(round int, rr *RoundRecord) error {
 	return nil
 }
 
-// finish runs the end-of-soak checks (fault schedule consumed, dedup cache
+// finish runs the end-of-soak checks (fault schedule consumed, dedup skip
 // exercised, liveness floor, span leaks) and assembles the result.
 func (e *soakEnv) finish() (*SoakResult, error) {
 	cfg := e.cfg
@@ -731,8 +731,8 @@ func (e *soakEnv) finish() (*SoakResult, error) {
 	if err != nil {
 		return e.res, err
 	}
-	// A dedup soak where no member ever consulted the cache verified nothing
-	// about it.
+	// A dedup soak where no capture ever compared a dirty page verified
+	// nothing about the skip.
 	if cfg.Dedup {
 		var hits, misses int64
 		for n := 0; n < e.layout.Nodes; n++ {
@@ -744,10 +744,10 @@ func (e *soakEnv) finish() (*SoakResult, error) {
 			misses += st.DedupMisses
 		}
 		if hits+misses == 0 {
-			return e.fail(cfg.Rounds, "dedup configured but no node consulted the page-hash cache")
+			return e.fail(cfg.Rounds, "dedup configured but no node compared a dirty page with its committed image")
 		}
 		if cfg.Workload == WorkloadRewrite && hits == 0 {
-			return e.fail(cfg.Rounds, "dedup under the rewrite workload produced zero cache hits")
+			return e.fail(cfg.Rounds, "dedup under the rewrite workload skipped zero unchanged pages")
 		}
 	}
 	// Liveness floor: chaos may abort rounds, but the protocol must keep

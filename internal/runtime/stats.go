@@ -16,7 +16,7 @@ type RoundStats struct {
 	RecoveryWall  time.Duration // most recent RecoverNodes wall-clock (0 if none yet)
 	BytesShipped  int64         // delta wire bytes shipped cluster-wide this round
 	ChunksShipped int64         // delta chunk frames shipped cluster-wide (every delta ships at least one)
-	DedupedPages  int64         // dirty pages skipped by the page-dedup cache this round
+	DedupedPages  int64         // dirty pages capture skipped as unchanged this round
 	RPCRetries    int64         // transport re-dials/retries during this round
 	Aborted       bool          // the round failed in prepare and was aborted
 	DeadDuring    []int         // nodes declared dead by the commit phase

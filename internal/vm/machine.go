@@ -223,7 +223,8 @@ func (m *Machine) LoadImage(img []byte) error {
 
 // PageHash returns a 64-bit FNV-1a hash of page i. The paper's future-work
 // section proposes page hashes to skip transferring pages already present at
-// a migration destination; migrate.Dedup uses these.
+// a migration destination, where the other copy is on another machine;
+// migrate.Dedup uses these.
 func (m *Machine) PageHash(i int) uint64 {
 	m.checkPage(i)
 	h := fnv.New64a()

@@ -148,7 +148,7 @@ func (w *Phased) Name() string { return fmt.Sprintf("phased(len=%d,ws=%.2f)", w.
 // double-buffered state). Dirty-page tracking sees every write, so an
 // incremental checkpointer ships the whole working set each epoch even
 // though most pages are byte-identical to the last committed image. This is
-// the workload the cross-epoch page-dedup cache exists for.
+// the workload the checkpointer's unchanged-page skip exists for.
 type Rewrite struct {
 	rng        *rand.Rand
 	stamp      uint64
