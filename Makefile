@@ -13,8 +13,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The second line repeats the round-path tests whose subject is an
+# interleaving (an orphaned ship beside the next round, commits racing folds):
+# one pass under the detector sees one schedule.
 race:
 	$(GO) test -race ./internal/runtime/ ./internal/transport/ ./internal/chaos/ ./internal/core/ ./internal/sim/ ./internal/service/ ./internal/parity/ ./internal/wire/ ./internal/cluster/
+	$(GO) test -race -count=5 -run 'TestOrphanedShipStopsAtNextBatch|TestStaleAndDuplicateCommit|TestRoundPoolBalance|TestAbortRacesInFlightFolds' ./internal/runtime/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...

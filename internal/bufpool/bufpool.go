@@ -36,11 +36,11 @@ const (
 
 	// Retention bounds per class: at most maxClassBufs buffers and at most
 	// ~maxClassBytes of backing memory, whichever is smaller. The buffer cap
-	// must cover the page-sized classes' steady-state working set — one
-	// checkpoint round keeps every captured dirty page (page-size buffers,
-	// prepare through commit) plus its in-flight chunk copies alive at once,
-	// which at production page counts is thousands of buffers, not hundreds.
-	// The byte cap stays the binding bound for the large classes.
+	// binds only the small classes, whose traffic is per message (frame heads,
+	// control payloads) and per compressed chunk; no round keeps a page-class
+	// buffer per dirty page any more, so it is generous rather than load
+	// bearing. The byte cap is the binding bound for the large classes: a
+	// round's batch buffers and received frames sit in the 256 KiB class.
 	maxClassBufs  = 4096
 	maxClassBytes = 64 << 20
 )

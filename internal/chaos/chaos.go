@@ -450,8 +450,8 @@ type decision struct {
 
 // frameCaps states which faults the current chunk can physically carry:
 // duplication needs the whole frame inside the chunk (corruption only needs
-// the length prefix, which the frame scan guarantees). With the runtime's
-// 64 KiB buffered writers a chunk is almost always exactly one whole frame.
+// the length prefix, which the frame scan guarantees). The transport writes a
+// control frame as one chunk and a bulk frame as its head, then its payload.
 type frameCaps struct {
 	corrupt, duplicate bool
 }

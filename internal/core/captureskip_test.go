@@ -62,8 +62,9 @@ func (tw *skipTwin) foldAndDrain(t *testing.T, d *Delta) {
 // page sizes around the compare and XOR kernels' tails. One captures with the
 // skip, one without. After every epoch both must hold the same committed
 // image and, once the deltas are folded and drained, the same parity block;
-// the skip side's counts must add up to its dirty set; and an undone capture
-// must put back image, epoch and the dirty bits of the pages it captured.
+// the skip side's counts must add up to its dirty set; and an unstaged capture
+// must leave image and epoch alone and put back the dirty bits of the pages it
+// staged.
 func TestCaptureSkipMatchesNoSkip(t *testing.T) {
 	for _, ps := range []int{1, 7, 4096, 4097} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -110,6 +111,43 @@ func TestCaptureSkipMatchesNoSkip(t *testing.T) {
 						}
 					}
 
+					if epoch%4 == 3 {
+						// Aborted round: both sides stage, then unstage. Nothing
+						// was committed, so there is nothing to put back; the skip
+						// side re-marks only what it staged — the pages it skipped
+						// equal the committed image and have nothing left to
+						// capture.
+						ds, unchanged := skip.mem.Stage(true)
+						dp, _ := plain.mem.Stage(false)
+						if unchanged+len(ds.Pages) != len(dirty) {
+							t.Fatalf("epoch %d: %d unchanged + %d staged != %d dirty", epoch, unchanged, len(ds.Pages), len(dirty))
+						}
+						captured := make([]int, len(ds.Pages))
+						x := make([]byte, ps)
+						for i, p := range ds.Pages {
+							captured[i] = p.Index
+							if skip.mem.DeltaInto(x, p.Index*ps); bytes.Equal(x, make([]byte, ps)) {
+								t.Fatalf("epoch %d: skip capture staged all-zero page %d", epoch, p.Index)
+							}
+						}
+						sawSkip = sawSkip || unchanged > 0
+						sawTail = sawTail || tailOnly > 0
+						skip.mem.Unstage(ds)
+						plain.mem.Unstage(dp)
+						if !bytes.Equal(skip.mem.CommittedView(), before) || !bytes.Equal(plain.mem.CommittedView(), before) {
+							t.Fatalf("epoch %d: an unstaged capture moved the committed image", epoch)
+						}
+						if skip.mem.Epoch() != ds.Epoch-1 || plain.mem.Epoch() != skip.mem.Epoch() {
+							t.Fatalf("epoch %d: epochs after unstage: skip %d plain %d, want %d", epoch, skip.mem.Epoch(), plain.mem.Epoch(), ds.Epoch-1)
+						}
+						if got := skip.m.DirtyPages(); !slices.Equal(got, captured) {
+							t.Fatalf("epoch %d: dirty set after unstage %v, want the staged pages %v", epoch, got, captured)
+						}
+						if got := plain.m.DirtyPages(); !slices.Equal(got, dirty) {
+							t.Fatalf("epoch %d: no-skip dirty set after unstage %v, want %v", epoch, got, dirty)
+						}
+						continue
+					}
 					ds, unchanged, err := skip.mem.CaptureInto(nil, true)
 					if err != nil {
 						t.Fatal(err)
@@ -135,34 +173,6 @@ func TestCaptureSkipMatchesNoSkip(t *testing.T) {
 					sawSkip = sawSkip || unchanged > 0
 					sawTail = sawTail || tailOnly > 0
 
-					if epoch%4 == 3 {
-						// Aborted round: both sides undo. The skip side re-marks
-						// only what it captured; the pages it skipped equal the
-						// committed image and have nothing left to capture.
-						captured := make([]int, len(ds.Pages))
-						for i, p := range ds.Pages {
-							captured[i] = p.Index
-						}
-						if err := skip.mem.UndoCapture(ds); err != nil {
-							t.Fatal(err)
-						}
-						if err := plain.mem.UndoCapture(dp); err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(skip.mem.CommittedView(), before) || !bytes.Equal(plain.mem.CommittedView(), before) {
-							t.Fatalf("epoch %d: undo did not restore the committed image", epoch)
-						}
-						if skip.mem.Epoch() != ds.Epoch-1 || plain.mem.Epoch() != skip.mem.Epoch() {
-							t.Fatalf("epoch %d: epochs after undo: skip %d plain %d, want %d", epoch, skip.mem.Epoch(), plain.mem.Epoch(), ds.Epoch-1)
-						}
-						if got := skip.m.DirtyPages(); !slices.Equal(got, captured) {
-							t.Fatalf("epoch %d: dirty set after undo %v, want the captured pages %v", epoch, got, captured)
-						}
-						if got := plain.m.DirtyPages(); !slices.Equal(got, dirty) {
-							t.Fatalf("epoch %d: no-skip dirty set after undo %v, want %v", epoch, got, dirty)
-						}
-						continue
-					}
 					skip.foldAndDrain(t, ds)
 					plain.foldAndDrain(t, dp)
 					if !bytes.Equal(skip.keeper.ParityView(), plain.keeper.ParityView()) {

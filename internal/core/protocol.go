@@ -27,7 +27,9 @@ import (
 
 // Delta is the RAID-5 small-write update a member sends its parity keeper
 // for one checkpoint epoch: for every page the checkpoint touched, the XOR
-// of the page's previous committed content and its new content.
+// of the page's previous committed content and its new content. A staged
+// capture (Member.Stage) is the same record before the bytes exist: the pages
+// in order, Data nil.
 type Delta struct {
 	VMID  string
 	Epoch uint64
@@ -97,92 +99,126 @@ func (mem *Member) CommittedImage() []byte {
 
 // CommittedView returns the committed image itself, not a copy. The view
 // aliases the member's state: it is read-only and valid only until the member
-// next captures, undoes or restores — the chunked read path encodes a range
-// of it into a reply frame while holding the member's lock.
+// next advances or restores — the chunked read path encodes a range of it into
+// a reply frame while holding the member's lock.
 func (mem *Member) CommittedView() []byte { return mem.committed }
 
 // CaptureDelta closes the current epoch: it snapshots the dirty pages,
 // computes their XOR against the committed image, advances the committed
 // image to the new state, and returns the delta for the parity keeper.
-// If the keeper never acknowledges, the caller must roll the member back
-// with RestoreImage(oldImage) — the two-phase protocol in the runtime
-// handles that; in-process callers are expected not to fail.
+// In-process callers are expected not to fail; the two-phase protocol in the
+// runtime runs the same three steps (Stage, DeltaInto, Advance) apart.
 func (mem *Member) CaptureDelta() (*Delta, error) {
 	return mem.CaptureDeltaInto(nil)
 }
 
 // CaptureDeltaInto is CaptureDelta with a caller-supplied allocator for the
 // per-page XOR buffers (e.g. a buffer pool); nil means plain make. alloc(n)
-// must return a slice of length n, which may hold stale bytes — every byte is
-// overwritten by the page's one three-operand subtle.XORBytes call (x = cur ^
-// old, the kernel parity.XORInto runs). The caller owns the returned buffers:
-// if they are pooled, it must return them once the delta is dead (after commit,
-// or after UndoCapture on abort) and never sooner — UndoCapture reads them.
+// must return a slice of length n, which may hold stale bytes — DeltaInto
+// overwrites every one of them. The caller owns the returned buffers.
 func (mem *Member) CaptureDeltaInto(alloc func(int) []byte) (*Delta, error) {
 	d, _, err := mem.CaptureInto(alloc, false)
 	return d, err
 }
 
-// CaptureInto is the capture loop behind CaptureDeltaInto. With skipUnchanged
-// it leaves out every dirty page whose live content equals the committed
-// image: such a page's XOR delta is all zero, so folding it into parity is a
-// no-op and shipping it is waste (a guest storing back the bytes already there
-// dirties the page without changing it). An unchanged page gets no buffer, no
-// XOR, no copy and no PageRecord; it is only counted, so unchanged +
-// len(d.Pages) is the dirty count. The committed image is the member's own and
-// is rewound by UndoCapture, Rollback and RestoreImage together with
-// everything else, so the comparison needs no cache and no invalidation rule,
-// and being byte-exact it cannot skip a page that changed. UndoCapture
-// re-marks only the captured pages dirty; a skipped page equals its committed
-// content and has nothing left to capture.
+// CaptureInto is a whole capture in one call — Stage, DeltaInto for every
+// staged page, Advance — for callers that hold a delta in memory: the
+// in-process cluster, the oracles the runtime is tested against, the layer
+// benchmark. unchanged is Stage's count of skipped pages.
 func (mem *Member) CaptureInto(alloc func(int) []byte, skipUnchanged bool) (d *Delta, unchanged int, err error) {
 	if alloc == nil {
 		alloc = func(n int) []byte { return make([]byte, n) }
 	}
+	d, unchanged = mem.Stage(skipUnchanged)
+	ps := mem.machine.PageSize()
+	for i := range d.Pages {
+		p := &d.Pages[i]
+		p.Data = alloc(ps)
+		mem.DeltaInto(p.Data, p.Index*ps)
+	}
+	return d, unchanged, mem.Advance(d)
+}
+
+// Stage opens a capture: it closes the guest's dirty epoch and returns the
+// pages the checkpoint will ship, in page order and with no Data yet, under
+// the epoch the capture will commit as. Neither the committed image nor the
+// member's epoch moves — Advance does that at commit, Unstage takes the
+// capture back — so an aborted round has nothing to undo.
+//
+// With skipUnchanged, a dirty page whose live content equals the committed
+// image is left out and only counted: its XOR delta is all zero, so folding it
+// into parity is a no-op and shipping it is waste (a guest storing back the
+// bytes already there dirties the page without changing it). unchanged +
+// len(d.Pages) is the dirty count. The comparison is byte-exact against the
+// member's own committed image: no cache, no invalidation rule, and it cannot
+// skip a page that changed.
+//
+// Between Stage and Advance the guest must not run: the delta is read from
+// the live pages whenever DeltaInto is called, and Advance copies them.
+func (mem *Member) Stage(skipUnchanged bool) (d *Delta, unchanged int) {
 	m := mem.machine
 	ps := m.PageSize()
 	dirty := m.DirtyPages()
-	mem.epoch++
-	d = &Delta{VMID: m.ID(), Epoch: mem.epoch, Pages: make([]checkpoint.PageRecord, 0, len(dirty))}
+	d = &Delta{VMID: m.ID(), Epoch: mem.epoch + 1, Pages: make([]checkpoint.PageRecord, 0, len(dirty))}
 	for _, i := range dirty {
-		cur := m.Page(i)
-		old := mem.committed[i*ps : (i+1)*ps]
-		if skipUnchanged && bytes.Equal(cur, old) {
+		if skipUnchanged && bytes.Equal(m.Page(i), mem.committed[i*ps:(i+1)*ps]) {
 			unchanged++
 			continue
 		}
-		x := alloc(ps)
-		subtle.XORBytes(x, cur, old)
-		d.Pages = append(d.Pages, checkpoint.PageRecord{Index: i, Data: x})
-		copy(old, cur) // advance committed image in place
+		d.Pages = append(d.Pages, checkpoint.PageRecord{Index: i})
 	}
 	m.BeginEpoch()
-	return d, unchanged, nil
+	return d, unchanged
 }
 
-// UndoCapture reverses a CaptureDelta whose checkpoint round was aborted:
-// the committed image steps back (the XOR delta is self-inverting) and the
-// captured pages are re-marked dirty so the next capture includes them. The
-// delta must be the one most recently returned by CaptureDelta.
-func (mem *Member) UndoCapture(d *Delta) error {
-	if d == nil {
-		return fmt.Errorf("core: undo of epoch <nil>, member is at %d", mem.epoch)
-	}
-	if d.Epoch != mem.epoch {
-		return fmt.Errorf("core: undo of epoch %d, member is at %d", d.Epoch, mem.epoch)
-	}
+// DeltaInto writes live XOR committed for the image bytes [off, off+len(dst))
+// into dst — the one subtle.XORBytes kernel, a page at a time because the
+// machine hands out pages. The range may start and end inside a page.
+func (mem *Member) DeltaInto(dst []byte, off int) {
 	ps := mem.machine.PageSize()
+	for len(dst) > 0 {
+		live := mem.machine.Page(off / ps)[off%ps:]
+		n := min(len(live), len(dst))
+		subtle.XORBytes(dst[:n], live[:n], mem.committed[off:off+n])
+		dst, off = dst[n:], off+n
+	}
+}
+
+// Advance commits a staged capture: the staged pages are copied live to
+// committed and the member moves to the capture's epoch. It refuses — and
+// changes nothing — when d is not the capture for the next epoch, or when the
+// guest dirtied a page since Stage: the delta the keepers hold was read from
+// other bytes than the ones this would commit.
+func (mem *Member) Advance(d *Delta) error {
+	if d == nil {
+		return fmt.Errorf("core: advance to epoch <nil>, member is at %d", mem.epoch)
+	}
+	if d.Epoch != mem.epoch+1 {
+		return fmt.Errorf("core: advance to epoch %d, member is at %d", d.Epoch, mem.epoch)
+	}
+	m := mem.machine
+	if n := m.DirtyCount(); n != 0 {
+		return fmt.Errorf("core: advance to epoch %d: guest dirtied %d pages after the capture was staged", d.Epoch, n)
+	}
+	ps := m.PageSize()
 	for _, p := range d.Pages {
-		if len(p.Data) != ps || p.Index < 0 || (p.Index+1)*ps > len(mem.committed) {
-			return fmt.Errorf("core: undo page %d malformed", p.Index)
-		}
-		if err := parity.XORInto(mem.committed[p.Index*ps:(p.Index+1)*ps], p.Data); err != nil {
-			return fmt.Errorf("core: undo page %d: %w", p.Index, err)
-		}
+		copy(mem.committed[p.Index*ps:(p.Index+1)*ps], m.Page(p.Index))
+	}
+	mem.epoch = d.Epoch
+	return nil
+}
+
+// Unstage takes a staged capture back (abort): its pages are re-marked dirty
+// so the next capture includes them. A page Stage skipped equals its committed
+// content and has nothing left to capture. A nil capture is nothing to take
+// back.
+func (mem *Member) Unstage(d *Delta) {
+	if d == nil {
+		return
+	}
+	for _, p := range d.Pages {
 		mem.machine.MarkDirty(p.Index)
 	}
-	mem.epoch--
-	return nil
 }
 
 // Rollback restores the machine to the last committed checkpoint.

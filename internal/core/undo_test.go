@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
@@ -12,7 +11,7 @@ import (
 	"dvdc/internal/vm"
 )
 
-func TestUndoCaptureRestoresCommittedAndDirty(t *testing.T) {
+func TestUnstageKeepsCommittedAndRemarksDirty(t *testing.T) {
 	m, err := vm.NewMachine("u", 8, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -24,30 +23,22 @@ func TestUndoCaptureRestoresCommittedAndDirty(t *testing.T) {
 	m.TouchPage(1, 11)
 	m.TouchPage(5, 12)
 	before := mem.CommittedImage()
-	d, err := mem.CaptureDelta()
-	if err != nil {
-		t.Fatal(err)
+	d, unchanged := mem.Stage(false)
+	if d.Epoch != 1 || len(d.Pages) != 2 || unchanged != 0 || m.DirtyCount() != 0 {
+		t.Fatalf("stage: epoch %d, %d pages, %d unchanged, %d still dirty", d.Epoch, len(d.Pages), unchanged, m.DirtyCount())
 	}
-	if bytes.Equal(mem.CommittedImage(), before) {
-		t.Fatal("capture should advance the committed image")
+	if !bytes.Equal(mem.CommittedView(), before) || mem.Epoch() != 0 {
+		t.Fatal("stage moved the committed image or the epoch")
 	}
-	if mem.Epoch() != 1 {
-		t.Fatalf("epoch %d, want 1", mem.Epoch())
+	mem.Unstage(d)
+	if !bytes.Equal(mem.CommittedView(), before) || mem.Epoch() != 0 {
+		t.Error("unstage moved the committed image or the epoch")
 	}
-	if err := mem.UndoCapture(d); err != nil {
-		t.Fatal(err)
+	// The staged pages must be dirty again so the next capture re-ships them.
+	if !m.IsDirty(1) || !m.IsDirty(5) || m.DirtyCount() != 2 {
+		t.Error("unstaged pages not re-marked dirty")
 	}
-	if !bytes.Equal(mem.CommittedImage(), before) {
-		t.Error("undo did not restore the committed image")
-	}
-	if mem.Epoch() != 0 {
-		t.Errorf("epoch %d after undo, want 0", mem.Epoch())
-	}
-	// The captured pages must be dirty again so the next capture re-ships them.
-	if !m.IsDirty(1) || !m.IsDirty(5) {
-		t.Error("undone pages not re-marked dirty")
-	}
-	// A fresh capture after the undo must produce an equivalent delta.
+	// A fresh capture after the unstage must produce an equivalent delta.
 	d2, err := mem.CaptureDelta()
 	if err != nil {
 		t.Fatal(err)
@@ -55,38 +46,62 @@ func TestUndoCaptureRestoresCommittedAndDirty(t *testing.T) {
 	if d2.Epoch != 1 || len(d2.Pages) != 2 {
 		t.Errorf("re-capture: epoch %d, %d pages", d2.Epoch, len(d2.Pages))
 	}
+	if bytes.Equal(mem.CommittedView(), before) || mem.Epoch() != 1 {
+		t.Error("capture should advance the committed image and the epoch")
+	}
 }
 
-func TestUndoCaptureValidation(t *testing.T) {
+// TestAdvanceValidation: Advance commits only the capture staged for the next
+// epoch, only while the guest has stood still since Stage, and a refusal
+// changes nothing.
+func TestAdvanceValidation(t *testing.T) {
 	m, _ := vm.NewMachine("u", 4, 32)
 	mem, _ := NewMember(m)
 	m.TouchPage(0, 1)
-	d, _ := mem.CaptureDelta()
-	// The stale delta carries page bytes: the error must name the two epochs
-	// and nothing else — it travels in the abort reply and the flight
-	// recorder, and once printed the whole delta, every captured page byte.
+	before := mem.CommittedImage()
+	d, _ := mem.Stage(false)
+	// The error must name the two epochs and nothing else — it travels in the
+	// commit reply and the flight recorder.
 	stale := &Delta{VMID: d.VMID, Epoch: 99, Pages: d.Pages}
-	if err := mem.UndoCapture(stale); err == nil {
-		t.Error("undo with wrong epoch should fail")
-	} else if msg := err.Error(); len(msg) > 80 || !strings.Contains(msg, "epoch 99") || !strings.Contains(msg, "is at 1") {
-		t.Errorf("wrong-epoch error should be short and name epochs 99 and 1: %q", msg)
+	if err := mem.Advance(stale); err == nil {
+		t.Error("advance with wrong epoch should fail")
+	} else if msg := err.Error(); len(msg) > 80 || !strings.Contains(msg, "epoch 99") || !strings.Contains(msg, "is at 0") {
+		t.Errorf("wrong-epoch error should be short and name epochs 99 and 0: %q", msg)
 	}
-	if err := mem.UndoCapture(nil); err == nil {
-		t.Error("undo with nil delta should fail")
-	} else if msg := err.Error(); len(msg) > 80 || !strings.Contains(msg, "<nil>") || !strings.Contains(msg, "is at 1") {
-		t.Errorf("nil-delta error should be short and name <nil> and epoch 1: %q", msg)
+	if err := mem.Advance(nil); err == nil {
+		t.Error("advance with nil delta should fail")
+	} else if msg := err.Error(); len(msg) > 80 || !strings.Contains(msg, "<nil>") || !strings.Contains(msg, "is at 0") {
+		t.Errorf("nil-delta error should be short and name <nil> and epoch 0: %q", msg)
 	}
-	if err := mem.UndoCapture(d); err != nil {
+	// A guest that ran between Stage and Advance breaks the invariant the
+	// streamed delta rests on; the capture must not commit.
+	m.TouchPage(2, 7)
+	if err := mem.Advance(d); err == nil || !strings.Contains(err.Error(), "guest dirtied 1 pages") {
+		t.Errorf("advance after a guest write: %v", err)
+	}
+	if !bytes.Equal(mem.CommittedView(), before) || mem.Epoch() != 0 {
+		t.Fatal("a refused advance changed the member")
+	}
+	mem.Unstage(d)
+	d, _ = mem.Stage(false)
+	if err := mem.Advance(d); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(mem.CommittedView(), m.Image()) || mem.Epoch() != 1 {
+		t.Error("advance did not bring the committed image and epoch up to the machine")
+	}
+	if err := mem.Advance(d); err == nil {
+		t.Error("a second advance of the same capture should fail")
 	}
 }
 
-// TestCaptureDeltaMatchesBytewiseReference pins the capture/undo kernel seam:
-// on page sizes around the kernel's vector and tail paths, with an allocator
+// TestCaptureDeltaMatchesBytewiseReference pins the capture kernel seam: on
+// page sizes around the kernel's vector and tail paths, with an allocator
 // handing out 0xFF-poisoned buffers, every delta byte must equal cur ^ old
 // computed one byte at a time (a skipped tail byte would ship 0xFF^… garbage
-// into parity), capture must advance the committed image to the machine's,
-// and UndoCapture must restore the committed image, dirty set and epoch.
+// into parity) — per page through CaptureDeltaInto, and over byte ranges that
+// start and end inside pages through DeltaInto, the way the runtime streams
+// them — and capture must advance the committed image to the machine's.
 func TestCaptureDeltaMatchesBytewiseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	poisoned := func(n int) []byte { return bytes.Repeat([]byte{0xFF}, n) }
@@ -115,6 +130,17 @@ func TestCaptureDeltaMatchesBytewiseReference(t *testing.T) {
 			}
 			want[i] = x
 		}
+		// The two-page run 3..4, cut at every offset: both halves cross or
+		// touch the page boundary.
+		run := append(append([]byte(nil), want[3]...), want[4]...)
+		for cut := 0; cut <= len(run); cut += max(1, len(run)/13) {
+			lo, hi := poisoned(cut), poisoned(len(run)-cut)
+			mem.DeltaInto(lo, 3*ps)
+			mem.DeltaInto(hi, 3*ps+cut)
+			if !bytes.Equal(lo, run[:cut]) || !bytes.Equal(hi, run[cut:]) {
+				t.Fatalf("ps=%d: DeltaInto over [3p,+%d) and [3p+%d,5p) diverges from bytewise cur ^ old", ps, cut, cut)
+			}
+		}
 		d, err := mem.CaptureDeltaInto(poisoned)
 		if err != nil {
 			t.Fatal(err)
@@ -127,20 +153,8 @@ func TestCaptureDeltaMatchesBytewiseReference(t *testing.T) {
 				t.Fatalf("ps=%d page %d: delta diverges from bytewise cur ^ old", ps, p.Index)
 			}
 		}
-		if !bytes.Equal(mem.CommittedImage(), m.Image()) || m.DirtyCount() != 0 {
+		if !bytes.Equal(mem.CommittedImage(), m.Image()) || m.DirtyCount() != 0 || mem.Epoch() != 1 {
 			t.Fatalf("ps=%d: capture did not advance the committed image and clear the dirty set", ps)
-		}
-		if err := mem.UndoCapture(d); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(mem.CommittedImage(), img) {
-			t.Errorf("ps=%d: undo did not restore the committed image", ps)
-		}
-		if got := m.DirtyPages(); !slices.Equal(got, dirty) {
-			t.Errorf("ps=%d: dirty set after undo %v, want %v", ps, got, dirty)
-		}
-		if mem.Epoch() != 0 {
-			t.Errorf("ps=%d: epoch %d after undo, want 0", ps, mem.Epoch())
 		}
 	}
 }

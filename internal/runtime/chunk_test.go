@@ -47,12 +47,15 @@ func chunkedCluster(t *testing.T, layout *cluster.Layout, chunkSize int, compres
 // or parity block (source "parity", keyed by group) from the node at addr
 // over MsgReadChunk — the only way those bytes cross the wire, so every test
 // that needs them as an oracle input comes through here. The chunk size is
-// deliberately not a divisor of the test images. It returns the block, the
-// replies' epoch (the committed epoch, on image reads) and their Arg (the
-// serving keeper's parity index, on parity reads).
+// deliberately not a divisor of the test images: 300 bytes, or one byte short
+// of 64 KiB once the first reply shows a block of several hundred KiB (the
+// few tests with real-sized images would otherwise spend their time, under
+// -race, on thousands of tiny reads). It returns the block, the replies' epoch
+// (the committed epoch, on image reads) and their Arg (the serving keeper's
+// parity index, on parity reads).
 func readBlock(t *testing.T, addr, source, vmName string, group int) ([]byte, uint64, int) {
 	t.Helper()
-	const cs = 300
+	cs := uint64(300)
 	conn, err := transport.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +74,10 @@ func readBlock(t *testing.T, addr, source, vmName string, group int) ([]byte, ui
 		c, err := wire.DecodeChunk(resp.Payload)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i == 0 && cs == 300 && c.Total > 256<<10 {
+			cs, i = 64<<10-1, -1
+			continue
 		}
 		if i == 0 {
 			count, epoch, arg = int(c.Count), resp.Epoch, resp.Arg
@@ -446,51 +453,49 @@ func TestReadChunkServesImagesAndParity(t *testing.T) {
 	}
 }
 
-// TestDeltaChunksCoverDelta pins the splitter: chunks must tile exactly the
-// delta's dirty bytes at image offsets, within the configured size.
+// TestDeltaChunksCoverDelta pins the splitter: chunk ranges must tile exactly
+// the staged pages' bytes at image offsets, within the configured size, never
+// crossing from one dirty run into the next.
 func TestDeltaChunksCoverDelta(t *testing.T) {
 	const pages, pageSize = 8, 128
 	d := &core.Delta{VMID: "vm", Epoch: 1}
-	want := make(map[int]byte)                // image offset -> expected byte
+	want := make(map[int]bool)                // image offsets the capture covers
 	for _, pi := range []int{0, 1, 2, 5, 7} { // two runs + a tail page
-		data := make([]byte, pageSize)
-		for j := range data {
-			data[j] = byte(pi*31 + j)
-			want[pi*pageSize+j] = data[j]
+		for j := 0; j < pageSize; j++ {
+			want[pi*pageSize+j] = true
 		}
-		d.Pages = append(d.Pages, checkpoint.PageRecord{Index: pi, Data: data})
+		d.Pages = append(d.Pages, checkpoint.PageRecord{Index: pi})
 	}
-	chunks, segs := deltaChunkScatter(d, pageSize, pages*pageSize, 100)
-	got := make(map[int]byte)
+	chunks, raw := planChunks(d, pageSize, pages*pageSize, 100)
+	if raw != int64(len(want)) {
+		t.Fatalf("plan covers %d raw bytes, capture has %d", raw, len(want))
+	}
+	got := make(map[int]bool)
 	for ci, c := range chunks {
-		data := bytes.Join(segs[ci], nil)
-		if len(data) > 100 || len(data) != int(c.RawLen) {
-			t.Fatalf("chunk carries %d bytes, RawLen %d, chunk size 100", len(data), c.RawLen)
+		if c.RawLen == 0 || c.RawLen > 100 || c.Data != nil {
+			t.Fatalf("chunk %d plans %d bytes (chunk size 100) with data %v", ci, c.RawLen, c.Data != nil)
 		}
-		if int(c.Total) != pages*pageSize {
-			t.Fatalf("chunk Total = %d", c.Total)
+		if int(c.Total) != pages*pageSize || int(c.Index) != ci || int(c.Count) != len(chunks) {
+			t.Fatalf("chunk %d header = %+v", ci, c)
 		}
-		for j, b := range data {
-			off := int(c.Offset) + j
-			if _, dup := got[off]; dup {
+		for off := int(c.Offset); off < int(c.Offset)+int(c.RawLen); off++ {
+			if !want[off] {
+				t.Fatalf("chunk %d covers offset %d, which is not dirty", ci, off)
+			}
+			if got[off] {
 				t.Fatalf("offset %d covered twice", off)
 			}
-			got[off] = b
+			got[off] = true
 		}
 	}
 	if len(got) != len(want) {
-		t.Fatalf("chunks cover %d bytes, delta has %d", len(got), len(want))
-	}
-	for off, b := range want {
-		if got[off] != b {
-			t.Fatalf("offset %d: got %#x want %#x", off, got[off], b)
-		}
+		t.Fatalf("chunks cover %d bytes, capture has %d", len(got), len(want))
 	}
 
-	// Empty delta: a single zero-length chunk still carries the shape.
-	empty, _ := deltaChunkScatter(&core.Delta{VMID: "vm", Epoch: 2}, pageSize, pages*pageSize, 100)
+	// Empty capture: a single zero-length chunk still carries the shape.
+	empty, _ := planChunks(&core.Delta{VMID: "vm", Epoch: 2}, pageSize, pages*pageSize, 100)
 	if len(empty) != 1 || empty[0].Count != 1 || empty[0].RawLen != 0 {
-		t.Fatalf("empty delta chunks = %+v", empty)
+		t.Fatalf("empty capture chunks = %+v", empty)
 	}
 }
 

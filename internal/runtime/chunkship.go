@@ -2,10 +2,8 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 
 	"dvdc/internal/bufpool"
-	"dvdc/internal/checkpoint"
 	"dvdc/internal/core"
 	"dvdc/internal/obs"
 	"dvdc/internal/wire"
@@ -18,11 +16,11 @@ const chunkPipelineWidth = 4
 
 // chunkBatchBudget floors the wire bytes packed into one MsgDeltaChunk
 // message. The chunk size bounds fold granularity and per-chunk buffer
-// memory; the batch budget bounds round trips. Tying them together made a
-// small chunk size pay one RPC per chunkSize bytes — with 64 KiB chunks a
-// 4.7 MB delta cost ~72 round trips a round. Batches of several chunks keep
-// the fold granularity while amortizing framing and scheduler ping-pong;
-// chunk sizes above the floor keep one chunk per batch as before.
+// memory; the batch budget bounds round trips: chunks follow dirty-page runs,
+// so a scattered delta yields many frames far smaller than chunkSize, and one
+// RPC per frame would make framing and syscalls dominate the round. Every
+// chunk in a batch keeps its own offset and CRC and is folded individually;
+// a chunk size above the floor gets one chunk per batch.
 const chunkBatchBudget = 256 << 10
 
 // checkChunkSize rejects a chunk-size setting arriving from outside the node
@@ -53,22 +51,19 @@ func resolvePipelineWidth(v int) int {
 	return v
 }
 
-// planChunks lays a captured delta out as image-coordinate chunk frames:
-// dirty pages are sorted, contiguous page runs merged, and each run cut into
-// pieces of at most chunkSize bytes. Offset/Total address the member's image
-// rather than a packed stream, so a keeper folds each chunk into its pending
-// parity buffer the moment it arrives — no reassembly, no delta-sized buffer
-// on either side. The returned chunks carry ranges only (no Data); pages is
-// the sorted page list the ranges were planned over. An empty delta yields
-// one zero-length chunk so the epoch still reaches the keeper.
-func planChunks(d *core.Delta, pageSize, imageBytes, chunkSize int) ([]wire.Chunk, []checkpoint.PageRecord) {
-	pages := append([]checkpoint.PageRecord(nil), d.Pages...)
-	sort.Slice(pages, func(i, j int) bool { return pages[i].Index < pages[j].Index })
-
+// planChunks lays a staged capture out as image-coordinate chunk frames:
+// contiguous runs of its pages (d.Pages is in page order; only the indexes
+// are read) are merged and each run cut into pieces of at most chunkSize
+// bytes. Offset/Total address the member's image rather than a packed stream,
+// so a keeper folds each chunk into its pending parity buffer the moment it
+// arrives — no reassembly, no delta-sized buffer on either side. The chunks
+// carry ranges only (no Data); raw is the bytes they cover. An empty capture
+// yields one zero-length chunk so the epoch still reaches the keeper.
+func planChunks(d *core.Delta, pageSize, imageBytes, chunkSize int) (chunks []wire.Chunk, raw int64) {
+	pages := d.Pages
 	// A pathological chunk size could exceed the wire's stream bound;
 	// doubling until it fits terminates quickly and only ever runs under
 	// degenerate configurations.
-	var chunks []wire.Chunk
 	for {
 		chunks = chunks[:0]
 		for i := 0; i < len(pages); {
@@ -101,31 +96,28 @@ func planChunks(d *core.Delta, pageSize, imageBytes, chunkSize int) ([]wire.Chun
 		chunks[i].Index = uint32(i)
 		chunks[i].Count = count
 	}
-	return chunks, pages
+	return chunks, int64(len(pages)) * int64(pageSize)
 }
 
-// deltaChunkScatter renders a delta as chunk frames whose data stays in the
-// captured page buffers: segs[i] is chunk i's data as a scatter list of page
-// (sub)slices, for FrameWriter.AppendChunkScatter. Nothing is copied — the
-// delta's pages are aliased, so they must outlive the encoded segments (the
-// staged capture lives until commit, well past the prepare-phase ship).
-func deltaChunkScatter(d *core.Delta, pageSize, imageBytes, chunkSize int) ([]wire.Chunk, [][][]byte) {
-	chunks, pages := planChunks(d, pageSize, imageBytes, chunkSize)
-	segs := make([][][]byte, len(chunks))
-	for ci := range chunks {
-		c := &chunks[ci]
-		n := int(c.RawLen)
-		off := int(c.Offset)
-		for k := 0; k < n; {
-			pi := (off + k) / pageSize
-			ri := sort.Search(len(pages), func(x int) bool { return pages[x].Index >= pi })
-			po := (off + k) % pageSize
-			take := min(pageSize-po, n-k)
-			segs[ci] = append(segs[ci], pages[ri].Data[po:po+take])
-			k += take
+// batchLen sizes the buffer of the batch that opens with chunks[0]: the raw
+// frames the budget admits (one over it — planChunks widened a degenerate
+// chunk size — gets a batch of its own), not the budget itself, so a full
+// batch of default-size chunks and a sparse round's run of single-page frames
+// both come from the 256 KiB pool class the receiver decodes them into.
+// Compressed frames pack by carried size, never above raw: room to the budget.
+func batchLen(chunks []wire.Chunk, budget int, compress bool) int {
+	n := 0
+	for i := range chunks {
+		need := wire.ChunkHeaderLen + int(chunks[i].RawLen)
+		if n > 0 && n+need > budget {
+			if compress {
+				n = max(n, budget)
+			}
+			break
 		}
+		n += need
 	}
-	return chunks, segs
+	return n
 }
 
 // mountBufpoolStats exposes the process-wide buffer pool counters on a

@@ -544,9 +544,9 @@ func (c *Coordinator) CheckpointIn(parent obs.SpanContext) error {
 	if prepErr != nil {
 		// Abort every alive node, not only those whose prepare succeeded: a
 		// node that captured some members and then failed mid-prepare holds
-		// staged deltas too, and a node that missed a previous abort (the
+		// staged captures too, and a node that missed a previous abort (the
 		// abort RPC itself was lost) would otherwise fail every future
-		// prepare on its stale staged delta without ever being cleaned up —
+		// prepare on its stale staged capture without ever being cleaned up —
 		// a livelock. Abort is an idempotent no-op on a clean node, so
 		// over-aborting is safe; best effort either way — a node that cannot
 		// abort now is caught by the next prepare's staged-delta check.
@@ -673,7 +673,7 @@ func (c *Coordinator) Checksums() (map[string]uint64, error) {
 	return out, nil
 }
 
-// Quiesce undoes any staged-but-uncommitted captures left on alive nodes and
+// Quiesce drops any staged-but-uncommitted captures left on alive nodes and
 // returns every member's committed image to the last committed epoch. After
 // an aborted round this is normally a no-op — the abort fanout already ran —
 // but when the abort RPCs themselves were lost to a network fault, stale
@@ -1093,7 +1093,7 @@ func (c *Coordinator) Rebalance() (plan *cluster.Plan, err error) {
 		}
 		if err := evict(v.Node); err != nil {
 			// The old host did not drop the VM (it refuses one with dirty
-			// pages or a staged delta), so the copy just installed must go or
+			// pages or a staged capture), so the copy just installed must go or
 			// two nodes would run it. Best effort: the first error is the one
 			// worth reporting.
 			evict(s.TargetNode) //nolint:errcheck

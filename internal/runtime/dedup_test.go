@@ -188,7 +188,7 @@ func dedupRound(t *testing.T, what string, coord *Coordinator, shadow *Shadow, s
 // compares against them, so there is nothing else to rewind), the prepare's
 // counters saw exactly the shadow's changed / unchanged split, and the round
 // after the abort re-ships exactly the pages that had really changed — the
-// ones the aborted capture took and UndoCapture re-marked — and nothing else.
+// ones the aborted capture staged and unstage re-marked — and nothing else.
 // A stepped round after that skips every store-back page again, and images
 // and parity stay bit-identical to the in-process oracle throughout.
 func TestDedupAbortReshipsChangedPages(t *testing.T) {

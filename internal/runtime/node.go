@@ -57,7 +57,26 @@ type memberState struct {
 	mem      *core.Member
 	workload vm.Workload
 	cfg      VMConfig
-	staged   *core.Delta // captured but uncommitted (two-phase)
+
+	// staged is the capture a prepare opened (core.Member.Stage: pages, no
+	// bytes) until commit advances the member to it or an abort or rollback
+	// drops it. No delta is held: a ship renders it chunk by chunk from the
+	// live pages, under mu and only while staged is still its capture (by
+	// identity: an aborted round's retry stages the same epoch anew). The guest
+	// stands still from prepare to commit — roundMu's job, Advance's check.
+	staged *core.Delta
+}
+
+// deltaInto renders live XOR committed for image bytes [off, off+len(dst)) of
+// the staged capture d into dst.
+func (ms *memberState) deltaInto(d *core.Delta, dst []byte, off int) error {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if ms.staged != d {
+		return fmt.Errorf("runtime: the capture of %q for epoch %d is no longer staged", d.VMID, d.Epoch)
+	}
+	ms.mem.DeltaInto(dst, off)
+	return nil
 }
 
 type keeperState struct {
@@ -443,7 +462,7 @@ func (n *Node) onConfigure(req *wire.Message) (*wire.Message, error) {
 
 // onRetune applies a live data-path retune: chunk size and pipeline width
 // change between rounds without the full reconfigure (which would wipe
-// members and keepers). Tuning only shapes how staged deltas travel — never
+// members and keepers). Tuning only shapes how a staged capture travels — never
 // what is committed — so it is safe mid-protocol; the next prepare simply
 // ships with the new granularity.
 func (n *Node) onRetune(req *wire.Message) (*wire.Message, error) {
@@ -480,77 +499,42 @@ func (n *Node) onStep(req *wire.Message) (*wire.Message, error) {
 	return &wire.Message{Type: wire.MsgStepOK}, nil
 }
 
-// shipment is one member's captured delta plus the routing and geometry the
-// ship phase needs with no locks held.
-type shipment struct {
-	delta      *core.Delta
-	group      int
-	parity     []int
-	pageSize   int
-	imageBytes int
-}
-
-// onPrepare captures a delta for every hosted member and ships it to every
-// parity node of the member's group, staging everything for commit. Members
-// are captured and shipped concurrently: each holds only its own lock during
-// capture, and shipping happens with no locks held, so deltas bound for
-// distinct parity peers overlap on the wire. The delta travels as fixed-size
-// chunk frames with several in flight per peer, so transfer pipelines with
-// the keeper's per-chunk parity folds.
+// onPrepare stages a capture for every hosted member and ships its delta to
+// the parity nodes of the member's group, members concurrently: a ship takes
+// the member's lock only to render one chunk, so deltas bound for distinct
+// peers overlap on the wire. A failure leaves other members staged; the
+// coordinator's abort takes them back.
 // The reply's Arg carries the wire bytes shipped and Text a prepareSummary,
 // so the coordinator can aggregate per-round volume.
 func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
 	members := n.snapshotMembers()
 	n.mu.Lock()
 	id, compress, fan, cs, pw, dedup := n.id, n.compress, n.fanout, n.chunkSize, resolvePipelineWidth(n.pipeWidth), n.dedup
-	tr := n.tracer
-	reg := n.registry
+	tr, reg := n.tracer, n.registry
 	n.mu.Unlock()
 	lane := fmt.Sprintf("node%d", id)
-
-	ships := make([]shipment, len(members))
-	var deduped atomic.Int64
-	// Phase 1: capture and stage under each member's own lock. A failure
-	// leaves earlier members staged; the coordinator's abort undoes them.
-	if err := parallelDo(len(members), fan, func(i int) error {
+	var wireBytes, chunksSent, deduped atomic.Int64
+	if err := parallelDo(len(members), fan, func(i int) (shipErr error) {
 		ms := members[i]
 		ms.mu.Lock()
-		defer ms.mu.Unlock()
 		if ms.staged != nil {
-			return fmt.Errorf("runtime: node %d: %q already has a staged delta", id, ms.cfg.Name)
+			ms.mu.Unlock()
+			return fmt.Errorf("runtime: node %d: %q already has a staged capture", id, ms.cfg.Name)
 		}
-		// Under dedup a dirty page equal to the committed image (an all-zero
-		// XOR delta) is left out of the capture and only counted.
-		d, unchanged, err := ms.mem.CaptureInto(bufpool.Get, dedup)
-		if err != nil {
-			return err
-		}
+		// Under dedup a dirty page equal to the committed image is only counted.
+		d, unchanged := ms.mem.Stage(dedup)
+		ms.staged = d
+		parity := append([]int(nil), ms.cfg.ParityNodes...)
+		ms.mu.Unlock()
 		if dedup {
 			deduped.Add(int64(unchanged))
 			n.countDedup(reg, int64(unchanged), int64(len(d.Pages)), int64(ms.cfg.PageSize))
 		}
-		ms.staged = d
-		ships[i] = shipment{
-			delta:      d,
-			group:      ms.cfg.Group,
-			parity:     append([]int(nil), ms.cfg.ParityNodes...),
-			pageSize:   ms.cfg.PageSize,
-			imageBytes: ms.cfg.Pages * ms.cfg.PageSize,
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	// Phase 2: encode and ship, members and parity peers concurrently. Each
-	// member's shipment gets a span so the timeline shows deltas to distinct
-	// parity peers overlapping; the shared message carries the ship span's
-	// context (the pool re-stamps Span per RPC attempt on its own copy).
-	var wireBytes, chunksSent atomic.Int64
-	if err := parallelDo(len(members), fan, func(i int) (shipErr error) {
-		sh := ships[i]
-		span := tr.Child(ctx, "ship "+sh.delta.VMID, lane)
+		// One span per shipment, so the timeline shows them overlapping; batch
+		// messages carry its context (the pool re-stamps Span per RPC attempt).
+		span := tr.Child(ctx, "ship "+d.VMID, lane)
 		defer func() { span.FinishErr(shipErr) }()
-		return n.shipChunked(span.ContextOr(ctx), span, sh, cs, pw, compress, &wireBytes, &chunksSent)
+		return n.shipChunked(span.ContextOr(ctx), span, ms, d, parity, cs, pw, compress, &wireBytes, &chunksSent)
 	}); err != nil {
 		return nil, err
 	}
@@ -562,7 +546,7 @@ func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message,
 }
 
 // countDedup records one member's capture under dedup: hits are the dirty
-// pages the capture skipped as unchanged, misses the ones it captured.
+// pages the capture skipped as unchanged, misses the ones it staged.
 func (n *Node) countDedup(reg *obs.Registry, hits, misses, pageSize int64) {
 	saved := hits * pageSize
 	n.statsMu.Lock()
@@ -579,71 +563,119 @@ func (n *Node) countDedup(reg *obs.Registry, hits, misses, pageSize int64) {
 	}
 }
 
-// shipChunked ships one member's delta to every parity peer of its group as
-// chunk frames. Chunks follow dirty-page runs, so a scattered delta yields
-// many frames far smaller than chunkSize; shipping each as its own message
-// would make framing and syscalls dominate the round. Frames are therefore
-// packed back-to-back into batches of about chunkSize wire bytes, one message
-// per batch — every chunk inside keeps its own offset and CRC and is still
-// folded individually on arrival.
+// shipChunked ships the delta of ms's staged capture d to the parity peers of
+// its group as chunk frames, packed back-to-back into batches (see
+// chunkBatchBudget), one message per batch.
 //
-// Batches are scatter-gather lists (wire.FrameWriter): each frame is a tiny
-// pooled header slot plus a data segment aliasing the chunk buffer, and the
-// transport writes the segments in sequence — page data crosses from the
-// delta chunk buffers to the socket without ever being copied into a batch
-// buffer. Batches are built once and shared read-only across peers; per peer,
-// up to chunkPipelineWidth batches are in flight so the network transfer
-// overlaps the keeper's incremental folds.
-func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, sh shipment, chunkSize, pipeWidth int, compress bool, wireBytes, chunksSent *atomic.Int64) error {
-	// The captured page buffers themselves ship as scatter segments — the
-	// dirty bytes are never copied between capture and the socket. The pages
-	// belong to the staged delta, which outlives the prepare-phase ship.
-	// Compression needs each chunk's bytes contiguous (Deflate consumes one
-	// slice), so that path flattens every planned chunk into a pooled buffer
-	// and appends the (possibly deflated) result as a one-segment scatter.
-	chunks, chunkSegs := deltaChunkScatter(sh.delta, sh.pageSize, sh.imageBytes, chunkSize)
-	var flats [][]byte
-	defer func() {
-		for _, b := range flats {
-			bufpool.Put(b)
-		}
-	}()
+// The delta is never materialised. A batch is one pooled buffer: per chunk a
+// header slot, live XOR committed of the chunk's range written straight behind
+// it (memberState.deltaInto), the header sealed with a CRC of bytes still in
+// cache. It goes to every peer as a plain Payload the transport sends from
+// this buffer, and back to the pool when the last peer has answered; up to
+// pipeWidth batches are in flight, so transfer overlaps rendering and folds.
+// A ship whose capture is no longer staged (the round was aborted) stops.
+func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberState, d *core.Delta, parity []int, chunkSize, pipeWidth int, compress bool, wireBytes, chunksSent *atomic.Int64) error {
+	chunks, raw := planChunks(d, ms.cfg.PageSize, ms.cfg.Pages*ms.cfg.PageSize, chunkSize)
 	budget := max(chunkSize, chunkBatchBudget) + wire.ChunkHeaderLen
-	var raw, wireB int64
-	var batches []*wire.FrameWriter
-	var cur *wire.FrameWriter
-	for i := range chunks {
-		c := &chunks[i]
-		raw += int64(c.RawLen)
-		need := wire.ChunkHeaderLen + int(c.RawLen)
-		if compress && c.RawLen > 0 {
-			flat := bufpool.Get(int(c.RawLen))[:0]
-			for _, seg := range chunkSegs[i] {
-				flat = append(flat, seg...)
+	selfID := n.nodeID()
+	var (
+		inflight sync.WaitGroup
+		slots    = make(chan struct{}, pipeWidth) // batches in flight
+		shipErr  atomic.Pointer[error]            // the first failure
+		cur      []byte                           // the batch being rendered
+		batches  int
+		wireB    int64
+	)
+	fail := func(err error) { shipErr.CompareAndSwap(nil, &err) }
+	deliver := func(batch []byte, k, peer int) error {
+		msg := &wire.Message{
+			Type: wire.MsgDeltaChunk, Epoch: d.Epoch, Group: int32(ms.cfg.Group), VM: d.VMID,
+			Payload: batch, Trace: sctx.Trace, Span: sctx.Span,
+		}
+		if peer == selfID {
+			// A self-call's handler may keep the payload (nil-ing it) to fold
+			// from later, and batch is shared with the other sends: copy.
+			msg.Payload = append(bufpool.Get(len(batch))[:0], batch...)
+		}
+		reply, err := n.callPeer(peer, msg)
+		if peer == selfID && msg.Payload != nil {
+			bufpool.Put(msg.Payload)
+		}
+		if err == nil && reply.Type != wire.MsgDeltaChunkOK {
+			err = fmt.Errorf("unexpected reply %v", reply.Type)
+		}
+		if err != nil {
+			return fmt.Errorf("runtime: shipping chunk batch %d of %q to node %d: %w", k, d.VMID, peer, err)
+		}
+		return nil
+	}
+	send := func() {
+		batch, k := cur, batches+1
+		cur, batches, wireB = nil, k, wireB+int64(len(batch))
+		slots <- struct{}{}
+		// An abort can overtake a rendered batch in the wait for a slot, and at
+		// a keeper the batch would then pass for the retry's stream: check again
+		// (an empty render is just the check).
+		if err := ms.deltaInto(d, nil, 0); err != nil {
+			bufpool.Put(batch)
+			fail(err)
+			return
+		}
+		inflight.Add(1)
+		go func() {
+			defer inflight.Done()
+			if err := parallelDo(len(parity), 0, func(j int) error { return deliver(batch, k, parity[j]) }); err != nil {
+				fail(err)
 			}
-			flats = append(flats, flat)
-			c.Data = flat
+			bufpool.Put(batch)
+			<-slots
+		}()
+	}
+	for i := 0; i < len(chunks) && shipErr.Load() == nil; i++ {
+		c := &chunks[i]
+		need := wire.ChunkHeaderLen + int(c.RawLen)
+		var aside []byte
+		if compress && c.RawLen > 0 {
+			// Deflate consumes one slice and the frame is packed by what it
+			// yields, so this path renders the chunk aside first.
+			aside = bufpool.Get(int(c.RawLen))
+			if err := ms.deltaInto(d, aside, int(c.Offset)); err != nil {
+				bufpool.Put(aside)
+				fail(err)
+				break
+			}
+			c.Data = aside
 			c.Deflate()
-			chunkSegs[i] = [][]byte{c.Data}
 			need = wire.ChunkHeaderLen + len(c.Data)
 		}
-		// A frame larger than the budget (planChunks widened a degenerate
-		// chunk size to honor the stream bound) gets a batch of its own.
-		if cur == nil || cur.Len()+need > budget {
-			cur = &wire.FrameWriter{Alloc: bufpool.Get}
-			batches = append(batches, cur)
+		if cur != nil && len(cur)+need > budget {
+			send()
 		}
-		cur.AppendChunkScatter(c, chunkSegs[i])
-	}
-	defer func() {
-		for _, fw := range batches {
-			fw.Release(bufpool.Put)
+		if cur == nil {
+			cur = bufpool.Get(batchLen(chunks[i:], budget, compress))[:0]
 		}
-	}()
-	for _, fw := range batches {
-		wireB += int64(fw.Len())
+		if aside != nil {
+			cur = wire.AppendChunk(cur, c)
+			bufpool.Put(aside)
+			c.Data = nil
+			continue
+		}
+		frame := cur[len(cur) : len(cur)+need]
+		if err := ms.deltaInto(d, frame[wire.ChunkHeaderLen:], int(c.Offset)); err != nil {
+			fail(err)
+			break
+		}
+		wire.SealChunk(frame, c)
+		cur = cur[:len(cur)+need]
 	}
-	peers := int64(len(sh.parity))
+	if shipErr.Load() != nil {
+		bufpool.Put(cur)
+	} else if cur != nil {
+		send()
+	}
+	inflight.Wait()
+
+	peers := int64(len(parity))
 	n.statsMu.Lock()
 	n.stats.DeltasSent += peers
 	n.stats.DeltaRawBytes += raw * peers
@@ -654,48 +686,11 @@ func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, sh shipment, 
 	chunksSent.Add(int64(len(chunks)) * peers)
 	span.SetAttr("bytes", fmt.Sprint(wireB))
 	span.SetAttr("chunks", fmt.Sprint(len(chunks)))
-	span.SetAttr("batches", fmt.Sprint(len(batches)))
-	selfID := n.nodeID()
-	return parallelDo(len(sh.parity), 0, func(j int) error {
-		peer := sh.parity[j]
-		return parallelDo(len(batches), pipeWidth, func(k int) error {
-			msg := &wire.Message{
-				Type: wire.MsgDeltaChunk, Epoch: sh.delta.Epoch,
-				Group: int32(sh.group), VM: sh.delta.VMID,
-				PayloadSegs: batches[k].Segments(),
-				Trace:       sctx.Trace, Span: sctx.Span,
-			}
-			if peer == selfID {
-				// Self-calls bypass the wire, so the handler sees no framed
-				// payload; hand it the contiguous form a socket read would have
-				// produced. The handler may take ownership (nil-ing Payload) to
-				// fold asynchronously; otherwise the buffer comes back here.
-				msg.Payload = flattenSegments(batches[k])
-				msg.PayloadSegs = nil
-			}
-			reply, err := n.callPeer(peer, msg)
-			if peer == selfID && msg.Payload != nil {
-				bufpool.Put(msg.Payload)
-			}
-			if err != nil {
-				return fmt.Errorf("runtime: shipping chunk batch %d/%d of %q to node %d: %w",
-					k+1, len(batches), sh.delta.VMID, peer, err)
-			}
-			if reply.Type != wire.MsgDeltaChunkOK {
-				return fmt.Errorf("runtime: unexpected reply %v to delta chunk", reply.Type)
-			}
-			return nil
-		})
-	})
-}
-
-// flattenSegments copies a FrameWriter's scatter list into one pooled buffer.
-func flattenSegments(fw *wire.FrameWriter) []byte {
-	out := bufpool.Get(fw.Len())[:0]
-	for _, seg := range fw.Segments() {
-		out = append(out, seg...)
+	span.SetAttr("batches", fmt.Sprint(batches))
+	if err := shipErr.Load(); err != nil {
+		return *err
 	}
-	return out
+	return nil
 }
 
 // onDeltaChunk accepts delta chunks for the keeper's pending accumulation
@@ -861,14 +856,39 @@ func (n *Node) foldDrain(ks *keeperState) {
 	}
 }
 
+// onCommit lands epoch req.Epoch: every keeper's pending accumulation drains
+// into its parity block, then every member advances to its staged capture.
+// Only the staged epoch commits: finding a chunk stream or a capture of
+// another epoch (a stale or misrouted commit) is an error that changes
+// nothing; finding nothing staged (a retry whose first reply was lost), a no-op.
 func (n *Node) onCommit(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
-	keepers := n.snapshotKeepers()
+	keepers, members := n.snapshotKeepers(), n.snapshotMembers()
 	n.mu.Lock()
-	fan := n.fanout
-	tr := n.tracer
-	id := n.id
+	fan, tr, id := n.fanout, n.tracer, n.id
 	n.mu.Unlock()
 	lane := fmt.Sprintf("node%d", id)
+	// The epoch check covers the node before anything moves; nothing is staged
+	// in between, the coordinator's round mutex serializes prepares and commits.
+	var stale error
+	for _, ks := range keepers {
+		ks.mu.Lock()
+		for vmid, st := range ks.streams {
+			if st.epoch != req.Epoch {
+				stale = fmt.Errorf("group %d holds a chunk stream of %q for epoch %d", ks.keeper.Group(), vmid, st.epoch)
+			}
+		}
+		ks.mu.Unlock()
+	}
+	for _, ms := range members {
+		ms.mu.Lock()
+		if d := ms.staged; d != nil && d.Epoch != req.Epoch {
+			stale = fmt.Errorf("%q is staged for epoch %d", d.VMID, d.Epoch)
+		}
+		ms.mu.Unlock()
+	}
+	if stale != nil {
+		return nil, fmt.Errorf("runtime: node %d: commit of epoch %d, but %v", id, req.Epoch, stale)
+	}
 	// Land each keeper's pending accumulation in its parity block, keepers in
 	// parallel (the range drain is real CPU work and keepers are independent).
 	if err := parallelDo(len(keepers), fan, func(i int) (foldErr error) {
@@ -886,8 +906,7 @@ func (n *Node) onCommit(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 		}
 		// Every member's stream must have delivered all of its chunks
 		// (prepare succeeded, so they did unless the protocol broke), then
-		// the whole accumulation lands atomically. A retried commit finds
-		// no streams and no pending buffer and is a no-op — idempotent.
+		// the whole accumulation lands atomically.
 		if len(ks.streams) > 0 {
 			span.SetAttr("streams", fmt.Sprint(len(ks.streams)))
 			epochs := make(map[string]uint64, len(ks.streams))
@@ -916,27 +935,29 @@ func (n *Node) onCommit(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 	}); err != nil {
 		return nil, err
 	}
-	for _, ms := range n.snapshotMembers() {
+	// The members advance last (the copy live to committed of every staged
+	// page). One that cannot — the guest ran since prepare — fails the node's
+	// commit: the coordinator declares the node dead and the VM comes back from
+	// parity.
+	if err := parallelDo(len(members), fan, func(i int) (err error) {
+		ms := members[i]
 		ms.mu.Lock()
-		releaseDelta(ms.staged)
-		ms.staged = nil // capture already advanced the committed image
-		ms.mu.Unlock()
+		defer ms.mu.Unlock()
+		if ms.staged != nil {
+			if err = ms.mem.Advance(ms.staged); err == nil {
+				ms.staged = nil
+			}
+		}
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return &wire.Message{Type: wire.MsgCommitOK, Epoch: req.Epoch}, nil
 }
 
-// releaseDelta returns a pooled-capture delta's page buffers (the member's
-// staged capture, taken with CaptureDeltaInto(bufpool.Get)).
-func releaseDelta(d *core.Delta) {
-	if d == nil {
-		return
-	}
-	for i := range d.Pages {
-		bufpool.Put(d.Pages[i].Data)
-		d.Pages[i].Data = nil
-	}
-}
-
+// onAbort takes back whatever the node holds of an uncommitted round,
+// whichever epoch the message names: keepers drop their pending folds, members
+// unstage. On a clean node it is a no-op.
 func (n *Node) onAbort(req *wire.Message) (*wire.Message, error) {
 	for _, ks := range n.snapshotKeepers() {
 		ks.mu.Lock()
@@ -945,14 +966,8 @@ func (n *Node) onAbort(req *wire.Message) (*wire.Message, error) {
 	}
 	for _, ms := range n.snapshotMembers() {
 		ms.mu.Lock()
-		if ms.staged != nil {
-			if err := ms.mem.UndoCapture(ms.staged); err != nil {
-				ms.mu.Unlock()
-				return nil, err
-			}
-			releaseDelta(ms.staged)
-			ms.staged = nil
-		}
+		ms.mem.Unstage(ms.staged)
+		ms.staged = nil
 		ms.mu.Unlock()
 	}
 	return &wire.Message{Type: wire.MsgAbortOK, Epoch: req.Epoch}, nil
@@ -1271,16 +1286,9 @@ func (n *Node) onRollback(req *wire.Message) (*wire.Message, error) {
 		ms := members[i]
 		ms.mu.Lock()
 		defer ms.mu.Unlock()
-		// An uncommitted prepared capture must be undone first so the
-		// committed image returns to the last COMMIT-ed epoch; then the
-		// machine state rolls back to it.
-		if ms.staged != nil {
-			if err := ms.mem.UndoCapture(ms.staged); err != nil {
-				return err
-			}
-			releaseDelta(ms.staged)
-			ms.staged = nil
-		}
+		// An uncommitted capture never touched the committed image: dropping
+		// it leaves the last COMMIT-ed epoch to roll back to.
+		ms.staged = nil
 		return ms.mem.Rollback()
 	}); err != nil {
 		return nil, err
@@ -1357,7 +1365,7 @@ func (n *Node) onEvict(req *wire.Message) (*wire.Message, error) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	if ms.staged != nil {
-		return nil, fmt.Errorf("runtime: %q has a staged delta; commit or abort first", req.VM)
+		return nil, fmt.Errorf("runtime: %q has a staged capture; commit or abort first", req.VM)
 	}
 	if ms.mem.Machine().DirtyCount() != 0 {
 		return nil, fmt.Errorf("runtime: %q has uncommitted dirty pages; checkpoint first", req.VM)

@@ -89,7 +89,7 @@ func (s *Shadow) Commit() {
 
 // Abort mirrors a checkpoint round that failed during prepare: committed
 // images and the epoch stay put, and the machines keep their stepped state
-// (the real protocol's UndoCapture touches only the committed side).
+// (the real protocol's unstage only re-marks the staged pages dirty).
 func (s *Shadow) Abort() {}
 
 // Recover mirrors Coordinator.RecoverNodes: every surviving VM rolls its

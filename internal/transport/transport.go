@@ -23,7 +23,6 @@ type Conn struct {
 	mu      sync.Mutex
 	c       net.Conn
 	r       *bufio.Reader
-	w       *bufio.Writer
 	timeout time.Duration
 }
 
@@ -66,7 +65,7 @@ func DialWith(addr string, d time.Duration, dial DialFunc) (*Conn, error) {
 }
 
 func newConn(c net.Conn) *Conn {
-	return &Conn{c: c, r: bufio.NewReaderSize(c, 1<<16), w: bufio.NewWriterSize(c, 1<<16)}
+	return &Conn{c: c, r: bufio.NewReaderSize(c, 1<<16)}
 }
 
 // SetTimeout sets the per-call I/O deadline for subsequent Calls (0 disables
@@ -89,10 +88,9 @@ func (c *Conn) Call(req *wire.Message) (*wire.Message, error) {
 		c.c.SetDeadline(time.Now().Add(c.timeout)) //nolint:errcheck
 		defer c.c.SetDeadline(time.Time{})         //nolint:errcheck
 	}
-	if err := wire.WriteFrame(c.w, req); err != nil {
-		return nil, err
-	}
-	if err := c.w.Flush(); err != nil {
+	// Straight to the connection: a frame is one Write, or one writev with the
+	// bulk payload sent from the caller's buffer (wire.WriteFrame).
+	if err := wire.WriteFrame(c.c, req); err != nil {
 		return nil, err
 	}
 	resp, err := wire.ReadFrame(c.r)
@@ -113,7 +111,7 @@ func (c *Conn) RemoteAddr() string { return c.c.RemoteAddr().String() }
 
 // Handler serves one request and returns the reply. Returning an error
 // sends a MsgError reply and keeps the connection open. The server recycles
-// both messages' payloads once the reply is flushed (see serveConn), so a
+// both messages' payloads once the reply is written (see serveConn), so a
 // handler hands over the reply payload and keeps no reference to either.
 type Handler func(req *wire.Message) (*wire.Message, error)
 
@@ -213,7 +211,6 @@ func (s *Server) serveConn(c net.Conn) {
 		c.Close()
 	}()
 	r := bufio.NewReaderSize(c, 1<<16)
-	w := bufio.NewWriterSize(c, 1<<16)
 	for {
 		req, err := wire.ReadFrame(r)
 		if err != nil {
@@ -231,10 +228,7 @@ func (s *Server) serveConn(c net.Conn) {
 		if resp.Trace == 0 {
 			resp.Trace, resp.Span = req.Trace, req.Span
 		}
-		if err := wire.WriteFrame(w, resp); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
+		if err := wire.WriteFrame(c, resp); err != nil {
 			return
 		}
 		// The exchange is over and both payloads go back to the buffer pool:

@@ -146,6 +146,16 @@ func AppendChunk(dst []byte, c *Chunk) []byte {
 	return append(appendChunkHeader(dst, c, [][]byte{c.Data}), c.Data...)
 }
 
+// SealChunk finishes a frame rendered in place: frame is a ChunkHeaderLen
+// header slot followed by the chunk's carried bytes, already written there
+// (c.Data is not consulted). The header — lengths and the CRC over both — is
+// laid out in the slot, and frame then equals AppendChunk's encoding of the
+// same chunk. The ship path renders a delta straight into its batch buffer
+// this way and checksums the bytes while they are still in cache.
+func SealChunk(frame []byte, c *Chunk) {
+	appendChunkHeader(frame[:0], c, [][]byte{frame[ChunkHeaderLen:]})
+}
+
 // EncodeChunk renders the chunk's canonical encoding.
 func EncodeChunk(c *Chunk) []byte {
 	return AppendChunk(make([]byte, 0, ChunkHeaderLen+len(c.Data)), c)

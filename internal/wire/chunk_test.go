@@ -32,6 +32,29 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSealChunkMatchesAppendChunk: a frame whose data was rendered in place
+// behind a header slot and then sealed is byte for byte AppendChunk's encoding
+// of the same chunk, at data lengths around the CRC kernel's tails.
+func TestSealChunkMatchesAppendChunk(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{0, 1, 15, 16, 17, 4096, 65536} {
+		data := make([]byte, n)
+		rng.Read(data)
+		c := Chunk{Offset: 3 * uint64(n), Total: 4*uint64(n) + 1, Index: 2, Count: 5, RawLen: uint32(n)}
+		batch := bytes.Repeat([]byte{0xFF}, 7+ChunkHeaderLen+n) // a frame in the middle of a dirty buffer
+		frame := batch[7:]
+		copy(frame[ChunkHeaderLen:], data)
+		SealChunk(frame, &c)
+		c.Data = data
+		if want := EncodeChunk(&c); !bytes.Equal(frame, want) {
+			t.Fatalf("n=%d: sealed frame diverges from AppendChunk's encoding", n)
+		}
+		if !bytes.Equal(batch[:7], bytes.Repeat([]byte{0xFF}, 7)) {
+			t.Fatalf("n=%d: SealChunk wrote before its frame", n)
+		}
+	}
+}
+
 func TestChunkCRCDetectsEveryByteFlip(t *testing.T) {
 	c, err := ChunkOf([]byte("chunked data path payload"), 0, 64)
 	if err != nil {

@@ -2,14 +2,15 @@ package wire
 
 import "net"
 
-// Scatter-gather chunk encoding: the ship path batches many chunk frames
-// into one message payload. AppendChunk renders header and data into one
+// Scatter-gather chunk encoding: AppendChunk renders header and data into one
 // contiguous buffer — a memcpy of every data byte just to frame it. The
 // FrameWriter below instead emits each frame as two segments, a header slot
-// carved from a small pooled arena and the caller's data slice aliased
-// as-is, collected into a net.Buffers (writev-style). The bytes on the wire
+// carved from a small pooled arena and the caller's data slice aliased as-is,
+// collected into a net.Buffers for Message.PayloadSegs. The bytes on the wire
 // are identical to the contiguous encoding, so receivers decode through the
-// unchanged DecodeChunkPrefix/Assembler path.
+// unchanged DecodeChunkPrefix/Assembler path. The runtime no longer ships this
+// way — it renders a delta straight into a contiguous batch and seals each
+// frame in place (SealChunk) — so today the layer benchmark is the only caller.
 
 // frameWriterArenaHeaders sizes a header arena: ~4 KiB holds 110 headers,
 // which covers a whole default-size batch in one pooled buffer.

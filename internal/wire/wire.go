@@ -136,11 +136,10 @@ type Message struct {
 
 	// PayloadSegs is a send-only scatter list: when non-empty, the segments
 	// are framed on the wire after Payload as if they had been concatenated
-	// onto it, without ever being copied into one buffer (the ship path
-	// batches chunk frames this way, writev-style). Receivers always see the
-	// contiguous form — Decode fills Payload only. The segments are aliased,
-	// not copied; they must stay valid and unmodified until the frame is
-	// written.
+	// onto it, without being copied into one buffer (WriteFrame hands them to
+	// writev). Receivers always see the contiguous form — Decode fills Payload
+	// only. The segments are aliased, not copied; they must stay valid and
+	// unmodified until the frame is written.
 	PayloadSegs net.Buffers
 }
 
@@ -264,15 +263,17 @@ func Decode(b []byte) (*Message, error) {
 }
 
 // inlinePayload is the largest payload folded into the header write; bigger
-// payloads are written as a second Write so a bulk chunk or image is never
-// copied just to be framed.
+// payloads leave from the caller's own slices so a bulk chunk batch or image
+// is never copied just to be framed.
 const inlinePayload = 4 << 10
 
-// WriteFrame writes a length-prefixed message to w. The length prefix and
-// all header fields go out in one pooled-buffer write; a payload beyond
-// inlinePayload follows as further writes straight from the caller's slices
-// (Payload first, then each PayloadSegs segment — never copied into an
-// assembly buffer).
+// WriteFrame writes a length-prefixed message to w. The length prefix and all
+// header fields are rendered into one pooled buffer, and a payload up to
+// inlinePayload rides in it: a control frame is one Write. A larger payload is
+// not copied: head, Payload and every PayloadSegs segment go out as one
+// net.Buffers, which is a single writev when w is a TCP connection and one
+// Write per piece through any other writer — so w should be the connection
+// itself, not a buffered writer that would copy the pieces again.
 func WriteFrame(w io.Writer, m *Message) error {
 	pl := m.payloadLen()
 	n := FixedHeaderLen + 2 + len(m.VM) + 4 + len(m.Text) + 4 + pl
@@ -288,25 +289,27 @@ func WriteFrame(w io.Writer, m *Message) error {
 	buf := bufpool.Get(want)[:0]
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
 	buf = m.appendHead(buf)
+	var err error
 	if inline {
 		buf = append(buf, m.Payload...)
 		for _, s := range m.PayloadSegs {
 			buf = append(buf, s...)
 		}
-	}
-	_, err := w.Write(buf)
-	if err == nil && !inline {
+		_, err = w.Write(buf)
+	} else {
+		// WriteTo consumes the list it is called on, and PayloadSegs may be
+		// shared by concurrent sends of one message: write a private list.
+		out := make(net.Buffers, 1, 2+len(m.PayloadSegs))
+		out[0] = buf
 		if len(m.Payload) > 0 {
-			_, err = w.Write(m.Payload)
+			out = append(out, m.Payload)
 		}
 		for _, s := range m.PayloadSegs {
-			if err != nil {
-				break
-			}
 			if len(s) > 0 {
-				_, err = w.Write(s)
+				out = append(out, s)
 			}
 		}
+		_, err = out.WriteTo(w)
 	}
 	bufpool.Put(buf)
 	return err

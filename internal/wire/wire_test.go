@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net"
 	"testing"
 	"testing/quick"
 )
@@ -93,6 +95,48 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if got.VM != m.VM || !bytes.Equal(got.Payload, m.Payload) {
 		t.Error("frame round trip mismatch")
+	}
+}
+
+// pieceWriter records every Write it receives.
+type pieceWriter struct{ pieces [][]byte }
+
+func (w *pieceWriter) Write(b []byte) (int, error) {
+	w.pieces = append(w.pieces, append([]byte(nil), b...))
+	return len(b), nil
+}
+
+// TestWriteFrameBulkIsNotCopied: a payload beyond the inline limit reaches the
+// writer as the caller's own slices — head, Payload, each segment, one Write
+// apiece through a plain io.Writer — the bytes on the stream are the length
+// prefix plus Encode, and a scatter list shared by several sends of one
+// message survives the write (net.Buffers.WriteTo consumes what it is given).
+func TestWriteFrameBulkIsNotCopied(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xA5}, 3*inlinePayload)
+	segs := net.Buffers{bytes.Repeat([]byte{1}, inlinePayload), nil, bytes.Repeat([]byte{2}, 10)}
+	m := &Message{Type: MsgDeltaChunk, Epoch: 9, VM: "vm-bulk", Payload: payload, PayloadSegs: segs}
+	for round := 0; round < 2; round++ {
+		var w pieceWriter
+		if err := WriteFrame(&w, m); err != nil {
+			t.Fatal(err)
+		}
+		if len(w.pieces) != 4 || !bytes.Equal(w.pieces[1], payload) || !bytes.Equal(w.pieces[2], segs[0]) || !bytes.Equal(w.pieces[3], segs[2]) {
+			t.Fatalf("send %d: %d writes; want head, payload and the two non-empty segments", round, len(w.pieces))
+		}
+		body := m.Encode()
+		want := append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+		if got := bytes.Join(w.pieces, nil); !bytes.Equal(got, want) {
+			t.Fatalf("send %d: stream diverges from the length-prefixed Encode", round)
+		}
+		if len(m.PayloadSegs) != 3 || len(m.PayloadSegs[0]) != inlinePayload || len(m.PayloadSegs[2]) != 10 {
+			t.Fatalf("send %d consumed the message's scatter list", round)
+		}
+	}
+	// At the inline limit the frame is one Write.
+	m = &Message{Type: MsgStats, Payload: payload[:inlinePayload]}
+	var w pieceWriter
+	if err := WriteFrame(&w, m); err != nil || len(w.pieces) != 1 {
+		t.Fatalf("inline frame: %d writes, err %v", len(w.pieces), err)
 	}
 }
 
