@@ -9,9 +9,10 @@ import (
 	"dvdc/internal/wire"
 )
 
-// chunkPipelineWidth bounds the in-flight chunk frames per (stream, peer):
-// enough to overlap network transfer with the receiver's per-chunk parity
-// fold, small enough that one stream cannot monopolize a connection pool.
+// chunkPipelineWidth bounds the in-flight chunk batches per (stream, peer).
+// The keeper folds a batch before it replies, so this sender-side pipeline is
+// what overlaps network transfer with the keeper's fold; it is small enough
+// that one stream cannot monopolize a connection pool.
 const chunkPipelineWidth = 4
 
 // chunkBatchBudget floors the wire bytes packed into one MsgDeltaChunk

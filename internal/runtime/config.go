@@ -76,7 +76,7 @@ type NodeStats struct {
 	ChunksSent     int64 `json:"chunks_sent"`     // delta chunks shipped to parity peers
 	ChunksReceived int64 `json:"chunks_received"` // delta chunks folded as keeper
 	DupChunks      int64 `json:"dup_chunks"`      // idempotently dropped re-deliveries
-	FoldNanos      int64 `json:"fold_nanos"`      // cumulative chunk fold time as keeper
+	FoldNanos      int64 `json:"fold_nanos"`      // cumulative chunk fold time as keeper (the folds alone)
 
 	// Unchanged-page skip counters (capture, when NodeConfig.Dedup is on).
 	DedupHits       int64 `json:"dedup_hits"`        // dirty pages skipped: equal to the committed image

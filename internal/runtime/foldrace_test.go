@@ -13,10 +13,11 @@ import (
 
 // TestConcurrentGroupFoldRace drives a layout with two stacked group sets —
 // every node hosts members and keepers of eight groups, so each checkpoint
-// round runs many foldDrain goroutines concurrently per node — and asserts
-// the cluster commits state bit-identical to the in-process oracle, then
-// survives a casualty. Run under -race this is the concurrency pin for the
-// parallel fold workers.
+// round runs many chunk handlers folding concurrently per node, one per
+// inbound connection — and asserts the cluster commits state bit-identical to
+// the in-process oracle, then survives a casualty. Run under -race this is the
+// concurrency pin for handler folds of distinct groups on concurrent
+// connections.
 func TestConcurrentGroupFoldRace(t *testing.T) {
 	layout, err := cluster.BuildDistributed(4, 2, 1)
 	if err != nil {
@@ -52,9 +53,9 @@ func TestConcurrentGroupFoldRace(t *testing.T) {
 
 // TestDuplicateChunkRedeliveryMidFoldRace redelivers an entire chunk stream
 // from a second connection while the first stream's folds are in flight: the
-// seen-set must admit each chunk exactly once no matter how the two streams
-// interleave with the async drainer, so committed parity equals a reference
-// keeper that folded each chunk once.
+// seen-set must admit each chunk exactly once no matter how the two
+// connections' handler folds interleave on the keeper lock, so committed
+// parity equals a reference keeper that folded each chunk once.
 func TestDuplicateChunkRedeliveryMidFoldRace(t *testing.T) {
 	layout := paperLayout(t)
 	coord, _ := chunkedCluster(t, layout, 0, false)
@@ -91,7 +92,7 @@ func TestDuplicateChunkRedeliveryMidFoldRace(t *testing.T) {
 	}
 
 	// Two connections race the same stream: one forward, one reversed, so
-	// redeliveries land while earlier folds are still draining.
+	// redeliveries land while the other connection's handler is folding.
 	send := func(order []int) error {
 		conn, err := transport.Dial(coord.addrs[parityNode])
 		if err != nil {
@@ -168,16 +169,86 @@ func TestDuplicateChunkRedeliveryMidFoldRace(t *testing.T) {
 	}
 }
 
+// TestRejectedBatchFoldsAcceptedFramesOnce sends a batch [c0, c1] whose c1
+// fails its CRC, then re-sends the good batch. The keeper rejects the first
+// batch at c1 having accepted c0, so c0 must already be folded: the re-send
+// drops it as a duplicate and folds c1 alone, and committed parity equals a
+// reference keeper that folded each chunk once.
+func TestRejectedBatchFoldsAcceptedFramesOnce(t *testing.T) {
+	layout := paperLayout(t)
+	coord, _ := chunkedCluster(t, layout, 0, false)
+	const img = 16 * 64
+	g := layout.Groups[0]
+	member, parityNode := g.Members[0], g.ParityNodes[0]
+
+	var batch []byte
+	chunks := make([]wire.Chunk, 2)
+	for i := range chunks {
+		data := make([]byte, img/2)
+		for j := range data {
+			data[j] = byte(i*29 + j*3 + 7)
+		}
+		chunks[i] = wire.Chunk{
+			Offset: uint64(i * img / 2), Total: img,
+			Index: uint32(i), Count: 2,
+			RawLen: img / 2, Data: data,
+		}
+		batch = append(batch, wire.EncodeChunk(&chunks[i])...)
+	}
+	broken := append([]byte(nil), batch...)
+	broken[len(broken)-1] ^= 0xFF // c1's last data byte: its CRC no longer matches
+
+	conn, err := transport.Dial(coord.addrs[parityNode])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	send := func(payload []byte) error {
+		_, err := conn.Call(&wire.Message{Type: wire.MsgDeltaChunk, Epoch: 1, Group: 0, VM: member, Payload: payload})
+		return err
+	}
+	if err := send(broken); err == nil {
+		t.Fatal("a batch with a corrupt frame was accepted")
+	}
+	if err := send(batch); err != nil {
+		t.Fatalf("re-send of the good batch: %v", err)
+	}
+	if resp, err := conn.Call(&wire.Message{Type: wire.MsgCommit, Epoch: 1}); err != nil || resp.Type != wire.MsgCommitOK {
+		t.Fatalf("commit: %v %v", resp, err)
+	}
+
+	initial := map[string][]byte{}
+	for _, m := range g.Members {
+		initial[m] = make([]byte, img)
+	}
+	ref, err := core.NewMKeeper(0, 0, layout.Tolerance, initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := make([]byte, img)
+	for _, c := range chunks {
+		if err := ref.FoldInto(pending, member, int(c.Offset), c.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ref.CommitPending(pending, map[string]uint64{member: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if blk, _, _ := readBlock(t, coord.addrs[parityNode], "parity", "", 0); !bytes.Equal(blk, ref.Parity()) {
+		t.Fatal("parity diverges: an accepted chunk of the rejected batch was not folded exactly once")
+	}
+}
+
 type errUnexpectedReply wire.MsgType
 
 func (e errUnexpectedReply) Error() string { return "unexpected reply type" }
 
 // TestAbortRacesInFlightFolds fires MsgAbort from a second connection while a
-// chunk stream is mid-fold: dropPending must wait out the drainer before
-// discarding the pending buffer (never yank it from under a fold), late
-// chunks may legitimately restart a stream, and a final abort leaves the
-// keeper clean — proven by a full coordinator round plus casualty recovery
-// committing bit-identical state afterwards.
+// chunk stream is mid-fold: the abort's dropPending and the sending
+// connection's handler fold take turns on the keeper lock (never a clear from
+// under a fold), late chunks may legitimately restart a stream, and a final
+// abort leaves the keeper clean — proven by a full coordinator round plus
+// casualty recovery committing bit-identical state afterwards.
 func TestAbortRacesInFlightFolds(t *testing.T) {
 	layout := paperLayout(t)
 	coord, nodes := chunkedCluster(t, layout, 0, false)

@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	"hash/fnv"
-	goruntime "runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -37,10 +36,9 @@ type Node struct {
 	members    map[string]*memberState
 	keepers    map[int]*keeperState // by group (orthogonality: at most one block of a group per node)
 	compress   bool
-	chunkSize  int           // effective chunk payload size, always > 0
-	pipeWidth  int           // in-flight chunk batches per (stream, peer); 0 = default
-	dedup      bool          // capture skips dirty pages equal to the committed image
-	foldSem    chan struct{} // bounds concurrent per-group fold workers
+	chunkSize  int  // effective chunk payload size, always > 0
+	pipeWidth  int  // in-flight chunk batches per (stream, peer); 0 = default
+	dedup      bool // capture skips dirty pages equal to the committed image
 	rpcTimeout time.Duration
 	fanout     int
 	dialer     transport.DialFunc
@@ -88,58 +86,18 @@ type keeperState struct {
 	// the size of the parity block, allocated lazily on first chunk and then
 	// kept resident), and streams tracks per-member delivery so duplicates
 	// are dropped idempotently and commit can verify completeness. touched
-	// records the byte range of every fold op, so commit XORs — and the next
-	// round's reuse re-zeroes — only the bytes folds actually wrote.
+	// records the byte range of every fold, so commit XORs — and the next
+	// round's reuse re-zeroes — only the bytes folds actually wrote. A chunk
+	// is folded and recorded delivered in one step under mu.
 	// Invariant: pending is all-zero outside touched.
 	pending []byte
 	streams map[string]*chunkStream
 	touched [][2]int
-
-	// Async fold worker (one drainer goroutine per keeper, node-bounded by
-	// foldSem): the chunk handler validates and enqueues under mu, then
-	// replies; the drainer folds into pending with mu released, so network
-	// reads and the RS fold of independent groups overlap. foldBusy is true
-	// while a drainer is live; foldCond signals its exit. Anyone about to
-	// read or drop pending must waitFolds first. The first async fold error
-	// parks in foldErr and surfaces at commit.
-	foldCond *sync.Cond // tied to mu
-	foldBusy bool
-	foldQ    []foldJob
-	foldErr  error
-}
-
-// foldJob is one validated chunk batch awaiting its parity fold: the ops to
-// fold plus the owned buffers to recycle afterwards.
-type foldJob struct {
-	vm      string
-	ops     []foldOp
-	payload []byte // owned request payload (raw chunk data aliases it); nil if none
-}
-
-// foldOp is one chunk's fold: data either aliases the job's payload or is a
-// pooled inflate buffer the drainer returns after folding.
-type foldOp struct {
-	off    int
-	data   []byte
-	pooled bool
 }
 
 // newKeeperState wires a keeperState around a keeper.
 func newKeeperState(k *core.MKeeper, cfg KeeperConfig) *keeperState {
-	ks := &keeperState{
-		keeper:  k,
-		cfg:     cfg,
-		streams: map[string]*chunkStream{},
-	}
-	ks.foldCond = sync.NewCond(&ks.mu)
-	return ks
-}
-
-// waitFolds blocks until the async fold queue drains. Caller holds ks.mu.
-func (ks *keeperState) waitFolds() {
-	for ks.foldBusy {
-		ks.foldCond.Wait()
-	}
+	return &keeperState{keeper: k, cfg: cfg, streams: map[string]*chunkStream{}}
 }
 
 // chunkStream tracks one member's in-flight delta chunk stream on a keeper.
@@ -153,14 +111,11 @@ type chunkStream struct {
 	got   uint32
 }
 
-// dropPending discards a keeper's uncommitted round state (abort/rollback),
-// first letting any in-flight async folds finish so the pending buffer is
-// not cleared under a worker. The buffer itself stays resident — folds only
-// ever wrote inside touched, so re-zeroing just those ranges restores the
-// all-zero invariant without an image-sized clear. Caller holds ks.mu.
+// dropPending discards a keeper's uncommitted round state (abort/rollback).
+// The buffer itself stays resident — folds only ever wrote inside touched, so
+// re-zeroing just those ranges restores the all-zero invariant without an
+// image-sized clear. Caller holds ks.mu.
 func (ks *keeperState) dropPending() {
-	ks.waitFolds()
-	ks.foldErr = nil
 	if ks.pending != nil {
 		for _, r := range ks.touched {
 			clear(ks.pending[r[0]:r[1]])
@@ -222,7 +177,6 @@ func NewNodeWith(addr string, opts NodeOptions) (*Node, error) {
 		// A node serves recovery reads before (and without) ever being
 		// configured as a member host, so the tuning starts at the default.
 		chunkSize: resolveChunkSize(0),
-		foldSem:   make(chan struct{}, max(1, goruntime.NumCPU()-1)),
 		dialer:    opts.Dialer,
 		tracer:    opts.Tracer,
 		registry:  opts.Registry,
@@ -577,7 +531,6 @@ func (n *Node) countDedup(reg *obs.Registry, hits, misses, pageSize int64) {
 func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberState, d *core.Delta, parity []int, chunkSize, pipeWidth int, compress bool, wireBytes, chunksSent *atomic.Int64) error {
 	chunks, raw := planChunks(d, ms.cfg.PageSize, ms.cfg.Pages*ms.cfg.PageSize, chunkSize)
 	budget := max(chunkSize, chunkBatchBudget) + wire.ChunkHeaderLen
-	selfID := n.nodeID()
 	var (
 		inflight sync.WaitGroup
 		slots    = make(chan struct{}, pipeWidth) // batches in flight
@@ -588,19 +541,10 @@ func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberSta
 	)
 	fail := func(err error) { shipErr.CompareAndSwap(nil, &err) }
 	deliver := func(batch []byte, k, peer int) error {
-		msg := &wire.Message{
+		reply, err := n.callPeer(peer, &wire.Message{
 			Type: wire.MsgDeltaChunk, Epoch: d.Epoch, Group: int32(ms.cfg.Group), VM: d.VMID,
 			Payload: batch, Trace: sctx.Trace, Span: sctx.Span,
-		}
-		if peer == selfID {
-			// A self-call's handler may keep the payload (nil-ing it) to fold
-			// from later, and batch is shared with the other sends: copy.
-			msg.Payload = append(bufpool.Get(len(batch))[:0], batch...)
-		}
-		reply, err := n.callPeer(peer, msg)
-		if peer == selfID && msg.Payload != nil {
-			bufpool.Put(msg.Payload)
-		}
+		})
 		if err == nil && reply.Type != wire.MsgDeltaChunkOK {
 			err = fmt.Errorf("unexpected reply %v", reply.Type)
 		}
@@ -693,84 +637,82 @@ func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberSta
 	return nil
 }
 
-// onDeltaChunk accepts delta chunks for the keeper's pending accumulation
-// buffer — the receiving half of the ship path. The payload carries
-// one or more self-delimiting chunk frames (the sender batches small frames
-// into one message); each is verified individually against its stream under
-// ks.mu, then the whole batch is enqueued for the keeper's fold drainer and
-// the reply goes out before the RS fold runs. The fold happens off the live
-// parity block so two-phase semantics hold: abort drops the pending buffer,
-// commit waits for the queue to drain and lands it atomically. Redelivered
-// chunks (the transport retries once over a fresh dial when a connection
-// drops, resending whole batches) are detected by index and skipped without
-// folding again, since a second XOR fold would cancel the first.
+// onDeltaChunk folds delta chunks into the keeper's pending accumulation
+// buffer — the receiving half of the ship path. The payload carries one or
+// more self-delimiting chunk frames (the sender batches small frames into one
+// message); each is decoded, verified against its stream and folded under
+// ks.mu before the next is decoded, and the reply goes out once the batch is
+// folded. A chunk counts as delivered exactly when it is folded, so a batch
+// rejected partway keeps the chunks before the bad frame and its re-send
+// folds only the rest. The fold lands off the live parity block so two-phase
+// semantics hold: abort drops the pending buffer, commit lands it atomically.
+// Redelivered chunks (the transport retries once over a fresh dial when a
+// connection drops, resending whole batches) are detected by index and
+// skipped without folding again, since a second XOR fold would cancel the
+// first.
 func (n *Node) onDeltaChunk(req *wire.Message) (*wire.Message, error) {
 	n.mu.Lock()
 	ks, ok := n.keepers[int(req.Group)]
-	id := n.id
+	id, reg := n.id, n.registry
 	n.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("runtime: node %d keeps no parity for group %d", id, req.Group)
 	}
+	folded, foldD, err := n.foldBatch(ks, req)
+	if folded > 0 { // fold time: one histogram sample per batch
+		n.statsMu.Lock()
+		n.stats.ChunksReceived += folded
+		n.stats.FoldNanos += foldD.Nanoseconds()
+		n.statsMu.Unlock()
+		if reg != nil {
+			reg.Histogram("dvdc_chunk_fold_seconds", obs.LatencyBuckets()).Observe(foldD.Seconds())
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &wire.Message{Type: wire.MsgDeltaChunkOK, Epoch: req.Epoch, VM: req.VM}, nil
+}
+
+// foldBatch walks req's chunk frames under ks.mu, folding each in turn
+// (foldChunk); it returns how many chunks it folded and the time the folds
+// took, up to the first bad frame.
+func (n *Node) foldBatch(ks *keeperState, req *wire.Message) (folded int64, foldD time.Duration, err error) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
-	job := foldJob{vm: req.VM}
-	aliases := false
 	// An empty payload decodes to a short-header error on the first
 	// iteration, so a batch always contains at least one frame.
 	for buf := req.Payload; ; {
 		c, adv, err := wire.DecodeChunkPrefix(buf)
 		if err != nil {
-			return nil, err
+			return folded, foldD, err
 		}
-		op, fold, err := n.validateChunk(ks, req, &c)
+		took, fold, err := n.foldChunk(ks, req, &c)
 		if err != nil {
-			return nil, err
+			return folded, foldD, err
 		}
 		if fold {
-			job.ops = append(job.ops, op)
-			if !op.pooled && len(op.data) > 0 {
-				aliases = true // raw chunk data points into req.Payload
-			}
+			folded++
+			foldD += took
 		}
 		if buf = buf[adv:]; len(buf) == 0 {
-			break
+			return folded, foldD, nil
 		}
 	}
-	// The batch passed validation: its streams exist, so commit will expect a
-	// pending buffer even if every chunk was a duplicate or empty.
-	if ks.pending == nil {
-		ks.pending = bufpool.GetZero(ks.keeper.Size())
-	}
-	if len(job.ops) > 0 {
-		if aliases {
-			// Take the payload: the drainer folds from it after this handler
-			// returns, and recycles it. The transport treats a nil-ed request
-			// payload as ownership transferred.
-			job.payload = req.Payload
-			req.Payload = nil
-		}
-		ks.foldQ = append(ks.foldQ, job)
-		if !ks.foldBusy {
-			ks.foldBusy = true
-			go n.foldDrain(ks)
-		}
-	}
-	return &wire.Message{Type: wire.MsgDeltaChunkOK, Epoch: req.Epoch, VM: req.VM}, nil
 }
 
-// validateChunk checks one decoded chunk against its stream, records its
-// delivery, and materializes the fold op (inflating compressed chunks into
-// pooled buffers). fold is false for idempotently dropped duplicates. Caller
-// holds ks.mu.
-func (n *Node) validateChunk(ks *keeperState, req *wire.Message, c *wire.Chunk) (op foldOp, fold bool, err error) {
+// foldChunk checks one decoded chunk against its stream, folds it into
+// pending (a compressed chunk is inflated into a pooled buffer, put back
+// straight after) and records its delivery. fold is false for an
+// idempotently dropped duplicate. Caller holds ks.mu.
+func (n *Node) foldChunk(ks *keeperState, req *wire.Message, c *wire.Chunk) (took time.Duration, fold bool, err error) {
 	k := ks.keeper
 	if int(c.Total) != k.Size() {
-		return op, false, fmt.Errorf("runtime: chunk stream for %q describes a %d-byte image, group %d uses %d",
+		return 0, false, fmt.Errorf("runtime: chunk stream for %q describes a %d-byte image, group %d uses %d",
 			req.VM, c.Total, req.Group, k.Size())
 	}
 	if req.Epoch != k.Epoch(req.VM)+1 {
-		return op, false, fmt.Errorf("runtime: chunk stream for %q at epoch %d, keeper folded %d",
+		return 0, false, fmt.Errorf("runtime: chunk stream for %q at epoch %d, keeper folded %d",
 			req.VM, req.Epoch, k.Epoch(req.VM))
 	}
 	st := ks.streams[req.VM]
@@ -778,82 +720,36 @@ func (n *Node) validateChunk(ks *keeperState, req *wire.Message, c *wire.Chunk) 
 		st = &chunkStream{epoch: req.Epoch, count: c.Count, seen: make([]bool, c.Count)}
 		ks.streams[req.VM] = st
 	} else if st.epoch != req.Epoch || st.count != c.Count {
-		return op, false, fmt.Errorf("runtime: conflicting chunk stream for %q (epoch %d, %d chunks; had epoch %d, %d)",
+		return 0, false, fmt.Errorf("runtime: conflicting chunk stream for %q (epoch %d, %d chunks; had epoch %d, %d)",
 			req.VM, req.Epoch, c.Count, st.epoch, st.count)
 	}
 	if st.seen[c.Index] {
 		n.statsMu.Lock()
 		n.stats.DupChunks++
 		n.statsMu.Unlock()
-		return op, false, nil
+		return 0, false, nil
 	}
 	data, err := c.Inflate(bufpool.Get)
 	if err != nil {
-		return op, false, err
+		return 0, false, err
 	}
+	if c.Flags&wire.ChunkFlate != 0 {
+		defer bufpool.Put(data) // the inflated copy is ours; raw data aliases the payload
+	}
+	if ks.pending == nil {
+		ks.pending = bufpool.GetZero(k.Size())
+	}
+	start := time.Now()
+	if err := k.FoldInto(ks.pending, req.VM, int(c.Offset), data); err != nil {
+		return 0, false, err
+	}
+	took = time.Since(start)
 	st.seen[c.Index] = true
 	st.got++
 	if len(data) > 0 {
 		ks.touched = append(ks.touched, [2]int{int(c.Offset), int(c.Offset) + len(data)})
 	}
-	return foldOp{off: int(c.Offset), data: data, pooled: c.Flags&wire.ChunkFlate != 0}, true, nil
-}
-
-// foldDrain is the keeper's fold worker: it pops queued chunk batches and
-// folds them into the pending buffer with ks.mu released, so the handler can
-// keep accepting (and validating) the next batches off the wire while this
-// one folds. A node-wide semaphore bounds how many keepers fold at once.
-// Exactly one drainer runs per keeper (same-group chunks may overlap byte
-// ranges, so their folds must not race each other); distinct groups fold in
-// parallel. Exits when the queue is empty, waking waitFolds waiters.
-func (n *Node) foldDrain(ks *keeperState) {
-	n.mu.Lock()
-	reg := n.registry
-	n.mu.Unlock()
-	for {
-		ks.mu.Lock()
-		if len(ks.foldQ) == 0 {
-			ks.foldBusy = false
-			ks.foldCond.Broadcast()
-			ks.mu.Unlock()
-			return
-		}
-		job := ks.foldQ[0]
-		ks.foldQ = ks.foldQ[1:]
-		k, pending := ks.keeper, ks.pending
-		ks.mu.Unlock()
-
-		n.foldSem <- struct{}{}
-		start := time.Now()
-		var ferr error
-		for _, op := range job.ops {
-			if ferr == nil {
-				ferr = k.FoldInto(pending, job.vm, op.off, op.data)
-			}
-			if op.pooled {
-				bufpool.Put(op.data) // inflated copy is ours; raw chunks alias the payload
-			}
-		}
-		foldD := time.Since(start)
-		<-n.foldSem
-		if job.payload != nil {
-			bufpool.Put(job.payload)
-		}
-		n.statsMu.Lock()
-		n.stats.ChunksReceived += int64(len(job.ops))
-		n.stats.FoldNanos += foldD.Nanoseconds()
-		n.statsMu.Unlock()
-		if reg != nil {
-			reg.Histogram("dvdc_chunk_fold_seconds", obs.LatencyBuckets()).Observe(foldD.Seconds())
-		}
-		if ferr != nil {
-			ks.mu.Lock()
-			if ks.foldErr == nil {
-				ks.foldErr = ferr
-			}
-			ks.mu.Unlock()
-		}
-	}
+	return took, true, nil
 }
 
 // onCommit lands epoch req.Epoch: every keeper's pending accumulation drains
@@ -891,19 +787,12 @@ func (n *Node) onCommit(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 	}
 	// Land each keeper's pending accumulation in its parity block, keepers in
 	// parallel (the range drain is real CPU work and keepers are independent).
-	if err := parallelDo(len(keepers), fan, func(i int) (foldErr error) {
+	if err := parallelDo(len(keepers), fan, func(i int) (drainErr error) {
 		ks := keepers[i]
 		ks.mu.Lock()
 		defer ks.mu.Unlock()
 		span := tr.Child(ctx, fmt.Sprintf("fold g%d", ks.keeper.Group()), lane)
-		defer func() { span.FinishErr(foldErr) }()
-		// The async fold queue must land before pending is read or committed;
-		// an error parked by the drainer fails the commit here.
-		ks.waitFolds()
-		if err := ks.foldErr; err != nil {
-			ks.foldErr = nil
-			return fmt.Errorf("runtime: commit group %d: async chunk fold: %w", ks.keeper.Group(), err)
-		}
+		defer func() { span.FinishErr(drainErr) }()
 		// Every member's stream must have delivered all of its chunks
 		// (prepare succeeded, so they did unless the protocol broke), then
 		// the whole accumulation lands atomically.
@@ -916,9 +805,6 @@ func (n *Node) onCommit(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 						ks.keeper.Group(), vmid, st.got, st.count)
 				}
 				epochs[vmid] = st.epoch
-			}
-			if ks.pending == nil {
-				return fmt.Errorf("runtime: commit group %d: chunk streams without a pending fold buffer", ks.keeper.Group())
 			}
 			// Folds only wrote inside touched, so commit drains just those
 			// ranges — XOR into parity and re-zero in one fused pass: the

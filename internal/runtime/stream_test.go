@@ -287,7 +287,7 @@ type captureTwin struct {
 // and dirty bits. Page sizes sit around the XOR and compare kernels' tails,
 // the chunk size cuts inside pages, and the RS m=2 shape puts parity[1] of a
 // group on the host of one of its members: that member's batch buffer is
-// shared by a remote send and a self-call whose handler keeps its payload.
+// shared by a remote send and a self-call whose handler folds straight from it.
 func TestStreamedRoundsMatchCaptureOracle(t *testing.T) {
 	for _, ps := range []int{1, 7, 4096, 4097} {
 		for _, rs2 := range []bool{false, true} {
@@ -437,7 +437,6 @@ func streamedVsCaptureOracle(t *testing.T, ps int, rs2, skip, compress bool) {
 				}
 				tk := twin.keepers[[2]int{g.Index, idx}]
 				ks.mu.Lock()
-				ks.waitFolds()
 				switch {
 				case ks.keeper.ParityIndex() != idx:
 					t.Errorf("%s: node %d keeps parity[%d] of group %d, layout says [%d]", when, pn, ks.keeper.ParityIndex(), g.Index, idx)

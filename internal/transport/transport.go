@@ -237,8 +237,7 @@ func (s *Server) serveConn(c net.Conn) {
 		// contract: retain neither past the return — a reply payload is either
 		// a buffer the handler gives up (the runtime's read-chunk replies, a
 		// pooled chunk frame each, are the only ones today) or a slice of the
-		// request's payload, which is recognised and released once. A handler
-		// that keeps the request payload for later sets req.Payload to nil.
+		// request's payload, which is recognised and released once.
 		if !sameBacking(resp.Payload, req.Payload) {
 			bufpool.Put(resp.Payload)
 		}
