@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover loc bench obs-bench experiments figures fuzz soak obs-demo clean
+.PHONY: all build test race cover loc bench obs-bench experiments figures fuzz soak soak-digest obs-demo clean
 
 all: build test
 
@@ -56,6 +56,25 @@ soak:
 	$(GO) run ./cmd/dvdcsoak -seed $(SOAK_SEED) -rounds 20
 	$(GO) run ./cmd/dvdcsoak -seed $(SOAK_SEED) -nodes 8 -rounds 10
 	$(GO) run ./cmd/dvdcsoak -seed $(SOAK_SEED) -rounds 10 -chunk-faults 2 -chunk-size 256
+
+# The pinned soak digests: ROADMAP's four dvdcsoak shapes at both pinned
+# seeds, probabilistic chaos off so every printed line is a function of the
+# seed. The wall-clock figure is cut from the summary line, so comparing two
+# commits is one diff of this target's output.
+SOAK_DIGEST_SHAPES = "-rounds 20 -kill-mtbf 150" \
+	"-nodes 8 -rounds 10 -kill-mtbf 150" \
+	"-nodes 16 -group-size 4 -rounds 8 -kill-mtbf 200" \
+	"-service -rounds 10 -kill-mtbf 120"
+soak-digest:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/dvdcsoak" ./cmd/dvdcsoak && \
+	for seed in 424242 31337; do \
+		for shape in $(SOAK_DIGEST_SHAPES); do \
+			echo "== -seed $$seed $$shape"; \
+			"$$dir/dvdcsoak" -seed $$seed $$shape -p-corrupt 0 -p-drop 0 -p-delay 0 -p-partition 0 -v >"$$dir/out" || { cat "$$dir/out"; exit 1; }; \
+			sed 's/, [0-9.]*s wall$$//' "$$dir/out"; \
+		done; \
+	done
 
 # Observability demo: soak with a JSONL trace sink, render one round's
 # timeline, and dump the Prometheus exposition of a live node.

@@ -5,7 +5,9 @@
 //
 // Everything nondeterministic derives from -seed, so any failure this
 // command reports is replayed exactly by rerunning with the printed seed
-// (see EXPERIMENTS.md, "Reproducing a chaos failure by seed").
+// (see EXPERIMENTS.md, "Reproducing a chaos failure by seed"). -service lets
+// the checkpoint service drive the same rounds with timing-dependent retries,
+// so the seed pins the default direct driver's -v digest (`make soak-digest`).
 //
 // Usage:
 //
@@ -90,7 +92,7 @@ func registerFlags(fs *flag.FlagSet) *soakFlags {
 	fs.IntVar(&f.controllerRestarts, "controller-restarts", 0,
 		"kill and restart the service controller this many times mid-soak, replaying its journal (requires -service)")
 	fs.BoolVar(&f.adaptive, "adaptive", false,
-		"close the telemetry loop: an advisor may evacuate parity keepers off habitually slow peers, retune the chunk pipeline, and retune the checkpoint interval from the live failure rate (classic loop only, not -service)")
+		"close the telemetry loop: an advisor may evacuate parity keepers off habitually slow peers, retune the chunk pipeline, and retune the checkpoint interval from the live failure rate")
 	fs.IntVar(&f.slowNode, "slow-node", -1,
 		"make this node's data-plane ingest habitually slow: every bulk frame shipped to it stalls by -slow-delay (-1 = off; the health engine's round-time SLO should fire, and -adaptive should drain its parity)")
 	fs.DurationVar(&f.slowDelay, "slow-delay", 400*time.Millisecond, "per-frame stall for -slow-node")
@@ -114,9 +116,6 @@ func (f *soakFlags) validate() error {
 	}
 	if (f.stateDir != "" || f.controllerRestarts > 0) && !f.service {
 		return fmt.Errorf("-state-dir and -controller-restarts require -service")
-	}
-	if f.adaptive && f.service {
-		return fmt.Errorf("-adaptive drives the classic loop and cannot be combined with -service")
 	}
 	return nil
 }
@@ -213,23 +212,24 @@ func main() {
 	start := time.Now()
 	res, err := runtime.RunSoak(cfg)
 	elapsed := time.Since(start)
+	if res == nil {
+		fatal(err) // refused config or failed boot: no round ran, nothing violated
+	}
 
-	if res != nil {
-		if f.verbose || err != nil {
-			for _, line := range res.RoundDigest() {
-				fmt.Println("  " + line)
-			}
-			fmt.Println("fault log:")
-			for _, line := range res.FaultLogDigest() {
-				fmt.Println("  " + line)
-			}
+	if f.verbose || err != nil {
+		for _, line := range res.RoundDigest() {
+			fmt.Println("  " + line)
 		}
-		fmt.Printf("faults: %v\n", res.Counters)
-		fmt.Printf("final epoch %d across %d rounds, %d VMs verified, %.2fs wall\n",
-			res.Epoch, len(res.Rounds), len(res.Checksums), elapsed.Seconds())
-		if f.adaptive {
-			printAdaptSummary(res, f.verbose)
+		fmt.Println("fault log:")
+		for _, line := range res.FaultLogDigest() {
+			fmt.Println("  " + line)
 		}
+	}
+	fmt.Printf("faults: %v\n", res.Counters)
+	fmt.Printf("final epoch %d across %d rounds, %d VMs verified, %.2fs wall\n",
+		res.Epoch, len(res.Rounds), len(res.Checksums), elapsed.Seconds())
+	if f.adaptive {
+		printAdaptSummary(res, f.verbose)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dvdcsoak: INVARIANT VIOLATION: %v\n", err)

@@ -48,8 +48,8 @@ func TestFlagDefaultsMatchLibrary(t *testing.T) {
 }
 
 // TestFlagValidation pins what validate refuses: a negative chunk size (the
-// encoding is 0 = default, > 0 = bytes) and the service-only / classic-only
-// flag combinations.
+// encoding is 0 = default, > 0 = bytes) and the service-only flags without
+// -service. -adaptive runs under either driver.
 func TestFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -60,7 +60,7 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-chunk-size", "-1"}, false},
 		{[]string{"-controller-restarts", "1"}, false},
 		{[]string{"-service", "-controller-restarts", "1"}, true},
-		{[]string{"-service", "-adaptive"}, false},
+		{[]string{"-service", "-adaptive"}, true},
 	} {
 		fs := flag.NewFlagSet("dvdcsoak", flag.ContinueOnError)
 		f := registerFlags(fs)

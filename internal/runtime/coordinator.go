@@ -963,8 +963,8 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 }
 
 // refreshParityPointers pushes the current parity-node assignment of the
-// given groups to every alive node, batched into one MsgSetParityBatch per
-// node instead of one MsgSetParity per (group, parity block, node).
+// given groups to every alive node: one MsgSetParityBatch per node carrying
+// every (group, parity block) pointer.
 func (c *Coordinator) refreshParityPointers(ctx obs.SpanContext, groups map[int]bool) error {
 	var sorted []int
 	for g := range groups {

@@ -311,7 +311,11 @@ func TestSecondKeeperOfAGroupIsRefused(t *testing.T) {
 		t.Fatalf("rebuilding the held block in place: %v", err)
 	}
 	// parity[0] moved to another node: the stale copy goes, parity[1] may come.
-	if _, err := node.handle(&wire.Message{Type: wire.MsgSetParity, Group: int32(g.Index), Epoch: 0, Arg: uint64(g.ParityNodes[1])}); err != nil {
+	moved, err := encodeJSON([]parityUpdate{{Group: g.Index, Idx: 0, Node: g.ParityNodes[1]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.handle(&wire.Message{Type: wire.MsgSetParityBatch, Text: moved}); err != nil {
 		t.Fatal(err)
 	}
 	if held() != -1 {

@@ -339,8 +339,6 @@ func (n *Node) dispatch(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 		return n.onRollback(req)
 	case wire.MsgRebuildKeeper:
 		return n.onRebuildKeeper(ctx, req)
-	case wire.MsgSetParity:
-		return n.onSetParity(req)
 	case wire.MsgSetParityBatch:
 		return n.onSetParityBatch(req)
 	case wire.MsgStats:
@@ -1299,15 +1297,6 @@ func (n *Node) setParity(group, idx, node int) error {
 		ms.mu.Unlock()
 	}
 	return nil
-}
-
-// onSetParity applies a single reassignment. Epoch carries the parity
-// index, Arg the new node id.
-func (n *Node) onSetParity(req *wire.Message) (*wire.Message, error) {
-	if err := n.setParity(int(req.Group), int(req.Epoch), int(req.Arg)); err != nil {
-		return nil, err
-	}
-	return &wire.Message{Type: wire.MsgSetParityOK, Group: req.Group}, nil
 }
 
 // onSetParityBatch applies a whole recovery's worth of parity reassignments

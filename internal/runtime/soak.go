@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -66,17 +65,16 @@ type SoakConfig struct {
 	// chunk size / pipeline width, or (c) retune the checkpoint interval
 	// (scaling the workload steps between checkpoints on the virtual clock).
 	// Every decision lands in RoundRecord.Adapt and the dvdc_adapt_* metric
-	// family; applications pause while a Health rule is firing. Classic-loop
-	// only (not Service mode).
+	// family; applications pause while a Health rule is firing.
 	Adaptive bool
 
 	// Service routes every checkpoint and recovery through the declarative
-	// control plane (internal/service) instead of invoking the coordinator
+	// control plane (internal/service) instead of calling the soak's executor
 	// directly: each round submits request objects to a reconciler-backed
-	// Service and waits for them to reach a terminal phase, then runs the
-	// same invariant battery — plus request-convergence assertions (no stuck
-	// phases, observed generations current, reconcile spans rooting the round
-	// traces).
+	// Service, which calls the same executor, and waits for them to reach a
+	// terminal phase, then runs the same invariant battery — plus
+	// request-convergence assertions (no stuck phases, observed generations
+	// current, reconcile spans rooting the round traces).
 	Service bool
 
 	// StateDir (service mode) backs the control plane with a durable journal
@@ -84,7 +82,8 @@ type SoakConfig struct {
 	// with an empty StateDir gets a temp dir for the run.
 	StateDir string
 	// ControllerRestarts (service mode) kills and restarts the controller
-	// that many times, spread across the soak: on a restart round the
+	// that many times, on distinct rounds other than the first and the last
+	// (so at most Rounds-2 times; RunSoak refuses more): on a restart round the
 	// reconciler is stopped first, the round's faults are armed, its victims
 	// killed, and its requests submitted — landing in the journal untouched,
 	// the way a crash between persisting and scheduling leaves them — then
@@ -120,11 +119,11 @@ type RoundRecord struct {
 	Epoch        uint64 // coordinator epoch at the end of the round
 	Aborted      bool   // the round's first checkpoint aborted
 	BytesShipped int64  // delta bytes shipped across the round's checkpoints
-	RPCRetries   int64  // pool retries across the round's checkpoints (timing-dependent)
 	DeadDuring   []int  // nodes declared dead mid-commit (PartialCommitError)
 	Kills        []int  // nodes the kill plan took down this round
 	Straggler    string // lane the round's critical path waited on (timing-dependent)
-	Retries      int    // service mode: reconcile attempts beyond the first, summed over the round's requests
+	RPCRetries   int64  // coordinator transport retries over the round's whole drive, checkpoint and repair (timing-dependent)
+	Retries      int    // reconcile attempts beyond the first, summed over the round's requests (service driver; direct is 0)
 
 	// Wall is the round's checkpoint-trace wall clock (the merged span tree's
 	// extent) and Adapt the advisor's decisions for the round (Adaptive mode).
@@ -216,11 +215,9 @@ func (sc *soakCluster) close() {
 	}
 }
 
-// soakEnv is everything a soak run shares between the classic loop and the
-// service-mode loop: the instrumented cluster, the shadow model, the chaos
-// machinery, and the invariant checks. Both loops drive the same cluster
-// through the same verifications; they differ only in who invokes the
-// protocol — the harness directly, or the service reconciler on its behalf.
+// soakEnv is everything a soak run shares between its two drivers: the
+// instrumented cluster, the shadow model, the chaos machinery, and the
+// invariant checks.
 type soakEnv struct {
 	cfg       SoakConfig
 	layout    *cluster.Layout
@@ -403,8 +400,9 @@ func (e *soakEnv) roundSteps() uint64 {
 
 // stepAdapt feeds the advisor one verified round's telemetry and records its
 // decisions on the round. Runs after verification and the health tick, on a
-// quiesced cluster, so an applied placement or tuning change lands between
-// rounds, never mid-protocol.
+// quiesced cluster — under the service driver every request is terminal and
+// the reconciler idle — so an applied placement or tuning change lands
+// between rounds, never mid-protocol.
 func (e *soakEnv) stepAdapt(rr *RoundRecord) {
 	if e.advisor == nil {
 		return
@@ -492,44 +490,6 @@ func (e *soakEnv) checkTrace(traceID uint64) (*collect.Tree, error) {
 	}
 }
 
-// recoverAndRepair runs the fault-free repair cycle for a set of down
-// nodes: recover their state onto survivors, restart the daemons on the
-// same addresses, repair, re-checkpoint, and rebalance. Mirrored into the
-// shadow step by step. The injector must already be paused. A valid parent
-// context nests the cycle's protocol spans under the caller's span (the
-// service reconciler passes its reconcile span; the classic loop passes a
-// zero context).
-func (e *soakEnv) recoverAndRepair(parent obs.SpanContext, down []int) error {
-	plan, err := e.coord.RecoverNodesIn(parent, down...)
-	if err != nil {
-		return fmt.Errorf("recover %v: %w", down, err)
-	}
-	if err := e.shadow.Recover(plan, e.coord.Epoch()); err != nil {
-		return err
-	}
-	for _, v := range down {
-		if err := e.sc.start(v, e.sc.addrs[v]); err != nil {
-			return fmt.Errorf("restart node %d on %s: %w", v, e.sc.addrs[v], err)
-		}
-		e.sc.nodes[v].SetRPCTimeout(e.cfg.RPCTimeout)
-		e.inj.RecordRestart(v)
-		if err := e.coord.Repair(v); err != nil {
-			return fmt.Errorf("repair node %d: %w", v, err)
-		}
-	}
-	// The post-recovery checkpoint runs clean: it certifies the repaired
-	// cluster can commit before rebalance moves anything.
-	if err := e.coord.CheckpointIn(parent); err != nil {
-		return fmt.Errorf("post-recovery checkpoint: %w", err)
-	}
-	e.shadow.Commit()
-	rb, err := e.coord.Rebalance()
-	if err != nil {
-		return fmt.Errorf("rebalance: %w", err)
-	}
-	return e.shadow.Rebalance(rb, e.coord.Epoch())
-}
-
 // applySlowPlan arms or heals the standing slow-node delay at the boundary
 // rounds of the configured window (r is the 0-based round index).
 func (e *soakEnv) applySlowPlan(r int) {
@@ -560,7 +520,7 @@ func (e *soakEnv) tickHealth() {
 
 // armRoundFaults arms this round's one-shot faults (coordinator pairs, an
 // optional transient partition, chunk-frame faults) from the harness stream,
-// identically in both soak modes. Returns the partitioned pair ({-1,-1} if
+// identically under both drivers. Returns the partitioned pair ({-1,-1} if
 // none); the caller heals it after the checkpoint window.
 func (e *soakEnv) armRoundFaults(victims []int) [2]int {
 	cfg, layout := e.cfg, e.layout
@@ -785,9 +745,13 @@ func (e *soakEnv) finish() (*SoakResult, error) {
 //   - the round's span tree is complete: the checkpoint trace has exactly one
 //     root and no span whose parent was never recorded.
 //
-// With cfg.Service set the same cluster, faults, and invariants run with the
-// protocol driven through the declarative control plane instead: see
-// SoakConfig.Service.
+// Every round is step → arm → kill → drive → account → verify → health tick
+// → adapt. Only the drive differs between the two drivers: the direct one
+// calls the soak's executor itself, and with cfg.Service set the declarative
+// control plane's reconciler calls the same executor on its behalf (see
+// SoakConfig.Service). The direct driver stays because its round digest is
+// reproducible by seed; the service driver retries after a timing-dependent
+// backoff.
 //
 // An invariant violation (or a protocol operation failing where it must not)
 // returns an error naming the round and the seed; the partial SoakResult is
@@ -800,113 +764,67 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	if cfg.ControllerRestarts > 0 && !cfg.Service {
 		return nil, fmt.Errorf("soak: ControllerRestarts requires Service mode")
 	}
-	if cfg.Adaptive && cfg.Service {
-		return nil, fmt.Errorf("soak: Adaptive is classic-loop only, not Service mode")
-	}
-	if cfg.Service {
-		return runSoakService(cfg)
+	if cfg.ControllerRestarts > max(cfg.Rounds-2, 0) {
+		return nil, fmt.Errorf("soak: ControllerRestarts %d needs at least %d rounds, have %d (none on the first or last round)",
+			cfg.ControllerRestarts, cfg.ControllerRestarts+2, cfg.Rounds)
 	}
 	e, err := newSoakEnv(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer e.close()
-	coord, shadow, inj, sc := e.coord, e.shadow, e.inj, e.sc
+	exec := &soakExec{e: e, downNow: map[int]bool{}}
+	drive := exec.driveDirect
+	if cfg.Service {
+		sd, err := newSoakService(exec)
+		if err != nil {
+			return nil, err
+		}
+		defer sd.close()
+		drive = sd.drive
+	}
 
 	for r := 0; r < cfg.Rounds; r++ {
-		round := inj.NextRound()
+		round := e.inj.NextRound()
 		rr := RoundRecord{Round: round}
 		e.applySlowPlan(r)
-		var victims []int
 		if e.kills != nil {
-			victims = e.kills.Victims(r)
+			rr.Kills = e.kills.Victims(r)
 		}
-		rr.Kills = victims
 
-		// Workload phase, fault-free: a lost or duplicated step RPC would
-		// desynchronize the real workload streams from the shadow's, turning
-		// model noise into false invariant violations (see DESIGN.md).
-		if inj.ArmedPending() != 0 {
-			return e.fail(round, "%d armed faults never fired", inj.ArmedPending())
+		// Workload phase, fault-free and driven by the harness: a lost or
+		// duplicated step RPC — or a retried service attempt re-stepping —
+		// would desynchronize the real workload streams from the shadow's,
+		// turning model noise into false invariant violations (see DESIGN.md).
+		if e.inj.ArmedPending() != 0 {
+			return e.fail(round, "%d armed faults never fired", e.inj.ArmedPending())
 		}
 		steps := e.roundSteps()
-		if err := coord.Step(steps); err != nil {
+		if err := e.coord.Step(steps); err != nil {
 			return e.fail(round, "step: %v", err)
 		}
-		shadow.Step(steps)
+		e.shadow.Step(steps)
 
-		partitioned := e.armRoundFaults(victims)
-
-		// Kill phase: victims drop dead before the checkpoint, so the round
-		// exercises prepare-failure abort (or, if timing conspires, a
+		// Arm, then kill: victims drop dead before the checkpoint, so the
+		// round exercises prepare-failure abort (or, if timing conspires, a
 		// mid-commit death) followed by full recovery.
-		for _, v := range victims {
-			sc.nodes[v].Close()
-			inj.RecordKill(v)
-		}
+		exec.beginRound(e.armRoundFaults(rr.Kills), rr.Kills)
 
-		inj.Resume()
-		ckErr := coord.Checkpoint()
-		inj.Pause()
-		if partitioned[0] >= 0 {
-			inj.HealPair(partitioned[0], partitioned[1])
+		retriesBefore := e.coord.totalRetries()
+		if err := drive(r, &rr); err != nil {
+			return e.fail(round, "%v", err)
 		}
-		st := coord.RoundStats()
-		rr.BytesShipped += st.BytesShipped
-		rr.RPCRetries += st.RPCRetries
-
-		var partial *PartialCommitError
-		switch {
-		case ckErr == nil:
-			if len(victims) > 0 {
-				return e.fail(round, "checkpoint succeeded with dead nodes %v", victims)
-			}
-			shadow.Commit()
-		case errors.As(ckErr, &partial):
-			// The epoch advanced; the named nodes are casualties.
-			shadow.Commit()
-			rr.DeadDuring = partial.Nodes
-		default:
-			rr.Aborted = true
-			shadow.Abort()
+		if err := exec.account(&rr); err != nil {
+			return e.fail(round, "%v", err)
 		}
-
-		// Repair cycle: scheduled victims plus anything commit declared dead.
-		down := map[int]bool{}
-		for _, v := range victims {
-			down[v] = true
-		}
-		for _, n := range rr.DeadDuring {
-			if !down[n] {
-				// Declared dead by the commit phase without being scheduled
-				// (persistent injected faults): its daemon is still running,
-				// but to the coordinator it is gone — take it down for real
-				// and put it through the same repair cycle.
-				sc.nodes[n].Close()
-				inj.RecordKill(n)
-				down[n] = true
-			}
-		}
-		if len(down) > 0 {
-			var downList []int
-			for n := range down {
-				downList = append(downList, n)
-			}
-			sort.Ints(downList)
-			if err := e.recoverAndRepair(obs.SpanContext{}, downList); err != nil {
-				return e.fail(round, "%v", err)
-			}
-			st = coord.RoundStats()
-			rr.BytesShipped += st.BytesShipped
-			rr.RPCRetries += st.RPCRetries
-		}
+		rr.RPCRetries = e.coord.totalRetries() - retriesBefore
 
 		if err := e.verifyRound(round, &rr); err != nil {
 			return e.fail(round, "%v", err)
 		}
 		e.tickHealth()
 		e.stepAdapt(&rr)
-		rr.Epoch = coord.Epoch()
+		rr.Epoch = e.coord.Epoch()
 		e.res.Rounds = append(e.res.Rounds, rr)
 		if cfg.RoundInterval > 0 && r < cfg.Rounds-1 {
 			time.Sleep(cfg.RoundInterval)

@@ -41,6 +41,41 @@ func meanWall(rounds []RoundRecord, from, to int) time.Duration {
 	return sum / time.Duration(n)
 }
 
+// TestSoakServiceAdaptive runs the advisor under the service driver: it
+// steps after each round's verification, when every request is terminal and
+// the reconciler idle, so its placement and tuning changes serialize with
+// nothing in flight. The full invariant battery and the request-convergence
+// checks must hold with a slow keeper from round 1, and the advisor's gauges
+// must be exported. How fast the round wall converges is
+// TestSoakAdaptiveConvergesUnderSlowNode's business, not this test's.
+func TestSoakServiceAdaptive(t *testing.T) {
+	reg := obs.NewRegistry()
+	res, err := RunSoak(SoakConfig{
+		Layout:        adaptLayout(t),
+		Rounds:        6,
+		StepsPerRound: 24,
+		Pages:         64,
+		PageSize:      256,
+		ChunkSize:     512,
+		Seed:          7,
+		SlowDelay:     25 * time.Millisecond,
+		SlowNode:      1,
+		SlowFrom:      1,
+		Service:       true,
+		Adaptive:      true,
+		Registry:      reg,
+	})
+	if err != nil {
+		t.Fatalf("service soak with the advisor: %v\nfault log:\n%s", err, faultLines(res))
+	}
+	if len(res.Rounds) != 6 {
+		t.Fatalf("recorded %d rounds, want 6", len(res.Rounds))
+	}
+	if _, ok := reg.Value("dvdc_adapt_failure_rate"); !ok {
+		t.Error("dvdc_adapt_failure_rate not exported under the service driver")
+	}
+}
+
 // TestSoakAdaptiveConvergesUnderSlowNode is the ROADMAP convergence
 // experiment: under identical pinned-seed slow-node chaos (a keeper whose
 // data-plane ingest delays every bulk frame shipped to it), the adaptive

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"strings"
 	"testing"
 
 	"dvdc/internal/chaos"
@@ -117,6 +118,30 @@ func TestSoakServiceReconcileUnderFault(t *testing.T) {
 	fsyncs := reg.Counter("dvdc_service_journal_fsyncs_total").Value()
 	if fsyncs == 0 || fsyncs >= appends {
 		t.Errorf("journal fsyncs = %d for %d appends, want 0 < fsyncs < appends (batching)", fsyncs, appends)
+	}
+}
+
+// TestSoakRejectsUndeliverableControllerRestarts pins the restart schedule's
+// bound: restarts are spread over rounds 1..Rounds-2 (none on the first, none
+// on the last), so more than Rounds-2 of them either collide on one round —
+// performing fewer than asked — or land on the last round. RunSoak refuses
+// such a config before booting anything.
+func TestSoakRejectsUndeliverableControllerRestarts(t *testing.T) {
+	for _, tc := range []struct{ rounds, restarts int }{
+		{2, 3}, // would collide: 2 restarts performed, 3 asked
+		{3, 2}, // would restart on the last round
+	} {
+		_, err := RunSoak(SoakConfig{
+			Layout:             paperLayout(t),
+			Rounds:             tc.rounds,
+			Seed:               1,
+			Service:            true,
+			ControllerRestarts: tc.restarts,
+		})
+		if err == nil || !strings.Contains(err.Error(), "ControllerRestarts") {
+			t.Errorf("Rounds %d, ControllerRestarts %d: err = %v, want a ControllerRestarts refusal",
+				tc.rounds, tc.restarts, err)
+		}
 	}
 }
 

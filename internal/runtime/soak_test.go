@@ -3,8 +3,12 @@ package runtime
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -142,6 +146,62 @@ func TestSoakReproducibleBySeed(t *testing.T) {
 	if fmt.Sprint(a.FaultLogDigest()) == fmt.Sprint(c.FaultLogDigest()) &&
 		fmt.Sprint(a.RoundDigest()) == fmt.Sprint(c.RoundDigest()) {
 		t.Error("different seeds produced identical fault logs and round digests")
+	}
+}
+
+var updateSoakGolden = flag.Bool("update-soak-golden", false, "rewrite the direct-soak digest golden under testdata/")
+
+const soakDirectGolden = "testdata/soak_direct_424242.golden"
+
+// TestSoakDirectDigestGolden pins the direct soak's reproducible outcome —
+// round digest, sorted fault log, final epoch, and final checksums — for one
+// seed against a checked-in file, so a refactor of the soak loop that changes
+// what the harness does (which faults it arms, which nodes it kills and
+// recovers, what the shadow commits) fails here rather than in prose. Chunk
+// faults and probabilistic chaos stay off: their fault notes and firing
+// frames depend on timing. Regenerate with -update-soak-golden.
+func TestSoakDirectDigestGolden(t *testing.T) {
+	res, err := RunSoak(SoakConfig{
+		Layout:        paperLayout(t),
+		Rounds:        8,
+		StepsPerRound: 25,
+		Seed:          424242,
+		ArmPerRound:   2,
+		KillMTBF:      150,
+	})
+	if err != nil {
+		t.Fatalf("soak: %v", err)
+	}
+	var buf bytes.Buffer
+	for _, l := range res.RoundDigest() {
+		fmt.Fprintln(&buf, l)
+	}
+	for _, l := range res.FaultLogDigest() {
+		fmt.Fprintln(&buf, "fault "+l)
+	}
+	fmt.Fprintf(&buf, "epoch %d\n", res.Epoch)
+	names := make([]string, 0, len(res.Checksums))
+	for name := range res.Checksums {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(&buf, "checksum %s %016x\n", name, res.Checksums[name])
+	}
+	if *updateSoakGolden {
+		if err := os.MkdirAll(filepath.Dir(soakDirectGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(soakDirectGolden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(soakDirectGolden)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update-soak-golden): %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("direct soak diverged from %s:\ngot:\n%s\nwant:\n%s", soakDirectGolden, buf.Bytes(), want)
 	}
 }
 

@@ -46,7 +46,7 @@ const (
 	MsgRollbackOK
 	MsgRebuildKeeper // become parity node for a group: pull member images, XOR
 	MsgRebuildKeeperOK
-	MsgSetParity // update the parity-node assignment for hosted VMs of a group
+	MsgSetParity // reserved: retired single parity-pointer update (pointers travel as MsgSetParityBatch)
 	MsgSetParityOK
 	MsgStats // fetch a node's protocol counters (JSON in Text)
 	MsgStatsOK
