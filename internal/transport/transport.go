@@ -64,8 +64,12 @@ func DialWith(addr string, d time.Duration, dial DialFunc) (*Conn, error) {
 	return newConn(c), nil
 }
 
+// readerSize holds a control frame. Small on purpose: bufio reads a bulk payload
+// straight into wire.ReadFrame's pooled buffer instead of staging it for a copy.
+const readerSize = 4 << 10
+
 func newConn(c net.Conn) *Conn {
-	return &Conn{c: c, r: bufio.NewReaderSize(c, 1<<16)}
+	return &Conn{c: c, r: bufio.NewReaderSize(c, readerSize)}
 }
 
 // SetTimeout sets the per-call I/O deadline for subsequent Calls (0 disables
@@ -109,10 +113,10 @@ func (c *Conn) Close() error { return c.c.Close() }
 // RemoteAddr returns the peer address.
 func (c *Conn) RemoteAddr() string { return c.c.RemoteAddr().String() }
 
-// Handler serves one request and returns the reply. Returning an error
-// sends a MsgError reply and keeps the connection open. The server recycles
-// both messages' payloads once the reply is written (see serveConn), so a
-// handler hands over the reply payload and keeps no reference to either.
+// Handler serves one request and returns the reply. Returning an error sends
+// a MsgError reply and keeps the connection open. The request payload is the
+// pooled buffer wire.ReadFrame read it into; the server recycles it and the
+// reply's once the reply is written (serveConn), so a handler keeps neither.
 type Handler func(req *wire.Message) (*wire.Message, error)
 
 // Server accepts framed connections and dispatches requests to a Handler.
@@ -210,7 +214,7 @@ func (s *Server) serveConn(c net.Conn) {
 		s.mu.Unlock()
 		c.Close()
 	}()
-	r := bufio.NewReaderSize(c, 1<<16)
+	r := bufio.NewReaderSize(c, readerSize)
 	for {
 		req, err := wire.ReadFrame(r)
 		if err != nil {
@@ -232,12 +236,10 @@ func (s *Server) serveConn(c net.Conn) {
 			return
 		}
 		// The exchange is over and both payloads go back to the buffer pool:
-		// the request's came out of it (wire.ReadFrame), and the reply's belongs
-		// to the server from the moment the handler returns it. Handler
-		// contract: retain neither past the return — a reply payload is either
-		// a buffer the handler gives up (the runtime's read-chunk replies, a
-		// pooled chunk frame each, are the only ones today) or a slice of the
-		// request's payload, which is recognised and released once.
+		// the request's was read into it (wire.ReadFrame), and the reply's is
+		// the server's once returned — a buffer the handler gives up (today
+		// only the runtime's read-chunk replies, a pooled chunk frame each) or
+		// a slice of the request's payload, recognised and released once.
 		if !sameBacking(resp.Payload, req.Payload) {
 			bufpool.Put(resp.Payload)
 		}

@@ -121,43 +121,59 @@ func TestChaosCorpusCheckedIn(t *testing.T) {
 	}
 }
 
-// TestDecodeChaosCorpus runs every checked-in corpus file through Decode:
-// it must never panic, every rejection must be a typed ErrFrame error, and
-// everything accepted must re-encode canonically. (The same files also seed
-// FuzzDecode's mutation engine under `go test -fuzz`.)
-func TestDecodeChaosCorpus(t *testing.T) {
+// corpusFile is one checked-in chaos corpus entry.
+type corpusFile struct {
+	name  string
+	frame []byte
+}
+
+// chaosCorpusFiles reads every checked-in chaos corpus file.
+func chaosCorpusFiles(tb testing.TB) []corpusFile {
 	files, err := filepath.Glob(filepath.Join(corpusDir, "*"))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if len(files) == 0 {
-		t.Fatalf("no corpus files under %s", corpusDir)
+		tb.Fatalf("no corpus files under %s", corpusDir)
 	}
+	out := make([]corpusFile, 0, len(files))
 	for _, path := range files {
 		raw, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		frame, err := decodeCorpusEntry(raw)
 		if err != nil {
-			t.Fatalf("%s: %v", path, err)
+			tb.Fatalf("%s: %v", path, err)
 		}
+		out = append(out, corpusFile{filepath.Base(path), frame})
+	}
+	return out
+}
+
+// TestDecodeChaosCorpus runs every checked-in corpus file through both entry
+// points: Decode must never panic, every rejection must be a typed ErrFrame
+// error, and everything accepted must re-encode canonically; ReadFrame over
+// the length-prefixed file must agree with Decode (checkReadFrame). (The same
+// files also seed FuzzDecode's and FuzzReadFrame's mutation engines under
+// `go test -fuzz`.)
+func TestDecodeChaosCorpus(t *testing.T) {
+	for _, e := range chaosCorpusFiles(t) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Errorf("%s: Decode panicked: %v", filepath.Base(path), r)
+					t.Errorf("%s: Decode or ReadFrame panicked: %v", e.name, r)
 				}
 			}()
-			m, err := Decode(frame)
+			m, err := Decode(e.frame)
 			if err != nil {
 				if !errors.Is(err, ErrFrame) {
-					t.Errorf("%s: Decode error is not a typed ErrFrame: %v", filepath.Base(path), err)
+					t.Errorf("%s: Decode error is not a typed ErrFrame: %v", e.name, err)
 				}
-				return
+			} else if re := m.Encode(); !bytes.Equal(re, e.frame) {
+				t.Errorf("%s: accepted non-canonical frame", e.name)
 			}
-			if re := m.Encode(); !bytes.Equal(re, frame) {
-				t.Errorf("%s: accepted non-canonical frame", filepath.Base(path))
-			}
+			checkReadFrame(t, e.name, e.frame)
 		}()
 	}
 }

@@ -6,11 +6,13 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"sync"
 
 	"dvdc/internal/bufpool"
 )
@@ -196,70 +198,10 @@ func (m *Message) Encode() []byte {
 	return out
 }
 
-// Decode parses a message body.
+// Decode parses a message body: ReadFrame's reader run over b, so the head
+// is parsed in one place. Payload is a pooled copy the caller owns.
 func Decode(b []byte) (*Message, error) {
-	if len(b) < FixedHeaderLen+2 {
-		return nil, fmt.Errorf("%w: short header (%d bytes)", ErrFrame, len(b))
-	}
-	m := &Message{}
-	off := 0
-	m.Type = MsgType(b[off])
-	off++
-	m.Epoch = binary.LittleEndian.Uint64(b[off:])
-	off += 8
-	m.Group = int32(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	m.Arg = binary.LittleEndian.Uint64(b[off:])
-	off += 8
-	m.Trace = binary.LittleEndian.Uint64(b[off:])
-	off += 8
-	m.Span = binary.LittleEndian.Uint64(b[off:])
-	off += 8
-	take := func(n int) ([]byte, error) {
-		if n < 0 || off+n > len(b) {
-			return nil, fmt.Errorf("%w: truncated field", ErrFrame)
-		}
-		s := b[off : off+n]
-		off += n
-		return s, nil
-	}
-	vl := int(binary.LittleEndian.Uint16(b[off:]))
-	off += 2
-	vb, err := take(vl)
-	if err != nil {
-		return nil, err
-	}
-	m.VM = string(vb)
-	if off+4 > len(b) {
-		return nil, fmt.Errorf("%w: truncated text length", ErrFrame)
-	}
-	tl := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	tb, err := take(tl)
-	if err != nil {
-		return nil, err
-	}
-	m.Text = string(tb)
-	if off+4 > len(b) {
-		return nil, fmt.Errorf("%w: truncated payload length", ErrFrame)
-	}
-	pl := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	pb, err := take(pl)
-	if err != nil {
-		return nil, err
-	}
-	if pl > 0 {
-		// Copy into a pooled buffer so the caller's frame scratch can be
-		// reused. Ownership of Payload passes to whoever consumes the
-		// message; see transport's serve loop for the release point.
-		m.Payload = bufpool.Get(pl)
-		copy(m.Payload, pb)
-	}
-	if off != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrFrame, len(b)-off)
-	}
-	return m, nil
+	return readFrame(bytes.NewReader(b), len(b))
 }
 
 // inlinePayload is the largest payload folded into the header write; bigger
@@ -279,6 +221,9 @@ func WriteFrame(w io.Writer, m *Message) error {
 	n := FixedHeaderLen + 2 + len(m.VM) + 4 + len(m.Text) + 4 + pl
 	if n > MaxFrame {
 		return fmt.Errorf("%w: frame of %d bytes exceeds max %d", ErrFrame, n, MaxFrame)
+	}
+	if len(m.VM) >= 1<<16 {
+		return fmt.Errorf("%w: VM name of %d bytes overflows its 16-bit length", ErrFrame, len(m.VM))
 	}
 	head := 4 + n - pl
 	inline := pl <= inlinePayload
@@ -315,26 +260,99 @@ func WriteFrame(w io.Writer, m *Message) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed message from r. The frame scratch is
-// pooled: Decode copies every field out, so the scratch is released before
-// returning.
+// headScratch is what a frame head is read through: pooled, because a slice
+// handed to an io.Reader escapes, and a pointer boxes for free. A VM name or
+// Text too long for it is read into a buffer of its own.
+type headScratch [512]byte
+
+var heads = sync.Pool{New: func() any { return new(headScratch) }}
+
+// ReadFrame reads one length-prefixed message from r, every byte once: the
+// head through a pooled scratch, the payload straight into a bufpool.Get
+// buffer of its length. A frame whose lengths do not add up fails with
+// ErrFrame before any payload byte is read; a stream that ends inside the
+// frame fails with the io error one io.ReadFull of the body would give.
+// Payload passes to the message's consumer, who bufpool.Puts it.
 func ReadFrame(r io.Reader) (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return readFrame(r, -1)
+}
+
+// readFrame reads an n-byte frame body from r (n < 0: the length prefix
+// first), checking every length against the bytes left before reading on.
+func readFrame(r io.Reader, n int) (*Message, error) {
+	s := heads.Get().(*headScratch)
+	defer heads.Put(s)
+	if n < 0 {
+		if _, err := io.ReadFull(r, s[:4]); err != nil {
+			return nil, err
+		}
+		if n = int(binary.LittleEndian.Uint32(s[:])); n > MaxFrame {
+			return nil, fmt.Errorf("%w: frame length %d exceeds max %d", ErrFrame, n, MaxFrame)
+		}
+	}
+	if n < FixedHeaderLen+2 {
+		return nil, fmt.Errorf("%w: short header (%d bytes)", ErrFrame, n)
+	}
+	left := n
+	read := func(b []byte) error {
+		_, err := io.ReadFull(r, b)
+		if err == io.EOF && left < n {
+			err = io.ErrUnexpectedEOF // the body ran dry after its first byte
+		}
+		left -= len(b)
+		return err
+	}
+	h := s[:FixedHeaderLen+2]
+	// field reads a k-byte string and the 4-byte length behind it, past h.
+	field := func(k int, next string) (string, int, error) {
+		if k < 0 || k > left { // k < 0: a uint32 length wrapped by a 32-bit int
+			return "", 0, fmt.Errorf("%w: truncated field", ErrFrame)
+		}
+		if k+4 > left {
+			return "", 0, fmt.Errorf("%w: truncated %s length", ErrFrame, next)
+		}
+		b := s[len(h):]
+		if k+4 > len(b) {
+			b = make([]byte, k+4)
+		}
+		if err := read(b[:k+4]); err != nil {
+			return "", 0, err
+		}
+		return string(b[:k]), int(binary.LittleEndian.Uint32(b[k:])), nil
+	}
+	if err := read(h); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("%w: frame length %d exceeds max %d", ErrFrame, n, MaxFrame)
-	}
-	body := bufpool.Get(int(n))
-	if _, err := io.ReadFull(r, body); err != nil {
-		bufpool.Put(body)
+	vm, tl, err := field(int(binary.LittleEndian.Uint16(h[FixedHeaderLen:])), "text")
+	if err != nil {
 		return nil, err
 	}
-	m, err := Decode(body)
-	bufpool.Put(body)
-	return m, err
+	text, pl, err := field(tl, "payload")
+	if err != nil {
+		return nil, err
+	}
+	if pl != left {
+		return nil, fmt.Errorf("%w: payload of %d bytes in the %d left", ErrFrame, pl, left)
+	}
+	var payload []byte
+	if pl > 0 {
+		payload = bufpool.Get(pl)
+		if err := read(payload); err != nil {
+			bufpool.Put(payload)
+			return nil, err
+		}
+	}
+	return &Message{
+		Type:    MsgType(h[0]),
+		Epoch:   binary.LittleEndian.Uint64(h[1:]),
+		Group:   int32(binary.LittleEndian.Uint32(h[9:])),
+		Arg:     binary.LittleEndian.Uint64(h[13:]),
+		Trace:   binary.LittleEndian.Uint64(h[TraceOffset:]),
+		Span:    binary.LittleEndian.Uint64(h[SpanOffset:]),
+		VM:      vm,
+		Text:    text,
+		Payload: payload,
+	}, nil
 }
 
 // IsDecodeErr reports whether err stems from frame decoding (ErrFrame): the

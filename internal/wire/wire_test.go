@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"net"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -137,6 +139,27 @@ func TestWriteFrameBulkIsNotCopied(t *testing.T) {
 	var w pieceWriter
 	if err := WriteFrame(&w, m); err != nil || len(w.pieces) != 1 {
 		t.Fatalf("inline frame: %d writes, err %v", len(w.pieces), err)
+	}
+}
+
+// TestWriteFrameRefusesLongVMName: a VM name's length travels as a uint16. A
+// 65 536-byte name would go out with a wrapped length and the peer would
+// misparse the frame, so WriteFrame refuses it and writes nothing; a
+// 65 535-byte name — longer than ReadFrame's head scratch, as is the Text —
+// round-trips.
+func TestWriteFrameRefusesLongVMName(t *testing.T) {
+	var buf bytes.Buffer
+	err := WriteFrame(&buf, &Message{Type: MsgInstall, VM: strings.Repeat("v", 1<<16)})
+	if !errors.Is(err, ErrFrame) || buf.Len() != 0 {
+		t.Fatalf("65536-byte VM name: err %v, %d bytes written", err, buf.Len())
+	}
+	m := &Message{Type: MsgInstall, VM: strings.Repeat("v", 1<<16-1), Text: strings.Repeat("t", 5000), Payload: []byte{7}}
+	if err := WriteFrame(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFrame(&buf)
+	if err != nil || got.VM != m.VM || got.Text != m.Text || !bytes.Equal(got.Payload, m.Payload) {
+		t.Fatalf("65535-byte VM name did not round-trip: %v", err)
 	}
 }
 
