@@ -84,14 +84,16 @@ obs-demo:
 	$(GO) run ./cmd/dvdcctl trace -in /tmp/dvdc-trace.jsonl -epoch 2
 
 # Short fuzzing passes over the codecs, the streamed frame reader against
-# Decode, the chunk reassembly path, the scatter-gather frame encoder, the GF(256) and XOR slice kernels, and the
-# service journal's recovery path.
+# Decode, the chunk reassembly path, the scatter-gather frame encoder, the
+# GF(256) slice kernel's vector and table-walk paths, the XOR slice kernels,
+# and the service journal's recovery path. The same eight targets as CI's
+# fuzz job.
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/wire/ -fuzz FuzzReadFrame -fuzztime 30s
 	$(GO) test ./internal/wire/ -fuzz FuzzChunkReassembly -fuzztime 30s
 	$(GO) test ./internal/wire/ -fuzz FuzzScatterGatherFrames -fuzztime 30s
-	$(GO) test ./internal/parity/ -fuzz FuzzGfSliceKernels -fuzztime 30s
+	$(GO) test ./internal/parity/ -fuzz FuzzGfSliceKernels -fuzztime 60s
 	$(GO) test ./internal/parity/ -fuzz FuzzXORKernels -fuzztime 30s
 	$(GO) test ./internal/checkpoint/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/service/ -fuzz FuzzJournalReplay -fuzztime 30s

@@ -147,12 +147,12 @@ func TestXORDrainRejectsAliases(t *testing.T) {
 }
 
 // misaligned returns a 0xA5-filled frame and the offset of an n-byte window
-// in it that starts exactly mis bytes (0…15) past a 16-byte boundary, so a
+// in it that starts exactly mis bytes (0…31) past a 32-byte boundary, so a
 // vector kernel's alignment paths are hit on purpose, not by allocator luck.
 func misaligned(n, mis int) (frame []byte, off int) {
-	frame = bytes.Repeat([]byte{0xA5}, n+48)
-	base := int(uintptr(unsafe.Pointer(unsafe.SliceData(frame))) & 15)
-	return frame, 16 + (16-base)&15 + mis
+	frame = bytes.Repeat([]byte{0xA5}, n+128)
+	base := int(uintptr(unsafe.Pointer(unsafe.SliceData(frame))) & 31)
+	return frame, 32 + (32-base)&31 + mis
 }
 
 // frameIntact reports whether every frame byte outside [off, off+n) is still
@@ -427,25 +427,126 @@ func TestMulSliceIntoGuards(t *testing.T) {
 	}
 }
 
-// FuzzGfSliceKernels cross-checks the table slice kernel against the
-// loop-based reference on fuzz-chosen data and coefficient.
+// TestRSUpdateParityGuards pins the keeper fold to MulSliceInto's guards on
+// both rows of an RS(3,2) group (row 0 all ones, so XOR; row 1 a general
+// coefficient): a delta that partially overlaps, or is, the parity bytes it
+// folds into must return ErrOverlap and leave them as they were, and
+// disjoint sub-slices of one backing array must still fold.
+func TestRSUpdateParityGuards(t *testing.T) {
+	rs, err := NewRS(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(20))
+	for p := 0; p < 2; p++ {
+		c := rs.Coef(p, 1)
+		back := randBytes(rng, 192)
+		orig := append([]byte(nil), back...)
+		for name, bad := range map[string][2][]byte{
+			"delta after parity":  {back[0:64], back[8:72]},
+			"delta before parity": {back[64:128], back[40:104]},
+			"exact alias":         {back[0:64], back[0:48]},
+		} {
+			if err := rs.UpdateParity(bad[0], p, 1, bad[1]); !errors.Is(err, ErrOverlap) {
+				t.Errorf("row %d (coefficient %d), %s: err %v, want ErrOverlap", p, c, name, err)
+			}
+			if !bytes.Equal(back, orig) {
+				t.Fatalf("row %d, %s: refused fold changed the buffer", p, name)
+			}
+		}
+		want := append([]byte(nil), back[0:64]...)
+		for i := range 48 {
+			want[i] ^= naiveGfMul(c, back[128+i])
+		}
+		if err := rs.UpdateParity(back[0:64], p, 1, back[128:176]); err != nil {
+			t.Fatalf("row %d: disjoint sub-slices rejected: %v", p, err)
+		}
+		if !bytes.Equal(back[0:64], want) || !bytes.Equal(back[64:], orig[64:]) {
+			t.Fatalf("row %d: disjoint fold diverges from the naive fold", p)
+		}
+	}
+}
+
+// checkGfKernels folds c*b into a copy of a through MulSliceInto twice — on
+// the vector path (when the host has one) and with the table walk forced —
+// with dst and src placed dm and sm bytes past a 32-byte boundary, and holds
+// both to the log/exp reference, src to unchanged and the canary bytes on
+// either side of both operands to intact. It is the body of both the sweep
+// and the fuzz target.
+func checkGfKernels(t *testing.T, a, b []byte, c byte, dm, sm int) {
+	t.Helper()
+	n := len(a)
+	want := append([]byte(nil), a...)
+	gfMulSliceLogExp(want, b, c)
+	dFrame, dOff := misaligned(n, dm)
+	sFrame, sOff := misaligned(n, sm)
+	dst, src := dFrame[dOff:dOff+n], sFrame[sOff:sOff+n]
+	vector := gfVector
+	defer func() { gfVector = vector }()
+	for _, path := range []struct {
+		name string
+		on   bool
+	}{{"vector", vector}, {"table walk", false}} {
+		gfVector = path.on
+		copy(dst, a)
+		copy(src, b)
+		if err := MulSliceInto(dst, src, c); err != nil {
+			t.Fatalf("%s c=%d n=%d dst+%d src+%d: %v", path.name, c, n, dm, sm, err)
+		}
+		if !bytes.Equal(dst, want) || !bytes.Equal(src, b) ||
+			!frameIntact(dFrame, dOff, n) || !frameIntact(sFrame, sOff, n) {
+			t.Fatalf("%s c=%d n=%d dst+%d src+%d diverges from the log/exp reference", path.name, c, n, dm, sm)
+		}
+	}
+}
+
+// TestGfVectorKernelMatchesTableWalk is the seam test for the AVX2 kernel:
+// every coefficient over lengths that straddle its 32- and 64-byte steps,
+// with both operands misaligned independently, against the forced table
+// walk, the log/exp reference and the shift-add naive fold.
+func TestGfVectorKernelMatchesTableWalk(t *testing.T) {
+	if !gfVector {
+		t.Log("no vector kernel on this host: both passes run the table walk")
+	} else if got := gfMulSliceVec(make([]byte, 100), make([]byte, 100), 7); got != 96 {
+		t.Fatalf("vector kernel folded %d of 100 bytes, want 96", got)
+	}
+	rng := rand.New(rand.NewSource(19))
+	lengths := make([]int, 0, 135)
+	for n := 0; n <= 130; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 4095, 4096, 4097, 65536+37)
+	for _, n := range lengths {
+		a, b := randBytes(rng, n), randBytes(rng, n)
+		for c := 0; c < 256; c++ {
+			naive := append([]byte(nil), a...)
+			for i := range naive {
+				naive[i] ^= naiveGfMul(byte(c), b[i])
+			}
+			ref := append([]byte(nil), a...)
+			gfMulSliceLogExp(ref, b, byte(c))
+			if !bytes.Equal(ref, naive) {
+				t.Fatalf("c=%d n=%d: log/exp reference diverges from the naive fold", c, n)
+			}
+			checkGfKernels(t, a, b, byte(c), rng.Intn(32), rng.Intn(32))
+		}
+	}
+}
+
+// FuzzGfSliceKernels cross-checks both slice-kernel paths against the
+// loop-based reference on fuzz-chosen data, coefficient and operand offsets
+// (off%32 for dst, off/32%32 for src).
 func FuzzGfSliceKernels(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 255, 0, 128}, byte(3))
-	f.Add([]byte{}, byte(0))
-	f.Add(bytes.Repeat([]byte{0xff}, 129), byte(1))
-	f.Fuzz(func(t *testing.T, src []byte, c byte) {
+	f.Add([]byte{0, 1, 2, 255, 0, 128}, byte(3), uint16(0))
+	f.Add([]byte{}, byte(0), uint16(0))
+	f.Add(bytes.Repeat([]byte{0xff}, 129), byte(1), uint16(0))
+	f.Add(bytes.Repeat([]byte{0x9c, 0x01}, 2049), byte(0x57), uint16(31+17*32))
+	f.Fuzz(func(t *testing.T, src []byte, c byte, off uint16) {
 		dst := make([]byte, len(src))
 		for i := range dst {
 			dst[i] = byte(i * 31)
 		}
-		ref := append([]byte(nil), dst...)
-		gfMulSliceLogExp(ref, src, c)
-		if err := MulSliceInto(dst, src, c); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dst, ref) {
-			t.Fatalf("c=%d n=%d: table kernel diverges from log/exp reference", c, len(src))
-		}
+		checkGfKernels(t, dst, src, c, int(off%32), int(off/32%32))
 	})
 }
 

@@ -11,5 +11,7 @@
 // two simultaneous erasures, and a GF(256) Reed-Solomon coder for arbitrary
 // m-erasure protection. All coders operate on equal-length byte slices and
 // are deterministic and allocation-conscious; every XOR runs in the standard
-// library's assembly-backed crypto/subtle.XORBytes behind this package's guards.
+// library's assembly-backed crypto/subtle.XORBytes behind this package's guards,
+// every GF(256) multiply-accumulate in one AVX2 split-nibble kernel behind them
+// (a product-table walk for tails and hosts without AVX2).
 package parity

@@ -4,15 +4,16 @@ import "fmt"
 
 // GF(2^8) arithmetic with the primitive polynomial x^8+x^4+x^3+x^2+1
 // (0x11d, the conventional Reed-Solomon modulus, under which 2 generates the
-// multiplicative group). Two table tiers are built once at package init:
+// multiplicative group). Three table tiers are built once at package init:
 //
 //   - log/antilog tables — the classic representation, kept both as the
 //     generator for the flat tables below and as the loop-based reference
 //     the differential test battery compares against;
-//   - a full 256x256 product table plus an inverse table — the hot-path
-//     representation. A slice kernel indexing one 256-byte row is branch
-//     free (no zero check per byte) and keeps the row in L1, which is what
-//     the RS small-write fold spends its time in.
+//   - a full 256x256 product table plus an inverse table — the scalar ops,
+//     the slice kernel's tails and the whole slice on hosts without AVX2
+//     (one 256-byte row, no per-byte branch, stays in L1);
+//   - on amd64, split-nibble tables (gf_amd64.go) feeding the AVX2 kernel
+//     the RS small-write fold and the recovery combine spend their time in.
 
 const gfPoly = 0x11d
 
@@ -22,6 +23,10 @@ var (
 
 	gfMulTab [256][256]byte // gfMulTab[a][b] = a*b in GF(256)
 	gfInvTab [256]byte      // gfInvTab[a] = a^-1 (entry 0 unused)
+
+	// gfVector is set at init when the CPU has the vector kernel's
+	// instructions (AVX2 on amd64); tests clear it to force the table walk.
+	gfVector bool
 )
 
 func init() {
@@ -116,8 +121,8 @@ func gfMulSliceLogExp(dst, src []byte, c byte) {
 }
 
 // gfMulSlice computes dst[i] ^= c * src[i] for all i. c == 0 is a no-op,
-// c == 1 degenerates to XOR; otherwise one 256-byte product-table row covers
-// the whole slice with no per-byte branch.
+// c == 1 degenerates to XOR; otherwise the vector kernel folds the 32-byte
+// multiple prefix and one product-table row the tail, with no per-byte branch.
 func gfMulSlice(dst, src []byte, c byte) {
 	switch c {
 	case 0:
@@ -128,7 +133,7 @@ func gfMulSlice(dst, src []byte, c byte) {
 	}
 	row := &gfMulTab[c]
 	n := len(src)
-	i := 0
+	i := gfMulSliceVec(dst, src, c)
 	for ; i+8 <= n; i += 8 {
 		dst[i] ^= row[src[i]]
 		dst[i+1] ^= row[src[i+1]]

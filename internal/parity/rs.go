@@ -74,13 +74,17 @@ func (r *RS) Coef(parityIdx, dataIdx int) byte {
 }
 
 // UpdateParity folds a data-block delta (old XOR new content of block
-// dataIdx) into parity block parityIdx in place.
+// dataIdx) into parity block parityIdx in place. A delta overlapping the parity
+// bytes it folds into, even exactly, is refused with ErrOverlap, par untouched.
 func (r *RS) UpdateParity(par []byte, parityIdx, dataIdx int, delta []byte) error {
 	if len(par) < len(delta) {
 		return fmt.Errorf("%w: parity %d bytes, delta %d", ErrLengthMismatch, len(par), len(delta))
 	}
-	gfMulSlice(par[:len(delta)], delta, r.Coef(parityIdx, dataIdx))
-	return nil
+	dst := par[:len(delta)]
+	if len(delta) > 0 && &dst[0] == &delta[0] {
+		return fmt.Errorf("%w: delta is the parity block itself", ErrOverlap)
+	}
+	return MulSliceInto(dst, delta, r.Coef(parityIdx, dataIdx))
 }
 
 // Encode computes the m parity blocks for the given k data blocks. All data
