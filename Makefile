@@ -13,13 +13,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The second line repeats the round-path tests whose subject is an
-# interleaving (an orphaned ship beside the next round, commits racing folds,
-# handler folds on concurrent connections): one pass under the detector sees
-# one schedule.
+# The second line repeats the tests whose subject is an interleaving (an
+# orphaned ship beside the next round, commits racing folds, handler folds on
+# concurrent connections, a restore's read slots folding concurrently while a
+# pull fails): one pass under the detector sees one schedule.
 race:
 	$(GO) test -race ./internal/runtime/ ./internal/transport/ ./internal/chaos/ ./internal/core/ ./internal/sim/ ./internal/service/ ./internal/parity/ ./internal/wire/ ./internal/cluster/
-	$(GO) test -race -count=5 -run 'TestOrphanedShipStopsAtNextBatch|TestStaleAndDuplicateCommit|TestRoundPoolBalance|TestAbortRacesInFlightFolds|TestConcurrentGroupFoldRace|TestDuplicateChunkRedeliveryMidFoldRace' ./internal/runtime/
+	$(GO) test -race -count=5 -run 'TestOrphanedShipStopsAtNextBatch|TestStaleAndDuplicateCommit|TestRoundPoolBalance|TestAbortRacesInFlightFolds|TestConcurrentGroupFoldRace|TestDuplicateChunkRedeliveryMidFoldRace|TestFailedRestoreAdoptsNothingAndLeaksNothing|TestRecoveryPoolBalance' ./internal/runtime/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...

@@ -20,13 +20,9 @@ type skipTwin struct {
 	pending []byte
 }
 
-func newSkipTwin(t *testing.T, img, mate []byte, pages, ps int) *skipTwin {
+func newSkipTwin(t *testing.T, img, mate []byte, ps int) *skipTwin {
 	t.Helper()
-	m, err := vm.NewMachine("a", pages, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := NewMemberAt(m, bytes.Clone(img), 0)
+	mem, err := NewMemberAt("a", ps, bytes.Clone(img), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +30,7 @@ func newSkipTwin(t *testing.T, img, mate []byte, pages, ps int) *skipTwin {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &skipTwin{m: m, mem: mem, keeper: k, pending: make([]byte, k.Size())}
+	return &skipTwin{m: mem.Machine(), mem: mem, keeper: k, pending: make([]byte, k.Size())}
 }
 
 // foldAndDrain lands a captured delta in the twin's parity block the way the
@@ -74,7 +70,7 @@ func TestCaptureSkipMatchesNoSkip(t *testing.T) {
 				img, mate := make([]byte, pages*ps), make([]byte, pages*ps)
 				rng.Read(img)
 				rng.Read(mate)
-				skip, plain := newSkipTwin(t, img, mate, pages, ps), newSkipTwin(t, img, mate, pages, ps)
+				skip, plain := newSkipTwin(t, img, mate, ps), newSkipTwin(t, img, mate, ps)
 
 				var stamp uint64
 				var sawSkip, sawTail bool

@@ -409,7 +409,8 @@ func (c *Cluster) FailNodes(ns ...int) (*FailureReport, error) {
 		if lostSet[name] {
 			continue // already at the committed state by reconstruction
 		}
-		if err := mem.Rollback(); err != nil {
+		// Whole captures leave nothing staged.
+		if err := mem.Rollback(nil); err != nil {
 			return nil, fmt.Errorf("core: rollback %q: %w", name, err)
 		}
 		c.stats.Rollbacks++

@@ -70,15 +70,14 @@ func NewMember(m *vm.Machine) (*Member, error) {
 	return mem, nil
 }
 
-// NewMemberAt wraps a machine respawned from a checkpoint: the machine is
-// loaded from committed, which the member then keeps as its committed image
-// at the given protocol epoch. It takes ownership of committed — no copy is
-// made — so the caller must not touch the buffer afterwards.
-func NewMemberAt(m *vm.Machine, committed []byte, epoch uint64) (*Member, error) {
-	if m == nil {
-		return nil, fmt.Errorf("core: nil machine")
-	}
-	if err := m.LoadImage(committed); err != nil {
+// NewMemberAt respawns VM id from a checkpoint: a clean machine of pageSize
+// pages built from one copy of committed, which the member then keeps as its
+// committed image at the given protocol epoch. It takes ownership of
+// committed — the machine's copy is the only one made — so the caller must
+// not touch the buffer afterwards.
+func NewMemberAt(id string, pageSize int, committed []byte, epoch uint64) (*Member, error) {
+	m, err := vm.NewMachineFrom(id, pageSize, committed)
+	if err != nil {
 		return nil, err
 	}
 	m.BeginEpoch()
@@ -221,9 +220,18 @@ func (mem *Member) Unstage(d *Delta) {
 	}
 }
 
-// Rollback restores the machine to the last committed checkpoint.
-func (mem *Member) Rollback() error {
-	return mem.machine.LoadImage(mem.committed)
+// Rollback restores the machine to the last committed checkpoint. staged is
+// the capture a prepare opened and no commit advanced, or nil: Stage cleared
+// its pages' dirty bits, so they are named here. Only the dirty and staged
+// pages are copied back, which costs O(dirty), not O(image), and is exact by
+// the invariant incremental checkpointing already rests on: a page that is
+// clean and not staged holds its committed bytes (a page that changed without
+// its dirty bit would be missing from the delta, and so from parity, too).
+// Stage keeps it — a page it skips as unchanged equals its committed bytes —
+// and Advance, Unstage and NewMemberAt re-establish it.
+func (mem *Member) Rollback(staged *Delta) error {
+	mem.Unstage(staged)
+	return mem.machine.RevertDirty(mem.committed)
 }
 
 // RestoreImage replaces both the committed image and the machine state, the

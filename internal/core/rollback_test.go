@@ -1,0 +1,154 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// rollbackRun replays one seeded sequence of guest writes, store-backs,
+// stages (skip on and off), advances, unstages and rollbacks — some of them
+// between a Stage and its Advance — on two members built from one image. The
+// member under test rolls back with rollback; its twin reloads its whole
+// committed image with LoadImage. It returns the first point where the two
+// differ in live memory, committed image or dirty set, or where a rollback
+// leaves a page dirty or moves an epoch.
+func rollbackRun(seed int64, ps int, rollback func(mem *Member, staged *Delta) error) error {
+	const pages, ops = 16, 300
+	rng := rand.New(rand.NewSource(seed))
+	img := make([]byte, pages*ps)
+	rng.Read(img)
+	mem, err := NewMemberAt("r", ps, bytes.Clone(img), 5)
+	if err != nil {
+		return err
+	}
+	twin, err := NewMemberAt("r", ps, bytes.Clone(img), 5)
+	if err != nil {
+		return err
+	}
+	m, tm := mem.Machine(), twin.Machine()
+	var staged, twinStaged *Delta
+	var stamp uint64
+	var plain, mid int // rollbacks with nothing staged, and between Stage and Advance
+	for op := 0; op < ops; op++ {
+		switch k := rng.Intn(10); {
+		case k < 4: // a guest write
+			page, fresh := rng.Intn(pages), make([]byte, ps)
+			rng.Read(fresh)
+			stamp++
+			for _, x := range []*Member{mem, twin} {
+				if ps >= 8 {
+					x.Machine().TouchPage(page, stamp)
+				} else if err := x.Machine().WritePage(page, fresh); err != nil {
+					return err
+				}
+			}
+		case k == 4: // a store-back: dirty, unchanged
+			page := rng.Intn(pages)
+			m.MutatePage(page, func([]byte) {})
+			tm.MutatePage(page, func([]byte) {})
+		case k == 5 && staged == nil:
+			skip := rng.Intn(2) == 0
+			staged, _ = mem.Stage(skip)
+			twinStaged, _ = twin.Stage(skip)
+		case k == 6 && staged != nil:
+			// Refused by both when the guest wrote since Stage.
+			errA, errB := mem.Advance(staged), twin.Advance(twinStaged)
+			if (errA == nil) != (errB == nil) {
+				return fmt.Errorf("op %d: advance disagrees: %v vs %v", op, errA, errB)
+			}
+			if errA == nil {
+				staged, twinStaged = nil, nil
+			}
+		case k == 7 && staged != nil:
+			mem.Unstage(staged)
+			twin.Unstage(twinStaged)
+			staged, twinStaged = nil, nil
+		case k >= 8:
+			if staged != nil {
+				mid++
+			} else {
+				plain++
+			}
+			epoch, mepoch := mem.Epoch(), m.Epoch()
+			if err := rollback(mem, staged); err != nil {
+				return err
+			}
+			if err := tm.LoadImage(twin.CommittedView()); err != nil {
+				return err
+			}
+			staged, twinStaged = nil, nil
+			if m.DirtyCount() != 0 || mem.Epoch() != epoch || m.Epoch() != mepoch {
+				return fmt.Errorf("op %d: after rollback %d pages dirty, epoch %d -> %d, machine epoch %d -> %d",
+					op, m.DirtyCount(), epoch, mem.Epoch(), mepoch, m.Epoch())
+			}
+		}
+		if !bytes.Equal(m.Image(), tm.Image()) {
+			return fmt.Errorf("op %d: live memory differs from the full-reload twin", op)
+		}
+		if !bytes.Equal(mem.CommittedView(), twin.CommittedView()) {
+			return fmt.Errorf("op %d: committed images differ", op)
+		}
+		if !slices.Equal(m.DirtyPages(), tm.DirtyPages()) {
+			return fmt.Errorf("op %d: dirty sets differ: %v vs %v", op, m.DirtyPages(), tm.DirtyPages())
+		}
+	}
+	if plain == 0 || mid == 0 {
+		return fmt.Errorf("sequence rolled back %d times with nothing staged and %d between Stage and Advance; want both", plain, mid)
+	}
+	return nil
+}
+
+// TestRollbackMatchesFullReload: Rollback copies back only dirty and staged
+// pages, and over random sequences it leaves the machine byte for byte where
+// a whole-image LoadImage of the committed image does, clean, at the same
+// epochs. The negative control, a rollback that forgets the staged capture,
+// must be caught.
+func TestRollbackMatchesFullReload(t *testing.T) {
+	forgetStaged := func(mem *Member, _ *Delta) error { return mem.Rollback(nil) }
+	caught := 0
+	for _, ps := range []int{1, 7, 64, 4096} {
+		for seed := int64(1); seed <= 8; seed++ {
+			if err := rollbackRun(seed, ps, (*Member).Rollback); err != nil {
+				t.Errorf("ps=%d seed=%d: %v", ps, seed, err)
+			}
+			if rollbackRun(seed, ps, forgetStaged) != nil {
+				caught++
+			}
+		}
+	}
+	if caught != 32 {
+		t.Errorf("a rollback that ignores the staged pages diverged on only %d of 32 sequences", caught)
+	}
+}
+
+// TestNewMemberAtCopiesOnce: the member commits the given buffer itself at
+// the given epoch, and its clean machine holds the same bytes in memory of
+// its own; an image that is not a positive number of pages is refused.
+func TestNewMemberAtCopiesOnce(t *testing.T) {
+	img := []byte("0123456789abcdef")
+	mem, err := NewMemberAt("n", 4, img, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mem.Machine()
+	if m.ID() != "n" || m.NumPages() != 4 || m.DirtyCount() != 0 || mem.Epoch() != 9 || !bytes.Equal(m.Image(), img) {
+		t.Fatalf("machine %q: %d pages, %d dirty, epoch %d, image %q", m.ID(), m.NumPages(), m.DirtyCount(), mem.Epoch(), m.Image())
+	}
+	if &mem.CommittedView()[0] != &img[0] {
+		t.Error("the committed image is a copy, not the buffer handed over")
+	}
+	if err := m.WritePage(1, []byte("zzzz")); err != nil {
+		t.Fatal(err)
+	}
+	if string(img) != "0123456789abcdef" {
+		t.Errorf("a guest write reached the committed image: %q", img)
+	}
+	for _, bad := range []struct{ ps, n int }{{4, 0}, {4, 6}, {0, 4}, {-4, 8}} {
+		if _, err := NewMemberAt("n", bad.ps, make([]byte, bad.n), 0); err == nil {
+			t.Errorf("NewMemberAt accepted a %d-byte image of %d-byte pages", bad.n, bad.ps)
+		}
+	}
+}

@@ -15,6 +15,12 @@ import (
 // chunkedCluster is testCluster with data-path options applied before Setup.
 func chunkedCluster(t *testing.T, layout *cluster.Layout, chunkSize int, compress bool) (*Coordinator, []*Node) {
 	t.Helper()
+	return sizedCluster(t, layout, 16, 64, chunkSize, compress)
+}
+
+// sizedCluster is chunkedCluster with images of pages x pageSize bytes.
+func sizedCluster(t *testing.T, layout *cluster.Layout, pages, pageSize, chunkSize int, compress bool) (*Coordinator, []*Node) {
+	t.Helper()
 	nodes := make([]*Node, layout.Nodes)
 	addrs := map[int]string{}
 	for i := range nodes {
@@ -30,7 +36,7 @@ func chunkedCluster(t *testing.T, layout *cluster.Layout, chunkSize int, compres
 			n.Close()
 		}
 	})
-	coord, err := NewCoordinator(layout, addrs, 16, 64, 12345)
+	coord, err := NewCoordinator(layout, addrs, pages, pageSize, 12345)
 	if err != nil {
 		t.Fatal(err)
 	}

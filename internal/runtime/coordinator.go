@@ -651,24 +651,16 @@ func (c *Coordinator) recordRound(r RoundStats) {
 	reg.Histogram("dvdc_round_seconds", obs.LatencyBuckets()).Observe((r.PrepareWall + r.CommitWall).Seconds())
 }
 
-// Checksums fetches the committed-image checksum of every VM, concurrently.
+// Checksums fetches the committed-image checksum of every VM: VMStates
+// without the epochs.
 func (c *Coordinator) Checksums() (map[string]uint64, error) {
-	vms := c.layout.VMs
-	sums := make([]uint64, len(vms))
-	if err := parallelDo(len(vms), c.fanoutWidth(), func(i int) error {
-		v := vms[i]
-		resp, err := c.call(v.Node, &wire.Message{Type: wire.MsgChecksum, VM: v.Name})
-		if err != nil {
-			return fmt.Errorf("runtime: checksum %q on node %d: %w", v.Name, v.Node, err)
-		}
-		sums[i] = resp.Arg
-		return nil
-	}); err != nil {
+	states, err := c.VMStates()
+	if err != nil {
 		return nil, err
 	}
-	out := map[string]uint64{}
-	for i, v := range vms {
-		out[v.Name] = sums[i]
+	out := make(map[string]uint64, len(states))
+	for name, s := range states {
+		out[name] = s.Checksum
 	}
 	return out, nil
 }
@@ -809,8 +801,9 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 		return c.dead[n]
 	}
 
-	// Roll every surviving node back to the committed epoch first, so the
-	// survivor images used for reconstruction are the committed ones.
+	// Roll every surviving node back to the committed epoch: guests resume from
+	// the cut the restored VMs are rebuilt at (reconstruction reads committed
+	// images, never live memory).
 	rollback := tr.Child(root.Context(), "rollback", "coord")
 	rbErr := c.fanout(rollback.ContextOr(obs.SpanContext{}), "rollback", c.aliveNodes(),
 		func(int) *wire.Message { return &wire.Message{Type: wire.MsgRollback} },

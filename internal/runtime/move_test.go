@@ -14,8 +14,9 @@ import (
 )
 
 // frameMeter is a counting dialer: every connection it opens follows the
-// length-prefixed framing of both directions and records the largest frame.
-type frameMeter struct{ max atomic.Int64 }
+// length-prefixed framing of both directions, records the largest frame and
+// counts the MsgReadChunk requests it sends.
+type frameMeter struct{ max, reads atomic.Int64 }
 
 func (fm *frameMeter) dial(addr string, timeout time.Duration) (net.Conn, error) {
 	c, err := net.DialTimeout("tcp", addr, timeout)
@@ -42,27 +43,34 @@ type meteredConn struct {
 
 func (c *meteredConn) Read(b []byte) (int, error) {
 	n, err := c.Conn.Read(b)
-	c.r.feed(b[:n], c.fm)
+	c.r.feed(b[:n], c.fm, false)
 	return n, err
 }
 
 func (c *meteredConn) Write(b []byte) (int, error) {
 	n, err := c.Conn.Write(b)
-	c.w.feed(b[:n], c.fm)
+	c.w.feed(b[:n], c.fm, true)
 	return n, err
 }
 
 // frameScan tracks one direction of a framed stream: a 4-byte little-endian
-// body length, then the body.
+// body length, then the body, whose first byte is the message type.
 type frameScan struct {
-	hdr  [4]byte
-	have int // header bytes collected
-	body int // body bytes still to skip
+	hdr   [4]byte
+	have  int  // header bytes collected
+	body  int  // body bytes still to skip
+	typed bool // the type byte of the current body was seen
 }
 
-func (s *frameScan) feed(b []byte, fm *frameMeter) {
+// feed scans b, recording frame sizes in fm and, on the sending side, counting
+// the MsgReadChunk frames.
+func (s *frameScan) feed(b []byte, fm *frameMeter, sent bool) {
 	for len(b) > 0 {
 		if s.body > 0 {
+			if !s.typed && sent && wire.MsgType(b[0]) == wire.MsgReadChunk {
+				fm.reads.Add(1)
+			}
+			s.typed = true
 			k := min(s.body, len(b))
 			s.body -= k
 			b = b[k:]
@@ -72,7 +80,7 @@ func (s *frameScan) feed(b []byte, fm *frameMeter) {
 		s.have += k
 		b = b[k:]
 		if s.have == len(s.hdr) {
-			s.have = 0
+			s.have, s.typed = 0, false
 			s.body = int(binary.LittleEndian.Uint32(s.hdr[:]))
 			fm.observe(len(s.hdr) + s.body)
 		}
@@ -80,19 +88,21 @@ func (s *frameScan) feed(b []byte, fm *frameMeter) {
 }
 
 // TestCoordinatorCarriesNoBulkFrames pins the control-plane/data-plane split
-// of recovery and rebalance: images span several chunks, and through kill →
-// RecoverNodes → Repair → Rebalance no frame on a coordinator connection
-// reaches even one chunk, while every node-to-node frame is at most one chunk
-// plus framing — images and parity blocks move only as MsgReadChunk pulls
-// between the nodes that hold and need them.
+// of recovery and rebalance: images span several read slots, and through
+// kill → RecoverNodes → Repair → Rebalance no frame on a coordinator
+// connection reaches even one chunk, while every node-to-node frame is at
+// most one read slot plus framing, and a full slot is pulled — images and
+// parity blocks move only as MsgReadChunk pulls between the nodes that hold
+// and need them.
 func TestCoordinatorCarriesNoBulkFrames(t *testing.T) {
 	const (
-		pages, pageSize = 256, 64 // 16 KiB images
-		chunkSize       = 4096    // 4 chunks per image
+		pages, pageSize = 128, 4096 // 512 KiB images: two full read slots and a tail
+		chunkSize       = 4096
 		// Length prefix, fixed header, the VM/Text/Payload length fields and
 		// room for a VM name.
 		envelope = 4 + wire.FixedHeaderLen + 2 + 4 + 4 + 32
 	)
+	slot := readSlot
 	rs2Layout := func(t *testing.T) *cluster.Layout {
 		l, err := cluster.BuildDistributedGroups(6, 1, 2, 3)
 		if err != nil {
@@ -183,11 +193,11 @@ func TestCoordinatorCarriesNoBulkFrames(t *testing.T) {
 				t.Errorf("largest frame on a coordinator connection is %d bytes; want under one %d-byte chunk", got, chunkSize)
 			}
 			got := nodeFrames.max.Load()
-			if got <= chunkSize {
-				t.Errorf("largest node-to-node frame is %d bytes: no full %d-byte chunk was pulled", got, chunkSize)
+			if got <= int64(slot+wire.ChunkHeaderLen) {
+				t.Errorf("largest node-to-node frame is %d bytes: no full %d-byte slot was pulled", got, slot)
 			}
-			if limit := int64(chunkSize + wire.ChunkHeaderLen + envelope); got > limit {
-				t.Errorf("largest node-to-node frame is %d bytes; want at most %d (one chunk plus framing)", got, limit)
+			if limit := int64(slot + wire.ChunkHeaderLen + envelope); got > limit {
+				t.Errorf("largest node-to-node frame is %d bytes; want at most %d (one slot plus framing)", got, limit)
 			}
 		})
 	}

@@ -985,25 +985,32 @@ func shardSources(members []string, tolerance int, vm string, parityIdx int, hos
 	return srcs, nil
 }
 
+// readSlot is the bytes one MsgReadChunk pulls. The chunk size is the ship
+// path's grain; nothing on the read side needs it, so recovery reads in
+// slots: 252 KiB is the largest page multiple whose reply frame (slot plus
+// chunk header) stays in the 256 KiB pool class ship batches already use. A
+// variable only so tests can cut small images into several slots.
+var readSlot = 252 << 10
+
 // pullCombine streams out = sum of coef * block over srcs into a fresh
 // total-byte buffer: the one operation behind a restore (the lost VM's decode
 // row over k surviving shards), a parity re-home (the encoding row over the k
 // member images) and a move (one image, coefficient 1). The output is cut
-// into chunkSize slots; each slot belongs to one goroutine, which pulls that
-// chunk from every source in turn and folds the verified reply straight into
-// the slot — fetch and decode overlap, no lock guards the output, and what is
-// in flight beside the output is one reply buffer per goroutine,
+// into readSlot slots; each slot belongs to one goroutine, which pulls that
+// slot from every source in turn and folds the verified reply straight into
+// it — fetch and decode overlap, no lock guards the output, and what is in
+// flight beside the output is one reply buffer per goroutine,
 // chunkPipelineWidth per source. Any failure fails the whole combine. It
 // returns the image replies' committed epoch, on which they must all agree.
-func (n *Node) pullCombine(ctx obs.SpanContext, group, total, chunkSize int, srcs []blockSource) ([]byte, uint64, error) {
+func (n *Node) pullCombine(ctx obs.SpanContext, group, total int, srcs []blockSource) ([]byte, uint64, error) {
 	if total < 0 || total > wire.MaxFrame {
 		return nil, 0, fmt.Errorf("runtime: combine of a %d-byte block", total)
 	}
 	out := make([]byte, total)
 	var failed atomic.Bool
 	var epoch atomic.Uint64 // committed epoch + 1 of the image replies so far; 0 = none yet
-	err := parallelDo(wire.ChunkCount(total, chunkSize), chunkPipelineWidth*len(srcs), func(index int) error {
-		slot, err := wire.ChunkOf(out, index, chunkSize)
+	err := parallelDo(wire.ChunkCount(total, readSlot), chunkPipelineWidth*len(srcs), func(index int) error {
+		slot, err := wire.ChunkOf(out, index, readSlot)
 		if err != nil {
 			return err
 		}
@@ -1013,7 +1020,7 @@ func (n *Node) pullCombine(ctx obs.SpanContext, group, total, chunkSize int, src
 			}
 			// Slots start on different sources so the peers are read evenly.
 			src := &srcs[(index+j)%len(srcs)]
-			e, err := n.pullChunk(ctx, src, group, chunkSize, &slot)
+			e, err := n.pullChunk(ctx, src, group, &slot)
 			if err == nil && src.vm != "" {
 				if prev := epoch.Swap(e + 1); prev != 0 && prev != e+1 {
 					err = fmt.Errorf("committed at epoch %d, another image at %d", e, prev-1)
@@ -1043,10 +1050,10 @@ func (n *Node) pullCombine(ctx obs.SpanContext, group, total, chunkSize int, src
 // bytes) or nothing is folded. The reply buffer goes back to the pool either
 // way: it is this caller's from the socket decode, or from the local handler
 // on a self-call.
-func (n *Node) pullChunk(ctx obs.SpanContext, src *blockSource, group, chunkSize int, slot *wire.Chunk) (uint64, error) {
+func (n *Node) pullChunk(ctx obs.SpanContext, src *blockSource, group int, slot *wire.Chunk) (uint64, error) {
 	req := &wire.Message{
 		Type: wire.MsgReadChunk, Text: "image", VM: src.vm,
-		Arg:   uint64(slot.Index)<<32 | uint64(uint32(chunkSize)),
+		Arg:   uint64(slot.Index)<<32 | uint64(uint32(readSlot)),
 		Trace: ctx.Trace, Span: ctx.Span,
 	}
 	if src.vm == "" {
@@ -1111,26 +1118,22 @@ func (n *Node) onInstall(ctx obs.SpanContext, req *wire.Message) (*wire.Message,
 
 // adopt makes this node the host of the VM cfg describes: its committed image
 // is the combine of srcs, pulled with no lock held, and becomes the member's
-// committed image as is — the machine is loaded from it once. A VM the node
+// committed image as is — the machine is one copy of it. A VM the node
 // already hosts is refused before anything is pulled.
 func (n *Node) adopt(ctx obs.SpanContext, cfg VMConfig, srcs []blockSource) error {
 	n.mu.Lock()
 	_, dup := n.members[cfg.Name]
-	id, cs := n.id, n.chunkSize
+	id := n.id
 	n.mu.Unlock()
 	already := fmt.Errorf("runtime: node %d already hosts %q", id, cfg.Name)
 	if dup {
 		return already
 	}
-	m, err := vm.NewMachine(cfg.Name, cfg.Pages, cfg.PageSize)
+	img, epoch, err := n.pullCombine(ctx, cfg.Group, cfg.Pages*cfg.PageSize, srcs)
 	if err != nil {
 		return err
 	}
-	img, epoch, err := n.pullCombine(ctx, cfg.Group, cfg.Pages*cfg.PageSize, cs, srcs)
-	if err != nil {
-		return err
-	}
-	mem, err := core.NewMemberAt(m, img, epoch)
+	mem, err := core.NewMemberAt(cfg.Name, cfg.PageSize, img, epoch)
 	if err != nil {
 		return err
 	}
@@ -1157,7 +1160,7 @@ func (n *Node) onChecksum(req *wire.Message) (*wire.Message, error) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	h := fnv.New64a()
-	h.Write(ms.mem.CommittedImage())
+	h.Write(ms.mem.CommittedView())
 	return &wire.Message{Type: wire.MsgChecksumOK, VM: req.VM, Arg: h.Sum64(), Epoch: ms.mem.Epoch()}, nil
 }
 
@@ -1171,9 +1174,11 @@ func (n *Node) onRollback(req *wire.Message) (*wire.Message, error) {
 		ms.mu.Lock()
 		defer ms.mu.Unlock()
 		// An uncommitted capture never touched the committed image: dropping
-		// it leaves the last COMMIT-ed epoch to roll back to.
+		// it leaves the last COMMIT-ed epoch to roll back to. Its pages are
+		// among those the rollback copies back.
+		err := ms.mem.Rollback(ms.staged)
 		ms.staged = nil
-		return ms.mem.Rollback()
+		return err
 	}); err != nil {
 		return nil, err
 	}
@@ -1194,14 +1199,11 @@ func (n *Node) onRebuildKeeper(ctx obs.SpanContext, req *wire.Message) (*wire.Me
 	if err := decodeJSON(req.Text, &cfg); err != nil {
 		return nil, err
 	}
-	n.mu.Lock()
-	cs := n.chunkSize
-	n.mu.Unlock()
 	srcs, err := shardSources(cfg.Members, cfg.Tolerance, "", cfg.ParityIdx, cfg.MemberNodes, nil)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: rebuild keeper of group %d: %w", cfg.Group, err)
 	}
-	blk, _, err := n.pullCombine(ctx, cfg.Group, cfg.Pages*cfg.PageSize, cs, srcs)
+	blk, _, err := n.pullCombine(ctx, cfg.Group, cfg.Pages*cfg.PageSize, srcs)
 	if err != nil {
 		return nil, err
 	}

@@ -47,6 +47,14 @@ func spareNode(t *testing.T, coord *Coordinator, chunkSize int, opts NodeOptions
 	return n, id
 }
 
+// withReadSlot sets readSlot for the rest of the test, so small images span
+// several slots.
+func withReadSlot(t *testing.T, n int) {
+	prev := readSlot
+	readSlot = n
+	t.Cleanup(func() { readSlot = prev })
+}
+
 // reconstructOn asks target to rebuild vmName of group g from the shards the
 // two maps name.
 func reconstructOn(t *testing.T, target *Node, coord *Coordinator, g cluster.Group, vmName string, survivors map[string]int, parityPeers map[int]int) error {
@@ -70,20 +78,32 @@ func reconstructOn(t *testing.T, target *Node, coord *Coordinator, g cluster.Gro
 // lost VM from exactly the shards left and re-homes each lost parity block
 // (pulling a just-restored image from itself where the pattern lost both);
 // images must equal core.ReconstructMembers over the same shards, parity
-// blocks a core.NewMKeeper over all images. Chunk sizes: one page, one that
-// does not divide the image, one larger than the image.
+// blocks a core.NewMKeeper over all images. On 1 KiB images, chunks and read
+// slots are both one page, a size that does not divide the image, or one
+// larger than the image. At the real readSlot and the default chunk, a
+// 400 KiB image ends mid-way through its second slot.
 func TestStreamedRestoreMatchesReconstructMembers(t *testing.T) {
 	rs2, err := cluster.BuildDistributedGroups(7, 1, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	type cut struct{ chunk, slot, pages, pageSize int }
 	for _, tc := range []struct {
 		name   string
 		layout *cluster.Layout
 	}{{"rs-m2", rs2}, {"xor-m1", paperLayout(t)}} {
-		for _, cs := range []int{64, 300, 4096} {
-			t.Run(fmt.Sprintf("%s/chunk-%d", tc.name, cs), func(t *testing.T) {
-				coord, _ := chunkedCluster(t, tc.layout, cs, false)
+		for _, c := range []cut{{64, 64, 16, 64}, {300, 300, 16, 64}, {4096, 4096, 16, 64}, {0, readSlot, 100, 4096}} {
+			name := fmt.Sprintf("%s/chunk-%d", tc.name, c.chunk)
+			if c.chunk == 0 {
+				name = fmt.Sprintf("%s/slot-%d/image-%d", tc.name, c.slot, c.pages*c.pageSize)
+			}
+			t.Run(name, func(t *testing.T) {
+				if n := c.pages * c.pageSize; c.chunk == 0 && (n/c.slot != 1 || n%c.slot == 0) {
+					t.Fatalf("a %d-byte image is not one full %d-byte slot and a partial one", n, c.slot)
+				}
+				withReadSlot(t, c.slot)
+				cs := c.chunk
+				coord, _ := sizedCluster(t, tc.layout, c.pages, c.pageSize, cs, false)
 				for round := 0; round < 2; round++ {
 					if err := coord.Step(60); err != nil {
 						t.Fatal(err)
@@ -197,6 +217,42 @@ func TestStreamedRestoreMatchesReconstructMembers(t *testing.T) {
 	}
 }
 
+// TestRestoreReadsOneRPCPerSlot: a restore pulls each of its k shards a read
+// slot at a time, not a chunk at a time — k·⌈N/readSlot⌉ MsgReadChunk
+// requests for an N-byte image, whatever the chunk size. A 400 KiB image is 2
+// slots per shard, not 7 default 64 KiB chunks, nor one 1 MiB chunk.
+func TestRestoreReadsOneRPCPerSlot(t *testing.T) {
+	const pages, pageSize = 100, 4096
+	for _, cs := range []int{0, 1 << 20} {
+		t.Run(fmt.Sprintf("chunk-%d", cs), func(t *testing.T) {
+			coord, _ := sizedCluster(t, paperLayout(t), pages, pageSize, cs, false)
+			if err := coord.Step(60); err != nil {
+				t.Fatal(err)
+			}
+			if err := coord.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			var meter frameMeter
+			spare, _ := spareNode(t, coord, cs, NodeOptions{Dialer: meter.dial}, nil)
+			layout := coord.Layout()
+			g := layout.Groups[0]
+			survivors := map[string]int{}
+			for _, name := range g.Members[1:] {
+				v, _ := layout.VM(name)
+				survivors[name] = v.Node
+			}
+			if err := reconstructOn(t, spare, coord, g, g.Members[0], survivors, map[int]int{0: g.ParityNodes[0]}); err != nil {
+				t.Fatal(err)
+			}
+			want := int64(len(g.Members) * wire.ChunkCount(pages*pageSize, readSlot))
+			if got := meter.reads.Load(); got != want {
+				t.Errorf("restoring a %d-byte image from %d shards sent %d read requests; want %d, one per %d-byte slot",
+					pages*pageSize, len(g.Members), got, want, readSlot)
+			}
+		})
+	}
+}
+
 // mortalDialer is a node's outbound dialer whose connections to one address
 // die: once budget reply bytes have been read from the victim, the connection
 // in use is cut mid-frame and every later dial is refused — what a peer
@@ -275,12 +331,15 @@ func poolMisses(fn func()) int64 {
 // mid-pull, or answers the last chunk with another chunk's frame, a frame of a
 // differently sized block, or the wrong parity block, returns an error; the
 // target hosts no such VM afterwards; and repeating the failure does not grow
-// the buffer pool's miss count with the chunks pulled — every reply buffer
+// the buffer pool's miss count with the slots pulled — every reply buffer
 // went back, folded or not. The tampered replies are well-formed chunk frames
 // (valid CRC), so only the request/reply check stands between them and a
-// silently wrong image.
+// silently wrong image. readSlot is lowered so the tampered slot is not the
+// first: a 1 KiB block at the real readSlot is one slot, and the reply check
+// would then never see a stale index.
 func TestFailedRestoreAdoptsNothingAndLeaksNothing(t *testing.T) {
-	const cs = 64 // one page: 16 chunks per 1 KiB block
+	const cs, slot = 64, 256 // one-page chunks, four-page slots: 4 per 1 KiB block
+	withReadSlot(t, slot)
 	coord, _ := chunkedCluster(t, paperLayout(t), cs, false)
 	if err := coord.Step(60); err != nil {
 		t.Fatal(err)
@@ -299,9 +358,9 @@ func TestFailedRestoreAdoptsNothingAndLeaksNothing(t *testing.T) {
 	parityPeers := map[int]int{0: g.ParityNodes[0]}
 	imageSource := survivors[g.Members[1]]
 	const total = 16 * 64
-	lastChunk := uint64(wire.ChunkCount(total, cs) - 1)
+	lastSlot := uint64(wire.ChunkCount(total, slot) - 1)
 	isLast := func(req *wire.Message, source string) bool {
-		return req.Type == wire.MsgReadChunk && req.Text == source && req.Arg>>32 == lastChunk
+		return req.Type == wire.MsgReadChunk && req.Text == source && req.Arg>>32 == lastSlot
 	}
 
 	cases := []struct {
@@ -368,9 +427,9 @@ func TestFailedRestoreAdoptsNothingAndLeaksNothing(t *testing.T) {
 				}
 			}
 			fail() // warm the pool's classes
-			const repeats = 4
-			// A leak would cost a miss or two per chunk pulled: nearly all of a
-			// restore's 3 x 16 chunks arrive before the bad one.
+			const repeats = 8
+			// A leak would cost a miss or two per slot pulled: most of a
+			// restore's 3 x 4 slots arrive before the bad one.
 			if grew := poolMisses(func() {
 				for i := 0; i < repeats; i++ {
 					fail()
@@ -385,12 +444,13 @@ func TestFailedRestoreAdoptsNothingAndLeaksNothing(t *testing.T) {
 // TestRecoveryPoolBalance: every read-chunk reply buffer has one owner that
 // returns it — the serving side after the flush, the pulling side after the
 // fold — so a recover -> repair -> rebalance cycle on a warm pool draws its
-// chunk frames from the pool instead of allocating two per chunk pulled.
+// slot frames from the pool instead of allocating two per slot pulled.
 func TestRecoveryPoolBalance(t *testing.T) {
 	const (
 		pages, pageSize = 256, 64 // 16 KiB images
-		chunkSize       = 256     // 64 chunks per image
+		chunkSize       = 256     // and read slots of the same size: 64 per image
 	)
+	withReadSlot(t, chunkSize)
 	layout := paperLayout(t)
 	nodes := make([]*Node, layout.Nodes)
 	addrs := map[int]string{}
@@ -435,9 +495,9 @@ func TestRecoveryPoolBalance(t *testing.T) {
 	}
 	cycle()
 	// One cycle restores three VMs and re-homes a parity block from three
-	// blocks each, then moves them back: more than 12 * 64 chunks pulled.
+	// blocks each, then moves them back: more than 12 * 64 slots pulled.
 	const pulled = 12 * pages * pageSize / chunkSize
 	if grew := poolMisses(cycle); grew > pulled/8 {
-		t.Errorf("a warm recover/repair/rebalance cycle pulling over %d chunks grew bufpool misses by %d", pulled, grew)
+		t.Errorf("a warm recover/repair/rebalance cycle pulling over %d slots grew bufpool misses by %d", pulled, grew)
 	}
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"testing"
 
 	"dvdc/internal/cluster"
@@ -64,6 +65,26 @@ func TestSetupAndCheckpointRounds(t *testing.T) {
 	}
 	if len(sums) != 12 {
 		t.Errorf("checksums for %d VMs, want 12", len(sums))
+	}
+}
+
+// TestChecksumsCopyNoImage: a host hashes a committed image where it lies,
+// under the member's lock, so one Checksums over twelve 1 MiB VMs allocates
+// less than one image. A copy per VM would be 12 MiB.
+func TestChecksumsCopyNoImage(t *testing.T) {
+	const pages, pageSize = 256, 4096
+	coord, _ := sizedCluster(t, paperLayout(t), pages, pageSize, 0, false)
+	if _, err := coord.Checksums(); err != nil { // dials every connection
+		t.Fatal(err)
+	}
+	var m0, m1 goruntime.MemStats
+	goruntime.ReadMemStats(&m0)
+	if _, err := coord.Checksums(); err != nil {
+		t.Fatal(err)
+	}
+	goruntime.ReadMemStats(&m1)
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= pages*pageSize {
+		t.Errorf("one Checksums over %d VMs allocated %d bytes; want under one %d-byte image", len(coord.Layout().VMs), got, pages*pageSize)
 	}
 }
 

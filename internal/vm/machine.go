@@ -10,6 +10,7 @@
 package vm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -73,17 +74,27 @@ func NewMachine(id string, numPages, pageSize int) (*Machine, error) {
 	if pageSize <= 0 {
 		return nil, fmt.Errorf("vm: pageSize must be positive, got %d", pageSize)
 	}
-	m := &Machine{
-		id:       id,
-		pageSize: pageSize,
-		pages:    make([][]byte, numPages),
-		dirty:    make([]bool, numPages),
+	return newMachine(id, pageSize, make([]byte, numPages*pageSize)), nil
+}
+
+// NewMachineFrom builds a clean machine whose memory is a copy of img, a
+// whole number of pageSize pages. The copy is the only pass over the bytes:
+// the memory is not zeroed first, as NewMachine followed by LoadImage would.
+func NewMachineFrom(id string, pageSize int, img []byte) (*Machine, error) {
+	if pageSize <= 0 || len(img) == 0 || len(img)%pageSize != 0 {
+		return nil, fmt.Errorf("vm: a %d-byte image is not a positive number of %d-byte pages", len(img), pageSize)
 	}
-	backing := make([]byte, numPages*pageSize)
+	return newMachine(id, pageSize, bytes.Clone(img)), nil
+}
+
+// newMachine builds a clean machine whose pages are cut out of backing.
+func newMachine(id string, pageSize int, backing []byte) *Machine {
+	n := len(backing) / pageSize
+	m := &Machine{id: id, pageSize: pageSize, pages: make([][]byte, n), dirty: make([]bool, n)}
 	for i := range m.pages {
 		m.pages[i] = backing[i*pageSize : (i+1)*pageSize : (i+1)*pageSize]
 	}
-	return m, nil
+	return m
 }
 
 // ID returns the machine's identifier.
@@ -216,6 +227,24 @@ func (m *Machine) LoadImage(img []byte) error {
 	}
 	for i := range m.dirty {
 		m.dirty[i] = false
+	}
+	m.dirtyCount = 0
+	return nil
+}
+
+// RevertDirty copies img — a contiguous image of the machine's size — over
+// every dirty page and clears the dirty set. Clean pages are not touched, so
+// the result equals LoadImage(img) exactly when every clean page already
+// holds img's bytes; the caller vouches for that.
+func (m *Machine) RevertDirty(img []byte) error {
+	if int64(len(img)) != m.ImageBytes() {
+		return fmt.Errorf("vm: image is %d bytes, machine holds %d", len(img), m.ImageBytes())
+	}
+	for i, d := range m.dirty {
+		if d {
+			copy(m.pages[i], img[i*m.pageSize:])
+			m.dirty[i] = false
+		}
 	}
 	m.dirtyCount = 0
 	return nil

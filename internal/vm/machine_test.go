@@ -118,6 +118,54 @@ func TestImageRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRevertDirtyCopiesOnlyDirtyPages: dirty pages take img's bytes, a clean
+// page keeps its own even where img differs, and the machine ends clean at
+// the same dirty-tracking epoch.
+func TestRevertDirtyCopiesOnlyDirtyPages(t *testing.T) {
+	m, _ := NewMachineFrom("x", 8, make([]byte, 32))
+	img := m.Image()
+	m.TouchPage(1, 7)
+	m.TouchPage(3, 9)
+	m.BeginEpoch() // page 3's write is now clean: RevertDirty must not see it
+	m.TouchPage(1, 8)
+	e := m.Epoch()
+	if err := m.RevertDirty(img); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m.Page(1), img[8:16]) || bytes.Equal(m.Page(3), img[24:32]) {
+		t.Errorf("after RevertDirty page 1 = %v, page 3 = %v", m.Page(1), m.Page(3))
+	}
+	if m.DirtyCount() != 0 || m.IsDirty(1) || m.Epoch() != e {
+		t.Errorf("RevertDirty left %d dirty pages, epoch %d -> %d", m.DirtyCount(), e, m.Epoch())
+	}
+	if err := m.RevertDirty(img[:8]); err == nil {
+		t.Error("short image should fail")
+	}
+}
+
+// TestNewMachineFromCopies: the machine holds img's bytes in memory of its
+// own, clean, cut into pageSize pages; an image that is not a positive
+// number of pages is refused.
+func TestNewMachineFromCopies(t *testing.T) {
+	img := []byte("abcdefghijkl")
+	m, err := NewMachineFrom("x", 4, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.ID() != "x" || m.NumPages() != 3 || m.PageSize() != 4 || m.DirtyCount() != 0 || !bytes.Equal(m.Image(), img) {
+		t.Fatalf("machine %q: %d pages of %d, %d dirty, image %q", m.ID(), m.NumPages(), m.PageSize(), m.DirtyCount(), m.Image())
+	}
+	img[0] = 'z'
+	if m.Page(0)[0] != 'a' {
+		t.Error("the machine aliases the image it was built from")
+	}
+	for _, bad := range []struct{ ps, n int }{{4, 0}, {4, 10}, {0, 4}, {-4, 8}} {
+		if _, err := NewMachineFrom("x", bad.ps, make([]byte, bad.n)); err == nil {
+			t.Errorf("NewMachineFrom accepted a %d-byte image of %d-byte pages", bad.n, bad.ps)
+		}
+	}
+}
+
 func TestMutatePage(t *testing.T) {
 	m, _ := NewMachine("x", 2, 8)
 	m.MutatePage(0, func(p []byte) { p[7] = 0xff })
