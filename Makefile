@@ -15,11 +15,12 @@ test:
 
 # The second line repeats the tests whose subject is an interleaving (an
 # orphaned ship beside the next round, commits racing folds, handler folds on
-# concurrent connections, a restore's read slots folding concurrently while a
-# pull fails): one pass under the detector sees one schedule.
+# concurrent connections, staged folds racing aborts and parity reads, a
+# restore's read slots folding concurrently while a pull fails) or a keeper's
+# footprint across rounds: one pass under the detector sees one schedule.
 race:
 	$(GO) test -race ./internal/runtime/ ./internal/transport/ ./internal/chaos/ ./internal/core/ ./internal/sim/ ./internal/service/ ./internal/parity/ ./internal/wire/ ./internal/cluster/
-	$(GO) test -race -count=5 -run 'TestOrphanedShipStopsAtNextBatch|TestStaleAndDuplicateCommit|TestRoundPoolBalance|TestAbortRacesInFlightFolds|TestConcurrentGroupFoldRace|TestDuplicateChunkRedeliveryMidFoldRace|TestFailedRestoreAdoptsNothingAndLeaksNothing|TestRecoveryPoolBalance' ./internal/runtime/
+	$(GO) test -race -count=5 -run 'TestOrphanedShipStopsAtNextBatch|TestStaleAndDuplicateCommit|TestRoundPoolBalance|TestKeeperFootprint|TestAbortRacesInFlightFolds|TestStagedFoldsAbortsAndReadsInterleave|TestConcurrentGroupFoldRace|TestDuplicateChunkRedeliveryMidFoldRace|TestFailedRestoreAdoptsNothingAndLeaksNothing|TestRecoveryPoolBalance' ./internal/runtime/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
@@ -86,7 +87,8 @@ obs-demo:
 # Short fuzzing passes over the codecs, the streamed frame reader against
 # Decode, the chunk reassembly path, the scatter-gather frame encoder, the
 # GF(256) slice kernel's vector and table-walk paths, the XOR slice kernels,
-# and the service journal's recovery path. The same eight targets as CI's
+# a keeper's staged folds against its contiguous and whole-delta references,
+# and the service journal's recovery path. The same nine targets as CI's
 # fuzz job.
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzDecode -fuzztime 30s
@@ -95,6 +97,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzScatterGatherFrames -fuzztime 30s
 	$(GO) test ./internal/parity/ -fuzz FuzzGfSliceKernels -fuzztime 60s
 	$(GO) test ./internal/parity/ -fuzz FuzzXORKernels -fuzztime 30s
+	$(GO) test ./internal/core/ -fuzz FuzzMKeeperStage -fuzztime 30s
 	$(GO) test ./internal/checkpoint/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/service/ -fuzz FuzzJournalReplay -fuzztime 30s
 

@@ -1,8 +1,9 @@
 // Package bufpool is a size-classed []byte pool for the checkpoint data
-// path. Steady-state rounds move chunk- and image-sized buffers through the
-// wire codec, the streaming restore, and the keepers' pending parity blocks;
-// allocating those fresh every round makes the garbage collector the
-// bottleneck at production scale. The pool hands out buffers from
+// path. Steady-state rounds move batch- and frame-sized buffers through the
+// ship path, the wire codec and the streaming restore; allocating those
+// fresh every round makes the garbage collector the bottleneck at production
+// scale. (A keeper's parity pages are not pooled here: each keeper keeps its
+// own free list of them, core.MKeeper.) The pool hands out buffers from
 // power-of-two size classes, so a buffer freed by one round is reused by the
 // next.
 //
@@ -128,13 +129,6 @@ func Get(n int) []byte {
 	p.mu.Unlock()
 	misses.Add(1)
 	return make([]byte, n, 1<<(c+minShift))
-}
-
-// GetZero returns a zeroed buffer of length n.
-func GetZero(n int) []byte {
-	b := Get(n)
-	clear(b)
-	return b
 }
 
 // Put returns a buffer obtained from Get. Buffers whose capacity is not an

@@ -35,21 +35,6 @@ func TestOversizeIsUnpooled(t *testing.T) {
 	Put(b) // must not panic or pool it
 }
 
-func TestGetZeroIsZeroAfterReuse(t *testing.T) {
-	b := Get(4096)
-	for i := range b {
-		b[i] = 0xAA
-	}
-	Put(b)
-	z := GetZero(4096)
-	for i, v := range z {
-		if v != 0 {
-			t.Fatalf("GetZero reused dirty byte at %d: %#x", i, v)
-		}
-	}
-	Put(z)
-}
-
 func TestPutForeignBufferIsDropped(t *testing.T) {
 	// A non-power-of-two capacity must not enter any class.
 	Put(make([]byte, 0, 777))

@@ -217,17 +217,27 @@ func (l *Layout) PlanKeeperEvacuation(avoid int, down ...int) (*Plan, error) {
 	return plan, nil
 }
 
+// MoveVM records that VM name now runs on node. It does not validate the
+// layout: a rebalance that fails partway records each move that completed,
+// and the placement between those moves may be degraded.
+func (l *Layout) MoveVM(name string, node int) error {
+	i, ok := l.vmIndex[name]
+	if !ok {
+		return fmt.Errorf("cluster: rebalance moves unknown VM %q", name)
+	}
+	l.VMs[i].Node = node
+	return nil
+}
+
 // ApplyRebalance mutates the layout per a rebalance plan. For RehomeParity
 // steps, SourceNodes[0] carries the parity index being moved.
 func (l *Layout) ApplyRebalance(p *Plan) error {
 	for _, s := range p.Steps {
 		switch s.Kind {
 		case RestoreVM:
-			i, ok := l.vmIndex[s.VM]
-			if !ok {
-				return fmt.Errorf("cluster: rebalance moves unknown VM %q", s.VM)
+			if err := l.MoveVM(s.VM, s.TargetNode); err != nil {
+				return err
 			}
-			l.VMs[i].Node = s.TargetNode
 		case RehomeParity:
 			if len(s.SourceNodes) != 1 {
 				return fmt.Errorf("cluster: rebalance parity step missing index")

@@ -12,12 +12,11 @@ import (
 
 // skipTwin is one side of the differential: a member, the parity block of
 // its group (GF row 1 of a tolerance-2 group, so folds run the multiply
-// kernel, not plain XOR) and the reusable accumulation buffer.
+// kernel, not plain XOR).
 type skipTwin struct {
-	m       *vm.Machine
-	mem     *Member
-	keeper  *MKeeper
-	pending []byte
+	m      *vm.Machine
+	mem    *Member
+	keeper *MKeeper
 }
 
 func newSkipTwin(t *testing.T, img, mate []byte, ps int) *skipTwin {
@@ -30,22 +29,20 @@ func newSkipTwin(t *testing.T, img, mate []byte, ps int) *skipTwin {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &skipTwin{m: mem.Machine(), mem: mem, keeper: k, pending: make([]byte, k.Size())}
+	return &skipTwin{m: mem.Machine(), mem: mem, keeper: k}
 }
 
-// foldAndDrain lands a captured delta in the twin's parity block the way the
-// runtime does: fold page by page into pending, drain the touched ranges.
-func (tw *skipTwin) foldAndDrain(t *testing.T, d *Delta) {
+// foldAndCommit lands a captured delta in the twin's parity block the way the
+// runtime does: stage page by page, then commit.
+func (tw *skipTwin) foldAndCommit(t *testing.T, d *Delta) {
 	t.Helper()
 	ps := tw.m.PageSize()
-	ranges := make([][2]int, 0, len(d.Pages))
 	for _, p := range d.Pages {
-		if err := tw.keeper.FoldInto(tw.pending, d.VMID, p.Index*ps, p.Data); err != nil {
+		if err := tw.keeper.Stage(d.VMID, p.Index*ps, p.Data); err != nil {
 			t.Fatal(err)
 		}
-		ranges = append(ranges, [2]int{p.Index * ps, (p.Index + 1) * ps})
 	}
-	if err := tw.keeper.DrainPendingRanges(tw.pending, map[string]uint64{d.VMID: d.Epoch}, ranges); err != nil {
+	if err := tw.keeper.Commit(map[string]uint64{d.VMID: d.Epoch}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -57,7 +54,7 @@ func (tw *skipTwin) foldAndDrain(t *testing.T, d *Delta) {
 // (the comparison's worst case, and the byte a short compare would miss) — on
 // page sizes around the compare and XOR kernels' tails. One captures with the
 // skip, one without. After every epoch both must hold the same committed
-// image and, once the deltas are folded and drained, the same parity block;
+// image and, once the deltas are folded and committed, the same parity block;
 // the skip side's counts must add up to its dirty set; and an unstaged capture
 // must leave image and epoch alone and put back the dirty bits of the pages it
 // staged.
@@ -169,9 +166,9 @@ func TestCaptureSkipMatchesNoSkip(t *testing.T) {
 					sawSkip = sawSkip || unchanged > 0
 					sawTail = sawTail || tailOnly > 0
 
-					skip.foldAndDrain(t, ds)
-					plain.foldAndDrain(t, dp)
-					if !bytes.Equal(skip.keeper.ParityView(), plain.keeper.ParityView()) {
+					skip.foldAndCommit(t, ds)
+					plain.foldAndCommit(t, dp)
+					if !bytes.Equal(skip.keeper.Parity(), plain.keeper.Parity()) {
 						t.Fatalf("epoch %d: parity diverges", epoch)
 					}
 				}
@@ -180,7 +177,7 @@ func TestCaptureSkipMatchesNoSkip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(skip.keeper.ParityView(), ref.ParityView()) {
+				if !bytes.Equal(skip.keeper.Parity(), ref.Parity()) {
 					t.Fatal("parity after skipped captures is not the encode of the committed images")
 				}
 				if !sawSkip || !sawTail {

@@ -1,11 +1,19 @@
 package core
 
 import (
+	"crypto/subtle"
 	"fmt"
 	"sort"
 
 	"dvdc/internal/parity"
 )
+
+// ParityPageSize is the grain a keeper holds its parity block in: pages of
+// this many bytes, the last one shorter when the block size is not a
+// multiple. A round's folds copy only the pages they touch, so what a keeper
+// holds beyond its block is counted in these pages. It is a constant, not a
+// setting.
+const ParityPageSize = 4 << 10
 
 // MKeeper maintains ONE of the m parity blocks protecting a RAID group
 // under a systematic RS(k, m) code — the generalization to multi-failure
@@ -17,14 +25,28 @@ import (
 //
 // Like Keeper, an MKeeper never stores member images: deltas fold in via
 // the linear small-write update parity ^= Coef * (old XOR new).
+//
+// The block is held as ParityPageSize pages, and a round is two-phase inside
+// the keeper. Stage folds a chunk into next-epoch copies of the pages it
+// covers, beside the committed ones. Commit swaps the copies in, and Drop
+// discards them. Displaced and discarded pages go on the keeper's own free
+// list, where the next round's first touches find them. A keeper therefore
+// holds its parity block plus at most the most pages one round has touched,
+// and a round that touches no more pages than an earlier one allocates
+// nothing. Readers (Parity, ReadParity) only ever see committed pages.
 type MKeeper struct {
 	group     int
 	parityIdx int
 	coder     *parity.RS
 	members   []string       // sorted; position = RS data index
 	index     map[string]int // member -> data index
-	parityBlk []byte
 	epochs    map[string]uint64
+
+	size      int
+	pages     [][]byte // committed: page i holds block bytes [i*ParityPageSize, ...)
+	staged    [][]byte // next-epoch page i, nil where this round folded nothing
+	stagedIdx []int    // the indices staged holds, in first-fold order
+	free      [][]byte // spare ParityPageSize pages
 }
 
 // NewMKeeper builds parity block parityIdx (0..tolerance-1) for a group
@@ -39,31 +61,34 @@ func NewMKeeper(group, parityIdx, tolerance int, initial map[string][]byte) (*MK
 	if err != nil {
 		return nil, err
 	}
+	var blk []byte
 	for j, id := range k.members {
 		img := initial[id]
 		if j == 0 {
-			k.parityBlk = make([]byte, len(img))
-		} else if len(img) != len(k.parityBlk) {
-			return nil, fmt.Errorf("core: member %q image %d bytes, group uses %d", id, len(img), len(k.parityBlk))
+			blk = make([]byte, len(img))
+		} else if len(img) != len(blk) {
+			return nil, fmt.Errorf("core: member %q image %d bytes, group uses %d", id, len(img), len(blk))
 		}
 		// parity ^= Coef * img (initial fold).
-		if err := k.coder.UpdateParity(k.parityBlk, parityIdx, j, img); err != nil {
+		if err := k.coder.UpdateParity(blk, parityIdx, j, img); err != nil {
 			return nil, err
 		}
 	}
+	k.setBlock(blk)
 	return k, nil
 }
 
 // NewMKeeperFromBlock adopts an already-encoded parity block — parity block
 // parityIdx of the named members' current images, as a re-homed keeper
 // computes it while streaming those images in. The keeper takes ownership of
-// block (no copy); every member starts at epoch 0, see SetEpochs.
+// block and holds it page by page, with no copy; every member starts at
+// epoch 0, see SetEpochs.
 func NewMKeeperFromBlock(group, parityIdx, tolerance int, members []string, block []byte) (*MKeeper, error) {
 	k, err := newMKeeper(group, parityIdx, tolerance, members)
 	if err != nil {
 		return nil, err
 	}
-	k.parityBlk = block
+	k.setBlock(block)
 	return k, nil
 }
 
@@ -100,6 +125,35 @@ func newMKeeper(group, parityIdx, tolerance int, members []string) (*MKeeper, er
 	return k, nil
 }
 
+// setBlock makes block the committed parity, page by page. Each page is a
+// full slice expression of block, so its capacity ends where the page does.
+func (k *MKeeper) setBlock(block []byte) {
+	n := (len(block) + ParityPageSize - 1) / ParityPageSize
+	k.size = len(block)
+	k.pages = make([][]byte, n)
+	k.staged = make([][]byte, n)
+	for i := range k.pages {
+		lo := i * ParityPageSize
+		hi := min(lo+ParityPageSize, len(block))
+		k.pages[i] = block[lo:hi:hi]
+	}
+}
+
+// eachPage walks block bytes [off, off+n) one page at a time: fn gets the page
+// index i, the range [lo, hi) of that page the walk covers, and at, where
+// that piece starts within the walk. The range must lie inside the block.
+func eachPage(off, n int, fn func(i, lo, hi, at int) error) error {
+	for at := 0; at < n; {
+		i, lo := (off+at)/ParityPageSize, (off+at)%ParityPageSize
+		hi := min(ParityPageSize, lo+n-at)
+		if err := fn(i, lo, hi, at); err != nil {
+			return err
+		}
+		at += hi - lo
+	}
+	return nil
+}
+
 // Group returns the group index; ParityIndex which of the m blocks this is.
 func (k *MKeeper) Group() int { return k.group }
 
@@ -109,14 +163,23 @@ func (k *MKeeper) ParityIndex() int { return k.parityIdx }
 // Members returns the sorted member list (positions are RS data indices).
 func (k *MKeeper) Members() []string { return append([]string(nil), k.members...) }
 
-// Parity returns a copy of the parity block.
-func (k *MKeeper) Parity() []byte { return append([]byte(nil), k.parityBlk...) }
+// Parity returns a copy of the committed parity block.
+func (k *MKeeper) Parity() []byte {
+	out := make([]byte, k.size)
+	k.ReadParity(out, 0)
+	return out
+}
 
-// ParityView returns the parity block itself, not a copy. The view aliases
-// the keeper's state: it is read-only and valid only until the next fold or
-// commit — the chunked read path encodes a range of it into a reply frame
-// while holding the keeper's lock.
-func (k *MKeeper) ParityView() []byte { return k.parityBlk }
+// ReadParity copies committed parity bytes [off, off+len(dst)) into dst, a
+// range that must lie inside the block. The chunked read path renders a
+// served range straight into its reply frame this way, holding the keeper's
+// lock; staged pages are never read.
+func (k *MKeeper) ReadParity(dst []byte, off int) {
+	for len(dst) > 0 {
+		n := copy(dst, k.pages[off/ParityPageSize][off%ParityPageSize:])
+		dst, off = dst[n:], off+n
+	}
+}
 
 // Epoch returns the last folded epoch for a member.
 func (k *MKeeper) Epoch(id string) uint64 { return k.epochs[id] }
@@ -134,67 +197,116 @@ func (k *MKeeper) SetEpochs(epochs map[string]uint64) error {
 }
 
 // Size returns the parity block length in bytes.
-func (k *MKeeper) Size() int { return len(k.parityBlk) }
+func (k *MKeeper) Size() int { return k.size }
 
-// FoldInto folds one member's delta bytes at a byte offset into dst, an
-// accumulation buffer of the keeper's block size (NOT the live parity
-// block). This is the chunked data path's streaming primitive: each arriving
-// chunk folds immediately — dst accumulates Coef*delta terms from any number
-// of members in any order (the code is linear, so ordering is irrelevant) —
-// and the whole accumulation lands in the parity block atomically at commit
-// via CommitPending. Keeping the fold off the live block preserves
-// two-phase-commit semantics: an aborted round just drops dst.
-func (k *MKeeper) FoldInto(dst []byte, id string, off int, data []byte) error {
+// StagedPages returns how many next-epoch pages the current round holds.
+func (k *MKeeper) StagedPages() int { return len(k.stagedIdx) }
+
+// Footprint returns the bytes the keeper holds: the committed block, its
+// staged pages and its free list. It never exceeds Size plus the most pages
+// one round has touched, times ParityPageSize.
+func (k *MKeeper) Footprint() int {
+	return k.size + (len(k.stagedIdx)+len(k.free))*ParityPageSize
+}
+
+// checkFold resolves a fold's member and checks its range against the block.
+func (k *MKeeper) checkFold(id string, off, n int) (int, error) {
 	j, ok := k.index[id]
 	if !ok {
-		return fmt.Errorf("core: mkeeper group %d fold from unknown member %q", k.group, id)
+		return 0, fmt.Errorf("core: mkeeper group %d fold from unknown member %q", k.group, id)
 	}
-	if len(dst) != len(k.parityBlk) {
-		return fmt.Errorf("core: fold buffer %d bytes, parity block %d", len(dst), len(k.parityBlk))
+	if off < 0 || n > k.size-off {
+		return 0, fmt.Errorf("core: fold range [%d,+%d) outside %d-byte block", off, n, k.size)
 	}
-	if off < 0 || off+len(data) > len(dst) {
-		return fmt.Errorf("core: fold range [%d,+%d) outside %d-byte block", off, len(data), len(dst))
-	}
-	return k.coder.UpdateParity(dst[off:off+len(data)], k.parityIdx, j, data)
+	return j, nil
 }
 
-// CommitPending folds an accumulation buffer built by FoldInto into the live
-// parity block and advances the given members' epochs. Every epoch must be
-// exactly one past the member's folded epoch — the same ordering rule
-// ApplyDelta enforces — and all of them are checked before any state
-// changes, so a bad commit leaves the keeper untouched.
-func (k *MKeeper) CommitPending(pending []byte, epochs map[string]uint64) error {
-	return k.CommitPendingRanges(pending, epochs, [][2]int{{0, len(pending)}})
-}
-
-// CommitPendingRanges is CommitPending restricted to the byte ranges of the
-// accumulation buffer that folds actually touched: everything outside them
-// must still be zero, so XORing only the touched ranges lands the identical
-// parity at O(folded bytes) instead of O(block) per commit. Ranges must be
-// disjoint ([start, end) pairs; overlap would fold the overlap twice) and
-// are checked, like the epochs, before any state changes.
-func (k *MKeeper) CommitPendingRanges(pending []byte, epochs map[string]uint64, ranges [][2]int) error {
-	return k.commitRanges(pending, epochs, ranges, false)
-}
-
-// DrainPendingRanges is CommitPendingRanges for a reusable accumulation
-// buffer: each committed range is zeroed in the same pass that folds it
-// (parity.XORDrain), so pending leaves the call all-zero inside the ranges
-// without a second memory sweep. A failed commit leaves parity, epochs, and
-// pending all untouched.
-func (k *MKeeper) DrainPendingRanges(pending []byte, epochs map[string]uint64, ranges [][2]int) error {
-	return k.commitRanges(pending, epochs, ranges, true)
-}
-
-func (k *MKeeper) commitRanges(pending []byte, epochs map[string]uint64, ranges [][2]int, drain bool) error {
-	if len(pending) != len(k.parityBlk) {
-		return fmt.Errorf("core: pending buffer %d bytes, parity block %d", len(pending), len(k.parityBlk))
+// Stage folds one member's delta bytes at a byte offset into the next
+// epoch's parity, beside the committed block: the chunked data path's
+// streaming primitive, called as each chunk arrives, for any number of
+// members in any order (the code is linear). The first fold of a round into a
+// page writes committed ^ Coef*delta over the bytes it covers into a page from
+// the free list and copies the rest of the committed page; later folds into
+// that page accumulate in place. Nothing committed changes until Commit, so an
+// aborted round is a Drop.
+func (k *MKeeper) Stage(id string, off int, data []byte) error {
+	j, err := k.checkFold(id, off, len(data))
+	if err != nil {
+		return err
 	}
-	for _, r := range ranges {
-		if r[0] < 0 || r[1] < r[0] || r[1] > len(pending) {
-			return fmt.Errorf("core: commit range [%d,%d) outside %d-byte block", r[0], r[1], len(pending))
+	coef := k.coder.Coef(k.parityIdx, j)
+	return eachPage(off, len(data), func(i, lo, hi, at int) error {
+		d := data[at : at+hi-lo]
+		if page := k.staged[i]; page != nil {
+			return parity.MulSliceInto(page[lo:hi], d, coef)
 		}
+		committed := k.pages[i]
+		page := k.takePage(len(committed))
+		k.staged[i] = page
+		k.stagedIdx = append(k.stagedIdx, i)
+		if coef != 1 {
+			copy(page, committed)
+			return parity.MulSliceInto(page[lo:hi], d, coef)
+		}
+		copy(page[:lo], committed[:lo])
+		copy(page[hi:], committed[hi:])
+		subtle.XORBytes(page[lo:hi], committed[lo:hi], d)
+		return nil
+	})
+}
+
+// Commit lands the staged round and advances the given members' epochs.
+// Every epoch must be exactly one past the member's folded epoch — the same
+// ordering rule ApplyDelta enforces — and all of them are checked before
+// anything changes, so a bad commit leaves the keeper, staged pages included,
+// untouched. Each staged page then replaces its committed one, which goes on
+// the free list: commit moves no parity bytes.
+func (k *MKeeper) Commit(epochs map[string]uint64) error {
+	if err := k.checkEpochs(epochs); err != nil {
+		return err
 	}
+	for _, i := range k.stagedIdx {
+		k.putPage(k.pages[i])
+		k.pages[i], k.staged[i] = k.staged[i], nil
+	}
+	k.stagedIdx = k.stagedIdx[:0]
+	for id, e := range epochs {
+		k.epochs[id] = e
+	}
+	return nil
+}
+
+// Drop discards the staged round (abort, rollback): its pages go on the free
+// list and the committed block is as it was.
+func (k *MKeeper) Drop() {
+	for _, i := range k.stagedIdx {
+		k.putPage(k.staged[i])
+		k.staged[i] = nil
+	}
+	k.stagedIdx = k.stagedIdx[:0]
+}
+
+// takePage returns an n-byte page from the free list, or a fresh one.
+func (k *MKeeper) takePage(n int) []byte {
+	if last := len(k.free) - 1; last >= 0 {
+		p := k.free[last]
+		k.free = k.free[:last]
+		return p[:n]
+	}
+	return make([]byte, n, ParityPageSize)
+}
+
+// putPage puts a page on the free list. A page of less capacity — the tail
+// of a block whose size is not a page multiple — cannot stand in for another
+// and is left to the collector.
+func (k *MKeeper) putPage(p []byte) {
+	if cap(p) == ParityPageSize {
+		k.free = append(k.free, p[:ParityPageSize])
+	}
+}
+
+// checkEpochs checks that every member named is one epoch past its folded one.
+func (k *MKeeper) checkEpochs(epochs map[string]uint64) error {
 	for id, e := range epochs {
 		if _, ok := k.index[id]; !ok {
 			return fmt.Errorf("core: mkeeper group %d commit for unknown member %q", k.group, id)
@@ -204,17 +316,78 @@ func (k *MKeeper) commitRanges(pending []byte, epochs map[string]uint64, ranges 
 				k.group, id, e, k.epochs[id])
 		}
 	}
+	return nil
+}
+
+// FoldInto folds one member's delta bytes at a byte offset into dst, a
+// contiguous accumulation buffer of the keeper's block size, and
+// CommitPending lands that buffer in the committed pages. This is the
+// in-process oracle path the runtime's staged folds are tested against, and
+// the one benchmark/layers.go times; the runtime itself stages (Stage,
+// Commit, Drop). The two paths are not mixed within one round.
+func (k *MKeeper) FoldInto(dst []byte, id string, off int, data []byte) error {
+	j, err := k.checkFold(id, off, len(data))
+	if err != nil {
+		return err
+	}
+	if len(dst) != k.size {
+		return fmt.Errorf("core: fold buffer %d bytes, parity block %d", len(dst), k.size)
+	}
+	return k.coder.UpdateParity(dst[off:off+len(data)], k.parityIdx, j, data)
+}
+
+// CommitPending folds an accumulation buffer built by FoldInto into the
+// committed parity pages and advances the given members' epochs, under
+// Commit's epoch rule; all checks run before any state changes, so a bad
+// commit leaves the keeper untouched. It is part of the oracle path (see
+// FoldInto) and refuses a keeper that holds staged pages.
+func (k *MKeeper) CommitPending(pending []byte, epochs map[string]uint64) error {
+	return k.CommitPendingRanges(pending, epochs, [][2]int{{0, len(pending)}})
+}
+
+// CommitPendingRanges is CommitPending restricted to the byte ranges of the
+// accumulation buffer that folds actually touched: everything outside them
+// must still be zero, so XORing only the touched ranges lands the identical
+// parity at O(folded bytes) instead of O(block) per commit. Ranges must be
+// disjoint ([start, end) pairs; overlap would fold the overlap twice) and
+// are checked, like the epochs, before any state changes. Oracle path.
+func (k *MKeeper) CommitPendingRanges(pending []byte, epochs map[string]uint64, ranges [][2]int) error {
+	return k.commitRanges(pending, epochs, ranges, false)
+}
+
+// DrainPendingRanges is CommitPendingRanges for a reusable accumulation
+// buffer: each committed range is zeroed in the same pass that folds it
+// (parity.XORDrain), so pending leaves the call all-zero inside the ranges
+// without a second memory sweep. A failed commit leaves parity, epochs, and
+// pending all untouched. Oracle and benchmark path; the runtime's commit is a
+// page swap (Commit).
+func (k *MKeeper) DrainPendingRanges(pending []byte, epochs map[string]uint64, ranges [][2]int) error {
+	return k.commitRanges(pending, epochs, ranges, true)
+}
+
+func (k *MKeeper) commitRanges(pending []byte, epochs map[string]uint64, ranges [][2]int, drain bool) error {
+	if len(k.stagedIdx) > 0 {
+		return fmt.Errorf("core: mkeeper group %d commit of a pending buffer with %d pages staged", k.group, len(k.stagedIdx))
+	}
+	if len(pending) != k.size {
+		return fmt.Errorf("core: pending buffer %d bytes, parity block %d", len(pending), k.size)
+	}
 	for _, r := range ranges {
-		if r[0] == r[1] {
-			continue
+		if r[0] < 0 || r[1] < r[0] || r[1] > len(pending) {
+			return fmt.Errorf("core: commit range [%d,%d) outside %d-byte block", r[0], r[1], len(pending))
 		}
-		var err error
-		if drain {
-			err = parity.XORDrain(k.parityBlk[r[0]:r[1]], pending[r[0]:r[1]])
-		} else {
-			err = parity.XORInto(k.parityBlk[r[0]:r[1]], pending[r[0]:r[1]])
-		}
-		if err != nil {
+	}
+	if err := k.checkEpochs(epochs); err != nil {
+		return err
+	}
+	for _, r := range ranges {
+		if err := eachPage(r[0], r[1]-r[0], func(i, lo, hi, at int) error {
+			src := pending[r[0]+at : r[0]+at+hi-lo]
+			if drain {
+				return parity.XORDrain(k.pages[i][lo:hi], src)
+			}
+			return parity.XORInto(k.pages[i][lo:hi], src)
+		}); err != nil {
 			return err
 		}
 	}
@@ -224,7 +397,8 @@ func (k *MKeeper) commitRanges(pending []byte, epochs map[string]uint64, ranges 
 	return nil
 }
 
-// ApplyDelta folds one member's checkpoint delta into this parity block.
+// ApplyDelta folds one member's checkpoint delta straight into the committed
+// parity block (the in-process path: no round, nothing staged).
 func (k *MKeeper) ApplyDelta(d *Delta) error {
 	j, ok := k.index[d.VMID]
 	if !ok {
@@ -234,12 +408,15 @@ func (k *MKeeper) ApplyDelta(d *Delta) error {
 		return fmt.Errorf("core: mkeeper group %d member %q epoch %d after %d",
 			k.group, d.VMID, d.Epoch, k.epochs[d.VMID])
 	}
+	coef := k.coder.Coef(k.parityIdx, j)
 	for _, p := range d.Pages {
 		off := p.Index * len(p.Data)
-		if p.Index < 0 || off+len(p.Data) > len(k.parityBlk) {
+		if p.Index < 0 || off+len(p.Data) > k.size {
 			return fmt.Errorf("core: delta page %d out of parity range", p.Index)
 		}
-		if err := k.coder.UpdateParity(k.parityBlk[off:off+len(p.Data)], k.parityIdx, j, p.Data); err != nil {
+		if err := eachPage(off, len(p.Data), func(i, lo, hi, at int) error {
+			return parity.MulSliceInto(k.pages[i][lo:hi], p.Data[at:at+hi-lo], coef)
+		}); err != nil {
 			return err
 		}
 	}

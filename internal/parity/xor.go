@@ -59,7 +59,10 @@ const drainBlock = 32 << 10
 // the XORInto kernel and clear over cache-sized blocks in turn, where a
 // whole-buffer XORInto followed by clear would stream src through memory
 // twice. Same aliasing contract as XORInto, except dst and src may not be the
-// same slice (draining a buffer into itself would zero both).
+// same slice (draining a buffer into itself would zero both). It backs
+// core.MKeeper.DrainPendingRanges, the in-process oracle and layer-benchmark
+// path; the runtime's keepers commit by swapping staged pages and drain
+// nothing.
 func XORDrain(dst, src []byte) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("%w: dst %d, src %d", ErrLengthMismatch, len(dst), len(src))

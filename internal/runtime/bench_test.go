@@ -128,9 +128,9 @@ func BenchmarkRuntimeRound(b *testing.B) {
 
 // BenchmarkDataPath sweeps the chunk size on large-image rounds (paper
 // layout, 256 pages x 4 KiB = 1 MiB per VM, heavy write phase so deltas span
-// many chunks). Run with -benchmem: the ship path recycles every frame, fold
-// buffer, and pending accumulation through internal/bufpool, so the
-// allocation column is the headline number; shipped-MB/s is reported as a
+// many chunks). Run with -benchmem: the ship path recycles every frame and
+// fold buffer through internal/bufpool and each keeper its parity pages
+// through its own free list, so the allocation column is the headline number; shipped-MB/s is reported as a
 // custom metric. These images are cache-resident — the repo benchmark
 // (go run ./benchmark) measures the same rounds out of cache.
 func BenchmarkDataPath(b *testing.B) {

@@ -56,7 +56,7 @@ func resolvePipelineWidth(v int) int {
 // contiguous runs of its pages (d.Pages is in page order; only the indexes
 // are read) are merged and each run cut into pieces of at most chunkSize
 // bytes. Offset/Total address the member's image rather than a packed stream,
-// so a keeper folds each chunk into its pending parity buffer the moment it
+// so a keeper stages each chunk into its next-epoch parity pages the moment it
 // arrives — no reassembly, no delta-sized buffer on either side. The chunks
 // carry ranges only (no Data); raw is the bytes they cover. An empty capture
 // yields one zero-length chunk so the epoch still reaches the keeper.

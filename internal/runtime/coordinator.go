@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -1030,10 +1031,12 @@ func (c *Coordinator) Repair(node int) error {
 // new host pulls the committed image from the old one (the VMs are quiescent
 // right after a commit, so that image is the whole VM) and only once it has
 // adopted the VM is the old host told to drop its copy. A move that fails or
-// is refused at either step therefore leaves the VM where it was — the error
-// is returned, the layout is not touched, and the new host holds no copy. VM
-// moves and parity rebuilds each run concurrently (moves touch disjoint VMs,
-// rebuilds disjoint parity blocks). Call immediately after Checkpoint, before
+// is refused at either step therefore leaves the VM where it was, and the new
+// host holds no copy. When any move fails, the error is returned after the
+// moves that did complete are recorded in the layout and their groups' parity
+// pointers refreshed; the rest of the plan is not applied. VM moves and parity
+// rebuilds each run concurrently (moves touch disjoint VMs, rebuilds disjoint
+// parity blocks). Call immediately after Checkpoint, before
 // any Step.
 func (c *Coordinator) Rebalance() (plan *cluster.Plan, err error) {
 	c.roundMu.Lock()
@@ -1061,6 +1064,7 @@ func (c *Coordinator) Rebalance() (plan *cluster.Plan, err error) {
 			moves = append(moves, s)
 		}
 	}
+	done := make([]bool, len(moves))
 	if err := parallelDo(len(moves), c.fanoutWidth(), func(i int) error {
 		s := moves[i]
 		v, ok := c.layout.VM(s.VM)
@@ -1092,9 +1096,20 @@ func (c *Coordinator) Rebalance() (plan *cluster.Plan, err error) {
 			evict(s.TargetNode) //nolint:errcheck
 			return fmt.Errorf("runtime: evict %q from node %d: %w", s.VM, v.Node, err)
 		}
+		done[i] = true
 		return nil
 	}); err != nil {
-		return nil, err
+		// A completed move happened whatever became of the others: the VM runs
+		// on its target and nowhere else, so the layout must say so before the
+		// next round or recovery looks for it.
+		errs, groups := []error{err}, map[int]bool{}
+		for i, s := range moves {
+			if done[i] {
+				errs = append(errs, c.layout.MoveVM(s.VM, s.TargetNode))
+				groups[s.Group] = true
+			}
+		}
+		return nil, errors.Join(append(errs, c.refreshParityPointers(rctx, groups))...)
 	}
 	// Apply the placement so parity rebuilds see the new VM homes, then
 	// rebuild the moved parity blocks on their targets, concurrently.

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -244,7 +245,7 @@ type errUnexpectedReply wire.MsgType
 func (e errUnexpectedReply) Error() string { return "unexpected reply type" }
 
 // TestAbortRacesInFlightFolds fires MsgAbort from a second connection while a
-// chunk stream is mid-fold: the abort's dropPending and the sending
+// chunk stream is mid-fold: the abort's drop and the sending
 // connection's handler fold take turns on the keeper lock (never a clear from
 // under a fold), late chunks may legitimately restart a stream, and a final
 // abort leaves the keeper clean — proven by a full coordinator round plus
@@ -345,5 +346,134 @@ func TestAbortRacesInFlightFolds(t *testing.T) {
 		if after[name] != want {
 			t.Errorf("%q diverged after abort raced in-flight folds", name)
 		}
+	}
+}
+
+// TestStagedFoldsAbortsAndReadsInterleave runs three connections against one
+// parity keeper at once: one streams chunks over every page of its block, one
+// aborts again and again, one reads the parity block back. Staging, dropping
+// and reading take turns on the keeper lock; every read must serve the
+// committed block whole — staged pages are never visible — and when the last
+// abort lands nothing is staged, the keeper holds at most its block plus one
+// staged copy of it, and the next real round commits what the shadow model
+// holds.
+func TestStagedFoldsAbortsAndReadsInterleave(t *testing.T) {
+	const pages, pageSize = 16, 4096 // 64 KiB blocks: sixteen parity pages
+	layout := paperLayout(t)
+	coord, nodes := sizedCluster(t, layout, pages, pageSize, 8<<10, false)
+	shadow, err := NewShadow(layout, pages, pageSize, 12345)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadowRounds(t, coord, shadow, 1)
+	g := layout.Groups[0]
+	member, parityNode := g.Members[0], g.ParityNodes[0]
+	committed, _, _ := readBlock(t, coord.addrs[parityNode], "parity", "", g.Index)
+	img := len(committed)
+	dial := func() *transport.Conn {
+		c, err := transport.Dial(coord.addrs[parityNode])
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	sender, aborter, reader := dial(), dial(), dial()
+
+	const count, rounds = 8, 6
+	chunkLen := img / count
+	errs := make(chan error, 3)
+	var wg sync.WaitGroup
+	wg.Add(3)
+	stop := make(chan struct{})
+	go func() {
+		defer wg.Done()
+		defer close(stop)
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < count; i++ {
+				c := wire.Chunk{
+					Offset: uint64(i * chunkLen), Total: uint64(img), Index: uint32(i), Count: count,
+					RawLen: uint32(chunkLen), Data: bytes.Repeat([]byte{byte(r*count + i + 1)}, chunkLen),
+				}
+				// A stream an abort cut short restarts at whatever index comes
+				// next; a conflict with a half-dropped stream is not possible,
+				// since every round's stream has the same shape.
+				if _, err := sender.Call(&wire.Message{
+					Type: wire.MsgDeltaChunk, Epoch: coord.Epoch() + 1, Group: int32(g.Index), VM: member,
+					Payload: wire.EncodeChunk(&c),
+				}); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}
+		errs <- nil
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				errs <- nil
+				return
+			default:
+			}
+			if _, err := aborter.Call(&wire.Message{Type: wire.MsgAbort, Epoch: coord.Epoch() + 1}); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				errs <- nil
+				return
+			default:
+			}
+			resp, err := reader.Call(&wire.Message{
+				Type: wire.MsgReadChunk, Text: "parity", Group: int32(g.Index), Arg: uint64(img),
+			})
+			if err != nil {
+				errs <- err
+				return
+			}
+			c, err := wire.DecodeChunk(resp.Payload)
+			if err == nil && !bytes.Equal(c.Data, committed) {
+				err = fmt.Errorf("a parity read served staged bytes")
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := aborter.Call(&wire.Message{Type: wire.MsgAbort, Epoch: coord.Epoch() + 1}); err != nil {
+		t.Fatal(err)
+	}
+	nodes[parityNode].mu.Lock()
+	ks := nodes[parityNode].keepers[g.Index]
+	nodes[parityNode].mu.Unlock()
+	ks.mu.Lock()
+	staged, held, size := ks.keeper.StagedPages(), ks.keeper.Footprint(), ks.keeper.Size()
+	ks.mu.Unlock()
+	if staged != 0 || len(ks.streams) != 0 {
+		t.Fatalf("after the last abort the keeper holds %d staged pages and %d streams", staged, len(ks.streams))
+	}
+	if held > 2*size {
+		t.Fatalf("the keeper holds %d bytes for a %d-byte block: more than one staged copy of it", held, size)
+	}
+	shadowRounds(t, coord, shadow, 1)
+	if err := oracleDiff(t, coord, shadow); err != nil {
+		t.Fatal(err)
 	}
 }

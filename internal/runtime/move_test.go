@@ -325,3 +325,94 @@ func TestHostedVMIsRefusedBeforePulling(t *testing.T) {
 		t.Fatalf("install of a hosted VM: got %v, want the already-hosts refusal", err)
 	}
 }
+
+// TestPartialRebalanceKeepsCompletedMoves: of a rebalance's moves (four on the
+// paper layout, all onto the repaired node) the second fails — its guest wrote
+// a page since the commit, so its source refuses the evict — and the others
+// complete. The error comes back, the layout names the completed moves'
+// targets and keeps the failed one's VM at its source, and the next round and
+// a recovery of the target node commit and rebuild exactly what the shadow
+// model holds.
+func TestPartialRebalanceKeepsCompletedMoves(t *testing.T) {
+	layout := paperLayout(t)
+	coord, nodes := testCluster(t, layout)
+	shadow, err := NewShadow(layout, 16, 64, 12345)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadowRounds(t, coord, shadow, 1)
+	const target = 1
+	addr := nodes[target].Addr()
+	nodes[target].Close()
+	plan, err := coord.RecoverNodes(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := shadow.Recover(plan, coord.Epoch()); err != nil {
+		t.Fatal(err)
+	}
+	if nodes[target], err = NewNode(addr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nodes[target].Close() })
+	if err := coord.Repair(target); err != nil {
+		t.Fatal(err)
+	}
+
+	rb, err := coord.Layout().PlanRebalance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var moves []cluster.Step
+	for _, s := range rb.Steps {
+		if s.Kind == cluster.RestoreVM {
+			moves = append(moves, s)
+		}
+	}
+	if len(moves) < 3 {
+		t.Fatalf("rebalance plans %d moves; the test wants at least three", len(moves))
+	}
+	failed := moves[1]
+	src, _ := coord.Layout().VM(failed.VM)
+	ms, err := nodes[src.Node].member(failed.VM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(p []byte) { p[0] ^= 0x5A }
+	ms.mu.Lock()
+	ms.mem.Machine().MutatePage(3, write)
+	ms.mu.Unlock()
+	shadow.vms[failed.VM].machine.MutatePage(3, write)
+
+	if _, err := coord.Rebalance(); err == nil || !strings.Contains(err.Error(), "uncommitted dirty pages") {
+		t.Fatalf("rebalance with a dirty source: got %v, want the source's dirty-pages refusal", err)
+	}
+	for _, s := range moves {
+		want := s.TargetNode
+		if s.VM == failed.VM {
+			want = src.Node
+		}
+		if v, _ := coord.Layout().VM(s.VM); v.Node != want {
+			t.Errorf("layout puts %q on node %d after the partial rebalance, want %d", s.VM, v.Node, want)
+		}
+	}
+	completed := &cluster.Plan{Steps: append([]cluster.Step{moves[0]}, moves[2:]...)}
+	if err := shadow.Rebalance(completed, coord.Epoch()); err != nil {
+		t.Fatal(err)
+	}
+
+	shadowRounds(t, coord, shadow, 1)
+	if err := oracleDiff(t, coord, shadow); err != nil {
+		t.Fatalf("round after the partial rebalance: %v", err)
+	}
+	nodes[target].Close()
+	if plan, err = coord.RecoverNodes(target); err != nil {
+		t.Fatalf("recovering the moves' target: %v", err)
+	}
+	if err := shadow.Recover(plan, coord.Epoch()); err != nil {
+		t.Fatal(err)
+	}
+	if err := oracleDiff(t, coord, shadow); err != nil {
+		t.Fatalf("recovery of the moves' target: %v", err)
+	}
+}

@@ -82,17 +82,11 @@ type keeperState struct {
 	keeper *core.MKeeper
 	cfg    KeeperConfig
 
-	// Arriving delta chunks fold into pending (a pooled accumulation buffer
-	// the size of the parity block, allocated lazily on first chunk and then
-	// kept resident), and streams tracks per-member delivery so duplicates
-	// are dropped idempotently and commit can verify completeness. touched
-	// records the byte range of every fold, so commit XORs — and the next
-	// round's reuse re-zeroes — only the bytes folds actually wrote. A chunk
-	// is folded and recorded delivered in one step under mu.
-	// Invariant: pending is all-zero outside touched.
-	pending []byte
+	// Arriving delta chunks fold into the keeper's staged next-epoch pages
+	// (core.MKeeper.Stage), and streams tracks per-member delivery so
+	// duplicates are dropped idempotently and commit can verify completeness.
+	// A chunk is folded and recorded delivered in one step under mu.
 	streams map[string]*chunkStream
-	touched [][2]int
 }
 
 // newKeeperState wires a keeperState around a keeper.
@@ -111,39 +105,13 @@ type chunkStream struct {
 	got   uint32
 }
 
-// dropPending discards a keeper's uncommitted round state (abort/rollback).
-// The buffer itself stays resident — folds only ever wrote inside touched, so
-// re-zeroing just those ranges restores the all-zero invariant without an
-// image-sized clear. Caller holds ks.mu.
-func (ks *keeperState) dropPending() {
-	if ks.pending != nil {
-		for _, r := range ks.touched {
-			clear(ks.pending[r[0]:r[1]])
-		}
-	}
-	ks.touched = ks.touched[:0]
+// drop discards a keeper's uncommitted round (abort/rollback): the staged
+// pages go back on the keeper's free list. Caller holds ks.mu.
+func (ks *keeperState) drop() {
+	ks.keeper.Drop()
 	if len(ks.streams) > 0 {
 		ks.streams = map[string]*chunkStream{}
 	}
-}
-
-// coalesceRanges sorts and merges touched byte ranges in place so overlaps
-// from different members' chunks collapse into disjoint runs — the form
-// CommitPendingRanges requires (an overlap would XOR those bytes twice).
-func coalesceRanges(rs [][2]int) [][2]int {
-	if len(rs) < 2 {
-		return rs
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i][0] < rs[j][0] })
-	out := rs[:1]
-	for _, r := range rs[1:] {
-		if last := &out[len(out)-1]; r[0] <= last[1] {
-			last[1] = max(last[1], r[1])
-		} else {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // NodeOptions customizes how a node daemon touches the network. The zero
@@ -635,15 +603,15 @@ func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberSta
 	return nil
 }
 
-// onDeltaChunk folds delta chunks into the keeper's pending accumulation
-// buffer — the receiving half of the ship path. The payload carries one or
+// onDeltaChunk folds delta chunks into the keeper's staged next-epoch pages
+// — the receiving half of the ship path. The payload carries one or
 // more self-delimiting chunk frames (the sender batches small frames into one
 // message); each is decoded, verified against its stream and folded under
 // ks.mu before the next is decoded, and the reply goes out once the batch is
 // folded. A chunk counts as delivered exactly when it is folded, so a batch
 // rejected partway keeps the chunks before the bad frame and its re-send
-// folds only the rest. The fold lands off the live parity block so two-phase
-// semantics hold: abort drops the pending buffer, commit lands it atomically.
+// folds only the rest. The fold lands beside the committed parity pages so
+// two-phase semantics hold: abort drops the staged pages, commit swaps them in.
 // Redelivered chunks (the transport retries once over a fresh dial when a
 // connection drops, resending whole batches) are detected by index and
 // skipped without folding again, since a second XOR fold would cancel the
@@ -699,8 +667,8 @@ func (n *Node) foldBatch(ks *keeperState, req *wire.Message) (folded int64, fold
 	}
 }
 
-// foldChunk checks one decoded chunk against its stream, folds it into
-// pending (a compressed chunk is inflated into a pooled buffer, put back
+// foldChunk checks one decoded chunk against its stream, stages its fold
+// (a compressed chunk is inflated into a pooled buffer, put back
 // straight after) and records its delivery. fold is false for an
 // idempotently dropped duplicate. Caller holds ks.mu.
 func (n *Node) foldChunk(ks *keeperState, req *wire.Message, c *wire.Chunk) (took time.Duration, fold bool, err error) {
@@ -734,24 +702,18 @@ func (n *Node) foldChunk(ks *keeperState, req *wire.Message, c *wire.Chunk) (too
 	if c.Flags&wire.ChunkFlate != 0 {
 		defer bufpool.Put(data) // the inflated copy is ours; raw data aliases the payload
 	}
-	if ks.pending == nil {
-		ks.pending = bufpool.GetZero(k.Size())
-	}
 	start := time.Now()
-	if err := k.FoldInto(ks.pending, req.VM, int(c.Offset), data); err != nil {
+	if err := k.Stage(req.VM, int(c.Offset), data); err != nil {
 		return 0, false, err
 	}
 	took = time.Since(start)
 	st.seen[c.Index] = true
 	st.got++
-	if len(data) > 0 {
-		ks.touched = append(ks.touched, [2]int{int(c.Offset), int(c.Offset) + len(data)})
-	}
 	return took, true, nil
 }
 
-// onCommit lands epoch req.Epoch: every keeper's pending accumulation drains
-// into its parity block, then every member advances to its staged capture.
+// onCommit lands epoch req.Epoch: every keeper swaps its staged pages into its
+// parity block, then every member advances to its staged capture.
 // Only the staged epoch commits: finding a chunk stream or a capture of
 // another epoch (a stale or misrouted commit) is an error that changes
 // nothing; finding nothing staged (a retry whose first reply was lost), a no-op.
@@ -783,17 +745,16 @@ func (n *Node) onCommit(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 	if stale != nil {
 		return nil, fmt.Errorf("runtime: node %d: commit of epoch %d, but %v", id, req.Epoch, stale)
 	}
-	// Land each keeper's pending accumulation in its parity block, keepers in
-	// parallel (the range drain is real CPU work and keepers are independent).
-	if err := parallelDo(len(keepers), fan, func(i int) (drainErr error) {
+	// Land each keeper's staged round in its parity block. Every member's
+	// stream must have delivered all of its chunks (prepare succeeded, so they
+	// did unless the protocol broke); then the staged pages swap in, which
+	// moves no parity bytes.
+	if err := parallelDo(len(keepers), fan, func(i int) (commitErr error) {
 		ks := keepers[i]
 		ks.mu.Lock()
 		defer ks.mu.Unlock()
 		span := tr.Child(ctx, fmt.Sprintf("fold g%d", ks.keeper.Group()), lane)
-		defer func() { span.FinishErr(drainErr) }()
-		// Every member's stream must have delivered all of its chunks
-		// (prepare succeeded, so they did unless the protocol broke), then
-		// the whole accumulation lands atomically.
+		defer func() { span.FinishErr(commitErr) }()
 		if len(ks.streams) > 0 {
 			span.SetAttr("streams", fmt.Sprint(len(ks.streams)))
 			epochs := make(map[string]uint64, len(ks.streams))
@@ -804,15 +765,9 @@ func (n *Node) onCommit(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 				}
 				epochs[vmid] = st.epoch
 			}
-			// Folds only wrote inside touched, so commit drains just those
-			// ranges — XOR into parity and re-zero in one fused pass: the
-			// buffer stays resident and all-zero for the next round, and a
-			// sparse round costs O(folded bytes) instead of O(image) per
-			// group.
-			if err := ks.keeper.DrainPendingRanges(ks.pending, epochs, coalesceRanges(ks.touched)); err != nil {
+			if err := ks.keeper.Commit(epochs); err != nil {
 				return fmt.Errorf("runtime: commit group %d: %w", ks.keeper.Group(), err)
 			}
-			ks.touched = ks.touched[:0]
 			ks.streams = map[string]*chunkStream{}
 		}
 		return nil
@@ -840,12 +795,12 @@ func (n *Node) onCommit(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 }
 
 // onAbort takes back whatever the node holds of an uncommitted round,
-// whichever epoch the message names: keepers drop their pending folds, members
+// whichever epoch the message names: keepers drop their staged pages, members
 // unstage. On a clean node it is a no-op.
 func (n *Node) onAbort(req *wire.Message) (*wire.Message, error) {
 	for _, ks := range n.snapshotKeepers() {
 		ks.mu.Lock()
-		ks.dropPending()
+		ks.drop()
 		ks.mu.Unlock()
 	}
 	for _, ms := range n.snapshotMembers() {
@@ -868,16 +823,20 @@ func (n *Node) member(name string) (*memberState, error) {
 	return ms, nil
 }
 
-// readChunkPayload encodes chunk index of block into a pooled frame sized so
-// the append stays in its size class. block is the member's or keeper's own
-// memory (the caller holds the lock that keeps it still), so that append is
-// the only copy a served chunk pays.
-func readChunkPayload(block []byte, index, chunkSize int) ([]byte, error) {
-	c, err := wire.ChunkOf(block, index, chunkSize)
+// readChunkPayload renders chunk index of a total-byte block into a pooled
+// frame: render copies the chunk's bytes from the member's or keeper's own
+// memory (the caller holds the lock that keeps it still) straight in behind
+// the header slot, the only copy a served chunk pays, and the header is
+// sealed over them.
+func readChunkPayload(total, index, chunkSize int, render func(dst []byte, off int)) ([]byte, error) {
+	c, err := wire.ChunkAt(total, index, chunkSize)
 	if err != nil {
 		return nil, err
 	}
-	return wire.AppendChunk(bufpool.Get(wire.ChunkHeaderLen + len(c.Data))[:0], &c), nil
+	frame := bufpool.Get(wire.ChunkHeaderLen + int(c.RawLen))
+	render(frame[wire.ChunkHeaderLen:], int(c.Offset))
+	wire.SealChunk(frame, &c)
+	return frame, nil
 }
 
 // onReadChunk serves one chunk of a committed image (Text "image", keyed by
@@ -901,7 +860,8 @@ func (n *Node) onReadChunk(req *wire.Message) (*wire.Message, error) {
 		}
 		ms.mu.Lock()
 		defer ms.mu.Unlock()
-		payload, err := readChunkPayload(ms.mem.CommittedView(), index, chunkSize)
+		img := ms.mem.CommittedView()
+		payload, err := readChunkPayload(len(img), index, chunkSize, func(dst []byte, off int) { copy(dst, img[off:]) })
 		if err != nil {
 			return nil, err
 		}
@@ -916,7 +876,7 @@ func (n *Node) onReadChunk(req *wire.Message) (*wire.Message, error) {
 		}
 		ks.mu.Lock()
 		defer ks.mu.Unlock()
-		payload, err := readChunkPayload(ks.keeper.ParityView(), index, chunkSize)
+		payload, err := readChunkPayload(ks.keeper.Size(), index, chunkSize, ks.keeper.ReadParity)
 		if err != nil {
 			return nil, err
 		}
@@ -1184,7 +1144,7 @@ func (n *Node) onRollback(req *wire.Message) (*wire.Message, error) {
 	}
 	for _, ks := range n.snapshotKeepers() {
 		ks.mu.Lock()
-		ks.dropPending()
+		ks.drop()
 		ks.mu.Unlock()
 	}
 	return &wire.Message{Type: wire.MsgRollbackOK}, nil

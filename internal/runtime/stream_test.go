@@ -440,12 +440,10 @@ func streamedVsCaptureOracle(t *testing.T, ps int, rs2, skip, compress bool) {
 				switch {
 				case ks.keeper.ParityIndex() != idx:
 					t.Errorf("%s: node %d keeps parity[%d] of group %d, layout says [%d]", when, pn, ks.keeper.ParityIndex(), g.Index, idx)
-				case len(ks.streams) != 0 || len(ks.touched) != 0:
-					t.Errorf("%s: parity[%d] of group %d still holds %d streams, %d touched ranges", when, idx, g.Index, len(ks.streams), len(ks.touched))
-				case !bytes.Equal(ks.keeper.ParityView(), tk.ParityView()):
+				case len(ks.streams) != 0 || ks.keeper.StagedPages() != 0:
+					t.Errorf("%s: parity[%d] of group %d still holds %d streams, %d staged pages", when, idx, g.Index, len(ks.streams), ks.keeper.StagedPages())
+				case !bytes.Equal(ks.keeper.Parity(), tk.Parity()):
 					t.Errorf("%s: parity[%d] of group %d diverges from the oracle", when, idx, g.Index)
-				case ks.pending != nil && !bytes.Equal(ks.pending, make([]byte, len(ks.pending))):
-					t.Errorf("%s: pending buffer of parity[%d] of group %d is not all zero", when, idx, g.Index)
 				}
 				for _, m := range g.Members {
 					if ks.keeper.Epoch(m) != tk.Epoch(m) {
@@ -513,6 +511,90 @@ func streamedVsCaptureOracle(t *testing.T, ps int, rs2, skip, compress bool) {
 			}
 		}
 		compare(when)
+	}
+}
+
+// TestKeeperFootprint: a keeper holds its parity block plus at most the most
+// pages any one round has folded — not a second image-sized buffer. On the
+// paper layout with 1 MiB images, twenty sparse rounds (one aborted) are
+// driven prepare by prepare, so each round's page set is read off the
+// members' staged captures, independently of the keepers; after every
+// prepare, commit and abort each keeper's committed, staged and free bytes
+// must stay within its block plus that group's largest round so far, times
+// the page size, and the rounds must commit what the shadow model holds.
+func TestKeeperFootprint(t *testing.T) {
+	const pages, pageSize = 256, 4096
+	layout := paperLayout(t)
+	coord, nodes := sizedCluster(t, layout, pages, pageSize, 0, false)
+	shadow, err := NewShadow(layout, pages, pageSize, 12345)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxTouched := map[int]int{} // by group
+	check := func(when string) {
+		t.Helper()
+		for _, g := range layout.Groups {
+			for _, pn := range g.ParityNodes {
+				nodes[pn].mu.Lock()
+				ks := nodes[pn].keepers[g.Index]
+				nodes[pn].mu.Unlock()
+				ks.mu.Lock()
+				held, size := ks.keeper.Footprint(), ks.keeper.Size()
+				ks.mu.Unlock()
+				if bound := size + maxTouched[g.Index]*core.ParityPageSize; held > bound {
+					t.Fatalf("%s: the keeper of group %d holds %d bytes, over its %d-byte block plus %d pages (%d)",
+						when, g.Index, held, size, maxTouched[g.Index], bound)
+				}
+			}
+		}
+	}
+	for round := 0; round < 20; round++ {
+		if err := coord.Step(4); err != nil {
+			t.Fatal(err)
+		}
+		shadow.Step(4)
+		epoch := coord.Epoch() + 1
+		for i, n := range nodes {
+			if _, err := n.handle(&wire.Message{Type: wire.MsgPrepare, Epoch: epoch}); err != nil {
+				t.Fatalf("round %d: prepare node %d: %v", round, i, err)
+			}
+		}
+		for _, g := range layout.Groups {
+			touched := map[int]bool{}
+			for _, name := range g.Members {
+				v, _ := layout.VM(name)
+				ms, err := nodes[v.Node].member(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms.mu.Lock()
+				for _, p := range ms.staged.Pages {
+					for pp := p.Index * pageSize / core.ParityPageSize; pp <= ((p.Index+1)*pageSize-1)/core.ParityPageSize; pp++ {
+						touched[pp] = true
+					}
+				}
+				ms.mu.Unlock()
+			}
+			maxTouched[g.Index] = max(maxTouched[g.Index], len(touched))
+		}
+		check(fmt.Sprintf("round %d prepared", round))
+		msg, what := &wire.Message{Type: wire.MsgCommit, Epoch: epoch}, "committed"
+		if round == 7 {
+			msg, what = &wire.Message{Type: wire.MsgAbort, Epoch: epoch}, "aborted"
+		}
+		for i, n := range nodes {
+			if _, err := n.handle(msg); err != nil {
+				t.Fatalf("round %d: %s node %d: %v", round, what, i, err)
+			}
+		}
+		if what == "committed" {
+			coord.epoch.Store(epoch)
+			shadow.Commit()
+		}
+		check(fmt.Sprintf("round %d %s", round, what))
+	}
+	if err := oracleDiff(t, coord, shadow); err != nil {
+		t.Fatal(err)
 	}
 }
 

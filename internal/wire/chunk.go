@@ -49,6 +49,11 @@ const ChunkFlate = 1 << 0
 
 const chunkKnownFlags = ChunkFlate
 
+// zeroCRC stands in for a frame's crc field when the CRC is verified. It is a
+// package variable because a local array passed to crc32.Update escapes to
+// the heap, one allocation per decoded frame. Never written.
+var zeroCRC [4]byte
+
 // Chunk is one decoded chunk frame. Data aliases the decoder's input; copy
 // it before the input buffer is reused.
 type Chunk struct {
@@ -74,22 +79,33 @@ func ChunkCount(total, chunkSize int) int {
 // [index*chunkSize, min((index+1)*chunkSize, len(block))). Data aliases
 // block.
 func ChunkOf(block []byte, index, chunkSize int) (Chunk, error) {
-	count := ChunkCount(len(block), chunkSize)
+	c, err := ChunkAt(len(block), index, chunkSize)
+	if err != nil {
+		return Chunk{}, err
+	}
+	c.Data = block[c.Offset : c.Offset+uint64(c.RawLen)]
+	return c, nil
+}
+
+// ChunkAt describes chunk index of a total-byte stream cut into chunkSize
+// pieces, as ChunkOf does, for a block that is not one slice: Data is nil and
+// the caller renders the chunk's RawLen bytes from Offset itself.
+func ChunkAt(total, index, chunkSize int) (Chunk, error) {
+	count := ChunkCount(total, chunkSize)
 	if index < 0 || index >= count {
 		return Chunk{}, fmt.Errorf("%w: chunk index %d of %d", ErrFrame, index, count)
 	}
 	lo := index * chunkSize
-	hi := min(lo+chunkSize, len(block))
+	hi := min(lo+chunkSize, total)
 	if lo > hi {
 		lo = hi
 	}
 	return Chunk{
 		Offset: uint64(lo),
-		Total:  uint64(len(block)),
+		Total:  uint64(total),
 		Index:  uint32(index),
 		Count:  uint32(count),
 		RawLen: uint32(hi - lo),
-		Data:   block[lo:hi],
 	}, nil
 }
 
@@ -206,13 +222,13 @@ func DecodeChunk(b []byte) (Chunk, error) {
 	if int(dataLen) != len(b)-ChunkHeaderLen {
 		return bad("data length %d, %d bytes present", dataLen, len(b)-ChunkHeaderLen)
 	}
-	// Verify the CRC over the exact bytes as sent, with the CRC field zeroed.
-	sum := crc32.NewIEEE()
-	sum.Write(b[:ChunkHeaderLen-4])
-	sum.Write([]byte{0, 0, 0, 0})
-	sum.Write(b[ChunkHeaderLen:])
-	if sum.Sum32() != crc {
-		return bad("crc mismatch (got %08x, header says %08x)", sum.Sum32(), crc)
+	// Verify the CRC over the exact bytes as sent, with the CRC field zeroed,
+	// in pieces the way appendChunkHeader computes it.
+	sum := crc32.ChecksumIEEE(b[:ChunkHeaderLen-4])
+	sum = crc32.Update(sum, crc32.IEEETable, zeroCRC[:])
+	sum = crc32.Update(sum, crc32.IEEETable, b[ChunkHeaderLen:])
+	if sum != crc {
+		return bad("crc mismatch (got %08x, header says %08x)", sum, crc)
 	}
 	if c.Flags&^uint8(chunkKnownFlags) != 0 {
 		return bad("unknown flags %#x", c.Flags)

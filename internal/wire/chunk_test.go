@@ -55,6 +55,54 @@ func TestSealChunkMatchesAppendChunk(t *testing.T) {
 	}
 }
 
+// TestDecodeChunkAllocatesNothing: a keeper decodes every frame of every batch
+// it receives, so verifying one costs no heap allocation — the CRC runs in
+// pieces over the frame as it lies, with no hasher and no zero-field scratch.
+func TestDecodeChunkAllocatesNothing(t *testing.T) {
+	block := bytes.Repeat([]byte{0x5A}, 3*4096+17)
+	var batch []byte
+	for i := 0; i < ChunkCount(len(block), 4096); i++ {
+		c, err := ChunkOf(block, i, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch = AppendChunk(batch, &c)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for b := batch; len(b) > 0; {
+			_, n, err := DecodeChunkPrefix(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = b[n:]
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decoding a batch of 4 frames allocated %.1f times", allocs)
+	}
+}
+
+// TestChunkAtDescribesChunkOf: ChunkAt is ChunkOf without the slice, for
+// blocks held in pieces.
+func TestChunkAtDescribesChunkOf(t *testing.T) {
+	for _, n := range []int{0, 1, 4095, 4096, 4097, 10000} {
+		block := make([]byte, n)
+		for _, cs := range []int{1, 7, 4096} {
+			for i := -1; i <= ChunkCount(n, cs); i++ {
+				want, werr := ChunkOf(block, i, cs)
+				got, gerr := ChunkAt(n, i, cs)
+				if (werr == nil) != (gerr == nil) {
+					t.Fatalf("n=%d cs=%d i=%d: ChunkOf error %v, ChunkAt error %v", n, cs, i, werr, gerr)
+				}
+				if got.Data != nil || got.Offset != want.Offset || got.Total != want.Total || got.Index != want.Index ||
+					got.Count != want.Count || got.RawLen != want.RawLen || len(want.Data) != int(want.RawLen) {
+					t.Fatalf("n=%d cs=%d i=%d: ChunkAt %+v, ChunkOf %+v", n, cs, i, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestChunkCRCDetectsEveryByteFlip(t *testing.T) {
 	c, err := ChunkOf([]byte("chunked data path payload"), 0, 64)
 	if err != nil {
