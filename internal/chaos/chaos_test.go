@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -331,7 +332,7 @@ func TestFrameTrackerSplitWrites(t *testing.T) {
 
 func TestKillPlanDeterministicAndBounded(t *testing.T) {
 	build := func(seed int64) *KillPlan {
-		p, err := PlanPoissonKills(8, 40, 120, 10, seed)
+		p, err := PlanPoissonKills(8, 1, 40, 120, 10, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,6 +358,23 @@ func TestKillPlanDeterministicAndBounded(t *testing.T) {
 	}
 	if c := build(6); c.String() == a.String() {
 		t.Fatal("different seeds produced identical kill plans")
+	}
+	// Up to two victims a round (a tolerance-2 soak): the same failure
+	// stream, and some round takes two nodes.
+	two, err := PlanPoissonKills(8, 2, 40, 120, 10, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	double := false
+	for r := 0; r < two.Rounds(); r++ {
+		v := two.Victims(r)
+		if one := a.Victims(r); len(v) > 2 || len(one) > 0 && !slices.Contains(v, one[0]) {
+			t.Fatalf("round %d kills %v with two allowed, %v with one", r, v, a.Victims(r))
+		}
+		double = double || len(v) == 2
+	}
+	if !double {
+		t.Fatal("no round of a two-per-round plan kills two nodes")
 	}
 }
 

@@ -62,15 +62,15 @@ func PlanKills(sched *failure.NodeSchedule, rounds int, roundSeconds float64, ma
 }
 
 // PlanPoissonKills is the common case: independent per-node Poisson failures
-// with the given MTBF, bucketed into rounds. One victim per round keeps every
-// kill inside the erasure code's single-failure-per-group tolerance for the
-// orthogonal layouts the soak harness runs.
-func PlanPoissonKills(nodes, rounds int, mtbfSeconds, roundSeconds float64, seed int64) (*KillPlan, error) {
+// with the given MTBF, bucketed into rounds. At most perRound victims per
+// round: the soak harness passes its layout's tolerance, which keeps every
+// kill round inside the erasure code for the orthogonal layouts it runs.
+func PlanPoissonKills(nodes, perRound, rounds int, mtbfSeconds, roundSeconds float64, seed int64) (*KillPlan, error) {
 	sched, err := failure.NewPoissonNodes(nodes, mtbfSeconds, seed)
 	if err != nil {
 		return nil, err
 	}
-	return PlanKills(sched, rounds, roundSeconds, 1)
+	return PlanKills(sched, rounds, roundSeconds, perRound)
 }
 
 // Restrict drops victims the predicate rejects (e.g. a node hosting more

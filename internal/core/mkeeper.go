@@ -79,14 +79,17 @@ func NewMKeeper(group, parityIdx, tolerance int, initial map[string][]byte) (*MK
 }
 
 // NewMKeeperFromBlock adopts an already-encoded parity block — parity block
-// parityIdx of the named members' current images, as a re-homed keeper
+// parityIdx of the named members' images at epoch, as a re-homed keeper
 // computes it while streaming those images in. The keeper takes ownership of
-// block and holds it page by page, with no copy; every member starts at
-// epoch 0, see SetEpochs.
-func NewMKeeperFromBlock(group, parityIdx, tolerance int, members []string, block []byte) (*MKeeper, error) {
+// block and holds it page by page, with no copy; every member is folded up
+// to epoch.
+func NewMKeeperFromBlock(group, parityIdx, tolerance int, members []string, block []byte, epoch uint64) (*MKeeper, error) {
 	k, err := newMKeeper(group, parityIdx, tolerance, members)
 	if err != nil {
 		return nil, err
+	}
+	for id := range k.epochs {
+		k.epochs[id] = epoch
 	}
 	k.setBlock(block)
 	return k, nil

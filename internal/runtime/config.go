@@ -102,34 +102,34 @@ func decodeJSON(s string, v interface{}) error {
 	return json.Unmarshal([]byte(s), v)
 }
 
-// installConfig rides MsgInstall, the receiving half of a move: the VM to
-// adopt and the node that hosts it now. The target pulls the committed image
-// and its epoch from From over MsgReadChunk; the coordinator never sees the
-// bytes, and drops the source's copy only after the target has adopted.
-type installConfig struct {
-	VMConfig
-	From int `json:"from"`
+// rebuildConfig rides MsgReconstruct, MsgRebuildKeeper and MsgInstall alike:
+// elements of one group to rebuild at the committed epoch, and where to read
+// them from. Without From the receiving node decodes: it pulls k of the
+// group's surviving shards once and computes every Lost element from them.
+// With From the one Lost element is read as is from that node: a moved VM's
+// current host, or (Held) the decoder that computed it for this target.
+type rebuildConfig struct {
+	Group     int      `json:"group"`
+	Members   []string `json:"members"` // every member of the group, any order
+	Tolerance int      `json:"tolerance"`
+	Pages     int      `json:"pages"`
+	PageSize  int      `json:"page_size"`
+	Epoch     uint64   `json:"epoch"` // every image read and every element rebuilt is at it
+
+	Survivors   map[string]int `json:"survivors,omitempty"`    // member -> host
+	ParityPeers map[int]int    `json:"parity_peers,omitempty"` // parity index -> home (alive)
+	From        *int           `json:"from,omitempty"`
+	Held        bool           `json:"held,omitempty"`
+
+	Lost []lostElement `json:"lost"`
 }
 
-// reconstructConfig rides MsgReconstruct, addressed to the node that will
-// host the lost VM: the VM to adopt (VMConfig), its group's members, and where
-// the survivors' images and the group's still-alive parity blocks are (every
-// member without a survivor entry is lost). The target streams k of those
-// shards through the lost VM's decode row and adopts the VM in place, at the
-// survivors' committed epoch.
-type reconstructConfig struct {
-	VMConfig
-	Members     []string       `json:"members"` // every member of the group, any order
-	Tolerance   int            `json:"tolerance"`
-	Survivors   map[string]int `json:"survivors"`    // member -> node id
-	ParityPeers map[int]int    `json:"parity_peers"` // parity index -> node id (alive)
-}
-
-// rebuildKeeperConfig rides MsgRebuildKeeper.
-type rebuildKeeperConfig struct {
-	KeeperConfig
-	MemberNodes map[string]int    `json:"member_nodes"`
-	Epochs      map[string]uint64 `json:"epochs"`
+// lostElement is one element a rebuild computes — a member's committed image
+// (VM set) or parity block Parity — and the node that is to hold it.
+type lostElement struct {
+	VM     *VMConfig `json:"vm,omitempty"`
+	Parity int       `json:"parity"`
+	Target int       `json:"target"`
 }
 
 // parityUpdate is one entry of a MsgSetParityBatch (JSON list in Text):

@@ -3,7 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,7 +38,7 @@ type Coordinator struct {
 	mu      sync.Mutex // guards pools, dead, pending, retiredRetries
 	pools   map[int]*transport.Pool
 	dead    map[int]bool
-	pending map[int]bool // dead but not yet recovered (declared dead mid-commit)
+	pending map[int]bool // dead, and no recovery of them has succeeded yet
 
 	layout         *cluster.Layout
 	addrs          map[int]string
@@ -294,8 +293,8 @@ func (c *Coordinator) call(node int, msg *wire.Message) (*wire.Message, error) {
 }
 
 // markDead declares a node dead: its pool is closed and no further calls
-// reach it. pendingRecovery tags nodes the commit phase lost, which still
-// need RecoverNodes.
+// reach it. pendingRecovery tags nodes that still need RecoverNodes: the
+// commit phase lost them, or a recovery of them has not succeeded yet.
 func (c *Coordinator) markDead(node int, pendingRecovery bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -410,18 +409,6 @@ func (c *Coordinator) vmConfig(v cluster.VMPlacement) VMConfig {
 	}
 }
 
-// keeperConfig renders the KeeperConfig of parity block idx of a group.
-func (c *Coordinator) keeperConfig(group, idx int) KeeperConfig {
-	return KeeperConfig{
-		Group:     group,
-		ParityIdx: idx,
-		Tolerance: c.layout.Tolerance,
-		Members:   append([]string(nil), c.layout.Groups[group].Members...),
-		Pages:     c.pages,
-		PageSize:  c.pageSize,
-	}
-}
-
 // nodeConfig renders the full initial assignment for one node.
 func (c *Coordinator) nodeConfig(n int) NodeConfig {
 	cfg := NodeConfig{NodeID: n, Peers: c.addrs, Compress: c.compress, ChunkSize: c.chunkSize, Dedup: c.dedup, PipelineWidth: c.pipeWidth}
@@ -433,7 +420,10 @@ func (c *Coordinator) nodeConfig(n int) NodeConfig {
 	for _, g := range c.layout.Groups {
 		for i, pn := range g.ParityNodes {
 			if pn == n {
-				cfg.Keepers = append(cfg.Keepers, c.keeperConfig(g.Index, i))
+				cfg.Keepers = append(cfg.Keepers, KeeperConfig{
+					Group: g.Index, ParityIdx: i, Tolerance: c.layout.Tolerance,
+					Members: append([]string(nil), g.Members...), Pages: c.pages, PageSize: c.pageSize,
+				})
 			}
 		}
 	}
@@ -720,17 +710,15 @@ func (c *Coordinator) RecoverNode(failed int) (*cluster.Plan, error) {
 
 // RecoverNodes handles the simultaneous death of up to `tolerance` nodes:
 // it plans recovery against the layout, rolls every surviving VM back to the
-// committed epoch, tells each lost VM's target node where the group's
-// survivor images and remaining parity blocks are (the target pulls them
-// node-to-node, solves the erasure system and adopts the VM in place),
-// re-homes lost parity blocks the same way, and updates the layout. The
-// coordinator only names sources and targets; no image byte crosses it.
-// Reconstructions and parity re-homes run concurrently across groups —
-// groups share no VMs and no parity blocks (orthogonality), so their
-// recoveries are independent. The
-// failed nodes must already be unreachable (or are about to be treated as
-// such); the caller names them explicitly. Nodes the commit phase already
-// declared dead (see PartialCommitError) may — and must — be passed here.
+// committed epoch, and rebuilds each damaged group in one pass — the target
+// of its first step pulls k surviving shards node-to-node once, computes every
+// lost VM and parity block of the group, adopts its own and hands the others
+// to their targets — then updates the layout. The coordinator only names
+// sources and targets; no image byte crosses it. Groups share no VMs and no
+// parity blocks (orthogonality), so they recover concurrently. The failed
+// nodes must already be unreachable (or are about to be treated as such).
+// Nodes the commit phase already declared dead (see PartialCommitError) may —
+// and must — be passed here, and a recovery that fails may be run again.
 func (c *Coordinator) RecoverNodes(failed ...int) (*cluster.Plan, error) {
 	return c.RecoverNodesIn(obs.SpanContext{}, failed...)
 }
@@ -780,26 +768,14 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 	}
 	sort.Ints(down)
 
-	// Snapshot the parity homes before the layout is mutated: the re-home
-	// pass below needs to know which blocks sat on dead nodes.
-	parityOf := map[int][]int{}
-	for _, g := range c.layout.Groups {
-		parityOf[g.Index] = append([]int(nil), g.ParityNodes...)
-	}
 	plan, err = c.layout.PlanRecovery(down...)
 	if err != nil {
 		return nil, err
 	}
+	// The failed nodes stay pending until a recovery of them succeeds, so a
+	// recovery that fails partway can be run again over the same nodes.
 	for _, f := range failed {
-		c.markDead(f, false)
-		c.mu.Lock()
-		delete(c.pending, f)
-		c.mu.Unlock()
-	}
-	isDead := func(n int) bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.dead[n]
+		c.markDead(f, true)
 	}
 
 	// Roll every surviving node back to the committed epoch: guests resume from
@@ -814,146 +790,131 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 		return nil, rbErr
 	}
 
-	// Group the lost VMs so each reconstruction request can tell the group's
-	// survivors from its casualties, and so independent groups can recover
-	// concurrently.
-	lostByGroup := map[int][]string{}
-	restoresByGroup := map[int][]cluster.Step{}
-	var restoreGroups []int
+	// One task per damaged group, groups in parallel: they share no VM and no
+	// parity block (orthogonality). The target of a group's first step decodes
+	// every lost element of the group in one pass and hands the others to
+	// their targets. The layout is not touched until the tasks are done, so it
+	// still names the survivors' hosts.
+	var groups []int
+	steps := map[int][]cluster.Step{}
 	for _, s := range plan.Steps {
-		if s.Kind != cluster.RestoreVM {
-			continue
+		if steps[s.Group] == nil {
+			groups = append(groups, s.Group)
 		}
-		if _, ok := restoresByGroup[s.Group]; !ok {
-			restoreGroups = append(restoreGroups, s.Group)
-		}
-		lostByGroup[s.Group] = append(lostByGroup[s.Group], s.VM)
-		restoresByGroup[s.Group] = append(restoresByGroup[s.Group], s)
+		steps[s.Group] = append(steps[s.Group], s)
 	}
-	sort.Ints(restoreGroups)
-
-	// Restore lost VMs: each step's target node streams k of the group's
-	// surviving shards through its VM's decode row and adopts the VM. Groups
-	// run in parallel; within a group the steps run in order. The layout is
-	// not touched until every restore is done, so it still names the
-	// survivors' (unchanged) hosts.
-	if err := parallelDo(len(restoreGroups), c.fanoutWidth(), func(gi int) (gerr error) {
-		group := restoreGroups[gi]
-		gspan := tr.Child(root.Context(), fmt.Sprintf("restore g%d", group), "coord")
-		gctx := gspan.ContextOr(obs.SpanContext{})
-		defer func() { gspan.FinishErr(gerr) }()
-		g := c.layout.Groups[group]
-		lost := lostByGroup[group]
-		// Alive parity blocks of this group (by original homes).
-		peers := map[int]int{}
-		for i, pn := range parityOf[group] {
-			if !isDead(pn) {
-				peers[i] = pn
-			}
-		}
-		if len(peers) < len(lost) {
-			return fmt.Errorf("runtime: group %d lost %d members but only %d parity blocks survive",
-				group, len(lost), len(peers))
-		}
-		survivors := map[string]int{}
-		for _, m := range g.Members {
-			if !slices.Contains(lost, m) {
-				v, _ := c.layout.VM(m)
-				survivors[m] = v.Node
-			}
-		}
-		for _, s := range restoresByGroup[group] {
-			v, _ := c.layout.VM(s.VM)
-			rc := reconstructConfig{
-				VMConfig:    c.vmConfig(v),
-				Members:     g.Members,
-				Tolerance:   c.layout.Tolerance,
-				Survivors:   survivors,
-				ParityPeers: peers,
-			}
-			rc.Seed = c.vmSeed(s.VM) + int64(c.epoch.Load()) + 1 // fresh workload stream after respawn
-			text, err := encodeJSON(rc)
-			if err != nil {
-				return err
-			}
-			resp, err := c.call(s.TargetNode, &wire.Message{Type: wire.MsgReconstruct, Group: int32(group), VM: s.VM, Text: text, Trace: gctx.Trace, Span: gctx.Span})
-			if err != nil {
-				return fmt.Errorf("runtime: reconstruct %q on node %d: %w", s.VM, s.TargetNode, err)
-			}
-			if resp.Type != wire.MsgReconstructOK {
-				return fmt.Errorf("runtime: node %d replied %v to reconstruct", s.TargetNode, resp.Type)
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Apply the plan so the layout reflects new VM homes before keepers are
-	// rebuilt (the rebuild pulls images from the *current* hosts).
-	if err := c.layout.ApplyRecovery(plan); err != nil {
-		return nil, err
-	}
-
-	// Re-home lost parity blocks and point the group's members at them.
-	// Again parallel across groups, ordered within a group (parityOf[group]
-	// is consumed entry by entry as blocks are rebuilt).
-	rehomesByGroup := map[int][]cluster.Step{}
-	var rehomeGroups []int
-	for _, s := range plan.Steps {
-		if s.Kind != cluster.RehomeParity {
-			continue
-		}
-		if _, ok := rehomesByGroup[s.Group]; !ok {
-			rehomeGroups = append(rehomeGroups, s.Group)
-		}
-		rehomesByGroup[s.Group] = append(rehomesByGroup[s.Group], s)
-	}
-	sort.Ints(rehomeGroups)
-	if err := parallelDo(len(rehomeGroups), c.fanoutWidth(), func(gi int) (gerr error) {
-		group := rehomeGroups[gi]
-		gspan := tr.Child(root.Context(), fmt.Sprintf("rehome g%d", group), "coord")
-		defer func() { gspan.FinishErr(gerr) }()
-		for _, s := range rehomesByGroup[group] {
-			// Which parity index died and is not yet rebuilt this pass?
-			idx := -1
-			for i, pn := range parityOf[group] {
-				if pn >= 0 && isDead(pn) {
-					idx = i
-					parityOf[group][i] = -1 // consumed
-					break
-				}
-			}
-			if idx == -1 {
-				return fmt.Errorf("runtime: group %d has no dead parity block to re-home", group)
-			}
-			if err := c.rebuildKeeper(gspan.ContextOr(obs.SpanContext{}), group, idx, s.TargetNode); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Refresh every member's parity pointers for all groups touched by the
-	// failure (blocks may have moved, and reconstructed VMs carry copies of
-	// the pre-failure assignment): one batched message per node.
+	sort.Ints(groups)
+	done := make([]bool, len(groups))
+	rebuildErr := parallelDo(len(groups), c.fanoutWidth(), func(i int) error {
+		err := c.rebuildGroup(root.ContextOr(obs.SpanContext{}), tr, steps[groups[i]])
+		done[i] = err == nil
+		return err
+	})
+	// A group whose rebuild completed is recovered whatever became of the
+	// others: the layout records it and every node learns its parity homes
+	// before an error returns, so a retry plans only what is still lost.
+	var applied []cluster.Step
 	touched := map[int]bool{}
-	for _, s := range plan.Steps {
-		touched[s.Group] = true
+	for i, g := range groups {
+		if done[i] {
+			applied = append(applied, steps[g]...)
+			touched[g] = true
+		}
 	}
-	if err := c.refreshParityPointers(root.ContextOr(obs.SpanContext{}), touched); err != nil {
+	if err := errors.Join(rebuildErr,
+		c.layout.ApplyRecovery(&cluster.Plan{Down: plan.Down, Steps: applied, Degraded: plan.Degraded}),
+		c.refreshParityPointers(root.ContextOr(obs.SpanContext{}), touched)); err != nil {
 		return nil, err
 	}
 	d := time.Since(t0)
 	c.observePhase("recovery", d)
+	c.mu.Lock()
+	for _, f := range failed {
+		delete(c.pending, f)
+	}
+	c.mu.Unlock()
 	c.statsMu.Lock()
 	c.lastRound.RecoveryWall = d
 	c.lastRound.RecoveryCarried = false
 	c.lastRound.RecoveryTraceID = root.TraceID()
 	c.statsMu.Unlock()
 	return plan, nil
+}
+
+// rebuildGroup recovers one damaged group through one rebuild request to its
+// decoder, the target of the group's first step: every lost element with its
+// target — lost VMs respawn with a fresh workload stream, lost parity indexes
+// pair with re-home steps in order, as ApplyRecovery pairs them — the
+// survivors' hosts and alive parity homes, and the committed epoch.
+func (c *Coordinator) rebuildGroup(ctx obs.SpanContext, tr *obs.Tracer, steps []cluster.Step) (err error) {
+	kind := "restore"
+	if steps[0].Kind == cluster.RehomeParity {
+		kind = "rehome"
+	}
+	span := tr.Child(ctx, fmt.Sprintf("%s g%d", kind, steps[0].Group), "coord")
+	defer func() { span.FinishErr(err) }()
+	rc := c.groupRebuild(steps[0].Group)
+	var deadParity []int
+	for i := range c.layout.Groups[rc.Group].ParityNodes {
+		if _, ok := rc.ParityPeers[i]; !ok {
+			deadParity = append(deadParity, i)
+		}
+	}
+	for _, s := range steps {
+		e := lostElement{Target: s.TargetNode}
+		switch {
+		case s.Kind == cluster.RestoreVM:
+			v, _ := c.layout.VM(s.VM)
+			vc := c.vmConfig(v)
+			vc.Seed = c.vmSeed(s.VM) + int64(rc.Epoch) + 1 // fresh workload stream after respawn
+			e.VM = &vc
+		case len(deadParity) == 0:
+			return fmt.Errorf("runtime: group %d has no dead parity block to re-home", rc.Group)
+		default:
+			e.Parity, deadParity = deadParity[0], deadParity[1:]
+		}
+		rc.Lost = append(rc.Lost, e)
+	}
+	return c.sendRebuild(span.ContextOr(obs.SpanContext{}), wire.MsgReconstruct, steps[0].TargetNode, rc)
+}
+
+// groupRebuild starts a rebuild of one group at the committed epoch, naming
+// every member and parity block whose node is up as a source.
+func (c *Coordinator) groupRebuild(group int) rebuildConfig {
+	g := c.layout.Groups[group]
+	rc := rebuildConfig{
+		Group: group, Members: g.Members, Tolerance: c.layout.Tolerance, Pages: c.pages, PageSize: c.pageSize,
+		Epoch: c.epoch.Load(), Survivors: map[string]int{}, ParityPeers: map[int]int{},
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, m := range g.Members {
+		if v, _ := c.layout.VM(m); !c.dead[v.Node] {
+			rc.Survivors[m] = v.Node
+		}
+	}
+	for i, pn := range g.ParityNodes {
+		if !c.dead[pn] {
+			rc.ParityPeers[i] = pn
+		}
+	}
+	return rc
+}
+
+// sendRebuild has node run a rebuild and checks its acknowledgement.
+func (c *Coordinator) sendRebuild(ctx obs.SpanContext, typ wire.MsgType, node int, rc rebuildConfig) error {
+	text, err := encodeJSON(rc)
+	if err != nil {
+		return err
+	}
+	resp, err := c.call(node, &wire.Message{Type: typ, Group: int32(rc.Group), Text: text, Trace: ctx.Trace, Span: ctx.Span})
+	if err == nil && resp.Type != typ+1 {
+		err = fmt.Errorf("node replied %v", resp.Type)
+	}
+	if err != nil {
+		return fmt.Errorf("runtime: %v of group %d on node %d: %w", typ, rc.Group, node, err)
+	}
+	return nil
 }
 
 // refreshParityPointers pushes the current parity-node assignment of the
@@ -990,8 +951,8 @@ func (c *Coordinator) refreshParityPointers(ctx obs.SpanContext, groups map[int]
 
 // Repair marks a previously failed node as back in service. Its daemon must
 // be listening on the original address again (or a replacement daemon on the
-// same address); it starts empty and picks up work via Rebalance. A node the
-// commit phase declared dead must be recovered (RecoverNodes) before repair.
+// same address); it starts empty and picks up work via Rebalance. A node still
+// pending recovery (see markDead) must be recovered before repair.
 func (c *Coordinator) Repair(node int) error {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
@@ -1002,7 +963,7 @@ func (c *Coordinator) Repair(node int) error {
 		return fmt.Errorf("runtime: node %d is not dead", node)
 	}
 	if pending {
-		return fmt.Errorf("runtime: node %d failed mid-commit and has not been recovered; run RecoverNodes first", node)
+		return fmt.Errorf("runtime: node %d has not been recovered; run RecoverNodes first", node)
 	}
 	probe, err := transport.Dial(c.addrs[node])
 	if err != nil {
@@ -1071,18 +1032,13 @@ func (c *Coordinator) Rebalance() (plan *cluster.Plan, err error) {
 		if !ok {
 			return fmt.Errorf("runtime: rebalance of unknown VM %q", s.VM)
 		}
-		ic := installConfig{VMConfig: c.vmConfig(v), From: v.Node}
-		ic.Seed = c.vmSeed(s.VM) + int64(c.epoch.Load()) + 7919
-		text, err := encodeJSON(ic)
-		if err != nil {
+		vc := c.vmConfig(v)
+		vc.Seed = c.vmSeed(s.VM) + int64(c.epoch.Load()) + 7919
+		rc := c.groupRebuild(v.Group)
+		rc.Survivors, rc.ParityPeers, rc.From = nil, nil, &v.Node
+		rc.Lost = []lostElement{{VM: &vc, Target: s.TargetNode}}
+		if err := c.sendRebuild(rctx, wire.MsgInstall, s.TargetNode, rc); err != nil {
 			return err
-		}
-		resp, err := c.call(s.TargetNode, &wire.Message{Type: wire.MsgInstall, VM: s.VM, Text: text, Trace: rctx.Trace, Span: rctx.Span})
-		if err != nil {
-			return fmt.Errorf("runtime: install %q on node %d: %w", s.VM, s.TargetNode, err)
-		}
-		if resp.Type != wire.MsgInstallOK {
-			return fmt.Errorf("runtime: node %d replied %v to install", s.TargetNode, resp.Type)
 		}
 		evict := func(node int) error {
 			_, err := c.call(node, &wire.Message{Type: wire.MsgEvict, VM: s.VM, Trace: rctx.Trace, Span: rctx.Span})
@@ -1148,27 +1104,12 @@ func (c *Coordinator) rebuildRehomes(rctx obs.SpanContext, rehomes []cluster.Ste
 
 // rebuildKeeper has target recompute parity block idx of a group: the target
 // pulls every member's committed image from its host in the (already applied)
-// layout and folds them. Recovery, rebalance and evacuation all re-home
-// parity through here.
+// layout and folds them. Rebalance and evacuation re-home parity through here.
 func (c *Coordinator) rebuildKeeper(ctx obs.SpanContext, group, idx, target int) error {
-	rk := rebuildKeeperConfig{
-		KeeperConfig: c.keeperConfig(group, idx),
-		MemberNodes:  map[string]int{},
-		Epochs:       map[string]uint64{},
-	}
-	for _, m := range rk.Members {
-		v, _ := c.layout.VM(m)
-		rk.MemberNodes[m] = v.Node
-		rk.Epochs[m] = c.epoch.Load()
-	}
-	text, err := encodeJSON(rk)
-	if err != nil {
-		return err
-	}
-	if _, err := c.call(target, &wire.Message{Type: wire.MsgRebuildKeeper, Group: int32(group), Text: text, Trace: ctx.Trace, Span: ctx.Span}); err != nil {
-		return fmt.Errorf("runtime: rebuild keeper %d on node %d: %w", group, target, err)
-	}
-	return nil
+	rc := c.groupRebuild(group)
+	rc.ParityPeers = nil // the k member images encode the block
+	rc.Lost = []lostElement{{Parity: idx, Target: target}}
+	return c.sendRebuild(ctx, wire.MsgRebuildKeeper, target, rc)
 }
 
 // EvacuateKeepers drains every parity block off one (alive) node — the

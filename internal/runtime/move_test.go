@@ -5,6 +5,7 @@ import (
 	"maps"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,15 +16,26 @@ import (
 
 // frameMeter is a counting dialer: every connection it opens follows the
 // length-prefixed framing of both directions, records the largest frame and
-// counts the MsgReadChunk requests it sends.
-type frameMeter struct{ max, reads atomic.Int64 }
+// counts the MsgReadChunk requests it sends, in all and by address.
+type frameMeter struct {
+	max, reads atomic.Int64
+	readsTo    sync.Map // address -> *atomic.Int64
+}
 
 func (fm *frameMeter) dial(addr string, timeout time.Duration) (net.Conn, error) {
 	c, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	return &meteredConn{Conn: c, fm: fm}, nil
+	return &meteredConn{Conn: c, fm: fm, addr: addr}, nil
+}
+
+// readsFrom returns how many MsgReadChunk requests went to addr.
+func (fm *frameMeter) readsFrom(addr string) int64 {
+	if n, ok := fm.readsTo.Load(addr); ok {
+		return n.(*atomic.Int64).Load()
+	}
+	return 0
 }
 
 func (fm *frameMeter) observe(n int) {
@@ -38,18 +50,19 @@ func (fm *frameMeter) observe(n int) {
 type meteredConn struct {
 	net.Conn
 	fm   *frameMeter
+	addr string
 	r, w frameScan
 }
 
 func (c *meteredConn) Read(b []byte) (int, error) {
 	n, err := c.Conn.Read(b)
-	c.r.feed(b[:n], c.fm, false)
+	c.r.feed(b[:n], c.fm, "")
 	return n, err
 }
 
 func (c *meteredConn) Write(b []byte) (int, error) {
 	n, err := c.Conn.Write(b)
-	c.w.feed(b[:n], c.fm, true)
+	c.w.feed(b[:n], c.fm, c.addr)
 	return n, err
 }
 
@@ -62,13 +75,15 @@ type frameScan struct {
 	typed bool // the type byte of the current body was seen
 }
 
-// feed scans b, recording frame sizes in fm and, on the sending side, counting
-// the MsgReadChunk frames.
-func (s *frameScan) feed(b []byte, fm *frameMeter, sent bool) {
+// feed scans b, recording frame sizes in fm and, on the side sending to
+// address to (empty on the receiving side), counting the MsgReadChunk frames.
+func (s *frameScan) feed(b []byte, fm *frameMeter, to string) {
 	for len(b) > 0 {
 		if s.body > 0 {
-			if !s.typed && sent && wire.MsgType(b[0]) == wire.MsgReadChunk {
+			if !s.typed && to != "" && wire.MsgType(b[0]) == wire.MsgReadChunk {
 				fm.reads.Add(1)
+				n, _ := fm.readsTo.LoadOrStore(to, new(atomic.Int64))
+				n.(*atomic.Int64).Add(1)
 			}
 			s.typed = true
 			k := min(s.body, len(b))
@@ -316,7 +331,10 @@ func TestRefusedMoveLeavesNoCopy(t *testing.T) {
 func TestHostedVMIsRefusedBeforePulling(t *testing.T) {
 	coord, nodes := testCluster(t, paperLayout(t))
 	v := coord.Layout().VMs[0]
-	text, err := encodeJSON(installConfig{VMConfig: coord.vmConfig(v), From: 99})
+	rc := coord.groupRebuild(v.Group)
+	from := 99
+	rc.From, rc.Lost = &from, []lostElement{lostVM(coord, v.Name, v.Node)}
+	text, err := encodeJSON(rc)
 	if err != nil {
 		t.Fatal(err)
 	}

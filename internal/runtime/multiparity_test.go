@@ -1,10 +1,13 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"dvdc/internal/cluster"
+	"dvdc/internal/core"
 	"dvdc/internal/wire"
 )
 
@@ -35,6 +38,82 @@ func TestMultiParitySetupAndRounds(t *testing.T) {
 	}
 	if len(sums) != len(layout.VMs) {
 		t.Errorf("checksums for %d VMs, want %d", len(sums), len(layout.VMs))
+	}
+}
+
+// TestConfiguredKeeperStartsAtZeroParity: setup builds every keeper around a
+// zero block instead of folding the members' all-zero images; both RS rows
+// must read back as core.NewMKeeper computes them over zero images.
+func TestConfiguredKeeperStartsAtZeroParity(t *testing.T) {
+	coord, _, layout := tolerance2Cluster(t)
+	g := layout.Groups[0]
+	zero := map[string][]byte{}
+	for _, m := range g.Members {
+		zero[m] = make([]byte, 16*64)
+	}
+	for idx, pn := range g.ParityNodes {
+		ref, err := core.NewMKeeper(g.Index, idx, layout.Tolerance, zero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, gotIdx := readBlock(t, coord.addrs[pn], "parity", "", g.Index)
+		if gotIdx != idx || !bytes.Equal(got, ref.Parity()) {
+			t.Errorf("configured parity[%d] (served as [%d]) differs from the keeper over zero images", idx, gotIdx)
+		}
+	}
+}
+
+// TestVMRebuiltFromParityAloneKeepsTheEpoch: with groups of two members and
+// two parity blocks on six nodes, killing both members' hosts leaves a group
+// whose VMs come back from its parity blocks alone, with no image reply to
+// read an epoch from. They must come back at the committed epoch like every
+// other VM, and the next round must commit what the shadow holds.
+func TestVMRebuiltFromParityAloneKeepsTheEpoch(t *testing.T) {
+	layout, err := cluster.BuildDistributedGroups(6, 1, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := []int{0, 1}
+	parityOnly := false
+	for _, g := range layout.Groups {
+		all := true
+		for _, m := range g.Members {
+			v, _ := layout.VM(m)
+			all = all && slices.Contains(down, v.Node)
+		}
+		parityOnly = parityOnly || all
+	}
+	if !parityOnly {
+		t.Fatalf("no group has every member on nodes %v", down)
+	}
+	coord, nodes := testCluster(t, layout)
+	shadow, err := NewShadow(layout, 16, 64, 12345)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadowRounds(t, coord, shadow, 3)
+	for _, v := range down {
+		nodes[v].Close()
+	}
+	plan, err := coord.RecoverNodes(down...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := shadow.Recover(plan, coord.Epoch()); err != nil {
+		t.Fatal(err)
+	}
+	states, err := coord.VMStates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range states {
+		if s.Epoch != coord.Epoch() {
+			t.Errorf("%q is at epoch %d after recovery, the cluster committed %d", name, s.Epoch, coord.Epoch())
+		}
+	}
+	shadowRounds(t, coord, shadow, 1)
+	if err := oracleDiff(t, coord, shadow); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -275,17 +354,9 @@ func TestSecondKeeperOfAGroupIsRefused(t *testing.T) {
 	g := layout.Groups[0]
 	node := nodes[g.ParityNodes[0]]
 	rebuild := func(idx int) error {
-		rk := rebuildKeeperConfig{
-			KeeperConfig: KeeperConfig{Group: g.Index, ParityIdx: idx, Tolerance: 2, Members: g.Members, Pages: 16, PageSize: 64},
-			MemberNodes:  map[string]int{},
-			Epochs:       map[string]uint64{},
-		}
-		for _, m := range g.Members {
-			v, _ := layout.VM(m)
-			rk.MemberNodes[m] = v.Node
-			rk.Epochs[m] = coord.Epoch()
-		}
-		text, err := encodeJSON(rk)
+		rc := coord.groupRebuild(g.Index)
+		rc.ParityPeers, rc.Lost = nil, []lostElement{{Parity: idx, Target: g.ParityNodes[0]}}
+		text, err := encodeJSON(rc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,6 +35,7 @@ type Node struct {
 	pools      map[int]*transport.Pool
 	members    map[string]*memberState
 	keepers    map[int]*keeperState // by group (orthogonality: at most one block of a group per node)
+	held       map[heldKey][]byte   // elements this node decoded for other targets (handOff)
 	compress   bool
 	chunkSize  int  // effective chunk payload size, always > 0
 	pipeWidth  int  // in-flight chunk batches per (stream, peer); 0 = default
@@ -142,6 +143,7 @@ func NewNodeWith(addr string, opts NodeOptions) (*Node, error) {
 		pools:   map[int]*transport.Pool{},
 		members: map[string]*memberState{},
 		keepers: map[int]*keeperState{},
+		held:    map[heldKey][]byte{},
 		// A node serves recovery reads before (and without) ever being
 		// configured as a member host, so the tuning starts at the default.
 		chunkSize: resolveChunkSize(0),
@@ -297,16 +299,12 @@ func (n *Node) dispatch(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 		return n.onReadChunk(req)
 	case wire.MsgEvict:
 		return n.onEvict(req)
-	case wire.MsgReconstruct:
-		return n.onReconstruct(ctx, req)
-	case wire.MsgInstall:
-		return n.onInstall(ctx, req)
+	case wire.MsgReconstruct, wire.MsgInstall, wire.MsgRebuildKeeper:
+		return n.onRebuild(ctx, req)
 	case wire.MsgChecksum:
 		return n.onChecksum(req)
 	case wire.MsgRollback:
 		return n.onRollback(req)
-	case wire.MsgRebuildKeeper:
-		return n.onRebuildKeeper(ctx, req)
 	case wire.MsgSetParityBatch:
 		return n.onSetParityBatch(req)
 	case wire.MsgStats:
@@ -347,6 +345,7 @@ func (n *Node) onConfigure(req *wire.Message) (*wire.Message, error) {
 	// conflicting deltas for VMs that now live elsewhere.
 	n.members = map[string]*memberState{}
 	n.keepers = map[int]*keeperState{}
+	n.held = map[heldKey][]byte{}
 	for _, vc := range cfg.VMs {
 		m, err := vm.NewMachine(vc.Name, vc.Pages, vc.PageSize)
 		if err != nil {
@@ -363,13 +362,10 @@ func (n *Node) onConfigure(req *wire.Message) (*wire.Message, error) {
 		}
 	}
 	for _, kc := range cfg.Keepers {
-		// Initial member images are all-zero, so the initial parity block is
-		// all-zero too: no bulk transfer needed at setup.
-		initial := map[string][]byte{}
-		for _, name := range kc.Members {
-			initial[name] = make([]byte, kc.Pages*kc.PageSize)
-		}
-		k, err := core.NewMKeeper(kc.Group, kc.ParityIdx, kc.Tolerance, initial)
+		// Initial member images are all-zero, so every parity row of them is
+		// zero too: the keeper starts from a zero block, nothing folded and no
+		// bulk transfer at setup.
+		k, err := core.NewMKeeperFromBlock(kc.Group, kc.ParityIdx, kc.Tolerance, kc.Members, make([]byte, kc.Pages*kc.PageSize), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -840,73 +836,97 @@ func readChunkPayload(total, index, chunkSize int, render func(dst []byte, off i
 }
 
 // onReadChunk serves one chunk of a committed image (Text "image", keyed by
-// VM) or a parity block (Text "parity", keyed by Group), never materializing
-// a full copy per request. Arg packs uint64(index)<<32 | uint32(chunkSize).
-// Image replies carry the member's committed epoch; parity replies carry the
-// parity index in Arg so the caller can verify it got the block it asked for.
-// The reply payload is a pooled frame whoever receives the reply releases:
-// the transport server after the flush, or the local caller on a self-call.
+// VM), a parity block (Text "parity", keyed by Group) or an element this node
+// holds for a handoff (Text "held", keyed by Group and VM, a parity block's
+// index riding in Epoch), never materializing a full copy per request. Arg
+// packs uint64(index)<<32 | uint32(chunkSize). Image replies carry the
+// member's committed epoch; parity and held replies carry the parity index in
+// Arg so the caller can verify it got the block it asked for. The reply
+// payload is a pooled frame whoever receives the reply releases: the
+// transport server after the flush, or the local caller on a self-call.
 func (n *Node) onReadChunk(req *wire.Message) (*wire.Message, error) {
 	index := int(req.Arg >> 32)
 	chunkSize := int(uint32(req.Arg))
 	if chunkSize <= 0 {
 		return nil, fmt.Errorf("runtime: read-chunk with chunk size %d", chunkSize)
 	}
-	switch req.Text {
-	case "image":
-		ms, err := n.member(req.VM)
-		if err != nil {
-			return nil, err
-		}
+	reply := &wire.Message{Type: wire.MsgReadChunkOK, Group: req.Group, VM: req.VM}
+	var block []byte // an image or a held element, served as is
+	size, render := 0, func(dst []byte, off int) { copy(dst, block[off:]) }
+	n.mu.Lock()
+	ms, hosted := n.members[req.VM]
+	ks, kept := n.keepers[int(req.Group)]
+	held, isHeld := n.held[heldKey{group: int(req.Group), vm: req.VM, parity: int(req.Epoch)}]
+	id := n.id
+	n.mu.Unlock()
+	switch {
+	case req.Text == "image" && hosted:
 		ms.mu.Lock()
 		defer ms.mu.Unlock()
-		img := ms.mem.CommittedView()
-		payload, err := readChunkPayload(len(img), index, chunkSize, func(dst []byte, off int) { copy(dst, img[off:]) })
-		if err != nil {
-			return nil, err
-		}
-		return &wire.Message{Type: wire.MsgReadChunkOK, VM: req.VM, Epoch: ms.mem.Epoch(), Payload: payload}, nil
-	case "parity":
-		n.mu.Lock()
-		ks, ok := n.keepers[int(req.Group)]
-		id := n.id
-		n.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("runtime: node %d keeps no parity for group %d", id, req.Group)
-		}
+		block, reply.Epoch = ms.mem.CommittedView(), ms.mem.Epoch()
+		size = len(block)
+	case req.Text == "parity" && kept:
 		ks.mu.Lock()
 		defer ks.mu.Unlock()
-		payload, err := readChunkPayload(ks.keeper.Size(), index, chunkSize, ks.keeper.ReadParity)
-		if err != nil {
-			return nil, err
-		}
-		return &wire.Message{
-			Type: wire.MsgReadChunkOK, Group: req.Group,
-			Arg: uint64(ks.keeper.ParityIndex()), Payload: payload,
-		}, nil
+		size, render, reply.Arg = ks.keeper.Size(), ks.keeper.ReadParity, uint64(ks.keeper.ParityIndex())
+	case req.Text == "held" && isHeld: // a held element is never written: no lock
+		block, size, reply.Arg = held, len(held), req.Epoch
 	default:
-		return nil, fmt.Errorf("runtime: read-chunk of unknown source %q", req.Text)
+		return nil, fmt.Errorf("runtime: node %d has no %s block %q / group %d to read", id, req.Text, req.VM, req.Group)
 	}
+	payload, err := readChunkPayload(size, index, chunkSize, render)
+	if err != nil {
+		return nil, err
+	}
+	reply.Payload = payload
+	return reply, nil
 }
 
-// blockSource is one term of a streamed combine: coef times a block a peer
-// serves over MsgReadChunk — the committed image of vm, or, when vm is empty,
-// parity block parity of the combine's group.
+// blockSource is one term of a streamed combine: a block a peer serves over
+// MsgReadChunk — the committed image of vm or, when vm is empty, parity block
+// parity of the combine's group; when held, that element as a decoder holds
+// it for a handoff — and its coefficient in each of the combine's outputs.
 type blockSource struct {
 	node   int
 	vm     string
 	parity int
-	coef   byte
+	held   bool
+	coefs  []byte
 }
 
-// shardSources picks the k shards that rebuild one block of an RS(k, m)
-// group — the committed image of member vm, or, when vm is empty, parity
-// block parityIdx — and pairs each with its decode coefficient. Data shard j
-// is the j-th member in sorted order, shard k+i parity block i. Members with
-// a host come first, then alive parity blocks by index, so a lone lost VM
-// decodes by plain XOR from its group-mates and parity 0, and a parity block
-// over the k member images gets its encoding row.
-func shardSources(members []string, tolerance int, vm string, parityIdx int, hosts map[string]int, parityPeers map[int]int) ([]blockSource, error) {
+// heldKey names an element a decoder holds for another target: member vm's
+// image or, when vm is empty, parity block parity of group.
+type heldKey struct {
+	group  int
+	vm     string
+	parity int
+}
+
+// sources lists the blocks a rebuild pulls, each with its coefficient per
+// lost element: the one element From holds as is, or k surviving shards.
+func (cfg *rebuildConfig) sources() ([]blockSource, error) {
+	if cfg.From == nil {
+		return shardSources(cfg.Members, cfg.Tolerance, cfg.Lost, cfg.Survivors, cfg.ParityPeers)
+	}
+	if len(cfg.Lost) != 1 {
+		return nil, fmt.Errorf("runtime: a copy from node %d names %d elements", *cfg.From, len(cfg.Lost))
+	}
+	src := blockSource{node: *cfg.From, parity: cfg.Lost[0].Parity, held: cfg.Held, coefs: []byte{1}}
+	if vm := cfg.Lost[0].VM; vm != nil {
+		src.vm = vm.Name
+	}
+	return []blockSource{src}, nil
+}
+
+// shardSources picks the k shards that rebuild lost elements of an RS(k, m)
+// group and pairs each with its coefficient per element: the element's
+// DecodeRow over one present set, so the shards are pulled once however many
+// elements they rebuild. Data shard j is the j-th member in sorted order,
+// shard k+i parity block i. Members with a host come first, then alive
+// parity blocks by index, so a lone lost VM decodes by plain XOR from its
+// group-mates and parity 0, and a parity block over the k member images gets
+// its encoding row.
+func shardSources(members []string, tolerance int, lost []lostElement, hosts map[string]int, parityPeers map[int]int) ([]blockSource, error) {
 	sorted := append([]string(nil), members...)
 	sort.Strings(sorted)
 	k := len(sorted)
@@ -914,33 +934,35 @@ func shardSources(members []string, tolerance int, vm string, parityIdx int, hos
 	if err != nil {
 		return nil, err
 	}
-	target := k + parityIdx
-	if vm != "" {
-		var ok bool
-		if target, ok = slices.BinarySearch(sorted, vm); !ok {
-			return nil, fmt.Errorf("runtime: %q is not a member of the group", vm)
-		}
-	}
 	var srcs []blockSource
 	var present []int
 	for j, m := range sorted {
 		if node, ok := hosts[m]; ok {
-			srcs = append(srcs, blockSource{node: node, vm: m})
+			srcs = append(srcs, blockSource{node: node, vm: m, coefs: make([]byte, len(lost))})
 			present = append(present, j)
 		}
 	}
 	for idx := 0; idx < tolerance && len(srcs) < k; idx++ {
 		if node, ok := parityPeers[idx]; ok {
-			srcs = append(srcs, blockSource{node: node, parity: idx})
+			srcs = append(srcs, blockSource{node: node, parity: idx, coefs: make([]byte, len(lost))})
 			present = append(present, k+idx)
 		}
 	}
-	row, err := coder.DecodeRow(target, present)
-	if err != nil {
-		return nil, err
-	}
-	for i := range srcs {
-		srcs[i].coef = row[i]
+	for o, e := range lost {
+		target := k + e.Parity
+		if e.VM != nil {
+			var ok bool
+			if target, ok = slices.BinarySearch(sorted, e.VM.Name); !ok {
+				return nil, fmt.Errorf("runtime: %q is not a member of the group", e.VM.Name)
+			}
+		}
+		row, err := coder.DecodeRow(target, present)
+		if err != nil {
+			return nil, err
+		}
+		for i := range srcs {
+			srcs[i].coefs[o] = row[i]
+		}
 	}
 	return srcs, nil
 }
@@ -952,27 +974,30 @@ func shardSources(members []string, tolerance int, vm string, parityIdx int, hos
 // variable only so tests can cut small images into several slots.
 var readSlot = 252 << 10
 
-// pullCombine streams out = sum of coef * block over srcs into a fresh
-// total-byte buffer: the one operation behind a restore (the lost VM's decode
-// row over k surviving shards), a parity re-home (the encoding row over the k
-// member images) and a move (one image, coefficient 1). The output is cut
-// into readSlot slots; each slot belongs to one goroutine, which pulls that
-// slot from every source in turn and folds the verified reply straight into
-// it — fetch and decode overlap, no lock guards the output, and what is in
-// flight beside the output is one reply buffer per goroutine,
-// chunkPipelineWidth per source. Any failure fails the whole combine. It
-// returns the image replies' committed epoch, on which they must all agree.
-func (n *Node) pullCombine(ctx obs.SpanContext, group, total int, srcs []blockSource) ([]byte, uint64, error) {
+// pullCombine streams outs[o] = sum of coefs[o] * block over srcs into
+// outputs fresh total-byte buffers: the one operation behind a recovery
+// (every lost element's decode row over the same k surviving shards), a
+// parity re-home (the encoding row over the k member images), a move and a
+// handoff (one block, coefficient 1). The outputs are cut into readSlot
+// slots; each slot index belongs to one goroutine, which pulls that slot from
+// every source in turn and folds the verified reply into every output while
+// it is in cache — fetch and decode overlap, no lock guards the outputs, and
+// what is in flight beside them is one reply buffer per goroutine,
+// chunkPipelineWidth per source. Image replies must be at epoch, the
+// committed epoch the rebuild names. Any failure fails the whole combine.
+func (n *Node) pullCombine(ctx obs.SpanContext, group, total int, epoch uint64, srcs []blockSource, outputs int) ([][]byte, error) {
 	if total < 0 || total > wire.MaxFrame {
-		return nil, 0, fmt.Errorf("runtime: combine of a %d-byte block", total)
+		return nil, fmt.Errorf("runtime: combine of a %d-byte block", total)
 	}
-	out := make([]byte, total)
+	outs := make([][]byte, outputs)
+	for o := range outs {
+		outs[o] = make([]byte, total)
+	}
 	var failed atomic.Bool
-	var epoch atomic.Uint64 // committed epoch + 1 of the image replies so far; 0 = none yet
 	err := parallelDo(wire.ChunkCount(total, readSlot), chunkPipelineWidth*len(srcs), func(index int) error {
-		slot, err := wire.ChunkOf(out, index, readSlot)
-		if err != nil {
-			return err
+		slots := make([]wire.Chunk, len(outs))
+		for o, out := range outs {
+			slots[o], _ = wire.ChunkOf(out, index, readSlot) // index is in range
 		}
 		for j := range srcs {
 			if failed.Load() {
@@ -980,120 +1005,187 @@ func (n *Node) pullCombine(ctx obs.SpanContext, group, total int, srcs []blockSo
 			}
 			// Slots start on different sources so the peers are read evenly.
 			src := &srcs[(index+j)%len(srcs)]
-			e, err := n.pullChunk(ctx, src, group, &slot)
-			if err == nil && src.vm != "" {
-				if prev := epoch.Swap(e + 1); prev != 0 && prev != e+1 {
-					err = fmt.Errorf("committed at epoch %d, another image at %d", e, prev-1)
-				}
-			}
-			if err != nil {
+			if err := n.pullChunk(ctx, src, group, epoch, slots); err != nil {
 				failed.Store(true)
-				if src.vm != "" {
-					return fmt.Errorf("runtime: pulling chunk %d of %q from node %d: %w", index, src.vm, src.node, err)
-				}
-				return fmt.Errorf("runtime: pulling chunk %d of parity[%d] of group %d from node %d: %w", index, src.parity, group, src.node, err)
+				return fmt.Errorf("runtime: pulling chunk %d of %q / parity[%d] (held %t) of group %d from node %d: %w",
+					index, src.vm, src.parity, src.held, group, src.node, err)
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return out, max(epoch.Load(), 1) - 1, nil
+	return outs, nil
 }
 
-// pullChunk reads one chunk of one source and folds coef times its bytes into
-// slot.Data, the output range that chunk covers (slot is wire.ChunkOf the
-// output). A fold is not idempotent — a duplicated or misrouted chunk would
+// pullChunk reads one chunk of one source and folds its bytes, times the
+// source's coefficient for each output, into slots[o].Data, the range of
+// output o that chunk covers (every slot is wire.ChunkOf its output at one
+// index). A fold is not idempotent — a duplicated or misrouted chunk would
 // cancel or corrupt the slot — so the reply must answer exactly this request
-// (right block, right index, the stream shape the slot was cut from, raw
-// bytes) or nothing is folded. The reply buffer goes back to the pool either
-// way: it is this caller's from the socket decode, or from the local handler
-// on a self-call.
-func (n *Node) pullChunk(ctx obs.SpanContext, src *blockSource, group int, slot *wire.Chunk) (uint64, error) {
+// (right block, right index, the stream shape the slots were cut from, raw
+// bytes, the rebuild's epoch) or nothing is folded. The reply buffer goes
+// back to the pool either way: it is this caller's from the socket decode, or
+// from the local handler on a self-call.
+func (n *Node) pullChunk(ctx obs.SpanContext, src *blockSource, group int, epoch uint64, slots []wire.Chunk) error {
 	req := &wire.Message{
 		Type: wire.MsgReadChunk, Text: "image", VM: src.vm,
-		Arg:   uint64(slot.Index)<<32 | uint64(uint32(readSlot)),
+		Arg:   uint64(slots[0].Index)<<32 | uint64(uint32(readSlot)),
 		Trace: ctx.Trace, Span: ctx.Span,
 	}
-	if src.vm == "" {
+	switch {
+	case src.held:
+		req.Text, req.Group, req.Epoch = "held", int32(group), uint64(src.parity)
+	case src.vm == "":
 		req.Text, req.Group = "parity", int32(group)
 	}
 	resp, err := n.callPeer(src.node, req)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	defer bufpool.Put(resp.Payload)
 	if resp.Type != wire.MsgReadChunkOK || resp.VM != req.VM || resp.Group != req.Group {
-		return 0, fmt.Errorf("reply %v for %q/group %d does not answer the request", resp.Type, resp.VM, resp.Group)
+		return fmt.Errorf("reply %v for %q/group %d does not answer the request", resp.Type, resp.VM, resp.Group)
 	}
 	if src.vm == "" && resp.Arg != uint64(src.parity) {
-		return 0, fmt.Errorf("node serves parity[%d] of the group", resp.Arg)
+		return fmt.Errorf("node serves parity[%d] of the group", resp.Arg)
+	}
+	if src.vm != "" && !src.held && resp.Epoch != epoch {
+		return fmt.Errorf("image is at epoch %d, the rebuild at %d", resp.Epoch, epoch)
 	}
 	c, err := wire.DecodeChunk(resp.Payload)
 	if err != nil {
-		return 0, err
-	}
-	if c.Index != slot.Index || c.Offset != slot.Offset || c.Total != slot.Total || c.Count != slot.Count ||
-		c.Flags != 0 || len(c.Data) != len(slot.Data) {
-		return 0, fmt.Errorf("reply carries chunk %d/%d at [%d,+%d) of %d bytes (flags %#x), want %d/%d at [%d,+%d) of %d",
-			c.Index, c.Count, c.Offset, len(c.Data), c.Total, c.Flags, slot.Index, slot.Count, slot.Offset, len(slot.Data), slot.Total)
-	}
-	return resp.Epoch, parity.MulSliceInto(slot.Data, c.Data, src.coef)
-}
-
-// onReconstruct runs on the node that will host a lost VM: it streams k of
-// the group's surviving shards — group-mates' images first, then alive parity
-// blocks — from their holders (itself included) through the lost VM's decode
-// row, and adopts the result in place. The image never leaves the node that
-// needs it, and nothing is computed for the group's other casualties.
-func (n *Node) onReconstruct(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
-	var cfg reconstructConfig
-	if err := decodeJSON(req.Text, &cfg); err != nil {
-		return nil, err
-	}
-	srcs, err := shardSources(cfg.Members, cfg.Tolerance, cfg.Name, 0, cfg.Survivors, cfg.ParityPeers)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: reconstruct %q of group %d: %w", cfg.Name, cfg.Group, err)
-	}
-	if err := n.adopt(ctx, cfg.VMConfig, srcs); err != nil {
-		return nil, err
-	}
-	return &wire.Message{Type: wire.MsgReconstructOK, VM: cfg.Name}, nil
-}
-
-// onInstall is the receiving half of a move: it pulls the VM's committed
-// image and epoch from the node that hosts it now and adopts it. The source
-// keeps its copy until the coordinator, holding this reply, sends MsgEvict.
-func (n *Node) onInstall(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
-	var cfg installConfig
-	if err := decodeJSON(req.Text, &cfg); err != nil {
-		return nil, err
-	}
-	if err := n.adopt(ctx, cfg.VMConfig, []blockSource{{node: cfg.From, vm: cfg.Name, coef: 1}}); err != nil {
-		return nil, err
-	}
-	return &wire.Message{Type: wire.MsgInstallOK, VM: cfg.Name}, nil
-}
-
-// adopt makes this node the host of the VM cfg describes: its committed image
-// is the combine of srcs, pulled with no lock held, and becomes the member's
-// committed image as is — the machine is one copy of it. A VM the node
-// already hosts is refused before anything is pulled.
-func (n *Node) adopt(ctx obs.SpanContext, cfg VMConfig, srcs []blockSource) error {
-	n.mu.Lock()
-	_, dup := n.members[cfg.Name]
-	id := n.id
-	n.mu.Unlock()
-	already := fmt.Errorf("runtime: node %d already hosts %q", id, cfg.Name)
-	if dup {
-		return already
-	}
-	img, epoch, err := n.pullCombine(ctx, cfg.Group, cfg.Pages*cfg.PageSize, srcs)
-	if err != nil {
 		return err
 	}
-	mem, err := core.NewMemberAt(cfg.Name, cfg.PageSize, img, epoch)
+	slot := &slots[0]
+	if c.Index != slot.Index || c.Offset != slot.Offset || c.Total != slot.Total || c.Count != slot.Count ||
+		c.Flags != 0 || len(c.Data) != len(slot.Data) {
+		return fmt.Errorf("reply carries chunk %d/%d at [%d,+%d) of %d bytes (flags %#x), want %d/%d at [%d,+%d) of %d",
+			c.Index, c.Count, c.Offset, len(c.Data), c.Total, c.Flags, slot.Index, slot.Count, slot.Offset, len(slot.Data), slot.Total)
+	}
+	for o := range slots {
+		if err := parity.MulSliceInto(slots[o].Data, c.Data, src.coefs[o]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// onRebuild serves MsgReconstruct, MsgRebuildKeeper and MsgInstall alike: it
+// rebuilds the lost elements of one group in one pass, pulling the sources
+// once and folding every verified reply into one output per element. The
+// elements targeted at other nodes are handed off (handOff); the ones
+// targeted here are adopted last, once every handoff succeeded, so a rebuild
+// that fails adopts nothing here and holds nothing after. A VM the node
+// already hosts is refused before anything is pulled.
+func (n *Node) onRebuild(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
+	var cfg rebuildConfig
+	if err := decodeJSON(req.Text, &cfg); err != nil {
+		return nil, err
+	}
+	n.mu.Lock()
+	id, err := n.id, error(nil)
+	for _, e := range cfg.Lost {
+		if e.Target == id && e.VM != nil && err == nil {
+			err = n.alreadyHosts(e.VM.Name)
+		}
+	}
+	n.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	srcs, err := cfg.sources()
+	if err != nil {
+		return nil, fmt.Errorf("runtime: rebuild of group %d: %w", cfg.Group, err)
+	}
+	outs, err := n.pullCombine(ctx, cfg.Group, cfg.Pages*cfg.PageSize, cfg.Epoch, srcs, len(cfg.Lost))
+	if err != nil {
+		return nil, err
+	}
+	if err := n.handOff(ctx, &cfg, outs); err != nil {
+		return nil, err
+	}
+	for i, e := range cfg.Lost {
+		if e.Target == id {
+			if err := n.adopt(&cfg, e, outs[i]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// Each request a rebuild rides is answered by the message type after it.
+	return &wire.Message{Type: req.Type + 1, Group: int32(cfg.Group)}, nil
+}
+
+// handOff has the target of every element of cfg not targeted here take its
+// output from this node: the output is held (source kind "held") while its
+// target runs a one-source rebuild From this node, targets concurrently, and
+// every held block is dropped once the handoffs are done, whatever became of
+// them.
+func (n *Node) handOff(ctx obs.SpanContext, cfg *rebuildConfig, outs [][]byte) error {
+	var others []lostElement
+	var keys []heldKey
+	n.mu.Lock()
+	id := n.id
+	for i, e := range cfg.Lost {
+		if e.Target != id {
+			key := heldKey{group: cfg.Group, parity: e.Parity}
+			if e.VM != nil {
+				key.vm = e.VM.Name
+			}
+			n.held[key] = outs[i]
+			others, keys = append(others, e), append(keys, key)
+		}
+	}
+	n.mu.Unlock()
+	defer func() {
+		n.mu.Lock()
+		for _, key := range keys {
+			delete(n.held, key)
+		}
+		n.mu.Unlock()
+	}()
+	return parallelDo(len(others), 0, func(j int) error {
+		e, hc := others[j], *cfg
+		hc.Survivors, hc.ParityPeers, hc.From, hc.Held, hc.Lost = nil, nil, &id, true, []lostElement{e}
+		text, err := encodeJSON(hc)
+		if err != nil {
+			return err
+		}
+		resp, err := n.callPeer(e.Target, &wire.Message{Type: wire.MsgReconstruct, Group: int32(cfg.Group), Text: text, Trace: ctx.Trace, Span: ctx.Span})
+		if err == nil && resp.Type != wire.MsgReconstructOK {
+			err = fmt.Errorf("unexpected reply %v", resp.Type)
+		}
+		if err != nil {
+			return fmt.Errorf("runtime: handoff of group %d to node %d: %w", cfg.Group, e.Target, err)
+		}
+		return nil
+	})
+}
+
+// alreadyHosts refuses to adopt a VM the node hosts. Caller holds n.mu.
+func (n *Node) alreadyHosts(name string) error {
+	if _, dup := n.members[name]; dup {
+		return fmt.Errorf("runtime: node %d already hosts %q", n.id, name)
+	}
+	return nil
+}
+
+// adopt makes this node the holder of element e of cfg's group, taking its
+// rebuilt bytes out as is: a VM's committed image (the machine is one copy of
+// it), or a parity block with every member folded to the committed epoch.
+func (n *Node) adopt(cfg *rebuildConfig, e lostElement, out []byte) error {
+	if e.VM == nil {
+		k, err := core.NewMKeeperFromBlock(cfg.Group, e.Parity, cfg.Tolerance, cfg.Members, out, cfg.Epoch)
+		if err != nil {
+			return err
+		}
+		kc := KeeperConfig{Group: cfg.Group, ParityIdx: e.Parity, Tolerance: cfg.Tolerance, Members: cfg.Members, Pages: cfg.Pages, PageSize: cfg.PageSize}
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.addKeeper(newKeeperState(k, kc))
+	}
+	mem, err := core.NewMemberAt(e.VM.Name, e.VM.PageSize, out, cfg.Epoch)
 	if err != nil {
 		return err
 	}
@@ -1101,14 +1193,10 @@ func (n *Node) adopt(ctx obs.SpanContext, cfg VMConfig, srcs []blockSource) erro
 	defer n.mu.Unlock()
 	// Again under the registering lock: a transport-retried request can
 	// overlap its first delivery.
-	if _, dup := n.members[cfg.Name]; dup {
-		return already
+	if err := n.alreadyHosts(e.VM.Name); err != nil {
+		return err
 	}
-	n.members[cfg.Name] = &memberState{
-		mem:      mem,
-		workload: newWorkload(cfg.Workload, cfg.Seed),
-		cfg:      cfg,
-	}
+	n.members[e.VM.Name] = &memberState{mem: mem, workload: newWorkload(e.VM.Workload, e.VM.Seed), cfg: *e.VM}
 	return nil
 }
 
@@ -1124,10 +1212,13 @@ func (n *Node) onChecksum(req *wire.Message) (*wire.Message, error) {
 	return &wire.Message{Type: wire.MsgChecksumOK, VM: req.VM, Arg: h.Sum64(), Epoch: ms.mem.Epoch()}, nil
 }
 
+// onRollback returns every hosted member to its committed epoch and drops
+// whatever the node holds of an uncommitted round or an unfinished handoff.
 func (n *Node) onRollback(req *wire.Message) (*wire.Message, error) {
 	members := n.snapshotMembers()
 	n.mu.Lock()
 	fan := n.fanout
+	clear(n.held)
 	n.mu.Unlock()
 	if err := parallelDo(len(members), fan, func(i int) error {
 		ms := members[i]
@@ -1148,38 +1239,6 @@ func (n *Node) onRollback(req *wire.Message) (*wire.Message, error) {
 		ks.mu.Unlock()
 	}
 	return &wire.Message{Type: wire.MsgRollbackOK}, nil
-}
-
-// onRebuildKeeper makes this node the holder of one parity block of a group:
-// the block is the combine of the members' committed images under that
-// block's encoding row, streamed in from their hosts, and the keeper is built
-// around it as is.
-func (n *Node) onRebuildKeeper(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
-	var cfg rebuildKeeperConfig
-	if err := decodeJSON(req.Text, &cfg); err != nil {
-		return nil, err
-	}
-	srcs, err := shardSources(cfg.Members, cfg.Tolerance, "", cfg.ParityIdx, cfg.MemberNodes, nil)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: rebuild keeper of group %d: %w", cfg.Group, err)
-	}
-	blk, _, err := n.pullCombine(ctx, cfg.Group, cfg.Pages*cfg.PageSize, srcs)
-	if err != nil {
-		return nil, err
-	}
-	k, err := core.NewMKeeperFromBlock(cfg.Group, cfg.ParityIdx, cfg.Tolerance, cfg.Members, blk)
-	if err != nil {
-		return nil, err
-	}
-	if err := k.SetEpochs(cfg.Epochs); err != nil {
-		return nil, err
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if err := n.addKeeper(newKeeperState(k, cfg.KeeperConfig)); err != nil {
-		return nil, err
-	}
-	return &wire.Message{Type: wire.MsgRebuildKeeperOK, Group: int32(cfg.Group)}, nil
 }
 
 // addKeeper registers a keeper under its group. The keeper map holds one
@@ -1274,19 +1333,4 @@ func (n *Node) onSetParityBatch(req *wire.Message) (*wire.Message, error) {
 		}
 	}
 	return &wire.Message{Type: wire.MsgSetParityBatchOK, Arg: uint64(len(updates))}, nil
-}
-
-// SetPeers updates the peer address map (coordinator uses it after
-// recovery re-homes responsibilities; addresses of dead nodes stay mapped
-// but are never dialed again).
-func (n *Node) SetPeers(peers map[int]string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.peers = peers
-	for id, p := range n.pools {
-		if addr, ok := peers[id]; !ok || addr != p.Addr() {
-			p.Close()
-			delete(n.pools, id)
-		}
-	}
 }

@@ -167,7 +167,7 @@ func (r *SoakResult) RoundDigest() []string {
 	return out
 }
 
-// pendingRecovery lists nodes declared dead mid-commit and not yet recovered.
+// pendingRecovery lists dead nodes no recovery has succeeded over yet.
 func (c *Coordinator) pendingRecovery() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -285,7 +285,7 @@ func newSoakEnv(cfg SoakConfig) (*soakEnv, error) {
 
 	if cfg.KillMTBF > 0 {
 		var err error
-		e.kills, err = chaos.PlanPoissonKills(layout.Nodes, cfg.Rounds, cfg.KillMTBF, cfg.RoundSeconds, cfg.Seed)
+		e.kills, err = chaos.PlanPoissonKills(layout.Nodes, layout.Tolerance, cfg.Rounds, cfg.KillMTBF, cfg.RoundSeconds, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -44,7 +44,7 @@ func TestSoakServiceReconcileUnderFault(t *testing.T) {
 	}
 	// The kill plan is a pure function of the seed; the reconcile-under-fault
 	// path only exists if this seed actually schedules kills.
-	plan, err := chaos.PlanPoissonKills(cfg.Layout.Nodes, cfg.Rounds, cfg.KillMTBF, 10, cfg.Seed)
+	plan, err := chaos.PlanPoissonKills(cfg.Layout.Nodes, cfg.Layout.Tolerance, cfg.Rounds, cfg.KillMTBF, 10, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

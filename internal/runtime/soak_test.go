@@ -33,7 +33,7 @@ func TestSoakPaperLayoutInvariants(t *testing.T) {
 	}
 	// The kill plan is a pure function of the seed; make sure this seed
 	// actually exercises the kill/recover path before trusting the soak.
-	plan, err := chaos.PlanPoissonKills(cfg.Layout.Nodes, cfg.Rounds, cfg.KillMTBF, 10, cfg.Seed)
+	plan, err := chaos.PlanPoissonKills(cfg.Layout.Nodes, cfg.Layout.Tolerance, cfg.Rounds, cfg.KillMTBF, 10, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ const (
 	MsgDeltaOK
 	MsgGetImage // reserved: retired whole-image fetch (images are read via MsgReadChunk)
 	MsgImage
-	MsgReconstruct // target node: pull survivor images and parity blocks, solve for a lost VM, adopt it
+	MsgReconstruct // decoder: pull a damaged group's surviving shards once, rebuild every lost element, adopt its own, hand off the rest
 	MsgReconstructOK
 	MsgInstall // target node: pull a VM's committed image from its current host and adopt it
 	MsgInstallOK
@@ -46,7 +46,7 @@ const (
 	MsgChecksumOK
 	MsgRollback // roll every hosted VM back to its committed checkpoint
 	MsgRollbackOK
-	MsgRebuildKeeper // become parity node for a group: pull member images, XOR
+	MsgRebuildKeeper // become parity node for a group: pull member images, encode
 	MsgRebuildKeeperOK
 	MsgSetParity // reserved: retired single parity-pointer update (pointers travel as MsgSetParityBatch)
 	MsgSetParityOK
