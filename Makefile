@@ -14,7 +14,8 @@ test:
 	$(GO) test ./...
 
 # The second line repeats the tests whose subject is an interleaving (an
-# orphaned ship beside the next round, commits racing folds, handler folds on
+# orphaned ship beside the next round, a stale batch of an aborted attempt
+# reaching its keeper after the abort, commits racing folds, handler folds on
 # concurrent connections, staged folds racing aborts and parity reads, a
 # restore's read slots folding concurrently while a pull fails, a decoder dying
 # or refused between its decode and the handoff, with the recovery retried) or
@@ -22,7 +23,7 @@ test:
 # schedule.
 race:
 	$(GO) test -race ./internal/runtime/ ./internal/transport/ ./internal/chaos/ ./internal/core/ ./internal/sim/ ./internal/service/ ./internal/parity/ ./internal/wire/ ./internal/cluster/
-	$(GO) test -race -count=5 -run 'TestOrphanedShipStopsAtNextBatch|TestStaleAndDuplicateCommit|TestRoundPoolBalance|TestKeeperFootprint|TestAbortRacesInFlightFolds|TestStagedFoldsAbortsAndReadsInterleave|TestConcurrentGroupFoldRace|TestDuplicateChunkRedeliveryMidFoldRace|TestFailedRestoreAdoptsNothingAndLeaksNothing|TestRecoveryPoolBalance' ./internal/runtime/
+	$(GO) test -race -count=5 -run 'TestOrphanedShipStopsAtNextBatch|TestStaleBatchOfAbortedAttemptIsRefused|TestStaleAndDuplicateCommit|TestRoundPoolBalance|TestKeeperFootprint|TestAbortRacesInFlightFolds|TestStagedFoldsAbortsAndReadsInterleave|TestConcurrentGroupFoldRace|TestDuplicateChunkRedeliveryMidFoldRace|TestFailedRestoreAdoptsNothingAndLeaksNothing|TestRecoveryPoolBalance' ./internal/runtime/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...

@@ -122,7 +122,6 @@ type sessionFlags struct {
 	seed      int64
 	tol       int
 	group     int
-	compress  bool
 	slowNode  int
 	slowDelay time.Duration
 	common    cli.Common
@@ -136,7 +135,6 @@ func (s *sessionFlags) register(fs *flag.FlagSet) {
 	fs.Int64Var(&s.seed, "seed", 1, "workload seed")
 	fs.IntVar(&s.tol, "tolerance", 1, "parity blocks per group (RS code; 1 = XOR)")
 	fs.IntVar(&s.group, "groupsize", 0, "members per RAID group (0 = nodes - tolerance)")
-	fs.BoolVar(&s.compress, "compress", false, "flate-compress delta shipments")
 	fs.IntVar(&s.slowNode, "slow-node", -1,
 		"chaos: stretch every frame to/from this node index by -slow-delay (the habitually slow peer the health engine must catch)")
 	fs.DurationVar(&s.slowDelay, "slow-delay", 400*time.Millisecond, "chaos: per-frame delay for -slow-node")
@@ -196,7 +194,6 @@ func (s *sessionFlags) open(opts service.Options) *session {
 		rec.SetMeta("nodes", len(addrs))
 		coord.SetFlightRecorder(rec)
 	}
-	coord.SetCompress(s.compress)
 	coord.SetRPCTimeout(s.common.RPCTimeout)
 	coord.SetFanout(s.common.Fanout)
 	if s.slowNode >= 0 && s.slowDelay > 0 {

@@ -38,7 +38,7 @@ const (
 	// Retention bounds per class: at most maxClassBufs buffers and at most
 	// ~maxClassBytes of backing memory, whichever is smaller. The buffer cap
 	// binds only the small classes, whose traffic is per message (frame heads,
-	// control payloads) and per compressed chunk; no round keeps a page-class
+	// control payloads, a lightly dirtied member's batch); no round keeps a page-class
 	// buffer per dirty page any more, so it is generous rather than load
 	// bearing. The byte cap is the binding bound for the large classes: a
 	// round's batch buffers and received frames sit in the 256 KiB class.

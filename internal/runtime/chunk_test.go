@@ -13,13 +13,13 @@ import (
 )
 
 // chunkedCluster is testCluster with data-path options applied before Setup.
-func chunkedCluster(t *testing.T, layout *cluster.Layout, chunkSize int, compress bool) (*Coordinator, []*Node) {
+func chunkedCluster(t *testing.T, layout *cluster.Layout, chunkSize int) (*Coordinator, []*Node) {
 	t.Helper()
-	return sizedCluster(t, layout, 16, 64, chunkSize, compress)
+	return sizedCluster(t, layout, 16, 64, chunkSize)
 }
 
 // sizedCluster is chunkedCluster with images of pages x pageSize bytes.
-func sizedCluster(t *testing.T, layout *cluster.Layout, pages, pageSize, chunkSize int, compress bool) (*Coordinator, []*Node) {
+func sizedCluster(t *testing.T, layout *cluster.Layout, pages, pageSize, chunkSize int) (*Coordinator, []*Node) {
 	t.Helper()
 	nodes := make([]*Node, layout.Nodes)
 	addrs := map[int]string{}
@@ -42,7 +42,6 @@ func sizedCluster(t *testing.T, layout *cluster.Layout, pages, pageSize, chunkSi
 	}
 	t.Cleanup(coord.Close)
 	coord.SetChunkSize(chunkSize)
-	coord.SetCompress(compress)
 	if err := coord.Setup(); err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +156,8 @@ func shadowRounds(t *testing.T, coord *Coordinator, shadow *Shadow, n int) {
 }
 
 // TestRoundsMatchInProcessOracle is the data path's differential test: after
-// seeded rounds — plain, compressed, with a chunk size below the page size so
-// every delta splits, and over RS m=2 so the GF folds are covered too — the
+// seeded rounds — plain, with a chunk size below the page size so every delta
+// splits, and over RS m=2 so the GF folds are covered too — the
 // state the cluster committed over sockets equals what the in-process
 // implementations compute (see oracleDiff).
 func TestRoundsMatchInProcessOracle(t *testing.T) {
@@ -173,16 +172,14 @@ func TestRoundsMatchInProcessOracle(t *testing.T) {
 		name      string
 		layout    func(*testing.T) *cluster.Layout
 		chunkSize int
-		compress  bool
 	}{
-		{"plain", paperLayout, 0, false},
-		{"compressed", paperLayout, 0, true},
-		{"split-every-delta", paperLayout, 48, false},
-		{"rs2-split-compressed", rs2, 48, true},
+		{"plain", paperLayout, 0},
+		{"split-every-delta", paperLayout, 48},
+		{"rs2-split", rs2, 48},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			layout := tc.layout(t)
-			coord, _ := chunkedCluster(t, layout, tc.chunkSize, tc.compress)
+			coord, _ := chunkedCluster(t, layout, tc.chunkSize)
 			shadow, err := NewShadow(layout, 16, 64, 12345)
 			if err != nil {
 				t.Fatal(err)
@@ -220,7 +217,7 @@ func TestRoundsMatchInProcessOracle(t *testing.T) {
 func TestSkippedFoldFailsOracle(t *testing.T) {
 	layout := paperLayout(t)
 	const pages, pageSize, chunkSize = 16, 64, 48
-	coord, nodes := chunkedCluster(t, layout, chunkSize, false)
+	coord, nodes := chunkedCluster(t, layout, chunkSize)
 	shadow, err := NewShadow(layout, pages, pageSize, 12345)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +249,7 @@ func TestSkippedFoldFailsOracle(t *testing.T) {
 	}
 	ks := nodes[keeperNode].keepers[g.Index]
 	ks.mu.Lock()
-	st := &chunkStream{epoch: coord.Epoch() + 1, count: uint32(len(planned)), seen: make([]bool, len(planned)), got: 1}
+	st := &chunkStream{epoch: coord.Epoch() + 1, attempt: coord.attempts + 1, count: uint32(len(planned)), seen: make([]bool, len(planned)), got: 1}
 	st.seen[0] = true
 	ks.streams[member] = st
 	ks.mu.Unlock()
@@ -274,7 +271,7 @@ func TestSkippedFoldFailsOracle(t *testing.T) {
 // repair, rebalance, and keep checkpointing — committed state must survive
 // the recovery unchanged.
 func TestChunkedRecoveryAndRebalance(t *testing.T) {
-	coord, nodes := chunkedCluster(t, paperLayout(t), 512, false)
+	coord, nodes := chunkedCluster(t, paperLayout(t), 512)
 	if err := coord.Step(80); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +322,7 @@ func TestChunkedRecoveryAndRebalance(t *testing.T) {
 // cancel the first), with the duplicate acknowledged and counted.
 func TestDuplicateChunkFoldsOnce(t *testing.T) {
 	layout := paperLayout(t)
-	coord, _ := chunkedCluster(t, layout, 0, false)
+	coord, _ := chunkedCluster(t, layout, 0)
 	const pages, pageSize = 16, 64
 
 	// Pick group 0's first member and first parity node.
@@ -410,7 +407,7 @@ func TestDuplicateChunkFoldsOnce(t *testing.T) {
 // every reply, and bad requests must error cleanly.
 func TestReadChunkServesImagesAndParity(t *testing.T) {
 	layout := paperLayout(t)
-	coord, nodes := chunkedCluster(t, layout, 0, false)
+	coord, nodes := chunkedCluster(t, layout, 0)
 	if err := coord.Step(60); err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +509,7 @@ func TestDeltaChunksCoverDelta(t *testing.T) {
 // equal to the in-process oracle.
 func TestChunkSizeValidationAndRetune(t *testing.T) {
 	layout := paperLayout(t)
-	coord, nodes := chunkedCluster(t, layout, 48, false)
+	coord, nodes := chunkedCluster(t, layout, 48)
 	shadow, err := NewShadow(layout, 16, 64, 12345)
 	if err != nil {
 		t.Fatal(err)

@@ -100,20 +100,16 @@ func planChunks(d *core.Delta, pageSize, imageBytes, chunkSize int) (chunks []wi
 	return chunks, int64(len(pages)) * int64(pageSize)
 }
 
-// batchLen sizes the buffer of the batch that opens with chunks[0]: the raw
+// batchLen sizes the buffer of the batch that opens with chunks[0]: the
 // frames the budget admits (one over it — planChunks widened a degenerate
 // chunk size — gets a batch of its own), not the budget itself, so a full
 // batch of default-size chunks and a sparse round's run of single-page frames
 // both come from the 256 KiB pool class the receiver decodes them into.
-// Compressed frames pack by carried size, never above raw: room to the budget.
-func batchLen(chunks []wire.Chunk, budget int, compress bool) int {
+func batchLen(chunks []wire.Chunk, budget int) int {
 	n := 0
 	for i := range chunks {
 		need := wire.ChunkHeaderLen + int(chunks[i].RawLen)
 		if n > 0 && n+need > budget {
-			if compress {
-				n = max(n, budget)
-			}
 			break
 		}
 		n += need

@@ -37,11 +37,10 @@ type KeeperConfig struct {
 
 // NodeConfig is the full assignment a node receives at setup.
 type NodeConfig struct {
-	NodeID   int            `json:"node_id"`
-	Peers    map[int]string `json:"peers"` // node id -> address, self included
-	VMs      []VMConfig     `json:"vms"`
-	Keepers  []KeeperConfig `json:"keepers"`
-	Compress bool           `json:"compress"` // flate-compress delta shipments (Sec. IV-C)
+	NodeID  int            `json:"node_id"`
+	Peers   map[int]string `json:"peers"` // node id -> address, self included
+	VMs     []VMConfig     `json:"vms"`
+	Keepers []KeeperConfig `json:"keepers"`
 
 	// ChunkSize is the chunk payload size in bytes; 0 picks
 	// wire.DefaultChunkSize. A negative value is rejected.
@@ -68,9 +67,8 @@ type retuneConfig struct {
 
 // NodeStats are a node's protocol counters, served via MsgStats.
 type NodeStats struct {
-	DeltasSent     int64 `json:"deltas_sent"`
-	DeltaRawBytes  int64 `json:"delta_raw_bytes"`  // uncompressed delta payload
-	DeltaWireBytes int64 `json:"delta_wire_bytes"` // bytes actually shipped
+	DeltasSent    int64 `json:"deltas_sent"`
+	DeltaRawBytes int64 `json:"delta_raw_bytes"` // delta payload shipped, framing excluded
 
 	// Chunk stream counters.
 	ChunksSent     int64 `json:"chunks_sent"`     // delta chunks shipped to parity peers

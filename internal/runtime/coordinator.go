@@ -46,7 +46,7 @@ type Coordinator struct {
 	pageSize       int
 	epoch          atomic.Uint64
 	seedBase       int64
-	compress       bool
+	attempts       uint64 // round attempts begun (CheckpointIn); guarded by roundMu
 	chunkSize      int    // chunk payload bytes; 0 = wire.DefaultChunkSize
 	pipeWidth      int    // in-flight chunk batches per (stream, peer); 0 = default
 	workload       string // workload kind for every VM ("" = uniform)
@@ -95,10 +95,6 @@ func NewCoordinator(layout *cluster.Layout, addrs map[int]string, pages, pageSiz
 		commitRetries: DefaultCommitRetries,
 	}, nil
 }
-
-// SetCompress enables flate compression of delta shipments; call before
-// Setup (the flag rides the node configuration).
-func (c *Coordinator) SetCompress(on bool) { c.compress = on }
 
 // SetChunkSize sets the chunk payload size in bytes; 0 (the default) means
 // wire.DefaultChunkSize. Nodes reject a negative size, so Setup fails on one.
@@ -411,7 +407,7 @@ func (c *Coordinator) vmConfig(v cluster.VMPlacement) VMConfig {
 
 // nodeConfig renders the full initial assignment for one node.
 func (c *Coordinator) nodeConfig(n int) NodeConfig {
-	cfg := NodeConfig{NodeID: n, Peers: c.addrs, Compress: c.compress, ChunkSize: c.chunkSize, Dedup: c.dedup, PipelineWidth: c.pipeWidth}
+	cfg := NodeConfig{NodeID: n, Peers: c.addrs, ChunkSize: c.chunkSize, Dedup: c.dedup, PipelineWidth: c.pipeWidth}
 	for _, v := range c.layout.VMs {
 		if v.Node == n {
 			cfg.VMs = append(cfg.VMs, c.vmConfig(v))
@@ -486,9 +482,15 @@ func (c *Coordinator) Checkpoint() error { return c.CheckpointIn(obs.SpanContext
 // span joins the caller's trace (the service reconciler passes its reconcile
 // span here so the whole round tree hangs under the attempt that drove it).
 // A zero context roots a fresh trace, which is what Checkpoint does.
+//
+// Every call is a new round attempt, numbered in the prepare and abort
+// messages' Arg: the retry of an aborted epoch renders its deltas anew, and a
+// keeper must not take a batch of the aborted render for one of the retry's.
 func (c *Coordinator) CheckpointIn(parent obs.SpanContext) error {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
+	c.attempts++
+	attempt := c.attempts
 	next := c.epoch.Load() + 1
 	alive := c.aliveNodes()
 	stats := RoundStats{Epoch: next}
@@ -514,7 +516,7 @@ func (c *Coordinator) CheckpointIn(parent obs.SpanContext) error {
 	t0 := time.Now()
 	prep := tr.Child(root.Context(), "prepare", "coord")
 	prepErr := c.fanout(prep.ContextOr(obs.SpanContext{}), "prepare", alive,
-		func(int) *wire.Message { return &wire.Message{Type: wire.MsgPrepare, Epoch: next} },
+		func(int) *wire.Message { return &wire.Message{Type: wire.MsgPrepare, Epoch: next, Arg: attempt} },
 		func(node int, resp *wire.Message) error {
 			if resp.Type != wire.MsgPrepareOK {
 				return fmt.Errorf("runtime: node %d replied %v to prepare", node, resp.Type)
@@ -543,7 +545,7 @@ func (c *Coordinator) CheckpointIn(parent obs.SpanContext) error {
 		// abort now is caught by the next prepare's staged-delta check.
 		abort := tr.Child(root.Context(), "abort", "coord")
 		c.fanout(abort.ContextOr(obs.SpanContext{}), "abort", alive, //nolint:errcheck
-			func(int) *wire.Message { return &wire.Message{Type: wire.MsgAbort, Epoch: next} },
+			func(int) *wire.Message { return &wire.Message{Type: wire.MsgAbort, Epoch: next, Arg: attempt} },
 			nil)
 		abort.Finish()
 		stats.Aborted = true
@@ -554,18 +556,21 @@ func (c *Coordinator) CheckpointIn(parent obs.SpanContext) error {
 	}
 
 	// Phase 2: commit everywhere, retrying per node; a persistently failing
-	// committer is a node failure, not a round failure.
+	// committer is a node failure, not a round failure. Why each one was
+	// declared dead — its last commit error — goes on the commit span and the
+	// partial-commit note.
 	var failedMu sync.Mutex
 	var failed []int
+	var why []string // "nodeN", last error, per failed node
 	t1 := time.Now()
 	commit := tr.Child(root.Context(), "commit", "coord")
 	commitCtx := commit.ContextOr(obs.SpanContext{})
 	parallelDo(len(alive), c.fanoutWidth(), func(i int) error { //nolint:errcheck // failures collected in failed
 		node := alive[i]
 		var lastErr error
-		for attempt := 0; attempt < c.commitRetries; attempt++ {
-			if attempt > 0 {
-				time.Sleep(commitRetryBackoff << (attempt - 1))
+		for try := 0; try < c.commitRetries; try++ {
+			if try > 0 {
+				time.Sleep(commitRetryBackoff << (try - 1))
 			}
 			resp, err := c.call(node, &wire.Message{Type: wire.MsgCommit, Epoch: next, Trace: commitCtx.Trace, Span: commitCtx.Span})
 			if err == nil && resp.Type == wire.MsgCommitOK {
@@ -576,9 +581,11 @@ func (c *Coordinator) CheckpointIn(parent obs.SpanContext) error {
 			}
 			lastErr = err
 		}
-		_ = lastErr
+		key, reason := fmt.Sprintf("node%d", node), fmt.Sprint(lastErr)
+		commit.SetAttr(key, reason)
 		failedMu.Lock()
 		failed = append(failed, node)
+		why = append(why, key, reason)
 		failedMu.Unlock()
 		return nil
 	})
@@ -610,7 +617,7 @@ func (c *Coordinator) CheckpointIn(parent obs.SpanContext) error {
 		c.mu.Lock()
 		rec := c.recorder
 		c.mu.Unlock()
-		rec.Note("partial-commit", "epoch", fmt.Sprintf("%d", next), "nodes", fmt.Sprintf("%v", failed))
+		rec.Note("partial-commit", append([]string{"epoch", fmt.Sprintf("%d", next), "nodes", fmt.Sprintf("%v", failed)}, why...)...)
 		rec.AutoDump("partial-commit") //nolint:errcheck // never turn a postmortem into a second failure
 		return err
 	}
@@ -664,12 +671,15 @@ func (c *Coordinator) Checksums() (map[string]uint64, error) {
 // soak harnesses call Quiesce before measuring committed state so a lost
 // abort cannot masquerade as state divergence. Quiesce serializes with the
 // other protocol operations: called while a round is in flight it blocks
-// until the round finishes, rather than racing an abort against a commit.
+// until the round finishes, rather than racing an abort against a commit. The
+// abort names the latest round attempt begun.
 func (c *Coordinator) Quiesce() error {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
 	return c.fanout(obs.SpanContext{}, "abort", c.aliveNodes(),
-		func(int) *wire.Message { return &wire.Message{Type: wire.MsgAbort, Epoch: c.epoch.Load() + 1} },
+		func(int) *wire.Message {
+			return &wire.Message{Type: wire.MsgAbort, Epoch: c.epoch.Load() + 1, Arg: c.attempts}
+		},
 		nil)
 }
 
@@ -973,10 +983,10 @@ func (c *Coordinator) Repair(node int) error {
 	c.mu.Lock()
 	delete(c.dead, node)
 	c.mu.Unlock()
-	// The rejoined daemon needs a fresh configuration (peers, compression,
-	// chunking); it hosts nothing until rebalance moves VMs or parity to it.
-	cfg := NodeConfig{NodeID: node, Peers: c.addrs, Compress: c.compress, ChunkSize: c.chunkSize, Dedup: c.dedup, PipelineWidth: c.pipeWidth}
-	text, err := encodeJSON(cfg)
+	// The rejoined daemon needs a fresh configuration (peers, chunking); the
+	// layout places nothing on a recovered node, so it hosts nothing until
+	// rebalance moves VMs or parity to it.
+	text, err := encodeJSON(c.nodeConfig(node))
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,10 @@ package runtime
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"slices"
 	"sync"
 	"testing"
 
@@ -24,7 +27,7 @@ func TestConcurrentGroupFoldRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunked, cnodes := chunkedCluster(t, layout, 128, false)
+	chunked, cnodes := chunkedCluster(t, layout, 128)
 	shadow, err := NewShadow(layout, 16, 64, 12345)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +62,7 @@ func TestConcurrentGroupFoldRace(t *testing.T) {
 // parity equals a reference keeper that folded each chunk once.
 func TestDuplicateChunkRedeliveryMidFoldRace(t *testing.T) {
 	layout := paperLayout(t)
-	coord, _ := chunkedCluster(t, layout, 0, false)
+	coord, _ := chunkedCluster(t, layout, 0)
 	const pages, pageSize = 16, 64
 	img := pages * pageSize
 
@@ -170,49 +173,68 @@ func TestDuplicateChunkRedeliveryMidFoldRace(t *testing.T) {
 	}
 }
 
-// TestRejectedBatchFoldsAcceptedFramesOnce sends a batch [c0, c1] whose c1
-// fails its CRC, then re-sends the good batch. The keeper rejects the first
-// batch at c1 having accepted c0, so c0 must already be folded: the re-send
-// drops it as a duplicate and folds c1 alone, and committed parity equals a
-// reference keeper that folded each chunk once.
+// TestRejectedBatchFoldsAcceptedFramesOnce sends batches [c0, c1, c2] whose
+// c1 is bad — its CRC fails, or its flags byte is set under a valid CRC — and
+// then the good batch. The keeper rejects each bad batch at c1 having
+// accepted c0, so c0 is folded by the first and dropped as a duplicate after,
+// nothing behind the bad frame is folded, the good batch folds c1 and c2, and
+// committed parity equals a reference keeper that folded each chunk once.
 func TestRejectedBatchFoldsAcceptedFramesOnce(t *testing.T) {
 	layout := paperLayout(t)
-	coord, _ := chunkedCluster(t, layout, 0, false)
+	coord, _ := chunkedCluster(t, layout, 0)
 	const img = 16 * 64
+	const n = img / 4
 	g := layout.Groups[0]
 	member, parityNode := g.Members[0], g.ParityNodes[0]
 
-	var batch []byte
-	chunks := make([]wire.Chunk, 2)
+	chunks := make([]wire.Chunk, 3)
+	frames := make([][]byte, 3)
 	for i := range chunks {
-		data := make([]byte, img/2)
+		data := make([]byte, n)
 		for j := range data {
 			data[j] = byte(i*29 + j*3 + 7)
 		}
-		chunks[i] = wire.Chunk{
-			Offset: uint64(i * img / 2), Total: img,
-			Index: uint32(i), Count: 2,
-			RawLen: img / 2, Data: data,
-		}
-		batch = append(batch, wire.EncodeChunk(&chunks[i])...)
+		chunks[i] = wire.Chunk{Offset: uint64(i * n), Total: img, Index: uint32(i), Count: 3, RawLen: n, Data: data}
+		frames[i] = wire.EncodeChunk(&chunks[i])
 	}
-	broken := append([]byte(nil), batch...)
-	broken[len(broken)-1] ^= 0xFF // c1's last data byte: its CRC no longer matches
+	badCRC := append([]byte(nil), frames[1]...)
+	badCRC[len(badCRC)-1] ^= 0xFF // c1's last data byte: its CRC no longer matches
+	flagged := append([]byte(nil), frames[1]...)
+	flagged[24] = 1 // the flags byte, re-sealed under a valid CRC
+	binary.LittleEndian.PutUint32(flagged[wire.ChunkHeaderLen-4:], 0)
+	binary.LittleEndian.PutUint32(flagged[wire.ChunkHeaderLen-4:], crc32.ChecksumIEEE(flagged))
 
 	conn, err := transport.Dial(coord.addrs[parityNode])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	send := func(payload []byte) error {
+	send := func(c1 []byte) error {
+		payload := slices.Concat(frames[0], c1, frames[2])
 		_, err := conn.Call(&wire.Message{Type: wire.MsgDeltaChunk, Epoch: 1, Group: 0, VM: member, Payload: payload})
 		return err
 	}
-	if err := send(broken); err == nil {
-		t.Fatal("a batch with a corrupt frame was accepted")
+	folded := func() (int64, int64) {
+		t.Helper()
+		st, err := coord.NodeStats(parityNode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ChunksReceived, st.DupChunks
 	}
-	if err := send(batch); err != nil {
+	for i, c1 := range [][]byte{badCRC, flagged} {
+		if err := send(c1); err == nil {
+			t.Fatalf("bad batch %d was accepted", i)
+		}
+		if got, _ := folded(); got != 1 {
+			t.Fatalf("after bad batch %d the keeper has folded %d chunks, want c0 alone", i, got)
+		}
+	}
+	if err := send(frames[1]); err != nil {
 		t.Fatalf("re-send of the good batch: %v", err)
+	}
+	if got, dups := folded(); got != 3 || dups != 2 {
+		t.Fatalf("folded %d chunks with %d duplicates dropped, want 3 and 2", got, dups)
 	}
 	if resp, err := conn.Call(&wire.Message{Type: wire.MsgCommit, Epoch: 1}); err != nil || resp.Type != wire.MsgCommitOK {
 		t.Fatalf("commit: %v %v", resp, err)
@@ -236,7 +258,7 @@ func TestRejectedBatchFoldsAcceptedFramesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if blk, _, _ := readBlock(t, coord.addrs[parityNode], "parity", "", 0); !bytes.Equal(blk, ref.Parity()) {
-		t.Fatal("parity diverges: an accepted chunk of the rejected batch was not folded exactly once")
+		t.Fatal("parity diverges: an accepted chunk of a rejected batch was not folded exactly once")
 	}
 }
 
@@ -252,7 +274,7 @@ func (e errUnexpectedReply) Error() string { return "unexpected reply type" }
 // casualty recovery committing bit-identical state afterwards.
 func TestAbortRacesInFlightFolds(t *testing.T) {
 	layout := paperLayout(t)
-	coord, nodes := chunkedCluster(t, layout, 0, false)
+	coord, nodes := chunkedCluster(t, layout, 0)
 	const pages, pageSize = 16, 64
 	img := pages * pageSize
 
@@ -360,7 +382,7 @@ func TestAbortRacesInFlightFolds(t *testing.T) {
 func TestStagedFoldsAbortsAndReadsInterleave(t *testing.T) {
 	const pages, pageSize = 16, 4096 // 64 KiB blocks: sixteen parity pages
 	layout := paperLayout(t)
-	coord, nodes := sizedCluster(t, layout, pages, pageSize, 8<<10, false)
+	coord, nodes := sizedCluster(t, layout, pages, pageSize, 8<<10)
 	shadow, err := NewShadow(layout, pages, pageSize, 12345)
 	if err != nil {
 		t.Fatal(err)

@@ -36,16 +36,19 @@ type Node struct {
 	members    map[string]*memberState
 	keepers    map[int]*keeperState // by group (orthogonality: at most one block of a group per node)
 	held       map[heldKey][]byte   // elements this node decoded for other targets (handOff)
-	compress   bool
-	chunkSize  int  // effective chunk payload size, always > 0
-	pipeWidth  int  // in-flight chunk batches per (stream, peer); 0 = default
-	dedup      bool // capture skips dirty pages equal to the committed image
+	chunkSize  int                  // effective chunk payload size, always > 0
+	pipeWidth  int                  // in-flight chunk batches per (stream, peer); 0 = default
+	dedup      bool                 // capture skips dirty pages equal to the committed image
 	rpcTimeout time.Duration
 	fanout     int
 	dialer     transport.DialFunc
 	tracer     *obs.Tracer
 	registry   *obs.Registry
 	recorder   *obs.FlightRecorder
+
+	// aborted is the highest round attempt an abort has named (0: none since
+	// configure). Written under mu, read by keepers under their own lock.
+	aborted atomic.Uint64
 
 	statsMu sync.Mutex
 	stats   NodeStats
@@ -98,12 +101,14 @@ func newKeeperState(k *core.MKeeper, cfg KeeperConfig) *keeperState {
 // chunkStream tracks one member's in-flight delta chunk stream on a keeper.
 // A re-delivered index (the transport retries once over a fresh dial) must
 // NOT fold twice — XOR would cancel it back out — so delivery is recorded
-// per chunk index.
+// per chunk index. attempt is the coordinator's round attempt that opened the
+// stream: a batch of another attempt belongs to another render of the delta.
 type chunkStream struct {
-	epoch uint64
-	count uint32
-	seen  []bool
-	got   uint32
+	epoch   uint64
+	attempt uint64
+	count   uint32
+	seen    []bool
+	got     uint32
 }
 
 // drop discards a keeper's uncommitted round (abort/rollback): the staged
@@ -328,7 +333,7 @@ func (n *Node) onConfigure(req *wire.Message) (*wire.Message, error) {
 	defer n.mu.Unlock()
 	n.id = cfg.NodeID
 	n.peers = cfg.Peers
-	n.compress = cfg.Compress
+	n.aborted.Store(0)
 	n.chunkSize = resolveChunkSize(cfg.ChunkSize)
 	n.pipeWidth = resolvePipelineWidth(cfg.PipelineWidth)
 	n.dedup = cfg.Dedup
@@ -420,12 +425,13 @@ func (n *Node) onStep(req *wire.Message) (*wire.Message, error) {
 // the member's lock only to render one chunk, so deltas bound for distinct
 // peers overlap on the wire. A failure leaves other members staged; the
 // coordinator's abort takes them back.
-// The reply's Arg carries the wire bytes shipped and Text a prepareSummary,
-// so the coordinator can aggregate per-round volume.
+// The request's Arg is the coordinator's round attempt, which every batch
+// carries. The reply's Arg carries the wire bytes shipped and Text a
+// prepareSummary, so the coordinator can aggregate per-round volume.
 func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
 	members := n.snapshotMembers()
 	n.mu.Lock()
-	id, compress, fan, cs, pw, dedup := n.id, n.compress, n.fanout, n.chunkSize, resolvePipelineWidth(n.pipeWidth), n.dedup
+	id, fan, cs, pw, dedup := n.id, n.fanout, n.chunkSize, resolvePipelineWidth(n.pipeWidth), n.dedup
 	tr, reg := n.tracer, n.registry
 	n.mu.Unlock()
 	lane := fmt.Sprintf("node%d", id)
@@ -450,7 +456,7 @@ func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message,
 		// messages carry its context (the pool re-stamps Span per RPC attempt).
 		span := tr.Child(ctx, "ship "+d.VMID, lane)
 		defer func() { span.FinishErr(shipErr) }()
-		return n.shipChunked(span.ContextOr(ctx), span, ms, d, parity, cs, pw, compress, &wireBytes, &chunksSent)
+		return n.shipChunked(span.ContextOr(ctx), span, ms, d, parity, cs, pw, req.Arg, &wireBytes, &chunksSent)
 	}); err != nil {
 		return nil, err
 	}
@@ -481,7 +487,7 @@ func (n *Node) countDedup(reg *obs.Registry, hits, misses, pageSize int64) {
 
 // shipChunked ships the delta of ms's staged capture d to the parity peers of
 // its group as chunk frames, packed back-to-back into batches (see
-// chunkBatchBudget), one message per batch.
+// chunkBatchBudget), one message per batch, stamped with the round attempt.
 //
 // The delta is never materialised. A batch is one pooled buffer: per chunk a
 // header slot, live XOR committed of the chunk's range written straight behind
@@ -490,7 +496,7 @@ func (n *Node) countDedup(reg *obs.Registry, hits, misses, pageSize int64) {
 // this buffer, and back to the pool when the last peer has answered; up to
 // pipeWidth batches are in flight, so transfer overlaps rendering and folds.
 // A ship whose capture is no longer staged (the round was aborted) stops.
-func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberState, d *core.Delta, parity []int, chunkSize, pipeWidth int, compress bool, wireBytes, chunksSent *atomic.Int64) error {
+func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberState, d *core.Delta, parity []int, chunkSize, pipeWidth int, attempt uint64, wireBytes, chunksSent *atomic.Int64) error {
 	chunks, raw := planChunks(d, ms.cfg.PageSize, ms.cfg.Pages*ms.cfg.PageSize, chunkSize)
 	budget := max(chunkSize, chunkBatchBudget) + wire.ChunkHeaderLen
 	var (
@@ -504,7 +510,7 @@ func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberSta
 	fail := func(err error) { shipErr.CompareAndSwap(nil, &err) }
 	deliver := func(batch []byte, k, peer int) error {
 		reply, err := n.callPeer(peer, &wire.Message{
-			Type: wire.MsgDeltaChunk, Epoch: d.Epoch, Group: int32(ms.cfg.Group), VM: d.VMID,
+			Type: wire.MsgDeltaChunk, Epoch: d.Epoch, Group: int32(ms.cfg.Group), VM: d.VMID, Arg: attempt,
 			Payload: batch, Trace: sctx.Trace, Span: sctx.Span,
 		})
 		if err == nil && reply.Type != wire.MsgDeltaChunkOK {
@@ -519,9 +525,9 @@ func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberSta
 		batch, k := cur, batches+1
 		cur, batches, wireB = nil, k, wireB+int64(len(batch))
 		slots <- struct{}{}
-		// An abort can overtake a rendered batch in the wait for a slot, and at
-		// a keeper the batch would then pass for the retry's stream: check again
-		// (an empty render is just the check).
+		// An abort can overtake a rendered batch in the wait for a slot: check
+		// again, so the batch does not leave after it (an empty render is just
+		// the check). A keeper would refuse it by its attempt anyway.
 		if err := ms.deltaInto(d, nil, 0); err != nil {
 			bufpool.Put(batch)
 			fail(err)
@@ -540,31 +546,11 @@ func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberSta
 	for i := 0; i < len(chunks) && shipErr.Load() == nil; i++ {
 		c := &chunks[i]
 		need := wire.ChunkHeaderLen + int(c.RawLen)
-		var aside []byte
-		if compress && c.RawLen > 0 {
-			// Deflate consumes one slice and the frame is packed by what it
-			// yields, so this path renders the chunk aside first.
-			aside = bufpool.Get(int(c.RawLen))
-			if err := ms.deltaInto(d, aside, int(c.Offset)); err != nil {
-				bufpool.Put(aside)
-				fail(err)
-				break
-			}
-			c.Data = aside
-			c.Deflate()
-			need = wire.ChunkHeaderLen + len(c.Data)
-		}
 		if cur != nil && len(cur)+need > budget {
 			send()
 		}
 		if cur == nil {
-			cur = bufpool.Get(batchLen(chunks[i:], budget, compress))[:0]
-		}
-		if aside != nil {
-			cur = wire.AppendChunk(cur, c)
-			bufpool.Put(aside)
-			c.Data = nil
-			continue
+			cur = bufpool.Get(batchLen(chunks[i:], budget))[:0]
 		}
 		frame := cur[len(cur) : len(cur)+need]
 		if err := ms.deltaInto(d, frame[wire.ChunkHeaderLen:], int(c.Offset)); err != nil {
@@ -585,7 +571,6 @@ func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberSta
 	n.statsMu.Lock()
 	n.stats.DeltasSent += peers
 	n.stats.DeltaRawBytes += raw * peers
-	n.stats.DeltaWireBytes += wireB * peers
 	n.stats.ChunksSent += int64(len(chunks)) * peers
 	n.statsMu.Unlock()
 	wireBytes.Add(wireB * peers)
@@ -638,10 +623,15 @@ func (n *Node) onDeltaChunk(req *wire.Message) (*wire.Message, error) {
 
 // foldBatch walks req's chunk frames under ks.mu, folding each in turn
 // (foldChunk); it returns how many chunks it folded and the time the folds
-// took, up to the first bad frame.
+// took, up to the first bad frame. A batch of a round attempt the node has
+// seen aborted is refused whole: it was rendered before the abort, and its
+// stream was dropped with it.
 func (n *Node) foldBatch(ks *keeperState, req *wire.Message) (folded int64, foldD time.Duration, err error) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
+	if floor := n.aborted.Load(); floor > 0 && req.Arg <= floor {
+		return 0, 0, fmt.Errorf("runtime: chunk batch for %q is of round attempt %d, and attempt %d was aborted", req.VM, req.Arg, floor)
+	}
 	// An empty payload decodes to a short-header error on the first
 	// iteration, so a batch always contains at least one frame.
 	for buf := req.Payload; ; {
@@ -663,10 +653,9 @@ func (n *Node) foldBatch(ks *keeperState, req *wire.Message) (folded int64, fold
 	}
 }
 
-// foldChunk checks one decoded chunk against its stream, stages its fold
-// (a compressed chunk is inflated into a pooled buffer, put back
-// straight after) and records its delivery. fold is false for an
-// idempotently dropped duplicate. Caller holds ks.mu.
+// foldChunk checks one decoded chunk against its stream, stages its fold and
+// records its delivery. fold is false for an idempotently dropped duplicate.
+// Caller holds ks.mu.
 func (n *Node) foldChunk(ks *keeperState, req *wire.Message, c *wire.Chunk) (took time.Duration, fold bool, err error) {
 	k := ks.keeper
 	if int(c.Total) != k.Size() {
@@ -679,11 +668,11 @@ func (n *Node) foldChunk(ks *keeperState, req *wire.Message, c *wire.Chunk) (too
 	}
 	st := ks.streams[req.VM]
 	if st == nil {
-		st = &chunkStream{epoch: req.Epoch, count: c.Count, seen: make([]bool, c.Count)}
+		st = &chunkStream{epoch: req.Epoch, attempt: req.Arg, count: c.Count, seen: make([]bool, c.Count)}
 		ks.streams[req.VM] = st
-	} else if st.epoch != req.Epoch || st.count != c.Count {
-		return 0, false, fmt.Errorf("runtime: conflicting chunk stream for %q (epoch %d, %d chunks; had epoch %d, %d)",
-			req.VM, req.Epoch, c.Count, st.epoch, st.count)
+	} else if st.epoch != req.Epoch || st.attempt != req.Arg || st.count != c.Count {
+		return 0, false, fmt.Errorf("runtime: conflicting chunk stream for %q (epoch %d attempt %d, %d chunks; had epoch %d attempt %d, %d)",
+			req.VM, req.Epoch, req.Arg, c.Count, st.epoch, st.attempt, st.count)
 	}
 	if st.seen[c.Index] {
 		n.statsMu.Lock()
@@ -691,15 +680,8 @@ func (n *Node) foldChunk(ks *keeperState, req *wire.Message, c *wire.Chunk) (too
 		n.statsMu.Unlock()
 		return 0, false, nil
 	}
-	data, err := c.Inflate(bufpool.Get)
-	if err != nil {
-		return 0, false, err
-	}
-	if c.Flags&wire.ChunkFlate != 0 {
-		defer bufpool.Put(data) // the inflated copy is ours; raw data aliases the payload
-	}
 	start := time.Now()
-	if err := k.Stage(req.VM, int(c.Offset), data); err != nil {
+	if err := k.Stage(req.VM, int(c.Offset), c.Data); err != nil {
 		return 0, false, err
 	}
 	took = time.Since(start)
@@ -792,8 +774,15 @@ func (n *Node) onCommit(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 
 // onAbort takes back whatever the node holds of an uncommitted round,
 // whichever epoch the message names: keepers drop their staged pages, members
-// unstage. On a clean node it is a no-op.
+// unstage. On a clean node it is a no-op. Its Arg, the aborted round attempt,
+// first raises the floor at or below which keepers refuse batches, so a batch
+// of that attempt still in flight cannot open a stream after the drop.
 func (n *Node) onAbort(req *wire.Message) (*wire.Message, error) {
+	n.mu.Lock()
+	if req.Arg > n.aborted.Load() {
+		n.aborted.Store(req.Arg)
+	}
+	n.mu.Unlock()
 	for _, ks := range n.snapshotKeepers() {
 		ks.mu.Lock()
 		ks.drop()
@@ -1024,10 +1013,10 @@ func (n *Node) pullCombine(ctx obs.SpanContext, group, total int, epoch uint64, 
 // output o that chunk covers (every slot is wire.ChunkOf its output at one
 // index). A fold is not idempotent — a duplicated or misrouted chunk would
 // cancel or corrupt the slot — so the reply must answer exactly this request
-// (right block, right index, the stream shape the slots were cut from, raw
-// bytes, the rebuild's epoch) or nothing is folded. The reply buffer goes
-// back to the pool either way: it is this caller's from the socket decode, or
-// from the local handler on a self-call.
+// (right block, right index, the stream shape the slots were cut from, the
+// rebuild's epoch) or nothing is folded. The reply buffer goes back to the
+// pool either way: it is this caller's from the socket decode, or from the
+// local handler on a self-call.
 func (n *Node) pullChunk(ctx obs.SpanContext, src *blockSource, group int, epoch uint64, slots []wire.Chunk) error {
 	req := &wire.Message{
 		Type: wire.MsgReadChunk, Text: "image", VM: src.vm,
@@ -1060,9 +1049,9 @@ func (n *Node) pullChunk(ctx obs.SpanContext, src *blockSource, group int, epoch
 	}
 	slot := &slots[0]
 	if c.Index != slot.Index || c.Offset != slot.Offset || c.Total != slot.Total || c.Count != slot.Count ||
-		c.Flags != 0 || len(c.Data) != len(slot.Data) {
-		return fmt.Errorf("reply carries chunk %d/%d at [%d,+%d) of %d bytes (flags %#x), want %d/%d at [%d,+%d) of %d",
-			c.Index, c.Count, c.Offset, len(c.Data), c.Total, c.Flags, slot.Index, slot.Count, slot.Offset, len(slot.Data), slot.Total)
+		len(c.Data) != len(slot.Data) {
+		return fmt.Errorf("reply carries chunk %d/%d at [%d,+%d) of %d bytes, want %d/%d at [%d,+%d) of %d",
+			c.Index, c.Count, c.Offset, len(c.Data), c.Total, slot.Index, slot.Count, slot.Offset, len(slot.Data), slot.Total)
 	}
 	for o := range slots {
 		if err := parity.MulSliceInto(slots[o].Data, c.Data, src.coefs[o]); err != nil {

@@ -70,6 +70,18 @@ func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 	if err := coord.Checkpoint(); !errors.As(err, &pce) {
 		t.Fatalf("checkpoint error = %v, want *PartialCommitError", err)
 	}
+	commitSpans := 0
+	for _, s := range tr.TraceSpans(coord.RoundStats().TraceID) {
+		if s.Name == "commit" {
+			commitSpans++
+			if !strings.Contains(s.Attrs["node1"], "injected commit failure") {
+				t.Errorf("commit span gives node1's reason as %q", s.Attrs["node1"])
+			}
+		}
+	}
+	if commitSpans != 1 {
+		t.Errorf("round trace holds %d commit spans, want 1", commitSpans)
+	}
 
 	found, err := obs.FindBundles(dir)
 	if err != nil || len(found) != 1 {
@@ -89,7 +101,8 @@ func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 		t.Fatal("bundle has no flight entries")
 	}
 	// The flight log must hold the failing RPCs against node1 and the
-	// coordinator's closing note naming the epoch and casualty list.
+	// coordinator's closing note naming the epoch, the casualty list and why
+	// each casualty was declared dead.
 	var failedRPC, note bool
 	for _, e := range b.Entries {
 		if e.Kind == "rpc" && e.Peer == "node1" && strings.Contains(e.Err, "injected commit failure") {
@@ -97,6 +110,9 @@ func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 		}
 		if e.Kind == "note" && e.Name == "partial-commit" && e.Attrs["nodes"] == "[1]" {
 			note = true
+			if !strings.Contains(e.Attrs["node1"], "injected commit failure") {
+				t.Errorf("partial-commit note gives node1's reason as %q", e.Attrs["node1"])
+			}
 		}
 	}
 	if !failedRPC {

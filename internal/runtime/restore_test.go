@@ -139,7 +139,7 @@ func TestStreamedRestoreMatchesReconstructMembers(t *testing.T) {
 				}
 				withReadSlot(t, c.slot)
 				cs := c.chunk
-				coord, _ := sizedCluster(t, tc.layout, c.pages, c.pageSize, cs, false)
+				coord, _ := sizedCluster(t, tc.layout, c.pages, c.pageSize, cs)
 				for round := 0; round < 2; round++ {
 					if err := coord.Step(60); err != nil {
 						t.Fatal(err)
@@ -252,7 +252,7 @@ func TestRestoreReadsOneRPCPerSlot(t *testing.T) {
 	const pages, pageSize = 100, 4096
 	for _, cs := range []int{0, 1 << 20} {
 		t.Run(fmt.Sprintf("chunk-%d", cs), func(t *testing.T) {
-			coord, _ := sizedCluster(t, paperLayout(t), pages, pageSize, cs, false)
+			coord, _ := sizedCluster(t, paperLayout(t), pages, pageSize, cs)
 			if err := coord.Step(60); err != nil {
 				t.Fatal(err)
 			}
@@ -479,7 +479,7 @@ func TestFailedRestoreAdoptsNothingAndLeaksNothing(t *testing.T) {
 	const cs, slot = 64, 256 // one-page chunks, four-page slots: 4 per 1 KiB block
 	withReadSlot(t, slot)
 	committed := func(layout *cluster.Layout) *Coordinator {
-		coord, _ := chunkedCluster(t, layout, cs, false)
+		coord, _ := chunkedCluster(t, layout, cs)
 		if err := coord.Step(60); err != nil {
 			t.Fatal(err)
 		}

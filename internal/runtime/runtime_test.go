@@ -73,7 +73,7 @@ func TestSetupAndCheckpointRounds(t *testing.T) {
 // less than one image. A copy per VM would be 12 MiB.
 func TestChecksumsCopyNoImage(t *testing.T) {
 	const pages, pageSize = 256, 4096
-	coord, _ := sizedCluster(t, paperLayout(t), pages, pageSize, 0, false)
+	coord, _ := sizedCluster(t, paperLayout(t), pages, pageSize, 0)
 	if _, err := coord.Checksums(); err != nil { // dials every connection
 		t.Fatal(err)
 	}

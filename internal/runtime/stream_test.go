@@ -99,21 +99,24 @@ func TestStaleAndDuplicateCommit(t *testing.T) {
 	}
 }
 
-// replyGate holds back a daemon's MsgDeltaChunkOK replies while shut: the
-// batches are received and folded, their senders just never hear — a parity
-// peer that has gone slow.
-type replyGate struct {
+// frameGate holds back the frames of one message type a daemon writes while
+// shut. On a listener it holds replies — MsgDeltaChunkOK: the batches are
+// received and folded, their senders just never hear, a parity peer that has
+// gone slow. On a dialer it holds requests — MsgDeltaChunk: a member's batch
+// stays on its way to the parity peer for as long as the test likes.
+type frameGate struct {
+	typ  wire.MsgType
 	mu   sync.Mutex
-	open chan struct{} // closed = replies pass
+	open chan struct{} // closed = frames pass
 }
 
-func newReplyGate() *replyGate {
-	g := &replyGate{open: make(chan struct{})}
+func newFrameGate(typ wire.MsgType) *frameGate {
+	g := &frameGate{typ: typ, open: make(chan struct{})}
 	close(g.open)
 	return g
 }
 
-func (g *replyGate) set(open bool) {
+func (g *frameGate) set(open bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	select {
@@ -128,7 +131,7 @@ func (g *replyGate) set(open bool) {
 	}
 }
 
-func (g *replyGate) listen(addr string) (net.Listener, error) {
+func (g *frameGate) listen(addr string) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -136,9 +139,17 @@ func (g *replyGate) listen(addr string) (net.Listener, error) {
 	return &gatedListener{Listener: ln, g: g}, nil
 }
 
+func (g *frameGate) dial(addr string, timeout time.Duration) (net.Conn, error) {
+	c, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedConn{Conn: c, g: g}, nil
+}
+
 type gatedListener struct {
 	net.Listener
-	g *replyGate
+	g *frameGate
 }
 
 func (l *gatedListener) Accept() (net.Conn, error) {
@@ -151,19 +162,28 @@ func (l *gatedListener) Accept() (net.Conn, error) {
 
 type gatedConn struct {
 	net.Conn
-	g *replyGate
+	g *frameGate
 }
 
-// Write passes everything but a chunk acknowledgement (a reply frame is one
-// Write: 4 length bytes, then the type byte) straight through.
+// Write passes everything but a frame of the gated type straight through. A
+// frame's first Write opens with 4 length bytes, then the type byte; a bulk
+// payload follows in Writes of its own, which wait on the one before them.
 func (c *gatedConn) Write(b []byte) (int, error) {
-	if len(b) > 4 && wire.MsgType(b[4]) == wire.MsgDeltaChunkOK {
+	if len(b) > 4 && wire.MsgType(b[4]) == c.g.typ {
 		c.g.mu.Lock()
 		open := c.g.open
 		c.g.mu.Unlock()
 		<-open
 	}
 	return c.Conn.Write(b)
+}
+
+// nextAttempt begins coord's next round attempt, for a test that prepares and
+// aborts by hand the way CheckpointIn does: once a node has seen an attempt
+// aborted, it refuses batches of any attempt up to that one.
+func nextAttempt(coord *Coordinator) uint64 {
+	coord.attempts++
+	return coord.attempts
 }
 
 // TestOrphanedShipStopsAtNextBatch: prepares stall on a parity peer that
@@ -178,7 +198,7 @@ func TestOrphanedShipStopsAtNextBatch(t *testing.T) {
 	const pages, pageSize = 96, 4096 // 384 KiB a VM: two batches a member once most pages are dirty
 	layout := paperLayout(t)
 	tr := obs.NewTracer(0)
-	gate := newReplyGate()
+	gate := newFrameGate(wire.MsgDeltaChunkOK)
 	const slow = 2
 	nodes := make([]*Node, layout.Nodes)
 	addrs := map[int]string{}
@@ -271,6 +291,90 @@ func TestOrphanedShipStopsAtNextBatch(t *testing.T) {
 	}
 }
 
+// TestStaleBatchOfAbortedAttemptIsRefused: one node's request batches are
+// held on their way to the parity peers while the round times out and aborts
+// and the guests run on; released once the abort has dropped their streams
+// and before the retry prepares, each carries the aborted attempt's render of
+// a stream the retry cuts to the same shape (every page dirty both times). A
+// keeper that took one would open the retry's stream with it, drop the retry's
+// own chunks as re-deliveries and commit parity of guest bytes from before the
+// Step. It must refuse it by its attempt, and the retry must commit state
+// equal to the oracle's.
+func TestStaleBatchOfAbortedAttemptIsRefused(t *testing.T) {
+	const pages, pageSize = 16, 64 // one single-chunk batch a member
+	layout := paperLayout(t)
+	tr := obs.NewTracer(0)
+	gate := newFrameGate(wire.MsgDeltaChunk)
+	const held = 0
+	nodes := make([]*Node, layout.Nodes)
+	addrs := map[int]string{}
+	for i := range nodes {
+		opts := NodeOptions{Tracer: tr}
+		if i == held {
+			opts.Dialer = gate.dial
+		}
+		n, err := NewNodeWith("127.0.0.1:0", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		nodes[i], addrs[i] = n, n.Addr()
+	}
+	t.Cleanup(func() { gate.set(true) }) // runs before the daemons close: they wait for their handlers
+	coord, err := NewCoordinator(layout, addrs, pages, pageSize, 4243)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	coord.SetObserver(tr, nil)
+	coord.SetRPCTimeout(500 * time.Millisecond)
+	if err := coord.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	shadow, err := NewShadow(layout, pages, pageSize, 4243)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(n uint64) {
+		t.Helper()
+		if err := coord.Step(n); err != nil {
+			t.Fatal(err)
+		}
+		shadow.Step(n)
+	}
+	step(16 * pages)
+	if err := coord.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	shadow.Commit()
+
+	step(16 * pages)
+	for _, ms := range nodes[held].snapshotMembers() {
+		if n := ms.mem.Machine().DirtyCount(); n != pages {
+			t.Fatalf("%q has %d of %d pages dirty: the retry's stream would not have the stale one's shape", ms.cfg.Name, n, pages)
+		}
+	}
+	gate.set(false)
+	if err := coord.Checkpoint(); err == nil {
+		t.Fatal("a round whose batches never leave should time out and abort")
+	}
+	shadow.Abort()
+	step(pages)
+	gate.set(true)
+	for deadline := time.Now().Add(10 * time.Second); tr.OpenSpans() != 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d spans of the aborted round never closed", tr.OpenSpans())
+		}
+	}
+	if err := coord.Checkpoint(); err != nil {
+		t.Fatalf("retry of the aborted round: %v", err)
+	}
+	shadow.Commit()
+	if err := oracleDiff(t, coord, shadow); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // captureTwin is the in-process side of TestStreamedRoundsMatchCaptureOracle:
 // one core.Member per VM and one core.MKeeper per parity block, fed whole
 // deltas from CaptureDeltaInto — no chunks, no sockets, no staging.
@@ -292,16 +396,14 @@ func TestStreamedRoundsMatchCaptureOracle(t *testing.T) {
 	for _, ps := range []int{1, 7, 4096, 4097} {
 		for _, rs2 := range []bool{false, true} {
 			for _, skip := range []bool{false, true} {
-				for _, compress := range []bool{false, true} {
-					name := fmt.Sprintf("ps=%d/rs2=%v/skip=%v/compress=%v", ps, rs2, skip, compress)
-					t.Run(name, func(t *testing.T) { streamedVsCaptureOracle(t, ps, rs2, skip, compress) })
-				}
+				name := fmt.Sprintf("ps=%d/rs2=%v/skip=%v", ps, rs2, skip)
+				t.Run(name, func(t *testing.T) { streamedVsCaptureOracle(t, ps, rs2, skip) })
 			}
 		}
 	}
 }
 
-func streamedVsCaptureOracle(t *testing.T, ps int, rs2, skip, compress bool) {
+func streamedVsCaptureOracle(t *testing.T, ps int, rs2, skip bool) {
 	const pages = 80
 	layout := paperLayout(t)
 	if rs2 {
@@ -325,15 +427,8 @@ func streamedVsCaptureOracle(t *testing.T, ps int, rs2, skip, compress bool) {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	// Chunk edges fall inside pages. Compressed rounds get fewer, larger chunks
-	// and fewer scattered writes: a flate writer per chunk is what this test's
-	// time under -race goes to.
-	chunkSize, scattered := 2*ps+ps/2+1, 40
-	if compress {
-		chunkSize, scattered = 8*ps+ps/2+1, 16
-	}
-	coord.SetChunkSize(chunkSize)
-	coord.SetCompress(compress)
+	// Chunk edges fall inside pages.
+	coord.SetChunkSize(2*ps + ps/2 + 1)
 	coord.SetDedup(skip)
 	if rs2 {
 		// Set after validation, the way a degraded recovery would leave it.
@@ -461,7 +556,7 @@ func streamedVsCaptureOracle(t *testing.T, ps int, rs2, skip, compress bool) {
 	// The first member of group 0 is the one whose parity[1] is local under rs2.
 	hot := layout.Groups[0].Members[0]
 	for round, abort := range []bool{false, true, true, false} {
-		write(hot, scattered)
+		write(hot, 40)
 		when := fmt.Sprintf("round %d (abort=%v)", round, abort)
 		if !abort {
 			if err := coord.Checkpoint(); err != nil {
@@ -525,7 +620,7 @@ func streamedVsCaptureOracle(t *testing.T, ps int, rs2, skip, compress bool) {
 func TestKeeperFootprint(t *testing.T) {
 	const pages, pageSize = 256, 4096
 	layout := paperLayout(t)
-	coord, nodes := sizedCluster(t, layout, pages, pageSize, 0, false)
+	coord, nodes := sizedCluster(t, layout, pages, pageSize, 0)
 	shadow, err := NewShadow(layout, pages, pageSize, 12345)
 	if err != nil {
 		t.Fatal(err)
@@ -598,8 +693,8 @@ func TestKeeperFootprint(t *testing.T) {
 	}
 }
 
-// TestRoundPoolBalance: a round's buffers — the sender's batch buffers, the
-// compress path's chunk buffers, the receiver's frames — each have one owner
+// TestRoundPoolBalance: a round's buffers — the sender's batch buffers and
+// the receiver's frames — each have one owner
 // that returns them on every exit, so warm rounds that commit, abort, or lose
 // a parity peer in the middle of a ship draw from the pool instead of the
 // heap; and a dense round allocates bookkeeping, not payload: under a tenth of
@@ -662,13 +757,14 @@ func TestRoundPoolBalance(t *testing.T) {
 		if err := coord.Step(3000); err != nil {
 			t.Fatal(err)
 		}
+		attempt := nextAttempt(coord)
 		for i, n := range nodes {
-			if _, err := n.handle(&wire.Message{Type: wire.MsgPrepare, Epoch: coord.Epoch() + 1}); err != nil {
+			if _, err := n.handle(&wire.Message{Type: wire.MsgPrepare, Epoch: coord.Epoch() + 1, Arg: attempt}); err != nil {
 				t.Fatalf("prepare node %d: %v", i, err)
 			}
 		}
 		for i, n := range nodes {
-			if _, err := n.handle(&wire.Message{Type: wire.MsgAbort, Epoch: coord.Epoch() + 1}); err != nil {
+			if _, err := n.handle(&wire.Message{Type: wire.MsgAbort, Epoch: coord.Epoch() + 1, Arg: attempt}); err != nil {
 				t.Fatalf("abort node %d: %v", i, err)
 			}
 		}

@@ -2,11 +2,9 @@ package wire
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 )
 
 // Chunk framing: the checkpoint data path ships deltas, images, and parity
@@ -15,13 +13,13 @@ import (
 // chunk is one contiguous byte range of the stream, self-describing enough to
 // be folded or assembled on arrival in any order:
 //
-//	offset  u64  byte offset of the chunk's (inflated) data in the stream
+//	offset  u64  byte offset of the chunk's data in the stream
 //	total   u64  total stream bytes
 //	index   u32  chunk ordinal within the stream, < count
 //	count   u32  chunks in the stream
-//	flags   u8   bit 0: data is flate-compressed
-//	rawlen  u32  inflated data length (== datalen when uncompressed)
-//	datalen u32  carried (possibly compressed) bytes
+//	flags   u8   always 0; a frame with any flag set is refused
+//	rawlen  u32  data length
+//	datalen u32  data length again (== rawlen)
 //	crc     u32  IEEE CRC32 of the whole encoding with this field zeroed
 //	data    ...
 //
@@ -44,11 +42,6 @@ const DefaultChunkSize = 64 << 10
 // make an assembler allocate unbounded bookkeeping.
 const MaxChunkCount = 1 << 16
 
-// ChunkFlate marks a chunk whose data is flate-compressed.
-const ChunkFlate = 1 << 0
-
-const chunkKnownFlags = ChunkFlate
-
 // zeroCRC stands in for a frame's crc field when the CRC is verified. It is a
 // package variable because a local array passed to crc32.Update escapes to
 // the heap, one allocation per decoded frame. Never written.
@@ -61,8 +54,7 @@ type Chunk struct {
 	Total  uint64
 	Index  uint32
 	Count  uint32
-	Flags  uint8
-	RawLen uint32 // inflated data length
+	RawLen uint32 // data length
 	Data   []byte
 }
 
@@ -109,26 +101,6 @@ func ChunkAt(total, index, chunkSize int) (Chunk, error) {
 	}, nil
 }
 
-// Deflate attempts to flate-compress the chunk's data (RawLen must already
-// describe it). The compressed form is kept only when strictly smaller.
-func (c *Chunk) Deflate() {
-	if c.Flags&ChunkFlate != 0 || len(c.Data) == 0 {
-		return
-	}
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return
-	}
-	if _, err := w.Write(c.Data); err != nil || w.Close() != nil {
-		return
-	}
-	if buf.Len() < len(c.Data) {
-		c.Data = buf.Bytes()
-		c.Flags |= ChunkFlate
-	}
-}
-
 // appendChunkHeader renders the chunk header for a chunk whose carried bytes
 // are the concatenation of data (c.Data is not consulted): the length field
 // and the CRC — over the header with its crc field zeroed, then the data —
@@ -144,7 +116,7 @@ func appendChunkHeader(dst []byte, c *Chunk, data [][]byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, c.Total)
 	dst = binary.LittleEndian.AppendUint32(dst, c.Index)
 	dst = binary.LittleEndian.AppendUint32(dst, c.Count)
-	dst = append(dst, c.Flags)
+	dst = append(dst, 0) // flags
 	dst = binary.LittleEndian.AppendUint32(dst, c.RawLen)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(dataLen))
 	dst = binary.LittleEndian.AppendUint32(dst, 0) // crc placeholder
@@ -215,7 +187,7 @@ func DecodeChunk(b []byte) (Chunk, error) {
 	c.Total = binary.LittleEndian.Uint64(b[8:])
 	c.Index = binary.LittleEndian.Uint32(b[16:])
 	c.Count = binary.LittleEndian.Uint32(b[20:])
-	c.Flags = b[24]
+	flags := b[24]
 	c.RawLen = binary.LittleEndian.Uint32(b[25:])
 	dataLen := binary.LittleEndian.Uint32(b[29:])
 	crc := binary.LittleEndian.Uint32(b[33:])
@@ -230,8 +202,8 @@ func DecodeChunk(b []byte) (Chunk, error) {
 	if sum != crc {
 		return bad("crc mismatch (got %08x, header says %08x)", sum, crc)
 	}
-	if c.Flags&^uint8(chunkKnownFlags) != 0 {
-		return bad("unknown flags %#x", c.Flags)
+	if flags != 0 {
+		return bad("flags %#x set", flags)
 	}
 	if c.Count == 0 || c.Count > MaxChunkCount {
 		return bad("count %d out of range", c.Count)
@@ -245,35 +217,11 @@ func DecodeChunk(b []byte) (Chunk, error) {
 	if c.RawLen > MaxFrame || c.Offset+uint64(c.RawLen) > c.Total {
 		return bad("range [%d,+%d) outside total %d", c.Offset, c.RawLen, c.Total)
 	}
-	if c.Flags&ChunkFlate == 0 && c.RawLen != dataLen {
-		return bad("uncompressed chunk claims rawlen %d with %d data bytes", c.RawLen, dataLen)
+	if c.RawLen != dataLen {
+		return bad("rawlen %d with %d data bytes", c.RawLen, dataLen)
 	}
 	c.Data = b[ChunkHeaderLen:]
 	return c, nil
-}
-
-// Inflate returns the chunk's uncompressed data: Data itself when the chunk
-// is raw (aliasing it), or a fresh buffer from alloc (nil = make) when
-// flate-compressed. The inflated size must match RawLen exactly.
-func (c Chunk) Inflate(alloc func(int) []byte) ([]byte, error) {
-	if c.Flags&ChunkFlate == 0 {
-		return c.Data, nil
-	}
-	if alloc == nil {
-		alloc = func(n int) []byte { return make([]byte, n) }
-	}
-	out := alloc(int(c.RawLen))
-	r := flate.NewReader(bytes.NewReader(c.Data))
-	defer r.Close()
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, fmt.Errorf("%w: chunk inflate: %v", ErrFrame, err)
-	}
-	// The stream must end exactly at RawLen.
-	var sniff [1]byte
-	if n, _ := r.Read(sniff[:]); n != 0 {
-		return nil, fmt.Errorf("%w: chunk inflates past rawlen %d", ErrFrame, c.RawLen)
-	}
-	return out, nil
 }
 
 // Assembler reassembles a chunk stream into its contiguous byte image.
@@ -283,7 +231,7 @@ func (c Chunk) Inflate(alloc func(int) []byte) ([]byte, error) {
 // different chunks, a duplicate index with different content, or headers
 // disagreeing about the stream shape — is a hard error.
 type Assembler struct {
-	// Alloc provides the backing buffer (and inflate scratch); nil = make.
+	// Alloc provides the backing buffer; nil = make.
 	// Set it before the first Add.
 	Alloc func(int) []byte
 
@@ -322,13 +270,9 @@ func (a *Assembler) Add(c Chunk) error {
 	if c.Index >= a.count || c.Offset+uint64(c.RawLen) > a.total {
 		return bad("chunk %d range [%d,+%d) outside stream", c.Index, c.Offset, c.RawLen)
 	}
-	data, err := c.Inflate(a.Alloc)
-	if err != nil {
-		return err
-	}
 	if a.seen[c.Index] {
 		if c.Offset != a.offs[c.Index] || c.RawLen != a.lens[c.Index] ||
-			!bytes.Equal(data, a.buf[c.Offset:c.Offset+uint64(c.RawLen)]) {
+			!bytes.Equal(c.Data, a.buf[c.Offset:c.Offset+uint64(c.RawLen)]) {
 			return bad("chunk %d re-delivered with different content", c.Index)
 		}
 		return nil // idempotent duplicate
@@ -342,7 +286,7 @@ func (a *Assembler) Add(c Chunk) error {
 				c.Index, c.Offset, c.RawLen, i, a.offs[i], a.lens[i])
 		}
 	}
-	copy(a.buf[c.Offset:], data)
+	copy(a.buf[c.Offset:], c.Data)
 	a.offs[c.Index], a.lens[c.Index] = c.Offset, c.RawLen
 	a.seen[c.Index] = true
 	a.got++

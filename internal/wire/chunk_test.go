@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 )
@@ -220,41 +222,33 @@ func TestDecodeChunkPrefixRejectsMangledBatch(t *testing.T) {
 	}
 }
 
-func TestChunkDeflateRoundTrip(t *testing.T) {
-	// Highly compressible data must shrink; random data must stay raw.
-	c, err := ChunkOf(bytes.Repeat([]byte{0xAB}, 8192), 0, 8192)
+// TestChunkDecodeRefusesFlags: the flags byte is always written 0, and a
+// frame with any flag set is refused even when its CRC is valid — the decoder
+// knows one encoding, so a keeper never folds bytes it cannot read as raw.
+func TestChunkDecodeRefusesFlags(t *testing.T) {
+	c, err := ChunkOf(bytes.Repeat([]byte{0xAB}, 64), 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Deflate()
-	if c.Flags&ChunkFlate == 0 {
-		t.Fatal("compressible chunk not deflated")
+	enc := EncodeChunk(&c)
+	if enc[24] != 0 {
+		t.Fatalf("flags byte encoded as %#x", enc[24])
 	}
-	if len(c.Data) >= int(c.RawLen) {
-		t.Fatalf("deflated to %d bytes, raw %d", len(c.Data), c.RawLen)
+	for _, flags := range []byte{1, 0x80} {
+		if _, err := DecodeChunk(withFlags(enc, flags)); !errors.Is(err, ErrFrame) {
+			t.Fatalf("flags %#x with a valid CRC: err = %v, want ErrFrame", flags, err)
+		}
 	}
-	got, err := DecodeChunk(EncodeChunk(&c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := got.Inflate(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, bytes.Repeat([]byte{0xAB}, 8192)) {
-		t.Fatal("inflate mismatch")
-	}
+}
 
-	rnd := make([]byte, 4096)
-	rand.New(rand.NewSource(12)).Read(rnd)
-	r, err := ChunkOf(rnd, 0, 8192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Deflate()
-	if r.Flags&ChunkFlate != 0 {
-		t.Fatal("incompressible chunk was deflated")
-	}
+// withFlags returns a copy of a chunk encoding with its flags byte set to
+// flags and the CRC recomputed over the result, so only the flags are wrong.
+func withFlags(enc []byte, flags byte) []byte {
+	b := append([]byte(nil), enc...)
+	b[24] = flags
+	binary.LittleEndian.PutUint32(b[ChunkHeaderLen-4:], 0)
+	binary.LittleEndian.PutUint32(b[ChunkHeaderLen-4:], crc32.ChecksumIEEE(b))
+	return b
 }
 
 func TestAssemblerOutOfOrderAndDuplicates(t *testing.T) {

@@ -19,7 +19,7 @@ const corpusDir = "testdata/fuzz/FuzzDecode"
 
 // chaosCorpus deterministically generates the checked-in seed corpus for
 // FuzzDecode: frame bodies mangled the way the chaos transport layer (and a
-// hostile network) mangles them — bit flips, truncations, inflated length
+// hostile network) mangles them — bit flips, truncations, oversized length
 // fields, trailing garbage — plus a few valid frames as canonical anchors.
 // The generator is the source of truth; TestChaosCorpusCheckedIn fails if
 // the files on disk drift from it (rerun with -regen-corpus to refresh).

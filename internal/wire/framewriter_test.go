@@ -17,18 +17,17 @@ var regenSGCorpus = flag.Bool("regen-sg-corpus", false, "rewrite the scatter-gat
 
 const sgCorpusDir = "testdata/fuzz/FuzzScatterGatherFrames"
 
-// sgSeed is one scatter-gather fuzz seed: a stream to chunk, the chunk
-// payload size, and whether to flate-compress alternating chunks.
+// sgSeed is one scatter-gather fuzz seed: a stream to chunk and the chunk
+// payload size.
 type sgSeed struct {
 	block     []byte
 	chunkSize int
-	deflate   bool
 }
 
 // sgCorpus deterministically generates the checked-in seed corpus for
 // FuzzScatterGatherFrames: empty and single-byte streams, word-boundary-
-// straddling chunk sizes, highly compressible data (so the flate path
-// produces RawLen != datalen frames), and page-scale random blocks. The
+// straddling chunk sizes, repetitive and random mid-size data, and
+// page-scale random blocks. The
 // generator is the source of truth; TestSGCorpusCheckedIn fails if the
 // files on disk drift (rerun with -regen-sg-corpus to refresh).
 func sgCorpus() []sgSeed {
@@ -39,13 +38,13 @@ func sgCorpus() []sgSeed {
 		return b
 	}
 	return []sgSeed{
-		{nil, 64, false},         // empty stream still ships one frame
-		{[]byte{0xA5}, 1, false}, // single byte, chunk per byte
-		{randb(37), 7, false},    // header-size block, odd chunks
-		{bytes.Repeat([]byte("checkpoint"), 200), 512, true}, // compressible, flate on
-		{randb(3000), 1024, false},                           // incompressible mid-size
-		{randb(4093), 37, true},                              // odd total, header-sized chunks
-		{randb(4 * 4096), 4096, false},                       // page-aligned stream
+		{nil, 64},         // empty stream still ships one frame
+		{[]byte{0xA5}, 1}, // single byte, chunk per byte
+		{randb(37), 7},    // header-size block, odd chunks
+		{bytes.Repeat([]byte("checkpoint"), 200), 512}, // repetitive mid-size
+		{randb(3000), 1024},                            // random mid-size
+		{randb(4093), 37},                              // odd total, header-sized chunks
+		{randb(4 * 4096), 4096},                        // page-aligned stream
 	}
 }
 
@@ -54,12 +53,11 @@ func sgCorpusPath(i int) string {
 }
 
 // encodeSGCorpusEntry renders one seed in the `go test fuzz v1` format for
-// the (block, chunkSize, deflate) fuzz signature.
+// the (block, chunkSize) fuzz signature.
 func encodeSGCorpusEntry(s sgSeed) []byte {
 	return []byte("go test fuzz v1\n" +
 		"[]byte(" + strconv.Quote(string(s.block)) + ")\n" +
-		"int(" + strconv.Itoa(s.chunkSize) + ")\n" +
-		"bool(" + strconv.FormatBool(s.deflate) + ")\n")
+		"int(" + strconv.Itoa(s.chunkSize) + ")\n")
 }
 
 // TestSGCorpusCheckedIn pins the checked-in corpus to the generator.
@@ -93,7 +91,7 @@ func TestSGCorpusCheckedIn(t *testing.T) {
 // contiguous AppendChunk encoding, frames a Message through the segmented
 // WriteFrame path, and decodes everything back through the unchanged
 // DecodeChunkPrefix/Assembler pipeline.
-func sgRoundTrip(t *testing.T, block []byte, chunkSize int, deflate bool) {
+func sgRoundTrip(t *testing.T, block []byte, chunkSize int) {
 	t.Helper()
 	count := ChunkCount(len(block), chunkSize)
 	if count > MaxChunkCount {
@@ -112,11 +110,7 @@ func sgRoundTrip(t *testing.T, block []byte, chunkSize int, deflate bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if deflate && i%2 == 0 {
-			c.Deflate()
-		}
-		// One-segment scatter: the form the compressing ship path appends
-		// (each planned chunk flattened, deflated, then framed whole).
+		// One-segment scatter: each chunk's data framed whole.
 		fw.AppendChunkScatter(&c, [][]byte{c.Data})
 		var pieces [][]byte
 		for at, pi := 0, i; at < len(c.Data); pi++ {
@@ -184,9 +178,9 @@ func sgRoundTrip(t *testing.T, block []byte, chunkSize int, deflate bool) {
 // unchanged DecodeChunk/Assembler path.
 func FuzzScatterGatherFrames(f *testing.F) {
 	for _, e := range sgCorpus() {
-		f.Add(e.block, e.chunkSize, e.deflate)
+		f.Add(e.block, e.chunkSize)
 	}
-	f.Fuzz(func(t *testing.T, block []byte, chunkSize int, deflate bool) {
+	f.Fuzz(func(t *testing.T, block []byte, chunkSize int) {
 		if len(block) > 1<<18 {
 			t.Skip("block beyond test scale")
 		}
@@ -194,7 +188,7 @@ func FuzzScatterGatherFrames(f *testing.F) {
 		if chunkSize == 0 {
 			chunkSize = 1
 		}
-		sgRoundTrip(t, block, chunkSize, deflate)
+		sgRoundTrip(t, block, chunkSize)
 	})
 }
 
@@ -202,17 +196,9 @@ func FuzzScatterGatherFrames(f *testing.F) {
 // full round trip as a plain test, so the property holds in `go test` runs
 // without the fuzz engine.
 func TestScatterGatherCorpusRoundTrips(t *testing.T) {
-	// Beyond the pinned corpus: the compressed ship path's shape — a run of
-	// XOR-delta pages (a few changed bytes each, the rest zero) cut at the
-	// default chunk size with flate on.
-	sparse := make([]byte, 40*4096)
-	for i := 0; i < len(sparse); i += 4096 {
-		sparse[i+7] = byte(i>>12) + 1
-	}
-	for i, e := range append(sgCorpus(), sgSeed{sparse, DefaultChunkSize, true}) {
-		e := e
+	for i, e := range sgCorpus() {
 		t.Run(fmt.Sprintf("seed-%03d", i), func(t *testing.T) {
-			sgRoundTrip(t, e.block, e.chunkSize, e.deflate)
+			sgRoundTrip(t, e.block, e.chunkSize)
 		})
 	}
 }
