@@ -18,12 +18,12 @@ test:
 # reaching its keeper after the abort, commits racing folds, handler folds on
 # concurrent connections, staged folds racing aborts and parity reads, a
 # restore's read slots folding concurrently while a pull fails, a decoder dying
-# or refused between its decode and the handoff, with the recovery retried) or
-# a keeper's footprint across rounds: one pass under the detector sees one
-# schedule.
+# or refused between its decode and the handoff, with the recovery retried), a
+# keeper's or a member's footprint across rounds, or what a respawned member
+# allocates: one pass under the detector sees one schedule.
 race:
 	$(GO) test -race ./internal/runtime/ ./internal/transport/ ./internal/chaos/ ./internal/core/ ./internal/sim/ ./internal/service/ ./internal/parity/ ./internal/wire/ ./internal/cluster/
-	$(GO) test -race -count=5 -run 'TestOrphanedShipStopsAtNextBatch|TestStaleBatchOfAbortedAttemptIsRefused|TestStaleAndDuplicateCommit|TestRoundPoolBalance|TestKeeperFootprint|TestAbortRacesInFlightFolds|TestStagedFoldsAbortsAndReadsInterleave|TestConcurrentGroupFoldRace|TestDuplicateChunkRedeliveryMidFoldRace|TestFailedRestoreAdoptsNothingAndLeaksNothing|TestRecoveryPoolBalance' ./internal/runtime/
+	$(GO) test -race -count=5 -run 'TestOrphanedShipStopsAtNextBatch|TestStaleBatchOfAbortedAttemptIsRefused|TestStaleAndDuplicateCommit|TestRoundPoolBalance|TestKeeperFootprint|TestMemberFootprint|TestNewMemberAtCopiesNothing|TestAbortRacesInFlightFolds|TestStagedFoldsAbortsAndReadsInterleave|TestConcurrentGroupFoldRace|TestDuplicateChunkRedeliveryMidFoldRace|TestFailedRestoreAdoptsNothingAndLeaksNothing|TestRecoveryPoolBalance' ./internal/runtime/ ./internal/core/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
@@ -91,8 +91,8 @@ obs-demo:
 # Decode, the chunk reassembly path, the scatter-gather frame encoder, the
 # GF(256) slice kernel's vector and table-walk paths, the XOR slice kernels,
 # a keeper's staged folds against its contiguous and whole-delta references,
-# and the service journal's recovery path. The same nine targets as CI's
-# fuzz job.
+# a member's pre-images against a full committed copy, and the service
+# journal's recovery path. The same ten targets as CI's fuzz job.
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/wire/ -fuzz FuzzReadFrame -fuzztime 30s
@@ -101,6 +101,7 @@ fuzz:
 	$(GO) test ./internal/parity/ -fuzz FuzzGfSliceKernels -fuzztime 60s
 	$(GO) test ./internal/parity/ -fuzz FuzzXORKernels -fuzztime 30s
 	$(GO) test ./internal/core/ -fuzz FuzzMKeeperStage -fuzztime 30s
+	$(GO) test ./internal/core/ -fuzz FuzzMemberPreimages -fuzztime 30s
 	$(GO) test ./internal/checkpoint/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/service/ -fuzz FuzzJournalReplay -fuzztime 30s
 

@@ -2,7 +2,10 @@ package main
 
 import (
 	"flag"
+	"os/exec"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"dvdc/internal/runtime"
@@ -44,6 +47,23 @@ func TestFlagDefaultsMatchLibrary(t *testing.T) {
 	// which a reproduction run must opt into.
 	if f := fs.Lookup("adaptive"); f != nil && f.DefValue != "false" {
 		t.Errorf("-adaptive default = %s, want false", f.DefValue)
+	}
+}
+
+// TestSmallPagesSoakClean runs the built command on 4-byte pages, smaller
+// than the workloads' 8-byte stamp: every invariant must hold and the command
+// must exit 0.
+func TestSmallPagesSoakClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the command")
+	}
+	bin := filepath.Join(t.TempDir(), "dvdcsoak")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "-page-size", "4", "-rounds", "2", "-kill-mtbf", "0").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "all invariants held") {
+		t.Fatalf("dvdcsoak -page-size 4: %v\n%s", err, out)
 	}
 }
 

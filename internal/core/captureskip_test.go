@@ -127,7 +127,7 @@ func TestCaptureSkipMatchesNoSkip(t *testing.T) {
 						sawTail = sawTail || tailOnly > 0
 						skip.mem.Unstage(ds)
 						plain.mem.Unstage(dp)
-						if !bytes.Equal(skip.mem.CommittedView(), before) || !bytes.Equal(plain.mem.CommittedView(), before) {
+						if !bytes.Equal(skip.mem.CommittedImage(), before) || !bytes.Equal(plain.mem.CommittedImage(), before) {
 							t.Fatalf("epoch %d: an unstaged capture moved the committed image", epoch)
 						}
 						if skip.mem.Epoch() != ds.Epoch-1 || plain.mem.Epoch() != skip.mem.Epoch() {
@@ -157,10 +157,10 @@ func TestCaptureSkipMatchesNoSkip(t *testing.T) {
 							t.Fatalf("epoch %d: skip capture kept all-zero page %d", epoch, p.Index)
 						}
 					}
-					if !bytes.Equal(skip.mem.CommittedView(), plain.mem.CommittedView()) {
+					if !bytes.Equal(skip.mem.CommittedImage(), plain.mem.CommittedImage()) {
 						t.Fatalf("epoch %d: committed images diverge", epoch)
 					}
-					if !bytes.Equal(skip.mem.CommittedView(), skip.m.Image()) {
+					if !bytes.Equal(skip.mem.CommittedImage(), skip.m.Image()) {
 						t.Fatalf("epoch %d: skip capture left the committed image behind the machine", epoch)
 					}
 					sawSkip = sawSkip || unchanged > 0

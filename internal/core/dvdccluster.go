@@ -409,10 +409,7 @@ func (c *Cluster) FailNodes(ns ...int) (*FailureReport, error) {
 		if lostSet[name] {
 			continue // already at the committed state by reconstruction
 		}
-		// Whole captures leave nothing staged.
-		if err := mem.Rollback(nil); err != nil {
-			return nil, fmt.Errorf("core: rollback %q: %w", name, err)
-		}
+		mem.Rollback()
 		c.stats.Rollbacks++
 	}
 

@@ -209,14 +209,19 @@ func (c *Cluster) moveVM(name string, target int, index *migrate.HashIndex) (mig
 
 // adopt transfers another member's protocol identity (committed image and
 // epoch) onto this member, whose machine must already hold the same live
-// state (a completed migration guarantees it). dirty lists the pages that
-// were dirty on the source since its last commit; they are re-marked so the
-// next capture includes them.
+// state (a completed migration guarantees it), so only the old member's
+// pre-images are copied: every other committed page is the live page both
+// machines hold. dirty lists the pages that were dirty on the source since
+// its last commit; they are re-marked so the next capture includes them.
 func (mem *Member) adopt(old *Member, dirty []int) error {
 	if mem.machine.ImageBytes() != old.machine.ImageBytes() {
 		return fmt.Errorf("core: adopt geometry mismatch")
 	}
-	mem.committed = append(mem.committed[:0], old.committed...)
+	for i, p := range old.pre {
+		if p != nil {
+			mem.keep(i, p)
+		}
+	}
 	mem.epoch = old.epoch
 	for _, i := range dirty {
 		mem.machine.MarkDirty(i)

@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"crypto/subtle"
 	"fmt"
+	"hash"
 
 	"dvdc/internal/checkpoint"
 	"dvdc/internal/parity"
@@ -48,40 +49,57 @@ func (d *Delta) PayloadBytes() int64 {
 // Member is the per-VM state on its hosting node: the running machine plus
 // the last committed checkpoint image, kept locally so rollback never
 // touches the network (the essence of diskless checkpointing).
+//
+// The committed image is not a second copy of the guest. A page the guest has
+// not written since the member's last commit, rollback or restore holds its
+// committed bytes live; a page it has written keeps them as a pre-image, which
+// the member's write hook copies on the first write, copy-on-write like
+// Plank's forked checkpoint (internal/checkpoint). So a page has a pre-image
+// exactly when it is dirty or staged, and the member holds its image plus the
+// pages written since its last commit. Pre-images come off the member's own
+// free list and go back to it, so a round that writes no more pages than an
+// earlier one allocates nothing.
 type Member struct {
-	machine   *vm.Machine
-	committed []byte // image as of the last committed checkpoint
-	epoch     uint64 // protocol epoch of the committed image (0 = initial)
+	machine *vm.Machine
+	epoch   uint64   // protocol epoch of the committed image (0 = initial)
+	pre     [][]byte // pre[i]: page i's committed bytes if written since, else nil
+	held    int      // non-nil entries of pre
+	free    [][]byte // spare pre-image pages
 }
 
 // NewMember wraps a machine and takes its initial full checkpoint (protocol
 // epoch 0), which the caller must feed to the group's Keeper as the base for
-// parity. The protocol epoch is the member's own counter, deliberately
+// parity: the machine's current memory is the committed image, and nothing is
+// copied. The protocol epoch is the member's own counter, deliberately
 // independent of vm.Machine's dirty-tracking epoch: a machine rebuilt during
 // recovery starts a fresh dirty-tracking history but resumes the protocol
-// epoch of the image it was restored to.
+// epoch of the image it was restored to. Every write to the machine must go
+// through its write hooks from here on (LoadImage is RestoreImage's alone).
 func NewMember(m *vm.Machine) (*Member, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: nil machine")
 	}
-	mem := &Member{machine: m}
-	mem.committed = m.Image()
+	mem := &Member{machine: m, pre: make([][]byte, m.NumPages())}
+	m.AddWriteHook(mem.keep)
 	m.BeginEpoch()
 	return mem, nil
 }
 
 // NewMemberAt respawns VM id from a checkpoint: a clean machine of pageSize
-// pages built from one copy of committed, which the member then keeps as its
-// committed image at the given protocol epoch. It takes ownership of
-// committed — the machine's copy is the only one made — so the caller must
-// not touch the buffer afterwards.
+// pages built over committed itself, the committed image at the given
+// protocol epoch. It takes ownership of committed — nothing is copied — so
+// the caller must not touch the buffer afterwards.
 func NewMemberAt(id string, pageSize int, committed []byte, epoch uint64) (*Member, error) {
 	m, err := vm.NewMachineFrom(id, pageSize, committed)
 	if err != nil {
 		return nil, err
 	}
-	m.BeginEpoch()
-	return &Member{machine: m, committed: committed, epoch: epoch}, nil
+	mem, err := NewMember(m)
+	if err != nil {
+		return nil, err
+	}
+	mem.epoch = epoch
+	return mem, nil
 }
 
 // Machine returns the underlying VM.
@@ -90,17 +108,89 @@ func (mem *Member) Machine() *vm.Machine { return mem.machine }
 // Epoch returns the committed checkpoint epoch.
 func (mem *Member) Epoch() uint64 { return mem.epoch }
 
+// Footprint returns the bytes the member holds for the guest: the live
+// image, its pre-images and its free list. It never exceeds the image plus
+// the most pages one round has written, times the page size.
+func (mem *Member) Footprint() int {
+	return int(mem.machine.ImageBytes()) + (mem.held+len(mem.free))*mem.machine.PageSize()
+}
+
+// committedPage returns page i's committed bytes: its pre-image, or the live
+// page when the guest has not written it since the last commit.
+func (mem *Member) committedPage(i int) []byte {
+	if p := mem.pre[i]; p != nil {
+		return p
+	}
+	return mem.machine.Page(i)
+}
+
 // CommittedImage returns a copy of the last committed checkpoint image;
 // during recovery this is what the member contributes to reconstruction.
 func (mem *Member) CommittedImage() []byte {
-	return append([]byte(nil), mem.committed...)
+	out := make([]byte, mem.machine.ImageBytes())
+	mem.CommittedInto(out, 0)
+	return out
 }
 
-// CommittedView returns the committed image itself, not a copy. The view
-// aliases the member's state: it is read-only and valid only until the member
-// next advances or restores — the chunked read path encodes a range of it into
-// a reply frame while holding the member's lock.
-func (mem *Member) CommittedView() []byte { return mem.committed }
+// CommittedInto copies committed image bytes [off, off+len(dst)) into dst, a
+// range that must lie inside the image, a page at a time. The chunked read
+// path renders a served range straight into its reply frame this way, holding
+// the member's lock.
+func (mem *Member) CommittedInto(dst []byte, off int) {
+	ps := mem.machine.PageSize()
+	for len(dst) > 0 {
+		n := copy(dst, mem.committedPage(off / ps)[off%ps:])
+		dst, off = dst[n:], off+n
+	}
+}
+
+// HashCommitted writes the committed image into h page by page, in order,
+// without materializing a copy.
+func (mem *Member) HashCommitted(h hash.Hash) {
+	for i := range mem.pre {
+		h.Write(mem.committedPage(i))
+	}
+}
+
+// keep is the member's write hook: the first write to a page since the last
+// commit copies the page's pre-write bytes, its committed bytes, into a page
+// off the free list.
+func (mem *Member) keep(i int, old []byte) {
+	if mem.pre[i] != nil {
+		return
+	}
+	p := mem.takePage()
+	copy(p, old)
+	mem.pre[i] = p
+	mem.held++
+}
+
+// release drops page i's pre-image, if it has one, to the free list: the
+// live page holds its committed bytes again.
+func (mem *Member) release(i int) {
+	if p := mem.pre[i]; p != nil {
+		mem.free = append(mem.free, p)
+		mem.pre[i] = nil
+		mem.held--
+	}
+}
+
+// releaseAll drops every pre-image to the free list.
+func (mem *Member) releaseAll() {
+	for i := range mem.pre {
+		mem.release(i)
+	}
+}
+
+// takePage returns a page-sized buffer from the free list, or a fresh one.
+func (mem *Member) takePage() []byte {
+	if last := len(mem.free) - 1; last >= 0 {
+		p := mem.free[last]
+		mem.free = mem.free[:last]
+		return p
+	}
+	return make([]byte, mem.machine.PageSize())
+}
 
 // CaptureDelta closes the current epoch: it snapshots the dirty pages,
 // computes their XOR against the committed image, advances the committed
@@ -144,23 +234,25 @@ func (mem *Member) CaptureInto(alloc func(int) []byte, skipUnchanged bool) (d *D
 // member's epoch moves — Advance does that at commit, Unstage takes the
 // capture back — so an aborted round has nothing to undo.
 //
-// With skipUnchanged, a dirty page whose live content equals the committed
-// image is left out and only counted: its XOR delta is all zero, so folding it
-// into parity is a no-op and shipping it is waste (a guest storing back the
-// bytes already there dirties the page without changing it). unchanged +
-// len(d.Pages) is the dirty count. The comparison is byte-exact against the
-// member's own committed image: no cache, no invalidation rule, and it cannot
-// skip a page that changed.
+// With skipUnchanged, a dirty page whose live content equals its pre-image is
+// left out and only counted, and its pre-image is released: its XOR delta is
+// all zero, so folding it into parity is a no-op and shipping it is waste (a
+// guest storing back the bytes already there dirties the page without
+// changing it). unchanged + len(d.Pages) is the dirty count. The pre-image is
+// the committed page itself, so the comparison is byte-exact: no cache, no
+// invalidation rule, and it cannot skip a page that changed.
 //
 // Between Stage and Advance the guest must not run: the delta is read from
-// the live pages whenever DeltaInto is called, and Advance copies them.
+// the live pages whenever DeltaInto is called, and Advance commits them.
 func (mem *Member) Stage(skipUnchanged bool) (d *Delta, unchanged int) {
 	m := mem.machine
-	ps := m.PageSize()
-	dirty := m.DirtyPages()
-	d = &Delta{VMID: m.ID(), Epoch: mem.epoch + 1, Pages: make([]checkpoint.PageRecord, 0, len(dirty))}
-	for _, i := range dirty {
-		if skipUnchanged && bytes.Equal(m.Page(i), mem.committed[i*ps:(i+1)*ps]) {
+	d = &Delta{VMID: m.ID(), Epoch: mem.epoch + 1, Pages: make([]checkpoint.PageRecord, 0, m.DirtyCount())}
+	for i := range mem.pre {
+		if !m.IsDirty(i) {
+			continue
+		}
+		if skipUnchanged && bytes.Equal(m.Page(i), mem.pre[i]) {
+			mem.release(i)
 			unchanged++
 			continue
 		}
@@ -171,23 +263,30 @@ func (mem *Member) Stage(skipUnchanged bool) (d *Delta, unchanged int) {
 }
 
 // DeltaInto writes live XOR committed for the image bytes [off, off+len(dst))
-// into dst — the one subtle.XORBytes kernel, a page at a time because the
-// machine hands out pages. The range may start and end inside a page.
+// into dst — the one subtle.XORBytes kernel against each page's pre-image, a
+// page at a time; a page with no pre-image is unchanged and renders zeros.
+// The range may start and end inside a page.
 func (mem *Member) DeltaInto(dst []byte, off int) {
 	ps := mem.machine.PageSize()
 	for len(dst) > 0 {
-		live := mem.machine.Page(off / ps)[off%ps:]
+		i, lo := off/ps, off%ps
+		live := mem.machine.Page(i)[lo:]
 		n := min(len(live), len(dst))
-		subtle.XORBytes(dst[:n], live[:n], mem.committed[off:off+n])
+		if pre := mem.pre[i]; pre != nil {
+			subtle.XORBytes(dst[:n], live[:n], pre[lo:lo+n])
+		} else {
+			clear(dst[:n])
+		}
 		dst, off = dst[n:], off+n
 	}
 }
 
-// Advance commits a staged capture: the staged pages are copied live to
-// committed and the member moves to the capture's epoch. It refuses — and
-// changes nothing — when d is not the capture for the next epoch, or when the
-// guest dirtied a page since Stage: the delta the keepers hold was read from
-// other bytes than the ones this would commit.
+// Advance commits a staged capture: the staged pages' live bytes become
+// committed by releasing their pre-images — no byte is copied — and the member
+// moves to the capture's epoch. It refuses — and changes nothing — when d is
+// not the capture for the next epoch, or when the guest dirtied a page since
+// Stage: the delta the keepers hold was read from other bytes than the ones
+// this would commit.
 func (mem *Member) Advance(d *Delta) error {
 	if d == nil {
 		return fmt.Errorf("core: advance to epoch <nil>, member is at %d", mem.epoch)
@@ -195,22 +294,20 @@ func (mem *Member) Advance(d *Delta) error {
 	if d.Epoch != mem.epoch+1 {
 		return fmt.Errorf("core: advance to epoch %d, member is at %d", d.Epoch, mem.epoch)
 	}
-	m := mem.machine
-	if n := m.DirtyCount(); n != 0 {
+	if n := mem.machine.DirtyCount(); n != 0 {
 		return fmt.Errorf("core: advance to epoch %d: guest dirtied %d pages after the capture was staged", d.Epoch, n)
 	}
-	ps := m.PageSize()
 	for _, p := range d.Pages {
-		copy(mem.committed[p.Index*ps:(p.Index+1)*ps], m.Page(p.Index))
+		mem.release(p.Index)
 	}
 	mem.epoch = d.Epoch
 	return nil
 }
 
 // Unstage takes a staged capture back (abort): its pages are re-marked dirty
-// so the next capture includes them. A page Stage skipped equals its committed
-// content and has nothing left to capture. A nil capture is nothing to take
-// back.
+// so the next capture includes them, and keep their pre-images. A page Stage
+// skipped equals its committed content and has nothing left to capture. A nil
+// capture is nothing to take back.
 func (mem *Member) Unstage(d *Delta) {
 	if d == nil {
 		return
@@ -220,18 +317,15 @@ func (mem *Member) Unstage(d *Delta) {
 	}
 }
 
-// Rollback restores the machine to the last committed checkpoint. staged is
-// the capture a prepare opened and no commit advanced, or nil: Stage cleared
-// its pages' dirty bits, so they are named here. Only the dirty and staged
-// pages are copied back, which costs O(dirty), not O(image), and is exact by
-// the invariant incremental checkpointing already rests on: a page that is
-// clean and not staged holds its committed bytes (a page that changed without
-// its dirty bit would be missing from the delta, and so from parity, too).
-// Stage keeps it — a page it skips as unchanged equals its committed bytes —
-// and Advance, Unstage and NewMemberAt re-establish it.
-func (mem *Member) Rollback(staged *Delta) error {
-	mem.Unstage(staged)
-	return mem.machine.RevertDirty(mem.committed)
+// Rollback restores the machine to the last committed checkpoint, dropping
+// any capture a prepare opened and no commit advanced: every pre-image is
+// copied back over its live page and released, so only the pages written
+// since the last commit are copied. It needs no list of what is dirty or
+// staged — a page holds its committed bytes exactly when it has no pre-image —
+// so only a write that bypassed the write hooks could be missed.
+func (mem *Member) Rollback() {
+	mem.machine.RevertDirty(mem.pre)
+	mem.releaseAll()
 }
 
 // RestoreImage replaces both the committed image and the machine state, the
@@ -240,7 +334,7 @@ func (mem *Member) RestoreImage(img []byte, epoch uint64) error {
 	if err := mem.machine.LoadImage(img); err != nil {
 		return err
 	}
-	mem.committed = append(mem.committed[:0], img...)
+	mem.releaseAll()
 	mem.epoch = epoch
 	return nil
 }

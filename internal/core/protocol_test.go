@@ -95,9 +95,7 @@ func TestRollbackRestoresCommittedState(t *testing.T) {
 	// Dirty the machine beyond the checkpoint, then roll back.
 	members[0].Machine().TouchPage(0, 999)
 	members[0].Machine().TouchPage(7, 998)
-	if err := members[0].Rollback(nil); err != nil {
-		t.Fatal(err)
-	}
+	members[0].Rollback()
 	if !bytes.Equal(members[0].Machine().Image(), committed) {
 		t.Error("rollback did not restore the committed image")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"slices"
 	"testing"
 )
@@ -12,10 +13,10 @@ import (
 // stages (skip on and off), advances, unstages and rollbacks — some of them
 // between a Stage and its Advance — on two members built from one image. The
 // member under test rolls back with rollback; its twin reloads its whole
-// committed image with LoadImage. It returns the first point where the two
+// committed image with RestoreImage. It returns the first point where the two
 // differ in live memory, committed image or dirty set, or where a rollback
 // leaves a page dirty or moves an epoch.
-func rollbackRun(seed int64, ps int, rollback func(mem *Member, staged *Delta) error) error {
+func rollbackRun(seed int64, ps int, rollback func(mem *Member)) error {
 	const pages, ops = 16, 300
 	rng := rand.New(rand.NewSource(seed))
 	img := make([]byte, pages*ps)
@@ -73,10 +74,8 @@ func rollbackRun(seed int64, ps int, rollback func(mem *Member, staged *Delta) e
 				plain++
 			}
 			epoch, mepoch := mem.Epoch(), m.Epoch()
-			if err := rollback(mem, staged); err != nil {
-				return err
-			}
-			if err := tm.LoadImage(twin.CommittedView()); err != nil {
+			rollback(mem)
+			if err := twin.RestoreImage(twin.CommittedImage(), twin.Epoch()); err != nil {
 				return err
 			}
 			staged, twinStaged = nil, nil
@@ -88,7 +87,7 @@ func rollbackRun(seed int64, ps int, rollback func(mem *Member, staged *Delta) e
 		if !bytes.Equal(m.Image(), tm.Image()) {
 			return fmt.Errorf("op %d: live memory differs from the full-reload twin", op)
 		}
-		if !bytes.Equal(mem.CommittedView(), twin.CommittedView()) {
+		if !bytes.Equal(mem.CommittedImage(), twin.CommittedImage()) {
 			return fmt.Errorf("op %d: committed images differ", op)
 		}
 		if !slices.Equal(m.DirtyPages(), tm.DirtyPages()) {
@@ -101,13 +100,20 @@ func rollbackRun(seed int64, ps int, rollback func(mem *Member, staged *Delta) e
 	return nil
 }
 
-// TestRollbackMatchesFullReload: Rollback copies back only dirty and staged
-// pages, and over random sequences it leaves the machine byte for byte where
-// a whole-image LoadImage of the committed image does, clean, at the same
-// epochs. The negative control, a rollback that forgets the staged capture,
-// must be caught.
+// TestRollbackMatchesFullReload: Rollback copies back only the pages with a
+// pre-image, and over random sequences it leaves the machine byte for byte
+// where a whole-image reload of the committed image does, clean, at the same
+// epochs. The negative control, a rollback that copies back only the dirty
+// pages' pre-images and so forgets a staged capture's, must be caught.
 func TestRollbackMatchesFullReload(t *testing.T) {
-	forgetStaged := func(mem *Member, _ *Delta) error { return mem.Rollback(nil) }
+	forgetStaged := func(mem *Member) {
+		pre := make([][]byte, len(mem.pre))
+		for _, i := range mem.machine.DirtyPages() {
+			pre[i] = mem.pre[i]
+		}
+		mem.machine.RevertDirty(pre)
+		mem.releaseAll()
+	}
 	caught := 0
 	for _, ps := range []int{1, 7, 64, 4096} {
 		for seed := int64(1); seed <= 8; seed++ {
@@ -124,27 +130,39 @@ func TestRollbackMatchesFullReload(t *testing.T) {
 	}
 }
 
-// TestNewMemberAtCopiesOnce: the member commits the given buffer itself at
-// the given epoch, and its clean machine holds the same bytes in memory of
-// its own; an image that is not a positive number of pages is refused.
-func TestNewMemberAtCopiesOnce(t *testing.T) {
-	img := []byte("0123456789abcdef")
-	mem, err := NewMemberAt("n", 4, img, 9)
+// TestNewMemberAtCopiesNothing: a respawned member is built over the buffer
+// handed to it — the machine's pages alias it, and all it allocates is
+// bookkeeping, less than one page — at the given epoch, clean; the
+// first guest write keeps the page's committed bytes as a pre-image; an image
+// that is not a positive number of pages is refused.
+func TestNewMemberAtCopiesNothing(t *testing.T) {
+	const pages, ps = 16, 64 << 10
+	img := make([]byte, pages*ps)
+	copy(img, "0123456789abcdef")
+	var m0, m1 goruntime.MemStats
+	goruntime.ReadMemStats(&m0)
+	mem, err := NewMemberAt("n", ps, img, 9)
+	goruntime.ReadMemStats(&m1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= ps {
+		t.Errorf("NewMemberAt of a %d-byte image allocated %d bytes; want under one %d-byte page", pages*ps, got, ps)
+	}
 	m := mem.Machine()
-	if m.ID() != "n" || m.NumPages() != 4 || m.DirtyCount() != 0 || mem.Epoch() != 9 || !bytes.Equal(m.Image(), img) {
-		t.Fatalf("machine %q: %d pages, %d dirty, epoch %d, image %q", m.ID(), m.NumPages(), m.DirtyCount(), mem.Epoch(), m.Image())
+	if m.ID() != "n" || m.NumPages() != pages || m.DirtyCount() != 0 || mem.Epoch() != 9 {
+		t.Fatalf("machine %q: %d pages, %d dirty, epoch %d", m.ID(), m.NumPages(), m.DirtyCount(), mem.Epoch())
 	}
-	if &mem.CommittedView()[0] != &img[0] {
-		t.Error("the committed image is a copy, not the buffer handed over")
+	for i := 0; i < pages; i++ {
+		if &m.Page(i)[0] != &img[i*ps] {
+			t.Fatalf("page %d is a copy, not the buffer handed over", i)
+		}
 	}
-	if err := m.WritePage(1, []byte("zzzz")); err != nil {
+	if err := m.WritePage(0, []byte("zzzz")); err != nil {
 		t.Fatal(err)
 	}
-	if string(img) != "0123456789abcdef" {
-		t.Errorf("a guest write reached the committed image: %q", img)
+	if got := mem.CommittedImage()[:16]; string(got) != "0123456789abcdef" || string(img[:4]) != "zzzz" {
+		t.Errorf("after a guest write: committed %q, live %q", got, img[:16])
 	}
 	for _, bad := range []struct{ ps, n int }{{4, 0}, {4, 6}, {0, 4}, {-4, 8}} {
 		if _, err := NewMemberAt("n", bad.ps, make([]byte, bad.n), 0); err == nil {

@@ -27,11 +27,11 @@ func TestUnstageKeepsCommittedAndRemarksDirty(t *testing.T) {
 	if d.Epoch != 1 || len(d.Pages) != 2 || unchanged != 0 || m.DirtyCount() != 0 {
 		t.Fatalf("stage: epoch %d, %d pages, %d unchanged, %d still dirty", d.Epoch, len(d.Pages), unchanged, m.DirtyCount())
 	}
-	if !bytes.Equal(mem.CommittedView(), before) || mem.Epoch() != 0 {
+	if !bytes.Equal(mem.CommittedImage(), before) || mem.Epoch() != 0 {
 		t.Fatal("stage moved the committed image or the epoch")
 	}
 	mem.Unstage(d)
-	if !bytes.Equal(mem.CommittedView(), before) || mem.Epoch() != 0 {
+	if !bytes.Equal(mem.CommittedImage(), before) || mem.Epoch() != 0 {
 		t.Error("unstage moved the committed image or the epoch")
 	}
 	// The staged pages must be dirty again so the next capture re-ships them.
@@ -46,7 +46,7 @@ func TestUnstageKeepsCommittedAndRemarksDirty(t *testing.T) {
 	if d2.Epoch != 1 || len(d2.Pages) != 2 {
 		t.Errorf("re-capture: epoch %d, %d pages", d2.Epoch, len(d2.Pages))
 	}
-	if bytes.Equal(mem.CommittedView(), before) || mem.Epoch() != 1 {
+	if bytes.Equal(mem.CommittedImage(), before) || mem.Epoch() != 1 {
 		t.Error("capture should advance the committed image and the epoch")
 	}
 }
@@ -79,7 +79,7 @@ func TestAdvanceValidation(t *testing.T) {
 	if err := mem.Advance(d); err == nil || !strings.Contains(err.Error(), "guest dirtied 1 pages") {
 		t.Errorf("advance after a guest write: %v", err)
 	}
-	if !bytes.Equal(mem.CommittedView(), before) || mem.Epoch() != 0 {
+	if !bytes.Equal(mem.CommittedImage(), before) || mem.Epoch() != 0 {
 		t.Fatal("a refused advance changed the member")
 	}
 	mem.Unstage(d)
@@ -87,7 +87,7 @@ func TestAdvanceValidation(t *testing.T) {
 	if err := mem.Advance(d); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(mem.CommittedView(), m.Image()) || mem.Epoch() != 1 {
+	if !bytes.Equal(mem.CommittedImage(), m.Image()) || mem.Epoch() != 1 {
 		t.Error("advance did not bring the committed image and epoch up to the machine")
 	}
 	if err := mem.Advance(d); err == nil {

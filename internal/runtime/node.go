@@ -752,8 +752,8 @@ func (n *Node) onCommit(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 	}); err != nil {
 		return nil, err
 	}
-	// The members advance last (the copy live to committed of every staged
-	// page). One that cannot — the guest ran since prepare — fails the node's
+	// The members advance last (each staged page's pre-image is released).
+	// One that cannot — the guest ran since prepare — fails the node's
 	// commit: the coordinator declares the node dead and the VM comes back from
 	// parity.
 	if err := parallelDo(len(members), fan, func(i int) (err error) {
@@ -840,26 +840,24 @@ func (n *Node) onReadChunk(req *wire.Message) (*wire.Message, error) {
 		return nil, fmt.Errorf("runtime: read-chunk with chunk size %d", chunkSize)
 	}
 	reply := &wire.Message{Type: wire.MsgReadChunkOK, Group: req.Group, VM: req.VM}
-	var block []byte // an image or a held element, served as is
-	size, render := 0, func(dst []byte, off int) { copy(dst, block[off:]) }
 	n.mu.Lock()
 	ms, hosted := n.members[req.VM]
 	ks, kept := n.keepers[int(req.Group)]
 	held, isHeld := n.held[heldKey{group: int(req.Group), vm: req.VM, parity: int(req.Epoch)}]
 	id := n.id
 	n.mu.Unlock()
+	size, render := 0, func(dst []byte, off int) { copy(dst, held[off:]) } // a held element is served as is
 	switch {
 	case req.Text == "image" && hosted:
 		ms.mu.Lock()
 		defer ms.mu.Unlock()
-		block, reply.Epoch = ms.mem.CommittedView(), ms.mem.Epoch()
-		size = len(block)
+		size, render, reply.Epoch = int(ms.mem.Machine().ImageBytes()), ms.mem.CommittedInto, ms.mem.Epoch()
 	case req.Text == "parity" && kept:
 		ks.mu.Lock()
 		defer ks.mu.Unlock()
 		size, render, reply.Arg = ks.keeper.Size(), ks.keeper.ReadParity, uint64(ks.keeper.ParityIndex())
 	case req.Text == "held" && isHeld: // a held element is never written: no lock
-		block, size, reply.Arg = held, len(held), req.Epoch
+		size, reply.Arg = len(held), req.Epoch
 	default:
 		return nil, fmt.Errorf("runtime: node %d has no %s block %q / group %d to read", id, req.Text, req.VM, req.Group)
 	}
@@ -1161,8 +1159,9 @@ func (n *Node) alreadyHosts(name string) error {
 }
 
 // adopt makes this node the holder of element e of cfg's group, taking its
-// rebuilt bytes out as is: a VM's committed image (the machine is one copy of
-// it), or a parity block with every member folded to the committed epoch.
+// rebuilt bytes out as is: a VM's committed image (the machine's memory is
+// that buffer), or a parity block with every member folded to the committed
+// epoch.
 func (n *Node) adopt(cfg *rebuildConfig, e lostElement, out []byte) error {
 	if e.VM == nil {
 		k, err := core.NewMKeeperFromBlock(cfg.Group, e.Parity, cfg.Tolerance, cfg.Members, out, cfg.Epoch)
@@ -1197,7 +1196,7 @@ func (n *Node) onChecksum(req *wire.Message) (*wire.Message, error) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	h := fnv.New64a()
-	h.Write(ms.mem.CommittedView())
+	ms.mem.HashCommitted(h)
 	return &wire.Message{Type: wire.MsgChecksumOK, VM: req.VM, Arg: h.Sum64(), Epoch: ms.mem.Epoch()}, nil
 }
 
@@ -1209,19 +1208,17 @@ func (n *Node) onRollback(req *wire.Message) (*wire.Message, error) {
 	fan := n.fanout
 	clear(n.held)
 	n.mu.Unlock()
-	if err := parallelDo(len(members), fan, func(i int) error {
+	_ = parallelDo(len(members), fan, func(i int) error { // a rollback cannot fail
 		ms := members[i]
 		ms.mu.Lock()
 		defer ms.mu.Unlock()
 		// An uncommitted capture never touched the committed image: dropping
 		// it leaves the last COMMIT-ed epoch to roll back to. Its pages are
 		// among those the rollback copies back.
-		err := ms.mem.Rollback(ms.staged)
+		ms.mem.Rollback()
 		ms.staged = nil
-		return err
-	}); err != nil {
-		return nil, err
-	}
+		return nil
+	})
 	for _, ks := range n.snapshotKeepers() {
 		ks.mu.Lock()
 		ks.drop()

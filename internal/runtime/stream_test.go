@@ -515,7 +515,7 @@ func streamedVsCaptureOracle(t *testing.T, ps int, rs2, skip bool) {
 				t.Errorf("%s: %q still has a staged capture", when, name)
 			case ms.mem.Epoch() != tm.Epoch():
 				t.Errorf("%s: %q at epoch %d, oracle at %d", when, name, ms.mem.Epoch(), tm.Epoch())
-			case !bytes.Equal(ms.mem.CommittedView(), tm.CommittedView()):
+			case !bytes.Equal(ms.mem.CommittedImage(), tm.CommittedImage()):
 				t.Errorf("%s: committed image of %q diverges from the oracle", when, name)
 			case !slices.Equal(ms.mem.Machine().DirtyPages(), tm.Machine().DirtyPages()):
 				t.Errorf("%s: dirty pages of %q are %v, oracle has %v", when, name, ms.mem.Machine().DirtyPages(), tm.Machine().DirtyPages())
@@ -593,9 +593,10 @@ func streamedVsCaptureOracle(t *testing.T, ps int, rs2, skip bool) {
 		}
 		for _, name := range names {
 			tm := twin.members[name]
+			committed := tm.CommittedImage()
 			var want []int
 			for _, p := range tm.Machine().DirtyPages() {
-				if !skip || !bytes.Equal(tm.Machine().Page(p), tm.CommittedView()[p*ps:(p+1)*ps]) {
+				if !skip || !bytes.Equal(tm.Machine().Page(p), committed[p*ps:(p+1)*ps]) {
 					want = append(want, p)
 				}
 			}
@@ -687,6 +688,88 @@ func TestKeeperFootprint(t *testing.T) {
 			shadow.Commit()
 		}
 		check(fmt.Sprintf("round %d %s", round, what))
+	}
+	if err := oracleDiff(t, coord, shadow); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMemberFootprint: a member holds its image plus at most the most pages
+// any one round has written — not a second, committed image. On the paper
+// layout with 1 MiB images, twenty sparse rounds (one aborted, one rolled back
+// between prepare and commit) are driven prepare by prepare, so each round's
+// written pages are read off the members' staged captures, independently of
+// the members' own accounting; after every prepare, commit, abort and
+// rollback each member's live image, pre-images and free pages must stay
+// within its image plus its largest round so far, times the page size, and
+// the rounds must commit what the shadow model holds.
+func TestMemberFootprint(t *testing.T) {
+	const pages, pageSize = 256, 4096
+	layout := paperLayout(t)
+	coord, nodes := sizedCluster(t, layout, pages, pageSize, 0)
+	shadow, err := NewShadow(layout, pages, pageSize, 12345)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosted := func(name string) *memberState {
+		t.Helper()
+		v, _ := layout.VM(name)
+		ms, err := nodes[v.Node].member(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ms
+	}
+	maxWritten := map[string]int{} // by VM
+	check := func(when string) {
+		t.Helper()
+		for _, v := range layout.VMs {
+			ms := hosted(v.Name)
+			ms.mu.Lock()
+			held, image := ms.mem.Footprint(), int(ms.mem.Machine().ImageBytes())
+			ms.mu.Unlock()
+			if bound := image + maxWritten[v.Name]*pageSize; held > bound {
+				t.Fatalf("%s: member %q holds %d bytes, over its %d-byte image plus %d pages (%d)",
+					when, v.Name, held, image, maxWritten[v.Name], bound)
+			}
+		}
+	}
+	send := func(round int, what string, msg *wire.Message) {
+		t.Helper()
+		for i, n := range nodes {
+			if _, err := n.handle(msg); err != nil {
+				t.Fatalf("round %d: %s node %d: %v", round, what, i, err)
+			}
+		}
+	}
+	for round := 0; round < 20; round++ {
+		if err := coord.Step(4); err != nil {
+			t.Fatal(err)
+		}
+		shadow.Step(4)
+		epoch := coord.Epoch() + 1
+		send(round, "prepare", &wire.Message{Type: wire.MsgPrepare, Epoch: epoch})
+		for _, v := range layout.VMs {
+			ms := hosted(v.Name)
+			ms.mu.Lock()
+			maxWritten[v.Name] = max(maxWritten[v.Name], len(ms.staged.Pages))
+			ms.mu.Unlock()
+		}
+		check(fmt.Sprintf("round %d prepared", round))
+		switch round {
+		case 7:
+			send(round, "abort", &wire.Message{Type: wire.MsgAbort, Epoch: epoch})
+		case 13:
+			send(round, "roll back", &wire.Message{Type: wire.MsgRollback})
+			if err := shadow.Recover(&cluster.Plan{}, coord.Epoch()); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			send(round, "commit", &wire.Message{Type: wire.MsgCommit, Epoch: epoch})
+			coord.epoch.Store(epoch)
+			shadow.Commit()
+		}
+		check(fmt.Sprintf("round %d done", round))
 	}
 	if err := oracleDiff(t, coord, shadow); err != nil {
 		t.Fatal(err)

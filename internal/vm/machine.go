@@ -10,7 +10,6 @@
 package vm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -41,7 +40,8 @@ type Machine struct {
 // the page's current (pre-write) contents immediately before every mutation,
 // whether or not the page is already dirty. The old slice is only valid for
 // the duration of the call; hooks that keep it must copy. Copy-on-write
-// checkpointing (Plank's "forked" variant) is built on this.
+// checkpointing (Plank's "forked" variant, and core.Member's committed image)
+// is built on this. LoadImage and RevertDirty run no hooks.
 type WriteHook func(page int, old []byte)
 
 // AddWriteHook registers a hook and returns an id for RemoveWriteHook.
@@ -77,14 +77,14 @@ func NewMachine(id string, numPages, pageSize int) (*Machine, error) {
 	return newMachine(id, pageSize, make([]byte, numPages*pageSize)), nil
 }
 
-// NewMachineFrom builds a clean machine whose memory is a copy of img, a
-// whole number of pageSize pages. The copy is the only pass over the bytes:
-// the memory is not zeroed first, as NewMachine followed by LoadImage would.
+// NewMachineFrom builds a clean machine whose memory is img itself, a whole
+// number of pageSize pages. The machine takes ownership: no byte is copied or
+// zeroed, and the caller must not touch img afterwards.
 func NewMachineFrom(id string, pageSize int, img []byte) (*Machine, error) {
 	if pageSize <= 0 || len(img) == 0 || len(img)%pageSize != 0 {
 		return nil, fmt.Errorf("vm: a %d-byte image is not a positive number of %d-byte pages", len(img), pageSize)
 	}
-	return newMachine(id, pageSize, bytes.Clone(img)), nil
+	return newMachine(id, pageSize, img), nil
 }
 
 // newMachine builds a clean machine whose pages are cut out of backing.
@@ -150,11 +150,14 @@ func (m *Machine) MutatePage(i int, fn func(page []byte)) {
 
 // TouchPage marks page i dirty and stamps it with the epoch and a counter so
 // the content actually changes (synthetic workloads use this as a cheap
-// deterministic mutation).
+// deterministic mutation). The stamp is the counter's little-endian bytes,
+// cut to the page on pages smaller than 8 bytes.
 func (m *Machine) TouchPage(i int, stamp uint64) {
 	m.checkPage(i)
 	m.preWrite(i)
-	binary.LittleEndian.PutUint64(m.pages[i][:8], stamp)
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], stamp)
+	copy(m.pages[i], b[:])
 	m.markDirty(i)
 }
 
@@ -232,22 +235,23 @@ func (m *Machine) LoadImage(img []byte) error {
 	return nil
 }
 
-// RevertDirty copies img — a contiguous image of the machine's size — over
-// every dirty page and clears the dirty set. Clean pages are not touched, so
-// the result equals LoadImage(img) exactly when every clean page already
-// holds img's bytes; the caller vouches for that.
-func (m *Machine) RevertDirty(img []byte) error {
-	if int64(len(img)) != m.ImageBytes() {
-		return fmt.Errorf("vm: image is %d bytes, machine holds %d", len(img), m.ImageBytes())
+// RevertDirty puts written pages back: pre is a table with one entry per
+// page, and every non-nil pre[i] is copied over page i without running the
+// write hooks. The dirty set is cleared; the dirty-tracking epoch stays. A
+// page with no entry is left as it is, dirty or not: the caller vouches that
+// it already holds the bytes wanted. A table of the wrong length is a caller
+// bug and panics.
+func (m *Machine) RevertDirty(pre [][]byte) {
+	if len(pre) != len(m.pages) {
+		panic(fmt.Sprintf("vm: pre-image table of %d pages for a %d-page machine", len(pre), len(m.pages)))
 	}
-	for i, d := range m.dirty {
-		if d {
-			copy(m.pages[i], img[i*m.pageSize:])
-			m.dirty[i] = false
+	for i, p := range pre {
+		if p != nil {
+			copy(m.pages[i], p)
 		}
 	}
+	clear(m.dirty)
 	m.dirtyCount = 0
-	return nil
 }
 
 // PageHash returns a 64-bit FNV-1a hash of page i. The paper's future-work

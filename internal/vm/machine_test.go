@@ -118,50 +118,77 @@ func TestImageRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRevertDirtyCopiesOnlyDirtyPages: dirty pages take img's bytes, a clean
-// page keeps its own even where img differs, and the machine ends clean at
-// the same dirty-tracking epoch.
+// TestRevertDirtyCopiesOnlyDirtyPages: a page with a pre-image takes it back,
+// a page without one keeps its own bytes, no write hook runs, and the machine
+// ends clean at the same dirty-tracking epoch; a table of the wrong length
+// panics.
 func TestRevertDirtyCopiesOnlyDirtyPages(t *testing.T) {
-	m, _ := NewMachineFrom("x", 8, make([]byte, 32))
-	img := m.Image()
-	m.TouchPage(1, 7)
+	m, _ := NewMachine("x", 4, 8)
 	m.TouchPage(3, 9)
-	m.BeginEpoch() // page 3's write is now clean: RevertDirty must not see it
+	m.BeginEpoch() // page 3's write is committed: it has no pre-image
+	pre := make([][]byte, m.NumPages())
+	pre[1] = bytes.Clone(m.Page(1))
 	m.TouchPage(1, 8)
+	m.TouchPage(2, 8) // dirty without an entry: left as it is
+	hooked := 0
+	m.AddWriteHook(func(int, []byte) { hooked++ })
 	e := m.Epoch()
-	if err := m.RevertDirty(img); err != nil {
-		t.Fatal(err)
+	m.RevertDirty(pre)
+	if !bytes.Equal(m.Page(1), make([]byte, 8)) || m.Page(2)[0] != 8 || m.Page(3)[0] != 9 {
+		t.Errorf("after RevertDirty pages 1-3 = %v %v %v", m.Page(1), m.Page(2), m.Page(3))
 	}
-	if !bytes.Equal(m.Page(1), img[8:16]) || bytes.Equal(m.Page(3), img[24:32]) {
-		t.Errorf("after RevertDirty page 1 = %v, page 3 = %v", m.Page(1), m.Page(3))
+	if m.DirtyCount() != 0 || m.IsDirty(1) || m.IsDirty(2) || m.Epoch() != e || hooked != 0 {
+		t.Errorf("RevertDirty left %d dirty pages, epoch %d -> %d, ran %d hooks", m.DirtyCount(), e, m.Epoch(), hooked)
 	}
-	if m.DirtyCount() != 0 || m.IsDirty(1) || m.Epoch() != e {
-		t.Errorf("RevertDirty left %d dirty pages, epoch %d -> %d", m.DirtyCount(), e, m.Epoch())
-	}
-	if err := m.RevertDirty(img[:8]); err == nil {
-		t.Error("short image should fail")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a short pre-image table should panic")
+		}
+	}()
+	m.RevertDirty(pre[:3])
 }
 
-// TestNewMachineFromCopies: the machine holds img's bytes in memory of its
-// own, clean, cut into pageSize pages; an image that is not a positive
+// TestNewMachineFromTakesOwnership: the machine's memory is img itself, clean,
+// cut into pageSize pages, with no copy; an image that is not a positive
 // number of pages is refused.
-func TestNewMachineFromCopies(t *testing.T) {
+func TestNewMachineFromTakesOwnership(t *testing.T) {
 	img := []byte("abcdefghijkl")
 	m, err := NewMachineFrom("x", 4, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ID() != "x" || m.NumPages() != 3 || m.PageSize() != 4 || m.DirtyCount() != 0 || !bytes.Equal(m.Image(), img) {
+	if m.ID() != "x" || m.NumPages() != 3 || m.PageSize() != 4 || m.DirtyCount() != 0 || !bytes.Equal(m.Image(), []byte("abcdefghijkl")) {
 		t.Fatalf("machine %q: %d pages of %d, %d dirty, image %q", m.ID(), m.NumPages(), m.PageSize(), m.DirtyCount(), m.Image())
 	}
-	img[0] = 'z'
-	if m.Page(0)[0] != 'a' {
-		t.Error("the machine aliases the image it was built from")
+	for i := 0; i < m.NumPages(); i++ {
+		if &m.Page(i)[0] != &img[i*4] || cap(m.Page(i)) != 4 {
+			t.Fatalf("page %d is not img[%d:%d] with its capacity cut at the page", i, i*4, i*4+4)
+		}
 	}
 	for _, bad := range []struct{ ps, n int }{{4, 0}, {4, 10}, {0, 4}, {-4, 8}} {
 		if _, err := NewMachineFrom("x", bad.ps, make([]byte, bad.n)); err == nil {
 			t.Errorf("NewMachineFrom accepted a %d-byte image of %d-byte pages", bad.n, bad.ps)
+		}
+	}
+}
+
+// TestTouchPageSmallPages: on pages of 1 to 8 bytes TouchPage writes the
+// stamp's first min(8, page size) little-endian bytes — on an 8-byte page the
+// whole stamp, as on any larger one — and touches nothing else.
+func TestTouchPageSmallPages(t *testing.T) {
+	const stamp = 0x0807060504030201
+	for ps := 1; ps <= 8; ps++ {
+		m, err := NewMachine("x", 3, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.TouchPage(1, stamp)
+		want := make([]byte, 3*ps)
+		for j := 0; j < ps; j++ {
+			want[ps+j] = byte(j + 1)
+		}
+		if !bytes.Equal(m.Image(), want) || m.DirtyCount() != 1 || !m.IsDirty(1) {
+			t.Errorf("page size %d: image %v, %d dirty; want %v with page 1 dirty", ps, m.Image(), m.DirtyCount(), want)
 		}
 	}
 }
