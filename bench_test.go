@@ -198,7 +198,9 @@ func BenchmarkIncrementalCapture(b *testing.B) {
 }
 
 // BenchmarkCheckpointRound measures one coordinated in-process DVDC round
-// on the paper's 12-VM cluster with 4 MiB guests.
+// on the paper's 12-VM cluster with 4 MiB guests: the runtime's two-phase
+// round, groups prepared in parallel — the in-process analogue of Sec. IV-B's
+// distributed parity argument.
 func BenchmarkCheckpointRound(b *testing.B) {
 	layout, err := PaperLayout()
 	if err != nil {
@@ -269,34 +271,4 @@ func benchScheme(b *testing.B) (core.Scheme, *failure.NodeSchedule) {
 		b.Fatal(err)
 	}
 	return scheme, sched
-}
-
-// BenchmarkCheckpointRoundConcurrent measures the per-group-parallel round
-// on the same configuration as BenchmarkCheckpointRound: the speedup is the
-// in-process analogue of Sec. IV-B's distributed parity argument.
-func BenchmarkCheckpointRoundConcurrent(b *testing.B) {
-	layout, err := PaperLayout()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl, err := NewCluster(layout, 1024, 4096)
-	if err != nil {
-		b.Fatal(err)
-	}
-	workloads := map[string]*vm.Uniform{}
-	for i, name := range cl.VMNames() {
-		workloads[name] = vm.NewUniform(int64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for _, name := range cl.VMNames() {
-			m, _ := cl.Machine(name)
-			vm.Run(workloads[name], m, 2000)
-		}
-		b.StartTimer()
-		if err := cl.CheckpointRoundConcurrent(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

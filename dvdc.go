@@ -65,8 +65,11 @@ func PaperLayout() (*cluster.Layout, error) { return cluster.Paper12VM() }
 // NewCluster builds a byte-real in-process DVDC cluster on a layout: every
 // VM is a paged memory image, every group has one parity keeper per parity
 // block (XOR at tolerance 1, GF(256) RS beyond) on its layout-assigned
-// node. See core.Cluster for the protocol operations: CheckpointRound,
-// FailNode/FailNodes, EvacuateNode, RepairNode, Rebalance, VerifyParity.
+// node. Its CheckpointRound is the TCP runtime's two-phase round on the same
+// member and keeper code, without the network; recoveries, evacuations and
+// rebalances are placed by the cluster package's planners. See core.Cluster
+// for the operations: CheckpointRound, FailNode/FailNodes, EvacuateNode,
+// RepairNode, Rebalance, VerifyParity.
 func NewCluster(layout *cluster.Layout, pagesPerVM, pageSize int) (*core.Cluster, error) {
 	return core.NewCluster(layout, pagesPerVM, pageSize)
 }

@@ -82,10 +82,11 @@ func (l *Layout) PlanRebalance(down ...int) (*Plan, error) {
 		movedParity := map[int]bool{}
 		for {
 			occ := occupied(g, movedVMs, movedParity)
-			// Find a node carrying more than one element of this group.
+			// Find a node carrying more than one element of this group, the
+			// lowest first, so one layout always yields one plan.
 			clash := -1
-			for n, c := range occ {
-				if c > 1 {
+			for n := 0; n < l.Nodes; n++ {
+				if occ[n] > 1 {
 					clash = n
 					break
 				}

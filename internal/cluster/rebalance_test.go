@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -46,6 +47,37 @@ func TestRebalanceAfterDegradedRecovery(t *testing.T) {
 	}
 	if err := l.Validate(); err != nil {
 		t.Errorf("layout not orthogonal after rebalance: %v", err)
+	}
+}
+
+// TestPlanRebalanceIsDeterministic: a layout whose groups clash on more than
+// one node — RS m = 2 after a degraded double recovery — must yield one
+// rebalance plan however often it is planned, so a rebalance replays.
+func TestPlanRebalanceIsDeterministic(t *testing.T) {
+	l, err := BuildDistributedGroups(7, 1, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := l.PlanRecovery(0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Degraded {
+		t.Fatal("expected a degraded recovery")
+	}
+	if err := l.ApplyRecovery(rec); err != nil {
+		t.Fatal(err)
+	}
+	plans := map[string]bool{}
+	for i := 0; i < 100; i++ {
+		rb, err := l.PlanRebalance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[fmt.Sprintf("%+v", rb.Steps)] = true
+	}
+	if len(plans) != 1 {
+		t.Fatalf("100 plans of one layout gave %d distinct plans", len(plans))
 	}
 }
 

@@ -53,8 +53,30 @@ type Plan struct {
 // Targets are chosen least-loaded-first, counting moves already planned.
 //
 // It fails if any group lost more elements than the layout tolerates or if
-// no orthogonality-preserving target exists.
+// no surviving node can host a lost element.
 func (l *Layout) PlanRecovery(down ...int) (*Plan, error) {
+	for g, lost := range l.LostElements(down...) {
+		if lost > l.Tolerance {
+			return nil, fmt.Errorf("cluster: group %d lost %d elements, tolerance %d", g, lost, l.Tolerance)
+		}
+	}
+	return l.place(down)
+}
+
+// PlanEvacuation computes how to move every element off node n, which is
+// predicted to fail, while the nodes in down stay out of service: its VMs
+// live-migrate and its parity blocks are recomputed elsewhere. The steps and
+// targets are PlanRecovery's for n and down failing together, without the
+// loss-versus-tolerance check, since an evacuation loses nothing — so a node
+// holding two elements of one group after a degraded recovery can still be
+// evacuated.
+func (l *Layout) PlanEvacuation(n int, down ...int) (*Plan, error) {
+	return l.place(append([]int{n}, down...))
+}
+
+// place is the placement PlanRecovery and PlanEvacuation share: a target for
+// every VM and parity block on the down nodes.
+func (l *Layout) place(down []int) (*Plan, error) {
 	downSet := map[int]bool{}
 	for _, n := range down {
 		if n < 0 || n >= l.Nodes {
@@ -64,11 +86,6 @@ func (l *Layout) PlanRecovery(down ...int) (*Plan, error) {
 	}
 	if len(downSet) == 0 {
 		return &Plan{}, nil
-	}
-	for g, lost := range l.LostElements(down...) {
-		if lost > l.Tolerance {
-			return nil, fmt.Errorf("cluster: group %d lost %d elements, tolerance %d", g, lost, l.Tolerance)
-		}
 	}
 
 	// Current VM load per node, updated as we plan moves.

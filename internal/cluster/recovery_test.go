@@ -160,6 +160,43 @@ func TestPlanRecoveryBadNode(t *testing.T) {
 	}
 }
 
+// TestPlanEvacuationIgnoresTolerance: after a degraded recovery and the
+// repair, node 1 of the paper layout holds two elements of one group. Failing
+// it would exceed the tolerance, but evacuating it loses nothing, so its plan
+// must move everything off it, and to no down node.
+func TestPlanEvacuationIgnoresTolerance(t *testing.T) {
+	l, _ := Paper12VM()
+	rec, err := l.PlanRecovery(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.ApplyRecovery(rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.PlanRecovery(1); err == nil {
+		t.Fatal("node 1 holds no two elements of one group; the case is vacuous")
+	}
+	if _, err := l.PlanEvacuation(1, 0); err != nil {
+		t.Fatalf("evacuation beside a down node: %v", err)
+	}
+	plan, err := l.PlanEvacuation(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Steps) != len(l.VMsOnNode(1))+len(l.ParityGroupsOnNode(1)) {
+		t.Fatalf("%d steps for %d VMs and %d parity blocks", len(plan.Steps), len(l.VMsOnNode(1)), len(l.ParityGroupsOnNode(1)))
+	}
+	if err := l.ApplyRecovery(plan); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.VMsOnNode(1))+len(l.ParityGroupsOnNode(1)) != 0 {
+		t.Fatal("node 1 still holds elements after its evacuation")
+	}
+	if _, err := l.PlanEvacuation(4); err == nil {
+		t.Error("out-of-range node accepted")
+	}
+}
+
 func TestRecoveryBalancesLoad(t *testing.T) {
 	// After recovering an 8-node DVDC cluster, no surviving node should be
 	// wildly overloaded: the planner picks least-loaded targets.

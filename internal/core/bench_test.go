@@ -77,8 +77,13 @@ func BenchmarkCaptureDelta(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d, _, err := mem.CaptureInto(bufpool.Get, bc.skip)
-				if err != nil {
+				d, _ := mem.Stage(bc.skip)
+				for j := range d.Pages {
+					p := &d.Pages[j]
+					p.Data = bufpool.Get(benchPageSize)
+					mem.DeltaInto(p.Data, p.Index*benchPageSize)
+				}
+				if err := mem.Advance(d); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()

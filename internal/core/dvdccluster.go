@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -16,8 +18,9 @@ import (
 // tolerance 1 the parity code is plain XOR; higher tolerances use the
 // GF(256) RS generalization, so the cluster survives any simultaneous loss
 // of up to `tolerance` physical nodes. It executes coordinated checkpoint
-// rounds and full failure-recovery cycles, and is the reference
-// implementation the TCP runtime mirrors over the network.
+// rounds — the TCP runtime's two-phase round on the same Member and MKeeper
+// primitives, without the network — full failure-recovery cycles and
+// proactive evacuations, and places elements by cluster's planners alone.
 type Cluster struct {
 	layout  *cluster.Layout
 	members map[string]*Member
@@ -161,28 +164,57 @@ func (c *Cluster) drainNetwork() error {
 	return err
 }
 
-// CheckpointRound runs one coordinated checkpoint: in-flight messages drain
-// into their receivers (the Sec. IV-A consistency step), then every member
-// captures its delta and every parity block of its group folds it in.
-// In-process this cannot partially fail, so commit is immediate; the network
-// runtime wraps the same sequence in prepare/commit.
+// CheckpointRound runs one coordinated checkpoint as the TCP runtime's
+// two-phase round, in process. In-flight messages drain into their receivers
+// (the Sec. IV-A consistency step). Then every group prepares concurrently —
+// groups share no member and no keeper, the in-process form of Sec. IV-B's
+// distributed parity work: each member stages its capture, and each staged
+// page is rendered once and folded into every parity block of the group with
+// MKeeper.Stage. Then the keepers commit and the members advance. A failed
+// prepare aborts the round the way the runtime's abort does: every keeper
+// drops its staged pages and every member unstages, so nothing moves.
 func (c *Cluster) CheckpointRound() error {
 	if err := c.drainNetwork(); err != nil {
 		return err
 	}
-	for _, g := range c.layout.Groups {
-		ks := c.keepers[g.Index]
-		for _, name := range g.Members {
-			d, err := c.members[name].CaptureDelta()
-			if err != nil {
-				return fmt.Errorf("core: capture %q: %w", name, err)
+	staged := make([][]*Delta, len(c.layout.Groups))
+	errs := make([]error, len(c.layout.Groups))
+	var wg sync.WaitGroup
+	for gi := range c.layout.Groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			staged[gi], errs[gi] = c.prepareGroup(gi)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		for gi, ds := range staged {
+			for _, k := range c.keepers[gi] {
+				k.Drop()
 			}
-			for _, k := range ks {
-				if err := k.ApplyDelta(d); err != nil {
-					return fmt.Errorf("core: apply delta of %q: %w", name, err)
-				}
+			for _, d := range ds {
+				c.members[d.VMID].Unstage(d)
 			}
-			c.stats.DeltaBytes += d.PayloadBytes()
+		}
+		return err
+	}
+	for gi, ds := range staged {
+		epochs := make(map[string]uint64, len(ds))
+		for _, d := range ds {
+			epochs[d.VMID] = d.Epoch
+		}
+		for _, k := range c.keepers[gi] {
+			if err := k.Commit(epochs); err != nil {
+				return fmt.Errorf("core: commit parity[%d] of group %d: %w", k.ParityIndex(), gi, err)
+			}
+		}
+		for _, d := range ds {
+			mem := c.members[d.VMID]
+			if err := mem.Advance(d); err != nil {
+				return fmt.Errorf("core: advance %q: %w", d.VMID, err)
+			}
+			c.stats.DeltaBytes += int64(len(d.Pages) * mem.Machine().PageSize())
 		}
 	}
 	c.rounds++
@@ -190,55 +222,32 @@ func (c *Cluster) CheckpointRound() error {
 	return nil
 }
 
-// CheckpointRoundConcurrent is CheckpointRound with one goroutine per RAID
-// group: groups share no members and no keepers, so their capture+fold work
-// is embarrassingly parallel — the in-process realization of Sec. IV-B's
-// claim that distributing parity "should relieve the CPU burden by a factor
-// linear in the amount of machines". Stats merge after the barrier.
-func (c *Cluster) CheckpointRoundConcurrent() error {
-	if err := c.drainNetwork(); err != nil {
-		return err
-	}
-	type result struct {
-		bytes int64
-		err   error
-	}
-	results := make([]result, len(c.layout.Groups))
-	var wg sync.WaitGroup
-	for gi := range c.layout.Groups {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			g := c.layout.Groups[gi]
-			ks := c.keepers[g.Index]
-			var total int64
-			for _, name := range g.Members {
-				d, err := c.members[name].CaptureDelta()
-				if err != nil {
-					results[gi] = result{err: fmt.Errorf("core: capture %q: %w", name, err)}
-					return
-				}
-				for _, k := range ks {
-					if err := k.ApplyDelta(d); err != nil {
-						results[gi] = result{err: fmt.Errorf("core: apply delta of %q: %w", name, err)}
-						return
-					}
-				}
-				total += d.PayloadBytes()
-			}
-			results[gi] = result{bytes: total}
-		}(gi)
-	}
-	wg.Wait()
-	for _, r := range results {
-		if r.err != nil {
-			return r.err
+// prepareGroup is one group's prepare: every member stages its capture, and
+// each staged page is rendered into one scratch page and folded from it into
+// every parity block of the group. It returns the captures staged so far,
+// even on error, so the caller can take them back.
+func (c *Cluster) prepareGroup(gi int) ([]*Delta, error) {
+	g := c.layout.Groups[gi]
+	ds := make([]*Delta, 0, len(g.Members))
+	var page []byte
+	for _, name := range g.Members {
+		mem := c.members[name]
+		d, _ := mem.Stage(false)
+		ds = append(ds, d)
+		ps := mem.Machine().PageSize()
+		if len(page) != ps {
+			page = make([]byte, ps)
 		}
-		c.stats.DeltaBytes += r.bytes
+		for _, p := range d.Pages {
+			mem.DeltaInto(page, p.Index*ps)
+			for _, k := range c.keepers[gi] {
+				if err := k.Stage(name, p.Index*ps, page); err != nil {
+					return ds, fmt.Errorf("core: fold %q into parity[%d] of group %d: %w", name, k.ParityIndex(), gi, err)
+				}
+			}
+		}
 	}
-	c.rounds++
-	c.stats.Rounds = c.rounds
-	return nil
+	return ds, nil
 }
 
 // FailureReport describes a completed recovery.
@@ -280,16 +289,7 @@ func (c *Cluster) FailNodes(ns ...int) (*FailureReport, error) {
 	if !c.layout.Survives(ns...) {
 		return nil, fmt.Errorf("core: failure of nodes %v exceeds parity tolerance (data loss)", ns)
 	}
-	// Snapshot parity homes before recovery mutates the layout.
-	parityHomes := map[int][]int{}
-	for _, g := range c.layout.Groups {
-		parityHomes[g.Index] = append([]int(nil), g.ParityNodes...)
-	}
-	down := append([]int(nil), ns...)
-	for d := range c.down {
-		down = append(down, d)
-	}
-	plan, err := c.layout.PlanRecovery(down...)
+	plan, err := c.layout.PlanRecovery(append(c.downNodes(), ns...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -327,8 +327,7 @@ func (c *Cluster) FailNodes(ns ...int) (*FailureReport, error) {
 		}
 		parityBlocks := map[int][]byte{}
 		for i, k := range c.keepers[gi] {
-			home := parityHomes[gi][i]
-			if newDown[home] || c.down[home] {
+			if home := g.ParityNodes[i]; newDown[home] || c.down[home] {
 				continue // this parity block died with its node
 			}
 			parityBlocks[i] = k.Parity()
@@ -361,36 +360,8 @@ func (c *Cluster) FailNodes(ns ...int) (*FailureReport, error) {
 
 	// Phase 2: rebuild parity blocks that lived on failed nodes from their
 	// members' committed images (members are all intact now).
-	for _, s := range plan.Steps {
-		if s.Kind != cluster.RehomeParity {
-			continue
-		}
-		gi := s.Group
-		g := c.layout.Groups[gi]
-		// Identify which parity indices of this group died and are not yet
-		// rebuilt this pass.
-		for i, home := range parityHomes[gi] {
-			if !newDown[home] {
-				continue
-			}
-			initial := make(map[string][]byte, len(g.Members))
-			epochs := make(map[string]uint64, len(g.Members))
-			for _, name := range g.Members {
-				initial[name] = c.members[name].CommittedImage()
-				epochs[name] = c.members[name].Epoch()
-			}
-			nk, err := NewMKeeper(gi, i, c.layout.Tolerance, initial)
-			if err != nil {
-				return nil, err
-			}
-			if err := nk.SetEpochs(epochs); err != nil {
-				return nil, err
-			}
-			c.keepers[gi][i] = nk
-			c.stats.ParityRebuilds++
-			parityHomes[gi][i] = -1 // consumed: don't rebuild twice
-			break                   // one RehomeParity step handles one block
-		}
+	if err := c.rebuildParityOn(ns...); err != nil {
+		return nil, err
 	}
 
 	// Phase 3: global rollback — the paper's recovery semantics: "DVDC
@@ -429,6 +400,46 @@ func (c *Cluster) RepairNode(n int) error {
 		return fmt.Errorf("core: node %d is not down", n)
 	}
 	delete(c.down, n)
+	return nil
+}
+
+// downNodes returns the nodes currently out of service, sorted.
+func (c *Cluster) downNodes() []int {
+	down := make([]int, 0, len(c.down))
+	for n := range c.down {
+		down = append(down, n)
+	}
+	sort.Ints(down)
+	return down
+}
+
+// rebuildParityOn re-homes every parity block the layout still places on one
+// of the given nodes: a fresh keeper encodes the group's committed images and
+// takes over the members' epochs. Recovery and evacuation both re-home parity
+// this way; where the block goes is the layout's business.
+func (c *Cluster) rebuildParityOn(nodes ...int) error {
+	for _, g := range c.layout.Groups {
+		for i, home := range g.ParityNodes {
+			if !slices.Contains(nodes, home) {
+				continue
+			}
+			initial := make(map[string][]byte, len(g.Members))
+			epochs := make(map[string]uint64, len(g.Members))
+			for _, name := range g.Members {
+				initial[name] = c.members[name].CommittedImage()
+				epochs[name] = c.members[name].Epoch()
+			}
+			k, err := NewMKeeper(g.Index, i, c.layout.Tolerance, initial)
+			if err != nil {
+				return err
+			}
+			if err := k.SetEpochs(epochs); err != nil {
+				return err
+			}
+			c.keepers[g.Index][i] = k
+			c.stats.ParityRebuilds++
+		}
+	}
 	return nil
 }
 

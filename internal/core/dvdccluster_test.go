@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dvdc/internal/cluster"
@@ -41,8 +42,13 @@ func TestClusterCheckpointMaintainsParity(t *testing.T) {
 	if err := c.VerifyParity(); err != nil {
 		t.Fatalf("initial parity: %v", err)
 	}
+	var dirty int64
 	for round := 0; round < 4; round++ {
 		churn(t, c, int64(round), 25)
+		for _, name := range c.VMNames() {
+			m, _ := c.Machine(name)
+			dirty += int64(m.DirtyCount())
+		}
 		if err := c.CheckpointRound(); err != nil {
 			t.Fatal(err)
 		}
@@ -50,8 +56,70 @@ func TestClusterCheckpointMaintainsParity(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	if c.Stats().Rounds != 4 || c.Stats().DeltaBytes == 0 {
-		t.Errorf("stats: %+v", c.Stats())
+	// Every dirty page ships whole, once.
+	if c.Stats().Rounds != 4 || dirty == 0 || c.Stats().DeltaBytes != dirty*64 {
+		t.Errorf("stats: %+v, %d dirty pages of 64 bytes", c.Stats(), dirty)
+	}
+}
+
+// TestCheckpointRoundAbortsOnFailedFold: when one group's fold fails, the
+// whole round aborts the way the runtime's does — every keeper drops its
+// staged pages and every member unstages — so no committed image, parity
+// block or epoch moves and the dirty pages wait for the next round, which
+// commits them.
+func TestCheckpointRoundAbortsOnFailedFold(t *testing.T) {
+	c := paperCluster(t)
+	churn(t, c, 11, 20)
+	committed, dirty := map[string][]byte{}, map[string][]int{}
+	for _, name := range c.VMNames() {
+		m, _ := c.Machine(name)
+		committed[name], dirty[name] = c.members[name].CommittedImage(), m.DirtyPages()
+	}
+	// Group 1's first parity block is swapped for a keeper of strangers, so
+	// every fold into it is refused.
+	good := c.keepers[1][0]
+	stranger, err := NewMKeeper(1, 0, 1, map[string][]byte{"stranger": make([]byte, good.Size())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.keepers[1][0] = stranger
+	if err := c.CheckpointRound(); err == nil {
+		t.Fatal("a round with a refused fold committed")
+	}
+	c.keepers[1][0] = good
+	for _, name := range c.VMNames() {
+		m, _ := c.Machine(name)
+		if mem := c.members[name]; mem.Epoch() != 0 || !bytes.Equal(mem.CommittedImage(), committed[name]) {
+			t.Errorf("%s: the aborted round moved the member to epoch %d or changed its committed image", name, mem.Epoch())
+		}
+		if got := m.DirtyPages(); !slices.Equal(got, dirty[name]) {
+			t.Errorf("%s: dirty pages after abort %v, want %v", name, got, dirty[name])
+		}
+	}
+	for gi, ks := range c.keepers {
+		for _, k := range ks {
+			if k.StagedPages() != 0 {
+				t.Errorf("parity[%d] of group %d still holds %d staged pages", k.ParityIndex(), gi, k.StagedPages())
+			}
+		}
+	}
+	if err := c.VerifyParity(); err != nil {
+		t.Fatalf("after the abort: %v", err)
+	}
+	if c.Stats().Rounds != 0 || c.Stats().DeltaBytes != 0 {
+		t.Errorf("the aborted round was counted: %+v", c.Stats())
+	}
+	if err := c.CheckpointRound(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.VerifyParity(); err != nil {
+		t.Fatalf("after the retry: %v", err)
+	}
+	for _, name := range c.VMNames() {
+		m, _ := c.Machine(name)
+		if !bytes.Equal(c.members[name].CommittedImage(), m.Image()) || c.members[name].Epoch() != 1 {
+			t.Errorf("%s: the retried round did not commit the live image", name)
+		}
 	}
 }
 
@@ -216,44 +284,4 @@ func TestClusterMachineLookup(t *testing.T) {
 		t.Error("lookup of known VM failed")
 	}
 	_ = vm.DefaultPageSize // keep the vm import meaningful if geometry changes
-}
-
-func TestConcurrentCheckpointMatchesSerial(t *testing.T) {
-	// Two identical clusters, identical workloads: serial and concurrent
-	// rounds must produce identical parity and committed state.
-	a := paperCluster(t)
-	b := paperCluster(t)
-	for round := 0; round < 3; round++ {
-		churn(t, a, int64(round), 25)
-		churn(t, b, int64(round), 25)
-		if err := a.CheckpointRound(); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.CheckpointRoundConcurrent(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := a.VerifyParity(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.VerifyParity(); err != nil {
-		t.Fatal(err)
-	}
-	if a.Stats().DeltaBytes != b.Stats().DeltaBytes {
-		t.Errorf("delta bytes differ: %d vs %d", a.Stats().DeltaBytes, b.Stats().DeltaBytes)
-	}
-	for _, name := range a.VMNames() {
-		ma, _ := a.Machine(name)
-		mb, _ := b.Machine(name)
-		if !ma.Equal(mb) {
-			t.Errorf("VM %q diverged between serial and concurrent rounds", name)
-		}
-	}
-	// Recovery still works after concurrent rounds.
-	if _, err := b.FailNode(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.VerifyParity(); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"dvdc/internal/cluster"
 	"dvdc/internal/migrate"
@@ -26,135 +25,40 @@ type EvacuationMove struct {
 // EvacuateNode proactively live-migrates every VM off a node that is
 // predicted to fail — the paper's "moving state: live migration away from
 // failing nodes" benefit. Unlike FailNode, nothing is lost and nobody rolls
-// back: each VM pre-copies its memory to a target chosen like recovery
-// placement (least-loaded node holding no other element of the VM's group),
-// the committed image and protocol epoch travel with it, and parity is
-// untouched because the VM's state is unchanged. Parity blocks homed on the
-// node are re-homed by recomputation, exactly as in recovery.
+// back: each VM pre-copies its memory to the target cluster.PlanEvacuation
+// gives it — recovery's placement, so a group's elements spread and its
+// parity blocks never stack — the committed image and protocol epoch travel
+// with it, and parity is untouched because the VM's state is unchanged.
+// Parity blocks homed on the node are re-homed by recomputation, exactly as in
+// recovery.
 //
 // An optional HashIndex enables the paper's page-hash dedup during the
 // migrations (nil disables it).
 func (c *Cluster) EvacuateNode(n int, index *migrate.HashIndex) (*EvacuationReport, error) {
-	if n < 0 || n >= c.layout.Nodes {
-		return nil, fmt.Errorf("core: node %d out of range [0,%d)", n, c.layout.Nodes)
-	}
 	if c.down[n] {
 		return nil, fmt.Errorf("core: node %d is already down", n)
 	}
-	report := &EvacuationReport{Node: n}
-
-	// Load per node for target choice, like the recovery planner.
-	load := make([]int, c.layout.Nodes)
-	for _, v := range c.layout.VMs {
-		if v.Node != n && !c.down[v.Node] {
-			load[v.Node]++
-		}
+	plan, err := c.layout.PlanEvacuation(n, c.downNodes()...)
+	if err != nil {
+		return nil, err
 	}
-	groupOccupied := func(g cluster.Group, extra map[int]bool) map[int]bool {
-		occ := map[int]bool{}
-		for _, m := range g.Members {
-			v, _ := c.layout.VM(m)
-			if v.Node != n {
-				occ[v.Node] = true
-			}
+	report := &EvacuationReport{Node: n, Degraded: plan.Degraded}
+	for _, s := range plan.Steps {
+		if s.Kind != cluster.RestoreVM {
+			continue
 		}
-		for _, p := range g.ParityNodes {
-			if p != n {
-				occ[p] = true
-			}
-		}
-		for e := range extra {
-			occ[e] = true
-		}
-		return occ
-	}
-	planned := map[int]map[int]bool{} // group -> nodes taken by this evacuation
-	pickTarget := func(g cluster.Group) (int, bool, error) {
-		occ := groupOccupied(g, planned[g.Index])
-		best, bestLoad, degraded := -1, int(^uint(0)>>1), false
-		for t := 0; t < c.layout.Nodes; t++ {
-			if t == n || c.down[t] || occ[t] {
-				continue
-			}
-			if load[t] < bestLoad {
-				best, bestLoad = t, load[t]
-			}
-		}
-		if best == -1 {
-			degraded = true
-			for t := 0; t < c.layout.Nodes; t++ {
-				if t == n || c.down[t] {
-					continue
-				}
-				if load[t] < bestLoad {
-					best, bestLoad = t, load[t]
-				}
-			}
-		}
-		if best == -1 {
-			return 0, false, fmt.Errorf("core: no surviving target for group %d", g.Index)
-		}
-		if planned[g.Index] == nil {
-			planned[g.Index] = map[int]bool{}
-		}
-		planned[g.Index][best] = true
-		return best, degraded, nil
-	}
-
-	// Live-migrate every hosted VM, in stable order.
-	vms := c.layout.VMsOnNode(n)
-	sort.Strings(vms)
-	for _, name := range vms {
-		v, _ := c.layout.VM(name)
-		g := c.layout.Groups[v.Group]
-		target, degraded, err := pickTarget(g)
-		if err != nil {
-			return nil, err
-		}
-		stats, err := c.moveVM(name, target, index)
+		stats, err := c.moveVM(s.VM, s.TargetNode, index)
 		if err != nil {
 			return nil, err
 		}
 		report.Moves = append(report.Moves, EvacuationMove{
-			VM: name, TargetNode: target, Stats: stats, Degraded: degraded,
+			VM: s.VM, TargetNode: s.TargetNode, Stats: stats, Degraded: s.Degraded,
 		})
-		report.Degraded = report.Degraded || degraded
-		load[target]++
 	}
-
-	// Re-home parity blocks from the suspect node by recomputation.
-	for _, g := range c.layout.Groups {
-		for i, p := range g.ParityNodes {
-			if p != n {
-				continue
-			}
-			target, degraded, err := pickTarget(g)
-			if err != nil {
-				return nil, err
-			}
-			initial := make(map[string][]byte, len(g.Members))
-			epochs := make(map[string]uint64, len(g.Members))
-			for _, m := range g.Members {
-				initial[m] = c.members[m].CommittedImage()
-				epochs[m] = c.members[m].Epoch()
-			}
-			nk, err := NewMKeeper(g.Index, i, c.layout.Tolerance, initial)
-			if err != nil {
-				return nil, err
-			}
-			if err := nk.SetEpochs(epochs); err != nil {
-				return nil, err
-			}
-			c.keepers[g.Index][i] = nk
-			c.layout.Groups[g.Index].ParityNodes[i] = target
-			report.Degraded = report.Degraded || degraded
-			c.stats.ParityRebuilds++
-		}
+	if err := c.rebuildParityOn(n); err != nil {
+		return nil, err
 	}
-	if report.Degraded {
-		return report, c.layout.ValidateDegraded()
-	}
-	return report, c.layout.Validate()
+	return report, c.layout.ApplyRecovery(plan)
 }
 
 // moveVM live-migrates one VM to a target node: iterative pre-copy, a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"dvdc/internal/cluster"
@@ -151,6 +152,101 @@ func TestEvacuateDegradedOnPaperLayout(t *testing.T) {
 	}
 	if !rep.Degraded {
 		t.Error("4-node evacuation should be degraded")
+	}
+	if err := c.VerifyParity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEvacuateNeverStacksParity sweeps RS m = 2 layouts — 4 to 8 nodes,
+// groups of 2 to nodes-2, one or two stacks — and evacuates every node of
+// each. A node may hold at most one parity block of a group: one holding two
+// takes both with it when it fails. Every evacuation must also leave the node
+// empty and the parity verifiable.
+func TestEvacuateNeverStacksParity(t *testing.T) {
+	for nodes := 4; nodes <= 8; nodes++ {
+		for size := 2; size <= nodes-2; size++ {
+			for stacks := 1; stacks <= 2; stacks++ {
+				for n := 0; n < nodes; n++ {
+					layout, err := cluster.BuildDistributedGroups(nodes, stacks, 2, size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c, err := NewCluster(layout, 4, 32)
+					if err != nil {
+						t.Fatal(err)
+					}
+					churn(t, c, int64(n), 3)
+					if err := c.CheckpointRound(); err != nil {
+						t.Fatal(err)
+					}
+					shape := fmt.Sprintf("%d nodes, groups of %d, %d stacks, evacuate %d", nodes, size, stacks, n)
+					if _, err := c.EvacuateNode(n, nil); err != nil {
+						t.Fatalf("%s: %v", shape, err)
+					}
+					for _, g := range c.Layout().Groups {
+						if p := g.ParityNodes; p[0] == p[1] {
+							t.Errorf("%s: both parity blocks of group %d on node %d", shape, g.Index, p[0])
+						}
+					}
+					if vms, par := c.Layout().VMsOnNode(n), c.Layout().ParityGroupsOnNode(n); len(vms)+len(par) != 0 {
+						t.Errorf("%s: node still hosts %v and parity of %v", shape, vms, par)
+					}
+					if err := c.VerifyParity(); err != nil {
+						t.Errorf("%s: %v", shape, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEvacuateDegradedNode: after a degraded recovery and the failed node's
+// repair, a node holds two elements of one group. Evacuating it loses
+// nothing, so it must succeed even though failing it would exceed the
+// group's tolerance, and the cluster must keep checkpointing.
+func TestEvacuateDegradedNode(t *testing.T) {
+	c := paperCluster(t)
+	churn(t, c, 12, 10)
+	if err := c.CheckpointRound(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.FailNode(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RepairNode(0); err != nil {
+		t.Fatal(err)
+	}
+	if c.Layout().Survives(1) {
+		t.Fatal("node 1 holds no two elements of one group; the case is vacuous")
+	}
+	churn(t, c, 13, 10)
+	live := map[string][]byte{}
+	for _, name := range c.VMNames() {
+		m, _ := c.Machine(name)
+		live[name] = m.Image()
+	}
+	rep, err := c.EvacuateNode(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vms, par := c.Layout().VMsOnNode(1), c.Layout().ParityGroupsOnNode(1); len(vms)+len(par) != 0 {
+		t.Fatalf("node 1 still hosts %v and parity of %v", vms, par)
+	}
+	if len(rep.Moves) == 0 {
+		t.Fatal("no VM moved")
+	}
+	for _, name := range c.VMNames() {
+		m, _ := c.Machine(name)
+		if !bytes.Equal(m.Image(), live[name]) {
+			t.Errorf("VM %q live state changed by evacuation", name)
+		}
+	}
+	if err := c.VerifyParity(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckpointRound(); err != nil {
+		t.Fatal(err)
 	}
 	if err := c.VerifyParity(); err != nil {
 		t.Fatal(err)

@@ -9,10 +9,11 @@ import (
 	"dvdc/internal/checkpoint"
 )
 
-// TestFoldIntoCommitPendingMatchesApplyDelta pins the chunked fold path to
-// the whole-delta one: folding each delta's pages chunk-by-chunk (shuffled,
-// at byte offsets) into a zeroed pending buffer and committing it must leave
-// the keeper in exactly the state ApplyDelta produces.
+// TestFoldIntoCommitPendingMatchesApplyDelta pins the oracle's chunked fold
+// path to the staged round: folding each delta's pages chunk-by-chunk
+// (shuffled, at byte offsets) into a zeroed pending buffer and draining it
+// with DrainPendingRanges must leave the keeper in exactly the state whole
+// pages staged with Stage and landed with Commit produce.
 func TestFoldIntoCommitPendingMatchesApplyDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const pageSize, pages = 32, 16
@@ -46,9 +47,10 @@ func TestFoldIntoCommitPendingMatchesApplyDelta(t *testing.T) {
 							recs = append(recs, checkpoint.PageRecord{Index: p, Data: data})
 						}
 					}
-					d := &Delta{VMID: id, Epoch: epoch, Pages: recs}
-					if err := mono.ApplyDelta(d); err != nil {
-						t.Fatal(err)
+					for _, p := range recs {
+						if err := mono.Stage(id, p.Index*pageSize, p.Data); err != nil {
+							t.Fatal(err)
+						}
 					}
 					// Chunked: split every page into odd-sized pieces folded
 					// at byte offsets, in shuffled order.
@@ -73,7 +75,10 @@ func TestFoldIntoCommitPendingMatchesApplyDelta(t *testing.T) {
 					}
 					epochs[id] = epoch
 				}
-				if err := chunked.CommitPending(pending, epochs); err != nil {
+				if err := mono.Commit(epochs); err != nil {
+					t.Fatal(err)
+				}
+				if err := chunked.DrainPendingRanges(pending, epochs, [][2]int{{0, len(pending)}}); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(mono.Parity(), chunked.Parity()) {
@@ -97,9 +102,10 @@ func TestCommitPendingRejectsBadEpochAtomically(t *testing.T) {
 	}
 	before := k.Parity()
 	pending := bytes.Repeat([]byte{0xFF}, 64)
+	all := [][2]int{{0, 64}}
 	// "a" is valid (epoch 1), "b" skips ahead — the whole commit must fail
-	// without touching parity or epochs.
-	err = k.CommitPending(pending, map[string]uint64{"a": 1, "b": 2})
+	// without touching parity, epochs or the pending buffer.
+	err = k.DrainPendingRanges(pending, map[string]uint64{"a": 1, "b": 2}, all)
 	if err == nil {
 		t.Fatal("epoch skip accepted")
 	}
@@ -109,15 +115,18 @@ func TestCommitPendingRejectsBadEpochAtomically(t *testing.T) {
 	if k.Epoch("a") != 0 {
 		t.Fatal("failed commit advanced an epoch")
 	}
-	if err := k.CommitPending(pending, map[string]uint64{"a": 1, "b": 1}); err != nil {
+	if !bytes.Equal(pending, bytes.Repeat([]byte{0xFF}, 64)) {
+		t.Fatal("failed commit drained the pending buffer")
+	}
+	if err := k.DrainPendingRanges(pending, map[string]uint64{"a": 1, "b": 1}, all); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestCommitPendingRangesMatchesFullCommit pins the range-restricted commit
+// TestCommitPendingRangesMatchesFullCommit pins the range-restricted drain
 // to the full-buffer one: when the ranges cover every byte a fold touched
-// (and the rest of the buffer is zero, as the runtime guarantees), both
-// commits must land the identical parity block.
+// (and the rest of the buffer is zero), both commits must land the identical
+// parity block, and both must leave their buffers all zero.
 func TestCommitPendingRangesMatchesFullCommit(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	const pageSize, pages = 32, 16
@@ -166,14 +175,17 @@ func TestCommitPendingRangesMatchesFullCommit(t *testing.T) {
 			}
 		}
 		fullBuf := append([]byte(nil), pending...)
-		if err := full.CommitPending(fullBuf, epochs); err != nil {
+		if err := full.DrainPendingRanges(fullBuf, epochs, [][2]int{{0, len(fullBuf)}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := ranged.CommitPendingRanges(pending, epochs, merged); err != nil {
+		if err := ranged.DrainPendingRanges(pending, epochs, merged); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(full.Parity(), ranged.Parity()) {
 			t.Fatalf("epoch %d: ranged commit diverges from full commit", epoch)
+		}
+		if zero := make([]byte, len(pending)); !bytes.Equal(pending, zero) || !bytes.Equal(fullBuf, zero) {
+			t.Fatalf("epoch %d: a drained buffer is not all zero", epoch)
 		}
 	}
 }
@@ -187,7 +199,7 @@ func TestCommitPendingRangesRejectsBadRangeAtomically(t *testing.T) {
 	before := k.Parity()
 	pending := bytes.Repeat([]byte{0xFF}, 64)
 	for _, bad := range [][2]int{{-1, 8}, {8, 4}, {32, 65}} {
-		err := k.CommitPendingRanges(pending, map[string]uint64{"a": 1}, [][2]int{{0, 8}, bad})
+		err := k.DrainPendingRanges(pending, map[string]uint64{"a": 1}, [][2]int{{0, 8}, bad})
 		if err == nil {
 			t.Fatalf("range %v accepted", bad)
 		}
@@ -196,6 +208,9 @@ func TestCommitPendingRangesRejectsBadRangeAtomically(t *testing.T) {
 		}
 		if k.Epoch("a") != 0 {
 			t.Fatalf("failed commit with range %v advanced an epoch", bad)
+		}
+		if !bytes.Equal(pending, bytes.Repeat([]byte{0xFF}, 64)) {
+			t.Fatalf("failed commit with range %v drained the pending buffer", bad)
 		}
 	}
 }

@@ -18,13 +18,13 @@ const ParityPageSize = 4 << 10
 // MKeeper maintains ONE of the m parity blocks protecting a RAID group
 // under a systematic RS(k, m) code — the generalization to multi-failure
 // tolerance that the paper motivates through Wang et al.'s double-erasure
-// checkpointing. With m = 1 the code degenerates to plain XOR (the RS
-// construction's first parity row is all ones), so MKeeper subsumes the
-// single-parity Keeper semantically; the group's m parity blocks live on m
-// distinct nodes per the layout's ParityNodes.
+// checkpointing. With m = 1 the code degenerates to the paper's plain XOR
+// (the RS construction's first parity row is all ones); the group's m parity
+// blocks live on m distinct nodes per the layout's ParityNodes.
 //
-// Like Keeper, an MKeeper never stores member images: deltas fold in via
-// the linear small-write update parity ^= Coef * (old XOR new).
+// An MKeeper never stores member images — only their code — which is what
+// distinguishes parity checkpointing from replication: deltas fold in via the
+// linear small-write update parity ^= Coef * (old XOR new).
 //
 // The block is held as ParityPageSize pages, and a round is two-phase inside
 // the keeper. Stage folds a chunk into next-epoch copies of the pages it
@@ -259,9 +259,8 @@ func (k *MKeeper) Stage(id string, off int, data []byte) error {
 }
 
 // Commit lands the staged round and advances the given members' epochs.
-// Every epoch must be exactly one past the member's folded epoch — the same
-// ordering rule ApplyDelta enforces — and all of them are checked before
-// anything changes, so a bad commit leaves the keeper, staged pages included,
+// Every epoch must be exactly one past the member's folded epoch, and all of
+// them are checked before anything changes, so a bad commit leaves the keeper, staged pages included,
 // untouched. Each staged page then replaces its committed one, which goes on
 // the free list: commit moves no parity bytes.
 func (k *MKeeper) Commit(epochs map[string]uint64) error {
@@ -324,10 +323,11 @@ func (k *MKeeper) checkEpochs(epochs map[string]uint64) error {
 
 // FoldInto folds one member's delta bytes at a byte offset into dst, a
 // contiguous accumulation buffer of the keeper's block size, and
-// CommitPending lands that buffer in the committed pages. This is the
-// in-process oracle path the runtime's staged folds are tested against, and
-// the one benchmark/layers.go times; the runtime itself stages (Stage,
-// Commit, Drop). The two paths are not mixed within one round.
+// DrainPendingRanges lands that buffer in the committed pages. This is the
+// independent twin every oracle folds with — the fuzz target, the in-process
+// tests and the runtime's differential tests check the staged round (Stage,
+// Commit, Drop) against it — and the path benchmark/layers.go times. The two
+// paths are not mixed within one round.
 func (k *MKeeper) FoldInto(dst []byte, id string, off int, data []byte) error {
 	j, err := k.checkFold(id, off, len(data))
 	if err != nil {
@@ -339,36 +339,17 @@ func (k *MKeeper) FoldInto(dst []byte, id string, off int, data []byte) error {
 	return k.coder.UpdateParity(dst[off:off+len(data)], k.parityIdx, j, data)
 }
 
-// CommitPending folds an accumulation buffer built by FoldInto into the
-// committed parity pages and advances the given members' epochs, under
-// Commit's epoch rule; all checks run before any state changes, so a bad
-// commit leaves the keeper untouched. It is part of the oracle path (see
-// FoldInto) and refuses a keeper that holds staged pages.
-func (k *MKeeper) CommitPending(pending []byte, epochs map[string]uint64) error {
-	return k.CommitPendingRanges(pending, epochs, [][2]int{{0, len(pending)}})
-}
-
-// CommitPendingRanges is CommitPending restricted to the byte ranges of the
-// accumulation buffer that folds actually touched: everything outside them
-// must still be zero, so XORing only the touched ranges lands the identical
-// parity at O(folded bytes) instead of O(block) per commit. Ranges must be
-// disjoint ([start, end) pairs; overlap would fold the overlap twice) and
-// are checked, like the epochs, before any state changes. Oracle path.
-func (k *MKeeper) CommitPendingRanges(pending []byte, epochs map[string]uint64, ranges [][2]int) error {
-	return k.commitRanges(pending, epochs, ranges, false)
-}
-
-// DrainPendingRanges is CommitPendingRanges for a reusable accumulation
-// buffer: each committed range is zeroed in the same pass that folds it
-// (parity.XORDrain), so pending leaves the call all-zero inside the ranges
-// without a second memory sweep. A failed commit leaves parity, epochs, and
-// pending all untouched. Oracle and benchmark path; the runtime's commit is a
-// page swap (Commit).
+// DrainPendingRanges folds the byte ranges of an accumulation buffer built by
+// FoldInto into the committed parity pages and advances the given members'
+// epochs, under Commit's epoch rule. Everything outside the ranges must still
+// be zero, so folding only the touched ranges lands the identical parity at
+// O(folded bytes); ranges must be disjoint ([start, end) pairs; overlap would
+// fold the overlap twice). Each range is zeroed in the same pass that folds it
+// (parity.XORDrain), so a reusable buffer leaves the call all-zero inside the
+// ranges without a second memory sweep. Ranges and epochs are checked before
+// any state changes, so a failed commit leaves parity, epochs and pending all
+// untouched; a keeper that holds staged pages is refused.
 func (k *MKeeper) DrainPendingRanges(pending []byte, epochs map[string]uint64, ranges [][2]int) error {
-	return k.commitRanges(pending, epochs, ranges, true)
-}
-
-func (k *MKeeper) commitRanges(pending []byte, epochs map[string]uint64, ranges [][2]int, drain bool) error {
 	if len(k.stagedIdx) > 0 {
 		return fmt.Errorf("core: mkeeper group %d commit of a pending buffer with %d pages staged", k.group, len(k.stagedIdx))
 	}
@@ -385,11 +366,7 @@ func (k *MKeeper) commitRanges(pending []byte, epochs map[string]uint64, ranges 
 	}
 	for _, r := range ranges {
 		if err := eachPage(r[0], r[1]-r[0], func(i, lo, hi, at int) error {
-			src := pending[r[0]+at : r[0]+at+hi-lo]
-			if drain {
-				return parity.XORDrain(k.pages[i][lo:hi], src)
-			}
-			return parity.XORInto(k.pages[i][lo:hi], src)
+			return parity.XORDrain(k.pages[i][lo:hi], pending[r[0]+at:r[0]+at+hi-lo])
 		}); err != nil {
 			return err
 		}
@@ -397,33 +374,6 @@ func (k *MKeeper) commitRanges(pending []byte, epochs map[string]uint64, ranges 
 	for id, e := range epochs {
 		k.epochs[id] = e
 	}
-	return nil
-}
-
-// ApplyDelta folds one member's checkpoint delta straight into the committed
-// parity block (the in-process path: no round, nothing staged).
-func (k *MKeeper) ApplyDelta(d *Delta) error {
-	j, ok := k.index[d.VMID]
-	if !ok {
-		return fmt.Errorf("core: mkeeper group %d got delta from unknown member %q", k.group, d.VMID)
-	}
-	if d.Epoch != k.epochs[d.VMID]+1 {
-		return fmt.Errorf("core: mkeeper group %d member %q epoch %d after %d",
-			k.group, d.VMID, d.Epoch, k.epochs[d.VMID])
-	}
-	coef := k.coder.Coef(k.parityIdx, j)
-	for _, p := range d.Pages {
-		off := p.Index * len(p.Data)
-		if p.Index < 0 || off+len(p.Data) > k.size {
-			return fmt.Errorf("core: delta page %d out of parity range", p.Index)
-		}
-		if err := eachPage(off, len(p.Data), func(i, lo, hi, at int) error {
-			return parity.MulSliceInto(k.pages[i][lo:hi], p.Data[at:at+hi-lo], coef)
-		}); err != nil {
-			return err
-		}
-	}
-	k.epochs[d.VMID] = d.Epoch
 	return nil
 }
 

@@ -5,21 +5,19 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"dvdc/internal/checkpoint"
 )
 
 // FuzzMKeeperStage drives a keeper's staged round — Stage at any offset and
-// length, Commit, Drop, interleaved as the script says — beside two
-// references over the same initial images: a contiguous twin that folds with
-// FoldInto into a pending buffer and lands it with CommitPending (a drop
-// clears the buffer), and a keeper fed each member's round as one ApplyDelta.
-// Image sizes run below one page and off the page grain; groups have 1–4
-// members under RS m = 1 or 2, either parity index. After every step the
-// committed parity and every epoch must agree, the staged page count must be
-// the number of distinct pages the round's folds covered (zero after a commit
-// or a drop), and the keeper must hold no more than its block plus the most
-// pages any round touched.
+// length, Commit, Drop, interleaved as the script says — beside the
+// independent twin over the same initial images: a keeper that folds with
+// FoldInto into a contiguous pending buffer and lands the pages the round
+// covered with DrainPendingRanges (a drop clears the buffer). Image sizes run
+// below one page and off the page grain; groups have 1–4 members under RS
+// m = 1 or 2, either parity index. After every step the committed parity and
+// every epoch must agree, the staged page count must be the number of
+// distinct pages the round's folds covered (zero after a commit or a drop),
+// the drained buffer must be all zero, and the keeper must hold no more than
+// its block plus the most pages any round touched.
 func FuzzMKeeperStage(f *testing.F) {
 	f.Add(int64(1), uint16(99), uint8(0), []byte{0, 1, 2, 6, 3, 7, 4, 5, 6})
 	f.Add(int64(2), uint16(ParityPageSize-1), uint8(3), []byte{0, 0, 1, 1, 6, 2, 2, 7, 6})
@@ -50,22 +48,19 @@ func FuzzMKeeperStage(f *testing.F) {
 			}
 			return kp
 		}
-		staged, twin, whole := newKeeper(), newKeeper(), newKeeper()
+		staged, twin := newKeeper(), newKeeper()
 		pending := make([]byte, size)
-		deltas := map[string][]byte{} // each folding member's round, contiguous
-		touched := map[int]bool{}     // pages the round's folds covered
+		folded := map[string]bool{} // members that folded this round
+		touched := map[int]bool{}   // pages the round's folds covered
 		maxTouched := 0
 		check := func(step string) {
 			t.Helper()
 			if !bytes.Equal(staged.Parity(), twin.Parity()) {
-				t.Fatalf("%s: staged keeper's parity diverges from FoldInto + CommitPending", step)
-			}
-			if !bytes.Equal(staged.Parity(), whole.Parity()) {
-				t.Fatalf("%s: staged keeper's parity diverges from ApplyDelta", step)
+				t.Fatalf("%s: staged keeper's parity diverges from FoldInto + DrainPendingRanges", step)
 			}
 			for _, id := range names {
-				if e := staged.Epoch(id); e != twin.Epoch(id) || e != whole.Epoch(id) {
-					t.Fatalf("%s: %s at epoch %d, references at %d / %d", step, id, e, twin.Epoch(id), whole.Epoch(id))
+				if e := staged.Epoch(id); e != twin.Epoch(id) {
+					t.Fatalf("%s: %s at epoch %d, the twin at %d", step, id, e, twin.Epoch(id))
 				}
 			}
 			if got := staged.StagedPages(); got != len(touched) {
@@ -80,33 +75,29 @@ func FuzzMKeeperStage(f *testing.F) {
 			switch op % 8 {
 			case 6: // commit every member that folded this round
 				epochs := map[string]uint64{}
-				for id, d := range deltas {
-					e := staged.Epoch(id) + 1
-					epochs[id] = e
-					var recs []checkpoint.PageRecord
-					for i, b := range d {
-						if b != 0 {
-							recs = append(recs, checkpoint.PageRecord{Index: i, Data: []byte{b}})
-						}
-					}
-					if err := whole.ApplyDelta(&Delta{VMID: id, Epoch: e, Pages: recs}); err != nil {
-						t.Fatal(err)
-					}
+				for id := range folded {
+					epochs[id] = staged.Epoch(id) + 1
+				}
+				var ranges [][2]int
+				for p := range touched {
+					ranges = append(ranges, [2]int{p * ParityPageSize, min((p+1)*ParityPageSize, size)})
 				}
 				if err := staged.Commit(epochs); err != nil {
 					t.Fatal(err)
 				}
-				if err := twin.CommitPending(pending, epochs); err != nil {
+				if err := twin.DrainPendingRanges(pending, epochs, ranges); err != nil {
 					t.Fatal(err)
 				}
-				clear(pending)
-				clear(deltas)
+				if !bytes.Equal(pending, make([]byte, size)) {
+					t.Fatalf("step %d (commit): the drained buffer is not all zero", n)
+				}
+				clear(folded)
 				clear(touched)
 				check(fmt.Sprintf("step %d (commit)", n))
 			case 7: // drop the round
 				staged.Drop()
 				clear(pending)
-				clear(deltas)
+				clear(folded)
 				clear(touched)
 				check(fmt.Sprintf("step %d (drop)", n))
 			default: // fold: any member, any offset, up to two pages and a bit
@@ -120,14 +111,7 @@ func FuzzMKeeperStage(f *testing.F) {
 				if err := twin.FoldInto(pending, id, off, data); err != nil {
 					t.Fatal(err)
 				}
-				d := deltas[id]
-				if d == nil {
-					d = make([]byte, size)
-					deltas[id] = d
-				}
-				for i, b := range data {
-					d[off+i] ^= b
-				}
+				folded[id] = true
 				if len(data) > 0 {
 					for p := off / ParityPageSize; p <= (off+len(data)-1)/ParityPageSize; p++ {
 						touched[p] = true
@@ -168,8 +152,8 @@ func TestStageRejectsBadFoldsAndCommits(t *testing.T) {
 	if err := k.Commit(map[string]uint64{"a": 2}); err == nil {
 		t.Fatal("epoch skip committed")
 	}
-	if err := k.CommitPending(make([]byte, 5000), map[string]uint64{"a": 1}); err == nil {
-		t.Fatal("CommitPending accepted a keeper with staged pages")
+	if err := k.DrainPendingRanges(make([]byte, 5000), map[string]uint64{"a": 1}, [][2]int{{0, 5000}}); err == nil {
+		t.Fatal("DrainPendingRanges accepted a keeper with staged pages")
 	}
 	if !bytes.Equal(k.Parity(), before) || k.Epoch("a") != 0 || k.StagedPages() != 2 {
 		t.Fatal("a refused commit changed the keeper")

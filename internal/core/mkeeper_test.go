@@ -46,15 +46,9 @@ func mChurnAndCheckpoint(t *testing.T, members []*Member, keepers []*MKeeper, se
 		for w := 0; w < 25; w++ {
 			mach.TouchPage(rng.Intn(mach.NumPages()), rng.Uint64())
 		}
-		d, err := mem.CaptureDelta()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range keepers {
-			if err := k.ApplyDelta(d); err != nil {
-				t.Fatal(err)
-			}
-		}
+	}
+	if err := groupRound(members, keepers...); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -137,19 +131,33 @@ func TestMKeeperValidation(t *testing.T) {
 	}
 }
 
+// TestMKeeperRejectsBadDeltas: on the GF row of a tolerance-2 group, a fold
+// from an unknown member is refused, and a replayed commit is refused without
+// landing its folds.
 func TestMKeeperRejectsBadDeltas(t *testing.T) {
-	members, keepers := newMGroup(t, 2, 1, 8, 32)
+	members, keepers := newMGroup(t, 2, 2, 8, 32)
+	k := keepers[1]
 	m := members[0].Machine()
 	m.TouchPage(0, 1)
-	d, _ := members[0].CaptureDelta()
-	if err := keepers[0].ApplyDelta(&Delta{VMID: "stranger", Epoch: 1}); err == nil {
+	d, _ := members[0].CaptureDeltaInto(nil)
+	if err := k.Stage("stranger", 0, make([]byte, 32)); err == nil {
 		t.Error("unknown member should fail")
 	}
-	if err := keepers[0].ApplyDelta(d); err != nil {
+	for round, wantErr := range []bool{false, true} {
+		if err := stageDelta(k, members[0], d); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.Commit(map[string]uint64{d.VMID: d.Epoch}); (err != nil) != wantErr {
+			t.Fatalf("commit %d of epoch %d: %v", round, d.Epoch, err)
+		}
+		k.Drop()
+	}
+	want, err := NewMKeeper(0, 1, 2, map[string][]byte{"A": members[0].CommittedImage(), "B": members[1].CommittedImage()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := keepers[0].ApplyDelta(d); err == nil {
-		t.Error("replay should fail")
+	if !bytes.Equal(k.Parity(), want.Parity()) {
+		t.Error("a refused replay left its folds in the parity block")
 	}
 }
 

@@ -1,14 +1,14 @@
 // Package core is DVDC itself: the distributed virtual diskless
 // checkpointing protocol and the discrete-event engine that measures it.
 //
-// The package has two halves. The byte-real half (Member, Keeper) implements
+// The package has two halves. The byte-real half (Member, MKeeper) implements
 // the actual data path: members capture incremental checkpoints of their VM,
 // keep the last committed image locally for rollback, and ship XOR deltas of
-// the changed pages to their group's parity keeper, which patches its parity
-// block RAID-5-small-write style without ever holding member images. On a
-// failure, the survivors' committed images plus the parity block reconstruct
-// the lost VM bit-exactly. The TCP runtime (internal/runtime) drives exactly
-// this code over the network.
+// the changed pages to their group's parity keepers, which patch their parity
+// blocks RAID-5-small-write style without ever holding member images. On a
+// failure, the survivors' committed images plus the parity blocks reconstruct
+// the lost VMs bit-exactly. The TCP runtime (internal/runtime) drives exactly
+// this code over the network, and Cluster runs the same round in process.
 //
 // The timing half (Scheme, Engine in engine.go) is the discrete-event
 // simulation used to corroborate the paper's Section V model and to
@@ -22,7 +22,6 @@ import (
 	"hash"
 
 	"dvdc/internal/checkpoint"
-	"dvdc/internal/parity"
 	"dvdc/internal/vm"
 )
 
@@ -68,7 +67,7 @@ type Member struct {
 }
 
 // NewMember wraps a machine and takes its initial full checkpoint (protocol
-// epoch 0), which the caller must feed to the group's Keeper as the base for
+// epoch 0), which the caller must feed to the group's MKeepers as the base for
 // parity: the machine's current memory is the committed image, and nothing is
 // copied. The protocol epoch is the member's own counter, deliberately
 // independent of vm.Machine's dirty-tracking epoch: a machine rebuilt during
@@ -192,40 +191,25 @@ func (mem *Member) takePage() []byte {
 	return make([]byte, mem.machine.PageSize())
 }
 
-// CaptureDelta closes the current epoch: it snapshots the dirty pages,
-// computes their XOR against the committed image, advances the committed
-// image to the new state, and returns the delta for the parity keeper.
-// In-process callers are expected not to fail; the two-phase protocol in the
-// runtime runs the same three steps (Stage, DeltaInto, Advance) apart.
-func (mem *Member) CaptureDelta() (*Delta, error) {
-	return mem.CaptureDeltaInto(nil)
-}
-
-// CaptureDeltaInto is CaptureDelta with a caller-supplied allocator for the
-// per-page XOR buffers (e.g. a buffer pool); nil means plain make. alloc(n)
-// must return a slice of length n, which may hold stale bytes — DeltaInto
-// overwrites every one of them. The caller owns the returned buffers.
+// CaptureDeltaInto is a whole capture in one call — Stage without the skip,
+// DeltaInto of every staged page into its own buffer, Advance — for callers
+// that hold a delta in memory: the oracles the runtime is tested against and
+// the layer benchmark. alloc supplies the per-page buffers (e.g. a buffer
+// pool); nil means plain make. alloc(n) must return a slice of length n, which
+// may hold stale bytes — DeltaInto overwrites every one of them. The caller
+// owns the returned buffers.
 func (mem *Member) CaptureDeltaInto(alloc func(int) []byte) (*Delta, error) {
-	d, _, err := mem.CaptureInto(alloc, false)
-	return d, err
-}
-
-// CaptureInto is a whole capture in one call — Stage, DeltaInto for every
-// staged page, Advance — for callers that hold a delta in memory: the
-// in-process cluster, the oracles the runtime is tested against, the layer
-// benchmark. unchanged is Stage's count of skipped pages.
-func (mem *Member) CaptureInto(alloc func(int) []byte, skipUnchanged bool) (d *Delta, unchanged int, err error) {
 	if alloc == nil {
 		alloc = func(n int) []byte { return make([]byte, n) }
 	}
-	d, unchanged = mem.Stage(skipUnchanged)
+	d, _ := mem.Stage(false)
 	ps := mem.machine.PageSize()
 	for i := range d.Pages {
 		p := &d.Pages[i]
 		p.Data = alloc(ps)
 		mem.DeltaInto(p.Data, p.Index*ps)
 	}
-	return d, unchanged, mem.Advance(d)
+	return d, mem.Advance(d)
 }
 
 // Stage opens a capture: it closes the guest's dirty epoch and returns the
@@ -338,122 +322,3 @@ func (mem *Member) RestoreImage(img []byte, epoch uint64) error {
 	mem.epoch = epoch
 	return nil
 }
-
-// Keeper maintains one RAID group's parity block on the group's parity
-// node. It never stores member images — only their XOR — which is what
-// distinguishes parity checkpointing from replication (and is why the
-// memory overhead is one image per group rather than one per VM).
-type Keeper struct {
-	group    int
-	pageSize int
-	numPages int
-	parity   []byte
-	epochs   map[string]uint64 // member -> epoch folded into parity
-}
-
-// NewKeeper builds the keeper from the members' initial full images.
-func NewKeeper(group int, initial map[string][]byte) (*Keeper, error) {
-	if len(initial) == 0 {
-		return nil, fmt.Errorf("core: keeper for group %d has no members", group)
-	}
-	var par []byte
-	epochs := make(map[string]uint64, len(initial))
-	for id, img := range initial {
-		if par == nil {
-			par = append([]byte(nil), img...)
-		} else {
-			if len(img) != len(par) {
-				return nil, fmt.Errorf("core: member %q image %d bytes, group uses %d", id, len(img), len(par))
-			}
-			if err := parity.XORInto(par, img); err != nil {
-				return nil, err
-			}
-		}
-		epochs[id] = 0
-	}
-	return &Keeper{group: group, parity: par, epochs: epochs}, nil
-}
-
-// Group returns the group index.
-func (k *Keeper) Group() int { return k.group }
-
-// ParityBytes returns the parity block size.
-func (k *Keeper) ParityBytes() int64 { return int64(len(k.parity)) }
-
-// Parity returns a copy of the parity block (for re-homing to another node).
-func (k *Keeper) Parity() []byte { return append([]byte(nil), k.parity...) }
-
-// ApplyDelta folds one member's checkpoint delta into the parity block.
-// Deltas must arrive in epoch order per member.
-func (k *Keeper) ApplyDelta(d *Delta) error {
-	prev, ok := k.epochs[d.VMID]
-	if !ok {
-		return fmt.Errorf("core: keeper group %d got delta from unknown member %q", k.group, d.VMID)
-	}
-	if d.Epoch != prev+1 {
-		return fmt.Errorf("core: keeper group %d member %q epoch %d after %d", k.group, d.VMID, d.Epoch, prev)
-	}
-	for _, p := range d.Pages {
-		off := p.Index * len(p.Data)
-		if p.Index < 0 || off+len(p.Data) > len(k.parity) {
-			return fmt.Errorf("core: delta page %d out of parity range", p.Index)
-		}
-		if err := parity.XORInto(k.parity[off:off+len(p.Data)], p.Data); err != nil {
-			return err
-		}
-	}
-	k.epochs[d.VMID] = d.Epoch
-	return nil
-}
-
-// Reconstruct rebuilds the image of lost member lostID from the surviving
-// members' committed images. Every member other than lostID must be present
-// in survivors, and all members must have the same committed epoch (the
-// coordinator's two-phase commit guarantees this).
-func (k *Keeper) Reconstruct(lostID string, survivors map[string][]byte) ([]byte, error) {
-	if _, ok := k.epochs[lostID]; !ok {
-		return nil, fmt.Errorf("core: keeper group %d does not protect %q", k.group, lostID)
-	}
-	blocks := make([][]byte, 0, len(k.epochs))
-	blocks = append(blocks, k.parity)
-	for id := range k.epochs {
-		if id == lostID {
-			continue
-		}
-		img, ok := survivors[id]
-		if !ok {
-			return nil, fmt.Errorf("core: reconstruction of %q missing survivor %q", lostID, id)
-		}
-		if len(img) != len(k.parity) {
-			return nil, fmt.Errorf("core: survivor %q image %d bytes, parity %d", id, len(img), len(k.parity))
-		}
-		blocks = append(blocks, img)
-	}
-	return parity.ReconstructOne(blocks...)
-}
-
-// SetEpochs overrides the per-member epoch bookkeeping; the distributed
-// runtime uses it when a keeper is rebuilt mid-run from committed images
-// whose protocol epochs are nonzero. Every keeper member must be covered.
-func (k *Keeper) SetEpochs(epochs map[string]uint64) error {
-	for id := range k.epochs {
-		e, ok := epochs[id]
-		if !ok {
-			return fmt.Errorf("core: SetEpochs missing member %q", id)
-		}
-		k.epochs[id] = e
-	}
-	return nil
-}
-
-// Members returns the member IDs the keeper protects.
-func (k *Keeper) Members() []string {
-	out := make([]string, 0, len(k.epochs))
-	for id := range k.epochs {
-		out = append(out, id)
-	}
-	return out
-}
-
-// Epoch returns the last epoch folded in for a member (0 if unknown).
-func (k *Keeper) Epoch(id string) uint64 { return k.epochs[id] }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"dvdc/internal/cluster"
 	"dvdc/internal/migrate"
 )
@@ -15,12 +13,7 @@ import (
 // page-hash dedup for the migrations. The resulting layout passes strict
 // validation; an empty plan means nothing needed to move.
 func (c *Cluster) Rebalance(index *migrate.HashIndex) (*cluster.Plan, error) {
-	var down []int
-	for d := range c.down {
-		down = append(down, d)
-	}
-	sort.Ints(down)
-	plan, err := c.layout.PlanRebalance(down...)
+	plan, err := c.layout.PlanRebalance(c.downNodes()...)
 	if err != nil {
 		return nil, err
 	}

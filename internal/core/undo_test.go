@@ -39,7 +39,7 @@ func TestUnstageKeepsCommittedAndRemarksDirty(t *testing.T) {
 		t.Error("unstaged pages not re-marked dirty")
 	}
 	// A fresh capture after the unstage must produce an equivalent delta.
-	d2, err := mem.CaptureDelta()
+	d2, err := mem.CaptureDeltaInto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,15 +162,15 @@ func TestCaptureDeltaMatchesBytewiseReference(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	m, _ := vm.NewMachine("a", 4, 32)
 	mem, _ := NewMember(m)
-	k, err := NewKeeper(7, map[string][]byte{"a": mem.CommittedImage()})
+	k, err := NewMKeeper(7, 0, 1, map[string][]byte{"a": mem.CommittedImage()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.Group() != 7 {
-		t.Errorf("Group = %d", k.Group())
+	if k.Group() != 7 || k.ParityIndex() != 0 {
+		t.Errorf("Group, ParityIndex = %d, %d", k.Group(), k.ParityIndex())
 	}
-	if k.ParityBytes() != 4*32 {
-		t.Errorf("ParityBytes = %d", k.ParityBytes())
+	if k.Size() != 4*32 {
+		t.Errorf("Size = %d", k.Size())
 	}
 	if got := k.Members(); len(got) != 1 || got[0] != "a" {
 		t.Errorf("Members = %v", got)

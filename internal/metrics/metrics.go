@@ -1,6 +1,6 @@
 // Package metrics provides the small statistics toolkit the simulators and
-// the benchmark harness share: numerically stable summaries (Welford),
-// fixed-bucket histograms, and labelled series with CSV output.
+// the experiments share: numerically stable summaries (Welford) and labelled
+// series with CSV output. Histograms live in internal/obs's registry.
 package metrics
 
 import (
@@ -71,67 +71,6 @@ func (s *Summary) CI95() float64 {
 // String renders "mean ± ci [min,max] (n=N)".
 func (s *Summary) String() string {
 	return fmt.Sprintf("%.6g ± %.2g [%.6g, %.6g] (n=%d)", s.Mean(), s.CI95(), s.Min(), s.Max(), s.n)
-}
-
-// Histogram counts observations in equal-width buckets over [Lo, Hi);
-// outliers land in the first/last bucket.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int64
-	total   int64
-}
-
-// NewHistogram builds a histogram with the given range and bucket count.
-func NewHistogram(lo, hi float64, buckets int) (*Histogram, error) {
-	if buckets < 1 {
-		return nil, fmt.Errorf("metrics: need >= 1 bucket, got %d", buckets)
-	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("metrics: bad histogram range [%v,%v)", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int64, buckets)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int(float64(len(h.Buckets)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Buckets) {
-		i = len(h.Buckets) - 1
-	}
-	h.Buckets[i]++
-	h.total++
-}
-
-// Total returns the observation count.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Quantile returns an approximate q-quantile (q in [0,1]) by walking the
-// buckets and interpolating within the containing bucket.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.Lo
-	}
-	if q >= 1 {
-		return h.Hi
-	}
-	target := q * float64(h.total)
-	var cum float64
-	width := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	for i, c := range h.Buckets {
-		next := cum + float64(c)
-		if next >= target && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.Lo + (float64(i)+frac)*width
-		}
-		cum = next
-	}
-	return h.Hi
 }
 
 // Series is a labelled sequence of (x, y) points for one curve of a figure.

@@ -64,50 +64,6 @@ func TestSummaryMatchesNaiveComputation(t *testing.T) {
 	}
 }
 
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("0 buckets should fail")
-	}
-	if _, err := NewHistogram(1, 1, 4); err == nil {
-		t.Error("empty range should fail")
-	}
-}
-
-func TestHistogramBucketsAndOutliers(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(-5)   // clamps to bucket 0
-	h.Add(0.5)  // bucket 0
-	h.Add(9.99) // bucket 9
-	h.Add(42)   // clamps to bucket 9
-	if h.Buckets[0] != 2 || h.Buckets[9] != 2 {
-		t.Errorf("buckets = %v", h.Buckets)
-	}
-	if h.Total() != 4 {
-		t.Errorf("Total = %d", h.Total())
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h, _ := NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	med := h.Quantile(0.5)
-	if math.Abs(med-50) > 2 {
-		t.Errorf("median %v, want ~50", med)
-	}
-	if h.Quantile(0) != 0 || h.Quantile(1) != 100 {
-		t.Error("extreme quantiles should clamp to range")
-	}
-	empty, _ := NewHistogram(0, 1, 2)
-	if empty.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile should be 0")
-	}
-}
-
 func TestSeriesMinY(t *testing.T) {
 	var s Series
 	if x, y := s.MinY(); x != 0 || y != 0 {

@@ -382,7 +382,7 @@ func TestDuplicateChunkFoldsOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ref.CommitPending(pendingBuf, map[string]uint64{member: 1}); err != nil {
+	if err := ref.DrainPendingRanges(pendingBuf, map[string]uint64{member: 1}, [][2]int{{0, img}}); err != nil {
 		t.Fatal(err)
 	}
 

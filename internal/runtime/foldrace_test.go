@@ -155,7 +155,7 @@ func TestDuplicateChunkRedeliveryMidFoldRace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ref.CommitPending(pendingBuf, map[string]uint64{member: 1}); err != nil {
+	if err := ref.DrainPendingRanges(pendingBuf, map[string]uint64{member: 1}, [][2]int{{0, img}}); err != nil {
 		t.Fatal(err)
 	}
 	if blk, _, _ := readBlock(t, coord.addrs[parityNode], "parity", "", 0); !bytes.Equal(blk, ref.Parity()) {
@@ -254,7 +254,7 @@ func TestRejectedBatchFoldsAcceptedFramesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ref.CommitPending(pending, map[string]uint64{member: 1}); err != nil {
+	if err := ref.DrainPendingRanges(pending, map[string]uint64{member: 1}, [][2]int{{0, img}}); err != nil {
 		t.Fatal(err)
 	}
 	if blk, _, _ := readBlock(t, coord.addrs[parityNode], "parity", "", 0); !bytes.Equal(blk, ref.Parity()) {

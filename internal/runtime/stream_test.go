@@ -377,7 +377,8 @@ func TestStaleBatchOfAbortedAttemptIsRefused(t *testing.T) {
 
 // captureTwin is the in-process side of TestStreamedRoundsMatchCaptureOracle:
 // one core.Member per VM and one core.MKeeper per parity block, fed whole
-// deltas from CaptureDeltaInto — no chunks, no sockets, no staging.
+// deltas from CaptureDeltaInto through FoldInto — no chunks, no sockets, no
+// staging.
 type captureTwin struct {
 	members map[string]*core.Member
 	keepers map[[2]int]*core.MKeeper // by {group, parity index}
@@ -386,7 +387,8 @@ type captureTwin struct {
 // TestStreamedRoundsMatchCaptureOracle is the differential test of the
 // streamed round: the same guest writes go to a cluster and to an in-process
 // twin; the cluster commits and aborts rounds over sockets, the twin captures
-// whole deltas with CaptureDeltaInto and folds them with ApplyDelta. After
+// whole deltas with CaptureDeltaInto and folds them with FoldInto +
+// DrainPendingRanges, the keeper's independent oracle path. After
 // every round both must hold the same committed images, parity blocks, epochs
 // and dirty bits. Page sizes sit around the XOR and compare kernels' tails,
 // the chunk size cuts inside pages, and the RS m=2 shape puts parity[1] of a
@@ -562,14 +564,28 @@ func streamedVsCaptureOracle(t *testing.T, ps int, rs2, skip bool) {
 			if err := coord.Checkpoint(); err != nil {
 				t.Fatalf("%s: %v", when, err)
 			}
-			for _, name := range names {
-				d, err := twin.members[name].CaptureDeltaInto(nil)
-				if err != nil {
-					t.Fatal(err)
+			for _, g := range layout.Groups {
+				epochs := map[string]uint64{}
+				pending := make([][]byte, len(g.ParityNodes))
+				for idx := range pending {
+					pending[idx] = make([]byte, pages*ps)
 				}
-				v, _ := layout.VM(name)
-				for idx := range layout.Groups[v.Group].ParityNodes {
-					if err := twin.keepers[[2]int{v.Group, idx}].ApplyDelta(d); err != nil {
+				for _, name := range g.Members {
+					d, err := twin.members[name].CaptureDeltaInto(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					epochs[name] = d.Epoch
+					for idx, buf := range pending {
+						for _, p := range d.Pages {
+							if err := twin.keepers[[2]int{g.Index, idx}].FoldInto(buf, name, p.Index*ps, p.Data); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				for idx, buf := range pending {
+					if err := twin.keepers[[2]int{g.Index, idx}].DrainPendingRanges(buf, epochs, [][2]int{{0, len(buf)}}); err != nil {
 						t.Fatal(err)
 					}
 				}
