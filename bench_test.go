@@ -228,6 +228,36 @@ func BenchmarkCheckpointRound(b *testing.B) {
 	}
 }
 
+// BenchmarkFailNode measures the in-process recovery of one node on the
+// paper's 12-VM cluster with 1 MiB guests: after one churned and committed
+// round, FailNode(0) on a fresh cluster per iteration — every damaged group
+// rebuilt from k committed shards, the survivors rolled back, the layout
+// updated. Building the cluster and its round are not timed.
+func BenchmarkFailNode(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		layout, err := PaperLayout()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cl, err := NewCluster(layout, 256, 4096)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j, name := range cl.VMNames() {
+			m, _ := cl.Machine(name)
+			vm.Run(vm.NewUniform(int64(j)), m, 2000)
+		}
+		if err := cl.CheckpointRound(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := cl.FailNode(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEventEngine measures the discrete-event engine simulating a
 // 2-day job with ~1200 checkpoints and Poisson failures.
 func BenchmarkEventEngine(b *testing.B) {

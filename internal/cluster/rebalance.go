@@ -14,7 +14,7 @@ import (
 //
 // The returned plan reuses the recovery Step vocabulary: RestoreVM steps
 // mean "live-migrate this VM to TargetNode", RehomeParity steps mean
-// "recompute this group's parity block on TargetNode". An empty plan means
+// "recompute the group's parity slot Parity on TargetNode". An empty plan means
 // the layout is already orthogonal.
 func (l *Layout) PlanRebalance(down ...int) (*Plan, error) {
 	downSet := map[int]bool{}
@@ -127,10 +127,7 @@ func (l *Layout) PlanRebalance(down ...int) (*Plan, error) {
 					return nil, err
 				}
 				plan.Steps = append(plan.Steps, Step{
-					Kind: RehomeParity, Group: gi, TargetNode: target,
-					// For rebalance steps SourceNodes[0] carries the parity
-					// index being moved (there is no reconstruction source).
-					SourceNodes: []int{i},
+					Kind: RehomeParity, Group: gi, Parity: i, TargetNode: target,
 				})
 				movedParity[i] = true
 				moved = true
@@ -150,8 +147,8 @@ func (l *Layout) PlanRebalance(down ...int) (*Plan, error) {
 // stream, so a slow keeper stretches each round's prepare window by the whole
 // chunk pipeline, while a slow member only stretches its own shipments.
 //
-// The plan reuses the rebalance Step vocabulary (RehomeParity with
-// SourceNodes[0] = the parity index being moved) and preserves strict
+// The plan reuses the rebalance Step vocabulary (RehomeParity naming the
+// parity slot it moves) and preserves strict
 // orthogonality: a target never carries another element of the same group,
 // is never the avoided node, never down, and ties break toward the
 // least-loaded node (VMs plus already-planned parity). Groups with no legal
@@ -210,8 +207,7 @@ func (l *Layout) PlanKeeperEvacuation(avoid int, down ...int) (*Plan, error) {
 			occ[best] = true
 			load[best]++
 			plan.Steps = append(plan.Steps, Step{
-				Kind: RehomeParity, Group: gi, TargetNode: best,
-				SourceNodes: []int{i},
+				Kind: RehomeParity, Group: gi, Parity: i, TargetNode: best,
 			})
 		}
 	}
@@ -230,8 +226,8 @@ func (l *Layout) MoveVM(name string, node int) error {
 	return nil
 }
 
-// ApplyRebalance mutates the layout per a rebalance plan. For RehomeParity
-// steps, SourceNodes[0] carries the parity index being moved.
+// ApplyRebalance mutates the layout per a rebalance plan: a RehomeParity
+// step moves the parity slot it names.
 func (l *Layout) ApplyRebalance(p *Plan) error {
 	for _, s := range p.Steps {
 		switch s.Kind {
@@ -240,18 +236,14 @@ func (l *Layout) ApplyRebalance(p *Plan) error {
 				return err
 			}
 		case RehomeParity:
-			if len(s.SourceNodes) != 1 {
-				return fmt.Errorf("cluster: rebalance parity step missing index")
-			}
-			idx := s.SourceNodes[0]
 			if s.Group < 0 || s.Group >= len(l.Groups) {
 				return fmt.Errorf("cluster: rebalance re-homes parity of unknown group %d", s.Group)
 			}
 			g := &l.Groups[s.Group]
-			if idx < 0 || idx >= len(g.ParityNodes) {
-				return fmt.Errorf("cluster: parity index %d out of range for group %d", idx, s.Group)
+			if s.Parity < 0 || s.Parity >= len(g.ParityNodes) {
+				return fmt.Errorf("cluster: parity slot %d out of range for group %d", s.Parity, s.Group)
 			}
-			g.ParityNodes[idx] = s.TargetNode
+			g.ParityNodes[s.Parity] = s.TargetNode
 		default:
 			return fmt.Errorf("cluster: unknown rebalance step kind %d", s.Kind)
 		}

@@ -106,9 +106,9 @@ func TestApplyRebalanceValidation(t *testing.T) {
 	if err := l.ApplyRebalance(bad); err == nil {
 		t.Error("unknown VM should fail")
 	}
-	bad = &Plan{Steps: []Step{{Kind: RehomeParity, Group: 0, TargetNode: 0}}}
+	bad = &Plan{Steps: []Step{{Kind: RehomeParity, Group: 0, Parity: 1, TargetNode: 0}}}
 	if err := l.ApplyRebalance(bad); err == nil {
-		t.Error("parity step without index should fail")
+		t.Error("parity step with an out-of-range slot should fail")
 	}
 }
 

@@ -22,14 +22,18 @@ func (k StepKind) String() string {
 	return "rehome-parity"
 }
 
-// Step is one unit of recovery work.
+// Step is one unit of recovery work: a VM (RestoreVM) or one parity block
+// (RehomeParity) of a group and the node it goes to. A RehomeParity step names
+// its block by slot, the index into the group's ParityNodes it moves, so the
+// plan alone says which block each step rebuilds and where it lands; which
+// shards rebuild it is core's rule, not the plan's.
 type Step struct {
-	Kind        StepKind
-	VM          string // for RestoreVM: the lost VM's name
-	Group       int
-	TargetNode  int   // where the rebuilt element will live
-	SourceNodes []int // surviving nodes whose blocks feed the reconstruction
-	Degraded    bool  // the target shares a node with another group element
+	Kind       StepKind
+	VM         string // for RestoreVM: the VM's name
+	Group      int
+	Parity     int  // for RehomeParity: the parity slot moved
+	TargetNode int  // where the element will live
+	Degraded   bool // the target shares a node with another group element
 }
 
 // Plan is the ordered recovery work after one or more node failures.
@@ -48,9 +52,9 @@ type Plan struct {
 // PlanRecovery computes how to restore full protection after the given
 // nodes fail simultaneously. For every lost VM it selects a surviving target
 // node that holds no other element of the VM's group (preserving
-// orthogonality) and lists the surviving source nodes whose data plus parity
-// reconstruct the lost checkpoint. Lost parity blocks are likewise re-homed.
-// Targets are chosen least-loaded-first, counting moves already planned.
+// orthogonality); every lost parity block is likewise re-homed, one step per
+// slot in slot order. Targets are chosen least-loaded-first, counting moves
+// already planned.
 //
 // It fails if any group lost more elements than the layout tolerates or if
 // no surviving node can host a lost element.
@@ -110,17 +114,6 @@ func (l *Layout) place(down []int) (*Plan, error) {
 			}
 		}
 		return occ
-	}
-
-	// sources lists surviving nodes holding this group's blocks.
-	sources := func(g Group) []int {
-		occ := groupNodes(g)
-		out := make([]int, 0, len(occ))
-		for n := range occ {
-			out = append(out, n)
-		}
-		sort.Ints(out)
-		return out
 	}
 
 	plan := &Plan{}
@@ -209,16 +202,15 @@ func (l *Layout) place(down []int) (*Plan, error) {
 		load[target]++
 		plan.Degraded = plan.Degraded || degraded
 		plan.Steps = append(plan.Steps, Step{
-			Kind:        RestoreVM,
-			VM:          v.Name,
-			Group:       v.Group,
-			TargetNode:  target,
-			SourceNodes: sources(g),
-			Degraded:    degraded,
+			Kind:       RestoreVM,
+			VM:         v.Name,
+			Group:      v.Group,
+			TargetNode: target,
+			Degraded:   degraded,
 		})
 	}
 	for _, g := range l.Groups {
-		for _, p := range g.ParityNodes {
+		for i, p := range g.ParityNodes {
 			if !downSet[p] {
 				continue
 			}
@@ -228,11 +220,11 @@ func (l *Layout) place(down []int) (*Plan, error) {
 			}
 			plan.Degraded = plan.Degraded || degraded
 			plan.Steps = append(plan.Steps, Step{
-				Kind:        RehomeParity,
-				Group:       g.Index,
-				TargetNode:  target,
-				SourceNodes: sources(g),
-				Degraded:    degraded,
+				Kind:       RehomeParity,
+				Group:      g.Index,
+				Parity:     i,
+				TargetNode: target,
+				Degraded:   degraded,
 			})
 		}
 	}
@@ -240,9 +232,10 @@ func (l *Layout) place(down []int) (*Plan, error) {
 }
 
 // ApplyRecovery mutates the layout so it reflects a completed plan: lost VMs
-// move to their target nodes, and lost parity blocks are re-homed. The
-// resulting layout must validate, and callers should check Survives again
-// before trusting further failures to be tolerable.
+// move to their target nodes, and each re-homed parity slot moves to its
+// step's target. A step whose slot is out of range or not on a down node is
+// refused. The resulting layout must validate, and callers should check
+// Survives again before trusting further failures to be tolerable.
 func (l *Layout) ApplyRecovery(p *Plan) error {
 	downSet := map[int]bool{}
 	for _, n := range p.Down {
@@ -261,17 +254,13 @@ func (l *Layout) ApplyRecovery(p *Plan) error {
 				return fmt.Errorf("cluster: plan re-homes parity of unknown group %d", s.Group)
 			}
 			g := &l.Groups[s.Group]
-			moved := false
-			for j, pn := range g.ParityNodes {
-				if downSet[pn] {
-					g.ParityNodes[j] = s.TargetNode
-					moved = true
-					break
-				}
+			if s.Parity < 0 || s.Parity >= len(g.ParityNodes) {
+				return fmt.Errorf("cluster: parity slot %d out of range for group %d", s.Parity, s.Group)
 			}
-			if !moved {
-				return fmt.Errorf("cluster: group %d has no parity on a down node", s.Group)
+			if !downSet[g.ParityNodes[s.Parity]] {
+				return fmt.Errorf("cluster: parity[%d] of group %d is not on a down node", s.Parity, s.Group)
 			}
+			g.ParityNodes[s.Parity] = s.TargetNode
 		default:
 			return fmt.Errorf("cluster: unknown step kind %d", s.Kind)
 		}

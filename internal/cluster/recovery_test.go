@@ -27,17 +27,12 @@ func TestPlanRecoverySingleNodeDVDC(t *testing.T) {
 			}
 		case RehomeParity:
 			rehomes++
+			if l.Groups[s.Group].ParityNodes[s.Parity] != 0 {
+				t.Errorf("re-home step names parity[%d] of group %d, which is not on the failed node", s.Parity, s.Group)
+			}
 		}
 		if s.TargetNode == 0 {
 			t.Error("step targets the failed node")
-		}
-		if len(s.SourceNodes) == 0 {
-			t.Error("step has no sources")
-		}
-		for _, src := range s.SourceNodes {
-			if src == 0 {
-				t.Error("step sources the failed node")
-			}
 		}
 	}
 	if restores != 3 || rehomes != 1 {

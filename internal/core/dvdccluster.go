@@ -9,6 +9,7 @@ import (
 
 	"dvdc/internal/cluster"
 	"dvdc/internal/comm"
+	"dvdc/internal/parity"
 	"dvdc/internal/vm"
 	"dvdc/internal/wire"
 )
@@ -102,6 +103,13 @@ func (c *Cluster) Layout() *cluster.Layout { return c.layout }
 
 // Stats returns protocol counters.
 func (c *Cluster) Stats() ClusterStats { return c.stats }
+
+// Member returns a VM's protocol member (its committed image and epoch), or
+// nil for an unknown VM.
+func (c *Cluster) Member(name string) *Member { return c.members[name] }
+
+// Keepers returns a group's parity keepers, by parity index.
+func (c *Cluster) Keepers(group int) []*MKeeper { return slices.Clone(c.keepers[group]) }
 
 // Machine returns the running machine for a VM so workloads can execute.
 func (c *Cluster) Machine(name string) (*vm.Machine, error) {
@@ -277,13 +285,12 @@ func (r *FailureReport) Node() int {
 func (c *Cluster) FailNode(n int) (*FailureReport, error) { return c.FailNodes(n) }
 
 // FailNodes simulates the simultaneous loss of the given physical nodes and
-// performs the full DVDC recovery: every VM hosted on them is reconstructed
-// from its group's surviving committed images plus the surviving parity
-// blocks (up to `tolerance` losses per group); keepers homed on failed nodes
-// are recomputed from their members' committed images; every surviving VM
-// rolls back to its committed checkpoint; and the layout is updated per the
-// recovery plan. On return the cluster is consistent at the last committed
-// epoch.
+// performs the full DVDC recovery: every damaged group is rebuilt in one pass
+// from k of its surviving committed images and parity blocks (see rebuild) —
+// its lost VMs respawn at the committed epoch and its lost parity blocks are
+// re-encoded on their new homes; every surviving VM rolls back to its
+// committed checkpoint; and the layout is updated per the recovery plan. On
+// return the cluster is consistent at the last committed epoch.
 func (c *Cluster) FailNodes(ns ...int) (*FailureReport, error) {
 	if len(ns) == 0 {
 		return &FailureReport{Plan: &cluster.Plan{}}, nil
@@ -300,92 +307,29 @@ func (c *Cluster) FailNodes(ns ...int) (*FailureReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	newDown := map[int]bool{}
-	for _, n := range ns {
-		newDown[n] = true
-	}
 	report := &FailureReport{Nodes: append([]int(nil), ns...), Plan: plan, Degraded: plan.Degraded}
 	sort.Ints(report.Nodes)
-
-	// Phase 1: reconstruct lost VMs group by group. A group may lose up to
-	// `tolerance` members at once; gather all of its losses first.
-	lostByGroup := map[int][]string{}
 	for _, s := range plan.Steps {
 		if s.Kind == cluster.RestoreVM {
-			lostByGroup[s.Group] = append(lostByGroup[s.Group], s.VM)
 			report.LostVMs = append(report.LostVMs, s.VM)
 		}
 	}
 	sort.Strings(report.LostVMs)
-	for gi, lost := range lostByGroup {
-		g := c.layout.Groups[gi]
-		survivors := map[string][]byte{}
-		lostSet := map[string]bool{}
-		for _, id := range lost {
-			lostSet[id] = true
-		}
-		for _, name := range g.Members {
-			if lostSet[name] {
-				continue
-			}
-			img := c.members[name].CommittedImage()
-			survivors[name] = img
-			c.stats.ReconstructBytes += int64(len(img))
-		}
-		parityBlocks := map[int][]byte{}
-		for i, k := range c.keepers[gi] {
-			if home := g.ParityNodes[i]; newDown[home] || c.down[home] {
-				continue // this parity block died with its node
-			}
-			parityBlocks[i] = k.Parity()
-		}
-		rebuilt, err := ReconstructMembers(c.layout.Tolerance, g.Members, survivors, parityBlocks, lost)
-		if err != nil {
-			return nil, fmt.Errorf("core: reconstruct group %d: %w", gi, err)
-		}
-		for _, name := range lost {
-			img, ok := rebuilt[name]
-			if !ok {
-				return nil, fmt.Errorf("core: group %d reconstruction missing %q", gi, name)
-			}
-			old := c.members[name].Machine()
-			fresh, err := vm.NewMachine(name, old.NumPages(), old.PageSize())
-			if err != nil {
-				return nil, err
-			}
-			mem, err := NewMember(fresh)
-			if err != nil {
-				return nil, err
-			}
-			if err := mem.RestoreImage(img, c.members[name].Epoch()); err != nil {
-				return nil, err
-			}
-			c.members[name] = mem
-			c.stats.Reconstructions++
-		}
-	}
-
-	// Phase 2: rebuild parity blocks that lived on failed nodes from their
-	// members' committed images (members are all intact now).
-	if err := c.rebuildParityOn(ns...); err != nil {
+	if err := c.rebuildSteps(plan); err != nil {
 		return nil, err
 	}
 
-	// Phase 3: global rollback — the paper's recovery semantics: "DVDC
-	// requires all nodes to roll back to their previous checkpoints". The
-	// channels drop their in-flight messages with it: they were sent after
-	// the committed cut, and their senders are rolling back to before the
-	// sends, so discarding them is what keeps the cut consistent.
+	// Global rollback — the paper's recovery semantics: "DVDC requires all
+	// nodes to roll back to their previous checkpoints". The channels drop
+	// their in-flight messages with it: they were sent after the committed
+	// cut, and their senders are rolling back to before the sends, so
+	// discarding them is what keeps the cut consistent.
 	if c.network != nil {
 		c.network.Clear()
 	}
-	lostSet := map[string]bool{}
-	for _, lv := range report.LostVMs {
-		lostSet[lv] = true
-	}
 	for name, mem := range c.members {
-		if lostSet[name] {
-			continue // already at the committed state by reconstruction
+		if _, lost := slices.BinarySearch(report.LostVMs, name); lost {
+			continue // respawned at the committed state
 		}
 		mem.Rollback()
 		c.stats.Rollbacks++
@@ -420,32 +364,87 @@ func (c *Cluster) downNodes() []int {
 	return down
 }
 
-// rebuildParityOn re-homes every parity block the layout still places on one
-// of the given nodes: a fresh keeper encodes the group's committed images and
-// takes over the members' epochs. Recovery and evacuation both re-home parity
-// this way; where the block goes is the layout's business.
-func (c *Cluster) rebuildParityOn(nodes ...int) error {
-	for _, g := range c.layout.Groups {
-		for i, home := range g.ParityNodes {
-			if !slices.Contains(nodes, home) {
-				continue
+// rebuildSteps rebuilds every element the plan's steps name — the VMs of its
+// RestoreVM steps, the parity slots of its RehomeParity steps — one rebuild
+// per damaged group, with every element on a node of plan.Down unavailable.
+// Recovery and evacuation both rebuild this way; where each element goes is
+// the layout's business.
+func (c *Cluster) rebuildSteps(plan *cluster.Plan) error {
+	lost := map[int][]Element{}
+	for _, s := range plan.Steps {
+		e := Element{VM: s.VM}
+		if s.Kind == cluster.RehomeParity {
+			e = Element{Parity: s.Parity}
+		}
+		lost[s.Group] = append(lost[s.Group], e)
+	}
+	for gi := range c.layout.Groups {
+		if lost[gi] == nil {
+			continue
+		}
+		if err := c.rebuild(gi, lost[gi], plan.Down); err != nil {
+			return fmt.Errorf("core: rebuild group %d: %w", gi, err)
+		}
+	}
+	return nil
+}
+
+// rebuild computes the lost elements of group gi the way the runtime's
+// rebuild does: PlanShards picks k available shards, each shard's committed
+// bytes are read once into one buffer and folded into every output, and each
+// output is adopted as is at the members' committed epoch — a VM respawns
+// through NewMemberAt, a parity block through NewMKeeperFromBlock.
+func (c *Cluster) rebuild(gi int, lost []Element, down []int) error {
+	g := c.layout.Groups[gi]
+	shards, err := PlanShards(g.Members, c.layout.Tolerance, lost, func(e Element) bool {
+		if v, ok := c.layout.VM(e.VM); ok {
+			return !slices.Contains(down, v.Node)
+		}
+		return !slices.Contains(down, g.ParityNodes[e.Parity])
+	})
+	if err != nil {
+		return err
+	}
+	// Every member of the group is at one epoch: each round advances them all.
+	ref := c.members[g.Members[0]]
+	size, epoch := int(ref.Machine().ImageBytes()), ref.Epoch()
+	buf := make([]byte, size)
+	outs := make([][]byte, len(lost))
+	for o := range outs {
+		outs[o] = make([]byte, size)
+	}
+	var read int64 // survivor image bytes, counted once, by the first VM rebuilt
+	for _, s := range shards {
+		if s.VM != "" {
+			c.members[s.VM].CommittedInto(buf, 0)
+			read += int64(size)
+		} else {
+			c.keepers[gi][s.Parity].ReadParity(buf, 0)
+		}
+		for o, out := range outs {
+			if err := parity.MulSliceInto(out, buf, s.Coefs[o]); err != nil {
+				return err
 			}
-			initial := make(map[string][]byte, len(g.Members))
-			epochs := make(map[string]uint64, len(g.Members))
-			for _, name := range g.Members {
-				initial[name] = c.members[name].CommittedImage()
-				epochs[name] = c.members[name].Epoch()
-			}
-			k, err := NewMKeeper(g.Index, i, c.layout.Tolerance, initial)
+		}
+	}
+	for o, e := range lost {
+		if e.VM == "" {
+			k, err := NewMKeeperFromBlock(gi, e.Parity, c.layout.Tolerance, g.Members, outs[o], epoch)
 			if err != nil {
 				return err
 			}
-			if err := k.SetEpochs(epochs); err != nil {
-				return err
-			}
-			c.keepers[g.Index][i] = k
+			c.keepers[gi][e.Parity] = k
 			c.stats.ParityRebuilds++
+			continue
 		}
+		mem, err := NewMemberAt(e.VM, ref.Machine().PageSize(), outs[o], epoch)
+		if err != nil {
+			return err
+		}
+		c.members[e.VM] = mem
+		c.stats.Reconstructions++
+		c.stats.ReconstructBytes += read
+		read = 0
 	}
 	return nil
 }

@@ -29,8 +29,7 @@ type EvacuationMove struct {
 // gives it — recovery's placement, so a group's elements spread and its
 // parity blocks never stack — the committed image and protocol epoch travel
 // with it, and parity is untouched because the VM's state is unchanged.
-// Parity blocks homed on the node are re-homed by recomputation, exactly as in
-// recovery.
+// Parity blocks homed on the node are re-homed by recovery's rebuild.
 //
 // An optional HashIndex enables the paper's page-hash dedup during the
 // migrations (nil disables it).
@@ -43,8 +42,10 @@ func (c *Cluster) EvacuateNode(n int, index *migrate.HashIndex) (*EvacuationRepo
 		return nil, err
 	}
 	report := &EvacuationReport{Node: n, Degraded: plan.Degraded}
+	var rehomes []cluster.Step
 	for _, s := range plan.Steps {
 		if s.Kind != cluster.RestoreVM {
+			rehomes = append(rehomes, s)
 			continue
 		}
 		stats, err := c.moveVM(s.VM, s.TargetNode, index)
@@ -55,7 +56,7 @@ func (c *Cluster) EvacuateNode(n int, index *migrate.HashIndex) (*EvacuationRepo
 			VM: s.VM, TargetNode: s.TargetNode, Stats: stats, Degraded: s.Degraded,
 		})
 	}
-	if err := c.rebuildParityOn(n); err != nil {
+	if err := c.rebuildSteps(&cluster.Plan{Down: plan.Down, Steps: rehomes}); err != nil {
 		return nil, err
 	}
 	return report, c.layout.ApplyRecovery(plan)

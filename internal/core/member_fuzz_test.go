@@ -75,7 +75,7 @@ func (r *refMember) rollback() {
 // staged), DeltaInto over ranges that start and end anywhere (the checked
 // render serving only the staged capture), Advance (refused while the guest
 // has written since Stage, a no-op with nothing staged), Unstage, Rollback
-// (also between Stage and Advance) and RestoreImage.
+// (also between Stage and Advance) and a respawn through NewMemberAt.
 // Page sizes are 1, 7, 4096 and 4097. After every step both must agree on the
 // live image, the committed image (CommittedImage, and CommittedInto over a
 // range that straddles pages), the dirty set and the epoch; a page must have
@@ -228,16 +228,17 @@ func FuzzMemberPreimages(f *testing.F) {
 				mem.Rollback()
 				ref.rollback()
 				staged = nil
-			case 9: // a respawn at a new image and epoch
+			case 9: // a respawn at a new image and epoch: a new member, no pages held
 				fresh := make([]byte, size)
 				rng.Read(fresh)
-				if err := mem.RestoreImage(fresh, ref.epoch+5); err != nil {
+				if mem, err = NewMemberAt("m", ps, bytes.Clone(fresh), ref.epoch+5); err != nil {
 					t.Fatal(err)
 				}
+				m = mem.Machine()
 				if err := rm.LoadImage(fresh); err != nil {
 					t.Fatal(err)
 				}
-				ref.committed, ref.epoch, ref.staged, staged = bytes.Clone(fresh), ref.epoch+5, nil, nil
+				ref.committed, ref.epoch, ref.staged, staged, peak = bytes.Clone(fresh), ref.epoch+5, nil, nil, 0
 			}
 			check(step)
 		}

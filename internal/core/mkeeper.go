@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/subtle"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dvdc/internal/parity"
@@ -200,18 +201,6 @@ func (k *MKeeper) ReadParity(dst []byte, off int) {
 
 // Epoch returns the last folded epoch for a member.
 func (k *MKeeper) Epoch(id string) uint64 { return k.epochs[id] }
-
-// SetEpochs overrides epoch bookkeeping after a mid-run rebuild.
-func (k *MKeeper) SetEpochs(epochs map[string]uint64) error {
-	for id := range k.epochs {
-		e, ok := epochs[id]
-		if !ok {
-			return fmt.Errorf("core: SetEpochs missing member %q", id)
-		}
-		k.epochs[id] = e
-	}
-	return nil
-}
 
 // Size returns the parity block length in bytes.
 func (k *MKeeper) Size() int { return k.size }
@@ -456,10 +445,76 @@ func (k *MKeeper) DrainPendingRanges(pending []byte, epochs map[string]uint64, r
 	return nil
 }
 
+// Element names one element of a RAID group: member VM's committed image or,
+// when VM is empty, parity block Parity.
+type Element struct {
+	VM     string
+	Parity int
+}
+
+// Shard is one element a rebuild reads and its coefficient in each lost
+// element: lost[o] is the sum over the shards of Coefs[o] times the shard.
+type Shard struct {
+	Element
+	Coefs []byte
+}
+
+// PlanShards is the rule that rebuilds lost elements of an RS(k, m) group: it
+// picks k shards and pairs each with its coefficient per lost element — the
+// element's DecodeRow over one present set, so the shards are read once
+// however many elements they rebuild. Data shard j is the j-th member in
+// sorted order, shard k+i parity block i. Available members come first, then
+// available parity blocks by index, so a lone lost VM decodes by plain XOR
+// from its group-mates and parity 0, and a parity block over the k member
+// images gets its encoding row. A lost element is never a source. The
+// runtime's rebuilds and Cluster's recoveries and evacuations all run it.
+func PlanShards(members []string, tolerance int, lost []Element, available func(Element) bool) ([]Shard, error) {
+	sorted := append([]string(nil), members...)
+	sort.Strings(sorted)
+	k := len(sorted)
+	coder, err := parity.NewRS(k, tolerance)
+	if err != nil {
+		return nil, err
+	}
+	var shards []Shard
+	var present []int
+	add := func(e Element, shard int) {
+		if !slices.Contains(lost, e) && available(e) {
+			shards = append(shards, Shard{Element: e, Coefs: make([]byte, len(lost))})
+			present = append(present, shard)
+		}
+	}
+	for j, m := range sorted {
+		add(Element{VM: m}, j)
+	}
+	for i := 0; i < tolerance && len(shards) < k; i++ {
+		add(Element{Parity: i}, k+i)
+	}
+	for o, e := range lost {
+		target := k + e.Parity
+		if e.VM != "" {
+			var ok bool
+			if target, ok = slices.BinarySearch(sorted, e.VM); !ok {
+				return nil, fmt.Errorf("core: %q is not a member of the group", e.VM)
+			}
+		}
+		row, err := coder.DecodeRow(target, present)
+		if err != nil {
+			return nil, err
+		}
+		for i := range shards {
+			shards[i].Coefs[o] = row[i]
+		}
+	}
+	return shards, nil
+}
+
 // ReconstructMembers rebuilds up to m lost members of one group from the
 // surviving members' committed images plus the available parity blocks
 // (keyed by parity index). It needs at least k total shards; with t lost
-// members, any t parity blocks suffice.
+// members, any t parity blocks suffice. No recovery runs it: it solves the
+// whole group through parity.RS.Reconstruct, independently of PlanShards, and
+// is the oracle the rebuilds are tested against.
 func ReconstructMembers(tolerance int, members []string, survivors map[string][]byte,
 	parityBlocks map[int][]byte, lost []string) (map[string][]byte, error) {
 	sorted := append([]string(nil), members...)

@@ -13,7 +13,10 @@
 // The round's participant rules live in Member (one staged capture) and
 // MKeeper (per-member chunk streams, the attempt floor, duplicate drops,
 // commit's completeness check): the runtime's handlers lock, call and reply,
-// and Cluster calls the same methods.
+// and Cluster calls the same methods. Both rebuild a damaged group by one rule
+// too: PlanShards picks k shards and their coefficients, NewMemberAt and
+// NewMKeeperFromBlock adopt the results at the committed epoch, and
+// ReconstructMembers is the independent oracle they are tested against.
 //
 // The timing half (Scheme, Engine in engine.go) is the discrete-event
 // simulation used to corroborate the paper's Section V model and to
@@ -39,7 +42,7 @@ import (
 type Delta struct {
 	VMID  string
 	Epoch uint64
-	Pages []checkpoint.PageRecord // Data = old XOR new, len = page size
+	Pages []checkpoint.PageRecord // Data (old XOR new, a page) is filled only by CaptureDeltaInto
 }
 
 // PayloadBytes is the wire size of the delta's page data.
@@ -100,16 +103,16 @@ func PlanChunks(d *Delta, pageSize, imageBytes, chunkSize int) (chunks []wire.Ch
 // touches the network (the essence of diskless checkpointing).
 //
 // The committed image is not a second copy of the guest. A page the guest has
-// not written since the member's last commit, rollback or restore holds its
-// committed bytes live; a page it has written keeps them as a pre-image, which
-// the member's write hook copies on the first write, copy-on-write like
-// Plank's forked checkpoint (internal/checkpoint). So a page has a pre-image
-// exactly when it is dirty or staged, and the member holds its image plus the
-// pages written since its last commit. Pre-images come off the member's own
-// free list and go back to it, so a round that writes no more pages than an
-// earlier one allocates nothing.
+// not written since the member was built or last committed or rolled back
+// holds its committed bytes live; a page it has written keeps them as a
+// pre-image, which the member's write hook copies on the first write,
+// copy-on-write like Plank's forked checkpoint (internal/checkpoint). So a
+// page has a pre-image exactly when it is dirty or staged, and the member
+// holds its image plus the pages written since its last commit. Pre-images
+// come off the member's own free list and go back to it, so a round that
+// writes no more pages than an earlier one allocates nothing.
 // A member holds at most one staged capture: Stage opens it, DeltaInto renders
-// only it, and Advance, Unstage, Rollback and RestoreImage close it.
+// only it, and Advance, Unstage and Rollback close it.
 type Member struct {
 	machine *vm.Machine
 	epoch   uint64   // protocol epoch of the committed image (0 = initial)
@@ -125,8 +128,9 @@ type Member struct {
 // copied. The protocol epoch is the member's own counter, deliberately
 // independent of vm.Machine's dirty-tracking epoch: a machine rebuilt during
 // recovery starts a fresh dirty-tracking history but resumes the protocol
-// epoch of the image it was restored to. Every write to the machine must go
-// through its write hooks from here on (LoadImage is RestoreImage's alone).
+// epoch of the image it was restored to (NewMemberAt). Every write to the
+// machine must go through its write hooks from here on: LoadImage would
+// bypass them.
 func NewMember(m *vm.Machine) (*Member, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: nil machine")
@@ -389,16 +393,4 @@ func (mem *Member) Rollback() {
 	mem.machine.RevertDirty(mem.pre)
 	mem.releaseAll()
 	mem.staged = nil
-}
-
-// RestoreImage replaces both the committed image and the machine state, the
-// operation a reconstructed VM performs when it is respawned on a new node,
-// and drops any staged capture.
-func (mem *Member) RestoreImage(img []byte, epoch uint64) error {
-	if err := mem.machine.LoadImage(img); err != nil {
-		return err
-	}
-	mem.releaseAll()
-	mem.epoch, mem.staged = epoch, nil
-	return nil
 }

@@ -236,26 +236,6 @@ func TestReconstructMissingSurvivorFails(t *testing.T) {
 	}
 }
 
-func TestRestoreImageResetsCommitted(t *testing.T) {
-	members, _ := newGroup(t, 1, 8, 32)
-	img := make([]byte, 8*32)
-	for i := range img {
-		img[i] = byte(i)
-	}
-	if err := members[0].RestoreImage(img, 7); err != nil {
-		t.Fatal(err)
-	}
-	if members[0].Epoch() != 7 {
-		t.Errorf("epoch = %d, want 7", members[0].Epoch())
-	}
-	if !bytes.Equal(members[0].Machine().Image(), img) {
-		t.Error("machine not restored")
-	}
-	if !bytes.Equal(members[0].CommittedImage(), img) {
-		t.Error("committed image not updated")
-	}
-}
-
 // TestNewKeeperValidation: a tolerance-1 keeper needs members of one image
 // size, each named once, and has parity index 0 only.
 func TestNewKeeperValidation(t *testing.T) {

@@ -12,10 +12,10 @@ import (
 // rollbackRun replays one seeded sequence of guest writes, store-backs,
 // stages (skip on and off), advances, unstages and rollbacks — some of them
 // between a Stage and its Advance — on two members built from one image. The
-// member under test rolls back with rollback; its twin reloads its whole
-// committed image with RestoreImage. It returns the first point where the two
-// differ in live memory, committed image or dirty set, or where a rollback
-// leaves a page dirty or moves an epoch.
+// member under test rolls back with rollback; its twin respawns from a copy
+// of its whole committed image with NewMemberAt. It returns the first point
+// where the two differ in live memory, committed image or dirty set, or where
+// a rollback leaves a page dirty or moves an epoch.
 func rollbackRun(seed int64, ps int, rollback func(mem *Member)) error {
 	const pages, ops = 16, 300
 	rng := rand.New(rand.NewSource(seed))
@@ -75,9 +75,10 @@ func rollbackRun(seed int64, ps int, rollback func(mem *Member)) error {
 			}
 			epoch, mepoch := mem.Epoch(), m.Epoch()
 			rollback(mem)
-			if err := twin.RestoreImage(twin.CommittedImage(), twin.Epoch()); err != nil {
+			if twin, err = NewMemberAt("r", ps, twin.CommittedImage(), twin.Epoch()); err != nil {
 				return err
 			}
+			tm = twin.Machine()
 			staged, twinStaged = nil, nil
 			if m.DirtyCount() != 0 || mem.Epoch() != epoch || m.Epoch() != mepoch {
 				return fmt.Errorf("op %d: after rollback %d pages dirty, epoch %d -> %d, machine epoch %d -> %d",
@@ -132,9 +133,9 @@ func TestRollbackMatchesFullReload(t *testing.T) {
 
 // TestNewMemberAtCopiesNothing: a respawned member is built over the buffer
 // handed to it — the machine's pages alias it, and all it allocates is
-// bookkeeping, less than one page — at the given epoch, clean; the
-// first guest write keeps the page's committed bytes as a pre-image; an image
-// that is not a positive number of pages is refused.
+// bookkeeping, less than one page — at the given epoch, clean, with no staged
+// capture; the first guest write keeps the page's committed bytes as a
+// pre-image; an image that is not a positive number of pages is refused.
 func TestNewMemberAtCopiesNothing(t *testing.T) {
 	const pages, ps = 16, 64 << 10
 	img := make([]byte, pages*ps)
@@ -150,8 +151,8 @@ func TestNewMemberAtCopiesNothing(t *testing.T) {
 		t.Errorf("NewMemberAt of a %d-byte image allocated %d bytes; want under one %d-byte page", pages*ps, got, ps)
 	}
 	m := mem.Machine()
-	if m.ID() != "n" || m.NumPages() != pages || m.DirtyCount() != 0 || mem.Epoch() != 9 {
-		t.Fatalf("machine %q: %d pages, %d dirty, epoch %d", m.ID(), m.NumPages(), m.DirtyCount(), mem.Epoch())
+	if m.ID() != "n" || m.NumPages() != pages || m.DirtyCount() != 0 || mem.Epoch() != 9 || mem.Staged() != nil {
+		t.Fatalf("machine %q: %d pages, %d dirty, epoch %d, staged %v", m.ID(), m.NumPages(), m.DirtyCount(), mem.Epoch(), mem.Staged())
 	}
 	for i := 0; i < pages; i++ {
 		if &m.Page(i)[0] != &img[i*ps] {

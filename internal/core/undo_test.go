@@ -180,15 +180,6 @@ func TestAccessors(t *testing.T) {
 	if len(k.Parity()) != 4*32 {
 		t.Error("Parity length wrong")
 	}
-	if err := k.SetEpochs(map[string]uint64{"a": 3}); err != nil {
-		t.Fatal(err)
-	}
-	if k.Epoch("a") != 3 {
-		t.Error("SetEpochs did not apply")
-	}
-	if err := k.SetEpochs(map[string]uint64{}); err == nil {
-		t.Error("SetEpochs missing member should fail")
-	}
 
 	mk, err := NewMKeeper(3, 1, 2, map[string][]byte{"a": mem.CommittedImage(), "b": mem.CommittedImage()})
 	if err != nil {

@@ -102,12 +102,6 @@ func NewCoordinator(layout *cluster.Layout, addrs map[int]string, pages, pageSiz
 // change use Retune.
 func (c *Coordinator) SetChunkSize(n int) { c.chunkSize = n }
 
-// SetPipelineWidth bounds the in-flight chunk batches per (stream, peer) on
-// every node's chunked ship path (<= 0 restores the built-in default). Call
-// before Setup — the setting rides the node configuration; for a live change
-// use Retune.
-func (c *Coordinator) SetPipelineWidth(w int) { c.pipeWidth = w }
-
 // Retune live-adjusts the cluster's data-path tuning — chunk payload size
 // (0 = default, > 0 = bytes) and per-(stream, peer) pipeline width — without
 // reconfiguring membership: every alive node receives a MsgRetune, and later
@@ -853,9 +847,9 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 
 // rebuildGroup recovers one damaged group through one rebuild request to its
 // decoder, the target of the group's first step: every lost element with its
-// target — lost VMs respawn with a fresh workload stream, lost parity indexes
-// pair with re-home steps in order, as ApplyRecovery pairs them — the
-// survivors' hosts and alive parity homes, and the committed epoch.
+// target — lost VMs respawn with a fresh workload stream, a re-home step
+// names its parity slot — the survivors' hosts and alive parity homes, and
+// the committed epoch.
 func (c *Coordinator) rebuildGroup(ctx obs.SpanContext, tr *obs.Tracer, steps []cluster.Step) (err error) {
 	kind := "restore"
 	if steps[0].Kind == cluster.RehomeParity {
@@ -864,24 +858,13 @@ func (c *Coordinator) rebuildGroup(ctx obs.SpanContext, tr *obs.Tracer, steps []
 	span := tr.Child(ctx, fmt.Sprintf("%s g%d", kind, steps[0].Group), "coord")
 	defer func() { span.FinishErr(err) }()
 	rc := c.groupRebuild(steps[0].Group)
-	var deadParity []int
-	for i := range c.layout.Groups[rc.Group].ParityNodes {
-		if _, ok := rc.ParityPeers[i]; !ok {
-			deadParity = append(deadParity, i)
-		}
-	}
 	for _, s := range steps {
-		e := lostElement{Target: s.TargetNode}
-		switch {
-		case s.Kind == cluster.RestoreVM:
+		e := lostElement{Parity: s.Parity, Target: s.TargetNode}
+		if s.Kind == cluster.RestoreVM {
 			v, _ := c.layout.VM(s.VM)
 			vc := c.vmConfig(v)
 			vc.Seed = c.vmSeed(s.VM) + int64(rc.Epoch) + 1 // fresh workload stream after respawn
 			e.VM = &vc
-		case len(deadParity) == 0:
-			return fmt.Errorf("runtime: group %d has no dead parity block to re-home", rc.Group)
-		default:
-			e.Parity, deadParity = deadParity[0], deadParity[1:]
 		}
 		rc.Lost = append(rc.Lost, e)
 	}
@@ -1108,7 +1091,7 @@ func (c *Coordinator) Rebalance() (plan *cluster.Plan, err error) {
 func (c *Coordinator) rebuildRehomes(rctx obs.SpanContext, rehomes []cluster.Step) error {
 	return parallelDo(len(rehomes), c.fanoutWidth(), func(i int) error {
 		s := rehomes[i]
-		return c.rebuildKeeper(rctx, s.Group, s.SourceNodes[0], s.TargetNode)
+		return c.rebuildKeeper(rctx, s.Group, s.Parity, s.TargetNode)
 	})
 }
 

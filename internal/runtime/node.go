@@ -3,8 +3,6 @@ package runtime
 import (
 	"fmt"
 	"hash/fnv"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -725,7 +723,7 @@ func (n *Node) onReadChunk(req *wire.Message) (*wire.Message, error) {
 	n.mu.Lock()
 	ms, hosted := n.members[req.VM]
 	ks, kept := n.keepers[int(req.Group)]
-	held, isHeld := n.held[heldKey{group: int(req.Group), vm: req.VM, parity: int(req.Epoch)}]
+	held, isHeld := n.held[heldKey{group: int(req.Group), Element: core.Element{VM: req.VM, Parity: int(req.Epoch)}}]
 	id := n.id
 	n.mu.Unlock()
 	size, render := 0, func(dst []byte, off int) { copy(dst, held[off:]) } // a held element is served as is
@@ -763,77 +761,59 @@ type blockSource struct {
 	coefs  []byte
 }
 
-// heldKey names an element a decoder holds for another target: member vm's
-// image or, when vm is empty, parity block parity of group.
+// heldKey names an element of group a decoder holds for another target.
 type heldKey struct {
-	group  int
-	vm     string
-	parity int
+	group int
+	core.Element
 }
 
 // sources lists the blocks a rebuild pulls, each with its coefficient per
-// lost element: the one element From holds as is, or k surviving shards.
+// lost element: the one element From holds as is, or the k shards
+// core.PlanShards picks among the elements whose node is up.
 func (cfg *rebuildConfig) sources() ([]blockSource, error) {
 	if cfg.From == nil {
-		return shardSources(cfg.Members, cfg.Tolerance, cfg.Lost, cfg.Survivors, cfg.ParityPeers)
+		lost := make([]core.Element, len(cfg.Lost))
+		for i, e := range cfg.Lost {
+			lost[i] = e.element()
+		}
+		shards, err := core.PlanShards(cfg.Members, cfg.Tolerance, lost, func(e core.Element) bool {
+			_, up := cfg.home(e)
+			return up
+		})
+		if err != nil {
+			return nil, err
+		}
+		srcs := make([]blockSource, len(shards))
+		for i, s := range shards {
+			node, _ := cfg.home(s.Element)
+			srcs[i] = blockSource{node: node, vm: s.VM, parity: s.Parity, coefs: s.Coefs}
+		}
+		return srcs, nil
 	}
 	if len(cfg.Lost) != 1 {
 		return nil, fmt.Errorf("runtime: a copy from node %d names %d elements", *cfg.From, len(cfg.Lost))
 	}
-	src := blockSource{node: *cfg.From, parity: cfg.Lost[0].Parity, held: cfg.Held, coefs: []byte{1}}
-	if vm := cfg.Lost[0].VM; vm != nil {
-		src.vm = vm.Name
-	}
-	return []blockSource{src}, nil
+	e := cfg.Lost[0].element()
+	return []blockSource{{node: *cfg.From, vm: e.VM, parity: e.Parity, held: cfg.Held, coefs: []byte{1}}}, nil
 }
 
-// shardSources picks the k shards that rebuild lost elements of an RS(k, m)
-// group and pairs each with its coefficient per element: the element's
-// DecodeRow over one present set, so the shards are pulled once however many
-// elements they rebuild. Data shard j is the j-th member in sorted order,
-// shard k+i parity block i. Members with a host come first, then alive
-// parity blocks by index, so a lone lost VM decodes by plain XOR from its
-// group-mates and parity 0, and a parity block over the k member images gets
-// its encoding row.
-func shardSources(members []string, tolerance int, lost []lostElement, hosts map[string]int, parityPeers map[int]int) ([]blockSource, error) {
-	sorted := append([]string(nil), members...)
-	sort.Strings(sorted)
-	k := len(sorted)
-	coder, err := parity.NewRS(k, tolerance)
-	if err != nil {
-		return nil, err
+// element names e in core's terms.
+func (e lostElement) element() core.Element {
+	if e.VM != nil {
+		return core.Element{VM: e.VM.Name}
 	}
-	var srcs []blockSource
-	var present []int
-	for j, m := range sorted {
-		if node, ok := hosts[m]; ok {
-			srcs = append(srcs, blockSource{node: node, vm: m, coefs: make([]byte, len(lost))})
-			present = append(present, j)
-		}
+	return core.Element{Parity: e.Parity}
+}
+
+// home returns the node that serves element e of a decoding rebuild, and
+// whether that node is up.
+func (cfg *rebuildConfig) home(e core.Element) (int, bool) {
+	if e.VM != "" {
+		n, ok := cfg.Survivors[e.VM]
+		return n, ok
 	}
-	for idx := 0; idx < tolerance && len(srcs) < k; idx++ {
-		if node, ok := parityPeers[idx]; ok {
-			srcs = append(srcs, blockSource{node: node, parity: idx, coefs: make([]byte, len(lost))})
-			present = append(present, k+idx)
-		}
-	}
-	for o, e := range lost {
-		target := k + e.Parity
-		if e.VM != nil {
-			var ok bool
-			if target, ok = slices.BinarySearch(sorted, e.VM.Name); !ok {
-				return nil, fmt.Errorf("runtime: %q is not a member of the group", e.VM.Name)
-			}
-		}
-		row, err := coder.DecodeRow(target, present)
-		if err != nil {
-			return nil, err
-		}
-		for i := range srcs {
-			srcs[i].coefs[o] = row[i]
-		}
-	}
-	return srcs, nil
+	n, ok := cfg.ParityPeers[e.Parity]
+	return n, ok
 }
 
 // readSlot is the bytes one MsgReadChunk pulls. The chunk size is the ship
@@ -998,10 +978,7 @@ func (n *Node) handOff(ctx obs.SpanContext, cfg *rebuildConfig, outs [][]byte) e
 	id := n.id
 	for i, e := range cfg.Lost {
 		if e.Target != id {
-			key := heldKey{group: cfg.Group, parity: e.Parity}
-			if e.VM != nil {
-				key.vm = e.VM.Name
-			}
+			key := heldKey{group: cfg.Group, Element: e.element()}
 			n.held[key] = outs[i]
 			others, keys = append(others, e), append(keys, key)
 		}

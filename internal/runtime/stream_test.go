@@ -221,9 +221,11 @@ func TestOrphanedShipStopsAtNextBatch(t *testing.T) {
 	}
 	t.Cleanup(coord.Close)
 	coord.SetObserver(tr, nil)
-	coord.SetPipelineWidth(1)
 	coord.SetRPCTimeout(1500 * time.Millisecond) // the nodes' own peer calls have no deadline
 	if err := coord.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Retune(0, 1); err != nil { // one batch in flight per (stream, peer)
 		t.Fatal(err)
 	}
 	shadow, err := NewShadow(layout, pages, pageSize, 4242)
