@@ -214,27 +214,19 @@ func (l *Layout) PlanKeeperEvacuation(avoid int, down ...int) (*Plan, error) {
 	return plan, nil
 }
 
-// MoveVM records that VM name now runs on node. It does not validate the
-// layout: a rebalance that fails partway records each move that completed,
-// and the placement between those moves may be degraded.
-func (l *Layout) MoveVM(name string, node int) error {
-	i, ok := l.vmIndex[name]
-	if !ok {
-		return fmt.Errorf("cluster: rebalance moves unknown VM %q", name)
-	}
-	l.VMs[i].Node = node
-	return nil
-}
-
-// ApplyRebalance mutates the layout per a rebalance plan: a RehomeParity
-// step moves the parity slot it names.
+// ApplyRebalance mutates the layout per a rebalance plan — a RestoreVM step
+// moves its VM, a RehomeParity step the parity slot it names — and then
+// validates it. A plan of only the steps that completed is recorded as is,
+// even when the placement it leaves is degraded; the validation error says so.
 func (l *Layout) ApplyRebalance(p *Plan) error {
 	for _, s := range p.Steps {
 		switch s.Kind {
 		case RestoreVM:
-			if err := l.MoveVM(s.VM, s.TargetNode); err != nil {
-				return err
+			i, ok := l.vmIndex[s.VM]
+			if !ok {
+				return fmt.Errorf("cluster: rebalance moves unknown VM %q", s.VM)
 			}
+			l.VMs[i].Node = s.TargetNode
 		case RehomeParity:
 			if s.Group < 0 || s.Group >= len(l.Groups) {
 				return fmt.Errorf("cluster: rebalance re-homes parity of unknown group %d", s.Group)

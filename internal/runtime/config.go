@@ -67,14 +67,12 @@ type retuneConfig struct {
 
 // NodeStats are a node's protocol counters, served via MsgStats.
 type NodeStats struct {
-	DeltasSent    int64 `json:"deltas_sent"`
 	DeltaRawBytes int64 `json:"delta_raw_bytes"` // delta payload shipped, framing excluded
 
 	// Chunk stream counters.
 	ChunksSent     int64 `json:"chunks_sent"`     // delta chunks shipped to parity peers
 	ChunksReceived int64 `json:"chunks_received"` // delta chunks folded as keeper
 	DupChunks      int64 `json:"dup_chunks"`      // idempotently dropped re-deliveries
-	FoldNanos      int64 `json:"fold_nanos"`      // cumulative chunk fold time as keeper (the folds alone)
 
 	// Unchanged-page skip counters (capture, when NodeConfig.Dedup is on).
 	DedupHits       int64 `json:"dedup_hits"`        // dirty pages skipped: equal to the committed image
@@ -100,12 +98,12 @@ func decodeJSON(s string, v interface{}) error {
 	return json.Unmarshal([]byte(s), v)
 }
 
-// rebuildConfig rides MsgReconstruct, MsgRebuildKeeper and MsgInstall alike:
-// elements of one group to rebuild at the committed epoch, and where to read
-// them from. Without From the receiving node decodes: it pulls k of the
-// group's surviving shards once and computes every Lost element from them.
-// With From the one Lost element is read as is from that node: a moved VM's
-// current host, or (Held) the decoder that computed it for this target.
+// rebuildConfig rides MsgReconstruct: elements of one group to rebuild at the
+// committed epoch, and where to read them from. Without From the receiving
+// node decodes: it pulls k of the group's surviving shards once and computes
+// every Lost element from them. With From the one Lost element is read as is
+// from that node: a moved VM's current host, or (Held) the decoder that
+// computed it for this target.
 type rebuildConfig struct {
 	Group     int      `json:"group"`
 	Members   []string `json:"members"` // every member of the group, any order

@@ -756,23 +756,10 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 			return nil, fmt.Errorf("runtime: node %d already recovered", f)
 		}
 	}
+	c.mu.Unlock()
 	// Plan against every node that is currently unavailable, not just the
 	// new casualties, so targets are never chosen among the already-dead.
-	downSet := map[int]bool{}
-	for _, f := range failed {
-		downSet[f] = true
-	}
-	for n := range c.dead {
-		downSet[n] = true
-	}
-	c.mu.Unlock()
-	var down []int
-	for n := range downSet {
-		down = append(down, n)
-	}
-	sort.Ints(down)
-
-	plan, err = c.layout.PlanRecovery(down...)
+	plan, err = c.layout.PlanRecovery(c.downNodes(failed...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -793,41 +780,7 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 	if rbErr != nil {
 		return nil, rbErr
 	}
-
-	// One task per damaged group, groups in parallel: they share no VM and no
-	// parity block (orthogonality). The target of a group's first step decodes
-	// every lost element of the group in one pass and hands the others to
-	// their targets. The layout is not touched until the tasks are done, so it
-	// still names the survivors' hosts.
-	var groups []int
-	steps := map[int][]cluster.Step{}
-	for _, s := range plan.Steps {
-		if steps[s.Group] == nil {
-			groups = append(groups, s.Group)
-		}
-		steps[s.Group] = append(steps[s.Group], s)
-	}
-	sort.Ints(groups)
-	done := make([]bool, len(groups))
-	rebuildErr := parallelDo(len(groups), c.fanoutWidth(), func(i int) error {
-		err := c.rebuildGroup(root.ContextOr(obs.SpanContext{}), tr, steps[groups[i]])
-		done[i] = err == nil
-		return err
-	})
-	// A group whose rebuild completed is recovered whatever became of the
-	// others: the layout records it and every node learns its parity homes
-	// before an error returns, so a retry plans only what is still lost.
-	var applied []cluster.Step
-	touched := map[int]bool{}
-	for i, g := range groups {
-		if done[i] {
-			applied = append(applied, steps[g]...)
-			touched[g] = true
-		}
-	}
-	if err := errors.Join(rebuildErr,
-		c.layout.ApplyRecovery(&cluster.Plan{Down: plan.Down, Steps: applied, Degraded: plan.Degraded}),
-		c.refreshParityPointers(root.ContextOr(obs.SpanContext{}), touched)); err != nil {
+	if err := c.execute(root.ContextOr(obs.SpanContext{}), tr, plan, c.layout.ApplyRecovery); err != nil {
 		return nil, err
 	}
 	d := time.Since(t0)
@@ -845,11 +798,97 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 	return plan, nil
 }
 
-// rebuildGroup recovers one damaged group through one rebuild request to its
+// downNodes lists, ascending, every node marked dead plus extra: the nodes a
+// planner must never choose as a target.
+func (c *Coordinator) downNodes(extra ...int) []int {
+	c.mu.Lock()
+	set := map[int]bool{}
+	for n := range c.dead {
+		set[n] = true
+	}
+	c.mu.Unlock()
+	for _, n := range extra {
+		set[n] = true
+	}
+	down := make([]int, 0, len(set))
+	for n := range set {
+		down = append(down, n)
+	}
+	sort.Ints(down)
+	return down
+}
+
+// execute carries out a placement plan — a recovery's, a rebalance's or a
+// keeper evacuation's — by one rule, and records in the layout exactly the
+// steps that completed:
+//
+//  1. Each damaged group gets one rebuild request (rebuildGroup) carrying its
+//     RehomeParity steps and the RestoreVM steps whose VM's host is dead.
+//     Groups share no VM and no parity block (orthogonality), so they rebuild
+//     concurrently, against the layout as it stands.
+//  2. Each RestoreVM step whose VM's host is up is a move (move). Moves run
+//     after the rebuilds, so no rebuild reads a VM a move has just evicted.
+//  3. The completed steps are recorded with apply, the plan's own layout
+//     update: a step that failed is not in the layout, whatever became of
+//     the others, so a retry plans only what is still to do.
+//  4. Every alive node learns the parity homes of the groups those steps
+//     touched, whatever failed.
+//
+// The errors of all four are joined.
+func (c *Coordinator) execute(ctx obs.SpanContext, tr *obs.Tracer, plan *cluster.Plan, apply func(*cluster.Plan) error) error {
+	var groups, moves []int
+	rebuilds := map[int][]int{} // group -> indices of its rebuilt steps
+	c.mu.Lock()
+	for i, s := range plan.Steps {
+		if v, ok := c.layout.VM(s.VM); s.Kind == cluster.RestoreVM && ok && !c.dead[v.Node] {
+			moves = append(moves, i)
+			continue
+		}
+		if rebuilds[s.Group] == nil {
+			groups = append(groups, s.Group)
+		}
+		rebuilds[s.Group] = append(rebuilds[s.Group], i)
+	}
+	c.mu.Unlock()
+	sort.Ints(groups)
+	done := make([]bool, len(plan.Steps))
+	rebuildErr := parallelDo(len(groups), c.fanoutWidth(), func(i int) error {
+		idx := rebuilds[groups[i]]
+		steps := make([]cluster.Step, len(idx))
+		for j, k := range idx {
+			steps[j] = plan.Steps[k]
+		}
+		if err := c.rebuildGroup(ctx, tr, steps); err != nil {
+			return err
+		}
+		for _, k := range idx {
+			done[k] = true
+		}
+		return nil
+	})
+	moveErr := parallelDo(len(moves), c.fanoutWidth(), func(i int) error {
+		err := c.move(ctx, plan.Steps[moves[i]])
+		done[moves[i]] = err == nil
+		return err
+	})
+	var completed []cluster.Step
+	touched := map[int]bool{}
+	for i, s := range plan.Steps {
+		if done[i] {
+			completed = append(completed, s)
+			touched[s.Group] = true
+		}
+	}
+	return errors.Join(rebuildErr, moveErr,
+		apply(&cluster.Plan{Down: plan.Down, Steps: completed, Degraded: plan.Degraded}),
+		c.refreshParityPointers(ctx, touched))
+}
+
+// rebuildGroup rebuilds one damaged group through one rebuild request to its
 // decoder, the target of the group's first step: every lost element with its
-// target — lost VMs respawn with a fresh workload stream, a re-home step
-// names its parity slot — the survivors' hosts and alive parity homes, and
-// the committed epoch.
+// target — a VM whose host is dead respawns with a fresh workload stream, a
+// re-home step names its parity slot — the survivors' hosts and alive parity
+// homes, and the committed epoch.
 func (c *Coordinator) rebuildGroup(ctx obs.SpanContext, tr *obs.Tracer, steps []cluster.Step) (err error) {
 	kind := "restore"
 	if steps[0].Kind == cluster.RehomeParity {
@@ -868,7 +907,37 @@ func (c *Coordinator) rebuildGroup(ctx obs.SpanContext, tr *obs.Tracer, steps []
 		}
 		rc.Lost = append(rc.Lost, e)
 	}
-	return c.sendRebuild(span.ContextOr(obs.SpanContext{}), wire.MsgReconstruct, steps[0].TargetNode, rc)
+	return c.sendRebuild(span.ContextOr(obs.SpanContext{}), steps[0].TargetNode, rc)
+}
+
+// move carries out a RestoreVM step whose VM's host is up, install then
+// evict: the target pulls the committed image from the host (the VM is
+// quiescent right after a commit, so that image is the whole VM) and only
+// once it has adopted the VM is the old host told to drop its copy. A move
+// that fails or is refused at either step leaves the VM where it was, and the
+// target holds no copy.
+func (c *Coordinator) move(ctx obs.SpanContext, s cluster.Step) error {
+	v, _ := c.layout.VM(s.VM)
+	vc := c.vmConfig(v)
+	vc.Seed = c.vmSeed(s.VM) + int64(c.epoch.Load()) + 7919
+	rc := c.groupRebuild(v.Group)
+	rc.Survivors, rc.ParityPeers, rc.From = nil, nil, &v.Node
+	rc.Lost = []lostElement{{VM: &vc, Target: s.TargetNode}}
+	if err := c.sendRebuild(ctx, s.TargetNode, rc); err != nil {
+		return err
+	}
+	evict := func(node int) error {
+		_, err := c.call(node, &wire.Message{Type: wire.MsgEvict, VM: s.VM, Trace: ctx.Trace, Span: ctx.Span})
+		return err
+	}
+	if err := evict(v.Node); err != nil {
+		// The old host did not drop the VM (it refuses one with dirty pages or
+		// a staged capture), so the copy just installed must go or two nodes
+		// would run it. Best effort: the first error is the one worth reporting.
+		evict(s.TargetNode) //nolint:errcheck
+		return fmt.Errorf("runtime: evict %q from node %d: %w", s.VM, v.Node, err)
+	}
+	return nil
 }
 
 // groupRebuild starts a rebuild of one group at the committed epoch, naming
@@ -895,17 +964,17 @@ func (c *Coordinator) groupRebuild(group int) rebuildConfig {
 }
 
 // sendRebuild has node run a rebuild and checks its acknowledgement.
-func (c *Coordinator) sendRebuild(ctx obs.SpanContext, typ wire.MsgType, node int, rc rebuildConfig) error {
+func (c *Coordinator) sendRebuild(ctx obs.SpanContext, node int, rc rebuildConfig) error {
 	text, err := encodeJSON(rc)
 	if err != nil {
 		return err
 	}
-	resp, err := c.call(node, &wire.Message{Type: typ, Group: int32(rc.Group), Text: text, Trace: ctx.Trace, Span: ctx.Span})
-	if err == nil && resp.Type != typ+1 {
+	resp, err := c.call(node, &wire.Message{Type: wire.MsgReconstruct, Group: int32(rc.Group), Text: text, Trace: ctx.Trace, Span: ctx.Span})
+	if err == nil && resp.Type != wire.MsgReconstructOK {
 		err = fmt.Errorf("node replied %v", resp.Type)
 	}
 	if err != nil {
-		return fmt.Errorf("runtime: %v of group %d on node %d: %w", typ, rc.Group, node, err)
+		return fmt.Errorf("runtime: rebuild of group %d on node %d: %w", rc.Group, node, err)
 	}
 	return nil
 }
@@ -981,176 +1050,58 @@ func (c *Coordinator) Repair(node int) error {
 
 // Rebalance restores strict orthogonality after degraded recoveries, once
 // repaired nodes have rejoined: co-located VMs move, and co-located parity
-// blocks are recomputed on their new homes. A move is install-then-evict: the
-// new host pulls the committed image from the old one (the VMs are quiescent
-// right after a commit, so that image is the whole VM) and only once it has
-// adopted the VM is the old host told to drop its copy. A move that fails or
-// is refused at either step therefore leaves the VM where it was, and the new
-// host holds no copy. When any move fails, the error is returned after the
-// moves that did complete are recorded in the layout and their groups' parity
-// pointers refreshed; the rest of the plan is not applied. VM moves and parity
-// rebuilds each run concurrently (moves touch disjoint VMs, rebuilds disjoint
-// parity blocks). Call immediately after Checkpoint, before
-// any Step.
+// blocks are rebuilt on their new homes, by the plan rule recovery follows
+// (execute). A step that fails leaves its VM or parity block where it was;
+// the error is returned after the steps that did complete are recorded in the
+// layout and their groups' parity pointers refreshed. Call immediately after
+// Checkpoint, before any Step.
 func (c *Coordinator) Rebalance() (plan *cluster.Plan, err error) {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
 	t0 := time.Now()
 	c.mu.Lock()
 	tr := c.tracer
-	var down []int
-	for n := range c.dead {
-		down = append(down, n)
-	}
 	c.mu.Unlock()
 	root := tr.Start(obs.SpanContext{}, "rebalance", "coord")
 	defer func() { root.FinishErr(err) }()
-	rctx := root.ContextOr(obs.SpanContext{})
-	plan, err = c.layout.PlanRebalance(down...)
+	plan, err = c.layout.PlanRebalance(c.downNodes()...)
 	if err != nil {
 		return nil, err
 	}
-	// Move VMs first, concurrently (each move is its own install+evict pair
-	// and no two steps touch the same VM or the same parity block).
-	var moves []cluster.Step
-	for _, s := range plan.Steps {
-		if s.Kind == cluster.RestoreVM {
-			moves = append(moves, s)
-		}
-	}
-	done := make([]bool, len(moves))
-	if err := parallelDo(len(moves), c.fanoutWidth(), func(i int) error {
-		s := moves[i]
-		v, ok := c.layout.VM(s.VM)
-		if !ok {
-			return fmt.Errorf("runtime: rebalance of unknown VM %q", s.VM)
-		}
-		vc := c.vmConfig(v)
-		vc.Seed = c.vmSeed(s.VM) + int64(c.epoch.Load()) + 7919
-		rc := c.groupRebuild(v.Group)
-		rc.Survivors, rc.ParityPeers, rc.From = nil, nil, &v.Node
-		rc.Lost = []lostElement{{VM: &vc, Target: s.TargetNode}}
-		if err := c.sendRebuild(rctx, wire.MsgInstall, s.TargetNode, rc); err != nil {
-			return err
-		}
-		evict := func(node int) error {
-			_, err := c.call(node, &wire.Message{Type: wire.MsgEvict, VM: s.VM, Trace: rctx.Trace, Span: rctx.Span})
-			return err
-		}
-		if err := evict(v.Node); err != nil {
-			// The old host did not drop the VM (it refuses one with dirty
-			// pages or a staged capture), so the copy just installed must go or
-			// two nodes would run it. Best effort: the first error is the one
-			// worth reporting.
-			evict(s.TargetNode) //nolint:errcheck
-			return fmt.Errorf("runtime: evict %q from node %d: %w", s.VM, v.Node, err)
-		}
-		done[i] = true
-		return nil
-	}); err != nil {
-		// A completed move happened whatever became of the others: the VM runs
-		// on its target and nowhere else, so the layout must say so before the
-		// next round or recovery looks for it.
-		errs, groups := []error{err}, map[int]bool{}
-		for i, s := range moves {
-			if done[i] {
-				errs = append(errs, c.layout.MoveVM(s.VM, s.TargetNode))
-				groups[s.Group] = true
-			}
-		}
-		return nil, errors.Join(append(errs, c.refreshParityPointers(rctx, groups))...)
-	}
-	// Apply the placement so parity rebuilds see the new VM homes, then
-	// rebuild the moved parity blocks on their targets, concurrently.
-	if err := c.layout.ApplyRebalance(plan); err != nil {
-		return nil, err
-	}
-	var rehomes []cluster.Step
-	for _, s := range plan.Steps {
-		if s.Kind == cluster.RehomeParity {
-			rehomes = append(rehomes, s)
-		}
-	}
-	if err := c.rebuildRehomes(rctx, rehomes); err != nil {
-		return nil, err
-	}
-	// Refresh parity pointers on every alive node for touched groups.
-	touched := map[int]bool{}
-	for _, s := range plan.Steps {
-		touched[s.Group] = true
-	}
-	if err := c.refreshParityPointers(rctx, touched); err != nil {
+	if err := c.execute(root.ContextOr(obs.SpanContext{}), tr, plan, c.layout.ApplyRebalance); err != nil {
 		return nil, err
 	}
 	c.observePhase("rebalance", time.Since(t0))
 	return plan, nil
 }
 
-// rebuildRehomes rebuilds each RehomeParity step's parity block on its target
-// node, concurrently, against the already-applied layout.
-func (c *Coordinator) rebuildRehomes(rctx obs.SpanContext, rehomes []cluster.Step) error {
-	return parallelDo(len(rehomes), c.fanoutWidth(), func(i int) error {
-		s := rehomes[i]
-		return c.rebuildKeeper(rctx, s.Group, s.Parity, s.TargetNode)
-	})
-}
-
-// rebuildKeeper has target recompute parity block idx of a group: the target
-// pulls every member's committed image from its host in the (already applied)
-// layout and folds them. Rebalance and evacuation re-home parity through here.
-func (c *Coordinator) rebuildKeeper(ctx obs.SpanContext, group, idx, target int) error {
-	rc := c.groupRebuild(group)
-	rc.ParityPeers = nil // the k member images encode the block
-	rc.Lost = []lostElement{{Parity: idx, Target: target}}
-	return c.sendRebuild(ctx, wire.MsgRebuildKeeper, target, rc)
-}
-
 // EvacuateKeepers drains every parity block off one (alive) node — the
 // placement response to the telemetry plane flagging the node as habitually
-// slow. Each evacuated block is recomputed on an orthogonality-preserving
-// target (cluster.PlanKeeperEvacuation) and every alive node's parity
-// pointers are refreshed, exactly the recovery/rebalance machinery — the
-// node keeps its hosted VMs, it just stops being a fan-in point. Call right
-// after a committed Checkpoint, before any Step, like Rebalance. Layouts
-// with no legal target (the paper's minimal 4-node placement) fail loudly;
-// an empty plan means the node already keeps no parity.
+// slow. Each evacuated block is rebuilt on an orthogonality-preserving
+// target (cluster.PlanKeeperEvacuation) by the plan rule recovery follows
+// (execute) — the node keeps its hosted VMs, it just stops being a fan-in
+// point. Call right after a committed Checkpoint, before any Step, like
+// Rebalance. Layouts with no legal target (the paper's minimal 4-node
+// placement) fail loudly; an empty plan means the node already keeps no
+// parity.
 func (c *Coordinator) EvacuateKeepers(node int) (plan *cluster.Plan, err error) {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
 	t0 := time.Now()
 	c.mu.Lock()
-	tr := c.tracer
-	if c.dead[node] {
-		c.mu.Unlock()
+	tr, dead := c.tracer, c.dead[node]
+	c.mu.Unlock()
+	if dead {
 		return nil, fmt.Errorf("runtime: cannot evacuate keepers off dead node %d", node)
 	}
-	var down []int
-	for n := range c.dead {
-		down = append(down, n)
-	}
-	c.mu.Unlock()
 	root := tr.Start(obs.SpanContext{}, "evacuate", "coord")
 	root.SetAttr("node", fmt.Sprint(node))
 	defer func() { root.FinishErr(err) }()
-	rctx := root.ContextOr(obs.SpanContext{})
-	plan, err = c.layout.PlanKeeperEvacuation(node, down...)
-	if err != nil {
-		return nil, err
+	plan, err = c.layout.PlanKeeperEvacuation(node, c.downNodes()...)
+	if err != nil || len(plan.Steps) == 0 {
+		return plan, err
 	}
-	if len(plan.Steps) == 0 {
-		return plan, nil
-	}
-	if err := c.layout.ApplyRebalance(plan); err != nil {
-		return nil, err
-	}
-	if err := c.rebuildRehomes(rctx, plan.Steps); err != nil {
-		return nil, err
-	}
-	touched := map[int]bool{}
-	for _, s := range plan.Steps {
-		touched[s.Group] = true
-	}
-	if err := c.refreshParityPointers(rctx, touched); err != nil {
+	if err := c.execute(root.ContextOr(obs.SpanContext{}), tr, plan, c.layout.ApplyRebalance); err != nil {
 		return nil, err
 	}
 	c.observePhase("evacuate", time.Since(t0))

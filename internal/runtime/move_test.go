@@ -338,7 +338,7 @@ func TestHostedVMIsRefusedBeforePulling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = nodes[v.Node].handle(&wire.Message{Type: wire.MsgInstall, VM: v.Name, Text: text})
+	_, err = nodes[v.Node].handle(&wire.Message{Type: wire.MsgReconstruct, VM: v.Name, Text: text})
 	if err == nil || !strings.Contains(err.Error(), "already hosts") {
 		t.Fatalf("install of a hosted VM: got %v, want the already-hosts refusal", err)
 	}

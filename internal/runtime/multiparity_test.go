@@ -338,7 +338,7 @@ func TestDegradedDoubleFailureCyclesKeepBothParityBlocks(t *testing.T) {
 }
 
 // TestSecondKeeperOfAGroupIsRefused pins the keeper map's contract: a node
-// keeps one parity block per group, so a configure or rebuild-keeper naming a
+// keeps one parity block per group, so a configure or a parity rebuild naming a
 // second block of the group with a different parity index fails loudly rather
 // than replacing the first. Rebuilding the same index in place is fine, and a
 // parity-pointer update saying the block now lives elsewhere drops the stale
@@ -360,7 +360,7 @@ func TestSecondKeeperOfAGroupIsRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = node.handle(&wire.Message{Type: wire.MsgRebuildKeeper, Group: int32(g.Index), Text: text})
+		_, err = node.handle(&wire.Message{Type: wire.MsgReconstruct, Group: int32(g.Index), Text: text})
 		return err
 	}
 	held := func() int {

@@ -254,7 +254,7 @@ func (n *Node) dispatch(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 		return n.onReadChunk(req)
 	case wire.MsgEvict:
 		return n.onEvict(req)
-	case wire.MsgReconstruct, wire.MsgInstall, wire.MsgRebuildKeeper:
+	case wire.MsgReconstruct:
 		return n.onRebuild(ctx, req)
 	case wire.MsgChecksum:
 		return n.onChecksum(req)
@@ -523,7 +523,6 @@ func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberSta
 
 	peers := int64(len(parity))
 	n.statsMu.Lock()
-	n.stats.DeltasSent += peers
 	n.stats.DeltaRawBytes += raw * peers
 	n.stats.ChunksSent += int64(len(chunks)) * peers
 	n.statsMu.Unlock()
@@ -563,7 +562,6 @@ func (n *Node) onDeltaChunk(req *wire.Message) (*wire.Message, error) {
 	if folded > 0 { // fold time: one histogram sample per batch
 		n.statsMu.Lock()
 		n.stats.ChunksReceived += folded
-		n.stats.FoldNanos += foldD.Nanoseconds()
 		n.statsMu.Unlock()
 		if reg != nil {
 			reg.Histogram("dvdc_chunk_fold_seconds", obs.LatencyBuckets()).Observe(foldD.Seconds())
@@ -921,13 +919,14 @@ func (n *Node) pullChunk(ctx obs.SpanContext, src *blockSource, group int, epoch
 	return nil
 }
 
-// onRebuild serves MsgReconstruct, MsgRebuildKeeper and MsgInstall alike: it
-// rebuilds the lost elements of one group in one pass, pulling the sources
-// once and folding every verified reply into one output per element. The
-// elements targeted at other nodes are handed off (handOff); the ones
-// targeted here are adopted last, once every handoff succeeded, so a rebuild
-// that fails adopts nothing here and holds nothing after. A VM the node
-// already hosts is refused before anything is pulled.
+// onRebuild serves MsgReconstruct, the one rebuild request — a recovery's,
+// a parity re-home's, a move's or a handoff's: it rebuilds the lost elements
+// of one group in one pass, pulling the sources once and folding every
+// verified reply into one output per element. The elements targeted at other
+// nodes are handed off (handOff); the ones targeted here are adopted last,
+// once every handoff succeeded, so a rebuild that fails adopts nothing here
+// and holds nothing after. A VM the node already hosts is refused before
+// anything is pulled.
 func (n *Node) onRebuild(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
 	var cfg rebuildConfig
 	if err := decodeJSON(req.Text, &cfg); err != nil {
@@ -962,8 +961,7 @@ func (n *Node) onRebuild(ctx obs.SpanContext, req *wire.Message) (*wire.Message,
 			}
 		}
 	}
-	// Each request a rebuild rides is answered by the message type after it.
-	return &wire.Message{Type: req.Type + 1, Group: int32(cfg.Group)}, nil
+	return &wire.Message{Type: wire.MsgReconstructOK, Group: int32(cfg.Group)}, nil
 }
 
 // handOff has the target of every element of cfg not targeted here take its

@@ -1,8 +1,13 @@
 package runtime
 
 import (
+	"errors"
+	"net"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"dvdc/internal/cluster"
 	"dvdc/internal/wire"
 )
 
@@ -127,4 +132,148 @@ func TestRepairValidation(t *testing.T) {
 // evictMsg builds an evict request for a VM.
 func evictMsg(vmName string) *wire.Message {
 	return &wire.Message{Type: wire.MsgEvict, VM: vmName}
+}
+
+// pullRefuser is a node dialer that, while set, fails every write and every
+// dial: the node stays up and serves requests, but can pull nothing.
+type pullRefuser struct{ on atomic.Bool }
+
+var errPullRefused = errors.New("pull refused")
+
+func (p *pullRefuser) dial(addr string, timeout time.Duration) (net.Conn, error) {
+	if p.on.Load() {
+		return nil, errPullRefused
+	}
+	c, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return &refusingConn{Conn: c, p: p}, nil
+}
+
+type refusingConn struct {
+	net.Conn
+	p *pullRefuser
+}
+
+func (c *refusingConn) Write(b []byte) (int, error) {
+	if c.p.on.Load() {
+		return 0, errPullRefused
+	}
+	return c.Conn.Write(b)
+}
+
+// TestFailedRehomeKeepsLayoutTruthful: a keeper evacuation whose re-home onto
+// one target fails — the target refuses the pulls, or already keeps another
+// block of the group — returns the error with the layout naming each block's
+// real home: the failed step's block stays on the evacuated node, every
+// completed step's block is on its target. Every block the layout names
+// holds the shadow's parity, and once the evacuated node dies, its recovery
+// and the rounds after it commit what the shadow holds. A rebalance re-homes
+// parity by the same executor, but only off a node the layout names for two
+// blocks of one group, which no node can keep (addKeeper), so the
+// evacuation carries the case.
+func TestFailedRehomeKeepsLayoutTruthful(t *testing.T) {
+	const evacuated = 0
+	for _, tc := range []struct {
+		name string
+		// arm makes the re-home of step s onto n fail and reports which plan
+		// steps that fails; the returned disarm undoes it.
+		arm func(n *Node, p *pullRefuser, s cluster.Step) (fails func(cluster.Step) bool, disarm func())
+	}{
+		{"refused-pulls", func(_ *Node, p *pullRefuser, s cluster.Step) (func(cluster.Step) bool, func()) {
+			p.on.Store(true)
+			return func(o cluster.Step) bool { return o.TargetNode == s.TargetNode }, func() { p.on.Store(false) }
+		}},
+		{"second-keeper", func(n *Node, _ *pullRefuser, s cluster.Step) (func(cluster.Step) bool, func()) {
+			// Only addKeeper's refusal reads the stand-in; it is gone before
+			// the next round.
+			n.mu.Lock()
+			n.keepers[s.Group] = &keeperState{cfg: KeeperConfig{Group: s.Group, ParityIdx: 1 - s.Parity}}
+			n.mu.Unlock()
+			return func(o cluster.Step) bool { return o == s }, func() {
+				n.mu.Lock()
+				delete(n.keepers, s.Group)
+				n.mu.Unlock()
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			layout, err := cluster.BuildDistributedGroups(8, 1, 2, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := make([]*Node, layout.Nodes)
+			refusers := make([]*pullRefuser, layout.Nodes)
+			addrs := map[int]string{}
+			for i := range nodes {
+				refusers[i] = &pullRefuser{}
+				n, err := NewNodeWith("127.0.0.1:0", NodeOptions{Dialer: refusers[i].dial})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { n.Close() })
+				nodes[i], addrs[i] = n, n.Addr()
+			}
+			coord, err := NewCoordinator(layout, addrs, 16, 64, 12345)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(coord.Close)
+			if err := coord.Setup(); err != nil {
+				t.Fatal(err)
+			}
+			shadow, err := NewShadow(layout, 16, 64, 12345)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shadowRounds(t, coord, shadow, 1)
+
+			plan, err := coord.Layout().PlanKeeperEvacuation(evacuated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := plan.Steps[0]
+			fails, disarm := tc.arm(nodes[bad.TargetNode], refusers[bad.TargetNode], bad)
+			completes := 0
+			for _, s := range plan.Steps {
+				if !fails(s) {
+					completes++
+				}
+			}
+			if completes == 0 {
+				t.Fatalf("every step of %v fails; the test wants a partial evacuation", plan.Steps)
+			}
+			if _, err := coord.EvacuateKeepers(evacuated); err == nil {
+				t.Fatal("evacuation with a failing re-home succeeded")
+			}
+			disarm()
+			for _, s := range plan.Steps {
+				want := s.TargetNode
+				if fails(s) {
+					want = evacuated
+				}
+				if got := coord.Layout().Groups[s.Group].ParityNodes[s.Parity]; got != want {
+					t.Errorf("layout puts parity[%d] of group %d on node %d after the failed evacuation, want %d",
+						s.Parity, s.Group, got, want)
+				}
+			}
+			if err := oracleDiff(t, coord, shadow); err != nil {
+				t.Fatalf("after the failed evacuation: %v", err)
+			}
+
+			nodes[evacuated].Close()
+			rec, err := coord.RecoverNodes(evacuated)
+			if err != nil {
+				t.Fatalf("recovering the evacuated node: %v", err)
+			}
+			if err := shadow.Recover(rec, coord.Epoch()); err != nil {
+				t.Fatal(err)
+			}
+			shadowRounds(t, coord, shadow, 2)
+			if err := oracleDiff(t, coord, shadow); err != nil {
+				t.Fatalf("rounds after recovering the evacuated node: %v", err)
+			}
+		})
+	}
 }

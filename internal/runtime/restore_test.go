@@ -639,7 +639,7 @@ func installOn(t *testing.T, coord *Coordinator, node *Node, id int, vm string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := node.handle(&wire.Message{Type: wire.MsgInstall, Text: text}); err != nil {
+	if _, err := node.handle(&wire.Message{Type: wire.MsgReconstruct, Text: text}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -204,6 +205,39 @@ func (sc *soakCluster) start(i int, addr string) error {
 	sc.nodes[i] = n
 	sc.addrs[i] = n.Addr()
 	sc.inj.Register(i, n.Addr())
+	return nil
+}
+
+// checkPlacement holds every alive node to the layout: each parity slot the
+// layout homes on the node is the block the node keeps for that group, and
+// each member the node hosts points at the layout's parity homes. Read in
+// process, beside the protocol, so a layout that names a block nobody holds
+// fails the round that made it, not a later recovery.
+func (sc *soakCluster) checkPlacement(l *cluster.Layout, alive []int) error {
+	for _, id := range alive {
+		n := sc.nodes[id]
+		for _, g := range l.Groups {
+			for i, pn := range g.ParityNodes {
+				if pn != id {
+					continue
+				}
+				n.mu.Lock()
+				ks, ok := n.keepers[g.Index]
+				n.mu.Unlock()
+				if !ok || ks.cfg.ParityIdx != i {
+					return fmt.Errorf("layout homes parity[%d] of group %d on node %d, which does not keep it", i, g.Index, id)
+				}
+			}
+		}
+		for _, ms := range n.snapshotMembers() {
+			ms.mu.Lock()
+			name, group, parity := ms.cfg.Name, ms.cfg.Group, slices.Clone(ms.cfg.ParityNodes)
+			ms.mu.Unlock()
+			if want := l.Groups[group].ParityNodes; !slices.Equal(parity, want) {
+				return fmt.Errorf("%q on node %d points at parity homes %v, layout says %v", name, id, parity, want)
+			}
+		}
+	}
 	return nil
 }
 
@@ -635,6 +669,9 @@ func (e *soakEnv) verifyRound(round int, rr *RoundRecord) error {
 	if p := e.coord.pendingRecovery(); len(p) > 0 {
 		return fmt.Errorf("nodes %v still pending recovery", p)
 	}
+	if err := e.sc.checkPlacement(e.coord.Layout(), e.coord.aliveNodes()); err != nil {
+		return err
+	}
 	if e.inj.ArmedPending() != 0 {
 		return fmt.Errorf("%d armed faults never fired", e.inj.ArmedPending())
 	}
@@ -737,6 +774,8 @@ func (e *soakEnv) finish() (*SoakResult, error) {
 //     regresses,
 //   - nodes declared dead mid-commit (PartialCommitError) are recovered and
 //     repaired before the round ends — no lingering pending-recovery state,
+//   - every alive node keeps each parity block the layout homes on it, and
+//     each member it hosts points at the layout's parity homes,
 //   - pool retry counters reconcile with the armed fault schedule: every
 //     armed drop/corrupt on a coordinator pair forces at least one retry,
 //   - every armed fault actually fired (the schedule was consumed) — including

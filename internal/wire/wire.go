@@ -38,15 +38,15 @@ const (
 	MsgDeltaOK
 	MsgGetImage // reserved: retired whole-image fetch (images are read via MsgReadChunk)
 	MsgImage
-	MsgReconstruct // decoder: pull a damaged group's surviving shards once, rebuild every lost element, adopt its own, hand off the rest
+	MsgReconstruct // the one rebuild request: decode a damaged group's lost elements from its surviving shards once (adopt its own, hand off the rest), or copy one element From a node
 	MsgReconstructOK
-	MsgInstall // target node: pull a VM's committed image from its current host and adopt it
+	MsgInstall // reserved: retired move install (a move is a MsgReconstruct with From set)
 	MsgInstallOK
 	MsgChecksum // fetch a VM's committed-image checksum (verification)
 	MsgChecksumOK
 	MsgRollback // roll every hosted VM back to its committed checkpoint
 	MsgRollbackOK
-	MsgRebuildKeeper // become parity node for a group: pull member images, encode
+	MsgRebuildKeeper // reserved: retired parity re-home (re-homes ride their group's MsgReconstruct)
 	MsgRebuildKeeperOK
 	MsgSetParity // reserved: retired single parity-pointer update (pointers travel as MsgSetParityBatch)
 	MsgSetParityOK
