@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover loc bench obs-bench experiments figures fuzz soak soak-digest obs-demo clean
+.PHONY: all build test race cover loc bench obs-bench experiments figures fuzz soak soak-digest soak-digest-check obs-demo clean
 
 all: build test
 
@@ -79,6 +79,12 @@ soak-digest:
 			sed 's/, [0-9.]*s wall$$//' "$$dir/out"; \
 		done; \
 	done
+
+# The pinned soak digests against their checked-in golden. A change that
+# moves the golden says why (ROADMAP, "Rules carried over").
+SOAK_DIGEST_GOLDEN = cmd/dvdcsoak/testdata/soak-digest.golden
+soak-digest-check:
+	@$(MAKE) -s --no-print-directory soak-digest | diff -u $(SOAK_DIGEST_GOLDEN) - && echo "soak digests match $(SOAK_DIGEST_GOLDEN)"
 
 # Observability demo: soak with a JSONL trace sink, render one round's
 # timeline, and dump the Prometheus exposition of a live node.

@@ -198,7 +198,7 @@ func TestRoundsMatchInProcessOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sent += st.ChunksSent
+				sent += st.ChunksShipped
 				received += st.ChunksReceived
 			}
 			if sent == 0 || received == 0 {

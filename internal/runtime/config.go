@@ -65,26 +65,12 @@ type retuneConfig struct {
 	PipelineWidth int `json:"pipeline_width"`
 }
 
-// NodeStats are a node's protocol counters, served via MsgStats.
+// NodeStats are a node's protocol counters, served via MsgStats: the sum of
+// every prepare it ran, failed ones included, and its keepers' chunk counts.
 type NodeStats struct {
-	DeltaRawBytes int64 `json:"delta_raw_bytes"` // delta payload shipped, framing excluded
-
-	// Chunk stream counters.
-	ChunksSent     int64 `json:"chunks_sent"`     // delta chunks shipped to parity peers
+	ShipCounts
 	ChunksReceived int64 `json:"chunks_received"` // delta chunks folded as keeper
 	DupChunks      int64 `json:"dup_chunks"`      // idempotently dropped re-deliveries
-
-	// Unchanged-page skip counters (capture, when NodeConfig.Dedup is on).
-	DedupHits       int64 `json:"dedup_hits"`        // dirty pages skipped: equal to the committed image
-	DedupMisses     int64 `json:"dedup_misses"`      // dirty pages that changed: captured and shipped
-	DedupSavedBytes int64 `json:"dedup_saved_bytes"` // raw delta bytes not shipped thanks to hits
-}
-
-// prepareSummary rides a MsgPrepareOK reply's Text field so the coordinator
-// can aggregate chunk counts next to the wire bytes Arg already carries.
-type prepareSummary struct {
-	Chunks  int64 `json:"chunks"`
-	Deduped int64 `json:"deduped,omitempty"` // dirty pages capture skipped as unchanged
 }
 
 // encodeJSON marshals a config for the wire's Text field.

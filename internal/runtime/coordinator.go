@@ -515,14 +515,11 @@ func (c *Coordinator) CheckpointIn(parent obs.SpanContext) error {
 			if resp.Type != wire.MsgPrepareOK {
 				return fmt.Errorf("runtime: node %d replied %v to prepare", node, resp.Type)
 			}
-			stats.BytesShipped += int64(resp.Arg)
-			if resp.Text != "" {
-				var ps prepareSummary
-				if decodeJSON(resp.Text, &ps) == nil {
-					stats.ChunksShipped += ps.Chunks
-					stats.DedupedPages += ps.Deduped
-				}
+			var sc ShipCounts
+			if err := decodeJSON(resp.Text, &sc); err != nil {
+				return fmt.Errorf("runtime: node %d's prepare counts: %w", node, err)
 			}
+			stats.ShipCounts.Add(sc)
 			return nil
 		})
 	prep.FinishErr(prepErr)

@@ -78,7 +78,7 @@ func TestDedupRewriteWorkloadSavesShippedBytes(t *testing.T) {
 		}
 		plainShipped[r] = plain.RoundStats().BytesShipped
 		dedupShipped[r] = dedup.RoundStats().BytesShipped
-		if r > 0 && dedup.RoundStats().DedupedPages == 0 {
+		if r > 0 && dedup.RoundStats().DedupHits == 0 {
 			t.Errorf("round %d: no pages deduped under the rewrite workload", r)
 		}
 	}
@@ -172,7 +172,7 @@ func dedupRound(t *testing.T, what string, coord *Coordinator, shadow *Shadow, s
 		t.Fatalf("%s: %v", what, err)
 	}
 	shadow.Commit()
-	if got := coord.RoundStats().DedupedPages; got != unchanged {
+	if got := coord.RoundStats().DedupHits; got != unchanged {
 		t.Errorf("%s: round skipped %d pages, %d dirty pages were unchanged", what, got, unchanged)
 	}
 	if _, m1, _ := clusterDedupStats(t, coord); m1-m0 != changed {

@@ -376,8 +376,9 @@ func (n *Node) onStep(req *wire.Message) (*wire.Message, error) {
 // peers overlap on the wire. A failure leaves other members staged; the
 // coordinator's abort takes them back.
 // The request's Arg is the coordinator's round attempt, which every batch
-// carries. The reply's Arg carries the wire bytes shipped and Text a
-// prepareSummary, so the coordinator can aggregate per-round volume.
+// carries. Each member's Stage and ship yield its share of the prepare's
+// ShipCounts; the sum is added to the node's stats once, failed or not, and
+// is the reply's Text, which the coordinator sums into the round's stats.
 func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
 	members := n.snapshotMembers()
 	n.mu.Lock()
@@ -385,8 +386,8 @@ func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message,
 	tr, reg := n.tracer, n.registry
 	n.mu.Unlock()
 	lane := fmt.Sprintf("node%d", id)
-	var wireBytes, chunksSent, deduped atomic.Int64
-	if err := parallelDo(len(members), fan, func(i int) (shipErr error) {
+	shares := make([]ShipCounts, len(members))
+	prepErr := parallelDo(len(members), fan, func(i int) (shipErr error) {
 		ms := members[i]
 		ms.mu.Lock()
 		// Under dedup a dirty page equal to the committed image is only counted.
@@ -396,41 +397,38 @@ func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message,
 		if err != nil {
 			return fmt.Errorf("runtime: node %d: %w", id, err)
 		}
-		if dedup {
-			deduped.Add(int64(unchanged))
-			n.countDedup(reg, int64(unchanged), int64(len(d.Pages)), int64(ms.cfg.PageSize))
-		}
 		// One span per shipment, so the timeline shows them overlapping; batch
 		// messages carry its context (the pool re-stamps Span per RPC attempt).
 		span := tr.Child(ctx, "ship "+d.VMID, lane)
 		defer func() { span.FinishErr(shipErr) }()
-		return n.shipChunked(span.ContextOr(ctx), span, ms, d, parity, cs, pw, req.Arg, &wireBytes, &chunksSent)
-	}); err != nil {
-		return nil, err
+		shares[i], shipErr = n.shipChunked(span.ContextOr(ctx), span, ms, d, parity, cs, pw, req.Arg)
+		if dedup {
+			shares[i].DedupHits = int64(unchanged)
+			shares[i].DedupMisses = int64(len(d.Pages))
+			shares[i].DedupSavedBytes = int64(unchanged) * int64(ms.cfg.PageSize)
+		}
+		return shipErr
+	})
+	var sum ShipCounts
+	for _, sh := range shares {
+		sum.Add(sh)
 	}
-	text, err := encodeJSON(prepareSummary{Chunks: chunksSent.Load(), Deduped: deduped.Load()})
+	n.statsMu.Lock()
+	n.stats.ShipCounts.Add(sum)
+	n.statsMu.Unlock()
+	if dedup {
+		reg.Counter("dvdc_dedup_hits_total").Add(sum.DedupHits)
+		reg.Counter("dvdc_dedup_bytes_saved_total").Add(sum.DedupSavedBytes)
+		reg.Counter("dvdc_dedup_misses_total").Add(sum.DedupMisses)
+	}
+	if prepErr != nil {
+		return nil, prepErr
+	}
+	text, err := encodeJSON(sum)
 	if err != nil {
 		return nil, err
 	}
-	return &wire.Message{Type: wire.MsgPrepareOK, Epoch: req.Epoch, Arg: uint64(wireBytes.Load()), Text: text}, nil
-}
-
-// countDedup records one member's capture under dedup: hits are the dirty
-// pages the capture skipped as unchanged, misses the ones it staged.
-func (n *Node) countDedup(reg *obs.Registry, hits, misses, pageSize int64) {
-	saved := hits * pageSize
-	n.statsMu.Lock()
-	n.stats.DedupHits += hits
-	n.stats.DedupMisses += misses
-	n.stats.DedupSavedBytes += saved
-	n.statsMu.Unlock()
-	if hits > 0 {
-		reg.Counter("dvdc_dedup_hits_total").Add(hits)
-		reg.Counter("dvdc_dedup_bytes_saved_total").Add(saved)
-	}
-	if misses > 0 {
-		reg.Counter("dvdc_dedup_misses_total").Add(misses)
-	}
+	return &wire.Message{Type: wire.MsgPrepareOK, Epoch: req.Epoch, Text: text}, nil
 }
 
 // shipChunked ships the delta of ms's staged capture d to the parity peers of
@@ -444,8 +442,9 @@ func (n *Node) countDedup(reg *obs.Registry, hits, misses, pageSize int64) {
 // sends from this buffer, and back to the pool when the last peer has
 // answered; up to pipeWidth batches are in flight, so transfer overlaps
 // rendering and folds. A ship whose capture is no longer staged (the round was
-// aborted) stops.
-func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberState, d *core.Delta, parity []int, chunkSize, pipeWidth int, attempt uint64, wireBytes, chunksSent *atomic.Int64) error {
+// aborted) stops. It returns the ship's bytes and chunks, counted whether or
+// not it failed.
+func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberState, d *core.Delta, parity []int, chunkSize, pipeWidth int, attempt uint64) (ShipCounts, error) {
 	chunks, raw := core.PlanChunks(d, ms.cfg.PageSize, ms.cfg.Pages*ms.cfg.PageSize, chunkSize)
 	deltaInto := func(dst []byte, off int) error {
 		ms.mu.Lock()
@@ -521,20 +520,15 @@ func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberSta
 	}
 	inflight.Wait()
 
-	peers := int64(len(parity))
-	n.statsMu.Lock()
-	n.stats.DeltaRawBytes += raw * peers
-	n.stats.ChunksSent += int64(len(chunks)) * peers
-	n.statsMu.Unlock()
-	wireBytes.Add(wireB * peers)
-	chunksSent.Add(int64(len(chunks)) * peers)
 	span.SetAttr("bytes", fmt.Sprint(wireB))
 	span.SetAttr("chunks", fmt.Sprint(len(chunks)))
 	span.SetAttr("batches", fmt.Sprint(batches))
+	peers := int64(len(parity))
+	sc := ShipCounts{BytesShipped: wireB * peers, ChunksShipped: int64(len(chunks)) * peers, DeltaRawBytes: raw * peers}
 	if err := shipErr.Load(); err != nil {
-		return *err
+		return sc, *err
 	}
-	return nil
+	return sc, nil
 }
 
 // onDeltaChunk folds delta chunks into the keeper's staged next-epoch pages
@@ -558,14 +552,13 @@ func (n *Node) onDeltaChunk(req *wire.Message) (*wire.Message, error) {
 	if !ok {
 		return nil, fmt.Errorf("runtime: node %d keeps no parity for group %d", id, req.Group)
 	}
-	folded, foldD, err := n.foldBatch(ks, req)
-	if folded > 0 { // fold time: one histogram sample per batch
-		n.statsMu.Lock()
-		n.stats.ChunksReceived += folded
-		n.statsMu.Unlock()
-		if reg != nil {
-			reg.Histogram("dvdc_chunk_fold_seconds", obs.LatencyBuckets()).Observe(foldD.Seconds())
-		}
+	folded, dups, foldD, err := n.foldBatch(ks, req)
+	n.statsMu.Lock()
+	n.stats.ChunksReceived += folded
+	n.stats.DupChunks += dups
+	n.statsMu.Unlock()
+	if folded > 0 && reg != nil { // fold time: one histogram sample per batch
+		reg.Histogram("dvdc_chunk_fold_seconds", obs.LatencyBuckets()).Observe(foldD.Seconds())
 	}
 	if err != nil {
 		return nil, err
@@ -576,9 +569,9 @@ func (n *Node) onDeltaChunk(req *wire.Message) (*wire.Message, error) {
 // foldBatch walks req's chunk frames under ks.mu, folding each in turn
 // through the keeper's checked fold (core.MKeeper.Fold, which refuses a batch
 // of an attempt at or below the node's floor and drops re-delivered chunks);
-// it returns how many chunks it folded and the time the folds took, up to the
-// first bad frame.
-func (n *Node) foldBatch(ks *keeperState, req *wire.Message) (folded int64, foldD time.Duration, err error) {
+// it returns how many chunks it folded and dropped as duplicates and the time
+// the folds took, up to the first bad frame.
+func (n *Node) foldBatch(ks *keeperState, req *wire.Message) (folded, dups int64, foldD time.Duration, err error) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
 	floor := n.aborted.Load()
@@ -587,23 +580,21 @@ func (n *Node) foldBatch(ks *keeperState, req *wire.Message) (folded int64, fold
 	for buf := req.Payload; ; {
 		c, adv, err := wire.DecodeChunkPrefix(buf)
 		if err != nil {
-			return folded, foldD, err
+			return folded, dups, foldD, err
 		}
 		start := time.Now()
 		fold, err := ks.keeper.Fold(req.VM, req.Epoch, req.Arg, floor, &c)
 		switch {
 		case err != nil:
-			return folded, foldD, err
+			return folded, dups, foldD, err
 		case fold:
 			folded++
 			foldD += time.Since(start)
 		default:
-			n.statsMu.Lock()
-			n.stats.DupChunks++
-			n.statsMu.Unlock()
+			dups++
 		}
 		if buf = buf[adv:]; len(buf) == 0 {
-			return folded, foldD, nil
+			return folded, dups, foldD, nil
 		}
 	}
 }

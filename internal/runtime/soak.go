@@ -109,22 +109,22 @@ type SoakConfig struct {
 	PostmortemDir string
 }
 
-// RoundRecord is the deterministic per-round outcome of a soak. Wall-clock
-// durations and retry totals are deliberately split out: under a fixed seed
-// the fields of this struct except RPCRetries and Straggler are
-// bit-reproducible, while RPCRetries depends on connection-pool reuse timing
-// (checked as a lower-bounded reconciliation instead) and Straggler on which
-// member's spans happened to dominate the round's critical path.
+// RoundRecord is the deterministic per-round outcome of a soak; ShipCounts,
+// Aborted and DeadDuring fold the RoundStats of each checkpoint the round ran.
+// Under a fixed seed every field but RPCRetries and Straggler (and the
+// timing fields below) is bit-reproducible: RPCRetries depends on
+// connection-pool reuse timing (checked as a lower-bounded reconciliation
+// instead) and Straggler on which member's spans dominated the critical path.
 type RoundRecord struct {
-	Round        int    // 1-based, matches the injector's round tags
-	Epoch        uint64 // coordinator epoch at the end of the round
-	Aborted      bool   // the round's first checkpoint aborted
-	BytesShipped int64  // delta bytes shipped across the round's checkpoints
-	DeadDuring   []int  // nodes declared dead mid-commit (PartialCommitError)
-	Kills        []int  // nodes the kill plan took down this round
-	Straggler    string // lane the round's critical path waited on (timing-dependent)
-	RPCRetries   int64  // coordinator transport retries over the round's whole drive, checkpoint and repair (timing-dependent)
-	Retries      int    // reconcile attempts beyond the first, summed over the round's requests (service driver; direct is 0)
+	ShipCounts        // summed over the round's checkpoints
+	Round      int    // 1-based, matches the injector's round tags
+	Epoch      uint64 // coordinator epoch at the end of the round
+	Aborted    bool   // one of the round's checkpoints aborted
+	DeadDuring []int  // nodes declared dead mid-commit (PartialCommitError)
+	Kills      []int  // nodes the kill plan took down this round
+	Straggler  string // lane the round's critical path waited on (timing-dependent)
+	RPCRetries int64  // coordinator transport retries over the round's whole drive, checkpoint and repair (timing-dependent)
+	Retries    int    // reconcile attempts beyond the first, summed over the round's requests (service driver; direct is 0)
 
 	// Wall is the round's checkpoint-trace wall clock (the merged span tree's
 	// extent) and Adapt the advisor's decisions for the round (Adaptive mode).
@@ -731,19 +731,14 @@ func (e *soakEnv) finish() (*SoakResult, error) {
 	// A dedup soak where no capture ever compared a dirty page verified
 	// nothing about the skip.
 	if cfg.Dedup {
-		var hits, misses int64
-		for n := 0; n < e.layout.Nodes; n++ {
-			st, err := e.coord.NodeStats(n)
-			if err != nil {
-				return e.fail(cfg.Rounds, "fetch node %d stats: %v", n, err)
-			}
-			hits += st.DedupHits
-			misses += st.DedupMisses
+		var sum ShipCounts
+		for _, rr := range e.res.Rounds {
+			sum.Add(rr.ShipCounts)
 		}
-		if hits+misses == 0 {
-			return e.fail(cfg.Rounds, "dedup configured but no node compared a dirty page with its committed image")
+		if sum.DedupHits+sum.DedupMisses == 0 {
+			return e.fail(cfg.Rounds, "dedup configured but no round compared a dirty page with its committed image")
 		}
-		if cfg.Workload == WorkloadRewrite && hits == 0 {
+		if cfg.Workload == WorkloadRewrite && sum.DedupHits == 0 {
 			return e.fail(cfg.Rounds, "dedup under the rewrite workload skipped zero unchanged pages")
 		}
 	}
@@ -812,7 +807,9 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		return nil, err
 	}
 	defer e.close()
-	exec := &soakExec{e: e, downNow: map[int]bool{}}
+	// A replayed state dir can run a request before round 1: its counts land
+	// in a record no round keeps.
+	exec := &soakExec{e: e, downNow: map[int]bool{}, rec: &RoundRecord{}}
 	drive := exec.driveDirect
 	if cfg.Service {
 		sd, err := newSoakService(exec)
@@ -847,13 +844,13 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		// Arm, then kill: victims drop dead before the checkpoint, so the
 		// round exercises prepare-failure abort (or, if timing conspires, a
 		// mid-commit death) followed by full recovery.
-		exec.beginRound(e.armRoundFaults(rr.Kills), rr.Kills)
+		exec.beginRound(&rr, e.armRoundFaults(rr.Kills))
 
 		retriesBefore := e.coord.totalRetries()
 		if err := drive(r, &rr); err != nil {
 			return e.fail(round, "%v", err)
 		}
-		if err := exec.account(&rr); err != nil {
+		if err := exec.account(); err != nil {
 			return e.fail(round, "%v", err)
 		}
 		rr.RPCRetries = e.coord.totalRetries() - retriesBefore

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -29,21 +28,18 @@ type soakExec struct {
 	mu          sync.Mutex
 	downNow     map[int]bool // daemons currently closed, awaiting restore
 	partitioned [2]int       // transient partition to heal after the next attempt
-	bytes       int64        // delta bytes shipped across the round's protocol rounds
-	aborts      int          // checkpoint attempts that aborted this round
-	deadDuring  []int        // commit-declared casualties this round
+	rec         *RoundRecord // the round being driven; each checkpoint's RoundStats fold into it
 	violation   error        // invariant broken inside an executor call
 }
 
-// beginRound resets the per-round accumulators, records the transient
-// partition the next checkpoint attempt must heal, and takes the round's
-// victims down.
-func (x *soakExec) beginRound(partitioned [2]int, victims []int) {
+// beginRound makes rr the record the round's checkpoints fold into, records
+// the transient partition the next checkpoint attempt must heal, and takes
+// the round's victims down.
+func (x *soakExec) beginRound(rr *RoundRecord, partitioned [2]int) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.partitioned = partitioned
-	x.bytes, x.aborts, x.deadDuring, x.violation = 0, 0, nil, nil
-	for _, v := range victims {
+	x.rec, x.partitioned, x.violation = rr, partitioned, nil
+	for _, v := range rr.Kills {
 		x.takeDown(v)
 	}
 }
@@ -59,15 +55,19 @@ func (x *soakExec) takeDown(n int) {
 	x.downNow[n] = true
 }
 
-// account moves the round's accumulators into rr and returns any invariant
-// an executor call found broken.
-func (x *soakExec) account(rr *RoundRecord) error {
+// account returns any invariant an executor call found broken this round.
+func (x *soakExec) account() error {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	rr.BytesShipped = x.bytes
-	rr.Aborted = x.aborts > 0
-	rr.DeadDuring = x.deadDuring
 	return x.violation
+}
+
+// fold adds one checkpoint's RoundStats to the soak round's record. x.mu must
+// be held.
+func (x *soakExec) fold(st RoundStats) {
+	x.rec.ShipCounts.Add(st.ShipCounts)
+	x.rec.Aborted = x.rec.Aborted || st.Aborted
+	x.rec.DeadDuring = append(x.rec.DeadDuring, st.DeadDuring...)
 }
 
 // ExecuteCheckpoint runs one chaos-exposed checkpoint round and mirrors its
@@ -86,10 +86,11 @@ func (x *soakExec) ExecuteCheckpoint(ctx obs.SpanContext, _ uint64) (uint64, err
 		e.inj.HealPair(x.partitioned[0], x.partitioned[1])
 		x.partitioned = [2]int{-1, -1}
 	}
-	x.bytes += e.coord.RoundStats().BytesShipped
-
-	var partial *PartialCommitError
+	st := e.coord.RoundStats()
+	x.fold(st)
 	switch {
+	case st.Aborted:
+		e.shadow.Abort()
 	case ckErr == nil:
 		if len(x.downNow) > 0 && x.violation == nil {
 			var down []int
@@ -100,18 +101,15 @@ func (x *soakExec) ExecuteCheckpoint(ctx obs.SpanContext, _ uint64) (uint64, err
 			x.violation = fmt.Errorf("checkpoint succeeded with dead nodes %v", down)
 		}
 		e.shadow.Commit()
-	case errors.As(ckErr, &partial):
-		// The epoch advanced; the named nodes are casualties. A casualty whose
-		// daemon still runs (persistent injected faults) is taken down for
-		// real, so the recovery that follows restarts it cleanly.
+	default:
+		// A partial commit: the epoch advanced and st.DeadDuring are
+		// casualties. A casualty whose daemon still runs (persistent injected
+		// faults) is taken down for real, so the recovery that follows
+		// restarts it cleanly.
 		e.shadow.Commit()
-		x.deadDuring = append(x.deadDuring, partial.Nodes...)
-		for _, n := range partial.Nodes {
+		for _, n := range st.DeadDuring {
 			x.takeDown(n)
 		}
-	default:
-		x.aborts++
-		e.shadow.Abort()
 	}
 	return e.coord.Epoch(), ckErr
 }
@@ -153,7 +151,7 @@ func (x *soakExec) ExecuteRestore(ctx obs.SpanContext, nodes []int) (uint64, err
 	for _, n := range down {
 		delete(x.downNow, n)
 	}
-	x.bytes += e.coord.RoundStats().BytesShipped
+	x.fold(e.coord.RoundStats()) // the repair cycle's post-recovery checkpoint
 	x.mu.Unlock()
 	return e.coord.Epoch(), nil
 }

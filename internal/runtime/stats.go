@@ -5,21 +5,43 @@ import (
 	"time"
 )
 
+// ShipCounts are the counts one prepare produces, summed upward: a node's
+// running total (NodeStats), one round's cluster-wide sum (RoundStats) and a
+// soak round's sum over its checkpoints (RoundRecord). Byte and chunk counts
+// are per parity peer: a delta shipped to m keepers counts m times.
+type ShipCounts struct {
+	BytesShipped    int64 `json:"bytes_shipped"`     // chunk frame bytes shipped, framing included
+	ChunksShipped   int64 `json:"chunks_shipped"`    // chunk frames shipped (every delta ships at least one)
+	DeltaRawBytes   int64 `json:"delta_raw_bytes"`   // delta payload shipped, framing excluded
+	DedupHits       int64 `json:"dedup_hits"`        // dirty pages capture skipped: equal to the committed image
+	DedupMisses     int64 `json:"dedup_misses"`      // dirty pages that changed: captured and shipped
+	DedupSavedBytes int64 `json:"dedup_saved_bytes"` // raw delta bytes not shipped thanks to hits
+}
+
+// Add sums o into s.
+func (s *ShipCounts) Add(o ShipCounts) {
+	s.BytesShipped += o.BytesShipped
+	s.ChunksShipped += o.ChunksShipped
+	s.DeltaRawBytes += o.DeltaRawBytes
+	s.DedupHits += o.DedupHits
+	s.DedupMisses += o.DedupMisses
+	s.DedupSavedBytes += o.DedupSavedBytes
+}
+
 // RoundStats is the coordinator's record of its most recent checkpoint round
 // (and, when one has run, the most recent recovery): per-phase wall-clock,
-// delta volume, and transport health. Fetch it with Coordinator.RoundStats
-// after Checkpoint; cmd/dvdcctl prints it per round.
+// the sum of the prepare replies' ShipCounts, and transport health. An
+// aborted round sums only the replies that came back. Fetch it with
+// Coordinator.RoundStats after Checkpoint; cmd/dvdcctl prints it per round.
 type RoundStats struct {
-	Epoch         uint64        // epoch the round targeted
-	PrepareWall   time.Duration // prepare fan-out wall-clock (capture + delta shipping)
-	CommitWall    time.Duration // commit fan-out wall-clock (parity folding)
-	RecoveryWall  time.Duration // most recent RecoverNodes wall-clock (0 if none yet)
-	BytesShipped  int64         // delta wire bytes shipped cluster-wide this round
-	ChunksShipped int64         // delta chunk frames shipped cluster-wide (every delta ships at least one)
-	DedupedPages  int64         // dirty pages capture skipped as unchanged this round
-	RPCRetries    int64         // transport re-dials/retries during this round
-	Aborted       bool          // the round failed in prepare and was aborted
-	DeadDuring    []int         // nodes declared dead by the commit phase
+	ShipCounts                 // summed over the round's prepare replies
+	Epoch        uint64        // epoch the round targeted
+	PrepareWall  time.Duration // prepare fan-out wall-clock (capture + delta shipping)
+	CommitWall   time.Duration // commit fan-out wall-clock (parity folding)
+	RecoveryWall time.Duration // most recent RecoverNodes wall-clock (0 if none yet)
+	RPCRetries   int64         // transport re-dials/retries during this round
+	Aborted      bool          // the round failed in prepare and was aborted
+	DeadDuring   []int         // nodes declared dead by the commit phase
 
 	// Observability. TraceID names the round's span tree (0 when no tracer is
 	// attached); RecoveryTraceID names the most recent recovery's tree.

@@ -214,7 +214,8 @@ func DecodeChunk(b []byte) (Chunk, error) {
 	if c.Total > MaxFrame {
 		return bad("total %d exceeds frame limit", c.Total)
 	}
-	if c.RawLen > MaxFrame || c.Offset+uint64(c.RawLen) > c.Total {
+	// Offset first: Offset+RawLen can wrap past 2^64 to a small sum.
+	if c.RawLen > MaxFrame || c.Offset > c.Total || uint64(c.RawLen) > c.Total-c.Offset {
 		return bad("range [%d,+%d) outside total %d", c.Offset, c.RawLen, c.Total)
 	}
 	if c.RawLen != dataLen {
@@ -267,7 +268,7 @@ func (a *Assembler) Add(c Chunk) error {
 		return bad("chunk %d describes stream %d/%d, assembling %d/%d",
 			c.Index, c.Total, c.Count, a.total, a.count)
 	}
-	if c.Index >= a.count || c.Offset+uint64(c.RawLen) > a.total {
+	if c.Index >= a.count || c.Offset > a.total || uint64(c.RawLen) > a.total-c.Offset {
 		return bad("chunk %d range [%d,+%d) outside stream", c.Index, c.Offset, c.RawLen)
 	}
 	if a.seen[c.Index] {

@@ -241,6 +241,30 @@ func TestChunkDecodeRefusesFlags(t *testing.T) {
 	}
 }
 
+// TestChunkDecodeRefusesWrappingRange: a chunk whose offset plus length
+// wraps past 2^64 must not pass the range check as a small sum. Decoding
+// refuses it, and so does an assembler handed the chunk directly, with an
+// error rather than a slice-bounds panic.
+func TestChunkDecodeRefusesWrappingRange(t *testing.T) {
+	c := Chunk{Offset: ^uint64(0) - 9, Total: 100, Index: 0, Count: 1, RawLen: 20, Data: bytes.Repeat([]byte{0xCD}, 20)}
+	enc := EncodeChunk(&c)
+	if _, err := DecodeChunk(enc); !errors.Is(err, ErrFrame) {
+		t.Fatalf("DecodeChunk: err = %v, want ErrFrame", err)
+	}
+	if _, _, err := DecodeChunkPrefix(enc); !errors.Is(err, ErrFrame) {
+		t.Fatalf("DecodeChunkPrefix: err = %v, want ErrFrame", err)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("Assembler.Add panicked: %v", r)
+		}
+	}()
+	var asm Assembler
+	if err := asm.Add(c); err == nil {
+		t.Fatal("Assembler.Add accepted a wrapping range")
+	}
+}
+
 // withFlags returns a copy of a chunk encoding with its flags byte set to
 // flags and the CRC recomputed over the result, so only the flags are wrong.
 func withFlags(enc []byte, flags byte) []byte {
