@@ -97,8 +97,9 @@ obs-demo:
 # Decode, the chunk reassembly path, the scatter-gather frame encoder, the
 # GF(256) slice kernel's vector and table-walk paths, the XOR slice kernels,
 # a keeper's staged folds against its contiguous and whole-delta references,
-# a member's pre-images against a full committed copy, and the service
-# journal's recovery path. The same ten targets as CI's fuzz job.
+# a member's pre-images against a full committed copy, a staged capture's
+# chunk cursor against a page-by-page planner, and the service journal's
+# recovery path. The same eleven targets as CI's fuzz job.
 fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/wire/ -fuzz FuzzReadFrame -fuzztime 30s
@@ -108,6 +109,7 @@ fuzz:
 	$(GO) test ./internal/parity/ -fuzz FuzzXORKernels -fuzztime 30s
 	$(GO) test ./internal/core/ -fuzz FuzzMKeeperStage -fuzztime 30s
 	$(GO) test ./internal/core/ -fuzz FuzzMemberPreimages -fuzztime 30s
+	$(GO) test ./internal/core/ -fuzz FuzzChunkCursor -fuzztime 30s
 	$(GO) test ./internal/checkpoint/ -fuzz FuzzDecode -fuzztime 30s
 	$(GO) test ./internal/service/ -fuzz FuzzJournalReplay -fuzztime 30s
 

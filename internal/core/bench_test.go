@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dvdc/internal/bufpool"
+	"dvdc/internal/checkpoint"
 	"dvdc/internal/vm"
 )
 
@@ -78,11 +79,14 @@ func BenchmarkCaptureDelta(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d, _, _ := mem.Stage(bc.skip)
-				for j := range d.Pages {
-					p := &d.Pages[j]
-					p.Data = bufpool.Get(benchPageSize)
-					if err := mem.DeltaInto(d, p.Data, p.Index*benchPageSize); err != nil {
-						b.Fatal(err)
+				d.Pages = make([]checkpoint.PageRecord, 0, d.PageCount())
+				for _, r := range d.Runs {
+					for pi := r.First; pi < r.First+r.Len; pi++ {
+						p := checkpoint.PageRecord{Index: pi, Data: bufpool.Get(benchPageSize)}
+						if err := mem.DeltaInto(d, p.Data, pi*benchPageSize); err != nil {
+							b.Fatal(err)
+						}
+						d.Pages = append(d.Pages, p)
 					}
 				}
 				if err := mem.Advance(d.Epoch); err != nil {
@@ -105,7 +109,7 @@ func BenchmarkCaptureDelta(b *testing.B) {
 // pre-image), then Stage, DeltaInto of every staged page and Advance, which
 // copies nothing. From the second round on, pre-images come off the member's
 // free list: no page is allocated and the footprint stays put, so the
-// allocations left are the capture record and its page list. MB/s is written
+// allocations left are the capture record and its run list. MB/s is written
 // bytes per second.
 func BenchmarkMemberRound(b *testing.B) {
 	for _, bc := range []struct {
@@ -129,9 +133,11 @@ func BenchmarkMemberRound(b *testing.B) {
 					m.TouchPage(p*benchPages/bc.pages, stamp)
 				}
 				d, _, _ := mem.Stage(false)
-				for _, p := range d.Pages {
-					if err := mem.DeltaInto(d, delta, p.Index*benchPageSize); err != nil {
-						b.Fatal(err)
+				for _, r := range d.Runs {
+					for pi := r.First; pi < r.First+r.Len; pi++ {
+						if err := mem.DeltaInto(d, delta, pi*benchPageSize); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
 				if err := mem.Advance(d.Epoch); err != nil {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"dvdc/internal/checkpoint"
 	"dvdc/internal/vm"
 )
 
@@ -112,15 +113,14 @@ func TestCaptureSkipMatchesNoSkip(t *testing.T) {
 						// capture.
 						ds, unchanged, _ := skip.mem.Stage(true)
 						plain.mem.Stage(false)
-						if unchanged+len(ds.Pages) != len(dirty) {
-							t.Fatalf("epoch %d: %d unchanged + %d staged != %d dirty", epoch, unchanged, len(ds.Pages), len(dirty))
+						if unchanged+ds.PageCount() != len(dirty) {
+							t.Fatalf("epoch %d: %d unchanged + %d staged != %d dirty", epoch, unchanged, ds.PageCount(), len(dirty))
 						}
-						captured := make([]int, len(ds.Pages))
+						captured := stagedPages(ds)
 						x := make([]byte, ps)
-						for i, p := range ds.Pages {
-							captured[i] = p.Index
-							if skip.mem.deltaInto(x, p.Index*ps); bytes.Equal(x, make([]byte, ps)) {
-								t.Fatalf("epoch %d: skip capture staged all-zero page %d", epoch, p.Index)
+						for _, i := range captured {
+							if skip.mem.deltaInto(x, i*ps); bytes.Equal(x, make([]byte, ps)) {
+								t.Fatalf("epoch %d: skip capture staged all-zero page %d", epoch, i)
 							}
 						}
 						sawSkip = sawSkip || unchanged > 0
@@ -142,10 +142,10 @@ func TestCaptureSkipMatchesNoSkip(t *testing.T) {
 						continue
 					}
 					ds, unchanged, _ := skip.mem.Stage(true)
-					for i := range ds.Pages {
-						p := &ds.Pages[i]
-						p.Data = make([]byte, ps)
-						skip.mem.DeltaInto(ds, p.Data, p.Index*ps)
+					for _, i := range stagedPages(ds) {
+						p := checkpoint.PageRecord{Index: i, Data: make([]byte, ps)}
+						skip.mem.DeltaInto(ds, p.Data, i*ps)
+						ds.Pages = append(ds.Pages, p)
 					}
 					if err := skip.mem.Advance(ds.Epoch); err != nil {
 						t.Fatal(err)

@@ -180,7 +180,7 @@ func (c *Cluster) drainNetwork() error {
 // messages drain into their receivers (the Sec. IV-A consistency step). Then
 // every group prepares the round's attempt concurrently — groups share no
 // member and no keeper, the in-process form of Sec. IV-B's distributed parity
-// work: each member stages its capture, and each chunk PlanChunks cuts from it
+// work: each member stages its capture, and each chunk its cursor cuts from it
 // is rendered once and folded into every parity block of the group with
 // MKeeper.Fold. Then the keepers commit the epoch and the members advance. A
 // failed prepare aborts the way the runtime's abort does: the attempt floor
@@ -221,7 +221,7 @@ func (c *Cluster) CheckpointRound() error {
 		}
 		for _, name := range g.Members {
 			mem := c.members[name]
-			shipped := int64(len(mem.Staged().Pages) * mem.Machine().PageSize())
+			shipped := int64(mem.Staged().PageCount() * mem.Machine().PageSize())
 			if err := mem.Advance(epoch); err != nil {
 				return fmt.Errorf("core: advance %q: %w", name, err)
 			}
@@ -245,9 +245,8 @@ func (c *Cluster) prepareGroup(gi int) error {
 			return err
 		}
 		m := mem.Machine()
-		chunks, _ := PlanChunks(d, m.PageSize(), int(m.ImageBytes()), wire.DefaultChunkSize)
-		for i := range chunks {
-			ch := &chunks[i]
+		chunks := d.Chunks(m.PageSize(), int(m.ImageBytes()), wire.DefaultChunkSize)
+		for ch, ok := chunks.Next(); ok; ch, ok = chunks.Next() {
 			if int(ch.RawLen) > len(buf) {
 				buf = make([]byte, ch.RawLen)
 			}
@@ -256,7 +255,7 @@ func (c *Cluster) prepareGroup(gi int) error {
 				return err
 			}
 			for _, k := range c.keepers[gi] {
-				if _, err := k.Fold(name, d.Epoch, c.attempts, c.floor, ch); err != nil {
+				if _, err := k.Fold(name, d.Epoch, c.attempts, c.floor, &ch); err != nil {
 					return fmt.Errorf("core: fold %q into parity[%d] of group %d: %w", name, k.ParityIndex(), gi, err)
 				}
 			}

@@ -185,10 +185,7 @@ func FuzzMemberPreimages(f *testing.F) {
 				var unchanged int
 				staged, unchanged, _ = mem.Stage(skip)
 				want, wantUnchanged := ref.stage(skip)
-				got := make([]int, len(staged.Pages))
-				for i, p := range staged.Pages {
-					got[i] = p.Index
-				}
+				got := stagedPages(staged)
 				if !slices.Equal(got, want) || unchanged != wantUnchanged || staged.Epoch != ref.epoch+1 {
 					t.Fatalf("%s: staged %v (%d unchanged) at epoch %d, reference %v (%d) at %d",
 						step, got, unchanged, staged.Epoch, want, wantUnchanged, ref.epoch+1)

@@ -112,8 +112,7 @@ func newExRound(t *testing.T, members, tolerance int) *exRound {
 			if err != nil {
 				t.Fatal(err)
 			}
-			chunks, _ := PlanChunks(d, ps, r.size, ps)
-			for _, c := range chunks {
+			for _, c := range collectChunks(d, ps, r.size, ps) {
 				c.Data = make([]byte, c.RawLen)
 				if err := mem.DeltaInto(d, c.Data, int(c.Offset)); err != nil {
 					t.Fatal(err)

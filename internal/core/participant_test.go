@@ -36,7 +36,7 @@ func stagedFixture(t *testing.T) (*Member, *MKeeper, *Delta, []wire.Chunk) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks, _ := PlanChunks(d, ps, pages*ps, ps)
+	chunks := collectChunks(d, ps, pages*ps, ps)
 	if len(chunks) != 2 {
 		t.Fatalf("the capture cuts into %d chunks, want 2", len(chunks))
 	}

@@ -28,6 +28,7 @@ import (
 	"crypto/subtle"
 	"fmt"
 	"hash"
+	"math"
 
 	"dvdc/internal/checkpoint"
 	"dvdc/internal/vm"
@@ -37,12 +38,27 @@ import (
 // Delta is the RAID-5 small-write update a member sends its parity keeper
 // for one checkpoint epoch: for every page the checkpoint touched, the XOR
 // of the page's previous committed content and its new content. A staged
-// capture (Member.Stage) is the same record before the bytes exist: the pages
-// in order, Data nil.
+// capture (Member.Stage) is the same record before the bytes exist: its pages
+// as maximal runs in page order, and no Pages. A run costs 16 bytes however
+// many pages it holds, and the chunks are cut from the runs as they are
+// rendered (Chunks).
 type Delta struct {
 	VMID  string
 	Epoch uint64
-	Pages []checkpoint.PageRecord // Data (old XOR new, a page) is filled only by CaptureDeltaInto
+	Runs  []PageRun               // the captured pages, as maximal runs in page order
+	Pages []checkpoint.PageRecord // filled only by CaptureDeltaInto: a record per page, Data old XOR new
+}
+
+// PageRun is a run of consecutive captured pages: First through First+Len-1.
+type PageRun struct{ First, Len int }
+
+// PageCount returns how many pages the capture holds.
+func (d *Delta) PageCount() int {
+	n := 0
+	for _, r := range d.Runs {
+		n += r.Len
+	}
+	return n
 }
 
 // PayloadBytes is the wire size of the delta's page data.
@@ -54,48 +70,93 @@ func (d *Delta) PayloadBytes() int64 {
 	return n
 }
 
-// PlanChunks lays a staged capture out as image-coordinate chunk frames:
-// contiguous runs of its pages (d.Pages is in page order; only the indexes
-// are read) are merged and each run cut into pieces of at most chunkSize
-// bytes. Offset/Total address the member's image rather than a packed stream,
-// so a keeper stages each chunk into its next-epoch parity pages the moment it
-// arrives — no reassembly, no delta-sized buffer on either side. The chunks
-// carry ranges only (no Data); raw is the bytes they cover. An empty capture
-// yields one zero-length chunk so the epoch still reaches the keeper.
-func PlanChunks(d *Delta, pageSize, imageBytes, chunkSize int) (chunks []wire.Chunk, raw int64) {
-	pages := d.Pages
-	// A pathological chunk size could exceed the wire's stream bound;
-	// doubling until it fits terminates quickly and only ever runs under
-	// degenerate configurations.
-	for {
-		chunks = chunks[:0]
-		for i := 0; i < len(pages); {
-			j := i
-			for j+1 < len(pages) && pages[j+1].Index == pages[j].Index+1 {
-				j++
-			}
-			runOff := pages[i].Index * pageSize
-			runLen := (j - i + 1) * pageSize
-			for at := 0; at < runLen; at += chunkSize {
-				n := min(chunkSize, runLen-at)
-				chunks = append(chunks, wire.Chunk{Offset: uint64(runOff + at), Total: uint64(imageBytes), RawLen: uint32(n)})
-			}
-			i = j + 1
-		}
-		if len(chunks) <= wire.MaxChunkCount {
-			break
-		}
-		chunkSize *= 2
+// Chunks returns the cursor over the capture's chunk frames in a member image
+// of imageBytes bytes, cut at most chunkSize bytes long.
+func (d *Delta) Chunks(pageSize, imageBytes, chunkSize int) ChunkCursor {
+	c := ChunkCursor{runs: d.Runs, pageSize: pageSize, total: uint64(imageBytes), chunkSize: chunkSize}
+	// Every span is at least one chunk, so no chunk size brings more spans
+	// than wire.MaxChunkCount under the bound: bridge gaps first, then widen
+	// the chunks. Both run only under degenerate configurations, and both
+	// terminate: one span covers every run once the bridge reaches the widest
+	// gap, and one chunk covers every span once the size reaches the longest.
+	for c.pieces(math.MaxInt) > wire.MaxChunkCount {
+		c.bridge = max(1, 2*c.bridge)
 	}
-	if len(chunks) == 0 {
-		chunks = append(chunks, wire.Chunk{Total: uint64(imageBytes), Count: 1})
+	n := c.pieces(c.chunkSize)
+	for ; n > wire.MaxChunkCount; n = c.pieces(c.chunkSize) {
+		c.chunkSize *= 2
 	}
-	count := uint32(len(chunks))
-	for i := range chunks {
-		chunks[i].Index = uint32(i)
-		chunks[i].Count = count
+	c.count = uint32(max(n, 1))
+	return c
+}
+
+// ChunkCursor lays a staged capture out as image-coordinate chunk frames, one
+// at a time and without allocating: each span of the capture's pages is cut
+// into pieces of at most the chunk size, in page order. Offset/Total address
+// the member's image rather than a packed stream, so a keeper stages each
+// chunk into its next-epoch parity pages the moment it arrives — no
+// reassembly, no delta-sized buffer on either side. The chunks carry ranges
+// only (no Data). An empty capture yields one zero-length chunk so the epoch
+// still reaches the keeper. A cursor is a value: a copy walks on from where
+// the original stood, independently of it.
+//
+// A span is a run of the capture, or runs joined across gaps of at most the
+// cursor's bridge in clean pages. The bridge is 0 — a span is a run — unless
+// the capture has more runs than wire.MaxChunkCount, the most chunks a stream
+// may count; then it is the least of 1, 2, 4, … pages that brings the spans
+// under the bound. A bridged page is exact to ship: it has no pre-image, so
+// it renders zeros, and a zero fold is a no-op. When the spans fit but their
+// pieces do not, the chunk size doubles until they do.
+type ChunkCursor struct {
+	runs      []PageRun
+	pageSize  int
+	total     uint64 // the image's bytes: every chunk's Total
+	chunkSize int
+	bridge    int    // gaps of at most this many clean pages join two runs
+	count     uint32 // chunks in the stream: every chunk's Count
+	next      uint32 // Index of the next chunk
+	run       int    // the run that opens the span after the current one
+	off, end  int    // image bytes of the current span left to cut
+}
+
+// Count returns the number of chunks in the stream, at least 1.
+func (c *ChunkCursor) Count() int { return int(c.count) }
+
+// Next returns the next chunk, with no Data, and false once the stream is
+// done.
+func (c *ChunkCursor) Next() (wire.Chunk, bool) {
+	if c.next >= c.count {
+		return wire.Chunk{}, false
 	}
-	return chunks, int64(len(pages)) * int64(pageSize)
+	if c.off == c.end && c.run < len(c.runs) {
+		c.off, c.end, c.run = c.span(c.run)
+	}
+	n := min(c.chunkSize, c.end-c.off)
+	ch := wire.Chunk{Offset: uint64(c.off), Total: c.total, Index: c.next, Count: c.count, RawLen: uint32(n)}
+	c.off += n
+	c.next++
+	return ch, true
+}
+
+// span returns the image bytes [off, end) of the span that opens with run r,
+// and the run that opens the one after it.
+func (c *ChunkCursor) span(r int) (off, end, next int) {
+	first, last := c.runs[r].First, c.runs[r].First+c.runs[r].Len
+	for r++; r < len(c.runs) && c.runs[r].First-last <= c.bridge; r++ {
+		last = c.runs[r].First + c.runs[r].Len
+	}
+	return first * c.pageSize, last * c.pageSize, r
+}
+
+// pieces returns how many chunks of at most size bytes the spans cut into.
+func (c *ChunkCursor) pieces(size int) int {
+	n := 0
+	for r := 0; r < len(c.runs); {
+		off, end, next := c.span(r)
+		n += 1 + (end-off-1)/size
+		r = next
+	}
+	return n
 }
 
 // Member is the per-VM state on its hosting node: the running machine plus
@@ -267,26 +328,31 @@ func (mem *Member) CaptureDeltaInto(alloc func(int) []byte) (*Delta, error) {
 		return nil, err
 	}
 	ps := mem.machine.PageSize()
-	for i := range d.Pages {
-		p := &d.Pages[i]
-		p.Data = alloc(ps)
-		mem.deltaInto(p.Data, p.Index*ps)
+	d.Pages = make([]checkpoint.PageRecord, 0, d.PageCount())
+	for _, r := range d.Runs {
+		for i := r.First; i < r.First+r.Len; i++ {
+			p := checkpoint.PageRecord{Index: i, Data: alloc(ps)}
+			mem.deltaInto(p.Data, i*ps)
+			d.Pages = append(d.Pages, p)
+		}
 	}
 	return d, mem.Advance(d.Epoch)
 }
 
 // Stage opens a capture: it closes the guest's dirty epoch and returns the
-// pages the checkpoint will ship, in page order and with no Data yet, under
-// the epoch the capture will commit as. Neither the committed image nor the
-// member's epoch moves — Advance does that at commit, Unstage takes the
-// capture back — so an aborted round has nothing to undo. It refuses while a
-// capture is already staged.
+// pages the checkpoint will ship as their maximal runs, in page order, under
+// the epoch the capture will commit as. The run list is the capture's own,
+// allocated once at its exact size, and never reused: a ship that outlived
+// its round may still hold it while the retry stages the next. Neither the
+// committed image nor the member's epoch moves — Advance does that at
+// commit, Unstage takes the capture back — so an aborted round has nothing
+// to undo. It refuses while a capture is already staged.
 //
 // With skipUnchanged, a dirty page whose live content equals its pre-image is
 // left out and only counted, and its pre-image is released: its XOR delta is
 // all zero, so folding it into parity is a no-op and shipping it is waste (a
 // guest storing back the bytes already there dirties the page without
-// changing it). unchanged + len(d.Pages) is the dirty count. The pre-image is
+// changing it). unchanged + d.PageCount() is the dirty count. The pre-image is
 // the committed page itself, so the comparison is byte-exact: no cache, no
 // invalidation rule, and it cannot skip a page that changed.
 //
@@ -297,17 +363,31 @@ func (mem *Member) Stage(skipUnchanged bool) (d *Delta, unchanged int, err error
 	if mem.staged != nil {
 		return nil, 0, fmt.Errorf("core: %q already has a staged capture", m.ID())
 	}
-	d = &Delta{VMID: m.ID(), Epoch: mem.epoch + 1, Pages: make([]checkpoint.PageRecord, 0, m.DirtyCount())}
-	for i := range mem.pre {
-		if !m.IsDirty(i) {
-			continue
-		}
+	// The first pass settles which dirty pages the capture skips and counts
+	// the runs of the rest; the second records them. A dirty page holds a
+	// pre-image (the write hook took it), so the skipped pages are the dirty
+	// ones whose pre-image the first pass released.
+	runs, last := 0, -2
+	for i := m.NextDirty(0); i >= 0; i = m.NextDirty(i + 1) {
 		if skipUnchanged && bytes.Equal(m.Page(i), mem.pre[i]) {
 			mem.release(i)
 			unchanged++
 			continue
 		}
-		d.Pages = append(d.Pages, checkpoint.PageRecord{Index: i})
+		if i != last+1 {
+			runs++
+		}
+		last = i
+	}
+	d = &Delta{VMID: m.ID(), Epoch: mem.epoch + 1, Runs: make([]PageRun, 0, runs)}
+	for i := m.NextDirty(0); i >= 0; i = m.NextDirty(i + 1) {
+		switch n := len(d.Runs); {
+		case skipUnchanged && mem.pre[i] == nil:
+		case n > 0 && d.Runs[n-1].First+d.Runs[n-1].Len == i:
+			d.Runs[n-1].Len++
+		default:
+			d.Runs = append(d.Runs, PageRun{First: i, Len: 1})
+		}
 	}
 	m.BeginEpoch()
 	mem.staged = d
@@ -363,8 +443,10 @@ func (mem *Member) Advance(epoch uint64) error {
 	if n := mem.machine.DirtyCount(); n != 0 {
 		return fmt.Errorf("core: advance to epoch %d: guest dirtied %d pages after the capture was staged", epoch, n)
 	}
-	for _, p := range d.Pages {
-		mem.release(p.Index)
+	for _, r := range d.Runs {
+		for i := r.First; i < r.First+r.Len; i++ {
+			mem.release(i)
+		}
 	}
 	mem.epoch, mem.staged = epoch, nil
 	return nil
@@ -376,8 +458,10 @@ func (mem *Member) Advance(epoch uint64) error {
 // nothing staged it is a no-op.
 func (mem *Member) Unstage() {
 	if d := mem.staged; d != nil {
-		for _, p := range d.Pages {
-			mem.machine.MarkDirty(p.Index)
+		for _, r := range d.Runs {
+			for i := r.First; i < r.First+r.Len; i++ {
+				mem.machine.MarkDirty(i)
+			}
 		}
 		mem.staged = nil
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dvdc/internal/checkpoint"
 	"dvdc/internal/parity"
 	"dvdc/internal/vm"
 )
@@ -73,7 +74,13 @@ func groupRound(members []*Member, keepers ...*MKeeper) error {
 // captured bytes when it has them, else the member's rendering of it.
 func stageDelta(k *MKeeper, mem *Member, d *Delta) error {
 	ps := mem.Machine().PageSize()
-	for _, p := range d.Pages {
+	pages := d.Pages
+	if pages == nil { // a staged capture: its runs
+		for _, i := range stagedPages(d) {
+			pages = append(pages, checkpoint.PageRecord{Index: i})
+		}
+	}
+	for _, p := range pages {
 		data := p.Data
 		if data == nil {
 			data = make([]byte, ps)

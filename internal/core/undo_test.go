@@ -25,8 +25,8 @@ func TestUnstageKeepsCommittedAndRemarksDirty(t *testing.T) {
 	m.TouchPage(5, 12)
 	before := mem.CommittedImage()
 	d, unchanged, err := mem.Stage(false)
-	if err != nil || d.Epoch != 1 || len(d.Pages) != 2 || unchanged != 0 || m.DirtyCount() != 0 {
-		t.Fatalf("stage: %v, epoch %d, %d pages, %d unchanged, %d still dirty", err, d.Epoch, len(d.Pages), unchanged, m.DirtyCount())
+	if err != nil || d.Epoch != 1 || d.PageCount() != 2 || unchanged != 0 || m.DirtyCount() != 0 {
+		t.Fatalf("stage: %v, epoch %d, %d pages, %d unchanged, %d still dirty", err, d.Epoch, d.PageCount(), unchanged, m.DirtyCount())
 	}
 	if !bytes.Equal(mem.CommittedImage(), before) || mem.Epoch() != 0 {
 		t.Fatal("stage moved the committed image or the epoch")

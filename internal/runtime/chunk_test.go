@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"dvdc/internal/checkpoint"
 	"dvdc/internal/cluster"
 	"dvdc/internal/core"
 	"dvdc/internal/transport"
@@ -240,17 +239,14 @@ func TestSkippedFoldFailsOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The stream's shape depends only on which pages are dirty.
-	next := &core.Delta{VMID: member}
-	for _, pi := range ms.mem.Machine().DirtyPages() {
-		next.Pages = append(next.Pages, checkpoint.PageRecord{Index: pi})
-	}
-	planned, _ := core.PlanChunks(next, pageSize, pages*pageSize, chunkSize)
-	if planned[0].RawLen == 0 {
+	next := &core.Delta{VMID: member, Runs: runsOf(ms.mem.Machine().DirtyPages())}
+	planned := next.Chunks(pageSize, pages*pageSize, chunkSize)
+	seed, _ := planned.Next()
+	if seed.RawLen == 0 {
 		t.Fatalf("%q has no dirty pages to lose", member)
 	}
 	ks := nodes[keeperNode].keepers[g.Index]
 	ks.mu.Lock()
-	seed := planned[0]
 	seed.Data = make([]byte, seed.RawLen)
 	_, err = ks.keeper.Fold(member, coord.Epoch()+1, coord.attempts+1, nodes[keeperNode].aborted.Load(), &seed)
 	ks.mu.Unlock()
@@ -493,16 +489,20 @@ func TestReadChunkServesImagesAndParity(t *testing.T) {
 // crossing from one dirty run into the next.
 func TestDeltaChunksCoverDelta(t *testing.T) {
 	const pages, pageSize = 8, 128
-	d := &core.Delta{VMID: "vm", Epoch: 1}
-	want := make(map[int]bool)                // image offsets the capture covers
-	for _, pi := range []int{0, 1, 2, 5, 7} { // two runs + a tail page
+	staged := []int{0, 1, 2, 5, 7} // two runs + a tail page
+	d := &core.Delta{VMID: "vm", Epoch: 1, Runs: runsOf(staged)}
+	want := make(map[int]bool) // image offsets the capture covers
+	for _, pi := range staged {
 		for j := 0; j < pageSize; j++ {
 			want[pi*pageSize+j] = true
 		}
-		d.Pages = append(d.Pages, checkpoint.PageRecord{Index: pi})
 	}
-	chunks, raw := core.PlanChunks(d, pageSize, pages*pageSize, 100)
-	if raw != int64(len(want)) {
+	var chunks []wire.Chunk
+	cursor := d.Chunks(pageSize, pages*pageSize, 100)
+	for c, ok := cursor.Next(); ok; c, ok = cursor.Next() {
+		chunks = append(chunks, c)
+	}
+	if raw := d.PageCount() * pageSize; raw != len(want) {
 		t.Fatalf("plan covers %d raw bytes, capture has %d", raw, len(want))
 	}
 	got := make(map[int]bool)
@@ -528,10 +528,24 @@ func TestDeltaChunksCoverDelta(t *testing.T) {
 	}
 
 	// Empty capture: a single zero-length chunk still carries the shape.
-	empty, _ := core.PlanChunks(&core.Delta{VMID: "vm", Epoch: 2}, pageSize, pages*pageSize, 100)
-	if len(empty) != 1 || empty[0].Count != 1 || empty[0].RawLen != 0 {
-		t.Fatalf("empty capture chunks = %+v", empty)
+	empty := (&core.Delta{VMID: "vm", Epoch: 2}).Chunks(pageSize, pages*pageSize, 100)
+	first, _ := empty.Next()
+	if _, more := empty.Next(); more || empty.Count() != 1 || first.Count != 1 || first.RawLen != 0 {
+		t.Fatalf("empty capture: %d chunks, the first %+v", empty.Count(), first)
 	}
+}
+
+// runsOf is the maximal runs of a sorted page list, a staged capture's form.
+func runsOf(pages []int) []core.PageRun {
+	var runs []core.PageRun
+	for _, pi := range pages {
+		if n := len(runs); n > 0 && runs[n-1].First+runs[n-1].Len == pi {
+			runs[n-1].Len++
+		} else {
+			runs = append(runs, core.PageRun{First: pi, Len: 1})
+		}
+	}
+	return runs
 }
 
 // TestChunkSizeValidationAndRetune covers the tuning's input edges: a

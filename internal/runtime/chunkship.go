@@ -51,23 +51,6 @@ func resolvePipelineWidth(v int) int {
 	return v
 }
 
-// batchLen sizes the buffer of the batch that opens with chunks[0]: the
-// frames the budget admits (one over it — core.PlanChunks widened a degenerate
-// chunk size — gets a batch of its own), not the budget itself, so a full
-// batch of default-size chunks and a sparse round's run of single-page frames
-// both come from the 256 KiB pool class the receiver decodes them into.
-func batchLen(chunks []wire.Chunk, budget int) int {
-	n := 0
-	for i := range chunks {
-		need := wire.ChunkHeaderLen + int(chunks[i].RawLen)
-		if n > 0 && n+need > budget {
-			break
-		}
-		n += need
-	}
-	return n
-}
-
 // mountBufpoolStats exposes the process-wide buffer pool counters on a
 // registry. Counters are global to the pool, so re-binding from every node
 // sharing a registry is idempotent (CounterFunc replaces the reader).

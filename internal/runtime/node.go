@@ -404,7 +404,7 @@ func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message,
 		shares[i], shipErr = n.shipChunked(span.ContextOr(ctx), span, ms, d, parity, cs, pw, req.Arg)
 		if dedup {
 			shares[i].DedupHits = int64(unchanged)
-			shares[i].DedupMisses = int64(len(d.Pages))
+			shares[i].DedupMisses = int64(d.PageCount())
 			shares[i].DedupSavedBytes = int64(unchanged) * int64(ms.cfg.PageSize)
 		}
 		return shipErr
@@ -435,7 +435,8 @@ func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message,
 // its group as chunk frames, packed back-to-back into batches (see
 // chunkBatchBudget), one message per batch, stamped with the round attempt.
 //
-// The delta is never materialised. A batch is one pooled buffer: per chunk a
+// Neither the delta nor its chunk list is materialised: the capture's cursor
+// cuts each chunk as it is rendered. A batch is one pooled buffer: per chunk a
 // header slot, live XOR committed of the chunk's range written straight behind
 // it (core.Member.DeltaInto under ms.mu), the header sealed with a CRC of
 // bytes still in cache. It goes to every peer as a plain Payload the transport
@@ -445,7 +446,7 @@ func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message,
 // aborted) stops. It returns the ship's bytes and chunks, counted whether or
 // not it failed.
 func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberState, d *core.Delta, parity []int, chunkSize, pipeWidth int, attempt uint64) (ShipCounts, error) {
-	chunks, raw := core.PlanChunks(d, ms.cfg.PageSize, ms.cfg.Pages*ms.cfg.PageSize, chunkSize)
+	chunks := d.Chunks(ms.cfg.PageSize, ms.cfg.Pages*ms.cfg.PageSize, chunkSize)
 	deltaInto := func(dst []byte, off int) error {
 		ms.mu.Lock()
 		defer ms.mu.Unlock()
@@ -496,21 +497,20 @@ func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberSta
 			<-slots
 		}()
 	}
-	for i := 0; i < len(chunks) && shipErr.Load() == nil; i++ {
-		c := &chunks[i]
+	for c, ok := chunks.Next(); ok && shipErr.Load() == nil; c, ok = chunks.Next() {
 		need := wire.ChunkHeaderLen + int(c.RawLen)
 		if cur != nil && len(cur)+need > budget {
 			send()
 		}
 		if cur == nil {
-			cur = bufpool.Get(batchLen(chunks[i:], budget))[:0]
+			cur = bufpool.Get(batchLen(c, chunks, budget))[:0]
 		}
 		frame := cur[len(cur) : len(cur)+need]
 		if err := deltaInto(frame[wire.ChunkHeaderLen:], int(c.Offset)); err != nil {
 			fail(err)
 			break
 		}
-		wire.SealChunk(frame, c)
+		wire.SealChunk(frame, &c)
 		cur = cur[:len(cur)+need]
 	}
 	if shipErr.Load() != nil {
@@ -521,14 +521,31 @@ func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberSta
 	inflight.Wait()
 
 	span.SetAttr("bytes", fmt.Sprint(wireB))
-	span.SetAttr("chunks", fmt.Sprint(len(chunks)))
+	span.SetAttr("chunks", fmt.Sprint(chunks.Count()))
 	span.SetAttr("batches", fmt.Sprint(batches))
 	peers := int64(len(parity))
-	sc := ShipCounts{BytesShipped: wireB * peers, ChunksShipped: int64(len(chunks)) * peers, DeltaRawBytes: raw * peers}
+	sc := ShipCounts{BytesShipped: wireB * peers, ChunksShipped: int64(chunks.Count()) * peers, DeltaRawBytes: int64(d.PageCount()*ms.cfg.PageSize) * peers}
 	if err := shipErr.Load(); err != nil {
 		return sc, *err
 	}
 	return sc, nil
+}
+
+// batchLen sizes the buffer of the batch that opens with first, looking ahead
+// on a copy of the cursor: the frames the budget admits (first alone may pass
+// it), not the budget itself, so a full batch of default-size chunks and a
+// sparse round's run of single-page frames both come from the 256 KiB pool
+// class the receiver decodes them into.
+func batchLen(first wire.Chunk, rest core.ChunkCursor, budget int) int {
+	n := wire.ChunkHeaderLen + int(first.RawLen)
+	for c, ok := rest.Next(); ok; c, ok = rest.Next() {
+		need := wire.ChunkHeaderLen + int(c.RawLen)
+		if n+need > budget {
+			break
+		}
+		n += need
+	}
+	return n
 }
 
 // onDeltaChunk folds delta chunks into the keeper's staged next-epoch pages

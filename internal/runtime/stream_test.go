@@ -682,9 +682,11 @@ func TestKeeperFootprint(t *testing.T) {
 					t.Fatal(err)
 				}
 				ms.mu.Lock()
-				for _, p := range ms.mem.Staged().Pages {
-					for pp := p.Index * pageSize / core.ParityPageSize; pp <= ((p.Index+1)*pageSize-1)/core.ParityPageSize; pp++ {
-						touched[pp] = true
+				for _, r := range ms.mem.Staged().Runs {
+					for pi := r.First; pi < r.First+r.Len; pi++ {
+						for pp := pi * pageSize / core.ParityPageSize; pp <= ((pi+1)*pageSize-1)/core.ParityPageSize; pp++ {
+							touched[pp] = true
+						}
 					}
 				}
 				ms.mu.Unlock()
@@ -770,7 +772,7 @@ func TestMemberFootprint(t *testing.T) {
 		for _, v := range layout.VMs {
 			ms := hosted(v.Name)
 			ms.mu.Lock()
-			maxWritten[v.Name] = max(maxWritten[v.Name], len(ms.mem.Staged().Pages))
+			maxWritten[v.Name] = max(maxWritten[v.Name], ms.mem.Staged().PageCount())
 			ms.mu.Unlock()
 		}
 		check(fmt.Sprintf("round %d prepared", round))

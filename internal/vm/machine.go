@@ -188,6 +188,17 @@ func (m *Machine) IsDirty(i int) bool {
 	return m.dirty[i]
 }
 
+// NextDirty returns the first dirty page at index i or above, or -1 if there
+// is none: a scan of the dirty set that allocates nothing.
+func (m *Machine) NextDirty(i int) int {
+	for ; i < len(m.dirty); i++ {
+		if m.dirty[i] {
+			return i
+		}
+	}
+	return -1
+}
+
 // DirtyPages returns the sorted indices of dirty pages.
 func (m *Machine) DirtyPages() []int {
 	out := make([]int, 0, m.dirtyCount)
