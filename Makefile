@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover loc bench obs-bench experiments figures fuzz soak soak-digest soak-digest-check obs-demo clean
+.PHONY: all build test race cover loc loc-check bench obs-bench experiments figures fuzz soak soak-digest soak-digest-check obs-demo clean
 
 all: build test
 
@@ -35,6 +35,15 @@ loc:
 	@$(GO) list -f '{{.Dir}}' ./... | sed 's|^$(CURDIR)|.|' | while read d; do \
 		printf '%6d %s\n' "$$(ls $$d/*.go | grep -v _test | xargs -r cat | wc -l)" "$$d"; \
 	done
+
+# ROADMAP's rule that internal/runtime's non-test lines do not grow, as a
+# check on make loc's figure. A change that shrinks the package lowers the
+# ceiling to its new count.
+RUNTIME_LOC_CEILING = 4187
+loc-check:
+	@n=$$($(MAKE) -s --no-print-directory loc | awk '$$2 == "./internal/runtime" {print $$1}') && \
+	echo "internal/runtime: $$n non-test lines, ceiling $(RUNTIME_LOC_CEILING)" && \
+	[ "$$n" -le $(RUNTIME_LOC_CEILING) ] || { echo "internal/runtime grew past $(RUNTIME_LOC_CEILING) non-test lines" >&2; exit 1; }
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -110,9 +110,9 @@ func healthMain(args []string) {
 }
 
 // adaptMain renders the adaptive control loop's paper trail from each
-// endpoint's /metrics exposition: the live tuning state (chunk size,
-// pipeline width, checkpoint interval, failure rate) and the per-rule
-// decision tallies — recommended, applied, failed, and every skip reason.
+// endpoint's /metrics exposition: the live tuning state (checkpoint
+// interval, failure rate) and the per-rule decision tallies — recommended,
+// applied, failed, and every skip reason.
 // One-shot mode is the CI gate for the convergence experiment: exit 2 when
 // an endpoint is unreachable, 1 when fewer than -min-applied decisions have
 // been applied cluster-wide, 0 otherwise.

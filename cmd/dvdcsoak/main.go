@@ -92,7 +92,7 @@ func registerFlags(fs *flag.FlagSet) *soakFlags {
 	fs.IntVar(&f.controllerRestarts, "controller-restarts", 0,
 		"kill and restart the service controller this many times mid-soak, replaying its journal (requires -service)")
 	fs.BoolVar(&f.adaptive, "adaptive", false,
-		"close the telemetry loop: an advisor may evacuate parity keepers off habitually slow peers, retune the chunk pipeline, and retune the checkpoint interval from the live failure rate")
+		"close the telemetry loop: an advisor may evacuate parity keepers off habitually slow peers and retune the checkpoint interval from the live failure rate")
 	fs.IntVar(&f.slowNode, "slow-node", -1,
 		"make this node's data-plane ingest habitually slow: every bulk frame shipped to it stalls by -slow-delay (-1 = off; the health engine's round-time SLO should fire, and -adaptive should drain its parity)")
 	fs.DurationVar(&f.slowDelay, "slow-delay", 400*time.Millisecond, "per-frame stall for -slow-node")

@@ -7,9 +7,6 @@
 //   - keeper_rebalance: drain parity keepers off a habitually slow peer, so
 //     the slow node stops being the fan-in point of every member's delta
 //     stream (the existing recovery/rebalance machinery does the move);
-//   - chunk_retune: grow the chunk size / pipeline width when one lane's
-//     ship+fold self-time dominates the round — fewer, fatter frames cut the
-//     per-frame cost a slow link charges;
 //   - interval_retune: re-derive the optimal checkpoint interval from the
 //     Section V availability model fed with the observed failure rate.
 //
@@ -31,7 +28,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"dvdc/internal/analytic"
 	"dvdc/internal/obs"
@@ -43,13 +39,12 @@ import (
 // set must be enumerable).
 const (
 	RuleKeeperRebalance = "keeper_rebalance"
-	RuleChunkRetune     = "chunk_retune"
 	RuleIntervalRetune  = "interval_retune"
 )
 
 // Rules lists every rule name, in render order.
 func Rules() []string {
-	return []string{RuleKeeperRebalance, RuleChunkRetune, RuleIntervalRetune}
+	return []string{RuleKeeperRebalance, RuleIntervalRetune}
 }
 
 // Decision actions.
@@ -64,26 +59,23 @@ const (
 	SkipSLOFiring   = "slo-firing"  // guardrail: an SLO rule is firing
 	SkipCooldown    = "cooldown"    // the rule applied too recently
 	SkipNoHook      = "no-hook"     // no actuator wired for this rule
-	SkipAtLimit     = "at-limit"    // tuning already at its configured cap
 	SkipUnplaceable = "unplaceable" // earlier evacuation of this peer failed structurally
 )
 
 // SkipReasons lists every skip reason, in render order.
 func SkipReasons() []string {
-	return []string{SkipSLOFiring, SkipCooldown, SkipNoHook, SkipAtLimit, SkipUnplaceable}
+	return []string{SkipSLOFiring, SkipCooldown, SkipNoHook, SkipUnplaceable}
 }
 
 // Hooks are the advisor's actuators. All optional: a nil hook records the
 // recommendation and skips application with reason "no-hook". Closures keep
 // the package decoupled from internal/runtime; the soak harness wires them to
-// Coordinator.EvacuateKeepers, Coordinator.Retune, and its own round pacing.
+// Coordinator.EvacuateKeepers and its own round pacing.
 type Hooks struct {
 	// EvacuateKeepers drains every parity block off the named peer's node and
 	// returns how many blocks moved (0 = the node kept no parity). Lane names
 	// ("node3") are the peer vocabulary, matching collect's attribution.
 	EvacuateKeepers func(peer string) (moves int, err error)
-	// Retune applies a new chunk size and pipeline width cluster-wide.
-	Retune func(chunkSize, pipeWidth int) error
 	// SetInterval installs a new checkpoint interval in (virtual) seconds.
 	SetInterval func(seconds float64) error
 }
@@ -94,7 +86,6 @@ type Hooks struct {
 type Observation struct {
 	Round int             // 1-based round index
 	Ctx   obs.SpanContext // round root span context; decision spans nest here
-	Wall  time.Duration   // the round's wall clock
 
 	Attr     *collect.Attribution // critical-path attribution (may be nil)
 	Outliers []string             // peers currently flagged as habitual outliers
@@ -126,15 +117,8 @@ type Config struct {
 	Recorder *obs.FlightRecorder
 	Hooks    Hooks
 
-	// Current tuning state, the base the rules mutate from.
-	ChunkSize       int     // effective chunk payload bytes (<= 0 disables chunk_retune)
-	PipelineWidth   int     // in-flight chunk batches per (stream, peer)
-	IntervalSeconds float64 // checkpoint interval on the virtual clock
-
-	CooldownRounds int     // rounds a rule rests after applying (default 2)
-	StragglerFrac  float64 // straggler path-share of wall that triggers chunk_retune (default 0.55)
-	MaxChunkSize   int     // chunk_retune growth cap (default 1 MiB)
-	MaxPipeWidth   int     // pipeline width growth cap (default 16)
+	IntervalSeconds float64 // checkpoint interval on the virtual clock, the base interval_retune moves from
+	CooldownRounds  int     // rounds a rule rests after applying (default 2)
 
 	RateHalfLife   float64 // failure-rate estimator half-life, virtual seconds (default analytic.DefaultRateHalfLife)
 	MinRateSeconds float64 // observed seconds before interval_retune engages (default 30)
@@ -149,15 +133,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.CooldownRounds <= 0 {
 		c.CooldownRounds = 2
-	}
-	if c.StragglerFrac <= 0 {
-		c.StragglerFrac = 0.55
-	}
-	if c.MaxChunkSize <= 0 {
-		c.MaxChunkSize = 1 << 20
-	}
-	if c.MaxPipeWidth <= 0 {
-		c.MaxPipeWidth = 16
 	}
 	if c.RateHalfLife <= 0 {
 		c.RateHalfLife = analytic.DefaultRateHalfLife
@@ -197,8 +172,6 @@ type Advisor struct {
 	lastApply map[string]int  // rule -> round of last application
 	evacuated map[string]bool // peers whose keepers were already drained
 	failed    map[string]bool // peers whose evacuation failed structurally
-	chunk     int
-	width     int
 	interval  float64
 	decisions []Decision
 }
@@ -216,8 +189,6 @@ func New(cfg Config) *Advisor {
 		lastApply: map[string]int{},
 		evacuated: map[string]bool{},
 		failed:    map[string]bool{},
-		chunk:     cfg.ChunkSize,
-		width:     cfg.PipelineWidth,
 		interval:  cfg.IntervalSeconds,
 	}
 	reg := cfg.Registry
@@ -239,13 +210,6 @@ func (a *Advisor) Interval() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.interval
-}
-
-// Tuning returns the advisor's current view of the data-path tuning.
-func (a *Advisor) Tuning() (chunkSize, pipeWidth int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.chunk, a.width
 }
 
 // Decisions returns every decision taken so far, oldest first.
@@ -271,9 +235,6 @@ func (a *Advisor) Step(o Observation) []Decision {
 	}
 	var out []Decision
 	out = append(out, a.keeperRule(o)...)
-	if d := a.chunkRule(o); d != nil {
-		out = append(out, *d)
-	}
 	if d := a.intervalRule(o); d != nil {
 		out = append(out, *d)
 	}
@@ -349,50 +310,6 @@ func (a *Advisor) keeperRule(o Observation) []Decision {
 		out = append(out, d)
 	}
 	return out
-}
-
-// chunkRule recommends fatter chunks and a wider pipeline when one lane's
-// self-time dominates the round's critical path: per-frame costs (a slow
-// link's per-frame delay, framing, scheduler ping-pong) scale with frame
-// count, so halving the frames roughly halves what a slow edge can charge.
-// An advisor built without the effective chunk size (ChunkSize <= 0) has
-// nothing to double and stays silent.
-func (a *Advisor) chunkRule(o Observation) *Decision {
-	if a.chunk <= 0 || o.Attr == nil || o.Wall <= 0 || o.Attr.StragglerDur <= 0 {
-		return nil
-	}
-	frac := float64(o.Attr.StragglerDur) / float64(o.Wall)
-	if frac < a.cfg.StragglerFrac {
-		return nil
-	}
-	newChunk := min(a.chunk*2, a.cfg.MaxChunkSize)
-	newWidth := min(max(a.width, 1)*2, a.cfg.MaxPipeWidth)
-	d := &Decision{
-		Round: o.Round,
-		Rule:  RuleChunkRetune,
-		Detail: fmt.Sprintf("retune chunk %d->%d bytes, pipeline %d->%d",
-			a.chunk, newChunk, a.width, newWidth),
-		Inputs: map[string]string{
-			"straggler":      o.Attr.Straggler,
-			"straggler_span": o.Attr.StragglerSpan,
-			"path_share":     fmt.Sprintf("%.0f%%", frac*100),
-		},
-	}
-	if newChunk == a.chunk && newWidth == a.width {
-		d.Action, d.Reason = ActionSkipped, SkipAtLimit
-		return d
-	}
-	if reason := a.gate(RuleChunkRetune, o, a.cfg.Hooks.Retune == nil); reason != "" {
-		d.Action, d.Reason = ActionSkipped, reason
-		return d
-	}
-	if err := a.cfg.Hooks.Retune(newChunk, newWidth); err != nil {
-		d.Action, d.Reason = ActionFailed, err.Error()
-		return d
-	}
-	d.Action = ActionApplied
-	a.chunk, a.width = newChunk, newWidth
-	return d
 }
 
 // intervalRule re-derives the optimal checkpoint interval from the Section V

@@ -4,30 +4,28 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"dvdc/internal/obs"
-	"dvdc/internal/obs/collect"
 )
 
-// obsWith builds a minimal observation: a dominant straggler lane when frac
-// > 0, outliers as given.
-func obsWith(round int, frac float64, outliers ...string) Observation {
-	o := Observation{Round: round, Wall: 100 * time.Millisecond, Outliers: outliers, Elapsed: 10}
-	if frac > 0 {
-		o.Attr = &collect.Attribution{
-			Straggler:     "node1",
-			StragglerSpan: "rpc delta-chunk",
-			StragglerDur:  time.Duration(frac * float64(o.Wall)),
-		}
-	}
-	return o
+// obsWith builds a minimal observation: 100 virtual seconds with the given
+// failures, outliers as given.
+func obsWith(round, failures int, outliers ...string) Observation {
+	return Observation{Round: round, Outliers: outliers, Failures: failures, Elapsed: 100}
+}
+
+// failureRegime sets interval_retune up so that five failures in 100 virtual
+// seconds (one obsWith round) pull the optimal interval far below the
+// current 3600 s.
+func failureRegime(c Config) Config {
+	c.IntervalSeconds, c.MinRateSeconds, c.RateHalfLife, c.OverheadSec = 3600, 20, 1e9, 2
+	return c
 }
 
 func TestKeeperRuleEvacuatesOutlierOnce(t *testing.T) {
 	var calls []string
 	a := New(Config{
-		ChunkSize: 4096, PipelineWidth: 4, IntervalSeconds: 10,
+		IntervalSeconds: 10,
 		Hooks: Hooks{EvacuateKeepers: func(peer string) (int, error) {
 			calls = append(calls, peer)
 			return 2, nil
@@ -44,15 +42,22 @@ func TestKeeperRuleEvacuatesOutlierOnce(t *testing.T) {
 	if ds := a.Step(obsWith(2, 0, "node3")); len(ds) != 0 {
 		t.Fatalf("re-flagged outlier produced %+v, want nothing", ds)
 	}
-	if len(calls) != 1 || calls[0] != "node3" {
-		t.Fatalf("hook calls = %v, want exactly [node3]", calls)
+	// A second outlier inside the rule's cooldown waits it out.
+	if ds := a.Step(obsWith(3, 0, "node3", "node4")); len(ds) != 1 || ds[0].Reason != SkipCooldown {
+		t.Fatalf("outlier inside the cooldown produced %+v, want one cooldown skip", ds)
+	}
+	if ds := a.Step(obsWith(4, 0, "node3", "node4")); len(ds) != 1 || ds[0].Action != ActionApplied {
+		t.Fatalf("outlier after the cooldown produced %+v, want one applied", ds)
+	}
+	if len(calls) != 2 || calls[0] != "node3" || calls[1] != "node4" {
+		t.Fatalf("hook calls = %v, want exactly [node3 node4]", calls)
 	}
 }
 
 func TestKeeperRuleStructuralFailureNotRetried(t *testing.T) {
 	calls := 0
 	a := New(Config{
-		ChunkSize: 4096, IntervalSeconds: 10,
+		IntervalSeconds: 10,
 		Hooks: Hooks{EvacuateKeepers: func(string) (int, error) {
 			calls++
 			return 0, fmt.Errorf("no orthogonal target")
@@ -71,60 +76,19 @@ func TestKeeperRuleStructuralFailureNotRetried(t *testing.T) {
 	}
 }
 
-func TestChunkRuleDoublesTowardCapAndCoolsDown(t *testing.T) {
-	var got [][2]int
-	a := New(Config{
-		ChunkSize: 4096, PipelineWidth: 4, IntervalSeconds: 10,
-		MaxChunkSize: 16384, MaxPipeWidth: 8, CooldownRounds: 2,
-		Hooks: Hooks{Retune: func(cs, pw int) error {
-			got = append(got, [2]int{cs, pw})
-			return nil
-		}},
-	})
-	// Round 1: dominant straggler -> apply 8192/8.
-	ds := a.Step(obsWith(1, 0.8))
-	if len(ds) != 1 || ds[0].Action != ActionApplied {
-		t.Fatalf("round 1 decisions = %+v", ds)
-	}
-	// Rounds 2-3: still slow, but the rule is cooling down.
-	for r := 2; r <= 3; r++ {
-		ds = a.Step(obsWith(r, 0.8))
-		if len(ds) != 1 || ds[0].Reason != SkipCooldown {
-			t.Fatalf("round %d decisions = %+v, want cooldown skip", r, ds)
-		}
-	}
-	// Round 4: apply 16384/8 (width already at cap).
-	if ds = a.Step(obsWith(4, 0.8)); len(ds) != 1 || ds[0].Action != ActionApplied {
-		t.Fatalf("round 4 decisions = %+v", ds)
-	}
-	// Round 7 (cooldown over): both at cap -> at-limit skip, hook not called.
-	if ds = a.Step(obsWith(7, 0.8)); len(ds) != 1 || ds[0].Reason != SkipAtLimit {
-		t.Fatalf("round 7 decisions = %+v, want at-limit skip", ds)
-	}
-	want := [][2]int{{8192, 8}, {16384, 8}}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("retune calls = %v, want %v", got, want)
-	}
-	// A calm round recommends nothing.
-	if ds = a.Step(obsWith(10, 0.2)); len(ds) != 0 {
-		t.Fatalf("calm round produced %+v", ds)
-	}
-}
-
 func TestGuardrailPausesApplicationsWhileSLOFiring(t *testing.T) {
 	hookCalled := false
-	a := New(Config{
-		ChunkSize: 4096, PipelineWidth: 4, IntervalSeconds: 10,
+	a := New(failureRegime(Config{
 		Hooks: Hooks{
-			Retune:          func(int, int) error { hookCalled = true; return nil },
+			SetInterval:     func(float64) error { hookCalled = true; return nil },
 			EvacuateKeepers: func(string) (int, error) { hookCalled = true; return 1, nil },
 		},
-	})
-	o := obsWith(1, 0.9, "node1")
+	}))
+	o := obsWith(1, 5, "node1")
 	o.Firing = []string{"round_time_slo"}
 	ds := a.Step(o)
 	if len(ds) != 2 {
-		t.Fatalf("decisions = %+v, want keeper + chunk recommendations", ds)
+		t.Fatalf("decisions = %+v, want keeper + interval recommendations", ds)
 	}
 	for _, d := range ds {
 		if d.Action != ActionSkipped || d.Reason != SkipSLOFiring {
@@ -135,7 +99,7 @@ func TestGuardrailPausesApplicationsWhileSLOFiring(t *testing.T) {
 		t.Fatal("an actuator ran while the SLO was firing")
 	}
 	// Once the alert resolves the same evidence is applied.
-	ds = a.Step(obsWith(2, 0.9, "node1"))
+	ds = a.Step(obsWith(2, 5, "node1"))
 	if len(ds) != 2 || !hookCalled {
 		t.Fatalf("post-resolve decisions = %+v (hookCalled=%v)", ds, hookCalled)
 	}
@@ -143,11 +107,9 @@ func TestGuardrailPausesApplicationsWhileSLOFiring(t *testing.T) {
 
 func TestIntervalRuleFollowsFailureRate(t *testing.T) {
 	var set []float64
-	a := New(Config{
-		ChunkSize: 4096, IntervalSeconds: 3600,
-		MinRateSeconds: 20, RateHalfLife: 1e9, OverheadSec: 2,
+	a := New(failureRegime(Config{
 		Hooks: Hooks{SetInterval: func(s float64) error { set = append(set, s); return nil }},
-	})
+	}))
 	// No failures: the rule stays quiet.
 	if ds := a.Step(Observation{Round: 1, Elapsed: 100}); len(ds) != 0 {
 		t.Fatalf("zero-rate round produced %+v", ds)
@@ -170,13 +132,12 @@ func TestDecisionTelemetryAndRendering(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(1 << 10)
 	rec := obs.NewFlightRecorder(128)
-	a := New(Config{
+	a := New(failureRegime(Config{
 		Tracer: tr, Registry: reg, Recorder: rec,
-		ChunkSize: 4096, PipelineWidth: 4, IntervalSeconds: 10,
 		Hooks: Hooks{EvacuateKeepers: func(string) (int, error) { return 1, nil }},
-	})
+	}))
 	root := tr.Start(obs.SpanContext{}, "round", "coord")
-	o := obsWith(1, 0.9, "node2")
+	o := obsWith(1, 5, "node2")
 	o.Ctx = root.Context()
 	ds := a.Step(o)
 	root.Finish()
@@ -191,8 +152,8 @@ func TestDecisionTelemetryAndRendering(t *testing.T) {
 	if v, _ := reg.Value("dvdc_adapt_applies_total", "rule", RuleKeeperRebalance); v != 1 {
 		t.Errorf("keeper applies = %v, want 1", v)
 	}
-	if v, _ := reg.Value("dvdc_adapt_skips_total", "rule", RuleChunkRetune, "reason", SkipNoHook); v != 1 {
-		t.Errorf("chunk no-hook skips = %v, want 1", v)
+	if v, _ := reg.Value("dvdc_adapt_skips_total", "rule", RuleIntervalRetune, "reason", SkipNoHook); v != 1 {
+		t.Errorf("interval no-hook skips = %v, want 1", v)
 	}
 
 	// Spans: decision spans nest under the round trace.
@@ -220,7 +181,7 @@ func TestDecisionTelemetryAndRendering(t *testing.T) {
 
 	// Decision log rendering: inputs -> rule -> action.
 	out := RenderDecisions(a.Decisions())
-	for _, want := range []string{"keeper_rebalance", "applied", "peer=node2", "chunk_retune", "no-hook"} {
+	for _, want := range []string{"keeper_rebalance", "applied", "peer=node2", "interval_retune", "no-hook"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("RenderDecisions output missing %q:\n%s", want, out)
 		}
@@ -238,11 +199,11 @@ func TestDecisionTelemetryAndRendering(t *testing.T) {
 	if v.TotalApplied() != 1 {
 		t.Errorf("view applied = %v, want 1", v.TotalApplied())
 	}
-	if v.Interval != 10 {
-		t.Errorf("view interval = %v, want 10", v.Interval)
+	if v.Interval != 3600 {
+		t.Errorf("view interval = %v, want 3600 (the skipped retune leaves it)", v.Interval)
 	}
 	panel := RenderView(v)
-	for _, want := range []string{"keeper_rebalance", "interval=10.0s", "no-hook=1"} {
+	for _, want := range []string{"keeper_rebalance", "interval=3600.0s", "no-hook=1"} {
 		if !strings.Contains(panel, want) {
 			t.Errorf("RenderView output missing %q:\n%s", want, panel)
 		}

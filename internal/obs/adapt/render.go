@@ -27,15 +27,13 @@ func (rc RuleCounts) Skipped() float64 {
 
 // View is the cross-process picture of the adaptive control loop,
 // reconstructed from one /metrics exposition: per-rule decision tallies plus
-// the live tuning state the decisions steer. Rule and skip-reason names are a
+// the checkpoint interval and failure rate the decisions steer by. Rule and skip-reason names are a
 // closed vocabulary (Rules, SkipReasons), which is what makes a text-format
 // scrape renderable without a query language.
 type View struct {
 	Rules       []RuleCounts
 	FailureRate float64 // dvdc_adapt_failure_rate (failures / virtual second)
 	Interval    float64 // dvdc_checkpoint_interval_seconds
-	ChunkSize   float64 // dvdc_chunk_size_bytes
-	PipeWidth   float64 // dvdc_pipeline_width
 	Active      bool    // any adapt series present at all
 }
 
@@ -57,8 +55,6 @@ func BuildView(exposition string) View {
 	if v.Interval, ok = collect.MetricValue(exposition, "dvdc_checkpoint_interval_seconds"); ok {
 		v.Active = true
 	}
-	v.ChunkSize, _ = collect.MetricValue(exposition, "dvdc_chunk_size_bytes")
-	v.PipeWidth, _ = collect.MetricValue(exposition, "dvdc_pipeline_width")
 	for _, rule := range Rules() {
 		rc := RuleCounts{Rule: rule, Skips: map[string]float64{}}
 		var any bool
@@ -92,8 +88,7 @@ func RenderView(v View) string {
 		b.WriteString("adaptive control loop: no dvdc_adapt_* series exported\n")
 		return b.String()
 	}
-	fmt.Fprintf(&b, "tuning   chunk=%s pipeline=%.0f interval=%.1fs failure-rate=%.4f/s\n",
-		byteCount(v.ChunkSize), v.PipeWidth, v.Interval, v.FailureRate)
+	fmt.Fprintf(&b, "tuning   interval=%.1fs failure-rate=%.4f/s\n", v.Interval, v.FailureRate)
 	fmt.Fprintf(&b, "%-18s %12s %8s %7s %7s  %s\n",
 		"rule", "recommended", "applied", "failed", "skipped", "skip reasons")
 	for _, rc := range v.Rules {
@@ -131,16 +126,4 @@ func RenderDecisions(ds []Decision) string {
 			d.Round, d.Rule, d.Action, detail, strings.Join(inputs, " "))
 	}
 	return b.String()
-}
-
-// byteCount renders a byte quantity compactly (4.0KiB, 1.0MiB).
-func byteCount(v float64) string {
-	switch {
-	case v >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", v/(1<<20))
-	case v >= 1<<10:
-		return fmt.Sprintf("%.1fKiB", v/(1<<10))
-	default:
-		return fmt.Sprintf("%.0fB", v)
-	}
 }

@@ -128,23 +128,12 @@ func InstallDefaultRules(e *Evaluator, reg *obs.Registry, o Objectives) {
 		Objective: o.MaxRetryRate,
 	})
 
-	// The adaptive control loop's tuning state rides along as informational
-	// rules with sanity-bound objectives: the point is the evaluator's
-	// per-signal rings, which keep a history of chunk size, pipeline width,
-	// and checkpoint interval next to the SLOs they influence — when
-	// round_time_p99 fires, the health report already answers "what was the
-	// tuning at the time". A process that never exports the gauges reads the
-	// family sum as zero and the rules stay ok.
-	e.AddSignal(GaugeSignal(reg, "chunk_size", "dvdc_chunk_size_bytes"))
-	e.AddRule(Rule{
-		Name: "chunk_size_sane", Signal: "chunk_size",
-		Objective: float64(1 << 30),
-	})
-	e.AddSignal(GaugeSignal(reg, "pipeline_width", "dvdc_pipeline_width"))
-	e.AddRule(Rule{
-		Name: "pipeline_width_sane", Signal: "pipeline_width",
-		Objective: 1024,
-	})
+	// The checkpoint interval the adaptive control loop steers rides along as
+	// an informational rule with a sanity-bound objective: the evaluator's
+	// per-signal ring keeps its history next to the SLOs it influences, so when
+	// round_time_p99 fires the health report already answers "what was the
+	// interval at the time". A process that never exports the gauge reads the
+	// family sum as zero and the rule stays ok.
 	e.AddSignal(GaugeSignal(reg, "checkpoint_interval", "dvdc_checkpoint_interval_seconds"))
 	e.AddRule(Rule{
 		Name: "checkpoint_interval_sane", Signal: "checkpoint_interval", Unit: "s",

@@ -3,8 +3,8 @@
 // The paper's core scheme is single-parity XOR in the style of RAID-5: the
 // checkpoints of the k virtual machines in a RAID group are XORed together
 // into one parity block, and the responsibility for holding parity rotates
-// across the physical nodes so that every node does useful computation while
-// also protecting its peers.
+// across the physical nodes (internal/cluster builds that layout) so that
+// every node does useful computation while also protecting its peers.
 //
 // Beyond plain XOR the package provides the stronger codes the paper cites as
 // related work: RDP (row-diagonal parity, Corbett et al.) for tolerating any

@@ -548,12 +548,14 @@ func runsOf(pages []int) []core.PageRun {
 	return runs
 }
 
-// TestChunkSizeValidationAndRetune covers the tuning's input edges: a
-// negative chunk size is bad input on both the configure and the retune
-// message (and a rejected retune leaves the node's tuning untouched), while a
-// retune between two positive sizes mid-run keeps committed images and parity
-// equal to the in-process oracle.
-func TestChunkSizeValidationAndRetune(t *testing.T) {
+// TestChunkSizeValidation covers the setting's input edge and what a refused
+// configure leaves behind. A configure is refused before it touches the node,
+// whether its chunk size is negative (a second coordinator's Setup fails) or
+// its assignment fails partway (the node's own assignment plus a VM of no
+// pages). The node keeps the very members and keepers it had, its epochs, its
+// abort floor and its chunk size, and the next round commits state equal to
+// the in-process oracle.
+func TestChunkSizeValidation(t *testing.T) {
 	layout := paperLayout(t)
 	coord, nodes := chunkedCluster(t, layout, 48)
 	shadow, err := NewShadow(layout, 16, 64, 12345)
@@ -561,32 +563,23 @@ func TestChunkSizeValidationAndRetune(t *testing.T) {
 		t.Fatal(err)
 	}
 	shadowRounds(t, coord, shadow, 2)
+	// An aborted attempt raises every node's floor above zero, so a configure
+	// that resets it shows.
+	floor := nextAttempt(coord)
+	for i, n := range nodes {
+		if _, err := n.handle(&wire.Message{Type: wire.MsgAbort, Epoch: coord.Epoch() + 1, Arg: floor}); err != nil {
+			t.Fatalf("abort node %d: %v", i, err)
+		}
+	}
+	state := func() string {
+		n := nodes[0]
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return fmt.Sprintf("id %d, chunk %d, floor %d, members %v, keepers %v, held %d",
+			n.id, n.chunkSize, n.aborted.Load(), n.members, n.keepers, len(n.held))
+	}
+	before := state()
 
-	tuning := func() (int, int) {
-		nodes[0].mu.Lock()
-		defer nodes[0].mu.Unlock()
-		return nodes[0].chunkSize, nodes[0].pipeWidth
-	}
-	if err := coord.Retune(-1, 2); err == nil {
-		t.Fatal("retune to a negative chunk size accepted")
-	}
-	if cs, pw := tuning(); cs != 48 || pw != chunkPipelineWidth {
-		t.Fatalf("rejected retune changed node tuning to chunk %d, width %d", cs, pw)
-	}
-	if err := coord.Retune(256, 2); err != nil {
-		t.Fatal(err)
-	}
-	if cs, pw := tuning(); cs != 256 || pw != 2 {
-		t.Fatalf("retune left node tuning at chunk %d, width %d", cs, pw)
-	}
-	shadowRounds(t, coord, shadow, 2)
-	if err := oracleDiff(t, coord, shadow); err != nil {
-		t.Fatalf("after retune 48 -> 256: %v", err)
-	}
-
-	// A configure carrying a negative size is refused before it touches the
-	// node: a second coordinator's Setup fails, and members and tuning of the
-	// running cluster survive it.
 	rogue, err := NewCoordinator(layout.Clone(), coord.addrs, 16, 64, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -596,10 +589,27 @@ func TestChunkSizeValidationAndRetune(t *testing.T) {
 	if err := rogue.Setup(); err == nil {
 		t.Fatal("Setup with a negative chunk size succeeded")
 	}
-	if cs, _ := tuning(); cs != 256 {
-		t.Fatalf("rejected configure changed node chunk size to %d", cs)
+	if after := state(); after != before {
+		t.Fatalf("configure with a negative chunk size changed node 0:\n was %s\n now %s", before, after)
+	}
+
+	cfg := coord.nodeConfig(0)
+	cfg.VMs = append(cfg.VMs, VMConfig{Name: "empty", Pages: 0, PageSize: 64, Group: 0})
+	text, err := encodeJSON(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nodes[0].handle(&wire.Message{Type: wire.MsgConfigure, Text: text}); err == nil {
+		t.Fatal("configure with a VM of no pages succeeded")
+	}
+	if after := state(); after != before {
+		t.Fatalf("configure failing partway changed node 0:\n was %s\n now %s", before, after)
 	}
 	if err := oracleDiff(t, coord, shadow); err != nil {
-		t.Fatalf("after the rejected configure: %v", err)
+		t.Fatalf("after the refused configures: %v", err)
+	}
+	shadowRounds(t, coord, shadow, 1)
+	if err := oracleDiff(t, coord, shadow); err != nil {
+		t.Fatalf("round after the refused configures: %v", err)
 	}
 }

@@ -24,7 +24,7 @@ const chunkPipelineWidth = 4
 const chunkBatchBudget = 256 << 10
 
 // checkChunkSize rejects a chunk-size setting arriving from outside the node
-// (a configure or retune message): the encoding is 0 = default, > 0 = bytes.
+// (a configure message): the encoding is 0 = default, > 0 = bytes.
 func checkChunkSize(v int) error {
 	if v < 0 {
 		return fmt.Errorf("runtime: chunk size %d: want 0 (default) or a positive byte count", v)
@@ -38,15 +38,6 @@ func checkChunkSize(v int) error {
 func resolveChunkSize(v int) int {
 	if v <= 0 {
 		return wire.DefaultChunkSize
-	}
-	return v
-}
-
-// resolvePipelineWidth maps the configuration encoding to an effective
-// in-flight chunk-batch width: nonpositive selects the default.
-func resolvePipelineWidth(v int) int {
-	if v <= 0 {
-		return chunkPipelineWidth
 	}
 	return v
 }

@@ -51,18 +51,6 @@ type NodeConfig struct {
 	// (their XOR delta is all zeros, so the parity fold they would trigger is a
 	// no-op): they are neither captured nor shipped, only counted.
 	Dedup bool `json:"dedup,omitempty"`
-
-	// PipelineWidth bounds the in-flight chunk batches per (stream, peer) on
-	// the chunked ship path; nonpositive selects the built-in default.
-	PipelineWidth int `json:"pipeline_width,omitempty"`
-}
-
-// retuneConfig rides MsgRetune: a live data-path retune. Unlike MsgConfigure
-// it leaves VM and keeper assignments untouched, so the advisor can adjust
-// chunk size and pipeline width between rounds without re-seeding the node.
-type retuneConfig struct {
-	ChunkSize     int `json:"chunk_size"` // 0 = default, > 0 = bytes; negative is rejected
-	PipelineWidth int `json:"pipeline_width"`
 }
 
 // NodeStats are a node's protocol counters, served via MsgStats: the sum of

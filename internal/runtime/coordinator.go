@@ -48,12 +48,10 @@ type Coordinator struct {
 	seedBase       int64
 	attempts       uint64 // round attempts begun (CheckpointIn); guarded by roundMu
 	chunkSize      int    // chunk payload bytes; 0 = wire.DefaultChunkSize
-	pipeWidth      int    // in-flight chunk batches per (stream, peer); 0 = default
 	workload       string // workload kind for every VM ("" = uniform)
 	dedup          bool   // nodes skip dirty pages equal to their committed image
 	rpcTimeout     time.Duration
 	fanoutW        int
-	commitRetries  int
 	retiredRetries int64 // retry counts of pools already closed
 	dialer         transport.DialFunc
 	tracer         *obs.Tracer
@@ -82,56 +80,24 @@ func NewCoordinator(layout *cluster.Layout, addrs map[int]string, pages, pageSiz
 		return nil, fmt.Errorf("runtime: bad geometry %dx%d", pages, pageSize)
 	}
 	return &Coordinator{
-		layout:        layout,
-		addrs:         addrs,
-		pools:         map[int]*transport.Pool{},
-		dead:          map[int]bool{},
-		pending:       map[int]bool{},
-		pages:         pages,
-		pageSize:      pageSize,
-		seedBase:      seed,
-		rpcTimeout:    DefaultRPCTimeout,
-		fanoutW:       DefaultFanout,
-		commitRetries: DefaultCommitRetries,
+		layout:     layout,
+		addrs:      addrs,
+		pools:      map[int]*transport.Pool{},
+		dead:       map[int]bool{},
+		pending:    map[int]bool{},
+		pages:      pages,
+		pageSize:   pageSize,
+		seedBase:   seed,
+		rpcTimeout: DefaultRPCTimeout,
+		fanoutW:    DefaultFanout,
 	}, nil
 }
 
 // SetChunkSize sets the chunk payload size in bytes; 0 (the default) means
 // wire.DefaultChunkSize. Nodes reject a negative size, so Setup fails on one.
-// Call before Setup — the setting rides the node configuration; for a live
-// change use Retune.
+// Call before Setup: the setting rides the node configuration, and it holds
+// for the cluster's life (Repair's reconfigurations carry it too).
 func (c *Coordinator) SetChunkSize(n int) { c.chunkSize = n }
-
-// Retune live-adjusts the cluster's data-path tuning — chunk payload size
-// (0 = default, > 0 = bytes) and per-(stream, peer) pipeline width — without
-// reconfiguring membership: every alive node receives a MsgRetune, and later
-// configurations (Repair after a node rejoins) inherit the new values.
-// Serializes with protocol rounds on the round mutex, so a retune never lands
-// mid-checkpoint. Nodes reject a negative chunk size; the retune then fails
-// and the previous tuning stays in force everywhere.
-func (c *Coordinator) Retune(chunkSize, pipelineWidth int) error {
-	c.roundMu.Lock()
-	defer c.roundMu.Unlock()
-	text, err := encodeJSON(retuneConfig{ChunkSize: chunkSize, PipelineWidth: pipelineWidth})
-	if err != nil {
-		return err
-	}
-	if err := c.fanout(obs.SpanContext{}, "retune", c.aliveNodes(),
-		func(int) *wire.Message { return &wire.Message{Type: wire.MsgRetune, Text: text} },
-		func(n int, resp *wire.Message) error {
-			if resp.Type != wire.MsgRetuneOK {
-				return fmt.Errorf("runtime: node %d replied %v to retune", n, resp.Type)
-			}
-			return nil
-		}); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.chunkSize = chunkSize
-	c.pipeWidth = pipelineWidth
-	c.mu.Unlock()
-	return nil
-}
 
 // SetWorkload selects the synthetic workload kind every VM runs ("" =
 // uniform; see WorkloadUniform, WorkloadRewrite). Call before Setup — the
@@ -173,19 +139,6 @@ func (c *Coordinator) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
 	c.tracer = tr
 	c.registry = reg
 	c.mu.Unlock()
-	// Live tuning gauges: what the data path is currently configured to do,
-	// so dashboards (and the adaptive advisor's paper trail) can correlate
-	// retunes with round-time shifts.
-	reg.GaugeFunc("dvdc_chunk_size_bytes", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(resolveChunkSize(c.chunkSize))
-	})
-	reg.GaugeFunc("dvdc_pipeline_width", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(resolvePipelineWidth(c.pipeWidth))
-	})
 }
 
 // SetFlightRecorder attaches a black-box flight recorder (may be nil). Every
@@ -401,7 +354,7 @@ func (c *Coordinator) vmConfig(v cluster.VMPlacement) VMConfig {
 
 // nodeConfig renders the full initial assignment for one node.
 func (c *Coordinator) nodeConfig(n int) NodeConfig {
-	cfg := NodeConfig{NodeID: n, Peers: c.addrs, ChunkSize: c.chunkSize, Dedup: c.dedup, PipelineWidth: c.pipeWidth}
+	cfg := NodeConfig{NodeID: n, Peers: c.addrs, ChunkSize: c.chunkSize, Dedup: c.dedup}
 	for _, v := range c.layout.VMs {
 		if v.Node == n {
 			cfg.VMs = append(cfg.VMs, c.vmConfig(v))
@@ -559,7 +512,7 @@ func (c *Coordinator) CheckpointIn(parent obs.SpanContext) error {
 	parallelDo(len(alive), c.fanoutWidth(), func(i int) error { //nolint:errcheck // failures collected in failed
 		node := alive[i]
 		var lastErr error
-		for try := 0; try < c.commitRetries; try++ {
+		for try := 0; try < DefaultCommitRetries; try++ {
 			if try > 0 {
 				time.Sleep(commitRetryBackoff << (try - 1))
 			}

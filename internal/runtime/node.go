@@ -35,7 +35,6 @@ type Node struct {
 	keepers    map[int]*keeperState // by group (orthogonality: at most one block of a group per node)
 	held       map[heldKey][]byte   // elements this node decoded for other targets (handOff)
 	chunkSize  int                  // effective chunk payload size, always > 0
-	pipeWidth  int                  // in-flight chunk batches per (stream, peer); 0 = default
 	dedup      bool                 // capture skips dirty pages equal to the committed image
 	rpcTimeout time.Duration
 	fanout     int
@@ -264,13 +263,14 @@ func (n *Node) dispatch(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 		return n.onSetParityBatch(req)
 	case wire.MsgStats:
 		return n.onStats(req)
-	case wire.MsgRetune:
-		return n.onRetune(req)
 	default:
 		return nil, fmt.Errorf("runtime: node %d: unhandled message %v", n.nodeID(), req.Type)
 	}
 }
 
+// onConfigure replaces the node's assignment. The whole assignment is built
+// and checked before any node state changes, so a refused configuration
+// leaves the node as it was.
 func (n *Node) onConfigure(req *wire.Message) (*wire.Message, error) {
 	var cfg NodeConfig
 	if err := decodeJSON(req.Text, &cfg); err != nil {
@@ -279,28 +279,11 @@ func (n *Node) onConfigure(req *wire.Message) (*wire.Message, error) {
 	if err := checkChunkSize(cfg.ChunkSize); err != nil {
 		return nil, err
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.id = cfg.NodeID
-	n.peers = cfg.Peers
-	n.aborted.Store(0)
-	n.chunkSize = resolveChunkSize(cfg.ChunkSize)
-	n.pipeWidth = resolvePipelineWidth(cfg.PipelineWidth)
-	n.dedup = cfg.Dedup
-	// Drop pools whose peer moved to a new address.
-	for id, p := range n.pools {
-		if addr, ok := cfg.Peers[id]; !ok || addr != p.Addr() {
-			p.Close()
-			delete(n.pools, id)
-		}
-	}
 	// A configuration is the node's complete assignment: members and keepers
 	// from a previous life (an earlier controller session, or state left
 	// behind before a Repair) must not leak into the new one, or they ship
 	// conflicting deltas for VMs that now live elsewhere.
-	n.members = map[string]*memberState{}
-	n.keepers = map[int]*keeperState{}
-	n.held = map[heldKey][]byte{}
+	members := map[string]*memberState{}
 	for _, vc := range cfg.VMs {
 		m, err := vm.NewMachine(vc.Name, vc.Pages, vc.PageSize)
 		if err != nil {
@@ -310,12 +293,13 @@ func (n *Node) onConfigure(req *wire.Message) (*wire.Message, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.members[vc.Name] = &memberState{
+		members[vc.Name] = &memberState{
 			mem:      mem,
 			workload: newWorkload(vc.Workload, vc.Seed),
 			cfg:      vc,
 		}
 	}
+	keepers := map[int]*keeperState{}
 	for _, kc := range cfg.Keepers {
 		// Initial member images are all-zero, so every parity row of them is
 		// zero too: the keeper starts from a zero block, nothing folded and no
@@ -324,31 +308,26 @@ func (n *Node) onConfigure(req *wire.Message) (*wire.Message, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := n.addKeeper(&keeperState{keeper: k, cfg: kc}); err != nil {
+		if err := addKeeper(keepers, cfg.NodeID, &keeperState{keeper: k, cfg: kc}); err != nil {
 			return nil, err
 		}
 	}
-	return &wire.Message{Type: wire.MsgConfigureOK}, nil
-}
-
-// onRetune applies a live data-path retune: chunk size and pipeline width
-// change between rounds without the full reconfigure (which would wipe
-// members and keepers). Tuning only shapes how a staged capture travels — never
-// what is committed — so it is safe mid-protocol; the next prepare simply
-// ships with the new granularity.
-func (n *Node) onRetune(req *wire.Message) (*wire.Message, error) {
-	var rt retuneConfig
-	if err := decodeJSON(req.Text, &rt); err != nil {
-		return nil, fmt.Errorf("runtime: bad retune payload: %w", err)
-	}
-	if err := checkChunkSize(rt.ChunkSize); err != nil {
-		return nil, err
-	}
 	n.mu.Lock()
-	n.chunkSize = resolveChunkSize(rt.ChunkSize)
-	n.pipeWidth = resolvePipelineWidth(rt.PipelineWidth)
-	n.mu.Unlock()
-	return &wire.Message{Type: wire.MsgRetuneOK}, nil
+	defer n.mu.Unlock()
+	n.id = cfg.NodeID
+	n.peers = cfg.Peers
+	n.aborted.Store(0)
+	n.chunkSize = resolveChunkSize(cfg.ChunkSize)
+	n.dedup = cfg.Dedup
+	// Drop pools whose peer moved to a new address.
+	for id, p := range n.pools {
+		if addr, ok := cfg.Peers[id]; !ok || addr != p.Addr() {
+			p.Close()
+			delete(n.pools, id)
+		}
+	}
+	n.members, n.keepers, n.held = members, keepers, map[heldKey][]byte{}
+	return &wire.Message{Type: wire.MsgConfigureOK}, nil
 }
 
 func (n *Node) onStep(req *wire.Message) (*wire.Message, error) {
@@ -382,7 +361,7 @@ func (n *Node) onStep(req *wire.Message) (*wire.Message, error) {
 func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
 	members := n.snapshotMembers()
 	n.mu.Lock()
-	id, fan, cs, pw, dedup := n.id, n.fanout, n.chunkSize, resolvePipelineWidth(n.pipeWidth), n.dedup
+	id, fan, cs, dedup := n.id, n.fanout, n.chunkSize, n.dedup
 	tr, reg := n.tracer, n.registry
 	n.mu.Unlock()
 	lane := fmt.Sprintf("node%d", id)
@@ -401,7 +380,7 @@ func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message,
 		// messages carry its context (the pool re-stamps Span per RPC attempt).
 		span := tr.Child(ctx, "ship "+d.VMID, lane)
 		defer func() { span.FinishErr(shipErr) }()
-		shares[i], shipErr = n.shipChunked(span.ContextOr(ctx), span, ms, d, parity, cs, pw, req.Arg)
+		shares[i], shipErr = n.shipChunked(span.ContextOr(ctx), span, ms, d, parity, cs, req.Arg)
 		if dedup {
 			shares[i].DedupHits = int64(unchanged)
 			shares[i].DedupMisses = int64(d.PageCount())
@@ -441,11 +420,11 @@ func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message,
 // it (core.Member.DeltaInto under ms.mu), the header sealed with a CRC of
 // bytes still in cache. It goes to every peer as a plain Payload the transport
 // sends from this buffer, and back to the pool when the last peer has
-// answered; up to pipeWidth batches are in flight, so transfer overlaps
+// answered; up to chunkPipelineWidth batches are in flight, so transfer overlaps
 // rendering and folds. A ship whose capture is no longer staged (the round was
 // aborted) stops. It returns the ship's bytes and chunks, counted whether or
 // not it failed.
-func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberState, d *core.Delta, parity []int, chunkSize, pipeWidth int, attempt uint64) (ShipCounts, error) {
+func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberState, d *core.Delta, parity []int, chunkSize int, attempt uint64) (ShipCounts, error) {
 	chunks := d.Chunks(ms.cfg.PageSize, ms.cfg.Pages*ms.cfg.PageSize, chunkSize)
 	deltaInto := func(dst []byte, off int) error {
 		ms.mu.Lock()
@@ -455,9 +434,9 @@ func (n *Node) shipChunked(sctx obs.SpanContext, span *obs.Active, ms *memberSta
 	budget := max(chunkSize, chunkBatchBudget) + wire.ChunkHeaderLen
 	var (
 		inflight sync.WaitGroup
-		slots    = make(chan struct{}, pipeWidth) // batches in flight
-		shipErr  atomic.Pointer[error]            // the first failure
-		cur      []byte                           // the batch being rendered
+		slots    = make(chan struct{}, chunkPipelineWidth) // batches in flight
+		shipErr  atomic.Pointer[error]                     // the first failure
+		cur      []byte                                    // the batch being rendered
 		batches  int
 		wireB    int64
 	)
@@ -1036,7 +1015,7 @@ func (n *Node) adopt(cfg *rebuildConfig, e lostElement, out []byte) error {
 		kc := KeeperConfig{Group: cfg.Group, ParityIdx: e.Parity, Tolerance: cfg.Tolerance, Members: cfg.Members, Pages: cfg.Pages, PageSize: cfg.PageSize}
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		return n.addKeeper(&keeperState{keeper: k, cfg: kc})
+		return addKeeper(n.keepers, n.id, &keeperState{keeper: k, cfg: kc})
 	}
 	mem, err := core.NewMemberAt(e.VM.Name, e.VM.PageSize, out, cfg.Epoch)
 	if err != nil {
@@ -1091,17 +1070,18 @@ func (n *Node) onRollback(req *wire.Message) (*wire.Message, error) {
 	return &wire.Message{Type: wire.MsgRollbackOK}, nil
 }
 
-// addKeeper registers a keeper under its group. The keeper map holds one
-// block per group, so a second block of the same group with a different
+// addKeeper registers node's keeper ks in keepers under its group. The map
+// holds one block per group, so a second block of the same group with a different
 // parity index is refused rather than silently replacing the first (which
 // would lose a parity block the layout still counts on). Re-registering the
-// same index replaces a block this node already held. Caller holds n.mu.
-func (n *Node) addKeeper(ks *keeperState) error {
-	if prev, ok := n.keepers[ks.cfg.Group]; ok && prev.cfg.ParityIdx != ks.cfg.ParityIdx {
+// same index replaces a block this node already held. A node's own map is
+// guarded by its n.mu.
+func addKeeper(keepers map[int]*keeperState, node int, ks *keeperState) error {
+	if prev, ok := keepers[ks.cfg.Group]; ok && prev.cfg.ParityIdx != ks.cfg.ParityIdx {
 		return fmt.Errorf("runtime: node %d already keeps parity[%d] of group %d, refusing parity[%d]",
-			n.id, prev.cfg.ParityIdx, ks.cfg.Group, ks.cfg.ParityIdx)
+			node, prev.cfg.ParityIdx, ks.cfg.Group, ks.cfg.ParityIdx)
 	}
-	n.keepers[ks.cfg.Group] = ks
+	keepers[ks.cfg.Group] = ks
 	return nil
 }
 

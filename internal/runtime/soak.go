@@ -62,9 +62,9 @@ type SoakConfig struct {
 	// Adaptive closes the telemetry loop: after each round's verification an
 	// obs/adapt.Advisor consumes the round's critical-path attribution, the
 	// outlier tracker's habitual-slow-peer flags, and the observed failure
-	// rate, and may (a) evacuate parity keepers off a flagged node, (b) retune
-	// chunk size / pipeline width, or (c) retune the checkpoint interval
-	// (scaling the workload steps between checkpoints on the virtual clock).
+	// rate, and may (a) evacuate parity keepers off a flagged node, or (b)
+	// retune the checkpoint interval (scaling the workload steps between
+	// checkpoints on the virtual clock).
 	// Every decision lands in RoundRecord.Adapt and the dvdc_adapt_* metric
 	// family; applications pause while a Health rule is firing.
 	Adaptive bool
@@ -381,11 +381,8 @@ func newSoakEnv(cfg SoakConfig) (*soakEnv, error) {
 					// nothing needs mirroring and bit-identity is untouched.
 					return len(plan.Steps), nil
 				},
-				Retune:      func(cs, pw int) error { return e.coord.Retune(cs, pw) },
 				SetInterval: func(float64) error { return nil }, // interval state lives in the advisor; roundSteps reads it back
 			},
-			ChunkSize:       resolveChunkSize(cfg.ChunkSize),
-			PipelineWidth:   resolvePipelineWidth(0),
 			IntervalSeconds: cfg.RoundSeconds,
 			// Soak rounds cover RoundSeconds of virtual exposure each; a
 			// half-life of a few rounds tracks regime changes within one run.
@@ -462,9 +459,6 @@ func (e *soakEnv) stepAdapt(rr *RoundRecord) {
 		Failures: len(rr.Kills) + len(rr.DeadDuring),
 		Elapsed:  e.cfg.RoundSeconds,
 		Firing:   firing,
-	}
-	if e.lastAttr != nil {
-		o.Wall = e.lastAttr.Wall
 	}
 	rr.Adapt = e.advisor.Step(o)
 }

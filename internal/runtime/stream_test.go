@@ -195,7 +195,9 @@ func nextAttempt(coord *Coordinator) uint64 {
 // test: the next round's Step and prepare run beside them), and the next
 // round must commit state equal to the oracle's.
 func TestOrphanedShipStopsAtNextBatch(t *testing.T) {
-	const pages, pageSize = 96, 4096 // 384 KiB a VM: two batches a member once most pages are dirty
+	// 1.5 MiB a VM: about six batches a member once most pages are dirty,
+	// more than chunkPipelineWidth, so a member's fifth batch waits for a slot.
+	const pages, pageSize = 384, 4096
 	layout := paperLayout(t)
 	tr := obs.NewTracer(0)
 	gate := newFrameGate(wire.MsgDeltaChunkOK)
@@ -223,9 +225,6 @@ func TestOrphanedShipStopsAtNextBatch(t *testing.T) {
 	coord.SetObserver(tr, nil)
 	coord.SetRPCTimeout(1500 * time.Millisecond) // the nodes' own peer calls have no deadline
 	if err := coord.Setup(); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Retune(0, 1); err != nil { // one batch in flight per (stream, peer)
 		t.Fatal(err)
 	}
 	shadow, err := NewShadow(layout, pages, pageSize, 4242)

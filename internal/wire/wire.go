@@ -68,11 +68,6 @@ const (
 	MsgReadChunkOK
 	MsgInstallChunk // reserved: retired push-install chunk (the adopting node pulls via MsgReadChunk)
 	MsgInstallChunkOK
-
-	// Adaptive data-path tuning (appended to keep earlier wire numbering and
-	// the checked-in fuzz corpus stable).
-	MsgRetune // live-retune a node's chunk size / pipeline width (JSON in Text)
-	MsgRetuneOK
 )
 
 // msgNames is package-level: String runs per RPC on the hot path (span
@@ -101,7 +96,6 @@ var msgNames = map[MsgType]string{
 	MsgDeltaChunk: "delta-chunk", MsgDeltaChunkOK: "delta-chunk-ok",
 	MsgReadChunk: "read-chunk", MsgReadChunkOK: "read-chunk-ok",
 	MsgInstallChunk: "install-chunk", MsgInstallChunkOK: "install-chunk-ok",
-	MsgRetune: "retune", MsgRetuneOK: "retune-ok",
 }
 
 // String names the message type.
