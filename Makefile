@@ -39,7 +39,7 @@ loc:
 # ROADMAP's rule that internal/runtime's non-test lines do not grow, as a
 # check on make loc's figure. A change that shrinks the package lowers the
 # ceiling to its new count.
-RUNTIME_LOC_CEILING = 4187
+RUNTIME_LOC_CEILING = 4153
 loc-check:
 	@n=$$($(MAKE) -s --no-print-directory loc | awk '$$2 == "./internal/runtime" {print $$1}') && \
 	echo "internal/runtime: $$n non-test lines, ceiling $(RUNTIME_LOC_CEILING)" && \

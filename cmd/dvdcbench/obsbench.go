@@ -185,7 +185,7 @@ func measureObs(mode string, rounds, pages, pageSize int, steps uint64, seed int
 		// the evaluator: the measured cost is the full default rule set
 		// (scrape, windowed quantiles, burn ratios, alert export) per round.
 		ev = health.New(health.Options{Registry: reg, Recorder: rec, FixedStep: time.Second})
-		health.InstallDefaultRules(ev, reg, health.Objectives{})
+		health.InstallDefaultRules(ev, reg)
 	}
 	nodes := make([]*runtime.Node, layout.Nodes)
 	addrs := map[int]string{}

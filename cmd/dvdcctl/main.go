@@ -139,7 +139,6 @@ func (s *sessionFlags) register(fs *flag.FlagSet) {
 		"chaos: stretch every frame to/from this node index by -slow-delay (the habitually slow peer the health engine must catch)")
 	fs.DurationVar(&s.slowDelay, "slow-delay", 400*time.Millisecond, "chaos: per-frame delay for -slow-node")
 	s.common.RPCTimeoutFlag(fs, runtime.DefaultRPCTimeout)
-	s.common.FanoutFlag(fs)
 	s.common.ObsAddrFlag(fs)
 	s.common.TraceJSONLFlag(fs)
 	s.common.PostmortemFlag(fs, "on partial commit")
@@ -195,7 +194,6 @@ func (s *sessionFlags) open(opts service.Options) *session {
 		coord.SetFlightRecorder(rec)
 	}
 	coord.SetRPCTimeout(s.common.RPCTimeout)
-	coord.SetFanout(s.common.Fanout)
 	if s.slowNode >= 0 && s.slowDelay > 0 {
 		// A chaos injector on the coordinator's dial path, carrying only the
 		// standing slow-node delay: the seeded smoke case for the health

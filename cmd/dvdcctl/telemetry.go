@@ -40,7 +40,7 @@ func topMain(args []string) {
 		}
 	}
 	c := collect.New()
-	outliers := collect.NewOutlierTracker(0, 0)
+	outliers := collect.NewOutlierTracker()
 	for i := 0; ; i++ {
 		v := collect.BuildTopView(c, sources, outliers)
 		if i > 0 {

@@ -32,7 +32,6 @@ func main() {
 	var common cli.Common
 	listen := flag.String("listen", "127.0.0.1:0", "address to listen on")
 	common.RPCTimeoutFlag(flag.CommandLine, runtime.DefaultRPCTimeout)
-	common.FanoutFlag(flag.CommandLine)
 	common.ObsAddrFlag(flag.CommandLine)
 	common.PostmortemFlag(flag.CommandLine, "on SIGQUIT")
 	common.HealthFlag(flag.CommandLine)
@@ -51,7 +50,6 @@ func main() {
 		os.Exit(1)
 	}
 	node.SetRPCTimeout(common.RPCTimeout)
-	node.SetFanout(common.Fanout)
 	fmt.Printf("dvdcnode listening on %s\n", node.Addr())
 	ev, healthMount := common.StartHealth(opts.Registry, rec)
 	defer ev.Stop()

@@ -1,6 +1,6 @@
 // Package cli holds the flag spellings and observability bootstrap shared by
 // the dvdc binaries. Every binary that exposes -obs-addr, -rpc-timeout,
-// -postmortem-dir, -round-interval, -trace-jsonl, or -fanout registers it
+// -postmortem-dir, -round-interval, -trace-jsonl, or -health registers it
 // through Common, so the spelling, help text, and wiring exist exactly once
 // and scripts written against one binary's flags work against them all.
 package cli
@@ -21,7 +21,6 @@ import (
 type Common struct {
 	ObsAddr       string
 	RPCTimeout    time.Duration
-	Fanout        int
 	PostmortemDir string
 	RoundInterval time.Duration
 	TraceJSONL    string
@@ -38,11 +37,6 @@ func (c *Common) ObsAddrFlag(fs *flag.FlagSet) {
 // (pass the matching runtime default so help text and behavior agree).
 func (c *Common) RPCTimeoutFlag(fs *flag.FlagSet, def time.Duration) {
 	fs.DurationVar(&c.RPCTimeout, "rpc-timeout", def, "per-RPC deadline")
-}
-
-// FanoutFlag registers -fanout.
-func (c *Common) FanoutFlag(fs *flag.FlagSet) {
-	fs.IntVar(&c.Fanout, "fanout", 0, "max concurrent fan-out RPCs (0 = runtime default)")
 }
 
 // PostmortemFlag registers -postmortem-dir; trigger names the event that
@@ -80,7 +74,7 @@ func (c *Common) StartHealth(reg *obs.Registry, rec *obs.FlightRecorder) (*healt
 		return nil, nil
 	}
 	ev := health.New(health.Options{Registry: reg, Recorder: rec})
-	health.InstallDefaultRules(ev, reg, health.Objectives{})
+	health.InstallDefaultRules(ev, reg)
 	ev.Start()
 	return ev, ev.Mount()
 }

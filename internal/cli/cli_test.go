@@ -21,7 +21,6 @@ func TestCommonFlagRegistration(t *testing.T) {
 	var c Common
 	c.ObsAddrFlag(fs)
 	c.RPCTimeoutFlag(fs, 5*time.Second)
-	c.FanoutFlag(fs)
 	c.PostmortemFlag(fs, "on SIGQUIT")
 	c.RoundIntervalFlag(fs)
 	c.TraceJSONLFlag(fs)
@@ -29,7 +28,6 @@ func TestCommonFlagRegistration(t *testing.T) {
 	for name, def := range map[string]string{
 		"obs-addr":       "",
 		"rpc-timeout":    "5s",
-		"fanout":         "0",
 		"postmortem-dir": "",
 		"round-interval": "0s",
 		"trace-jsonl":    "",
@@ -47,13 +45,13 @@ func TestCommonFlagRegistration(t *testing.T) {
 	}
 
 	err := fs.Parse([]string{
-		"-obs-addr", "127.0.0.1:0", "-rpc-timeout", "2s", "-fanout", "8",
+		"-obs-addr", "127.0.0.1:0", "-rpc-timeout", "2s",
 		"-postmortem-dir", "/tmp/pm", "-round-interval", "50ms", "-trace-jsonl", "x.jsonl",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ObsAddr != "127.0.0.1:0" || c.RPCTimeout != 2*time.Second || c.Fanout != 8 ||
+	if c.ObsAddr != "127.0.0.1:0" || c.RPCTimeout != 2*time.Second ||
 		c.PostmortemDir != "/tmp/pm" || c.RoundInterval != 50*time.Millisecond || c.TraceJSONL != "x.jsonl" {
 		t.Errorf("parsed values landed wrong: %+v", c)
 	}

@@ -67,17 +67,16 @@ func SkipReasons() []string {
 	return []string{SkipSLOFiring, SkipCooldown, SkipNoHook, SkipUnplaceable}
 }
 
-// Hooks are the advisor's actuators. All optional: a nil hook records the
-// recommendation and skips application with reason "no-hook". Closures keep
-// the package decoupled from internal/runtime; the soak harness wires them to
-// Coordinator.EvacuateKeepers and its own round pacing.
+// Hooks are the advisor's actuators. A nil hook records the recommendation
+// and skips application with reason "no-hook". Closures keep the package
+// decoupled from internal/runtime; the soak harness wires EvacuateKeepers to
+// Coordinator.EvacuateKeepers. interval_retune needs no hook: the advisor
+// owns the interval, and the soak reads it back through Interval.
 type Hooks struct {
 	// EvacuateKeepers drains every parity block off the named peer's node and
 	// returns how many blocks moved (0 = the node kept no parity). Lane names
 	// ("node3") are the peer vocabulary, matching collect's attribution.
 	EvacuateKeepers func(peer string) (moves int, err error)
-	// SetInterval installs a new checkpoint interval in (virtual) seconds.
-	SetInterval func(seconds float64) error
 }
 
 // Observation is one round's telemetry, handed to Step after the round's
@@ -108,58 +107,33 @@ type Decision struct {
 	Inputs map[string]string // the evidence the rule fired on
 }
 
-// Config parameterizes an Advisor. Zero values select the documented
-// defaults; Tracer/Registry/Recorder may each be nil (the corresponding
-// telemetry is simply not emitted).
+// Config parameterizes an Advisor. Tracer/Registry/Recorder may each be nil
+// (the corresponding telemetry is simply not emitted).
 type Config struct {
 	Tracer   *obs.Tracer
 	Registry *obs.Registry
 	Recorder *obs.FlightRecorder
 	Hooks    Hooks
 
-	IntervalSeconds float64 // checkpoint interval on the virtual clock, the base interval_retune moves from
-	CooldownRounds  int     // rounds a rule rests after applying (default 2)
-
-	RateHalfLife   float64 // failure-rate estimator half-life, virtual seconds (default analytic.DefaultRateHalfLife)
-	MinRateSeconds float64 // observed seconds before interval_retune engages (default 30)
-	MissionTime    float64 // availability-model mission time T (default 86400)
-	RepairSeconds  float64 // availability-model repair time (default 30)
-	OverheadSec    float64 // per-checkpoint overhead Tov fed to the model (default 1)
-	IntervalLo     float64 // optimal-interval search bounds (default [1, 3600])
-	IntervalHi     float64
-	IntervalTol    float64 // relative interval change worth acting on (default 0.25)
+	// IntervalSeconds is the base checkpoint interval on the virtual clock:
+	// the interval interval_retune starts from, and the unit its thresholds
+	// are measured in (half-life 6, engage after 2, search cap 8 intervals).
+	IntervalSeconds float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.CooldownRounds <= 0 {
-		c.CooldownRounds = 2
-	}
-	if c.RateHalfLife <= 0 {
-		c.RateHalfLife = analytic.DefaultRateHalfLife
-	}
-	if c.MinRateSeconds <= 0 {
-		c.MinRateSeconds = 30
-	}
-	if c.MissionTime <= 0 {
-		c.MissionTime = 24 * 3600
-	}
-	if c.RepairSeconds <= 0 {
-		c.RepairSeconds = 30
-	}
-	if c.OverheadSec <= 0 {
-		c.OverheadSec = 1
-	}
-	if c.IntervalLo <= 0 {
-		c.IntervalLo = 1
-	}
-	if c.IntervalHi <= c.IntervalLo {
-		c.IntervalHi = 3600
-	}
-	if c.IntervalTol <= 0 {
-		c.IntervalTol = 0.25
-	}
-	return c
-}
+// The advisor's fixed tuning. The first three are multiples of the base
+// interval; the rest are absolute.
+const (
+	rateHalfLifeIntervals = 6     // failure-rate estimator half-life
+	minRateIntervals      = 2     // observed exposure before interval_retune engages
+	intervalHiIntervals   = 8     // optimal-interval search cap
+	intervalLo            = 1.0   // optimal-interval search floor, seconds
+	overheadSeconds       = 1.0   // per-checkpoint overhead Tov fed to the model
+	cooldownRounds        = 2     // rounds a rule rests after applying
+	missionSeconds        = 86400 // availability-model mission time T
+	repairSeconds         = 30    // availability-model repair time
+	intervalTol           = 0.25  // relative interval change worth acting on
+)
 
 // Advisor is the adaptive control loop's brain. Feed it one Observation per
 // round (Step); it returns the round's decisions after recording each as
@@ -182,10 +156,9 @@ type Advisor struct {
 // believes in — also the satellite tuning gauge for static runs, where it
 // simply never moves).
 func New(cfg Config) *Advisor {
-	cfg = cfg.withDefaults()
 	a := &Advisor{
 		cfg:       cfg,
-		est:       analytic.NewRateEstimator(cfg.RateHalfLife),
+		est:       analytic.NewRateEstimator(rateHalfLifeIntervals * cfg.IntervalSeconds),
 		lastApply: map[string]int{},
 		evacuated: map[string]bool{},
 		failed:    map[string]bool{},
@@ -259,7 +232,7 @@ func (a *Advisor) gate(rule string, o Observation, hookNil bool) string {
 	if len(o.Firing) > 0 {
 		return SkipSLOFiring
 	}
-	if last, ok := a.lastApply[rule]; ok && o.Round-last <= a.cfg.CooldownRounds {
+	if last, ok := a.lastApply[rule]; ok && o.Round-last <= cooldownRounds {
 		return SkipCooldown
 	}
 	return ""
@@ -319,13 +292,13 @@ func (a *Advisor) keeperRule(o Observation) []Decision {
 // zero rate.
 func (a *Advisor) intervalRule(o Observation) *Decision {
 	rate := a.est.Rate()
-	if rate <= 0 || a.est.ObservedSeconds() < a.cfg.MinRateSeconds || a.interval <= 0 {
+	if rate <= 0 || a.est.ObservedSeconds() < minRateIntervals*a.cfg.IntervalSeconds || a.interval <= 0 {
 		return nil
 	}
 	opt, err := analytic.OptimalInterval(
-		analytic.Model{Lambda: rate, T: a.cfg.MissionTime, Repair: a.cfg.RepairSeconds},
-		analytic.ConstantOverhead{Tov: a.cfg.OverheadSec, Label: "observed"},
-		a.cfg.IntervalLo, a.cfg.IntervalHi)
+		analytic.Model{Lambda: rate, T: missionSeconds, Repair: repairSeconds},
+		analytic.ConstantOverhead{Tov: overheadSeconds, Label: "observed"},
+		intervalLo, intervalHiIntervals*a.cfg.IntervalSeconds)
 	if err != nil {
 		return nil
 	}
@@ -333,7 +306,7 @@ func (a *Advisor) intervalRule(o Observation) *Decision {
 	if rel < 0 {
 		rel = -rel
 	}
-	if rel <= a.cfg.IntervalTol {
+	if rel <= intervalTol {
 		return nil
 	}
 	d := &Decision{
@@ -347,12 +320,8 @@ func (a *Advisor) intervalRule(o Observation) *Decision {
 			"optimal":      fmt.Sprintf("%.1fs", opt.Interval),
 		},
 	}
-	if reason := a.gate(RuleIntervalRetune, o, a.cfg.Hooks.SetInterval == nil); reason != "" {
+	if reason := a.gate(RuleIntervalRetune, o, false); reason != "" {
 		d.Action, d.Reason = ActionSkipped, reason
-		return d
-	}
-	if err := a.cfg.Hooks.SetInterval(opt.Interval); err != nil {
-		d.Action, d.Reason = ActionFailed, err.Error()
 		return d
 	}
 	d.Action = ActionApplied

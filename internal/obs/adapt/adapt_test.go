@@ -15,10 +15,10 @@ func obsWith(round, failures int, outliers ...string) Observation {
 }
 
 // failureRegime sets interval_retune up so that five failures in 100 virtual
-// seconds (one obsWith round) pull the optimal interval far below the
-// current 3600 s.
+// seconds (one obsWith round, two base intervals: enough exposure to engage)
+// pull the optimal interval far below the base 50 s.
 func failureRegime(c Config) Config {
-	c.IntervalSeconds, c.MinRateSeconds, c.RateHalfLife, c.OverheadSec = 3600, 20, 1e9, 2
+	c.IntervalSeconds = 50
 	return c
 }
 
@@ -79,10 +79,7 @@ func TestKeeperRuleStructuralFailureNotRetried(t *testing.T) {
 func TestGuardrailPausesApplicationsWhileSLOFiring(t *testing.T) {
 	hookCalled := false
 	a := New(failureRegime(Config{
-		Hooks: Hooks{
-			SetInterval:     func(float64) error { hookCalled = true; return nil },
-			EvacuateKeepers: func(string) (int, error) { hookCalled = true; return 1, nil },
-		},
+		Hooks: Hooks{EvacuateKeepers: func(string) (int, error) { hookCalled = true; return 1, nil }},
 	}))
 	o := obsWith(1, 5, "node1")
 	o.Firing = []string{"round_time_slo"}
@@ -95,21 +92,18 @@ func TestGuardrailPausesApplicationsWhileSLOFiring(t *testing.T) {
 			t.Fatalf("decision %+v, want skipped/%s", d, SkipSLOFiring)
 		}
 	}
-	if hookCalled {
-		t.Fatal("an actuator ran while the SLO was firing")
+	if hookCalled || a.Interval() != 50 {
+		t.Fatalf("an actuator ran while the SLO was firing (hookCalled=%v, interval %v)", hookCalled, a.Interval())
 	}
 	// Once the alert resolves the same evidence is applied.
 	ds = a.Step(obsWith(2, 5, "node1"))
-	if len(ds) != 2 || !hookCalled {
-		t.Fatalf("post-resolve decisions = %+v (hookCalled=%v)", ds, hookCalled)
+	if len(ds) != 2 || !hookCalled || a.Interval() >= 50 {
+		t.Fatalf("post-resolve decisions = %+v (hookCalled=%v, interval %v)", ds, hookCalled, a.Interval())
 	}
 }
 
 func TestIntervalRuleFollowsFailureRate(t *testing.T) {
-	var set []float64
-	a := New(failureRegime(Config{
-		Hooks: Hooks{SetInterval: func(s float64) error { set = append(set, s); return nil }},
-	}))
+	a := New(failureRegime(Config{}))
 	// No failures: the rule stays quiet.
 	if ds := a.Step(Observation{Round: 1, Elapsed: 100}); len(ds) != 0 {
 		t.Fatalf("zero-rate round produced %+v", ds)
@@ -120,11 +114,8 @@ func TestIntervalRuleFollowsFailureRate(t *testing.T) {
 	if len(ds) != 1 || ds[0].Rule != RuleIntervalRetune || ds[0].Action != ActionApplied {
 		t.Fatalf("decisions = %+v, want applied interval_retune", ds)
 	}
-	if len(set) != 1 || set[0] >= 3600 {
-		t.Fatalf("SetInterval calls = %v, want one value well below 3600", set)
-	}
-	if a.Interval() != set[0] {
-		t.Fatalf("advisor interval %v != applied %v", a.Interval(), set[0])
+	if a.Interval() >= 50 || ds[0].Inputs["optimal"] != fmt.Sprintf("%.1fs", a.Interval()) {
+		t.Fatalf("advisor interval %v after %+v, want the applied optimum, well below 50", a.Interval(), ds[0])
 	}
 }
 
@@ -132,10 +123,7 @@ func TestDecisionTelemetryAndRendering(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(1 << 10)
 	rec := obs.NewFlightRecorder(128)
-	a := New(failureRegime(Config{
-		Tracer: tr, Registry: reg, Recorder: rec,
-		Hooks: Hooks{EvacuateKeepers: func(string) (int, error) { return 1, nil }},
-	}))
+	a := New(failureRegime(Config{Tracer: tr, Registry: reg, Recorder: rec}))
 	root := tr.Start(obs.SpanContext{}, "round", "coord")
 	o := obsWith(1, 5, "node2")
 	o.Ctx = root.Context()
@@ -145,15 +133,16 @@ func TestDecisionTelemetryAndRendering(t *testing.T) {
 		t.Fatalf("decisions = %+v", ds)
 	}
 
-	// Metrics: recommendations for both rules, one apply, one no-hook skip.
+	// Metrics: recommendations for both rules, one apply (the interval, which
+	// needs no hook), one no-hook skip (the keeper drain, with no actuator).
 	if v, _ := reg.Value("dvdc_adapt_recommendations_total", "rule", RuleKeeperRebalance); v != 1 {
 		t.Errorf("keeper recommendations = %v, want 1", v)
 	}
-	if v, _ := reg.Value("dvdc_adapt_applies_total", "rule", RuleKeeperRebalance); v != 1 {
-		t.Errorf("keeper applies = %v, want 1", v)
+	if v, _ := reg.Value("dvdc_adapt_applies_total", "rule", RuleIntervalRetune); v != 1 {
+		t.Errorf("interval applies = %v, want 1", v)
 	}
-	if v, _ := reg.Value("dvdc_adapt_skips_total", "rule", RuleIntervalRetune, "reason", SkipNoHook); v != 1 {
-		t.Errorf("interval no-hook skips = %v, want 1", v)
+	if v, _ := reg.Value("dvdc_adapt_skips_total", "rule", RuleKeeperRebalance, "reason", SkipNoHook); v != 1 {
+		t.Errorf("keeper no-hook skips = %v, want 1", v)
 	}
 
 	// Spans: decision spans nest under the round trace.
@@ -199,11 +188,11 @@ func TestDecisionTelemetryAndRendering(t *testing.T) {
 	if v.TotalApplied() != 1 {
 		t.Errorf("view applied = %v, want 1", v.TotalApplied())
 	}
-	if v.Interval != 3600 {
-		t.Errorf("view interval = %v, want 3600 (the skipped retune leaves it)", v.Interval)
+	if v.Interval != a.Interval() || v.Interval >= 50 {
+		t.Errorf("view interval = %v, want the applied %v", v.Interval, a.Interval())
 	}
 	panel := RenderView(v)
-	for _, want := range []string{"keeper_rebalance", "interval=3600.0s", "no-hook=1"} {
+	for _, want := range []string{"keeper_rebalance", fmt.Sprintf("interval=%.1fs", a.Interval()), "no-hook=1"} {
 		if !strings.Contains(panel, want) {
 			t.Errorf("RenderView output missing %q:\n%s", want, panel)
 		}

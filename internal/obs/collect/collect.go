@@ -140,12 +140,6 @@ func (c *Collector) Spans() []obs.Span {
 	return out
 }
 
-// Traces lists trace ids ordered by each trace's earliest span start.
-func (c *Collector) Traces() []uint64 {
-	ids, _ := obs.GroupTraces(c.Spans())
-	return ids
-}
-
 // Tree builds the merged tree of one trace (nil when the collector holds no
 // spans of it).
 func (c *Collector) Tree(trace uint64) *Tree {

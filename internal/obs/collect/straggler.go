@@ -12,7 +12,7 @@ import (
 // LaneTime is one lane's (one cluster member's) share of a round.
 type LaneTime struct {
 	Lane  string
-	Busy  time.Duration // self time: span durations minus child durations
+	Busy  time.Duration // self time: span durations minus the time their children cover
 	Spans int
 }
 
@@ -55,6 +55,30 @@ func laneOf(s obs.Span, inherited string) string {
 	return inherited
 }
 
+// selfTime is span i's duration minus the union of its child intervals,
+// clipped to the span: parallel children (a fan-out) cover their parent's
+// time once, not once each. Children come in canonical order, by start.
+func (t *Tree) selfTime(i int) time.Duration {
+	s := t.Spans[i]
+	var covered time.Duration
+	end := s.Start // the covered prefix of the span so far
+	for _, ci := range t.Children(s.ID) {
+		c := t.Spans[ci]
+		from, to := c.Start, c.End
+		if from.Before(end) {
+			from = end
+		}
+		if to.After(s.End) {
+			to = s.End
+		}
+		if to.After(from) {
+			covered += to.Sub(from)
+			end = to
+		}
+	}
+	return max(s.Duration()-covered, 0)
+}
+
 // Attribute runs critical-path analysis over a merged round tree. Returns
 // nil when the tree has no single root. Deterministic for a given tree.
 func Attribute(t *Tree) *Attribution {
@@ -67,16 +91,13 @@ func Attribute(t *Tree) *Attribution {
 	}
 	a := &Attribution{Trace: t.Trace, Wall: root.Duration(), RootLane: root.Lane}
 
-	// Per-lane self time over the whole tree. Self time clamps at zero:
-	// parallel children (fan-out) can legitimately sum past the parent.
+	// Per-lane self time over the whole tree.
 	lanes := map[string]*LaneTime{}
 	var account func(i int, inherited string)
 	account = func(i int, inherited string) {
 		s := t.Spans[i]
 		lane := laneOf(s, inherited)
-		var childSum time.Duration
 		for _, ci := range t.Children(s.ID) {
-			childSum += t.Spans[ci].Duration()
 			// Children inherit the span's own lane, not the peer attribution:
 			// a handler span under an rpc span owns its own time.
 			inh := s.Lane
@@ -85,16 +106,12 @@ func Attribute(t *Tree) *Attribution {
 			}
 			account(ci, inh)
 		}
-		self := s.Duration() - childSum
-		if self < 0 {
-			self = 0
-		}
 		lt := lanes[lane]
 		if lt == nil {
 			lt = &LaneTime{Lane: lane}
 			lanes[lane] = lt
 		}
-		lt.Busy += self
+		lt.Busy += t.selfTime(i)
 		lt.Spans++
 	}
 	account(t.root, root.Lane)
@@ -113,17 +130,8 @@ func Attribute(t *Tree) *Attribution {
 	i, inherited := t.root, root.Lane
 	for {
 		s := t.Spans[i]
-		lane := laneOf(s, inherited)
-		var childSum time.Duration
+		a.Path = append(a.Path, PathStep{Name: s.Name, Lane: laneOf(s, inherited), Self: t.selfTime(i), Dur: s.Duration()})
 		kids := t.Children(s.ID)
-		for _, ci := range kids {
-			childSum += t.Spans[ci].Duration()
-		}
-		self := s.Duration() - childSum
-		if self < 0 {
-			self = 0
-		}
-		a.Path = append(a.Path, PathStep{Name: s.Name, Lane: lane, Self: self, Dur: s.Duration()})
 		if len(kids) == 0 {
 			break
 		}
@@ -186,27 +194,24 @@ func (a *Attribution) String() string {
 // slowed one round, an outlier names who is slow habitually.
 type OutlierTracker struct {
 	mu     sync.Mutex
-	window int
-	factor float64
-	minN   int
-
 	byPeer map[string]*obs.Ring[time.Duration]
 	order  []string
 	reg    *obs.Registry
 }
 
-// NewOutlierTracker builds a tracker keeping the last window samples per peer
-// (<= 0 picks 256) and flagging peers whose p99 exceeds factor x the cluster
-// median p99 (factor <= 1 picks 3). Safe for concurrent use — the exported
-// gauge funcs read it from the /metrics handler's goroutine.
-func NewOutlierTracker(window int, factor float64) *OutlierTracker {
-	if window <= 0 {
-		window = 256
-	}
-	if factor <= 1 {
-		factor = 3
-	}
-	return &OutlierTracker{window: window, factor: factor, minN: 8, byPeer: map[string]*obs.Ring[time.Duration]{}}
+// The outlier tracker's fixed tuning.
+const (
+	outlierWindow  = 256 // latency samples kept per peer
+	outlierFactor  = 3   // a peer is an outlier past this multiple of the cluster median p99
+	outlierMinimum = 8   // samples a peer needs before it can be flagged
+)
+
+// NewOutlierTracker builds a tracker keeping the last outlierWindow samples
+// per peer and flagging peers whose p99 exceeds outlierFactor x the cluster
+// median p99. Safe for concurrent use — the exported gauge funcs read it
+// from the /metrics handler's goroutine.
+func NewOutlierTracker() *OutlierTracker {
+	return &OutlierTracker{byPeer: map[string]*obs.Ring[time.Duration]{}}
 }
 
 // SetRegistry attaches a registry; each peer's rolling p99 and outlier flag
@@ -230,7 +235,7 @@ func (o *OutlierTracker) Observe(peer string, d time.Duration) {
 	r := o.byPeer[peer]
 	var reg *obs.Registry
 	if r == nil {
-		r = obs.NewRing[time.Duration](o.window)
+		r = obs.NewRing[time.Duration](outlierWindow)
 		o.byPeer[peer] = r
 		o.order = append(o.order, peer)
 		sort.Strings(o.order)
@@ -360,8 +365,9 @@ func (o *OutlierTracker) ClusterMedian() time.Duration {
 	return p99s[(len(p99s)-1)/2]
 }
 
-// IsOutlier reports whether peer's p99 exceeds factor x the cluster median
-// (false until the peer has minN samples, so startup noise never flags).
+// IsOutlier reports whether peer's p99 exceeds outlierFactor x the cluster
+// median (false until the peer has outlierMinimum samples, so startup noise
+// never flags).
 func (o *OutlierTracker) IsOutlier(peer string) bool {
 	if o == nil {
 		return false
@@ -369,14 +375,14 @@ func (o *OutlierTracker) IsOutlier(peer string) bool {
 	o.mu.Lock()
 	r := o.byPeer[peer]
 	o.mu.Unlock()
-	if r == nil || r.Len() < o.minN {
+	if r == nil || r.Len() < outlierMinimum {
 		return false
 	}
 	med := o.ClusterMedian()
 	if med <= 0 {
 		return false
 	}
-	return float64(o.P99(peer)) > o.factor*float64(med)
+	return float64(o.P99(peer)) > outlierFactor*float64(med)
 }
 
 // Outliers lists currently flagged peers, sorted.

@@ -25,11 +25,12 @@ func TestAttributeNamesDelayedPeer(t *testing.T) {
 		t.Fatalf("straggler self time = %v, want 69ms", a.StragglerDur)
 	}
 
-	// Lanes: node2 (2+10+69+9), node1 (2+16+2+8), coord (all covered by children).
+	// Lanes: node2 (2+10+69+9), node1 (2+16+2+8), coord (prepare and commit
+	// each wait 2ms past their last rpc; the round is covered by them).
 	wantLanes := []LaneTime{
 		{Lane: "node2", Busy: 90 * time.Millisecond, Spans: 4},
 		{Lane: "node1", Busy: 28 * time.Millisecond, Spans: 4},
-		{Lane: "coord", Busy: 0, Spans: 3},
+		{Lane: "coord", Busy: 4 * time.Millisecond, Spans: 3},
 	}
 	if len(a.Lanes) != len(wantLanes) {
 		t.Fatalf("lanes = %+v", a.Lanes)
@@ -101,8 +102,28 @@ func TestAttributionExport(t *testing.T) {
 	(&Attribution{}).Export(reg)
 }
 
+// TestAttributeParallelChildren pins self time as the span's duration minus
+// the union of its child intervals: two concurrent 50ms children of a 100ms
+// root cover 50ms of it once, not 100ms, so the root keeps 50ms of its own.
+func TestAttributeParallelChildren(t *testing.T) {
+	a := Attribute(BuildTree([]obs.Span{
+		mkSpan(9, 1, 0, "round", "coord", 0, 100),
+		mkSpan(9, 2, 1, "rpc MsgPrepare", "", 10, 60, "peer", "node1"),
+		mkSpan(9, 3, 1, "rpc MsgPrepare", "", 10, 60, "peer", "node2"),
+	}))
+	var coord time.Duration
+	for _, l := range a.Lanes {
+		if l.Lane == "coord" {
+			coord = l.Busy
+		}
+	}
+	if coord != 50*time.Millisecond || a.Path[0].Self != 50*time.Millisecond {
+		t.Fatalf("coord self time = %v (path %v), want 50ms: lanes %+v", coord, a.Path[0].Self, a.Lanes)
+	}
+}
+
 func TestOutlierTracker(t *testing.T) {
-	o := NewOutlierTracker(0, 0) // defaults: window 256, factor 3, minN 8
+	o := NewOutlierTracker() // window 256, factor 3, minimum 8 samples
 	for i := 0; i < 10; i++ {
 		o.Observe("node1", time.Millisecond)
 		o.Observe("node2", time.Millisecond)
@@ -129,25 +150,25 @@ func TestOutlierTracker(t *testing.T) {
 }
 
 func TestOutlierTrackerMinSamples(t *testing.T) {
-	o := NewOutlierTracker(0, 0)
+	o := NewOutlierTracker()
 	for i := 0; i < 10; i++ {
 		o.Observe("steady", time.Millisecond)
 	}
-	for i := 0; i < 7; i++ { // one short of minN
+	for i := 0; i < outlierMinimum-1; i++ { // one short of the minimum
 		o.Observe("slow", 100*time.Millisecond)
 	}
 	if o.IsOutlier("slow") {
-		t.Fatal("flagged a peer with fewer than minN samples")
+		t.Fatal("flagged a peer with fewer than outlierMinimum samples")
 	}
 	o.Observe("slow", 100*time.Millisecond)
 	if !o.IsOutlier("slow") {
-		t.Fatal("did not flag a 100x-median peer at minN samples")
+		t.Fatal("did not flag a 100x-median peer at outlierMinimum samples")
 	}
 }
 
 func TestOutlierTrackerObserveSpansAndExport(t *testing.T) {
 	reg := obs.NewRegistry()
-	o := NewOutlierTracker(0, 0)
+	o := NewOutlierTracker()
 	o.SetRegistry(reg)
 	spans := []obs.Span{
 		mkSpan(1, 1, 0, "rpc MsgCommit", "", 0, 60, "peer", "node9"),
@@ -182,7 +203,7 @@ func TestOutlierTrackerObserveSpansAndExport(t *testing.T) {
 // window rather than resurrecting the old one.
 func TestOutlierTrackerRemoveMidWindow(t *testing.T) {
 	reg := obs.NewRegistry()
-	o := NewOutlierTracker(0, 0)
+	o := NewOutlierTracker()
 	o.SetRegistry(reg)
 	for i := 0; i < 10; i++ {
 		o.Observe("node1", time.Millisecond)
@@ -217,16 +238,16 @@ func TestOutlierTrackerRemoveMidWindow(t *testing.T) {
 	o.Remove("ghost")
 
 	// A fresh window: the old 50ms samples are gone, so the re-observed peer
-	// needs minN new samples before it can flag again.
+	// needs outlierMinimum new samples before it can flag again.
 	for i := 0; i < 7; i++ {
 		o.Observe("node3", 50*time.Millisecond)
 	}
 	if o.IsOutlier("node3") {
-		t.Fatal("re-observed peer flagged before minN fresh samples")
+		t.Fatal("re-observed peer flagged before outlierMinimum fresh samples")
 	}
 	o.Observe("node3", 50*time.Millisecond)
 	if !o.IsOutlier("node3") {
-		t.Fatal("re-observed peer not flagged at minN fresh samples")
+		t.Fatal("re-observed peer not flagged at outlierMinimum fresh samples")
 	}
 }
 
@@ -236,8 +257,8 @@ func TestOutlierTrackerRemoveMidWindow(t *testing.T) {
 // since repaired) must not brand the peer forever. The window is the horizon:
 // with window w, exactly w fast samples fully displace the slow era.
 func TestOutlierTrackerRecoveryDeflags(t *testing.T) {
-	const window = 16
-	o := NewOutlierTracker(window, 0)
+	const window = outlierWindow
+	o := NewOutlierTracker()
 	for i := 0; i < window; i++ {
 		o.Observe("node1", time.Millisecond)
 		o.Observe("node2", time.Millisecond)
@@ -275,7 +296,7 @@ func TestOutlierTrackerRecoveryDeflags(t *testing.T) {
 // a slow keeper's stall into every shipping member's latency (the smear that
 // makes the cluster median chase the fault).
 func TestOutlierTrackerObserveDataSpans(t *testing.T) {
-	o := NewOutlierTracker(0, 0)
+	o := NewOutlierTracker()
 	spans := []obs.Span{
 		mkSpan(1, 1, 0, "rpc delta-chunk", "", 0, 40, "peer", "node1"),
 		mkSpan(1, 2, 0, "rpc delta-chunk", "", 0, 35, "peer", "node2"),
@@ -297,7 +318,7 @@ func TestOutlierTrackerObserveDataSpans(t *testing.T) {
 // flag is relative to the cluster median, not an absolute threshold, so a
 // uniformly slow cluster must not name a scapegoat.
 func TestOutlierTrackerAllPeersEquallySlow(t *testing.T) {
-	o := NewOutlierTracker(0, 0)
+	o := NewOutlierTracker()
 	for i := 0; i < 20; i++ {
 		o.Observe("node1", 80*time.Millisecond)
 		o.Observe("node2", 80*time.Millisecond)

@@ -41,7 +41,7 @@ round trace 0000000000000007  epoch 5  wall 100ms  [CLOSED]
   LANE     BUSY         SPANS  SHARE
  *node2    90ms             4  ####################################
   node1    28ms             4  ###########
-  coord    0s               3
+  coord    4ms              3  #
   straggler node2 (rpc MsgCommit, 69ms of 100ms round)
 
   peer p99 (cluster median 2ms):

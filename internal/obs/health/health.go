@@ -76,17 +76,17 @@ type Options struct {
 	Registry *obs.Registry       // exports dvdc_slo_*/dvdc_alert_* and serves /healthz
 	Recorder *obs.FlightRecorder // alert transitions are stamped here
 
-	Interval  time.Duration // tick period; default 1s
-	Retention time.Duration // ring span per signal; default 5m
+	Interval time.Duration // tick period; default 1s
 
 	// FixedStep enables deterministic mode: the evaluator starts its virtual
 	// clock at the Unix epoch and advances it by FixedStep on every manual
 	// Tick. Start refuses to run in this mode.
 	FixedStep time.Duration
-
-	// Now overrides the wall clock (testing); ignored under FixedStep.
-	Now func() time.Time
 }
+
+// retention is the span of each signal's ring: every rule window must fit
+// inside it.
+const retention = 5 * time.Minute
 
 // Transition is one alert state change, kept in a bounded history.
 type Transition struct {
@@ -177,9 +177,6 @@ func New(opts Options) *Evaluator {
 	if opts.Interval <= 0 {
 		opts.Interval = time.Second
 	}
-	if opts.Retention <= 0 {
-		opts.Retention = 5 * time.Minute
-	}
 	e := &Evaluator{
 		opts:    opts,
 		signals: map[string]*signalState{},
@@ -205,7 +202,7 @@ func (e *Evaluator) AddSignal(s Signal) {
 	if s.Name == "" || (s.Probe == nil) == (s.HistProbe == nil) {
 		panic(fmt.Sprintf("health: signal %q needs a name and exactly one probe", s.Name))
 	}
-	capacity := int(e.opts.Retention/e.opts.Interval) + 2
+	capacity := int(retention/e.opts.Interval) + 2
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, dup := e.signals[s.Name]; dup {
@@ -285,9 +282,6 @@ func (e *Evaluator) export(rs *ruleState) {
 func (e *Evaluator) now() time.Time {
 	if e.opts.FixedStep > 0 {
 		return e.vclock
-	}
-	if e.opts.Now != nil {
-		return e.opts.Now()
 	}
 	return time.Now()
 }

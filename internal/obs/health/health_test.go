@@ -14,7 +14,7 @@ import (
 func tickEval(t *testing.T) (*Evaluator, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	e := New(Options{Registry: reg, Interval: time.Second, Retention: time.Minute, FixedStep: time.Second})
+	e := New(Options{Registry: reg, Interval: time.Second, FixedStep: time.Second})
 	return e, reg
 }
 
@@ -258,7 +258,7 @@ func TestDefaultRulesCarryTuningHistory(t *testing.T) {
 	e, reg := tickEval(t)
 	interval := 30.0
 	reg.GaugeFunc("dvdc_checkpoint_interval_seconds", func() float64 { return interval })
-	InstallDefaultRules(e, reg, Objectives{})
+	InstallDefaultRules(e, reg)
 	for i := 0; i < 3; i++ {
 		e.Tick()
 	}

@@ -6,52 +6,29 @@ import (
 	"dvdc/internal/obs"
 )
 
-// Objectives are the thresholds for the default cluster rule set. Zero fields
-// take the documented defaults; durations are windowed p99s unless noted.
-type Objectives struct {
-	// RoundTimeP99 bounds the whole-round wall clock (dvdc_round_seconds).
-	// Default 500ms: the paper's 4-node/12-VM layout runs ~18ms rounds, so
-	// half a second sustained means something is badly wrong.
-	RoundTimeP99 time.Duration
-	// RecoveryP99 bounds the recovery phase (dvdc_round_phase_seconds,
-	// phase="recovery"). Default 2s.
-	RecoveryP99 time.Duration
-	// FsyncP99 bounds journal fsync latency
-	// (dvdc_service_journal_fsync_seconds). Default 250ms.
-	FsyncP99 time.Duration
-	// MaxOutliers bounds the mean number of peers the OutlierTracker flags
-	// (dvdc_peer_latency_outlier). Default 0.5: any peer flagged for a
-	// sustained window fires straggler_recurrence.
-	MaxOutliers float64
-	// MaxBacklog bounds the mean number of Pending+Scheduled requests
-	// (dvdc_service_requests). Default 8.
-	MaxBacklog float64
-	// MaxRetryRate bounds reconciler retries per second
-	// (dvdc_service_retries_total). Default 0.5/s.
-	MaxRetryRate float64
-}
-
-func (o Objectives) withDefaults() Objectives {
-	if o.RoundTimeP99 <= 0 {
-		o.RoundTimeP99 = 500 * time.Millisecond
-	}
-	if o.RecoveryP99 <= 0 {
-		o.RecoveryP99 = 2 * time.Second
-	}
-	if o.FsyncP99 <= 0 {
-		o.FsyncP99 = 250 * time.Millisecond
-	}
-	if o.MaxOutliers <= 0 {
-		o.MaxOutliers = 0.5
-	}
-	if o.MaxBacklog <= 0 {
-		o.MaxBacklog = 8
-	}
-	if o.MaxRetryRate <= 0 {
-		o.MaxRetryRate = 0.5
-	}
-	return o
-}
+// The default cluster rule set's objectives; durations are windowed p99s
+// unless noted.
+const (
+	// roundTimeP99 bounds the whole-round wall clock (dvdc_round_seconds):
+	// the paper's 4-node/12-VM layout runs ~18ms rounds, so half a second
+	// sustained means something is badly wrong.
+	roundTimeP99 = 500 * time.Millisecond
+	// recoveryP99 bounds the recovery phase (dvdc_round_phase_seconds,
+	// phase="recovery").
+	recoveryP99 = 2 * time.Second
+	// fsyncP99 bounds journal fsync latency (dvdc_service_journal_fsync_seconds).
+	fsyncP99 = 250 * time.Millisecond
+	// maxOutliers bounds the mean number of peers the OutlierTracker flags
+	// (dvdc_peer_latency_outlier): any peer flagged for a sustained window
+	// fires straggler_recurrence.
+	maxOutliers = 0.5
+	// maxBacklog bounds the mean number of Pending+Scheduled requests
+	// (dvdc_service_requests).
+	maxBacklog = 8
+	// maxRetryRate bounds reconciler retries per second
+	// (dvdc_service_retries_total).
+	maxRetryRate = 0.5
+)
 
 // HistSignal builds a KindHist signal snapshotting one registry histogram.
 func HistSignal(reg *obs.Registry, name, metric string, kv ...string) Signal {
@@ -79,25 +56,23 @@ func CounterSignal(reg *obs.Registry, name, metric string) Signal {
 // recurrence (OutlierTracker flags), and service reconcile backlog/retry
 // rate. Signals a process never feeds (a node daemon has no reconciler)
 // simply never accumulate data and their rules stay ok.
-func InstallDefaultRules(e *Evaluator, reg *obs.Registry, o Objectives) {
-	o = o.withDefaults()
-
+func InstallDefaultRules(e *Evaluator, reg *obs.Registry) {
 	e.AddSignal(HistSignal(reg, "round_time", "dvdc_round_seconds"))
 	e.AddRule(Rule{
 		Name: "round_time_p99", Signal: "round_time", Unit: "s",
-		Objective: o.RoundTimeP99.Seconds(),
+		Objective: roundTimeP99.Seconds(),
 	})
 
 	e.AddSignal(HistSignal(reg, "recovery_time", "dvdc_round_phase_seconds", "phase", "recovery"))
 	e.AddRule(Rule{
 		Name: "recovery_p99", Signal: "recovery_time", Unit: "s",
-		Objective: o.RecoveryP99.Seconds(),
+		Objective: recoveryP99.Seconds(),
 	})
 
 	e.AddSignal(HistSignal(reg, "journal_fsync", "dvdc_service_journal_fsync_seconds"))
 	e.AddRule(Rule{
 		Name: "journal_fsync_p99", Signal: "journal_fsync", Unit: "s",
-		Objective: o.FsyncP99.Seconds(),
+		Objective: fsyncP99.Seconds(),
 	})
 
 	// The OutlierTracker exports dvdc_peer_latency_outlier{peer} as 0/1 func
@@ -105,7 +80,7 @@ func InstallDefaultRules(e *Evaluator, reg *obs.Registry, o Objectives) {
 	e.AddSignal(GaugeSignal(reg, "stragglers", "dvdc_peer_latency_outlier"))
 	e.AddRule(Rule{
 		Name: "straggler_recurrence", Signal: "stragglers",
-		Objective: o.MaxOutliers,
+		Objective: maxOutliers,
 	})
 
 	e.AddSignal(Signal{Name: "backlog", Kind: KindGauge, Probe: func() (float64, bool) {
@@ -119,13 +94,13 @@ func InstallDefaultRules(e *Evaluator, reg *obs.Registry, o Objectives) {
 	}})
 	e.AddRule(Rule{
 		Name: "reconcile_backlog", Signal: "backlog",
-		Objective: o.MaxBacklog,
+		Objective: maxBacklog,
 	})
 
 	e.AddSignal(CounterSignal(reg, "retries", "dvdc_service_retries_total"))
 	e.AddRule(Rule{
 		Name: "retry_rate", Signal: "retries",
-		Objective: o.MaxRetryRate,
+		Objective: maxRetryRate,
 	})
 
 	// The checkpoint interval the adaptive control loop steers rides along as

@@ -10,7 +10,7 @@ import (
 func TestStartTicksWallClock(t *testing.T) {
 	reg := obs.NewRegistry()
 	ev := New(Options{Registry: reg, Interval: 50 * time.Millisecond})
-	InstallDefaultRules(ev, reg, Objectives{})
+	InstallDefaultRules(ev, reg)
 	ev.Start()
 	defer ev.Stop()
 	deadline := time.Now().Add(3 * time.Second)

@@ -14,7 +14,7 @@ func BenchmarkTickDefaultRules(b *testing.B) {
 	}
 	reg.Histogram("dvdc_round_seconds", obs.LatencyBuckets()).Observe(0.015)
 	ev := New(Options{Registry: reg, FixedStep: time.Second})
-	InstallDefaultRules(ev, reg, Objectives{})
+	InstallDefaultRules(ev, reg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev.Tick()

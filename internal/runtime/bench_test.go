@@ -66,21 +66,10 @@ func delayProxy(b *testing.B, backend string, delay time.Duration) string {
 	return s.Addr()
 }
 
-// serialize forces the seed's serial behavior: the coordinator contacts one
-// node at a time and each node prepares one member at a time.
-func serialize(coord *Coordinator, nodes []*Node) {
-	coord.SetFanout(1)
-	for _, n := range nodes {
-		n.SetFanout(1)
-	}
-}
-
 // BenchmarkRuntimeRound measures one checkpointed work round (Step +
 // two-phase Checkpoint) end to end over real sockets. The 4-node case is the
-// paper's Fig. 5 layout (4 nodes, 12 VMs); the 8-node cases are the
-// acceptance layout for the serial-vs-concurrent coordinator comparison,
-// with the "serial" variants pinning the fan-out width to 1 (the seed's
-// behavior) and the "1msRTT" variants adding a 1ms round trip per message.
+// paper's Fig. 5 layout (4 nodes, 12 VMs); the 8-node cases run seven-VM
+// groups, and the "1msRTT" variant adds a 1ms round trip per message.
 // VMs are 256 pages x 4 KiB = 1 MiB, so delta capture, shipping, and parity
 // folding dominate over RPC framing.
 func BenchmarkRuntimeRound(b *testing.B) {
@@ -91,13 +80,10 @@ func BenchmarkRuntimeRound(b *testing.B) {
 		name   string
 		layout func() (*cluster.Layout, error)
 		rtt    time.Duration
-		serial bool
 	}{
 		{name: "4node12vm", layout: cluster.Paper12VM},
 		{name: "8node", layout: eightNode},
-		{name: "8node-serial", layout: eightNode, serial: true},
 		{name: "8node-1msRTT", layout: eightNode, rtt: time.Millisecond},
-		{name: "8node-1msRTT-serial", layout: eightNode, rtt: time.Millisecond, serial: true},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -105,10 +91,7 @@ func BenchmarkRuntimeRound(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			coord, nodes := benchCluster(b, layout, 256, 4096, tc.rtt, 0)
-			if tc.serial {
-				serialize(coord, nodes)
-			}
+			coord, _ := benchCluster(b, layout, 256, 4096, tc.rtt, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := coord.Step(20); err != nil {

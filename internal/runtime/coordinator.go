@@ -51,7 +51,7 @@ type Coordinator struct {
 	workload       string // workload kind for every VM ("" = uniform)
 	dedup          bool   // nodes skip dirty pages equal to their committed image
 	rpcTimeout     time.Duration
-	fanoutW        int
+	fanoutW        int   // DefaultFanout; fixed at construction
 	retiredRetries int64 // retry counts of pools already closed
 	dialer         transport.DialFunc
 	tracer         *obs.Tracer
@@ -149,17 +149,6 @@ func (c *Coordinator) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
 func (c *Coordinator) SetFlightRecorder(rec *obs.FlightRecorder) {
 	c.mu.Lock()
 	c.recorder = rec
-	c.mu.Unlock()
-}
-
-// SetFanout bounds how many nodes each control-plane phase contacts
-// concurrently (<= 0 restores the default).
-func (c *Coordinator) SetFanout(k int) {
-	if k <= 0 {
-		k = DefaultFanout
-	}
-	c.mu.Lock()
-	c.fanoutW = k
 	c.mu.Unlock()
 }
 
@@ -276,12 +265,6 @@ func (c *Coordinator) aliveNodes() []int {
 	return out
 }
 
-func (c *Coordinator) fanoutWidth() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fanoutW
-}
-
 // fanout sends one request to each node concurrently (bounded by the
 // fan-out width) and feeds each reply to handle, in node order. Every node
 // is attempted even after a failure, and handle runs for every successful
@@ -293,7 +276,7 @@ func (c *Coordinator) fanoutWidth() int {
 func (c *Coordinator) fanout(ctx obs.SpanContext, op string, nodes []int, build func(node int) *wire.Message, handle func(node int, resp *wire.Message) error) error {
 	resps := make([]*wire.Message, len(nodes))
 	errs := make([]error, len(nodes))
-	parallelDo(len(nodes), c.fanoutWidth(), func(i int) error { //nolint:errcheck // errors land in errs
+	parallelDo(len(nodes), c.fanoutW, func(i int) error { //nolint:errcheck // errors land in errs
 		msg := build(nodes[i])
 		if msg == nil {
 			return nil
@@ -509,7 +492,7 @@ func (c *Coordinator) CheckpointIn(parent obs.SpanContext) error {
 	t1 := time.Now()
 	commit := tr.Child(root.Context(), "commit", "coord")
 	commitCtx := commit.ContextOr(obs.SpanContext{})
-	parallelDo(len(alive), c.fanoutWidth(), func(i int) error { //nolint:errcheck // failures collected in failed
+	parallelDo(len(alive), c.fanoutW, func(i int) error { //nolint:errcheck // failures collected in failed
 		node := alive[i]
 		var lastErr error
 		for try := 0; try < DefaultCommitRetries; try++ {
@@ -639,7 +622,7 @@ type VMState struct {
 func (c *Coordinator) VMStates() (map[string]VMState, error) {
 	vms := c.layout.VMs
 	states := make([]VMState, len(vms))
-	if err := parallelDo(len(vms), c.fanoutWidth(), func(i int) error {
+	if err := parallelDo(len(vms), c.fanoutW, func(i int) error {
 		v := vms[i]
 		resp, err := c.call(v.Node, &wire.Message{Type: wire.MsgChecksum, VM: v.Name})
 		if err != nil {
@@ -802,7 +785,7 @@ func (c *Coordinator) execute(ctx obs.SpanContext, tr *obs.Tracer, plan *cluster
 	c.mu.Unlock()
 	sort.Ints(groups)
 	done := make([]bool, len(plan.Steps))
-	rebuildErr := parallelDo(len(groups), c.fanoutWidth(), func(i int) error {
+	rebuildErr := parallelDo(len(groups), c.fanoutW, func(i int) error {
 		idx := rebuilds[groups[i]]
 		steps := make([]cluster.Step, len(idx))
 		for j, k := range idx {
@@ -816,7 +799,7 @@ func (c *Coordinator) execute(ctx obs.SpanContext, tr *obs.Tracer, plan *cluster
 		}
 		return nil
 	})
-	moveErr := parallelDo(len(moves), c.fanoutWidth(), func(i int) error {
+	moveErr := parallelDo(len(moves), c.fanoutW, func(i int) error {
 		err := c.move(ctx, plan.Steps[moves[i]])
 		done[moves[i]] = err == nil
 		return err

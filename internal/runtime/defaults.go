@@ -10,8 +10,8 @@ const (
 	// DefaultRPCTimeout is the per-RPC I/O deadline of coordinator and
 	// node-daemon calls.
 	DefaultRPCTimeout = 30 * time.Second
-	// DefaultFanout is the concurrent-RPC width of every control-plane
-	// fan-out phase.
+	// DefaultFanout is the fixed concurrent-RPC width of every coordinator
+	// fan-out phase (a node runs its members unbounded).
 	DefaultFanout = 16
 	// DefaultCommitRetries is how many commit attempts a node gets before
 	// being declared dead.

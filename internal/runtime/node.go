@@ -37,7 +37,6 @@ type Node struct {
 	chunkSize  int                  // effective chunk payload size, always > 0
 	dedup      bool                 // capture skips dirty pages equal to the committed image
 	rpcTimeout time.Duration
-	fanout     int
 	dialer     transport.DialFunc
 	tracer     *obs.Tracer
 	registry   *obs.Registry
@@ -126,14 +125,6 @@ func (n *Node) Addr() string { return n.server.Addr() }
 func (n *Node) SetRPCTimeout(d time.Duration) {
 	n.mu.Lock()
 	n.rpcTimeout = d
-	n.mu.Unlock()
-}
-
-// SetFanout bounds how many members are prepared/stepped/shipped
-// concurrently (0 = one goroutine per member).
-func (n *Node) SetFanout(k int) {
-	n.mu.Lock()
-	n.fanout = k
 	n.mu.Unlock()
 }
 
@@ -332,10 +323,7 @@ func (n *Node) onConfigure(req *wire.Message) (*wire.Message, error) {
 
 func (n *Node) onStep(req *wire.Message) (*wire.Message, error) {
 	members := n.snapshotMembers()
-	n.mu.Lock()
-	fan := n.fanout
-	n.mu.Unlock()
-	if err := parallelDo(len(members), fan, func(i int) error {
+	if err := parallelDo(len(members), 0, func(i int) error {
 		ms := members[i]
 		ms.mu.Lock()
 		defer ms.mu.Unlock()
@@ -361,12 +349,12 @@ func (n *Node) onStep(req *wire.Message) (*wire.Message, error) {
 func (n *Node) onPrepare(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
 	members := n.snapshotMembers()
 	n.mu.Lock()
-	id, fan, cs, dedup := n.id, n.fanout, n.chunkSize, n.dedup
+	id, cs, dedup := n.id, n.chunkSize, n.dedup
 	tr, reg := n.tracer, n.registry
 	n.mu.Unlock()
 	lane := fmt.Sprintf("node%d", id)
 	shares := make([]ShipCounts, len(members))
-	prepErr := parallelDo(len(members), fan, func(i int) (shipErr error) {
+	prepErr := parallelDo(len(members), 0, func(i int) (shipErr error) {
 		ms := members[i]
 		ms.mu.Lock()
 		// Under dedup a dirty page equal to the committed image is only counted.
@@ -603,10 +591,10 @@ func (n *Node) foldBatch(ks *keeperState, req *wire.Message) (folded, dups int64
 func (n *Node) onCommit(ctx obs.SpanContext, req *wire.Message) (*wire.Message, error) {
 	keepers, members := n.snapshotKeepers(), n.snapshotMembers()
 	n.mu.Lock()
-	fan, tr, id := n.fanout, n.tracer, n.id
+	tr, id := n.tracer, n.id
 	n.mu.Unlock()
 	lane := fmt.Sprintf("node%d", id)
-	if err := parallelDo(len(keepers), fan, func(i int) (commitErr error) {
+	if err := parallelDo(len(keepers), 0, func(i int) (commitErr error) {
 		ks := keepers[i]
 		ks.mu.Lock()
 		defer ks.mu.Unlock()
@@ -626,7 +614,7 @@ func (n *Node) onCommit(ctx obs.SpanContext, req *wire.Message) (*wire.Message, 
 	// One that cannot — the guest ran since prepare — fails the node's
 	// commit: the coordinator declares the node dead and the VM comes back from
 	// parity.
-	if err := parallelDo(len(members), fan, func(i int) error {
+	if err := parallelDo(len(members), 0, func(i int) error {
 		ms := members[i]
 		ms.mu.Lock()
 		defer ms.mu.Unlock()
@@ -1049,10 +1037,9 @@ func (n *Node) onChecksum(req *wire.Message) (*wire.Message, error) {
 func (n *Node) onRollback(req *wire.Message) (*wire.Message, error) {
 	members := n.snapshotMembers()
 	n.mu.Lock()
-	fan := n.fanout
 	clear(n.held)
 	n.mu.Unlock()
-	_ = parallelDo(len(members), fan, func(i int) error { // a rollback cannot fail
+	_ = parallelDo(len(members), 0, func(i int) error { // a rollback cannot fail
 		ms := members[i]
 		ms.mu.Lock()
 		defer ms.mu.Unlock()

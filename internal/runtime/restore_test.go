@@ -832,7 +832,7 @@ func TestRecoveryPoolBalance(t *testing.T) {
 			}
 			var cutter heldCutter
 			coord, nodes, start := bringUp(t, layout, NodeOptions{Dialer: cutter.dial})
-			coord.SetFanout(1) // groups one at a time, in order
+			coord.fanoutW = 1 // groups one at a time, in order
 			shadow, err := NewShadow(layout, pages, pageSize, 12345)
 			if err != nil {
 				t.Fatal(err)

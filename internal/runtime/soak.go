@@ -359,7 +359,7 @@ func newSoakEnv(cfg SoakConfig) (*soakEnv, error) {
 		e.close()
 		return nil, err
 	}
-	e.outliers = collect.NewOutlierTracker(0, 0)
+	e.outliers = collect.NewOutlierTracker()
 	e.outliers.SetRegistry(cfg.Registry)
 	if cfg.Adaptive {
 		e.advisor = adapt.New(adapt.Config{
@@ -381,16 +381,12 @@ func newSoakEnv(cfg SoakConfig) (*soakEnv, error) {
 					// nothing needs mirroring and bit-identity is untouched.
 					return len(plan.Steps), nil
 				},
-				SetInterval: func(float64) error { return nil }, // interval state lives in the advisor; roundSteps reads it back
 			},
+			// Soak rounds cover RoundSeconds of virtual exposure each; the
+			// advisor's thresholds are multiples of it, so its half-life of
+			// a few rounds tracks regime changes within one run. The
+			// interval it retunes lives in the advisor; roundSteps reads it.
 			IntervalSeconds: cfg.RoundSeconds,
-			// Soak rounds cover RoundSeconds of virtual exposure each; a
-			// half-life of a few rounds tracks regime changes within one run.
-			RateHalfLife:   6 * cfg.RoundSeconds,
-			MinRateSeconds: 2 * cfg.RoundSeconds,
-			OverheadSec:    1,
-			IntervalLo:     1,
-			IntervalHi:     8 * cfg.RoundSeconds,
 		})
 	} else if cfg.Registry != nil {
 		// Static runs still export the tuning state (satellite gauges): the

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -73,6 +74,53 @@ func TestSoakServiceAdaptive(t *testing.T) {
 	}
 	if _, ok := reg.Value("dvdc_adapt_failure_rate"); !ok {
 		t.Error("dvdc_adapt_failure_rate not exported under the service driver")
+	}
+}
+
+// TestSoakIntervalRetuneDecisions runs the shape of
+//
+//	dvdcsoak -seed 424242 -nodes 8 -group-size 3 -rounds 10 -kill-mtbf 150 \
+//	  -p-corrupt 0 -p-drop 0 -p-delay 0 -p-partition 0 -adaptive
+//
+// and pins its interval_retune decisions. The failure rate counts each
+// round's seeded kills and the nodes its seeded faults leave dead, so these
+// rows follow from the seed and the advisor's tuning, which is measured in
+// base intervals: the half-life the rate decays at, the exposure it waits
+// for before engaging, the cap of the optimal-interval search, the cooldown
+// and the tolerance band. The keeper_rebalance rows depend on timing and are
+// not pinned.
+func TestSoakIntervalRetuneDecisions(t *testing.T) {
+	layout, err := cluster.BuildDistributedGroups(8, 1, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunSoak(SoakConfig{
+		Layout:      layout,
+		Rounds:      10,
+		Seed:        424242,
+		ArmPerRound: 2,
+		KillMTBF:    150,
+		Adaptive:    true,
+		Registry:    obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatalf("adaptive soak: %v\nfault log:\n%s", err, faultLines(res))
+	}
+	var got []string
+	for _, rr := range res.Rounds {
+		for _, d := range rr.Adapt {
+			if d.Rule == adapt.RuleIntervalRetune {
+				got = append(got, fmt.Sprintf("%d %s %s %q failure_rate=%s",
+					d.Round, d.Action, d.Reason, d.Detail, d.Inputs["failure_rate"]))
+			}
+		}
+	}
+	want := []string{
+		`3 applied  "retune checkpoint interval 10.0s -> 7.1s" failure_rate=0.0332/s`,
+		`5 skipped cooldown "retune checkpoint interval 7.1s -> 10.0s" failure_rate=0.0176/s`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("interval_retune decisions:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -66,13 +66,6 @@ func (a *Admission) QuotaFor(tenant string) Quota {
 	return q
 }
 
-// SetQuota installs or replaces one tenant's quota.
-func (a *Admission) SetQuota(tenant string, q Quota) {
-	a.mu.Lock()
-	a.quotas[tenant] = q
-	a.mu.Unlock()
-}
-
 // Tenants lists tenants with explicit quotas, sorted.
 func (a *Admission) Tenants() []string {
 	a.mu.Lock()

@@ -16,14 +16,12 @@ import (
 )
 
 // PoolOptions tunes a per-peer connection pool. The zero value picks sane
-// defaults: 4 connections, 5s dials, one re-dial with 25ms backoff, and no
-// per-call deadline.
+// defaults: 4 connections and no per-call deadline. Dials are fixed: each is
+// bounded by dialTimeout and a failed one is retried dialRetries times,
+// dialBackoff apart (doubled each retry).
 type PoolOptions struct {
 	Size        int           // max concurrent connections to the peer (default 4)
 	CallTimeout time.Duration // per-call I/O deadline (0 = none)
-	DialTimeout time.Duration // per-dial bound (default 5s)
-	DialRetries int           // extra dial attempts after the first (default 1)
-	Backoff     time.Duration // base backoff between dial attempts, doubled each retry (default 25ms)
 	Dialer      DialFunc      // raw stream opener (nil = TCP); fault-injection hook
 
 	// Observability (all optional). Peer labels this pool's metric series and
@@ -37,23 +35,12 @@ type PoolOptions struct {
 	Recorder *obs.FlightRecorder
 }
 
-func (o PoolOptions) withDefaults() PoolOptions {
-	if o.Size <= 0 {
-		o.Size = 4
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.DialRetries < 0 {
-		o.DialRetries = 0
-	} else if o.DialRetries == 0 {
-		o.DialRetries = 1
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 25 * time.Millisecond
-	}
-	return o
-}
+// A pool's dial policy.
+const (
+	dialTimeout = 5 * time.Second
+	dialRetries = 1
+	dialBackoff = 25 * time.Millisecond
+)
 
 // Pool is a bounded pool of framed connections to one peer, so that
 // concurrent fan-out is not serialized on a single in-flight socket.
@@ -81,7 +68,9 @@ type Pool struct {
 // NewPool builds a pool for one peer address. Nothing is dialed until the
 // first Call.
 func NewPool(addr string, opts PoolOptions) *Pool {
-	opts = opts.withDefaults()
+	if opts.Size <= 0 {
+		opts.Size = 4
+	}
 	if opts.Peer == "" {
 		opts.Peer = addr
 	}
@@ -254,15 +243,15 @@ func (p *Pool) get() (c *Conn, reused bool, err error) {
 
 // dial connects with bounded retry and exponential backoff.
 func (p *Pool) dial() (*Conn, error) {
-	backoff := p.opts.Backoff
+	backoff := dialBackoff
 	var lastErr error
-	for i := 0; i <= p.opts.DialRetries; i++ {
+	for i := 0; i <= dialRetries; i++ {
 		if i > 0 {
 			p.retries.Add(1)
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		c, err := DialWith(p.addr, p.opts.DialTimeout, p.opts.Dialer)
+		c, err := DialWith(p.addr, dialTimeout, p.opts.Dialer)
 		if err == nil {
 			if p.opts.CallTimeout > 0 {
 				c.SetTimeout(p.opts.CallTimeout)
