@@ -36,14 +36,20 @@ loc:
 		printf '%6d %s\n' "$$(ls $$d/*.go | grep -v _test | xargs -r cat | wc -l)" "$$d"; \
 	done
 
-# ROADMAP's rule that internal/runtime's non-test lines do not grow, as a
-# check on make loc's figure. A change that shrinks the package lowers the
-# ceiling to its new count.
-RUNTIME_LOC_CEILING = 4153
+# ROADMAP's rules that internal/runtime's non-test lines do not grow, and
+# that internal/runtime, internal/core and internal/cluster together do not
+# grow, as checks on make loc's figures. A change that shrinks them lowers
+# the ceilings to its new counts.
+RUNTIME_LOC_CEILING = 4149
+RUNTIME_CORE_CLUSTER_LOC_CEILING = 6937
 loc-check:
-	@n=$$($(MAKE) -s --no-print-directory loc | awk '$$2 == "./internal/runtime" {print $$1}') && \
+	@loc=$$($(MAKE) -s --no-print-directory loc) && \
+	n=$$(echo "$$loc" | awk '$$2 == "./internal/runtime" {print $$1}') && \
+	sum=$$(echo "$$loc" | awk '$$2 ~ /^\.\/internal\/(runtime|core|cluster)$$/ {s += $$1} END {print s}') && \
 	echo "internal/runtime: $$n non-test lines, ceiling $(RUNTIME_LOC_CEILING)" && \
-	[ "$$n" -le $(RUNTIME_LOC_CEILING) ] || { echo "internal/runtime grew past $(RUNTIME_LOC_CEILING) non-test lines" >&2; exit 1; }
+	echo "internal/runtime + core + cluster: $$sum non-test lines, ceiling $(RUNTIME_CORE_CLUSTER_LOC_CEILING)" && \
+	[ "$$n" -le $(RUNTIME_LOC_CEILING) ] || { echo "internal/runtime grew past $(RUNTIME_LOC_CEILING) non-test lines" >&2; exit 1; }; \
+	[ "$$sum" -le $(RUNTIME_CORE_CLUSTER_LOC_CEILING) ] || { echo "internal/runtime + core + cluster grew past $(RUNTIME_CORE_CLUSTER_LOC_CEILING) non-test lines" >&2; exit 1; }
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

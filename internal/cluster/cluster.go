@@ -20,6 +20,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -148,8 +149,10 @@ func (l *Layout) ComputeNodes() []int {
 // one group, member VMs and parity blocks all occupy distinct nodes.
 func (l *Layout) Validate() error { return l.validate(true) }
 
-// ValidateDegraded checks structural sanity but permits orthogonality
-// violations, the state a layout is in after a degraded recovery.
+// ValidateDegraded checks structural sanity but permits a member beside
+// another element of its group, the state a layout is in after a degraded
+// recovery. Two parity blocks of one group on one node it refuses: a node
+// keeps one block per group.
 func (l *Layout) ValidateDegraded() error { return l.validate(false) }
 
 func (l *Layout) validate(strict bool) error {
@@ -210,9 +213,12 @@ func (l *Layout) validate(strict bool) error {
 			}
 			used[v.Node] = name
 		}
-		for _, p := range g.ParityNodes {
+		for i, p := range g.ParityNodes {
 			if p < 0 || p >= l.Nodes {
 				return fmt.Errorf("cluster: group %d parity node %d out of range", gi, p)
+			}
+			if slices.Contains(g.ParityNodes[:i], p) {
+				return fmt.Errorf("cluster: group %d keeps two parity blocks on node %d", gi, p)
 			}
 			if prev, clash := used[p]; clash && strict {
 				return fmt.Errorf("cluster: group %d not orthogonal: parity and %q share node %d",

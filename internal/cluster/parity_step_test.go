@@ -29,10 +29,10 @@ func stepParityLayouts(t *testing.T) map[string]*Layout {
 // checkParitySteps holds every RehomeParity step of plan, planned against l,
 // to the slot rule: the slot is in range and on a node on accepts for its
 // group, and no two steps of a group name one slot. Then it applies the plan
-// to a copy of l with apply and checks that each named slot, and nothing else
-// of the parity placement, moved to its step's target. It returns how many
-// steps it checked.
-func checkParitySteps(t *testing.T, what string, l *Layout, plan *Plan, on func(g Group, node int) bool, apply func(*Layout, *Plan) error) int {
+// to a copy of l and checks that each named slot, and nothing else of the
+// parity placement, moved to its step's target. It returns how many steps it
+// checked.
+func checkParitySteps(t *testing.T, what string, l *Layout, plan *Plan, on func(g Group, node int) bool) int {
 	t.Helper()
 	named := map[[2]int]bool{}
 	n := 0
@@ -55,7 +55,7 @@ func checkParitySteps(t *testing.T, what string, l *Layout, plan *Plan, on func(
 		named[key] = true
 	}
 	after := l.Clone()
-	if err := apply(after, plan); err != nil {
+	if err := after.Apply(plan); err != nil {
 		t.Fatalf("%s: apply: %v", what, err)
 	}
 	for gi, g := range after.Groups {
@@ -93,8 +93,8 @@ func (l *Layout) clashes(g Group, node int) bool {
 // TestStepParityNamesTheMovedSlot: all four planners name the parity slot
 // each RehomeParity step moves — recovery and evacuation a slot on a down or
 // evacuated node, every such slot once; rebalance a slot on a node where the
-// group clashes; keeper evacuation a slot on the avoided node — and
-// ApplyRecovery / ApplyRebalance move exactly the named slots.
+// group clashes; keeper evacuation a slot on the avoided node — and Apply
+// moves exactly the named slots.
 func TestStepParityNamesTheMovedSlot(t *testing.T) {
 	counts := map[string]int{}
 	for name, base := range stepParityLayouts(t) {
@@ -112,7 +112,7 @@ func TestStepParityNamesTheMovedSlot(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			n := checkParitySteps(t, what, base, plan, onDown, (*Layout).ApplyRecovery)
+			n := checkParitySteps(t, what, base, plan, onDown)
 			want := 0
 			for _, g := range base.Groups {
 				for _, p := range g.ParityNodes {
@@ -129,11 +129,11 @@ func TestStepParityNamesTheMovedSlot(t *testing.T) {
 			// The recovered layout, its down nodes repaired, is where
 			// rebalance finds clashes.
 			rec := base.Clone()
-			if err := rec.ApplyRecovery(plan); err != nil {
+			if err := rec.Apply(plan); err != nil {
 				t.Fatal(err)
 			}
 			if rb, err := rec.PlanRebalance(); err == nil {
-				counts["rebalance"] += checkParitySteps(t, what+", rebalanced", rec, rb, rec.clashes, (*Layout).ApplyRebalance)
+				counts["rebalance"] += checkParitySteps(t, what+", rebalanced", rec, rb, rec.clashes)
 			}
 		}
 		for n := 0; n < base.Nodes; n++ {
@@ -143,9 +143,9 @@ func TestStepParityNamesTheMovedSlot(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			counts["evacuation"] += checkParitySteps(t, what, base, plan, on, (*Layout).ApplyRecovery)
+			counts["evacuation"] += checkParitySteps(t, what, base, plan, on)
 			if plan, err := base.PlanKeeperEvacuation(n); err == nil {
-				counts["keeper evacuation"] += checkParitySteps(t, fmt.Sprintf("%s: keeper evacuation of %d", name, n), base, plan, on, (*Layout).ApplyRebalance)
+				counts["keeper evacuation"] += checkParitySteps(t, fmt.Sprintf("%s: keeper evacuation of %d", name, n), base, plan, on)
 			}
 		}
 		// Two parity blocks of one group stacked on one node: rebalance has
@@ -158,7 +158,7 @@ func TestStepParityNamesTheMovedSlot(t *testing.T) {
 				if err != nil {
 					continue // no orthogonal target in this shape
 				}
-				counts["rebalance"] += checkParitySteps(t, fmt.Sprintf("%s: stacked parity of group %d", name, gi), l, rb, l.clashes, (*Layout).ApplyRebalance)
+				counts["rebalance"] += checkParitySteps(t, fmt.Sprintf("%s: stacked parity of group %d", name, gi), l, rb, l.clashes)
 			}
 		}
 	}
@@ -169,8 +169,8 @@ func TestStepParityNamesTheMovedSlot(t *testing.T) {
 	}
 }
 
-// TestApplyRefusesABadParitySlot: ApplyRecovery refuses a slot out of range
-// or not on a down node, and ApplyRebalance a slot out of range.
+// TestApplyRefusesABadParitySlot: Apply refuses a parity slot out of range
+// or not on its step's From.
 func TestApplyRefusesABadParitySlot(t *testing.T) {
 	l, err := BuildDistributedGroups(7, 1, 2, 3)
 	if err != nil {
@@ -178,16 +178,16 @@ func TestApplyRefusesABadParitySlot(t *testing.T) {
 	}
 	g := l.Groups[0]
 	down := g.ParityNodes[0]
-	for _, slot := range []int{-1, 2, 1} { // slot 1 is not on the down node
-		bad := &Plan{Down: []int{down}, Steps: []Step{{Kind: RehomeParity, Group: 0, Parity: slot, TargetNode: 6}}}
-		if err := l.Clone().ApplyRecovery(bad); err == nil {
-			t.Errorf("ApplyRecovery moved parity slot %d of group 0 with node %d down", slot, down)
+	for _, slot := range []int{-1, 2, 1} { // slot 1 is not on From
+		bad := &Plan{Down: []int{down}, Steps: []Step{{Kind: RehomeParity, Group: 0, Parity: slot, From: down, TargetNode: 6}}}
+		if err := l.Clone().Apply(bad); err == nil {
+			t.Errorf("Apply moved parity slot %d of group 0 from node %d", slot, down)
 		}
 	}
 	for _, slot := range []int{-1, 2} {
 		bad := &Plan{Steps: []Step{{Kind: RehomeParity, Group: 0, Parity: slot, TargetNode: 6}}}
-		if err := l.Clone().ApplyRebalance(bad); err == nil {
-			t.Errorf("ApplyRebalance moved parity slot %d of group 0", slot)
+		if err := l.Clone().Apply(bad); err == nil {
+			t.Errorf("Apply moved parity slot %d of group 0", slot)
 		}
 	}
 }

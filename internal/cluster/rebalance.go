@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // PlanRebalance computes the moves that restore strict orthogonality after
@@ -14,131 +14,44 @@ import (
 //
 // The returned plan reuses the recovery Step vocabulary: RestoreVM steps
 // mean "live-migrate this VM to TargetNode", RehomeParity steps mean
-// "recompute the group's parity slot Parity on TargetNode". An empty plan means
-// the layout is already orthogonal.
+// "recompute the group's parity slot Parity on TargetNode". Every target is
+// the placement rule's (placer.pick) and must be strict: a group with no
+// orthogonal target makes the plan fail. An empty plan means the layout is
+// already orthogonal.
 func (l *Layout) PlanRebalance(down ...int) (*Plan, error) {
-	downSet := map[int]bool{}
-	for _, n := range down {
-		if n < 0 || n >= l.Nodes {
-			return nil, fmt.Errorf("cluster: down node %d out of range [0,%d)", n, l.Nodes)
-		}
-		downSet[n] = true
+	p, err := l.newPlacer(down)
+	if err != nil {
+		return nil, err
 	}
-	load := make([]int, l.Nodes)
-	for _, v := range l.VMs {
-		load[v.Node]++
-	}
-	plan := &Plan{}
-	for n := range downSet {
-		plan.Down = append(plan.Down, n)
-	}
-	sort.Ints(plan.Down)
-
-	// Planned extra occupancy per group (moves within this plan).
-	planned := map[int]map[int]bool{}
-	occupied := func(g Group, exclude map[string]bool, excludeParity map[int]bool) map[int]int {
-		occ := map[int]int{}
-		for _, m := range g.Members {
-			if exclude[m] {
-				continue
-			}
-			v, _ := l.VM(m)
-			occ[v.Node]++
-		}
-		for i, p := range g.ParityNodes {
-			if excludeParity[i] {
-				continue
-			}
-			occ[p]++
-		}
-		for n := range planned[g.Index] {
-			occ[n]++
-		}
-		return occ
-	}
-	pickTarget := func(g Group, occ map[int]int) (int, error) {
-		best, bestLoad := -1, int(^uint(0)>>1)
-		for t := 0; t < l.Nodes; t++ {
-			if downSet[t] || occ[t] > 0 {
-				continue
-			}
-			if load[t] < bestLoad {
-				best, bestLoad = t, load[t]
-			}
-		}
-		if best == -1 {
-			return 0, fmt.Errorf("cluster: no orthogonal target for group %d", g.Index)
-		}
-		if planned[g.Index] == nil {
-			planned[g.Index] = map[int]bool{}
-		}
-		planned[g.Index][best] = true
-		return best, nil
-	}
-
-	for gi := range l.Groups {
-		g := l.Groups[gi]
-		movedVMs := map[string]bool{}
-		movedParity := map[int]bool{}
+	for gi, g := range p.l.Groups {
 		for {
-			occ := occupied(g, movedVMs, movedParity)
-			// Find a node carrying more than one element of this group, the
-			// lowest first, so one layout always yields one plan.
-			clash := -1
-			for n := 0; n < l.Nodes; n++ {
-				if occ[n] > 1 {
-					clash = n
-					break
-				}
-			}
-			if clash == -1 {
-				break
-			}
-			// Prefer moving a member VM off the clashing node; fall back to
-			// a parity block.
-			moved := false
+			// The lowest node carrying more than one element of this group,
+			// so one layout always yields one plan.
+			count := make([]int, l.Nodes)
 			for _, m := range g.Members {
-				v, _ := l.VM(m)
-				if v.Node != clash || movedVMs[m] {
-					continue
-				}
-				target, err := pickTarget(g, occ)
-				if err != nil {
-					return nil, err
-				}
-				plan.Steps = append(plan.Steps, Step{
-					Kind: RestoreVM, VM: m, Group: gi, TargetNode: target,
-				})
-				movedVMs[m] = true
-				load[clash]--
-				load[target]++
-				moved = true
+				count[p.l.VMs[p.l.vmIndex[m]].Node]++
+			}
+			for _, n := range g.ParityNodes {
+				count[n]++
+			}
+			clash := slices.IndexFunc(count, func(c int) bool { return c > 1 })
+			if clash < 0 {
 				break
 			}
-			if moved {
-				continue
+			// Move a member VM off the clashing node; failing that, a parity
+			// block.
+			var s Step
+			if i := slices.IndexFunc(g.Members, func(m string) bool { return p.l.VMs[p.l.vmIndex[m]].Node == clash }); i >= 0 {
+				s, err = p.move(RestoreVM, g.Members[i], gi, 0)
+			} else {
+				s, err = p.move(RehomeParity, "", gi, slices.Index(g.ParityNodes, clash))
 			}
-			for i, p := range g.ParityNodes {
-				if p != clash || movedParity[i] {
-					continue
-				}
-				target, err := pickTarget(g, occ)
-				if err != nil {
-					return nil, err
-				}
-				plan.Steps = append(plan.Steps, Step{
-					Kind: RehomeParity, Group: gi, Parity: i, TargetNode: target,
-				})
-				movedParity[i] = true
-				moved = true
-				break
-			}
-			if !moved {
-				return nil, fmt.Errorf("cluster: cannot resolve clash on node %d for group %d", clash, gi)
+			if err != nil || s.Degraded {
+				return nil, fmt.Errorf("cluster: no orthogonal target for group %d", gi)
 			}
 		}
 	}
-	return plan, nil
+	return p.plan, nil
 }
 
 // PlanKeeperEvacuation computes the parity moves that drain every parity
@@ -148,10 +61,12 @@ func (l *Layout) PlanRebalance(down ...int) (*Plan, error) {
 // chunk pipeline, while a slow member only stretches its own shipments.
 //
 // The plan reuses the rebalance Step vocabulary (RehomeParity naming the
-// parity slot it moves) and preserves strict
-// orthogonality: a target never carries another element of the same group,
-// is never the avoided node, never down, and ties break toward the
-// least-loaded node (VMs plus already-planned parity). Groups with no legal
+// parity slot it moves). Every target is the placement rule's (placer.pick)
+// with the avoided node out of service, and must be strict: a target never
+// carries another element of the same group, is never the avoided node and
+// never down. Unlike the other planners, each block placed counts toward its
+// target's load, so ties break toward the least-loaded node by VMs plus
+// already-planned parity and the drained blocks spread. Groups with no legal
 // target make the plan fail — in the paper's minimal 4-node layout every
 // other node already carries a member of the group, so evacuation is
 // structurally impossible and callers must treat that as "cannot rebalance",
@@ -160,85 +75,22 @@ func (l *Layout) PlanKeeperEvacuation(avoid int, down ...int) (*Plan, error) {
 	if avoid < 0 || avoid >= l.Nodes {
 		return nil, fmt.Errorf("cluster: evacuate node %d out of range [0,%d)", avoid, l.Nodes)
 	}
-	downSet := map[int]bool{avoid: true}
-	for _, n := range down {
-		if n < 0 || n >= l.Nodes {
-			return nil, fmt.Errorf("cluster: down node %d out of range [0,%d)", n, l.Nodes)
-		}
-		downSet[n] = true
+	p, err := l.newPlacer(slices.DeleteFunc(slices.Clone(down), func(n int) bool { return n == avoid }))
+	if err != nil {
+		return nil, err
 	}
-	load := make([]int, l.Nodes)
-	for _, v := range l.VMs {
-		load[v.Node]++
-	}
-	plan := &Plan{}
-	for n := range downSet {
-		if n != avoid {
-			plan.Down = append(plan.Down, n)
-		}
-	}
-	sort.Ints(plan.Down)
-	for gi := range l.Groups {
-		g := l.Groups[gi]
-		occ := map[int]bool{}
-		for _, m := range g.Members {
-			v, _ := l.VM(m)
-			occ[v.Node] = true
-		}
-		for _, p := range g.ParityNodes {
-			occ[p] = true
-		}
-		for i, p := range g.ParityNodes {
-			if p != avoid {
+	p.down[avoid] = true
+	for gi, g := range p.l.Groups {
+		for i, n := range g.ParityNodes {
+			if n != avoid {
 				continue
 			}
-			best, bestLoad := -1, int(^uint(0)>>1)
-			for t := 0; t < l.Nodes; t++ {
-				if downSet[t] || occ[t] {
-					continue
-				}
-				if load[t] < bestLoad {
-					best, bestLoad = t, load[t]
-				}
-			}
-			if best == -1 {
+			s, err := p.move(RehomeParity, "", gi, i)
+			if err != nil || s.Degraded {
 				return nil, fmt.Errorf("cluster: no orthogonal target to evacuate parity %d of group %d off node %d", i, gi, avoid)
 			}
-			occ[best] = true
-			load[best]++
-			plan.Steps = append(plan.Steps, Step{
-				Kind: RehomeParity, Group: gi, Parity: i, TargetNode: best,
-			})
+			p.load[s.TargetNode]++
 		}
 	}
-	return plan, nil
-}
-
-// ApplyRebalance mutates the layout per a rebalance plan — a RestoreVM step
-// moves its VM, a RehomeParity step the parity slot it names — and then
-// validates it. A plan of only the steps that completed is recorded as is,
-// even when the placement it leaves is degraded; the validation error says so.
-func (l *Layout) ApplyRebalance(p *Plan) error {
-	for _, s := range p.Steps {
-		switch s.Kind {
-		case RestoreVM:
-			i, ok := l.vmIndex[s.VM]
-			if !ok {
-				return fmt.Errorf("cluster: rebalance moves unknown VM %q", s.VM)
-			}
-			l.VMs[i].Node = s.TargetNode
-		case RehomeParity:
-			if s.Group < 0 || s.Group >= len(l.Groups) {
-				return fmt.Errorf("cluster: rebalance re-homes parity of unknown group %d", s.Group)
-			}
-			g := &l.Groups[s.Group]
-			if s.Parity < 0 || s.Parity >= len(g.ParityNodes) {
-				return fmt.Errorf("cluster: parity slot %d out of range for group %d", s.Parity, s.Group)
-			}
-			g.ParityNodes[s.Parity] = s.TargetNode
-		default:
-			return fmt.Errorf("cluster: unknown rebalance step kind %d", s.Kind)
-		}
-	}
-	return l.Validate()
+	return p.plan, nil
 }

@@ -28,7 +28,7 @@ func TestRebalanceAfterDegradedRecovery(t *testing.T) {
 	if !plan.Degraded {
 		t.Fatal("expected degraded recovery")
 	}
-	if err := l.ApplyRecovery(plan); err != nil {
+	if err := l.Apply(plan); err != nil {
 		t.Fatal(err)
 	}
 	if l.Validate() == nil {
@@ -42,7 +42,7 @@ func TestRebalanceAfterDegradedRecovery(t *testing.T) {
 	if len(rb.Steps) == 0 {
 		t.Fatal("rebalance should have moves")
 	}
-	if err := l.ApplyRebalance(rb); err != nil {
+	if err := l.Apply(rb); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Validate(); err != nil {
@@ -65,7 +65,7 @@ func TestPlanRebalanceIsDeterministic(t *testing.T) {
 	if !rec.Degraded {
 		t.Fatal("expected a degraded recovery")
 	}
-	if err := l.ApplyRecovery(rec); err != nil {
+	if err := l.Apply(rec); err != nil {
 		t.Fatal(err)
 	}
 	plans := map[string]bool{}
@@ -85,7 +85,7 @@ func TestPlanRebalanceFailsWhileNodeStillDown(t *testing.T) {
 	// Without the repaired node there is no room in the 4-node layout.
 	l, _ := Paper12VM()
 	plan, _ := l.PlanRecovery(0)
-	if err := l.ApplyRecovery(plan); err != nil {
+	if err := l.Apply(plan); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.PlanRebalance(0); err == nil {
@@ -103,11 +103,11 @@ func TestPlanRebalanceValidation(t *testing.T) {
 func TestApplyRebalanceValidation(t *testing.T) {
 	l, _ := Paper12VM()
 	bad := &Plan{Steps: []Step{{Kind: RestoreVM, VM: "nope", TargetNode: 0}}}
-	if err := l.ApplyRebalance(bad); err == nil {
+	if err := l.Apply(bad); err == nil {
 		t.Error("unknown VM should fail")
 	}
 	bad = &Plan{Steps: []Step{{Kind: RehomeParity, Group: 0, Parity: 1, TargetNode: 0}}}
-	if err := l.ApplyRebalance(bad); err == nil {
+	if err := l.Apply(bad); err == nil {
 		t.Error("parity step with an out-of-range slot should fail")
 	}
 }
@@ -126,14 +126,14 @@ func TestQuickRebalanceRestoresOrthogonality(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := l.ApplyRecovery(plan); err != nil {
+		if err := l.Apply(plan); err != nil {
 			return false
 		}
 		rb, err := l.PlanRebalance() // node repaired
 		if err != nil {
 			return false
 		}
-		if err := l.ApplyRebalance(rb); err != nil {
+		if err := l.Apply(rb); err != nil {
 			return false
 		}
 		return l.Validate() == nil
@@ -177,7 +177,7 @@ func TestPlanKeeperEvacuationMovesAllParityOffNode(t *testing.T) {
 			t.Fatalf("evacuation re-targeted the avoided node")
 		}
 	}
-	if err := l.ApplyRebalance(plan); err != nil {
+	if err := l.Apply(plan); err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range l.Groups {
@@ -187,7 +187,7 @@ func TestPlanKeeperEvacuationMovesAllParityOffNode(t *testing.T) {
 			}
 		}
 	}
-	// Orthogonality must have been preserved (ApplyRebalance validates, but
+	// Orthogonality must have been preserved (Apply validates, but
 	// assert the property the planner promises explicitly).
 	if err := l.Validate(); err != nil {
 		t.Fatalf("post-evacuation layout invalid: %v", err)
@@ -205,7 +205,7 @@ func TestPlanKeeperEvacuationEmptyWhenNodeKeepsNoParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.ApplyRebalance(plan); err != nil {
+	if err := l.Apply(plan); err != nil {
 		t.Fatal(err)
 	}
 	again, err := l.PlanKeeperEvacuation(1)

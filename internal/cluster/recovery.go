@@ -22,21 +22,23 @@ func (k StepKind) String() string {
 	return "rehome-parity"
 }
 
-// Step is one unit of recovery work: a VM (RestoreVM) or one parity block
-// (RehomeParity) of a group and the node it goes to. A RehomeParity step names
-// its block by slot, the index into the group's ParityNodes it moves, so the
-// plan alone says which block each step rebuilds and where it lands; which
-// shards rebuild it is core's rule, not the plan's.
+// Step is one unit of placement work: a VM (RestoreVM) or one parity block
+// (RehomeParity) of a group, the node it is on and the node it goes to. A
+// RehomeParity step names its block by slot, the index into the group's
+// ParityNodes it moves, so the plan alone says which block each step rebuilds
+// and where it lands; which shards rebuild it is core's rule, not the plan's.
 type Step struct {
 	Kind       StepKind
 	VM         string // for RestoreVM: the VM's name
 	Group      int
 	Parity     int  // for RehomeParity: the parity slot moved
+	From       int  // where the element lives when the plan is made
 	TargetNode int  // where the element will live
 	Degraded   bool // the target shares a node with another group element
 }
 
-// Plan is the ordered recovery work after one or more node failures.
+// Plan is the ordered placement work after one or more node failures, or
+// for a rebalance or an evacuation.
 type Plan struct {
 	Down  []int
 	Steps []Step
@@ -50,11 +52,10 @@ type Plan struct {
 }
 
 // PlanRecovery computes how to restore full protection after the given
-// nodes fail simultaneously. For every lost VM it selects a surviving target
-// node that holds no other element of the VM's group (preserving
-// orthogonality); every lost parity block is likewise re-homed, one step per
-// slot in slot order. Targets are chosen least-loaded-first, counting moves
-// already planned.
+// nodes fail simultaneously: every lost VM, then every lost parity block, one
+// step per slot in slot order, gets a target by the placement rule (see
+// placer.pick), which keeps each group orthogonal where a surviving node
+// allows it and degrades the plan where none does.
 //
 // It fails if any group lost more elements than the layout tolerates or if
 // no surviving node can host a lost element.
@@ -64,7 +65,7 @@ func (l *Layout) PlanRecovery(down ...int) (*Plan, error) {
 			return nil, fmt.Errorf("cluster: group %d lost %d elements, tolerance %d", g, lost, l.Tolerance)
 		}
 	}
-	return l.place(down)
+	return l.planOff(down)
 }
 
 // PlanEvacuation computes how to move every element off node n, which is
@@ -75,195 +76,155 @@ func (l *Layout) PlanRecovery(down ...int) (*Plan, error) {
 // holding two elements of one group after a degraded recovery can still be
 // evacuated.
 func (l *Layout) PlanEvacuation(n int, down ...int) (*Plan, error) {
-	return l.place(append([]int{n}, down...))
+	return l.planOff(append([]int{n}, down...))
 }
 
-// place is the placement PlanRecovery and PlanEvacuation share: a target for
-// every VM and parity block on the down nodes.
-func (l *Layout) place(down []int) (*Plan, error) {
-	downSet := map[int]bool{}
+// planOff plans a target for every VM and parity block on the down nodes,
+// the lost VMs first (they block job resumption).
+func (l *Layout) planOff(down []int) (*Plan, error) {
+	p, err := l.newPlacer(down)
+	if err != nil {
+		return nil, err
+	}
+	for _, v := range l.VMs {
+		if p.down[v.Node] {
+			if _, err := p.move(RestoreVM, v.Name, v.Group, 0); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for gi, g := range l.Groups {
+		for i, n := range g.ParityNodes {
+			if p.down[n] {
+				if _, err := p.move(RehomeParity, "", gi, i); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	return p.plan, nil
+}
+
+// placer builds one plan. It works on a copy of the layout in which it moves
+// each element as it plans the step, so every choice sees the moves planned
+// before it.
+type placer struct {
+	l    *Layout // the layout as the plan so far leaves it
+	down []bool  // never a target
+	load []int   // VMs per node, planned moves included
+	plan *Plan
+}
+
+// newPlacer starts a plan against l with the down nodes out of service.
+func (l *Layout) newPlacer(down []int) (*placer, error) {
+	p := &placer{l: l.Clone(), down: make([]bool, l.Nodes), load: make([]int, l.Nodes), plan: &Plan{}}
 	for _, n := range down {
 		if n < 0 || n >= l.Nodes {
 			return nil, fmt.Errorf("cluster: down node %d out of range [0,%d)", n, l.Nodes)
 		}
-		downSet[n] = true
+		if !p.down[n] {
+			p.down[n] = true
+			p.plan.Down = append(p.plan.Down, n)
+		}
 	}
-	if len(downSet) == 0 {
-		return &Plan{}, nil
-	}
-
-	// Current VM load per node, updated as we plan moves.
-	load := make([]int, l.Nodes)
+	sort.Ints(p.plan.Down)
 	for _, v := range l.VMs {
-		if !downSet[v.Node] {
-			load[v.Node]++
-		}
+		p.load[v.Node]++
 	}
-
-	groupNodes := func(g Group) map[int]bool {
-		occ := map[int]bool{}
-		for _, m := range g.Members {
-			v, _ := l.VM(m)
-			if !downSet[v.Node] {
-				occ[v.Node] = true
-			}
-		}
-		for _, p := range g.ParityNodes {
-			if !downSet[p] {
-				occ[p] = true
-			}
-		}
-		return occ
-	}
-
-	plan := &Plan{}
-	for n := range downSet {
-		plan.Down = append(plan.Down, n)
-	}
-	sort.Ints(plan.Down)
-
-	// Plan moves group by group so newly planned placements are visible to
-	// later choices within the same group.
-	planned := map[int]map[int]bool{} // group -> extra occupied nodes
-	occupied := func(g Group) map[int]bool {
-		occ := groupNodes(g)
-		for n := range planned[g.Index] {
-			occ[n] = true
-		}
-		return occ
-	}
-	// parityOn lists, per group, the surviving nodes that hold (or are planned
-	// to hold) one of its parity blocks.
-	parityOn := map[int]map[int]bool{}
-	holdsParity := func(g Group) map[int]bool {
-		held, ok := parityOn[g.Index]
-		if !ok {
-			held = map[int]bool{}
-			for _, p := range g.ParityNodes {
-				if !downSet[p] {
-					held[p] = true
-				}
-			}
-			parityOn[g.Index] = held
-		}
-		return held
-	}
-	// pickTarget prefers a surviving node free of this group's elements;
-	// when none exists (the group already spans every surviving node) it
-	// falls back to the least-loaded surviving node and reports the
-	// placement as degraded. A degraded parity placement co-locates with a
-	// member, never with another parity block of the group: a node keeps one
-	// parity block per group, so two on one node would lose one of them.
-	pickTarget := func(g Group, forParity bool) (node int, degraded bool, err error) {
-		occ := occupied(g)
-		best, bestLoad := -1, int(^uint(0)>>1)
-		for n := 0; n < l.Nodes; n++ {
-			if downSet[n] || occ[n] {
-				continue
-			}
-			if load[n] < bestLoad {
-				best, bestLoad = n, load[n]
-			}
-		}
-		if best == -1 {
-			degraded = true
-			for n := 0; n < l.Nodes; n++ {
-				if downSet[n] || (forParity && holdsParity(g)[n]) {
-					continue
-				}
-				if load[n] < bestLoad {
-					best, bestLoad = n, load[n]
-				}
-			}
-		}
-		if best == -1 {
-			return 0, false, fmt.Errorf("cluster: no surviving node can host group %d", g.Index)
-		}
-		if planned[g.Index] == nil {
-			planned[g.Index] = map[int]bool{}
-		}
-		planned[g.Index][best] = true
-		if forParity {
-			holdsParity(g)[best] = true
-		}
-		return best, degraded, nil
-	}
-
-	// Lost VMs first (they block job resumption), then lost parity.
-	for _, v := range l.VMs {
-		if !downSet[v.Node] {
-			continue
-		}
-		g := l.Groups[v.Group]
-		target, degraded, err := pickTarget(g, false)
-		if err != nil {
-			return nil, err
-		}
-		load[target]++
-		plan.Degraded = plan.Degraded || degraded
-		plan.Steps = append(plan.Steps, Step{
-			Kind:       RestoreVM,
-			VM:         v.Name,
-			Group:      v.Group,
-			TargetNode: target,
-			Degraded:   degraded,
-		})
-	}
-	for _, g := range l.Groups {
-		for i, p := range g.ParityNodes {
-			if !downSet[p] {
-				continue
-			}
-			target, degraded, err := pickTarget(g, true)
-			if err != nil {
-				return nil, err
-			}
-			plan.Degraded = plan.Degraded || degraded
-			plan.Steps = append(plan.Steps, Step{
-				Kind:       RehomeParity,
-				Group:      g.Index,
-				Parity:     i,
-				TargetNode: target,
-				Degraded:   degraded,
-			})
-		}
-	}
-	return plan, nil
+	return p, nil
 }
 
-// ApplyRecovery mutates the layout so it reflects a completed plan: lost VMs
-// move to their target nodes, and each re-homed parity slot moves to its
-// step's target. A step whose slot is out of range or not on a down node is
-// refused. The resulting layout must validate, and callers should check
-// Survives again before trusting further failures to be tolerable.
-func (l *Layout) ApplyRecovery(p *Plan) error {
-	downSet := map[int]bool{}
-	for _, n := range p.Down {
-		downSet[n] = true
+// pick is the placement rule, the one place a target node is chosen. A
+// strict target is up and holds no element of group g; the least loaded
+// wins, ties to the lowest index. With none, pick returns the least-loaded
+// node that is up — for a parity block, one keeping no parity block of g,
+// since a node keeps one block per group — and degraded is set.
+func (p *placer) pick(g int, parity bool) (node int, degraded bool, err error) {
+	holds, keeps := make([]bool, p.l.Nodes), make([]bool, p.l.Nodes)
+	for _, m := range p.l.Groups[g].Members {
+		holds[p.l.VMs[p.l.vmIndex[m]].Node] = true
 	}
-	for _, s := range p.Steps {
-		switch s.Kind {
-		case RestoreVM:
-			i, ok := l.vmIndex[s.VM]
-			if !ok {
-				return fmt.Errorf("cluster: plan restores unknown VM %q", s.VM)
+	for _, n := range p.l.Groups[g].ParityNodes {
+		holds[n], keeps[n] = true, parity
+	}
+	least := func(skip []bool) int {
+		best := -1
+		for n, load := range p.load {
+			if !p.down[n] && !skip[n] && (best < 0 || load < p.load[best]) {
+				best = n
 			}
-			l.VMs[i].Node = s.TargetNode
-		case RehomeParity:
-			if s.Group < 0 || s.Group >= len(l.Groups) {
-				return fmt.Errorf("cluster: plan re-homes parity of unknown group %d", s.Group)
-			}
-			g := &l.Groups[s.Group]
-			if s.Parity < 0 || s.Parity >= len(g.ParityNodes) {
-				return fmt.Errorf("cluster: parity slot %d out of range for group %d", s.Parity, s.Group)
-			}
-			if !downSet[g.ParityNodes[s.Parity]] {
-				return fmt.Errorf("cluster: parity[%d] of group %d is not on a down node", s.Parity, s.Group)
-			}
-			g.ParityNodes[s.Parity] = s.TargetNode
-		default:
-			return fmt.Errorf("cluster: unknown step kind %d", s.Kind)
 		}
+		return best
+	}
+	if n := least(holds); n >= 0 {
+		return n, false, nil
+	}
+	if n := least(keeps); n >= 0 {
+		return n, true, nil
+	}
+	return 0, false, fmt.Errorf("cluster: no surviving node can host group %d", g)
+}
+
+// move plans one step — VM vm, or parity slot slot of group g — to the node
+// pick chooses, and moves the element in the placer's copy. A VM move takes
+// one from its source's load and adds one to its target's.
+func (p *placer) move(kind StepKind, vm string, g, slot int) (Step, error) {
+	s := Step{Kind: kind, VM: vm, Group: g, Parity: slot}
+	node, degraded, err := p.pick(g, kind == RehomeParity)
+	if err != nil {
+		return s, err
+	}
+	at, _ := p.l.home(s) // the planners name only elements of the layout
+	s.From, s.TargetNode, s.Degraded = *at, node, degraded
+	*at = node
+	if kind == RestoreVM {
+		p.load[s.From]--
+		p.load[node]++
+	}
+	p.plan.Steps = append(p.plan.Steps, s)
+	p.plan.Degraded = p.plan.Degraded || degraded
+	return s, nil
+}
+
+// home returns the field of l that records where step s's element lives.
+func (l *Layout) home(s Step) (*int, error) {
+	switch s.Kind {
+	case RestoreVM:
+		i, ok := l.vmIndex[s.VM]
+		if !ok {
+			return nil, fmt.Errorf("cluster: plan moves unknown VM %q", s.VM)
+		}
+		return &l.VMs[i].Node, nil
+	case RehomeParity:
+		if s.Group < 0 || s.Group >= len(l.Groups) {
+			return nil, fmt.Errorf("cluster: plan re-homes parity of unknown group %d", s.Group)
+		}
+		slots := l.Groups[s.Group].ParityNodes
+		if s.Parity < 0 || s.Parity >= len(slots) {
+			return nil, fmt.Errorf("cluster: parity slot %d out of range for group %d", s.Parity, s.Group)
+		}
+		return &slots[s.Parity], nil
+	}
+	return nil, fmt.Errorf("cluster: unknown step kind %d", s.Kind)
+}
+
+// Apply records the completed steps of a plan — a recovery's, an
+// evacuation's, a rebalance's or a keeper evacuation's, or the part of one
+// that completed — in the layout: each step's VM or parity slot moves from
+// From to TargetNode. A step whose element is unknown, out of range or not on
+// From is refused. The layout is then validated, strictly unless the plan is
+// degraded; a plan of only the steps that completed is recorded even when
+// the placement it leaves fails that check, and the error says so.
+func (l *Layout) Apply(p *Plan) error {
+	for _, s := range p.Steps {
+		at, err := l.home(s)
+		if err != nil {
+			return err
+		}
+		if *at != s.From {
+			return fmt.Errorf("cluster: %s step of group %d names node %d, but its element is on node %d", s.Kind, s.Group, s.From, *at)
+		}
+		*at = s.TargetNode
 	}
 	if p.Degraded {
 		return l.ValidateDegraded()

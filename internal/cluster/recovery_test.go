@@ -47,7 +47,7 @@ func TestApplyRecoveryKeepsLayoutValid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("node %d: %v", node, err)
 		}
-		if err := l.ApplyRecovery(plan); err != nil {
+		if err := l.Apply(plan); err != nil {
 			t.Fatalf("node %d: apply: %v", node, err)
 		}
 		// Nothing may remain on the failed node.
@@ -81,7 +81,7 @@ func TestPlanRecoveryDoubleFailureWithTolerance2(t *testing.T) {
 	if plan.Degraded {
 		t.Error("recovery with spare nodes should not be degraded")
 	}
-	if err := l.ApplyRecovery(plan); err != nil {
+	if err := l.Apply(plan); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 4} {
@@ -102,7 +102,7 @@ func TestPlanRecoveryFirstShotIsDegraded(t *testing.T) {
 	if !plan.Degraded {
 		t.Error("first-shot recovery should be degraded")
 	}
-	if err := l.ApplyRecovery(plan); err != nil {
+	if err := l.Apply(plan); err != nil {
 		t.Fatal(err)
 	}
 	if l.Validate() == nil {
@@ -126,7 +126,7 @@ func TestPlanRecoveryOrthogonalWhenSpareExists(t *testing.T) {
 	if plan.Degraded {
 		t.Error("recovery with spare nodes should preserve orthogonality")
 	}
-	if err := l.ApplyRecovery(plan); err != nil {
+	if err := l.Apply(plan); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Validate(); err != nil {
@@ -165,7 +165,7 @@ func TestPlanEvacuationIgnoresTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.ApplyRecovery(rec); err != nil {
+	if err := l.Apply(rec); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.PlanRecovery(1); err == nil {
@@ -181,7 +181,7 @@ func TestPlanEvacuationIgnoresTolerance(t *testing.T) {
 	if len(plan.Steps) != len(l.VMsOnNode(1))+len(l.ParityGroupsOnNode(1)) {
 		t.Fatalf("%d steps for %d VMs and %d parity blocks", len(plan.Steps), len(l.VMsOnNode(1)), len(l.ParityGroupsOnNode(1)))
 	}
-	if err := l.ApplyRecovery(plan); err != nil {
+	if err := l.Apply(plan); err != nil {
 		t.Fatal(err)
 	}
 	if len(l.VMsOnNode(1))+len(l.ParityGroupsOnNode(1)) != 0 {
@@ -203,7 +203,7 @@ func TestRecoveryBalancesLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.ApplyRecovery(plan); err != nil {
+	if err := l.Apply(plan); err != nil {
 		t.Fatal(err)
 	}
 	max, min := 0, 1<<30
@@ -239,7 +239,7 @@ func TestQuickRecoveryAlwaysEvacuates(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := l.ApplyRecovery(plan); err != nil {
+		if err := l.Apply(plan); err != nil {
 			return false
 		}
 		return len(l.VMsOnNode(fail)) == 0 && len(l.ParityGroupsOnNode(fail)) == 0
@@ -270,7 +270,7 @@ func TestDegradedRecoveryNeverStacksParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("pair (%d,%d): %v", a, b, err)
 			}
-			if err := l.ApplyRecovery(plan); err != nil {
+			if err := l.Apply(plan); err != nil {
 				t.Fatalf("pair (%d,%d): %v", a, b, err)
 			}
 			for _, g := range l.Groups {
@@ -279,5 +279,33 @@ func TestDegradedRecoveryNeverStacksParity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDegradedValidationRefusesStackedParity: a degraded layout may put a
+// member beside another element of its group, but never two parity blocks of
+// one group on one node — no node keeps both — and Apply refuses a degraded
+// plan that would stack them.
+func TestDegradedValidationRefusesStackedParity(t *testing.T) {
+	l, err := BuildDistributedGroups(6, 1, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := l.Groups[0]
+	beside := l.Clone()
+	beside.VMs[beside.vmIndex[g.Members[0]]].Node = g.ParityNodes[0]
+	if err := beside.ValidateDegraded(); err != nil {
+		t.Errorf("member beside its group's parity: %v", err)
+	}
+	stacked := l.Clone()
+	stacked.Groups[0].ParityNodes[1] = g.ParityNodes[0]
+	if err := stacked.ValidateDegraded(); err == nil {
+		t.Errorf("degraded validation accepts group 0's parity on %v", stacked.Groups[0].ParityNodes)
+	}
+	plan := &Plan{Down: []int{g.ParityNodes[1]}, Degraded: true, Steps: []Step{{
+		Kind: RehomeParity, Group: 0, Parity: 1, From: g.ParityNodes[1], TargetNode: g.ParityNodes[0], Degraded: true,
+	}}}
+	if err := l.Clone().Apply(plan); err == nil {
+		t.Errorf("Apply recorded a degraded plan stacking group 0's parity on node %d", g.ParityNodes[0])
 	}
 }

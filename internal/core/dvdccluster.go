@@ -334,7 +334,7 @@ func (c *Cluster) FailNodes(ns ...int) (*FailureReport, error) {
 		c.stats.Rollbacks++
 	}
 
-	if err := c.layout.ApplyRecovery(plan); err != nil {
+	if err := c.layout.Apply(plan); err != nil {
 		return nil, err
 	}
 	for _, n := range ns {

@@ -48,7 +48,7 @@ func (c *Cluster) EvacuateNode(n int, index *migrate.HashIndex) (*EvacuationRepo
 			rehomes = append(rehomes, s)
 			continue
 		}
-		stats, err := c.moveVM(s.VM, s.TargetNode, index)
+		stats, err := c.moveVM(s.VM, index)
 		if err != nil {
 			return nil, err
 		}
@@ -56,16 +56,17 @@ func (c *Cluster) EvacuateNode(n int, index *migrate.HashIndex) (*EvacuationRepo
 			VM: s.VM, TargetNode: s.TargetNode, Stats: stats, Degraded: s.Degraded,
 		})
 	}
-	if err := c.rebuildSteps(&cluster.Plan{Down: plan.Down, Steps: rehomes}); err != nil {
+	// The moved VMs are sources of the rebuilds on their new nodes.
+	if err := c.layout.Apply(plan); err != nil {
 		return nil, err
 	}
-	return report, c.layout.ApplyRecovery(plan)
+	return report, c.rebuildSteps(&cluster.Plan{Down: plan.Down, Steps: rehomes})
 }
 
-// moveVM live-migrates one VM to a target node: iterative pre-copy, a
-// stop-and-copy finalize, identity adoption (committed image, protocol
-// epoch, dirty set), and a placement update. index may be nil.
-func (c *Cluster) moveVM(name string, target int, index *migrate.HashIndex) (migrate.Stats, error) {
+// moveVM live-migrates one VM: iterative pre-copy, a stop-and-copy
+// finalize and identity adoption (committed image, protocol epoch, dirty
+// set). Its caller records the move in the layout. index may be nil.
+func (c *Cluster) moveVM(name string, index *migrate.HashIndex) (migrate.Stats, error) {
 	mem, ok := c.members[name]
 	if !ok {
 		return migrate.Stats{}, fmt.Errorf("core: unknown VM %q", name)
@@ -104,11 +105,6 @@ func (c *Cluster) moveVM(name string, target int, index *migrate.HashIndex) (mig
 		return migrate.Stats{}, err
 	}
 	c.members[name] = fresh
-	for i := range c.layout.VMs {
-		if c.layout.VMs[i].Name == name {
-			c.layout.VMs[i].Node = target
-		}
-	}
 	return stats, nil
 }
 

@@ -21,14 +21,11 @@ func (c *Cluster) Rebalance(index *migrate.HashIndex) (*cluster.Plan, error) {
 		if s.Kind != cluster.RestoreVM {
 			continue
 		}
-		if _, err := c.moveVM(s.VM, s.TargetNode, index); err != nil {
+		if _, err := c.moveVM(s.VM, index); err != nil {
 			return nil, err
 		}
 	}
-	// Parity re-homes and the final strict validation. moveVM already
-	// updated the VM placements; ApplyRebalance re-applies them
-	// idempotently and moves the parity assignments.
-	if err := c.layout.ApplyRebalance(plan); err != nil {
+	if err := c.layout.Apply(plan); err != nil {
 		return nil, err
 	}
 	for _, s := range plan.Steps {

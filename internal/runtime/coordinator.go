@@ -713,7 +713,7 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 	if rbErr != nil {
 		return nil, rbErr
 	}
-	if err := c.execute(root.ContextOr(obs.SpanContext{}), tr, plan, c.layout.ApplyRecovery); err != nil {
+	if err := c.execute(root.ContextOr(obs.SpanContext{}), tr, plan); err != nil {
 		return nil, err
 	}
 	d := time.Since(t0)
@@ -756,24 +756,24 @@ func (c *Coordinator) downNodes(extra ...int) []int {
 // steps that completed:
 //
 //  1. Each damaged group gets one rebuild request (rebuildGroup) carrying its
-//     RehomeParity steps and the RestoreVM steps whose VM's host is dead.
-//     Groups share no VM and no parity block (orthogonality), so they rebuild
-//     concurrently, against the layout as it stands.
+//     RehomeParity steps and the RestoreVM steps whose VM's host (Step.From)
+//     is dead. Groups share no VM and no parity block (orthogonality), so
+//     they rebuild concurrently, against the layout as it stands.
 //  2. Each RestoreVM step whose VM's host is up is a move (move). Moves run
 //     after the rebuilds, so no rebuild reads a VM a move has just evicted.
-//  3. The completed steps are recorded with apply, the plan's own layout
-//     update: a step that failed is not in the layout, whatever became of
-//     the others, so a retry plans only what is still to do.
+//  3. The completed steps are recorded with the layout's Apply: a step that
+//     failed is not in the layout, whatever became of the others, so a retry
+//     plans only what is still to do.
 //  4. Every alive node learns the parity homes of the groups those steps
 //     touched, whatever failed.
 //
 // The errors of all four are joined.
-func (c *Coordinator) execute(ctx obs.SpanContext, tr *obs.Tracer, plan *cluster.Plan, apply func(*cluster.Plan) error) error {
+func (c *Coordinator) execute(ctx obs.SpanContext, tr *obs.Tracer, plan *cluster.Plan) error {
 	var groups, moves []int
 	rebuilds := map[int][]int{} // group -> indices of its rebuilt steps
 	c.mu.Lock()
 	for i, s := range plan.Steps {
-		if v, ok := c.layout.VM(s.VM); s.Kind == cluster.RestoreVM && ok && !c.dead[v.Node] {
+		if s.Kind == cluster.RestoreVM && !c.dead[s.From] {
 			moves = append(moves, i)
 			continue
 		}
@@ -813,7 +813,7 @@ func (c *Coordinator) execute(ctx obs.SpanContext, tr *obs.Tracer, plan *cluster
 		}
 	}
 	return errors.Join(rebuildErr, moveErr,
-		apply(&cluster.Plan{Down: plan.Down, Steps: completed, Degraded: plan.Degraded}),
+		c.layout.Apply(&cluster.Plan{Down: plan.Down, Steps: completed, Degraded: plan.Degraded}),
 		c.refreshParityPointers(ctx, touched))
 }
 
@@ -988,24 +988,8 @@ func (c *Coordinator) Repair(node int) error {
 // the error is returned after the steps that did complete are recorded in the
 // layout and their groups' parity pointers refreshed. Call immediately after
 // Checkpoint, before any Step.
-func (c *Coordinator) Rebalance() (plan *cluster.Plan, err error) {
-	c.roundMu.Lock()
-	defer c.roundMu.Unlock()
-	t0 := time.Now()
-	c.mu.Lock()
-	tr := c.tracer
-	c.mu.Unlock()
-	root := tr.Start(obs.SpanContext{}, "rebalance", "coord")
-	defer func() { root.FinishErr(err) }()
-	plan, err = c.layout.PlanRebalance(c.downNodes()...)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.execute(root.ContextOr(obs.SpanContext{}), tr, plan, c.layout.ApplyRebalance); err != nil {
-		return nil, err
-	}
-	c.observePhase("rebalance", time.Since(t0))
-	return plan, nil
+func (c *Coordinator) Rebalance() (*cluster.Plan, error) {
+	return c.relocate("rebalance", -1, c.layout.PlanRebalance)
 }
 
 // EvacuateKeepers drains every parity block off one (alive) node — the
@@ -1017,7 +1001,17 @@ func (c *Coordinator) Rebalance() (plan *cluster.Plan, err error) {
 // Rebalance. Layouts with no legal target (the paper's minimal 4-node
 // placement) fail loudly; an empty plan means the node already keeps no
 // parity.
-func (c *Coordinator) EvacuateKeepers(node int) (plan *cluster.Plan, err error) {
+func (c *Coordinator) EvacuateKeepers(node int) (*cluster.Plan, error) {
+	return c.relocate("evacuate", node, func(down ...int) (*cluster.Plan, error) {
+		return c.layout.PlanKeeperEvacuation(node, down...)
+	})
+}
+
+// relocate is Rebalance and EvacuateKeepers: it plans with planner against
+// the nodes that are down and carries the plan out (execute) in a root span
+// and a phase both called name. A node ≥ 0 is the node whose keepers are
+// evacuated: it must be alive, and an empty plan for it returns at once.
+func (c *Coordinator) relocate(name string, node int, planner func(down ...int) (*cluster.Plan, error)) (plan *cluster.Plan, err error) {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
 	t0 := time.Now()
@@ -1027,17 +1021,19 @@ func (c *Coordinator) EvacuateKeepers(node int) (plan *cluster.Plan, err error) 
 	if dead {
 		return nil, fmt.Errorf("runtime: cannot evacuate keepers off dead node %d", node)
 	}
-	root := tr.Start(obs.SpanContext{}, "evacuate", "coord")
-	root.SetAttr("node", fmt.Sprint(node))
+	root := tr.Start(obs.SpanContext{}, name, "coord")
+	if node >= 0 {
+		root.SetAttr("node", fmt.Sprint(node))
+	}
 	defer func() { root.FinishErr(err) }()
-	plan, err = c.layout.PlanKeeperEvacuation(node, c.downNodes()...)
-	if err != nil || len(plan.Steps) == 0 {
+	plan, err = planner(c.downNodes()...)
+	if err != nil || (node >= 0 && len(plan.Steps) == 0) {
 		return plan, err
 	}
-	if err := c.execute(root.ContextOr(obs.SpanContext{}), tr, plan, c.layout.ApplyRebalance); err != nil {
+	if err := c.execute(root.ContextOr(obs.SpanContext{}), tr, plan); err != nil {
 		return nil, err
 	}
-	c.observePhase("evacuate", time.Since(t0))
+	c.observePhase(name, time.Since(t0))
 	return plan, nil
 }
 
