@@ -1,13 +1,14 @@
 // Command dvdcbench regenerates the paper's evaluation artifacts. Each
 // experiment prints its tables and ASCII figures; -csv additionally dumps
-// the raw series.
+// the raw series. The telemetry plane's cost is measured by the runtime's
+// BenchmarkObsOverhead and counted by its TestTelemetryCountsPerRound, not
+// here.
 //
 // Usage:
 //
 //	dvdcbench -list
 //	dvdcbench -exp E1
 //	dvdcbench -exp all -mtbf 10800 -job 172800
-//	dvdcbench -obs                 # telemetry-plane overhead on live rounds -> BENCH_obs.json
 package main
 
 import (
@@ -43,10 +44,6 @@ func main() {
 		runs   = flag.Int("runs", 60, "Monte-Carlo repetitions")
 		points = flag.Int("points", 120, "sweep points for figures")
 
-		obsBench    = flag.Bool("obs", false, "run the telemetry-plane overhead comparison on a live cluster and exit")
-		obRounds    = flag.Int("obs-rounds", 20, "timed checkpoint rounds per telemetry case")
-		obsJSONPath = flag.String("obs-json", "BENCH_obs.json", "where -obs writes its JSON artifact")
-
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run here")
 	)
 	var common cli.Common
@@ -65,14 +62,6 @@ func main() {
 			os.Exit(1)
 		}
 		defer pprof.StopCPUProfile()
-	}
-
-	if *obsBench {
-		if err := runObsBench(*obRounds, *seed, *obsJSONPath); err != nil {
-			fmt.Fprintf(os.Stderr, "dvdcbench: obs: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	reg := obs.NewRegistry()

@@ -22,8 +22,9 @@
 //	dvdcctl get   -addr 127.0.0.1:7500
 //	dvdcctl watch -addr 127.0.0.1:7500 -id ckpt-1
 //
-// The trace subcommand renders a JSONL span file (from dvdcsoak -trace-jsonl
-// or the coordinator's -trace-jsonl) as an ASCII phase timeline:
+// The trace subcommand renders a JSONL span file (from dvdcsoak -trace-jsonl,
+// the coordinator's -trace-jsonl, or a postmortem bundle's spans.jsonl) as an
+// ASCII phase timeline:
 //
 //	dvdcctl trace -in soak.jsonl              # one summary line per trace
 //	dvdcctl trace -in soak.jsonl -epoch 7     # timeline of epoch 7's round
@@ -600,10 +601,10 @@ func traceMain(args []string) {
 		pick = order[0]
 	}
 	if pick != 0 {
-		fmt.Print(obs.RenderTimeline(byTrace[pick], *width))
+		fmt.Print(collect.RenderTimeline(collect.BuildTree(byTrace[pick]), *width))
 		return
 	}
-	for _, line := range obs.SummarizeTraces(spans) {
+	for _, line := range collect.SummarizeTraces(spans) {
 		fmt.Println(line)
 	}
 	fmt.Printf("%d traces; render one with -trace <id> or -epoch <n>\n", len(order))
@@ -637,7 +638,7 @@ func traceRequest(addr, id string, width int) {
 			verdict = err.Error()
 		}
 		fmt.Printf("trace %s (%d spans, %s):\n", hexID, len(tree.Spans), verdict)
-		fmt.Print(obs.RenderTimeline(tree.Spans, width))
+		fmt.Print(collect.RenderTimeline(tree, width))
 	}
 }
 

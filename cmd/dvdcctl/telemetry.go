@@ -189,8 +189,9 @@ func fetchHealth(client *http.Client, src string) health.SourceReport {
 }
 
 // postmortemMain renders a flight-recorder bundle: the pre-failure window of
-// spans, RPC outcomes, and chaos events a process dumped when it hit a
-// PartialCommitError, a soak invariant violation, or SIGQUIT.
+// flight entries (untraced RPC outcomes, chaos events, alerts, notes) and
+// spans a process dumped when it hit a PartialCommitError, a soak invariant
+// violation, or SIGQUIT. The spans render with dvdcctl trace -in.
 func postmortemMain(args []string) {
 	fs := flag.NewFlagSet("dvdcctl postmortem", flag.ExitOnError)
 	var (

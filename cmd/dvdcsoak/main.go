@@ -165,15 +165,11 @@ func main() {
 	if f.common.WantTracer() {
 		cfg.Tracer = obs.NewTracer(1 << 15)
 	}
-	if f.common.TraceJSONL != "" {
-		tf, err := os.Create(f.common.TraceJSONL)
-		fatal(err)
-		defer tf.Close()
-		cfg.TraceSink = tf
-	}
-	if f.common.PostmortemDir != "" {
-		cfg.PostmortemDir = f.common.PostmortemDir
-		cfg.Recorder = obs.NewFlightRecorder(0)
+	// Without -obs-addr or -trace-jsonl the soak builds its own tracer and
+	// gives it to the recorder.
+	cfg.PostmortemDir = f.common.PostmortemDir
+	cfg.Recorder = f.common.Recorder(cfg.Registry, cfg.Tracer)
+	if cfg.Recorder != nil {
 		// SIGQUIT = "explain yourself": dump the black box and keep soaking.
 		quit := make(chan os.Signal, 1)
 		signal.Notify(quit, syscall.SIGQUIT)
@@ -209,9 +205,12 @@ func main() {
 	}
 	fmt.Printf("dvdcsoak: %d nodes, %d VMs, %d rounds, seed %d (%s mode)\n",
 		layout.Nodes, len(layout.VMs), cfg.Rounds, cfg.Seed, mode)
+	closeSink, err := f.common.OpenTraceSink(cfg.Tracer)
+	fatal(err)
 	start := time.Now()
 	res, err := runtime.RunSoak(cfg)
 	elapsed := time.Since(start)
+	closeSink() // before any exit: a failed soak still leaves a complete span file
 	if res == nil {
 		fatal(err) // refused config or failed boot: no round ran, nothing violated
 	}

@@ -124,17 +124,16 @@ func (c *Common) ServeObs(name string, reg *obs.Registry, tr *obs.Tracer, mounts
 }
 
 // Recorder builds the flight recorder -postmortem-dir asks for, wired to the
-// registry and tapping the tracer when one exists. Returns nil when the flag
-// is unset; callers attach run-specific metadata themselves.
+// registry and to the tracer (nil when untraced) whose spans its bundles
+// carry. Returns nil when the flag is unset; callers attach run-specific
+// metadata themselves.
 func (c *Common) Recorder(reg *obs.Registry, tr *obs.Tracer) *obs.FlightRecorder {
 	if c.PostmortemDir == "" {
 		return nil
 	}
-	rec := obs.NewFlightRecorder(0)
+	rec := obs.NewFlightRecorder()
 	rec.SetDumpDir(c.PostmortemDir)
 	rec.SetRegistry(reg)
-	if tr != nil {
-		tr.SetTap(rec.Span)
-	}
+	rec.SetTracer(tr)
 	return rec
 }

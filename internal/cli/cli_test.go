@@ -113,7 +113,7 @@ func TestServeObsDiscoveryAndMounts(t *testing.T) {
 
 // TestOpenTraceSinkAndRecorder covers the remaining bootstrap helpers: the
 // JSONL sink receives finished spans and the closer flushes them; Recorder
-// wires dump dir, registry, and tracer tap.
+// wires dump dir, registry, and tracer, so its bundles carry the spans.
 func TestOpenTraceSinkAndRecorder(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "spans.jsonl")
@@ -138,6 +138,17 @@ func TestOpenTraceSinkAndRecorder(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `"unit"`) {
 		t.Errorf("sink file missing span: %q", data)
+	}
+	bundle, err := rec.AutoDump("unit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := obs.ReadBundle(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Spans) != 1 || b.Spans[0].Name != "unit" {
+		t.Errorf("bundle spans = %+v, want the traced span", b.Spans)
 	}
 
 	// Unset flags are no-ops.

@@ -107,12 +107,11 @@ type Decision struct {
 	Inputs map[string]string // the evidence the rule fired on
 }
 
-// Config parameterizes an Advisor. Tracer/Registry/Recorder may each be nil
-// (the corresponding telemetry is simply not emitted).
+// Config parameterizes an Advisor. Tracer and Registry may each be nil (the
+// corresponding telemetry is simply not emitted).
 type Config struct {
 	Tracer   *obs.Tracer
 	Registry *obs.Registry
-	Recorder *obs.FlightRecorder
 	Hooks    Hooks
 
 	// IntervalSeconds is the base checkpoint interval on the virtual clock:
@@ -330,8 +329,7 @@ func (a *Advisor) intervalRule(o Observation) *Decision {
 }
 
 // record lands one decision in every telemetry surface: the dvdc_adapt_*
-// counters, a decision span under the round trace, and a flight note. Caller
-// holds a.mu.
+// counters and a decision span under the round trace. Caller holds a.mu.
 func (a *Advisor) record(sctx obs.SpanContext, d Decision) {
 	reg := a.cfg.Registry
 	reg.Counter("dvdc_adapt_recommendations_total", "rule", d.Rule).Inc()
@@ -355,12 +353,6 @@ func (a *Advisor) record(sctx obs.SpanContext, d Decision) {
 		}
 		sp.Finish()
 	}
-	a.cfg.Recorder.Note("adapt",
-		"round", strconv.Itoa(d.Round),
-		"rule", d.Rule,
-		"action", d.Action,
-		"detail", d.Detail,
-		"reason", d.Reason)
 }
 
 func sortedKeys(m map[string]string) []string {

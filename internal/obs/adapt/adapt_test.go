@@ -122,8 +122,7 @@ func TestIntervalRuleFollowsFailureRate(t *testing.T) {
 func TestDecisionTelemetryAndRendering(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(1 << 10)
-	rec := obs.NewFlightRecorder(128)
-	a := New(failureRegime(Config{Tracer: tr, Registry: reg, Recorder: rec}))
+	a := New(failureRegime(Config{Tracer: tr, Registry: reg}))
 	root := tr.Start(obs.SpanContext{}, "round", "coord")
 	o := obsWith(1, 5, "node2")
 	o.Ctx = root.Context()
@@ -155,17 +154,6 @@ func TestDecisionTelemetryAndRendering(t *testing.T) {
 	}
 	if adaptSpans != 3 { // "adapt" + one per decision
 		t.Errorf("adapt spans in round trace = %d, want 3", adaptSpans)
-	}
-
-	// Flight notes: one per decision.
-	var notes int
-	for _, e := range rec.Entries() {
-		if e.Kind == "note" && e.Name == "adapt" {
-			notes++
-		}
-	}
-	if notes != 2 {
-		t.Errorf("flight notes = %d, want 2", notes)
 	}
 
 	// Decision log rendering: inputs -> rule -> action.

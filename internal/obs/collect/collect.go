@@ -226,7 +226,7 @@ func BuildTree(spans []obs.Span) *Tree {
 			}
 			continue
 		}
-		if _, ok := byID[s.Parent]; ok {
+		if _, ok := byID[s.Parent]; ok && s.Parent != s.ID {
 			t.children[s.Parent] = append(t.children[s.Parent], i)
 		}
 	}
@@ -319,19 +319,64 @@ func (t *Tree) Wall() time.Duration {
 	if r := t.Root(); r != nil {
 		return r.Duration()
 	}
-	if len(t.Spans) == 0 {
-		return 0
-	}
-	t0, t1 := t.Spans[0].Start, t.Spans[0].End
-	for _, s := range t.Spans {
-		if s.Start.Before(t0) {
+	t0, t1 := t.extent()
+	return t1.Sub(t0)
+}
+
+// extent returns the span hull: the earliest start and the latest end (zero
+// times for an empty tree).
+func (t *Tree) extent() (t0, t1 time.Time) {
+	for i, s := range t.Spans {
+		if i == 0 || s.Start.Before(t0) {
 			t0 = s.Start
 		}
-		if s.End.After(t1) {
+		if i == 0 || s.End.After(t1) {
 			t1 = s.End
 		}
 	}
-	return t1.Sub(t0)
+	return t0, t1
+}
+
+// row is one span in tree order: depth levels below its top row, on lane —
+// its own lane, else its nearest ancestor's.
+type row struct {
+	span  *obs.Span
+	depth int
+	lane  string
+}
+
+// rows lists the spans in tree order: top rows — the root and every span
+// whose parent is absent or itself — in canonical order, each followed
+// depth-first by its children in canonical order. A span is listed at most
+// once, so no parent cycle can loop the walk.
+func (t *Tree) rows() []row {
+	byID := make(map[uint64]bool, len(t.Spans))
+	for _, s := range t.Spans {
+		byID[s.ID] = true
+	}
+	rows := make([]row, 0, len(t.Spans))
+	seen := make(map[uint64]bool, len(t.Spans))
+	var walk func(i, depth int, lane string)
+	walk = func(i, depth int, lane string) {
+		s := &t.Spans[i]
+		if seen[s.ID] {
+			return
+		}
+		seen[s.ID] = true
+		if s.Lane != "" {
+			lane = s.Lane
+		}
+		rows = append(rows, row{span: s, depth: depth, lane: lane})
+		for _, ci := range t.children[s.ID] {
+			walk(ci, depth+1, lane)
+		}
+	}
+	for i, s := range t.Spans {
+		if s.Parent == 0 || s.Parent == s.ID || !byID[s.Parent] {
+			walk(i, 0, "")
+		}
+	}
+	return rows
 }
 
 // MetricValue extracts one sample from a Prometheus text exposition: the

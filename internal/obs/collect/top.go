@@ -2,6 +2,7 @@ package collect
 
 import (
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -211,8 +212,9 @@ func RenderTop(v TopView, width int) string {
 }
 
 // RenderPostmortem renders a flight-recorder bundle for `dvdcctl postmortem`:
-// header, entry-kind and error tallies, the last tail entries, and every
-// errored entry. Pure: rendering depends only on the bundle and tail.
+// header (with the span count and how to render the spans), entry-kind and
+// error tallies, the last tail entries, and the last errored entries and
+// spans. Pure: rendering depends only on the bundle and tail.
 func RenderPostmortem(b *obs.Bundle, tail int) string {
 	if tail <= 0 {
 		tail = 40
@@ -223,6 +225,11 @@ func RenderPostmortem(b *obs.Bundle, tail int) string {
 	fmt.Fprintf(&w, "  time:    %s\n", b.Meta.Time.Format(time.RFC3339Nano))
 	fmt.Fprintf(&w, "  pid:     %d\n", b.Meta.HostedPID)
 	fmt.Fprintf(&w, "  entries: %d (%d evicted before dump)\n", b.Meta.Entries, b.Meta.Dropped)
+	fmt.Fprintf(&w, "  spans:   %d", len(b.Spans))
+	if len(b.Spans) > 0 {
+		fmt.Fprintf(&w, " (render with: dvdcctl trace -in %s)", filepath.Join(b.Path, "spans.jsonl"))
+	}
+	w.WriteByte('\n')
 	if len(b.Meta.Meta) > 0 {
 		keys := make([]string, 0, len(b.Meta.Meta))
 		for k := range b.Meta.Meta {
@@ -264,14 +271,32 @@ func RenderPostmortem(b *obs.Bundle, tail int) string {
 		fmt.Fprintf(&w, "  %s\n", e.String())
 	}
 
+	const maxErrs = 10
 	if len(errored) > 0 {
-		const maxErrs = 10
-		if len(errored) > maxErrs {
-			errored = errored[len(errored)-maxErrs:]
-		}
+		errored = errored[max(len(errored)-maxErrs, 0):]
 		fmt.Fprintf(&w, "\nerrored entries (last %d):\n", len(errored))
 		for _, e := range errored {
 			fmt.Fprintf(&w, "  %s\n", e.String())
+		}
+	}
+	var erroredSpans []obs.Span
+	for _, s := range b.Spans {
+		if s.Err != "" {
+			erroredSpans = append(erroredSpans, s)
+		}
+	}
+	if len(erroredSpans) > 0 {
+		erroredSpans = erroredSpans[max(len(erroredSpans)-maxErrs, 0):]
+		fmt.Fprintf(&w, "\nerrored spans (last %d):\n", len(erroredSpans))
+		for _, s := range erroredSpans {
+			fmt.Fprintf(&w, "  %s  %s", s.End.Format("15:04:05.000000"), s.Name)
+			if s.Lane != "" {
+				fmt.Fprintf(&w, " [%s]", s.Lane)
+			}
+			if p := s.Attrs["peer"]; p != "" {
+				fmt.Fprintf(&w, " peer=%s", p)
+			}
+			fmt.Fprintf(&w, " %v trace=%016x ERR=%s\n", s.Duration().Round(time.Microsecond), s.Trace, s.Err)
 		}
 	}
 	if b.Metrics != "" {

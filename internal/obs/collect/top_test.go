@@ -76,7 +76,7 @@ no round trace collected yet
 // pmFixture is a bundle as ReadBundle would return it, with fixed times.
 func pmFixture() *obs.Bundle {
 	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
-	return &obs.Bundle{
+	b := &obs.Bundle{
 		Path: "/tmp/pm/postmortem-partial-commit-42",
 		Meta: obs.BundleMeta{
 			Reason:    "partial-commit",
@@ -92,8 +92,14 @@ func pmFixture() *obs.Bundle {
 			{Time: at(140), Kind: "rpc", Name: "MsgCommit", Peer: "node2", Trace: 7, DurNS: int64(30 * time.Millisecond), Err: "pool: retries exhausted"},
 			{Time: at(141), Kind: "note", Name: "partial-commit", Attrs: map[string]string{"epoch": "5"}},
 		},
+		Spans: []obs.Span{
+			mkSpan(7, 1, 0, "round", "coord", 100, 141),
+			mkSpan(7, 2, 1, "rpc MsgCommit", "", 110, 140, "peer", "node2"),
+		},
 		Metrics: "# TYPE dvdc_up gauge\ndvdc_up 1\ndvdc_rounds_total 9\n",
 	}
+	b.Spans[1].Err = "pool: retries exhausted"
+	return b
 }
 
 const pmGolden = `postmortem bundle /tmp/pm/postmortem-partial-commit-42
@@ -101,6 +107,7 @@ const pmGolden = `postmortem bundle /tmp/pm/postmortem-partial-commit-42
   time:    2026-01-01T12:00:00.5Z
   pid:     4242
   entries: 4 (2 evicted before dump)
+  spans:   2 (render with: dvdcctl trace -in /tmp/pm/postmortem-partial-commit-42/spans.jsonl)
   nodes: 3
   seed: 7
 
@@ -112,6 +119,9 @@ last 2 entries:
 
 errored entries (last 1):
   12:00:00.140000  rpc   MsgCommit peer=node2 30ms trace=0000000000000007 ERR=pool: retries exhausted
+
+errored spans (last 1):
+  12:00:00.140000  rpc MsgCommit peer=node2 30ms trace=0000000000000007 ERR=pool: retries exhausted
 
 metrics snapshot: 2 series lines (see metrics.prom)
 `

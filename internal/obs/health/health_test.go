@@ -233,7 +233,7 @@ func TestRenderReportsGolden(t *testing.T) {
 // recorder as kind "alert" entries.
 func TestAlertStampedIntoRecorder(t *testing.T) {
 	reg := obs.NewRegistry()
-	rec := obs.NewFlightRecorder(64)
+	rec := obs.NewFlightRecorder()
 	e := New(Options{Registry: reg, Recorder: rec, FixedStep: time.Second})
 	var v float64
 	e.AddSignal(Signal{Name: "g", Kind: KindGauge, Probe: func() (float64, bool) { return v, true }})

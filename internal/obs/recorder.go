@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
@@ -14,14 +15,14 @@ import (
 	"time"
 )
 
-// FlightEntry is one event in the flight recorder's bounded log: a finished
-// span, an RPC outcome, a chaos fault, or a free-form note. Entries are
-// small and uniform so the ring holds a long pre-failure window cheaply.
+// FlightEntry is one event in the flight recorder's bounded log: an untraced
+// RPC outcome, a chaos fault, an alert transition, or a free-form note —
+// what no span carries. Entries are small and uniform so the ring holds a
+// long pre-failure window cheaply.
 type FlightEntry struct {
 	Time  time.Time         `json:"time"`
-	Kind  string            `json:"kind"`            // "span" | "rpc" | "chaos" | "note" | "alert"
-	Name  string            `json:"name"`            // span name, RPC message type, fault kind
-	Lane  string            `json:"lane,omitempty"`  // who did the work (coord, nodeN, chaos)
+	Kind  string            `json:"kind"`            // "rpc" | "chaos" | "note" | "alert"
+	Name  string            `json:"name"`            // RPC message type, fault kind, note or rule name
 	Peer  string            `json:"peer,omitempty"`  // RPC peer / fault pair
 	Trace uint64            `json:"trace,omitempty"` // owning trace id, when known
 	DurNS int64             `json:"dur_ns,omitempty"`
@@ -33,9 +34,6 @@ type FlightEntry struct {
 func (e FlightEntry) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s  %-5s %s", e.Time.Format("15:04:05.000000"), e.Kind, e.Name)
-	if e.Lane != "" {
-		fmt.Fprintf(&b, " [%s]", e.Lane)
-	}
 	if e.Peer != "" {
 		fmt.Fprintf(&b, " peer=%s", e.Peer)
 	}
@@ -61,13 +59,14 @@ func (e FlightEntry) String() string {
 	return b.String()
 }
 
-// FlightRecorder is a per-process black box: a bounded ring of recent
-// telemetry (spans, per-peer RPC outcomes, chaos events, notes) that can
-// dump a postmortem bundle — the ring as JSONL, a metrics snapshot, and run
-// metadata — when something goes wrong (PartialCommitError, a soak invariant
-// violation, SIGQUIT). Inspired by ReHype's recoverable pre-failure state:
-// the recorder keeps running at full fidelity so the 2 s before a failure
-// are always on disk-able record. All methods tolerate a nil receiver.
+// FlightRecorder is a per-process black box: a bounded ring of what no span
+// carries (untraced RPC outcomes, chaos events, alerts, notes) that can dump
+// a postmortem bundle — the ring and the process tracer's spans as JSONL, a
+// metrics snapshot, and run metadata — when something goes wrong
+// (PartialCommitError, a soak invariant violation, SIGQUIT). Inspired by
+// ReHype's recoverable pre-failure state: the recorder keeps running at full
+// fidelity so the 2 s before a failure are always on disk-able record. All
+// methods tolerate a nil receiver.
 type FlightRecorder struct {
 	ring  *Ring[FlightEntry]
 	dumps atomic.Int64
@@ -75,16 +74,16 @@ type FlightRecorder struct {
 	mu   sync.Mutex
 	dir  string // auto-dump directory ("" = AutoDump disabled)
 	reg  *Registry
+	tr   *Tracer
 	meta map[string]interface{}
 }
 
-// NewFlightRecorder builds a recorder holding the last size entries
-// (<= 0 picks 4096).
-func NewFlightRecorder(size int) *FlightRecorder {
-	if size <= 0 {
-		size = 4096
-	}
-	return &FlightRecorder{ring: NewRing[FlightEntry](size), meta: map[string]interface{}{}}
+// flightRingSize is how many entries a flight recorder keeps.
+const flightRingSize = 4096
+
+// NewFlightRecorder builds a recorder holding the last 4096 entries.
+func NewFlightRecorder() *FlightRecorder {
+	return &FlightRecorder{ring: NewRing[FlightEntry](flightRingSize), meta: map[string]interface{}{}}
 }
 
 // SetDumpDir sets where AutoDump writes bundles ("" disables AutoDump;
@@ -106,6 +105,18 @@ func (r *FlightRecorder) SetRegistry(reg *Registry) {
 	}
 	r.mu.Lock()
 	r.reg = reg
+	r.mu.Unlock()
+}
+
+// SetTracer attaches the process's tracer, whose ring of finished spans
+// every bundle carries as spans.jsonl. Pass the tracer the process's pools
+// and coordinator use: their traced RPC outcomes live only in its spans.
+func (r *FlightRecorder) SetTracer(tr *Tracer) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.tr = tr
 	r.mu.Unlock()
 }
 
@@ -139,7 +150,8 @@ func (r *FlightRecorder) Note(name string, kv ...string) {
 	r.Record(FlightEntry{Kind: "note", Name: name, Attrs: kvMap(kv)})
 }
 
-// RPC records one per-peer RPC outcome (the transport pool's feed).
+// RPC records one per-peer RPC outcome (the transport pool's feed for calls
+// that open no span).
 func (r *FlightRecorder) RPC(peer, msg string, d time.Duration, trace uint64, err error) {
 	if r == nil {
 		return
@@ -147,23 +159,6 @@ func (r *FlightRecorder) RPC(peer, msg string, d time.Duration, trace uint64, er
 	e := FlightEntry{Kind: "rpc", Name: msg, Peer: peer, DurNS: d.Nanoseconds(), Trace: trace}
 	if err != nil {
 		e.Err = err.Error()
-	}
-	r.Record(e)
-}
-
-// Span records one finished span; install via Tracer.SetTap:
-//
-//	tr.SetTap(rec.Span)
-func (r *FlightRecorder) Span(s Span) {
-	if r == nil {
-		return
-	}
-	e := FlightEntry{
-		Time: s.End, Kind: "span", Name: s.Name, Lane: s.Lane,
-		Trace: s.Trace, DurNS: s.Duration().Nanoseconds(), Err: s.Err,
-	}
-	if p := s.Attrs["peer"]; p != "" {
-		e.Peer = p
 	}
 	r.Record(e)
 }
@@ -241,6 +236,9 @@ func (r *FlightRecorder) AutoDump(reason string) (string, error) {
 //
 //	<dir>/postmortem-<reason>-<nanotime>/
 //	    flight.jsonl     the ring's entries, oldest first, one JSON per line
+//	    spans.jsonl      the tracer's ring, oldest first, in the JSONL sink's
+//	                     encoding (when a tracer is set; render with
+//	                     `dvdcctl trace -in`)
 //	    metrics.prom     Prometheus exposition snapshot (when a registry is set)
 //	    goroutine.pprof  full goroutine stacks (text, debug=2) — stuck
 //	                     reconcilers show as parked goroutines
@@ -261,45 +259,29 @@ func (r *FlightRecorder) Dump(dir, reason string) (string, error) {
 		return "", fmt.Errorf("obs: bundle dir: %w", err)
 	}
 	entries := r.Entries()
-
-	f, err := os.Create(filepath.Join(bundle, "flight.jsonl"))
-	if err != nil {
-		return "", err
-	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for _, e := range entries {
-		if err := enc.Encode(e); err != nil {
-			f.Close()
-			return "", err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return "", err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFile(filepath.Join(bundle, "flight.jsonl"), func(w io.Writer) error {
+		return writeJSONL(w, entries)
+	}); err != nil {
 		return "", err
 	}
 
 	r.mu.Lock()
-	reg := r.reg
+	reg, tr := r.reg, r.tr
 	meta := make(map[string]interface{}, len(r.meta))
 	for k, v := range r.meta {
 		meta[k] = v
 	}
 	r.mu.Unlock()
-	if reg != nil {
-		mf, err := os.Create(filepath.Join(bundle, "metrics.prom"))
-		if err != nil {
+	if tr != nil {
+		if err := writeFile(filepath.Join(bundle, "spans.jsonl"), func(w io.Writer) error {
+			return writeJSONL(w, tr.Spans())
+		}); err != nil {
 			return "", err
 		}
-		werr := reg.WritePrometheus(mf)
-		if cerr := mf.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return "", werr
+	}
+	if reg != nil {
+		if err := writeFile(filepath.Join(bundle, "metrics.prom"), reg.WritePrometheus); err != nil {
+			return "", err
 		}
 	}
 
@@ -339,11 +321,29 @@ func (r *FlightRecorder) Dump(dir, reason string) (string, error) {
 	return bundle, nil
 }
 
+// writeFile creates path and fills it through a buffered writer.
+func writeFile(path string, fill func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	err = fill(w)
+	if err == nil {
+		err = w.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // Bundle is a postmortem bundle read back from disk.
 type Bundle struct {
 	Path    string
 	Meta    BundleMeta
 	Entries []FlightEntry
+	Spans   []Span // the dumping process's tracer ring (none when untraced)
 	Metrics string // raw Prometheus exposition ("" when absent)
 }
 
@@ -361,22 +361,19 @@ func ReadBundle(dir string) (*Bundle, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var e FlightEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("obs: flight.jsonl line %d: %w", line, err)
-		}
-		b.Entries = append(b.Entries, e)
+	b.Entries, err = readJSONL[FlightEntry](f, "flight.jsonl")
+	f.Close()
+	if err != nil {
+		return nil, err
 	}
-	if err := sc.Err(); err != nil {
+	// An untraced process dumps no spans.jsonl: that bundle has zero spans.
+	if sf, err := os.Open(filepath.Join(dir, "spans.jsonl")); err == nil {
+		b.Spans, err = readJSONL[Span](sf, "spans.jsonl")
+		sf.Close()
+		if err != nil {
+			return nil, err
+		}
+	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
 	if pm, err := os.ReadFile(filepath.Join(dir, "metrics.prom")); err == nil {

@@ -1,9 +1,10 @@
 // Package obs is the runtime's dependency-light observability core: a span
 // tracer whose trace ids ride the wire protocol's message headers, a metrics
 // registry of counters/gauges/histograms with Prometheus text exposition, and
-// an ASCII phase-timeline renderer for traces. Everything is plain stdlib and
-// safe for concurrent use; every entry point tolerates a nil receiver so
-// instrumented code needs no "is observability on?" branches.
+// a flight recorder that dumps postmortem bundles. Span trees are built and
+// rendered by package collect. Everything is plain stdlib and safe for
+// concurrent use; every entry point tolerates a nil receiver so instrumented
+// code needs no "is observability on?" branches.
 package obs
 
 import (
@@ -13,7 +14,6 @@ import (
 	"io"
 	"math/rand"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,7 +73,6 @@ type Tracer struct {
 	mu      sync.Mutex
 	sink    *bufio.Writer
 	sinkErr error
-	encBuf  []byte // sink encode scratch, reused under mu
 	tap     func(Span)
 }
 
@@ -99,8 +98,8 @@ func (t *Tracer) Dropped() int64 {
 }
 
 // SetTap attaches a function called with every subsequently finished span
-// (nil detaches). The flight recorder taps the tracer this way; the tap runs
-// on the finishing goroutine and must be fast.
+// (nil detaches). A tracer has one tap; it runs on the finishing goroutine
+// and must be fast.
 func (t *Tracer) SetTap(fn func(Span)) {
 	if t == nil {
 		return
@@ -224,114 +223,13 @@ func (t *Tracer) record(s Span) {
 	t.ring.Push(s)
 	t.mu.Lock()
 	if t.sink != nil && t.sinkErr == nil {
-		// Hand-rolled encoding (identical bytes to encoding/json, pinned by
-		// TestSpanAppendJSON): reflection-based Encode was the single biggest
-		// CPU item of the span hot path under -cpuprofile.
-		t.encBuf = s.appendJSON(t.encBuf[:0])
-		t.encBuf = append(t.encBuf, '\n')
-		if _, err := t.sink.Write(t.encBuf); err != nil {
-			t.sinkErr = err
-		}
+		t.sinkErr = writeJSONL(t.sink, []Span{s})
 	}
 	tap := t.tap
 	t.mu.Unlock()
 	if tap != nil {
 		tap(s)
 	}
-}
-
-// appendJSON appends the span's one-line JSON encoding, byte-identical to
-// encoding/json's (field order, omitempty, sorted attr keys, HTML escaping).
-func (s Span) appendJSON(b []byte) []byte {
-	b = append(b, `{"trace":`...)
-	b = strconv.AppendUint(b, s.Trace, 10)
-	b = append(b, `,"span":`...)
-	b = strconv.AppendUint(b, s.ID, 10)
-	if s.Parent != 0 {
-		b = append(b, `,"parent":`...)
-		b = strconv.AppendUint(b, s.Parent, 10)
-	}
-	b = append(b, `,"name":`...)
-	b = appendJSONString(b, s.Name)
-	if s.Lane != "" {
-		b = append(b, `,"lane":`...)
-		b = appendJSONString(b, s.Lane)
-	}
-	b = append(b, `,"start":`...)
-	b = appendJSONTime(b, s.Start)
-	b = append(b, `,"end":`...)
-	b = appendJSONTime(b, s.End)
-	if len(s.Attrs) > 0 {
-		b = append(b, `,"attrs":`...)
-		b = appendJSONAttrs(b, s.Attrs)
-	}
-	if len(s.Events) > 0 {
-		b = append(b, `,"events":[`...)
-		for i, e := range s.Events {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, `{"time":`...)
-			b = appendJSONTime(b, e.Time)
-			b = append(b, `,"name":`...)
-			b = appendJSONString(b, e.Name)
-			if len(e.Attrs) > 0 {
-				b = append(b, `,"attrs":`...)
-				b = appendJSONAttrs(b, e.Attrs)
-			}
-			b = append(b, '}')
-		}
-		b = append(b, ']')
-	}
-	if s.Err != "" {
-		b = append(b, `,"err":`...)
-		b = appendJSONString(b, s.Err)
-	}
-	return append(b, '}')
-}
-
-// appendJSONTime appends a time.Time exactly as its MarshalJSON does
-// (quoted RFC 3339 with subsecond precision).
-func appendJSONTime(b []byte, t time.Time) []byte {
-	b = append(b, '"')
-	b = t.AppendFormat(b, time.RFC3339Nano)
-	return append(b, '"')
-}
-
-// appendJSONAttrs appends a string map as encoding/json does: keys sorted.
-func appendJSONAttrs(b []byte, m map[string]string) []byte {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	b = append(b, '{')
-	for i, k := range keys {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendJSONString(b, k)
-		b = append(b, ':')
-		b = appendJSONString(b, m[k])
-	}
-	return append(b, '}')
-}
-
-// appendJSONString appends a JSON string. The fast path covers the plain
-// ASCII the instrumentation emits; anything needing escapes (quotes,
-// control characters, HTML characters, non-ASCII) takes encoding/json's own
-// path so the escaping rules can never drift.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s)
-			return append(b, quoted...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
 }
 
 // Spans copies the ring, oldest first.
@@ -472,11 +370,27 @@ func kvMap(kv []string) map[string]string {
 	return m
 }
 
+// writeJSONL writes one encoding/json object per line: the span sink's, a
+// bundle's spans.jsonl and its flight.jsonl encoding.
+func writeJSONL[T any](w io.Writer, vs []T) error {
+	enc := json.NewEncoder(w)
+	for _, v := range vs {
+		if err := enc.Encode(v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ReadJSONL parses spans from a JSONL sink stream (blank lines skipped).
-func ReadJSONL(r io.Reader) ([]Span, error) {
+func ReadJSONL(r io.Reader) ([]Span, error) { return readJSONL[Span](r, "trace") }
+
+// readJSONL parses one JSON object of type T per line (blank lines skipped);
+// what names the stream in errors.
+func readJSONL[T any](r io.Reader, what string) ([]T, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var out []Span
+	var out []T
 	line := 0
 	for sc.Scan() {
 		line++
@@ -484,16 +398,13 @@ func ReadJSONL(r io.Reader) ([]Span, error) {
 		if len(b) == 0 {
 			continue
 		}
-		var s Span
-		if err := json.Unmarshal(b, &s); err != nil {
-			return out, fmt.Errorf("obs: trace line %d: %w", line, err)
+		var v T
+		if err := json.Unmarshal(b, &v); err != nil {
+			return out, fmt.Errorf("obs: %s line %d: %w", what, line, err)
 		}
-		out = append(out, s)
+		out = append(out, v)
 	}
-	if err := sc.Err(); err != nil {
-		return out, err
-	}
-	return out, nil
+	return out, sc.Err()
 }
 
 // GroupTraces splits spans by trace id, ids ordered by each trace's earliest

@@ -2,11 +2,8 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
-	"strings"
 	"testing"
-	"time"
 )
 
 func TestTracerSpanTree(t *testing.T) {
@@ -129,81 +126,5 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 	}
 	if spans[1].Attrs["epoch"] != "3" {
 		t.Errorf("root attrs lost: %+v", spans[1].Attrs)
-	}
-}
-
-func TestGroupTracesAndSummaries(t *testing.T) {
-	tr := NewTracer(32)
-	a := tr.Start(SpanContext{}, "round", "coord")
-	tr.Child(a.Context(), "prepare", "").Finish()
-	a.Finish()
-	b := tr.Start(SpanContext{}, "recovery", "coord")
-	b.Finish()
-	ids, byTrace := GroupTraces(tr.Spans())
-	if len(ids) != 2 {
-		t.Fatalf("GroupTraces found %d traces, want 2", len(ids))
-	}
-	if ids[0] != a.TraceID() || ids[1] != b.TraceID() {
-		t.Errorf("traces not ordered by start: %x, %x", ids[0], ids[1])
-	}
-	if len(byTrace[a.TraceID()]) != 2 {
-		t.Errorf("trace a has %d spans, want 2", len(byTrace[a.TraceID()]))
-	}
-	lines := SummarizeTraces(tr.Spans())
-	if len(lines) != 2 || !strings.Contains(lines[0], "round") || !strings.Contains(lines[1], "recovery") {
-		t.Errorf("summaries wrong: %q", lines)
-	}
-}
-
-func TestRenderTimeline(t *testing.T) {
-	tr := NewTracer(32)
-	root := tr.Start(SpanContext{}, "round", "coord")
-	prep := tr.Child(root.Context(), "prepare", "")
-	rpc := tr.Child(prep.Context(), "rpc prepare", "")
-	tr.Event(rpc.Context(), "chaos.drop", "chaos", "pair", "-1->1")
-	rpc.FinishErr(errors.New("connection reset"))
-	prep.Finish()
-	root.Finish()
-
-	out := RenderTimeline(tr.TraceSpans(root.TraceID()), 48)
-	for _, want := range []string{"round", "prepare", "rpc prepare", "chaos.drop", "!", "fault events", "ERR", "pair -1->1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("timeline missing %q:\n%s", want, out)
-		}
-	}
-	if got := RenderTimeline(nil, 40); got != "(empty trace)\n" {
-		t.Errorf("empty render = %q", got)
-	}
-}
-
-// TestSpanAppendJSON pins the hand-rolled sink encoding to encoding/json
-// byte for byte: field order, omitempty behavior, sorted attr keys, time
-// formatting, and the escaping rules (including HTML escaping, which
-// json.Marshal applies by default). If the Span struct grows a field and
-// appendJSON is not taught about it, this test is what fails.
-func TestSpanAppendJSON(t *testing.T) {
-	base := time.Date(2026, 8, 8, 12, 30, 45, 123456789, time.UTC)
-	spans := []Span{
-		{Trace: 1, ID: 2, Name: "round", Start: base, End: base.Add(time.Second)},
-		{Trace: 1, ID: 3, Parent: 2, Name: "rpc MsgPrepare", Lane: "node1",
-			Start: base, End: base.Add(50 * time.Millisecond),
-			Attrs: map[string]string{"peer": "node2", "zz": "last", "aa": "first"}},
-		{Trace: 9, ID: 4, Name: `quote " backslash \ html <&>`, Lane: "näöde",
-			Start: base.Truncate(time.Second), End: base.Truncate(time.Second),
-			Err: "control \t\n chars"},
-		{Trace: 5, ID: 6, Name: "with events", Start: base, End: base.Add(time.Minute),
-			Events: []Event{
-				{Time: base.Add(time.Second), Name: "fault", Attrs: map[string]string{"kind": "drop"}},
-				{Time: base.Add(2 * time.Second), Name: "plain"},
-			}},
-	}
-	for _, s := range spans {
-		want, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := s.appendJSON(nil); string(got) != string(want) {
-			t.Errorf("appendJSON drifted from encoding/json:\n got %s\nwant %s", got, want)
-		}
 	}
 }

@@ -424,15 +424,6 @@ func (c *Coordinator) CheckpointIn(parent obs.SpanContext) error {
 	next := c.epoch.Load() + 1
 	alive := c.aliveNodes()
 	stats := RoundStats{Epoch: next}
-	// A recovery's wall-clock is reported with the round that observed it and
-	// then carried — flagged — on subsequent rounds until the next recovery
-	// overwrites it, so readers can tell "recovery happened this round" from
-	// "this is the residue of an earlier one".
-	if prev := c.RoundStats(); prev.RecoveryWall > 0 {
-		stats.RecoveryWall = prev.RecoveryWall
-		stats.RecoveryTraceID = prev.RecoveryTraceID
-		stats.RecoveryCarried = true
-	}
 	retriesBefore := c.totalRetries()
 
 	c.mu.Lock()
@@ -716,18 +707,12 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 	if err := c.execute(root.ContextOr(obs.SpanContext{}), tr, plan); err != nil {
 		return nil, err
 	}
-	d := time.Since(t0)
-	c.observePhase("recovery", d)
+	c.observePhase("recovery", time.Since(t0))
 	c.mu.Lock()
 	for _, f := range failed {
 		delete(c.pending, f)
 	}
 	c.mu.Unlock()
-	c.statsMu.Lock()
-	c.lastRound.RecoveryWall = d
-	c.lastRound.RecoveryCarried = false
-	c.lastRound.RecoveryTraceID = root.TraceID()
-	c.statsMu.Unlock()
 	return plan, nil
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"dvdc/internal/chaos"
 	"dvdc/internal/obs"
+	"dvdc/internal/obs/collect"
 )
 
 // obsCluster is testCluster with a shared tracer and registry attached to
@@ -188,63 +189,14 @@ func TestChaosFaultLinksToRetrySpan(t *testing.T) {
 	}
 }
 
-// TestRecoveryWallCarriedRendering pins the carried-recovery fix: the wall
-// clock of a recovery reports fresh once, then stays visible — flagged
-// "(carried)" — on later rounds instead of silently posing as a new recovery.
-func TestRecoveryWallCarriedRendering(t *testing.T) {
-	tr := obs.NewTracer(0)
-	coord, _ := obsCluster(t, tr, nil, nil)
-
-	if err := coord.Step(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if s := coord.RoundStats().String(); strings.Contains(s, "recovery") {
-		t.Errorf("pre-recovery stats mention recovery: %q", s)
-	}
-
-	if _, err := coord.RecoverNode(2); err != nil {
-		t.Fatal(err)
-	}
-	st := coord.RoundStats()
-	if st.RecoveryWall == 0 || st.RecoveryCarried {
-		t.Fatalf("stats right after recovery = %+v, want fresh recovery wall", st)
-	}
-	if st.RecoveryTraceID == 0 {
-		t.Error("recovery recorded no trace id")
-	}
-	if s := st.String(); !strings.Contains(s, "recovery ") || strings.Contains(s, "(carried)") {
-		t.Errorf("fresh recovery renders as %q", s)
-	}
-	if rs := tr.TraceSpans(st.RecoveryTraceID); len(rs) == 0 || rs[len(rs)-1].Trace == 0 {
-		t.Error("recovery trace has no spans")
-	}
-
-	for round := 0; round < 2; round++ {
-		if err := coord.Step(10); err != nil {
-			t.Fatal(err)
-		}
-		if err := coord.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		st = coord.RoundStats()
-		if !st.RecoveryCarried || st.RecoveryWall == 0 {
-			t.Fatalf("round %d after recovery: stats = %+v, want carried recovery wall", round, st)
-		}
-		if s := st.String(); !strings.Contains(s, "(carried)") {
-			t.Errorf("carried recovery renders as %q", s)
-		}
-	}
-}
-
 // TestSoakTraceJSONL runs a kill-free soak with a JSONL sink and a registry
 // and checks the whole observability surface end to end: the sink parses
 // back, every round has a complete trace with armed-fault events linked into
 // it, and the exposition carries the per-peer and per-phase series.
 func TestSoakTraceJSONL(t *testing.T) {
 	var sink bytes.Buffer
+	tr := obs.NewTracer(1 << 15)
+	tr.SetSink(&sink)
 	reg := obs.NewRegistry()
 	cfg := SoakConfig{
 		Layout:        paperLayout(t),
@@ -252,12 +204,15 @@ func TestSoakTraceJSONL(t *testing.T) {
 		StepsPerRound: 20,
 		Seed:          99,
 		ArmPerRound:   2,
-		TraceSink:     &sink,
+		Tracer:        tr,
 		Registry:      reg,
 	}
 	res, err := RunSoak(cfg)
 	if err != nil {
 		t.Fatalf("soak failed: %v", err)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	if len(res.Rounds) != cfg.Rounds {
 		t.Fatalf("%d rounds recorded, want %d", len(res.Rounds), cfg.Rounds)
@@ -316,7 +271,7 @@ func TestSoakTraceJSONL(t *testing.T) {
 	}
 	// The timeline viewer renders every round trace without choking.
 	for _, id := range order {
-		if out := obs.RenderTimeline(byTrace[id], 90); !strings.Contains(out, "spans") {
+		if out := collect.RenderTimeline(collect.BuildTree(byTrace[id]), 90); !strings.Contains(out, "spans") {
 			t.Errorf("timeline render for trace %016x produced %q", id, out)
 		}
 	}

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dvdc/internal/cluster"
@@ -12,8 +13,9 @@ import (
 
 // TestPartialCommitDumpsPostmortemBundle is the black-box recorder's
 // end-to-end contract: a node that dies mid-commit must leave a postmortem
-// bundle on disk — flight log, metrics snapshot, and meta naming the reason —
-// without any cooperation from the caller beyond attaching the recorder.
+// bundle on disk — flight log, the tracer's spans, metrics snapshot, and meta
+// naming the reason — without any cooperation from the caller beyond
+// attaching the recorder.
 func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 	dir := t.TempDir()
 	layout := paperLayout(t)
@@ -37,11 +39,11 @@ func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 
 	tr := obs.NewTracer(1 << 12)
 	reg := obs.NewRegistry()
-	rec := obs.NewFlightRecorder(512)
+	rec := obs.NewFlightRecorder()
 	rec.SetDumpDir(dir)
 	rec.SetRegistry(reg)
+	rec.SetTracer(tr)
 	rec.SetMeta("test", "partial-commit")
-	tr.SetTap(rec.Span)
 
 	coord, err := NewCoordinator(layout, addrs, 16, 64, 99)
 	if err != nil {
@@ -100,13 +102,18 @@ func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 	if len(b.Entries) == 0 {
 		t.Fatal("bundle has no flight entries")
 	}
-	// The flight log must hold the failing RPCs against node1 and the
-	// coordinator's closing note naming the epoch, the casualty list and why
-	// each casualty was declared dead.
+	// The bundle's spans must hold the failing commit RPCs against node1, and
+	// its flight log the coordinator's closing note naming the epoch, the
+	// casualty list and why each casualty was declared dead.
 	var failedRPC, note bool
-	for _, e := range b.Entries {
-		if e.Kind == "rpc" && e.Peer == "node1" && strings.Contains(e.Err, "injected commit failure") {
+	for _, s := range b.Spans {
+		if s.Name == "rpc commit" && s.Attrs["peer"] == "node1" && strings.Contains(s.Err, "injected commit failure") {
 			failedRPC = true
+		}
+	}
+	for _, e := range b.Entries {
+		if e.Kind == "rpc" && e.Trace != 0 {
+			t.Errorf("traced rpc outcome also kept as a flight entry: %v", e)
 		}
 		if e.Kind == "note" && e.Name == "partial-commit" && e.Attrs["nodes"] == "[1]" {
 			note = true
@@ -116,7 +123,7 @@ func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 		}
 	}
 	if !failedRPC {
-		t.Error("no errored rpc entry for node1 in the flight log")
+		t.Error("no errored commit rpc span for node1 in the bundle")
 	}
 	if !note {
 		t.Error("no partial-commit note entry in the flight log")
@@ -124,26 +131,19 @@ func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 	if !strings.Contains(b.Metrics, "dvdc_") {
 		t.Error("bundle metrics snapshot is empty")
 	}
-	// Spans reached the recorder through the tracer tap.
-	var sawSpan bool
-	for _, e := range b.Entries {
-		if e.Kind == "span" {
-			sawSpan = true
-			break
-		}
-	}
-	if !sawSpan {
-		t.Error("no span entries in the flight log; tracer tap not wired")
+	if got, want := len(b.Spans), len(tr.Spans()); got != want {
+		t.Errorf("bundle holds %d spans, the tracer's ring %d", got, want)
 	}
 }
 
 // TestSoakPostmortemWiring runs a clean chaos-free soak with a postmortem dir
-// attached: the recorder must see traffic (spans and RPCs tapped) yet dump
-// nothing, because nothing went wrong. The failure path is covered by
-// TestPartialCommitDumpsPostmortemBundle above and by the chaos soak in CI.
+// attached: nothing goes wrong, so nothing dumps, yet the recorder must hold
+// the soak's own tracer, so a dump carries every round's spans. The failure
+// path is covered by TestPartialCommitDumpsPostmortemBundle above and by the
+// chaos soak in CI.
 func TestSoakPostmortemWiring(t *testing.T) {
 	dir := t.TempDir()
-	rec := obs.NewFlightRecorder(1024)
+	rec := obs.NewFlightRecorder()
 	cfg := SoakConfig{
 		Layout:        paperLayout(t),
 		Rounds:        3,
@@ -158,25 +158,53 @@ func TestSoakPostmortemWiring(t *testing.T) {
 	if found, _ := obs.FindBundles(dir); len(found) != 0 {
 		t.Fatalf("clean soak dumped bundles: %v", found)
 	}
-	var spans, rpcs int
-	for _, e := range rec.Entries() {
-		switch e.Kind {
-		case "span":
-			spans++
-		case "rpc":
-			rpcs++
+	path, err := rec.Dump(t.TempDir(), "probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := obs.ReadBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := 0
+	for _, s := range b.Spans {
+		if s.Parent == 0 && s.Name == "round" {
+			rounds++
 		}
 	}
-	if spans == 0 || rpcs == 0 {
-		t.Fatalf("recorder saw %d spans / %d rpcs; soak wiring broken", spans, rpcs)
+	if rounds != cfg.Rounds {
+		t.Fatalf("bundle holds %d round traces of %d spans, want %d; soak wiring broken", rounds, len(b.Spans), cfg.Rounds)
 	}
 }
 
-// BenchmarkObsOverhead is the in-repo twin of `dvdcbench -obs`: one
-// checkpointed round on the paper layout with the telemetry plane dark versus
-// fully lit (tracer, registry, flight-recorder tap, and a per-round collector
-// merge/verify/attribute pass). The two subbenches make the plane's cost a
-// one-line `benchstat` comparison.
+// TestSoakKeepsCallerTap passes a soak a tracer whose tap is the caller's:
+// the soak must leave the tap in place, so it sees every span the ring
+// keeps.
+func TestSoakKeepsCallerTap(t *testing.T) {
+	tr := obs.NewTracer(1 << 15)
+	var tapped atomic.Int64
+	tr.SetTap(func(obs.Span) { tapped.Add(1) })
+	cfg := SoakConfig{
+		Layout:        paperLayout(t),
+		Rounds:        2,
+		StepsPerRound: 20,
+		Seed:          7,
+		Tracer:        tr,
+		Recorder:      obs.NewFlightRecorder(),
+	}
+	if _, err := RunSoak(cfg); err != nil {
+		t.Fatalf("clean soak failed: %v", err)
+	}
+	if got, ring := tapped.Load(), int64(len(tr.Spans())); ring == 0 || got != ring {
+		t.Fatalf("caller's tap saw %d spans, the ring holds %d", got, ring)
+	}
+}
+
+// BenchmarkObsOverhead times one checkpointed round on the paper layout with
+// the telemetry plane dark versus fully lit (tracer, registry, flight
+// recorder, and a per-round collector merge/verify/attribute pass). The two
+// subbenches make the plane's cost a one-line `benchstat` comparison;
+// TestTelemetryCountsPerRound gates what the lit plane keeps per round.
 func BenchmarkObsOverhead(b *testing.B) {
 	for _, full := range []bool{false, true} {
 		name := "dark"
@@ -203,9 +231,9 @@ func benchObsRound(b *testing.B, full bool) {
 	if full {
 		tr = obs.NewTracer(1 << 15)
 		reg = obs.NewRegistry()
-		rec = obs.NewFlightRecorder(0)
+		rec = obs.NewFlightRecorder()
 		rec.SetRegistry(reg)
-		tr.SetTap(rec.Span)
+		rec.SetTracer(tr)
 		nopts = NodeOptions{Tracer: tr, Registry: reg, Recorder: rec}
 	}
 	nodes := make([]*Node, layout.Nodes)

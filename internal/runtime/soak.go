@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"slices"
 	"sort"
@@ -95,15 +94,14 @@ type SoakConfig struct {
 
 	// Observability (all optional). Tracer receives every span the soak
 	// produces (nil = the harness builds its own and additionally asserts no
-	// span leaks open); TraceSink streams those spans as JSONL; Registry
-	// collects the cluster's metrics, including the injector's fault tallies
-	// mounted as dvdc_chaos_faults_total{kind}. Recorder is the run's black
-	// box: it taps the tracer, the pools' RPC outcomes, and the injector's
-	// fired faults, and dumps a postmortem bundle on any invariant violation
-	// (nil with a PostmortemDir set builds one internally). PostmortemDir is
-	// where bundles land ("" disables dumping).
+	// span leaks open); attach a JSONL sink to it with Tracer.SetSink.
+	// Registry collects the cluster's metrics, including the injector's fault
+	// tallies mounted as dvdc_chaos_faults_total{kind}. Recorder is the run's
+	// black box: it is given the run's tracer, keeps the pools' untraced RPC
+	// outcomes and the injector's fired faults, and dumps a postmortem bundle
+	// on any invariant violation (nil with a PostmortemDir set builds one
+	// internally). PostmortemDir is where bundles land ("" disables dumping).
 	Tracer        *obs.Tracer
-	TraceSink     io.Writer
 	Registry      *obs.Registry
 	Recorder      *obs.FlightRecorder
 	PostmortemDir string
@@ -282,12 +280,12 @@ func newSoakEnv(cfg SoakConfig) (*soakEnv, error) {
 	layout := cfg.Layout
 	e := &soakEnv{cfg: cfg, layout: layout, res: &SoakResult{}, lastEpoch: map[string]uint64{}}
 
-	// The run's black box: tap every finished span, RPC outcome, and fired
-	// fault into a bounded ring so an invariant violation dumps the failure's
+	// The run's black box: the tracer's ring plus every untraced RPC outcome
+	// and fired fault, so an invariant violation dumps the failure's
 	// immediate past as a postmortem bundle.
 	e.rec = cfg.Recorder
 	if e.rec == nil && cfg.PostmortemDir != "" {
-		e.rec = obs.NewFlightRecorder(0)
+		e.rec = obs.NewFlightRecorder()
 	}
 	if cfg.PostmortemDir != "" {
 		e.rec.SetDumpDir(cfg.PostmortemDir)
@@ -302,12 +300,7 @@ func newSoakEnv(cfg SoakConfig) (*soakEnv, error) {
 	if e.ownTracer {
 		e.tr = obs.NewTracer(1 << 15)
 	}
-	if cfg.TraceSink != nil {
-		e.tr.SetSink(cfg.TraceSink)
-	}
-	if e.rec != nil {
-		e.tr.SetTap(e.rec.Span)
-	}
+	e.rec.SetTracer(e.tr)
 
 	e.inj = chaos.New(cfg.Seed, cfg.Chaos)
 	e.inj.SetTracer(e.tr)
@@ -365,7 +358,6 @@ func newSoakEnv(cfg SoakConfig) (*soakEnv, error) {
 		e.advisor = adapt.New(adapt.Config{
 			Tracer:   e.tr,
 			Registry: cfg.Registry,
-			Recorder: e.rec,
 			Hooks: adapt.Hooks{
 				EvacuateKeepers: func(peer string) (int, error) {
 					id, err := laneNodeID(peer)
@@ -459,19 +451,12 @@ func (e *soakEnv) stepAdapt(rr *RoundRecord) {
 	rr.Adapt = e.advisor.Step(o)
 }
 
-// close tears the environment down in the same order RunSoak's defers used
-// to: coordinator pools, node daemons, tracer tap, sink flush.
+// close tears the environment down: coordinator pools, then node daemons.
 func (e *soakEnv) close() {
 	if e.coord != nil {
 		e.coord.Close()
 	}
 	e.sc.close()
-	if e.rec != nil {
-		e.tr.SetTap(nil)
-	}
-	if e.cfg.TraceSink != nil {
-		e.tr.Flush() //nolint:errcheck // sink errors surface via SinkErr
-	}
 }
 
 // fail records an invariant violation in the flight recorder, dumps a

@@ -133,7 +133,7 @@ func TestSoakIntervalRetuneDecisions(t *testing.T) {
 // at the injected delay for the rest of the run. Both runs keep the full
 // shadow-invariant battery green, and every applied decision is traceable
 // through the round record, the dvdc_adapt_* metric family, the flight
-// recorder, and the dvdcctl adapt renderers.
+// recorder's bundle, and the dvdcctl adapt renderers.
 func TestSoakAdaptiveConvergesUnderSlowNode(t *testing.T) {
 	const (
 		rounds   = 16
@@ -142,7 +142,7 @@ func TestSoakAdaptiveConvergesUnderSlowNode(t *testing.T) {
 	)
 	run := func(adaptive bool) (*SoakResult, *obs.Registry, *obs.FlightRecorder) {
 		reg := obs.NewRegistry()
-		rec := obs.NewFlightRecorder(4096)
+		rec := obs.NewFlightRecorder()
 		res, err := RunSoak(SoakConfig{
 			Layout:        adaptLayout(t),
 			Rounds:        rounds,
@@ -218,20 +218,29 @@ func TestSoakAdaptiveConvergesUnderSlowNode(t *testing.T) {
 		}
 	}
 
-	// End-to-end traceability of the applied decision: metric family, flight
-	// note, decision-log rendering, and the scraped dvdcctl adapt view.
+	// End-to-end traceability of the applied decision: metric family, its
+	// decision span in the recorder's bundle, decision-log rendering, and the
+	// scraped dvdcctl adapt view.
 	if v, _ := reg.Value("dvdc_adapt_applies_total", "rule", adapt.RuleKeeperRebalance); v < 1 {
 		t.Errorf("dvdc_adapt_applies_total{keeper_rebalance} = %v, want >= 1", v)
 	}
-	var noted bool
-	for _, e := range rec.Entries() {
-		if e.Kind == "note" && e.Name == "adapt" {
-			noted = true
+	path, err := rec.Dump(t.TempDir(), "probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := obs.ReadBundle(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spanned bool
+	for _, s := range b.Spans {
+		if s.Name == "adapt "+adapt.RuleKeeperRebalance && s.Attrs["action"] == adapt.ActionApplied {
+			spanned = true
 			break
 		}
 	}
-	if !noted {
-		t.Error("no adapt note in the flight recorder")
+	if !spanned {
+		t.Error("no applied keeper_rebalance decision span in the recorder's bundle")
 	}
 	log := adapt.RenderDecisions(all)
 	if !strings.Contains(log, adapt.RuleKeeperRebalance) || !strings.Contains(log, adapt.ActionApplied) {

@@ -18,7 +18,7 @@ import (
 // both sides.
 func TestSoakSlowNodeFiresRoundTimeSLO(t *testing.T) {
 	reg := obs.NewRegistry()
-	rec := obs.NewFlightRecorder(0)
+	rec := obs.NewFlightRecorder()
 	ev := health.New(health.Options{Registry: reg, Recorder: rec, FixedStep: time.Second})
 	ev.AddSignal(health.HistSignal(reg, "round_time", "dvdc_round_seconds"))
 	// Median over short windows, not p99: the median of the window is immune

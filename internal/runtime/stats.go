@@ -28,30 +28,21 @@ func (s *ShipCounts) Add(o ShipCounts) {
 	s.DedupSavedBytes += o.DedupSavedBytes
 }
 
-// RoundStats is the coordinator's record of its most recent checkpoint round
-// (and, when one has run, the most recent recovery): per-phase wall-clock,
-// the sum of the prepare replies' ShipCounts, and transport health. An
-// aborted round sums only the replies that came back. Fetch it with
-// Coordinator.RoundStats after Checkpoint; cmd/dvdcctl prints it per round.
+// RoundStats is the coordinator's record of its most recent checkpoint round:
+// per-phase wall-clock, the sum of the prepare replies' ShipCounts, and
+// transport health. An aborted round sums only the replies that came back.
+// Fetch it with Coordinator.RoundStats after Checkpoint; cmd/dvdcctl prints
+// it per round. A recovery's wall-clock is dvdc_round_phase_seconds{phase=
+// "recovery"}, and its span tree holds the rest.
 type RoundStats struct {
-	ShipCounts                 // summed over the round's prepare replies
-	Epoch        uint64        // epoch the round targeted
-	PrepareWall  time.Duration // prepare fan-out wall-clock (capture + delta shipping)
-	CommitWall   time.Duration // commit fan-out wall-clock (parity folding)
-	RecoveryWall time.Duration // most recent RecoverNodes wall-clock (0 if none yet)
-	RPCRetries   int64         // transport re-dials/retries during this round
-	Aborted      bool          // the round failed in prepare and was aborted
-	DeadDuring   []int         // nodes declared dead by the commit phase
-
-	// Observability. TraceID names the round's span tree (0 when no tracer is
-	// attached); RecoveryTraceID names the most recent recovery's tree.
-	// RecoveryCarried distinguishes "RecoveryWall is the residue of an earlier
-	// round's recovery" from "a recovery ran since the last Checkpoint": the
-	// wall-clock of a recovery is reported once as fresh, then carried —
-	// flagged — on later rounds until the next recovery overwrites it.
-	TraceID         uint64
-	RecoveryTraceID uint64
-	RecoveryCarried bool
+	ShipCounts                // summed over the round's prepare replies
+	Epoch       uint64        // epoch the round targeted
+	PrepareWall time.Duration // prepare fan-out wall-clock (capture + delta shipping)
+	CommitWall  time.Duration // commit fan-out wall-clock (parity folding)
+	RPCRetries  int64         // transport re-dials/retries during this round
+	Aborted     bool          // the round failed in prepare and was aborted
+	DeadDuring  []int         // nodes declared dead by the commit phase
+	TraceID     uint64        // the round's span tree (0 when no tracer is attached)
 }
 
 // String renders a one-line per-round report.
@@ -60,12 +51,6 @@ func (r RoundStats) String() string {
 		r.Epoch, r.PrepareWall.Round(time.Microsecond), r.CommitWall.Round(time.Microsecond), r.BytesShipped)
 	if r.ChunksShipped > 0 {
 		s += fmt.Sprintf(" in %d chunks", r.ChunksShipped)
-	}
-	if r.RecoveryWall > 0 {
-		s += fmt.Sprintf(", recovery %v", r.RecoveryWall.Round(time.Microsecond))
-		if r.RecoveryCarried {
-			s += " (carried)"
-		}
 	}
 	if r.RPCRetries > 0 {
 		s += fmt.Sprintf(", %d rpc retries", r.RPCRetries)

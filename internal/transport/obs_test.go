@@ -120,3 +120,37 @@ func TestPoolTracePropagation(t *testing.T) {
 		t.Error("pool mutated the caller's message (shared-message data race)")
 	}
 }
+
+// TestPoolRecordsEachOutcomeOnce holds the pool to one record per call
+// attempt: a traced call leaves its rpc span and no flight entry, an
+// untraced call leaves a flight entry and no span.
+func TestPoolRecordsEachOutcomeOnce(t *testing.T) {
+	s := echoServer(t)
+	tr := obs.NewTracer(16)
+	rec := obs.NewFlightRecorder()
+	p := NewPool(s.Addr(), PoolOptions{Peer: "node1", Tracer: tr, Recorder: rec})
+	defer p.Close()
+
+	root := tr.Start(obs.SpanContext{}, "round", "coord")
+	ctx := root.Context()
+	if _, err := p.Call(&wire.Message{Type: wire.MsgHello, Trace: ctx.Trace, Span: ctx.Span}); err != nil {
+		t.Fatal(err)
+	}
+	root.Finish()
+	if spans := tr.TraceSpans(ctx.Trace); len(spans) != 2 || spans[0].Attrs["peer"] != "node1" {
+		t.Fatalf("traced call left spans %+v, want its rpc span and the root", spans)
+	}
+	if es := rec.Entries(); len(es) != 0 {
+		t.Fatalf("traced call left flight entries %+v, want none", es)
+	}
+
+	if _, err := p.Call(&wire.Message{Type: wire.MsgHello}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tr.Spans()); n != 2 {
+		t.Fatalf("untraced call left a span: ring holds %d, want 2", n)
+	}
+	if es := rec.Entries(); len(es) != 1 || es[0].Kind != "rpc" || es[0].Peer != "node1" || es[0].Trace != 0 {
+		t.Fatalf("untraced call left flight entries %+v, want one rpc entry", es)
+	}
+}

@@ -27,8 +27,9 @@ type PoolOptions struct {
 	// Observability (all optional). Peer labels this pool's metric series and
 	// RPC spans (defaults to the dialed address); Tracer opens a child span
 	// per call attempt on traced requests; Registry gets the pool's health
-	// counters and a per-peer RPC latency histogram; Recorder gets one flight
-	// entry per call attempt (the black box's RPC-outcome feed).
+	// counters and a per-peer RPC latency histogram. Each attempt's outcome
+	// is recorded once: as its span when traced, else as a Recorder flight
+	// entry.
 	Peer     string
 	Tracer   *obs.Tracer
 	Registry *obs.Registry
@@ -184,8 +185,11 @@ func (p *Pool) Call(req *wire.Message) (*wire.Message, error) {
 		if p.latency != nil {
 			p.latency.Observe(elapsed.Seconds())
 		}
-		p.opts.Recorder.RPC(p.opts.Peer, req.Type.String(), elapsed, req.Trace, err)
-		span.FinishErr(err)
+		if span != nil {
+			span.FinishErr(err)
+		} else {
+			p.opts.Recorder.RPC(p.opts.Peer, req.Type.String(), elapsed, req.Trace, err)
+		}
 		if err == nil {
 			p.put(c)
 			return resp, nil
