@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover loc loc-check bench experiments figures fuzz soak soak-digest soak-digest-check obs-demo clean
+.PHONY: all build test race cover loc loc-check bench experiments figures examples fuzz soak soak-digest soak-digest-check obs-demo clean
 
 all: build test
 
@@ -42,7 +42,7 @@ loc:
 # obs/adapt together) does not grow, as checks on make loc's figures. A
 # change that shrinks them lowers the ceilings to its new counts.
 RUNTIME_LOC_CEILING = 4104
-RUNTIME_CORE_CLUSTER_LOC_CEILING = 6892
+RUNTIME_CORE_CLUSTER_LOC_CEILING = 6260
 TELEMETRY_LOC_CEILING = 4510
 loc-check:
 	@loc=$$($(MAKE) -s --no-print-directory loc) && \
@@ -66,6 +66,15 @@ experiments:
 # Same, but also write .txt/.csv/.png files under fig/.
 figures:
 	$(GO) run ./cmd/dvdcbench -exp all -out fig
+
+# Run every example to completion (CI runs this). The examples that verify
+# state exit non-zero on a mismatch, so a broken one fails here.
+EXAMPLES = quickstart faultinjection messaging distributed doubletolerance adaptive figure5
+examples:
+	@for ex in $(EXAMPLES); do \
+		echo "== examples/$$ex"; \
+		$(GO) run ./examples/$$ex || exit 1; \
+	done
 
 # Invariant-checked chaos soak on a live loopback cluster (seeded; any
 # failure is replayed exactly with SOAK_SEED=<printed seed>).

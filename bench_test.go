@@ -199,8 +199,8 @@ func BenchmarkIncrementalCapture(b *testing.B) {
 
 // BenchmarkCheckpointRound measures one coordinated in-process DVDC round
 // on the paper's 12-VM cluster with 4 MiB guests: the runtime's two-phase
-// round, groups prepared in parallel — the in-process analogue of Sec. IV-B's
-// distributed parity argument.
+// round over the in-memory network, groups prepared in parallel — the
+// in-process analogue of Sec. IV-B's distributed parity argument.
 func BenchmarkCheckpointRound(b *testing.B) {
 	layout, err := PaperLayout()
 	if err != nil {
@@ -210,19 +210,20 @@ func BenchmarkCheckpointRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer cl.Close()
 	workloads := map[string]*vm.Uniform{}
-	for i, name := range cl.VMNames() {
-		workloads[name] = vm.NewUniform(int64(i))
+	for i, v := range layout.VMs {
+		workloads[v.Name] = vm.NewUniform(int64(i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		for _, name := range cl.VMNames() {
+		for name, w := range workloads {
 			m, _ := cl.Machine(name)
-			vm.Run(workloads[name], m, 2000)
+			vm.Run(w, m, 2000)
 		}
 		b.StartTimer()
-		if err := cl.CheckpointRound(); err != nil {
+		if err := cl.Checkpoint(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -230,9 +231,10 @@ func BenchmarkCheckpointRound(b *testing.B) {
 
 // BenchmarkFailNode measures the in-process recovery of one node on the
 // paper's 12-VM cluster with 1 MiB guests: after one churned and committed
-// round, FailNode(0) on a fresh cluster per iteration — every damaged group
-// rebuilt from k committed shards, the survivors rolled back, the layout
-// updated. Building the cluster and its round are not timed.
+// round, node 0 is killed and RecoverNodes(0) runs on a fresh cluster per
+// iteration — every damaged group rebuilt from k committed shards, the
+// survivors rolled back, the layout updated. Building the cluster and its
+// round are not timed.
 func BenchmarkFailNode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -244,17 +246,20 @@ func BenchmarkFailNode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for j, name := range cl.VMNames() {
-			m, _ := cl.Machine(name)
+		for j, v := range layout.VMs {
+			m, _ := cl.Machine(v.Name)
 			vm.Run(vm.NewUniform(int64(j)), m, 2000)
 		}
-		if err := cl.CheckpointRound(); err != nil {
+		if err := cl.Checkpoint(); err != nil {
 			b.Fatal(err)
 		}
+		cl.Kill(0)
 		b.StartTimer()
-		if _, err := cl.FailNode(0); err != nil {
+		if _, err := cl.RecoverNodes(0); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		cl.Close()
 	}
 }
 

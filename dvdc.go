@@ -10,9 +10,9 @@
 //
 //   - Layouts (orthogonal placement, Figs. 1/3/4): NewFirstShotLayout,
 //     NewDedicatedLayout, NewDVDCLayout, PaperLayout.
-//   - The byte-real protocol: NewCluster builds an in-process cluster of
-//     real paged VM memories with per-group parity keepers; checkpoint it,
-//     kill nodes, recover.
+//   - The byte-real protocol: NewCluster runs the distributed runtime in
+//     process, over an in-memory network: real paged VM memories with
+//     per-group parity keepers; checkpoint it, kill nodes, recover.
 //   - The analytical model of Section V (corrected): Model, Sweep,
 //     OptimalInterval, plus the two overhead models of Fig. 5.
 //   - The event simulation: Simulate runs a whole job under Poisson node
@@ -62,16 +62,16 @@ func NewDVDCLayoutGroups(nodes, stacks, tolerance, groupSize int) (*cluster.Layo
 // PaperLayout is the exact 4-node / 12-VM configuration of Figs. 4 and 5.
 func PaperLayout() (*cluster.Layout, error) { return cluster.Paper12VM() }
 
-// NewCluster builds a byte-real in-process DVDC cluster on a layout: every
-// VM is a paged memory image, every group has one parity keeper per parity
-// block (XOR at tolerance 1, GF(256) RS beyond) on its layout-assigned
-// node. Its CheckpointRound is the TCP runtime's two-phase round on the same
-// member and keeper code, without the network; recoveries, evacuations and
-// rebalances are placed by the cluster package's planners. See core.Cluster
-// for the operations: CheckpointRound, FailNode/FailNodes, EvacuateNode,
-// RepairNode, Rebalance, VerifyParity.
-func NewCluster(layout *cluster.Layout, pagesPerVM, pageSize int) (*core.Cluster, error) {
-	return core.NewCluster(layout, pagesPerVM, pageSize)
+// NewCluster builds a byte-real DVDC cluster in this process on a layout:
+// every VM is a paged memory image, every group has one parity keeper per
+// parity block (XOR at tolerance 1, GF(256) RS beyond) on its layout-assigned
+// node. It is the distributed runtime itself, a node daemon per node and the
+// coordinator, over an in-memory network instead of TCP. Run guests on
+// Machine, then use the runtime's operations: Checkpoint, Kill and
+// RecoverNodes, Restart and Repair, Rebalance, Evacuate, VerifyParity. Close
+// stops it.
+func NewCluster(layout *cluster.Layout, pagesPerVM, pageSize int) (*runtime.Cluster, error) {
+	return runtime.NewInProcess(layout, pagesPerVM, pageSize)
 }
 
 // Model is the corrected Section V expected-completion-time model.

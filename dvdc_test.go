@@ -42,10 +42,12 @@ func TestFacadeClusterLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.CheckpointRound(); err != nil {
+	defer cl.Close()
+	if err := cl.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.FailNode(1); err != nil {
+	cl.Kill(1)
+	if _, err := cl.RecoverNodes(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.VerifyParity(); err != nil {

@@ -24,34 +24,35 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer cl.Close()
 	// Dirty the guests, then take a coordinated diskless checkpoint.
-	for i, name := range cl.VMNames() {
-		m, _ := cl.Machine(name)
+	for i, v := range layout.VMs {
+		m, _ := cl.Machine(v.Name)
 		vm.Run(vm.NewUniform(int64(i)), m, 200)
 	}
-	if err := cl.CheckpointRound(); err != nil {
+	if err := cl.Checkpoint(); err != nil {
 		log.Fatal(err)
 	}
 	committed := map[string][]byte{}
-	for _, name := range cl.VMNames() {
-		m, _ := cl.Machine(name)
-		committed[name] = m.Image()
+	for _, v := range layout.VMs {
+		m, _ := cl.Machine(v.Name)
+		committed[v.Name] = m.Image()
 	}
 
 	// Node 1 fails: 3 VMs and 1 parity block are gone.
-	report, err := cl.FailNode(1)
+	cl.Kill(1)
+	plan, err := cl.RecoverNodes(1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	ok := 0
-	for _, name := range cl.VMNames() {
-		m, _ := cl.Machine(name)
-		if bytes.Equal(m.Image(), committed[name]) {
+	for _, v := range layout.VMs {
+		m, _ := cl.Machine(v.Name)
+		if bytes.Equal(m.Image(), committed[v.Name]) {
 			ok++
 		}
 	}
-	fmt.Printf("lost %d VMs, verified %d/12 at the committed checkpoint\n",
-		len(report.LostVMs), ok)
+	fmt.Printf("lost %d VMs, verified %d/12 at the committed checkpoint\n", len(plan.VMs()), ok)
 	// Output:
 	// lost 3 VMs, verified 12/12 at the committed checkpoint
 }

@@ -67,7 +67,7 @@ func main() {
 	// Kill node 1 for real: its TCP server goes away mid-cluster.
 	fmt.Println("\nkilling node 1...")
 	daemons[1].Close()
-	plan, err := coord.RecoverNode(1)
+	plan, err := coord.RecoverNodes(1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 // Quickstart: build the paper's 4-node / 12-VM DVDC cluster in-process,
 // run workloads, take coordinated diskless checkpoints, kill a physical
-// node, and watch the lost VMs come back bit-exact from parity.
+// node, and watch the lost VMs come back bit-exact from parity. It exits
+// non-zero if any VM or parity block disagrees with the committed state.
 package main
 
 import (
 	"bytes"
 	"fmt"
 	"log"
+	"os"
 
 	"dvdc"
 	"dvdc/internal/vm"
@@ -23,13 +25,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer cl.Close()
 	fmt.Printf("cluster: %d nodes, %d VMs, %d RAID groups (%s)\n",
 		layout.Nodes, len(layout.VMs), len(layout.Groups), layout.Arch)
 
 	// Run a Zipf-skewed guest workload on every VM and checkpoint twice.
+	var deltaBytes int64
 	for round := 1; round <= 2; round++ {
-		for i, name := range cl.VMNames() {
-			m, err := cl.Machine(name)
+		for i, v := range cl.Layout().VMs {
+			m, err := cl.Machine(v.Name)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -39,46 +43,49 @@ func main() {
 			}
 			vm.Run(w, m, 2000)
 		}
-		if err := cl.CheckpointRound(); err != nil {
+		if err := cl.Checkpoint(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("checkpoint round %d committed (delta bytes so far: %d)\n",
-			round, cl.Stats().DeltaBytes)
+		deltaBytes += cl.RoundStats().DeltaRawBytes
+		fmt.Printf("checkpoint round %d committed (delta bytes so far: %d)\n", round, deltaBytes)
 	}
 
 	// Remember the committed state of every VM.
 	committed := map[string][]byte{}
-	for _, name := range cl.VMNames() {
-		m, _ := cl.Machine(name)
-		committed[name] = m.Image()
+	for _, v := range cl.Layout().VMs {
+		m, _ := cl.Machine(v.Name)
+		committed[v.Name] = m.Image()
 	}
 
 	// Node 2 bursts into flames: its three VMs and one parity block vanish.
-	report, err := cl.FailNode(2)
+	cl.Kill(2)
+	plan, err := cl.RecoverNodes(2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("node 2 failed: lost VMs %v (recovery degraded=%v)\n",
-		report.LostVMs, report.Degraded)
-	for _, s := range report.Plan.Steps {
+	fmt.Printf("node 2 failed: lost VMs %v (recovery degraded=%v)\n", plan.VMs(), plan.Degraded)
+	for _, s := range plan.Steps {
 		fmt.Printf("  %-14s group %d -> node %d %s\n", s.Kind, s.Group, s.TargetNode, s.VM)
 	}
 
 	// Every VM — reconstructed or rolled back — must hold the committed state.
 	ok := 0
-	for _, name := range cl.VMNames() {
-		m, _ := cl.Machine(name)
-		if bytes.Equal(m.Image(), committed[name]) {
+	for _, v := range cl.Layout().VMs {
+		m, err := cl.Machine(v.Name)
+		if err == nil && bytes.Equal(m.Image(), committed[v.Name]) {
 			ok++
 		} else {
-			fmt.Printf("  MISMATCH: %s\n", name)
+			fmt.Printf("  MISMATCH: %s\n", v.Name)
 		}
 	}
 	fmt.Printf("verified %d/%d VMs at the committed checkpoint; parity: ", ok, len(committed))
-	if err := cl.VerifyParity(); err != nil {
-		fmt.Println(err)
-		return
+	perr := cl.VerifyParity()
+	if perr != nil {
+		fmt.Println(perr)
+	} else {
+		fmt.Println("consistent")
 	}
-	fmt.Println("consistent")
-	fmt.Printf("stats: %+v\n", cl.Stats())
+	if ok != len(committed) || perr != nil {
+		os.Exit(1)
+	}
 }

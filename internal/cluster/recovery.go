@@ -51,6 +51,18 @@ type Plan struct {
 	Degraded bool
 }
 
+// VMs lists, in step order, the VMs the plan places: the ones a recovery
+// restores, or a relocation moves.
+func (p *Plan) VMs() []string {
+	var out []string
+	for _, s := range p.Steps {
+		if s.Kind == RestoreVM {
+			out = append(out, s.VM)
+		}
+	}
+	return out
+}
+
 // PlanRecovery computes how to restore full protection after the given
 // nodes fail simultaneously: every lost VM, then every lost parity block, one
 // step per slot in slot order, gets a target by the placement rule (see

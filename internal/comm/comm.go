@@ -22,8 +22,8 @@ type Message struct {
 }
 
 // Network is a set of FIFO channels keyed by (src, dst). It is not safe for
-// concurrent use; the simulation drives it from one goroutine, like the rest
-// of the in-process cluster.
+// concurrent use; the application drives it from one goroutine, between the
+// cluster's protocol operations.
 type Network struct {
 	queues map[[2]string][]Message
 	count  int

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -8,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"dvdc/internal/cluster"
 	"dvdc/internal/vm"
 	"dvdc/internal/wire"
 )
@@ -231,20 +231,19 @@ func FuzzChunkCursor(f *testing.F) {
 // TestChunkCursorBridgesPastRunBound: a capture of more runs than a stream
 // may count chunks — 64-byte pages, every other one of 140,000 dirty, 70,000
 // runs — yields a stream within wire.MaxChunkCount instead of widening its
-// chunk size forever, and an in-process round over it commits with parity
-// intact: the bridged clean pages render zeros and fold as no-ops.
+// chunk size forever, and a round over it (foldStaged, then Commit and
+// Advance) commits with parity intact: the bridged clean pages render zeros and fold as no-ops.
 func TestChunkCursorBridgesPastRunBound(t *testing.T) {
 	const pages, ps = 140_000, 64
-	layout, err := cluster.BuildDistributed(2, 1, 1)
+	m, err := vm.NewMachine("a", pages, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(layout, pages, ps)
+	mem, err := NewMember(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	name := c.VMNames()[0]
-	m, err := c.Machine(name)
+	k, err := NewMKeeper(0, 0, 1, map[string][]byte{"a": mem.CommittedImage()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,27 +252,37 @@ func TestChunkCursorBridgesPastRunBound(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		d, _, err := c.Member(name).Stage(false)
+		d, _, err := mem.Stage(false)
 		if err != nil {
 			done <- err
 			return
 		}
-		if len(d.Runs) != pages/2 {
-			done <- fmt.Errorf("staged %d runs, want %d", len(d.Runs), pages/2)
+		if len(d.Runs) != pages/2 || d.PageCount() != pages/2 {
+			done <- fmt.Errorf("staged %d pages in %d runs, want %d in as many", d.PageCount(), len(d.Runs), pages/2)
 			return
 		}
 		chunks := d.Chunks(ps, pages*ps, wire.DefaultChunkSize)
-		n := chunks.Count()
-		c.Member(name).Unstage()
-		if n > wire.MaxChunkCount {
+		if n := chunks.Count(); n > wire.MaxChunkCount {
 			done <- fmt.Errorf("the cursor counts %d chunks, over the bound of %d", n, wire.MaxChunkCount)
 			return
 		}
-		if err := c.CheckpointRound(); err != nil {
+		if err := foldStaged(mem, d, 1, 0, k); err != nil {
 			done <- err
 			return
 		}
-		done <- c.VerifyParity()
+		if err := k.Commit(d.Epoch); err != nil {
+			done <- err
+			return
+		}
+		if err := mem.Advance(d.Epoch); err != nil {
+			done <- err
+			return
+		}
+		want, err := NewMKeeper(0, 0, 1, map[string][]byte{"a": m.Image()})
+		if err == nil && !bytes.Equal(k.Parity(), want.Parity()) {
+			err = fmt.Errorf("the committed parity is not the live image's")
+		}
+		done <- err
 	}()
 	select {
 	case err := <-done:
@@ -282,9 +291,6 @@ func TestChunkCursorBridgesPastRunBound(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("planning a capture of 70,000 runs did not return in 30 s")
-	}
-	if got := c.Stats().DeltaBytes; got != pages/2*ps {
-		t.Fatalf("the round counts %d delta bytes, want the %d dirty ones", got, pages/2*ps)
 	}
 }
 

@@ -467,7 +467,7 @@ type Shard struct {
 // available parity blocks by index, so a lone lost VM decodes by plain XOR
 // from its group-mates and parity 0, and a parity block over the k member
 // images gets its encoding row. A lost element is never a source. The
-// runtime's rebuilds and Cluster's recoveries and evacuations all run it.
+// runtime's rebuilds, for recoveries, rebalances and evacuations, run it.
 func PlanShards(members []string, tolerance int, lost []Element, available func(Element) bool) ([]Shard, error) {
 	sorted := append([]string(nil), members...)
 	sort.Strings(sorted)

@@ -2,11 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"dvdc/internal/cluster"
+	"dvdc/internal/parity"
 	"dvdc/internal/vm"
 )
 
@@ -161,102 +162,150 @@ func TestMKeeperRejectsBadDeltas(t *testing.T) {
 	}
 }
 
-func TestClusterToleranceTwoSurvivesSimultaneousDoubleFailure(t *testing.T) {
-	// 7 nodes, groups of 3 with 2 parity blocks: any two nodes may die at
-	// once.
-	layout, err := cluster.BuildDistributedGroups(7, 1, 2, 3)
-	if err != nil {
-		t.Fatal(err)
+// groupElements lists every element of a group: its members by name, then
+// its parity blocks by index.
+func groupElements(members []*Member, m int) []Element {
+	var out []Element
+	for _, mem := range members {
+		out = append(out, Element{VM: mem.Machine().ID()})
 	}
-	for a := 0; a < 7; a++ {
-		for b := a + 1; b < 7; b++ {
-			l := layout.Clone()
-			c, err := NewCluster(l, 8, 64)
+	for i := 0; i < m; i++ {
+		out = append(out, Element{Parity: i})
+	}
+	return out
+}
+
+// rebuildLost computes the lost elements of a group by the runtime's rebuild
+// rule: PlanShards picks k of the other shards, and each shard's committed
+// bytes are read once and folded into every output.
+func rebuildLost(members []*Member, keepers []*MKeeper, lost []Element) ([][]byte, error) {
+	names := make([]string, len(members))
+	byName := map[string]*Member{}
+	for i, mem := range members {
+		names[i] = mem.Machine().ID()
+		byName[names[i]] = mem
+	}
+	shards, err := PlanShards(names, len(keepers), lost, func(Element) bool { return true })
+	if err != nil {
+		return nil, err
+	}
+	size := int(members[0].Machine().ImageBytes())
+	buf, outs := make([]byte, size), make([][]byte, len(lost))
+	for o := range outs {
+		outs[o] = make([]byte, size)
+	}
+	for _, s := range shards {
+		if s.VM != "" {
+			byName[s.VM].CommittedInto(buf, 0)
+		} else {
+			keepers[s.Parity].ReadParity(buf, 0)
+		}
+		for o := range outs {
+			if err := parity.MulSliceInto(outs[o], buf, s.Coefs[o]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return outs, nil
+}
+
+// verifyGroupParity compares every keeper's block with a fresh keeper over
+// the members' committed images.
+func verifyGroupParity(members []*Member, keepers []*MKeeper) error {
+	images := map[string][]byte{}
+	for _, mem := range members {
+		images[mem.Machine().ID()] = mem.CommittedImage()
+	}
+	for i, k := range keepers {
+		want, err := NewMKeeper(0, i, len(keepers), images)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(k.Parity(), want.Parity()) {
+			return fmt.Errorf("parity[%d] diverges from its members' committed images", i)
+		}
+	}
+	return nil
+}
+
+// TestClusterToleranceTwoSurvivesSimultaneousDoubleFailure: in a group of 3
+// members with 2 parity blocks, any two elements lost at once are rebuilt
+// bit-exact from the other three, at the committed epoch, whatever the
+// members wrote since.
+func TestClusterToleranceTwoSurvivesSimultaneousDoubleFailure(t *testing.T) {
+	members, keepers := newMGroup(t, 3, 2, 8, 64)
+	mChurnAndCheckpoint(t, members, keepers, 1)
+	mChurnAndCheckpoint(t, members, keepers, 2)
+	want := map[Element][]byte{}
+	for _, mem := range members {
+		want[Element{VM: mem.Machine().ID()}] = mem.CommittedImage()
+	}
+	for i, k := range keepers {
+		want[Element{Parity: i}] = k.Parity()
+	}
+	rng := rand.New(rand.NewSource(99))
+	for _, mem := range members { // uncommitted writes a rebuild must not see
+		mem.Machine().TouchPage(rng.Intn(8), rng.Uint64())
+	}
+	elems := groupElements(members, 2)
+	for a := range elems {
+		for b := a + 1; b < len(elems); b++ {
+			lost := []Element{elems[a], elems[b]}
+			outs, err := rebuildLost(members, keepers, lost)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("lose %v: %v", lost, err)
 			}
-			churn(t, c, int64(a*10+b), 20)
-			if err := c.CheckpointRound(); err != nil {
-				t.Fatal(err)
-			}
-			committed := map[string][]byte{}
-			for _, name := range c.VMNames() {
-				m, _ := c.Machine(name)
-				committed[name] = m.Image()
-			}
-			churn(t, c, 99, 5) // uncommitted churn
-			if _, err := c.FailNodes(a, b); err != nil {
-				t.Fatalf("nodes (%d,%d): %v", a, b, err)
-			}
-			for _, name := range c.VMNames() {
-				m, _ := c.Machine(name)
-				if !bytes.Equal(m.Image(), committed[name]) {
-					t.Errorf("nodes (%d,%d): VM %q not at committed state", a, b, name)
+			for o, e := range lost {
+				if !bytes.Equal(outs[o], want[e]) {
+					t.Errorf("lose %v: %+v rebuilt wrong", lost, e)
 				}
-			}
-			if err := c.VerifyParity(); err != nil {
-				t.Errorf("nodes (%d,%d): %v", a, b, err)
 			}
 		}
 	}
 }
 
+// TestClusterToleranceTwoContinuesAfterDoubleFailure: a member and a parity
+// block lost together are rebuilt and adopted at the committed epoch
+// (NewMemberAt, NewMKeeperFromBlock), the survivors roll back, and the group
+// keeps committing rounds with its parity intact.
 func TestClusterToleranceTwoContinuesAfterDoubleFailure(t *testing.T) {
-	layout, err := cluster.BuildDistributedGroups(8, 1, 2, 3)
+	members, keepers := newMGroup(t, 3, 2, 8, 64)
+	mChurnAndCheckpoint(t, members, keepers, 1)
+	members[1].Machine().TouchPage(3, 7) // rolled back below
+	lost := []Element{{VM: members[0].Machine().ID()}, {Parity: 1}}
+	outs, err := rebuildLost(members, keepers, lost)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCluster(layout, 8, 64)
-	if err != nil {
+	epoch := members[1].Epoch()
+	names := []string{"A", "B", "C"}
+	if members[0], err = NewMemberAt("A", 64, outs[0], epoch); err != nil {
 		t.Fatal(err)
 	}
-	churn(t, c, 1, 20)
-	if err := c.CheckpointRound(); err != nil {
+	if keepers[1], err = NewMKeeperFromBlock(0, 1, 2, names, outs[1], epoch); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.FailNodes(1, 5); err != nil {
-		t.Fatal(err)
+	for _, mem := range members[1:] {
+		mem.Rollback()
+	}
+	if err := verifyGroupParity(members, keepers); err != nil {
+		t.Fatalf("after the rebuild: %v", err)
 	}
 	for round := 0; round < 3; round++ {
-		churn(t, c, int64(50+round), 10)
-		if err := c.CheckpointRound(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if err := c.VerifyParity(); err != nil {
+		mChurnAndCheckpoint(t, members, keepers, int64(50+round))
+		if err := verifyGroupParity(members, keepers); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
 }
 
+// TestClusterTripleFailureWithToleranceTwoRejected: three elements of a
+// group lost at m = 2 leave too few shards, and the rebuild rule refuses.
 func TestClusterTripleFailureWithToleranceTwoRejected(t *testing.T) {
-	layout, err := cluster.BuildDistributedGroups(7, 1, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCluster(layout, 8, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CheckpointRound(); err != nil {
-		t.Fatal(err)
-	}
-	// Find a triple that actually overwhelms some group (groups span 5 of 7
-	// nodes, so some triples hit a group three times).
-	rejected := false
-	for a := 0; a < 7 && !rejected; a++ {
-		for b := a + 1; b < 7 && !rejected; b++ {
-			for cc := b + 1; cc < 7 && !rejected; cc++ {
-				if !c.Layout().Survives(a, b, cc) {
-					if _, err := c.FailNodes(a, b, cc); err == nil {
-						t.Errorf("unsurvivable triple (%d,%d,%d) accepted", a, b, cc)
-					}
-					rejected = true
-				}
-			}
-		}
-	}
-	if !rejected {
-		t.Skip("no unsurvivable triple in this layout")
+	members, keepers := newMGroup(t, 3, 2, 8, 32)
+	elems := groupElements(members, 2)
+	if _, err := rebuildLost(members, keepers, elems[:3]); err == nil {
+		t.Error("a triple loss at tolerance 2 was rebuilt")
 	}
 }
 
@@ -264,35 +313,40 @@ func TestClusterTripleFailureWithToleranceTwoRejected(t *testing.T) {
 // verifiable and double losses recoverable.
 func TestQuickMKeeperInvariant(t *testing.T) {
 	f := func(seed int64, rounds uint8) bool {
-		layout, err := cluster.BuildDistributedGroups(6, 1, 2, 3)
-		if err != nil {
-			return false
-		}
-		c, err := NewCluster(layout, 8, 32)
-		if err != nil {
-			return false
-		}
+		members, keepers := newMGroup(t, 3, 2, 8, 32)
 		rng := rand.New(rand.NewSource(seed))
 		for r := 0; r < int(rounds%4)+1; r++ {
-			for _, name := range c.VMNames() {
-				m, _ := c.Machine(name)
+			for _, mem := range members {
+				m := mem.Machine()
 				for w := 0; w < 10; w++ {
 					m.TouchPage(rng.Intn(m.NumPages()), rng.Uint64())
 				}
 			}
-			if err := c.CheckpointRound(); err != nil {
+			if err := groupRound(members, keepers...); err != nil {
 				return false
 			}
 		}
-		if err := c.VerifyParity(); err != nil {
+		if verifyGroupParity(members, keepers) != nil {
 			return false
 		}
-		a := rng.Intn(6)
-		b := (a + 1 + rng.Intn(5)) % 6
-		if _, err := c.FailNodes(a, b); err != nil {
+		elems := groupElements(members, 2)
+		a := rng.Intn(len(elems))
+		b := (a + 1 + rng.Intn(len(elems)-1)) % len(elems)
+		lost := []Element{elems[a], elems[b]}
+		outs, err := rebuildLost(members, keepers, lost)
+		if err != nil {
 			return false
 		}
-		return c.VerifyParity() == nil
+		for o, e := range lost {
+			want := keepers[e.Parity].Parity()
+			if e.VM != "" {
+				want = members[e.VM[0]-'A'].CommittedImage()
+			}
+			if !bytes.Equal(outs[o], want) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -174,5 +175,110 @@ func TestCommitRefusesIncompleteOrStaleStream(t *testing.T) {
 	}
 	if err := k.Commit(d.Epoch); err != nil {
 		t.Fatalf("a repeated commit with nothing open: %v", err)
+	}
+}
+
+// foldStaged renders a member's staged capture chunk by chunk, as a node's
+// ship does, and folds each chunk into every keeper under the round's
+// attempt and abort floor. It stops at the first refusal.
+func foldStaged(mem *Member, d *Delta, attempt, floor uint64, keepers ...*MKeeper) error {
+	m := mem.Machine()
+	var buf []byte
+	chunks := d.Chunks(m.PageSize(), int(m.ImageBytes()), wire.DefaultChunkSize)
+	for c, ok := chunks.Next(); ok; c, ok = chunks.Next() {
+		if int(c.RawLen) > len(buf) {
+			buf = make([]byte, c.RawLen)
+		}
+		c.Data = buf[:c.RawLen]
+		if err := mem.DeltaInto(d, c.Data, int(c.Offset)); err != nil {
+			return err
+		}
+		for _, k := range keepers {
+			if _, err := k.Fold(d.VMID, d.Epoch, attempt, floor, &c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// TestCheckpointRoundAbortsOnFailedFold: when one fold of a round's attempt
+// is refused, the round aborts the way the runtime's does — every keeper
+// drops its staged pages and every member unstages — so no committed image,
+// parity block or epoch moves and the dirty pages wait for the next attempt,
+// which commits them above the aborted one's floor.
+func TestCheckpointRoundAbortsOnFailedFold(t *testing.T) {
+	members, keepers := newMGroup(t, 3, 2, 16, 64)
+	committed, dirty := map[string][]byte{}, map[string][]int{}
+	for i, mem := range members {
+		m := mem.Machine()
+		for p := 0; p < 16; p += 1 + i {
+			m.TouchPage(p, uint64(p+i+1))
+		}
+		committed[m.ID()], dirty[m.ID()] = mem.CommittedImage(), m.DirtyPages()
+	}
+	// Parity block 1 is a keeper of strangers, so every fold into it is refused.
+	stranger, err := NewMKeeper(0, 1, 2, map[string][]byte{"stranger": make([]byte, keepers[1].Size())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepare := func(attempt, floor uint64, ks ...*MKeeper) error {
+		for _, mem := range members {
+			d, _, err := mem.Stage(false)
+			if err != nil {
+				return err
+			}
+			if err := foldStaged(mem, d, attempt, floor, ks...); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := prepare(1, 0, keepers[0], stranger); err == nil {
+		t.Fatal("a round with a refused fold prepared")
+	}
+	for _, k := range append(keepers, stranger) {
+		k.Drop()
+	}
+	for _, mem := range members {
+		mem.Unstage()
+	}
+	for _, mem := range members {
+		m := mem.Machine()
+		if mem.Epoch() != 0 || !bytes.Equal(mem.CommittedImage(), committed[m.ID()]) {
+			t.Errorf("%s: the aborted round moved the member to epoch %d or changed its committed image", m.ID(), mem.Epoch())
+		}
+		if got := m.DirtyPages(); !slices.Equal(got, dirty[m.ID()]) {
+			t.Errorf("%s: dirty pages after abort %v, want %v", m.ID(), got, dirty[m.ID()])
+		}
+	}
+	for _, k := range keepers {
+		if k.StagedPages() != 0 {
+			t.Errorf("parity[%d] still holds %d staged pages", k.ParityIndex(), k.StagedPages())
+		}
+	}
+	if err := verifyGroupParity(members, keepers); err != nil {
+		t.Fatalf("after the abort: %v", err)
+	}
+
+	// The retry is attempt 2 above the aborted floor 1, and commits.
+	if err := prepare(2, 1, keepers...); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keepers {
+		if err := k.Commit(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, mem := range members {
+		if err := mem.Advance(1); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mem.CommittedImage(), mem.Machine().Image()) {
+			t.Errorf("%s: the retried round did not commit the live image", mem.Machine().ID())
+		}
+	}
+	if err := verifyGroupParity(members, keepers); err != nil {
+		t.Fatalf("after the retry: %v", err)
 	}
 }

@@ -7,16 +7,17 @@
 // the changed pages to their group's parity keepers, which patch their parity
 // blocks RAID-5-small-write style without ever holding member images. On a
 // failure, the survivors' committed images plus the parity blocks reconstruct
-// the lost VMs bit-exactly. The TCP runtime (internal/runtime) drives exactly
-// this code over the network, and Cluster runs the same round in process.
+// the lost VMs bit-exactly. The runtime (internal/runtime) drives exactly
+// this code, over TCP or, in one process, over an in-memory network; core
+// runs no round of its own.
 //
 // The round's participant rules live in Member (one staged capture) and
 // MKeeper (per-member chunk streams, the attempt floor, duplicate drops,
-// commit's completeness check): the runtime's handlers lock, call and reply,
-// and Cluster calls the same methods. Both rebuild a damaged group by one rule
-// too: PlanShards picks k shards and their coefficients, NewMemberAt and
-// NewMKeeperFromBlock adopt the results at the committed epoch, and
-// ReconstructMembers is the independent oracle they are tested against.
+// commit's completeness check): the runtime's handlers lock, call and reply.
+// A damaged group is rebuilt by one rule too: PlanShards picks k shards and
+// their coefficients, NewMemberAt and NewMKeeperFromBlock adopt the results
+// at the committed epoch, and ReconstructMembers is the independent oracle
+// they are tested against.
 //
 // The timing half (Scheme, Engine in engine.go) is the discrete-event
 // simulation used to corroborate the paper's Section V model and to

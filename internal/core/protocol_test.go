@@ -39,9 +39,9 @@ func buildGroup(n, pages, pageSize int) ([]*Member, *MKeeper, error) {
 	return members, k, err
 }
 
-// groupRound runs one checkpoint round of a group the way Cluster's round
-// does: every member stages its capture, each staged page is folded into
-// every keeper, then the keepers commit and the members advance.
+// groupRound runs one checkpoint round of a group: every member stages its
+// capture, each staged page is folded into every keeper, then the keepers
+// commit and the members advance.
 func groupRound(members []*Member, keepers ...*MKeeper) error {
 	epochs := map[string]uint64{}
 	staged := make([]*Delta, len(members))

@@ -233,17 +233,6 @@ func TestSchemeAccessors(t *testing.T) {
 	}
 }
 
-func TestFailureReportNode(t *testing.T) {
-	r := &FailureReport{}
-	if r.Node() != -1 {
-		t.Error("empty report Node should be -1")
-	}
-	r.Nodes = []int{2, 3}
-	if r.Node() != 2 {
-		t.Error("Node should return first")
-	}
-}
-
 // schemeFixture builds the common scheme inputs for accessor tests.
 func schemeFixture(t *testing.T) (*cluster.Layout, analytic.Platform, vm.Spec) {
 	t.Helper()

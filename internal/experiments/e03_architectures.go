@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
 	"dvdc/internal/cluster"
-	"dvdc/internal/core"
 	"dvdc/internal/report"
+	"dvdc/internal/runtime"
 	"dvdc/internal/vm"
 )
 
@@ -113,38 +114,38 @@ func runE3(p Params) (*Result, error) {
 // verifies every VM is at the committed state.
 func injectAndVerify(layout *cluster.Layout, nodes ...int) (bool, error) {
 	// Work on a private copy of the layout: recovery mutates it.
-	fresh := layout.Clone()
-	c, err := core.NewCluster(fresh, 8, 64)
+	c, err := runtime.NewInProcess(layout.Clone(), 8, 64)
 	if err != nil {
 		return false, err
 	}
-	for _, name := range c.VMNames() {
-		m, err := c.Machine(name)
+	defer c.Close()
+	for _, v := range c.Layout().VMs {
+		m, err := c.Machine(v.Name)
 		if err != nil {
 			return false, err
 		}
-		w := vm.NewUniform(int64(nodes[0])*1000 + int64(len(name)))
+		w := vm.NewUniform(int64(nodes[0])*1000 + int64(len(v.Name)))
 		vm.Run(w, m, 30)
 	}
-	if err := c.CheckpointRound(); err != nil {
+	if err := c.Checkpoint(); err != nil {
 		return false, err
 	}
 	committed := map[string][]byte{}
-	for _, name := range c.VMNames() {
-		m, _ := c.Machine(name)
-		committed[name] = m.Image()
+	for _, v := range c.Layout().VMs {
+		m, _ := c.Machine(v.Name)
+		committed[v.Name] = m.Image()
 	}
-	if _, err := c.FailNodes(nodes...); err != nil {
+	c.Kill(nodes...)
+	if _, err := c.RecoverNodes(nodes...); err != nil {
 		return false, nil // unsurvivable: counts as non-survival, not error
 	}
-	for _, name := range c.VMNames() {
-		m, _ := c.Machine(name)
-		img := m.Image()
-		want := committed[name]
-		for i := range img {
-			if img[i] != want[i] {
-				return false, fmt.Errorf("VM %q corrupted at byte %d", name, i)
-			}
+	for _, v := range c.Layout().VMs {
+		m, err := c.Machine(v.Name)
+		if err != nil {
+			return false, err
+		}
+		if !bytes.Equal(m.Image(), committed[v.Name]) {
+			return false, fmt.Errorf("VM %q corrupted", v.Name)
 		}
 	}
 	return true, nil

@@ -10,6 +10,7 @@ import (
 	"dvdc/internal/diskfull"
 	"dvdc/internal/metrics"
 	"dvdc/internal/report"
+	"dvdc/internal/runtime"
 	"dvdc/internal/vm"
 )
 
@@ -79,26 +80,29 @@ func runE10(p Params) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := core.NewCluster(l, pages, vm.DefaultPageSize)
+		c, err := runtime.NewInProcess(l, pages, vm.DefaultPageSize)
 		if err != nil {
 			return nil, err
 		}
-		for i, name := range c.VMNames() {
-			m, _ := c.Machine(name)
+		for i, v := range c.Layout().VMs {
+			m, _ := c.Machine(v.Name)
 			vm.Run(vm.NewUniform(int64(i)), m, pages/2)
 		}
 		start := time.Now()
-		if err := c.CheckpointRound(); err != nil {
+		if err := c.Checkpoint(); err != nil {
+			c.Close()
 			return nil, err
 		}
 		ckptMs := time.Since(start).Seconds() * 1000
 		start = time.Now()
-		rep, err := c.FailNode(0)
+		c.Kill(0)
+		plan, err := c.RecoverNodes(0)
+		recMs := time.Since(start).Seconds() * 1000
+		c.Close()
 		if err != nil {
 			return nil, err
 		}
-		recMs := time.Since(start).Seconds() * 1000
-		realTable.AddRow(mib, ckptMs, recMs, len(rep.LostVMs))
+		realTable.AddRow(mib, ckptMs, recMs, len(plan.VMs()))
 	}
 
 	var out strings.Builder

@@ -10,6 +10,7 @@ import (
 	"dvdc/internal/metrics"
 	"dvdc/internal/migrate"
 	"dvdc/internal/report"
+	"dvdc/internal/runtime"
 	"dvdc/internal/vm"
 )
 
@@ -101,31 +102,35 @@ func runE15(p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := core.NewCluster(l2, 256, vm.DefaultPageSize)
+	const guestBytes = 1 << 20
+	cl, err := runtime.NewInProcess(l2, guestBytes/vm.DefaultPageSize, vm.DefaultPageSize)
 	if err != nil {
 		return nil, err
 	}
-	for i, name := range cl.VMNames() {
-		m, _ := cl.Machine(name)
+	defer cl.Close()
+	for i, v := range cl.Layout().VMs {
+		m, _ := cl.Machine(v.Name)
 		vm.Run(vm.NewUniform(int64(i)), m, 300)
 	}
-	if err := cl.CheckpointRound(); err != nil {
+	if err := cl.Checkpoint(); err != nil {
 		return nil, err
 	}
-	rep, err := cl.EvacuateNode(0, nil)
+	plan, err := cl.Evacuate(0)
 	if err != nil {
 		return nil, err
 	}
-	var moved int64
-	for _, mv := range rep.Moves {
-		moved += mv.Stats.BytesSent
+	if err := cl.VerifyParity(); err != nil {
+		return nil, err
 	}
+	// A move carries its VM's whole committed image to the target.
+	movedVMs := len(plan.VMs())
+	moved := int64(movedVMs) * guestBytes
 
 	var out strings.Builder
 	out.WriteString(table.String())
-	fmt.Fprintf(&out, "\nByte-real evacuation of node 0 (6-node cluster, 1 MiB guests): %d VMs moved,\n", len(rep.Moves))
+	fmt.Fprintf(&out, "\nByte-real evacuation of node 0 (6-node cluster, 1 MiB guests): %d VMs moved,\n", movedVMs)
 	fmt.Fprintf(&out, "%.1f MiB transferred, zero rollbacks, parity verified, degraded=%v.\n",
-		float64(moved)/(1<<20), rep.Degraded)
+		float64(moved)/(1<<20), plan.Degraded)
 	out.WriteString("\nEven charging the full migration (not just its millisecond downtime) per\n")
 	out.WriteString("predicted failure, prediction accuracy converts directly into completion-time\n")
 	out.WriteString("savings: evacuation avoids both the lost window and the cluster-wide rollback.\n")

@@ -70,7 +70,7 @@ func TestExplicitPrepareAbortCycle(t *testing.T) {
 	}
 	// Parity must still be consistent: kill a node and verify recovery.
 	nodes[0].Close()
-	if _, err := coord.RecoverNode(0); err != nil {
+	if _, err := coord.RecoverNodes(0); err != nil {
 		t.Fatal(err)
 	}
 	final, err := coord.Checksums()

@@ -49,8 +49,8 @@ func sizedCluster(t *testing.T, layout *cluster.Layout, pages, pageSize, chunkSi
 }
 
 // readBlock reads a whole committed image (source "image", keyed by vmName)
-// or parity block (source "parity", keyed by group) from the node at addr
-// over MsgReadChunk — the only way those bytes cross the wire, so every test
+// or parity block (source "parity", keyed by group) from the node at addr,
+// dialed over dial (nil = TCP), over MsgReadChunk — the only way those bytes cross the wire, so every test
 // that needs them as an oracle input comes through here. The chunk size is
 // deliberately not a divisor of the test images: 300 bytes, or one byte short
 // of 64 KiB once the first reply shows a block of several hundred KiB (the
@@ -58,10 +58,10 @@ func sizedCluster(t *testing.T, layout *cluster.Layout, pages, pageSize, chunkSi
 // -race, on thousands of tiny reads). It returns the block, the replies' epoch
 // (the committed epoch, on image reads) and their Arg (the serving keeper's
 // parity index, on parity reads).
-func readBlock(t *testing.T, addr, source, vmName string, group int) ([]byte, uint64, int) {
+func readBlock(t *testing.T, dial transport.DialFunc, addr, source, vmName string, group int) ([]byte, uint64, int) {
 	t.Helper()
 	cs := uint64(300)
-	conn, err := transport.Dial(addr)
+	conn, err := transport.DialWith(addr, 0, dial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func oracleDiff(t *testing.T, coord *Coordinator, shadow *Shadow) error {
 	t.Helper()
 	layout := coord.Layout()
 	for _, v := range layout.VMs {
-		img, epoch, _ := readBlock(t, coord.addrs[v.Node], "image", v.Name, 0)
+		img, epoch, _ := readBlock(t, coord.dialer, coord.addrs[v.Node], "image", v.Name, 0)
 		if epoch != shadow.Epoch() {
 			return fmt.Errorf("%q committed at epoch %d, shadow at %d", v.Name, epoch, shadow.Epoch())
 		}
@@ -128,7 +128,7 @@ func oracleDiff(t *testing.T, coord *Coordinator, shadow *Shadow) error {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blk, _, gotIdx := readBlock(t, coord.addrs[pn], "parity", "", g.Index)
+			blk, _, gotIdx := readBlock(t, coord.dialer, coord.addrs[pn], "parity", "", g.Index)
 			if gotIdx != idx {
 				return fmt.Errorf("node %d served parity[%d] of group %d, layout says [%d]", pn, gotIdx, g.Index, idx)
 			}
@@ -180,7 +180,7 @@ func TestRoundsMatchInProcessOracle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			layout := tc.layout(t)
 			coord, _ := chunkedCluster(t, layout, tc.chunkSize)
-			shadow, err := NewShadow(layout, 16, 64, 12345)
+			shadow, err := NewShadowWith(layout, 16, 64, 12345, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +218,7 @@ func TestSkippedFoldFailsOracle(t *testing.T) {
 	layout := paperLayout(t)
 	const pages, pageSize, chunkSize = 16, 64, 48
 	coord, nodes := chunkedCluster(t, layout, chunkSize)
-	shadow, err := NewShadow(layout, pages, pageSize, 12345)
+	shadow, err := NewShadowWith(layout, pages, pageSize, 12345, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestRefusedBatchOpensNoStream(t *testing.T) {
 	layout := paperLayout(t)
 	const pages, pageSize = 16, 64
 	coord, nodes := chunkedCluster(t, layout, 48)
-	shadow, err := NewShadow(layout, pages, pageSize, 12345)
+	shadow, err := NewShadowWith(layout, pages, pageSize, 12345, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestChunkedRecoveryAndRebalance(t *testing.T) {
 	victim := 1
 	addr := nodes[victim].Addr()
 	nodes[victim].Close()
-	if _, err := coord.RecoverNode(victim); err != nil {
+	if _, err := coord.RecoverNodes(victim); err != nil {
 		t.Fatal(err)
 	}
 	after, err := coord.Checksums()
@@ -414,7 +414,7 @@ func TestDuplicateChunkFoldsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if blk, _, _ := readBlock(t, coord.addrs[parityNode], "parity", "", 0); !bytes.Equal(blk, ref.Parity()) {
+	if blk, _, _ := readBlock(t, nil, coord.addrs[parityNode], "parity", "", 0); !bytes.Equal(blk, ref.Parity()) {
 		t.Fatal("duplicate chunk changed parity: double fold detected")
 	}
 	st, err := coord.NodeStats(parityNode)
@@ -447,7 +447,7 @@ func TestReadChunkServesImagesAndParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, epoch, _ := readBlock(t, coord.addrs[v.Node], "image", v.Name, 0)
+	img, epoch, _ := readBlock(t, nil, coord.addrs[v.Node], "image", v.Name, 0)
 	if !bytes.Equal(img, ms.mem.CommittedImage()) {
 		t.Fatal("chunked image read diverges from the member's committed image")
 	}
@@ -457,7 +457,7 @@ func TestReadChunkServesImagesAndParity(t *testing.T) {
 
 	g := layout.Groups[v.Group]
 	keeper := nodes[g.ParityNodes[0]].keepers[g.Index].keeper
-	blk, _, idx := readBlock(t, coord.addrs[g.ParityNodes[0]], "parity", "", g.Index)
+	blk, _, idx := readBlock(t, nil, coord.addrs[g.ParityNodes[0]], "parity", "", g.Index)
 	if !bytes.Equal(blk, keeper.Parity()) {
 		t.Fatal("chunked parity read diverges from the keeper's parity block")
 	}
@@ -558,7 +558,7 @@ func runsOf(pages []int) []core.PageRun {
 func TestChunkSizeValidation(t *testing.T) {
 	layout := paperLayout(t)
 	coord, nodes := chunkedCluster(t, layout, 48)
-	shadow, err := NewShadow(layout, 16, 64, 12345)
+	shadow, err := NewShadowWith(layout, 16, 64, 12345, "")
 	if err != nil {
 		t.Fatal(err)
 	}

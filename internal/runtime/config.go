@@ -1,9 +1,10 @@
-// Package runtime is the distributed DVDC implementation: node daemons that
-// host real VM memories, keep RAID-group parity, and speak the wire protocol
-// over TCP; and a coordinator that drives two-phase checkpoint rounds and
-// failure recovery across them. It is the networked twin of core.Cluster —
-// the same Member/MKeeper data path, with prepare/commit, parity shipping,
-// and reconstruction traffic actually crossing sockets. Groups may carry any
+// Package runtime is the DVDC protocol's one implementation: node daemons
+// that host real VM memories, keep RAID-group parity, and speak the wire
+// protocol; and a coordinator that drives two-phase checkpoint rounds,
+// failure recovery, rebalances and evacuations across them. The data path is
+// core's Member/MKeeper rules, with prepare/commit, parity shipping and
+// reconstruction traffic crossing real streams: TCP between processes, or an
+// in-memory network inside one (Cluster, NewInProcess). Groups may carry any
 // parity tolerance m: each of the m parity blocks lives on its own node, and
 // up to m simultaneous node deaths are recoverable.
 package runtime

@@ -18,20 +18,14 @@ import (
 // the shared concurrency and failure-handling defaults live in defaults.go.
 const commitRetryBackoff = 10 * time.Millisecond
 
-// Coordinator drives a set of node daemons through the DVDC protocol:
-// initial configuration, workload execution, two-phase checkpoint rounds,
-// and recovery after a node death. It owns the live cluster.Layout and keeps
-// it in sync with what the nodes are doing.
-//
-// Control-plane traffic fans out: every phase (setup, step, prepare, commit,
-// checksum, parity refresh) contacts all nodes concurrently over per-peer
-// connection pools, bounded by the fan-out width, and every RPC carries an
-// I/O deadline so a hung node surfaces as a timeout instead of wedging the
-// cluster. Protocol entry points (Setup, Step, Checkpoint, Quiesce,
-// RecoverNodes, Repair, Rebalance) serialize on an internal round mutex —
-// one protocol operation at a time, concurrent callers queue — while each
-// round is internally parallel. Read paths (Epoch, RoundStats, Checksums,
-// VMStates) are safe to call from other goroutines at any time.
+// Coordinator drives node daemons through the DVDC protocol — setup,
+// workload steps, two-phase checkpoint rounds, recovery, repair and
+// relocation — and owns the live cluster.Layout. Every phase fans out to all
+// nodes concurrently over per-peer pools, bounded by the fan-out width, and
+// every RPC carries an I/O deadline, so a hung node surfaces as a timeout.
+// Protocol operations serialize on a round mutex (callers queue; each
+// operation is internally parallel); the read paths (Epoch, RoundStats,
+// Checksums, VMStates) are safe from any goroutine at any time.
 type Coordinator struct {
 	roundMu sync.Mutex // serializes protocol operations (one round at a time)
 
@@ -129,11 +123,9 @@ func (c *Coordinator) SetDialer(d transport.DialFunc) {
 }
 
 // SetObserver attaches a span tracer and metrics registry (either may be
-// nil). Checkpoint rounds, recoveries, and rebalances open root spans whose
-// trace ids ride every RPC of the round; the registry gets per-phase duration
-// histograms, round counters, and each peer pool's health series. Like
-// SetDialer, pool-level instrumentation only reaches pools created after the
-// call, so attach before the first round.
+// nil): protocol operations open root spans whose trace ids ride their RPCs,
+// and the registry gets phase histograms, round counters and each pool's
+// health series. Like SetDialer, attach before the first round.
 func (c *Coordinator) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
 	c.mu.Lock()
 	c.tracer = tr
@@ -265,14 +257,11 @@ func (c *Coordinator) aliveNodes() []int {
 	return out
 }
 
-// fanout sends one request to each node concurrently (bounded by the
-// fan-out width) and feeds each reply to handle, in node order. Every node
-// is attempted even after a failure, and handle runs for every successful
-// reply — so a caller can learn which nodes succeeded even when the phase as
-// a whole fails. The first error in node order is returned, wrapped with op.
-// Built messages are stamped with ctx (every build call site allocates a
-// fresh message, so stamping in place is safe); a zero ctx leaves the phase
-// untraced.
+// fanout sends one request to each node concurrently (bounded by the fan-out
+// width) and feeds each successful reply to handle, in node order, even when
+// other nodes fail; the first error in node order is returned, wrapped with
+// op. Built messages, fresh at every call site, are stamped with ctx in
+// place; a zero ctx leaves the phase untraced.
 func (c *Coordinator) fanout(ctx obs.SpanContext, op string, nodes []int, build func(node int) *wire.Message, handle func(node int, resp *wire.Message) error) error {
 	resps := make([]*wire.Message, len(nodes))
 	errs := make([]error, len(nodes))
@@ -356,22 +345,21 @@ func (c *Coordinator) nodeConfig(n int) NodeConfig {
 	return cfg
 }
 
+// configureMsg renders node n's full assignment as a configure request.
+func (c *Coordinator) configureMsg(n int) *wire.Message {
+	text, _ := encodeJSON(c.nodeConfig(n)) // plain fields: Marshal cannot fail
+	return &wire.Message{Type: wire.MsgConfigure, Text: text}
+}
+
 // Setup pushes the initial configuration to every node, concurrently.
 func (c *Coordinator) Setup() error {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
 	nodes := make([]int, c.layout.Nodes)
-	msgs := make([]*wire.Message, c.layout.Nodes)
-	for n := 0; n < c.layout.Nodes; n++ {
+	for n := range nodes {
 		nodes[n] = n
-		text, err := encodeJSON(c.nodeConfig(n))
-		if err != nil {
-			return err
-		}
-		msgs[n] = &wire.Message{Type: wire.MsgConfigure, Text: text}
 	}
-	return c.fanout(obs.SpanContext{}, "configure", nodes,
-		func(n int) *wire.Message { return msgs[n] },
+	return c.fanout(obs.SpanContext{}, "configure", nodes, c.configureMsg,
 		func(n int, resp *wire.Message) error {
 			if resp.Type != wire.MsgConfigureOK {
 				return fmt.Errorf("runtime: node %d replied %v to configure", n, resp.Type)
@@ -395,17 +383,13 @@ func (c *Coordinator) Step(n uint64) error {
 // then COMMIT in parallel.
 //
 // Failure semantics, phase by phase:
-//   - If any prepare fails, the round is aborted on every node that
-//     prepared and the error returned; the cluster stays at the previous
-//     committed epoch.
-//   - Once the commit phase starts, the round always completes: commit
-//     cannot be undone after any node has folded its staged deltas, so the
-//     epoch advances. A node whose commit keeps failing through the retry
-//     budget is declared dead and the error returned is a
-//     *PartialCommitError naming it; run RecoverNodes over those nodes to
-//     restore redundancy. This keeps every reachable node's notion of the
-//     committed epoch in sync — there is no state in which half the cluster
-//     committed an epoch the coordinator disowned.
+//   - If any prepare fails, the round is aborted everywhere and the error
+//     returned; the cluster stays at the previous committed epoch.
+//   - Once the commit phase starts, the round completes: a fold cannot be
+//     undone, so the epoch advances. A node whose commit fails through the
+//     retry budget is declared dead, named by the *PartialCommitError
+//     returned; RecoverNodes over it restores redundancy. No reachable node
+//     ever holds an epoch the coordinator disowned.
 func (c *Coordinator) Checkpoint() error { return c.CheckpointIn(obs.SpanContext{}) }
 
 // CheckpointIn is Checkpoint with a parent span context: the round's root
@@ -631,22 +615,13 @@ func (c *Coordinator) VMStates() (map[string]VMState, error) {
 	return out, nil
 }
 
-// RecoverNode handles the death of a single node; see RecoverNodes.
-func (c *Coordinator) RecoverNode(failed int) (*cluster.Plan, error) {
-	return c.RecoverNodes(failed)
-}
-
-// RecoverNodes handles the simultaneous death of up to `tolerance` nodes:
-// it plans recovery against the layout, rolls every surviving VM back to the
-// committed epoch, and rebuilds each damaged group in one pass — the target
-// of its first step pulls k surviving shards node-to-node once, computes every
-// lost VM and parity block of the group, adopts its own and hands the others
-// to their targets — then updates the layout. The coordinator only names
-// sources and targets; no image byte crosses it. Groups share no VMs and no
-// parity blocks (orthogonality), so they recover concurrently. The failed
-// nodes must already be unreachable (or are about to be treated as such).
-// Nodes the commit phase already declared dead (see PartialCommitError) may —
-// and must — be passed here, and a recovery that fails may be run again.
+// RecoverNodes handles the simultaneous death of up to `tolerance` nodes,
+// which must be unreachable already (or be treated so): it plans recovery,
+// rolls every surviving VM back to the committed epoch and rebuilds each
+// damaged group in one pass (execute) — the decoder pulls k surviving shards
+// node-to-node once and hands each lost element to its target; no image byte
+// crosses the coordinator. Nodes the commit phase declared dead
+// (PartialCommitError) must be passed here; a failed recovery may be rerun.
 func (c *Coordinator) RecoverNodes(failed ...int) (*cluster.Plan, error) {
 	return c.RecoverNodesIn(obs.SpanContext{}, failed...)
 }
@@ -736,21 +711,17 @@ func (c *Coordinator) downNodes(extra ...int) []int {
 	return down
 }
 
-// execute carries out a placement plan — a recovery's, a rebalance's or a
-// keeper evacuation's — by one rule, and records in the layout exactly the
-// steps that completed:
+// execute carries out a placement plan — a recovery's or a relocation's — by
+// one rule, and records in the layout exactly the steps that completed:
 //
 //  1. Each damaged group gets one rebuild request (rebuildGroup) carrying its
-//     RehomeParity steps and the RestoreVM steps whose VM's host (Step.From)
-//     is dead. Groups share no VM and no parity block (orthogonality), so
-//     they rebuild concurrently, against the layout as it stands.
-//  2. Each RestoreVM step whose VM's host is up is a move (move). Moves run
-//     after the rebuilds, so no rebuild reads a VM a move has just evicted.
-//  3. The completed steps are recorded with the layout's Apply: a step that
-//     failed is not in the layout, whatever became of the others, so a retry
-//     plans only what is still to do.
-//  4. Every alive node learns the parity homes of the groups those steps
-//     touched, whatever failed.
+//     RehomeParity steps and the RestoreVM steps whose VM's host is dead;
+//     groups share no element (orthogonality), so they rebuild concurrently.
+//  2. Each RestoreVM step whose VM's host is up is a move, run after the
+//     rebuilds so none reads a VM a move has just evicted.
+//  3. The layout's Apply records the completed steps: a retry plans only
+//     what failed.
+//  4. Every alive node learns the parity homes of the groups touched.
 //
 // The errors of all four are joined.
 func (c *Coordinator) execute(ctx obs.SpanContext, tr *obs.Tracer, plan *cluster.Plan) error {
@@ -945,57 +916,66 @@ func (c *Coordinator) Repair(node int) error {
 	if pending {
 		return fmt.Errorf("runtime: node %d has not been recovered; run RecoverNodes first", node)
 	}
-	probe, err := transport.Dial(c.addrs[node])
+	// The rejoined daemon needs a fresh configuration (peers, chunking); the
+	// layout places nothing on a recovered node, so it hosts nothing until a
+	// relocation moves VMs or parity to it. It is dialed the way every call
+	// is, and stays dead until the configuration lands, so a failed repair
+	// can be run again.
+	c.mu.Lock()
+	dial, timeout := c.dialer, c.rpcTimeout
+	c.mu.Unlock()
+	conn, err := transport.DialWith(c.addrs[node], 0, dial)
 	if err != nil {
 		return fmt.Errorf("runtime: node %d not reachable for repair: %w", node, err)
 	}
-	probe.Close()
+	defer conn.Close()
+	conn.SetTimeout(timeout)
+	if _, err := conn.Call(c.configureMsg(node)); err != nil {
+		return fmt.Errorf("runtime: reconfigure repaired node %d: %w", node, err)
+	}
 	c.mu.Lock()
 	delete(c.dead, node)
 	c.mu.Unlock()
-	// The rejoined daemon needs a fresh configuration (peers, chunking); the
-	// layout places nothing on a recovered node, so it hosts nothing until
-	// rebalance moves VMs or parity to it.
-	text, err := encodeJSON(c.nodeConfig(node))
-	if err != nil {
-		return err
-	}
-	if _, err := c.call(node, &wire.Message{Type: wire.MsgConfigure, Text: text}); err != nil {
-		return fmt.Errorf("runtime: reconfigure repaired node %d: %w", node, err)
-	}
 	return nil
 }
 
+// Rebalance, Evacuate and EvacuateKeepers relocate elements of a live
+// cluster by the plan rule recovery follows (execute): a VM moves with its
+// committed image, a parity block is rebuilt on its new home. A step that
+// fails leaves its element where it was, and the error comes back after the
+// completed steps are in the layout. Call them right after a committed
+// Checkpoint, before any Step: the old host refuses to drop a VM with dirty
+// pages.
+//
 // Rebalance restores strict orthogonality after degraded recoveries, once
-// repaired nodes have rejoined: co-located VMs move, and co-located parity
-// blocks are rebuilt on their new homes, by the plan rule recovery follows
-// (execute). A step that fails leaves its VM or parity block where it was;
-// the error is returned after the steps that did complete are recorded in the
-// layout and their groups' parity pointers refreshed. Call immediately after
-// Checkpoint, before any Step.
+// repaired nodes have rejoined (cluster.PlanRebalance).
 func (c *Coordinator) Rebalance() (*cluster.Plan, error) {
 	return c.relocate("rebalance", -1, c.layout.PlanRebalance)
 }
 
-// EvacuateKeepers drains every parity block off one (alive) node — the
-// placement response to the telemetry plane flagging the node as habitually
-// slow. Each evacuated block is rebuilt on an orthogonality-preserving
-// target (cluster.PlanKeeperEvacuation) by the plan rule recovery follows
-// (execute) — the node keeps its hosted VMs, it just stops being a fan-in
-// point. Call right after a committed Checkpoint, before any Step, like
-// Rebalance. Layouts with no legal target (the paper's minimal 4-node
-// placement) fail loudly; an empty plan means the node already keeps no
-// parity.
+// EvacuateKeepers drains every parity block off one alive node, the response
+// to the telemetry plane flagging it as habitually slow: it keeps its VMs and
+// stops being a fan-in point (cluster.PlanKeeperEvacuation). Layouts with no
+// orthogonal target fail; an empty plan means it keeps no parity.
 func (c *Coordinator) EvacuateKeepers(node int) (*cluster.Plan, error) {
 	return c.relocate("evacuate", node, func(down ...int) (*cluster.Plan, error) {
 		return c.layout.PlanKeeperEvacuation(node, down...)
 	})
 }
 
-// relocate is Rebalance and EvacuateKeepers: it plans with planner against
-// the nodes that are down and carries the plan out (execute) in a root span
-// and a phase both called name. A node ≥ 0 is the node whose keepers are
-// evacuated: it must be alive, and an empty plan for it returns at once.
+// Evacuate moves every VM and parity block off one alive node predicted to
+// fail, the paper's "live migration away from failing nodes": nothing is lost
+// and nobody rolls back. cluster.PlanEvacuation places them as recovery
+// would, so a group's elements spread and its parity blocks never stack.
+func (c *Coordinator) Evacuate(node int) (*cluster.Plan, error) {
+	return c.relocate("evacuate-node", node, func(down ...int) (*cluster.Plan, error) {
+		return c.layout.PlanEvacuation(node, down...)
+	})
+}
+
+// relocate plans with planner against the down nodes and executes the plan in
+// a root span and a phase both called name. A node ≥ 0 is the node evacuated:
+// it must be alive, and an empty plan for it returns at once.
 func (c *Coordinator) relocate(name string, node int, planner func(down ...int) (*cluster.Plan, error)) (plan *cluster.Plan, err error) {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
@@ -1004,7 +984,7 @@ func (c *Coordinator) relocate(name string, node int, planner func(down ...int) 
 	tr, dead := c.tracer, c.dead[node]
 	c.mu.Unlock()
 	if dead {
-		return nil, fmt.Errorf("runtime: cannot evacuate keepers off dead node %d", node)
+		return nil, fmt.Errorf("runtime: cannot evacuate dead node %d", node)
 	}
 	root := tr.Start(obs.SpanContext{}, name, "coord")
 	if node >= 0 {

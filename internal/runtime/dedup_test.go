@@ -114,7 +114,7 @@ func TestDedupRewriteWorkloadSavesShippedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	dnodes[1].Close()
-	if _, err := dedup.RecoverNode(1); err != nil {
+	if _, err := dedup.RecoverNodes(1); err != nil {
 		t.Fatal(err)
 	}
 	after, err := dedup.Checksums()

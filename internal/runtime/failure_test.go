@@ -197,7 +197,7 @@ func TestReconfigureResetsNodeState(t *testing.T) {
 	}
 	// Recovery moves node 2's VMs onto survivors. The daemon itself stays up:
 	// the controller just stops talking to it (the dvdcctl -kill flow).
-	if _, err := coord.RecoverNode(2); err != nil {
+	if _, err := coord.RecoverNodes(2); err != nil {
 		t.Fatal(err)
 	}
 	coord.Close()

@@ -28,7 +28,7 @@ func TestConcurrentGroupFoldRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	chunked, cnodes := chunkedCluster(t, layout, 128)
-	shadow, err := NewShadow(layout, 16, 64, 12345)
+	shadow, err := NewShadowWith(layout, 16, 64, 12345, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestConcurrentGroupFoldRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	cnodes[2].Close()
-	if _, err := chunked.RecoverNode(2); err != nil {
+	if _, err := chunked.RecoverNodes(2); err != nil {
 		t.Fatal(err)
 	}
 	after, err := chunked.Checksums()
@@ -158,7 +158,7 @@ func TestDuplicateChunkRedeliveryMidFoldRace(t *testing.T) {
 	if err := ref.DrainPendingRanges(pendingBuf, map[string]uint64{member: 1}, [][2]int{{0, img}}); err != nil {
 		t.Fatal(err)
 	}
-	if blk, _, _ := readBlock(t, coord.addrs[parityNode], "parity", "", 0); !bytes.Equal(blk, ref.Parity()) {
+	if blk, _, _ := readBlock(t, nil, coord.addrs[parityNode], "parity", "", 0); !bytes.Equal(blk, ref.Parity()) {
 		t.Fatal("racing redelivery changed parity: a chunk folded twice or not at all")
 	}
 	st, err := coord.NodeStats(parityNode)
@@ -257,7 +257,7 @@ func TestRejectedBatchFoldsAcceptedFramesOnce(t *testing.T) {
 	if err := ref.DrainPendingRanges(pending, map[string]uint64{member: 1}, [][2]int{{0, img}}); err != nil {
 		t.Fatal(err)
 	}
-	if blk, _, _ := readBlock(t, coord.addrs[parityNode], "parity", "", 0); !bytes.Equal(blk, ref.Parity()) {
+	if blk, _, _ := readBlock(t, nil, coord.addrs[parityNode], "parity", "", 0); !bytes.Equal(blk, ref.Parity()) {
 		t.Fatal("parity diverges: an accepted chunk of a rejected batch was not folded exactly once")
 	}
 }
@@ -357,7 +357,7 @@ func TestAbortRacesInFlightFolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[parityNode].Close()
-	if _, err := coord.RecoverNode(parityNode); err != nil {
+	if _, err := coord.RecoverNodes(parityNode); err != nil {
 		t.Fatal(err)
 	}
 	after, err := coord.Checksums()
@@ -383,14 +383,14 @@ func TestStagedFoldsAbortsAndReadsInterleave(t *testing.T) {
 	const pages, pageSize = 16, 4096 // 64 KiB blocks: sixteen parity pages
 	layout := paperLayout(t)
 	coord, nodes := sizedCluster(t, layout, pages, pageSize, 8<<10)
-	shadow, err := NewShadow(layout, pages, pageSize, 12345)
+	shadow, err := NewShadowWith(layout, pages, pageSize, 12345, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	shadowRounds(t, coord, shadow, 1)
 	g := layout.Groups[0]
 	member, parityNode := g.Members[0], g.ParityNodes[0]
-	committed, _, _ := readBlock(t, coord.addrs[parityNode], "parity", "", g.Index)
+	committed, _, _ := readBlock(t, nil, coord.addrs[parityNode], "parity", "", g.Index)
 	img := len(committed)
 	dial := func() *transport.Conn {
 		c, err := transport.Dial(coord.addrs[parityNode])

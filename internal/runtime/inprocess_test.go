@@ -1,27 +1,23 @@
 package runtime
 
 import (
-	"bytes"
 	"fmt"
-	"slices"
 	"testing"
 
 	"dvdc/internal/cluster"
 	"dvdc/internal/core"
-	"dvdc/internal/vm"
 )
 
-// TestRecoveryMatchesInProcessCluster holds the runtime's recovery to
-// core.Cluster's, which run one rebuild rule (core.PlanShards, adoption at the
-// committed epoch) over different I/O: sockets and chunk pulls against
-// in-process reads. The same workload streams run on a loopback cluster and a
-// core.Cluster, both commit two rounds, the guests run on past the last
-// commit, and the same nodes fail. Both must plan the same steps (kind,
-// group, VM, target, parity slot), end at the same layout, and hold the same
-// committed image and epoch for every VM and the same parity block, folded to
-// the same member epochs, for every group — before and after one more round
-// on the recovered cluster. Cases: every single loss on the paper layout
-// (m = 1) and every double loss on BuildDistributedGroups(7, 1, 2, 3) (m = 2).
+// TestRecoveryMatchesInProcessCluster fails nodes of the in-process cluster —
+// the runtime over its in-memory network, as dvdc.NewCluster builds it — and
+// holds its recovery to the oracles: after two committed rounds the guests
+// run on past the last commit, the nodes are killed and recovered, and every
+// VM's committed image and epoch must match the Shadow model, every parity
+// block a keeper built from scratch over the shadow's images (oracleDiff),
+// and every member and keeper the layout (VerifyParity) — before and after
+// one more round on the recovered cluster. Cases: every single loss on the paper
+// layout (m = 1) and every double loss on BuildDistributedGroups(7, 1, 2, 3)
+// (m = 2).
 func TestRecoveryMatchesInProcessCluster(t *testing.T) {
 	rs2, err := cluster.BuildDistributedGroups(7, 1, 2, 3)
 	if err != nil {
@@ -49,109 +45,103 @@ func TestRecoveryMatchesInProcessCluster(t *testing.T) {
 }
 
 func recoveryMatchesInProcess(t *testing.T, layout *cluster.Layout, down []int) {
-	const pages, pageSize, seed = 16, 64, 12345 // testCluster's geometry and seed
-	coord, nodes := testCluster(t, layout.Clone())
-	cl, err := core.NewCluster(layout, pages, pageSize)
+	const pages, pageSize = 16, 64
+	shadow, err := NewShadowWith(layout, pages, pageSize, 0, "") // NewInProcess's seed
 	if err != nil {
 		t.Fatal(err)
 	}
-	workloads := map[string]vm.Workload{}
-	for _, v := range layout.VMs {
-		workloads[v.Name] = newWorkload("", vmWorkloadSeed(seed, v.Name))
+	cl, err := NewInProcess(layout, pages, pageSize)
+	if err != nil {
+		t.Fatal(err)
 	}
-	step := func(n int) {
+	t.Cleanup(cl.Close)
+	step := func() {
 		t.Helper()
-		if err := coord.Step(uint64(n)); err != nil {
+		if err := cl.Step(40); err != nil {
 			t.Fatal(err)
 		}
-		for name, w := range workloads {
-			m, _ := cl.Machine(name)
-			for i := 0; i < n; i++ {
-				w.Step(m)
-			}
-		}
+		shadow.Step(40)
 	}
 	round := func() {
 		t.Helper()
-		step(40)
-		if err := coord.Checkpoint(); err != nil {
+		step()
+		if err := cl.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.CheckpointRound(); err != nil {
-			t.Fatal(err)
+		shadow.Commit()
+	}
+	check := func(when string) {
+		t.Helper()
+		if err := oracleDiff(t, cl.Coordinator, shadow); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if err := cl.VerifyParity(); err != nil {
+			t.Fatalf("%s: %v", when, err)
 		}
 	}
 	round()
 	round()
-	step(40) // past the last commit: a rebuild must read committed bytes, not live ones
+	step() // past the last commit: a rebuild must read committed bytes, not live ones
 
-	for _, n := range down {
-		nodes[n].Close()
-	}
-	plan, err := coord.RecoverNodes(down...)
+	cl.Kill(down...)
+	plan, err := cl.RecoverNodes(down...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := cl.FailNodes(down...)
-	if err != nil {
+	if err := shadow.Recover(plan, cl.Epoch()); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(plan.Steps, report.Plan.Steps) {
-		t.Fatalf("plans differ:\nruntime    %+v\nin-process %+v", plan.Steps, report.Plan.Steps)
-	}
-	sameState(t, "after recovery", coord, nodes, cl)
-
-	// Respawned VMs run fresh workload streams, seeded as the coordinator
-	// seeds them; one more round must commit on both and still agree.
-	for _, s := range plan.Steps {
-		if s.Kind == cluster.RestoreVM {
-			workloads[s.VM] = newWorkload("", vmWorkloadSeed(seed, s.VM)+int64(coord.Epoch())+1)
-		}
-	}
+	check("after recovery")
 	round()
-	sameState(t, "a round after recovery", coord, nodes, cl)
+	check("a round after recovery")
 }
 
-// sameState compares a runtime cluster with an in-process one: layout,
-// every VM's committed image and epoch, and every parity block with the
-// member epochs its keeper has folded to.
-func sameState(t *testing.T, when string, coord *Coordinator, nodes []*Node, cl *core.Cluster) {
-	t.Helper()
-	rl, cll := coord.Layout(), cl.Layout()
-	if !slices.Equal(rl.VMs, cll.VMs) {
-		t.Fatalf("%s: VM placements differ:\nruntime    %v\nin-process %v", when, rl.VMs, cll.VMs)
+// TestVerifyParityCatchesEachViolation: on a committed in-process cluster,
+// VerifyParity passes, then fails once for each thing it checks — a member
+// pointing at the wrong parity home, a keeper missing from its layout home,
+// and a block that is not its group's parity.
+func TestVerifyParityCatchesEachViolation(t *testing.T) {
+	cl, err := NewInProcess(paperLayout(t), 16, 64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for gi, g := range rl.Groups {
-		if !slices.Equal(g.ParityNodes, cll.Groups[gi].ParityNodes) {
-			t.Fatalf("%s: group %d parity on nodes %v, in process %v", when, gi, g.ParityNodes, cll.Groups[gi].ParityNodes)
+	t.Cleanup(cl.Close)
+	if err := cl.Step(40); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.VerifyParity(); err != nil {
+		t.Fatal(err)
+	}
+	g := cl.Layout().Groups[0]
+	v, _ := cl.Layout().VM(g.Members[0])
+	ms, _ := cl.nodes[v.Node].member(g.Members[0])
+	home := cl.nodes[g.ParityNodes[0]]
+	ks := home.keepers[g.Index]
+	stranger, err := core.NewMKeeper(g.Index, 0, 1, map[string][]byte{"stranger": make([]byte, 16*64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name             string
+		corrupt, restore func()
+	}{
+		{"member points elsewhere",
+			func() { ms.cfg.ParityNodes = []int{v.Node} }, func() { ms.cfg.ParityNodes = g.ParityNodes }},
+		{"keeper missing",
+			func() { delete(home.keepers, g.Index) }, func() { home.keepers[g.Index] = ks }},
+		{"block diverges",
+			func() { ks.keeper, stranger = stranger, ks.keeper }, func() { ks.keeper, stranger = stranger, ks.keeper }},
+	} {
+		tc.corrupt()
+		if err := cl.VerifyParity(); err == nil {
+			t.Errorf("%s: VerifyParity passed", tc.name)
 		}
-	}
-	for _, v := range rl.VMs {
-		img, epoch, _ := readBlock(t, coord.addrs[v.Node], "image", v.Name, 0)
-		mem := cl.Member(v.Name)
-		if !bytes.Equal(img, mem.CommittedImage()) || epoch != mem.Epoch() {
-			t.Errorf("%s: %q committed at epoch %d, in process at %d; images equal: %v",
-				when, v.Name, epoch, mem.Epoch(), bytes.Equal(img, mem.CommittedImage()))
-		}
-	}
-	for gi, g := range rl.Groups {
-		keepers := cl.Keepers(gi)
-		for idx, pn := range g.ParityNodes {
-			blk, _, gotIdx := readBlock(t, coord.addrs[pn], "parity", "", gi)
-			if gotIdx != idx || !bytes.Equal(blk, keepers[idx].Parity()) {
-				t.Errorf("%s: parity[%d] of group %d on node %d (served as [%d]) diverges from the in-process keeper", when, idx, gi, pn, gotIdx)
-			}
-			n := nodes[pn]
-			n.mu.Lock()
-			ks := n.keepers[gi]
-			n.mu.Unlock()
-			ks.mu.Lock()
-			for _, m := range g.Members {
-				if got, want := ks.keeper.Epoch(m), keepers[idx].Epoch(m); got != want {
-					t.Errorf("%s: parity[%d] of group %d has folded %q to epoch %d, in process %d", when, idx, gi, m, got, want)
-				}
-			}
-			ks.mu.Unlock()
+		tc.restore()
+		if err := cl.VerifyParity(); err != nil {
+			t.Fatalf("%s restored: %v", tc.name, err)
 		}
 	}
 }

@@ -237,7 +237,7 @@ func degradedPaperCluster(t *testing.T) (*Coordinator, *Node, map[string]uint64)
 	}
 	addr := nodes[1].Addr()
 	nodes[1].Close()
-	if _, err := coord.RecoverNode(1); err != nil {
+	if _, err := coord.RecoverNodes(1); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := NewNode(addr)
@@ -354,7 +354,7 @@ func TestHostedVMIsRefusedBeforePulling(t *testing.T) {
 func TestPartialRebalanceKeepsCompletedMoves(t *testing.T) {
 	layout := paperLayout(t)
 	coord, nodes := testCluster(t, layout)
-	shadow, err := NewShadow(layout, 16, 64, 12345)
+	shadow, err := NewShadowWith(layout, 16, 64, 12345, "")
 	if err != nil {
 		t.Fatal(err)
 	}

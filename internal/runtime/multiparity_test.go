@@ -56,7 +56,7 @@ func TestConfiguredKeeperStartsAtZeroParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, gotIdx := readBlock(t, coord.addrs[pn], "parity", "", g.Index)
+		got, _, gotIdx := readBlock(t, nil, coord.addrs[pn], "parity", "", g.Index)
 		if gotIdx != idx || !bytes.Equal(got, ref.Parity()) {
 			t.Errorf("configured parity[%d] (served as [%d]) differs from the keeper over zero images", idx, gotIdx)
 		}
@@ -87,7 +87,7 @@ func TestVMRebuiltFromParityAloneKeepsTheEpoch(t *testing.T) {
 		t.Fatalf("no group has every member on nodes %v", down)
 	}
 	coord, nodes := testCluster(t, layout)
-	shadow, err := NewShadow(layout, 16, 64, 12345)
+	shadow, err := NewShadowWith(layout, 16, 64, 12345, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestSequentialDoubleDeathOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[0].Close()
-	if _, err := coord.RecoverNode(0); err != nil {
+	if _, err := coord.RecoverNodes(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := coord.Step(20); err != nil {
@@ -227,7 +227,7 @@ func TestSequentialDoubleDeathOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[3].Close()
-	if _, err := coord.RecoverNode(3); err != nil {
+	if _, err := coord.RecoverNodes(3); err != nil {
 		t.Fatal(err)
 	}
 	after, err := coord.Checksums()
@@ -281,7 +281,7 @@ func TestDegradedDoubleFailureCyclesKeepBothParityBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord, nodes := testCluster(t, layout)
-	shadow, err := NewShadow(layout, 16, 64, 12345)
+	shadow, err := NewShadowWith(layout, 16, 64, 12345, "")
 	if err != nil {
 		t.Fatal(err)
 	}

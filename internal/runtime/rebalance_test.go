@@ -2,12 +2,15 @@ package runtime
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dvdc/internal/cluster"
+	"dvdc/internal/transport"
 	"dvdc/internal/wire"
 )
 
@@ -31,7 +34,7 @@ func TestRepairAndRebalanceOverTCP(t *testing.T) {
 	// Node 1 dies; recovery is degraded on the tight layout.
 	addr := nodes[1].Addr()
 	nodes[1].Close()
-	plan, err := coord.RecoverNode(1)
+	plan, err := coord.RecoverNodes(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,7 @@ func TestRepairAndRebalanceOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[3].Close()
-	if _, err := coord.RecoverNode(3); err != nil {
+	if _, err := coord.RecoverNodes(3); err != nil {
 		t.Fatalf("failure after rebalance: %v", err)
 	}
 }
@@ -129,6 +132,97 @@ func TestRepairValidation(t *testing.T) {
 	}
 }
 
+// TestRepairDialsThroughTheDialer: Repair reaches a rejoined daemon through
+// the coordinator's dialer — over TCP and over the in-memory network alike —
+// and a repair whose reconfigure the daemon never gets leaves the node dead,
+// so the repair can be run again, and the cluster then commits and
+// rebalances onto it.
+func TestRepairDialsThroughTheDialer(t *testing.T) {
+	for _, network := range []string{"tcp", "mem"} {
+		t.Run(network, func(t *testing.T) {
+			addr := func(int) string { return "127.0.0.1:0" }
+			opts := func(int) NodeOptions { return NodeOptions{} }
+			ref := &writeRefuser{}
+			if network == "mem" {
+				mem := transport.NewMemNetwork()
+				addr = func(n int) string { return fmt.Sprintf("node%d", n) }
+				opts = func(int) NodeOptions { return NodeOptions{Dialer: mem.Dial, Listen: mem.Listen} }
+				ref.dial = mem.Dial
+			}
+			cl, err := startCluster(paperLayout(t), 16, 64, 12345, addr, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(cl.Close)
+			ref.addr = cl.addrs[1]
+			cl.SetDialer(ref.dialer)
+			if err := cl.Setup(); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Step(50); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			cl.Kill(1)
+			if _, err := cl.RecoverNodes(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Start(1); err != nil {
+				t.Fatal(err)
+			}
+			ref.on.Store(true)
+			if err := cl.Repair(1); err == nil {
+				t.Fatal("a repair whose reconfigure was refused succeeded")
+			}
+			if alive := cl.aliveNodes(); slices.Contains(alive, 1) {
+				t.Fatalf("node 1 is back in service, unconfigured, after a failed repair: alive %v", alive)
+			}
+			ref.on.Store(false)
+			if err := cl.Repair(1); err != nil {
+				t.Fatalf("repair retried: %v", err)
+			}
+			if err := cl.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			plan, err := cl.Rebalance()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cl.Layout().VMsOnNode(1)) == 0 || len(plan.Steps) == 0 {
+				t.Fatalf("rebalance placed nothing on the repaired node: %+v", plan)
+			}
+			if err := cl.VerifyParity(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// writeRefuser is a coordinator dialer over dial (nil = TCP) that, while on,
+// fails every write on a connection to addr: the daemon there is up, but no
+// request reaches it.
+type writeRefuser struct {
+	dial transport.DialFunc
+	addr string
+	on   atomic.Bool
+}
+
+func (w *writeRefuser) dialer(addr string, timeout time.Duration) (net.Conn, error) {
+	dial := w.dial
+	if dial == nil {
+		dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, timeout)
+		}
+	}
+	c, err := dial(addr, timeout)
+	if err != nil || addr != w.addr {
+		return c, err
+	}
+	return &refusingConn{Conn: c, on: &w.on}, nil
+}
+
 // evictMsg builds an evict request for a VM.
 func evictMsg(vmName string) *wire.Message {
 	return &wire.Message{Type: wire.MsgEvict, VM: vmName}
@@ -148,16 +242,17 @@ func (p *pullRefuser) dial(addr string, timeout time.Duration) (net.Conn, error)
 	if err != nil {
 		return nil, err
 	}
-	return &refusingConn{Conn: c, p: p}, nil
+	return &refusingConn{Conn: c, on: &p.on}, nil
 }
 
+// refusingConn fails every write while on is set.
 type refusingConn struct {
 	net.Conn
-	p *pullRefuser
+	on *atomic.Bool
 }
 
 func (c *refusingConn) Write(b []byte) (int, error) {
-	if c.p.on.Load() {
+	if c.on.Load() {
 		return 0, errPullRefused
 	}
 	return c.Conn.Write(b)
@@ -223,7 +318,7 @@ func TestFailedRehomeKeepsLayoutTruthful(t *testing.T) {
 			if err := coord.Setup(); err != nil {
 				t.Fatal(err)
 			}
-			shadow, err := NewShadow(layout, 16, 64, 12345)
+			shadow, err := NewShadowWith(layout, 16, 64, 12345, "")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -156,11 +156,11 @@ func TestStreamedRestoreMatchesReconstructMembers(t *testing.T) {
 				for _, name := range g.Members {
 					v, _ := layout.VM(name)
 					hosts[name] = v.Node
-					images[name], _, _ = readBlock(t, coord.addrs[v.Node], "image", name, 0)
+					images[name], _, _ = readBlock(t, nil, coord.addrs[v.Node], "image", name, 0)
 				}
 				blocks := map[int][]byte{}
 				for idx, pn := range g.ParityNodes {
-					blocks[idx], _, _ = readBlock(t, coord.addrs[pn], "parity", "", g.Index)
+					blocks[idx], _, _ = readBlock(t, nil, coord.addrs[pn], "parity", "", g.Index)
 					ref, err := core.NewMKeeper(g.Index, idx, m, images)
 					if err != nil {
 						t.Fatal(err)
@@ -211,7 +211,7 @@ func TestStreamedRestoreMatchesReconstructMembers(t *testing.T) {
 					for i, e := range lost {
 						target := spares[i%len(spares)]
 						if e.VM == nil {
-							got, _, gotIdx := readBlock(t, target.Addr(), "parity", "", g.Index)
+							got, _, gotIdx := readBlock(t, nil, target.Addr(), "parity", "", g.Index)
 							if gotIdx != e.Parity || !bytes.Equal(got, blocks[e.Parity]) {
 								t.Errorf("erased %v: streamed parity[%d] (served as [%d]) diverges from the in-process keeper", erased, e.Parity, gotIdx)
 							}
@@ -221,7 +221,7 @@ func TestStreamedRestoreMatchesReconstructMembers(t *testing.T) {
 							continue
 						}
 						name := e.VM.Name
-						got, epoch, _ := readBlock(t, target.Addr(), "image", name, 0)
+						got, epoch, _ := readBlock(t, nil, target.Addr(), "image", name, 0)
 						if !bytes.Equal(got, want[name]) {
 							t.Errorf("erased %v: streamed image of %q diverges from core.ReconstructMembers", erased, name)
 						}
@@ -833,7 +833,7 @@ func TestRecoveryPoolBalance(t *testing.T) {
 			var cutter heldCutter
 			coord, nodes, start := bringUp(t, layout, NodeOptions{Dialer: cutter.dial})
 			coord.fanoutW = 1 // groups one at a time, in order
-			shadow, err := NewShadow(layout, pages, pageSize, 12345)
+			shadow, err := NewShadowWith(layout, pages, pageSize, 12345, "")
 			if err != nil {
 				t.Fatal(err)
 			}

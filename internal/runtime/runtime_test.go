@@ -107,7 +107,7 @@ func TestKillNodeAndRecoverRestoresCommittedState(t *testing.T) {
 		}
 
 		nodes[victim].Close() // node dies with 3 VMs and 1 parity block
-		plan, err := coord.RecoverNode(victim)
+		plan, err := coord.RecoverNodes(victim)
 		if err != nil {
 			t.Fatalf("victim %d: %v", victim, err)
 		}
@@ -136,7 +136,7 @@ func TestClusterKeepsWorkingAfterRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[1].Close()
-	if _, err := coord.RecoverNode(1); err != nil {
+	if _, err := coord.RecoverNodes(1); err != nil {
 		t.Fatal(err)
 	}
 	// Post-recovery the cluster must run more rounds, including parity
@@ -160,13 +160,13 @@ func TestSecondRecoveryAfterRepairlessFailureFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[0].Close()
-	if _, err := coord.RecoverNode(0); err != nil {
+	if _, err := coord.RecoverNodes(0); err != nil {
 		t.Fatal(err)
 	}
 	// The 4-node layout recovered degraded; a second node death now exceeds
 	// tolerance for at least one group and planning must fail.
 	nodes[2].Close()
-	if _, err := coord.RecoverNode(2); err == nil {
+	if _, err := coord.RecoverNodes(2); err == nil {
 		t.Error("second failure should be unrecoverable (degraded single parity)")
 	}
 }
@@ -188,7 +188,7 @@ func TestRecoveryWithSpareNodesStaysOrthogonal(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[2].Close()
-	plan, err := coord.RecoverNode(2)
+	plan, err := coord.RecoverNodes(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestRecoveryWithSpareNodesStaysOrthogonal(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[5].Close()
-	if _, err := coord.RecoverNode(5); err != nil {
+	if _, err := coord.RecoverNodes(5); err != nil {
 		t.Fatalf("second sequential failure: %v", err)
 	}
 }
@@ -241,7 +241,7 @@ func TestCheckpointAfterAbortedRoundStillConsistent(t *testing.T) {
 		t.Errorf("epoch advanced to %d despite failed round", coord.Epoch())
 	}
 	// Recovery must land the cluster back on the committed epoch.
-	if _, err := coord.RecoverNode(3); err != nil {
+	if _, err := coord.RecoverNodes(3); err != nil {
 		t.Fatal(err)
 	}
 	after, err := coord.Checksums()

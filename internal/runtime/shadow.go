@@ -34,16 +34,9 @@ type shadowVM struct {
 	committed []byte
 }
 
-// NewShadow mirrors a freshly Setup() cluster: every VM at protocol epoch 0
-// with its initial image committed and a workload seeded exactly like the
-// coordinator seeds the real one.
-func NewShadow(layout *cluster.Layout, pages, pageSize int, seed int64) (*Shadow, error) {
-	return NewShadowWith(layout, pages, pageSize, seed, "")
-}
-
-// NewShadowWith is NewShadow for a cluster whose coordinator was given a
-// non-default workload kind (Coordinator.SetWorkload): the shadow must run
-// the same kind or the write streams diverge immediately.
+// NewShadowWith mirrors a freshly Setup() cluster: every VM at protocol epoch
+// 0 with its initial image committed and a workload of the coordinator's kind
+// (SetWorkload; "" = uniform) seeded exactly like the coordinator seeds it.
 func NewShadowWith(layout *cluster.Layout, pages, pageSize int, seed int64, workload string) (*Shadow, error) {
 	s := &Shadow{seedBase: seed, workload: workload, vms: map[string]*shadowVM{}}
 	for _, v := range layout.VMs {

@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"time"
 
@@ -58,49 +57,36 @@ type SoakConfig struct {
 	// with rounds: N slow rounds are N evaluation ticks, deterministically.
 	Health *health.Evaluator
 
-	// Adaptive closes the telemetry loop: after each round's verification an
-	// obs/adapt.Advisor consumes the round's critical-path attribution, the
-	// outlier tracker's habitual-slow-peer flags, and the observed failure
-	// rate, and may (a) evacuate parity keepers off a flagged node, or (b)
-	// retune the checkpoint interval (scaling the workload steps between
-	// checkpoints on the virtual clock).
-	// Every decision lands in RoundRecord.Adapt and the dvdc_adapt_* metric
-	// family; applications pause while a Health rule is firing.
+	// Adaptive closes the telemetry loop: after each verified round an
+	// obs/adapt.Advisor reads the round's critical-path attribution, the
+	// habitual-slow-peer flags and the failure rate, and may evacuate parity
+	// keepers off a flagged node or retune the checkpoint interval (the
+	// workload steps between checkpoints). Decisions land in RoundRecord.Adapt
+	// and dvdc_adapt_*; applications pause while a Health rule fires.
 	Adaptive bool
 
 	// Service routes every checkpoint and recovery through the declarative
-	// control plane (internal/service) instead of calling the soak's executor
-	// directly: each round submits request objects to a reconciler-backed
-	// Service, which calls the same executor, and waits for them to reach a
-	// terminal phase, then runs the same invariant battery — plus
-	// request-convergence assertions (no stuck phases, observed generations
-	// current, reconcile spans rooting the round traces).
+	// control plane (internal/service): each round submits requests to a
+	// reconciler, which calls the same executor, waits for them to end, and
+	// runs the same invariants plus request convergence (no stuck phases,
+	// observed generations current, reconcile spans rooting the round traces).
 	Service bool
 
-	// StateDir (service mode) backs the control plane with a durable journal
-	// there, so requests survive controller restarts. ControllerRestarts > 0
-	// with an empty StateDir gets a temp dir for the run.
-	StateDir string
-	// ControllerRestarts (service mode) kills and restarts the controller
-	// that many times, on distinct rounds other than the first and the last
-	// (so at most Rounds-2 times; RunSoak refuses more): on a restart round the
-	// reconciler is stopped first, the round's faults are armed, its victims
-	// killed, and its requests submitted — landing in the journal untouched,
-	// the way a crash between persisting and scheduling leaves them — then
-	// the store is closed and a fresh Service replays the state dir and must
-	// converge every request it inherits, with the full shadow-invariant
-	// battery still green.
+	// StateDir (service mode) backs the control plane with a durable journal.
+	// ControllerRestarts (service mode) kills and restarts the controller that
+	// many times, on distinct rounds other than the first and the last: the
+	// reconciler stops, the round's requests land in the journal untouched,
+	// then a fresh Service replays the state dir and must converge every
+	// request it inherits. Restarts with no StateDir get a temp dir.
+	StateDir           string
 	ControllerRestarts int
 
-	// Observability (all optional). Tracer receives every span the soak
-	// produces (nil = the harness builds its own and additionally asserts no
-	// span leaks open); attach a JSONL sink to it with Tracer.SetSink.
-	// Registry collects the cluster's metrics, including the injector's fault
-	// tallies mounted as dvdc_chaos_faults_total{kind}. Recorder is the run's
-	// black box: it is given the run's tracer, keeps the pools' untraced RPC
-	// outcomes and the injector's fired faults, and dumps a postmortem bundle
-	// on any invariant violation (nil with a PostmortemDir set builds one
-	// internally). PostmortemDir is where bundles land ("" disables dumping).
+	// Observability (all optional). Tracer receives every span (nil: the soak
+	// builds its own and asserts none leaks open). Registry collects the
+	// metrics, the injector's tallies as dvdc_chaos_faults_total{kind}.
+	// Recorder is the black box: the run's tracer, untraced RPC outcomes and
+	// fired faults, dumped as a postmortem bundle on any invariant violation
+	// into PostmortemDir ("" disables dumping; set alone, it builds one).
 	Tracer        *obs.Tracer
 	Registry      *obs.Registry
 	Recorder      *obs.FlightRecorder
@@ -178,75 +164,6 @@ func (c *Coordinator) pendingRecovery() []int {
 	return out
 }
 
-// soakCluster is the live half of a soak: daemons the harness can kill and
-// restart, and the injector hooks each one was built with.
-type soakCluster struct {
-	inj   *chaos.Injector
-	nodes []*Node
-	addrs map[int]string
-	tr    *obs.Tracer
-	reg   *obs.Registry
-	rec   *obs.FlightRecorder
-}
-
-func (sc *soakCluster) start(i int, addr string) error {
-	n, err := NewNodeWith(addr, NodeOptions{
-		Dialer:   sc.inj.Dialer(i),
-		Listen:   sc.inj.ListenFunc(i),
-		Tracer:   sc.tr,
-		Registry: sc.reg,
-		Recorder: sc.rec,
-	})
-	if err != nil {
-		return err
-	}
-	sc.nodes[i] = n
-	sc.addrs[i] = n.Addr()
-	sc.inj.Register(i, n.Addr())
-	return nil
-}
-
-// checkPlacement holds every alive node to the layout: each parity slot the
-// layout homes on the node is the block the node keeps for that group, and
-// each member the node hosts points at the layout's parity homes. Read in
-// process, beside the protocol, so a layout that names a block nobody holds
-// fails the round that made it, not a later recovery.
-func (sc *soakCluster) checkPlacement(l *cluster.Layout, alive []int) error {
-	for _, id := range alive {
-		n := sc.nodes[id]
-		for _, g := range l.Groups {
-			for i, pn := range g.ParityNodes {
-				if pn != id {
-					continue
-				}
-				n.mu.Lock()
-				ks, ok := n.keepers[g.Index]
-				n.mu.Unlock()
-				if !ok || ks.cfg.ParityIdx != i {
-					return fmt.Errorf("layout homes parity[%d] of group %d on node %d, which does not keep it", i, g.Index, id)
-				}
-			}
-		}
-		for _, ms := range n.snapshotMembers() {
-			ms.mu.Lock()
-			name, group, parity := ms.cfg.Name, ms.cfg.Group, slices.Clone(ms.cfg.ParityNodes)
-			ms.mu.Unlock()
-			if want := l.Groups[group].ParityNodes; !slices.Equal(parity, want) {
-				return fmt.Errorf("%q on node %d points at parity homes %v, layout says %v", name, id, parity, want)
-			}
-		}
-	}
-	return nil
-}
-
-func (sc *soakCluster) close() {
-	for _, n := range sc.nodes {
-		if n != nil {
-			n.Close()
-		}
-	}
-}
-
 // soakEnv is everything a soak run shares between its two drivers: the
 // instrumented cluster, the shadow model, the chaos machinery, and the
 // invariant checks.
@@ -260,8 +177,7 @@ type soakEnv struct {
 	inj       *chaos.Injector
 	kills     *chaos.KillPlan
 	harness   *rand.Rand
-	sc        *soakCluster
-	coord     *Coordinator
+	cl        *Cluster
 	shadow    *Shadow
 	outliers  *collect.OutlierTracker
 	lastEpoch map[string]uint64
@@ -322,34 +238,33 @@ func newSoakEnv(cfg SoakConfig) (*soakEnv, error) {
 	// injector's or the workloads' streams.
 	e.harness = rand.New(rand.NewSource(cfg.Seed ^ 0x5eed50a4c0ffee))
 
-	e.sc = &soakCluster{inj: e.inj, nodes: make([]*Node, layout.Nodes), addrs: map[int]string{}, tr: e.tr, reg: cfg.Registry, rec: e.rec}
-	for i := 0; i < layout.Nodes; i++ {
-		if err := e.sc.start(i, "127.0.0.1:0"); err != nil {
-			e.sc.close()
-			return nil, err
-		}
-		e.sc.nodes[i].SetRPCTimeout(cfg.RPCTimeout)
-	}
-	coord, err := NewCoordinator(layout, e.sc.addrs, cfg.Pages, cfg.PageSize, cfg.Seed)
+	cl, err := startCluster(layout, cfg.Pages, cfg.PageSize, cfg.Seed,
+		func(int) string { return "127.0.0.1:0" },
+		func(n int) NodeOptions {
+			return NodeOptions{Dialer: e.inj.Dialer(n), Listen: e.inj.ListenFunc(n), Tracer: e.tr, Registry: cfg.Registry, Recorder: e.rec}
+		})
 	if err != nil {
-		e.sc.close()
 		return nil, err
 	}
-	e.coord = coord
-	coord.SetObserver(e.tr, cfg.Registry)
-	coord.SetFlightRecorder(e.rec)
-	coord.SetRPCTimeout(cfg.RPCTimeout)
-	coord.SetChunkSize(cfg.ChunkSize)
-	coord.SetWorkload(cfg.Workload)
-	coord.SetDedup(cfg.Dedup)
-	coord.SetDialer(e.inj.Dialer(chaos.Coordinator))
-	if err := coord.Setup(); err != nil {
-		e.close()
+	e.cl = cl
+	for n, d := range cl.nodes {
+		d.SetRPCTimeout(cfg.RPCTimeout)
+		e.inj.Register(n, d.Addr())
+	}
+	cl.SetObserver(e.tr, cfg.Registry)
+	cl.SetFlightRecorder(e.rec)
+	cl.SetRPCTimeout(cfg.RPCTimeout)
+	cl.SetChunkSize(cfg.ChunkSize)
+	cl.SetWorkload(cfg.Workload)
+	cl.SetDedup(cfg.Dedup)
+	cl.SetDialer(e.inj.Dialer(chaos.Coordinator))
+	if err := cl.Setup(); err != nil {
+		e.cl.Close()
 		return nil, err
 	}
 	e.shadow, err = NewShadowWith(layout, cfg.Pages, cfg.PageSize, cfg.Seed, cfg.Workload)
 	if err != nil {
-		e.close()
+		e.cl.Close()
 		return nil, err
 	}
 	e.outliers = collect.NewOutlierTracker()
@@ -364,7 +279,7 @@ func newSoakEnv(cfg SoakConfig) (*soakEnv, error) {
 					if err != nil {
 						return 0, err
 					}
-					plan, err := e.coord.EvacuateKeepers(id)
+					plan, err := e.cl.EvacuateKeepers(id)
 					if err != nil {
 						return 0, err
 					}
@@ -451,14 +366,6 @@ func (e *soakEnv) stepAdapt(rr *RoundRecord) {
 	rr.Adapt = e.advisor.Step(o)
 }
 
-// close tears the environment down: coordinator pools, then node daemons.
-func (e *soakEnv) close() {
-	if e.coord != nil {
-		e.coord.Close()
-	}
-	e.sc.close()
-}
-
 // fail records an invariant violation in the flight recorder, dumps a
 // postmortem bundle, and renders the canonical soak error.
 func (e *soakEnv) fail(round int, format string, args ...interface{}) (*SoakResult, error) {
@@ -518,15 +425,6 @@ func (e *soakEnv) applySlowPlan(r int) {
 	}
 }
 
-// tickHealth advances the run's health evaluator one step, if one is wired.
-// Called after each round's verification so the evaluator samples quiesced,
-// fully-recorded metrics.
-func (e *soakEnv) tickHealth() {
-	if e.cfg.Health != nil {
-		e.cfg.Health.Tick()
-	}
-}
-
 // armRoundFaults arms this round's one-shot faults (coordinator pairs, an
 // optional transient partition, chunk-frame faults) from the harness stream,
 // identically under both drivers. Returns the partitioned pair ({-1,-1} if
@@ -574,7 +472,7 @@ func (e *soakEnv) armRoundFaults(victims []int) [2]int {
 	// src == dst edges are skipped too. Delay is excluded — it would fire
 	// without forcing the retry path this satellite is meant to exercise.
 	if cfg.ChunkFaults > 0 {
-		lay := e.coord.Layout()
+		lay := e.cl.Layout()
 		hostOf := make(map[string]int, len(lay.VMs))
 		for _, v := range lay.VMs {
 			hostOf[v.Name] = v.Node
@@ -615,10 +513,10 @@ func (e *soakEnv) armRoundFaults(victims []int) [2]int {
 func (e *soakEnv) verifyRound(round int, rr *RoundRecord) error {
 	// A lost abort may have left staged captures behind; measuring must not
 	// race the protocol.
-	if err := e.coord.Quiesce(); err != nil {
+	if err := e.cl.Quiesce(); err != nil {
 		return fmt.Errorf("quiesce: %v", err)
 	}
-	states, err := e.coord.VMStates()
+	states, err := e.cl.VMStates()
 	if err != nil {
 		return fmt.Errorf("fetch VM states: %v", err)
 	}
@@ -630,21 +528,21 @@ func (e *soakEnv) verifyRound(round int, rr *RoundRecord) error {
 		if s.Checksum != want[name] {
 			return fmt.Errorf("VM %q committed checksum %x diverged from shadow %x", name, s.Checksum, want[name])
 		}
-		if s.Epoch != e.coord.Epoch() {
-			return fmt.Errorf("VM %q at epoch %d, coordinator at %d", name, s.Epoch, e.coord.Epoch())
+		if s.Epoch != e.cl.Epoch() {
+			return fmt.Errorf("VM %q at epoch %d, coordinator at %d", name, s.Epoch, e.cl.Epoch())
 		}
 		if prev, ok := e.lastEpoch[name]; ok && s.Epoch < prev {
 			return fmt.Errorf("VM %q epoch regressed %d -> %d", name, prev, s.Epoch)
 		}
 		e.lastEpoch[name] = s.Epoch
 	}
-	if e.coord.Epoch() != e.shadow.Epoch() {
-		return fmt.Errorf("coordinator epoch %d, shadow epoch %d", e.coord.Epoch(), e.shadow.Epoch())
+	if e.cl.Epoch() != e.shadow.Epoch() {
+		return fmt.Errorf("coordinator epoch %d, shadow epoch %d", e.cl.Epoch(), e.shadow.Epoch())
 	}
-	if p := e.coord.pendingRecovery(); len(p) > 0 {
+	if p := e.cl.pendingRecovery(); len(p) > 0 {
 		return fmt.Errorf("nodes %v still pending recovery", p)
 	}
-	if err := e.sc.checkPlacement(e.coord.Layout(), e.coord.aliveNodes()); err != nil {
+	if err := e.cl.VerifyParity(); err != nil {
 		return err
 	}
 	if e.inj.ArmedPending() != 0 {
@@ -664,7 +562,7 @@ func (e *soakEnv) verifyRound(round int, rr *RoundRecord) error {
 	if int(rr.RPCRetries) < firedDisruptive {
 		return fmt.Errorf("RPC retries %d < %d armed coordinator-pair faults", rr.RPCRetries, firedDisruptive)
 	}
-	tree, err := e.checkTrace(e.coord.RoundStats().TraceID)
+	tree, err := e.checkTrace(e.cl.RoundStats().TraceID)
 	if err != nil {
 		return err
 	}
@@ -696,10 +594,10 @@ func (e *soakEnv) verifyRound(round int, rr *RoundRecord) error {
 func (e *soakEnv) finish() (*SoakResult, error) {
 	cfg := e.cfg
 	e.res.FaultLog = e.inj.Log()
-	e.res.Epoch = e.coord.Epoch()
+	e.res.Epoch = e.cl.Epoch()
 	e.res.Counters = e.inj.Counters().Snapshot()
 	var err error
-	e.res.Checksums, err = e.coord.Checksums()
+	e.res.Checksums, err = e.cl.Checksums()
 	if err != nil {
 		return e.res, err
 	}
@@ -736,35 +634,19 @@ func (e *soakEnv) finish() (*SoakResult, error) {
 	return e.res, nil
 }
 
-// RunSoak executes the soak and verifies, after every round:
-//
-//   - every VM's committed-image checksum matches the in-process Shadow
-//     model (bit-identical state despite injected faults),
-//   - every VM's protocol epoch equals the coordinator's epoch and never
-//     regresses,
-//   - nodes declared dead mid-commit (PartialCommitError) are recovered and
-//     repaired before the round ends — no lingering pending-recovery state,
-//   - every alive node keeps each parity block the layout homes on it, and
-//     each member it hosts points at the layout's parity homes,
-//   - pool retry counters reconcile with the armed fault schedule: every
-//     armed drop/corrupt on a coordinator pair forces at least one retry,
-//   - every armed fault actually fired (the schedule was consumed) — including
-//     chunk-frame faults aimed at individual MsgDeltaChunk shipments when
-//     ChunkFaults is set,
-//   - the round's span tree is complete: the checkpoint trace has exactly one
-//     root and no span whose parent was never recorded.
+// RunSoak executes the soak, holding every round to verifyRound's invariants:
+// committed images equal the Shadow's, epochs agree and never regress, no
+// node is left pending recovery, members and keepers match the layout and
+// the parity the committed images, every armed
+// fault fired and forced its retries, and the round's span tree is whole.
 //
 // Every round is step → arm → kill → drive → account → verify → health tick
-// → adapt. Only the drive differs between the two drivers: the direct one
-// calls the soak's executor itself, and with cfg.Service set the declarative
-// control plane's reconciler calls the same executor on its behalf (see
-// SoakConfig.Service). The direct driver stays because its round digest is
-// reproducible by seed; the service driver retries after a timing-dependent
-// backoff.
+// → adapt. Only the drive differs: the direct driver calls the soak's
+// executor itself, reproducibly by seed; with cfg.Service the control plane's
+// reconciler calls it, after timing-dependent backoffs.
 //
-// An invariant violation (or a protocol operation failing where it must not)
-// returns an error naming the round and the seed; the partial SoakResult is
-// returned alongside for post-mortem.
+// A violation returns an error naming the round and the seed, beside the
+// partial SoakResult.
 func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Layout == nil {
@@ -781,7 +663,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer e.close()
+	defer e.cl.Close()
 	// A replayed state dir can run a request before round 1: its counts land
 	// in a record no round keeps.
 	exec := &soakExec{e: e, downNow: map[int]bool{}, rec: &RoundRecord{}}
@@ -811,7 +693,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 			return e.fail(round, "%d armed faults never fired", e.inj.ArmedPending())
 		}
 		steps := e.roundSteps()
-		if err := e.coord.Step(steps); err != nil {
+		if err := e.cl.Step(steps); err != nil {
 			return e.fail(round, "step: %v", err)
 		}
 		e.shadow.Step(steps)
@@ -821,21 +703,23 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		// mid-commit death) followed by full recovery.
 		exec.beginRound(&rr, e.armRoundFaults(rr.Kills))
 
-		retriesBefore := e.coord.totalRetries()
+		retriesBefore := e.cl.totalRetries()
 		if err := drive(r, &rr); err != nil {
 			return e.fail(round, "%v", err)
 		}
 		if err := exec.account(); err != nil {
 			return e.fail(round, "%v", err)
 		}
-		rr.RPCRetries = e.coord.totalRetries() - retriesBefore
+		rr.RPCRetries = e.cl.totalRetries() - retriesBefore
 
 		if err := e.verifyRound(round, &rr); err != nil {
 			return e.fail(round, "%v", err)
 		}
-		e.tickHealth()
+		if cfg.Health != nil {
+			cfg.Health.Tick() // on quiesced, fully recorded metrics
+		}
 		e.stepAdapt(&rr)
-		rr.Epoch = e.coord.Epoch()
+		rr.Epoch = e.cl.Epoch()
 		e.res.Rounds = append(e.res.Rounds, rr)
 		if cfg.RoundInterval > 0 && r < cfg.Rounds-1 {
 			time.Sleep(cfg.RoundInterval)

@@ -13,15 +13,11 @@ import (
 )
 
 // soakExec is the only code in the soak that runs a checkpoint or a repair
-// cycle. It satisfies the service layer's Executor seam, so the direct driver
-// calls it in-line and the service driver's reconciler calls it on its
-// behalf. Unlike the production ServiceExecutor it mirrors every protocol
-// outcome into the shadow model and the chaos bookkeeping: resume injection
-// around the round, heal the round's transient partition after the first
-// attempt, commit or abort the shadow to match the coordinator, and take
-// commit-declared casualties' daemons down for real. The reconciler calls it
-// from one goroutine; the harness goroutine only touches shared state through
-// the mutex, and only between requests (submit before, read after terminal).
+// cycle: the service layer's Executor, called in-line by the direct driver
+// and by the reconciler in service mode. Unlike ServiceExecutor it mirrors
+// every outcome into the shadow and the chaos bookkeeping, and takes
+// commit-declared casualties' daemons down for real. The harness goroutine
+// touches shared state only through the mutex, and only between requests.
 type soakExec struct {
 	e *soakEnv
 
@@ -50,7 +46,7 @@ func (x *soakExec) takeDown(n int) {
 	if x.downNow[n] {
 		return
 	}
-	x.e.sc.nodes[n].Close()
+	x.e.cl.Kill(n)
 	x.e.inj.RecordKill(n)
 	x.downNow[n] = true
 }
@@ -77,7 +73,7 @@ func (x *soakExec) fold(st RoundStats) {
 func (x *soakExec) ExecuteCheckpoint(ctx obs.SpanContext, _ uint64) (uint64, error) {
 	e := x.e
 	e.inj.Resume()
-	ckErr := e.coord.CheckpointIn(ctx)
+	ckErr := e.cl.CheckpointIn(ctx)
 	e.inj.Pause()
 
 	x.mu.Lock()
@@ -86,7 +82,7 @@ func (x *soakExec) ExecuteCheckpoint(ctx obs.SpanContext, _ uint64) (uint64, err
 		e.inj.HealPair(x.partitioned[0], x.partitioned[1])
 		x.partitioned = [2]int{-1, -1}
 	}
-	st := e.coord.RoundStats()
+	st := e.cl.RoundStats()
 	x.fold(st)
 	switch {
 	case st.Aborted:
@@ -111,7 +107,7 @@ func (x *soakExec) ExecuteCheckpoint(ctx obs.SpanContext, _ uint64) (uint64, err
 			x.takeDown(n)
 		}
 	}
-	return e.coord.Epoch(), ckErr
+	return e.cl.Epoch(), ckErr
 }
 
 // ExecuteRestore runs the full repair cycle over whichever of the named nodes
@@ -131,13 +127,13 @@ func (x *soakExec) ExecuteRestore(ctx obs.SpanContext, nodes []int) (uint64, err
 	// Anything the coordinator holds as pending recovery (commit casualties)
 	// is owed a pass even if nobody named it; its daemon comes down first so
 	// the restart binds the same address cleanly.
-	for _, n := range e.coord.pendingRecovery() {
+	for _, n := range e.cl.pendingRecovery() {
 		x.takeDown(n)
 		need[n] = true
 	}
 	x.mu.Unlock()
 	if len(need) == 0 {
-		return e.coord.Epoch(), nil
+		return e.cl.Epoch(), nil
 	}
 	var down []int
 	for n := range need {
@@ -145,59 +141,56 @@ func (x *soakExec) ExecuteRestore(ctx obs.SpanContext, nodes []int) (uint64, err
 	}
 	sort.Ints(down)
 	if err := x.recoverAndRepair(ctx, down); err != nil {
-		return e.coord.Epoch(), err
+		return e.cl.Epoch(), err
 	}
 	x.mu.Lock()
 	for _, n := range down {
 		delete(x.downNow, n)
 	}
-	x.fold(e.coord.RoundStats()) // the repair cycle's post-recovery checkpoint
+	x.fold(e.cl.RoundStats()) // the repair cycle's post-recovery checkpoint
 	x.mu.Unlock()
-	return e.coord.Epoch(), nil
+	return e.cl.Epoch(), nil
 }
 
-// recoverAndRepair runs the fault-free repair cycle for a set of down
-// nodes: recover their state onto survivors, restart the daemons on the
-// same addresses, repair, re-checkpoint, and rebalance. Mirrored into the
-// shadow step by step. The injector must already be paused. A valid parent
-// context nests the cycle's protocol spans under the caller's span (the
-// service reconciler passes its reconcile span; the direct driver passes a
-// zero context).
+// recoverAndRepair runs the fault-free repair cycle over down nodes, mirrored
+// into the shadow step by step: recover, restart the daemons at their
+// addresses, repair, re-checkpoint, rebalance. The injector must be paused.
+// A valid parent context nests the cycle's spans under the caller's.
 func (x *soakExec) recoverAndRepair(parent obs.SpanContext, down []int) error {
 	e := x.e
-	plan, err := e.coord.RecoverNodesIn(parent, down...)
+	plan, err := e.cl.RecoverNodesIn(parent, down...)
 	if err != nil {
 		return fmt.Errorf("recover %v: %w", down, err)
 	}
-	if err := e.shadow.Recover(plan, e.coord.Epoch()); err != nil {
+	if err := e.shadow.Recover(plan, e.cl.Epoch()); err != nil {
 		return err
 	}
 	for _, v := range down {
-		if err := e.sc.start(v, e.sc.addrs[v]); err != nil {
-			return fmt.Errorf("restart node %d on %s: %w", v, e.sc.addrs[v], err)
+		if err := e.cl.Start(v); err != nil {
+			return fmt.Errorf("restart node %d on %s: %w", v, e.cl.addrs[v], err)
 		}
-		e.sc.nodes[v].SetRPCTimeout(e.cfg.RPCTimeout)
+		e.cl.nodes[v].SetRPCTimeout(e.cfg.RPCTimeout)
 		e.inj.RecordRestart(v)
-		if err := e.coord.Repair(v); err != nil {
+		if err := e.cl.Repair(v); err != nil {
 			return fmt.Errorf("repair node %d: %w", v, err)
 		}
 	}
 	// The post-recovery checkpoint runs clean: it certifies the repaired
 	// cluster can commit before rebalance moves anything.
-	if err := e.coord.CheckpointIn(parent); err != nil {
+	if err := e.cl.CheckpointIn(parent); err != nil {
 		return fmt.Errorf("post-recovery checkpoint: %w", err)
 	}
 	e.shadow.Commit()
-	rb, err := e.coord.Rebalance()
+	rb, err := e.cl.Rebalance()
 	if err != nil {
 		return fmt.Errorf("rebalance: %w", err)
 	}
-	return e.shadow.Rebalance(rb, e.coord.Epoch())
+	return e.shadow.Rebalance(rb, e.cl.Epoch())
 }
 
 // Quiesce lets Reconciler.Stop abort staged captures left by an interrupted
 // attempt.
-func (x *soakExec) Quiesce() error { return x.e.coord.Quiesce() }
+func (x *soakExec) Quiesce() error { return x.e.cl.Quiesce() }
 
 // driveDirect is the direct driver: one checkpoint attempt, then the repair
 // cycle over the round's victims plus any commit casualties. A failed
@@ -210,19 +203,13 @@ func (x *soakExec) driveDirect(_ int, rr *RoundRecord) error {
 	return err
 }
 
-// soakService is the service driver: instead of invoking the executor, each
-// round submits a Checkpoint request (plus a Restore request naming the
-// victims on kill rounds) to an in-process Service and waits for the
-// reconciler to drive both to a terminal phase. The serial reconciler makes
-// convergence under fault deterministic: the checkpoint attempt fails against
-// the dead victims and enters backoff, the restore request (same priority,
-// later submission) runs the repair cycle, and the checkpoint's retry then
-// commits on the healed cluster. On top of the shared per-round invariants it
-// asserts request convergence — no request stuck in a non-terminal phase,
-// observed generations caught up to spec generations, mandatory recovery
-// Succeeded, casualty-carrying checkpoints converged through the inline
-// recovery path — and that every round's span tree is rooted under the
-// reconcile span that drove it. It also owns the controller restarts.
+// soakService is the service driver: each round submits a Checkpoint request
+// (plus a Restore naming the victims on kill rounds) to an in-process Service
+// and waits for the serial reconciler to end both: the checkpoint fails
+// against the dead victims and backs off, the restore runs the repair cycle,
+// and the retry commits. Beyond the shared invariants it asserts request
+// convergence and that each round's trace hangs under its reconcile span. It
+// also owns the controller restarts.
 type soakService struct {
 	x         *soakExec
 	svc       *service.Service
@@ -355,7 +342,7 @@ func (sd *soakService) drive(r int, rr *RoundRecord) error {
 	}
 	// The control plane owns the root of every protocol span tree: the
 	// round's trace must hang under the reconcile span that drove it.
-	tid := e.coord.RoundStats().TraceID
+	tid := e.cl.RoundStats().TraceID
 	tree, err := e.checkTrace(tid)
 	if err != nil {
 		return err

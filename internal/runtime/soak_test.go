@@ -302,7 +302,7 @@ func fetchImages(t *testing.T, coord *Coordinator) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
 	for _, v := range coord.Layout().VMs {
-		out[v.Name], _, _ = readBlock(t, coord.addrs[v.Node], "image", v.Name, 0)
+		out[v.Name], _, _ = readBlock(t, nil, coord.addrs[v.Node], "image", v.Name, 0)
 	}
 	return out
 }

@@ -36,7 +36,7 @@ import (
 func TestStaleAndDuplicateCommit(t *testing.T) {
 	layout := paperLayout(t)
 	coord, nodes := testCluster(t, layout)
-	shadow, err := NewShadow(layout, 16, 64, 12345)
+	shadow, err := NewShadowWith(layout, 16, 64, 12345, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestOrphanedShipStopsAtNextBatch(t *testing.T) {
 	if err := coord.Setup(); err != nil {
 		t.Fatal(err)
 	}
-	shadow, err := NewShadow(layout, pages, pageSize, 4242)
+	shadow, err := NewShadowWith(layout, pages, pageSize, 4242, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestStaleBatchOfAbortedAttemptIsRefused(t *testing.T) {
 	if err := coord.Setup(); err != nil {
 		t.Fatal(err)
 	}
-	shadow, err := NewShadow(layout, pages, pageSize, 4243)
+	shadow, err := NewShadowWith(layout, pages, pageSize, 4243, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +639,7 @@ func TestKeeperFootprint(t *testing.T) {
 	const pages, pageSize = 256, 4096
 	layout := paperLayout(t)
 	coord, nodes := sizedCluster(t, layout, pages, pageSize, 0)
-	shadow, err := NewShadow(layout, pages, pageSize, 12345)
+	shadow, err := NewShadowWith(layout, pages, pageSize, 12345, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -726,7 +726,7 @@ func TestMemberFootprint(t *testing.T) {
 	const pages, pageSize = 256, 4096
 	layout := paperLayout(t)
 	coord, nodes := sizedCluster(t, layout, pages, pageSize, 0)
-	shadow, err := NewShadow(layout, pages, pageSize, 12345)
+	shadow, err := NewShadowWith(layout, pages, pageSize, 12345, "")
 	if err != nil {
 		t.Fatal(err)
 	}
