@@ -152,18 +152,6 @@ func (r *SoakResult) RoundDigest() []string {
 	return out
 }
 
-// pendingRecovery lists dead nodes no recovery has succeeded over yet.
-func (c *Coordinator) pendingRecovery() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []int
-	for n := range c.pending {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // soakEnv is everything a soak run shares between its two drivers: the
 // instrumented cluster, the shadow model, the chaos machinery, and the
 // invariant checks.
