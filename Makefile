@@ -41,8 +41,8 @@ loc:
 # and that the telemetry plane (internal/obs, obs/collect, obs/health and
 # obs/adapt together) does not grow, as checks on make loc's figures. A
 # change that shrinks them lowers the ceilings to its new counts.
-RUNTIME_LOC_CEILING = 4104
-RUNTIME_CORE_CLUSTER_LOC_CEILING = 6260
+RUNTIME_LOC_CEILING = 4087
+RUNTIME_CORE_CLUSTER_LOC_CEILING = 6243
 TELEMETRY_LOC_CEILING = 4510
 loc-check:
 	@loc=$$($(MAKE) -s --no-print-directory loc) && \

@@ -147,10 +147,9 @@ func (s *sessionFlags) register(fs *flag.FlagSet) {
 }
 
 // session is a configured cluster with its control plane mounted: the
-// coordinator, the executor seam, and the service driving it.
+// coordinator and the service driving it.
 type session struct {
 	coord     *runtime.Coordinator
-	exec      *runtime.ServiceExecutor
 	svc       *service.Service
 	tracer    *obs.Tracer
 	registry  *obs.Registry
@@ -209,9 +208,8 @@ func (s *sessionFlags) open(opts service.Options) *session {
 		fmt.Printf("chaos: node %d slowed %v/frame\n", s.slowNode, s.slowDelay)
 	}
 
-	se.exec = runtime.NewServiceExecutor(coord)
 	opts.Tracer, opts.Registry = se.tracer, se.registry
-	svc, err := service.Open(se.exec, opts)
+	svc, err := service.Open(coord, opts)
 	fatal(err)
 	se.svc = svc
 	if opts.StateDir != "" {
@@ -304,9 +302,9 @@ func sessionMain() {
 
 	if *kill >= 0 {
 		fmt.Printf("recovering from death of node %d...\n", *kill)
-		se.exec.DeclareFailed(*kill)
+		fatal(se.coord.DeclareDead(*kill))
 		se.submitAndWait(service.KindRestore, service.Spec{Tenant: *tenant, Nodes: []int{*kill}}, sessionWait)
-		if plan := se.exec.LastPlan(); plan != nil {
+		if plan := se.coord.LastPlan(); plan != nil {
 			for _, s := range plan.Steps {
 				fmt.Printf("  %-14s group %d -> node %d", s.Kind, s.Group, s.TargetNode)
 				if s.VM != "" {

@@ -100,10 +100,25 @@ func commitFailProxy(t *testing.T, backend string) (string, *atomic.Bool) {
 // invariant: a node that keeps failing commit through the retry budget is
 // declared dead, the epoch still advances on the survivors (commit is not
 // undoable), the error names the casualty as a *PartialCommitError, Repair
-// refuses the node until it is recovered, and RecoverNodes restores
-// redundancy.
+// refuses the node and no round starts until it is recovered, and
+// RecoverNodes restores redundancy. On Fig. 3's dedicated layout the casualty
+// keeps no parity and its peers still reach it, so only the refusal keeps a
+// round from committing without its VMs and wedging every round after the
+// recovery.
 func TestCommitFailureDeclaresNodeDeadAndRecovers(t *testing.T) {
-	layout := paperLayout(t)
+	dedicated, err := cluster.BuildDedicated(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		layout *cluster.Layout
+	}{{"paper12", paperLayout(t)}, {"dedicated", dedicated}} {
+		t.Run(tc.name, func(t *testing.T) { commitFailureRecovers(t, tc.layout) })
+	}
+}
+
+func commitFailureRecovers(t *testing.T, layout *cluster.Layout) {
 	nodes := make([]*Node, layout.Nodes)
 	addrs := map[int]string{}
 	for i := range nodes {
@@ -157,9 +172,19 @@ func TestCommitFailureDeclaresNodeDeadAndRecovers(t *testing.T) {
 		t.Errorf("RoundStats.DeadDuring = %v, want [1]", stats.DeadDuring)
 	}
 
-	// The node is dead pending recovery: repair must refuse it.
+	// The node is dead pending recovery: repair must refuse it, and so must a
+	// round.
 	if err := coord.Repair(1); err == nil {
 		t.Error("repair of a mid-commit casualty should fail before recovery")
+	}
+	if err := coord.Step(10); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Checkpoint(); err == nil {
+		t.Error("a round ran while node 1 owed a recovery")
+	}
+	if coord.Epoch() != 2 {
+		t.Fatalf("epoch = %d after the refused round, want 2", coord.Epoch())
 	}
 
 	// Recovery reconstructs node 1's VMs at the committed epoch — possible
@@ -173,11 +198,13 @@ func TestCommitFailureDeclaresNodeDeadAndRecovers(t *testing.T) {
 	}
 
 	// The cluster keeps working.
-	if err := coord.Step(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Checkpoint(); err != nil {
-		t.Fatalf("round after recovery: %v", err)
+	for r := 0; r < 2; r++ {
+		if err := coord.Step(10); err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Checkpoint(); err != nil {
+			t.Fatalf("round %d after recovery: %v", r+1, err)
+		}
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 
 // soakExec is the only code in the soak that runs a checkpoint or a repair
 // cycle: the service layer's Executor, called in-line by the direct driver
-// and by the reconciler in service mode. Unlike ServiceExecutor it mirrors
-// every outcome into the shadow and the chaos bookkeeping, and takes
+// and by the reconciler in service mode. Unlike the Coordinator's own
+// Executor methods it mirrors every outcome into the shadow and the chaos bookkeeping, and takes
 // commit-declared casualties' daemons down for real. The harness goroutine
 // touches shared state only through the mutex, and only between requests.
 type soakExec struct {
