@@ -8,7 +8,6 @@ package dvdc
 import (
 	"testing"
 
-	"dvdc/internal/checkpoint"
 	"dvdc/internal/core"
 	"dvdc/internal/experiments"
 	"dvdc/internal/failure"
@@ -171,28 +170,6 @@ func BenchmarkRSEncode62(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := coder.Encode(data); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIncrementalCapture measures dirty-page capture on a 16 MiB guest
-// with a 5% dirty set.
-func BenchmarkIncrementalCapture(b *testing.B) {
-	m, err := vm.NewMachine("bench", 4096, 4096)
-	if err != nil {
-		b.Fatal(err)
-	}
-	checkpoint.CaptureFull(m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for p := 0; p < 200; p++ {
-			m.TouchPage((i*211+p*37)%4096, uint64(i))
-		}
-		b.StartTimer()
-		c := checkpoint.CaptureIncremental(m)
-		if len(c.Pages) == 0 {
-			b.Fatal("no pages captured")
 		}
 	}
 }

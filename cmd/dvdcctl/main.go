@@ -154,7 +154,7 @@ type session struct {
 	tracer    *obs.Tracer
 	registry  *obs.Registry
 	health    *health.Evaluator
-	closeSink func()
+	closeSink func() error
 	srv       *obs.Server
 }
 
@@ -243,7 +243,7 @@ func (se *session) close() {
 	if se.srv != nil {
 		se.srv.Close()
 	}
-	se.closeSink()
+	fatal(se.closeSink())
 }
 
 // submitAndWait drives one request object to a terminal phase and fails the

@@ -210,7 +210,7 @@ func main() {
 	start := time.Now()
 	res, err := runtime.RunSoak(cfg)
 	elapsed := time.Since(start)
-	closeSink() // before any exit: a failed soak still leaves a complete span file
+	sinkErr := closeSink() // before any exit: a failed soak still leaves a complete span file
 	if res == nil {
 		fatal(err) // refused config or failed boot: no round ran, nothing violated
 	}
@@ -240,6 +240,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
+	fatal(sinkErr)
 	if f.common.TraceJSONL != "" {
 		fmt.Printf("spans written to %s; render with: dvdcctl trace -in %s\n", f.common.TraceJSONL, f.common.TraceJSONL)
 	}
@@ -254,8 +255,10 @@ func main() {
 func printAdaptSummary(res *runtime.SoakResult, verbose bool) {
 	var all []adapt.Decision
 	applied, rebalances := 0, 0
+	var first, peak, final time.Duration
 	for _, rr := range res.Rounds {
 		all = append(all, rr.Adapt...)
+		peak = max(peak, rr.Wall)
 		for _, d := range rr.Adapt {
 			if d.Action != adapt.ActionApplied {
 				continue
@@ -266,13 +269,9 @@ func printAdaptSummary(res *runtime.SoakResult, verbose bool) {
 			}
 		}
 	}
-	var first, peak, final time.Duration
 	if n := len(res.Rounds); n > 0 {
 		first = res.Rounds[0].Wall
 		final = res.Rounds[n-1].Wall
-		for _, rr := range res.Rounds {
-			peak = max(peak, rr.Wall)
-		}
 	}
 	const grain = 100 * time.Microsecond
 	// The final/peak ratio is the machine-checkable convergence verdict: a

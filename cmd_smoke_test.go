@@ -274,3 +274,23 @@ func TestCmdSmokeSimAndBench(t *testing.T) {
 		}
 	}
 }
+
+// TestCmdSmokeTraceSinkError pins that a trace sink that cannot be written
+// fails the soak: the sink's write error must not be swallowed into a clean
+// exit that claims the spans were written.
+func TestCmdSmokeTraceSinkError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process smoke test")
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	soakBin := buildCmd(t, t.TempDir(), "dvdcsoak")
+	out, err := exec.Command(soakBin, "-rounds", "1", "-kill-mtbf", "0", "-trace-jsonl", "/dev/full").CombinedOutput()
+	if err == nil {
+		t.Fatalf("dvdcsoak -trace-jsonl /dev/full exited 0:\n%s", out)
+	}
+	if !strings.Contains(string(out), "write /dev/full") || strings.Contains(string(out), "spans written") {
+		t.Errorf("dvdcsoak output does not report the sink error:\n%s", out)
+	}
+}

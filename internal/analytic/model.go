@@ -56,36 +56,11 @@ func ExpectedFailures(lambda, tau float64) float64 {
 	return math.Expm1(lambda * tau)
 }
 
-// CondMeanTimeToFail is E[T_fail | T_fail < tau] for an exponential failure
-// time: the mean progress lost per failed attempt,
-//
-//	[1 - (lambda*tau + 1) e^{-lambda*tau}] / [lambda (1 - e^{-lambda*tau})].
-func CondMeanTimeToFail(lambda, tau float64) float64 {
-	if tau <= 0 {
-		return 0
-	}
-	x := lambda * tau
-	den := -math.Expm1(-x) // 1 - e^{-x}
-	if den == 0 {
-		return 0
-	}
-	// 1 - (x+1)e^{-x} rearranged as (1 - e^{-x}) - x e^{-x} to avoid the
-	// catastrophic cancellation the textbook form suffers for x << 1.
-	num := den - x*math.Exp(-x)
-	return num / (lambda * den)
-}
-
-// SegmentTimeDecomposed mirrors the paper's E[F]*(E[T_fail|...]+Tr) + tau
-// presentation term by term; the tests check it equals the closed form.
-func (m Model) SegmentTimeDecomposed(tau float64) float64 {
-	ef := ExpectedFailures(m.Lambda, tau)
-	return ef*(CondMeanTimeToFail(m.Lambda, tau)+m.Repair) + tau
-}
-
 // SegmentTime is the expected wall-clock time to push one segment of length
 // tau through to a failure-free completion, paying Repair per failure, in
-// closed form: (e^{lambda*tau}-1)(1/lambda + Tr). It equals the decomposed
-// presentation but is numerically robust at large lambda*tau.
+// closed form: (e^{lambda*tau}-1)(1/lambda + Tr). It equals the paper's
+// E[F]*(E[T_fail | T_fail < tau] + Tr) + tau presentation term by term but is
+// numerically robust at large lambda*tau.
 func (m Model) SegmentTime(tau float64) float64 {
 	return ExpectedFailures(m.Lambda, tau) * (1/m.Lambda + m.Repair)
 }

@@ -37,36 +37,6 @@ func TestExpectedFailuresSmallRate(t *testing.T) {
 	}
 }
 
-func TestCondMeanBounds(t *testing.T) {
-	// The conditional mean time to fail within tau is in (0, tau/2) for an
-	// exponential (failures cluster early given truncation... strictly it is
-	// below tau/2 for any lambda > 0) and approaches tau/2 as lambda -> 0.
-	lambda, tau := 1e-5, 1000.0
-	got := CondMeanTimeToFail(lambda, tau)
-	if got <= 0 || got >= tau/2 {
-		t.Errorf("cond mean %v outside (0, tau/2)", got)
-	}
-	// lambda -> 0 limit: tau/2.
-	small := CondMeanTimeToFail(1e-12, tau)
-	if math.Abs(small-tau/2)/(tau/2) > 1e-3 {
-		t.Errorf("small-lambda cond mean %v, want ~%v", small, tau/2)
-	}
-	if CondMeanTimeToFail(lambda, 0) != 0 {
-		t.Error("tau=0 should give 0")
-	}
-}
-
-func TestSegmentDecomposedMatchesClosedForm(t *testing.T) {
-	m := paperModel()
-	for _, tau := range []float64{1, 60, 3600, 24 * 3600} {
-		dec := m.SegmentTimeDecomposed(tau)
-		closed := m.SegmentTime(tau)
-		if math.Abs(dec-closed)/closed > 1e-9 {
-			t.Errorf("tau=%v: decomposed %v != closed %v", tau, dec, closed)
-		}
-	}
-}
-
 func TestNoCheckpointMatchesClassicRestartFormula(t *testing.T) {
 	// With Tr=0, E[T_nochk] = (e^{lambda T} - 1)/lambda.
 	m := Model{Lambda: 1e-5, T: 50000}

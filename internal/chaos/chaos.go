@@ -91,6 +91,10 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
+// onNode reports whether a fault of this kind targets a node (Fault.Node)
+// rather than a traffic pair.
+func (k Kind) onNode() bool { return k == Kill || k == Restart || k == Slow }
+
 // Pair identifies directed traffic src -> dst by node index (Coordinator for
 // the control plane's client side, UnknownPeer when unresolvable).
 type Pair struct {
@@ -104,8 +108,8 @@ func (p Pair) String() string { return fmt.Sprintf("%d->%d", p.Src, p.Dst) }
 type Fault struct {
 	Round int    // harness round the fault fired in (see NextRound)
 	Kind  Kind   // what was injected
-	Pair  Pair   // traffic pair (Kill/Restart: zero value)
-	Node  int    // Kill/Restart target (-1 otherwise)
+	Pair  Pair   // traffic pair (unknown peers for Kill/Restart/Slow)
+	Node  int    // Kill/Restart/Slow target (-1 otherwise)
 	Armed bool   // fired from a one-shot Arm (vs. a probabilistic draw)
 	Note  string // human detail ("delay 3ms", "frame 27 bytes")
 }
@@ -113,7 +117,7 @@ type Fault struct {
 // String renders one log line.
 func (f Fault) String() string {
 	s := fmt.Sprintf("round %d: %s", f.Round, f.Kind)
-	if f.Kind == Kill || f.Kind == Restart {
+	if f.Kind.onNode() {
 		s += fmt.Sprintf(" node %d", f.Node)
 	} else {
 		s += " " + f.Pair.String()
@@ -196,9 +200,6 @@ func New(seed int64, cfg Config) *Injector {
 	}
 }
 
-// Seed returns the injector's seed (echoed in logs for replay).
-func (i *Injector) Seed() int64 { return i.seed }
-
 // Counters exposes per-kind fired-fault tallies.
 func (i *Injector) Counters() *obs.CounterSet { return i.counters }
 
@@ -241,13 +242,6 @@ func (i *Injector) NextRound() int {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	i.round++
-	return i.round
-}
-
-// Round returns the current round tag.
-func (i *Injector) Round() int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
 	return i.round
 }
 
@@ -407,14 +401,14 @@ func (i *Injector) Fired(round int, kinds ...Kind) int {
 
 // record appends to the log and bumps counters. Callers hold i.mu.
 func (i *Injector) record(f Fault) {
-	if f.Kind != Kill && f.Kind != Restart && f.Node == 0 {
+	if !f.Kind.onNode() && f.Node == 0 {
 		f.Node = -1
 	}
 	i.log = append(i.log, f)
 	i.counters.Add(f.Kind.String(), 1)
 	if i.recorder != nil {
 		pair := f.Pair.String()
-		if f.Kind == Kill || f.Kind == Restart {
+		if f.Kind.onNode() {
 			pair = fmt.Sprintf("node%d", f.Node)
 		}
 		i.recorder.Chaos(f.Kind.String(), pair, f.Note)

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"dvdc/internal/failure"
 	"dvdc/internal/wire"
 )
 
@@ -378,26 +377,27 @@ func TestKillPlanDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-func TestKillPlanRestrict(t *testing.T) {
-	sched, err := failure.NewPoissonNodes(4, 60, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := PlanKills(sched, 20, 15, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := p.TotalKills()
-	if before == 0 {
-		t.Skip("no kills drawn; uninformative seed")
-	}
-	p.Restrict(func(node int) bool { return node != 0 })
-	for r := 0; r < p.Rounds(); r++ {
-		for _, n := range p.Victims(r) {
-			if n == 0 {
-				t.Fatal("restricted node 0 still scheduled")
-			}
+// TestFaultStringNamesNode pins that node-level faults log their node, not
+// the unknown-peer pair they carry.
+func TestFaultStringNamesNode(t *testing.T) {
+	unknown := Pair{UnknownPeer, UnknownPeer}
+	for _, tc := range []struct {
+		f    Fault
+		want string
+	}{
+		{Fault{Round: 2, Kind: Kill, Node: 3, Pair: unknown}, "round 2: kill node 3"},
+		{Fault{Round: 4, Kind: Restart, Node: 3, Pair: unknown}, "round 4: restart node 3"},
+		{Fault{Round: 1, Kind: Slow, Node: 1, Pair: unknown, Note: "delay 25ms/frame"}, "round 1: slow node 1 (delay 25ms/frame)"},
+	} {
+		if got := tc.f.String(); got != tc.want {
+			t.Errorf("Fault.String() = %q, want %q", got, tc.want)
 		}
+	}
+	// Node 0 survives the injector's log: only pair faults mark Node -1.
+	inj := New(1, Config{})
+	inj.SlowNode(0, 25*time.Millisecond)
+	if got, want := inj.Log()[0].String(), "round 0: slow node 0 (delay 25ms/frame)"; got != want {
+		t.Errorf("logged slow fault = %q, want %q", got, want)
 	}
 }
 

@@ -14,9 +14,8 @@ import (
 // stream, so the same schedule seed always produces the same per-round kill
 // sets — the node-level half of a reproducible chaos run.
 type KillPlan struct {
-	rounds   int
-	byRound  [][]int
-	killable func(node int) bool
+	rounds  int
+	byRound [][]int
 }
 
 // PlanKills drains sched up to rounds*roundSeconds and buckets each failure
@@ -73,30 +72,19 @@ func PlanPoissonKills(nodes, perRound, rounds int, mtbfSeconds, roundSeconds flo
 	return PlanKills(sched, rounds, roundSeconds, perRound)
 }
 
-// Restrict drops victims the predicate rejects (e.g. a node hosting more
-// than the recoverable number of a group's members under a weakened layout).
-func (p *KillPlan) Restrict(keep func(node int) bool) { p.killable = keep }
-
 // Victims returns the nodes to kill in round r (nil when none, or r is out
 // of range). The slice is a copy.
 func (p *KillPlan) Victims(r int) []int {
 	if r < 0 || r >= p.rounds {
 		return nil
 	}
-	var out []int
-	for _, n := range p.byRound[r] {
-		if p.killable != nil && !p.killable(n) {
-			continue
-		}
-		out = append(out, n)
-	}
-	return out
+	return append([]int(nil), p.byRound[r]...)
 }
 
 // Rounds returns the plan's horizon in rounds.
 func (p *KillPlan) Rounds() int { return p.rounds }
 
-// TotalKills counts victims across every round (after Restrict).
+// TotalKills counts victims across every round.
 func (p *KillPlan) TotalKills() int {
 	n := 0
 	for r := 0; r < p.rounds; r++ {

@@ -1,20 +1,17 @@
 // Package checkpoint implements the checkpoint variants the paper builds on
-// (Sec. II-B): full ("normal" in Plank's terms), incremental (dirty pages
-// only), forked copy-on-write, and compressed differences (Plank & Xu).
+// (Sec. II-B) that E11 measures: full ("normal" in Plank's terms), and
+// forked copy-on-write, which materializes an incremental checkpoint of the
+// pages dirty at fork time. Compress sizes the compressed-difference variant
+// (Plank & Xu) without implementing it.
 //
 // A Checkpoint is a self-contained record of the pages captured at one
-// epoch; a Store materializes any epoch by replaying a base image plus its
-// chain of increments, which is exactly what a parity holder needs when it
-// reconstructs a failed VM.
+// epoch; a Store replays a base image plus its chain of increments.
 package checkpoint
 
 import (
 	"bytes"
 	"compress/flate"
-	"crypto/subtle"
 	"fmt"
-	"io"
-	"sort"
 
 	"dvdc/internal/vm"
 )
@@ -26,7 +23,6 @@ type Kind int
 const (
 	Full Kind = iota
 	Incremental
-	CompressedDelta
 )
 
 // String returns the kind name.
@@ -36,8 +32,6 @@ func (k Kind) String() string {
 		return "full"
 	case Incremental:
 		return "incremental"
-	case CompressedDelta:
-		return "compressed-delta"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -46,7 +40,7 @@ func (k Kind) String() string {
 // PageRecord is one captured page.
 type PageRecord struct {
 	Index int
-	Data  []byte // raw page content, or compressed XOR delta for CompressedDelta
+	Data  []byte // raw page content
 }
 
 // Checkpoint is the captured state of one VM at one epoch.
@@ -60,8 +54,7 @@ type Checkpoint struct {
 }
 
 // PayloadBytes returns the size of the captured page data: the quantity that
-// must cross the network and enter parity. For CompressedDelta checkpoints
-// this is the compressed size.
+// must cross the network and enter parity.
 func (c *Checkpoint) PayloadBytes() int64 {
 	var n int64
 	for _, p := range c.Pages {
@@ -88,69 +81,9 @@ func CaptureFull(m *vm.Machine) *Checkpoint {
 	return c
 }
 
-// CaptureIncremental snapshots only the pages dirtied since the last epoch
-// and opens a new one. The first checkpoint of a machine's life should be a
-// CaptureFull so the increment chain has a base.
-func CaptureIncremental(m *vm.Machine) *Checkpoint {
-	dirty := m.DirtyPages()
-	c := &Checkpoint{
-		VMID:     m.ID(),
-		Epoch:    m.Epoch(),
-		Kind:     Incremental,
-		NumPages: m.NumPages(),
-		PageSize: m.PageSize(),
-		Pages:    make([]PageRecord, 0, len(dirty)),
-	}
-	for _, i := range dirty {
-		c.Pages = append(c.Pages, PageRecord{Index: i, Data: append([]byte(nil), m.Page(i)...)})
-	}
-	m.BeginEpoch()
-	return c
-}
-
-// CaptureCompressedDelta captures dirty pages as flate-compressed XOR deltas
-// against the page contents recorded in base (the previous materialized
-// image). Pages whose delta does not compress below the raw page are stored
-// raw (marked by a leading 0 byte; compressed deltas lead with 1).
-func CaptureCompressedDelta(m *vm.Machine, base []byte) (*Checkpoint, error) {
-	if int64(len(base)) != m.ImageBytes() {
-		return nil, fmt.Errorf("checkpoint: base image is %d bytes, machine holds %d", len(base), m.ImageBytes())
-	}
-	dirty := m.DirtyPages()
-	ps := m.PageSize()
-	c := &Checkpoint{
-		VMID:     m.ID(),
-		Epoch:    m.Epoch(),
-		Kind:     CompressedDelta,
-		NumPages: m.NumPages(),
-		PageSize: ps,
-		Pages:    make([]PageRecord, 0, len(dirty)),
-	}
-	delta := make([]byte, ps) // scratch: deflate copies what it keeps
-	for _, i := range dirty {
-		cur := m.Page(i)
-		subtle.XORBytes(delta, cur, base[i*ps:(i+1)*ps])
-		comp, err := deflate(delta)
-		if err != nil {
-			return nil, err
-		}
-		var data []byte
-		if len(comp)+1 < ps {
-			data = append([]byte{1}, comp...)
-		} else {
-			data = append([]byte{0}, cur...)
-		}
-		c.Pages = append(c.Pages, PageRecord{Index: i, Data: data})
-	}
-	m.BeginEpoch()
-	return c, nil
-}
-
-// Compress deflates a buffer with the same settings the compressed-delta
-// capture uses; measurement tools use it to size hypothetical payloads.
-func Compress(p []byte) ([]byte, error) { return deflate(p) }
-
-func deflate(p []byte) ([]byte, error) {
+// Compress deflates a buffer at flate.BestSpeed; E11 uses it to size the
+// compressed-difference variant's payload.
+func Compress(p []byte) ([]byte, error) {
 	var buf bytes.Buffer
 	w, err := flate.NewWriter(&buf, flate.BestSpeed)
 	if err != nil {
@@ -165,30 +98,8 @@ func deflate(p []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func inflate(p []byte, want int) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(p))
-	defer r.Close()
-	out := make([]byte, 0, want)
-	buf := make([]byte, 4096)
-	for {
-		n, err := r.Read(buf)
-		out = append(out, buf[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(out) != want {
-		return nil, fmt.Errorf("checkpoint: inflated %d bytes, want %d", len(out), want)
-	}
-	return out, nil
-}
-
 // ApplyTo patches a materialized image in place with this checkpoint's
-// pages. For CompressedDelta checkpoints the image must currently hold the
-// base the deltas were computed against.
+// pages.
 func (c *Checkpoint) ApplyTo(img []byte) error {
 	want := int64(c.NumPages) * int64(c.PageSize)
 	if int64(len(img)) != want {
@@ -198,41 +109,13 @@ func (c *Checkpoint) ApplyTo(img []byte) error {
 		if p.Index < 0 || p.Index >= c.NumPages {
 			return fmt.Errorf("checkpoint: page index %d out of range", p.Index)
 		}
-		dst := img[p.Index*c.PageSize : (p.Index+1)*c.PageSize]
-		switch c.Kind {
-		case Full, Incremental:
-			if len(p.Data) != c.PageSize {
-				return fmt.Errorf("checkpoint: page %d has %d bytes, want %d", p.Index, len(p.Data), c.PageSize)
-			}
-			copy(dst, p.Data)
-		case CompressedDelta:
-			if len(p.Data) == 0 {
-				return fmt.Errorf("checkpoint: page %d has empty delta record", p.Index)
-			}
-			switch p.Data[0] {
-			case 0: // raw page
-				if len(p.Data)-1 != c.PageSize {
-					return fmt.Errorf("checkpoint: raw page %d has %d bytes, want %d", p.Index, len(p.Data)-1, c.PageSize)
-				}
-				copy(dst, p.Data[1:])
-			case 1: // compressed XOR delta
-				delta, err := inflate(p.Data[1:], c.PageSize)
-				if err != nil {
-					return err
-				}
-				subtle.XORBytes(dst, dst, delta)
-			default:
-				return fmt.Errorf("checkpoint: page %d has unknown delta tag %d", p.Index, p.Data[0])
-			}
-		default:
+		if c.Kind != Full && c.Kind != Incremental {
 			return fmt.Errorf("checkpoint: unknown kind %v", c.Kind)
 		}
+		if len(p.Data) != c.PageSize {
+			return fmt.Errorf("checkpoint: page %d has %d bytes, want %d", p.Index, len(p.Data), c.PageSize)
+		}
+		copy(img[p.Index*c.PageSize:(p.Index+1)*c.PageSize], p.Data)
 	}
 	return nil
-}
-
-// sortPages keeps the page list ordered by index; capture functions emit
-// sorted lists already, decode paths call this defensively.
-func (c *Checkpoint) sortPages() {
-	sort.Slice(c.Pages, func(i, j int) bool { return c.Pages[i].Index < c.Pages[j].Index })
 }

@@ -44,9 +44,6 @@ func Fork(m *vm.Machine) *ForkSnapshot {
 	return f
 }
 
-// Epoch returns the machine epoch the snapshot closed.
-func (f *ForkSnapshot) Epoch() uint64 { return f.epoch }
-
 // DirtyAtFork returns the page indices that were dirty when the snapshot was
 // taken (the increment this snapshot represents relative to the previous
 // checkpoint).
@@ -65,25 +62,6 @@ func (f *ForkSnapshot) page(i int) []byte {
 		return old
 	}
 	return f.m.Page(i)
-}
-
-// MaterializeFull produces a full checkpoint of the fork-time image.
-func (f *ForkSnapshot) MaterializeFull() (*Checkpoint, error) {
-	if f.released {
-		return nil, fmt.Errorf("checkpoint: snapshot already released")
-	}
-	c := &Checkpoint{
-		VMID:     f.m.ID(),
-		Epoch:    f.epoch,
-		Kind:     Full,
-		NumPages: f.m.NumPages(),
-		PageSize: f.m.PageSize(),
-		Pages:    make([]PageRecord, f.m.NumPages()),
-	}
-	for i := 0; i < f.m.NumPages(); i++ {
-		c.Pages[i] = PageRecord{Index: i, Data: append([]byte(nil), f.page(i)...)}
-	}
-	return c, nil
 }
 
 // MaterializeIncremental produces an incremental checkpoint holding the

@@ -13,16 +13,10 @@ func TestForkSnapshotIsolatesFromLaterWrites(t *testing.T) {
 	defer f.Release()
 	// Mutate heavily after the fork; snapshot must not see it.
 	scribble(m, 6, 50)
-	c, err := f.MaterializeFull()
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := make([]byte, m.ImageBytes())
-	if err := c.ApplyTo(img); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(img, want) {
-		t.Error("forked snapshot polluted by post-fork writes")
+	for i := 0; i < m.NumPages(); i++ {
+		if !bytes.Equal(f.page(i), want[i*64:(i+1)*64]) {
+			t.Fatalf("page %d of the forked snapshot polluted by post-fork writes", i)
+		}
 	}
 }
 
@@ -54,6 +48,9 @@ func TestForkMaterializeIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if c.Epoch != 1 {
+		t.Errorf("incremental Epoch = %d, want 1 (the epoch the fork closed)", c.Epoch)
+	}
 	if len(c.Pages) != 2 || c.Pages[0].Index != 4 || c.Pages[1].Index != 9 {
 		t.Fatalf("incremental pages: %+v", c.Pages)
 	}
@@ -75,7 +72,7 @@ func TestForkReleaseStopsCopying(t *testing.T) {
 	if f.CopiedBytes() != 0 {
 		t.Error("released fork still copying")
 	}
-	if _, err := f.MaterializeFull(); err == nil {
+	if _, err := f.MaterializeIncremental(); err == nil {
 		t.Error("materializing a released fork should fail")
 	}
 	f.Release() // double release is a no-op
@@ -107,10 +104,8 @@ func TestConcurrentForksIndependent(t *testing.T) {
 	defer f2.Release()
 	m.TouchPage(0, 20)
 
-	c1, _ := f1.MaterializeFull()
-	c2, _ := f2.MaterializeFull()
-	s1 := c1.Pages[0].Data[0]
-	s2 := c2.Pages[0].Data[0]
+	s1 := f1.page(0)[0]
+	s2 := f2.page(0)[0]
 	if s1 != 0 {
 		t.Errorf("f1 page0 stamp byte %d, want 0 (pre-write)", s1)
 	}

@@ -1,59 +1,25 @@
 package checkpoint
 
 import (
-	"bytes"
 	"testing"
 
 	"dvdc/internal/vm"
 )
 
-// FuzzDecode throws arbitrary bytes at the checkpoint decoder: never panic,
-// and anything accepted must re-encode losslessly.
-func FuzzDecode(f *testing.F) {
-	m, _ := vm.NewMachine("fz", 4, 32)
-	m.TouchPage(1, 7)
-	f.Add(CaptureFull(m).Encode())
-	m.TouchPage(2, 8)
-	f.Add(CaptureIncremental(m).Encode())
-	f.Add([]byte("DVDC"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := Decode(data)
-		if err != nil {
-			return
-		}
-		// Round trip must parse again to an identical checkpoint.
-		again, err := Decode(c.Encode())
-		if err != nil {
-			t.Fatalf("re-decode of accepted checkpoint failed: %v", err)
-		}
-		if again.VMID != c.VMID || again.Epoch != c.Epoch || len(again.Pages) != len(c.Pages) {
-			t.Fatal("round trip mismatch")
-		}
-		for i := range c.Pages {
-			if again.Pages[i].Index != c.Pages[i].Index ||
-				!bytes.Equal(again.Pages[i].Data, c.Pages[i].Data) {
-				t.Fatal("page mismatch")
-			}
-		}
-	})
-}
-
-// FuzzApplyTo exercises ApplyTo with decoded checkpoints against a fixed
-// image: malformed records must error, never panic or write out of bounds.
+// FuzzApplyTo exercises ApplyTo with arbitrary one-page checkpoints against a
+// fixed 4x32 image: a malformed kind, geometry, index or page length must
+// error, never panic or write out of bounds.
 func FuzzApplyTo(f *testing.F) {
 	m, _ := vm.NewMachine("fz", 4, 32)
 	m.TouchPage(0, 1)
-	f.Add(CaptureIncremental(m).Encode())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := Decode(data)
-		if err != nil {
-			return
-		}
-		if int64(c.NumPages)*int64(c.PageSize) > 1<<20 {
-			return // keep fuzz memory bounded
-		}
-		img := make([]byte, c.NumPages*c.PageSize)
+	fork := Fork(m)
+	c, _ := fork.MaterializeIncremental()
+	fork.Release()
+	f.Add(uint8(c.Kind), uint16(c.NumPages), uint16(c.PageSize), c.Pages[0].Index, c.Pages[0].Data)
+	f.Fuzz(func(t *testing.T, kind uint8, numPages, pageSize uint16, index int, data []byte) {
+		c := &Checkpoint{Kind: Kind(kind), NumPages: int(numPages), PageSize: int(pageSize),
+			Pages: []PageRecord{{Index: index, Data: data}}}
+		img := make([]byte, 4*32)
 		_ = c.ApplyTo(img) // must not panic
 	})
 }

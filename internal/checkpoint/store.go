@@ -5,17 +5,14 @@ import (
 )
 
 // Store materializes checkpoint chains for one VM: a full base checkpoint
-// followed by increments. A parity holder keeps a Store per protected VM so
-// it can produce the latest committed image during recovery; the store also
-// exposes the previous image so RAID small-write parity updates
-// (parity ^= old ^ new) have both sides.
+// followed by increments, each checked to belong to the VM, match its
+// geometry and carry the next epoch.
 type Store struct {
 	vmID     string
 	numPages int
 	pageSize int
 	image    []byte // latest materialized image
 	epoch    uint64 // epoch of the latest applied checkpoint
-	applied  int    // how many checkpoints have been applied
 }
 
 // NewStore creates a store from an initial full checkpoint.
@@ -33,28 +30,8 @@ func NewStore(base *Checkpoint) (*Store, error) {
 		return nil, err
 	}
 	s.epoch = base.Epoch
-	s.applied = 1
 	return s, nil
 }
-
-// VMID returns the VM the store protects.
-func (s *Store) VMID() string { return s.vmID }
-
-// Epoch returns the epoch of the last applied checkpoint.
-func (s *Store) Epoch() uint64 { return s.epoch }
-
-// Applied returns how many checkpoints have been applied, base included.
-func (s *Store) Applied() int { return s.applied }
-
-// ImageBytes returns the materialized image size.
-func (s *Store) ImageBytes() int64 { return int64(len(s.image)) }
-
-// Image returns a copy of the latest materialized image.
-func (s *Store) Image() []byte { return append([]byte(nil), s.image...) }
-
-// ImageRef returns the store's internal image without copying. Callers must
-// treat it as read-only; it is invalidated by the next Apply.
-func (s *Store) ImageRef() []byte { return s.image }
 
 // Apply advances the store with the next checkpoint in the chain. The
 // checkpoint must belong to the same VM, have the same geometry, and carry
@@ -74,24 +51,5 @@ func (s *Store) Apply(c *Checkpoint) error {
 		return err
 	}
 	s.epoch = c.Epoch
-	s.applied++
 	return nil
-}
-
-// ChangedRegions returns, for each page a checkpoint touches, the page index
-// together with the store's current ("old") content — the inputs a RAID-5
-// small-write parity update needs before the checkpoint is applied.
-func (s *Store) ChangedRegions(c *Checkpoint) ([]PageRecord, error) {
-	if c.NumPages != s.numPages || c.PageSize != s.pageSize {
-		return nil, fmt.Errorf("checkpoint: geometry mismatch")
-	}
-	out := make([]PageRecord, 0, len(c.Pages))
-	for _, p := range c.Pages {
-		if p.Index < 0 || p.Index >= s.numPages {
-			return nil, fmt.Errorf("checkpoint: page index %d out of range", p.Index)
-		}
-		old := s.image[p.Index*s.pageSize : (p.Index+1)*s.pageSize]
-		out = append(out, PageRecord{Index: p.Index, Data: append([]byte(nil), old...)})
-	}
-	return out, nil
 }

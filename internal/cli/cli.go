@@ -6,6 +6,7 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -83,21 +84,18 @@ func (c *Common) StartHealth(reg *obs.Registry, rec *obs.FlightRecorder) (*healt
 func (c *Common) WantTracer() bool { return c.ObsAddr != "" || c.TraceJSONL != "" }
 
 // OpenTraceSink attaches the -trace-jsonl sink to tr and returns a closer
-// that flushes the tracer and closes the file. With the flag unset (or tr
-// nil) it is a no-op returning a harmless closer.
-func (c *Common) OpenTraceSink(tr *obs.Tracer) (func(), error) {
+// that flushes the tracer and closes the file, returning both errors joined.
+// With the flag unset (or tr nil) it is a no-op returning a harmless closer.
+func (c *Common) OpenTraceSink(tr *obs.Tracer) (func() error, error) {
 	if c.TraceJSONL == "" || tr == nil {
-		return func() {}, nil
+		return func() error { return nil }, nil
 	}
 	f, err := os.Create(c.TraceJSONL)
 	if err != nil {
 		return nil, err
 	}
 	tr.SetSink(f)
-	return func() {
-		tr.Flush() //nolint:errcheck // sink errors surface via SinkErr
-		f.Close()
-	}, nil
+	return func() error { return errors.Join(tr.Flush(), f.Close()) }, nil
 }
 
 // ServeObs starts the observability endpoint when -obs-addr was given and

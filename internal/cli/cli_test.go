@@ -130,7 +130,9 @@ func TestOpenTraceSinkAndRecorder(t *testing.T) {
 
 	sp := tr.Start(obs.SpanContext{}, "unit", "test")
 	sp.Finish()
-	closeSink()
+	if err := closeSink(); err != nil {
+		t.Fatal(err)
+	}
 
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -153,7 +155,7 @@ func TestOpenTraceSinkAndRecorder(t *testing.T) {
 
 	// Unset flags are no-ops.
 	var empty Common
-	if closer, err := empty.OpenTraceSink(tr); err != nil || closer == nil {
+	if closer, err := empty.OpenTraceSink(tr); err != nil || closer == nil || closer() != nil {
 		t.Errorf("OpenTraceSink on empty Common: closer nil=%v, err=%v", closer == nil, err)
 	}
 	if rec := empty.Recorder(nil, nil); rec != nil {

@@ -27,8 +27,6 @@ type Message struct {
 type Network struct {
 	queues map[[2]string][]Message
 	count  int
-	sent   uint64
-	deliv  uint64
 }
 
 // NewNetwork builds an empty network.
@@ -47,15 +45,11 @@ func (n *Network) Send(src, dst string, payload []byte) error {
 	k := [2]string{src, dst}
 	n.queues[k] = append(n.queues[k], Message{Src: src, Dst: dst, Payload: append([]byte(nil), payload...)})
 	n.count++
-	n.sent++
 	return nil
 }
 
 // InFlight returns the number of undelivered messages.
 func (n *Network) InFlight() int { return n.count }
-
-// Stats returns cumulative sent/delivered counters.
-func (n *Network) Stats() (sent, delivered uint64) { return n.sent, n.deliv }
 
 // DeliverTo pops every pending message destined for dst, in FIFO order per
 // channel (channels are visited in deterministic src order), invoking the
@@ -79,7 +73,6 @@ func (n *Network) DeliverTo(dst string, handler func(m Message) error) (int, err
 			n.queues[k] = q
 			n.count--
 			delivered++
-			n.deliv++
 			if err := handler(m); err != nil {
 				return delivered, err
 			}

@@ -65,10 +65,6 @@ func TestDrainAllEmptiesNetwork(t *testing.T) {
 	if n.InFlight() != 0 {
 		t.Error("network not empty")
 	}
-	sent, deliv := n.Stats()
-	if sent != 3 || deliv != 3 {
-		t.Errorf("stats: %d/%d", sent, deliv)
-	}
 }
 
 func TestHandlerErrorStopsDelivery(t *testing.T) {

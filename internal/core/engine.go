@@ -28,11 +28,6 @@ type Scheme interface {
 // is not constant, the interval should track it.
 type IntervalPolicy func(prevWindow, prevOverhead float64) float64
 
-// FixedInterval returns a policy that always picks the same interval.
-func FixedInterval(interval float64) IntervalPolicy {
-	return func(float64, float64) float64 { return interval }
-}
-
 // YoungDalyPolicy adapts the interval to sqrt(2 * lastOverhead * MTBF),
 // clamped to [min, max]: the first-order optimum re-derived online from the
 // cost actually observed, which converges as the dirty-set behaviour
@@ -144,7 +139,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	cfg.Schedule.Reset()
-	s := &engineState{eng: sim.New(1), cfg: cfg, interval: cfg.Interval,
+	s := &engineState{eng: sim.New(), cfg: cfg, interval: cfg.Interval,
 		downUntil: map[int]float64{}, rate: 1}
 	s.nextFail = cfg.Schedule.Next()
 	s.scheduleFailure()

@@ -179,7 +179,6 @@ func (k *MKeeper) Group() int { return k.group }
 func (k *MKeeper) ParityIndex() int { return k.parityIdx }
 
 // Members returns the sorted member list (positions are RS data indices).
-func (k *MKeeper) Members() []string { return append([]string(nil), k.members...) }
 
 // Parity returns a copy of the committed parity block.
 func (k *MKeeper) Parity() []byte {

@@ -171,9 +171,6 @@ func TestAccessors(t *testing.T) {
 	if k.Size() != 4*32 {
 		t.Errorf("Size = %d", k.Size())
 	}
-	if got := k.Members(); len(got) != 1 || got[0] != "a" {
-		t.Errorf("Members = %v", got)
-	}
 	if k.Epoch("a") != 0 {
 		t.Errorf("Epoch = %d", k.Epoch("a"))
 	}
@@ -188,19 +185,12 @@ func TestAccessors(t *testing.T) {
 	if mk.Group() != 3 || mk.ParityIndex() != 1 {
 		t.Error("MKeeper accessors wrong")
 	}
-	if got := mk.Members(); len(got) != 2 || got[0] != "a" {
-		t.Errorf("MKeeper.Members = %v", got)
-	}
 	if mk.Epoch("b") != 0 {
 		t.Error("MKeeper.Epoch wrong")
 	}
 }
 
 func TestIntervalPolicies(t *testing.T) {
-	fixed := FixedInterval(42)
-	if fixed(1, 2) != 42 || fixed(100, 200) != 42 {
-		t.Error("FixedInterval not constant")
-	}
 	yd := YoungDalyPolicy(10000, 5, 1000)
 	if got := yd(0, 2); got < 5 || got > 1000 {
 		t.Errorf("YoungDaly out of clamp: %v", got)

@@ -6,7 +6,6 @@ package diskfull
 
 import (
 	"fmt"
-	"math"
 
 	"dvdc/internal/analytic"
 	"dvdc/internal/core"
@@ -63,12 +62,6 @@ func (s *Scheme) RecoveryTime(node int) (float64, error) {
 	}
 	load := img / s.Overheads.Platform.CaptureBps
 	return s.Overheads.Platform.BaseSec + t + load, nil
-}
-
-// OptimalRecoveryFloor returns the minimum conceivable recovery time (one
-// image at full array read bandwidth): used by tests as a lower bound.
-func (s *Scheme) OptimalRecoveryFloor() float64 {
-	return float64(s.Spec.ImageBytes) / math.Max(s.NAS.Array.ReadBps, 1)
 }
 
 var _ core.Scheme = (*Scheme)(nil)

@@ -63,8 +63,9 @@ func TestRecoveryLocalRollbackIsCheaper(t *testing.T) {
 	if b >= a {
 		t.Errorf("local rollback %v should beat NAS-only %v", b, a)
 	}
-	if b < nasOnly.OptimalRecoveryFloor() {
-		t.Errorf("recovery %v below physical floor %v", b, nasOnly.OptimalRecoveryFloor())
+	// The physical floor: one image at the array's full read bandwidth.
+	if floor := float64(nasOnly.Spec.ImageBytes) / nasOnly.NAS.Array.ReadBps; b < floor {
+		t.Errorf("recovery %v below physical floor %v", b, floor)
 	}
 }
 

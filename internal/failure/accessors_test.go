@@ -3,20 +3,6 @@ package failure
 import "testing"
 
 func TestSmallAccessors(t *testing.T) {
-	p, err := NewPoisson(0.25, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Lambda() != 0.25 {
-		t.Errorf("Lambda = %v", p.Lambda())
-	}
-	s, err := NewPoissonNodes(3, 100, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Nodes() != 3 {
-		t.Errorf("Nodes = %d", s.Nodes())
-	}
 	// Weibull reset replays exactly.
 	w, err := NewWeibull(1.5, 10, 3)
 	if err != nil {

@@ -62,9 +62,6 @@ func NewPoissonMTBF(mtbf float64, seed int64) (*Poisson, error) {
 	return NewPoisson(1/mtbf, seed)
 }
 
-// Lambda returns the failure rate in failures per second.
-func (p *Poisson) Lambda() float64 { return p.lambda }
-
 // Next implements Process.
 func (p *Poisson) Next() float64 {
 	p.now += p.rng.ExpFloat64() / p.lambda

@@ -80,9 +80,6 @@ func (s *NodeSchedule) Reset() {
 	s.prime()
 }
 
-// Nodes returns how many nodes the schedule covers.
-func (s *NodeSchedule) Nodes() int { return len(s.procs) }
-
 type eventHeap []Event
 
 func (h eventHeap) Len() int            { return len(h) }

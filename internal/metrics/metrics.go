@@ -10,34 +10,20 @@ import (
 	"strings"
 )
 
-// Summary accumulates count/mean/variance/min/max in a single pass using
-// Welford's algorithm. The zero value is ready to use.
+// Summary accumulates count/mean/variance in a single pass using Welford's
+// algorithm. The zero value is ready to use.
 type Summary struct {
 	n        int64
 	mean, m2 float64
-	min, max float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
 }
-
-// N returns the observation count.
-func (s *Summary) N() int64 { return s.n }
 
 // Mean returns the running mean (0 with no observations).
 func (s *Summary) Mean() float64 { return s.mean }
@@ -53,12 +39,6 @@ func (s *Summary) Var() float64 {
 // Std returns the sample standard deviation.
 func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
 
-// Min returns the smallest observation (0 with none).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 with none).
-func (s *Summary) Max() float64 { return s.max }
-
 // CI95 returns the half-width of the 95% normal-approximation confidence
 // interval on the mean.
 func (s *Summary) CI95() float64 {
@@ -66,11 +46,6 @@ func (s *Summary) CI95() float64 {
 		return 0
 	}
 	return 1.96 * s.Std() / math.Sqrt(float64(s.n))
-}
-
-// String renders "mean ± ci [min,max] (n=N)".
-func (s *Summary) String() string {
-	return fmt.Sprintf("%.6g ± %.2g [%.6g, %.6g] (n=%d)", s.Mean(), s.CI95(), s.Min(), s.Max(), s.n)
 }
 
 // Series is a labelled sequence of (x, y) points for one curve of a figure.

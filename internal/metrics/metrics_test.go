@@ -3,21 +3,17 @@ package metrics
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	if s.N() != 0 || s.Mean() != 0 || s.Var() != 0 {
+	if s.Mean() != 0 || s.Var() != 0 || s.CI95() != 0 {
 		t.Error("zero Summary should be empty")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(x)
-	}
-	if s.N() != 8 {
-		t.Errorf("N = %d", s.N())
 	}
 	if s.Mean() != 5 {
 		t.Errorf("Mean = %v, want 5", s.Mean())
@@ -26,14 +22,8 @@ func TestSummaryBasics(t *testing.T) {
 	if math.Abs(s.Var()-32.0/7) > 1e-12 {
 		t.Errorf("Var = %v, want %v", s.Var(), 32.0/7)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("range [%v,%v], want [2,9]", s.Min(), s.Max())
-	}
 	if s.CI95() <= 0 {
 		t.Error("CI95 should be positive")
-	}
-	if !strings.Contains(s.String(), "n=8") {
-		t.Errorf("String() = %q", s.String())
 	}
 }
 
@@ -99,7 +89,7 @@ func TestCSVSharedAxis(t *testing.T) {
 func TestQuickSummaryMeanBounded(t *testing.T) {
 	f := func(xs []float64) bool {
 		var s Summary
-		ok := true
+		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, x := range xs {
 			// Restrict to a range where x-mean cannot overflow; Summary
 			// documents no guarantees at the edges of float64.
@@ -107,11 +97,9 @@ func TestQuickSummaryMeanBounded(t *testing.T) {
 				continue
 			}
 			s.Add(x)
+			lo, hi = math.Min(lo, x), math.Max(hi, x)
 		}
-		if s.N() > 0 {
-			ok = s.Mean() >= s.Min()-1e-9 && s.Mean() <= s.Max()+1e-9
-		}
-		return ok
+		return lo > hi || s.Mean() >= lo-1e-9 && s.Mean() <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -3,7 +3,6 @@ package migrate
 import (
 	"fmt"
 
-	"dvdc/internal/obs"
 	"dvdc/internal/vm"
 )
 
@@ -59,10 +58,6 @@ type Migration struct {
 	index *HashIndex // optional
 	stats Stats
 	state int // 0 = before first round, 1 = iterating, 2 = finalized
-
-	tracer   *obs.Tracer   // optional: spans per copy round + stop-and-copy
-	registry *obs.Registry // optional: page/byte counters + round-size histogram
-	root     *obs.Active   // "migrate <vm>" span, opened on the first round
 }
 
 // NewMigration prepares a migration of src onto a fresh destination machine
@@ -79,31 +74,8 @@ func NewMigration(src *vm.Machine, index *HashIndex) (*Migration, error) {
 	return &Migration{src: src, dst: dst, index: index}, nil
 }
 
-// SetObserver attaches an optional tracer and registry. The tracer gets one
-// root span per migration with a child per pre-copy round and one for the
-// stop-and-copy phase; the registry gets page counters and a round-size
-// histogram. Call before the first CopyRound.
-func (g *Migration) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
-	g.tracer, g.registry = tr, reg
-}
-
-// span opens a child of the migration's root span (opening the root first if
-// this is the migration's first traced phase). Nil-safe throughout.
-func (g *Migration) span(name string) *obs.Active {
-	if g.tracer == nil {
-		return nil
-	}
-	if g.root == nil {
-		g.root = g.tracer.Start(obs.SpanContext{}, "migrate "+g.src.ID(), "migrate")
-	}
-	return g.tracer.Child(g.root.Context(), name, "migrate")
-}
-
 // Dst exposes the destination machine (complete only after Finalize).
 func (g *Migration) Dst() *vm.Machine { return g.dst }
-
-// Stats returns the accounting so far.
-func (g *Migration) Stats() Stats { return g.stats }
 
 // transfer moves one source page to the destination, consulting the hash
 // index first.
@@ -129,9 +101,6 @@ func (g *Migration) CopyRound() (sent int, err error) {
 	if g.state == 2 {
 		return 0, fmt.Errorf("migrate: migration already finalized")
 	}
-	span := g.span(fmt.Sprintf("round %d", g.stats.Rounds+1))
-	defer func() { span.FinishErr(err) }()
-	before := g.stats
 	var pages []int
 	if g.state == 0 {
 		pages = make([]int, g.src.NumPages())
@@ -149,26 +118,13 @@ func (g *Migration) CopyRound() (sent int, err error) {
 		}
 	}
 	g.stats.Rounds++
-	span.SetAttr("pages", fmt.Sprint(len(pages)))
-	g.observeRound(before)
 	return len(pages), nil
-}
-
-// observeRound folds the stats delta since before into the registry.
-func (g *Migration) observeRound(before Stats) {
-	if g.registry == nil {
-		return
-	}
-	g.registry.Counter("dvdc_migrate_pages_sent_total").Add(int64(g.stats.PagesSent - before.PagesSent))
-	g.registry.Counter("dvdc_migrate_pages_deduped_total").Add(int64(g.stats.PagesDeduped - before.PagesDeduped))
-	g.registry.Histogram("dvdc_migrate_round_bytes", obs.ByteBuckets()).
-		Observe(float64(g.stats.BytesSent - before.BytesSent))
 }
 
 // Finalize is the stop-and-copy phase: the caller guarantees the guest is
 // paused (no further src writes); the remaining dirty pages move and the
 // destination becomes identical to the source.
-func (g *Migration) Finalize() (_ Stats, err error) {
+func (g *Migration) Finalize() (Stats, error) {
 	if g.state == 0 {
 		if _, err := g.CopyRound(); err != nil {
 			return Stats{}, err
@@ -177,14 +133,6 @@ func (g *Migration) Finalize() (_ Stats, err error) {
 	if g.state == 2 {
 		return g.stats, fmt.Errorf("migrate: migration already finalized")
 	}
-	span := g.span("stop-and-copy")
-	defer func() {
-		span.FinishErr(err)
-		if g.root != nil {
-			g.root.FinishErr(err)
-		}
-	}()
-	before := g.stats
 	remaining := g.src.DirtyPages()
 	for _, i := range remaining {
 		if err := g.transfer(i); err != nil {
@@ -194,8 +142,6 @@ func (g *Migration) Finalize() (_ Stats, err error) {
 	g.stats.FinalPages = len(remaining)
 	g.src.BeginEpoch()
 	g.state = 2
-	span.SetAttr("pages", fmt.Sprint(len(remaining)))
-	g.observeRound(before)
 	if !g.src.Equal(g.dst) {
 		return g.stats, fmt.Errorf("migrate: destination diverged from source after stop-and-copy")
 	}

@@ -120,13 +120,3 @@ func (f *Fabric) ExchangeTime(egress, ingress []float64) (float64, error) {
 	}
 	return f.NodeLink.TransferTime(worst), nil
 }
-
-// BroadcastTime is the time for one node to push the same bytes to every
-// other node (used for coordinator commit messages): the sender's edge
-// serializes n-1 copies unless the payload is negligible.
-func (f *Fabric) BroadcastTime(bytes float64) float64 {
-	if bytes <= 0 || f.Nodes <= 1 {
-		return f.NodeLink.LatencySec
-	}
-	return f.NodeLink.LatencySec + float64(f.Nodes-1)*bytes/f.NodeLink.BandwidthBps
-}

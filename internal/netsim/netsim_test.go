@@ -124,18 +124,6 @@ func TestExchangeTimeValidation(t *testing.T) {
 	}
 }
 
-func TestBroadcastTime(t *testing.T) {
-	f, _ := NewFabric(5, Link{BandwidthBps: 100, LatencySec: 0.01})
-	got := f.BroadcastTime(100)
-	want := 0.01 + 4.0
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("BroadcastTime = %v, want %v", got, want)
-	}
-	if got := f.BroadcastTime(0); got != 0.01 {
-		t.Errorf("zero-byte broadcast = %v, want latency only", got)
-	}
-}
-
 // Property: fan-in time is monotone in sender count and bytes.
 func TestQuickFanInMonotone(t *testing.T) {
 	f, _ := NewFabric(64, GigE)

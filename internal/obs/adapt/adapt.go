@@ -173,10 +173,6 @@ func New(cfg Config) *Advisor {
 	return a
 }
 
-// FailureRate exposes the live failure-rate estimate (failures per virtual
-// second).
-func (a *Advisor) FailureRate() float64 { return a.est.Rate() }
-
 // Interval returns the checkpoint interval the advisor currently believes in.
 func (a *Advisor) Interval() float64 {
 	a.mu.Lock()

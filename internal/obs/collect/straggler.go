@@ -293,29 +293,6 @@ func (o *OutlierTracker) ObserveDataSpans(spans []obs.Span) {
 	}
 }
 
-// Remove forgets a peer's rolling window — a node decommissioned, or
-// renumbered after recovery, must stop skewing the cluster median. Gauge
-// funcs already exported for the peer keep their series but read zero from
-// then on; re-observing the peer starts a fresh window (and rebinds the
-// funcs — GaugeFunc replaces).
-func (o *OutlierTracker) Remove(peer string) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if _, ok := o.byPeer[peer]; !ok {
-		return
-	}
-	delete(o.byPeer, peer)
-	for i, p := range o.order {
-		if p == peer {
-			o.order = append(o.order[:i], o.order[i+1:]...)
-			break
-		}
-	}
-}
-
 // Peers lists tracked peers, sorted.
 func (o *OutlierTracker) Peers() []string {
 	if o == nil {

@@ -197,60 +197,6 @@ func TestOutlierTrackerObserveSpansAndExport(t *testing.T) {
 	}
 }
 
-// TestOutlierTrackerRemoveMidWindow pins the decommission edge case: a peer
-// removed mid-window stops being flagged, stops skewing the cluster median,
-// and its exported gauges read zero — then re-observing it starts a fresh
-// window rather than resurrecting the old one.
-func TestOutlierTrackerRemoveMidWindow(t *testing.T) {
-	reg := obs.NewRegistry()
-	o := NewOutlierTracker()
-	o.SetRegistry(reg)
-	for i := 0; i < 10; i++ {
-		o.Observe("node1", time.Millisecond)
-		o.Observe("node2", time.Millisecond)
-		o.Observe("node3", 50*time.Millisecond)
-	}
-	if !o.IsOutlier("node3") {
-		t.Fatal("node3 not flagged before removal")
-	}
-
-	o.Remove("node3")
-	if got := o.Peers(); len(got) != 2 || got[0] != "node1" || got[1] != "node2" {
-		t.Fatalf("Peers after Remove = %v", got)
-	}
-	if o.IsOutlier("node3") {
-		t.Fatal("removed peer still flagged")
-	}
-	if got := o.P99("node3"); got != 0 {
-		t.Fatalf("P99 of removed peer = %v, want 0", got)
-	}
-	if got := o.ClusterMedian(); got != time.Millisecond {
-		t.Fatalf("ClusterMedian after Remove = %v, want 1ms", got)
-	}
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := MetricValue(b.String(), "dvdc_peer_latency_outlier", "peer=node3"); !ok || v != 0 {
-		t.Fatalf("outlier gauge after Remove = %v, %v", v, ok)
-	}
-	o.Remove("node3") // removing an unknown peer is a no-op
-	o.Remove("ghost")
-
-	// A fresh window: the old 50ms samples are gone, so the re-observed peer
-	// needs outlierMinimum new samples before it can flag again.
-	for i := 0; i < 7; i++ {
-		o.Observe("node3", 50*time.Millisecond)
-	}
-	if o.IsOutlier("node3") {
-		t.Fatal("re-observed peer flagged before outlierMinimum fresh samples")
-	}
-	o.Observe("node3", 50*time.Millisecond)
-	if !o.IsOutlier("node3") {
-		t.Fatal("re-observed peer not flagged at outlierMinimum fresh samples")
-	}
-}
-
 // TestOutlierTrackerRecoveryDeflags pins the long-horizon recovery path: a
 // peer flagged as habitually slow must lose the flag once enough fast samples
 // roll its window over — a transient fault (a backup job, a flapping link

@@ -22,7 +22,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		labels []Label
 		kind   seriesKind
 		value  float64
-		hist   histSnapshot
+		hist   HistSnapshot
 	}
 	fams := map[string][]row{}
 	r.mu.Lock()
@@ -36,7 +36,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case kindCounterFunc, kindGaugeFunc:
 			rw.value = s.fn()
 		case kindHistogram:
-			rw.hist = s.hist.snapshot()
+			rw.hist = s.hist.Snapshot()
 		}
 		fams[s.name] = append(fams[s.name], rw)
 	}
@@ -85,23 +85,23 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // writeHistogram renders one histogram series: cumulative _bucket lines with
 // le bounds, the +Inf bucket, then _sum and _count.
-func writeHistogram(w io.Writer, name string, labels []Label, h histSnapshot) error {
+func writeHistogram(w io.Writer, name string, labels []Label, h HistSnapshot) error {
 	var cum int64
-	for i, bound := range h.bounds {
-		cum += h.counts[i]
+	for i, bound := range h.Bounds {
+		cum += h.Counts[i]
 		bl := append(append([]Label(nil), labels...), Label{Key: "le", Value: formatValue(bound)})
 		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, renderLabels(bl), cum); err != nil {
 			return err
 		}
 	}
 	bl := append(append([]Label(nil), labels...), Label{Key: "le", Value: "+Inf"})
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, renderLabels(bl), h.total); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, renderLabels(bl), h.Total); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, renderLabels(labels), formatValue(h.sum)); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, renderLabels(labels), formatValue(h.Sum)); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, renderLabels(labels), h.total)
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, renderLabels(labels), h.Total)
 	return err
 }
 

@@ -30,9 +30,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the value by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -65,80 +62,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) assuming observations are
-// uniform inside each bucket. The overflow bucket cannot be interpolated and
-// reports the last finite bound. Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.total)
-	var cum int64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		if float64(cum+c) >= rank {
-			if i >= len(h.bounds) { // overflow bucket
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// histSnapshot is a consistent copy for exposition.
-type histSnapshot struct {
-	bounds []float64
-	counts []int64
-	sum    float64
-	total  int64
-}
-
-func (h *Histogram) snapshot() histSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return histSnapshot{
-		bounds: h.bounds,
-		counts: append([]int64(nil), h.counts...),
-		sum:    h.sum,
-		total:  h.total,
-	}
-}
-
 // HistSnapshot is a consistent point-in-time copy of a histogram, exported so
 // readers (the health evaluator, benchmarks) can diff cumulative bucket counts
 // between scrapes and compute windowed quantiles. Counts has one extra +Inf
@@ -152,8 +75,9 @@ type HistSnapshot struct {
 
 // Snapshot copies the histogram's current state.
 func (h *Histogram) Snapshot() HistSnapshot {
-	s := h.snapshot()
-	return HistSnapshot{Bounds: s.bounds, Counts: s.counts, Sum: s.sum, Total: s.total}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return HistSnapshot{Bounds: h.bounds, Counts: append([]int64(nil), h.counts...), Sum: h.sum, Total: h.total}
 }
 
 // Sub returns the bucket-wise difference s - base (same bounds assumed), i.e.
@@ -170,8 +94,10 @@ func (s HistSnapshot) Sub(base HistSnapshot) HistSnapshot {
 	return out
 }
 
-// Quantile estimates the q-quantile of the snapshot with the same linear
-// interpolation as Histogram.Quantile. Returns 0 with no observations.
+// Quantile estimates the q-quantile (0 <= q <= 1) of the snapshot assuming
+// observations are uniform inside each bucket. The overflow bucket cannot be
+// interpolated and reports the last finite bound. Returns 0 with no
+// observations.
 func (s HistSnapshot) Quantile(q float64) float64 {
 	if s.Total <= 0 || len(s.Bounds) == 0 {
 		return 0
@@ -620,17 +546,6 @@ func (c *CounterSet) Snapshot() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Total sums every counter.
-func (c *CounterSet) Total() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t int64
-	for _, v := range c.byName {
-		t += v
-	}
-	return t
 }
 
 // String renders "name=value" pairs in first-use order.

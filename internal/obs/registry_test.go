@@ -19,9 +19,8 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 	g := r.Gauge("dvdc_g")
 	g.Set(7)
-	g.Add(-2)
-	if g.Value() != 5 {
-		t.Errorf("gauge = %d, want 5", g.Value())
+	if g.Value() != 7 {
+		t.Errorf("gauge = %d, want 7", g.Value())
 	}
 	h1 := r.Histogram("dvdc_h", LatencyBuckets())
 	h2 := r.Histogram("dvdc_h", nil) // bounds ignored on re-lookup
@@ -53,7 +52,7 @@ func TestNilRegistryHandsBackWorkingInstruments(t *testing.T) {
 	r.GaugeFunc("w", func() float64 { return 1 })
 	h := r.Histogram("h", LatencyBuckets())
 	h.Observe(0.001)
-	if h.Count() != 1 {
+	if h.Snapshot().Total != 1 {
 		t.Error("nil-registry histogram inert")
 	}
 	r.MountCounterSet("m", "kind", NewCounterSet())
@@ -80,9 +79,10 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 		h.Observe(samples[i])
 	}
 	sort.Float64s(samples)
+	snap := h.Snapshot()
 	for _, q := range []float64{0.5, 0.9, 0.99} {
 		exact := samples[int(q*float64(n))-1]
-		got := h.Quantile(q)
+		got := snap.Quantile(q)
 		// The owning bucket's width bounds the interpolation error; for
 		// uniform [0,1) all three quantiles land in (0.25, 1], where bucket
 		// widths are at most 0.5.
@@ -90,28 +90,28 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 			t.Errorf("q%.0f = %.4f, exact %.4f (error %.4f)", q*100, got, exact, math.Abs(got-exact))
 		}
 	}
-	if h.Count() != int64(n) {
-		t.Errorf("Count = %d, want %d", h.Count(), n)
+	if snap.Total != int64(n) {
+		t.Errorf("Total = %d, want %d", snap.Total, n)
 	}
-	if s := h.Sum(); math.Abs(s-float64(n)/2) > float64(n)/100 {
+	if s := snap.Sum; math.Abs(s-float64(n)/2) > float64(n)/100 {
 		t.Errorf("Sum = %.1f, want ~%d", s, n/2)
 	}
 }
 
 func TestHistogramQuantileEdges(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4})
-	if h.Quantile(0.5) != 0 {
+	if h.Snapshot().Quantile(0.5) != 0 {
 		t.Error("empty histogram quantile should be 0")
 	}
 	h.Observe(100) // overflow bucket
-	if got := h.Quantile(0.5); got != 4 {
+	if got := h.Snapshot().Quantile(0.5); got != 4 {
 		t.Errorf("overflow quantile = %v, want last bound 4", got)
 	}
 	h2 := NewHistogram([]float64{1, 2, 4})
 	for i := 0; i < 10; i++ {
 		h2.Observe(1.5) // all in the (1,2] bucket
 	}
-	if got := h2.Quantile(0.5); got < 1 || got > 2 {
+	if got := h2.Snapshot().Quantile(0.5); got < 1 || got > 2 {
 		t.Errorf("q50 = %v, want within (1,2]", got)
 	}
 }
@@ -124,8 +124,8 @@ func TestCounterSetSemantics(t *testing.T) {
 	if got := cs.String(); got != "drop=2 corrupt=2" {
 		t.Errorf("String = %q (first-use order broken)", got)
 	}
-	if cs.Get("drop") != 2 || cs.Get("nope") != 0 || cs.Total() != 4 {
-		t.Error("Get/Total wrong")
+	if cs.Get("drop") != 2 || cs.Get("nope") != 0 {
+		t.Error("Get wrong")
 	}
 	snap := cs.Snapshot()
 	if len(snap) != 2 || snap["corrupt"] != 2 {

@@ -53,14 +53,6 @@ func (r *Ring[T]) Len() int {
 	return r.next
 }
 
-// Cap returns the ring's fixed capacity.
-func (r *Ring[T]) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.buf)
-}
-
 // Dropped returns how many elements were evicted to make room.
 func (r *Ring[T]) Dropped() int64 {
 	if r == nil {

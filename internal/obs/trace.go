@@ -110,8 +110,8 @@ func (t *Tracer) SetTap(fn func(Span)) {
 }
 
 // SetSink streams every subsequently finished span to w as one JSON object
-// per line. Pass nil to detach. The first write error is sticky (SinkErr);
-// later spans still land in the ring.
+// per line. Pass nil to detach. The first write error is sticky (Flush
+// returns it); later spans still land in the ring.
 func (t *Tracer) SetSink(w io.Writer) {
 	if t == nil {
 		return
@@ -141,16 +141,6 @@ func (t *Tracer) Flush() error {
 	if err := t.sink.Flush(); err != nil && t.sinkErr == nil {
 		t.sinkErr = err
 	}
-	return t.sinkErr
-}
-
-// SinkErr returns the first error the JSONL sink hit (nil if none).
-func (t *Tracer) SinkErr() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.sinkErr
 }
 

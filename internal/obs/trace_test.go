@@ -78,7 +78,7 @@ func TestNilTracerAndNilActiveAreSafe(t *testing.T) {
 		t.Errorf("ContextOr = %+v, want fallback", got)
 	}
 	tr.Event(SpanContext{Trace: 1}, "x", "")
-	if tr.OpenSpans() != 0 || tr.Spans() != nil || tr.SinkErr() != nil || tr.Flush() != nil {
+	if tr.OpenSpans() != 0 || tr.Spans() != nil || tr.Flush() != nil {
 		t.Error("nil tracer methods not inert")
 	}
 }

@@ -53,31 +53,12 @@ func init() {
 // gfMul multiplies two field elements.
 func gfMul(a, b byte) byte { return gfMulTab[a][b] }
 
-// gfDiv divides a by b; b must be nonzero.
-func gfDiv(a, b byte) byte {
-	if b == 0 {
-		panic("parity: GF(256) division by zero")
-	}
-	return gfMulTab[a][gfInvTab[b]]
-}
-
 // gfInv returns the multiplicative inverse; a must be nonzero.
 func gfInv(a byte) byte {
 	if a == 0 {
 		panic("parity: GF(256) division by zero")
 	}
 	return gfInvTab[a]
-}
-
-// gfPow raises a to the n-th power.
-func gfPow(a byte, n int) byte {
-	if n == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	return gfExp[(gfLog[a]*n)%255]
 }
 
 // gfMulLogExp is the loop-based log/antilog multiply this package used before

@@ -45,9 +45,6 @@ func isPrime(n int) bool {
 	return true
 }
 
-// P returns the prime parameter.
-func (c *RDP) P() int { return c.p }
-
 // DataBlocks returns the number of data blocks the coder protects (p-1).
 func (c *RDP) DataBlocks() int { return c.p - 1 }
 

@@ -31,8 +31,8 @@ func encodeShards(t *testing.T, c *RDP, data [][]byte) [][]byte {
 	for i, d := range data {
 		shards[i] = append([]byte(nil), d...)
 	}
-	shards[c.P()-1] = row
-	shards[c.P()] = diag
+	shards[c.p-1] = row
+	shards[c.p] = diag
 	return shards
 }
 

@@ -55,12 +55,6 @@ func NewRS(k, m int) (*RS, error) {
 	return &RS{k: k, m: m, matrix: mat}, nil
 }
 
-// K returns the number of data blocks. M returns the number of parity blocks.
-func (r *RS) K() int { return r.k }
-
-// M returns the number of parity blocks.
-func (r *RS) M() int { return r.m }
-
 // Coef returns the encoding coefficient applied to data block dataIdx when
 // computing parity block parityIdx. Because the code is linear, a change
 // delta in one data block updates parity p as p ^= Coef * delta — the

@@ -28,24 +28,6 @@ func TestGFFieldAxioms(t *testing.T) {
 	}
 }
 
-func TestGFPow(t *testing.T) {
-	if gfPow(0, 0) != 1 {
-		t.Error("0^0 should be 1 by convention")
-	}
-	if gfPow(0, 5) != 0 {
-		t.Error("0^5 should be 0")
-	}
-	for a := 1; a < 256; a += 13 {
-		want := byte(1)
-		for n := 0; n < 10; n++ {
-			if got := gfPow(byte(a), n); got != want {
-				t.Fatalf("gfPow(%d,%d) = %d, want %d", a, n, got, want)
-			}
-			want = gfMul(want, byte(a))
-		}
-	}
-}
-
 func TestNewRSValidation(t *testing.T) {
 	if _, err := NewRS(0, 1); err == nil {
 		t.Error("k=0 should fail")

@@ -116,35 +116,3 @@ func ReconstructOne(survivors ...[]byte) ([]byte, error) {
 	}
 	return XOR(survivors...)
 }
-
-// UpdateParity applies a small-write style parity update: given the old
-// content of one data block and its new content, the parity block is patched
-// in place without touching the other group members. This is the incremental
-// path DVDC uses when only one VM in a group produced a new checkpoint delta.
-func UpdateParity(par, oldData, newData []byte) error {
-	if len(par) != len(oldData) || len(par) != len(newData) {
-		return fmt.Errorf("%w: parity %d, old %d, new %d",
-			ErrLengthMismatch, len(par), len(oldData), len(newData))
-	}
-	if err := XORInto(par, oldData); err != nil {
-		return err
-	}
-	return XORInto(par, newData)
-}
-
-// VerifyParity reports whether par equals the XOR of the data blocks.
-func VerifyParity(par []byte, data ...[]byte) (bool, error) {
-	want, err := XOR(data...)
-	if err != nil {
-		return false, err
-	}
-	if len(par) != len(want) {
-		return false, fmt.Errorf("%w: parity %d, data %d", ErrLengthMismatch, len(par), len(want))
-	}
-	for i := range par {
-		if par[i] != want[i] {
-			return false, nil
-		}
-	}
-	return true, nil
-}

@@ -98,48 +98,6 @@ func TestReconstructOneRecoversAnyMember(t *testing.T) {
 	}
 }
 
-func TestUpdateParitySmallWrite(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const k, n = 4, 512
-	data := make([][]byte, k)
-	for i := range data {
-		data[i] = randBlock(rng, n)
-	}
-	par, err := Parity(data...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldD := append([]byte(nil), data[2]...)
-	data[2] = randBlock(rng, n)
-	if err := UpdateParity(par, oldD, data[2]); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := VerifyParity(par, data...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("parity invalid after small-write update")
-	}
-}
-
-func TestVerifyParityDetectsCorruption(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	data := [][]byte{randBlock(rng, 64), randBlock(rng, 64)}
-	par, err := Parity(data...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par[10] ^= 0x01
-	ok, err := VerifyParity(par, data...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("VerifyParity accepted corrupted parity")
-	}
-}
-
 // Property: XOR is self-inverse — a ^ b ^ b == a for random blocks.
 func TestQuickXORSelfInverse(t *testing.T) {
 	f := func(a, b []byte) bool {

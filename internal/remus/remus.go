@@ -5,17 +5,16 @@
 // committed image; on failure the standby activates in roughly constant
 // time, losing at most one epoch of work.
 //
-// The package provides both the byte-real Pair (used in tests and the E7
-// comparison) and a core.Scheme timing model for the discrete-event engine.
-// The structural contrast with DVDC (Sec. VI): Remus consumes a full image
-// replica per VM (2x memory) and dedicates standby capacity, while DVDC
-// stores one parity block per RAID group (1 + 1/groupSize memory factor) and
-// keeps every node computing, but must roll the whole group back and run a
-// parity reconstruction on failure.
+// The package provides the core.Scheme timing model E7 runs on the
+// discrete-event engine, and the memory factor E7 compares. The structural
+// contrast with DVDC (Sec. VI): Remus consumes a full image replica per VM
+// (2x memory) and dedicates standby capacity, while DVDC stores one parity
+// block per RAID group (1 + 1/groupSize memory factor) and keeps every node
+// computing, but must roll the whole group back and run a parity
+// reconstruction on failure.
 package remus
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 
@@ -23,90 +22,6 @@ import (
 	"dvdc/internal/netsim"
 	"dvdc/internal/vm"
 )
-
-// Pair is one active/standby replication pair (byte-real).
-type Pair struct {
-	active  *vm.Machine
-	standby []byte // committed image on the standby host
-	buffer  []bufferedPage
-	epoch   uint64
-	stats   PairStats
-}
-
-type bufferedPage struct {
-	index int
-	data  []byte
-}
-
-// PairStats counts replication work.
-type PairStats struct {
-	Epochs       uint64
-	PagesShipped int64
-	BytesShipped int64
-	Failovers    int
-}
-
-// NewPair starts protecting a machine: the standby begins with a full copy.
-func NewPair(active *vm.Machine) (*Pair, error) {
-	if active == nil {
-		return nil, fmt.Errorf("remus: nil active machine")
-	}
-	p := &Pair{active: active, standby: active.Image()}
-	active.BeginEpoch()
-	return p, nil
-}
-
-// Active returns the protected machine.
-func (p *Pair) Active() *vm.Machine { return p.active }
-
-// Stats returns replication counters.
-func (p *Pair) Stats() PairStats { return p.stats }
-
-// Epoch runs one Remus epoch: pause (implicit — the caller stops mutating),
-// capture the dirty pages into the replication buffer, resume, then commit
-// the buffer to the standby. Speculative execution between capture and
-// commit is the caller's concern; after Epoch returns, the standby holds the
-// state at capture time.
-func (p *Pair) Epoch() error {
-	dirty := p.active.DirtyPages()
-	p.buffer = p.buffer[:0]
-	for _, i := range dirty {
-		p.buffer = append(p.buffer, bufferedPage{index: i, data: append([]byte(nil), p.active.Page(i)...)})
-	}
-	p.active.BeginEpoch()
-	// Commit: apply the buffer to the standby image (in a real deployment
-	// this happens asynchronously; the state outcome is identical).
-	ps := p.active.PageSize()
-	for _, bp := range p.buffer {
-		copy(p.standby[bp.index*ps:(bp.index+1)*ps], bp.data)
-		p.stats.PagesShipped++
-		p.stats.BytesShipped += int64(len(bp.data))
-	}
-	p.epoch++
-	p.stats.Epochs = p.epoch
-	return nil
-}
-
-// Failover activates the standby: it returns a machine reconstructed from
-// the last committed epoch. Work done after that epoch is lost (Remus "runs
-// in the past" relative to the active's speculation).
-func (p *Pair) Failover() (*vm.Machine, error) {
-	m, err := vm.NewMachine(p.active.ID()+"/standby", p.active.NumPages(), p.active.PageSize())
-	if err != nil {
-		return nil, err
-	}
-	if err := m.LoadImage(p.standby); err != nil {
-		return nil, err
-	}
-	p.stats.Failovers++
-	return m, nil
-}
-
-// StandbyMatchesCommitted reports whether the standby equals the given
-// committed image (test invariant).
-func (p *Pair) StandbyMatchesCommitted(img []byte) bool {
-	return bytes.Equal(p.standby, img)
-}
 
 // MemoryFactor is Remus's state overhead: a full replica per VM.
 const MemoryFactor = 2.0

@@ -1,91 +1,10 @@
 package remus
 
 import (
-	"bytes"
-	"math/rand"
 	"testing"
 
 	"dvdc/internal/vm"
 )
-
-func newPair(t *testing.T) (*Pair, *vm.Machine) {
-	t.Helper()
-	m, err := vm.NewMachine("svc", 32, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPair(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p, m
-}
-
-func TestPairEpochCommitsDirtyState(t *testing.T) {
-	p, m := newPair(t)
-	rng := rand.New(rand.NewSource(1))
-	for e := 0; e < 5; e++ {
-		for w := 0; w < 20; w++ {
-			m.TouchPage(rng.Intn(m.NumPages()), rng.Uint64())
-		}
-		committed := m.Image()
-		if err := p.Epoch(); err != nil {
-			t.Fatal(err)
-		}
-		if !p.StandbyMatchesCommitted(committed) {
-			t.Fatalf("epoch %d: standby diverged", e)
-		}
-	}
-	if p.Stats().Epochs != 5 || p.Stats().BytesShipped == 0 {
-		t.Errorf("stats: %+v", p.Stats())
-	}
-}
-
-func TestFailoverLosesOnlySpeculativeWork(t *testing.T) {
-	p, m := newPair(t)
-	m.TouchPage(3, 100)
-	if err := p.Epoch(); err != nil {
-		t.Fatal(err)
-	}
-	committed := m.Image()
-	// Speculative work after the epoch: lost on failover.
-	m.TouchPage(3, 999)
-	m.TouchPage(9, 998)
-	standby, err := p.Failover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(standby.Image(), committed) {
-		t.Error("failover image is not the committed epoch")
-	}
-	if p.Stats().Failovers != 1 {
-		t.Error("failover not counted")
-	}
-}
-
-func TestEpochShipsOnlyDirtyPages(t *testing.T) {
-	p, m := newPair(t)
-	if err := p.Epoch(); err != nil { // nothing dirty
-		t.Fatal(err)
-	}
-	if p.Stats().PagesShipped != 0 {
-		t.Errorf("idle epoch shipped %d pages", p.Stats().PagesShipped)
-	}
-	m.TouchPage(1, 1)
-	m.TouchPage(2, 2)
-	if err := p.Epoch(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Stats().PagesShipped != 2 {
-		t.Errorf("shipped %d pages, want 2", p.Stats().PagesShipped)
-	}
-}
-
-func TestNewPairValidation(t *testing.T) {
-	if _, err := NewPair(nil); err == nil {
-		t.Error("nil machine should fail")
-	}
-}
 
 func TestSchemeOverheadBackpressure(t *testing.T) {
 	spec := vm.Spec{

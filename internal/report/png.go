@@ -26,20 +26,11 @@ var seriesPalette = []color.RGBA{
 	{0x8c, 0x56, 0x4b, 0xff}, // brown
 }
 
-// WritePNG renders the series as a chart image. Geometry and scales come
-// from the Chart configuration (Width/Height are interpreted in pixels here,
-// defaulting to 800x500). Minima are marked with small squares when
-// markMinima is set via WritePNGWithMinima.
-func (c Chart) WritePNG(w io.Writer, series ...*metrics.Series) error {
-	return c.writePNG(w, false, series...)
-}
-
-// WritePNGWithMinima renders the series and marks each series' minimum.
+// WritePNGWithMinima renders the series as a chart image and marks each
+// series' minimum with a small square. Geometry and scales come from the
+// Chart configuration (Width/Height are interpreted in pixels here,
+// defaulting to 800x500).
 func (c Chart) WritePNGWithMinima(w io.Writer, series ...*metrics.Series) error {
-	return c.writePNG(w, true, series...)
-}
-
-func (c Chart) writePNG(w io.Writer, markMinima bool, series ...*metrics.Series) error {
 	width, height := c.Width, c.Height
 	if width < 200 {
 		width = 800
@@ -114,7 +105,7 @@ func (c Chart) writePNG(w io.Writer, markMinima bool, series ...*metrics.Series)
 			drawDot(img, x, y, 2, col)
 			prevX, prevY = x, y
 		}
-		if markMinima && s.Len() > 0 {
+		if s.Len() > 0 {
 			mx, my := s.MinY()
 			drawSquare(img, px(mx), py(my), 5, color.RGBA{0, 0, 0, 0xff})
 		}

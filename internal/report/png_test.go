@@ -20,7 +20,7 @@ func parabola() *metrics.Series {
 func TestWritePNGProducesDecodableImage(t *testing.T) {
 	var buf bytes.Buffer
 	c := Chart{Title: "t", XLabel: "x", YLabel: "y"}
-	if err := c.WritePNG(&buf, parabola()); err != nil {
+	if err := c.WritePNGWithMinima(&buf, parabola()); err != nil {
 		t.Fatal(err)
 	}
 	img, err := png.Decode(&buf)
@@ -68,7 +68,7 @@ func TestWritePNGCustomGeometryAndLog(t *testing.T) {
 func TestWritePNGNoData(t *testing.T) {
 	var buf bytes.Buffer
 	c := Chart{}
-	if err := c.WritePNG(&buf, &metrics.Series{Label: "empty"}); err == nil {
+	if err := c.WritePNGWithMinima(&buf, &metrics.Series{Label: "empty"}); err == nil {
 		t.Error("empty series should error")
 	}
 }
@@ -80,7 +80,7 @@ func TestWritePNGMultipleSeries(t *testing.T) {
 	for i := 1; i <= 60; i++ {
 		b.Append(float64(i), float64(200+i))
 	}
-	if err := (Chart{}).WritePNG(&buf, a, b); err != nil {
+	if err := (Chart{}).WritePNGWithMinima(&buf, a, b); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {

@@ -401,14 +401,10 @@ func (e *soakEnv) applySlowPlan(r int) {
 	if cfg.SlowDelay <= 0 {
 		return
 	}
-	until := cfg.SlowUntil
-	if until <= 0 {
-		until = cfg.Rounds
-	}
 	if r == cfg.SlowFrom {
 		e.inj.SlowNode(cfg.SlowNode, cfg.SlowDelay)
 	}
-	if r == until {
+	if r == cfg.SlowUntil && r > 0 { // SlowUntil 0 never heals
 		e.inj.HealNode(cfg.SlowNode)
 	}
 }
@@ -646,6 +642,9 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	if cfg.ControllerRestarts > max(cfg.Rounds-2, 0) {
 		return nil, fmt.Errorf("soak: ControllerRestarts %d needs at least %d rounds, have %d (none on the first or last round)",
 			cfg.ControllerRestarts, cfg.ControllerRestarts+2, cfg.Rounds)
+	}
+	if cfg.SlowDelay > 0 && (cfg.SlowNode < 0 || cfg.SlowNode >= cfg.Layout.Nodes) || cfg.SlowUntil > 0 && cfg.SlowUntil <= cfg.SlowFrom {
+		return nil, fmt.Errorf("soak: slow plan needs 0 <= SlowNode < %d and SlowUntil 0 or past SlowFrom, got SlowNode %d, SlowFrom %d, SlowUntil %d", cfg.Layout.Nodes, cfg.SlowNode, cfg.SlowFrom, cfg.SlowUntil)
 	}
 	e, err := newSoakEnv(cfg)
 	if err != nil {

@@ -3,6 +3,7 @@ package runtime
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"dvdc/internal/chaos"
 	"dvdc/internal/obs"
@@ -141,6 +142,35 @@ func TestSoakRejectsUndeliverableControllerRestarts(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "ControllerRestarts") {
 			t.Errorf("Rounds %d, ControllerRestarts %d: err = %v, want a ControllerRestarts refusal",
 				tc.rounds, tc.restarts, err)
+		}
+	}
+}
+
+// TestSoakRejectsInvalidSlowPlan pins the slow-node plan's bounds: a slowed
+// node outside the layout slows nothing, and a window that ends before it
+// starts would slow the node from SlowFrom through the last round. RunSoak
+// refuses both before booting anything.
+func TestSoakRejectsInvalidSlowPlan(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		node, from, until int
+	}{
+		{"node past the layout", 9, 0, 0},
+		{"negative node", -1, 0, 0},
+		{"window ends before it starts", 1, 2, 1},
+		{"empty window", 1, 2, 2},
+	} {
+		_, err := RunSoak(SoakConfig{
+			Layout:    paperLayout(t),
+			Rounds:    4,
+			Seed:      1,
+			SlowDelay: time.Millisecond,
+			SlowNode:  tc.node,
+			SlowFrom:  tc.from,
+			SlowUntil: tc.until,
+		})
+		if err == nil || !strings.Contains(err.Error(), "slow plan") {
+			t.Errorf("%s: err = %v, want a slow plan refusal", tc.name, err)
 		}
 	}
 }

@@ -42,7 +42,7 @@ type Service struct {
 }
 
 // Open assembles a service over an executor, replaying opts.StateDir into the
-// store when set (an empty StateDir yields the in-memory service New builds).
+// store when set (an empty StateDir yields an in-memory service).
 // Call Start to begin reconciling — which is also what resumes any request
 // the previous controller left Pending, Scheduled, or InProgress.
 func Open(exec Executor, opts Options) (*Service, error) {
@@ -67,18 +67,6 @@ func Open(exec Executor, opts Options) (*Service, error) {
 		Registry:   opts.Registry,
 	})
 	return &Service{Store: st, Admission: adm, Reconciler: rec, Replay: replay, reg: opts.Registry}, nil
-}
-
-// New assembles a memory-backed service over an executor (use Open for a
-// durable one). Call Start to begin reconciling.
-func New(exec Executor, opts Options) *Service {
-	opts.StateDir = ""
-	svc, err := Open(exec, opts)
-	if err != nil {
-		// Unreachable: only the durable path can fail.
-		panic(err)
-	}
-	return svc
 }
 
 // Start launches the reconciler loop.

@@ -196,13 +196,23 @@ func TestAdmissionQuota(t *testing.T) {
 	}
 }
 
+// openService builds an in-memory Service over exec without starting it.
+func openService(t *testing.T, exec Executor, opts Options) *Service {
+	t.Helper()
+	svc, err := Open(exec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
+
 // startService builds a Service over exec with fast backoff and starts it.
 func startService(t *testing.T, exec Executor, opts Options) *Service {
 	t.Helper()
 	if opts.Backoff == 0 {
 		opts.Backoff = 2 * time.Millisecond
 	}
-	svc := New(exec, opts)
+	svc := openService(t, exec, opts)
 	svc.Start()
 	t.Cleanup(svc.Stop)
 	return svc
@@ -334,7 +344,7 @@ func TestReconcilerFailsWhenRecoveryFails(t *testing.T) {
 func TestReconcilerPriorityOrder(t *testing.T) {
 	// Submit before starting the loop so both are queued when it first picks.
 	exec := &fakeExec{}
-	svc := New(exec, Options{Backoff: 2 * time.Millisecond})
+	svc := openService(t, exec, Options{Backoff: 2 * time.Millisecond})
 	low, _ := svc.Submit(KindCheckpoint, Spec{Tenant: "a", Priority: 0, Steps: 1})
 	high, _ := svc.Submit(KindCheckpoint, Spec{Tenant: "a", Priority: 5, Steps: 2})
 	svc.Start()
@@ -360,7 +370,7 @@ func TestReconcilerPriorityOrder(t *testing.T) {
 
 func TestStopQuiescesExecutor(t *testing.T) {
 	exec := &fakeExec{}
-	svc := New(exec, Options{})
+	svc := openService(t, exec, Options{})
 	svc.Start()
 	svc.Stop()
 	if exec.snapshot().quiesced != 1 {
@@ -509,7 +519,7 @@ func TestReconcileSpansEmitted(t *testing.T) {
 // submit right on top of the reconciler's first (empty) pass.
 func TestReconcilerSeesAWriteRacingItsIdlePass(t *testing.T) {
 	for i := 0; i < 300; i++ {
-		svc := New(&fakeExec{}, Options{Registry: obs.NewRegistry()})
+		svc := openService(t, &fakeExec{}, Options{Registry: obs.NewRegistry()})
 		svc.Start()
 		// Sweep the submit across the reconciler's start-up: a busy wait of
 		// 0 .. ~50 µs, finer than any sleep.

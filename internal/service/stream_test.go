@@ -81,7 +81,7 @@ func TestStreamWatchDeliversUpdates(t *testing.T) {
 // watchers must proceed at full speed.
 func TestStreamSlowConsumerDoesNotWedge(t *testing.T) {
 	exec := &fakeExec{}
-	svc := New(exec, Options{}) // reconciler not started: the test drives status writes
+	svc := openService(t, exec, Options{}) // reconciler not started: the test drives status writes
 	mux := http.NewServeMux()
 	svc.Mount(mux)
 	srv := httptest.NewServer(mux)

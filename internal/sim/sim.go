@@ -3,49 +3,32 @@
 // Every higher-level model in this repository (the DVDC engine, the
 // disk-full baseline, Remus, the Monte-Carlo corroboration of the paper's
 // analytical model) runs on this engine: a virtual clock in float64 seconds,
-// a binary-heap event queue with FIFO tie-breaking, cancellable timers, and
-// an explicitly seeded random source. Given the same seed and the same
-// schedule of calls, a simulation replays bit-identically, which the test
-// suite relies on.
+// a binary-heap event queue with FIFO tie-breaking, and cancellable timers.
+// Given the same schedule of calls, a simulation replays bit-identically,
+// which the test suite relies on.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
-// concurrent use; all callbacks run on the caller's goroutine inside Step,
-// Run, or RunUntil.
+// concurrent use; all callbacks run on the caller's goroutine inside Step
+// or Run.
 type Engine struct {
 	now    float64
 	queue  timerHeap
 	seq    uint64
-	rng    *rand.Rand
-	fired  uint64
 	halted bool
 }
 
-// New creates an engine at time zero with a deterministic random source.
-func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
-}
+// New creates an engine at time zero.
+func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
-
-// RNG returns the engine's seeded random source. Models share it so a single
-// seed reproduces an entire run.
-func (e *Engine) RNG() *rand.Rand { return e.rng }
-
-// Fired returns how many events have executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending returns how many scheduled events are still outstanding,
-// including cancelled timers that have not yet been popped.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // Timer is a handle to a scheduled event; Cancel prevents a pending timer
 // from firing.
@@ -54,18 +37,11 @@ type Timer struct {
 	seq       uint64
 	fn        func()
 	cancelled bool
-	index     int // heap index, -1 once popped
 }
 
 // Cancel marks the timer so it will not fire. Cancelling an already-fired or
 // already-cancelled timer is a no-op.
 func (t *Timer) Cancel() { t.cancelled = true }
-
-// Cancelled reports whether Cancel has been called.
-func (t *Timer) Cancelled() bool { return t.cancelled }
-
-// When returns the virtual time the timer is scheduled for.
-func (t *Timer) When() float64 { return t.at }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // panics: it always indicates a model bug, and silently reordering time
@@ -106,7 +82,6 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		e.now = t.at
-		e.fired++
 		t.fn()
 		return true
 	}
@@ -119,33 +94,9 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil executes events with time <= deadline, then advances the clock to
-// the deadline. Events scheduled beyond the deadline remain pending.
-func (e *Engine) RunUntil(deadline float64) {
-	if deadline < e.now {
-		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", deadline, e.now))
-	}
-	for !e.halted {
-		// Peek for the next non-cancelled timer.
-		for len(e.queue) > 0 && e.queue[0].cancelled {
-			heap.Pop(&e.queue)
-		}
-		if len(e.queue) == 0 || e.queue[0].at > deadline {
-			break
-		}
-		e.Step()
-	}
-	if !e.halted && deadline > e.now {
-		e.now = deadline
-	}
-}
-
-// Halt stops Run/RunUntil after the current event returns. Subsequent Step
-// calls return false until Resume.
+// Halt stops Run after the current event returns. Subsequent Step calls
+// return false.
 func (e *Engine) Halt() { e.halted = true }
-
-// Resume clears a Halt.
-func (e *Engine) Resume() { e.halted = false }
 
 // Halted reports whether the engine is halted.
 func (e *Engine) Halted() bool { return e.halted }
@@ -161,22 +112,13 @@ func (h timerHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *timerHeap) Push(x interface{}) {
-	t := x.(*Timer)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
+func (h timerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *timerHeap) Push(x interface{}) { *h = append(*h, x.(*Timer)) }
 func (h *timerHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	t := old[n-1]
 	old[n-1] = nil
-	t.index = -1
 	*h = old[:n-1]
 	return t
 }

@@ -1,22 +1,23 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func TestEngineStartsAtZero(t *testing.T) {
-	e := New(1)
+	e := New()
 	if e.Now() != 0 {
 		t.Errorf("Now = %v, want 0", e.Now())
 	}
-	if e.Pending() != 0 || e.Fired() != 0 {
-		t.Error("fresh engine should have no pending or fired events")
+	if e.Step() {
+		t.Error("fresh engine should have no pending events")
 	}
 }
 
 func TestEventsRunInTimeOrder(t *testing.T) {
-	e := New(1)
+	e := New()
 	var order []int
 	e.At(3, func() { order = append(order, 3) })
 	e.At(1, func() { order = append(order, 1) })
@@ -34,7 +35,7 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 }
 
 func TestSameTimeEventsRunFIFO(t *testing.T) {
-	e := New(1)
+	e := New()
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -49,7 +50,7 @@ func TestSameTimeEventsRunFIFO(t *testing.T) {
 }
 
 func TestAfterSchedulesRelative(t *testing.T) {
-	e := New(1)
+	e := New()
 	var at float64 = -1
 	e.At(10, func() {
 		e.After(5, func() { at = e.Now() })
@@ -61,7 +62,7 @@ func TestAfterSchedulesRelative(t *testing.T) {
 }
 
 func TestCancelPreventsFiring(t *testing.T) {
-	e := New(1)
+	e := New()
 	fired := false
 	tm := e.At(1, func() { fired = true })
 	tm.Cancel()
@@ -69,13 +70,10 @@ func TestCancelPreventsFiring(t *testing.T) {
 	if fired {
 		t.Error("cancelled timer fired")
 	}
-	if !tm.Cancelled() {
-		t.Error("Cancelled() should be true")
-	}
 }
 
 func TestCancelFromInsideEarlierEvent(t *testing.T) {
-	e := New(1)
+	e := New()
 	fired := false
 	later := e.At(2, func() { fired = true })
 	e.At(1, func() { later.Cancel() })
@@ -86,7 +84,7 @@ func TestCancelFromInsideEarlierEvent(t *testing.T) {
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
-	e := New(1)
+	e := New()
 	e.At(10, func() {})
 	e.Run()
 	defer func() {
@@ -98,7 +96,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 }
 
 func TestNegativeAfterPanics(t *testing.T) {
-	e := New(1)
+	e := New()
 	defer func() {
 		if recover() == nil {
 			t.Error("negative After should panic")
@@ -108,7 +106,7 @@ func TestNegativeAfterPanics(t *testing.T) {
 }
 
 func TestNilCallbackPanics(t *testing.T) {
-	e := New(1)
+	e := New()
 	defer func() {
 		if recover() == nil {
 			t.Error("nil callback should panic")
@@ -117,36 +115,8 @@ func TestNilCallbackPanics(t *testing.T) {
 	e.At(1, nil)
 }
 
-func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
-	e := New(1)
-	var fired []float64
-	e.At(1, func() { fired = append(fired, e.Now()) })
-	e.At(5, func() { fired = append(fired, e.Now()) })
-	e.RunUntil(3)
-	if len(fired) != 1 || fired[0] != 1 {
-		t.Errorf("fired = %v, want [1]", fired)
-	}
-	if e.Now() != 3 {
-		t.Errorf("Now = %v, want 3", e.Now())
-	}
-	e.RunUntil(10)
-	if len(fired) != 2 || fired[1] != 5 {
-		t.Errorf("fired = %v, want [1 5]", fired)
-	}
-}
-
-func TestRunUntilIncludesDeadlineEvents(t *testing.T) {
-	e := New(1)
-	fired := false
-	e.At(3, func() { fired = true })
-	e.RunUntil(3)
-	if !fired {
-		t.Error("event exactly at deadline should fire")
-	}
-}
-
 func TestHaltStopsRun(t *testing.T) {
-	e := New(1)
+	e := New()
 	count := 0
 	for i := 1; i <= 10; i++ {
 		e.At(float64(i), func() {
@@ -160,17 +130,15 @@ func TestHaltStopsRun(t *testing.T) {
 	if count != 3 {
 		t.Errorf("ran %d events after Halt, want 3", count)
 	}
-	e.Resume()
-	e.Run()
-	if count != 10 {
-		t.Errorf("after Resume ran %d total, want 10", count)
+	if e.Step() || count != 3 {
+		t.Errorf("a halted engine stepped: ran %d events", count)
 	}
 }
 
 func TestCascadingEvents(t *testing.T) {
 	// An event chain where each event schedules the next; models the
 	// checkpoint-interval loops built on the engine.
-	e := New(1)
+	e := New()
 	n := 0
 	var tick func()
 	tick = func() {
@@ -191,13 +159,14 @@ func TestCascadingEvents(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []float64 {
-		e := New(12345)
+		e := New()
+		rng := rand.New(rand.NewSource(12345))
 		var times []float64
 		var tick func()
 		tick = func() {
 			times = append(times, e.Now())
 			if len(times) < 200 {
-				e.After(e.RNG().ExpFloat64(), tick)
+				e.After(rng.ExpFloat64(), tick)
 			}
 		}
 		e.After(0, tick)
@@ -212,21 +181,10 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestFiredCountsOnlyExecuted(t *testing.T) {
-	e := New(1)
-	tm := e.At(1, func() {})
-	tm.Cancel()
-	e.At(2, func() {})
-	e.Run()
-	if e.Fired() != 1 {
-		t.Errorf("Fired = %d, want 1", e.Fired())
-	}
-}
-
 // Property: for any set of event times, execution order is sorted.
 func TestQuickExecutionOrderSorted(t *testing.T) {
 	f := func(raw []uint16) bool {
-		e := New(1)
+		e := New()
 		var fired []float64
 		for _, r := range raw {
 			at := float64(r)

@@ -110,9 +110,6 @@ func (c *Conn) Call(req *wire.Message) (*wire.Message, error) {
 // Close shuts the connection down.
 func (c *Conn) Close() error { return c.c.Close() }
 
-// RemoteAddr returns the peer address.
-func (c *Conn) RemoteAddr() string { return c.c.RemoteAddr().String() }
-
 // Handler serves one request and returns the reply. Returning an error sends
 // a MsgError reply and keeps the connection open. The request payload is the
 // pooled buffer wire.ReadFrame read it into; the server recycles it and the

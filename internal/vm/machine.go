@@ -179,9 +179,6 @@ func (m *Machine) markDirty(i int) {
 // DirtyCount returns how many distinct pages are dirty this epoch.
 func (m *Machine) DirtyCount() int { return m.dirtyCount }
 
-// DirtyBytes returns the dirty set size in bytes.
-func (m *Machine) DirtyBytes() int64 { return int64(m.dirtyCount) * int64(m.pageSize) }
-
 // IsDirty reports whether page i is dirty this epoch.
 func (m *Machine) IsDirty(i int) bool {
 	m.checkPage(i)
@@ -274,15 +271,6 @@ func (m *Machine) PageHash(i int) uint64 {
 	h := fnv.New64a()
 	h.Write(m.pages[i])
 	return h.Sum64()
-}
-
-// HashAll returns the hash of every page.
-func (m *Machine) HashAll() []uint64 {
-	out := make([]uint64, len(m.pages))
-	for i := range m.pages {
-		out[i] = m.PageHash(i)
-	}
-	return out
 }
 
 // Equal reports whether two machines have identical geometry and contents.

@@ -183,40 +183,6 @@ func (w *Rewrite) Step(m *Machine) {
 // Name implements Workload.
 func (w *Rewrite) Name() string { return fmt.Sprintf("rewrite(change=%.2f)", w.changeFrac) }
 
-// Replay drives a machine from a recorded page-access sequence, wrapping
-// around when exhausted: the bridge from real guest traces (e.g. captured
-// with a hypervisor's dirty-logging) to the simulator. Page indices are
-// taken modulo the machine size so traces from differently-sized guests
-// still exercise the access pattern.
-type Replay struct {
-	seq   []int
-	pos   int
-	stamp uint64
-}
-
-// NewReplay builds a replay workload from a page-access sequence.
-func NewReplay(seq []int) (*Replay, error) {
-	if len(seq) == 0 {
-		return nil, fmt.Errorf("vm: replay needs a non-empty sequence")
-	}
-	for i, p := range seq {
-		if p < 0 {
-			return nil, fmt.Errorf("vm: replay entry %d is negative (%d)", i, p)
-		}
-	}
-	return &Replay{seq: append([]int(nil), seq...)}, nil
-}
-
-// Step implements Workload.
-func (w *Replay) Step(m *Machine) {
-	w.stamp++
-	m.TouchPage(w.seq[w.pos]%m.NumPages(), w.stamp)
-	w.pos = (w.pos + 1) % len(w.seq)
-}
-
-// Name implements Workload.
-func (w *Replay) Name() string { return fmt.Sprintf("replay(%d accesses)", len(w.seq)) }
-
 // Run advances the workload n steps against m.
 func Run(w Workload, m *Machine, n int) {
 	for i := 0; i < n; i++ {

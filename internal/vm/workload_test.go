@@ -96,37 +96,3 @@ func TestWorkloadNames(t *testing.T) {
 		}
 	}
 }
-
-func TestReplayFollowsSequenceAndWraps(t *testing.T) {
-	m, _ := NewMachine("x", 10, 64)
-	w, err := NewReplay([]int{3, 7, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	Run(w, m, 4) // 3,7,3, then wrap to 3
-	got := m.DirtyPages()
-	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
-		t.Errorf("DirtyPages = %v, want [3 7]", got)
-	}
-	if w.Name() == "" {
-		t.Error("empty name")
-	}
-}
-
-func TestReplayModuloMachineSize(t *testing.T) {
-	m, _ := NewMachine("x", 4, 64)
-	w, _ := NewReplay([]int{9}) // 9 mod 4 = 1
-	Run(w, m, 1)
-	if !m.IsDirty(1) {
-		t.Error("replay should wrap page indices into the machine")
-	}
-}
-
-func TestReplayValidation(t *testing.T) {
-	if _, err := NewReplay(nil); err == nil {
-		t.Error("empty sequence should fail")
-	}
-	if _, err := NewReplay([]int{1, -2}); err == nil {
-		t.Error("negative entry should fail")
-	}
-}

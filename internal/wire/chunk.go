@@ -313,7 +313,3 @@ func (a *Assembler) Bytes() ([]byte, error) {
 	}
 	return a.buf, nil
 }
-
-// Buffer exposes the backing buffer regardless of completeness, so an owner
-// abandoning a partial stream can return it to its pool.
-func (a *Assembler) Buffer() []byte { return a.buf }

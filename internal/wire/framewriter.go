@@ -87,20 +87,6 @@ func (fw *FrameWriter) Bytes() []byte {
 	return out
 }
 
-// Reset forgets the segment list, keeping the first arena for reuse (any
-// overflow arenas are dropped to the GC).
-func (fw *FrameWriter) Reset() {
-	fw.segs = fw.segs[:0]
-	fw.n = 0
-	fw.frames = 0
-	if len(fw.arenas) > 0 {
-		fw.cur = fw.arenas[0][:0]
-		fw.arenas = fw.arenas[:1]
-	} else {
-		fw.cur = nil
-	}
-}
-
 // Release returns every header arena through free (e.g. bufpool.Put) and
 // clears the writer. Segments obtained earlier are invalid afterwards.
 func (fw *FrameWriter) Release(free func([]byte)) {

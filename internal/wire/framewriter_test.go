@@ -205,27 +205,24 @@ func TestScatterGatherCorpusRoundTrips(t *testing.T) {
 
 // TestFrameWriterResetReuse exercises arena reuse across Reset and the
 // multi-arena growth path (enough frames to spill the first arena).
-func TestFrameWriterResetReuse(t *testing.T) {
+func TestFrameWriterGrowsArenas(t *testing.T) {
 	var fw FrameWriter
 	block := bytes.Repeat([]byte{0x42}, 4096)
-	for round := 0; round < 3; round++ {
-		var contiguous []byte
-		n := 2*frameWriterArenaHeaders + 3 // force a second and third arena
-		for i := 0; i < n; i++ {
-			c, err := ChunkOf(block, i, 16) // 256 chunks exist; reuse low indices
+	var contiguous []byte
+	n := 2*frameWriterArenaHeaders + 3 // force a second and third arena
+	for i := 0; i < n; i++ {
+		c, err := ChunkOf(block, i, 16) // 256 chunks exist; reuse low indices
+		if err != nil {
+			c, err = ChunkOf(block, i%16, 256)
 			if err != nil {
-				c, err = ChunkOf(block, i%16, 256)
-				if err != nil {
-					t.Fatal(err)
-				}
+				t.Fatal(err)
 			}
-			fw.AppendChunkScatter(&c, [][]byte{c.Data})
-			contiguous = AppendChunk(contiguous, &c)
 		}
-		if got := fw.Bytes(); !bytes.Equal(got, contiguous) {
-			t.Fatalf("round %d: scatter-gather encoding diverges after Reset", round)
-		}
-		fw.Reset()
+		fw.AppendChunkScatter(&c, [][]byte{c.Data})
+		contiguous = AppendChunk(contiguous, &c)
+	}
+	if got := fw.Bytes(); !bytes.Equal(got, contiguous) {
+		t.Fatal("scatter-gather encoding across three arenas diverges from the contiguous one")
 	}
 	fw.Release(nil)
 }
