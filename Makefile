@@ -43,7 +43,7 @@ loc:
 # change that shrinks them lowers the ceilings to its new counts.
 RUNTIME_LOC_CEILING = 4086
 RUNTIME_CORE_CLUSTER_LOC_CEILING = 6236
-TELEMETRY_LOC_CEILING = 4380
+TELEMETRY_LOC_CEILING = 4257
 loc-check:
 	@loc=$$($(MAKE) -s --no-print-directory loc) && \
 	n=$$(echo "$$loc" | awk '$$2 == "./internal/runtime" {print $$1}') && \

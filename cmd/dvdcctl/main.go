@@ -219,7 +219,7 @@ func (s *sessionFlags) open(opts service.Options) *session {
 	}
 
 	mounts := []obs.Mount{se.svc.Mount}
-	ev, healthMount := s.common.StartHealth(se.registry, rec)
+	ev, healthMount := s.common.StartHealth(se.registry, se.tracer)
 	se.health = ev
 	if healthMount != nil {
 		mounts = append(mounts, healthMount)

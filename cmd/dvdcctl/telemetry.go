@@ -176,16 +176,16 @@ func fetchHealth(client *http.Client, src string) health.SourceReport {
 }
 
 // postmortemMain renders a flight-recorder bundle: the pre-failure window of
-// flight entries (untraced RPC outcomes, chaos events, alerts, notes) and
-// spans a process dumped when it hit a PartialCommitError, a soak invariant
-// violation, or SIGQUIT. The spans render with dvdcctl trace -in.
+// spans (every RPC, chaos fault and alert transition is one) a process
+// dumped when it hit a PartialCommitError, a soak invariant violation, or
+// SIGQUIT. The spans render as trees with dvdcctl trace -in.
 func postmortemMain(args []string) {
 	fs := flag.NewFlagSet("dvdcctl postmortem", flag.ExitOnError)
 	var (
 		bundle = fs.String("bundle", "", "one bundle directory (postmortem-...)")
 		dir    = fs.String("dir", "", "directory of bundles; renders the newest")
 		list   = fs.Bool("list", false, "with -dir: list bundles instead of rendering")
-		tail   = fs.Int("tail", 40, "how many trailing flight entries to show")
+		tail   = fs.Int("tail", 40, "how many trailing spans to show")
 	)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 	path := *bundle

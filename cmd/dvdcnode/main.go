@@ -11,9 +11,10 @@
 // probe (/healthz), recent spans (/spans), and net/http/pprof; the bound
 // address is printed to stderr ("obs listening on ...") so scripts can use
 // -obs-addr 127.0.0.1:0 and discover the kernel-assigned port. With
-// -postmortem-dir the daemon keeps a flight recorder and dumps a postmortem
-// bundle there on SIGQUIT (and keeps running — SIGQUIT is "explain
-// yourself", not "die").
+// -postmortem-dir the daemon keeps a tracer and a registry and dumps them as
+// a postmortem bundle there on SIGQUIT (and keeps running — SIGQUIT is
+// "explain yourself", not "die"). Its spans are those of traced requests: a
+// coordinator without a tracer sends none, and metrics.prom is the record.
 package main
 
 import (
@@ -38,12 +39,11 @@ func main() {
 	flag.Parse()
 
 	var opts runtime.NodeOptions
-	if common.ObsAddr != "" {
+	if common.WantTracer() {
 		opts.Tracer = obs.NewTracer(0)
 		opts.Registry = obs.NewRegistry()
 	}
 	rec := common.Recorder(opts.Registry, opts.Tracer)
-	opts.Recorder = rec
 	node, err := runtime.NewNodeWith(*listen, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dvdcnode: %v\n", err)
@@ -51,7 +51,7 @@ func main() {
 	}
 	node.SetRPCTimeout(common.RPCTimeout)
 	fmt.Printf("dvdcnode listening on %s\n", node.Addr())
-	ev, healthMount := common.StartHealth(opts.Registry, rec)
+	ev, healthMount := common.StartHealth(opts.Registry, opts.Tracer)
 	defer ev.Stop()
 	var mounts []obs.Mount
 	if healthMount != nil {

@@ -165,8 +165,6 @@ func main() {
 	if f.common.WantTracer() {
 		cfg.Tracer = obs.NewTracer(1 << 15)
 	}
-	// Without -obs-addr or -trace-jsonl the soak builds its own tracer and
-	// gives it to the recorder.
 	cfg.PostmortemDir = f.common.PostmortemDir
 	cfg.Recorder = f.common.Recorder(cfg.Registry, cfg.Tracer)
 	if cfg.Recorder != nil {
@@ -186,7 +184,7 @@ func main() {
 	// The soak additionally ticks the evaluator once per round so the alert
 	// timeline is aligned to round boundaries even on a fast run; the wall
 	// clock loop keeps /api/v1/health fresh between rounds.
-	ev, healthMount := f.common.StartHealth(cfg.Registry, cfg.Recorder)
+	ev, healthMount := f.common.StartHealth(cfg.Registry, cfg.Tracer)
 	defer ev.Stop()
 	cfg.Health = ev
 	var mounts []obs.Mount

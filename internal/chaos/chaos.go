@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -184,7 +185,6 @@ type Injector struct {
 	log         []Fault
 	counters    *obs.CounterSet
 	tracer      *obs.Tracer
-	recorder    *obs.FlightRecorder
 }
 
 // New builds an injector. cfg may be the zero value (armed faults only).
@@ -205,7 +205,9 @@ func (i *Injector) Counters() *obs.CounterSet { return i.counters }
 
 // SetTracer attaches a span tracer: every fired traffic fault becomes an
 // instant trace event parented under the span of the RPC attempt it hit,
-// making fault -> retry -> recovery causality visible in a round's trace.
+// making fault -> retry -> recovery causality visible in a round's trace,
+// and every harness-level fault (a partition, a slowed, killed or restarted
+// node) an instant root span in lane "chaos".
 func (i *Injector) SetTracer(tr *obs.Tracer) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -217,15 +219,6 @@ func (i *Injector) Tracer() *obs.Tracer {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return i.tracer
-}
-
-// SetRecorder attaches a flight recorder: every fired fault lands in its
-// bounded log, so a postmortem bundle shows the chaos the process absorbed
-// right before it failed.
-func (i *Injector) SetRecorder(rec *obs.FlightRecorder) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.recorder = rec
 }
 
 // Register maps a node's listen address so dialers can resolve Dst ids.
@@ -399,19 +392,24 @@ func (i *Injector) Fired(round int, kinds ...Kind) int {
 	return n
 }
 
-// record appends to the log and bumps counters. Callers hold i.mu.
+// record appends to the log and bumps counters. A harness-level fault
+// (Partition and the node kinds) hits no frame, so no RPC's trace carries it:
+// it becomes an instant root span of its own. Callers hold i.mu.
 func (i *Injector) record(f Fault) {
 	if !f.Kind.onNode() && f.Node == 0 {
 		f.Node = -1
 	}
 	i.log = append(i.log, f)
 	i.counters.Add(f.Kind.String(), 1)
-	if i.recorder != nil {
-		pair := f.Pair.String()
+	if i.tracer != nil && f.Kind >= Partition {
+		kv := []string{"pair", f.Pair.String(), "round", strconv.Itoa(f.Round)}
 		if f.Kind.onNode() {
-			pair = fmt.Sprintf("node%d", f.Node)
+			kv[0], kv[1] = "node", fmt.Sprintf("node%d", f.Node)
 		}
-		i.recorder.Chaos(f.Kind.String(), pair, f.Note)
+		if f.Note != "" {
+			kv = append(kv, "note", f.Note)
+		}
+		i.tracer.Mark("chaos."+f.Kind.String(), "chaos", kv...)
 	}
 }
 

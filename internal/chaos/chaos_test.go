@@ -9,9 +9,11 @@ import (
 	"io"
 	"net"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
+	"dvdc/internal/obs"
 	"dvdc/internal/wire"
 )
 
@@ -403,6 +405,8 @@ func TestFaultStringNamesNode(t *testing.T) {
 
 func TestRecordKillRestartInLog(t *testing.T) {
 	inj := New(1, Config{})
+	tr := obs.NewTracer(16)
+	inj.SetTracer(tr)
 	inj.NextRound()
 	inj.RecordKill(3)
 	inj.NextRound()
@@ -419,5 +423,17 @@ func TestRecordKillRestartInLog(t *testing.T) {
 	}
 	if got := inj.Counters().String(); got != "kill=1 restart=1" {
 		t.Fatalf("counters: %q", got)
+	}
+	// Each harness-level fault is an instant root span in lane chaos.
+	spans := tr.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("tracer holds %d spans, want one per harness fault", len(spans))
+	}
+	for i, want := range []string{"chaos.kill", "chaos.restart"} {
+		s := spans[i]
+		if s.Name != want || s.Lane != "chaos" || s.Parent != 0 || !s.Instant() ||
+			s.Attrs["node"] != "node3" || s.Attrs["round"] != strconv.Itoa(i+1) {
+			t.Errorf("span %d = %+v, want an instant %s root for node3 in round %d", i, s, want, i+1)
+		}
 	}
 }

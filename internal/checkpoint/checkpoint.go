@@ -5,7 +5,7 @@
 // (Plank & Xu) without implementing it.
 //
 // A Checkpoint is a self-contained record of the pages captured at one
-// epoch; a Store replays a base image plus its chain of increments.
+// epoch; ApplyTo replays it onto a materialized image.
 package checkpoint
 
 import (
@@ -99,11 +99,11 @@ func Compress(p []byte) ([]byte, error) {
 }
 
 // ApplyTo patches a materialized image in place with this checkpoint's
-// pages.
+// pages. The geometry is bounded by the image before it is multiplied, so a
+// NumPages*PageSize that wraps cannot pass for the image's length.
 func (c *Checkpoint) ApplyTo(img []byte) error {
-	want := int64(c.NumPages) * int64(c.PageSize)
-	if int64(len(img)) != want {
-		return fmt.Errorf("checkpoint: image is %d bytes, want %d", len(img), want)
+	if c.PageSize <= 0 || c.NumPages < 0 || c.NumPages > len(img)/c.PageSize || c.NumPages*c.PageSize != len(img) {
+		return fmt.Errorf("checkpoint: image is %d bytes, want %d pages of %d", len(img), c.NumPages, c.PageSize)
 	}
 	for _, p := range c.Pages {
 		if p.Index < 0 || p.Index >= c.NumPages {

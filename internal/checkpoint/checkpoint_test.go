@@ -62,58 +62,24 @@ func TestCaptureFullRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreChainMaterializesLatest(t *testing.T) {
+// TestApplyToChainMaterializesLatest replays a full base and a chain of
+// increments through ApplyTo: after each one the image equals the machine's.
+func TestApplyToChainMaterializesLatest(t *testing.T) {
 	m := newMachine(t, 16, 64)
 	scribble(m, 2, 30)
-	st, err := NewStore(CaptureFull(m))
-	if err != nil {
+	img := make([]byte, m.ImageBytes())
+	if err := CaptureFull(m).ApplyTo(img); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 5; round++ {
 		scribble(m, int64(10+round), 10)
 		want := m.Image()
-		if err := st.Apply(incremental(t, m)); err != nil {
+		if err := incremental(t, m).ApplyTo(img); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(st.image, want) {
-			t.Fatalf("round %d: store image diverged", round)
+		if !bytes.Equal(img, want) {
+			t.Fatalf("round %d: materialized image diverged", round)
 		}
-	}
-}
-
-func TestStoreRejectsOutOfOrderEpoch(t *testing.T) {
-	m := newMachine(t, 4, 32)
-	st, _ := NewStore(CaptureFull(m))
-	m.TouchPage(0, 1)
-	c1 := incremental(t, m)
-	m.TouchPage(1, 2)
-	c2 := incremental(t, m)
-	if err := st.Apply(c2); err == nil {
-		t.Error("skipping an epoch should fail")
-	}
-	if err := st.Apply(c1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Apply(c1); err == nil {
-		t.Error("replaying an epoch should fail")
-	}
-}
-
-func TestStoreRejectsWrongVM(t *testing.T) {
-	a := newMachine(t, 4, 32)
-	b, _ := vm.NewMachine("other", 4, 32)
-	st, _ := NewStore(CaptureFull(a))
-	if err := st.Apply(incremental(t, b)); err == nil {
-		t.Error("checkpoint from another VM should be rejected")
-	}
-}
-
-func TestStoreRequiresFullBase(t *testing.T) {
-	m := newMachine(t, 4, 32)
-	CaptureFull(m)
-	m.TouchPage(0, 1)
-	if _, err := NewStore(incremental(t, m)); err == nil {
-		t.Error("incremental base should be rejected")
 	}
 }
 
@@ -122,6 +88,17 @@ func TestApplyToWrongSizeImage(t *testing.T) {
 	c := CaptureFull(m)
 	if err := c.ApplyTo(make([]byte, 10)); err == nil {
 		t.Error("wrong-size image should fail")
+	}
+}
+
+// TestApplyToRefusesOverflowingGeometry gives ApplyTo a geometry whose
+// NumPages*PageSize wraps to the image's length: (2^62+32)*4 is 2^64+128.
+// It must refuse it rather than slice the image at a wrapped offset.
+func TestApplyToRefusesOverflowingGeometry(t *testing.T) {
+	c := &Checkpoint{Kind: Incremental, NumPages: 1<<62 + 32, PageSize: 4,
+		Pages: []PageRecord{{Index: 1 << 61, Data: make([]byte, 4)}}}
+	if err := c.ApplyTo(make([]byte, 128)); err == nil {
+		t.Fatal("a geometry whose size wraps to the image's length was accepted")
 	}
 }
 

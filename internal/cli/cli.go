@@ -44,7 +44,7 @@ func (c *Common) RPCTimeoutFlag(fs *flag.FlagSet, def time.Duration) {
 // dumps a bundle there (e.g. "on partial commit", "on SIGQUIT").
 func (c *Common) PostmortemFlag(fs *flag.FlagSet, trigger string) {
 	fs.StringVar(&c.PostmortemDir, "postmortem-dir", "",
-		"dump a flight-recorder bundle here "+trigger+" (empty = disabled)")
+		"dump a postmortem bundle (spans, metrics, profiles) here "+trigger+" (empty = disabled)")
 }
 
 // RoundIntervalFlag registers -round-interval.
@@ -69,19 +69,22 @@ func (c *Common) HealthFlag(fs *flag.FlagSet) {
 // for, with the default cluster SLO rules installed, and returns it together
 // with the mux mount serving /api/v1/health (pass it to ServeObs). Returns
 // (nil, nil) when the flag is unset; callers Stop the evaluator on shutdown
-// (a nil evaluator's Stop is a no-op).
-func (c *Common) StartHealth(reg *obs.Registry, rec *obs.FlightRecorder) (*health.Evaluator, obs.Mount) {
+// (a nil evaluator's Stop is a no-op). Alert transitions are marked in tr.
+func (c *Common) StartHealth(reg *obs.Registry, tr *obs.Tracer) (*health.Evaluator, obs.Mount) {
 	if !c.Health || reg == nil {
 		return nil, nil
 	}
-	ev := health.New(health.Options{Registry: reg, Recorder: rec})
+	ev := health.New(health.Options{Registry: reg, Tracer: tr})
 	health.InstallDefaultRules(ev, reg)
 	ev.Start()
 	return ev, ev.Mount()
 }
 
-// WantTracer reports whether any parsed flag needs a tracer built.
-func (c *Common) WantTracer() bool { return c.ObsAddr != "" || c.TraceJSONL != "" }
+// WantTracer reports whether any parsed flag needs a tracer built: a
+// postmortem bundle's record is the tracer's ring.
+func (c *Common) WantTracer() bool {
+	return c.ObsAddr != "" || c.TraceJSONL != "" || c.PostmortemDir != ""
+}
 
 // OpenTraceSink attaches the -trace-jsonl sink to tr and returns a closer
 // that flushes the tracer and closes the file, returning both errors joined.

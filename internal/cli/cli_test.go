@@ -58,6 +58,13 @@ func TestCommonFlagRegistration(t *testing.T) {
 	if !c.WantTracer() {
 		t.Error("WantTracer = false with -obs-addr and -trace-jsonl both set")
 	}
+	// Each of the three flags alone asks for a tracer: a postmortem bundle's
+	// record is the tracer's ring.
+	for _, one := range []Common{{ObsAddr: "x"}, {TraceJSONL: "x"}, {PostmortemDir: "x"}, {}} {
+		if got, want := one.WantTracer(), one != (Common{}); got != want {
+			t.Errorf("WantTracer for %+v = %v, want %v", one, got, want)
+		}
+	}
 }
 
 // TestServeObsDiscoveryAndMounts starts a real endpoint: the canonical "obs

@@ -11,12 +11,13 @@
 //     Section V availability model fed with the observed failure rate.
 //
 // Every decision — applied, skipped, or failed — is first-class telemetry:
-// the dvdc_adapt_* metric family counts it, a decision span nests under the
-// round trace, and a flight-recorder note lands in postmortem bundles. The
-// advisor never acts while an SLO is firing (health.Evaluator.Firing): a
-// control loop that reshapes the cluster during an incident turns alerts
-// into moving targets, so recommendations are still computed and recorded
-// but their application is skipped with reason "slo-firing".
+// the dvdc_adapt_* metric family counts it, and a decision span nests under
+// the round trace, so it rides into any postmortem bundle with the tracer's
+// ring. The advisor never acts while an SLO is firing
+// (health.Evaluator.Firing): a control loop that reshapes the cluster during
+// an incident turns alerts into moving targets, so recommendations are still
+// computed and recorded but their application is skipped with reason
+// "slo-firing".
 //
 // The advisor deliberately does not import the runtime: actuators arrive as
 // Hooks closures, so the package stays a pure telemetry-in/decisions-out
@@ -136,8 +137,8 @@ const (
 
 // Advisor is the adaptive control loop's brain. Feed it one Observation per
 // round (Step); it returns the round's decisions after recording each as
-// metrics, a decision span, and a flight-recorder note. Safe for concurrent
-// use, though the intended cadence is one Step per round.
+// metrics and a decision span. Safe for concurrent use, though the intended
+// cadence is one Step per round.
 type Advisor struct {
 	mu        sync.Mutex
 	cfg       Config

@@ -212,9 +212,10 @@ func RenderTop(v TopView, width int) string {
 }
 
 // RenderPostmortem renders a flight-recorder bundle for `dvdcctl postmortem`:
-// header (with the span count and how to render the spans), entry-kind and
-// error tallies, the last tail entries, and the last errored entries and
-// spans. Pure: rendering depends only on the bundle and tail.
+// header (with the span count and how to render the spans as trees), root
+// span tallies by name and the error count, the last tail spans in the order
+// they finished, and the last errored spans. Pure: rendering depends only on
+// the bundle and tail.
 func RenderPostmortem(b *obs.Bundle, tail int) string {
 	if tail <= 0 {
 		tail = 40
@@ -224,8 +225,7 @@ func RenderPostmortem(b *obs.Bundle, tail int) string {
 	fmt.Fprintf(&w, "  reason:  %s\n", b.Meta.Reason)
 	fmt.Fprintf(&w, "  time:    %s\n", b.Meta.Time.Format(time.RFC3339Nano))
 	fmt.Fprintf(&w, "  pid:     %d\n", b.Meta.HostedPID)
-	fmt.Fprintf(&w, "  entries: %d (%d evicted before dump)\n", b.Meta.Entries, b.Meta.Dropped)
-	fmt.Fprintf(&w, "  spans:   %d", len(b.Spans))
+	fmt.Fprintf(&w, "  spans:   %d (%d evicted before dump)", len(b.Spans), b.Meta.Dropped)
 	if len(b.Spans) > 0 {
 		fmt.Fprintf(&w, " (render with: dvdcctl trace -in %s)", filepath.Join(b.Path, "spans.jsonl"))
 	}
@@ -241,68 +241,71 @@ func RenderPostmortem(b *obs.Bundle, tail int) string {
 		}
 	}
 
-	kinds := map[string]int{}
-	errs := 0
-	var errored []obs.FlightEntry
-	for _, e := range b.Entries {
-		kinds[e.Kind]++
-		if e.Err != "" {
-			errs++
-			errored = append(errored, e)
+	roots := map[string]int{}
+	var errored []obs.Span
+	for _, s := range b.Spans {
+		if s.Parent == 0 {
+			roots[s.Name]++
+		}
+		if s.Err != "" {
+			errored = append(errored, s)
 		}
 	}
-	kindKeys := make([]string, 0, len(kinds))
-	for k := range kinds {
-		kindKeys = append(kindKeys, k)
+	names := make([]string, 0, len(roots))
+	for n := range roots {
+		names = append(names, n)
 	}
-	sort.Strings(kindKeys)
-	w.WriteString("\n  kinds:")
-	for _, k := range kindKeys {
-		fmt.Fprintf(&w, " %s=%d", k, kinds[k])
+	sort.Strings(names)
+	w.WriteString("\n  roots:")
+	for _, n := range names {
+		fmt.Fprintf(&w, " %s=%d", n, roots[n])
 	}
-	fmt.Fprintf(&w, "  errors=%d\n", errs)
+	fmt.Fprintf(&w, "  errors=%d\n", len(errored))
 
-	start := len(b.Entries) - tail
-	if start < 0 {
-		start = 0
+	last := b.Spans[max(len(b.Spans)-tail, 0):]
+	fmt.Fprintf(&w, "\nlast %d spans:\n", len(last))
+	for _, s := range last {
+		fmt.Fprintf(&w, "  %s\n", spanLine(s))
 	}
-	fmt.Fprintf(&w, "\nlast %d entries:\n", len(b.Entries)-start)
-	for _, e := range b.Entries[start:] {
-		fmt.Fprintf(&w, "  %s\n", e.String())
-	}
-
 	const maxErrs = 10
 	if len(errored) > 0 {
 		errored = errored[max(len(errored)-maxErrs, 0):]
-		fmt.Fprintf(&w, "\nerrored entries (last %d):\n", len(errored))
-		for _, e := range errored {
-			fmt.Fprintf(&w, "  %s\n", e.String())
-		}
-	}
-	var erroredSpans []obs.Span
-	for _, s := range b.Spans {
-		if s.Err != "" {
-			erroredSpans = append(erroredSpans, s)
-		}
-	}
-	if len(erroredSpans) > 0 {
-		erroredSpans = erroredSpans[max(len(erroredSpans)-maxErrs, 0):]
-		fmt.Fprintf(&w, "\nerrored spans (last %d):\n", len(erroredSpans))
-		for _, s := range erroredSpans {
-			fmt.Fprintf(&w, "  %s  %s", s.End.Format("15:04:05.000000"), s.Name)
-			if s.Lane != "" {
-				fmt.Fprintf(&w, " [%s]", s.Lane)
-			}
-			if p := s.Attrs["peer"]; p != "" {
-				fmt.Fprintf(&w, " peer=%s", p)
-			}
-			fmt.Fprintf(&w, " %v trace=%016x ERR=%s\n", s.Duration().Round(time.Microsecond), s.Trace, s.Err)
+		fmt.Fprintf(&w, "\nerrored spans (last %d):\n", len(errored))
+		for _, s := range errored {
+			fmt.Fprintf(&w, "  %s\n", spanLine(s))
 		}
 	}
 	if b.Metrics != "" {
 		fmt.Fprintf(&w, "\nmetrics snapshot: %d series lines (see metrics.prom)\n", countSamples(b.Metrics))
 	}
 	return w.String()
+}
+
+// spanLine renders one span on one line: when it finished, its name and
+// lane, its attributes in key order, its extent unless instant, its trace id
+// and its error.
+func spanLine(s obs.Span) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s  %s", s.End.Format("15:04:05.000000"), s.Name)
+	if s.Lane != "" {
+		fmt.Fprintf(&b, " [%s]", s.Lane)
+	}
+	keys := make([]string, 0, len(s.Attrs))
+	for k := range s.Attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(&b, " %s=%s", k, s.Attrs[k])
+	}
+	if !s.Instant() {
+		fmt.Fprintf(&b, " %v", s.Duration().Round(time.Microsecond))
+	}
+	fmt.Fprintf(&b, " trace=%016x", s.Trace)
+	if s.Err != "" {
+		fmt.Fprintf(&b, " ERR=%s", s.Err)
+	}
+	return b.String()
 }
 
 // humanBytes renders a byte count with a binary-prefix unit, compact enough

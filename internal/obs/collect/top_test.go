@@ -82,23 +82,19 @@ func pmFixture() *obs.Bundle {
 			Reason:    "partial-commit",
 			Time:      at(500),
 			HostedPID: 4242,
-			Entries:   4,
 			Dropped:   2,
 			Meta:      map[string]any{"seed": float64(7), "nodes": float64(3)},
 		},
-		Entries: []obs.FlightEntry{
-			{Time: at(100), Kind: "chaos", Name: "delay", Peer: "-1->2", Attrs: map[string]string{"note": "armed"}},
-			{Time: at(110), Kind: "rpc", Name: "MsgPrepare", Peer: "node1", Trace: 7, DurNS: int64(5 * time.Millisecond)},
-			{Time: at(140), Kind: "rpc", Name: "MsgCommit", Peer: "node2", Trace: 7, DurNS: int64(30 * time.Millisecond), Err: "pool: retries exhausted"},
-			{Time: at(141), Kind: "note", Name: "partial-commit", Attrs: map[string]string{"epoch": "5"}},
-		},
 		Spans: []obs.Span{
+			mkSpan(5, 5, 0, "chaos.kill", "chaos", 90, 90, "node", "node2", "round", "4"),
+			mkSpan(6, 6, 0, "step", "coord", 95, 99),
+			mkSpan(7, 2, 1, "rpc commit", "", 110, 140, "peer", "node2"),
+			mkSpan(8, 8, 0, "alert", "health", 140, 140, "rule", "round_time_p99", "state", "firing"),
 			mkSpan(7, 1, 0, "round", "coord", 100, 141),
-			mkSpan(7, 2, 1, "rpc MsgCommit", "", 110, 140, "peer", "node2"),
 		},
 		Metrics: "# TYPE dvdc_up gauge\ndvdc_up 1\ndvdc_rounds_total 9\n",
 	}
-	b.Spans[1].Err = "pool: retries exhausted"
+	b.Spans[2].Err = "pool: retries exhausted"
 	return b
 }
 
@@ -106,28 +102,25 @@ const pmGolden = `postmortem bundle /tmp/pm/postmortem-partial-commit-42
   reason:  partial-commit
   time:    2026-01-01T12:00:00.5Z
   pid:     4242
-  entries: 4 (2 evicted before dump)
-  spans:   2 (render with: dvdcctl trace -in /tmp/pm/postmortem-partial-commit-42/spans.jsonl)
+  spans:   5 (2 evicted before dump) (render with: dvdcctl trace -in /tmp/pm/postmortem-partial-commit-42/spans.jsonl)
   nodes: 3
   seed: 7
 
-  kinds: chaos=1 note=1 rpc=2  errors=1
+  roots: alert=1 chaos.kill=1 round=1 step=1  errors=1
 
-last 2 entries:
-  12:00:00.140000  rpc   MsgCommit peer=node2 30ms trace=0000000000000007 ERR=pool: retries exhausted
-  12:00:00.141000  note  partial-commit epoch=5
-
-errored entries (last 1):
-  12:00:00.140000  rpc   MsgCommit peer=node2 30ms trace=0000000000000007 ERR=pool: retries exhausted
+last 3 spans:
+  12:00:00.140000  rpc commit peer=node2 30ms trace=0000000000000007 ERR=pool: retries exhausted
+  12:00:00.140000  alert [health] rule=round_time_p99 state=firing trace=0000000000000008
+  12:00:00.141000  round [coord] 41ms trace=0000000000000007
 
 errored spans (last 1):
-  12:00:00.140000  rpc MsgCommit peer=node2 30ms trace=0000000000000007 ERR=pool: retries exhausted
+  12:00:00.140000  rpc commit peer=node2 30ms trace=0000000000000007 ERR=pool: retries exhausted
 
 metrics snapshot: 2 series lines (see metrics.prom)
 `
 
 func TestRenderPostmortemGolden(t *testing.T) {
-	got := RenderPostmortem(pmFixture(), 2)
+	got := RenderPostmortem(pmFixture(), 3)
 	if got != pmGolden {
 		t.Fatalf("render drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", got, pmGolden)
 	}

@@ -4,10 +4,10 @@
 // multi-window burn-rate alerting (a fast window for responsiveness, a slow
 // window to suppress one-sample blips; firing→resolved state machine).
 // Results are exported as dvdc_slo_*/dvdc_alert_* metrics, a JSON document on
-// /api/v1/health and /healthz?verbose=1, and alert transitions are stamped
-// into the flight recorder so postmortem bundles explain why they were
-// dumped. The evaluator is fully deterministic under Options.FixedStep, which
-// replaces the wall clock with a virtual one advanced manually by Tick.
+// /api/v1/health and /healthz?verbose=1, and alert transitions are marked as
+// spans so postmortem bundles explain why they were dumped. The evaluator is
+// fully deterministic under Options.FixedStep, which replaces the wall clock
+// with a virtual one advanced manually by Tick.
 package health
 
 import (
@@ -73,8 +73,8 @@ type Rule struct {
 
 // Options tune an Evaluator.
 type Options struct {
-	Registry *obs.Registry       // exports dvdc_slo_*/dvdc_alert_* and serves /healthz
-	Recorder *obs.FlightRecorder // alert transitions are stamped here
+	Registry *obs.Registry // exports dvdc_slo_*/dvdc_alert_* and serves /healthz
+	Tracer   *obs.Tracer   // each alert transition is an instant root span in lane "health"
 
 	Interval time.Duration // tick period; default 1s
 
@@ -344,7 +344,7 @@ func (e *Evaluator) Tick() {
 		if reg := e.opts.Registry; reg != nil {
 			reg.Counter("dvdc_alert_transitions_total", "rule", n.rule, "to", n.to).Inc()
 		}
-		e.opts.Recorder.Alert(n.rule, n.to,
+		e.opts.Tracer.Mark("alert", "health", "rule", n.rule, "state", n.to,
 			"value", fmt.Sprintf("%g", n.value),
 			"objective", fmt.Sprintf("%g", n.objective),
 			"burn_fast", fmt.Sprintf("%.2f", n.burnFast),
@@ -354,7 +354,7 @@ func (e *Evaluator) Tick() {
 }
 
 // alertNote carries one transition's side effects — the metrics counter bump
-// and the flight-recorder stamp — out of the evaluator lock.
+// and the alert span — out of the evaluator lock.
 type alertNote struct {
 	rule, to                             string
 	value, objective, burnFast, burnSlow float64

@@ -229,23 +229,24 @@ func TestRenderReportsGolden(t *testing.T) {
 	}
 }
 
-// TestAlertStampedIntoRecorder checks transitions land in the flight
-// recorder as kind "alert" entries.
-func TestAlertStampedIntoRecorder(t *testing.T) {
+// TestAlertStampedIntoTracer checks transitions land in the tracer as
+// instant root spans in lane health.
+func TestAlertStampedIntoTracer(t *testing.T) {
 	reg := obs.NewRegistry()
-	rec := obs.NewFlightRecorder()
-	e := New(Options{Registry: reg, Recorder: rec, FixedStep: time.Second})
+	tr := obs.NewTracer(16)
+	e := New(Options{Registry: reg, Tracer: tr, FixedStep: time.Second})
 	var v float64
 	e.AddSignal(Signal{Name: "g", Kind: KindGauge, Probe: func() (float64, bool) { return v, true }})
 	e.AddRule(Rule{Name: "g_high", Signal: "g", Objective: 1, FastWindow: 2 * time.Second, SlowWindow: 2 * time.Second})
 	v = 9
 	e.Tick()
-	entries := rec.Entries()
-	if len(entries) != 1 || entries[0].Kind != "alert" || entries[0].Name != "g_high" {
-		t.Fatalf("recorder entries = %+v, want one alert for g_high", entries)
+	spans := tr.Spans()
+	if len(spans) != 1 || spans[0].Name != "alert" || spans[0].Lane != "health" || spans[0].Parent != 0 ||
+		!spans[0].Instant() || spans[0].Attrs["rule"] != "g_high" {
+		t.Fatalf("tracer spans = %+v, want one alert root for g_high", spans)
 	}
-	if entries[0].Attrs["state"] != StateFiring {
-		t.Errorf("alert attrs = %v, want state=firing", entries[0].Attrs)
+	if spans[0].Attrs["state"] != StateFiring || spans[0].Attrs["value"] != "9" {
+		t.Errorf("alert attrs = %v, want state=firing value=9", spans[0].Attrs)
 	}
 }
 

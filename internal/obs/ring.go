@@ -5,8 +5,9 @@ import "sync"
 // Ring is a bounded FIFO buffer that evicts oldest-first when full and
 // counts what it evicted. It backs everything in the observability layer
 // that must not grow without bound on a long run: the tracer's finished-span
-// buffer (served by /spans) and the flight recorder's entry log. Safe for
-// concurrent use; a nil *Ring drops everything.
+// buffer (served by /spans and dumped into postmortem bundles) and the
+// outlier tracker's per-peer latency windows. Safe for concurrent use; a nil
+// *Ring drops everything.
 type Ring[T any] struct {
 	mu      sync.Mutex
 	buf     []T

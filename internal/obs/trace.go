@@ -1,10 +1,10 @@
 // Package obs is the runtime's dependency-light observability core: a span
 // tracer whose trace ids ride the wire protocol's message headers, a metrics
 // registry of counters/gauges/histograms with Prometheus text exposition, and
-// a flight recorder that dumps postmortem bundles. Span trees are built and
-// rendered by package collect. Everything is plain stdlib and safe for
-// concurrent use; every entry point tolerates a nil receiver so instrumented
-// code needs no "is observability on?" branches.
+// a flight recorder that dumps both as postmortem bundles. Span trees are
+// built and rendered by package collect. Everything is plain stdlib and safe
+// for concurrent use; every entry point tolerates a nil receiver so
+// instrumented code needs no "is observability on?" branches.
 package obs
 
 import (
@@ -191,12 +191,30 @@ func (t *Tracer) Event(parent SpanContext, name, lane string, kv ...string) {
 	if t == nil || !parent.Valid() {
 		return
 	}
-	now := time.Now()
-	s := Span{
-		Trace: parent.Trace, ID: t.newID(), Parent: parent.Span,
-		Name: name, Lane: lane, Start: now, End: now, Attrs: kvMap(kv),
+	t.instant(parent, name, lane, kv)
+}
+
+// Mark records an instantaneous root span: an event that belongs to no
+// RPC's trace, such as a node the harness killed or an alert transition.
+func (t *Tracer) Mark(name, lane string, kv ...string) {
+	if t == nil {
+		return
 	}
-	t.record(s)
+	t.instant(SpanContext{}, name, lane, kv)
+}
+
+// instant records a span whose Start equals End, rooting a fresh trace when
+// parent is invalid.
+func (t *Tracer) instant(parent SpanContext, name, lane string, kv []string) {
+	id, now := t.newID(), time.Now()
+	trace := parent.Trace
+	if trace == 0 {
+		trace = id
+	}
+	t.record(Span{
+		Trace: trace, ID: id, Parent: parent.Span,
+		Name: name, Lane: lane, Start: now, End: now, Attrs: kvMap(kv),
+	})
 }
 
 // OpenSpans counts spans started but not yet finished; the soak harness
@@ -360,12 +378,12 @@ func kvMap(kv []string) map[string]string {
 	return m
 }
 
-// writeJSONL writes one encoding/json object per line: the span sink's, a
-// bundle's spans.jsonl and its flight.jsonl encoding.
-func writeJSONL[T any](w io.Writer, vs []T) error {
+// writeJSONL writes one encoding/json span per line: the span sink's and a
+// bundle's spans.jsonl encoding.
+func writeJSONL(w io.Writer, spans []Span) error {
 	enc := json.NewEncoder(w)
-	for _, v := range vs {
-		if err := enc.Encode(v); err != nil {
+	for _, s := range spans {
+		if err := enc.Encode(s); err != nil {
 			return err
 		}
 	}
@@ -373,14 +391,14 @@ func writeJSONL[T any](w io.Writer, vs []T) error {
 }
 
 // ReadJSONL parses spans from a JSONL sink stream (blank lines skipped).
-func ReadJSONL(r io.Reader) ([]Span, error) { return readJSONL[Span](r, "trace") }
+func ReadJSONL(r io.Reader) ([]Span, error) { return readSpans(r, "trace") }
 
-// readJSONL parses one JSON object of type T per line (blank lines skipped);
-// what names the stream in errors.
-func readJSONL[T any](r io.Reader, what string) ([]T, error) {
+// readSpans parses one JSON span per line (blank lines skipped); what names
+// the stream in errors.
+func readSpans(r io.Reader, what string) ([]Span, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var out []T
+	var out []Span
 	line := 0
 	for sc.Scan() {
 		line++
@@ -388,7 +406,7 @@ func readJSONL[T any](r io.Reader, what string) ([]T, error) {
 		if len(b) == 0 {
 			continue
 		}
-		var v T
+		var v Span
 		if err := json.Unmarshal(b, &v); err != nil {
 			return out, fmt.Errorf("obs: %s line %d: %w", what, line, err)
 		}

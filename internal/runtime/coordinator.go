@@ -123,9 +123,10 @@ func (c *Coordinator) SetDialer(d transport.DialFunc) {
 }
 
 // SetObserver attaches a span tracer and metrics registry (either may be
-// nil): protocol operations open root spans whose trace ids ride their RPCs,
-// and the registry gets phase histograms, round counters and each pool's
-// health series. Like SetDialer, attach before the first round.
+// nil): every operation that calls a node opens a root span whose trace id
+// rides its RPCs, so each RPC the coordinator causes is an rpc span, and the
+// registry gets phase histograms, round counters and each pool's health
+// series. Like SetDialer, attach before the first round.
 func (c *Coordinator) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
 	c.mu.Lock()
 	c.tracer = tr
@@ -133,11 +134,9 @@ func (c *Coordinator) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
 	c.mu.Unlock()
 }
 
-// SetFlightRecorder attaches a black-box flight recorder (may be nil). Every
-// pool RPC outcome lands in its bounded log, and a PartialCommitError — the
-// protocol's "a node died mid-commit" failure — auto-dumps a postmortem
-// bundle. Like SetObserver, pool-level wiring only reaches pools created
-// after the call, so attach before the first round.
+// SetFlightRecorder attaches a black-box flight recorder (may be nil): a
+// PartialCommitError — the protocol's "a node died mid-commit" failure —
+// auto-dumps a postmortem bundle.
 func (c *Coordinator) SetFlightRecorder(rec *obs.FlightRecorder) {
 	c.mu.Lock()
 	c.recorder = rec
@@ -145,12 +144,13 @@ func (c *Coordinator) SetFlightRecorder(rec *obs.FlightRecorder) {
 }
 
 // NodeStats fetches a node's protocol counters.
-func (c *Coordinator) NodeStats(node int) (NodeStats, error) {
-	resp, err := c.call(node, &wire.Message{Type: wire.MsgStats})
+func (c *Coordinator) NodeStats(node int) (st NodeStats, err error) {
+	_, root := c.startRoot(obs.SpanContext{}, "stats")
+	defer func() { root.FinishErr(err) }()
+	resp, err := c.call(node, &wire.Message{Type: wire.MsgStats, Trace: root.TraceID(), Span: root.ID()})
 	if err != nil {
 		return NodeStats{}, err
 	}
-	var st NodeStats
 	if err := decodeJSON(resp.Text, &st); err != nil {
 		return NodeStats{}, err
 	}
@@ -196,10 +196,19 @@ func (c *Coordinator) pool(node int) (*transport.Pool, error) {
 		Peer:        fmt.Sprintf("node%d", node),
 		Tracer:      c.tracer,
 		Registry:    c.registry,
-		Recorder:    c.recorder,
 	})
 	c.pools[node] = p
 	return p, nil
+}
+
+// startRoot opens the root span of one protocol operation under parent (a
+// zero parent roots a fresh trace), and returns it with the tracer; both are
+// nil when no tracer is attached.
+func (c *Coordinator) startRoot(parent obs.SpanContext, name string) (*obs.Tracer, *obs.Active) {
+	c.mu.Lock()
+	tr := c.tracer
+	c.mu.Unlock()
+	return tr, tr.Start(parent, name, "coord")
 }
 
 // observePhase lands one phase duration in the attached registry's per-phase
@@ -360,14 +369,16 @@ func (c *Coordinator) configureMsg(n int) *wire.Message {
 }
 
 // Setup pushes the initial configuration to every node, concurrently.
-func (c *Coordinator) Setup() error {
+func (c *Coordinator) Setup() (err error) {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
 	nodes := make([]int, c.layout.Nodes)
 	for n := range nodes {
 		nodes[n] = n
 	}
-	return c.fanout(obs.SpanContext{}, "configure", nodes, c.configureMsg,
+	_, root := c.startRoot(obs.SpanContext{}, "setup")
+	defer func() { root.FinishErr(err) }()
+	return c.fanout(root.Context(), "configure", nodes, c.configureMsg,
 		func(n int, resp *wire.Message) error {
 			if resp.Type != wire.MsgConfigureOK {
 				return fmt.Errorf("runtime: node %d replied %v to configure", n, resp.Type)
@@ -378,10 +389,12 @@ func (c *Coordinator) Setup() error {
 
 // Step runs the synthetic workload n steps on every alive node's VMs,
 // concurrently across nodes.
-func (c *Coordinator) Step(n uint64) error {
+func (c *Coordinator) Step(n uint64) (err error) {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
-	return c.fanout(obs.SpanContext{}, "step", c.aliveNodes(),
+	_, root := c.startRoot(obs.SpanContext{}, "step")
+	defer func() { root.FinishErr(err) }()
+	return c.fanout(root.Context(), "step", c.aliveNodes(),
 		func(int) *wire.Message { return &wire.Message{Type: wire.MsgStep, Arg: n} },
 		nil)
 }
@@ -425,10 +438,7 @@ func (c *Coordinator) CheckpointIn(parent obs.SpanContext) error {
 	stats := RoundStats{Epoch: next}
 	retriesBefore := c.totalRetries()
 
-	c.mu.Lock()
-	tr := c.tracer
-	c.mu.Unlock()
-	root := tr.Start(parent, "round", "coord")
+	tr, root := c.startRoot(parent, "round")
 	root.SetAttr("epoch", fmt.Sprintf("%d", next))
 	stats.TraceID = root.TraceID()
 
@@ -474,11 +484,9 @@ func (c *Coordinator) CheckpointIn(parent obs.SpanContext) error {
 
 	// Phase 2: commit everywhere, retrying per node; a persistently failing
 	// committer is a node failure, not a round failure. Why each one was
-	// declared dead — its last commit error — goes on the commit span and the
-	// partial-commit note.
+	// declared dead — its last commit error — goes on the commit span.
 	var failedMu sync.Mutex
 	var failed []int
-	var why []string // "nodeN", last error, per failed node
 	t1 := time.Now()
 	commit := tr.Child(root.Context(), "commit", "coord")
 	commitCtx := commit.ContextOr(obs.SpanContext{})
@@ -498,11 +506,9 @@ func (c *Coordinator) CheckpointIn(parent obs.SpanContext) error {
 			}
 			lastErr = err
 		}
-		key, reason := fmt.Sprintf("node%d", node), fmt.Sprint(lastErr)
-		commit.SetAttr(key, reason)
+		commit.SetAttr(fmt.Sprintf("node%d", node), fmt.Sprint(lastErr))
 		failedMu.Lock()
 		failed = append(failed, node)
-		why = append(why, key, reason)
 		failedMu.Unlock()
 		return nil
 	})
@@ -529,12 +535,11 @@ func (c *Coordinator) CheckpointIn(parent obs.SpanContext) error {
 	if len(failed) > 0 {
 		err := &PartialCommitError{Epoch: next, Nodes: failed}
 		root.FinishErr(err)
-		// The black-box moment: a node died mid-commit. Dump the flight
-		// recorder's pre-failure window before recovery traffic overwrites it.
+		// The black-box moment: a node died mid-commit. Dump the tracer's
+		// pre-failure window before recovery traffic overwrites it.
 		c.mu.Lock()
 		rec := c.recorder
 		c.mu.Unlock()
-		rec.Note("partial-commit", append([]string{"epoch", fmt.Sprintf("%d", next), "nodes", fmt.Sprintf("%v", failed)}, why...)...)
 		rec.AutoDump("partial-commit") //nolint:errcheck // never turn a postmortem into a second failure
 		return err
 	}
@@ -603,10 +608,12 @@ func (c *Coordinator) Checksums() (map[string]uint64, error) {
 // other protocol operations: called while a round is in flight it blocks
 // until the round finishes, rather than racing an abort against a commit. The
 // abort names the latest round attempt begun.
-func (c *Coordinator) Quiesce() error {
+func (c *Coordinator) Quiesce() (err error) {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
-	return c.fanout(obs.SpanContext{}, "abort", c.aliveNodes(),
+	_, root := c.startRoot(obs.SpanContext{}, "quiesce")
+	defer func() { root.FinishErr(err) }()
+	return c.fanout(root.Context(), "abort", c.aliveNodes(),
 		func(int) *wire.Message {
 			return &wire.Message{Type: wire.MsgAbort, Epoch: c.epoch.Load() + 1, Arg: c.attempts}
 		},
@@ -622,12 +629,14 @@ type VMState struct {
 // VMStates fetches every VM's committed-image checksum and protocol epoch,
 // concurrently. The soak harness checks these against its shadow model after
 // every round: checksums must match and epochs must never regress.
-func (c *Coordinator) VMStates() (map[string]VMState, error) {
+func (c *Coordinator) VMStates() (_ map[string]VMState, err error) {
 	vms := c.layout.VMs
 	states := make([]VMState, len(vms))
+	_, root := c.startRoot(obs.SpanContext{}, "vmstates")
+	defer func() { root.FinishErr(err) }()
 	if err := parallelDo(len(vms), c.fanoutW, func(i int) error {
 		v := vms[i]
-		resp, err := c.call(v.Node, &wire.Message{Type: wire.MsgChecksum, VM: v.Name})
+		resp, err := c.call(v.Node, &wire.Message{Type: wire.MsgChecksum, VM: v.Name, Trace: root.TraceID(), Span: root.ID()})
 		if err != nil {
 			return fmt.Errorf("runtime: checksum %q on node %d: %w", v.Name, v.Node, err)
 		}

@@ -39,7 +39,6 @@ type Node struct {
 	dialer     transport.DialFunc
 	tracer     *obs.Tracer
 	registry   *obs.Registry
-	recorder   *obs.FlightRecorder
 
 	// aborted is the highest round attempt an abort has named (0: none since
 	// configure), the floor every keeper's fold refuses batches at or below.
@@ -75,12 +74,10 @@ type NodeOptions struct {
 	Listen transport.ListenFunc // the daemon's own listener (nil = TCP)
 
 	// Observability (all optional): traced requests get per-handler spans in
-	// this node's lane, the registry gets the node's peer-pool health series
-	// and RPC latency histograms, and the flight recorder logs every peer RPC
-	// outcome for postmortem bundles.
+	// this node's lane, and the registry gets the node's peer-pool health
+	// series and RPC latency histograms.
 	Tracer   *obs.Tracer
 	Registry *obs.Registry
-	Recorder *obs.FlightRecorder
 }
 
 // NewNode starts a node daemon listening on addr ("127.0.0.1:0" for tests).
@@ -102,7 +99,6 @@ func NewNodeWith(addr string, opts NodeOptions) (*Node, error) {
 		dialer:    opts.Dialer,
 		tracer:    opts.Tracer,
 		registry:  opts.Registry,
-		recorder:  opts.Recorder,
 	}
 	if opts.Registry != nil {
 		mountBufpoolStats(opts.Registry)
@@ -172,7 +168,6 @@ func (n *Node) pool(id int) (*transport.Pool, error) {
 		Peer:        fmt.Sprintf("node%d", id),
 		Tracer:      n.tracer,
 		Registry:    n.registry,
-		Recorder:    n.recorder,
 	})
 	n.pools[id] = p
 	return p, nil

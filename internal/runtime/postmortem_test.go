@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,9 +15,9 @@ import (
 
 // TestPartialCommitDumpsPostmortemBundle is the black-box recorder's
 // end-to-end contract: a node that dies mid-commit must leave a postmortem
-// bundle on disk — flight log, the tracer's spans, metrics snapshot, and meta
-// naming the reason — without any cooperation from the caller beyond
-// attaching the recorder.
+// bundle on disk — the tracer's spans, metrics snapshot, and meta naming the
+// reason — without any cooperation from the caller beyond attaching the
+// recorder.
 func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 	dir := t.TempDir()
 	layout := paperLayout(t)
@@ -56,7 +58,7 @@ func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One clean round fills the flight ring with healthy traffic, then node
+	// One clean round fills the tracer's ring with healthy traffic, then node
 	// 1's commits start failing.
 	if err := coord.Step(30); err != nil {
 		t.Fatal(err)
@@ -72,19 +74,6 @@ func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 	if err := coord.Checkpoint(); !errors.As(err, &pce) {
 		t.Fatalf("checkpoint error = %v, want *PartialCommitError", err)
 	}
-	commitSpans := 0
-	for _, s := range tr.TraceSpans(coord.RoundStats().TraceID) {
-		if s.Name == "commit" {
-			commitSpans++
-			if !strings.Contains(s.Attrs["node1"], "injected commit failure") {
-				t.Errorf("commit span gives node1's reason as %q", s.Attrs["node1"])
-			}
-		}
-	}
-	if commitSpans != 1 {
-		t.Errorf("round trace holds %d commit spans, want 1", commitSpans)
-	}
-
 	found, err := obs.FindBundles(dir)
 	if err != nil || len(found) != 1 {
 		t.Fatalf("FindBundles = %v, %v, want exactly one bundle", found, err)
@@ -99,34 +88,38 @@ func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 	if b.Meta.Meta["test"] != "partial-commit" {
 		t.Errorf("bundle meta = %v, SetMeta lost", b.Meta.Meta)
 	}
-	if len(b.Entries) == 0 {
-		t.Fatal("bundle has no flight entries")
-	}
-	// The bundle's spans must hold the failing commit RPCs against node1, and
-	// its flight log the coordinator's closing note naming the epoch, the
-	// casualty list and why each casualty was declared dead.
-	var failedRPC, note bool
+	// The bundle's spans must hold the failing commit RPCs against node1,
+	// the round's one commit span naming why node1 was declared dead, and the
+	// setup and step traces: every RPC the coordinator caused is a span.
+	var failedRPC bool
+	commitSpans := 0
+	roots := map[string]int{}
+	trace := coord.RoundStats().TraceID
 	for _, s := range b.Spans {
 		if s.Name == "rpc commit" && s.Attrs["peer"] == "node1" && strings.Contains(s.Err, "injected commit failure") {
 			failedRPC = true
 		}
-	}
-	for _, e := range b.Entries {
-		if e.Kind == "rpc" && e.Trace != 0 {
-			t.Errorf("traced rpc outcome also kept as a flight entry: %v", e)
-		}
-		if e.Kind == "note" && e.Name == "partial-commit" && e.Attrs["nodes"] == "[1]" {
-			note = true
-			if !strings.Contains(e.Attrs["node1"], "injected commit failure") {
-				t.Errorf("partial-commit note gives node1's reason as %q", e.Attrs["node1"])
+		if s.Trace == trace && s.Name == "commit" {
+			commitSpans++
+			if !strings.Contains(s.Attrs["node1"], "injected commit failure") {
+				t.Errorf("commit span gives node1's reason as %q", s.Attrs["node1"])
 			}
+		}
+		if s.Parent == 0 {
+			roots[s.Name]++
 		}
 	}
 	if !failedRPC {
 		t.Error("no errored commit rpc span for node1 in the bundle")
 	}
-	if !note {
-		t.Error("no partial-commit note entry in the flight log")
+	if commitSpans != 1 {
+		t.Errorf("the partial round's trace holds %d commit spans in the bundle, want 1", commitSpans)
+	}
+	if roots["setup"] != 1 || roots["step"] != 1 || roots["round"] != 2 {
+		t.Errorf("bundle roots = %v, want one setup, one step and two rounds", roots)
+	}
+	if _, err := os.Stat(filepath.Join(found[0], "flight.jsonl")); !os.IsNotExist(err) {
+		t.Errorf("bundle carries a flight.jsonl (stat err %v)", err)
 	}
 	if !strings.Contains(b.Metrics, "dvdc_") {
 		t.Error("bundle metrics snapshot is empty")
@@ -234,7 +227,7 @@ func benchObsRound(b *testing.B, full bool) {
 		rec = obs.NewFlightRecorder()
 		rec.SetRegistry(reg)
 		rec.SetTracer(tr)
-		nopts = NodeOptions{Tracer: tr, Registry: reg, Recorder: rec}
+		nopts = NodeOptions{Tracer: tr, Registry: reg}
 	}
 	nodes := make([]*Node, layout.Nodes)
 	addrs := map[int]string{}

@@ -33,10 +33,7 @@ func (c *Coordinator) RecoverNodesIn(parent obs.SpanContext, failed ...int) (pla
 		return &cluster.Plan{}, nil
 	}
 	t0 := time.Now()
-	c.mu.Lock()
-	tr := c.tracer
-	c.mu.Unlock()
-	root := tr.Start(parent, "recovery", "coord")
+	tr, root := c.startRoot(parent, "recovery")
 	root.SetAttr("failed", fmt.Sprintf("%v", failed))
 	defer func() { root.FinishErr(err) }()
 	seen := map[int]bool{}

@@ -84,9 +84,9 @@ type SoakConfig struct {
 	// Observability (all optional). Tracer receives every span (nil: the soak
 	// builds its own and asserts none leaks open). Registry collects the
 	// metrics, the injector's tallies as dvdc_chaos_faults_total{kind}.
-	// Recorder is the black box: the run's tracer, untraced RPC outcomes and
-	// fired faults, dumped as a postmortem bundle on any invariant violation
-	// into PostmortemDir ("" disables dumping; set alone, it builds one).
+	// Recorder is the black box: the run's tracer ring and registry, dumped
+	// as a postmortem bundle on any invariant violation into PostmortemDir
+	// ("" disables dumping; set alone, it builds one).
 	Tracer        *obs.Tracer
 	Registry      *obs.Registry
 	Recorder      *obs.FlightRecorder
@@ -184,9 +184,9 @@ func newSoakEnv(cfg SoakConfig) (*soakEnv, error) {
 	layout := cfg.Layout
 	e := &soakEnv{cfg: cfg, layout: layout, res: &SoakResult{}, lastEpoch: map[string]uint64{}}
 
-	// The run's black box: the tracer's ring plus every untraced RPC outcome
-	// and fired fault, so an invariant violation dumps the failure's
-	// immediate past as a postmortem bundle.
+	// The run's black box: the tracer's ring, where every RPC and fired fault
+	// is a span, so an invariant violation dumps the failure's immediate past
+	// as a postmortem bundle.
 	e.rec = cfg.Recorder
 	if e.rec == nil && cfg.PostmortemDir != "" {
 		e.rec = obs.NewFlightRecorder()
@@ -208,7 +208,6 @@ func newSoakEnv(cfg SoakConfig) (*soakEnv, error) {
 
 	e.inj = chaos.New(cfg.Seed, cfg.Chaos)
 	e.inj.SetTracer(e.tr)
-	e.inj.SetRecorder(e.rec)
 	e.inj.Pause() // probabilistic injection only runs inside checkpoint windows
 	if cfg.Registry != nil {
 		cfg.Registry.MountCounterSet("dvdc_chaos_faults_total", "kind", e.inj.Counters())
@@ -229,7 +228,7 @@ func newSoakEnv(cfg SoakConfig) (*soakEnv, error) {
 	cl, err := startCluster(layout, cfg.Pages, cfg.PageSize, cfg.Seed,
 		func(int) string { return "127.0.0.1:0" },
 		func(n int) NodeOptions {
-			return NodeOptions{Dialer: e.inj.Dialer(n), Listen: e.inj.ListenFunc(n), Tracer: e.tr, Registry: cfg.Registry, Recorder: e.rec}
+			return NodeOptions{Dialer: e.inj.Dialer(n), Listen: e.inj.ListenFunc(n), Tracer: e.tr, Registry: cfg.Registry}
 		})
 	if err != nil {
 		return nil, err
@@ -354,11 +353,11 @@ func (e *soakEnv) stepAdapt(rr *RoundRecord) {
 	rr.Adapt = e.advisor.Step(o)
 }
 
-// fail records an invariant violation in the flight recorder, dumps a
-// postmortem bundle, and renders the canonical soak error.
+// fail names an invariant violation in the bundle meta, dumps a postmortem
+// bundle, and renders the canonical soak error.
 func (e *soakEnv) fail(round int, format string, args ...interface{}) (*SoakResult, error) {
 	msg := fmt.Sprintf(format, args...)
-	e.rec.Note("soak-invariant", "round", fmt.Sprintf("%d", round), "violation", msg)
+	e.rec.SetMeta("violation", fmt.Sprintf("round %d: %s", round, msg))
 	e.rec.AutoDump("soak-invariant") //nolint:errcheck // never turn a postmortem into a second failure
 	return e.res, fmt.Errorf("soak[seed %d, round %d]: %s", e.cfg.Seed, round, msg)
 }

@@ -18,8 +18,8 @@ import (
 // both sides.
 func TestSoakSlowNodeFiresRoundTimeSLO(t *testing.T) {
 	reg := obs.NewRegistry()
-	rec := obs.NewFlightRecorder()
-	ev := health.New(health.Options{Registry: reg, Recorder: rec, FixedStep: time.Second})
+	tr := obs.NewTracer(1 << 15)
+	ev := health.New(health.Options{Registry: reg, Tracer: tr, FixedStep: time.Second})
 	ev.AddSignal(health.HistSignal(reg, "round_time", "dvdc_round_seconds"))
 	// Median over short windows, not p99: the median of the window is immune
 	// to a single outlier round on a loaded CI machine, while four slow
@@ -36,7 +36,7 @@ func TestSoakSlowNodeFiresRoundTimeSLO(t *testing.T) {
 		StepsPerRound: 10,
 		Seed:          424242,
 		Registry:      reg,
-		Recorder:      rec,
+		Tracer:        tr,
 		Health:        ev,
 		// Rounds 2..5 (0-based) run against a node whose every frame is
 		// stretched by 200ms: a clean round on this layout is ~20ms of wall,
@@ -114,15 +114,15 @@ func TestSoakSlowNodeFiresRoundTimeSLO(t *testing.T) {
 		t.Errorf("dvdc_alert_transitions_total{to=resolved} = %v, want >= 1", v)
 	}
 
-	// And the flight recorder holds the transitions, so a postmortem bundle
-	// dumped near the incident explains itself.
+	// And the soak's tracer holds the transitions as root spans, so a
+	// postmortem bundle dumped near the incident explains itself.
 	alerts := 0
-	for _, en := range rec.Entries() {
-		if en.Kind == "alert" && en.Name == "round_time_slo" {
+	for _, s := range tr.Spans() {
+		if s.Parent == 0 && s.Name == "alert" && s.Lane == "health" && s.Attrs["rule"] == "round_time_slo" {
 			alerts++
 		}
 	}
 	if alerts < 2 {
-		t.Errorf("flight recorder carries %d alert entries, want >= 2 (firing + resolved)", alerts)
+		t.Errorf("tracer carries %d alert spans, want >= 2 (firing + resolved)", alerts)
 	}
 }

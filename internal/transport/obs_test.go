@@ -122,13 +122,13 @@ func TestPoolTracePropagation(t *testing.T) {
 }
 
 // TestPoolRecordsEachOutcomeOnce holds the pool to one record per call
-// attempt: a traced call leaves its rpc span and no flight entry, an
-// untraced call leaves a flight entry and no span.
+// attempt: a traced call leaves its rpc span, an untraced call leaves none,
+// and the latency histogram counts both.
 func TestPoolRecordsEachOutcomeOnce(t *testing.T) {
 	s := echoServer(t)
 	tr := obs.NewTracer(16)
-	rec := obs.NewFlightRecorder()
-	p := NewPool(s.Addr(), PoolOptions{Peer: "node1", Tracer: tr, Recorder: rec})
+	reg := obs.NewRegistry()
+	p := NewPool(s.Addr(), PoolOptions{Peer: "node1", Tracer: tr, Registry: reg})
 	defer p.Close()
 
 	root := tr.Start(obs.SpanContext{}, "round", "coord")
@@ -140,9 +140,6 @@ func TestPoolRecordsEachOutcomeOnce(t *testing.T) {
 	if spans := tr.TraceSpans(ctx.Trace); len(spans) != 2 || spans[0].Attrs["peer"] != "node1" {
 		t.Fatalf("traced call left spans %+v, want its rpc span and the root", spans)
 	}
-	if es := rec.Entries(); len(es) != 0 {
-		t.Fatalf("traced call left flight entries %+v, want none", es)
-	}
 
 	if _, err := p.Call(&wire.Message{Type: wire.MsgHello}); err != nil {
 		t.Fatal(err)
@@ -150,7 +147,7 @@ func TestPoolRecordsEachOutcomeOnce(t *testing.T) {
 	if n := len(tr.Spans()); n != 2 {
 		t.Fatalf("untraced call left a span: ring holds %d, want 2", n)
 	}
-	if es := rec.Entries(); len(es) != 1 || es[0].Kind != "rpc" || es[0].Peer != "node1" || es[0].Trace != 0 {
-		t.Fatalf("untraced call left flight entries %+v, want one rpc entry", es)
+	if n := reg.Histogram("dvdc_rpc_latency_seconds", obs.LatencyBuckets(), "peer", "node1").Snapshot().Total; n != 2 {
+		t.Fatalf("latency histogram counted %d attempts, want 2", n)
 	}
 }

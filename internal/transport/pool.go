@@ -27,13 +27,11 @@ type PoolOptions struct {
 	// Observability (all optional). Peer labels this pool's metric series and
 	// RPC spans (defaults to the dialed address); Tracer opens a child span
 	// per call attempt on traced requests; Registry gets the pool's health
-	// counters and a per-peer RPC latency histogram. Each attempt's outcome
-	// is recorded once: as its span when traced, else as a Recorder flight
-	// entry.
+	// counters and a per-peer RPC latency histogram, which counts every
+	// attempt, traced or not.
 	Peer     string
 	Tracer   *obs.Tracer
 	Registry *obs.Registry
-	Recorder *obs.FlightRecorder
 }
 
 // A pool's dial policy.
@@ -181,15 +179,10 @@ func (p *Pool) Call(req *wire.Message) (*wire.Message, error) {
 		}
 		start := time.Now()
 		resp, err := c.Call(m)
-		elapsed := time.Since(start)
 		if p.latency != nil {
-			p.latency.Observe(elapsed.Seconds())
+			p.latency.Observe(time.Since(start).Seconds())
 		}
-		if span != nil {
-			span.FinishErr(err)
-		} else {
-			p.opts.Recorder.RPC(p.opts.Peer, req.Type.String(), elapsed, req.Trace, err)
-		}
+		span.FinishErr(err)
 		if err == nil {
 			p.put(c)
 			return resp, nil
