@@ -131,29 +131,22 @@ func (f Fault) String() string {
 
 // Config tunes probabilistic per-frame injection. All probabilities are per
 // outbound frame on a faulted connection; the zero value injects nothing
-// (only armed one-shots fire).
+// (only armed one-shots fire). Duplicates are armed only.
 type Config struct {
-	PCorrupt   float64       // corrupt the frame's length prefix
-	PDrop      float64       // sever the connection instead of delivering
-	PDelay     float64       // sleep before delivering
-	PDuplicate float64       // deliver the frame twice
-	DelayMin   time.Duration // delay bounds (default 1ms..10ms)
-	DelayMax   time.Duration
+	PCorrupt float64 // corrupt the frame's length prefix
+	PDrop    float64 // sever the connection instead of delivering
+	PDelay   float64 // sleep before delivering
 }
 
-func (c Config) withDefaults() Config {
-	if c.DelayMin <= 0 {
-		c.DelayMin = time.Millisecond
-	}
-	if c.DelayMax < c.DelayMin {
-		c.DelayMax = 10 * time.Millisecond
-	}
-	return c
-}
+// A Delay fault sleeps for a duration drawn from [delayMin, delayMax).
+const (
+	delayMin = time.Millisecond
+	delayMax = 10 * time.Millisecond
+)
 
 // Active reports whether any probabilistic rate is set.
 func (c Config) Active() bool {
-	return c.PCorrupt > 0 || c.PDrop > 0 || c.PDelay > 0 || c.PDuplicate > 0
+	return c.PCorrupt > 0 || c.PDrop > 0 || c.PDelay > 0
 }
 
 // armedFault is one scheduled one-shot fault. msg, when nonzero, restricts
@@ -191,7 +184,7 @@ type Injector struct {
 func New(seed int64, cfg Config) *Injector {
 	return &Injector{
 		seed:        seed,
-		cfg:         cfg.withDefaults(),
+		cfg:         cfg,
 		pairs:       map[Pair]*pairState{},
 		partitioned: map[Pair]bool{},
 		slow:        map[int]time.Duration{},
@@ -487,8 +480,6 @@ func (i *Injector) frameFault(p Pair, frameBytes int, msgType uint8, caps frameC
 			d.kind = Drop
 		case u < i.cfg.PCorrupt+i.cfg.PDrop+i.cfg.PDelay:
 			d.kind = Delay
-		case u < i.cfg.PCorrupt+i.cfg.PDrop+i.cfg.PDelay+i.cfg.PDuplicate:
-			d.kind = Duplicate
 		}
 	}
 	if d.kind == 0 || !caps.allows(d.kind) {
@@ -499,11 +490,7 @@ func (i *Injector) frameFault(p Pair, frameBytes int, msgType uint8, caps frameC
 		note = fmt.Sprintf("%s frame, %d bytes", wire.MsgType(msgType), frameBytes)
 	}
 	if d.kind == Delay {
-		span := i.cfg.DelayMax - i.cfg.DelayMin
-		d.delay = i.cfg.DelayMin
-		if span > 0 {
-			d.delay += time.Duration(ps.rng.Int63n(int64(span)))
-		}
+		d.delay = delayMin + time.Duration(ps.rng.Int63n(int64(delayMax-delayMin)))
 		note = fmt.Sprintf("delay %v, %s", d.delay.Round(time.Microsecond), note)
 	}
 	i.record(Fault{Round: i.round, Kind: d.kind, Pair: p, Armed: d.armed, Note: note})

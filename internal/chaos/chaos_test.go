@@ -168,7 +168,7 @@ func TestArmedFaultsFireFIFO(t *testing.T) {
 
 func TestProbabilisticStreamIsSeedDeterministic(t *testing.T) {
 	run := func(seed int64) []string {
-		inj := New(seed, Config{PCorrupt: 0.2, PDrop: 0.2, PDelay: 0.2, DelayMin: time.Microsecond, DelayMax: 2 * time.Microsecond})
+		inj := New(seed, Config{PCorrupt: 0.2, PDrop: 0.2, PDelay: 0.2})
 		// Drive the decision stream directly (single goroutine, so the rng
 		// order is exactly the call order).
 		var kinds []string

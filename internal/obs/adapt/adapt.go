@@ -147,7 +147,6 @@ type Advisor struct {
 	evacuated map[string]bool // peers whose keepers were already drained
 	failed    map[string]bool // peers whose evacuation failed structurally
 	interval  float64
-	decisions []Decision
 }
 
 // New builds an Advisor and mounts its live gauges on the registry:
@@ -181,16 +180,10 @@ func (a *Advisor) Interval() float64 {
 	return a.interval
 }
 
-// Decisions returns every decision taken so far, oldest first.
-func (a *Advisor) Decisions() []Decision {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]Decision(nil), a.decisions...)
-}
-
 // Step consumes one round's telemetry and runs every rule. Each emitted
-// Decision has already been counted (dvdc_adapt_*), recorded (flight note),
-// and traced (a decision span under o.Ctx) when Step returns.
+// Decision has already been counted (dvdc_adapt_*) and traced (a decision
+// span under the round's adapt span, under o.Ctx) when Step returns; the
+// returned slice, those spans and series are the decision record.
 func (a *Advisor) Step(o Observation) []Decision {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -210,7 +203,6 @@ func (a *Advisor) Step(o Observation) []Decision {
 	for i := range out {
 		a.record(sctx, out[i])
 	}
-	a.decisions = append(a.decisions, out...)
 	if span != nil {
 		span.SetAttr("decisions", strconv.Itoa(len(out)))
 		span.Finish()

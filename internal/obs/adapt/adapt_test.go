@@ -157,7 +157,7 @@ func TestDecisionTelemetryAndRendering(t *testing.T) {
 	}
 
 	// Decision log rendering: inputs -> rule -> action.
-	out := RenderDecisions(a.Decisions())
+	out := RenderDecisions(ds)
 	for _, want := range []string{"keeper_rebalance", "applied", "peer=node2", "interval_retune", "no-hook"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("RenderDecisions output missing %q:\n%s", want, out)

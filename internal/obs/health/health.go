@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -74,7 +75,7 @@ type Rule struct {
 // Options tune an Evaluator.
 type Options struct {
 	Registry *obs.Registry // exports dvdc_slo_*/dvdc_alert_* and serves /healthz
-	Tracer   *obs.Tracer   // each alert transition is an instant root span in lane "health"
+	Tracer   *obs.Tracer   // each alert transition is an instant root span in lane "health" (the transition record)
 
 	Interval time.Duration // tick period; default 1s
 
@@ -87,14 +88,6 @@ type Options struct {
 // retention is the span of each signal's ring: every rule window must fit
 // inside it.
 const retention = 5 * time.Minute
-
-// Transition is one alert state change, kept in a bounded history.
-type Transition struct {
-	Rule string    `json:"rule"`
-	To   string    `json:"to"`
-	At   time.Time `json:"at"`
-	Tick int64     `json:"tick"`
-}
 
 // RuleStatus is one rule's current evaluation in a Report.
 type RuleStatus struct {
@@ -162,7 +155,6 @@ type Evaluator struct {
 	signals map[string]*signalState
 	order   []string
 	rules   []*ruleState
-	history []Transition
 	ticks   int64
 	vclock  time.Time // FixedStep virtual clock
 
@@ -345,6 +337,7 @@ func (e *Evaluator) Tick() {
 			reg.Counter("dvdc_alert_transitions_total", "rule", n.rule, "to", n.to).Inc()
 		}
 		e.opts.Tracer.Mark("alert", "health", "rule", n.rule, "state", n.to,
+			"tick", strconv.FormatInt(n.tick, 10),
 			"value", fmt.Sprintf("%g", n.value),
 			"objective", fmt.Sprintf("%g", n.objective),
 			"burn_fast", fmt.Sprintf("%.2f", n.burnFast),
@@ -357,6 +350,7 @@ func (e *Evaluator) Tick() {
 // and the alert span — out of the evaluator lock.
 type alertNote struct {
 	rule, to                             string
+	tick                                 int64
 	value, objective, burnFast, burnSlow float64
 }
 
@@ -389,20 +383,16 @@ func (e *Evaluator) evaluateLocked(rs *ruleState, now time.Time, tick int64) (al
 	return alertNote{}, false
 }
 
-// transitionLocked advances the state machine and records history under e.mu;
-// the returned note defers the cross-lock side effects to the caller.
+// transitionLocked advances the state machine under e.mu; the returned note
+// defers the cross-lock side effects to the caller.
 func (e *Evaluator) transitionLocked(rs *ruleState, to string, now time.Time, tick int64) alertNote {
 	rs.state = to
 	rs.since = now
 	if to == StateFiring {
 		rs.fired++
 	}
-	e.history = append(e.history, Transition{Rule: rs.rule.Name, To: to, At: now, Tick: tick})
-	if len(e.history) > 256 {
-		e.history = e.history[len(e.history)-256:]
-	}
 	return alertNote{
-		rule: rs.rule.Name, to: to,
+		rule: rs.rule.Name, to: to, tick: tick,
 		value: rs.value, objective: rs.rule.Objective,
 		burnFast: rs.burnFast, burnSlow: rs.burnSlow,
 	}
@@ -531,16 +521,6 @@ func (e *Evaluator) Firing() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// History snapshots the bounded transition log, oldest first.
-func (e *Evaluator) History() []Transition {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]Transition(nil), e.history...)
 }
 
 // Report snapshots every rule's current evaluation, sorted by rule name.

@@ -21,7 +21,9 @@ func tickEval(t *testing.T) (*Evaluator, *obs.Registry) {
 // TestFireAndResolveTimeline scripts a slow-round fault window against a
 // windowed-p99 rule and pins the exact tick of every alert transition.
 func TestFireAndResolveTimeline(t *testing.T) {
-	e, reg := tickEval(t)
+	reg := obs.NewRegistry()
+	tr := obs.NewTracer(64)
+	e := New(Options{Registry: reg, Tracer: tr, Interval: time.Second, FixedStep: time.Second})
 	rounds := reg.Histogram("dvdc_round_seconds", obs.LatencyBuckets())
 	e.AddSignal(HistSignal(reg, "round_time", "dvdc_round_seconds"))
 	e.AddRule(Rule{
@@ -69,15 +71,16 @@ func TestFireAndResolveTimeline(t *testing.T) {
 		}
 	}
 
-	hist := e.History()
-	if len(hist) != 2 {
-		t.Fatalf("history = %+v, want exactly fire+resolve", hist)
+	// The alert spans are the transition record: exactly fire and resolve,
+	// each stamped with its tick.
+	var alerts []string
+	for _, s := range tr.Spans() {
+		if s.Name == "alert" && s.Lane == "health" && s.Parent == 0 && s.Attrs["rule"] == "round_time_p99" {
+			alerts = append(alerts, s.Attrs["state"]+"@"+s.Attrs["tick"])
+		}
 	}
-	if hist[0].To != StateFiring || hist[0].Tick != 6 {
-		t.Errorf("first transition = %+v, want firing at tick 6", hist[0])
-	}
-	if hist[1].To != StateResolved || hist[1].Tick != 15 {
-		t.Errorf("second transition = %+v, want resolved at tick 15", hist[1])
+	if len(alerts) != 2 || alerts[0] != StateFiring+"@6" || alerts[1] != StateResolved+"@15" {
+		t.Errorf("alert spans = %v, want [firing@6 resolved@15]", alerts)
 	}
 	if v, _ := reg.Value("dvdc_alert_firing", "rule", "round_time_p99"); v != 0 {
 		t.Errorf("dvdc_alert_firing after resolve = %v, want 0", v)

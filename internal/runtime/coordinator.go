@@ -187,8 +187,13 @@ func (c *Coordinator) pool(node int) (*transport.Pool, error) {
 	if c.dead[node] {
 		return nil, fmt.Errorf("runtime: node %d is marked dead", node)
 	}
+	return c.openPool(node), nil
+}
+
+// openPool returns (lazily creating) node's pool, dead or not; c.mu is held.
+func (c *Coordinator) openPool(node int) *transport.Pool {
 	if p, ok := c.pools[node]; ok {
-		return p, nil
+		return p
 	}
 	p := transport.NewPool(c.addrs[node], transport.PoolOptions{
 		CallTimeout: c.rpcTimeout,
@@ -198,7 +203,7 @@ func (c *Coordinator) pool(node int) (*transport.Pool, error) {
 		Registry:    c.registry,
 	})
 	c.pools[node] = p
-	return p, nil
+	return p
 }
 
 // startRoot opens the root span of one protocol operation under parent (a
@@ -243,6 +248,11 @@ func (c *Coordinator) markDead(node int) {
 		return
 	}
 	c.dead[node], c.pending[node] = true, true
+	c.retirePool(node)
+}
+
+// retirePool closes node's pool, keeping its retries; c.mu is held.
+func (c *Coordinator) retirePool(node int) {
 	if p, ok := c.pools[node]; ok {
 		c.retiredRetries += p.Retries()
 		p.Close()

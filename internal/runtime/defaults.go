@@ -17,7 +17,8 @@ const (
 	// being declared dead.
 	DefaultCommitRetries = 3
 
-	// Soak-harness defaults (SoakConfig zero fields resolve to these).
+	// Soak-harness defaults (SoakConfig zero fields resolve to these; a soak
+	// round always covers DefaultSoakRoundSeconds of virtual time).
 	DefaultSoakRounds       = 10
 	DefaultSoakSteps        = uint64(40)
 	DefaultSoakPages        = 16
@@ -40,9 +41,6 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	}
 	if c.PageSize <= 0 {
 		c.PageSize = DefaultSoakPageSize
-	}
-	if c.RoundSeconds <= 0 {
-		c.RoundSeconds = DefaultSoakRoundSeconds
 	}
 	if c.RPCTimeout <= 0 {
 		c.RPCTimeout = DefaultSoakRPCTimeout

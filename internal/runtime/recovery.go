@@ -8,7 +8,6 @@ import (
 
 	"dvdc/internal/cluster"
 	"dvdc/internal/obs"
-	"dvdc/internal/transport"
 	"dvdc/internal/wire"
 )
 
@@ -110,8 +109,14 @@ func (c *Coordinator) DeclareDead(nodes ...int) error {
 // control plane, so a restore is level-triggered: re-reconciling a converged
 // one is a no-op. Each node takes the first case that fits: dead and pending
 // owes a recovery; dead alone is recovered already; one outside the layout is
-// skipped; any other is probed, and owes a recovery if it cannot be reached.
-func (c *Coordinator) ExecuteRestore(ctx obs.SpanContext, nodes []int) (uint64, error) {
+// skipped; any other owes one if it does not answer a hello. All of it runs
+// under ctx, or under a restore root span when ctx is zero.
+func (c *Coordinator) ExecuteRestore(ctx obs.SpanContext, nodes []int) (_ uint64, err error) {
+	if !ctx.Valid() {
+		_, root := c.startRoot(ctx, "restore")
+		defer func() { root.FinishErr(err) }()
+		ctx = root.Context()
+	}
 	var need []int
 	for _, n := range nodes {
 		c.mu.Lock()
@@ -122,29 +127,13 @@ func (c *Coordinator) ExecuteRestore(ctx obs.SpanContext, nodes []int) (uint64, 
 			need = append(need, n)
 		case dead, n < 0 || n >= c.layout.Nodes:
 		default:
-			if conn, err := c.dial(n); err != nil {
+			if _, err := c.call(n, &wire.Message{Type: wire.MsgHello, Trace: ctx.Trace, Span: ctx.Span}); err != nil {
 				need = append(need, n)
-			} else {
-				conn.Close()
 			}
 		}
 	}
-	_, err := c.RecoverNodesIn(ctx, need...) // no node: a no-op
+	_, err = c.RecoverNodesIn(ctx, need...) // no node: a no-op
 	return c.Epoch(), err
-}
-
-// dial opens a connection of its own to node the way every pool does:
-// through SetDialer's dialer, each call bounded by SetRPCTimeout's deadline.
-func (c *Coordinator) dial(node int) (*transport.Conn, error) {
-	c.mu.Lock()
-	dial, timeout := c.dialer, c.rpcTimeout
-	c.mu.Unlock()
-	conn, err := transport.DialWith(c.addrs[node], 0, dial)
-	if err != nil {
-		return nil, err
-	}
-	conn.SetTimeout(timeout)
-	return conn, nil
 }
 
 // downNodes lists, ascending, every node marked dead plus extra: the nodes a
@@ -372,7 +361,7 @@ func (c *Coordinator) refreshParityPointers(ctx obs.SpanContext, groups map[int]
 // be listening on the original address again (or a replacement daemon on the
 // same address); it starts empty and picks up work via Rebalance. A node still
 // pending recovery (see markDead) must be recovered before repair.
-func (c *Coordinator) Repair(node int) error {
+func (c *Coordinator) Repair(node int) (err error) {
 	c.roundMu.Lock()
 	defer c.roundMu.Unlock()
 	c.mu.Lock()
@@ -386,19 +375,23 @@ func (c *Coordinator) Repair(node int) error {
 	}
 	// The rejoined daemon needs a fresh configuration (peers, chunking); the
 	// layout places nothing on a recovered node, so it hosts nothing until a
-	// relocation moves VMs or parity to it. It is dialed the way every call
-	// is, and stays dead until the configuration lands, so a failed repair
-	// can be run again.
-	conn, err := c.dial(node)
+	// relocation moves VMs or parity to it. The node stays dead until the
+	// configuration lands, so no other call reaches it, and a failed repair
+	// retires the pool it opened and can be run again.
+	_, root := c.startRoot(obs.SpanContext{}, "repair")
+	defer func() { root.FinishErr(err) }()
+	c.mu.Lock()
+	p := c.openPool(node)
+	c.mu.Unlock()
+	msg := c.configureMsg(node)
+	msg.Trace, msg.Span = root.TraceID(), root.ID()
+	_, err = p.Call(msg)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err != nil {
-		return fmt.Errorf("runtime: node %d not reachable for repair: %w", node, err)
-	}
-	defer conn.Close()
-	if _, err := conn.Call(c.configureMsg(node)); err != nil {
+		c.retirePool(node)
 		return fmt.Errorf("runtime: reconfigure repaired node %d: %w", node, err)
 	}
-	c.mu.Lock()
 	delete(c.dead, node)
-	c.mu.Unlock()
 	return nil
 }

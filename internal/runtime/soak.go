@@ -35,7 +35,6 @@ type SoakConfig struct {
 	Dedup         bool          // nodes skip dirty pages equal to their committed image
 	PPartition    float64       // per-round probability of a transient node-pair partition
 	KillMTBF      float64       // per-node MTBF in virtual seconds (0 = no kills)
-	RoundSeconds  float64       // virtual seconds per round on the kill clock (default 10)
 	RPCTimeout    time.Duration // coordinator/node per-call deadline (default 5s)
 	RoundInterval time.Duration // wall-clock pause after each round (0 = flat out); paces a soak being watched over -obs-addr
 
@@ -215,7 +214,7 @@ func newSoakEnv(cfg SoakConfig) (*soakEnv, error) {
 
 	if cfg.KillMTBF > 0 {
 		var err error
-		e.kills, err = chaos.PlanPoissonKills(layout.Nodes, layout.Tolerance, cfg.Rounds, cfg.KillMTBF, cfg.RoundSeconds, cfg.Seed)
+		e.kills, err = chaos.PlanPoissonKills(layout.Nodes, layout.Tolerance, cfg.Rounds, cfg.KillMTBF, DefaultSoakRoundSeconds, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -276,18 +275,18 @@ func newSoakEnv(cfg SoakConfig) (*soakEnv, error) {
 					return len(plan.Steps), nil
 				},
 			},
-			// Soak rounds cover RoundSeconds of virtual exposure each; the
-			// advisor's thresholds are multiples of it, so its half-life of
-			// a few rounds tracks regime changes within one run. The
-			// interval it retunes lives in the advisor; roundSteps reads it.
-			IntervalSeconds: cfg.RoundSeconds,
+			// Soak rounds cover DefaultSoakRoundSeconds of virtual exposure
+			// each; the advisor's thresholds are multiples of it, so its
+			// half-life of a few rounds tracks regime changes within one run.
+			// The interval it retunes lives in the advisor; roundSteps reads
+			// it.
+			IntervalSeconds: DefaultSoakRoundSeconds,
 		})
 	} else if cfg.Registry != nil {
 		// Static runs still export the tuning state (satellite gauges): the
 		// interval simply never moves. Adaptive runs get this gauge from the
 		// advisor instead.
-		iv := cfg.RoundSeconds
-		cfg.Registry.GaugeFunc("dvdc_checkpoint_interval_seconds", func() float64 { return iv })
+		cfg.Registry.GaugeFunc("dvdc_checkpoint_interval_seconds", func() float64 { return DefaultSoakRoundSeconds })
 	}
 	return e, nil
 }
@@ -308,14 +307,14 @@ func laneNodeID(lane string) (int, error) {
 // StepsPerRound models. Static soaks always get cfg.StepsPerRound.
 func (e *soakEnv) roundSteps() uint64 {
 	steps := e.cfg.StepsPerRound
-	if e.advisor == nil || e.cfg.RoundSeconds <= 0 {
+	if e.advisor == nil {
 		return steps
 	}
 	iv := e.advisor.Interval()
 	if iv <= 0 {
 		return steps
 	}
-	scaled := uint64(float64(steps)*iv/e.cfg.RoundSeconds + 0.5)
+	scaled := uint64(float64(steps)*iv/DefaultSoakRoundSeconds + 0.5)
 	return max(1, scaled)
 }
 
@@ -347,7 +346,7 @@ func (e *soakEnv) stepAdapt(rr *RoundRecord) {
 		Outliers: outliers,
 		Evidence: evidence,
 		Failures: len(rr.Kills) + len(rr.DeadDuring),
-		Elapsed:  e.cfg.RoundSeconds,
+		Elapsed:  DefaultSoakRoundSeconds,
 		Firing:   firing,
 	}
 	rr.Adapt = e.advisor.Step(o)

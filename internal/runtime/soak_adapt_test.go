@@ -151,7 +151,6 @@ func TestSoakAdaptiveConvergesUnderSlowNode(t *testing.T) {
 			PageSize:      256,
 			ChunkSize:     512,
 			Seed:          7,
-			RoundSeconds:  10,
 			SlowDelay:     delay,
 			SlowNode:      1,
 			SlowFrom:      slowFrom,

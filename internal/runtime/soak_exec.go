@@ -240,10 +240,8 @@ func newSoakService(x *soakExec) (*soakService, error) {
 		Tracer:     e.tr,
 		Registry:   cfg.Registry,
 		StateDir:   stateDir,
-		// Small thresholds so a multi-round soak exercises fsync batching and
-		// compaction, not just appends. (An in-process restart never loses
-		// OS-buffered writes, so the batched window costs the test nothing.)
-		SyncBatch:    4,
+		// A small threshold so a multi-round soak exercises compaction, not
+		// just appends.
 		CompactBytes: 32 << 10,
 	}
 	svc, err := service.Open(x, sd.opts)

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -65,25 +66,31 @@ func TestSoakSlowNodeFiresRoundTimeSLO(t *testing.T) {
 		t.Errorf("fault log carries %d slow faults, want exactly 1 (logged at arm time, not per frame)", slowFaults)
 	}
 
-	// The alert timeline: fired while the slow window was live, resolved
-	// after the heal, nothing firing at the end.
+	// The alert timeline, read off the alert spans: fired while the slow
+	// window was live, resolved after the heal, nothing firing at the end.
 	var fireTick, resolveTick int64 = -1, -1
-	for _, tr := range ev.History() {
-		if tr.Rule != "round_time_slo" {
+	var alerts []string
+	for _, s := range tr.Spans() {
+		if s.Parent != 0 || s.Name != "alert" || s.Lane != "health" || s.Attrs["rule"] != "round_time_slo" {
 			continue
 		}
-		switch tr.To {
+		tick, err := strconv.ParseInt(s.Attrs["tick"], 10, 64)
+		if err != nil {
+			t.Fatalf("alert span without a tick: %+v", s)
+		}
+		alerts = append(alerts, s.Attrs["state"]+"@"+s.Attrs["tick"])
+		switch s.Attrs["state"] {
 		case health.StateFiring:
 			if fireTick < 0 {
-				fireTick = tr.Tick
+				fireTick = tick
 			}
 		case health.StateResolved:
-			resolveTick = tr.Tick
+			resolveTick = tick
 		}
 	}
 	if fireTick < 0 {
-		t.Fatalf("round_time_slo never fired across the slow window; history: %+v, report: %+v",
-			ev.History(), ev.Report())
+		t.Fatalf("round_time_slo never fired across the slow window; alert spans: %v, report: %+v",
+			alerts, ev.Report())
 	}
 	// Tick N follows 0-based round N-1. The first slow round is round 2
 	// (tick 3) and the heal lands before round 6 (tick 7): the alert cannot
@@ -114,15 +121,10 @@ func TestSoakSlowNodeFiresRoundTimeSLO(t *testing.T) {
 		t.Errorf("dvdc_alert_transitions_total{to=resolved} = %v, want >= 1", v)
 	}
 
-	// And the soak's tracer holds the transitions as root spans, so a
-	// postmortem bundle dumped near the incident explains itself.
-	alerts := 0
-	for _, s := range tr.Spans() {
-		if s.Parent == 0 && s.Name == "alert" && s.Lane == "health" && s.Attrs["rule"] == "round_time_slo" {
-			alerts++
-		}
-	}
-	if alerts < 2 {
-		t.Errorf("tracer carries %d alert spans, want >= 2 (firing + resolved)", alerts)
+	// The alert spans and the transition counter agree.
+	fired, _ := reg.Value("dvdc_alert_transitions_total", "rule", "round_time_slo", "to", "firing")
+	resolved, _ := reg.Value("dvdc_alert_transitions_total", "rule", "round_time_slo", "to", "resolved")
+	if len(alerts) != int(fired+resolved) {
+		t.Errorf("tracer carries %d alert spans %v, the transition counters %v fired + %v resolved", len(alerts), alerts, fired, resolved)
 	}
 }

@@ -108,7 +108,7 @@ func TestSoakServiceReconcileUnderFault(t *testing.T) {
 	}
 
 	// Durability: both scheduled controller restarts happened, every mutation
-	// went through the journal, and the batched fsync policy actually batched.
+	// went through the journal, and each append and each compaction fsynced.
 	if res.ControllerRestarts != cfg.ControllerRestarts {
 		t.Errorf("performed %d controller restarts, want %d", res.ControllerRestarts, cfg.ControllerRestarts)
 	}
@@ -117,8 +117,32 @@ func TestSoakServiceReconcileUnderFault(t *testing.T) {
 		t.Error("dvdc_service_journal_appends_total never incremented despite a durable soak")
 	}
 	fsyncs := reg.Counter("dvdc_service_journal_fsyncs_total").Value()
-	if fsyncs == 0 || fsyncs >= appends {
-		t.Errorf("journal fsyncs = %d for %d appends, want 0 < fsyncs < appends (batching)", fsyncs, appends)
+	compactions := reg.Counter("dvdc_service_journal_compactions_total").Value()
+	if fsyncs != appends+compactions {
+		t.Errorf("journal fsyncs = %d for %d appends and %d compactions, want one each", fsyncs, appends, compactions)
+	}
+}
+
+// TestSoakServiceJournalSyncsEveryAppend: an acknowledged request is on
+// stable storage. A durable service-mode soak ends with exactly one journal
+// fsync per append (six rounds compact nothing).
+func TestSoakServiceJournalSyncsEveryAppend(t *testing.T) {
+	reg := obs.NewRegistry()
+	if _, err := RunSoak(SoakConfig{
+		Layout:   paperLayout(t),
+		Rounds:   6,
+		Seed:     424242,
+		Service:  true,
+		Registry: reg,
+		StateDir: t.TempDir(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	appends := reg.Counter("dvdc_service_journal_appends_total").Value()
+	fsyncs := reg.Counter("dvdc_service_journal_fsyncs_total").Value()
+	t.Logf("%d appends, %d fsyncs", appends, fsyncs)
+	if appends == 0 || fsyncs != appends {
+		t.Errorf("journal fsyncs = %d for %d appends, want one per append", fsyncs, appends)
 	}
 }
 

@@ -26,7 +26,7 @@ func TestSoakPaperLayoutInvariants(t *testing.T) {
 		Rounds:        10,
 		StepsPerRound: 30,
 		Seed:          424242,
-		Chaos:         chaos.Config{PCorrupt: 0.01, PDrop: 0.01, PDelay: 0.05, DelayMin: time.Millisecond, DelayMax: 3 * time.Millisecond},
+		Chaos:         chaos.Config{PCorrupt: 0.01, PDrop: 0.01, PDelay: 0.05},
 		ArmPerRound:   2,
 		PPartition:    0.2,
 		KillMTBF:      120,

@@ -16,20 +16,24 @@ import (
 // under it, so every RPC the coordinator causes is a span: over the whole
 // session the pools' latency histograms, which count every call attempt,
 // traced or not, must count exactly as many samples as the ring holds rpc
-// spans.
+// spans. The session ends with a node lost and rejoined: a restore probes a
+// live node and recovers a killed one, and the repair that brings the
+// restarted daemon back is a span tree too.
 func TestTelemetryCountsPerRound(t *testing.T) {
-	const wantRound, wantStep, wantQuiesce, wantChecksums = 59, 9, 9, 25
+	const wantRound, wantStep, wantQuiesce, wantChecksums, wantRepair = 59, 9, 9, 25, 3
 	layout := paperLayout(t)
 	tr := obs.NewTracer(1 << 15)
 	reg := obs.NewRegistry()
+	opts := NodeOptions{Tracer: tr, Registry: reg}
 	addrs := map[int]string{}
-	for i := 0; i < layout.Nodes; i++ {
-		n, err := NewNodeWith("127.0.0.1:0", NodeOptions{Tracer: tr, Registry: reg})
+	nodes := make([]*Node, layout.Nodes)
+	for i := range nodes {
+		n, err := NewNodeWith("127.0.0.1:0", opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { n.Close() })
-		addrs[i] = n.Addr()
+		nodes[i], addrs[i] = n, n.Addr()
 	}
 	coord, err := NewCoordinator(layout, addrs, 16, 64, 7)
 	if err != nil {
@@ -65,6 +69,61 @@ func TestTelemetryCountsPerRound(t *testing.T) {
 	}
 	if _, err := coord.NodeStats(2); err != nil {
 		t.Fatal(err)
+	}
+
+	// Kill node 1 and restore nodes 0 and 1: each is probed with a hello
+	// under one restore root. Live node 0's probe is an rpc span and the
+	// daemon's node.hello under it; node 1's probe leaves one failed attempt
+	// per stale pooled connection (the fresh dials that follow are refused
+	// before a request is sent), so it owes a recovery, which nests under the
+	// same root.
+	const live, victim = 0, 1
+	nodes[victim].Close()
+	before := len(tr.Spans())
+	if _, err := coord.ExecuteRestore(obs.SpanContext{}, []int{live, victim}); err != nil {
+		t.Fatal(err)
+	}
+	var root obs.Span
+	for _, s := range tr.Spans()[before:] {
+		if s.Parent == 0 {
+			root = s
+		}
+	}
+	probes := map[string]int{}
+	for _, s := range tr.TraceSpans(root.Trace) {
+		switch {
+		case s.Name == "recovery" && s.Parent == root.ID && s.Err == "":
+			probes["recovery"]++
+		case s.Name == "node.hello":
+			probes["answered"]++
+		case s.Name == "rpc hello" && s.Parent == root.ID && s.Err == "":
+			probes[s.Attrs["peer"]]++
+		case s.Name == "rpc hello" && s.Parent == root.ID:
+			probes[s.Attrs["peer"]+" failed"]++
+		}
+	}
+	if failed := probes["node1 failed"]; root.Name != "restore" || probes["node0"] != 1 || probes["answered"] != 1 ||
+		probes["node1"] != 0 || failed < 1 || failed > 4 || probes["recovery"] != 1 {
+		t.Errorf("restore root %q holds %v; want one answered probe of node 0, 1..4 failed attempts on node 1 (one per pooled connection) and one clean recovery",
+			root.Name, probes)
+	}
+
+	// Restart node 1's daemon on its address and repair it: a repair root,
+	// its configure rpc span and the daemon's node.configure under that.
+	n, err := NewNodeWith(addrs[victim], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	before = len(tr.Spans())
+	if err := coord.Repair(victim); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Spans()[before:]; len(got) != wantRepair {
+		t.Errorf("Repair kept %d spans, want %d: %+v", len(got), wantRepair, got)
+	} else if got[2].Name != "repair" || got[1].Name != "rpc configure" || got[1].Attrs["peer"] != "node1" || got[1].Parent != got[2].ID ||
+		got[0].Name != "node.configure" || got[0].Parent != got[1].ID {
+		t.Errorf("Repair's spans %+v, want node.configure under an rpc configure to node1 under a repair root", got)
 	}
 
 	var samples, rpcs int64

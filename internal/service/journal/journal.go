@@ -101,9 +101,6 @@ func ScanBytes(b []byte) (payloads [][]byte, valid int64, err error) {
 
 // Options tune a Writer.
 type Options struct {
-	// SyncBatch is the number of appends between fsyncs; <= 1 syncs every
-	// append. Close and Sync always flush regardless of the batch.
-	SyncBatch int
 	// OnFsync, if set, is called after every fsync of the log with the fsync's
 	// wall-clock duration (metrics hook: count + latency histogram).
 	OnFsync func(d time.Duration)
@@ -122,8 +119,6 @@ type Writer struct {
 	f       *os.File
 	path    string
 	size    int64
-	batch   int
-	pending int
 	onFsync func(time.Duration)
 	scratch []byte
 }
@@ -145,10 +140,7 @@ func Recover(path string, opts Options) (*Writer, [][]byte, RecoverInfo, error) 
 	info.Records = len(payloads)
 	info.DroppedBytes = int64(len(b)) - valid
 
-	w := &Writer{path: path, batch: opts.SyncBatch, onFsync: opts.OnFsync}
-	if w.batch < 1 {
-		w.batch = 1
-	}
+	w := &Writer{path: path, onFsync: opts.OnFsync}
 	if valid < headerLen {
 		// Fresh (or torn-before-header) file: rewrite it from scratch.
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -191,7 +183,8 @@ func Recover(path string, opts Options) (*Writer, [][]byte, RecoverInfo, error) 
 	return w, out, info, nil
 }
 
-// Append frames payload and writes it, fsyncing when the batch fills.
+// Append frames payload, writes it and fsyncs it: an append that returns nil
+// is on stable storage.
 func (w *Writer) Append(payload []byte) error {
 	if len(payload) > MaxRecord {
 		return fmt.Errorf("journal: record of %d bytes exceeds MaxRecord %d", len(payload), MaxRecord)
@@ -206,32 +199,10 @@ func (w *Writer) Append(payload []byte) error {
 		return err
 	}
 	w.size += int64(len(w.scratch))
-	w.pending++
-	if w.pending >= w.batch {
-		return w.syncLocked()
-	}
-	return nil
-}
-
-// Sync flushes any batched appends to stable storage.
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	return w.syncLocked()
-}
-
-func (w *Writer) syncLocked() error {
-	if w.pending == 0 {
-		return nil
-	}
 	t0 := time.Now()
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	w.pending = 0
 	if w.onFsync != nil {
 		w.onFsync(time.Since(t0))
 	}
@@ -291,24 +262,21 @@ func (w *Writer) Rewrite(payloads ...[]byte) error {
 		return err
 	}
 	w.f.Close()
-	w.f, w.size, w.pending = nf, int64(len(buf)), 0
+	w.f, w.size = nf, int64(len(buf))
 	if w.onFsync != nil {
 		w.onFsync(fsyncWall)
 	}
 	return nil
 }
 
-// Close flushes batched appends and closes the file. Idempotent.
+// Close closes the file; every append is already synced. Idempotent.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return nil
 	}
-	err := w.syncLocked()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
+	err := w.f.Close()
 	w.f = nil
 	return err
 }

@@ -165,22 +165,24 @@ func TestJournalPartialHeaderTreatedAsFresh(t *testing.T) {
 	}
 }
 
+// TestJournalFsyncBatching: there is no batching. Every append is fsynced
+// before it returns, and Close has nothing left to flush.
 func TestJournalFsyncBatching(t *testing.T) {
 	fsyncs := 0
-	w, _ := openFresh(t, Options{SyncBatch: 4, OnFsync: func(time.Duration) { fsyncs++ }})
-	for i := 0; i < 10; i++ {
+	w, _ := openFresh(t, Options{OnFsync: func(time.Duration) { fsyncs++ }})
+	for i := 1; i <= 10; i++ {
 		if err := w.Append([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if fsyncs != 2 { // at appends 4 and 8
-		t.Fatalf("fsyncs after 10 appends at batch 4 = %d, want 2", fsyncs)
+		if fsyncs != i {
+			t.Fatalf("fsyncs after %d appends = %d, want one per append", i, fsyncs)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if fsyncs != 3 { // Close flushes the 2 stragglers
-		t.Fatalf("fsyncs after Close = %d, want 3", fsyncs)
+	if fsyncs != 10 {
+		t.Fatalf("fsyncs after Close = %d, want 10 (none extra)", fsyncs)
 	}
 }
 

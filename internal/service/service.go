@@ -23,9 +23,8 @@ type Options struct {
 	// (Open only): requests survive controller restarts and the reconciler
 	// resumes whatever was in flight.
 	StateDir string
-	// CompactBytes and SyncBatch tune the journal (see DurableOptions).
+	// CompactBytes tunes the journal's compaction (see DurableOptions).
 	CompactBytes int64
-	SyncBatch    int
 }
 
 // Service bundles the control plane: the object store, the admission gate,
@@ -52,7 +51,6 @@ func Open(exec Executor, opts Options) (*Service, error) {
 		var err error
 		st, replay, err = OpenStore(opts.StateDir, DurableOptions{
 			CompactBytes: opts.CompactBytes,
-			SyncBatch:    opts.SyncBatch,
 			Registry:     opts.Registry,
 		})
 		if err != nil {
@@ -79,7 +77,7 @@ func (s *Service) Start() {
 // state dir. Idempotent.
 func (s *Service) Stop() {
 	s.Reconciler.Stop()
-	s.Store.Close() //nolint:errcheck // appends are already synced per batch; nothing actionable here
+	s.Store.Close() //nolint:errcheck // every append is already synced; nothing actionable here
 }
 
 // Submit admits and stores one request. The returned copy carries the

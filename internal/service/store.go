@@ -41,7 +41,6 @@ type Store struct {
 	byID   map[string]*Request
 	order  []string // submission order
 	change chan struct{}
-	now    func() time.Time
 
 	// Durable backing; all nil/zero for the memory-only store.
 	jw           *journal.Writer
@@ -55,7 +54,6 @@ func NewStore() *Store {
 	return &Store{
 		byID:   map[string]*Request{},
 		change: make(chan struct{}),
-		now:    time.Now,
 	}
 }
 
@@ -64,9 +62,6 @@ type DurableOptions struct {
 	// CompactBytes is the journal size that triggers compaction; 0 picks
 	// DefaultCompactBytes, negative disables automatic compaction.
 	CompactBytes int64
-	// SyncBatch is the number of appends between fsyncs (<=1 syncs every
-	// append — the durable default).
-	SyncBatch int
 	// Registry receives the dvdc_service_journal_* metrics (nil = unmetered).
 	Registry *obs.Registry
 }
@@ -92,7 +87,6 @@ func OpenStore(dir string, opts DurableOptions) (*Store, ReplayInfo, error) {
 	reg := opts.Registry
 	t0 := time.Now()
 	jw, payloads, rinfo, err := journal.Recover(path, journal.Options{
-		SyncBatch: opts.SyncBatch,
 		OnFsync: func(d time.Duration) {
 			reg.Counter("dvdc_service_journal_fsyncs_total").Inc()
 			reg.Histogram("dvdc_service_journal_fsync_seconds", obs.LatencyBuckets()).Observe(d.Seconds())
@@ -112,7 +106,6 @@ func OpenStore(dir string, opts DurableOptions) (*Store, ReplayInfo, error) {
 		byID:   img.byID,
 		order:  img.order,
 		change: make(chan struct{}),
-		now:    time.Now,
 		jw:     jw,
 		reg:    reg,
 	}
@@ -130,13 +123,6 @@ func OpenStore(dir string, opts DurableOptions) (*Store, ReplayInfo, error) {
 		Observe(info.Duration.Seconds())
 	reg.GaugeFunc("dvdc_service_journal_bytes", func() float64 { return float64(jw.Size()) })
 	return s, info, nil
-}
-
-// setClock substitutes the timestamp source (tests).
-func (s *Store) setClock(now func() time.Time) {
-	s.mu.Lock()
-	s.now = now
-	s.mu.Unlock()
 }
 
 // bump advances the revision and wakes every watcher. Caller holds s.mu.
@@ -204,7 +190,7 @@ func (s *Store) Create(kind Kind, spec Spec) (*Request, error) {
 		return nil, s.jerr
 	}
 	s.nextID++
-	now := s.now()
+	now := time.Now()
 	req := &Request{
 		APIVersion: APIVersion,
 		Kind:       kind,
@@ -262,7 +248,7 @@ func (s *Store) UpdateStatus(id string, mutate func(now time.Time, req *Request)
 	if !ok {
 		return nil, fmt.Errorf("service: no request %q", id)
 	}
-	mutate(s.now(), req)
+	mutate(time.Now(), req)
 	s.bump()
 	if err := s.appendLocked(journalRecord{Op: opStatus, Rev: s.rev, Req: req}); err != nil {
 		return nil, err

@@ -10,7 +10,8 @@ import (
 )
 
 // TestPoolStatsAndRegistry drives a pool through dial, reuse, and restart
-// drain, then checks both the Stats snapshot and the registry exposition.
+// drain, and reads each step's counts off the pool's registry series, then
+// checks their exposition.
 func TestPoolStatsAndRegistry(t *testing.T) {
 	s, err := Listen("127.0.0.1:0", func(req *wire.Message) (*wire.Message, error) {
 		return &wire.Message{Type: wire.MsgHelloOK}, nil
@@ -29,9 +30,15 @@ func TestPoolStatsAndRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := p.Stats()
-	if st.Peer != "node1" || st.Dials != 1 || st.Reuses != 2 || st.OpenConns != 1 || st.Idle != 1 {
-		t.Errorf("stats after 3 sequential calls: %+v", st)
+	series := func() map[string]float64 {
+		out := map[string]float64{}
+		for _, name := range []string{"dvdc_pool_dials_total", "dvdc_pool_reuses_total", "dvdc_pool_stale_drains_total", "dvdc_pool_retries_total", "dvdc_pool_open_conns"} {
+			out[name], _ = reg.Value(name, "peer", "node1")
+		}
+		return out
+	}
+	if st := series(); st["dvdc_pool_dials_total"] != 1 || st["dvdc_pool_reuses_total"] != 2 || st["dvdc_pool_open_conns"] != 1 || st["dvdc_pool_stale_drains_total"] != 0 {
+		t.Errorf("series after 3 sequential calls: %v", st)
 	}
 
 	// Restart the peer on the same address: the pooled connection goes stale
@@ -48,9 +55,8 @@ func TestPoolStatsAndRegistry(t *testing.T) {
 	if _, err := p.Call(&wire.Message{Type: wire.MsgHello}); err != nil {
 		t.Fatal(err)
 	}
-	st = p.Stats()
-	if st.StaleDrains != 1 || st.Dials != 2 || st.OpenConns != 1 {
-		t.Errorf("stats after restart drain: %+v", st)
+	if st := series(); st["dvdc_pool_stale_drains_total"] != 1 || st["dvdc_pool_dials_total"] != 2 || st["dvdc_pool_open_conns"] != 1 || st["dvdc_pool_retries_total"] != 1 {
+		t.Errorf("series after restart drain: %v", st)
 	}
 
 	var b strings.Builder

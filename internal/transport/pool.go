@@ -98,33 +98,6 @@ func (p *Pool) Addr() string { return p.addr }
 // attempts (a health signal: a flapping peer drives it up).
 func (p *Pool) Retries() int64 { return p.retries.Load() }
 
-// PoolStats is a point-in-time snapshot of a pool's health counters.
-type PoolStats struct {
-	Peer        string
-	Dials       int64 // fresh connections established
-	Reuses      int64 // calls served over a pooled idle connection
-	StaleDrains int64 // pooled connections discarded after failing a call
-	Retries     int64 // in-call retries plus re-dial attempts
-	OpenConns   int64 // connections currently alive (idle + checked out)
-	Idle        int   // connections parked in the idle list right now
-}
-
-// Stats snapshots the pool's health counters.
-func (p *Pool) Stats() PoolStats {
-	p.mu.Lock()
-	idle := len(p.idle)
-	p.mu.Unlock()
-	return PoolStats{
-		Peer:        p.opts.Peer,
-		Dials:       p.dials.Load(),
-		Reuses:      p.reuses.Load(),
-		StaleDrains: p.staleDrains.Load(),
-		Retries:     p.retries.Load(),
-		OpenConns:   p.openConns.Load(),
-		Idle:        idle,
-	}
-}
-
 // closeConn closes a pool-owned connection, keeping the open-conns gauge
 // honest.
 func (p *Pool) closeConn(c *Conn) {
