@@ -187,12 +187,7 @@ func (s *sessionFlags) open(opts service.Options) *session {
 	fatal(err)
 	se.closeSink = closeSink
 	coord.SetObserver(se.tracer, se.registry)
-	rec := s.common.Recorder(se.registry, se.tracer)
-	if rec != nil {
-		rec.SetMeta("seed", s.seed)
-		rec.SetMeta("nodes", len(addrs))
-		coord.SetFlightRecorder(rec)
-	}
+	coord.SetPostmortemDir(s.common.PostmortemDir)
 	coord.SetRPCTimeout(s.common.RPCTimeout)
 	if s.slowNode >= 0 && s.slowDelay > 0 {
 		// A chaos injector on the coordinator's dial path, carrying only the

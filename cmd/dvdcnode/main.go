@@ -38,18 +38,16 @@ func main() {
 	common.HealthFlag(flag.CommandLine)
 	flag.Parse()
 
-	var opts runtime.NodeOptions
+	opts := runtime.NodeOptions{RPCTimeout: common.RPCTimeout}
 	if common.WantTracer() {
 		opts.Tracer = obs.NewTracer(0)
 		opts.Registry = obs.NewRegistry()
 	}
-	rec := common.Recorder(opts.Registry, opts.Tracer)
 	node, err := runtime.NewNodeWith(*listen, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dvdcnode: %v\n", err)
 		os.Exit(1)
 	}
-	node.SetRPCTimeout(common.RPCTimeout)
 	fmt.Printf("dvdcnode listening on %s\n", node.Addr())
 	ev, healthMount := common.StartHealth(opts.Registry, opts.Tracer)
 	defer ev.Stop()
@@ -68,13 +66,13 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	quit := make(chan os.Signal, 1)
-	if rec != nil {
+	if common.PostmortemDir != "" {
 		signal.Notify(quit, syscall.SIGQUIT)
 	}
 	for {
 		select {
 		case <-quit:
-			if path, err := rec.AutoDump("sigquit"); err != nil {
+			if path, err := obs.Dump(common.PostmortemDir, "sigquit", opts.Tracer, opts.Registry, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "dvdcnode: postmortem dump: %v\n", err)
 			} else {
 				fmt.Fprintf(os.Stderr, "dvdcnode: postmortem bundle %s\n", path)

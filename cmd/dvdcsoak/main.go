@@ -166,14 +166,14 @@ func main() {
 		cfg.Tracer = obs.NewTracer(1 << 15)
 	}
 	cfg.PostmortemDir = f.common.PostmortemDir
-	cfg.Recorder = f.common.Recorder(cfg.Registry, cfg.Tracer)
-	if cfg.Recorder != nil {
+	if cfg.PostmortemDir != "" {
 		// SIGQUIT = "explain yourself": dump the black box and keep soaking.
+		meta := map[string]interface{}{"seed": cfg.Seed, "rounds": cfg.Rounds, "nodes": layout.Nodes}
 		quit := make(chan os.Signal, 1)
 		signal.Notify(quit, syscall.SIGQUIT)
 		go func() {
 			for range quit {
-				if path, err := cfg.Recorder.Dump(cfg.PostmortemDir, "sigquit"); err != nil {
+				if path, err := obs.Dump(cfg.PostmortemDir, "sigquit", cfg.Tracer, cfg.Registry, meta); err != nil {
 					fmt.Fprintf(os.Stderr, "dvdcsoak: postmortem dump: %v\n", err)
 				} else {
 					fmt.Fprintf(os.Stderr, "dvdcsoak: postmortem bundle %s\n", path)

@@ -223,7 +223,7 @@ func (i *Injector) Register(node int, addr string) {
 
 // NextRound advances the round tag new faults are logged under and returns
 // the new round index. The soak harness calls it once per checkpoint round
-// so the fault log lines up with RoundStats.
+// so the fault log lines up with the soak's RoundRecord.
 func (i *Injector) NextRound() int {
 	i.mu.Lock()
 	defer i.mu.Unlock()

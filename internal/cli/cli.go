@@ -123,18 +123,3 @@ func (c *Common) ServeObs(name string, reg *obs.Registry, tr *obs.Tracer, mounts
 	fmt.Fprintf(os.Stderr, "obs listening on %s\n", srv.Addr())
 	return srv, nil
 }
-
-// Recorder builds the flight recorder -postmortem-dir asks for, wired to the
-// registry and to the tracer (nil when untraced) whose spans its bundles
-// carry. Returns nil when the flag is unset; callers attach run-specific
-// metadata themselves.
-func (c *Common) Recorder(reg *obs.Registry, tr *obs.Tracer) *obs.FlightRecorder {
-	if c.PostmortemDir == "" {
-		return nil
-	}
-	rec := obs.NewFlightRecorder()
-	rec.SetDumpDir(c.PostmortemDir)
-	rec.SetRegistry(reg)
-	rec.SetTracer(tr)
-	return rec
-}

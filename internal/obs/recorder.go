@@ -10,75 +10,8 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
-
-// FlightRecorder is a per-process black box that dumps a postmortem bundle
-// — the process tracer's ring of spans as JSONL, a metrics snapshot, and run
-// metadata — when something goes wrong (PartialCommitError, a soak invariant
-// violation, SIGQUIT). It keeps no record of its own: spans and the registry
-// are the one telemetry record, and the tracer's ring is the pre-failure
-// window ReHype's recoverable pre-failure state argues for. All methods
-// tolerate a nil receiver.
-type FlightRecorder struct {
-	mu   sync.Mutex
-	dir  string // auto-dump directory ("" = AutoDump disabled)
-	reg  *Registry
-	tr   *Tracer
-	meta map[string]interface{}
-}
-
-// NewFlightRecorder builds a recorder with no dump directory, registry or
-// tracer attached.
-func NewFlightRecorder() *FlightRecorder {
-	return &FlightRecorder{meta: map[string]interface{}{}}
-}
-
-// SetDumpDir sets where AutoDump writes bundles ("" disables AutoDump;
-// explicit Dump calls still work with an explicit directory).
-func (r *FlightRecorder) SetDumpDir(dir string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.dir = dir
-	r.mu.Unlock()
-}
-
-// SetRegistry attaches the metrics registry whose exposition is snapshotted
-// into every bundle.
-func (r *FlightRecorder) SetRegistry(reg *Registry) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.reg = reg
-	r.mu.Unlock()
-}
-
-// SetTracer attaches the process's tracer, whose ring of finished spans
-// every bundle carries as spans.jsonl. Pass the tracer the process's pools
-// and coordinator use: their traced RPC outcomes live only in its spans.
-func (r *FlightRecorder) SetTracer(tr *Tracer) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.tr = tr
-	r.mu.Unlock()
-}
-
-// SetMeta attaches one key of run metadata (layout, seed, geometry) to every
-// subsequent bundle's meta.json. Values must be JSON-encodable.
-func (r *FlightRecorder) SetMeta(key string, v interface{}) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.meta[key] = v
-	r.mu.Unlock()
-}
 
 // BundleMeta is a postmortem bundle's meta.json.
 type BundleMeta struct {
@@ -89,35 +22,25 @@ type BundleMeta struct {
 	Meta      map[string]interface{} `json:"meta,omitempty"`
 }
 
-// AutoDump writes a bundle into the configured dump directory; a no-op when
-// none is set. Errors are returned but safe to ignore on failure paths — the
-// recorder must never turn a postmortem into a second failure.
-func (r *FlightRecorder) AutoDump(reason string) (string, error) {
-	if r == nil {
-		return "", nil
-	}
-	r.mu.Lock()
-	dir := r.dir
-	r.mu.Unlock()
-	if dir == "" {
-		return "", nil
-	}
-	return r.Dump(dir, reason)
-}
-
-// Dump writes a postmortem bundle under dir and returns the bundle path:
+// Dump writes a postmortem bundle of a process's black box under dir when
+// something goes wrong (PartialCommitError, a soak invariant violation,
+// SIGQUIT) and returns the bundle path. The box is what the process already
+// records: tr's ring of spans, the pre-failure window ReHype's recoverable
+// pre-failure state argues for, and reg's series; meta (run metadata such as
+// seed and node count, JSON-encodable) names the run. tr and reg may be nil,
+// and an empty dir writes nothing. Errors are safe to ignore on failure
+// paths: a postmortem must never turn into a second failure.
 //
 //	<dir>/postmortem-<reason>-<nanotime>/
 //	    spans.jsonl      the tracer's ring, oldest first, in the JSONL sink's
-//	                     encoding (when a tracer is set; render with
-//	                     `dvdcctl trace -in`)
-//	    metrics.prom     Prometheus exposition snapshot (when a registry is set)
+//	                     encoding (when traced; render with `dvdcctl trace -in`)
+//	    metrics.prom     Prometheus exposition snapshot (when reg is set)
 //	    goroutine.pprof  full goroutine stacks (text, debug=2) — stuck
 //	                     reconcilers show as parked goroutines
 //	    heap.pprof       heap profile (binary, `go tool pprof`-able)
-//	    meta.json        reason, timestamp, spans evicted, run metadata
-func (r *FlightRecorder) Dump(dir, reason string) (string, error) {
-	if r == nil {
+//	    meta.json        reason, timestamp, spans evicted, meta
+func Dump(dir, reason string, tr *Tracer, reg *Registry, meta map[string]interface{}) (string, error) {
+	if dir == "" {
 		return "", nil
 	}
 	slug := strings.Map(func(c rune) rune {
@@ -130,13 +53,6 @@ func (r *FlightRecorder) Dump(dir, reason string) (string, error) {
 	if err := os.MkdirAll(bundle, 0o755); err != nil {
 		return "", fmt.Errorf("obs: bundle dir: %w", err)
 	}
-	r.mu.Lock()
-	reg, tr := r.reg, r.tr
-	meta := make(map[string]interface{}, len(r.meta))
-	for k, v := range r.meta {
-		meta[k] = v
-	}
-	r.mu.Unlock()
 	if tr != nil {
 		if err := writeFile(filepath.Join(bundle, "spans.jsonl"), func(w io.Writer) error {
 			return writeJSONL(w, tr.Spans())

@@ -9,10 +9,10 @@ import (
 	"testing"
 )
 
-// TestFlightRecorderDumpRoundTrip writes a bundle and reads it back: the
-// tracer's ring in the sink's encoding with its eviction count, the metrics
-// snapshot and the run metadata, and no record of the recorder's own.
-func TestFlightRecorderDumpRoundTrip(t *testing.T) {
+// TestDumpRoundTrip writes a bundle and reads it back: the tracer's ring in
+// the sink's encoding with its eviction count, the metrics snapshot and the
+// run metadata, and no record of the dump's own.
+func TestDumpRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry()
 	reg.Counter("dvdc_test_total").Add(7)
@@ -24,11 +24,7 @@ func TestFlightRecorderDumpRoundTrip(t *testing.T) {
 	tr.Child(root.Context(), "rpc MsgCommit", "").FinishErr(errors.New("boom"))
 	root.Finish()
 
-	rec := NewFlightRecorder()
-	rec.SetRegistry(reg)
-	rec.SetTracer(tr)
-	rec.SetMeta("seed", int64(99))
-	path, err := rec.Dump(dir, "unit test!")
+	path, err := Dump(dir, "unit test!", tr, reg, map[string]interface{}{"seed": int64(99)})
 	if err != nil {
 		t.Fatalf("Dump: %v", err)
 	}
@@ -75,33 +71,18 @@ func TestFlightRecorderDumpRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderAutoDumpDisabled(t *testing.T) {
-	rec := NewFlightRecorder()
-	path, err := rec.AutoDump("reason")
-	if err != nil || path != "" {
-		t.Fatalf("AutoDump without dir = (%q, %v), want no-op", path, err)
-	}
-}
-
-func TestFlightRecorderNilSafe(t *testing.T) {
-	var rec *FlightRecorder
-	rec.SetDumpDir("/nope")
-	rec.SetRegistry(nil)
-	rec.SetTracer(nil)
-	rec.SetMeta("k", 1)
-	if path, err := rec.AutoDump("r"); path != "" || err != nil {
-		t.Fatal("nil AutoDump must be a no-op")
-	}
-	if path, err := rec.Dump("/nope", "r"); path != "" || err != nil {
-		t.Fatal("nil Dump must be a no-op")
+// TestDumpWithoutDirWritesNothing holds an empty dump directory, the
+// unset -postmortem-dir, to no bundle and no error.
+func TestDumpWithoutDirWritesNothing(t *testing.T) {
+	if path, err := Dump("", "reason", NewTracer(4), NewRegistry(), nil); path != "" || err != nil {
+		t.Fatalf("Dump without dir = (%q, %v), want no-op", path, err)
 	}
 }
 
 // TestReadBundleWithoutSpans reads a bundle from an untraced process: no
 // spans.jsonl is written, and the bundle reads back with zero spans.
 func TestReadBundleWithoutSpans(t *testing.T) {
-	rec := NewFlightRecorder()
-	path, err := rec.Dump(t.TempDir(), "untraced")
+	path, err := Dump(t.TempDir(), "untraced", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

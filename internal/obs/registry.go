@@ -30,6 +30,9 @@ type Gauge struct{ v atomic.Int64 }
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
+// Add moves the value by n (either sign).
+func (g *Gauge) Add(n int64) { g.v.Add(n) }
+
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

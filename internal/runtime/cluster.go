@@ -20,8 +20,9 @@ import (
 // read straight from the daemons, all for use between protocol operations.
 type Cluster struct {
 	*Coordinator
-	nodes []*Node
-	opts  func(node int) NodeOptions
+	nodes   []*Node
+	stopped []bool // Kill closed the daemon and no Start has replaced it
+	opts    func(node int) NodeOptions
 }
 
 // startCluster starts a daemon for every node of layout, node n at addr(n)
@@ -36,7 +37,7 @@ func startCluster(layout *cluster.Layout, pages, pageSize int, seed int64, addr 
 	if err != nil {
 		return nil, err
 	}
-	cl := &Cluster{Coordinator: coord, nodes: make([]*Node, layout.Nodes), opts: opts}
+	cl := &Cluster{Coordinator: coord, nodes: make([]*Node, layout.Nodes), stopped: make([]bool, layout.Nodes), opts: opts}
 	for n := range cl.nodes {
 		if err := cl.Start(n); err != nil {
 			cl.Close()
@@ -66,23 +67,41 @@ func NewInProcess(layout *cluster.Layout, pagesPerVM, pageSize int) (*Cluster, e
 	return cl, nil
 }
 
-// Start starts a fresh, empty daemon for node at its address, with the hooks
-// it was first started with: after Kill, Start then Repair returns the node
-// to service.
+// Start starts a fresh, empty daemon for node at its address, with the
+// options it was first started with: after Kill, Start then Repair returns
+// the node to service.
 func (cl *Cluster) Start(node int) error {
 	d, err := NewNodeWith(cl.addrs[node], cl.opts(node))
 	if err == nil {
-		cl.nodes[node] = d
+		cl.nodes[node], cl.stopped[node] = d, false
 	}
 	return err
 }
 
 // Kill stops the nodes' daemons: their addresses refuse calls from then on, as
-// a crashed host's do. RecoverNodes over them rebuilds what they held.
-func (cl *Cluster) Kill(nodes ...int) {
+// a crashed host's do. RecoverNodes over them rebuilds what they held. A
+// daemon already stopped stays so; Kill returns the nodes it stopped.
+func (cl *Cluster) Kill(nodes ...int) (killed []int) {
 	for _, n := range nodes {
-		cl.nodes[n].Close()
+		if !cl.stopped[n] {
+			cl.nodes[n].Close()
+			cl.stopped[n] = true
+			killed = append(killed, n)
+		}
 	}
+	return killed
+}
+
+// stoppedNodes lists, ascending, the nodes whose daemons Kill stopped and no
+// Start has replaced.
+func (cl *Cluster) stoppedNodes() []int {
+	var out []int
+	for n, down := range cl.stopped {
+		if down {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // Close stops the coordinator and every daemon.

@@ -50,7 +50,7 @@ type Coordinator struct {
 	dialer         transport.DialFunc
 	tracer         *obs.Tracer
 	registry       *obs.Registry
-	recorder       *obs.FlightRecorder
+	postmortemDir  string // where a partial commit dumps a bundle ("" = none)
 
 	statsMu   sync.Mutex
 	lastRound RoundStats
@@ -134,12 +134,12 @@ func (c *Coordinator) SetObserver(tr *obs.Tracer, reg *obs.Registry) {
 	c.mu.Unlock()
 }
 
-// SetFlightRecorder attaches a black-box flight recorder (may be nil): a
-// PartialCommitError — the protocol's "a node died mid-commit" failure —
-// auto-dumps a postmortem bundle.
-func (c *Coordinator) SetFlightRecorder(rec *obs.FlightRecorder) {
+// SetPostmortemDir names where a PartialCommitError — the protocol's "a node
+// died mid-commit" failure — dumps a postmortem bundle of the coordinator's
+// tracer, registry, seed and node count ("" = none, the default).
+func (c *Coordinator) SetPostmortemDir(dir string) {
 	c.mu.Lock()
-	c.recorder = rec
+	c.postmortemDir = dir
 	c.mu.Unlock()
 }
 
@@ -172,8 +172,8 @@ func (c *Coordinator) Layout() *cluster.Layout { return c.layout }
 // goroutine, including while a round is in flight on another.
 func (c *Coordinator) Epoch() uint64 { return c.epoch.Load() }
 
-// RoundStats returns the stats of the most recent checkpoint round (and
-// recovery, if one has run).
+// RoundStats returns the stats of the most recent checkpoint round; a
+// recovery leaves them as they were.
 func (c *Coordinator) RoundStats() RoundStats {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
@@ -548,9 +548,9 @@ func (c *Coordinator) CheckpointIn(parent obs.SpanContext) error {
 		// The black-box moment: a node died mid-commit. Dump the tracer's
 		// pre-failure window before recovery traffic overwrites it.
 		c.mu.Lock()
-		rec := c.recorder
+		dir, reg := c.postmortemDir, c.registry
 		c.mu.Unlock()
-		rec.AutoDump("partial-commit") //nolint:errcheck // never turn a postmortem into a second failure
+		obs.Dump(dir, "partial-commit", tr, reg, map[string]interface{}{"seed": c.seedBase, "nodes": c.layout.Nodes}) //nolint:errcheck // never turn a postmortem into a second failure
 		return err
 	}
 	root.Finish()

@@ -70,8 +70,9 @@ type keeperState struct {
 // value is plain TCP on both sides; fault-injection layers (internal/chaos)
 // substitute their own hooks.
 type NodeOptions struct {
-	Dialer transport.DialFunc   // outbound peer connections (nil = TCP)
-	Listen transport.ListenFunc // the daemon's own listener (nil = TCP)
+	Dialer     transport.DialFunc   // outbound peer connections (nil = TCP)
+	Listen     transport.ListenFunc // the daemon's own listener (nil = TCP)
+	RPCTimeout time.Duration        // bounds every peer call: delta ships, recovery pulls (0 = none)
 
 	// Observability (all optional): traced requests get per-handler spans in
 	// this node's lane, and the registry gets the node's peer-pool health
@@ -95,10 +96,11 @@ func NewNodeWith(addr string, opts NodeOptions) (*Node, error) {
 		held:    map[heldKey][]byte{},
 		// A node serves recovery reads before (and without) ever being
 		// configured as a member host, so the tuning starts at the default.
-		chunkSize: resolveChunkSize(0),
-		dialer:    opts.Dialer,
-		tracer:    opts.Tracer,
-		registry:  opts.Registry,
+		chunkSize:  resolveChunkSize(0),
+		rpcTimeout: opts.RPCTimeout,
+		dialer:     opts.Dialer,
+		tracer:     opts.Tracer,
+		registry:   opts.Registry,
 	}
 	if opts.Registry != nil {
 		mountBufpoolStats(opts.Registry)
@@ -123,15 +125,6 @@ func mountBufpoolStats(reg *obs.Registry) {
 
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.server.Addr() }
-
-// SetRPCTimeout bounds every peer call this node makes (delta shipping,
-// recovery image pulls). Applies to pools created after the call, so set it
-// before the node receives traffic. 0 means no deadline.
-func (n *Node) SetRPCTimeout(d time.Duration) {
-	n.mu.Lock()
-	n.rpcTimeout = d
-	n.mu.Unlock()
-}
 
 // Close stops the daemon.
 func (n *Node) Close() error {
@@ -211,14 +204,21 @@ func (n *Node) snapshotKeepers() []*keeperState {
 }
 
 // handle serves one request: traced requests get a handler span in this
-// node's lane (child of the caller's RPC-attempt span), then dispatch. Locks
-// are taken by the individual operations, never across peer calls, to avoid
-// distributed deadlock.
+// node's lane (child of the caller's RPC-attempt span), then dispatch. A
+// configure's lane is the node it names, not the identity it replaces (a
+// fresh daemon's is 0). Locks are taken by the individual operations, never
+// across peer calls, to avoid distributed deadlock.
 func (n *Node) handle(req *wire.Message) (*wire.Message, error) {
 	ctx := obs.SpanContext{Trace: req.Trace, Span: req.Span}
 	n.mu.Lock()
 	tr, id := n.tracer, n.id
 	n.mu.Unlock()
+	if tr != nil && req.Type == wire.MsgConfigure {
+		var cfg NodeConfig
+		if decodeJSON(req.Text, &cfg) == nil {
+			id = cfg.NodeID
+		}
+	}
 	sp := tr.Child(ctx, "node."+req.Type.String(), fmt.Sprintf("node%d", id))
 	resp, err := n.dispatch(sp.ContextOr(ctx), req)
 	sp.FinishErr(err)

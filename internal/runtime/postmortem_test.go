@@ -13,11 +13,11 @@ import (
 	"dvdc/internal/obs/collect"
 )
 
-// TestPartialCommitDumpsPostmortemBundle is the black-box recorder's
-// end-to-end contract: a node that dies mid-commit must leave a postmortem
-// bundle on disk — the tracer's spans, metrics snapshot, and meta naming the
-// reason — without any cooperation from the caller beyond attaching the
-// recorder.
+// TestPartialCommitDumpsPostmortemBundle is the black box's end-to-end
+// contract: a node that dies mid-commit must leave a postmortem bundle on
+// disk — the tracer's spans, metrics snapshot, and meta naming the reason,
+// the seed and the node count — without any cooperation from the caller
+// beyond naming the dump directory.
 func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 	dir := t.TempDir()
 	layout := paperLayout(t)
@@ -41,11 +41,6 @@ func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 
 	tr := obs.NewTracer(1 << 12)
 	reg := obs.NewRegistry()
-	rec := obs.NewFlightRecorder()
-	rec.SetDumpDir(dir)
-	rec.SetRegistry(reg)
-	rec.SetTracer(tr)
-	rec.SetMeta("test", "partial-commit")
 
 	coord, err := NewCoordinator(layout, addrs, 16, 64, 99)
 	if err != nil {
@@ -53,7 +48,7 @@ func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 	}
 	t.Cleanup(coord.Close)
 	coord.SetObserver(tr, reg)
-	coord.SetFlightRecorder(rec)
+	coord.SetPostmortemDir(dir)
 	if err := coord.Setup(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +80,8 @@ func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 	if b.Meta.Reason != "partial-commit" {
 		t.Errorf("bundle reason = %q", b.Meta.Reason)
 	}
-	if b.Meta.Meta["test"] != "partial-commit" {
-		t.Errorf("bundle meta = %v, SetMeta lost", b.Meta.Meta)
+	if b.Meta.Meta["seed"] != float64(99) || b.Meta.Meta["nodes"] != float64(layout.Nodes) { // JSON numbers decode as float64
+		t.Errorf("bundle meta = %v, want seed 99 and %d nodes", b.Meta.Meta, layout.Nodes)
 	}
 	// The bundle's spans must hold the failing commit RPCs against node1,
 	// the round's one commit span naming why node1 was declared dead, and the
@@ -129,20 +124,19 @@ func TestPartialCommitDumpsPostmortemBundle(t *testing.T) {
 	}
 }
 
-// TestSoakPostmortemWiring runs a clean chaos-free soak with a postmortem dir
-// attached: nothing goes wrong, so nothing dumps, yet the recorder must hold
-// the soak's own tracer, so a dump carries every round's spans. The failure
-// path is covered by TestPartialCommitDumpsPostmortemBundle above and by the
-// chaos soak in CI.
+// TestSoakPostmortemWiring boots a soak's cluster with a postmortem dir and
+// fails an invariant by hand: the bundle must carry the soak's own tracer
+// (the setup's spans), its registry, and meta naming the run and the
+// violation. A clean soak dumps nothing. The partial-commit path is covered
+// by TestPartialCommitDumpsPostmortemBundle above and by the chaos soak in CI.
 func TestSoakPostmortemWiring(t *testing.T) {
 	dir := t.TempDir()
-	rec := obs.NewFlightRecorder()
 	cfg := SoakConfig{
 		Layout:        paperLayout(t),
 		Rounds:        3,
 		StepsPerRound: 20,
 		Seed:          7,
-		Recorder:      rec,
+		Registry:      obs.NewRegistry(),
 		PostmortemDir: dir,
 	}
 	if _, err := RunSoak(cfg); err != nil {
@@ -151,22 +145,35 @@ func TestSoakPostmortemWiring(t *testing.T) {
 	if found, _ := obs.FindBundles(dir); len(found) != 0 {
 		t.Fatalf("clean soak dumped bundles: %v", found)
 	}
-	path, err := rec.Dump(t.TempDir(), "probe")
+	e, err := newSoakEnv(cfg.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := obs.ReadBundle(path)
+	defer e.cl.Close()
+	if _, err := e.fail(2, "probe %d", 1); err == nil || !strings.Contains(err.Error(), "probe 1") {
+		t.Fatalf("fail returned %v", err)
+	}
+	found, err := obs.FindBundles(dir)
+	if err != nil || len(found) != 1 {
+		t.Fatalf("FindBundles = %v, %v, want the violation's bundle", found, err)
+	}
+	b, err := obs.ReadBundle(found[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds := 0
+	m := b.Meta.Meta
+	if b.Meta.Reason != "soak-invariant" || m["violation"] != "round 2: probe 1" || m["seed"] != float64(7) ||
+		m["rounds"] != float64(3) || m["nodes"] != float64(4) {
+		t.Errorf("bundle reason %q, meta %v", b.Meta.Reason, m)
+	}
+	setups := 0
 	for _, s := range b.Spans {
-		if s.Parent == 0 && s.Name == "round" {
-			rounds++
+		if s.Parent == 0 && s.Name == "setup" {
+			setups++
 		}
 	}
-	if rounds != cfg.Rounds {
-		t.Fatalf("bundle holds %d round traces of %d spans, want %d; soak wiring broken", rounds, len(b.Spans), cfg.Rounds)
+	if setups != 1 || !strings.Contains(b.Metrics, "dvdc_") {
+		t.Fatalf("bundle holds %d setup roots of %d spans and %d metric bytes; soak wiring broken", setups, len(b.Spans), len(b.Metrics))
 	}
 }
 
@@ -183,7 +190,6 @@ func TestSoakKeepsCallerTap(t *testing.T) {
 		StepsPerRound: 20,
 		Seed:          7,
 		Tracer:        tr,
-		Recorder:      obs.NewFlightRecorder(),
 	}
 	if _, err := RunSoak(cfg); err != nil {
 		t.Fatalf("clean soak failed: %v", err)
@@ -194,9 +200,9 @@ func TestSoakKeepsCallerTap(t *testing.T) {
 }
 
 // BenchmarkObsOverhead times one checkpointed round on the paper layout with
-// the telemetry plane dark versus fully lit (tracer, registry, flight
-// recorder, and a per-round collector merge/verify/attribute pass). The two
-// subbenches make the plane's cost a one-line `benchstat` comparison;
+// the telemetry plane dark versus fully lit (tracer, registry, postmortem
+// dump directory, and a per-round collector merge/verify/attribute pass). The
+// two subbenches make the plane's cost a one-line `benchstat` comparison;
 // TestTelemetryCountsPerRound gates what the lit plane keeps per round.
 func BenchmarkObsOverhead(b *testing.B) {
 	for _, full := range []bool{false, true} {
@@ -219,14 +225,10 @@ func benchObsRound(b *testing.B, full bool) {
 	var (
 		tr  *obs.Tracer
 		reg *obs.Registry
-		rec *obs.FlightRecorder
 	)
 	if full {
 		tr = obs.NewTracer(1 << 15)
 		reg = obs.NewRegistry()
-		rec = obs.NewFlightRecorder()
-		rec.SetRegistry(reg)
-		rec.SetTracer(tr)
 		nopts = NodeOptions{Tracer: tr, Registry: reg}
 	}
 	nodes := make([]*Node, layout.Nodes)
@@ -251,7 +253,7 @@ func benchObsRound(b *testing.B, full bool) {
 	b.Cleanup(coord.Close)
 	if full {
 		coord.SetObserver(tr, reg)
-		coord.SetFlightRecorder(rec)
+		coord.SetPostmortemDir(b.TempDir())
 	}
 	if err := coord.Setup(); err != nil {
 		b.Fatal(err)

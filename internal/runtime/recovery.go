@@ -110,8 +110,12 @@ func (c *Coordinator) DeclareDead(nodes ...int) error {
 // one is a no-op. Each node takes the first case that fits: dead and pending
 // owes a recovery; dead alone is recovered already; one outside the layout is
 // skipped; any other owes one if it does not answer a hello. All of it runs
-// under ctx, or under a restore root span when ctx is zero.
+// under ctx, or under a restore root span when ctx is zero; naming no node
+// opens no span.
 func (c *Coordinator) ExecuteRestore(ctx obs.SpanContext, nodes []int) (_ uint64, err error) {
+	if len(nodes) == 0 {
+		return c.Epoch(), nil
+	}
 	if !ctx.Valid() {
 		_, root := c.startRoot(ctx, "restore")
 		defer func() { root.FinishErr(err) }()

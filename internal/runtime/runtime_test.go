@@ -11,10 +11,16 @@ import (
 // coordinator over them.
 func testCluster(t *testing.T, layout *cluster.Layout) (*Coordinator, []*Node) {
 	t.Helper()
+	return testClusterWith(t, layout, NodeOptions{})
+}
+
+// testClusterWith is testCluster with every daemon started with opts.
+func testClusterWith(t *testing.T, layout *cluster.Layout, opts NodeOptions) (*Coordinator, []*Node) {
+	t.Helper()
 	nodes := make([]*Node, layout.Nodes)
 	addrs := map[int]string{}
 	for i := range nodes {
-		n, err := NewNode("127.0.0.1:0")
+		n, err := NewNodeWith("127.0.0.1:0", opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,12 +83,11 @@ type SoakConfig struct {
 	// Observability (all optional). Tracer receives every span (nil: the soak
 	// builds its own and asserts none leaks open). Registry collects the
 	// metrics, the injector's tallies as dvdc_chaos_faults_total{kind}.
-	// Recorder is the black box: the run's tracer ring and registry, dumped
-	// as a postmortem bundle on any invariant violation into PostmortemDir
-	// ("" disables dumping; set alone, it builds one).
+	// PostmortemDir receives the black box, the run's tracer ring and
+	// registry, as a postmortem bundle on any invariant violation or partial
+	// commit ("" disables dumping).
 	Tracer        *obs.Tracer
 	Registry      *obs.Registry
-	Recorder      *obs.FlightRecorder
 	PostmortemDir string
 }
 
@@ -158,7 +157,6 @@ type soakEnv struct {
 	cfg       SoakConfig
 	layout    *cluster.Layout
 	res       *SoakResult
-	rec       *obs.FlightRecorder
 	tr        *obs.Tracer
 	ownTracer bool
 	inj       *chaos.Injector
@@ -176,34 +174,20 @@ type soakEnv struct {
 	lastCtx  obs.SpanContext
 }
 
-// newSoakEnv boots the instrumented cluster: flight recorder, tracer,
-// injector, kill plan, node daemons, coordinator, shadow model. cfg must
-// already be defaulted and carry a layout.
+// newSoakEnv boots the instrumented cluster: tracer, injector, kill plan,
+// node daemons, coordinator, shadow model. cfg must already be defaulted and
+// carry a layout.
 func newSoakEnv(cfg SoakConfig) (*soakEnv, error) {
 	layout := cfg.Layout
 	e := &soakEnv{cfg: cfg, layout: layout, res: &SoakResult{}, lastEpoch: map[string]uint64{}}
 
-	// The run's black box: the tracer's ring, where every RPC and fired fault
-	// is a span, so an invariant violation dumps the failure's immediate past
-	// as a postmortem bundle.
-	e.rec = cfg.Recorder
-	if e.rec == nil && cfg.PostmortemDir != "" {
-		e.rec = obs.NewFlightRecorder()
-	}
-	if cfg.PostmortemDir != "" {
-		e.rec.SetDumpDir(cfg.PostmortemDir)
-	}
-	e.rec.SetRegistry(cfg.Registry)
-	e.rec.SetMeta("seed", cfg.Seed)
-	e.rec.SetMeta("rounds", cfg.Rounds)
-	e.rec.SetMeta("nodes", layout.Nodes)
-
+	// The run's black box is the tracer's ring, where every RPC and fired
+	// fault is a span, so a failure dumps its immediate past.
 	e.tr = cfg.Tracer
 	e.ownTracer = e.tr == nil
 	if e.ownTracer {
 		e.tr = obs.NewTracer(1 << 15)
 	}
-	e.rec.SetTracer(e.tr)
 
 	e.inj = chaos.New(cfg.Seed, cfg.Chaos)
 	e.inj.SetTracer(e.tr)
@@ -227,18 +211,17 @@ func newSoakEnv(cfg SoakConfig) (*soakEnv, error) {
 	cl, err := startCluster(layout, cfg.Pages, cfg.PageSize, cfg.Seed,
 		func(int) string { return "127.0.0.1:0" },
 		func(n int) NodeOptions {
-			return NodeOptions{Dialer: e.inj.Dialer(n), Listen: e.inj.ListenFunc(n), Tracer: e.tr, Registry: cfg.Registry}
+			return NodeOptions{Dialer: e.inj.Dialer(n), Listen: e.inj.ListenFunc(n), RPCTimeout: cfg.RPCTimeout, Tracer: e.tr, Registry: cfg.Registry}
 		})
 	if err != nil {
 		return nil, err
 	}
 	e.cl = cl
 	for n, d := range cl.nodes {
-		d.SetRPCTimeout(cfg.RPCTimeout)
 		e.inj.Register(n, d.Addr())
 	}
 	cl.SetObserver(e.tr, cfg.Registry)
-	cl.SetFlightRecorder(e.rec)
+	cl.SetPostmortemDir(cfg.PostmortemDir)
 	cl.SetRPCTimeout(cfg.RPCTimeout)
 	cl.SetChunkSize(cfg.ChunkSize)
 	cl.SetWorkload(cfg.Workload)
@@ -352,12 +335,14 @@ func (e *soakEnv) stepAdapt(rr *RoundRecord) {
 	rr.Adapt = e.advisor.Step(o)
 }
 
-// fail names an invariant violation in the bundle meta, dumps a postmortem
-// bundle, and renders the canonical soak error.
+// fail dumps a postmortem bundle whose meta names the run and the invariant
+// violation, and renders the canonical soak error.
 func (e *soakEnv) fail(round int, format string, args ...interface{}) (*SoakResult, error) {
 	msg := fmt.Sprintf(format, args...)
-	e.rec.SetMeta("violation", fmt.Sprintf("round %d: %s", round, msg))
-	e.rec.AutoDump("soak-invariant") //nolint:errcheck // never turn a postmortem into a second failure
+	obs.Dump(e.cfg.PostmortemDir, "soak-invariant", e.tr, e.cfg.Registry, map[string]interface{}{ //nolint:errcheck // never turn a postmortem into a second failure
+		"seed": e.cfg.Seed, "rounds": e.cfg.Rounds, "nodes": e.layout.Nodes,
+		"violation": fmt.Sprintf("round %d: %s", round, msg),
+	})
 	return e.res, fmt.Errorf("soak[seed %d, round %d]: %s", e.cfg.Seed, round, msg)
 }
 
@@ -651,7 +636,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	defer e.cl.Close()
 	// A replayed state dir can run a request before round 1: its counts land
 	// in a record no round keeps.
-	exec := &soakExec{e: e, downNow: map[int]bool{}, rec: &RoundRecord{}}
+	exec := &soakExec{e: e, rec: &RoundRecord{}}
 	drive := exec.driveDirect
 	if cfg.Service {
 		sd, err := newSoakService(exec)

@@ -132,17 +132,17 @@ func TestSoakIntervalRetuneDecisions(t *testing.T) {
 // to orthogonal nodes — while the static cluster's round time stays pinned
 // at the injected delay for the rest of the run. Both runs keep the full
 // shadow-invariant battery green, and every applied decision is traceable
-// through the round record, the dvdc_adapt_* metric family, the flight
-// recorder's bundle, and the dvdcctl adapt renderers.
+// through the round record, the dvdc_adapt_* metric family, the postmortem
+// bundle, and the dvdcctl adapt renderers.
 func TestSoakAdaptiveConvergesUnderSlowNode(t *testing.T) {
 	const (
 		rounds   = 16
 		slowFrom = 3 // 0-based: first slow round is 1-based round 4
 		delay    = 25 * time.Millisecond
 	)
-	run := func(adaptive bool) (*SoakResult, *obs.Registry, *obs.FlightRecorder) {
+	run := func(adaptive bool) (*SoakResult, *obs.Registry, *obs.Tracer) {
 		reg := obs.NewRegistry()
-		rec := obs.NewFlightRecorder()
+		tr := obs.NewTracer(1 << 15)
 		res, err := RunSoak(SoakConfig{
 			Layout:        adaptLayout(t),
 			Rounds:        rounds,
@@ -157,15 +157,15 @@ func TestSoakAdaptiveConvergesUnderSlowNode(t *testing.T) {
 			SlowUntil:     0, // through the last round: only adaptation can help
 			Adaptive:      adaptive,
 			Registry:      reg,
-			Recorder:      rec,
+			Tracer:        tr,
 		})
 		if err != nil {
 			t.Fatalf("soak (adaptive=%v): %v", adaptive, err)
 		}
-		return res, reg, rec
+		return res, reg, tr
 	}
 	static, _, _ := run(false)
-	adaptiveRes, reg, rec := run(true)
+	adaptiveRes, reg, tr := run(true)
 
 	// Round 1 pays one-time setup costs; rounds 2..slowFrom are the clean
 	// baseline, the last four rounds the post-fault steady state.
@@ -218,12 +218,12 @@ func TestSoakAdaptiveConvergesUnderSlowNode(t *testing.T) {
 	}
 
 	// End-to-end traceability of the applied decision: metric family, its
-	// decision span in the recorder's bundle, decision-log rendering, and the
+	// decision span in the postmortem bundle, decision-log rendering, and the
 	// scraped dvdcctl adapt view.
 	if v, _ := reg.Value("dvdc_adapt_applies_total", "rule", adapt.RuleKeeperRebalance); v < 1 {
 		t.Errorf("dvdc_adapt_applies_total{keeper_rebalance} = %v, want >= 1", v)
 	}
-	path, err := rec.Dump(t.TempDir(), "probe")
+	path, err := obs.Dump(t.TempDir(), "probe", tr, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestSoakAdaptiveConvergesUnderSlowNode(t *testing.T) {
 		}
 	}
 	if !spanned {
-		t.Error("no applied keeper_rebalance decision span in the recorder's bundle")
+		t.Error("no applied keeper_rebalance decision span in the postmortem bundle")
 	}
 	log := adapt.RenderDecisions(all)
 	if !strings.Contains(log, adapt.RuleKeeperRebalance) || !strings.Contains(log, adapt.ActionApplied) {

@@ -3,7 +3,7 @@ package runtime
 import (
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -12,17 +12,22 @@ import (
 	"dvdc/internal/service"
 )
 
-// soakExec is the only code in the soak that runs a checkpoint or a repair
-// cycle: the service layer's Executor, called in-line by the direct driver
-// and by the reconciler in service mode. Unlike the Coordinator's own
-// Executor methods it mirrors every outcome into the shadow and the chaos bookkeeping, and takes
-// commit-declared casualties' daemons down for real. The harness goroutine
-// touches shared state only through the mutex, and only between requests.
+// soakExec is the soak's service Executor, called in-line by the direct
+// driver and by the reconciler in service mode: a decorator over the
+// Coordinator's own ExecuteCheckpoint and ExecuteRestore, the executor
+// `dvdcctl serve` ships, so both drivers hold the operator's executor to the
+// soak's invariants under chaos. It adds only what a harness must: it opens
+// and closes the injector's checkpoint window and heals the round's
+// partition, mirrors every outcome into the shadow, takes commit casualties'
+// daemons down for real, and restarts and repairs every node the
+// coordinator holds dead after a recovery. Who owes a recovery is the
+// coordinator's record, which daemons run the Cluster's. The harness
+// goroutine touches shared state only through the mutex, and only between
+// requests.
 type soakExec struct {
 	e *soakEnv
 
 	mu          sync.Mutex
-	downNow     map[int]bool // daemons currently closed, awaiting restore
 	partitioned [2]int       // transient partition to heal after the next attempt
 	rec         *RoundRecord // the round being driven; each checkpoint's RoundStats fold into it
 	violation   error        // invariant broken inside an executor call
@@ -35,20 +40,14 @@ func (x *soakExec) beginRound(rr *RoundRecord, partitioned [2]int) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.rec, x.partitioned, x.violation = rr, partitioned, nil
-	for _, v := range rr.Kills {
-		x.takeDown(v)
-	}
+	x.kill(rr.Kills...)
 }
 
-// takeDown closes node n's daemon and records the kill, unless it is already
-// down. x.mu must be held.
-func (x *soakExec) takeDown(n int) {
-	if x.downNow[n] {
-		return
+// kill stops the nodes' daemons and logs a kill fault for each it stopped.
+func (x *soakExec) kill(nodes ...int) {
+	for _, n := range x.e.cl.Kill(nodes...) {
+		x.e.inj.RecordKill(n)
 	}
-	x.e.cl.Kill(n)
-	x.e.inj.RecordKill(n)
-	x.downNow[n] = true
 }
 
 // account returns any invariant an executor call found broken this round.
@@ -66,14 +65,14 @@ func (x *soakExec) fold(st RoundStats) {
 	x.rec.DeadDuring = append(x.rec.DeadDuring, st.DeadDuring...)
 }
 
-// ExecuteCheckpoint runs one chaos-exposed checkpoint round and mirrors its
-// outcome into the shadow. The harness steps the workloads itself (a retried
-// attempt must not re-step them) and submits no Spec.Steps, so steps is
-// always 0.
+// ExecuteCheckpoint runs the coordinator's checkpoint with the injector's
+// probabilistic chaos on and mirrors its outcome into the shadow. The harness
+// steps the workloads itself (a retried attempt must not re-step them) and
+// submits no Spec.Steps, so steps is always 0.
 func (x *soakExec) ExecuteCheckpoint(ctx obs.SpanContext, _ uint64) (uint64, error) {
 	e := x.e
 	e.inj.Resume()
-	ckErr := e.cl.CheckpointIn(ctx)
+	epoch, ckErr := e.cl.ExecuteCheckpoint(ctx, 0)
 	e.inj.Pause()
 
 	x.mu.Lock()
@@ -88,12 +87,7 @@ func (x *soakExec) ExecuteCheckpoint(ctx obs.SpanContext, _ uint64) (uint64, err
 	case st.Aborted:
 		e.shadow.Abort()
 	case ckErr == nil:
-		if len(x.downNow) > 0 && x.violation == nil {
-			var down []int
-			for n := range x.downNow {
-				down = append(down, n)
-			}
-			sort.Ints(down)
+		if down := e.cl.stoppedNodes(); len(down) > 0 && x.violation == nil {
 			x.violation = fmt.Errorf("checkpoint succeeded with dead nodes %v", down)
 		}
 		e.shadow.Commit()
@@ -103,89 +97,61 @@ func (x *soakExec) ExecuteCheckpoint(ctx obs.SpanContext, _ uint64) (uint64, err
 		// faults) is taken down for real, so the recovery that follows
 		// restarts it cleanly.
 		e.shadow.Commit()
-		for _, n := range st.DeadDuring {
-			x.takeDown(n)
-		}
+		x.kill(st.DeadDuring...)
 	}
-	return e.cl.Epoch(), ckErr
+	return epoch, ckErr
 }
 
-// ExecuteRestore runs the full repair cycle over whichever of the named nodes
-// are actually down, level-triggered: nodes already restored (an earlier
-// inline casualty recovery, say) are skipped, so the service driver's
-// standing restore request converges as a no-op when the checkpoint's own
-// reconcile already healed the cluster.
+// ExecuteRestore runs the coordinator's restore over the named nodes and
+// every node it holds pending recovery (commit casualties nobody named), so
+// it is level-triggered as the coordinator's is: nodes already restored (by
+// an earlier inline casualty recovery, say) answer its probe and owe
+// nothing, and the service driver's standing restore request converges as a
+// no-op. A new recovery's plan is mirrored into the shadow. Then, while the
+// coordinator holds any node dead, the rest of the repair cycle follows,
+// mirrored step by step: restart and repair every dead node, re-checkpoint,
+// rebalance. The injector must be paused.
 func (x *soakExec) ExecuteRestore(ctx obs.SpanContext, nodes []int) (uint64, error) {
-	e := x.e
-	need := map[int]bool{}
-	x.mu.Lock()
-	for _, n := range nodes {
-		if x.downNow[n] {
-			need[n] = true
+	cl, shadow := x.e.cl, x.e.shadow
+	named := append(slices.Clone(nodes), cl.pendingRecovery()...)
+	slices.Sort(named)
+	named = slices.Compact(named)
+	before := cl.LastPlan()
+	if _, err := cl.ExecuteRestore(ctx, named); err != nil {
+		return cl.Epoch(), fmt.Errorf("restore %v: %w", named, err)
+	}
+	if plan := cl.LastPlan(); plan != before {
+		if err := shadow.Recover(plan, cl.Epoch()); err != nil {
+			return cl.Epoch(), err
 		}
 	}
-	// Anything the coordinator holds as pending recovery (commit casualties)
-	// is owed a pass even if nobody named it; its daemon comes down first so
-	// the restart binds the same address cleanly.
-	for _, n := range e.cl.pendingRecovery() {
-		x.takeDown(n)
-		need[n] = true
+	dead := cl.downNodes()
+	if len(dead) == 0 {
+		return cl.Epoch(), nil
 	}
-	x.mu.Unlock()
-	if len(need) == 0 {
-		return e.cl.Epoch(), nil
-	}
-	var down []int
-	for n := range need {
-		down = append(down, n)
-	}
-	sort.Ints(down)
-	if err := x.recoverAndRepair(ctx, down); err != nil {
-		return e.cl.Epoch(), err
-	}
-	x.mu.Lock()
-	for _, n := range down {
-		delete(x.downNow, n)
-	}
-	x.fold(e.cl.RoundStats()) // the repair cycle's post-recovery checkpoint
-	x.mu.Unlock()
-	return e.cl.Epoch(), nil
-}
-
-// recoverAndRepair runs the fault-free repair cycle over down nodes, mirrored
-// into the shadow step by step: recover, restart the daemons at their
-// addresses, repair, re-checkpoint, rebalance. The injector must be paused.
-// A valid parent context nests the cycle's spans under the caller's.
-func (x *soakExec) recoverAndRepair(parent obs.SpanContext, down []int) error {
-	e := x.e
-	plan, err := e.cl.RecoverNodesIn(parent, down...)
-	if err != nil {
-		return fmt.Errorf("recover %v: %w", down, err)
-	}
-	if err := e.shadow.Recover(plan, e.cl.Epoch()); err != nil {
-		return err
-	}
-	for _, v := range down {
-		if err := e.cl.Start(v); err != nil {
-			return fmt.Errorf("restart node %d on %s: %w", v, e.cl.addrs[v], err)
+	for _, v := range dead {
+		if err := cl.Start(v); err != nil {
+			return cl.Epoch(), fmt.Errorf("restart node %d on %s: %w", v, cl.addrs[v], err)
 		}
-		e.cl.nodes[v].SetRPCTimeout(e.cfg.RPCTimeout)
-		e.inj.RecordRestart(v)
-		if err := e.cl.Repair(v); err != nil {
-			return fmt.Errorf("repair node %d: %w", v, err)
+		x.e.inj.RecordRestart(v)
+		if err := cl.Repair(v); err != nil {
+			return cl.Epoch(), fmt.Errorf("repair node %d: %w", v, err)
 		}
 	}
 	// The post-recovery checkpoint runs clean: it certifies the repaired
 	// cluster can commit before rebalance moves anything.
-	if err := e.cl.CheckpointIn(parent); err != nil {
-		return fmt.Errorf("post-recovery checkpoint: %w", err)
+	if err := cl.CheckpointIn(ctx); err != nil {
+		return cl.Epoch(), fmt.Errorf("post-recovery checkpoint: %w", err)
 	}
-	e.shadow.Commit()
-	rb, err := e.cl.Rebalance()
+	shadow.Commit()
+	x.mu.Lock()
+	x.fold(cl.RoundStats())
+	x.mu.Unlock()
+	rb, err := cl.Rebalance()
 	if err != nil {
-		return fmt.Errorf("rebalance: %w", err)
+		return cl.Epoch(), fmt.Errorf("rebalance: %w", err)
 	}
-	return e.shadow.Rebalance(rb, e.cl.Epoch())
+	return cl.Epoch(), shadow.Rebalance(rb, cl.Epoch())
 }
 
 // Quiesce lets Reconciler.Stop abort staged captures left by an interrupted

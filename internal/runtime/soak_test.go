@@ -8,12 +8,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"dvdc/internal/chaos"
 	"dvdc/internal/cluster"
+	"dvdc/internal/obs"
 )
 
 // TestSoakPaperLayoutInvariants runs the full chaos soak on the paper's
@@ -205,6 +207,66 @@ func TestSoakDirectDigestGolden(t *testing.T) {
 	}
 }
 
+// TestSoakDrivesCoordinatorExecutor holds both soak drivers to the
+// coordinator's own ExecuteRestore, the executor `dvdcctl serve` ships: at
+// seed 424242 round 2 kills node 1, and the traced run must show the
+// coordinator probing node 1 with a hello that fails and the recovery that
+// probe owed, under the restore root the direct driver's call opens, or under
+// the reconcile span of the service driver's restore request. A round with
+// no victim and no node owing a recovery runs no restore: the direct run
+// holds one restore root, the kill round's.
+func TestSoakDrivesCoordinatorExecutor(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		service  bool
+		mtbf     float64
+		parent   string
+		restores int
+	}{
+		{"direct", false, 150, "restore", 1},
+		{"service", true, 120, "reconcile", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := obs.NewTracer(1 << 15)
+			res, err := RunSoak(SoakConfig{
+				Layout:        paperLayout(t),
+				Rounds:        3,
+				StepsPerRound: 20,
+				Seed:          424242,
+				KillMTBF:      tc.mtbf,
+				Service:       tc.service,
+				Tracer:        tr,
+			})
+			if err != nil {
+				t.Fatalf("soak: %v", err)
+			}
+			if kills := res.Rounds[1].Kills; !slices.Equal(kills, []int{1}) {
+				t.Fatalf("round 2 killed %v, want [1]", kills)
+			}
+			spans := tr.Spans()
+			byID := map[uint64]obs.Span{}
+			for _, s := range spans {
+				byID[s.ID] = s
+			}
+			restores, probes, recoveries := 0, 0, 0
+			for _, s := range spans {
+				switch {
+				case s.Parent == 0 && s.Name == "restore":
+					restores++
+				case s.Name == "rpc hello" && s.Attrs["peer"] == "node1" && s.Err != "" && byID[s.Parent].Name == tc.parent:
+					probes++
+				case s.Name == "recovery" && byID[s.Parent].Name == tc.parent:
+					recoveries++
+				}
+			}
+			if restores != tc.restores || probes == 0 || recoveries != 1 {
+				t.Errorf("trace holds %d restore roots, %d failed hello probes of node1 and %d recoveries under a %s span; want %d, at least 1, and 1",
+					restores, probes, recoveries, tc.parent, tc.restores)
+			}
+		})
+	}
+}
+
 // TestSoakLargerLayouts scales the soak beyond the paper's configuration:
 // 8 nodes (56 VMs), and 16 nodes with bounded group size unless -short.
 func TestSoakLargerLayouts(t *testing.T) {
@@ -313,12 +375,10 @@ func fetchImages(t *testing.T, coord *Coordinator) map[string][]byte {
 // a deadlock inside the RPC layer fails fast instead of hanging go test.
 func TestChaosSoakRace(t *testing.T) {
 	layout := paperLayout(t)
-	coord, nodes := testCluster(t, layout)
 	rpcTimeout := 2 * time.Second
+	opts := NodeOptions{RPCTimeout: rpcTimeout}
+	coord, nodes := testClusterWith(t, layout, opts)
 	coord.SetRPCTimeout(rpcTimeout)
-	for _, n := range nodes {
-		n.SetRPCTimeout(rpcTimeout)
-	}
 	addrs := make([]string, len(nodes))
 	for i, n := range nodes {
 		addrs[i] = n.Addr()
@@ -355,11 +415,10 @@ func TestChaosSoakRace(t *testing.T) {
 		if _, err := coord.RecoverNodes(victim); err != nil {
 			t.Fatalf("iter %d: recover node %d: %v", i, victim, err)
 		}
-		n, err := NewNode(addrs[victim])
+		n, err := NewNodeWith(addrs[victim], opts)
 		if err != nil {
 			t.Fatalf("iter %d: restart node %d: %v", i, victim, err)
 		}
-		n.SetRPCTimeout(rpcTimeout)
 		nodes[victim] = n
 		t.Cleanup(func() { n.Close() })
 		if err := coord.Repair(victim); err != nil {

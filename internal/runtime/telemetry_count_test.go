@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +19,8 @@ import (
 // traced or not, must count exactly as many samples as the ring holds rpc
 // spans. The session ends with a node lost and rejoined: a restore probes a
 // live node and recovers a killed one, and the repair that brings the
-// restarted daemon back is a span tree too.
+// restarted daemon back is a span tree too. Every node.configure span is in
+// the lane of the node it configures.
 func TestTelemetryCountsPerRound(t *testing.T) {
 	const wantRound, wantStep, wantQuiesce, wantChecksums, wantRepair = 59, 9, 9, 25, 3
 	layout := paperLayout(t)
@@ -43,6 +45,18 @@ func TestTelemetryCountsPerRound(t *testing.T) {
 	coord.SetObserver(tr, reg)
 	if err := coord.Setup(); err != nil {
 		t.Fatal(err)
+	}
+	// Each daemon handles its configure in its own lane, though it learns its
+	// index from that very configure.
+	var lanes []string
+	for _, s := range tr.Spans() {
+		if s.Name == "node.configure" {
+			lanes = append(lanes, s.Lane)
+		}
+	}
+	slices.Sort(lanes)
+	if want := []string{"node0", "node1", "node2", "node3"}; !slices.Equal(lanes, want) {
+		t.Errorf("Setup's node.configure spans are in lanes %v, want %v", lanes, want)
 	}
 	spansOf := func(op func() error) int {
 		before := len(tr.Spans())
@@ -74,9 +88,8 @@ func TestTelemetryCountsPerRound(t *testing.T) {
 	// Kill node 1 and restore nodes 0 and 1: each is probed with a hello
 	// under one restore root. Live node 0's probe is an rpc span and the
 	// daemon's node.hello under it; node 1's probe leaves one failed attempt
-	// per stale pooled connection (the fresh dials that follow are refused
-	// before a request is sent), so it owes a recovery, which nests under the
-	// same root.
+	// per stale pooled connection and one for the refused dial that ends it,
+	// so it owes a recovery, which nests under the same root.
 	const live, victim = 0, 1
 	nodes[victim].Close()
 	before := len(tr.Spans())
@@ -103,8 +116,8 @@ func TestTelemetryCountsPerRound(t *testing.T) {
 		}
 	}
 	if failed := probes["node1 failed"]; root.Name != "restore" || probes["node0"] != 1 || probes["answered"] != 1 ||
-		probes["node1"] != 0 || failed < 1 || failed > 4 || probes["recovery"] != 1 {
-		t.Errorf("restore root %q holds %v; want one answered probe of node 0, 1..4 failed attempts on node 1 (one per pooled connection) and one clean recovery",
+		probes["node1"] != 0 || failed < 2 || failed > 5 || probes["recovery"] != 1 {
+		t.Errorf("restore root %q holds %v; want one answered probe of node 0, 2..5 failed attempts on node 1 (one per pooled connection, one refused dial) and one clean recovery",
 			root.Name, probes)
 	}
 
@@ -122,8 +135,8 @@ func TestTelemetryCountsPerRound(t *testing.T) {
 	if got := tr.Spans()[before:]; len(got) != wantRepair {
 		t.Errorf("Repair kept %d spans, want %d: %+v", len(got), wantRepair, got)
 	} else if got[2].Name != "repair" || got[1].Name != "rpc configure" || got[1].Attrs["peer"] != "node1" || got[1].Parent != got[2].ID ||
-		got[0].Name != "node.configure" || got[0].Parent != got[1].ID {
-		t.Errorf("Repair's spans %+v, want node.configure under an rpc configure to node1 under a repair root", got)
+		got[0].Name != "node.configure" || got[0].Parent != got[1].ID || got[0].Lane != "node1" {
+		t.Errorf("Repair's spans %+v, want node.configure in lane node1 under an rpc configure to node1 under a repair root", got)
 	}
 
 	var samples, rpcs int64

@@ -11,7 +11,7 @@ import (
 
 // TestPoolStatsAndRegistry drives a pool through dial, reuse, and restart
 // drain, and reads each step's counts off the pool's registry series, then
-// checks their exposition.
+// checks their exposition and that a second pool to the peer adds to them.
 func TestPoolStatsAndRegistry(t *testing.T) {
 	s, err := Listen("127.0.0.1:0", func(req *wire.Message) (*wire.Message, error) {
 		return &wire.Message{Type: wire.MsgHelloOK}, nil
@@ -72,6 +72,23 @@ func TestPoolStatsAndRegistry(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("exposition missing %q:\n%s", want, b.String())
 		}
+	}
+
+	// A second pool to the same peer on the same registry, as a node's pool
+	// beside the coordinator's in one process: the series sum both pools,
+	// and closing one keeps its counts and drops only its connection.
+	q := NewPool(addr, PoolOptions{Peer: "node1", Registry: reg, CallTimeout: 2 * time.Second})
+	for i := 0; i < 2; i++ {
+		if _, err := q.Call(&wire.Message{Type: wire.MsgHello}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := series(); st["dvdc_pool_dials_total"] != 3 || st["dvdc_pool_reuses_total"] != 4 || st["dvdc_pool_open_conns"] != 2 || st["dvdc_pool_retries_total"] != 1 {
+		t.Errorf("series with two pools to node1: %v, want 3 dials, 4 reuses, 2 open conns, 1 retry", st)
+	}
+	q.Close()
+	if st := series(); st["dvdc_pool_dials_total"] != 3 || st["dvdc_pool_open_conns"] != 1 {
+		t.Errorf("series after closing the second pool: %v, want 3 dials, 1 open conn", st)
 	}
 }
 

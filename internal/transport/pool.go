@@ -26,9 +26,11 @@ type PoolOptions struct {
 
 	// Observability (all optional). Peer labels this pool's metric series and
 	// RPC spans (defaults to the dialed address); Tracer opens a child span
-	// per call attempt on traced requests; Registry gets the pool's health
-	// counters and a per-peer RPC latency histogram, which counts every
-	// attempt, traced or not.
+	// per call attempt on traced requests; Registry gets the peer's health
+	// counters and RPC latency histogram, which count every attempt, traced
+	// or not. The series belong to the registry, keyed by peer: every pool to
+	// that peer on the registry adds to them, so they sum a caller's pools
+	// and pools recreated after a restart.
 	Peer     string
 	Tracer   *obs.Tracer
 	Registry *obs.Registry
@@ -51,13 +53,11 @@ type Pool struct {
 	addr    string
 	opts    PoolOptions
 	slots   chan struct{}
-	retries atomic.Int64
+	retries atomic.Int64 // this pool's own, for Retries
 
-	dials       atomic.Int64
-	reuses      atomic.Int64
-	staleDrains atomic.Int64
-	openConns   atomic.Int64
-	latency     *obs.Histogram
+	dials, reuses, staleDrains, retried *obs.Counter
+	openConns                           *obs.Gauge
+	latency                             *obs.Histogram
 
 	mu     sync.Mutex
 	idle   []*Conn
@@ -73,20 +73,20 @@ func NewPool(addr string, opts PoolOptions) *Pool {
 	if opts.Peer == "" {
 		opts.Peer = addr
 	}
+	// A nil registry hands out unregistered instruments: counts nobody reads.
+	reg, peer := opts.Registry, opts.Peer
 	p := &Pool{
-		addr:  addr,
-		opts:  opts,
-		slots: make(chan struct{}, opts.Size),
+		addr:        addr,
+		opts:        opts,
+		slots:       make(chan struct{}, opts.Size),
+		dials:       reg.Counter("dvdc_pool_dials_total", "peer", peer),
+		reuses:      reg.Counter("dvdc_pool_reuses_total", "peer", peer),
+		staleDrains: reg.Counter("dvdc_pool_stale_drains_total", "peer", peer),
+		retried:     reg.Counter("dvdc_pool_retries_total", "peer", peer),
+		openConns:   reg.Gauge("dvdc_pool_open_conns", "peer", peer),
 	}
-	if reg := opts.Registry; reg != nil {
-		// Func instruments rebind on re-registration, so a pool recreated for
-		// the same peer (a node restart) takes over its series cleanly.
-		reg.CounterFunc("dvdc_pool_dials_total", func() float64 { return float64(p.dials.Load()) }, "peer", opts.Peer)
-		reg.CounterFunc("dvdc_pool_reuses_total", func() float64 { return float64(p.reuses.Load()) }, "peer", opts.Peer)
-		reg.CounterFunc("dvdc_pool_stale_drains_total", func() float64 { return float64(p.staleDrains.Load()) }, "peer", opts.Peer)
-		reg.CounterFunc("dvdc_pool_retries_total", func() float64 { return float64(p.retries.Load()) }, "peer", opts.Peer)
-		reg.GaugeFunc("dvdc_pool_open_conns", func() float64 { return float64(p.openConns.Load()) }, "peer", opts.Peer)
-		p.latency = reg.Histogram("dvdc_rpc_latency_seconds", obs.LatencyBuckets(), "peer", opts.Peer)
+	if reg != nil {
+		p.latency = reg.Histogram("dvdc_rpc_latency_seconds", obs.LatencyBuckets(), "peer", peer)
 	}
 	return p
 }
@@ -97,6 +97,12 @@ func (p *Pool) Addr() string { return p.addr }
 // Retries returns the cumulative count of in-call retries and re-dial
 // attempts (a health signal: a flapping peer drives it up).
 func (p *Pool) Retries() int64 { return p.retries.Load() }
+
+// retry counts one retry or re-dial, in the pool and in the peer's series.
+func (p *Pool) retry() {
+	p.retries.Add(1)
+	p.retried.Inc()
+}
 
 // closeConn closes a pool-owned connection, keeping the open-conns gauge
 // honest.
@@ -128,14 +134,11 @@ func (p *Pool) Call(req *wire.Message) (*wire.Message, error) {
 	// failures against the budget made the second stale connection fatal.
 	freshFailures := 0
 	for attempt := 0; attempt <= p.opts.Size+1; attempt++ {
-		c, reused, err := p.get()
-		if err != nil {
-			return nil, err
-		}
-		// Traced requests get one child span per attempt. The message is
-		// shallow-copied before re-stamping Span: callers (node fan-out) may
-		// share one request across concurrent peers, so the original must not
-		// be written to.
+		// Traced requests get one child span per attempt, from checkout (a
+		// fresh connection's dial included, so a refused dial is an attempt
+		// too) to the reply. The message is shallow-copied before re-stamping
+		// Span: callers (node fan-out) may share one request across
+		// concurrent peers, so the original must not be written to.
 		m := req
 		var span *obs.Active
 		if p.opts.Tracer != nil && req.Trace != 0 {
@@ -151,11 +154,18 @@ func (p *Pool) Call(req *wire.Message) (*wire.Message, error) {
 			}
 		}
 		start := time.Now()
-		resp, err := c.Call(m)
+		c, reused, err := p.get()
+		var resp *wire.Message
+		if err == nil {
+			resp, err = c.Call(m)
+		}
 		if p.latency != nil {
 			p.latency.Observe(time.Since(start).Seconds())
 		}
 		span.FinishErr(err)
+		if c == nil {
+			return nil, err // no connection: the dial already retried
+		}
 		if err == nil {
 			p.put(c)
 			return resp, nil
@@ -168,7 +178,7 @@ func (p *Pool) Call(req *wire.Message) (*wire.Message, error) {
 		}
 		p.closeConn(c)
 		if reused {
-			p.staleDrains.Add(1)
+			p.staleDrains.Inc()
 		}
 		// Timeouts are never retried. A reused (possibly stale) connection is
 		// always worth retrying; a fresh one only when the failure is stream
@@ -187,7 +197,7 @@ func (p *Pool) Call(req *wire.Message) (*wire.Message, error) {
 				return nil, err
 			}
 		}
-		p.retries.Add(1)
+		p.retry()
 	}
 	return nil, fmt.Errorf("transport: call to %s exhausted retry budget", p.addr)
 }
@@ -203,7 +213,7 @@ func (p *Pool) get() (c *Conn, reused bool, err error) {
 		c = p.idle[n-1]
 		p.idle = p.idle[:n-1]
 		p.mu.Unlock()
-		p.reuses.Add(1)
+		p.reuses.Inc()
 		return c, true, nil
 	}
 	p.mu.Unlock()
@@ -217,7 +227,7 @@ func (p *Pool) dial() (*Conn, error) {
 	var lastErr error
 	for i := 0; i <= dialRetries; i++ {
 		if i > 0 {
-			p.retries.Add(1)
+			p.retry()
 			time.Sleep(backoff)
 			backoff *= 2
 		}
@@ -226,7 +236,7 @@ func (p *Pool) dial() (*Conn, error) {
 			if p.opts.CallTimeout > 0 {
 				c.SetTimeout(p.opts.CallTimeout)
 			}
-			p.dials.Add(1)
+			p.dials.Inc()
 			p.openConns.Add(1)
 			return c, nil
 		}
