@@ -68,7 +68,6 @@ import (
 	"syscall"
 	"time"
 
-	"dvdc/internal/chaos"
 	"dvdc/internal/cli"
 	"dvdc/internal/cluster"
 	"dvdc/internal/obs"
@@ -116,16 +115,14 @@ func main() {
 // sessionFlags are the cluster-shape flags the interactive session and the
 // serve subcommand share.
 type sessionFlags struct {
-	nodeList  string
-	stacks    int
-	pages     int
-	pageSize  int
-	seed      int64
-	tol       int
-	group     int
-	slowNode  int
-	slowDelay time.Duration
-	common    cli.Common
+	nodeList string
+	stacks   int
+	pages    int
+	pageSize int
+	seed     int64
+	tol      int
+	group    int
+	common   cli.Common
 }
 
 func (s *sessionFlags) register(fs *flag.FlagSet) {
@@ -136,9 +133,6 @@ func (s *sessionFlags) register(fs *flag.FlagSet) {
 	fs.Int64Var(&s.seed, "seed", 1, "workload seed")
 	fs.IntVar(&s.tol, "tolerance", 1, "parity blocks per group (RS code; 1 = XOR)")
 	fs.IntVar(&s.group, "groupsize", 0, "members per RAID group (0 = nodes - tolerance)")
-	fs.IntVar(&s.slowNode, "slow-node", -1,
-		"chaos: stretch every frame to/from this node index by -slow-delay (the habitually slow peer the health engine must catch)")
-	fs.DurationVar(&s.slowDelay, "slow-delay", 400*time.Millisecond, "chaos: per-frame delay for -slow-node")
 	s.common.RPCTimeoutFlag(fs, runtime.DefaultRPCTimeout)
 	s.common.ObsAddrFlag(fs)
 	s.common.TraceJSONLFlag(fs)
@@ -189,19 +183,6 @@ func (s *sessionFlags) open(opts service.Options) *session {
 	coord.SetObserver(se.tracer, se.registry)
 	coord.SetPostmortemDir(s.common.PostmortemDir)
 	coord.SetRPCTimeout(s.common.RPCTimeout)
-	if s.slowNode >= 0 && s.slowDelay > 0 {
-		// A chaos injector on the coordinator's dial path, carrying only the
-		// standing slow-node delay: the seeded smoke case for the health
-		// engine's round-time SLO.
-		inj := chaos.New(s.seed, chaos.Config{})
-		inj.Pause()
-		for i, a := range addrMap {
-			inj.Register(i, a)
-		}
-		inj.SlowNode(s.slowNode, s.slowDelay)
-		coord.SetDialer(inj.Dialer(chaos.Coordinator))
-		fmt.Printf("chaos: node %d slowed %v/frame\n", s.slowNode, s.slowDelay)
-	}
 
 	opts.Tracer, opts.Registry = se.tracer, se.registry
 	svc, err := service.Open(coord, opts)

@@ -2,9 +2,9 @@
 // DVDC runtime. It sits under internal/transport — a seeded wrapper around
 // the raw net.Conn/net.Listener surface, wired in via the Dialer hook on
 // transport.PoolOptions and the ListenFunc hook on transport.ListenWith —
-// and can corrupt, drop, delay, and duplicate framed traffic per peer pair,
-// partition pairs entirely, and record node-level kill/restart events driven
-// by internal/failure schedules.
+// and can corrupt, drop and delay framed traffic per peer pair, partition
+// pairs entirely, and record node-level kill/restart events driven by
+// internal/failure schedules.
 //
 // Everything is driven by a single seed: each peer pair owns a *rand.Rand
 // derived from (seed, src, dst), so fault draws on one pair never perturb
@@ -13,7 +13,11 @@
 // reproducible — the soak harness arms faults at round boundaries from its
 // own seeded plan, which makes a whole soak run replayable from its seed.
 //
-// Fault semantics against the framed request/response protocol:
+// A fault is decided once per written frame: wire.WriteFrame hands each
+// message to the connection (wire.FrameObserver) before its first byte, so
+// the injector sees the frame's type and length, never a byte stream it would
+// have to re-frame. Fault semantics against the framed request/response
+// protocol:
 //
 //   - Corrupt mangles a frame's length prefix past wire.MaxFrame, so the
 //     receiver fails with a typed ErrFrame (a corrupted request makes the
@@ -23,12 +27,6 @@
 //   - Drop severs the connection instead of delivering the frame (a reset
 //     mid-exchange), exercising the redial path.
 //   - Delay sleeps before delivery, exercising deadline headroom.
-//   - Duplicate delivers a frame twice. For responses this desynchronizes
-//     the stream (the extra reply is read by the *next* call); for requests
-//     it re-executes the RPC — which the DVDC protocol, having no request
-//     identifiers, does not dedupe. Duplicate is therefore a transport-level
-//     test tool, not part of the invariant-checked soak (see DESIGN.md,
-//     "Fault model & chaos testing").
 package chaos
 
 import (
@@ -62,7 +60,6 @@ const (
 	Corrupt Kind = iota + 1
 	Drop
 	Delay
-	Duplicate
 	Partition
 	Kill
 	Restart
@@ -78,8 +75,6 @@ func (k Kind) String() string {
 		return "drop"
 	case Delay:
 		return "delay"
-	case Duplicate:
-		return "duplicate"
 	case Partition:
 		return "partition"
 	case Kill:
@@ -131,7 +126,7 @@ func (f Fault) String() string {
 
 // Config tunes probabilistic per-frame injection. All probabilities are per
 // outbound frame on a faulted connection; the zero value injects nothing
-// (only armed one-shots fire). Duplicates are armed only.
+// (only armed one-shots fire).
 type Config struct {
 	PCorrupt float64 // corrupt the frame's length prefix
 	PDrop    float64 // sever the connection instead of delivering
@@ -154,13 +149,13 @@ func (c Config) Active() bool {
 // armed, until such a frame crosses the pair.
 type armedFault struct {
 	kind Kind
-	msg  uint8
+	msg  wire.MsgType
 }
 
 // pairState is one peer pair's deterministic fault stream.
 type pairState struct {
 	rng   *rand.Rand
-	armed []armedFault // one-shot faults, fired FIFO at frame boundaries
+	armed []armedFault // one-shot faults, fired FIFO, one per frame
 }
 
 // Injector owns the fault state for one cluster run.
@@ -245,7 +240,7 @@ func (i *Injector) setPaused(v bool) {
 	i.paused = v
 }
 
-// Arm schedules a one-shot fault on a pair: the next frame boundary on that
+// Arm schedules a one-shot fault on a pair: the next frame written on that
 // pair fires it, regardless of Pause. Armed faults fire FIFO.
 func (i *Injector) Arm(p Pair, k Kind) { i.ArmMsg(p, k, 0) }
 
@@ -254,7 +249,7 @@ func (i *Injector) Arm(p Pair, k Kind) { i.ArmMsg(p, k, 0) }
 // faults at individual data-path chunks (MsgDeltaChunk) rather than whatever
 // control frame happens to cross the pair first. A filtered fault at the
 // head of the FIFO holds the queue until a matching frame appears.
-func (i *Injector) ArmMsg(p Pair, k Kind, msg uint8) {
+func (i *Injector) ArmMsg(p Pair, k Kind, msg wire.MsgType) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	ps := i.pair(p)
@@ -426,46 +421,25 @@ func pairSeed(seed int64, p Pair) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// decision is the outcome of one frame-boundary draw.
+// decision is the outcome of one frame's draw.
 type decision struct {
 	kind  Kind // 0 = deliver untouched
 	delay time.Duration
 	armed bool
 }
 
-// frameCaps states which faults the current chunk can physically carry:
-// duplication needs the whole frame inside the chunk (corruption only needs
-// the length prefix, which the frame scan guarantees). The transport writes a
-// control frame as one chunk and a bulk frame as its head, then its payload.
-type frameCaps struct {
-	corrupt, duplicate bool
-}
-
-func (c frameCaps) allows(k Kind) bool {
-	switch k {
-	case Corrupt:
-		return c.corrupt
-	case Duplicate:
-		return c.duplicate
-	}
-	return true
-}
-
-// frameFault draws the fault (if any) for the next frame on a pair and logs
-// it. Exactly one rng call decides the kind (plus one more for a delay
-// duration), keeping per-pair streams stable. An armed fault the chunk
-// cannot carry — or whose message-type filter doesn't match msgType — stays
-// armed for the next frame; a probabilistic draw the chunk cannot carry is
-// skipped (and not logged). msgType is the frame's wire type byte (0 when
-// the chunk doesn't expose it).
-func (i *Injector) frameFault(p Pair, frameBytes int, msgType uint8, caps frameCaps) decision {
+// frameFault draws the fault (if any) for a frame of type t, frameBytes long,
+// on a pair and logs it. Exactly one rng call decides the kind (plus one more
+// for a delay duration), keeping per-pair streams stable. An armed fault whose
+// message-type filter does not match t stays armed for the next frame.
+func (i *Injector) frameFault(p Pair, frameBytes int, t wire.MsgType) decision {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	ps := i.pair(p)
 	var d decision
 	if len(ps.armed) > 0 {
 		head := ps.armed[0]
-		if !caps.allows(head.kind) || (head.msg != 0 && head.msg != msgType) {
+		if head.msg != 0 && head.msg != t {
 			return d
 		}
 		d.kind = head.kind
@@ -482,13 +456,10 @@ func (i *Injector) frameFault(p Pair, frameBytes int, msgType uint8, caps frameC
 			d.kind = Delay
 		}
 	}
-	if d.kind == 0 || !caps.allows(d.kind) {
-		return decision{}
+	if d.kind == 0 {
+		return d
 	}
-	note := fmt.Sprintf("frame %d bytes", frameBytes)
-	if msgType != 0 {
-		note = fmt.Sprintf("%s frame, %d bytes", wire.MsgType(msgType), frameBytes)
-	}
+	note := fmt.Sprintf("%s frame, %d bytes", t, frameBytes)
 	if d.kind == Delay {
 		d.delay = delayMin + time.Duration(ps.rng.Int63n(int64(delayMax-delayMin)))
 		note = fmt.Sprintf("delay %v, %s", d.delay.Round(time.Microsecond), note)

@@ -3,13 +3,13 @@ package chaos
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,9 +17,10 @@ import (
 	"dvdc/internal/wire"
 )
 
-// pipeThrough writes msgs through a faultConn over an in-memory pipe and
-// returns what the far side's ReadFrame saw: decoded messages until the
-// first error (nil error means the writer closed cleanly first).
+// pipeThrough writes msgs through a faultConn over an in-memory pipe, straight
+// to the conn as the transport does, and returns what the far side's
+// ReadFrame saw: decoded messages until the first error (nil error means the
+// writer closed cleanly first).
 func pipeThrough(t *testing.T, inj *Injector, p Pair, msgs []*wire.Message) ([]*wire.Message, error) {
 	t.Helper()
 	client, server := net.Pipe()
@@ -48,13 +49,9 @@ func pipeThrough(t *testing.T, inj *Injector, p Pair, msgs []*wire.Message) ([]*
 			res.got = append(res.got, m)
 		}
 	}()
-	w := bufio.NewWriter(fc)
 	var werr error
 	for _, m := range msgs {
-		if werr = wire.WriteFrame(w, m); werr != nil {
-			break
-		}
-		if werr = w.Flush(); werr != nil {
+		if werr = wire.WriteFrame(fc, m); werr != nil {
 			break
 		}
 	}
@@ -91,28 +88,60 @@ func TestCleanPassThrough(t *testing.T) {
 	}
 }
 
+// TestArmedCorruptYieldsTypedFrameError holds every armed traffic fault to one
+// decision per frame. Each case arms its kind, then a Delay, and sends a frame
+// whose payload is far past wire's inline size, so it leaves as several
+// Writes, then a clean frame (over a fresh conn when the fault killed the
+// first). The kind fires once, on the big frame; the Delay fires once, on the
+// clean frame, which arrives intact. Each note names its frame's type and
+// length on the wire.
 func TestArmedCorruptYieldsTypedFrameError(t *testing.T) {
-	inj := New(1, Config{})
-	p := Pair{Coordinator, 2}
-	inj.Arm(p, Corrupt)
-	// A frame with a payload much larger than the receiver's read buffer, to
-	// prove corruption detection does not depend on frame size.
-	big := &wire.Message{Type: wire.MsgType(2), Payload: bytes.Repeat([]byte{0xAB}, 200_000)}
-	got, err := pipeThrough(t, inj, p, []*wire.Message{big, msgN(2)})
-	if err == nil {
-		t.Fatalf("corrupted stream decoded cleanly: %d frames", len(got))
+	big := &wire.Message{Type: wire.MsgDeltaChunk, Payload: bytes.Repeat([]byte{0xAB}, 200_000)}
+	clean := &wire.Message{Type: wire.MsgCommit, Epoch: 9, VM: "vm9"}
+	note := func(m *wire.Message) string {
+		return fmt.Sprintf("%s frame, %d bytes", m.Type, 4+len(m.Encode()))
 	}
-	if !wire.IsDecodeErr(err) {
-		t.Fatalf("corruption surfaced as %v, want wire.ErrFrame", err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("decoded %d frames before the corrupted one, want 0", len(got))
-	}
-	if inj.Fired(-1, Corrupt) != 1 {
-		t.Fatalf("fault log: %v, want one corrupt", inj.Log())
-	}
-	if inj.ArmedPending() != 0 {
-		t.Fatalf("armed fault did not fire")
+	for _, k := range []Kind{Corrupt, Drop, Delay} {
+		t.Run(k.String(), func(t *testing.T) {
+			inj := New(1, Config{})
+			p := Pair{Coordinator, 2}
+			inj.Arm(p, k)
+			inj.Arm(p, Delay)
+			got, err := pipeThrough(t, inj, p, []*wire.Message{big, clean})
+			switch k {
+			case Corrupt:
+				if !wire.IsDecodeErr(err) || len(got) != 0 {
+					t.Fatalf("corrupted stream: %d frames, err %v, want none and wire.ErrFrame", len(got), err)
+				}
+			case Drop:
+				if err == nil || len(got) != 0 {
+					t.Fatalf("dropped frame: %d frames delivered, err %v", len(got), err)
+				}
+			case Delay:
+				if err != nil || len(got) != 2 || !bytes.Equal(got[0].Payload, big.Payload) {
+					t.Fatalf("delayed frames: %d delivered, err %v, want both intact", len(got), err)
+				}
+				got = got[1:]
+			}
+			if k != Delay {
+				if got, err = pipeThrough(t, inj, p, []*wire.Message{clean}); err != nil {
+					t.Fatalf("clean frame over a fresh conn: %v", err)
+				}
+			}
+			if len(got) != 1 || got[0].Type != clean.Type || got[0].Epoch != clean.Epoch || got[0].VM != clean.VM {
+				t.Fatalf("clean frame after the fault: %+v, want %+v", got, clean)
+			}
+			log := inj.Log()
+			if len(log) != 2 || log[0].Kind != k || log[1].Kind != Delay || !log[0].Armed || !log[1].Armed {
+				t.Fatalf("fault log %v, want armed %s then armed delay", log, k)
+			}
+			if !strings.HasSuffix(log[0].Note, note(big)) || !strings.HasSuffix(log[1].Note, note(clean)) {
+				t.Fatalf("fault notes %q, %q, want them to end %q, %q", log[0].Note, log[1].Note, note(big), note(clean))
+			}
+			if inj.ArmedPending() != 0 {
+				t.Fatalf("%d armed faults left", inj.ArmedPending())
+			}
+		})
 	}
 }
 
@@ -129,37 +158,21 @@ func TestArmedDropSeversConnection(t *testing.T) {
 	}
 }
 
-func TestArmedDuplicateDeliversTwice(t *testing.T) {
-	inj := New(1, Config{})
-	p := Pair{0, 1}
-	inj.Arm(p, Duplicate)
-	got, err := pipeThrough(t, inj, p, []*wire.Message{msgN(7), msgN(8)})
-	if err != nil {
-		t.Fatalf("duplicate run errored: %v", err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %d frames, want 3 (first duplicated)", len(got))
-	}
-	if got[0].Epoch != 7 || got[1].Epoch != 7 || got[2].Epoch != 8 {
-		t.Fatalf("frame order wrong: %d %d %d", got[0].Epoch, got[1].Epoch, got[2].Epoch)
-	}
-}
-
 func TestArmedFaultsFireFIFO(t *testing.T) {
 	inj := New(1, Config{})
 	p := Pair{0, 1}
 	inj.Arm(p, Delay)
-	inj.Arm(p, Duplicate)
+	inj.Arm(p, Corrupt)
 	got, err := pipeThrough(t, inj, p, []*wire.Message{msgN(1), msgN(2), msgN(3)})
-	if err != nil {
-		t.Fatalf("run errored: %v", err)
+	if !wire.IsDecodeErr(err) {
+		t.Fatalf("run ended with %v, want the second frame's wire.ErrFrame", err)
 	}
-	if len(got) != 4 {
-		t.Fatalf("got %d frames, want 4 (second duplicated)", len(got))
+	if len(got) != 1 || got[0].Epoch != 1 {
+		t.Fatalf("got %d frames, want the delayed first one only", len(got))
 	}
 	log := inj.Log()
-	if len(log) != 2 || log[0].Kind != Delay || log[1].Kind != Duplicate {
-		t.Fatalf("fault order: %v, want delay then duplicate", log)
+	if len(log) != 2 || log[0].Kind != Delay || log[1].Kind != Corrupt {
+		t.Fatalf("fault order: %v, want delay then corrupt", log)
 	}
 	if !log[0].Armed || !log[1].Armed {
 		t.Fatalf("armed flag missing: %v", log)
@@ -173,7 +186,7 @@ func TestProbabilisticStreamIsSeedDeterministic(t *testing.T) {
 		// order is exactly the call order).
 		var kinds []string
 		for f := 0; f < 200; f++ {
-			d := inj.frameFault(Pair{0, 1}, 31, 0, frameCaps{corrupt: true, duplicate: true})
+			d := inj.frameFault(Pair{0, 1}, 31, 0)
 			kinds = append(kinds, d.kind.String())
 		}
 		return kinds
@@ -202,13 +215,13 @@ func TestPairStreamsAreIndependent(t *testing.T) {
 	solo := New(99, Config{PDrop: 0.5})
 	var alone []Kind
 	for f := 0; f < 50; f++ {
-		alone = append(alone, solo.frameFault(Pair{0, 1}, 31, 0, frameCaps{}).kind)
+		alone = append(alone, solo.frameFault(Pair{0, 1}, 31, 0).kind)
 	}
 	mixed := New(99, Config{PDrop: 0.5})
 	var together []Kind
 	for f := 0; f < 50; f++ {
-		mixed.frameFault(Pair{2, 3}, 31, 0, frameCaps{}) // interleaved noise
-		together = append(together, mixed.frameFault(Pair{0, 1}, 31, 0, frameCaps{}).kind)
+		mixed.frameFault(Pair{2, 3}, 31, 0) // interleaved noise
+		together = append(together, mixed.frameFault(Pair{0, 1}, 31, 0).kind)
 	}
 	for i := range alone {
 		if alone[i] != together[i] {
@@ -221,32 +234,16 @@ func TestPauseStopsProbabilisticButNotArmed(t *testing.T) {
 	inj := New(7, Config{PDrop: 1.0})
 	inj.Pause()
 	p := Pair{0, 1}
-	if d := inj.frameFault(p, 31, 0, frameCaps{}); d.kind != 0 {
+	if d := inj.frameFault(p, 31, 0); d.kind != 0 {
 		t.Fatalf("paused injector fired %s", d.kind)
 	}
 	inj.Arm(p, Drop)
-	if d := inj.frameFault(p, 31, 0, frameCaps{}); d.kind != Drop || !d.armed {
+	if d := inj.frameFault(p, 31, 0); d.kind != Drop || !d.armed {
 		t.Fatalf("armed fault suppressed by pause: %+v", d)
 	}
 	inj.Resume()
-	if d := inj.frameFault(p, 31, 0, frameCaps{}); d.kind != Drop {
+	if d := inj.frameFault(p, 31, 0); d.kind != Drop {
 		t.Fatalf("resume did not restore probabilistic injection: %+v", d)
-	}
-}
-
-func TestCapsGateArmedAndProbabilistic(t *testing.T) {
-	inj := New(7, Config{})
-	p := Pair{0, 1}
-	inj.Arm(p, Duplicate)
-	// Chunk cannot carry a duplicate: the fault must stay armed, unlogged.
-	if d := inj.frameFault(p, 31, 0, frameCaps{corrupt: true, duplicate: false}); d.kind != 0 {
-		t.Fatalf("incapable chunk fired %s", d.kind)
-	}
-	if inj.ArmedPending() != 1 {
-		t.Fatal("armed duplicate was consumed by an incapable chunk")
-	}
-	if d := inj.frameFault(p, 31, 0, frameCaps{corrupt: true, duplicate: true}); d.kind != Duplicate {
-		t.Fatalf("capable chunk fired %v, want duplicate", d.kind)
 	}
 }
 
@@ -297,37 +294,6 @@ func TestPartitionRefusesDialsAndSeversConns(t *testing.T) {
 	c2.Close()
 	if inj.Counters().Get("dial-refused") != 1 {
 		t.Fatalf("counters: %s, want dial-refused=1", inj.Counters())
-	}
-}
-
-func TestFrameTrackerSplitWrites(t *testing.T) {
-	// One 31-byte-body frame delivered in pathological fragments: the tracker
-	// must still find the second frame's boundary.
-	body := msgN(1).Encode()
-	var stream []byte
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	stream = append(stream, hdr[:]...)
-	stream = append(stream, body...)
-
-	var tr frameTracker
-	// Feed header split 1+3, then body split at 5.
-	tr.advance(stream[:1])
-	tr.advance(stream[1:4])
-	tr.advance(stream[4:9])
-	if _, _, ok := tr.firstFrame(stream[9 : len(stream)-1]); ok {
-		t.Fatal("mid-body chunk claimed to hold a frame start")
-	}
-	tr.advance(stream[9:])
-	// Now at a boundary: the next chunk's frame must be found at offset 0.
-	start, bodyLen, ok := tr.firstFrame(stream)
-	if !ok || start != 0 || bodyLen != len(body) {
-		t.Fatalf("boundary scan: start=%d len=%d ok=%v, want 0 %d true", start, bodyLen, ok, len(body))
-	}
-	// A chunk ending mid-prefix is skipped.
-	tr2 := frameTracker{}
-	if _, _, ok := tr2.firstFrame(stream[:3]); ok {
-		t.Fatal("3-byte prefix fragment claimed a frame")
 	}
 }
 

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"syscall"
@@ -19,73 +18,17 @@ import (
 // carries no checksum), which would poison the soak harness's invariants;
 // an over-limit length prefix is corruption that is always detected.
 
-// frameTracker follows the 4-byte-length-prefixed framing of a byte stream
-// so the conn wrapper knows where frames begin inside arbitrary write
-// chunks. Zero value is ready (stream starts at a frame boundary).
-type frameTracker struct {
-	hdr  [4]byte
-	hdrN int // length-prefix bytes seen so far (when mid-prefix)
-	body int // body bytes of the current frame still outstanding
-}
-
-// advance consumes one chunk of stream bytes.
-func (t *frameTracker) advance(b []byte) {
-	for len(b) > 0 {
-		if t.body > 0 {
-			n := min(t.body, len(b))
-			t.body -= n
-			b = b[n:]
-			continue
-		}
-		n := copy(t.hdr[t.hdrN:], b)
-		t.hdrN += n
-		b = b[n:]
-		if t.hdrN == 4 {
-			t.body = int(binary.LittleEndian.Uint32(t.hdr[:]))
-			t.hdrN = 0
-		}
-	}
-}
-
-// firstFrame scans a chunk without consuming it and reports the first frame
-// whose length prefix begins fully inside the chunk: the prefix offset, the
-// body length, and whether such a frame exists.
-func (t frameTracker) firstFrame(b []byte) (start, bodyLen int, ok bool) {
-	off := 0
-	for off < len(b) {
-		if t.body > 0 {
-			n := min(t.body, len(b)-off)
-			t.body -= n
-			off += n
-			continue
-		}
-		if t.hdrN == 0 {
-			if len(b)-off < 4 {
-				return 0, 0, false // prefix straddles the chunk; skip
-			}
-			return off, int(binary.LittleEndian.Uint32(b[off:])), true
-		}
-		n := copy(t.hdr[t.hdrN:], b[off:])
-		t.hdrN += n
-		off += n
-		if t.hdrN == 4 {
-			t.body = int(binary.LittleEndian.Uint32(t.hdr[:]))
-			t.hdrN = 0
-		}
-	}
-	return 0, 0, false
-}
-
 // faultConn wraps a real connection with one pair's fault stream. Faults are
-// decided at outbound frame boundaries; the read path only enforces
-// partitions. Conn methods are called under the transport layer's own
-// serialization (one in-flight exchange per conn), so the tracker needs no
-// lock of its own.
+// decided once per outbound frame, in ObserveFrame, which wire.WriteFrame
+// calls before the frame's first byte; Read and Write only enforce partitions
+// and carry out a pending corruption. Conn methods are called under the
+// transport layer's own serialization (one in-flight exchange per conn), so
+// the pending flag needs no lock of its own.
 type faultConn struct {
 	net.Conn
-	inj    *Injector
-	pair   Pair
-	wtrack frameTracker
+	inj     *Injector
+	pair    Pair
+	corrupt bool // mangle the length prefix the next Write begins with
 }
 
 func newFaultConn(c net.Conn, inj *Injector, p Pair) *faultConn {
@@ -99,96 +42,77 @@ func (c *faultConn) errSevered(what string) error {
 	return fmt.Errorf("chaos: %s on pair %s: %w", what, c.pair, syscall.ECONNRESET)
 }
 
+// severIfPartitioned closes a partitioned pair's conn and returns its error.
+func (c *faultConn) severIfPartitioned(op string) error {
+	if !c.inj.Partitioned(c.pair) {
+		return nil
+	}
+	c.Conn.Close()
+	return c.errSevered("partitioned " + op)
+}
+
 // Read implements net.Conn; a partitioned pair dies on its next read.
 func (c *faultConn) Read(b []byte) (int, error) {
-	if c.inj.Partitioned(c.pair) {
-		c.Conn.Close()
-		return 0, c.errSevered("partitioned read")
+	if err := c.severIfPartitioned("read"); err != nil {
+		return 0, err
 	}
 	return c.Conn.Read(b)
 }
 
-// Write implements net.Conn, applying at most one fault per chunk to the
-// first frame that starts inside it.
+// Write implements net.Conn. A frame's first Write begins with its length
+// prefix, so a corruption ObserveFrame decided lands on that Write.
 func (c *faultConn) Write(b []byte) (int, error) {
-	if c.inj.Partitioned(c.pair) {
-		c.Conn.Close()
-		return 0, c.errSevered("partitioned write")
+	if err := c.severIfPartitioned("write"); err != nil {
+		return 0, err
 	}
-	start, bodyLen, ok := c.wtrack.firstFrame(b)
-	if !ok {
-		c.wtrack.advance(b)
-		return c.Conn.Write(b)
+	if c.corrupt {
+		c.corrupt = false
+		mangled := append([]byte(nil), b...)
+		mangled[2], mangled[3] = 0xFF, 0xFF
+		return c.Conn.Write(mangled)
 	}
-	frameEnd := start + 4 + bodyLen
-	caps := frameCaps{
-		corrupt:   true, // the length prefix is always fully inside the chunk
-		duplicate: frameEnd <= len(b),
-	}
-	var msgType uint8
-	if bodyLen >= 1 && start+4 < len(b) {
-		msgType = b[start+4] // wire type is the first body byte
+	return c.Conn.Write(b)
+}
+
+// ObserveFrame implements wire.FrameObserver: it decides the frame's one
+// fault before WriteFrame writes any of it.
+func (c *faultConn) ObserveFrame(m wire.Message, frameLen int) error {
+	if err := c.severIfPartitioned("write"); err != nil {
+		return err
 	}
 	// A standing SlowNode delay stretches every bulk frame queued toward the
 	// slow node's data-plane ingest; control frames pass untouched. It is not
 	// a frameFault decision: it applies even while probabilistic chaos is
 	// paused, and it is never recorded per frame (the fault log got exactly
 	// one entry when SlowNode was called).
-	if wire.MsgType(msgType).Bulk() {
+	if m.Type.Bulk() {
 		if d := c.inj.SlowDelay(c.pair); d > 0 {
 			time.Sleep(d)
 		}
 	}
-	d := c.inj.frameFault(c.pair, 4+bodyLen, msgType, caps)
+	d := c.inj.frameFault(c.pair, frameLen, m.Type)
 	if d.kind != 0 {
-		c.traceFault(b, start, bodyLen, d)
+		c.traceFault(obs.SpanContext{Trace: m.Trace, Span: m.Span}, d)
 	}
 	switch d.kind {
 	case Drop:
 		c.Conn.Close()
-		return 0, c.errSevered("dropped frame")
+		return c.errSevered("dropped frame")
 	case Delay:
 		time.Sleep(d.delay)
 	case Corrupt:
-		mangled := append([]byte(nil), b...)
-		mangled[start+2] = 0xFF
-		mangled[start+3] = 0xFF
-		c.wtrack.advance(b) // track the *real* framing, not the mangled length
-		return c.Conn.Write(mangled)
-	case Duplicate:
-		c.wtrack.advance(b)
-		n, err := c.Conn.Write(b)
-		if err != nil {
-			return n, err
-		}
-		dup := b[start:frameEnd]
-		c.wtrack.advance(dup)
-		if _, err := c.Conn.Write(dup); err != nil {
-			return n, err
-		}
-		return n, nil
+		c.corrupt = true
 	}
-	c.wtrack.advance(b)
-	return c.Conn.Write(b)
+	return nil
 }
 
-// traceFault pins a fired fault onto the trace of the frame it mangled: the
-// wire header's trace/span fields sit at fixed offsets inside the frame body,
-// so the event lands as a child of the exact RPC attempt (the pool re-stamps
-// Span per attempt) the fault hit. Untraced frames (trace id 0) are dropped
-// by the tracer.
-func (c *faultConn) traceFault(b []byte, start, bodyLen int, d decision) {
+// traceFault pins a fired fault onto the trace of the frame it hit, as a
+// child of the exact RPC attempt (the pool re-stamps Span per attempt).
+// Untraced frames (trace id 0) are dropped by the tracer.
+func (c *faultConn) traceFault(ctx obs.SpanContext, d decision) {
 	tr := c.inj.Tracer()
 	if tr == nil {
 		return
-	}
-	hdr := start + 4
-	if bodyLen < wire.FixedHeaderLen || hdr+wire.FixedHeaderLen > len(b) {
-		return
-	}
-	ctx := obs.SpanContext{
-		Trace: binary.LittleEndian.Uint64(b[hdr+wire.TraceOffset:]),
-		Span:  binary.LittleEndian.Uint64(b[hdr+wire.SpanOffset:]),
 	}
 	kv := []string{"pair", c.pair.String()}
 	if d.armed {

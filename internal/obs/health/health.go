@@ -55,8 +55,8 @@ type Signal struct {
 
 // Rule is one declarative SLO: the windowed measure of Signal must stay at or
 // under Objective. Burn rate is measure/Objective; the rule fires when the
-// fast AND slow windows both burn at or above their thresholds, and resolves
-// when the fast window recovers. Windows shorter than the tick interval are
+// fast AND slow windows both burn at or above 1, and resolves when the fast
+// window drops back under 1. Windows shorter than the tick interval are
 // rounded up to one tick; both must fit inside the evaluator's retention.
 type Rule struct {
 	Name      string
@@ -67,8 +67,6 @@ type Rule struct {
 
 	FastWindow time.Duration // default 10s
 	SlowWindow time.Duration // default 40s
-	FastBurn   float64       // default 1
-	SlowBurn   float64       // default 1
 	MinSamples int           // observations required in the fast window; default 1
 }
 
@@ -221,12 +219,6 @@ func (e *Evaluator) AddRule(r Rule) {
 	if r.SlowWindow <= 0 {
 		r.SlowWindow = 40 * time.Second
 	}
-	if r.FastBurn <= 0 {
-		r.FastBurn = 1
-	}
-	if r.SlowBurn <= 0 {
-		r.SlowBurn = 1
-	}
 	if r.MinSamples <= 0 {
 		r.MinSamples = 1
 	}
@@ -372,11 +364,11 @@ func (e *Evaluator) evaluateLocked(rs *ruleState, now time.Time, tick int64) (al
 		// Resolve on fast-window recovery (or the signal going quiet): the
 		// slow window keeps the fault in view long after it is over, and an
 		// alert that cannot resolve is an alert nobody trusts.
-		if fastN < rs.rule.MinSamples || rs.burnFast < rs.rule.FastBurn {
+		if fastN < rs.rule.MinSamples || rs.burnFast < 1 {
 			return e.transitionLocked(rs, StateResolved, now, tick), true
 		}
 	default:
-		if hasData && rs.burnFast >= rs.rule.FastBurn && rs.burnSlow >= rs.rule.SlowBurn {
+		if hasData && rs.burnFast >= 1 && rs.burnSlow >= 1 {
 			return e.transitionLocked(rs, StateFiring, now, tick), true
 		}
 	}

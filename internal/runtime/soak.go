@@ -468,7 +468,7 @@ func (e *soakEnv) armRoundFaults(victims []int) [2]int {
 		e.harness.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 		chunkKinds := []chaos.Kind{chaos.Drop, chaos.Corrupt}
 		for i := 0; i < cfg.ChunkFaults && i < len(edges); i++ {
-			e.inj.ArmMsg(edges[i], chunkKinds[e.harness.Intn(len(chunkKinds))], uint8(wire.MsgDeltaChunk))
+			e.inj.ArmMsg(edges[i], chunkKinds[e.harness.Intn(len(chunkKinds))], wire.MsgDeltaChunk)
 		}
 	}
 	return partitioned

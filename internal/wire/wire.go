@@ -149,12 +149,12 @@ func (m *Message) payloadLen() int {
 	return n
 }
 
-// Fixed-header byte offsets. The chaos injector peeks at these to tag
-// injected faults with the trace context of the frame it mangled.
+// Fixed-header byte offsets within the encoded body: Type, Epoch, Group and
+// Arg, then the trace context, then the VM name's length prefix.
 const (
-	TraceOffset    = 1 + 8 + 4 + 8   // Trace field within the encoded body
-	SpanOffset     = TraceOffset + 8 // Span field within the encoded body
-	FixedHeaderLen = SpanOffset + 8  // bytes before the VM length prefix
+	traceOffset    = 1 + 8 + 4 + 8   // Trace field
+	spanOffset     = traceOffset + 8 // Span field
+	FixedHeaderLen = spanOffset + 8  // bytes before the VM length prefix
 )
 
 // MaxFrame bounds a frame to keep a corrupted length prefix from allocating
@@ -198,6 +198,16 @@ func Decode(b []byte) (*Message, error) {
 	return readFrame(bytes.NewReader(b), len(b))
 }
 
+// FrameObserver is a writer that sees every frame before its first byte is
+// written: WriteFrame calls ObserveFrame once per frame with a copy of the
+// message and the frame's length on the wire (the 4-byte prefix plus the
+// body), and writes nothing when it returns an error. A copy, not the
+// pointer, so that a message its caller built on the stack stays there. The
+// chaos injector's connections decide their faults here.
+type FrameObserver interface {
+	ObserveFrame(m Message, frameLen int) error
+}
+
 // inlinePayload is the largest payload folded into the header write; bigger
 // payloads leave from the caller's own slices so a bulk chunk batch or image
 // is never copied just to be framed.
@@ -218,6 +228,11 @@ func WriteFrame(w io.Writer, m *Message) error {
 	}
 	if len(m.VM) >= 1<<16 {
 		return fmt.Errorf("%w: VM name of %d bytes overflows its 16-bit length", ErrFrame, len(m.VM))
+	}
+	if o, ok := w.(FrameObserver); ok {
+		if err := o.ObserveFrame(*m, 4+n); err != nil {
+			return err
+		}
 	}
 	head := 4 + n - pl
 	inline := pl <= inlinePayload
@@ -341,8 +356,8 @@ func readFrame(r io.Reader, n int) (*Message, error) {
 		Epoch:   binary.LittleEndian.Uint64(h[1:]),
 		Group:   int32(binary.LittleEndian.Uint32(h[9:])),
 		Arg:     binary.LittleEndian.Uint64(h[13:]),
-		Trace:   binary.LittleEndian.Uint64(h[TraceOffset:]),
-		Span:    binary.LittleEndian.Uint64(h[SpanOffset:]),
+		Trace:   binary.LittleEndian.Uint64(h[traceOffset:]),
+		Span:    binary.LittleEndian.Uint64(h[spanOffset:]),
 		VM:      vm,
 		Text:    text,
 		Payload: payload,

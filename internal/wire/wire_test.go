@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -38,18 +41,17 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceOffsets pins the exported header offsets to the encoding: the
-// chaos injector reads trace context straight out of raw frame bytes at
-// these positions, so they must track Encode exactly.
+// TestTraceOffsets pins the header offsets readFrame parses the trace context
+// at to the ones Encode writes it at.
 func TestTraceOffsets(t *testing.T) {
 	enc := sample().Encode()
-	if got := binaryLE64(enc[TraceOffset:]); got != sample().Trace {
-		t.Errorf("Trace at offset %d = %x", TraceOffset, got)
+	if got := binaryLE64(enc[traceOffset:]); got != sample().Trace {
+		t.Errorf("Trace at offset %d = %x", traceOffset, got)
 	}
-	if got := binaryLE64(enc[SpanOffset:]); got != sample().Span {
-		t.Errorf("Span at offset %d = %x", SpanOffset, got)
+	if got := binaryLE64(enc[spanOffset:]); got != sample().Span {
+		t.Errorf("Span at offset %d = %x", spanOffset, got)
 	}
-	if FixedHeaderLen != SpanOffset+8 {
+	if FixedHeaderLen != spanOffset+8 {
 		t.Error("FixedHeaderLen out of step with field offsets")
 	}
 }
@@ -139,6 +141,81 @@ func TestWriteFrameBulkIsNotCopied(t *testing.T) {
 	var w pieceWriter
 	if err := WriteFrame(&w, m); err != nil || len(w.pieces) != 1 {
 		t.Fatalf("inline frame: %d writes, err %v", len(w.pieces), err)
+	}
+}
+
+// observingWriter is a pieceWriter that is also a FrameObserver: it records
+// each observed frame's type and length and refuses frames while refuse is
+// set.
+type observingWriter struct {
+	pieceWriter
+	seen   []string
+	refuse error
+}
+
+func (w *observingWriter) ObserveFrame(m Message, frameLen int) error {
+	w.seen = append(w.seen, fmt.Sprintf("%s/%d", m.Type, frameLen))
+	return w.refuse
+}
+
+// TestWriteFrameObservesEachFrameOnce: an observing writer hears of a frame
+// once, before its first byte, with its length on the wire, however many
+// Writes the frame takes; an error from the observer is WriteFrame's error,
+// and nothing of that frame is written.
+func TestWriteFrameObservesEachFrameOnce(t *testing.T) {
+	bulk := &Message{Type: MsgDeltaChunk, VM: "vm", Payload: bytes.Repeat([]byte{3}, 2*inlinePayload)}
+	ctl := &Message{Type: MsgCommit, Epoch: 4}
+	var w observingWriter
+	for _, m := range []*Message{bulk, ctl} {
+		if err := WriteFrame(&w, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{fmt.Sprintf("delta-chunk/%d", 4+len(bulk.Encode())), fmt.Sprintf("commit/%d", 4+len(ctl.Encode()))}
+	if !slices.Equal(w.seen, want) || len(w.pieces) != 3 {
+		t.Fatalf("observed %v over %d writes, want %v over 3", w.seen, len(w.pieces), want)
+	}
+	w.refuse = errors.New("refused")
+	if err := WriteFrame(&w, bulk); err != w.refuse || len(w.pieces) != 3 {
+		t.Fatalf("refused frame: err %v, %d writes, want the observer's error and no write", err, len(w.pieces))
+	}
+}
+
+// frameCounter discards what is written to it and counts observed frames,
+// allocating nothing of its own.
+type frameCounter struct{ frames int }
+
+func (c *frameCounter) Write(b []byte) (int, error) { return len(b), nil }
+
+func (c *frameCounter) ObserveFrame(Message, int) error {
+	c.frames++
+	return nil
+}
+
+// TestWriteFrameAllocs pins WriteFrame's allocations for a control frame
+// (none: the head buffer is pooled) and a bulk frame (the scatter list and
+// its header), through a plain writer and through an observer: observing
+// hands the observer a copy of the message, which allocates nothing.
+func TestWriteFrameAllocs(t *testing.T) {
+	ctl := &Message{Type: MsgPrepare, Epoch: 3, VM: "vm1", Trace: 1, Span: 2}
+	bulk := &Message{Type: MsgDeltaChunk, Epoch: 3, VM: "vm1", Payload: bytes.Repeat([]byte{1}, 16*inlinePayload)}
+	for _, w := range []io.Writer{io.Discard, &frameCounter{}} {
+		for _, tc := range []struct {
+			m    *Message
+			want float64
+		}{{ctl, 0}, {bulk, 2}} {
+			got := testing.AllocsPerRun(100, func() {
+				if err := WriteFrame(w, tc.m); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != tc.want {
+				t.Errorf("WriteFrame(%T, %s) allocates %v times, want %v", w, tc.m.Type, got, tc.want)
+			}
+		}
+	}
+	if c := (&frameCounter{}); WriteFrame(c, ctl) != nil || c.frames != 1 {
+		t.Fatalf("observer saw %d frames, want 1", c.frames)
 	}
 }
 
