@@ -34,8 +34,8 @@ func pipeThrough(t *testing.T, inj *Injector, p Pair, msgs []*wire.Message) ([]*
 		r := bufio.NewReader(server)
 		var res result
 		for {
-			m, err := wire.ReadFrame(r)
-			if err != nil {
+			m := new(wire.Message)
+			if err := wire.ReadFrame(r, m); err != nil {
 				if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) &&
 					!errors.Is(err, io.ErrClosedPipe) {
 					res.err = err
@@ -51,7 +51,7 @@ func pipeThrough(t *testing.T, inj *Injector, p Pair, msgs []*wire.Message) ([]*
 	}()
 	var werr error
 	for _, m := range msgs {
-		if werr = wire.WriteFrame(fc, m); werr != nil {
+		if werr = wire.WriteFrame(fc, m, nil); werr != nil {
 			break
 		}
 	}

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"slices"
 
 	"dvdc/internal/checkpoint"
 	"dvdc/internal/vm"
@@ -177,11 +178,12 @@ func (c *ChunkCursor) pieces(size int) int {
 // only it, and Advance, Unstage and Rollback close it.
 type Member struct {
 	machine *vm.Machine
-	epoch   uint64   // protocol epoch of the committed image (0 = initial)
-	pre     [][]byte // pre[i]: page i's committed bytes if written since, else nil
-	held    int      // non-nil entries of pre
-	free    [][]byte // spare pre-image pages
-	staged  *Delta   // the open capture, nil between rounds
+	epoch   uint64    // protocol epoch of the committed image (0 = initial)
+	pre     [][]byte  // pre[i]: page i's committed bytes if written since, else nil
+	held    int       // non-nil entries of pre
+	free    [][]byte  // spare pre-image pages
+	staged  *Delta    // the open capture, nil between rounds
+	runs    []PageRun // the last capture's run list, whose array the next Stage reuses
 }
 
 // NewMember wraps a machine and takes its initial full checkpoint (protocol
@@ -337,14 +339,16 @@ func (mem *Member) CaptureDeltaInto(alloc func(int) []byte) (*Delta, error) {
 			d.Pages = append(d.Pages, p)
 		}
 	}
+	mem.runs = nil // the delta, run list included, is the caller's to keep
 	return d, mem.Advance(d.Epoch)
 }
 
 // Stage opens a capture: it closes the guest's dirty epoch and returns the
 // pages the checkpoint will ship as their maximal runs, in page order, under
-// the epoch the capture will commit as. The run list is the capture's own,
-// allocated once at its exact size, and never reused: a ship that outlived
-// its round may still hold it while the retry stages the next. Neither the
+// the epoch the capture will commit as, its run list in the previous
+// capture's array. A ship that outlived its round may still hold the old
+// *Delta, never reused, so it reads the list only under the lock it shares
+// with Stage, once DeltaInto found its capture still staged. Neither the
 // committed image nor the member's epoch moves — Advance does that at
 // commit, Unstage takes the capture back — so an aborted round has nothing
 // to undo. It refuses while a capture is already staged.
@@ -380,7 +384,7 @@ func (mem *Member) Stage(skipUnchanged bool) (d *Delta, unchanged int, err error
 		}
 		last = i
 	}
-	d = &Delta{VMID: m.ID(), Epoch: mem.epoch + 1, Runs: make([]PageRun, 0, runs)}
+	d = &Delta{VMID: m.ID(), Epoch: mem.epoch + 1, Runs: slices.Grow(mem.runs[:0], runs)}
 	for i := m.NextDirty(0); i >= 0; i = m.NextDirty(i + 1) {
 		switch n := len(d.Runs); {
 		case skipUnchanged && mem.pre[i] == nil:
@@ -391,7 +395,7 @@ func (mem *Member) Stage(skipUnchanged bool) (d *Delta, unchanged int, err error
 		}
 	}
 	m.BeginEpoch()
-	mem.staged = d
+	mem.staged, mem.runs = d, d.Runs
 	return d, unchanged, nil
 }
 

@@ -69,7 +69,7 @@ func readBlock(t *testing.T, dial transport.DialFunc, addr, source, vmName strin
 	asm := &wire.Assembler{}
 	var epoch, arg uint64
 	for i, count := 0, 1; i < count; i++ {
-		resp, err := conn.Call(&wire.Message{
+		resp, err := call(conn, &wire.Message{
 			Type: wire.MsgReadChunk, Text: source, VM: vmName, Group: int32(group),
 			Arg: uint64(i)<<32 | cs,
 		})
@@ -385,7 +385,7 @@ func TestDuplicateChunkFoldsOnce(t *testing.T) {
 	defer conn.Close()
 	send := func(c *wire.Chunk) {
 		t.Helper()
-		resp, err := conn.Call(&wire.Message{
+		resp, err := call(conn, &wire.Message{
 			Type: wire.MsgDeltaChunk, Epoch: 1, Group: 0, VM: member,
 			Payload: wire.EncodeChunk(c),
 		})
@@ -399,7 +399,7 @@ func TestDuplicateChunkFoldsOnce(t *testing.T) {
 	send(&chunks[0])
 	send(&chunks[1])
 	send(&chunks[1]) // exact re-delivery
-	if resp, err := conn.Call(&wire.Message{Type: wire.MsgCommit, Epoch: 1}); err != nil || resp.Type != wire.MsgCommitOK {
+	if resp, err := call(conn, &wire.Message{Type: wire.MsgCommit, Epoch: 1}); err != nil || resp.Type != wire.MsgCommitOK {
 		t.Fatalf("commit: %v %v", resp, err)
 	}
 
@@ -478,7 +478,7 @@ func TestReadChunkServesImagesAndParity(t *testing.T) {
 		"unknown source":     {Type: wire.MsgReadChunk, Text: "disk", VM: v.Name, Arg: cs},
 		"zero chunk size":    {Type: wire.MsgReadChunk, Text: "image", VM: v.Name},
 	} {
-		if _, err := conn.Call(req); err == nil {
+		if _, err := call(conn, req); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -612,4 +612,13 @@ func TestChunkSizeValidation(t *testing.T) {
 	if err := oracleDiff(t, coord, shadow); err != nil {
 		t.Fatalf("round after the refused configures: %v", err)
 	}
+}
+
+// call sends req over conn and returns its reply in a message of its own.
+func call(conn *transport.Conn, req *wire.Message) (*wire.Message, error) {
+	resp := new(wire.Message)
+	if err := conn.CallInto(req, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }

@@ -104,7 +104,7 @@ func TestDuplicateChunkRedeliveryMidFoldRace(t *testing.T) {
 		}
 		defer conn.Close()
 		for _, i := range order {
-			resp, err := conn.Call(&wire.Message{
+			resp, err := call(conn, &wire.Message{
 				Type: wire.MsgDeltaChunk, Epoch: 1, Group: 0, VM: member,
 				Payload: wire.EncodeChunk(&chunks[i]),
 			})
@@ -145,7 +145,7 @@ func TestDuplicateChunkRedeliveryMidFoldRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if resp, err := conn.Call(&wire.Message{Type: wire.MsgCommit, Epoch: 1}); err != nil || resp.Type != wire.MsgCommitOK {
+	if resp, err := call(conn, &wire.Message{Type: wire.MsgCommit, Epoch: 1}); err != nil || resp.Type != wire.MsgCommitOK {
 		t.Fatalf("commit: %v %v", resp, err)
 	}
 
@@ -211,7 +211,7 @@ func TestRejectedBatchFoldsAcceptedFramesOnce(t *testing.T) {
 	defer conn.Close()
 	send := func(c1 []byte) error {
 		payload := slices.Concat(frames[0], c1, frames[2])
-		_, err := conn.Call(&wire.Message{Type: wire.MsgDeltaChunk, Epoch: 1, Group: 0, VM: member, Payload: payload})
+		_, err := call(conn, &wire.Message{Type: wire.MsgDeltaChunk, Epoch: 1, Group: 0, VM: member, Payload: payload})
 		return err
 	}
 	folded := func() (int64, int64) {
@@ -236,7 +236,7 @@ func TestRejectedBatchFoldsAcceptedFramesOnce(t *testing.T) {
 	if got, dups := folded(); got != 3 || dups != 2 {
 		t.Fatalf("folded %d chunks with %d duplicates dropped, want 3 and 2", got, dups)
 	}
-	if resp, err := conn.Call(&wire.Message{Type: wire.MsgCommit, Epoch: 1}); err != nil || resp.Type != wire.MsgCommitOK {
+	if resp, err := call(conn, &wire.Message{Type: wire.MsgCommit, Epoch: 1}); err != nil || resp.Type != wire.MsgCommitOK {
 		t.Fatalf("commit: %v %v", resp, err)
 	}
 
@@ -310,7 +310,7 @@ func TestAbortRacesInFlightFolds(t *testing.T) {
 				Index: uint32(i), Count: count,
 				RawLen: uint32(chunkLen), Data: data,
 			}
-			if _, err := sender.Call(&wire.Message{
+			if _, err := call(sender, &wire.Message{
 				Type: wire.MsgDeltaChunk, Epoch: 1, Group: 0, VM: member,
 				Payload: wire.EncodeChunk(&c),
 			}); err != nil {
@@ -325,7 +325,7 @@ func TestAbortRacesInFlightFolds(t *testing.T) {
 		// Several aborts spread across the stream maximize the chance one
 		// lands while a fold is in flight.
 		for k := 0; k < 4; k++ {
-			if _, err := aborter.Call(&wire.Message{Type: wire.MsgAbort, Epoch: 1}); err != nil {
+			if _, err := call(aborter, &wire.Message{Type: wire.MsgAbort, Epoch: 1}); err != nil {
 				errs <- err
 				return
 			}
@@ -341,7 +341,7 @@ func TestAbortRacesInFlightFolds(t *testing.T) {
 	}
 	// Final abort: whatever partial stream the race left behind is dropped,
 	// so the hand-crafted garbage never reaches committed parity.
-	if resp, err := aborter.Call(&wire.Message{Type: wire.MsgAbort, Epoch: 1}); err != nil || resp.Type != wire.MsgAbortOK {
+	if resp, err := call(aborter, &wire.Message{Type: wire.MsgAbort, Epoch: 1}); err != nil || resp.Type != wire.MsgAbortOK {
 		t.Fatalf("final abort: %v %v", resp, err)
 	}
 
@@ -420,7 +420,7 @@ func TestStagedFoldsAbortsAndReadsInterleave(t *testing.T) {
 				// A stream an abort cut short restarts at whatever index comes
 				// next; a conflict with a half-dropped stream is not possible,
 				// since every round's stream has the same shape.
-				if _, err := sender.Call(&wire.Message{
+				if _, err := call(sender, &wire.Message{
 					Type: wire.MsgDeltaChunk, Epoch: coord.Epoch() + 1, Group: int32(g.Index), VM: member,
 					Payload: wire.EncodeChunk(&c),
 				}); err != nil {
@@ -440,7 +440,7 @@ func TestStagedFoldsAbortsAndReadsInterleave(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := aborter.Call(&wire.Message{Type: wire.MsgAbort, Epoch: coord.Epoch() + 1}); err != nil {
+			if _, err := call(aborter, &wire.Message{Type: wire.MsgAbort, Epoch: coord.Epoch() + 1}); err != nil {
 				errs <- err
 				return
 			}
@@ -455,7 +455,7 @@ func TestStagedFoldsAbortsAndReadsInterleave(t *testing.T) {
 				return
 			default:
 			}
-			resp, err := reader.Call(&wire.Message{
+			resp, err := call(reader, &wire.Message{
 				Type: wire.MsgReadChunk, Text: "parity", Group: int32(g.Index), Arg: uint64(img),
 			})
 			if err != nil {
@@ -479,7 +479,7 @@ func TestStagedFoldsAbortsAndReadsInterleave(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := aborter.Call(&wire.Message{Type: wire.MsgAbort, Epoch: coord.Epoch() + 1}); err != nil {
+	if _, err := call(aborter, &wire.Message{Type: wire.MsgAbort, Epoch: coord.Epoch() + 1}); err != nil {
 		t.Fatal(err)
 	}
 	nodes[parityNode].mu.Lock()

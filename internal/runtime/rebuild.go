@@ -212,8 +212,8 @@ func (n *Node) pullChunk(ctx obs.SpanContext, src *blockSource, group int, epoch
 	case src.vm == "":
 		req.Text, req.Group = "parity", int32(group)
 	}
-	resp, err := n.callPeer(src.node, req)
-	if err != nil {
+	var resp wire.Message
+	if err := n.callPeer(src.node, req, &resp); err != nil {
 		return err
 	}
 	defer bufpool.Put(resp.Payload)
@@ -321,7 +321,8 @@ func (n *Node) handOff(ctx obs.SpanContext, cfg *rebuildConfig, outs [][]byte) e
 		if err != nil {
 			return err
 		}
-		resp, err := n.callPeer(e.Target, &wire.Message{Type: wire.MsgReconstruct, Group: int32(cfg.Group), Text: text, Trace: ctx.Trace, Span: ctx.Span})
+		var resp wire.Message
+		err = n.callPeer(e.Target, &wire.Message{Type: wire.MsgReconstruct, Group: int32(cfg.Group), Text: text, Trace: ctx.Trace, Span: ctx.Span}, &resp)
 		if err == nil && resp.Type != wire.MsgReconstructOK {
 			err = fmt.Errorf("unexpected reply %v", resp.Type)
 		}

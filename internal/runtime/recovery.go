@@ -152,21 +152,21 @@ func (c *Coordinator) downNodes(extra ...int) []int {
 	for _, n := range extra {
 		set[n] = true
 	}
-	down := make([]int, 0, len(set))
-	for n := range set {
-		down = append(down, n)
-	}
-	sort.Ints(down)
-	return down
+	return sortedKeys(set)
 }
 
 // pendingRecovery lists dead nodes no recovery has succeeded over yet.
 func (c *Coordinator) pendingRecovery() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []int
-	for n := range c.pending {
-		out = append(out, n)
+	return sortedKeys(c.pending)
+}
+
+// sortedKeys lists a set's members in ascending order.
+func sortedKeys(set map[int]bool) []int {
+	out := make([]int, 0, len(set))
+	for k := range set {
+		out = append(out, k)
 	}
 	sort.Ints(out)
 	return out
@@ -333,13 +333,8 @@ func (c *Coordinator) sendRebuild(ctx obs.SpanContext, node int, rc rebuildConfi
 // given groups to every alive node: one MsgSetParityBatch per node carrying
 // every (group, parity block) pointer.
 func (c *Coordinator) refreshParityPointers(ctx obs.SpanContext, groups map[int]bool) error {
-	var sorted []int
-	for g := range groups {
-		sorted = append(sorted, g)
-	}
-	sort.Ints(sorted)
 	var updates []parityUpdate
-	for _, gi := range sorted {
+	for _, gi := range sortedKeys(groups) {
 		for i, pn := range c.layout.Groups[gi].ParityNodes {
 			updates = append(updates, parityUpdate{Group: gi, Idx: i, Node: pn})
 		}

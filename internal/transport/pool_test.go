@@ -183,7 +183,7 @@ func TestConnCallDeadline(t *testing.T) {
 	defer c.Close()
 	c.SetTimeout(100 * time.Millisecond)
 	start := time.Now()
-	_, err = c.Call(&wire.Message{Type: wire.MsgStep})
+	_, err = call(c, &wire.Message{Type: wire.MsgStep})
 	if err == nil {
 		t.Fatal("call against a stalled handler should fail")
 	}

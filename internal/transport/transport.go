@@ -17,12 +17,13 @@ import (
 	"dvdc/internal/wire"
 )
 
-// Conn is a framed connection. Call is safe for concurrent use; each call
+// Conn is a framed connection. CallInto is safe for concurrent use; each call
 // holds the connection for one request/response exchange.
 type Conn struct {
 	mu      sync.Mutex
 	c       net.Conn
 	r       *bufio.Reader
+	segs    net.Buffers // a bulk request frame's scatter list (wire.WriteFrame)
 	timeout time.Duration
 }
 
@@ -82,10 +83,10 @@ func (c *Conn) SetTimeout(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// Call sends a request and waits for its reply, bounded by the configured
-// per-call timeout. A reply of type MsgError is converted into a
-// *wire.RemoteError.
-func (c *Conn) Call(req *wire.Message) (*wire.Message, error) {
+// CallInto sends a request and waits for its reply, decoded into resp, which
+// the caller owns (its Payload included), bounded by the configured per-call
+// timeout. A reply of type MsgError is converted into a *wire.RemoteError.
+func (c *Conn) CallInto(req, resp *wire.Message) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.timeout > 0 {
@@ -94,26 +95,26 @@ func (c *Conn) Call(req *wire.Message) (*wire.Message, error) {
 	}
 	// Straight to the connection: a frame is one Write, or one writev with the
 	// bulk payload sent from the caller's buffer (wire.WriteFrame).
-	if err := wire.WriteFrame(c.c, req); err != nil {
-		return nil, err
+	if err := wire.WriteFrame(c.c, req, &c.segs); err != nil {
+		return err
 	}
-	resp, err := wire.ReadFrame(c.r)
-	if err != nil {
-		return nil, err
+	if err := wire.ReadFrame(c.r, resp); err != nil {
+		return err
 	}
-	if err := resp.AsError(); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return resp.AsError()
 }
 
 // Close shuts the connection down.
 func (c *Conn) Close() error { return c.c.Close() }
 
 // Handler serves one request and returns the reply. Returning an error sends
-// a MsgError reply and keeps the connection open. The request payload is the
-// pooled buffer wire.ReadFrame read it into; the server recycles it and the
-// reply's once the reply is written (serveConn), so a handler keeps neither.
+// a MsgError reply and keeps the connection open. The request is the
+// connection's: every request it carries decodes into one message, valid
+// until the handler returns, so a handler keeps no pointer to it. A handler
+// may answer with req itself, rewritten into its reply, which then allocates
+// nothing. The request payload is the pooled buffer wire.ReadFrame read it
+// into; the server recycles it and the reply's once the reply is written
+// (serveConn), so a handler keeps neither.
 type Handler func(req *wire.Message) (*wire.Message, error)
 
 // Server accepts framed connections and dispatches requests to a Handler.
@@ -212,24 +213,28 @@ func (s *Server) serveConn(c net.Conn) {
 		c.Close()
 	}()
 	r := bufio.NewReaderSize(c, readerSize)
+	var (
+		req  wire.Message // every request decodes here (Handler)
+		segs net.Buffers  // a bulk reply frame's scatter list
+	)
 	for {
-		req, err := wire.ReadFrame(r)
-		if err != nil {
+		if err := wire.ReadFrame(r, &req); err != nil {
 			return // connection closed or corrupted; drop it
 		}
-		resp, herr := s.handler(req)
+		typ, trace, span, payload := req.Type, req.Trace, req.Span, req.Payload
+		resp, herr := s.handler(&req)
 		if herr != nil {
 			resp = wire.Errorf("%v", herr)
 		}
 		if resp == nil {
-			resp = wire.Errorf("transport: handler returned no reply for %v", req.Type)
+			resp = wire.Errorf("transport: handler returned no reply for %v", typ)
 		}
 		// Replies carry the request's trace context back so fault injection on
 		// the return path can still be pinned to the originating RPC span.
 		if resp.Trace == 0 {
-			resp.Trace, resp.Span = req.Trace, req.Span
+			resp.Trace, resp.Span = trace, span
 		}
-		if err := wire.WriteFrame(c, resp); err != nil {
+		if err := wire.WriteFrame(c, resp, &segs); err != nil {
 			return
 		}
 		// The exchange is over and both payloads go back to the buffer pool:
@@ -237,11 +242,10 @@ func (s *Server) serveConn(c net.Conn) {
 		// the server's once returned — a buffer the handler gives up (today
 		// only the runtime's read-chunk replies, a pooled chunk frame each) or
 		// a slice of the request's payload, recognised and released once.
-		if !sameBacking(resp.Payload, req.Payload) {
+		if !sameBacking(resp.Payload, payload) {
 			bufpool.Put(resp.Payload)
 		}
-		bufpool.Put(req.Payload)
-		req.Payload = nil
+		bufpool.Put(payload)
 	}
 }
 

@@ -34,7 +34,7 @@ func TestCallRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.Call(&wire.Message{Type: wire.MsgHello, Epoch: 9, Payload: []byte("hi")})
+	resp, err := call(c, &wire.Message{Type: wire.MsgHello, Epoch: 9, Payload: []byte("hi")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestHandlerErrorBecomesRemoteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Call(&wire.Message{Type: wire.MsgStep}); err == nil {
+	if _, err := call(c, &wire.Message{Type: wire.MsgStep}); err == nil {
 		t.Error("expected remote error")
 	}
 	// The connection must survive an error reply.
-	if _, err := c.Call(&wire.Message{Type: wire.MsgHello}); err != nil {
+	if _, err := call(c, &wire.Message{Type: wire.MsgHello}); err != nil {
 		t.Errorf("connection dead after error reply: %v", err)
 	}
 }
@@ -72,7 +72,7 @@ func TestConcurrentCallsSerialize(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := c.Call(&wire.Message{Type: wire.MsgHello, Epoch: uint64(i)})
+			resp, err := call(c, &wire.Message{Type: wire.MsgHello, Epoch: uint64(i)})
 			if err != nil {
 				errs <- err
 				return
@@ -96,7 +96,7 @@ func TestMultipleClients(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Call(&wire.Message{Type: wire.MsgHello}); err != nil {
+		if _, err := call(c, &wire.Message{Type: wire.MsgHello}); err != nil {
 			t.Fatal(err)
 		}
 		c.Close()
@@ -122,11 +122,11 @@ func TestServerCloseTerminatesClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Call(&wire.Message{Type: wire.MsgHello}); err != nil {
+	if _, err := call(c, &wire.Message{Type: wire.MsgHello}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if _, err := c.Call(&wire.Message{Type: wire.MsgHello}); err == nil {
+	if _, err := call(c, &wire.Message{Type: wire.MsgHello}); err == nil {
 		t.Error("call after server close should fail")
 	}
 }
@@ -142,11 +142,20 @@ func TestLargePayload(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i)
 	}
-	resp, err := c.Call(&wire.Message{Type: wire.MsgHello, Payload: big})
+	resp, err := call(c, &wire.Message{Type: wire.MsgHello, Payload: big})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(resp.Payload) != len(big) {
 		t.Errorf("payload %d, want %d", len(resp.Payload), len(big))
 	}
+}
+
+// call sends req over c and returns its reply in a message of its own.
+func call(c *Conn, req *wire.Message) (*wire.Message, error) {
+	resp := new(wire.Message)
+	if err := c.CallInto(req, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }

@@ -140,10 +140,10 @@ func sgRoundTrip(t *testing.T, block []byte, chunkSize int) {
 	// must see the contiguous payload.
 	msg := &Message{Type: MsgDeltaChunk, Epoch: 3, VM: "vm-sg", PayloadSegs: fw.Segments()}
 	var stream bytes.Buffer
-	if err := WriteFrame(&stream, msg); err != nil {
+	if err := WriteFrame(&stream, msg, nil); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := ReadFrame(&stream)
+	rt, err := readMsg(&stream)
 	if err != nil {
 		t.Fatal(err)
 	}

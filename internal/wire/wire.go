@@ -195,7 +195,11 @@ func (m *Message) Encode() []byte {
 // Decode parses a message body: ReadFrame's reader run over b, so the head
 // is parsed in one place. Payload is a pooled copy the caller owns.
 func Decode(b []byte) (*Message, error) {
-	return readFrame(bytes.NewReader(b), len(b))
+	m := new(Message)
+	if err := readFrame(bytes.NewReader(b), len(b), m); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // FrameObserver is a writer that sees every frame before its first byte is
@@ -219,8 +223,11 @@ const inlinePayload = 4 << 10
 // not copied: head, Payload and every PayloadSegs segment go out as one
 // net.Buffers, which is a single writev when w is a TCP connection and one
 // Write per piece through any other writer — so w should be the connection
-// itself, not a buffered writer that would copy the pieces again.
-func WriteFrame(w io.Writer, m *Message) error {
+// itself, not a buffered writer that would copy the pieces again. The list is
+// built in *segs, the writer's own storage that every frame it writes reuses
+// (a connection keeps one; nil takes a fresh list for this frame), so a bulk
+// frame allocates nothing once the list has grown to its segment count.
+func WriteFrame(w io.Writer, m *Message, segs *net.Buffers) error {
 	pl := m.payloadLen()
 	n := FixedHeaderLen + 2 + len(m.VM) + 4 + len(m.Text) + 4 + pl
 	if n > MaxFrame {
@@ -251,10 +258,13 @@ func WriteFrame(w io.Writer, m *Message) error {
 		}
 		_, err = w.Write(buf)
 	} else {
+		if segs == nil {
+			segs = new(net.Buffers)
+		}
 		// WriteTo consumes the list it is called on, and PayloadSegs may be
-		// shared by concurrent sends of one message: write a private list.
-		out := make(net.Buffers, 1, 2+len(m.PayloadSegs))
-		out[0] = buf
+		// shared by concurrent sends of one message: the pieces are listed in
+		// the writer's storage, whose full length is restored once written.
+		out := append((*segs)[:0], buf)
 		if len(m.Payload) > 0 {
 			out = append(out, m.Payload)
 		}
@@ -263,7 +273,9 @@ func WriteFrame(w io.Writer, m *Message) error {
 				out = append(out, s)
 			}
 		}
-		_, err = out.WriteTo(w)
+		*segs = out
+		_, err = segs.WriteTo(w)
+		*segs = out[:0]
 	}
 	bufpool.Put(buf)
 	return err
@@ -276,31 +288,36 @@ type headScratch [512]byte
 
 var heads = sync.Pool{New: func() any { return new(headScratch) }}
 
-// ReadFrame reads one length-prefixed message from r, every byte once: the
-// head through a pooled scratch, the payload straight into a bufpool.Get
-// buffer of its length. A frame whose lengths do not add up fails with
-// ErrFrame before any payload byte is read; a stream that ends inside the
-// frame fails with the io error one io.ReadFull of the body would give.
-// Payload passes to the message's consumer, who bufpool.Puts it.
-func ReadFrame(r io.Reader) (*Message, error) {
-	return readFrame(r, -1)
+// ReadFrame reads one length-prefixed message from r into m, every byte
+// once: the head through a pooled scratch, the payload straight into a
+// bufpool.Get buffer of its length. Every field of m is overwritten, so a
+// connection decodes each frame into one message it owns: a VM name or Text
+// equal to m's current one is kept rather than allocated again. A frame whose
+// lengths do not add up fails with ErrFrame before any payload byte is read;
+// a stream that ends inside the frame fails with the io error one
+// io.ReadFull of the body would give. Either way m is left unspecified.
+// Payload passes to m's owner, who bufpool.Puts it; the payload m held
+// before is not released.
+func ReadFrame(r io.Reader, m *Message) error {
+	return readFrame(r, -1, m)
 }
 
 // readFrame reads an n-byte frame body from r (n < 0: the length prefix
-// first), checking every length against the bytes left before reading on.
-func readFrame(r io.Reader, n int) (*Message, error) {
+// first) into m, checking every length against the bytes left before
+// reading on.
+func readFrame(r io.Reader, n int, m *Message) error {
 	s := heads.Get().(*headScratch)
 	defer heads.Put(s)
 	if n < 0 {
 		if _, err := io.ReadFull(r, s[:4]); err != nil {
-			return nil, err
+			return err
 		}
 		if n = int(binary.LittleEndian.Uint32(s[:])); n > MaxFrame {
-			return nil, fmt.Errorf("%w: frame length %d exceeds max %d", ErrFrame, n, MaxFrame)
+			return fmt.Errorf("%w: frame length %d exceeds max %d", ErrFrame, n, MaxFrame)
 		}
 	}
 	if n < FixedHeaderLen+2 {
-		return nil, fmt.Errorf("%w: short header (%d bytes)", ErrFrame, n)
+		return fmt.Errorf("%w: short header (%d bytes)", ErrFrame, n)
 	}
 	left := n
 	read := func(b []byte) error {
@@ -312,56 +329,57 @@ func readFrame(r io.Reader, n int) (*Message, error) {
 		return err
 	}
 	h := s[:FixedHeaderLen+2]
-	// field reads a k-byte string and the 4-byte length behind it, past h.
-	field := func(k int, next string) (string, int, error) {
+	// field reads a k-byte string into *dst, unless *dst already holds those
+	// bytes, and returns the 4-byte length behind it, past h.
+	field := func(k int, next string, dst *string) (int, error) {
 		if k < 0 || k > left { // k < 0: a uint32 length wrapped by a 32-bit int
-			return "", 0, fmt.Errorf("%w: truncated field", ErrFrame)
+			return 0, fmt.Errorf("%w: truncated field", ErrFrame)
 		}
 		if k+4 > left {
-			return "", 0, fmt.Errorf("%w: truncated %s length", ErrFrame, next)
+			return 0, fmt.Errorf("%w: truncated %s length", ErrFrame, next)
 		}
 		b := s[len(h):]
 		if k+4 > len(b) {
 			b = make([]byte, k+4)
 		}
 		if err := read(b[:k+4]); err != nil {
-			return "", 0, err
+			return 0, err
 		}
-		return string(b[:k]), int(binary.LittleEndian.Uint32(b[k:])), nil
+		if string(b[:k]) != *dst {
+			*dst = string(b[:k])
+		}
+		return int(binary.LittleEndian.Uint32(b[k:])), nil
 	}
 	if err := read(h); err != nil {
-		return nil, err
+		return err
 	}
-	vm, tl, err := field(int(binary.LittleEndian.Uint16(h[FixedHeaderLen:])), "text")
+	m.Type = MsgType(h[0])
+	m.Epoch = binary.LittleEndian.Uint64(h[1:])
+	m.Group = int32(binary.LittleEndian.Uint32(h[9:]))
+	m.Arg = binary.LittleEndian.Uint64(h[13:])
+	m.Trace = binary.LittleEndian.Uint64(h[traceOffset:])
+	m.Span = binary.LittleEndian.Uint64(h[spanOffset:])
+	m.Payload, m.PayloadSegs = nil, nil
+	tl, err := field(int(binary.LittleEndian.Uint16(h[FixedHeaderLen:])), "text", &m.VM)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	text, pl, err := field(tl, "payload")
+	pl, err := field(tl, "payload", &m.Text)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if pl != left {
-		return nil, fmt.Errorf("%w: payload of %d bytes in the %d left", ErrFrame, pl, left)
+		return fmt.Errorf("%w: payload of %d bytes in the %d left", ErrFrame, pl, left)
 	}
-	var payload []byte
 	if pl > 0 {
-		payload = bufpool.Get(pl)
+		payload := bufpool.Get(pl)
 		if err := read(payload); err != nil {
 			bufpool.Put(payload)
-			return nil, err
+			return err
 		}
+		m.Payload = payload
 	}
-	return &Message{
-		Type:    MsgType(h[0]),
-		Epoch:   binary.LittleEndian.Uint64(h[1:]),
-		Group:   int32(binary.LittleEndian.Uint32(h[9:])),
-		Arg:     binary.LittleEndian.Uint64(h[13:]),
-		Trace:   binary.LittleEndian.Uint64(h[traceOffset:]),
-		Span:    binary.LittleEndian.Uint64(h[spanOffset:]),
-		VM:      vm,
-		Text:    text,
-		Payload: payload,
-	}, nil
+	return nil
 }
 
 // IsDecodeErr reports whether err stems from frame decoding (ErrFrame): the

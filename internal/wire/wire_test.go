@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func sample() *Message {
@@ -90,10 +92,10 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	m := sample()
-	if err := WriteFrame(&buf, m); err != nil {
+	if err := WriteFrame(&buf, m, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	got, err := readMsg(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestWriteFrameBulkIsNotCopied(t *testing.T) {
 	m := &Message{Type: MsgDeltaChunk, Epoch: 9, VM: "vm-bulk", Payload: payload, PayloadSegs: segs}
 	for round := 0; round < 2; round++ {
 		var w pieceWriter
-		if err := WriteFrame(&w, m); err != nil {
+		if err := WriteFrame(&w, m, nil); err != nil {
 			t.Fatal(err)
 		}
 		if len(w.pieces) != 4 || !bytes.Equal(w.pieces[1], payload) || !bytes.Equal(w.pieces[2], segs[0]) || !bytes.Equal(w.pieces[3], segs[2]) {
@@ -139,7 +141,7 @@ func TestWriteFrameBulkIsNotCopied(t *testing.T) {
 	// At the inline limit the frame is one Write.
 	m = &Message{Type: MsgStats, Payload: payload[:inlinePayload]}
 	var w pieceWriter
-	if err := WriteFrame(&w, m); err != nil || len(w.pieces) != 1 {
+	if err := WriteFrame(&w, m, nil); err != nil || len(w.pieces) != 1 {
 		t.Fatalf("inline frame: %d writes, err %v", len(w.pieces), err)
 	}
 }
@@ -167,7 +169,7 @@ func TestWriteFrameObservesEachFrameOnce(t *testing.T) {
 	ctl := &Message{Type: MsgCommit, Epoch: 4}
 	var w observingWriter
 	for _, m := range []*Message{bulk, ctl} {
-		if err := WriteFrame(&w, m); err != nil {
+		if err := WriteFrame(&w, m, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +178,7 @@ func TestWriteFrameObservesEachFrameOnce(t *testing.T) {
 		t.Fatalf("observed %v over %d writes, want %v over 3", w.seen, len(w.pieces), want)
 	}
 	w.refuse = errors.New("refused")
-	if err := WriteFrame(&w, bulk); err != w.refuse || len(w.pieces) != 3 {
+	if err := WriteFrame(&w, bulk, nil); err != w.refuse || len(w.pieces) != 3 {
 		t.Fatalf("refused frame: err %v, %d writes, want the observer's error and no write", err, len(w.pieces))
 	}
 }
@@ -193,29 +195,87 @@ func (c *frameCounter) ObserveFrame(Message, int) error {
 }
 
 // TestWriteFrameAllocs pins WriteFrame's allocations for a control frame
-// (none: the head buffer is pooled) and a bulk frame (the scatter list and
-// its header), through a plain writer and through an observer: observing
-// hands the observer a copy of the message, which allocates nothing.
+// (none: the head buffer is pooled) and a bulk frame (none once the writer's
+// scatter list has grown; without one, a fresh list, its backing array and
+// its header per frame), through a
+// plain writer and through an observer: observing hands the observer a copy
+// of the message, which allocates nothing.
 func TestWriteFrameAllocs(t *testing.T) {
 	ctl := &Message{Type: MsgPrepare, Epoch: 3, VM: "vm1", Trace: 1, Span: 2}
 	bulk := &Message{Type: MsgDeltaChunk, Epoch: 3, VM: "vm1", Payload: bytes.Repeat([]byte{1}, 16*inlinePayload)}
 	for _, w := range []io.Writer{io.Discard, &frameCounter{}} {
+		segs := new(net.Buffers)
 		for _, tc := range []struct {
 			m    *Message
+			segs *net.Buffers
 			want float64
-		}{{ctl, 0}, {bulk, 2}} {
+		}{{ctl, segs, 0}, {bulk, segs, 0}, {bulk, nil, 3}} {
 			got := testing.AllocsPerRun(100, func() {
-				if err := WriteFrame(w, tc.m); err != nil {
+				if err := WriteFrame(w, tc.m, tc.segs); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if got != tc.want {
-				t.Errorf("WriteFrame(%T, %s) allocates %v times, want %v", w, tc.m.Type, got, tc.want)
+				t.Errorf("WriteFrame(%T, %s, own list %t) allocates %v times, want %v", w, tc.m.Type, tc.segs != nil, got, tc.want)
 			}
 		}
 	}
-	if c := (&frameCounter{}); WriteFrame(c, ctl) != nil || c.frames != 1 {
+	if c := (&frameCounter{}); WriteFrame(c, ctl, nil) != nil || c.frames != 1 {
 		t.Fatalf("observer saw %d frames, want 1", c.frames)
+	}
+}
+
+// readMsg reads one frame into a fresh message.
+func readMsg(r io.Reader) (*Message, error) {
+	m := new(Message)
+	if err := ReadFrame(r, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// TestReadFrameReusesMessage: frames read one after another into one message
+// overwrite every field — nothing of the earlier frame survives — and keep a
+// VM name or Text equal to the one the message holds, so decoding a run of
+// frames about one VM into a message its connection owns allocates nothing.
+func TestReadFrameReusesMessage(t *testing.T) {
+	frames := []*Message{
+		{Type: MsgDeltaChunk, Epoch: 5, Group: 2, Arg: 7, Trace: 8, Span: 9, VM: "vm-07", Text: "t", Payload: []byte{1, 2}},
+		{Type: MsgDeltaChunk, Epoch: 6, VM: "vm-07"},
+		{Type: MsgCommitOK, Epoch: 6},
+	}
+	var stream bytes.Buffer
+	for _, m := range frames {
+		if err := WriteFrame(&stream, m, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got Message
+	vm := ""
+	for i, want := range frames {
+		if err := ReadFrame(&stream, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("frame %d read as %+v, want %+v", i, got, *want)
+		}
+		if i == 1 && unsafe.StringData(got.VM) != unsafe.StringData(vm) {
+			t.Error("an unchanged VM name was allocated again")
+		}
+		vm = got.VM
+	}
+	if err := WriteFrame(&stream, frames[1], nil); err != nil {
+		t.Fatal(err)
+	}
+	b := stream.Bytes()
+	r := bytes.NewReader(b)
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(b)
+		if err := ReadFrame(r, &got); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("reading a control frame about the same VM into its message allocates %v times, want 0", allocs)
 	}
 }
 
@@ -226,15 +286,15 @@ func TestWriteFrameAllocs(t *testing.T) {
 // round-trips.
 func TestWriteFrameRefusesLongVMName(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteFrame(&buf, &Message{Type: MsgInstall, VM: strings.Repeat("v", 1<<16)})
+	err := WriteFrame(&buf, &Message{Type: MsgInstall, VM: strings.Repeat("v", 1<<16)}, nil)
 	if !errors.Is(err, ErrFrame) || buf.Len() != 0 {
 		t.Fatalf("65536-byte VM name: err %v, %d bytes written", err, buf.Len())
 	}
 	m := &Message{Type: MsgInstall, VM: strings.Repeat("v", 1<<16-1), Text: strings.Repeat("t", 5000), Payload: []byte{7}}
-	if err := WriteFrame(&buf, m); err != nil {
+	if err := WriteFrame(&buf, m, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFrame(&buf)
+	got, err := readMsg(&buf)
 	if err != nil || got.VM != m.VM || got.Text != m.Text || !bytes.Equal(got.Payload, m.Payload) {
 		t.Fatalf("65535-byte VM name did not round-trip: %v", err)
 	}
@@ -243,7 +303,7 @@ func TestWriteFrameRefusesLongVMName(t *testing.T) {
 func TestReadFrameRejectsOversized(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff}) // 4 GiB length prefix
-	if _, err := ReadFrame(&buf); err == nil {
+	if _, err := readMsg(&buf); err == nil {
 		t.Error("oversized frame accepted")
 	}
 }
@@ -253,12 +313,12 @@ func TestMultipleFramesOnStream(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		m := sample()
 		m.Epoch = uint64(i)
-		if err := WriteFrame(&buf, m); err != nil {
+		if err := WriteFrame(&buf, m, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 5; i++ {
-		got, err := ReadFrame(&buf)
+		got, err := readMsg(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
