@@ -14,7 +14,9 @@ test:
 	$(GO) test ./...
 
 # The second line repeats the tests whose subject is an interleaving (an
-# orphaned ship beside the next round, a stale batch of an aborted attempt
+# orphaned ship beside the next round, a ship's workers stopped by an abort
+# mid-shipment or by a retry's Stage reusing their run list, an RS m = 2 peer
+# failing mid-batch beside the other's fold, a stale batch of an aborted attempt
 # reaching its keeper after the abort, commits racing folds, handler folds on
 # concurrent connections, staged folds racing aborts and parity reads, a
 # restore's read slots folding concurrently while a pull fails, a decoder dying
@@ -23,7 +25,7 @@ test:
 # allocates: one pass under the detector sees one schedule.
 race:
 	$(GO) test -race ./internal/runtime/ ./internal/transport/ ./internal/chaos/ ./internal/core/ ./internal/sim/ ./internal/service/ ./internal/parity/ ./internal/wire/ ./internal/cluster/
-	$(GO) test -race -count=5 -run 'TestOrphanedShipStopsAtNextBatch|TestStaleBatchOfAbortedAttemptIsRefused|TestStaleAndDuplicateCommit|TestRoundPoolBalance|TestKeeperFootprint|TestMemberFootprint|TestNewMemberAtCopiesNothing|TestAbortRacesInFlightFolds|TestStagedFoldsAbortsAndReadsInterleave|TestConcurrentGroupFoldRace|TestDuplicateChunkRedeliveryMidFoldRace|TestFailedRestoreAdoptsNothingAndLeaksNothing|TestRecoveryPoolBalance' ./internal/runtime/ ./internal/core/
+	$(GO) test -race -count=5 -run 'TestOrphanedShipStopsAtNextBatch|TestAbortMidShipment|TestOrphanedWorkerAfterRetryRestages|TestPeerFailsMidBatchWhileOtherFolds|TestStaleBatchOfAbortedAttemptIsRefused|TestStaleAndDuplicateCommit|TestRoundPoolBalance|TestKeeperFootprint|TestMemberFootprint|TestNewMemberAtCopiesNothing|TestAbortRacesInFlightFolds|TestStagedFoldsAbortsAndReadsInterleave|TestConcurrentGroupFoldRace|TestDuplicateChunkRedeliveryMidFoldRace|TestFailedRestoreAdoptsNothingAndLeaksNothing|TestRecoveryPoolBalance' ./internal/runtime/ ./internal/core/
 
 cover:
 	$(GO) test -coverprofile=cover.out ./internal/...
@@ -42,7 +44,7 @@ loc:
 # obs/adapt together) does not grow, and that the fault injector
 # (internal/chaos) does not grow, as checks on make loc's figures. A change
 # that shrinks them lowers the ceilings to its new counts.
-RUNTIME_LOC_CEILING = 4058
+RUNTIME_LOC_CEILING = 4054
 RUNTIME_CORE_CLUSTER_LOC_CEILING = 6208
 TELEMETRY_LOC_CEILING = 4140
 CHAOS_LOC_CEILING = 764
