@@ -127,15 +127,16 @@ type SoakResult struct {
 	ControllerRestarts int
 }
 
-// FaultLogDigest renders the fault log in a canonical order (faults within
-// one round fire concurrently across pairs, so raw log order is not
-// reproducible; the sorted rendering is).
+// FaultLogDigest renders the fault log by round, then by line: faults within
+// one round fire concurrently across pairs, so only a sorted log reproduces.
 func (r *SoakResult) FaultLogDigest() []string {
-	out := make([]string, len(r.FaultLog))
-	for i, f := range r.FaultLog {
+	log := append([]chaos.Fault(nil), r.FaultLog...)
+	sort.Slice(log, func(i, j int) bool { return log[i].String() < log[j].String() })
+	sort.SliceStable(log, func(i, j int) bool { return log[i].Round < log[j].Round })
+	out := make([]string, len(log))
+	for i, f := range log {
 		out[i] = f.String()
 	}
-	sort.Strings(out)
 	return out
 }
 
